@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,27 +97,54 @@ func cmdLs(dir string) error {
 		if err != nil {
 			return err
 		}
-		kind := "unknown"
-		switch {
-		case strings.HasPrefix(d.Name(), "win_"):
-			kind = "aar-window-log"
-		case strings.HasPrefix(d.Name(), "data-"):
-			kind = "aur-data-log"
-		case strings.HasPrefix(d.Name(), "index-"):
-			kind = "aur-index-log"
-		case strings.HasPrefix(d.Name(), "rmw-"):
-			kind = "rmw-log"
-		case strings.HasSuffix(d.Name(), ".sst"):
-			kind = "sstable"
-		case strings.HasPrefix(d.Name(), "hlog-"):
-			kind = "hybrid-log"
-		case d.Name() == "stat.snap":
-			kind = "aur-stat-snapshot"
-		}
+		kind := fileKind(d.Name())
 		rel, _ := filepath.Rel(dir, path)
-		fmt.Printf("%-16s %10d  %s\n", kind, info.Size(), rel)
+		fmt.Printf("%-20s %10d  %s\n", kind, info.Size(), rel)
 		return nil
 	})
+}
+
+// segmentName matches a checkpoint segment file, "<logical>.seg-<offset>"
+// (ckpt.SegmentName), capturing the logical file it is a slice of.
+var segmentName = regexp.MustCompile(`^(.+)\.seg-\d{12}$`)
+
+// fileKind names what a store or checkpoint file holds, from its file
+// name alone: live logs by their prefix, checkpoint segments by the
+// logical file they slice, and the fixed-name metadata files.
+func fileKind(name string) string {
+	logical, suffix := name, "-log"
+	if m := segmentName.FindStringSubmatch(name); m != nil {
+		logical, suffix = m[1], "-seg"
+	}
+	switch {
+	case strings.HasPrefix(logical, "win_"):
+		return "aar-window" + suffix
+	case strings.HasPrefix(logical, "data-"), logical == "data.log":
+		return "aur-data" + suffix
+	case strings.HasPrefix(logical, "index-"), logical == "index.log":
+		return "aur-index" + suffix
+	case logical == "stat.dlt":
+		return "aur-stat-stream" + suffix
+	case strings.HasPrefix(logical, "rmw-"):
+		return "rmw" + suffix
+	case logical == "rmw.dlt":
+		return "rmw-delta-stream" + suffix
+	case strings.HasSuffix(name, ".sst"):
+		return "sstable"
+	case strings.HasPrefix(name, "hlog-"):
+		return "hybrid-log"
+	case name == "consumed.snap":
+		return "aur-consumed-set"
+	case name == "SEGMENTS":
+		return "segment-manifest"
+	case name == "MANIFEST":
+		return "checkpoint-manifest"
+	case name == "APPMETA":
+		return "app-metadata"
+	case name == "QUARANTINE":
+		return "quarantine-marker"
+	}
+	return "unknown"
 }
 
 func scanRecords(path string, fn func(i int, off int64, payload []byte) error) error {

@@ -17,8 +17,9 @@ import (
 // The -delta benchmark prices durability as state grows: a store ingests
 // a constant-size batch per round for many rounds (so live state at the
 // last barrier is ~rounds× the state at the first) and commits a
-// checkpoint at every barrier under three modes — "full" rewrites the
-// whole store each time, "incr" hard-links the parent's sealed segments
+// checkpoint at every barrier under three modes — "full" calls
+// Checkpoint, the parentless base path, which rewrites the whole store
+// each time, "incr" hard-links the parent's sealed segments
 // and rewrites only the delta but still fsyncs each file as it is
 // written, and "incr+group" additionally batches all fsyncs into one
 // group-commit window per barrier. The claim under test: full commit
@@ -153,7 +154,7 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 		ck := filepath.Join(ckRoot, fmt.Sprintf("gen-%06d", r))
 		t0 := time.Now()
 		if mode == "full" {
-			err = st.CheckpointWithMeta(ck, nil)
+			err = st.Checkpoint(ck)
 		} else {
 			err = st.CheckpointDelta(ck, parent, nil)
 		}
@@ -162,14 +163,9 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 			fatal(err)
 		}
 		lats = append(lats, lat)
-		var commitBytes int64
-		if mode == "full" {
-			commitBytes = dirSize(ck)
-		} else {
-			copied := st.Stats().CkptCopiedBytes
-			commitBytes = copied - prevCopied
-			prevCopied = copied
-		}
+		copied := st.Stats().CkptCopiedBytes
+		commitBytes := copied - prevCopied
+		prevCopied = copied
 		if r == 1 {
 			res.FirstCommitBytes = commitBytes
 		}
@@ -198,16 +194,4 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 		res.GrowthRatio = float64(res.LastCommitBytes) / float64(res.FirstCommitBytes)
 	}
 	return res
-}
-
-// dirSize sums the regular files under root.
-func dirSize(root string) int64 {
-	var n int64
-	filepath.Walk(root, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && info.Mode().IsRegular() {
-			n += info.Size()
-		}
-		return nil
-	})
-	return n
 }

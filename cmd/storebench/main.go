@@ -41,7 +41,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "run the concurrent composite-store benchmark with this many workers (plus a 1-worker baseline), skipping the baseline store comparison")
 		syncEvery = flag.Int("syncEvery", 2000, "ops between Sync calls in the -parallel benchmark (0 disables)")
 		jsonOut   = flag.String("json", "", "write -parallel results as JSON to this file (-delta merges under a \"delta\" key)")
-		delta     = flag.Bool("delta", false, "run the incremental-checkpoint benchmark: commit bytes and latency as state grows 100x, full vs incremental vs incremental+group-commit")
+		delta     = flag.Bool("delta", false, "run the incremental-checkpoint benchmark: commit bytes and latency as state grows 100x, full (Checkpoint: a parentless base every barrier) vs incremental vs incremental+group-commit")
 	)
 	flag.Parse()
 

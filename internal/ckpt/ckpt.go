@@ -1,10 +1,10 @@
 // Package ckpt holds the segment machinery shared by the three store
-// patterns' incremental (delta) checkpoints. A delta checkpoint records
-// each logical store file as an ordered list of sealed segment files:
-// segments inherited from the previous checkpoint generation are
-// hard-linked into the new directory (copy fallback when the filesystem
-// refuses links), and only the bytes written since the last barrier are
-// materialized as a fresh tail segment. The per-instance SEGMENTS file
+// patterns' checkpoints. A checkpoint records each logical store file
+// as an ordered list of sealed segment files: segments inherited from
+// the previous checkpoint generation are hard-linked into the new
+// directory (copy fallback when the filesystem refuses links), and only
+// the bytes written since the last barrier are materialized as a fresh
+// tail segment. The per-instance SEGMENTS file
 // describes the mapping — logical name, a file epoch identifying the
 // live file the segments were cut from, and each segment's length and
 // CRC32C — so a later checkpoint can decide reuse against it and a
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math/rand"
 	"path/filepath"
 
@@ -25,9 +24,9 @@ import (
 	"flowkv/internal/faultfs"
 )
 
-// MetaName is the per-instance segment-manifest file inside a segmented
-// checkpoint directory. Its presence is what distinguishes a segmented
-// (v2) instance snapshot from a legacy flat one.
+// MetaName is the per-instance segment-manifest file inside a
+// checkpoint directory. Its presence is what distinguishes an
+// instance checkpoint from any other directory.
 const MetaName = "SEGMENTS"
 
 // metaMagic versions the SEGMENTS encoding.
@@ -93,6 +92,15 @@ func (m *Meta) File(logical string) *FileState {
 		}
 	}
 	return nil
+}
+
+// Extends reports whether the next cut of an instance whose last
+// committed cut was lastCutID may extend m's replay stream logical
+// instead of re-basing it: m records the stream and is that last cut, so
+// the instance's in-memory dirty marks are exactly the difference
+// between the two. A nil receiver (no parent) extends nothing.
+func (m *Meta) Extends(logical string, lastCutID uint64) bool {
+	return m.File(logical) != nil && m.CutID != 0 && m.CutID == lastCutID
 }
 
 // Rand64 returns a random epoch / cut identifier. Uniqueness is
@@ -195,75 +203,11 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	return m, nil
 }
 
-// WriteMeta writes the SEGMENTS file into dir without fsyncing it (the
-// caller's group-commit sync window covers it) and returns its encoded
-// bytes so the caller can manifest them without re-reading.
-func WriteMeta(fsys faultfs.FS, dir string, m *Meta) ([]byte, error) {
-	buf := m.Encode()
-	f, err := fsys.Create(filepath.Join(dir, MetaName))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// WriteExtra writes an auxiliary (non-segmented, rewritten every
-// checkpoint) file into dir without fsyncing it and folds it into res:
-// manifest entry, sync-window entry, and copied-byte accounting.
-func WriteExtra(fsys faultfs.FS, dir, name string, buf []byte, res *Result) error {
-	f, err := fsys.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	res.Entries = append(res.Entries, Entry{
-		Path: name,
-		Size: int64(len(buf)),
-		CRC:  binio.Checksum(buf),
-	})
-	res.NeedSync = append(res.NeedSync, filepath.Join(dir, name))
-	res.CopiedBytes += int64(len(buf))
-	return nil
-}
-
-// FinishMeta writes dir's SEGMENTS file and folds it into res: a
-// manifest entry with the encoded bytes' size and CRC, and a sync-window
-// entry, since the manifest must be durable before the checkpoint's
-// commit rename.
-func FinishMeta(fsys faultfs.FS, dir string, m *Meta, res *Result) error {
-	buf, err := WriteMeta(fsys, dir, m)
-	if err != nil {
-		return err
-	}
-	res.Entries = append(res.Entries, Entry{
-		Path: MetaName,
-		Size: int64(len(buf)),
-		CRC:  binio.Checksum(buf),
-	})
-	res.NeedSync = append(res.NeedSync, filepath.Join(dir, MetaName))
-	return nil
-}
-
-// ReadMeta loads and decodes dir's SEGMENTS file. A missing file returns
-// (nil, nil): the directory holds a legacy flat snapshot.
+// ReadMeta loads and decodes dir's SEGMENTS file. A directory without
+// one is not an instance checkpoint: the missing-file error is returned
+// like any other read failure.
 func ReadMeta(fsys faultfs.FS, dir string) (*Meta, error) {
 	b, err := fsys.ReadFile(filepath.Join(dir, MetaName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -279,13 +223,13 @@ type Entry struct {
 	CRC  uint32
 }
 
-// Result is what an instance's delta checkpoint hands back to the
-// composite store: the manifest entries for every file it placed in the
-// directory, the files that still need an fsync before the commit rename
-// (newly written or copy-fallback data; linked files are already
-// durable), byte accounting for the Stats counters, and an optional
-// Commit hook the store layer invokes only after the checkpoint's
-// MANIFEST rename lands (RMW uses it to retire the dirty set it diffed).
+// Result is what an instance's checkpoint hands back to the composite
+// store: the manifest entries for every file it placed in the directory,
+// the files that still need an fsync before the commit rename (newly
+// written or copy-fallback data; linked files are already durable), byte
+// accounting for the Stats counters, and an optional Commit hook the
+// store layer invokes only after the checkpoint's MANIFEST rename lands
+// (AUR and RMW use it to retire the dirty marks they diffed).
 type Result struct {
 	Entries     []Entry
 	NeedSync    []string
@@ -294,10 +238,214 @@ type Result struct {
 	Commit      func()
 }
 
-// CopyRange copies src's bytes [off, off+n) into a fresh file at dst,
-// returning the CRC32C of the written bytes. The destination is not
-// fsynced; the caller adds it to the group-commit sync window.
-func CopyRange(fsys faultfs.FS, src string, off, n int64, dst string) (uint32, error) {
+// Cut is one instance's segmented checkpoint while it is being written:
+// the directory it lands in, the parent generation it is diffed against,
+// and the SEGMENTS meta and Result accumulating as files are added.
+// Nothing a Cut writes is fsynced — Finish's Result names every file
+// that still needs a sync, and the composite store batches those into
+// one group-commit window before the checkpoint's atomic rename.
+type Cut struct {
+	fsys      faultfs.FS
+	dir       string
+	parent    *Meta
+	parentDir string
+	meta      Meta
+	res       Result
+}
+
+// Begin creates dir and starts an instance cut under a fresh cut id.
+// parent is the decoded SEGMENTS of the previous generation rooted at
+// parentDir; nil means there is nothing to reuse and every file is
+// written in full.
+func Begin(fsys faultfs.FS, dir string, parent *Meta, parentDir string) (*Cut, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return &Cut{fsys: fsys, dir: dir, parent: parent, parentDir: parentDir, meta: Meta{CutID: Rand64()}}, nil
+}
+
+// ID returns the cut's identifier, recorded as the SEGMENTS CutID.
+func (c *Cut) ID() uint64 { return c.meta.CutID }
+
+// wrote folds a freshly written (unsynced) file into the result: a
+// manifest entry and a place in the sync window. Data files are also
+// counted as copied bytes, by their callers.
+func (c *Cut) wrote(name string, size int64, crc uint32) {
+	c.res.Entries = append(c.res.Entries, Entry{Path: name, Size: size, CRC: crc})
+	c.res.NeedSync = append(c.res.NeedSync, filepath.Join(c.dir, name))
+}
+
+// writeFile writes buf whole into a fresh file of the cut directory.
+func (c *Cut) writeFile(name string, buf []byte) error {
+	f, err := c.fsys.Create(filepath.Join(c.dir, name))
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// link carries the parent's segments of one logical file into the cut,
+// hard-linking each (copy fallback): linked segments count as
+// LinkedBytes and need no sync; copied ones count as CopiedBytes and
+// join the sync window.
+func (c *Cut) link(p *FileState, fstate *FileState) error {
+	for _, seg := range p.Segments {
+		dst := filepath.Join(c.dir, seg.Name)
+		linked, err := faultfs.LinkOrCopy(c.fsys, filepath.Join(c.parentDir, seg.Name), dst)
+		if err != nil {
+			return err
+		}
+		if linked {
+			c.res.LinkedBytes += seg.Len
+		} else {
+			c.res.CopiedBytes += seg.Len
+			c.res.NeedSync = append(c.res.NeedSync, dst)
+		}
+		c.res.Entries = append(c.res.Entries, Entry{Path: seg.Name, Size: seg.Len, CRC: seg.CRC})
+	}
+	fstate.Segments = append(fstate.Segments, p.Segments...)
+	return nil
+}
+
+// Log records the live log file at path (size bytes, already flushed to
+// its descriptor) under the logical name. When the parent still
+// describes a prefix of the file — same epoch, recorded length not past
+// the live size — the parent's segments are linked across and only the
+// appended tail is copied; otherwise the file is copied whole as a
+// single segment.
+func (c *Cut) Log(logical string, epoch uint64, path string, size int64) error {
+	fstate := FileState{Logical: logical, Epoch: epoch}
+	var from int64
+	// A parent with zero recorded bytes is not reused: its (empty)
+	// segment list would put the fresh tail at offset 0 and collide with
+	// any zero-offset segment name. An empty live file simply records no
+	// segments — Materialize recreates it empty.
+	if p := c.parent.File(logical); p != nil && p.Epoch == epoch &&
+		p.TotalLen() > 0 && p.TotalLen() <= size {
+		if err := c.link(p, &fstate); err != nil {
+			return err
+		}
+		from = p.TotalLen()
+	}
+	if tail := size - from; tail > 0 {
+		name := SegmentName(logical, from)
+		crc, err := copyRange(c.fsys, path, from, tail, filepath.Join(c.dir, name))
+		if err != nil {
+			return err
+		}
+		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: tail, CRC: crc})
+		c.wrote(name, tail, crc)
+		c.res.CopiedBytes += tail
+	}
+	c.meta.Files = append(c.meta.Files, fstate)
+	return nil
+}
+
+// Extra writes an auxiliary file — not segmented, rewritten whole at
+// every checkpoint — into the cut.
+func (c *Cut) Extra(name string, buf []byte) error {
+	if err := c.writeFile(name, buf); err != nil {
+		return err
+	}
+	c.wrote(name, int64(len(buf)), binio.Checksum(buf))
+	c.res.CopiedBytes += int64(len(buf))
+	return nil
+}
+
+// streamChunk bounds the framed bytes Stream buffers before writing.
+const streamChunk = 256 << 10
+
+// Stream records a replay stream under the logical name: a logical file
+// whose segments, concatenated, are CRC-framed records that replay in
+// order into the instance's state at the cut. With extend the parent's
+// segments are linked across (the stream keeps the parent's epoch) and
+// this cut appends one segment; otherwise the segment written here is
+// the base of a new stream. write emits the cut's records through emit.
+// A cut with no records adds no segment — a zero-length one would make
+// the next cut's segment start at the same offset and collide on name.
+func (c *Cut) Stream(logical string, extend bool, write func(emit func(payload []byte) error) error) error {
+	fstate := FileState{Logical: logical, Epoch: Rand64()}
+	var from int64
+	if extend {
+		p := c.parent.File(logical)
+		if err := c.link(p, &fstate); err != nil {
+			return err
+		}
+		fstate.Epoch = p.Epoch
+		from = p.TotalLen()
+	}
+	name := SegmentName(logical, from)
+	var (
+		f    faultfs.File
+		buf  []byte
+		crc  uint32
+		size int64
+	)
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		if f == nil {
+			var err error
+			if f, err = c.fsys.Create(filepath.Join(c.dir, name)); err != nil {
+				return err
+			}
+		}
+		if _, err := f.Write(buf); err != nil {
+			return err
+		}
+		crc = binio.ChecksumUpdate(crc, buf)
+		size += int64(len(buf))
+		buf = buf[:0]
+		return nil
+	}
+	err := write(func(payload []byte) error {
+		buf = binio.AppendRecord(buf, payload)
+		if len(buf) >= streamChunk {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if size > 0 {
+		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: size, CRC: crc})
+		c.wrote(name, size, crc)
+		c.res.CopiedBytes += size
+	}
+	c.meta.Files = append(c.meta.Files, fstate)
+	return nil
+}
+
+// Finish writes the SEGMENTS file and returns the cut's Result. SEGMENTS
+// gets a manifest entry and joins the sync window — it must be durable
+// before the checkpoint's commit rename — but, describing data rather
+// than being it, stays out of the copied-byte accounting.
+func (c *Cut) Finish() (*Result, error) {
+	buf := c.meta.Encode()
+	if err := c.writeFile(MetaName, buf); err != nil {
+		return nil, err
+	}
+	c.wrote(MetaName, int64(len(buf)), binio.Checksum(buf))
+	return &c.res, nil
+}
+
+// copyRange copies src's bytes [off, off+n) into a fresh file at dst,
+// returning the CRC32C of the written bytes.
+func copyRange(fsys faultfs.FS, src string, off, n int64, dst string) (uint32, error) {
 	in, err := fsys.Open(src)
 	if err != nil {
 		return 0, err
@@ -332,29 +480,6 @@ func CopyRange(fsys faultfs.FS, src string, off, n int64, dst string) (uint32, e
 		return 0, err
 	}
 	return crc, nil
-}
-
-// LinkSegments carries a parent checkpoint's segments for one logical
-// file into dir, hard-linking each (copy fallback), and folds the
-// outcome into res: linked segments count as LinkedBytes and need no
-// sync; copied ones count as CopiedBytes and join the sync window.
-func LinkSegments(fsys faultfs.FS, parentDir, dir string, segs []Segment, res *Result) error {
-	for _, seg := range segs {
-		src := filepath.Join(parentDir, seg.Name)
-		dst := filepath.Join(dir, seg.Name)
-		linked, err := faultfs.LinkOrCopy(fsys, src, dst)
-		if err != nil {
-			return err
-		}
-		if linked {
-			res.LinkedBytes += seg.Len
-		} else {
-			res.CopiedBytes += seg.Len
-			res.NeedSync = append(res.NeedSync, dst)
-		}
-		res.Entries = append(res.Entries, Entry{Path: seg.Name, Size: seg.Len, CRC: seg.CRC})
-	}
-	return nil
 }
 
 // SegmentName names the segment of a logical file starting at offset

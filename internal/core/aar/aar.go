@@ -670,14 +670,14 @@ func (s *Store) Flushes() int64 { return s.flushes.Load() }
 
 // DiskUsage returns the logical bytes of the instance's per-window logs,
 // including appends still in their write-through buffers.
-func (s *Store) DiskUsage() (int64, error) {
+func (s *Store) DiskUsage() int64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	var total int64
 	for _, l := range s.files {
 		total += l.Size()
 	}
-	return total, nil
+	return total
 }
 
 // Flush spills all buffered data to disk (checkpoint support, §8).
@@ -696,10 +696,12 @@ func (s *Store) Flush() error {
 }
 
 // Sync flushes all buffered data and fsyncs every per-window log, making
-// every acknowledged Append durable. Each fsync runs outside ioMu (split
-// BeginSync/FinishSync), so window drains and later flushes overlap the
+// every acknowledged Append durable. Each fsync runs outside ioMu
+// (logfile.SplitSync), so window drains and later flushes overlap the
 // syncs instead of queueing behind them; syncMu keeps at most one split
-// sync in flight per log, as the protocol requires.
+// sync in flight per log, as the protocol requires. A window consumed
+// at any point — before its turn, or while its fsync is in flight —
+// leaves nothing to make durable.
 func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
@@ -714,85 +716,43 @@ func (s *Store) Sync() error {
 	}
 	s.ioMu.Unlock()
 	for _, w := range wins {
-		if err := s.syncWindowLog(w); err != nil {
+		if err := logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.files[w] }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// syncWindowLog split-syncs one window's log. The window may be consumed
-// (dropped) at any point — before BeginSync, or while the fsync is in
-// flight — in which case there is nothing left to make durable and the
-// sync of that log trivially succeeds. A log swapped by Recover mid-fsync
-// invalidates the outcome and is redone against the new descriptor.
-func (s *Store) syncWindowLog(w window.Window) error {
-	for {
-		s.ioMu.Lock()
-		lg, ok := s.files[w]
-		if !ok {
-			s.ioMu.Unlock()
-			return nil
-		}
-		tok, commit, err := lg.BeginSync()
-		if err != nil {
-			s.ioMu.Unlock()
-			return err
-		}
-		s.ioMu.Unlock()
-		serr := commit()
-		s.ioMu.Lock()
-		if cur, ok := s.files[w]; !ok {
-			// Dropped mid-fsync: abandon the token (commit touches no
-			// mutable log state, so this is legal).
-			s.ioMu.Unlock()
-			return nil
-		} else if cur != lg {
-			s.ioMu.Unlock()
-			continue
-		}
-		err = lg.FinishSync(tok, serr)
-		s.ioMu.Unlock()
-		if errors.Is(err, logfile.ErrSyncSuperseded) {
-			continue
-		}
-		return err
+// liveLogs returns every open per-window log; caller holds ioMu.
+func (s *Store) liveLogs() []*logfile.Log {
+	logs := make([]*logfile.Log, 0, len(s.files))
+	for _, l := range s.files {
+		logs = append(logs, l)
 	}
+	return logs
+}
+
+// Poisoned returns the first poisoning error among the instance's open
+// window logs, or nil when every log is healthy.
+func (s *Store) Poisoned() error {
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	return logfile.FirstPoisoned(s.liveLogs())
 }
 
 // Recover reopens every poisoned per-window log from its durable offset,
 // rewriting the retained unsynced tail, so the write path works again
 // after the underlying fault has cleared. In-progress window scans are
 // not preserved across a Recover.
-// Poisoned returns the first poisoning error among the instance's open
-// window logs, or nil when every log is healthy.
-func (s *Store) Poisoned() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	for _, l := range s.files {
-		if err := l.Poisoned(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (s *Store) Recover() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var first error
-	for w, l := range s.files {
-		if l.Poisoned() == nil {
-			continue
-		}
-		if rs := s.reads[w]; rs != nil {
+	for w, rs := range s.reads {
+		if l := s.files[w]; l != nil && l.Poisoned() != nil {
 			rs.sc = nil // the scanner holds the stale fd; recreate at rs.off
 		}
-		if err := l.ReopenAtDurable(); err != nil && first == nil {
-			first = err
-		}
 	}
-	return first
+	return logfile.RecoverAll(s.liveLogs())
 }
 
 // Scrub verifies every live window log's record frames against their
@@ -803,21 +763,13 @@ func (s *Store) Recover() error {
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var sum logfile.ScrubSummary
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return sum, ErrClosed
+		return logfile.ScrubSummary{}, ErrClosed
 	}
-	for _, l := range s.files {
-		r, err := l.Scrub()
-		sum.Add(r)
-		if err != nil {
-			return sum, err
-		}
-	}
-	return sum, nil
+	return logfile.ScrubAll(s.liveLogs())
 }
 
 // Close closes all open log files, leaving state on disk.

@@ -182,19 +182,11 @@ func TestFileCleanupAfterRead(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Append([]byte("k"), []byte("0123456789"), w)
 	}
-	usage, err := s.DiskUsage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if usage == 0 {
+	if s.DiskUsage() == 0 {
 		t.Fatal("expected on-disk state before read")
 	}
 	drain(t, s, w)
-	usage, err = s.DiskUsage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if usage != 0 {
+	if usage := s.DiskUsage(); usage != 0 {
 		t.Errorf("per-window log not cleaned after read: %d bytes remain", usage)
 	}
 }
@@ -208,7 +200,7 @@ func TestDropWindow(t *testing.T) {
 	if err := s.DropWindow(w); err != nil {
 		t.Fatal(err)
 	}
-	if usage, _ := s.DiskUsage(); usage != 0 {
+	if usage := s.DiskUsage(); usage != 0 {
 		t.Errorf("disk not cleaned after DropWindow: %d", usage)
 	}
 	if s.BufferedBytes() != 0 {

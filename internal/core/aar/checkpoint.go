@@ -7,129 +7,56 @@ import (
 	"strings"
 
 	"flowkv/internal/ckpt"
-	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
 
-// Checkpoint writes a consistent snapshot of the instance's state into
-// dir (created if needed). The paper's §8 describes the discipline:
-// in-memory data is flushed to disk first, so the on-disk files form the
-// snapshot and can be copied while processing resumes. Checkpoint flushes
-// and then copies each per-window log; every copy is fsynced before it
-// counts, so a later atomic commit (internal/core's tmp+rename) can rely
-// on the bytes being durable.
+// CheckpointDelta writes a snapshot of the instance into dir (created
+// if needed). The paper's §8 describes the discipline: in-memory data is
+// flushed to disk first, so the on-disk files form the snapshot. Each
+// per-window log is recorded as an ordered list of sealed segment files
+// plus a SEGMENTS manifest; where parent (the decoded SEGMENTS of the
+// previous checkpoint generation, rooted at parentDir) still describes a
+// prefix of a live log, its segments are hard-linked across and only
+// the appended tail is copied (ckpt.Cut.Log). A nil parent copies every
+// log whole. Nothing is fsynced here: the returned Result names every
+// file that still needs a sync.
 //
-// Checkpoint holds only ioMu, so concurrent Appends proceed while the
-// snapshot is written; the cut is the instant the buffer is detached
+// CheckpointDelta holds only ioMu, so concurrent Appends proceed while
+// the snapshot is written; the cut is the instant the buffer is detached
 // inside the flush. Tuples appended after that instant are not in the
 // snapshot.
-func (s *Store) Checkpoint(dir string) error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
-	if err := s.flushAllLocked(); err != nil {
-		return err
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("aar: checkpoint: %w", err)
-	}
-	for w, l := range s.files {
-		if err := l.Flush(); err != nil {
-			return err
-		}
-		if err := faultfs.CopyFile(fsys, l.Path(), filepath.Join(dir, windowFileName(w))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckpointDelta writes a segmented snapshot of the instance into dir.
-// Each per-window log is recorded as an ordered list of sealed segment
-// files plus a SEGMENTS manifest. When parent (the decoded SEGMENTS of
-// the previous checkpoint generation, rooted at parentDir) still
-// describes a prefix of a live log — same file epoch, recorded length
-// not past the live size — the parent's segments are hard-linked across
-// and only the appended tail is copied; otherwise that file falls back
-// to a full single-segment copy. Nothing is fsynced here: the returned
-// Result names every file that still needs a sync, and the composite
-// store batches those into one group-commit window before the
-// checkpoint's atomic rename.
 func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
 	if err := s.flushAllLocked(); err != nil {
 		return nil, err
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
+	if err != nil {
 		return nil, fmt.Errorf("aar: checkpoint: %w", err)
 	}
 	wins := make([]window.Window, 0, len(s.files))
 	for w := range s.files {
 		wins = append(wins, w)
 	}
-	sort.Slice(wins, func(i, j int) bool {
-		if wins[i].Start != wins[j].Start {
-			return wins[i].Start < wins[j].Start
-		}
-		return wins[i].End < wins[j].End
-	})
-	res := &ckpt.Result{}
-	meta := &ckpt.Meta{CutID: ckpt.Rand64()}
+	sort.Slice(wins, func(i, j int) bool { return wins[i].Before(wins[j]) })
 	for _, w := range wins {
 		l := s.files[w]
 		if err := l.Flush(); err != nil {
 			return nil, err
 		}
-		logical := windowFileName(w)
-		epoch := s.epochs[w]
-		if epoch == 0 {
-			epoch = ckpt.Rand64()
-			s.epochs[w] = epoch
+		if err := cut.Log(windowFileName(w), s.epochs[w], l.Path(), l.Size()); err != nil {
+			return nil, err
 		}
-		size := l.Size()
-		fstate := ckpt.FileState{Logical: logical, Epoch: epoch}
-		var from int64
-		// A parent with zero recorded bytes is not reused: its (empty)
-		// segment list would put the fresh tail at offset 0 and collide
-		// with any zero-offset segment name. An empty live file simply
-		// records no segments — Materialize recreates it empty.
-		if p := parent.File(logical); p != nil && p.Epoch == epoch &&
-			p.TotalLen() > 0 && p.TotalLen() <= size {
-			if err := ckpt.LinkSegments(fsys, parentDir, dir, p.Segments, res); err != nil {
-				return nil, err
-			}
-			fstate.Segments = append(fstate.Segments, p.Segments...)
-			from = p.TotalLen()
-		}
-		if tail := size - from; tail > 0 {
-			name := ckpt.SegmentName(logical, from)
-			crc, err := ckpt.CopyRange(fsys, l.Path(), from, tail, filepath.Join(dir, name))
-			if err != nil {
-				return nil, err
-			}
-			seg := ckpt.Segment{Name: name, Len: tail, CRC: crc}
-			fstate.Segments = append(fstate.Segments, seg)
-			res.Entries = append(res.Entries, ckpt.Entry{Path: name, Size: tail, CRC: crc})
-			res.NeedSync = append(res.NeedSync, filepath.Join(dir, name))
-			res.CopiedBytes += tail
-		}
-		meta.Files = append(meta.Files, fstate)
 	}
-	if err := ckpt.FinishMeta(fsys, dir, meta, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return cut.Finish()
 }
 
 // Restore rebuilds an instance's state from a checkpoint directory
-// written by Checkpoint or CheckpointDelta. The store must be freshly
-// opened (empty). Segmented checkpoints (a SEGMENTS manifest present)
-// are materialized by concatenating each file's segments and carry their
-// file epochs over, so the delta chain can continue across a restart;
-// legacy flat checkpoints get fresh epochs, which simply forces the next
-// delta checkpoint to take the full-copy path.
+// written by CheckpointDelta. The store must be freshly opened (empty).
+// Each per-window log is materialized by concatenating its segments, and
+// the file epochs carry over, so the delta chain can continue across a
+// restart.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -151,44 +78,21 @@ func (s *Store) Restore(dir string) error {
 	if err != nil {
 		return fmt.Errorf("aar: restore: %w", err)
 	}
-	if meta != nil {
-		for i := range meta.Files {
-			fstate := &meta.Files[i]
-			w, ok := parseWindowFileName(fstate.Logical)
-			if !ok {
-				return fmt.Errorf("aar: restore: unexpected logical file %q", fstate.Logical)
-			}
-			if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
-				return fmt.Errorf("aar: restore: %w", err)
-			}
-			l, err := s.dir.Open(fstate.Logical)
-			if err != nil {
-				return err
-			}
-			s.files[w] = l
-			s.epochs[w] = fstate.Epoch
-		}
-		return nil
-	}
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("aar: restore: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		w, ok := parseWindowFileName(name)
+	for i := range meta.Files {
+		fstate := &meta.Files[i]
+		w, ok := parseWindowFileName(fstate.Logical)
 		if !ok {
-			continue
+			return fmt.Errorf("aar: restore: unexpected logical file %q", fstate.Logical)
 		}
-		if err := faultfs.CopyFile(fsys, filepath.Join(dir, name), filepath.Join(s.dir.Root(), name)); err != nil {
-			return err
+		if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
+			return fmt.Errorf("aar: restore: %w", err)
 		}
-		l, err := s.dir.Open(name)
+		l, err := s.dir.Open(fstate.Logical)
 		if err != nil {
 			return err
 		}
 		s.files[w] = l
-		s.epochs[w] = ckpt.Rand64()
+		s.epochs[w] = fstate.Epoch
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		src.Append([]byte(fmt.Sprintf("k%d", i%4)), []byte(fmt.Sprintf("u%02d", i)), w2)
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +66,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Append([]byte("k"), []byte("v"), window.Window{Start: 0, End: 100})
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
@@ -79,7 +79,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointClosed(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if err := s.Checkpoint(t.TempDir()); err != ErrClosed {
+	if _, err := s.CheckpointDelta(t.TempDir(), nil, ""); err != ErrClosed {
 		t.Errorf("Checkpoint: %v", err)
 	}
 	if err := s.Restore(t.TempDir()); err != ErrClosed {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -56,9 +58,10 @@ func TestTornTailRecovery(t *testing.T) {
 	_ = s.Close()
 	inj.Reset()
 
-	// Reboot: ship the surviving (torn) window file as a checkpoint.
-	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+	// Reboot: ship the surviving (torn) window file as a checkpoint — one
+	// segment holding the whole file, described by a SEGMENTS manifest.
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	name := windowFileName(w)
@@ -66,7 +69,13 @@ func TestTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(ckpt, name), b, 0o644); err != nil {
+	seg := ckpt.SegmentName(name, 0)
+	if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta := &ckpt.Meta{CutID: 1, Files: []ckpt.FileState{{Logical: name, Epoch: 1,
+		Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}}}}
+	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +84,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Destroy()
-	if err := fresh.Restore(ckpt); err != nil {
+	if err := fresh.Restore(ckptDir); err != nil {
 		t.Fatalf("restore of torn-tail checkpoint: %v", err)
 	}
 	got := map[string]string{}

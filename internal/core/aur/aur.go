@@ -1243,8 +1243,8 @@ func (s *Store) Flush() error {
 }
 
 // Sync flushes all buffered data and fsyncs both logs, making every
-// acknowledged Append durable. The fsyncs run outside ioMu (split
-// BeginSync/FinishSync), so concurrent appends, batch reads, and later
+// acknowledged Append durable. The fsyncs run outside ioMu
+// (logfile.SplitSync), so concurrent appends, batch reads, and later
 // flushes overlap them instead of queueing for their whole duration;
 // syncMu keeps at most one split sync in flight, as the protocol
 // requires. The data log is synced before the index log, preserving the
@@ -1258,70 +1258,32 @@ func (s *Store) Sync() error {
 		return err
 	}
 	s.ioMu.Unlock()
-	if err := s.syncLog(func() *logfile.Log { return s.dataLog }); err != nil {
+	if err := logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.dataLog }); err != nil {
 		return err
 	}
-	return s.syncLog(func() *logfile.Log { return s.indexLog })
+	return logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.indexLog })
 }
 
-// syncLog split-syncs whichever log cur currently returns, redoing the
-// sync when a compaction or recovery swaps the log generation mid-fsync
-// (the outcome of an fsync on the old descriptor says nothing about the
-// data's new home; swaps copy all live state, so the retry converges).
-func (s *Store) syncLog(cur func() *logfile.Log) error {
-	for {
-		s.ioMu.Lock()
-		lg := cur()
-		tok, commit, err := lg.BeginSync()
-		if err != nil {
-			s.ioMu.Unlock()
-			return err
-		}
-		s.ioMu.Unlock()
-		serr := commit()
-		s.ioMu.Lock()
-		if cur() != lg {
-			s.ioMu.Unlock()
-			continue
-		}
-		err = lg.FinishSync(tok, serr)
-		s.ioMu.Unlock()
-		if errors.Is(err, logfile.ErrSyncSuperseded) {
-			continue
-		}
-		return err
-	}
+// liveLogs returns the current data and index logs; caller holds ioMu.
+func (s *Store) liveLogs() []*logfile.Log {
+	return []*logfile.Log{s.dataLog, s.indexLog}
 }
 
-// Recover reopens the data and index logs from their durable offsets if
-// poisoned, rewriting their retained unsynced tails, so the write path
-// works again after the underlying fault has cleared.
 // Poisoned returns the first poisoning error among the instance's data
 // and index logs, or nil when both are healthy.
 func (s *Store) Poisoned() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	for _, l := range []*logfile.Log{s.dataLog, s.indexLog} {
-		if err := l.Poisoned(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return logfile.FirstPoisoned(s.liveLogs())
 }
 
+// Recover reopens the data and index logs from their durable offsets if
+// poisoned, rewriting their retained unsynced tails, so the write path
+// works again after the underlying fault has cleared.
 func (s *Store) Recover() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var first error
-	for _, l := range []*logfile.Log{s.dataLog, s.indexLog} {
-		if l.Poisoned() == nil {
-			continue
-		}
-		if err := l.ReopenAtDurable(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return logfile.RecoverAll(s.liveLogs())
 }
 
 // Scrub verifies the live data and index logs' record frames against
@@ -1332,21 +1294,13 @@ func (s *Store) Recover() error {
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var sum logfile.ScrubSummary
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return sum, ErrClosed
+		return logfile.ScrubSummary{}, ErrClosed
 	}
-	for _, l := range []*logfile.Log{s.dataLog, s.indexLog} {
-		r, err := l.Scrub()
-		sum.Add(r)
-		if err != nil {
-			return sum, err
-		}
-	}
-	return sum, nil
+	return logfile.ScrubAll(s.liveLogs())
 }
 
 // HitRatio returns the prefetch buffer hit ratio (Figure 11b metric).
@@ -1395,10 +1349,10 @@ func (s *Store) LiveStates() int {
 
 // DiskUsage returns the logical bytes of the instance's data and index
 // logs, including appends still in their write-through buffers.
-func (s *Store) DiskUsage() (int64, error) {
+func (s *Store) DiskUsage() int64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return s.dataLog.Size() + s.indexLog.Size(), nil
+	return s.dataLog.Size() + s.indexLog.Size()
 }
 
 // Close closes the store's log files, leaving state on disk.

@@ -6,14 +6,10 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
-	"flowkv/internal/faultfs"
-	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
-const statSnapshotName = "stat.snap"
-
-// statDeltaLogical is the Stat table's replay stream inside a segmented
+// statDeltaLogical is the Stat table's replay stream inside a
 // checkpoint: concatenated segments of kind-prefixed records (set or
 // tombstone) that replay, in order, into the table at the cut. A base
 // checkpoint's stream is a full dump; an incremental checkpoint links
@@ -28,92 +24,11 @@ const (
 	statKindTomb byte = 1
 )
 
-// Checkpoint writes a consistent snapshot of the instance into dir. It
-// flushes the write buffer, then compacts unconditionally so the data log
-// contains exactly the live state (fetch-&-removes performed since the
-// last compaction must not resurrect on restore), and copies the data
-// log, index log, and a snapshot of the Stat table (per-window maximum
-// timestamps, from which ETTs are re-derived). Every file written into
-// dir is fsynced before Checkpoint returns.
-//
-// Checkpoint holds only ioMu, so concurrent Appends and buffer-served
-// reads proceed while the snapshot is written; the cut is the instant the
-// buffer is detached inside the flush, and the Stat table is snapshotted
-// at that same instant so the two agree.
-func (s *Store) Checkpoint(dir string) error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	// Snapshot the Stat table right at the cut: ids appended after the
-	// buffer detach may add Stat rows, but those tuples are not in the
-	// snapshot either.
-	s.mu.Lock()
-	statSnap := make(map[id]int64, len(s.stat))
-	for ident, st := range s.stat {
-		statSnap[ident] = st.maxTS
-	}
-	s.mu.Unlock()
-	live, order, err := s.scanIndexLocked()
-	if err != nil {
-		return err
-	}
-	if err := s.compact(live, order); err != nil {
-		return err
-	}
-	if err := s.dataLog.Flush(); err != nil {
-		return err
-	}
-	if err := s.indexLog.Flush(); err != nil {
-		return err
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("aur: checkpoint: %w", err)
-	}
-	if err := faultfs.CopyFile(fsys, s.dataLog.Path(), filepath.Join(dir, "data.log")); err != nil {
-		return err
-	}
-	if err := faultfs.CopyFile(fsys, s.indexLog.Path(), filepath.Join(dir, "index.log")); err != nil {
-		return err
-	}
-	return s.writeStatSnapshot(filepath.Join(dir, statSnapshotName), statSnap)
-}
-
-func encodeStatSnapshot(statSnap map[id]int64) []byte {
-	var buf, payload []byte
-	for ident, maxTS := range statSnap {
-		payload = binio.PutBytes(payload[:0], []byte(ident.key))
-		payload = ident.w.AppendTo(payload)
-		payload = binio.PutVarint(payload, maxTS)
-		buf = binio.AppendRecord(buf, payload)
-	}
-	return buf
-}
-
-func (s *Store) writeStatSnapshot(path string, statSnap map[id]int64) error {
-	f, err := s.dir.FS().Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeStatSnapshot(statSnap)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // consumedSnapshotName persists the consumed set and dead-byte counter in
-// a delta checkpoint. Unlike the full Checkpoint, CheckpointDelta does
-// not compact before copying, so the snapshot's data log still contains
-// consumed (fetch-&-removed) entries; Restore loads this file into
-// s.consumed before scanning the index so those entries cannot
-// resurrect.
+// a checkpoint. CheckpointDelta does not compact before copying, so the
+// snapshot's data log still contains consumed (fetch-&-removed) entries;
+// Restore loads this file into s.consumed before scanning the index so
+// those entries cannot resurrect.
 const consumedSnapshotName = "consumed.snap"
 
 func encodeConsumedSnapshot(consumed map[string]struct{}, dead int64) []byte {
@@ -157,39 +72,41 @@ func (s *Store) loadConsumedSnapshot(path string) (map[string]struct{}, int64, e
 	return out, dead, nil
 }
 
-// CheckpointDelta writes a segmented snapshot of the instance into dir.
-// Unlike Checkpoint it does not compact: the data and index logs are
+// CheckpointDelta writes a snapshot of the instance into dir. It flushes
+// the write buffer but does not compact: the data and index logs are
 // recorded as segment lists extending the parent checkpoint's (same
 // generation epoch, parent length within the live log), so only bytes
 // appended since the parent's cut are copied and the rest is hard-linked
-// across. Because the uncompacted data log still contains consumed
-// entries, the consumed set and dead-byte counter are persisted in
-// consumed.snap; Restore loads it before scanning the index so consumed
-// state cannot resurrect. A compaction between the two cuts swaps the
-// generation epoch and falls this instance back to a full copy. Nothing
-// is fsynced here — the returned Result's NeedSync lists every written
-// file for the composite store's group-commit sync window.
+// across (ckpt.Cut.Log); a nil parent copies both logs whole. Because
+// the uncompacted data log still contains consumed entries, the consumed
+// set and dead-byte counter are persisted in consumed.snap; Restore
+// loads it before scanning the index so consumed state cannot resurrect.
+// A compaction between the two cuts swaps the generation epoch and falls
+// this instance back to a full copy. Nothing is fsynced here — the
+// returned Result's NeedSync lists every written file for the composite
+// store's group-commit sync window.
+//
+// CheckpointDelta holds only ioMu, so concurrent Appends and
+// buffer-served reads proceed while the snapshot is written; the cut is
+// the instant the buffer is detached inside the flush, and the Stat
+// table is cut right after it: ids appended in between may add Stat
+// rows, but those tuples are not in the snapshot either.
 func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
 	if err := s.flushLocked(); err != nil {
 		return nil, err
 	}
 	// The Stat cut: with a parent whose cut id matches the last committed
-	// delta cut, only identities marked dirty since then are shipped;
-	// otherwise the table is dumped whole as a new stream base.
+	// cut, only identities marked dirty since then are shipped; otherwise
+	// the table is dumped whole as a new stream base.
 	type statRec struct {
 		ident id
 		maxTS int64
 		tomb  bool
 	}
-	var pstat *ckpt.FileState
-	if parent != nil {
-		pstat = parent.File(statDeltaLogical)
-	}
 	s.mu.Lock()
-	statIncr := pstat != nil && parent.CutID != 0 && parent.CutID == s.lastCutID
+	statIncr := parent.Extends(statDeltaLogical, s.lastCutID)
 	cutSeqs := make(map[id]uint64, len(s.statDeltas))
 	for ident, m := range s.statDeltas {
 		cutSeqs[ident] = m.seq
@@ -215,90 +132,46 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err := s.indexLog.Flush(); err != nil {
 		return nil, err
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
+	if err != nil {
 		return nil, fmt.Errorf("aur: checkpoint: %w", err)
 	}
-	res := &ckpt.Result{}
-	meta := &ckpt.Meta{CutID: ckpt.Rand64()}
-	addLog := func(logical string, l *logfile.Log) error {
-		size := l.Size()
-		fstate := ckpt.FileState{Logical: logical, Epoch: s.genEpoch}
-		var from int64
-		// An empty parent file is never reused and an empty live file
-		// records no segments (Materialize recreates it empty) — linking
-		// an empty segment list and then writing the tail at offset 0
-		// would collide on the zero-offset segment name.
-		if p := parent.File(logical); p != nil && p.Epoch == s.genEpoch &&
-			p.TotalLen() > 0 && p.TotalLen() <= size {
-			if err := ckpt.LinkSegments(fsys, parentDir, dir, p.Segments, res); err != nil {
+	if err := cut.Log("data.log", s.genEpoch, s.dataLog.Path(), s.dataLog.Size()); err != nil {
+		return nil, err
+	}
+	if err := cut.Log("index.log", s.genEpoch, s.indexLog.Path(), s.indexLog.Size()); err != nil {
+		return nil, err
+	}
+	if err := cut.Extra(consumedSnapshotName, encodeConsumedSnapshot(s.consumed, s.dead)); err != nil {
+		return nil, err
+	}
+	err = cut.Stream(statDeltaLogical, statIncr, func(emit func([]byte) error) error {
+		var payload []byte
+		for _, rec := range statWork {
+			kind := statKindSet
+			if rec.tomb {
+				kind = statKindTomb
+			}
+			payload = append(payload[:0], kind)
+			payload = binio.PutBytes(payload, []byte(rec.ident.key))
+			payload = rec.ident.w.AppendTo(payload)
+			if !rec.tomb {
+				payload = binio.PutVarint(payload, rec.maxTS)
+			}
+			if err := emit(payload); err != nil {
 				return err
 			}
-			fstate.Segments = append(fstate.Segments, p.Segments...)
-			from = p.TotalLen()
 		}
-		if tail := size - from; tail > 0 {
-			name := ckpt.SegmentName(logical, from)
-			crc, err := ckpt.CopyRange(fsys, l.Path(), from, tail, filepath.Join(dir, name))
-			if err != nil {
-				return err
-			}
-			fstate.Segments = append(fstate.Segments, ckpt.Segment{Name: name, Len: tail, CRC: crc})
-			res.Entries = append(res.Entries, ckpt.Entry{Path: name, Size: tail, CRC: crc})
-			res.NeedSync = append(res.NeedSync, filepath.Join(dir, name))
-			res.CopiedBytes += tail
-		}
-		meta.Files = append(meta.Files, fstate)
 		return nil
-	}
-	if err := addLog("data.log", s.dataLog); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := addLog("index.log", s.indexLog); err != nil {
+	res, err := cut.Finish()
+	if err != nil {
 		return nil, err
 	}
-	if err := ckpt.WriteExtra(fsys, dir, consumedSnapshotName,
-		encodeConsumedSnapshot(s.consumed, s.dead), res); err != nil {
-		return nil, err
-	}
-	// The Stat stream: link the parent's segments when extending, then
-	// one fresh segment holding this cut's rows.
-	statState := ckpt.FileState{Logical: statDeltaLogical, Epoch: ckpt.Rand64()}
-	var statFrom int64
-	if statIncr {
-		if err := ckpt.LinkSegments(fsys, parentDir, dir, pstat.Segments, res); err != nil {
-			return nil, err
-		}
-		statState.Segments = append(statState.Segments, pstat.Segments...)
-		statState.Epoch = pstat.Epoch
-		statFrom = pstat.TotalLen()
-	}
-	var statBuf, payload []byte
-	for _, rec := range statWork {
-		kind := statKindSet
-		if rec.tomb {
-			kind = statKindTomb
-		}
-		payload = append(payload[:0], kind)
-		payload = binio.PutBytes(payload, []byte(rec.ident.key))
-		payload = rec.ident.w.AppendTo(payload)
-		if !rec.tomb {
-			payload = binio.PutVarint(payload, rec.maxTS)
-		}
-		statBuf = binio.AppendRecord(statBuf, payload)
-	}
-	if len(statBuf) > 0 {
-		name := ckpt.SegmentName(statDeltaLogical, statFrom)
-		if err := ckpt.WriteExtra(fsys, dir, name, statBuf, res); err != nil {
-			return nil, err
-		}
-		statState.Segments = append(statState.Segments,
-			ckpt.Segment{Name: name, Len: int64(len(statBuf)), CRC: binio.Checksum(statBuf)})
-	}
-	meta.Files = append(meta.Files, statState)
-	if err := ckpt.FinishMeta(fsys, dir, meta, res); err != nil {
-		return nil, err
-	}
-	cut := meta.CutID
+	cutID := cut.ID()
 	res.Commit = func() {
 		s.mu.Lock()
 		for ident, seq := range cutSeqs {
@@ -306,15 +179,15 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 				delete(s.statDeltas, ident)
 			}
 		}
-		s.lastCutID = cut
+		s.lastCutID = cutID
 		s.mu.Unlock()
 	}
 	return res, nil
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory. On-disk locations come back from the copied index log; the
-// Stat table and ETTs come back from the snapshot.
+// directory. On-disk locations come back from the materialized index
+// log; the Stat table and ETTs come back from the Stat stream.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -332,46 +205,35 @@ func (s *Store) Restore(dir string) error {
 		return fmt.Errorf("aur: restore into a non-empty store")
 	}
 	fsys := s.dir.FS()
-	// Replace the empty generation with the checkpointed logs. Segmented
-	// checkpoints (a SEGMENTS manifest present) are materialized by
-	// concatenating each log's segments; the generation epoch and the
-	// consumed set carry over so the delta chain continues across the
-	// restart and consumed entries in the uncompacted data log cannot
-	// resurrect. Legacy flat checkpoints copy data.log/index.log whole.
+	// Replace the empty generation with the checkpointed logs, each
+	// materialized by concatenating its segments; the generation epoch
+	// and the consumed set carry over so the delta chain continues across
+	// the restart and consumed entries in the uncompacted data log cannot
+	// resurrect.
 	meta, err := ckpt.ReadMeta(fsys, dir)
 	if err != nil {
 		return fmt.Errorf("aur: restore: %w", err)
+	}
+	dstate, istate := meta.File("data.log"), meta.File("index.log")
+	if dstate == nil || istate == nil {
+		return fmt.Errorf("aur: restore: SEGMENTS lacks data.log/index.log")
 	}
 	oldData, oldIndex := s.dataLog, s.indexLog
 	gen := s.gen + 1
 	dataName := fmt.Sprintf("data-%06d.log", gen)
 	indexName := fmt.Sprintf("index-%06d.log", gen)
-	if meta != nil {
-		dstate, istate := meta.File("data.log"), meta.File("index.log")
-		if dstate == nil || istate == nil {
-			return fmt.Errorf("aur: restore: SEGMENTS lacks data.log/index.log")
-		}
-		if err := ckpt.Materialize(fsys, dir, dstate, filepath.Join(s.dir.Root(), dataName)); err != nil {
-			return fmt.Errorf("aur: restore: %w", err)
-		}
-		if err := ckpt.Materialize(fsys, dir, istate, filepath.Join(s.dir.Root(), indexName)); err != nil {
-			return fmt.Errorf("aur: restore: %w", err)
-		}
-		consumed, dead, err := s.loadConsumedSnapshot(filepath.Join(dir, consumedSnapshotName))
-		if err != nil {
-			return err
-		}
-		s.consumed, s.dead = consumed, dead
-		s.genEpoch = dstate.Epoch
-	} else {
-		if err := faultfs.CopyFile(fsys, filepath.Join(dir, "data.log"), filepath.Join(s.dir.Root(), dataName)); err != nil {
-			return err
-		}
-		if err := faultfs.CopyFile(fsys, filepath.Join(dir, "index.log"), filepath.Join(s.dir.Root(), indexName)); err != nil {
-			return err
-		}
-		s.genEpoch = ckpt.Rand64()
+	if err := ckpt.Materialize(fsys, dir, dstate, filepath.Join(s.dir.Root(), dataName)); err != nil {
+		return fmt.Errorf("aur: restore: %w", err)
 	}
+	if err := ckpt.Materialize(fsys, dir, istate, filepath.Join(s.dir.Root(), indexName)); err != nil {
+		return fmt.Errorf("aur: restore: %w", err)
+	}
+	consumed, dead, err := s.loadConsumedSnapshot(filepath.Join(dir, consumedSnapshotName))
+	if err != nil {
+		return err
+	}
+	s.consumed, s.dead = consumed, dead
+	s.genEpoch = dstate.Epoch
 	data, err := s.dir.Open(dataName)
 	if err != nil {
 		return err
@@ -398,12 +260,7 @@ func (s *Store) Restore(dir string) error {
 		}
 		newOnDisk[e.ident] = n
 	}
-	var newStat map[id]*statEntry
-	if meta != nil {
-		newStat, err = s.loadStatStream(dir, meta)
-	} else {
-		newStat, err = s.loadStatSnapshot(filepath.Join(dir, statSnapshotName))
-	}
+	newStat, err := s.loadStatStream(dir, meta)
 	if err != nil {
 		return err
 	}
@@ -414,16 +271,14 @@ func (s *Store) Restore(dir string) error {
 	for ident, st := range newStat {
 		s.stat[ident] = st
 	}
-	if meta != nil {
-		// The restored table IS the state of this cut: record its id so
-		// the next delta checkpoint can extend the stream.
-		s.lastCutID = meta.CutID
-	}
+	// The restored table IS the state of this cut: record its id so the
+	// next checkpoint can extend the stream.
+	s.lastCutID = meta.CutID
 	s.mu.Unlock()
 	return nil
 }
 
-// loadStatStream replays a segmented checkpoint's Stat stream (the
+// loadStatStream replays a checkpoint's Stat stream (the
 // stat.dlt segment chain) into a fresh table: set records install a
 // row, tombstones remove one, later records win.
 func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*statEntry, error) {
@@ -479,44 +334,6 @@ func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*statEntry, 
 				return nil, fmt.Errorf("aur: stat stream: unknown record kind %d", kind)
 			}
 		}
-	}
-	return out, nil
-}
-
-func (s *Store) loadStatSnapshot(path string) (map[id]*statEntry, error) {
-	b, err := s.dir.FS().ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[id]*statEntry)
-	for len(b) > 0 {
-		payload, n, err := binio.ReadRecord(b)
-		if err != nil {
-			return nil, fmt.Errorf("aur: stat snapshot: %w", err)
-		}
-		b = b[n:]
-		k, kn, err := binio.Bytes(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[kn:]
-		w, wn, err := window.Decode(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[wn:]
-		maxTS, _, err := binio.Varint(payload)
-		if err != nil {
-			return nil, err
-		}
-		ident := id{key: string(k), w: w}
-		st := &statEntry{maxTS: maxTS}
-		if s.opts.Predictor != nil {
-			if ett, ok := s.opts.Predictor.ETT(w, maxTS); ok {
-				st.ett, st.hasETT = ett, true
-			}
-		}
-		out[ident] = st
 	}
 	return out, nil
 }

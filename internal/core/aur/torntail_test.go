@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -69,14 +71,16 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	_ = s.Close()
 	inj.Reset()
 
-	// Reboot: assemble a checkpoint from the surviving on-disk files.
-	// (A real core checkpoint would have been rejected mid-write; this
-	// models restoring the instance directory itself after a crash.)
-	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+	// Reboot: assemble a checkpoint from the surviving on-disk files —
+	// each log as one whole-file segment, nothing consumed, an empty Stat
+	// stream. (A real core checkpoint would have been rejected mid-write;
+	// this models restoring the instance directory itself after a crash.)
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	copyAs := func(prefix, dst string) {
+	meta := &ckpt.Meta{CutID: 1}
+	copyAs := func(prefix, logical string) {
 		t.Helper()
 		ents, err := os.ReadDir(dir)
 		if err != nil {
@@ -88,9 +92,12 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(filepath.Join(ckpt, dst), b, 0o644); err != nil {
+				seg := ckpt.SegmentName(logical, 0)
+				if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
 					t.Fatal(err)
 				}
+				meta.Files = append(meta.Files, ckpt.FileState{Logical: logical, Epoch: 1,
+					Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
 				return
 			}
 		}
@@ -98,7 +105,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	}
 	copyAs("data-", "data.log")
 	copyAs("index-", "index.log")
-	if err := os.WriteFile(filepath.Join(ckpt, statSnapshotName), nil, 0o644); err != nil {
+	meta.Files = append(meta.Files, ckpt.FileState{Logical: statDeltaLogical, Epoch: 1})
+	if err := os.WriteFile(filepath.Join(ckptDir, consumedSnapshotName), encodeConsumedSnapshot(nil, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +123,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Destroy()
-	if err := fresh.Restore(ckpt); err != nil {
+	if err := fresh.Restore(ckptDir); err != nil {
 		t.Fatalf("restore of torn-index checkpoint: %v", err)
 	}
 	for i := 0; i < 10; i++ {

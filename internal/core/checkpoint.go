@@ -15,125 +15,22 @@ import (
 // are flushed so on-disk state is authoritative, and the snapshot can
 // then be shipped to reliable storage while processing resumes. Windows
 // consumed (fetched & removed) before the checkpoint stay consumed after
-// a restore.
-//
-// The snapshot is crash-consistent. Everything is first written into
-// "<dir>.tmp": the per-instance files (each fsynced by the instance
-// checkpoint), then a MANIFEST recording every file's size and CRC32C,
-// fsynced along with the directory. Only then is the temporary directory
-// atomically renamed onto dir and the parent directory fsynced. The
-// previous checkpoint is never deleted before the commit: it is renamed
-// aside to "<dir>.old" (deleting it file-by-file would open a window
-// where a crash leaves only a partial — though still manifest-rejected —
-// directory at dir). So at every instant a complete snapshot exists at
-// dir, "<dir>.old", or "<dir>.tmp", and a crash leaves at worst stale
-// ".tmp"/".old" directories that the next Checkpoint clears. If any step
-// fails, the temporary directory is removed so no partial state lingers.
+// a restore. It is CheckpointDelta with no parent and no metadata — a
+// self-contained chain base — and shares its crash-consistency protocol.
 func (s *Store) Checkpoint(dir string) error {
-	return s.CheckpointWithMeta(dir, nil)
+	return s.CheckpointDelta(dir, "", nil)
 }
 
 // CheckpointWithMeta is Checkpoint carrying opaque application metadata:
 // meta is written to an APPMETA file inside the snapshot before the
-// MANIFEST is computed, so it is covered by the same size+CRC32C
+// MANIFEST is written, so it is covered by the same size+CRC32C
 // verification as the store files and committed by the same atomic
 // rename. The SPE layer uses it to record source offsets, watermarks,
 // and operator state alongside the store cut, which is what makes a
 // checkpoint a resumable point rather than just a backup. A nil meta
-// writes no APPMETA (byte-compatible with pre-metadata checkpoints).
+// writes no APPMETA.
 func (s *Store) CheckpointWithMeta(dir string, meta []byte) error {
-	if err := s.guardWrite(); err != nil {
-		return err
-	}
-	fsys := s.opts.FS
-	tmp := dir + ".tmp"
-	old := dir + ".old"
-	if err := fsys.RemoveAll(tmp); err != nil {
-		return fmt.Errorf("flowkv: checkpoint: clear stale tmp: %w", err)
-	}
-	if err := fsys.RemoveAll(old); err != nil {
-		return fmt.Errorf("flowkv: checkpoint: clear stale old: %w", err)
-	}
-	if err := fsys.MkdirAll(tmp, 0o755); err != nil {
-		return fmt.Errorf("flowkv: checkpoint: %w", err)
-	}
-	if err := s.checkpointInto(tmp, meta); err != nil {
-		// Best-effort cleanup: after a simulated (or real) crash the
-		// removal itself can fail, which the next Checkpoint handles.
-		fsys.RemoveAll(tmp)
-		// The per-instance snapshot flushes the live logs; if that is
-		// what failed the logs are now poisoned and the store degrades
-		// until Recover re-establishes the durable-offset invariant. A
-		// failure confined to the snapshot directory (the common case:
-		// the live logs are untouched) leaves the store Healthy.
-		if perr := s.poisoned(); perr != nil {
-			s.degrade(perr)
-		}
-		return err
-	}
-	// Commit: move the previous checkpoint aside (atomic, keeps it
-	// whole for fallback), then rename the complete snapshot onto dir.
-	if err := fsys.Rename(dir, old); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		fsys.RemoveAll(tmp)
-		return fmt.Errorf("flowkv: checkpoint: move previous aside: %w", err)
-	}
-	if err := fsys.Rename(tmp, dir); err != nil {
-		fsys.RemoveAll(tmp)
-		return fmt.Errorf("flowkv: checkpoint: commit: %w", err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
-		return fmt.Errorf("flowkv: checkpoint: sync parent: %w", err)
-	}
-	if err := fsys.RemoveAll(old); err != nil {
-		return fmt.Errorf("flowkv: checkpoint: clear previous: %w", err)
-	}
-	// The snapshot is committed; retention GC failures are reported but
-	// do not invalidate it (and do not degrade the store — acknowledged
-	// state is unaffected by a failed unlink of an old checkpoint).
-	if k := s.opts.RetainCheckpoints; k > 0 {
-		if err := gcCheckpoints(fsys, dir, k, s.protectedParents()); err != nil {
-			return fmt.Errorf("flowkv: checkpoint: retention gc: %w", err)
-		}
-	}
-	return nil
-}
-
-// checkpointInto writes every instance's snapshot plus the MANIFEST into
-// tmp, fsyncing each instance subdirectory so the files named by the
-// manifest are durably linked before the commit rename. Instances
-// snapshot in parallel (bounded by Options.Parallelism); each instance's
-// Checkpoint holds only that instance's I/O lock, so ingestion proceeds
-// while the snapshot is written. The cut is per-instance — the instant
-// each instance detaches its buffer — which is consistent per key because
-// one instance owns all of a key's state.
-func (s *Store) checkpointInto(tmp string, meta []byte) error {
-	fsys := s.opts.FS
-	if err := s.eachInstance(func(i int) error {
-		var err error
-		switch s.pattern {
-		case PatternAAR:
-			err = s.aars[i].Checkpoint(instDir(tmp, i))
-		case PatternAUR:
-			err = s.aurs[i].Checkpoint(instDir(tmp, i))
-		default:
-			err = s.rmws[i].Checkpoint(instDir(tmp, i))
-		}
-		if err != nil {
-			return err
-		}
-		if err := fsys.SyncDir(instDir(tmp, i)); err != nil {
-			return fmt.Errorf("flowkv: checkpoint: sync instance dir: %w", err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if meta != nil {
-		if err := writeAppMeta(fsys, tmp, meta); err != nil {
-			return err
-		}
-	}
-	return writeManifest(fsys, tmp, s.pattern, s.opts.Instances)
+	return s.CheckpointDelta(dir, "", meta)
 }
 
 // appMetaName is the application-metadata file inside a checkpoint
@@ -182,9 +79,9 @@ func ReadCheckpointMeta(fsys faultfs.FS, dir string) ([]byte, error) {
 }
 
 // Restore rebuilds a freshly-opened store from a checkpoint directory
-// written by Checkpoint with the same pattern and instance count. Key
-// routing is deterministic, so each restored instance again owns exactly
-// the keys whose state it holds.
+// written by Checkpoint or CheckpointDelta with the same pattern and
+// instance count. Key routing is deterministic, so each restored instance
+// again owns exactly the keys whose state it holds.
 //
 // Before any instance state is loaded, the checkpoint is verified against
 // its MANIFEST; a partial, truncated, or bit-flipped snapshot is rejected
@@ -200,7 +97,7 @@ func (s *Store) Restore(dir string) error {
 // The metadata is read only after the manifest verification passes, so a
 // non-nil return is exactly the bytes given to CheckpointWithMeta.
 func (s *Store) RestoreWithMeta(dir string) ([]byte, error) {
-	if len(s.aars)+len(s.aurs)+len(s.rmws) != s.opts.Instances {
+	if len(s.insts) != s.opts.Instances {
 		return nil, fmt.Errorf("flowkv: restore: store not fully open")
 	}
 	if err := verifyCheckpoint(s.opts.FS, dir, s.pattern, s.opts.Instances); err != nil {
@@ -210,24 +107,16 @@ func (s *Store) RestoreWithMeta(dir string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, st := range s.aars {
-		if err := st.Restore(instDir(dir, i)); err != nil {
-			return nil, err
-		}
-	}
-	for i, st := range s.aurs {
-		if err := st.Restore(instDir(dir, i)); err != nil {
-			return nil, err
-		}
-	}
-	for i, st := range s.rmws {
-		if err := st.Restore(instDir(dir, i)); err != nil {
+	for i, inst := range s.insts {
+		if err := inst.Restore(instDir(dir, i)); err != nil {
 			return nil, err
 		}
 	}
 	return meta, nil
 }
 
-func instDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("inst-%02d", i))
-}
+// instName is instance i's directory name, under the store root and
+// under every checkpoint directory alike.
+func instName(i int) string { return fmt.Sprintf("inst-%02d", i) }
+
+func instDir(dir string, i int) string { return filepath.Join(dir, instName(i)) }

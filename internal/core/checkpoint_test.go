@@ -1,10 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"path"
 	"path/filepath"
 	"testing"
 
+	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
 
@@ -202,5 +208,81 @@ func TestRestoreRejectsNonEmpty(t *testing.T) {
 	// src itself is non-empty: restoring into it must fail.
 	if err := src.Restore(ckpt); err == nil {
 		t.Error("restore into non-empty store should fail")
+	}
+}
+
+// TestRestoreRejectsInstanceWithoutSegments: an instance directory with
+// no SEGMENTS file describes no reassemblable state, and restoring it as
+// "nothing there" would silently drop everything the instance held. The
+// MANIFEST is re-stamped without the entry so the CRC walk alone cannot
+// be what rejects it. A later checkpoint may still name the directory as
+// its parent: the instance whose SEGMENTS cannot be read is written in
+// full, and the result is self-contained and restorable.
+func TestRestoreRejectsInstanceWithoutSegments(t *testing.T) {
+	for _, p := range []Pattern{PatternAAR, PatternAUR, PatternRMW} {
+		p := p
+		t.Run(p.String(), func(t *testing.T) {
+			agg, wk, opts := crashConfig(p)
+			s := openStore(t, agg, wk, opts)
+			rng := rand.New(rand.NewSource(int64(p) + 7))
+			o := newCrashOracle(p)
+			ctr := 0
+			for i := 0; i < 60; i++ {
+				if err := o.step(rng, s, &ctr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			base := t.TempDir()
+			ck := filepath.Join(base, "gen-01")
+			if err := s.CheckpointWithMeta(ck, []byte("meta")); err != nil {
+				t.Fatal(err)
+			}
+			lost := path.Join(instName(0), ckpt.MetaName)
+			if err := os.Remove(filepath.Join(ck, filepath.FromSlash(lost))); err != nil {
+				t.Fatal(err)
+			}
+			m, err := readManifest(faultfs.OS, ck, p, opts.Instances)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := m.entries[:0]
+			for _, e := range m.entries {
+				if e.path != lost {
+					kept = append(kept, e)
+				}
+			}
+			m.entries = kept
+			if err := writeManifestEncoded(faultfs.OS, ck, m); err != nil {
+				t.Fatal(err)
+			}
+
+			opts.Dir = filepath.Join(t.TempDir(), "restored")
+			dst, err := Open(agg, wk, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Destroy()
+			if err := dst.Restore(ck); !errors.Is(err, ErrCheckpointInvalid) {
+				t.Errorf("Restore = %v, want ErrCheckpointInvalid", err)
+			}
+			if _, err := dst.RestoreWithMeta(ck); !errors.Is(err, ErrCheckpointInvalid) {
+				t.Errorf("RestoreWithMeta = %v, want ErrCheckpointInvalid", err)
+			}
+			if _, _, err := VerifyCheckpointDir(nil, ck); !errors.Is(err, ErrCheckpointInvalid) {
+				t.Errorf("VerifyCheckpointDir = %v, want ErrCheckpointInvalid", err)
+			}
+			if got := stateDump(t, dst); len(got) != 0 {
+				t.Fatalf("rejected restore left %d state entries behind", len(got))
+			}
+
+			next := filepath.Join(base, "gen-02")
+			if err := s.CheckpointDelta(next, ck, nil); err != nil {
+				t.Fatalf("checkpoint against the broken parent: %v", err)
+			}
+			if err := dst.Restore(next); err != nil {
+				t.Fatalf("restore of the checkpoint taken against the broken parent: %v", err)
+			}
+			o.verify(t, "broken-parent-child", dst)
+		})
 	}
 }

@@ -674,8 +674,14 @@ func TestConcurrentCheckpointInjectedFailure(t *testing.T) {
 			}
 		}(id)
 	}
-	for atomic.LoadInt64(&counts[0]) < 4 {
-		time.Sleep(time.Millisecond)
+	// Every writer must have acked state before the first cut: the
+	// restore check below requires each writer's aggregate to exist, and
+	// a checkpoint can commit before a not-yet-scheduled writer's first
+	// Put.
+	for id := range counts {
+		for atomic.LoadInt64(&counts[id]) < 4 {
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	ckpt := filepath.Join(base, "ckpt")

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,9 +121,6 @@ type Options struct {
 	WriteBufferBytes int64
 	// ReadBatchRatio is the AUR predictive-batch-read ratio. Default 0.02.
 	ReadBatchRatio float64
-	// AURMinBatchWindows floors the AUR per-scan prefetch count; see
-	// aur.Options.MinBatchWindows. Default 64.
-	AURMinBatchWindows int
 	// MaxSpaceAmplification is the compaction threshold. Default 1.5.
 	MaxSpaceAmplification float64
 	// LoadPartitionBytes bounds AAR gradual-loading partitions. Default 4 MiB.
@@ -241,9 +237,14 @@ type Store struct {
 	pattern Pattern
 	opts    Options
 
-	aars []*aar.Store
-	aurs []*aur.Store
-	rmws []*rmw.Store
+	// insts holds the m instances behind the lifecycle interface. Exactly
+	// one of the typed views below is populated, with the same stores in
+	// the same order: the view matching the pattern, through which the
+	// pattern-specific read/write API is called without interface dispatch.
+	insts   []instance
+	aarView []*aar.Store
+	aurView []*aur.Store
+	rmwView []*rmw.Store
 
 	// mu guards the drain registry below.
 	mu     sync.Mutex
@@ -361,10 +362,15 @@ func OpenPattern(p Pattern, wk window.Kind, opts Options) (*Store, error) {
 	s.mon = newLatencyMonitor(s, opts.SlowOpThreshold)
 	policy := &logfile.Policy{Deadline: opts.OpDeadline, Monitor: s.mon}
 	for i := 0; i < opts.Instances; i++ {
-		dir := filepath.Join(opts.Dir, fmt.Sprintf("inst-%02d", i))
+		dir := instDir(opts.Dir, i)
+		var (
+			inst instance
+			err  error
+		)
 		switch p {
 		case PatternAAR:
-			st, err := aar.Open(aar.Options{
+			var st *aar.Store
+			st, err = aar.Open(aar.Options{
 				Dir:                dir,
 				WriteBufferBytes:   perInstanceBuf,
 				LoadPartitionBytes: opts.LoadPartitionBytes,
@@ -373,17 +379,16 @@ func OpenPattern(p Pattern, wk window.Kind, opts Options) (*Store, error) {
 				Breakdown:          opts.Breakdown,
 				Policy:             policy,
 			})
-			if err != nil {
-				s.Close()
-				return nil, err
+			if err == nil {
+				s.aarView = append(s.aarView, st)
+				inst = aarInstance{st}
 			}
-			s.aars = append(s.aars, st)
 		case PatternAUR:
-			st, err := aur.Open(aur.Options{
+			var st *aur.Store
+			st, err = aur.Open(aur.Options{
 				Dir:                    dir,
 				WriteBufferBytes:       perInstanceBuf,
 				ReadBatchRatio:         opts.ReadBatchRatio,
-				MinBatchWindows:        opts.AURMinBatchWindows,
 				MaxSpaceAmplification:  opts.MaxSpaceAmplification,
 				Predictor:              pred,
 				SeparateCompactionScan: opts.SeparateCompactionScan,
@@ -391,13 +396,13 @@ func OpenPattern(p Pattern, wk window.Kind, opts Options) (*Store, error) {
 				Breakdown:              opts.Breakdown,
 				Policy:                 policy,
 			})
-			if err != nil {
-				s.Close()
-				return nil, err
+			if err == nil {
+				s.aurView = append(s.aurView, st)
+				inst = aurInstance{st}
 			}
-			s.aurs = append(s.aurs, st)
 		case PatternRMW:
-			st, err := rmw.Open(rmw.Options{
+			var st *rmw.Store
+			st, err = rmw.Open(rmw.Options{
 				Dir:                   dir,
 				WriteBufferBytes:      perInstanceBuf,
 				MaxSpaceAmplification: opts.MaxSpaceAmplification,
@@ -405,14 +410,18 @@ func OpenPattern(p Pattern, wk window.Kind, opts Options) (*Store, error) {
 				Breakdown:             opts.Breakdown,
 				Policy:                policy,
 			})
-			if err != nil {
-				s.Close()
-				return nil, err
+			if err == nil {
+				s.rmwView = append(s.rmwView, st)
+				inst = rmwInstance{st}
 			}
-			s.rmws = append(s.rmws, st)
 		default:
-			return nil, fmt.Errorf("flowkv: unknown pattern %v", p)
+			err = fmt.Errorf("flowkv: unknown pattern %v", p)
 		}
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.insts = append(s.insts, inst)
 	}
 	return s, nil
 }
@@ -443,9 +452,9 @@ func (s *Store) Append(key, value []byte, w window.Window, ts int64) error {
 	}
 	switch s.pattern {
 	case PatternAAR:
-		return s.writeDone(s.aars[s.route(key)].Append(key, value, w))
+		return s.writeDone(s.aarView[s.route(key)].Append(key, value, w))
 	case PatternAUR:
-		return s.writeDone(s.aurs[s.route(key)].Append(key, value, w, ts))
+		return s.writeDone(s.aurView[s.route(key)].Append(key, value, w, ts))
 	default:
 		return ErrWrongPattern
 	}
@@ -494,8 +503,8 @@ func (s *Store) GetWindow(w window.Window) ([]KeyValues, error) {
 // holds s.mu.
 func (s *Store) startDrain(w window.Window) *windowDrain {
 	workers := s.opts.Parallelism
-	if workers > len(s.aars) {
-		workers = len(s.aars)
+	if workers > len(s.aarView) {
+		workers = len(s.aarView)
 	}
 	d := &windowDrain{
 		parts:  make(chan []KeyValues, workers),
@@ -510,7 +519,7 @@ func (s *Store) startDrain(w window.Window) *windowDrain {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(s.aars) {
+				if i >= len(s.aarView) {
 					return
 				}
 				for {
@@ -522,7 +531,7 @@ func (s *Store) startDrain(w window.Window) *windowDrain {
 					var part []KeyValues
 					err := s.readRetry(i, func() error {
 						var rerr error
-						part, rerr = s.aars[i].GetWindow(w)
+						part, rerr = s.aarView[i].GetWindow(w)
 						return rerr
 					})
 					if err != nil {
@@ -598,7 +607,7 @@ func (s *Store) Get(key []byte, w window.Window) ([][]byte, error) {
 	inst := s.route(key)
 	err := s.readRetry(inst, func() error {
 		var rerr error
-		vals, rerr = s.aurs[inst].Get(key, w)
+		vals, rerr = s.aurView[inst].Get(key, w)
 		return rerr
 	})
 	return vals, err
@@ -617,7 +626,7 @@ func (s *Store) Read(key []byte, w window.Window) ([][]byte, error) {
 	inst := s.route(key)
 	err := s.readRetry(inst, func() error {
 		var rerr error
-		vals, rerr = s.aurs[inst].Read(key, w)
+		vals, rerr = s.aurView[inst].Read(key, w)
 		return rerr
 	})
 	return vals, err
@@ -638,7 +647,7 @@ func (s *Store) GetAggregate(key []byte, w window.Window) ([]byte, bool, error) 
 	inst := s.route(key)
 	err := s.readRetry(inst, func() error {
 		var rerr error
-		agg, ok, rerr = s.rmws[inst].Get(key, w)
+		agg, ok, rerr = s.rmwView[inst].Get(key, w)
 		return rerr
 	})
 	return agg, ok, err
@@ -652,7 +661,7 @@ func (s *Store) PutAggregate(key []byte, w window.Window, agg []byte) error {
 	if err := s.guardWrite(); err != nil {
 		return err
 	}
-	return s.writeDone(s.rmws[s.route(key)].Put(key, w, agg))
+	return s.writeDone(s.rmwView[s.route(key)].Put(key, w, agg))
 }
 
 // DropWindow discards window w's state in every instance (AAR only). An
@@ -667,7 +676,7 @@ func (s *Store) DropWindow(w window.Window) error {
 	}
 	s.stopDrain(w)
 	return s.eachInstance(func(i int) error {
-		return s.aars[i].DropWindow(w)
+		return s.aarView[i].DropWindow(w)
 	})
 }
 
@@ -679,7 +688,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 	if err := s.guardRead(); err != nil {
 		return err
 	}
-	return s.aurs[s.route(key)].Drop(key, w)
+	return s.aurView[s.route(key)].Drop(key, w)
 }
 
 // eachInstance runs f(i) for every instance index, fanning across at
@@ -737,16 +746,7 @@ func (s *Store) Flush() error {
 	if err := s.guardWrite(); err != nil {
 		return err
 	}
-	return s.writeDone(s.eachInstance(func(i int) error {
-		switch s.pattern {
-		case PatternAAR:
-			return s.aars[i].Flush()
-		case PatternAUR:
-			return s.aurs[i].Flush()
-		default:
-			return s.rmws[i].Flush()
-		}
-	}))
+	return s.writeDone(s.eachInstance(func(i int) error { return s.insts[i].Flush() }))
 }
 
 // Sync flushes all instances and fsyncs their logs, making every
@@ -759,16 +759,7 @@ func (s *Store) Sync() error {
 	if err := s.guardWrite(); err != nil {
 		return err
 	}
-	return s.writeDone(s.eachInstance(func(i int) error {
-		switch s.pattern {
-		case PatternAAR:
-			return s.aars[i].Sync()
-		case PatternAUR:
-			return s.aurs[i].Sync()
-		default:
-			return s.rmws[i].Sync()
-		}
-	}))
+	return s.writeDone(s.eachInstance(func(i int) error { return s.insts[i].Sync() }))
 }
 
 // Stats aggregates evaluation metrics across instances.
@@ -857,31 +848,8 @@ func (s *Store) Stats() Stats {
 	st.ScrubCorrupt = s.scrubCorrupt.Load()
 	st.ScrubHealed = s.scrubHealed.Load()
 	st.ScrubQuarantined = s.scrubQuarantined.Load()
-	for _, a := range s.aars {
-		st.BufferedBytes += a.BufferedBytes()
-		if d, err := a.DiskUsage(); err == nil {
-			st.DiskBytes += d
-		}
-	}
-	for _, a := range s.aurs {
-		h, m := a.HitCount()
-		st.Hits += h
-		st.Misses += m
-		st.Evictions += a.Evictions()
-		st.Compactions += a.Compactions()
-		st.BufferedBytes += a.BufferedBytes()
-		st.LiveStates += a.LiveStates()
-		if d, err := a.DiskUsage(); err == nil {
-			st.DiskBytes += d
-		}
-	}
-	for _, r := range s.rmws {
-		st.Compactions += r.Compactions()
-		st.BufferedBytes += r.BufferedBytes()
-		st.LiveStates += r.LiveStates()
-		if d, err := r.DiskUsage(); err == nil {
-			st.DiskBytes += d
-		}
+	for _, inst := range s.insts {
+		inst.addStats(&st)
 	}
 	if st.Hits+st.Misses > 0 {
 		st.HitRatio = float64(st.Hits) / float64(st.Hits+st.Misses)
@@ -894,18 +862,8 @@ func (s *Store) Stats() Stats {
 func (s *Store) Close() error {
 	s.stopAllDrains()
 	var first error
-	for _, st := range s.aars {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, st := range s.aurs {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, st := range s.rmws {
-		if err := st.Close(); err != nil && first == nil {
+	for _, inst := range s.insts {
+		if err := inst.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -916,18 +874,8 @@ func (s *Store) Close() error {
 func (s *Store) Destroy() error {
 	s.stopAllDrains()
 	var first error
-	for _, st := range s.aars {
-		if err := st.Destroy(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, st := range s.aurs {
-		if err := st.Destroy(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, st := range s.rmws {
-		if err := st.Destroy(); err != nil && first == nil {
+	for _, inst := range s.insts {
+		if err := inst.Destroy(); err != nil && first == nil {
 			first = err
 		}
 	}

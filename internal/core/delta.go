@@ -25,24 +25,33 @@ import (
 // Options.MaxDeltaChain, or a per-file validity mismatch inside an
 // instance all silently fall back to writing full data, never to a
 // corrupt checkpoint. An empty parent writes a full (chain base)
-// checkpoint in the segmented format.
+// checkpoint; Checkpoint and CheckpointWithMeta are exactly that.
 //
-// The crash-consistency protocol is CheckpointWithMeta's, unchanged:
-// stage into "<dir>.tmp", move any previous checkpoint aside to
-// "<dir>.old", atomically rename the staging directory onto dir, fsync
-// the parent directory, then clear the old copy. The delta path adds
-// group commit: instances write their files unsynced and report what
-// needs durability; the store fsyncs them in one batched window (fanned
-// across Options.Parallelism workers) before the manifest is written,
-// so a barrier pays one sync wave instead of one fsync per file per
-// instance. Options.DisableGroupCommit reverts to immediate per-file
-// fsyncs for ablation. Hard-linked segments are already durable and are
-// never re-synced.
+// The checkpoint is crash-consistent. Everything is first written into
+// "<dir>.tmp": the per-instance files, then APPMETA, then a MANIFEST
+// recording every file's size and CRC32C, fsynced along with the
+// directory. Only then is the temporary directory atomically renamed
+// onto dir and the parent directory fsynced. The previous checkpoint is
+// never deleted before the commit: it is renamed aside to "<dir>.old"
+// (deleting it file-by-file would open a window where a crash leaves
+// only a partial — though still manifest-rejected — directory at dir).
+// So at every instant a complete snapshot exists at dir, "<dir>.old", or
+// "<dir>.tmp", and a crash leaves at worst stale ".tmp"/".old"
+// directories that the next checkpoint clears. If any step fails, the
+// temporary directory is removed so no partial state lingers.
 //
-// meta is the opaque application metadata, exactly as in
-// CheckpointWithMeta. The resulting directory is physically
-// self-contained: restoring it never reads the parent, which may be
-// deleted freely (links keep shared inodes alive).
+// Durability is group-committed: instances write their files unsynced
+// and report what needs durability; the store fsyncs them in one batched
+// window (fanned across Options.Parallelism workers) before the manifest
+// is written, so a barrier pays one sync wave instead of one fsync per
+// file per instance. Options.DisableGroupCommit reverts to immediate
+// per-file fsyncs for ablation. Hard-linked segments are already durable
+// and are never re-synced.
+//
+// meta is the opaque application metadata (see CheckpointWithMeta). The
+// resulting directory is physically self-contained: restoring it never
+// reads the parent, which may be deleted freely (links keep shared
+// inodes alive).
 func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := s.guardWrite(); err != nil {
 		return err
@@ -70,15 +79,21 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	}
 	results, err := s.checkpointDeltaInto(tmp, parent, parentName, depth, parentMetas, meta)
 	if err != nil {
+		// Best-effort cleanup: after a simulated (or real) crash the
+		// removal itself can fail, which the next checkpoint handles.
 		fsys.RemoveAll(tmp)
-		// Same poisoning rule as the full path: a failed flush of the
-		// live logs degrades the store; a failure confined to the
-		// staging directory leaves it Healthy.
+		// The per-instance snapshot flushes the live logs; if that is
+		// what failed the logs are now poisoned and the store degrades
+		// until Recover re-establishes the durable-offset invariant. A
+		// failure confined to the staging directory (the common case:
+		// the live logs are untouched) leaves the store Healthy.
 		if perr := s.poisoned(); perr != nil {
 			s.degrade(perr)
 		}
 		return err
 	}
+	// Commit: move the previous checkpoint aside (atomic, keeps it
+	// whole for fallback), then rename the complete snapshot onto dir.
 	if err := fsys.Rename(dir, old); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		fsys.RemoveAll(tmp)
 		return fmt.Errorf("flowkv: checkpoint: move previous aside: %w", err)
@@ -103,6 +118,9 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.RemoveAll(old); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: clear previous: %w", err)
 	}
+	// Retention GC failures are reported but do not invalidate the
+	// committed checkpoint (and do not degrade the store — acknowledged
+	// state is unaffected by a failed unlink of an old checkpoint).
 	if k := s.opts.RetainCheckpoints; k > 0 {
 		if err := gcCheckpoints(fsys, dir, k, s.protectedParents()); err != nil {
 			return fmt.Errorf("flowkv: checkpoint: retention gc: %w", err)
@@ -181,8 +199,8 @@ func (s *Store) resolveParent(dir, parent string) (string, int, []*ckpt.Meta) {
 	}
 	metas := make([]*ckpt.Meta, s.opts.Instances)
 	for i := range metas {
-		// A read error or a legacy flat instance dir yields a nil meta:
-		// that instance writes full data but the checkpoint still chains.
+		// An unreadable SEGMENTS yields a nil meta: that instance writes
+		// full data but the checkpoint still chains.
 		if im, err := ckpt.ReadMeta(fsys, instDir(parent, i)); err == nil {
 			metas[i] = im
 		}
@@ -194,11 +212,16 @@ func (s *Store) resolveParent(dir, parent string) (string, int, []*ckpt.Meta) {
 	return name, depth, metas
 }
 
-// checkpointDeltaInto stages the delta snapshot: per-instance segment
+// checkpointDeltaInto stages the snapshot: per-instance segment
 // directories, the group-commit sync window, APPMETA, and the MANIFEST
 // (entries precomputed from the instance results — the staging
 // directory is never re-hashed, which would re-read every hard-linked
 // segment and put the O(total-state) cost back into the commit).
+// Instances snapshot in parallel (bounded by Options.Parallelism), each
+// holding only its own I/O lock, so ingestion proceeds while the
+// snapshot is written. The cut is per-instance — the instant each
+// instance detaches its buffer — which is consistent per key because one
+// instance owns all of a key's state.
 func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, parentMetas []*ckpt.Meta, meta []byte) ([]*ckpt.Result, error) {
 	fsys := s.opts.FS
 	results := make([]*ckpt.Result, s.opts.Instances)
@@ -211,18 +234,7 @@ func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, p
 		if parent != "" {
 			pdir = instDir(parent, i)
 		}
-		var (
-			res *ckpt.Result
-			err error
-		)
-		switch s.pattern {
-		case PatternAAR:
-			res, err = s.aars[i].CheckpointDelta(instDir(tmp, i), pm, pdir)
-		case PatternAUR:
-			res, err = s.aurs[i].CheckpointDelta(instDir(tmp, i), pm, pdir)
-		default:
-			res, err = s.rmws[i].CheckpointDelta(instDir(tmp, i), pm, pdir)
-		}
+		res, err := s.insts[i].CheckpointDelta(instDir(tmp, i), pm, pdir)
 		if err != nil {
 			return err
 		}
@@ -262,10 +274,9 @@ func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, p
 	}
 	var entries []manifestEntry
 	for i, res := range results {
-		prefix := fmt.Sprintf("inst-%02d", i)
 		for _, e := range res.Entries {
 			entries = append(entries, manifestEntry{
-				path: path.Join(prefix, e.Path),
+				path: path.Join(instName(i), e.Path),
 				size: e.Size,
 				crc:  e.CRC,
 			})

@@ -1,8 +1,9 @@
 package core
 
 // The incremental-checkpoint battery. The contract under test: a chain
-// of N delta checkpoints restores byte-identically to a full checkpoint
-// taken at the same cut, every chain link is physically self-contained
+// of N delta checkpoints restores byte-identically to a self-contained
+// base checkpoint taken at the same cut (and to the live store's own
+// state at that cut), every chain link is physically self-contained
 // (ancestors may be deleted freely), retention GC never collects a
 // generation a surviving checkpoint still references, link-refusing
 // filesystems silently degrade to copies, and crashes pinned inside the
@@ -72,10 +73,11 @@ func restoreDelta(t *testing.T, agg AggKind, wk window.Kind, opts Options, ck st
 
 // TestDeltaChainRestoreMatchesFull is the chain-restore property test:
 // for a random workload, restoring the tip of an N-link incremental
-// chain yields a ForEachState dump byte-identical to restoring a full
-// checkpoint taken at the same cut — even after every ancestor directory
-// has been deleted, since hard links make each link self-contained. Run
-// with group commit on and off so both sync schedules are covered.
+// chain yields a ForEachState dump byte-identical to restoring a
+// parentless base checkpoint taken at the same cut and to the live
+// store's own dump at that cut — even after every ancestor directory has
+// been deleted, since hard links make each link self-contained. Run with
+// group commit on and off so both sync schedules are covered.
 func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 	const links = 6
 	for _, p := range []Pattern{PatternAAR, PatternAUR, PatternRMW} {
@@ -104,11 +106,13 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 					chain = append(chain, ck)
 					parent = ck
 				}
-				// A full checkpoint at the exact same cut (no ops between).
+				// A parentless base at the exact same cut (no ops between),
+				// and the live store's own view of that cut.
 				full := filepath.Join(base, "full")
-				if err := s.CheckpointWithMeta(full, nil); err != nil {
+				if err := s.Checkpoint(full); err != nil {
 					t.Fatal(err)
 				}
+				live := stateDump(t, s)
 				if st := s.Stats(); st.CkptLinkedBytes == 0 {
 					t.Errorf("a %d-link chain hard-linked no bytes — every commit re-copied the store", links)
 				}
@@ -123,6 +127,9 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 
 				fromFull := restoreDelta(t, agg, wk, opts, full)
 				want := stateDump(t, fromFull)
+				if !reflect.DeepEqual(want, live) {
+					t.Fatalf("base restore diverges from the live store: %d entries vs %d", len(want), len(live))
+				}
 				// Delete every ancestor before restoring the tip: links keep
 				// the shared inodes alive, so the tip must not notice.
 				for _, ck := range chain[:len(chain)-1] {
@@ -253,7 +260,12 @@ func runDeltaCrashIteration(t *testing.T, pattern Pattern, seed int64, pin strin
 		// attempt — never yielding a half-resolved chain.
 		rule = faultfs.Rule{Op: faultfs.OpRead, PathContains: ckpt.MetaName, Crash: true}
 	default:
-		rule = faultfs.Rule{AtOp: inj.Ops() + 1 + rng.Int63n(60), Crash: true}
+		// A random upcoming mutating op. The window is sized to the RMW
+		// leg, whose commits issue the fewest fs ops (a cut's replay-stream
+		// segment goes out in chunked writes, not one per record), so the
+		// crash lands inside the workload or the third commit on every
+		// pattern.
+		rule = faultfs.Rule{AtOp: inj.Ops() + 1 + rng.Int63n(30), Crash: true}
 		if rng.Intn(2) == 0 {
 			rule.TornBytes = 1 + rng.Intn(48)
 		}
@@ -408,7 +420,7 @@ func (nolinkFS) Link(oldpath, newpath string) error {
 // on a filesystem that refuses every link, a chain of delta checkpoints
 // still commits, links nothing, copies everything — and the tip is an
 // independently restorable checkpoint whose state is byte-identical to a
-// full checkpoint at the same cut.
+// parentless base checkpoint at the same cut and to the live store.
 func TestDeltaNoHardlinkFSCopyFallback(t *testing.T) {
 	for _, p := range []Pattern{PatternAAR, PatternAUR, PatternRMW} {
 		p := p
@@ -436,9 +448,10 @@ func TestDeltaNoHardlinkFSCopyFallback(t *testing.T) {
 				parent = ck
 			}
 			full := filepath.Join(base, "full")
-			if err := s.CheckpointWithMeta(full, nil); err != nil {
+			if err := s.Checkpoint(full); err != nil {
 				t.Fatal(err)
 			}
+			live := stateDump(t, s)
 			st := s.Stats()
 			if st.CkptLinkedBytes != 0 {
 				t.Errorf("linked %d bytes through a filesystem that refuses links", st.CkptLinkedBytes)
@@ -448,6 +461,9 @@ func TestDeltaNoHardlinkFSCopyFallback(t *testing.T) {
 			}
 			fromFull := restoreDelta(t, agg, wk, opts, full)
 			want := stateDump(t, fromFull)
+			if !reflect.DeepEqual(want, live) {
+				t.Fatalf("base restore diverges from the live store: %d entries vs %d", len(want), len(live))
+			}
 			for _, ck := range chain[:len(chain)-1] {
 				if err := os.RemoveAll(ck); err != nil {
 					t.Fatal(err)

@@ -362,17 +362,8 @@ func fullJitter(cap time.Duration) time.Duration {
 // poisoned probes every instance and returns the first log-poisoning
 // error, or nil when all live logs are healthy.
 func (s *Store) poisoned() error {
-	for i := 0; i < s.opts.Instances; i++ {
-		var err error
-		switch s.pattern {
-		case PatternAAR:
-			err = s.aars[i].Poisoned()
-		case PatternAUR:
-			err = s.aurs[i].Poisoned()
-		default:
-			err = s.rmws[i].Poisoned()
-		}
-		if err != nil {
+	for _, inst := range s.insts {
+		if err := inst.Poisoned(); err != nil {
 			return err
 		}
 	}
@@ -392,16 +383,7 @@ func (s *Store) Recover() error {
 	if s.Health() == Healthy {
 		return nil
 	}
-	err := s.eachInstance(func(i int) error {
-		switch s.pattern {
-		case PatternAAR:
-			return s.aars[i].Recover()
-		case PatternAUR:
-			return s.aurs[i].Recover()
-		default:
-			return s.rmws[i].Recover()
-		}
-	})
+	err := s.eachInstance(func(i int) error { return s.insts[i].Recover() })
 	if err != nil {
 		s.setHealth(Failed)
 		return fmt.Errorf("flowkv: recover: %w", err)

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 )
 
@@ -15,9 +16,8 @@ import (
 // without a valid MANIFEST is not a checkpoint.
 const manifestName = "MANIFEST"
 
-// manifestMagic identifies the original manifest format. Full
-// checkpoints still emit it, so their directories stay byte-compatible
-// with every earlier release.
+// manifestMagic identifies the original manifest format, still emitted
+// for chain-base checkpoints (no parent, depth 0).
 const manifestMagic = "flowkv-checkpoint-v1"
 
 // manifestMagicV2 is the incremental-checkpoint manifest format: the
@@ -218,23 +218,12 @@ func parseManifest(b []byte) (*manifest, string) {
 	return m, ""
 }
 
-// writeManifest snapshots dir and writes its MANIFEST. The manifest file
-// and the directory entry are fsynced, so after writeManifest returns the
-// checkpoint contents are fully described and durable — ready for the
-// atomic rename commit.
-func writeManifest(fsys faultfs.FS, dir string, p Pattern, instances int) error {
-	entries, err := snapshotDir(fsys, dir)
-	if err != nil {
-		return fmt.Errorf("flowkv: manifest: %w", err)
-	}
-	return writeManifestEncoded(fsys, dir, &manifest{pattern: p, instances: instances, entries: entries})
-}
-
 // writeManifestEncoded writes a fully-specified manifest — entries
-// precomputed by the caller, not re-read from disk. The delta checkpoint
-// path depends on this: re-hashing the directory would re-read every
-// hard-linked segment and put the O(total-state) cost back into every
-// commit.
+// precomputed by the caller, not re-read from disk: re-hashing the
+// directory would re-read every hard-linked segment and put the
+// O(total-state) cost back into every commit. The manifest file and the
+// directory entry are fsynced, so on return the checkpoint contents are
+// fully described and durable — ready for the atomic rename commit.
 func writeManifestEncoded(fsys faultfs.FS, dir string, m *manifest) error {
 	buf := encodeManifest(m)
 	f, err := fsys.Create(filepath.Join(dir, manifestName))
@@ -292,13 +281,31 @@ func verifyCheckpoint(fsys faultfs.FS, dir string, p Pattern, instances int) err
 	if err != nil {
 		return err
 	}
-	return verifyContents(fsys, dir, m.entries)
+	return verifyContents(fsys, dir, m)
 }
 
-// verifyContents checks dir's current files against the manifest entries
-// want: every listed file present with the recorded size and CRC32C, and
-// no unlisted files.
-func verifyContents(fsys faultfs.FS, dir string, want []manifestEntry) error {
+// verifyContents checks dir against its decoded manifest m: every
+// instance directory carries a SEGMENTS file, every listed file is
+// present with the recorded size and CRC32C, and no unlisted files exist.
+func verifyContents(fsys faultfs.FS, dir string, m *manifest) error {
+	want := m.entries
+	// An instance directory without SEGMENTS cannot be reassembled, and
+	// restoring it as "no state" would silently drop everything the
+	// instance held. (Checked in entry space first: a crafted instance
+	// count must not drive the loop.)
+	if m.instances > len(want) {
+		return &CheckpointError{Dir: dir, File: manifestName,
+			Reason: fmt.Sprintf("%d instances but only %d files", m.instances, len(want))}
+	}
+	listed := make(map[string]bool, len(want))
+	for _, w := range want {
+		listed[w.path] = true
+	}
+	for i := 0; i < m.instances; i++ {
+		if p := path.Join(instName(i), ckpt.MetaName); !listed[p] {
+			return &CheckpointError{Dir: dir, File: p, Reason: "instance has no SEGMENTS file"}
+		}
+	}
 	got, err := snapshotDir(fsys, dir)
 	if err != nil {
 		return &CheckpointError{Dir: dir, Reason: fmt.Sprintf("unreadable contents: %v", err)}

@@ -83,7 +83,7 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 		if reason, ok := QuarantineReason(fsys, dir); ok {
 			ci.Err = &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
 		} else {
-			ci.Err = verifyContents(fsys, dir, m.entries)
+			ci.Err = verifyContents(fsys, dir, m)
 		}
 		out = append(out, ci)
 	}
@@ -114,7 +114,7 @@ func VerifyCheckpointDir(fsys faultfs.FS, dir string) (Pattern, int, error) {
 	if reason != "" {
 		return 0, 0, &CheckpointError{Dir: dir, File: manifestName, Reason: reason}
 	}
-	return m.pattern, m.instances, verifyContents(fsys, dir, m.entries)
+	return m.pattern, m.instances, verifyContents(fsys, dir, m)
 }
 
 // CheckpointChain resolves dir's incremental-checkpoint chain by

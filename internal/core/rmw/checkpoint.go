@@ -6,11 +6,9 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
-	"flowkv/internal/faultfs"
-	"flowkv/internal/logfile"
 )
 
-// Delta checkpoints persist the RMW store as a replay stream: one
+// Checkpoints persist the RMW store as a replay stream: one
 // logical file (deltaLogical) whose segments, concatenated in order,
 // form a sequence of kind-prefixed records — a full dump of live
 // aggregates as upserts at the chain's base, then per checkpoint one
@@ -24,15 +22,16 @@ const (
 	deltaKindTombstone byte = 1
 )
 
-// Checkpoint writes a consistent snapshot of the instance into dir. The
-// cut is one mu critical section that snapshots the live state directly:
-// every buffered aggregate (aliased, not copied — Put installs fresh
-// slices, never mutates in place) and every index span not superseded by
-// a buffered copy. The snapshot is then written to a fresh log in dir —
-// live spans re-read from the instance log, buffered values encoded — and
-// fsynced. The hash index is not persisted: it is rebuilt by scanning the
-// checkpoint log on restore, where every record is live (consumed entries
-// were absent from the cut, so they cannot resurrect).
+// CheckpointDelta writes a snapshot of the instance into dir. The cut
+// is one mu critical section that snapshots the live state directly:
+// buffered aggregates (aliased, not copied — Put installs fresh slices,
+// never mutates in place) and index spans not superseded by a buffered
+// copy. When the parent checkpoint's cut matches this instance's last
+// committed cut, only identities in the deltas map — mutated since then
+// — are written (as upserts or tombstones) and the parent's segments are
+// hard-linked across; otherwise the live state is dumped whole as the
+// base of a new chain. The hash index is not persisted: restore rebuilds
+// it by replaying the stream.
 //
 // Writing the checkpoint from the snapshot, rather than compacting the
 // live log and copying it, is what makes the cut exact under concurrent
@@ -40,105 +39,20 @@ const (
 // entry immediately (under mu alone), so any scheme that re-reads the
 // live index after the cut can miss an aggregate that was acknowledged
 // before it. The snapshot taken inside the cut is immune — spans stay
-// readable because compaction needs ioMu, which Checkpoint holds.
+// readable because compaction needs ioMu, which CheckpointDelta holds.
+// Only ioMu is held, so concurrent Puts and buffer-served Gets proceed
+// while the snapshot is written; aggregates put after the cut are not in
+// it.
 //
-// Checkpoint holds only ioMu, so concurrent Puts and buffer-served Gets
-// proceed while the snapshot is written. Aggregates put after the cut are
-// not in the snapshot.
-func (s *Store) Checkpoint(dir string) error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
-
-	// The cut. flushing is always nil here: flushes run under ioMu.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	bufSnap := make(map[id][]byte, len(s.buf))
-	for ident, v := range s.buf {
-		bufSnap[ident] = v
-	}
-	spanSnap := make(map[id]span, len(s.index))
-	for ident, sp := range s.index {
-		if _, buffered := bufSnap[ident]; buffered {
-			continue // the buffered copy is newer
-		}
-		spanSnap[ident] = sp
-	}
-	s.mu.Unlock()
-
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("rmw: checkpoint: %w", err)
-	}
-	ck, err := logfile.CreateFS(fsys, filepath.Join(dir, "rmw.log"), s.bd)
-	if err != nil {
-		return err
-	}
-	for ident, sp := range spanSnap {
-		payload, err := s.log.ReadRecordAt(sp.off, sp.n)
-		if err != nil {
-			ck.Close()
-			return fmt.Errorf("rmw: checkpoint %q: %w", ident.key, err)
-		}
-		if _, _, err := ck.Append(payload); err != nil {
-			ck.Close()
-			return err
-		}
-	}
-	var payload []byte
-	for ident, v := range bufSnap {
-		payload = encodeEntry(payload[:0], ident, v)
-		if _, _, err := ck.Append(payload); err != nil {
-			ck.Close()
-			return err
-		}
-	}
-	if err := ck.Sync(); err != nil {
-		ck.Close()
-		return err
-	}
-	return ck.Close()
-}
-
-// segWriter streams kind-prefixed records into one segment file,
-// accumulating the framed bytes' length and CRC32C for the manifest.
-// Nothing is fsynced; the caller adds the file to the group-commit sync
-// window.
-type segWriter struct {
-	f    faultfs.File
-	rec  []byte
-	crc  uint32
-	size int64
-}
-
-func (w *segWriter) emit(payload []byte) error {
-	w.rec = binio.AppendRecord(w.rec[:0], payload)
-	if _, err := w.f.Write(w.rec); err != nil {
-		return err
-	}
-	w.crc = binio.ChecksumUpdate(w.crc, w.rec)
-	w.size += int64(len(w.rec))
-	return nil
-}
-
-// CheckpointDelta writes a segmented snapshot of the instance into dir.
-// The cut is the same one-mu critical section Checkpoint uses, but what
-// it snapshots is the deltas map: when the parent checkpoint's cut
-// matches this instance's last committed cut, only identities mutated
-// since then are written (as upserts or tombstones) and the parent's
-// segments are hard-linked across; otherwise the live state is dumped
-// whole as the base of a new chain. The returned Result's Commit hook
-// must be invoked only after the enclosing checkpoint's atomic rename:
-// it retires the delta marks this cut absorbed (identities re-dirtied
-// mid-write keep their newer marks) and records the cut id the next
-// delta will extend. An uncommitted cut leaves the marks in place, so a
-// failed checkpoint merely re-ships those identities next time.
+// The returned Result's Commit hook must be invoked only after the
+// enclosing checkpoint's atomic rename: it retires the delta marks this
+// cut absorbed (identities re-dirtied mid-write keep their newer marks)
+// and records the cut id the next delta will extend. An uncommitted cut
+// leaves the marks in place, so a failed checkpoint merely re-ships
+// those identities next time.
 func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	fsys := s.dir.FS()
 
 	// The cut. flushing is always nil here: flushes run under ioMu.
 	type pending struct {
@@ -147,16 +61,12 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		v     []byte // buffered value (aliased; Put never mutates in place)
 		sp    span   // on-disk span, valid when v is nil and !tomb
 	}
-	var pstate *ckpt.FileState
-	if parent != nil {
-		pstate = parent.File(deltaLogical)
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	incremental := pstate != nil && parent.CutID != 0 && parent.CutID == s.lastCutID
+	incremental := parent.Extends(deltaLogical, s.lastCutID)
 	cutSeqs := make(map[id]uint64, len(s.deltas))
 	for ident, m := range s.deltas {
 		cutSeqs[ident] = m.seq
@@ -193,73 +103,44 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	}
 	s.mu.Unlock()
 
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
+	if err != nil {
 		return nil, fmt.Errorf("rmw: checkpoint: %w", err)
 	}
-	res := &ckpt.Result{}
-	meta := &ckpt.Meta{CutID: ckpt.Rand64()}
-	fstate := ckpt.FileState{Logical: deltaLogical, Epoch: ckpt.Rand64()}
-	var from int64
-	if incremental {
-		if err := ckpt.LinkSegments(fsys, parentDir, dir, pstate.Segments, res); err != nil {
-			return nil, err
+	err = cut.Stream(deltaLogical, incremental, func(emit func([]byte) error) error {
+		var payload []byte
+		for _, p := range work {
+			switch {
+			case p.tomb:
+				payload = append(payload[:0], deltaKindTombstone)
+				payload = encodeEntry(payload, p.ident, nil)
+			case p.v != nil:
+				payload = append(payload[:0], deltaKindUpsert)
+				payload = encodeEntry(payload, p.ident, p.v)
+			default:
+				// Spans stay readable under ioMu: compaction, which would
+				// move them, also needs ioMu.
+				entry, err := s.log.ReadRecordAt(p.sp.off, p.sp.n)
+				if err != nil {
+					return fmt.Errorf("rmw: checkpoint %q: %w", p.ident.key, err)
+				}
+				payload = append(payload[:0], deltaKindUpsert)
+				payload = append(payload, entry...)
+			}
+			if err := emit(payload); err != nil {
+				return err
+			}
 		}
-		fstate.Segments = append(fstate.Segments, pstate.Segments...)
-		fstate.Epoch = pstate.Epoch
-		from = pstate.TotalLen()
-	}
-	name := ckpt.SegmentName(deltaLogical, from)
-	f, err := fsys.Create(filepath.Join(dir, name))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sw := &segWriter{f: f}
-	var payload []byte
-	for _, p := range work {
-		switch {
-		case p.tomb:
-			payload = append(payload[:0], deltaKindTombstone)
-			payload = encodeEntry(payload, p.ident, nil)
-		case p.v != nil:
-			payload = append(payload[:0], deltaKindUpsert)
-			payload = encodeEntry(payload, p.ident, p.v)
-		default:
-			// Spans stay readable under ioMu: compaction, which would
-			// move them, also needs ioMu.
-			entry, err := s.log.ReadRecordAt(p.sp.off, p.sp.n)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("rmw: checkpoint %q: %w", p.ident.key, err)
-			}
-			payload = append(payload[:0], deltaKindUpsert)
-			payload = append(payload, entry...)
-		}
-		if err := sw.emit(payload); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if err := f.Close(); err != nil {
+	res, err := cut.Finish()
+	if err != nil {
 		return nil, err
 	}
-	if sw.size == 0 {
-		// No records this cut. Recording a zero-length segment would make
-		// the next delta's segment start at the same offset and collide
-		// with this one's name, so drop the file instead.
-		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-			return nil, err
-		}
-	} else {
-		fstate.Segments = append(fstate.Segments, ckpt.Segment{Name: name, Len: sw.size, CRC: sw.crc})
-		res.Entries = append(res.Entries, ckpt.Entry{Path: name, Size: sw.size, CRC: sw.crc})
-		res.NeedSync = append(res.NeedSync, filepath.Join(dir, name))
-		res.CopiedBytes += sw.size
-	}
-	meta.Files = append(meta.Files, fstate)
-	if err := ckpt.FinishMeta(fsys, dir, meta, res); err != nil {
-		return nil, err
-	}
-	cut := meta.CutID
+	cutID := cut.ID()
 	res.Commit = func() {
 		s.mu.Lock()
 		for ident, seq := range cutSeqs {
@@ -267,14 +148,18 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 				delete(s.deltas, ident)
 			}
 		}
-		s.lastCutID = cut
+		s.lastCutID = cutID
 		s.mu.Unlock()
 	}
 	return res, nil
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory, re-deriving the hash index by scanning the copied log.
+// directory by replaying its delta stream: upserts append to a fresh
+// live log in arrival order (a later upsert of the same identity
+// supersedes, leaving dead bytes) and tombstones drop the identity,
+// re-deriving the hash index along the way. The cut id carries over so
+// the delta chain continues across the restart.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -292,73 +177,14 @@ func (s *Store) Restore(dir string) error {
 		return fmt.Errorf("rmw: restore into a non-empty store")
 	}
 	fsys := s.dir.FS()
-	// Segmented checkpoints (a SEGMENTS manifest present) are replayed:
-	// the delta stream's upserts append to a fresh live log in arrival
-	// order (a later upsert of the same identity supersedes, leaving
-	// dead bytes) and tombstones drop the identity. The cut id carries
-	// over so the delta chain continues across the restart.
 	meta, err := ckpt.ReadMeta(fsys, dir)
 	if err != nil {
 		return fmt.Errorf("rmw: restore: %w", err)
 	}
-	if meta != nil {
-		return s.restoreDelta(dir, meta)
-	}
-	oldLog := s.log
-	gen := s.gen + 1
-	name := fmt.Sprintf("rmw-%06d.log", gen)
-	if err := faultfs.CopyFile(fsys, filepath.Join(dir, "rmw.log"), filepath.Join(s.dir.Root(), name)); err != nil {
-		return err
-	}
-	l, err := s.dir.Open(name)
-	if err != nil {
-		return err
-	}
-	s.log, s.gen = l, gen
-	oldLog.Remove()
-
-	sc, err := s.log.Scanner(0)
-	if err != nil {
-		return err
-	}
-	newIndex := make(map[id]span)
-	prev := int64(0)
-	for sc.Scan() {
-		key, w, _, err := decodeEntry(sc.Record())
-		if err != nil {
-			return fmt.Errorf("rmw: restore: %w", err)
-		}
-		ident := id{key: string(key), w: w}
-		newIndex[ident] = span{off: prev, n: int(sc.Offset() - prev)}
-		prev = sc.Offset()
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	// Integrity check: the reconstructed spans must decode.
-	for ident, sp := range newIndex {
-		payload, err := s.log.ReadRecordAt(sp.off, sp.n)
-		if err != nil {
-			return fmt.Errorf("rmw: restore verify %q: %w", ident.key, err)
-		}
-		if _, _, _, err := decodeEntry(payload); err != nil {
-			return fmt.Errorf("rmw: restore verify %q: %w", ident.key, err)
-		}
-	}
-	s.mu.Lock()
-	s.index = newIndex
-	s.mu.Unlock()
-	return nil
-}
-
-// restoreDelta replays a segmented checkpoint's delta stream; the caller
-// (Restore) holds ioMu and has verified the store is empty.
-func (s *Store) restoreDelta(dir string, meta *ckpt.Meta) error {
 	fstate := meta.File(deltaLogical)
 	if fstate == nil {
 		return fmt.Errorf("rmw: restore: SEGMENTS lacks %s", deltaLogical)
 	}
-	fsys := s.dir.FS()
 	oldLog := s.log
 	if err := s.openGen(s.gen + 1); err != nil {
 		return err

@@ -26,7 +26,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		}
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +74,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Put([]byte("k"), window.Window{Start: 0, End: 100}, []byte("v"))
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := src.Checkpoint(ckpt); err != nil {
+	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
@@ -87,7 +87,7 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointClosed(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if err := s.Checkpoint(t.TempDir()); err != ErrClosed {
+	if _, err := s.CheckpointDelta(t.TempDir(), nil, ""); err != ErrClosed {
 		t.Errorf("Checkpoint: %v", err)
 	}
 	if err := s.Restore(t.TempDir()); err != ErrClosed {
@@ -102,8 +102,8 @@ func TestDiskUsageAndFlush(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.DiskUsage(); err != nil || n == 0 {
-		t.Errorf("DiskUsage = %d, %v", n, err)
+	if n := s.DiskUsage(); n == 0 {
+		t.Errorf("DiskUsage = %d", n)
 	}
 	if s.BufferedBytes() != 0 {
 		t.Errorf("BufferedBytes = %d after Flush", s.BufferedBytes())

@@ -620,44 +620,22 @@ func (s *Store) Flush() error {
 }
 
 // Sync flushes all buffered data and fsyncs the log, making every
-// acknowledged Put durable. The fsync itself runs outside ioMu (split
-// BeginSync/FinishSync), so concurrent point reads and later flushes
+// acknowledged Put durable. The fsync itself runs outside ioMu
+// (logfile.SplitSync), so concurrent point reads and later flushes
 // overlap it instead of queueing for its whole duration; syncMu keeps
 // at most one fsync in flight, as the split protocol requires.
 func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	for {
-		s.ioMu.Lock()
-		if err := s.flushLocked(); err != nil {
-			s.ioMu.Unlock()
-			return err
-		}
-		lg := s.log
-		tok, commit, err := lg.BeginSync()
-		if err != nil {
-			s.ioMu.Unlock()
-			return err
-		}
+	s.ioMu.Lock()
+	if err := s.flushLocked(); err != nil {
 		s.ioMu.Unlock()
-		serr := commit()
-		s.ioMu.Lock()
-		err = lg.FinishSync(tok, serr)
-		swapped := s.log != lg
-		s.ioMu.Unlock()
-		// A compaction or recovery that swapped the log mid-fsync makes
-		// the outcome meaningless for the current generation; redo the
-		// sync against current state. Swaps are rare, so this converges.
-		if swapped || errors.Is(err, logfile.ErrSyncSuperseded) {
-			continue
-		}
 		return err
 	}
+	s.ioMu.Unlock()
+	return logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.log })
 }
 
-// Recover reopens a poisoned log from its durable offset, rewriting the
-// retained unsynced tail, so the write path works again after the
-// underlying fault has cleared.
 // Poisoned returns the log's poisoning error, or nil when it is healthy.
 func (s *Store) Poisoned() error {
 	s.ioMu.Lock()
@@ -665,13 +643,13 @@ func (s *Store) Poisoned() error {
 	return s.log.Poisoned()
 }
 
+// Recover reopens a poisoned log from its durable offset, rewriting the
+// retained unsynced tail, so the write path works again after the
+// underlying fault has cleared.
 func (s *Store) Recover() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if s.log.Poisoned() == nil {
-		return nil
-	}
-	return s.log.ReopenAtDurable()
+	return logfile.RecoverAll([]*logfile.Log{s.log})
 }
 
 // Scrub verifies the live log's record frames against their checksums
@@ -681,16 +659,13 @@ func (s *Store) Recover() error {
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var sum logfile.ScrubSummary
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return sum, ErrClosed
+		return logfile.ScrubSummary{}, ErrClosed
 	}
-	r, err := s.log.Scrub()
-	sum.Add(r)
-	return sum, err
+	return logfile.ScrubAll([]*logfile.Log{s.log})
 }
 
 // Compactions returns the number of compactions performed.
@@ -729,10 +704,10 @@ func (s *Store) LiveStates() int {
 
 // DiskUsage returns the logical bytes of the instance's log, including
 // appends still in its write-through buffer.
-func (s *Store) DiskUsage() (int64, error) {
+func (s *Store) DiskUsage() int64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return s.log.Size(), nil
+	return s.log.Size()
 }
 
 // Close closes the store's log file, leaving state on disk.

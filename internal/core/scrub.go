@@ -14,7 +14,6 @@ import (
 	"flowkv/internal/binio"
 	"flowkv/internal/clock"
 	"flowkv/internal/faultfs"
-	"flowkv/internal/logfile"
 )
 
 // quarantineName is the marker file that sets a corrupt checkpoint
@@ -198,17 +197,8 @@ func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 	rep := &ScrubReport{}
 	pacer := newScrubPacer(opts.BytesPerSec, opts.Clock)
 	var firstErr error
-	for i := 0; i < s.opts.Instances; i++ {
-		var sum logfile.ScrubSummary
-		var err error
-		switch s.pattern {
-		case PatternAAR:
-			sum, err = s.aars[i].Scrub()
-		case PatternAUR:
-			sum, err = s.aurs[i].Scrub()
-		default:
-			sum, err = s.rmws[i].Scrub()
-		}
+	for i, inst := range s.insts {
+		sum, err := inst.Scrub()
 		rep.add(ScrubVerdict{
 			Path:    instDir(s.opts.Dir, i),
 			Files:   sum.Files,
@@ -274,7 +264,7 @@ func (s *Store) scrubCheckpointParent(parent string, rep *ScrubReport, pacer *sc
 		for _, me := range m.entries {
 			total += me.size
 		}
-		if verr := verifyContents(fsys, dir, m.entries); verr != nil {
+		if verr := verifyContents(fsys, dir, m); verr != nil {
 			s.quarantineScrubbed(dir, verr, rep)
 			pacer.pace(total)
 			continue

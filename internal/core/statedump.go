@@ -35,38 +35,35 @@ func (s *Store) ForEachState(fn func(StateEntry) error) error {
 	if err := s.guardRead(); err != nil {
 		return err
 	}
-	switch s.pattern {
-	case PatternAAR:
-		for _, st := range s.aars {
-			for _, w := range st.Windows() {
-				kvs, err := st.ReadWindowFiltered(w, nil)
-				if err != nil {
-					return fmt.Errorf("flowkv: dump window %v: %w", w, err)
-				}
-				for _, kv := range kvs {
-					if err := fn(StateEntry{Key: kv.Key, Window: w, Values: kv.Values}); err != nil {
-						return err
-					}
+	// Only the view matching the store's pattern is populated; the other
+	// two loops run zero times.
+	for _, st := range s.aarView {
+		for _, w := range st.Windows() {
+			kvs, err := st.ReadWindowFiltered(w, nil)
+			if err != nil {
+				return fmt.Errorf("flowkv: dump window %v: %w", w, err)
+			}
+			for _, kv := range kvs {
+				if err := fn(StateEntry{Key: kv.Key, Window: w, Values: kv.Values}); err != nil {
+					return err
 				}
 			}
 		}
-	case PatternAUR:
-		for _, st := range s.aurs {
-			err := st.ForEachLive(func(key []byte, w window.Window, values [][]byte, maxTS int64) error {
-				return fn(StateEntry{Key: key, Window: w, Values: values, MaxTS: maxTS})
-			})
-			if err != nil {
-				return err
-			}
+	}
+	for _, st := range s.aurView {
+		err := st.ForEachLive(func(key []byte, w window.Window, values [][]byte, maxTS int64) error {
+			return fn(StateEntry{Key: key, Window: w, Values: values, MaxTS: maxTS})
+		})
+		if err != nil {
+			return err
 		}
-	case PatternRMW:
-		for _, st := range s.rmws {
-			err := st.ForEachLive(func(key []byte, w window.Window, agg []byte) error {
-				return fn(StateEntry{Key: key, Window: w, Agg: agg, HasAgg: true})
-			})
-			if err != nil {
-				return err
-			}
+	}
+	for _, st := range s.rmwView {
+		err := st.ForEachLive(func(key []byte, w window.Window, agg []byte) error {
+			return fn(StateEntry{Key: key, Window: w, Agg: agg, HasAgg: true})
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -91,7 +88,7 @@ func (s *Store) ReadWindowOwned(w window.Window, own func(key []byte) bool) ([]K
 		out []KeyValues
 	)
 	err := s.eachInstance(func(i int) error {
-		part, err := s.aars[i].ReadWindowFiltered(w, own)
+		part, err := s.aarView[i].ReadWindowFiltered(w, own)
 		if err != nil {
 			return err
 		}

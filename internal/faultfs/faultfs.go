@@ -144,29 +144,6 @@ func (osFS) SyncDir(path string) error {
 	return err
 }
 
-// CopyFile copies src to dst through fsys, fsyncing dst before close so a
-// checkpointed file is durable before the checkpoint commits.
-func CopyFile(fsys FS, src, dst string) error {
-	in, err := fsys.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := fsys.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
 // LinkOrCopy hard-links src to dst, falling back to a full copy when the
 // filesystem refuses the link (no hard-link support, cross-device, or an
 // injected link fault). It reports whether the cheap path was taken: a

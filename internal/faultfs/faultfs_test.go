@@ -185,26 +185,3 @@ func TestInjectorPathAndKindMatching(t *testing.T) {
 		t.Fatalf("second index write err = %v, want ErrInjected", err)
 	}
 }
-
-func TestCopyFileSyncsAndCopies(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src")
-	if err := os.WriteFile(src, []byte("payload"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dst := filepath.Join(dir, "dst")
-	if err := CopyFile(OS, src, dst); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(dst)
-	if err != nil || string(b) != "payload" {
-		t.Fatalf("dst = %q, %v", b, err)
-	}
-	// CopyFile must route its sync through the FS so injected sync faults
-	// surface as checkpoint failures.
-	inj := NewInjector(OS)
-	inj.SetRule(Rule{Op: OpSync})
-	if err := CopyFile(inj, src, filepath.Join(dir, "dst2")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("CopyFile with failing sync err = %v", err)
-	}
-}

@@ -1,0 +1,97 @@
+package logfile
+
+import (
+	"errors"
+	"sync"
+)
+
+// The helpers below run one operation over "this instance's live logs".
+// A store instance owns between one log (RMW) and one per live window
+// (AAR); its split sync and its poison probe, recovery and scrub are the
+// same loops whichever it is.
+
+// SplitSync fsyncs the log cur currently returns while mu — the owning
+// instance's I/O lock, which guards the log and whatever cur reads — is
+// released, so reads and later flushes overlap the fsync instead of
+// queueing behind it. cur is called with mu held. A nil log means there
+// is nothing left to make durable (the log was consumed, possibly while
+// its fsync was in flight) and the sync trivially succeeds. A log
+// swapped mid-fsync (compaction opened a new generation) or reopened by
+// recovery invalidates the outcome — an fsync of the old descriptor says
+// nothing about the data's new home — and the sync is redone against
+// current state; swaps copy all live state, so the retry converges. The
+// caller keeps at most one SplitSync in flight per log.
+func SplitSync(mu sync.Locker, cur func() *Log) error {
+	for {
+		mu.Lock()
+		lg := cur()
+		if lg == nil {
+			mu.Unlock()
+			return nil
+		}
+		tok, commit, err := lg.BeginSync()
+		mu.Unlock()
+		if err != nil {
+			return err
+		}
+		serr := commit()
+		mu.Lock()
+		now := cur()
+		if now == lg {
+			err = lg.FinishSync(tok, serr)
+		}
+		mu.Unlock()
+		switch {
+		case now == nil:
+			// Dropped mid-fsync: abandon the token (commit touches no
+			// mutable log state, so this is legal).
+			return nil
+		case now != lg || errors.Is(err, ErrSyncSuperseded):
+			continue
+		}
+		return err
+	}
+}
+
+// FirstPoisoned returns the first poisoning error among logs, or nil
+// when every log is healthy. The caller holds the logs' I/O lock.
+func FirstPoisoned(logs []*Log) error {
+	for _, l := range logs {
+		if err := l.Poisoned(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RecoverAll reopens every poisoned log among logs at its durable
+// offset, rewriting the retained unsynced tail (see ReopenAtDurable), so
+// the write path works again after the underlying fault has cleared.
+// Every log is attempted; the first failure is returned. The caller
+// holds the logs' I/O lock.
+func RecoverAll(logs []*Log) error {
+	var first error
+	for _, l := range logs {
+		if l.Poisoned() == nil {
+			continue
+		}
+		if err := l.ReopenAtDurable(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// ScrubAll scrubs logs in order (see Log.Scrub), stopping at the first
+// unrepairable corruption. The caller holds the logs' I/O lock.
+func ScrubAll(logs []*Log) (ScrubSummary, error) {
+	var sum ScrubSummary
+	for _, l := range logs {
+		r, err := l.Scrub()
+		sum.Add(r)
+		if err != nil {
+			return sum, err
+		}
+	}
+	return sum, nil
+}

@@ -699,14 +699,6 @@ func (s *ScrubSummary) Add(r ScrubResult) {
 	}
 }
 
-// Merge folds another summary into s.
-func (s *ScrubSummary) Merge(o ScrubSummary) {
-	s.Files += o.Files
-	s.Records += o.Records
-	s.Bytes += o.Bytes
-	s.Healed += o.Healed
-}
-
 // ScrubResult reports one log's scrub outcome.
 type ScrubResult struct {
 	// Records is the number of frames that verified cleanly.

@@ -363,9 +363,9 @@ func TestJobCrashDuringRecovery(t *testing.T) {
 // buffered tail at the durable offset), the job retries the checkpoint
 // once, and the run completes with golden output — a transient fault
 // survived without restarting the pipeline. AUR is the pattern whose
-// checkpoint flushes and compacts the live logs, so the fault lands on
-// the degrade path rather than being confined to the snapshot directory
-// (AAR absorbs flush faults with its in-memory fallback and stays
+// checkpoint flushes the write buffer into the live logs, so the fault
+// lands on the degrade path rather than being confined to the snapshot
+// directory (AAR absorbs flush faults with its in-memory fallback and stays
 // Healthy; RMW checkpoints never write to the live logs at all).
 func TestJobSelfHealRetriesCheckpoint(t *testing.T) {
 	tuples := crashTuples(400)
