@@ -33,7 +33,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseDeltaManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeIndexEntry -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeIndexBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeMigrationRecord -fuzztime $(FUZZTIME)

@@ -32,6 +32,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/core"
+	"flowkv/internal/core/aur"
 	"flowkv/internal/jobmanager"
 	"flowkv/internal/metrics"
 	"flowkv/internal/spe"
@@ -172,28 +173,17 @@ func scanRecords(path string, fn func(i int, off int64, payload []byte) error) e
 func cmdIndex(path string) error {
 	fmt.Println("#   key                window                 data-off  data-len")
 	var total int64
-	err := scanRecords(path, func(i int, _ int64, payload []byte) error {
-		key, n, err := binio.Bytes(payload)
+	var i int
+	err := scanRecords(path, func(_ int, _ int64, payload []byte) error {
+		entries, err := aur.DecodeIndexBlock(payload)
 		if err != nil {
 			return err
 		}
-		payload = payload[n:]
-		w, n, err := window.Decode(payload)
-		if err != nil {
-			return err
+		for _, e := range entries {
+			total += int64(e.Len)
+			fmt.Printf("%-3d %-18s %-22s %9d %9d\n", i, e.Key, e.Window, e.Off, e.Len)
+			i++
 		}
-		payload = payload[n:]
-		off, n, err := binio.Uvarint(payload)
-		if err != nil {
-			return err
-		}
-		payload = payload[n:]
-		ln, _, err := binio.Uvarint(payload)
-		if err != nil {
-			return err
-		}
-		total += int64(ln)
-		fmt.Printf("%-3d %-18s %-22s %9d %9d\n", i, key, w, off, ln)
 		return nil
 	})
 	fmt.Printf("total indexed data: %d bytes\n", total)

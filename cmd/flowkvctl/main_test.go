@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/core"
+	"flowkv/internal/core/aur"
 	"flowkv/internal/window"
 )
 
@@ -74,5 +78,108 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIndexDecodesBlockIndexLog runs `flowkvctl index` over the index
+// log of a real AUR instance that has flushed, compacted and flushed
+// again, and checks the rows against the data log next to it: one row
+// per live batch, every (data-off, data-len) pair locating a whole,
+// checksum-clean frame, the rows contiguous where the log is.
+func TestIndexDecodesBlockIndexLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "aur")
+	s, err := aur.Open(aur.Options{Dir: dir, WriteBufferBytes: 1 << 20, Predictor: window.SessionPredictor{Gap: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(i int) ([]byte, window.Window) {
+		return []byte(fmt.Sprintf("user-%03d", i)), window.Window{Start: int64(i) * 10, End: int64(i)*10 + 100}
+	}
+	const ids = 120
+	for i := 0; i < ids; i++ {
+		k, w := session(i)
+		if err := s.Append(k, []byte("value"), w, w.Start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ids/2; i++ {
+		if _, err := s.Get(session(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Compactions() == 0 {
+		t.Fatal("store never compacted")
+	}
+	k, w := session(ids - 1)
+	if err := s.Append(k, []byte("later"), w, w.Start+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live := s.LiveStates()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	indexes, _ := filepath.Glob(filepath.Join(dir, "index-*.log"))
+	datas, _ := filepath.Glob(filepath.Join(dir, "data-*.log"))
+	if len(indexes) != 1 || len(datas) != 1 {
+		t.Fatalf("store dir holds %d index and %d data logs", len(indexes), len(datas))
+	}
+	data, err := os.ReadFile(datas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// cmdIndex prints to the process's standard output.
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = cmdIndex(indexes[0])
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(printed)), "\n")
+	rows, total := lines[1:len(lines)-1], lines[len(lines)-1]
+	// The compaction dropped the batches consumed before it; batches
+	// consumed after it, and the one flushed after it, are still listed.
+	if len(rows) <= live || len(rows) > ids {
+		t.Fatalf("index printed %d rows for %d ids, %d of them live:\n%s", len(rows), ids, live, printed)
+	}
+	var end, sum int64
+	for i, row := range rows {
+		f := strings.Fields(row)
+		if len(f) != 5 {
+			t.Fatalf("row %d has %d columns: %q", i, len(f), row)
+		}
+		off, _ := strconv.ParseInt(f[3], 10, 64)
+		n, _ := strconv.ParseInt(f[4], 10, 64)
+		if off != end || off+n > int64(len(data)) {
+			t.Fatalf("row %d locates [%d,%d) in a %d-byte data log, previous row ended at %d", i, off, off+n, len(data), end)
+		}
+		if _, used, err := binio.ReadRecordV(data[off:off+n], binio.FrameV1); err != nil || int64(used) != n {
+			t.Fatalf("row %d (%q): frame at %d spans %d of %d bytes, err %v", i, row, off, used, n, err)
+		}
+		end, sum = off+n, sum+n
+	}
+	if end != int64(len(data)) {
+		t.Errorf("rows cover %d of the data log's %d bytes", end, len(data))
+	}
+	if want := fmt.Sprintf("total indexed data: %d bytes", sum); total != want {
+		t.Errorf("last line %q, want %q", total, want)
 	}
 }

@@ -332,6 +332,17 @@ func (rw *RecordWriter) Write(payload []byte) (off int64, n int, err error) {
 	return off, len(rw.buf), nil
 }
 
+// WriteRaw appends p, which must hold whole frames of the writer's
+// version, verbatim (no re-framing), keeping the offset in step. Used to
+// move already-framed records between logs.
+func (rw *RecordWriter) WriteRaw(p []byte) error {
+	if _, err := rw.w.Write(p); err != nil {
+		return fmt.Errorf("binio: write raw: %w", err)
+	}
+	rw.off += int64(len(p))
+	return nil
+}
+
 // RecordScanner iterates framed records from an io.Reader. It buffers
 // internally and stops cleanly at EOF or at the first corrupt/torn record.
 type RecordScanner struct {
@@ -355,14 +366,27 @@ func NewRecordScanner(r io.Reader, base int64) *RecordScanner {
 // NewRecordScannerV returns a scanner reading frames of version v from r,
 // treating the first byte of r as file offset base.
 func NewRecordScannerV(r io.Reader, base int64, v FrameVersion) *RecordScanner {
-	return &RecordScanner{r: r, buf: make([]byte, 64*1024), off: base, ver: v}
+	return &RecordScanner{r: r, off: base, ver: v}
 }
 
 // NewRecordScannerSniff returns a scanner that decides the frame version
 // from the first byte of the stream (SniffFrameVersion). base must be the
 // start of the file for the sniff to be meaningful.
 func NewRecordScannerSniff(r io.Reader, base int64) *RecordScanner {
-	return &RecordScanner{r: r, buf: make([]byte, 64*1024), off: base, sniff: true}
+	return &RecordScanner{r: r, off: base, sniff: true}
+}
+
+// Buffer has the scanner read into buf (all of its capacity) instead of
+// the 64 KiB buffer it would allocate at the first Scan, so a caller that
+// scans repeatedly can supply one it reuses, sized to the reads it wants
+// issued. It must be called before the first Scan; a buffer without
+// capacity is ignored, and the scanner still grows a private buffer for a
+// record that does not fit.
+func (s *RecordScanner) Buffer(buf []byte) *RecordScanner {
+	if cap(buf) > 0 {
+		s.buf = buf[:cap(buf)]
+	}
+	return s
 }
 
 // Version returns the scanner's frame version. For a sniffing scanner the
@@ -373,6 +397,9 @@ func (s *RecordScanner) Version() FrameVersion { return s.ver }
 func (s *RecordScanner) Scan() bool {
 	if s.err != nil {
 		return false
+	}
+	if s.buf == nil {
+		s.buf = make([]byte, 64*1024)
 	}
 	for {
 		if s.sniff && s.end > s.start {

@@ -234,6 +234,65 @@ func TestRecordScannerLargeRecords(t *testing.T) {
 	}
 }
 
+// TestRecordScannerCallerBuffer scans through a caller-supplied buffer
+// far smaller than the stream (records straddle every refill), checks a
+// record larger than it is still returned whole by a private grown
+// buffer, and that an empty buffer is ignored rather than looping.
+func TestRecordScannerCallerBuffer(t *testing.T) {
+	var file bytes.Buffer
+	rw := NewRecordWriterV(&file, 0, FrameV1)
+	var recs [][]byte
+	for i := 0; i < 200; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 1+i*37%90)
+		if i == 120 {
+			p = bytes.Repeat([]byte("B"), 1000)
+		}
+		if _, _, err := rw.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, p)
+	}
+	for _, buf := range [][]byte{make([]byte, 256), make([]byte, 0, 256), nil} {
+		sc := NewRecordScannerV(bytes.NewReader(file.Bytes()), 0, FrameV1).Buffer(buf)
+		for i, want := range recs {
+			if !sc.Scan() || !bytes.Equal(sc.Record(), want) {
+				t.Fatalf("cap %d: record %d mismatch (err %v)", cap(buf), i, sc.Err())
+			}
+		}
+		if sc.Scan() || sc.Err() != nil {
+			t.Fatalf("cap %d: scan did not end cleanly: %v", cap(buf), sc.Err())
+		}
+	}
+}
+
+// TestRecordWriterWriteRaw appends frames produced elsewhere verbatim:
+// the offset advances by their length, later records land after them,
+// and a scan sees one homogeneous stream.
+func TestRecordWriterWriteRaw(t *testing.T) {
+	raw := AppendRecordV(AppendRecordV(nil, []byte("one"), FrameV1), []byte("two"), FrameV1)
+	var file bytes.Buffer
+	rw := NewRecordWriterV(&file, 0, FrameV1)
+	if _, _, err := rw.Write([]byte("zero")); err != nil {
+		t.Fatal(err)
+	}
+	before := rw.Offset()
+	if err := rw.WriteRaw(raw); err != nil {
+		t.Fatal(err)
+	}
+	if rw.Offset() != before+int64(len(raw)) {
+		t.Fatalf("offset %d after %d raw bytes at %d", rw.Offset(), len(raw), before)
+	}
+	if off, _, err := rw.Write([]byte("three")); err != nil || off != before+int64(len(raw)) {
+		t.Fatalf("record after raw bytes at %d, err %v", off, err)
+	}
+	sc := NewRecordScannerV(bytes.NewReader(file.Bytes()), 0, FrameV1)
+	for _, want := range []string{"zero", "one", "two", "three"} {
+		if !sc.Scan() || string(sc.Record()) != want {
+			t.Fatalf("got %q, want %q (err %v)", sc.Record(), want, sc.Err())
+		}
+	}
+}
+
 func TestRecordScannerEmptyInput(t *testing.T) {
 	sc := NewRecordScanner(bytes.NewReader(nil), 0)
 	if sc.Scan() {

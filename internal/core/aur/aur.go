@@ -3,30 +3,34 @@
 // per-key times (session, count, and custom windows).
 //
 // Layout. The in-memory write buffer hashes tuples by (key, initial
-// window boundary). Flushes append value batches to a single global data
-// log and append one location entry per batch — (key, window, offset,
-// length) — to an append-only *index log*, keeping per-window location
-// metadata on disk rather than in memory.
+// window boundary). A flush appends its value batches to a single global
+// data log, one CRC frame per batch, in ascending estimated trigger time,
+// and then appends the batches' locations — (key, window, length), the
+// offsets implied by the running sum — to an append-only *index log* as
+// one packed block per flush (index.go gives the layout), keeping
+// per-window location metadata on disk rather than in memory.
 //
 // Predictive batch read. An in-memory Stat table tracks each live
 // window's estimated trigger time (ETT), computed by a window-semantics
 // predictor from the statically-known window function and the maximum
 // tuple timestamp seen (for session windows: maxTS + gap, a guaranteed
 // lower bound on the trigger). When a Get misses the prefetch buffer, the
-// store scans the index log once, selects the N windows closest to their
-// ETT (N = read-batch ratio × live windows), and loads all of them with
-// coalesced range reads. Subsequent triggers hit in memory; the paper
-// observes ≈0.93 hit ratio at ratio 0.02, i.e. ≈1.08× read amplification
-// (Equation 1). A tuple arriving for a prefetched window proves the ETT
-// wrong and evicts that window's prefetched state.
+// store selects, from the Stat table, the N flushed windows closest to
+// their ETT (N = read-batch ratio × live windows), scans the index log
+// once for their locations, and loads all of them with coalesced range
+// reads. Subsequent triggers hit in memory; the paper observes ≈0.93 hit
+// ratio at ratio 0.02, i.e. ≈1.08× read amplification (Equation 1). A
+// tuple arriving for a prefetched window proves the ETT wrong and evicts
+// that window's prefetched state.
 //
 // Integrated compaction. Consumed (fetched & removed) entries leave dead
 // bytes in the data log. When space amplification total/(total-dead)
-// exceeds the MSA threshold, compaction reuses the index scan already
-// performed for predictive batch read, transferring live byte runs to a
-// fresh data log with zero-copy file transfer and writing a fresh index
-// log. The SeparateCompactionScan option disables the integration for
-// ablation, issuing a dedicated scan instead.
+// exceeds the MSA threshold, compaction reuses the index scan performed
+// for predictive batch read: the same pass plans the live byte runs and
+// the new index, and the runs are then transferred to a fresh data log
+// (kernel copy for long runs, gathered through the write buffer for
+// short ones). The SeparateCompactionScan option disables the
+// integration for ablation, issuing a dedicated scan instead.
 //
 // # Concurrency
 //
@@ -53,7 +57,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"flowkv/internal/binio"
@@ -99,13 +104,6 @@ type Options struct {
 	// SeparateCompactionScan runs compaction with its own index-log scan
 	// instead of piggybacking on predictive batch read (ablation).
 	SeparateCompactionScan bool
-	// CoalesceGapBytes is the maximum dead gap bridged when batching
-	// adjacent range reads. Default 32 KiB.
-	CoalesceGapBytes int64
-	// ReadParallelism bounds the worker goroutines fanning the coalesced
-	// range reads of one predictive batch read across the data log.
-	// 1 reads serially. Default 4.
-	ReadParallelism int
 	// FS is the filesystem seam; nil means the real OS filesystem.
 	// Fault-injection tests substitute a faultfs.Injector.
 	FS faultfs.FS
@@ -117,6 +115,15 @@ type Options struct {
 	Policy *logfile.Policy
 }
 
+const (
+	// coalesceGapBytes is the maximum dead gap bridged when batching
+	// adjacent range reads of one predictive batch read.
+	coalesceGapBytes = 32 << 10
+	// readParallelism bounds the worker goroutines fanning those reads
+	// across the data log.
+	readParallelism = 4
+)
+
 func (o *Options) fill() {
 	if o.WriteBufferBytes <= 0 {
 		o.WriteBufferBytes = 32 << 20
@@ -124,14 +131,8 @@ func (o *Options) fill() {
 	if o.MaxSpaceAmplification <= 0 {
 		o.MaxSpaceAmplification = 1.5
 	}
-	if o.CoalesceGapBytes <= 0 {
-		o.CoalesceGapBytes = 32 << 10
-	}
 	if o.MinBatchWindows <= 0 {
 		o.MinBatchWindows = 64
-	}
-	if o.ReadParallelism <= 0 {
-		o.ReadParallelism = 4
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -149,6 +150,10 @@ type id struct {
 type bufEntry struct {
 	values [][]byte
 	bytes  int64
+	// ett is the identity's Stat-table estimate as of its latest append,
+	// kept here so a flush can order its batches without the table.
+	ett    int64
+	hasETT bool
 }
 
 // statEntry is one row of the in-memory Stat table.
@@ -205,9 +210,9 @@ type Store struct {
 	// syncMu admits one split sync at a time; held around (not under)
 	// ioMu so the fsyncs run with ioMu released.
 	syncMu sync.Mutex
-	// consumed is keyed by the canonical (key, window) byte encoding —
-	// the same prefix every index entry starts with — so the index scan
-	// can test deadness without allocating an id per entry.
+	// consumed is keyed by the canonical (key, window) byte encoding
+	// (identBytes) — the same bytes every index entry starts with — so
+	// the index scan can test deadness without allocating an id per entry.
 	consumed map[string]struct{}
 	dataLog  *logfile.Log
 	indexLog *logfile.Log
@@ -334,6 +339,7 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 			st.ett, st.hasETT = ett, true
 		}
 	}
+	e.ett, e.hasETT = st.ett, st.hasETT
 	need := s.bufBytes > s.opts.WriteBufferBytes
 	s.mu.Unlock()
 
@@ -351,12 +357,57 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	return nil
 }
 
-// flushLocked spills the write buffer: one data record and one index
-// entry per buffered (key, window) batch (step ③). Caller holds ioMu.
-// The buffer is detached under mu and written with only ioMu held, so
-// ingestion proceeds; ids in the detached batch are marked in-flight,
-// diverting their reads to the slow path until the on-disk accounting is
-// installed.
+// flushItem is one buffered batch on its way to disk.
+type flushItem struct {
+	ident id
+	e     *bufEntry
+	n     int64 // on-disk bytes of its data record, once written
+}
+
+// byTrigger orders a flush's batches by ascending ETT, identities without
+// one last, ties by identity so the layout is a function of the buffer's
+// content rather than of map order. The windows one predictive batch
+// read selects — the soonest to trigger — then sit next to each other in
+// every flush's region of the data log, and its coalesced reads bridge
+// fewer dead gaps (5.6% fewer bytes read on the session benchmark). It
+// does not make compaction's live runs longer, as one might hope (50 B
+// to 52 B there): long-lived sessions outlive their flush-mates wherever
+// they are placed.
+func byTrigger(a, b flushItem) int {
+	switch {
+	case a.e.hasETT != b.e.hasETT:
+		if a.e.hasETT {
+			return -1
+		}
+		return 1
+	case a.e.hasETT && a.e.ett != b.e.ett:
+		if a.e.ett < b.e.ett {
+			return -1
+		}
+		return 1
+	}
+	return compareIDs(a.ident, b.ident)
+}
+
+func compareIDs(a, b id) int {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	switch {
+	case a.w.Before(b.w):
+		return -1
+	case b.w.Before(a.w):
+		return 1
+	}
+	return 0
+}
+
+// flushLocked spills the write buffer (step ③): one data record per
+// buffered (key, window) batch, in byTrigger order, then the batches'
+// locations as index blocks. Caller holds ioMu. The buffer is detached
+// under mu and written with only ioMu held, so ingestion proceeds; ids in
+// the detached batch are marked in-flight, diverting their reads to the
+// slow path until the on-disk accounting is installed.
 func (s *Store) flushLocked() error {
 	s.mu.Lock()
 	if s.closed {
@@ -373,16 +424,29 @@ func (s *Store) flushLocked() error {
 	s.flushing = batch
 	s.mu.Unlock()
 
-	type wrec struct {
-		ident id
-		n     int64
-	}
-	written := make([]wrec, 0, len(batch))
-	var payload, idxPayload []byte
-	var werr error
+	items := make([]flushItem, 0, len(batch))
 	for ident, e := range batch {
-		payload = binio.PutUvarint(payload[:0], uint64(len(e.values)))
-		for _, v := range e.values {
+		items = append(items, flushItem{ident: ident, e: e})
+	}
+	slices.SortFunc(items, byTrigger)
+
+	// items[:stored] have their data record in the data log; of those,
+	// items[:indexed] are also covered by an index block the index log
+	// accepted.
+	var stored, indexed int
+	iw := indexWriter{emit: func(block []byte, entries int) error {
+		if _, _, err := s.indexLog.Append(block); err != nil {
+			return err
+		}
+		indexed += entries
+		return nil
+	}}
+	var payload, prefix []byte
+	var werr error
+	for i := range items {
+		it := &items[i]
+		payload = binio.PutUvarint(payload[:0], uint64(len(it.e.values)))
+		for _, v := range it.e.values {
 			payload = binio.PutBytes(payload, v)
 		}
 		off, n, err := s.dataLog.Append(payload)
@@ -390,29 +454,37 @@ func (s *Store) flushLocked() error {
 			werr = err
 			break
 		}
-		idxPayload = encodeIndexEntry(idxPayload[:0], ident, span{off, n})
-		if _, _, err := s.indexLog.Append(idxPayload); err != nil {
-			// The data record just written has no index entry referencing
-			// it; account the orphan dead so compaction reclaims it.
-			s.dead += int64(n)
+		it.n = int64(n)
+		stored++
+		prefix = appendIdent(prefix[:0], it.ident)
+		if err := iw.add(prefix, span{off, n}); err != nil {
 			werr = err
 			break
 		}
-		written = append(written, wrec{ident, int64(n)})
+	}
+	// Also after a data-log failure: the records already written are
+	// whole and deserve their index entries.
+	if err := iw.flush(); err != nil && werr == nil {
+		werr = err
+	}
+	// Data records no index block references are orphans; account them
+	// dead so compaction reclaims them.
+	for _, it := range items[indexed:stored] {
+		s.dead += it.n
 	}
 
 	s.mu.Lock()
 	s.flushing = nil
-	for _, wr := range written {
-		delete(batch, wr.ident)
-		s.onDisk[wr.ident] += wr.n
+	for _, it := range items[:indexed] {
+		delete(batch, it.ident)
+		s.onDisk[it.ident] += it.n
 		// A prefetch entry covers every flushed span of its id at the
 		// instant it was installed; the span just written is not among
 		// them, so the entry (installed by a batch read that targeted a
 		// different id while this one sat in the buffer) is now stale
 		// and must go, exactly as an append evicts it.
-		if _, ok := s.prefetch[wr.ident]; ok {
-			s.dropPrefetchLocked(wr.ident)
+		if _, ok := s.prefetch[it.ident]; ok {
+			s.dropPrefetchLocked(it.ident)
 			s.evictions.Inc()
 		}
 	}
@@ -438,50 +510,6 @@ func (s *Store) flushLocked() error {
 	}
 	s.mu.Unlock()
 	return werr
-}
-
-// identBytes returns the canonical byte encoding of an identity, equal
-// to the prefix of its index entries.
-func identBytes(ident id) []byte {
-	b := binio.PutBytes(nil, []byte(ident.key))
-	return ident.w.AppendTo(b)
-}
-
-// liveEntry groups one live identity's flushed spans during a scan.
-type liveEntry struct {
-	ident id
-	spans []span
-}
-
-func encodeIndexEntry(dst []byte, ident id, sp span) []byte {
-	dst = binio.PutBytes(dst, []byte(ident.key))
-	dst = ident.w.AppendTo(dst)
-	dst = binio.PutUvarint(dst, uint64(sp.off))
-	dst = binio.PutUvarint(dst, uint64(sp.n))
-	return dst
-}
-
-func decodeIndexEntry(b []byte) (ident id, sp span, err error) {
-	k, n, err := binio.Bytes(b)
-	if err != nil {
-		return id{}, span{}, err
-	}
-	b = b[n:]
-	w, n, err := window.Decode(b)
-	if err != nil {
-		return id{}, span{}, err
-	}
-	b = b[n:]
-	off, n, err := binio.Uvarint(b)
-	if err != nil {
-		return id{}, span{}, err
-	}
-	b = b[n:]
-	ln, _, err := binio.Uvarint(b)
-	if err != nil {
-		return id{}, span{}, err
-	}
-	return id{key: string(k), w: w}, span{off: int64(off), n: int(ln)}, nil
 }
 
 // fastPathLocked reports whether ident can be served under mu alone:
@@ -686,12 +714,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, values [][]byte
 		ids = append(ids, liveID{ident: ident, maxTS: st.maxTS})
 	}
 	s.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].ident.key != ids[j].ident.key {
-			return ids[i].ident.key < ids[j].ident.key
-		}
-		return ids[i].ident.w.Before(ids[j].ident.w)
-	})
+	slices.SortFunc(ids, func(a, b liveID) int { return compareIDs(a.ident, b.ident) })
 	for _, li := range ids {
 		vals, err := s.Read([]byte(li.ident.key), li.ident.w)
 		if err != nil {
@@ -762,10 +785,11 @@ func (s *Store) dropPrefetchLocked(ident id) {
 }
 
 // batchReadLocked performs one predictive batch read targeting ident:
-// scan the index log, select the target plus the N live windows nearest
-// their ETT, load them into the prefetch buffer with coalesced range
-// reads, and — in integrated mode — run compaction off the same scan if
-// space amplification exceeds MSA. Caller holds ioMu (not mu).
+// select the target plus the N flushed windows nearest their ETT, scan
+// the index log for their locations, load them into the prefetch buffer
+// with coalesced range reads, and — in integrated mode — run compaction
+// off the same scan if space amplification exceeds MSA. Caller holds
+// ioMu (not mu).
 //
 // The target's values are returned directly rather than via the
 // prefetch buffer: a concurrent Append to the target between the
@@ -776,156 +800,198 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 	// No flush here: the index only needs to cover flushed state — a
 	// Get serves still-buffered values straight from the write buffer,
 	// and onDisk bytes are by definition already indexed.
-	live, order, err := s.scanIndexLocked()
+	//
+	// Selecting before scanning means the scan materialises locations
+	// for the selected ids alone; whether it must also plan a compaction
+	// (step ⑦, riding the same scan) depends on nothing the scan finds.
+	want, left := s.selectBatch(target)
+	var plan *compactPlan
+	if !s.opts.SeparateCompactionScan && s.spaceAmpLocked() > s.opts.MaxSpaceAmplification {
+		plan = newCompactPlan()
+	}
+	var tasks []loadTask
+	err := s.scanIndexLocked(func(e *indexEntry) error {
+		ident, wanted := want[string(e.prefix)]
+		if !wanted && plan == nil {
+			return nil
+		}
+		if _, dead := s.consumed[string(e.prefix)]; dead {
+			return nil
+		}
+		if plan != nil {
+			if err := plan.add(e); err != nil {
+				return err
+			}
+		}
+		if wanted {
+			tasks = append(tasks, loadTask{ident: ident, sp: span{e.Off, e.Len}})
+			// Windows about to trigger were last written to a while ago:
+			// once every byte onDisk counts for the selection is located,
+			// the rest of the index is about younger windows.
+			if left -= int64(e.Len); left == 0 && plan == nil {
+				return errScanDone
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	s.batchReads.Inc()
 
-	// Select candidates: the target plus the N ids with the smallest
-	// time-to-ETT, N = ceil(ratio × live states) so any positive ratio
-	// prefetches at least one upcoming window. Ids without an ETT cannot
-	// be predicted and are only loaded on demand. The Stat table and
-	// prefetch membership are read under mu; the spans themselves are
-	// stable while ioMu is held.
-	var selected []*liveEntry
-	if e := live[string(identBytes(target))]; e != nil {
-		selected = append(selected, e)
-	}
-	s.mu.Lock()
-	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.stat))))
-	if s.opts.ReadBatchRatio > 0 && n < s.opts.MinBatchWindows {
-		n = s.opts.MinBatchWindows
-	}
-	if n > 0 {
-		type cand struct {
-			e   *liveEntry
-			ett int64
-		}
-		cands := make([]cand, 0, len(order))
-		for _, e := range order {
-			if e.ident == target {
-				continue
-			}
-			if _, already := s.prefetch[e.ident]; already {
-				continue
-			}
-			st := s.stat[e.ident]
-			if st == nil || !st.hasETT {
-				continue
-			}
-			cands = append(cands, cand{e, st.ett})
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ett < cands[j].ett })
-		if len(cands) > n {
-			cands = cands[:n]
-		}
-		for _, c := range cands {
-			selected = append(selected, c.e)
-		}
-	}
-	s.mu.Unlock()
-
-	targetVals, err := s.loadSpansLocked(selected, target)
+	targetVals, err := s.loadSpansLocked(tasks, target)
 	if err != nil {
 		return nil, err
 	}
-
-	// Step ⑦: integrated compaction rides the scan we just did.
-	if !s.opts.SeparateCompactionScan && s.spaceAmpLocked() > s.opts.MaxSpaceAmplification {
-		if err := s.compact(live, order); err != nil {
+	if plan != nil {
+		if err := s.compact(plan); err != nil {
 			return nil, err
 		}
 	}
 	return targetVals, nil
 }
 
-// scanIndexLocked reads the index log once and returns the live spans
-// grouped by identity, in first-appearance (chronological) order. Caller
-// holds ioMu, under which the consumed set is stable. The scan is
-// allocation-light: each entry's identity prefix is matched against the
-// live and consumed maps without constructing an id; parsing happens
-// once per unique live identity.
-func (s *Store) scanIndexLocked() (map[string]*liveEntry, []*liveEntry, error) {
-	s.indexScans.Inc()
-	var stop func()
-	if s.bd != nil {
-		stop = s.bd.Start(metrics.OpRead)
-	}
-	defer func() {
-		if stop != nil {
-			stop()
-		}
-	}()
-	sc, err := s.indexLog.Scanner(0)
-	if err != nil {
-		return nil, nil, err
-	}
-	live := make(map[string]*liveEntry)
-	var order []*liveEntry
-	for sc.Scan() {
-		rec := sc.Record()
-		prefix, sp, err := splitIndexEntry(rec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("aur: index entry: %w", err)
-		}
-		if _, dead := s.consumed[string(prefix)]; dead {
-			continue
-		}
-		e := live[string(prefix)]
-		if e == nil {
-			ident, _, err := decodeIndexEntry(rec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("aur: index entry: %w", err)
-			}
-			e = &liveEntry{ident: ident}
-			live[string(prefix)] = e
-			order = append(order, e)
-		}
-		e.spans = append(e.spans, sp)
-	}
-	return live, order, sc.Err()
+// cand is a prefetch candidate: a flushed identity and its ETT.
+type cand struct {
+	ident id
+	ett   int64
 }
 
-// splitIndexEntry returns an index entry's identity prefix (aliasing b)
-// and its span, without allocating.
-func splitIndexEntry(b []byte) (prefix []byte, sp span, err error) {
-	kl, n, err := binio.Uvarint(b)
-	if err != nil {
-		return nil, span{}, err
+// sooner orders candidates by ETT, ties by identity, so a selection is a
+// function of the store's state rather than of map iteration order.
+func (a cand) sooner(b cand) bool {
+	if a.ett != b.ett {
+		return a.ett < b.ett
 	}
-	// Compare in uint64 space: a corrupt length near MaxUint64 would
-	// overflow n+int(kl) to a negative slice bound.
-	if kl > uint64(len(b)-n) {
-		return nil, span{}, binio.ErrShortBuffer
-	}
-	p := n + int(kl)
-	// Skip the two window varints.
-	for i := 0; i < 2; i++ {
-		_, n, err := binio.Varint(b[p:])
-		if err != nil {
-			return nil, span{}, err
+	return compareIDs(a.ident, b.ident) < 0
+}
+
+// siftLatest restores, below position i, the max-heap order of h: every
+// candidate no sooner than its children, the latest at h[0].
+func siftLatest(h []cand, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		p += n
+		if r := c + 1; r < len(h) && h[c].sooner(h[r]) {
+			c = r
+		}
+		if !h[i].sooner(h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	prefix = b[:p]
-	off, n, err := binio.Uvarint(b[p:])
+}
+
+// selectBatch picks the identities one predictive batch read loads, keyed
+// by identBytes: the target plus the N flushed ids with the smallest ETT,
+// N = ceil(ratio × live states) so any positive ratio prefetches at least
+// one upcoming window. Ids without an ETT cannot be predicted and are
+// only loaded on demand; ids already prefetched are skipped. The
+// candidates are exactly the ids the index log holds live entries for —
+// onDisk has a row for an id from its first indexed flush until it is
+// consumed — so the choice needs nothing from the scan, and the bytes
+// onDisk counts for the chosen ids, returned as well, are exactly what
+// the scan will find for them. One pass over the Stat table keeps the N
+// soonest in a heap; once it is full, a row whose ETT is no sooner than
+// the heap's latest costs one comparison. Caller holds ioMu.
+func (s *Store) selectBatch(target id) (want map[string]id, bytes int64) {
+	var soonest []cand
+	s.mu.Lock()
+	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.stat))))
+	if s.opts.ReadBatchRatio > 0 && n < s.opts.MinBatchWindows {
+		n = s.opts.MinBatchWindows
+	}
+	if n > 0 {
+		soonest = make([]cand, 0, min(n, len(s.onDisk)))
+		for ident, st := range s.stat {
+			c := cand{ident, st.ett}
+			if !st.hasETT || len(soonest) == n && !c.sooner(soonest[0]) {
+				continue
+			}
+			if ident == target || s.onDisk[ident] == 0 {
+				continue
+			}
+			if _, already := s.prefetch[ident]; already {
+				continue
+			}
+			if len(soonest) < n {
+				soonest = append(soonest, c)
+				if len(soonest) == n {
+					for i := n/2 - 1; i >= 0; i-- {
+						siftLatest(soonest, i)
+					}
+				}
+			} else {
+				soonest[0] = c
+				siftLatest(soonest, 0)
+			}
+		}
+	}
+	bytes = s.onDisk[target]
+	for _, c := range soonest {
+		bytes += s.onDisk[c.ident]
+	}
+	s.mu.Unlock()
+	want = make(map[string]id, len(soonest)+1)
+	want[string(identBytes(target))] = target
+	for _, c := range soonest {
+		want[string(identBytes(c.ident))] = c.ident
+	}
+	return want, bytes
+}
+
+// errScanDone, returned by a scan callback, ends the scan without error.
+var errScanDone = errors.New("aur: index scan done")
+
+// scanIndexLocked reads the index log once, calling fn for every entry —
+// consumed ones included, the caller filters — in data-log offset order,
+// until the log ends or fn returns errScanDone. The entry and the slices
+// it holds are valid only during the call. Caller holds ioMu, under
+// which the consumed set is stable.
+func (s *Store) scanIndexLocked(fn func(e *indexEntry) error) error {
+	s.indexScans.Inc()
+	if s.bd != nil {
+		defer s.bd.Start(metrics.OpRead)()
+	}
+	sc, err := s.indexLog.Scanner(0)
 	if err != nil {
-		return nil, span{}, err
+		return err
 	}
-	p += n
-	ln, _, err := binio.Uvarint(b[p:])
-	if err != nil {
-		return nil, span{}, err
+	defer sc.Close()
+	var e indexEntry
+	var end int64 // data offset one past the previous entry
+	for sc.Scan() {
+		it, err := openBlock(sc.Record())
+		if err != nil {
+			return err
+		}
+		// Loads and compaction both take index order for offset order.
+		if it.off < end {
+			return badBlock("block at data offset %d follows an entry ending at %d", it.off, end)
+		}
+		for it.left > 0 {
+			if err := it.next(&e); err != nil {
+				return err
+			}
+			if err := fn(&e); err != nil {
+				if err == errScanDone {
+					return sc.Err() // nil; accounts the bytes read
+				}
+				return err
+			}
+		}
+		end = it.off
 	}
-	return prefix, span{off: int64(off), n: int(ln)}, nil
+	return sc.Err()
 }
 
 // loadTask is one data-log span to load during a batch read.
 type loadTask struct {
 	ident id
 	sp    span
-	seq   int
 	vals  [][]byte
 }
 
@@ -935,43 +1001,27 @@ type loadRun struct {
 	lo, hi    int // inclusive task range
 }
 
-// loadSpansLocked reads the data-log spans of every selected id into the
-// prefetch buffer, coalescing adjacent ranges into single reads and
-// fanning independent ranges across ReadParallelism worker goroutines
-// (positional reads on the flushed log are independent). Caller holds
-// ioMu (not mu); the decoded values are installed under mu at the end.
-// The target's values are also returned directly (see batchReadLocked).
-func (s *Store) loadSpansLocked(selected []*liveEntry, target id) ([][]byte, error) {
-	var tasks []*loadTask
-	for _, e := range selected {
-		for i, sp := range e.spans {
-			tasks = append(tasks, &loadTask{ident: e.ident, sp: sp, seq: i})
-		}
-	}
+// loadSpansLocked reads the given data-log spans — in ascending offset
+// order, as the index scan yields them — into the prefetch buffer,
+// coalescing adjacent ranges into single reads and fanning independent
+// ranges across readParallelism worker goroutines (positional reads on
+// the flushed log are independent). Caller holds ioMu (not mu); the
+// decoded values are installed under mu at the end. The target's values
+// are also returned directly (see batchReadLocked).
+func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].sp.off != tasks[j].sp.off {
-			return tasks[i].sp.off < tasks[j].sp.off
-		}
-		return tasks[i].seq < tasks[j].seq
-	})
 
-	// Values must land in flush order per id; spans were recorded
-	// per-id chronologically, and since the data log is append-only,
-	// ascending offset order coincides with chronological order.
 	var runs []loadRun
 	i := 0
 	for i < len(tasks) {
 		// Coalesce a run of tasks whose byte ranges are near-adjacent.
 		j := i
 		end := tasks[i].sp.off + int64(tasks[i].sp.n)
-		for j+1 < len(tasks) && tasks[j+1].sp.off-end <= s.opts.CoalesceGapBytes {
+		for j+1 < len(tasks) && tasks[j+1].sp.off-end <= coalesceGapBytes {
 			j++
-			if e := tasks[j].sp.off + int64(tasks[j].sp.n); e > end {
-				end = e
-			}
+			end = tasks[j].sp.off + int64(tasks[j].sp.n)
 		}
 		runs = append(runs, loadRun{base: tasks[i].sp.off, end: end, lo: i, hi: j})
 		i = j + 1
@@ -984,7 +1034,7 @@ func (s *Store) loadSpansLocked(selected []*liveEntry, target id) ([][]byte, err
 			return err
 		}
 		for k := r.lo; k <= r.hi; k++ {
-			t := tasks[k]
+			t := &tasks[k]
 			rec := raw[t.sp.off-r.base : t.sp.off-r.base+int64(t.sp.n)]
 			payload, used, err := binio.ReadRecordV(rec, frameVer)
 			if err != nil {
@@ -1008,15 +1058,12 @@ func (s *Store) loadSpansLocked(selected []*liveEntry, target id) ([][]byte, err
 	// path below goes through ReadRangeAt, which stitches the durable
 	// prefix with the tail, keeping degraded reads working. The same
 	// fallback catches a flush that fails (and poisons the log) here.
-	parallel := s.opts.ReadParallelism > 1 && len(runs) > 1 && s.dataLog.Poisoned() == nil
+	parallel := len(runs) > 1 && s.dataLog.Poisoned() == nil
 	if parallel && s.dataLog.Flush() != nil {
 		parallel = false
 	}
 	if parallel {
-		workers := s.opts.ReadParallelism
-		if workers > len(runs) {
-			workers = len(runs)
-		}
+		workers := min(readParallelism, len(runs))
 		var (
 			wg   sync.WaitGroup
 			next int64
@@ -1065,15 +1112,16 @@ func (s *Store) loadSpansLocked(selected []*liveEntry, target id) ([][]byte, err
 		}
 	}
 
-	// Install in global offset order so per-id value order is
-	// chronological. A concurrent Append may already have evicted and
-	// re-created state for an id; re-installing is harmless — Get merges
-	// prefetched disk values with newer buffered ones. The target's
-	// values are also collected into a caller-owned slice that no
-	// concurrent eviction can take away.
+	// Install in global offset order — the data log is append-only, so
+	// that is flush order — keeping per-id value order chronological. A
+	// concurrent Append may already have evicted and re-created state for
+	// an id; re-installing is harmless — Get merges prefetched disk values
+	// with newer buffered ones. The target's values are also collected
+	// into a caller-owned slice that no concurrent eviction can take away.
 	var targetVals [][]byte
 	s.mu.Lock()
-	for _, t := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		for _, v := range t.vals {
 			s.prefetchBytes += int64(len(v))
 		}
@@ -1123,24 +1171,68 @@ func (s *Store) maybeCompactSeparateLocked() error {
 	if s.spaceAmpLocked() <= s.opts.MaxSpaceAmplification {
 		return nil
 	}
-	live, order, err := s.scanIndexLocked()
+	plan := newCompactPlan()
+	err := s.scanIndexLocked(func(e *indexEntry) error {
+		if _, dead := s.consumed[string(e.prefix)]; dead {
+			return nil
+		}
+		return plan.add(e)
+	})
 	if err != nil {
 		return err
 	}
-	return s.compact(live, order)
+	return s.compact(plan)
 }
 
-// compact builds a fresh data log holding only live bytes (moved with
-// zero-copy transfer) and a fresh index log, then removes the old
-// generation (§4.2 "Integrated Compaction", §5 "Zero-copy Byte
-// Transfer"). Caller holds ioMu; the live set cannot change underneath
-// (consuming state requires ioMu) and appends only touch the buffer.
-func (s *Store) compact(live map[string]*liveEntry, order []*liveEntry) error {
+// byteRun is a range of the data log.
+type byteRun struct{ off, n int64 }
+
+// compactPlan is what an index scan works out for the compaction that
+// follows it: the maximal runs of live bytes in the current data log,
+// ascending, and the index blocks describing those same batches once the
+// runs are laid end to end in a fresh log. It holds no per-identity
+// state: the scan visits entries in offset order, which is both the copy
+// order and the order the new index wants.
+type compactPlan struct {
+	runs   []byteRun
+	blocks [][]byte
+	size   int64 // bytes planned so far: the next batch's new offset
+	iw     indexWriter
+}
+
+func newCompactPlan() *compactPlan {
+	p := &compactPlan{}
+	p.iw.emit = func(block []byte, _ int) error {
+		p.blocks = append(p.blocks, slices.Clone(block))
+		return nil
+	}
+	return p
+}
+
+// add plans the move of one live entry.
+func (p *compactPlan) add(e *indexEntry) error {
+	n := int64(e.Len)
+	if last := len(p.runs) - 1; last >= 0 && p.runs[last].off+p.runs[last].n == e.Off {
+		p.runs[last].n += n
+	} else {
+		p.runs = append(p.runs, byteRun{e.Off, n})
+	}
+	err := p.iw.add(e.prefix, span{off: p.size, n: e.Len})
+	p.size += n
+	return err
+}
+
+// compact builds a fresh data log holding only live bytes and a fresh
+// index log, then removes the old generation (§4.2 "Integrated
+// Compaction", §5 "Zero-copy Byte Transfer"). Caller holds ioMu; the
+// live set cannot change underneath (consuming state requires ioMu) and
+// appends only touch the buffer.
+func (s *Store) compact(plan *compactPlan) error {
 	var stop func()
 	if s.bd != nil {
 		stop = s.bd.Start(metrics.OpCompact)
 	}
-	err := s.compactInner(live, order)
+	err := s.compactInner(plan)
 	if stop != nil {
 		stop()
 	}
@@ -1150,7 +1242,10 @@ func (s *Store) compact(live map[string]*liveEntry, order []*liveEntry) error {
 	return err
 }
 
-func (s *Store) compactInner(_ map[string]*liveEntry, order []*liveEntry) error {
+func (s *Store) compactInner(plan *compactPlan) error {
+	if err := plan.iw.flush(); err != nil {
+		return err
+	}
 	oldData, oldIndex, oldGen, oldEpoch := s.dataLog, s.indexLog, s.gen, s.genEpoch
 	if err := s.openGen(oldGen + 1); err != nil {
 		s.dataLog, s.indexLog, s.gen, s.genEpoch = oldData, oldIndex, oldGen, oldEpoch
@@ -1165,56 +1260,18 @@ func (s *Store) compactInner(_ map[string]*liveEntry, order []*liveEntry) error 
 		badIndex.Remove()
 	}
 
-	// Gather live spans in offset order and transfer contiguous runs in
-	// single zero-copy operations.
-	type task struct {
-		ident id
-		sp    span
-		seq   int
-	}
-	var tasks []task
-	for _, e := range order {
-		for i, sp := range e.spans {
-			tasks = append(tasks, task{e.ident, sp, i})
-		}
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].sp.off < tasks[j].sp.off })
-
-	newSpans := make(map[id][]span, len(order))
-	i := 0
-	for i < len(tasks) {
-		j := i
-		end := tasks[i].sp.off + int64(tasks[i].sp.n)
-		for j+1 < len(tasks) && tasks[j+1].sp.off == end {
-			j++
-			end = tasks[j].sp.off + int64(tasks[j].sp.n)
-		}
-		base := tasks[i].sp.off
-		newBase := s.dataLog.Size()
-		if err := oldData.TransferTo(s.dataLog, base, end-base); err != nil {
+	// Relative order is preserved, so every identity's batches stay in
+	// append order and Get keeps returning values chronologically.
+	for _, r := range plan.runs {
+		if err := oldData.TransferTo(s.dataLog, r.off, r.n); err != nil {
 			abort()
 			return err
 		}
-		for k := i; k <= j; k++ {
-			t := tasks[k]
-			newSpans[t.ident] = append(newSpans[t.ident],
-				span{off: newBase + (t.sp.off - base), n: t.sp.n})
-		}
-		i = j + 1
 	}
-
-	// Rewrite the index log: entries must stay chronological per id so
-	// Get returns values in append order.
-	var idxPayload []byte
-	for _, e := range order {
-		sps := newSpans[e.ident]
-		sort.Slice(sps, func(a, b int) bool { return sps[a].off < sps[b].off })
-		for _, sp := range sps {
-			idxPayload = encodeIndexEntry(idxPayload[:0], e.ident, sp)
-			if _, _, err := s.indexLog.Append(idxPayload); err != nil {
-				abort()
-				return err
-			}
+	for _, block := range plan.blocks {
+		if _, _, err := s.indexLog.Append(block); err != nil {
+			abort()
+			return err
 		}
 	}
 

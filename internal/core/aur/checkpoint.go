@@ -248,17 +248,15 @@ func (s *Store) Restore(dir string) error {
 	oldIndex.Remove()
 
 	// Rebuild onDisk byte accounting from the index log.
-	_, order, err := s.scanIndexLocked()
+	newOnDisk := make(map[id]int64)
+	err = s.scanIndexLocked(func(e *indexEntry) error {
+		if _, dead := s.consumed[string(e.prefix)]; !dead {
+			newOnDisk[id{key: string(e.Key), w: e.Window}] += int64(e.Len)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	newOnDisk := make(map[id]int64, len(order))
-	for _, e := range order {
-		var n int64
-		for _, sp := range e.spans {
-			n += int64(sp.n)
-		}
-		newOnDisk[e.ident] = n
 	}
 	newStat, err := s.loadStatStream(dir, meta)
 	if err != nil {

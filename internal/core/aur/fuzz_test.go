@@ -2,78 +2,147 @@ package aur
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/window"
 )
 
-// FuzzDecodeIndexEntry throws arbitrary bytes at both index-log entry
-// parsers. The index log is replayed on every open, so the parsers are
-// the gate between a crashed writer's on-disk bytes and the in-memory
-// index; they must reject garbage without panicking and must agree with
-// each other — splitIndexEntry is the allocation-free fast path used
-// during compaction scans, and a divergence from decodeIndexEntry would
-// silently corrupt the rewritten index. Anything decodeIndexEntry
-// accepts must survive an encode/decode round trip unchanged.
-func FuzzDecodeIndexEntry(f *testing.F) {
+// indexBlocks returns the payloads of the store's index-log records.
+func indexBlocks(t testing.TB, s *Store) [][]byte {
+	t.Helper()
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	sc, err := s.indexLog.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks [][]byte
+	for sc.Scan() {
+		blocks = append(blocks, bytes.Clone(sc.Record()))
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
+
+// realIndexBlocks runs a small store through a flush and a compaction
+// and returns one index block written by each.
+func realIndexBlocks(f *testing.F) (flush, compaction []byte) {
+	s, err := Open(Options{
+		Dir:              filepath.Join(f.TempDir(), "aur"),
+		WriteBufferBytes: 1 << 20,
+		Predictor:        window.SessionPredictor{Gap: gap},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Destroy()
+	session := func(i int) ([]byte, window.Window) {
+		return []byte(fmt.Sprintf("user-%d", i)), window.Window{Start: int64(i) * 7, End: int64(i)*7 + gap}
+	}
+	for i := 0; i < 40; i++ {
+		k, w := session(i)
+		if err := s.Append(k, []byte("value"), w, w.Start); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	flush = indexBlocks(f, s)[0]
+	// Consume most windows so a later miss finds MSA exceeded.
+	for i := 0; i < 30; i++ {
+		if _, err := s.Get(session(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if s.Compactions() == 0 {
+		f.Fatal("seed store never compacted")
+	}
+	return flush, indexBlocks(f, s)[0]
+}
+
+// encodeIndexBlocks packs entries through the production writer.
+func encodeIndexBlocks(t testing.TB, entries []IndexEntry) [][]byte {
+	var blocks [][]byte
+	iw := indexWriter{emit: func(block []byte, _ int) error {
+		blocks = append(blocks, bytes.Clone(block))
+		return nil
+	}}
+	for _, e := range entries {
+		if err := iw.add(identBytes(id{key: string(e.Key), w: e.Window}), span{off: e.Off, n: e.Len}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := iw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
+
+// FuzzDecodeIndexBlock throws arbitrary bytes at the index-block decoder.
+// The index log is scanned on every prefetch miss and on every restore,
+// so the decoder is the gate between on-disk bytes and the locations the
+// store reads and compacts by: it must reject garbage without panicking
+// or sizing an allocation from a corrupt count, the offsets it
+// reconstructs must be the running sum the format promises, and anything
+// it accepts must survive a trip through the production writer unchanged.
+func FuzzDecodeIndexBlock(f *testing.F) {
+	flush, compaction := realIndexBlocks(f)
+	f.Add(flush)
+	f.Add(compaction)
 	f.Add([]byte{})
-	f.Add(encodeIndexEntry(nil, id{key: "k", w: window.Window{Start: 0, End: 100}},
-		span{off: 0, n: 32}))
-	f.Add(encodeIndexEntry(nil, id{key: "user-1234", w: window.Window{Start: -500, End: 1 << 40}},
-		span{off: 1 << 33, n: 4096}))
-	f.Add(encodeIndexEntry(nil, id{key: "", w: window.Window{}}, span{}))
-	full := encodeIndexEntry(nil, id{key: "sess", w: window.Window{Start: 7, End: 8}},
-		span{off: 99, n: 7})
-	f.Add(full[:len(full)-2])
-	flipped := append([]byte(nil), full...)
-	flipped[0] ^= 0x80
-	f.Add(flipped)
+	f.Add(flush[:len(flush)-2]) // truncated entry
+	// A count larger than the payload.
+	f.Add(binio.PutUvarint(binio.PutUvarint(nil, 0), 1<<40))
+	// A base offset that overflows int64, and two lengths whose running
+	// sum does.
+	f.Add(append(binio.PutUvarint(binio.PutUvarint(nil, 1<<63), 1), 0, 0, 0, 1))
+	sum := binio.PutUvarint(binio.PutUvarint(nil, 1<<63-1<<31), 2)
+	for i := 0; i < 2; i++ {
+		sum = binio.PutUvarint(append(sum, 0, 0, 0), 1<<31-1)
+	}
+	f.Add(sum)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ident, sp, err := decodeIndexEntry(b)
-		prefix, ssp, serr := splitIndexEntry(b)
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("parsers disagree on %x: decode err=%v, split err=%v", b, err, serr)
-		}
+		entries, err := DecodeIndexBlock(b)
 		if err != nil {
 			return
 		}
-		if ssp != sp {
-			t.Fatalf("parsers disagree on span: decode %+v, split %+v", sp, ssp)
+		if len(entries) == 0 {
+			t.Fatalf("accepted a block without entries: %x", b)
 		}
-		// The aliased prefix must be the entry's own leading bytes and
-		// re-parse to the same identity. It need not equal the canonical
-		// identBytes encoding for arbitrary input — binio varints accept
-		// zero-padded forms a writer never produces — which is exactly
-		// why compaction's byte-wise grouping is sound only for entries
-		// the CRC-framed writer put on disk (checked below).
-		if len(prefix) > len(b) || !bytes.Equal(prefix, b[:len(prefix)]) {
-			t.Fatalf("split prefix %x does not alias input %x", prefix, b)
+		for i, e := range entries {
+			if e.Off < 0 || e.Len < 0 {
+				t.Fatalf("entry %d has negative location %d+%d", i, e.Off, e.Len)
+			}
+			if i > 0 && e.Off != entries[i-1].Off+int64(entries[i-1].Len) {
+				t.Fatalf("entry %d at %d does not follow entry %d (%d+%d)",
+					i, e.Off, i-1, entries[i-1].Off, entries[i-1].Len)
+			}
 		}
-		k, kn, kerr := binio.Bytes(prefix)
-		if kerr != nil {
-			t.Fatalf("prefix key re-parse: %v", kerr)
+		// The writer splits at indexBlockBytes, so a large accepted block
+		// may come back as several; their concatenation must be equal.
+		var again []IndexEntry
+		for _, block := range encodeIndexBlocks(t, entries) {
+			part, err := DecodeIndexBlock(block)
+			if err != nil {
+				t.Fatalf("re-encoded block rejected: %v", err)
+			}
+			again = append(again, part...)
 		}
-		w, wn, werr := window.Decode(prefix[kn:])
-		if werr != nil || kn+wn != len(prefix) {
-			t.Fatalf("prefix %x re-parse consumed %d+%d bytes, err=%v", prefix, kn, wn, werr)
+		if len(again) != len(entries) {
+			t.Fatalf("round trip changed entry count: %d -> %d", len(entries), len(again))
 		}
-		if got := (id{key: string(k), w: w}); got != ident {
-			t.Fatalf("prefix re-parse changed identity: %+v -> %+v", ident, got)
-		}
-		re := encodeIndexEntry(nil, ident, sp)
-		ident2, sp2, err2 := decodeIndexEntry(re)
-		if err2 != nil {
-			t.Fatalf("re-encoded entry rejected: %v", err2)
-		}
-		if ident2 != ident || sp2 != sp {
-			t.Fatalf("round trip changed entry: %+v/%+v -> %+v/%+v", ident, sp, ident2, sp2)
-		}
-		prefix2, _, err3 := splitIndexEntry(re)
-		if err3 != nil || !bytes.Equal(prefix2, identBytes(ident)) {
-			t.Fatalf("canonical entry prefix %x != identBytes %x (err=%v)",
-				prefix2, identBytes(ident), err3)
+		for i := range entries {
+			a, e := again[i], entries[i]
+			if !bytes.Equal(a.Key, e.Key) || a.Window != e.Window || a.Off != e.Off || a.Len != e.Len {
+				t.Fatalf("round trip changed entry %d: %+v -> %+v", i, e, a)
+			}
 		}
 	})
 }

@@ -84,6 +84,10 @@ func corruptErr(path string, off int64, cause error) error {
 	return &CorruptError{Path: path, Off: off, Err: cause}
 }
 
+// ioBufBytes sizes a log's write buffer and its scan buffer: appends
+// reach the file, and scans read it, in pieces of this size.
+const ioBufBytes = 256 * 1024
+
 // Log is a single append-only file of framed records. A Log performs no
 // locking: it is owned by whichever goroutine holds its store instance's
 // I/O lock, and the only methods safe to call outside that ownership are
@@ -108,6 +112,12 @@ type Log struct {
 	tail    []byte // framed bytes appended past durable, if tailOK
 	tailOK  bool
 	perr    error // first write-path error; non-nil means poisoned
+
+	// scanBuf is the read buffer scans of this log share, allocated by
+	// the first Scanner call and lent to one Scanner at a time: scanLent
+	// is set while a scanner that has not yet reached the end holds it.
+	scanBuf  []byte
+	scanLent bool
 
 	pol atomic.Pointer[Policy] // I/O deadline + latency observation; nil = passthrough
 }
@@ -169,7 +179,8 @@ func recoverEnd(path string, f faultfs.File) (int64, binio.FrameVersion, error) 
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, err
 	}
-	sc := binio.NewRecordScannerSniff(bufio.NewReaderSize(f, 256*1024), 0)
+	buf := make([]byte, ioBufBytes)
+	sc := binio.NewRecordScannerSniff(f, 0).Buffer(buf)
 	records := 0
 	for sc.Scan() {
 		records++
@@ -182,7 +193,7 @@ func recoverEnd(path string, f faultfs.File) (int64, binio.FrameVersion, error) 
 		// the whole file as v0 before declaring it corrupt.
 		if ver == binio.FrameV1 && records == 0 {
 			if _, serr := f.Seek(0, io.SeekStart); serr == nil {
-				sc0 := binio.NewRecordScanner(bufio.NewReaderSize(f, 256*1024), 0)
+				sc0 := binio.NewRecordScanner(f, 0).Buffer(buf)
 				n0 := 0
 				for sc0.Scan() {
 					n0++
@@ -205,7 +216,7 @@ func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, ver binio.F
 	// latency observation apply uniformly; with no policy installed the
 	// guard is a passthrough.
 	l.f = &guard{lg: l, f: f}
-	l.w = bufio.NewWriterSize(l.f, 256*1024)
+	l.w = bufio.NewWriterSize(l.f, ioBufBytes)
 	l.rw = binio.NewRecordWriterV(l.w, off, ver)
 	return l
 }
@@ -273,15 +284,20 @@ func (l *Log) Append(payload []byte) (off int64, n int, err error) {
 	}
 	if l.tailOK {
 		l.tail = binio.AppendRecordV(l.tail, payload, l.ver)
-		if len(l.tail) > MaxTailBytes {
-			l.tail = nil
-			l.tailOK = false
-		}
+		l.capTail()
 	}
 	if l.bd != nil {
 		l.bd.AddBytesWritten(int64(n))
 	}
 	return off, n, nil
+}
+
+// capTail stops retaining the unsynced tail once it outgrows MaxTailBytes.
+func (l *Log) capTail() {
+	if len(l.tail) > MaxTailBytes {
+		l.tail = nil
+		l.tailOK = false
+	}
 }
 
 // Flush pushes buffered appends to the operating system.
@@ -432,7 +448,7 @@ func (l *Log) ReopenAtDurable() error {
 		return fmt.Errorf("logfile: reopen seek: %w", err)
 	}
 	g := &guard{lg: l, f: f}
-	w := bufio.NewWriterSize(g, 256*1024)
+	w := bufio.NewWriterSize(g, ioBufBytes)
 	if len(l.tail) > 0 {
 		if _, err := w.Write(l.tail); err != nil {
 			f.Close()
@@ -590,46 +606,64 @@ func (l *Log) ReadRecordAtRaw(off int64, n int) ([]byte, error) {
 // Scanner returns a sequential scanner over the log's records from offset
 // base. The log's buffered writes are flushed first; on a poisoned log
 // the scan covers the durable prefix stitched with the retained tail.
+//
+// The scanner reads the file straight into one ioBufBytes buffer. The
+// buffer belongs to the Log and is reused by every scan that runs to its
+// end — the AUR index scan, scrub passes, AAR's window reads — which is
+// safe because a Log has a single owner; a scanner still in use when a
+// second one is requested (AAR keeps a gradual window read open across
+// calls) keeps the shared buffer, and the second scanner gets a private
+// one.
 func (l *Log) Scanner(base int64) (*Scanner, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
+	var r io.Reader
 	if l.perr == nil && l.flush() == nil {
-		sr := io.NewSectionReader(l.f, base, l.Size()-base)
-		return &Scanner{
-			sc:   binio.NewRecordScannerV(bufio.NewReaderSize(sr, 256*1024), base, l.ver),
-			path: l.path,
-			bd:   l.bd,
-		}, nil
+		r = io.NewSectionReader(l.f, base, l.Size()-base)
+	} else {
+		// Poisoned (possibly by the flush just above): stitch durable file
+		// bytes with the retained tail.
+		if !l.tailOK && l.Size() > l.durable {
+			return nil, fmt.Errorf("%w: unsynced range [%d,%d) not retained (%v)",
+				ErrPoisoned, l.durable, l.Size(), l.perr)
+		}
+		var parts []io.Reader
+		if base < l.durable {
+			parts = append(parts, io.NewSectionReader(l.f, base, l.durable-base))
+		}
+		tstart := base - l.durable
+		if tstart < 0 {
+			tstart = 0
+		}
+		if tstart < int64(len(l.tail)) {
+			parts = append(parts, bytes.NewReader(l.tail[tstart:]))
+		}
+		r = io.MultiReader(parts...)
 	}
-	// Poisoned (possibly by the flush just above): stitch durable file
-	// bytes with the retained tail.
-	if !l.tailOK && l.Size() > l.durable {
-		return nil, fmt.Errorf("%w: unsynced range [%d,%d) not retained (%v)",
-			ErrPoisoned, l.durable, l.Size(), l.perr)
+	sc := &Scanner{path: l.path, bd: l.bd}
+	var buf []byte
+	if l.scanLent {
+		buf = make([]byte, ioBufBytes)
+	} else {
+		if l.scanBuf == nil {
+			l.scanBuf = make([]byte, ioBufBytes)
+		}
+		buf, l.scanLent, sc.lender = l.scanBuf, true, l
 	}
-	var parts []io.Reader
-	if base < l.durable {
-		parts = append(parts, io.NewSectionReader(l.f, base, l.durable-base))
-	}
-	tstart := base - l.durable
-	if tstart < 0 {
-		tstart = 0
-	}
-	if tstart < int64(len(l.tail)) {
-		parts = append(parts, bytes.NewReader(l.tail[tstart:]))
-	}
-	return &Scanner{
-		sc:   binio.NewRecordScannerV(bufio.NewReaderSize(io.MultiReader(parts...), 256*1024), base, l.ver),
-		path: l.path,
-		bd:   l.bd,
-	}, nil
+	sc.sc = binio.NewRecordScannerV(r, base, l.ver).Buffer(buf)
+	return sc, nil
 }
 
-// TransferTo copies n raw bytes at offset off into dst using the
+// TransferTo copies the n raw bytes of whole frames at offset off into
+// dst, reproducing the paper's byte transfer between old and new data
+// logs during AUR compaction. A range of at least ioBufBytes takes the
 // kernel-assisted copy path (io.Copy over *os.File lowers to
-// copy_file_range on Linux), reproducing the paper's zero-copy byte
-// transfer between old and new data logs during AUR compaction.
+// copy_file_range on Linux). A shorter one is gathered instead: read
+// straight into dst's write buffer and left there for the next flush, so
+// a compaction whose live runs are a few dozen bytes long issues one
+// write per buffer-full rather than one copy_file_range, preceded by a
+// flush, per run.
 func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
 	if l.closed || dst.closed {
 		return ErrClosed
@@ -648,31 +682,77 @@ func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
 	if err := l.flush(); err != nil {
 		return err
 	}
-	if err := dst.flush(); err != nil {
-		return err
+	if dst.perr != nil {
+		return dst.poisonedErr()
 	}
 	start := time.Now()
-	sr := io.NewSectionReader(l.f, off, n)
-	copied, err := io.Copy(dst.f, sr)
-	if err != nil {
-		return fmt.Errorf("logfile: transfer: %w", err)
+	var err error
+	if n < ioBufBytes {
+		err = l.gatherTo(dst, off, n)
+	} else {
+		err = l.copyTo(dst, off, n)
 	}
-	if copied != n {
-		return fmt.Errorf("logfile: transfer copied %d of %d bytes", copied, n)
+	if err != nil {
+		return err
 	}
 	if l.bd != nil {
 		l.bd.Observe(metrics.OpIOWait, time.Since(start))
 		l.bd.AddBytesRead(n)
 		l.bd.AddBytesWritten(n)
 	}
+	return nil
+}
+
+// copyTo is TransferTo's kernel-copy path.
+func (l *Log) copyTo(dst *Log, off, n int64) error {
+	if err := dst.flush(); err != nil {
+		return err
+	}
+	copied, err := io.Copy(dst.f, io.NewSectionReader(l.f, off, n))
+	if err != nil {
+		return fmt.Errorf("logfile: transfer: %w", err)
+	}
+	if copied != n {
+		return fmt.Errorf("logfile: transfer copied %d of %d bytes", copied, n)
+	}
 	// The destination file position advanced by the kernel copy; keep the
-	// record writer's logical offset in step. The transferred bytes are
-	// not captured in dst's tail, so dst stops retaining one until its
-	// next successful Sync re-establishes a durable baseline.
+	// record writer's logical offset in step. The transferred bytes never
+	// passed through memory, so dst stops retaining a tail until its next
+	// successful Sync re-establishes a durable baseline.
 	dst.rw = binio.NewRecordWriterV(dst.w, dst.rw.Offset()+n, dst.ver)
 	if n > 0 {
 		dst.tail = nil
 		dst.tailOK = false
+	}
+	return nil
+}
+
+// gatherTo is TransferTo's small-range path: pread into the free part of
+// dst's write buffer, which the following WriteRaw then only has to
+// account for. The bytes pass through memory, so dst's tail keeps them
+// like any other append.
+func (l *Log) gatherTo(dst *Log, off, n int64) error {
+	for n > 0 {
+		if dst.w.Available() == 0 {
+			if err := dst.flush(); err != nil {
+				return err
+			}
+		}
+		buf := dst.w.AvailableBuffer()
+		buf = buf[:min(int64(cap(buf)), n)]
+		if _, err := l.f.ReadAt(buf, off); err != nil {
+			return fmt.Errorf("logfile: transfer: read at %d: %w", off, err)
+		}
+		if err := dst.rw.WriteRaw(buf); err != nil {
+			dst.poison(err)
+			return err
+		}
+		if dst.tailOK {
+			dst.tail = append(dst.tail, buf...)
+			dst.capTail()
+		}
+		off += int64(len(buf))
+		n -= int64(len(buf))
 	}
 	return nil
 }
@@ -828,16 +908,37 @@ type Scanner struct {
 	path string
 	bd   *metrics.Breakdown
 	n    int64
+	// lender is the Log whose shared scan buffer this scanner reads
+	// into, nil for a private buffer or once the buffer is handed back.
+	lender *Log
+	done   bool
 }
 
-// Scan advances to the next record, reporting false at end of log.
+// Scan advances to the next record, reporting false at end of log or at
+// the first error; once it has reported false it reads nothing further.
 func (s *Scanner) Scan() bool {
-	prev := s.sc.Offset()
-	ok := s.sc.Scan()
-	if ok {
-		s.n += s.sc.Offset() - prev
+	if s.done {
+		return false
 	}
-	return ok
+	prev := s.sc.Offset()
+	if s.sc.Scan() {
+		s.n += s.sc.Offset() - prev
+		return true
+	}
+	s.Close()
+	return false
+}
+
+// Close ends the scan: Record is no longer valid, and the log's shared
+// scan buffer, if this scanner held it, is free for the next scan. A scan
+// that runs to its end closes itself; one abandoned early should be
+// closed, or later scans of the log each allocate a buffer of their own.
+func (s *Scanner) Close() {
+	s.done = true
+	if s.lender != nil {
+		s.lender.scanLent = false
+		s.lender = nil
+	}
 }
 
 // Record returns the current record payload; valid until the next Scan.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/metrics"
 )
 
@@ -236,6 +237,153 @@ func TestTransferTo(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestTransferToGathersShortAndCopiesLong moves runs on both sides of
+// the ioBufBytes threshold, interleaved, and checks the destination
+// holds exactly the source's records in order. The short runs must not
+// cost a write each (they ride dst's buffer), and — having passed
+// through memory — must stay in dst's retained tail, so a failed sync
+// after a gather-only transfer is recoverable.
+func TestTransferToGathersShortAndCopiesLong(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.OS)
+	src, err := CreateFS(inj, filepath.Join(dir, "src.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := CreateFS(inj, filepath.Join(dir, "dst.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+
+	// Records of 1 000 bytes; runs of 3 (gathered) and of 300 (copied).
+	var want []string
+	transfer := func(records int) {
+		t.Helper()
+		start := src.Size()
+		for i := 0; i < records; i++ {
+			p := bytes.Repeat([]byte{byte('a' + len(want)%26)}, 1000)
+			if _, _, err := src.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, string(p[:1]))
+		}
+		if err := src.TransferTo(dst, start, src.Size()-start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		transfer(3)
+	}
+	if dst.Size() != src.Size() {
+		t.Fatalf("dst size = %d after gathers, want %d", dst.Size(), src.Size())
+	}
+	if !dst.tailOK || int64(len(dst.tail)) != dst.Size() {
+		t.Fatalf("gathered bytes not retained: tailOK=%v, %d of %d bytes", dst.tailOK, len(dst.tail), dst.Size())
+	}
+	// A sync failure now poisons dst; the retained tail rebuilds it.
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpSync, PathContains: "dst.log", Class: faultfs.ClassOnce, Err: faultfs.ErrDiskIO})
+	if err := dst.Sync(); err == nil {
+		t.Fatal("injected sync failure did not surface")
+	}
+	if err := dst.ReopenAtDurable(); err != nil {
+		t.Fatalf("reopen after a gather-only transfer: %v", err)
+	}
+	transfer(300)
+	transfer(3)
+	if dst.Size() != src.Size() {
+		t.Fatalf("dst size = %d, want %d", dst.Size(), src.Size())
+	}
+	if _, _, err := dst.Append([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, "t")
+
+	sc, err := dst.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for sc.Scan() {
+		if i >= len(want) || string(sc.Record()[:1]) != want[i] {
+			t.Fatalf("record %d = %q, want %v", i, sc.Record()[:1], want[min(i, len(want)-1)])
+		}
+		i++
+	}
+	if err := sc.Err(); err != nil || i != len(want) {
+		t.Fatalf("scanned %d of %d records, err %v", i, len(want), err)
+	}
+}
+
+// TestScannerBufferIsLentNotShared pins the scan buffer's ownership
+// rule: a scan that runs to its end (or is closed) hands the log's
+// buffer to the next scan, and a scanner still mid-scan keeps it — a
+// second scanner opened meanwhile reads into a buffer of its own, so
+// neither sees the other's bytes.
+func TestScannerBufferIsLentNotShared(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "a.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 500
+	for i := 0; i < n; i++ {
+		if _, _, err := l.Append([]byte(fmt.Sprintf("record-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := l.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Scan() || string(first.Record()) != "record-0000" {
+		t.Fatalf("first record = %q", first.Record())
+	}
+	// A full second scan while the first is parked on record 0.
+	second, err := l.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.lender != nil {
+		t.Fatal("second scanner borrowed the buffer the first still holds")
+	}
+	for i := 0; second.Scan(); i++ {
+		if want := fmt.Sprintf("record-%04d", i); string(second.Record()) != want {
+			t.Fatalf("second scan record %d = %q", i, second.Record())
+		}
+	}
+	for i := 1; i < n; i++ {
+		if !first.Scan() || string(first.Record()) != fmt.Sprintf("record-%04d", i) {
+			t.Fatalf("first scan record %d = %q after an interleaved scan", i, first.Record())
+		}
+	}
+	if first.Scan() || first.Err() != nil {
+		t.Fatalf("first scan did not end cleanly: %v", first.Err())
+	}
+	// The first scan ended: the buffer is free, and a closed scanner
+	// frees it too.
+	third, err := l.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.lender != l {
+		t.Fatal("a finished scan did not hand the buffer back")
+	}
+	third.Scan()
+	third.Close()
+	if third.Scan() {
+		t.Fatal("closed scanner kept scanning")
+	}
+	fourth, err := l.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fourth.lender != l {
+		t.Fatal("a closed scan did not hand the buffer back")
 	}
 }
 
