@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-core bench-delta gray
+.PHONY: all build vet test race fuzz bench bench-core bench-delta bench-pair gray
 
 all: vet build test
 
@@ -65,3 +65,15 @@ bench-core:
 # merged into BENCH_core.json under the "delta" key.
 bench-delta:
 	$(GO) run ./cmd/storebench -delta -json BENCH_core.json
+
+# Paired runs of one BENCHMARK.json workload, a parent commit against the
+# working tree, alternating which goes first: per metric both sides'
+# median and quartiles, the change's wins/ties/losses and the parent's
+# IQR — what a performance claim is judged on.
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=rmw_session_job PAIRS=10
+PARENT ?= HEAD~1
+WORKLOAD ?= rmw_session_job
+PAIRS ?= 10
+BENCHARGS ?=
+bench-pair:
+	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(BENCHARGS)

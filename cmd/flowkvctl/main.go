@@ -9,7 +9,7 @@
 //	flowkvctl index <index-log-file>   # decode an AUR index log
 //	flowkvctl data  <data-log-file>    # summarize an AUR data log
 //	flowkvctl aar   <win_*.log file>   # decode an AAR per-window log
-//	flowkvctl rmw   <rmw-*.log file>   # decode an RMW log
+//	flowkvctl rmw   <rmw-*.log file>   # decode one segment of an RMW log
 //	flowkvctl health <store-dir>       # offline log integrity scan
 //	flowkvctl checkpoints <parent-dir> # list and verify checkpoints
 //	flowkvctl job <job-dir>            # inspect a job's committed progress
@@ -237,6 +237,11 @@ func cmdAAR(path string) error {
 func cmdHealth(dir string) error {
 	fmt.Println("status   records      bytes  file")
 	var files, torn, corrupt int
+	// An RMW instance's log is a set of segments numbered from 0 in
+	// creation order: per directory, how many are left and the highest
+	// number seen say how many have been dropped.
+	type rmwLog struct{ live, created int }
+	rmwLogs := make(map[string]*rmwLog)
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -249,6 +254,16 @@ func cmdHealth(dir string) error {
 		}
 		files++
 		rel, _ := filepath.Rel(dir, path)
+		if strings.HasPrefix(name, "rmw-") {
+			inst := filepath.Dir(rel)
+			if rmwLogs[inst] == nil {
+				rmwLogs[inst] = &rmwLog{}
+			}
+			rmwLogs[inst].live++
+			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "rmw-"), ".log")); err == nil && n >= rmwLogs[inst].created {
+				rmwLogs[inst].created = n + 1
+			}
+		}
 		f, err := os.Open(path)
 		if err != nil {
 			return err
@@ -273,6 +288,18 @@ func cmdHealth(dir string) error {
 	})
 	if err != nil {
 		return err
+	}
+	insts := make([]string, 0, len(rmwLogs))
+	for inst := range rmwLogs {
+		insts = append(insts, inst)
+	}
+	sort.Strings(insts)
+	for _, inst := range insts {
+		l := rmwLogs[inst]
+		// Bytes re-appended by cleaning are a counter of the running
+		// store (core.Stats.CompactionBytes); the files do not record them.
+		fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned)\n",
+			inst, l.live, l.created-l.live)
 	}
 	fmt.Printf("%d log files: %d clean, %d torn tails (recoverable), %d corrupt\n",
 		files, files-torn-corrupt, torn, corrupt)

@@ -81,6 +81,80 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 	}
 }
 
+// captureStdout runs f with the process's standard output redirected to
+// a file and returns what it printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = f()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed)
+}
+
+// TestMultiSegmentRMWLog spills an RMW instance into many log segments,
+// some of them since dropped, and requires that `ls` labels every one of
+// them rmw and that `health` walks them all and reports the segment
+// counts per instance.
+func TestMultiSegmentRMWLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := core.OpenPattern(core.PatternRMW, window.Fixed, core.Options{
+		Dir: dir, Instances: 1, WriteBufferBytes: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Destroy()
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 60; i++ {
+		if err := st.PutAggregate([]byte(fmt.Sprintf("k%02d", i)), w, []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		if i >= 20 { // consume in age order: the oldest segments empty and go
+			if _, ok, err := st.GetAggregate([]byte(fmt.Sprintf("k%02d", i-20)), w); err != nil || !ok {
+				t.Fatalf("k%02d: ok=%v err=%v", i-20, ok, err)
+			}
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stats := st.Stats()
+	segs, _ := filepath.Glob(filepath.Join(dir, "inst-*", "rmw-*.log"))
+	if len(segs) < 2 || len(segs) != stats.LiveSegments || stats.SegmentsDropped == 0 {
+		t.Fatalf("%d segment files, stats %d live and %d dropped; want several live and some dropped",
+			len(segs), stats.LiveSegments, stats.SegmentsDropped)
+	}
+	for _, seg := range segs {
+		if kind := fileKind(filepath.Base(seg)); kind != "rmw-log" {
+			t.Errorf("ls labels %s %q, want rmw-log", seg, kind)
+		}
+	}
+	printed := captureStdout(t, func() error { return cmdHealth(dir) })
+	if want := fmt.Sprintf("%d log files: %d clean", len(segs), len(segs)); !strings.Contains(printed, want) {
+		t.Errorf("health does not report %q:\n%s", want, printed)
+	}
+	want := fmt.Sprintf("rmw log %s: %d live segments, at least %d dropped",
+		filepath.Base(filepath.Dir(segs[0])), stats.LiveSegments, stats.SegmentsDropped)
+	if !strings.Contains(printed, want) {
+		t.Errorf("health does not report %q:\n%s", want, printed)
+	}
+}
+
 // TestIndexDecodesBlockIndexLog runs `flowkvctl index` over the index
 // log of a real AUR instance that has flushed, compacted and flushed
 // again, and checks the rows against the data log next to it: one row
@@ -134,26 +208,8 @@ func TestIndexDecodesBlockIndexLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// cmdIndex prints to the process's standard output.
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = out
-	err = cmdIndex(indexes[0])
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-	printed, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(printed)), "\n")
+	printed := captureStdout(t, func() error { return cmdIndex(indexes[0]) })
+	lines := strings.Split(strings.TrimSpace(printed), "\n")
 	rows, total := lines[1:len(lines)-1], lines[len(lines)-1]
 	// The compaction dropped the batches consumed before it; batches
 	// consumed after it, and the one flushed after it, are still listed.

@@ -169,14 +169,6 @@ type span struct {
 	n   int
 }
 
-// statMark records that an identity's Stat entry changed after the last
-// committed delta cut: tomb for removals (consume, Drop), an upsert
-// otherwise. seq lets a checkpoint retire exactly the marks it absorbed.
-type statMark struct {
-	seq  uint64
-	tomb bool
-}
-
 // Store is a single AUR store instance, safe for concurrent use.
 type Store struct {
 	opts Options
@@ -191,15 +183,12 @@ type Store struct {
 	onDisk   map[id]int64 // bytes of flushed record data per live id
 	flushing map[id]*bufEntry
 	closed   bool
-	// statDeltas marks identities whose Stat entry changed since the
+	// statMarks marks identities whose Stat entry changed since the
 	// last committed delta checkpoint, so an incremental checkpoint
 	// ships only those rows (as upserts or tombstones) instead of
-	// rewriting the whole table. statSeq orders the marks; lastCutID is
-	// the SEGMENTS CutID of the last committed delta cut, which a
+	// rewriting the whole table, and remembers that cut's id, which a
 	// parent checkpoint must match for its stat stream to be extended.
-	statDeltas map[id]statMark
-	statSeq    uint64
-	lastCutID  uint64
+	statMarks *ckpt.Marks[id]
 
 	prefetch      map[id][][]byte
 	prefetchBytes int64
@@ -242,15 +231,15 @@ func Open(opts Options) (*Store, error) {
 	}
 	dir.SetPolicy(opts.Policy)
 	s := &Store{
-		opts:       opts,
-		dir:        dir,
-		bd:         opts.Breakdown,
-		buf:        make(map[id]*bufEntry),
-		stat:       make(map[id]*statEntry),
-		onDisk:     make(map[id]int64),
-		consumed:   make(map[string]struct{}),
-		prefetch:   make(map[id][][]byte),
-		statDeltas: make(map[id]statMark),
+		opts:      opts,
+		dir:       dir,
+		bd:        opts.Breakdown,
+		buf:       make(map[id]*bufEntry),
+		stat:      make(map[id]*statEntry),
+		onDisk:    make(map[id]int64),
+		consumed:  make(map[string]struct{}),
+		prefetch:  make(map[id][][]byte),
+		statMarks: ckpt.NewMarks[id](),
 	}
 	if err := s.openGen(0); err != nil {
 		return nil, err
@@ -258,11 +247,13 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// markStatLocked records a Stat-table mutation for the next delta
-// checkpoint; caller holds mu.
-func (s *Store) markStatLocked(ident id, tomb bool) {
-	s.statSeq++
-	s.statDeltas[ident] = statMark{seq: s.statSeq, tomb: tomb}
+// dropStatLocked removes ident's Stat row, if it has one, and marks the
+// removal for the next delta checkpoint; caller holds mu.
+func (s *Store) dropStatLocked(ident id) {
+	if _, ok := s.stat[ident]; ok {
+		delete(s.stat, ident)
+		s.statMarks.Remove(ident)
+	}
 }
 
 // openGen swaps in fresh log generations; caller holds ioMu (or is Open).
@@ -329,10 +320,10 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	if st == nil {
 		st = &statEntry{maxTS: ts}
 		s.stat[ident] = st
-		s.markStatLocked(ident, false)
+		s.statMarks.Upsert(ident, false)
 	} else if ts > st.maxTS {
 		st.maxTS = ts
-		s.markStatLocked(ident, false)
+		s.statMarks.Upsert(ident, true)
 	}
 	if s.opts.Predictor != nil {
 		if ett, ok := s.opts.Predictor.ETT(w, st.maxTS); ok {
@@ -552,8 +543,7 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 			s.bufBytes -= e.bytes
 			delete(s.buf, ident)
 		}
-		delete(s.stat, ident)
-		s.markStatLocked(ident, true)
+		s.dropStatLocked(ident)
 		s.mu.Unlock()
 		return bufVals, nil
 	}
@@ -598,8 +588,7 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 		s.bufBytes -= e.bytes
 		delete(s.buf, ident)
 	}
-	delete(s.stat, ident)
-	s.markStatLocked(ident, true)
+	s.dropStatLocked(ident)
 	s.mu.Unlock()
 
 	if diskVals == nil && bufVals == nil {
@@ -744,8 +733,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 			s.bufBytes -= e.bytes
 			delete(s.buf, ident)
 		}
-		delete(s.stat, ident)
-		s.markStatLocked(ident, true)
+		s.dropStatLocked(ident)
 		s.mu.Unlock()
 		return nil
 	}
@@ -768,8 +756,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 		delete(s.onDisk, ident)
 		s.consumed[string(identBytes(ident))] = struct{}{}
 	}
-	delete(s.stat, ident)
-	s.markStatLocked(ident, true)
+	s.dropStatLocked(ident)
 	s.mu.Unlock()
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // tombstone) that replay, in order, into the table at the cut. A base
 // checkpoint's stream is a full dump; an incremental checkpoint links
 // the parent's segments and appends one segment holding only the rows
-// the statDeltas marks named — without the stream, the per-key table
+// the statMarks marks named — without the stream, the per-key table
 // would be rewritten whole at every barrier and incremental commit cost
 // would grow with live state instead of with the delta.
 const statDeltaLogical = "stat.dlt"
@@ -106,21 +106,19 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		tomb  bool
 	}
 	s.mu.Lock()
-	statIncr := parent.Extends(statDeltaLogical, s.lastCutID)
-	cutSeqs := make(map[id]uint64, len(s.statDeltas))
-	for ident, m := range s.statDeltas {
-		cutSeqs[ident] = m.seq
-	}
+	statIncr := parent.Extends(statDeltaLogical, s.statMarks.LastCut())
 	var statWork []statRec
+	var captured ckpt.Captured[id]
 	if statIncr {
-		for ident, m := range s.statDeltas {
-			if st, ok := s.stat[ident]; ok && !m.tomb {
+		captured = s.statMarks.Cut(func(ident id, tomb bool) {
+			if st, ok := s.stat[ident]; ok && !tomb {
 				statWork = append(statWork, statRec{ident: ident, maxTS: st.maxTS})
 			} else {
 				statWork = append(statWork, statRec{ident: ident, tomb: true})
 			}
-		}
+		})
 	} else {
+		captured = s.statMarks.Cut(nil)
 		for ident, st := range s.stat {
 			statWork = append(statWork, statRec{ident: ident, maxTS: st.maxTS})
 		}
@@ -174,12 +172,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	cutID := cut.ID()
 	res.Commit = func() {
 		s.mu.Lock()
-		for ident, seq := range cutSeqs {
-			if cur, ok := s.statDeltas[ident]; ok && cur.seq == seq {
-				delete(s.statDeltas, ident)
-			}
-		}
-		s.lastCutID = cutID
+		s.statMarks.Commit(captured, cutID)
 		s.mu.Unlock()
 	}
 	return res, nil
@@ -271,7 +264,7 @@ func (s *Store) Restore(dir string) error {
 	}
 	// The restored table IS the state of this cut: record its id so the
 	// next checkpoint can extend the stream.
-	s.lastCutID = meta.CutID
+	s.statMarks.Restored(meta.CutID)
 	s.mu.Unlock()
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
 
@@ -158,5 +160,65 @@ func TestStatsAccessors(t *testing.T) {
 	}
 	if s.PrefetchedBytes() != 0 {
 		t.Errorf("PrefetchedBytes = %d after consuming", s.PrefetchedBytes())
+	}
+}
+
+// TestStatStreamElidesBornAndConsumed chains three checkpoints: a state
+// appended and consumed between two cuts adds nothing to stat.dlt, a
+// state the parent holds ships its tombstone when consumed, and the
+// chain restores to exactly the rows still live.
+func TestStatStreamElidesBornAndConsumed(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	w := window.Window{Start: 0, End: gap}
+	base := t.TempDir()
+	cut := func(name string, parent *ckpt.Meta, parentDir string) (*ckpt.Meta, string) {
+		t.Helper()
+		dir := filepath.Join(base, name)
+		res, err := s.CheckpointDelta(dir, parent, parentDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Commit()
+		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta, dir
+	}
+	statSegments := func(m *ckpt.Meta) int { return len(m.File(statDeltaLogical).Segments) }
+
+	s.Append([]byte("kept"), []byte("v"), w, 1)
+	s.Append([]byte("held"), []byte("v"), w, 1)
+	m1, d1 := cut("c1", nil, "")
+
+	// Born and consumed between c1 and c2: no row, no tombstone, and with
+	// nothing else dirty no segment at all.
+	s.Append([]byte("brief"), []byte("v"), w, 2)
+	s.Append([]byte("brief"), []byte("v"), w, 3)
+	if got := mustGet(t, s, "brief", w); len(got) != 2 {
+		t.Fatalf("brief = %v", got)
+	}
+	m2, d2 := cut("c2", m1, d1)
+	if a, b := statSegments(m1), statSegments(m2); b != a {
+		t.Fatalf("stat.dlt grew from %d to %d segments over state born and consumed between the cuts", a, b)
+	}
+
+	// Held by c1/c2, consumed now: the tombstone must ship.
+	mustGet(t, s, "held", w)
+	m3, d3 := cut("c3", m2, d2)
+	if a, b := statSegments(m2), statSegments(m3); b != a+1 {
+		t.Fatalf("stat.dlt has %d segments after consuming a held state, want %d", b, a+1)
+	}
+
+	dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	if err := dst.Restore(d3); err != nil {
+		t.Fatal(err)
+	}
+	dst.mu.Lock()
+	_, kept := dst.stat[id{key: "kept", w: w}]
+	rows := len(dst.stat)
+	dst.mu.Unlock()
+	if !kept || rows != 1 {
+		t.Fatalf("restored Stat table has %d rows (kept present: %v), want only kept", rows, kept)
 	}
 }

@@ -35,6 +35,12 @@ func stressConfig(p Pattern) (AggKind, window.Kind, Options) {
 	agg, wk, opts := crashConfig(p)
 	opts.Instances = 4
 	opts.WriteBufferBytes = 2048 // 512 per instance: constant flush churn
+	if p == PatternRMW {
+		// 128 per instance: a flush is two or three aggregates, so log
+		// segments seal, empty, get cleaned and are unlinked every few
+		// operations, under the workers' unlocked point reads.
+		opts.WriteBufferBytes = 512
+	}
 	return agg, wk, opts
 }
 
@@ -422,6 +428,16 @@ func runStress(t *testing.T, pattern Pattern, seed int64) {
 	defer failMu.Unlock()
 	for _, err := range fails {
 		t.Error(err)
+	}
+	if pattern == PatternRMW {
+		// The leg is only worth its name if the log actually churned.
+		if st := s.Stats(); st.SegmentsDropped == 0 || st.CompactionBytes == 0 {
+			t.Errorf("RMW stress dropped %d segments and cleaned %d bytes; want both nonzero",
+				st.SegmentsDropped, st.CompactionBytes)
+		} else {
+			t.Logf("RMW stress: %d segments dropped, %d cleaning passes copied %d bytes, %d segments live",
+				st.SegmentsDropped, st.Compactions, st.CompactionBytes, st.LiveSegments)
+		}
 	}
 	reportStressLatency(t, pattern, lats, len(fails) == 0)
 }

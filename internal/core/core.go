@@ -772,8 +772,17 @@ type Stats struct {
 	Hits, Misses int64
 	// Evictions counts AUR prefetch evictions from wrong ETTs.
 	Evictions int64
-	// Compactions counts compactions across instances.
+	// Compactions counts compactions across instances: AUR generation
+	// rewrites, and RMW cleaning passes that re-appended at least one
+	// record.
 	Compactions int64
+	// CompactionBytes is the bytes RMW cleaning passes re-appended;
+	// SegmentsDropped counts RMW log segments unlinked (emptied by
+	// consumption, or cleaned) and LiveSegments the segment files the RMW
+	// logs currently hold. Zero for the other patterns.
+	CompactionBytes int64
+	SegmentsDropped int64
+	LiveSegments    int
 	// BufferedBytes is the current total write-buffer occupancy.
 	BufferedBytes int64
 	// DiskBytes is the current total on-disk footprint.

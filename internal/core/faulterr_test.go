@@ -11,6 +11,7 @@ package core
 // deliberately disabled.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -284,6 +285,164 @@ func TestFaultInjectionBattery(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFaultInjectionRMWCleaning pins a fault inside an RMW cleaning pass
+// — on the victim's sequential read, on the append to the survivor
+// segment, and on the victim's unlink. The pass must abort cleanly: the
+// Put that triggered it fails with a typed error and degrades the store,
+// the index keeps serving every acked aggregate from the intact victims,
+// the half-built survivor segment is gone, the directory holds exactly
+// the segments the store still counts, and after Recover the store
+// cleans successfully.
+func TestFaultInjectionRMWCleaning(t *testing.T) {
+	// Each round writes 6 hot aggregates every later round overwrites and
+	// 10 cold ones nothing touches again, and is one full flush: no
+	// segment ever empties by itself, so only cleaning passes can bring
+	// the log back under MSA. One victim's survivors outgrow the logfile
+	// write buffer, so the survivor append reaches the file (and the
+	// injector) while the pass runs.
+	const perRound, hot = 16, 6
+	w := batteryWindow(0)
+	open := func(t *testing.T, fsys faultfs.FS) *Store {
+		s, err := OpenPattern(PatternRMW, window.Fixed, Options{
+			Dir:                   filepath.Join(t.TempDir(), "store"),
+			Instances:             1,
+			WriteBufferBytes:      perRound * int64(len(batteryValuePad)+48),
+			MaxSpaceAmplification: 1.3,
+			FS:                    fsys,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Destroy() })
+		return s
+	}
+	acked := make(map[string]string)
+	put := func(s *Store, n int) error {
+		round, i := n/perRound, n%perRound
+		key := fmt.Sprintf("hot-%02d", i)
+		if i >= hot {
+			key = fmt.Sprintf("cold-%02d-%03d", i, round)
+		}
+		val := fmt.Sprintf("%s@%d|%s", key, round, batteryValuePad)
+		err := s.PutAggregate([]byte(key), w, []byte(val))
+		if err == nil {
+			acked[key] = val
+		}
+		return err
+	}
+	segmentFiles := func(s *Store) []string {
+		names, err := filepath.Glob(filepath.Join(instDir(s.opts.Dir, 0), "rmw-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	// A fault-free run finds the Put whose flush starts the first pass
+	// that copies, and the file that pass creates for its survivors.
+	dry := open(t, nil)
+	firstPass, survivor := -1, ""
+	for n := 0; firstPass < 0; n++ {
+		if n > 100*perRound {
+			t.Fatal("no cleaning pass in 100 rounds")
+		}
+		before := segmentFiles(dry)
+		if err := put(dry, n); err != nil {
+			t.Fatal(err)
+		}
+		if dry.Stats().Compactions == 0 {
+			continue
+		}
+		firstPass = n
+		known := make(map[string]bool)
+		for _, f := range before {
+			known[f] = true
+		}
+		for _, f := range segmentFiles(dry) {
+			if !known[f] {
+				survivor = filepath.Base(f) // sorted: the flush's segment first, the survivor last
+			}
+		}
+	}
+	if survivor == "" {
+		t.Fatal("the first cleaning pass left no new segment")
+	}
+
+	pins := []faultCase{
+		{name: "victim-read", rule: faultfs.Rule{Op: faultfs.OpRead, PathContains: "rmw-", Err: faultfs.ErrDiskIO}},
+		{name: "survivor-append", rule: faultfs.Rule{Op: faultfs.OpWrite, PathContains: survivor, Err: faultfs.ErrDiskIO}},
+		{name: "victim-unlink", rule: faultfs.Rule{Op: faultfs.OpRemove, PathContains: "rmw-", Err: faultfs.ErrDiskIO}},
+	}
+	for _, fc := range pins {
+		fc := fc
+		t.Run(fc.name, func(t *testing.T) {
+			clear(acked)
+			inj := faultfs.NewInjector(faultfs.OS)
+			s := open(t, inj)
+			for n := 0; n < firstPass; n++ {
+				if err := put(s, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inj.SetRule(fc.rule)
+			err := put(s, firstPass)
+			if err == nil || !inj.Fired() {
+				t.Fatalf("pinned Put: err=%v fired=%v; the fault missed the cleaning pass", err, inj.Fired())
+			}
+			if !errors.Is(err, faultfs.ErrDiskIO) {
+				t.Fatalf("pinned Put failed with %v, want the injected disk error", err)
+			}
+			if got := s.Health(); got != Degraded {
+				t.Fatalf("health after an aborted pass = %v, want Degraded", got)
+			}
+			inj.Reset()
+			st := s.Stats()
+			files := segmentFiles(s)
+			if len(files) != st.LiveSegments {
+				t.Fatalf("%d segment files on disk, store counts %d: %v", len(files), st.LiveSegments, files)
+			}
+			if fc.name != "victim-unlink" {
+				// The pass aborted before installing anything.
+				if st.Compactions != 0 || st.CompactionBytes != 0 {
+					t.Fatalf("aborted pass counted as %d compactions, %d bytes", st.Compactions, st.CompactionBytes)
+				}
+				for _, f := range files {
+					if filepath.Base(f) == survivor {
+						t.Fatalf("half-built survivor %s left behind", survivor)
+					}
+				}
+			}
+			if err := s.Recover(); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if got := s.Health(); got != Healthy {
+				t.Fatalf("health after recover = %v", got)
+			}
+			// Another round: the retried pass succeeds and reclaims the log.
+			for n := firstPass + 1; n <= firstPass+perRound; n++ {
+				if err := put(s, n); err != nil {
+					t.Fatalf("put after recover: %v", err)
+				}
+			}
+			st = s.Stats()
+			if st.Compactions == 0 {
+				t.Fatalf("no cleaning pass completed after recover: %+v", st)
+			}
+			if files := segmentFiles(s); len(files) != st.LiveSegments {
+				t.Fatalf("%d segment files on disk after recover, store counts %d", len(files), st.LiveSegments)
+			}
+			// The Put that carried the fault was applied before its pass
+			// ran; everything acked, and it, must read back.
+			for key, want := range acked {
+				got, ok, err := s.GetAggregate([]byte(key), w)
+				if err != nil || !ok || string(got) != want {
+					t.Fatalf("%s after aborted pass: ok=%v err=%v match=%v", key, ok, err, string(got) == want)
+				}
+			}
+		})
 	}
 }
 

@@ -63,6 +63,9 @@ func (a aurInstance) addStats(st *Stats) {
 
 func (r rmwInstance) addStats(st *Stats) {
 	st.Compactions += r.Compactions()
+	st.CompactionBytes += r.CompactionBytes()
+	st.SegmentsDropped += r.SegmentsDropped()
+	st.LiveSegments += r.LiveSegments()
 	st.BufferedBytes += r.BufferedBytes()
 	st.LiveStates += r.LiveStates()
 	st.DiskBytes += r.DiskUsage()

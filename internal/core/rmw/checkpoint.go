@@ -39,7 +39,8 @@ const (
 // entry immediately (under mu alone), so any scheme that re-reads the
 // live index after the cut can miss an aggregate that was acknowledged
 // before it. The snapshot taken inside the cut is immune — spans stay
-// readable because compaction needs ioMu, which CheckpointDelta holds.
+// readable because cleaning and segment drops need ioMu, which
+// CheckpointDelta holds.
 // Only ioMu is held, so concurrent Puts and buffer-served Gets proceed
 // while the snapshot is written; aggregates put after the cut are not in
 // it.
@@ -66,31 +67,26 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	incremental := parent.Extends(deltaLogical, s.lastCutID)
-	cutSeqs := make(map[id]uint64, len(s.deltas))
-	for ident, m := range s.deltas {
-		cutSeqs[ident] = m.seq
-	}
+	incremental := parent.Extends(deltaLogical, s.marks.LastCut())
 	var work []pending
+	var captured ckpt.Captured[id]
 	if incremental {
-		for ident, m := range s.deltas {
-			switch {
-			case m.tomb:
-				work = append(work, pending{ident: ident, tomb: true})
-			default:
-				if v, ok := s.buf[ident]; ok {
-					work = append(work, pending{ident: ident, v: v})
-				} else if sp, ok := s.index[ident]; ok {
-					work = append(work, pending{ident: ident, sp: sp})
-				} else {
-					// An upsert mark without live state cannot happen (a
-					// consume always leaves a newer tombstone mark); keep
-					// the snapshot sound anyway.
-					work = append(work, pending{ident: ident, tomb: true})
-				}
+		captured = s.marks.Cut(func(ident id, tomb bool) {
+			p := pending{ident: ident}
+			if v, ok := s.buf[ident]; ok && !tomb {
+				p.v = v
+			} else if sp, ok := s.index[ident]; ok && !tomb {
+				p.sp = sp
+			} else {
+				// An upsert mark without live state cannot happen (a
+				// consume leaves a tombstone mark or none); keep the
+				// snapshot sound anyway.
+				p.tomb = true
 			}
-		}
+			work = append(work, p)
+		})
 	} else {
+		captured = s.marks.Cut(nil)
 		for ident, v := range s.buf {
 			work = append(work, pending{ident: ident, v: v})
 		}
@@ -118,9 +114,9 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 				payload = append(payload[:0], deltaKindUpsert)
 				payload = encodeEntry(payload, p.ident, p.v)
 			default:
-				// Spans stay readable under ioMu: compaction, which would
+				// Spans stay readable under ioMu: cleaning, which would
 				// move them, also needs ioMu.
-				entry, err := s.log.ReadRecordAt(p.sp.off, p.sp.n)
+				entry, err := s.segs[p.sp.seg].log.ReadRecordAt(p.sp.off, int(p.sp.n))
 				if err != nil {
 					return fmt.Errorf("rmw: checkpoint %q: %w", p.ident.key, err)
 				}
@@ -143,23 +139,21 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	cutID := cut.ID()
 	res.Commit = func() {
 		s.mu.Lock()
-		for ident, seq := range cutSeqs {
-			if cur, ok := s.deltas[ident]; ok && cur.seq == seq {
-				delete(s.deltas, ident)
-			}
-		}
-		s.lastCutID = cutID
+		s.marks.Commit(captured, cutID)
 		s.mu.Unlock()
 	}
 	return res, nil
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory by replaying its delta stream: upserts append to a fresh
-// live log in arrival order (a later upsert of the same identity
-// supersedes, leaving dead bytes) and tombstones drop the identity,
-// re-deriving the hash index along the way. The cut id carries over so
-// the delta chain continues across the restart.
+// directory by replaying its delta stream: upserts append to fresh log
+// segments in arrival order, rolling to the next segment as each fills (a
+// later upsert of the same identity supersedes, leaving dead bytes) and
+// tombstones drop the identity, re-deriving the hash index and the
+// segments' live counts along the way. Segments the replay leaves with
+// nothing live are dropped; the last one stays open as the flush head.
+// The cut id carries over so the delta chain continues across the
+// restart.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -168,12 +162,9 @@ func (s *Store) Restore(dir string) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if len(s.buf) != 0 || len(s.index) != 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("rmw: restore into a non-empty store")
-	}
+	dirty := len(s.buf) != 0 || len(s.index) != 0 || len(s.segs) != 0
 	s.mu.Unlock()
-	if s.log.Size() != 0 {
+	if dirty {
 		return fmt.Errorf("rmw: restore into a non-empty store")
 	}
 	fsys := s.dir.FS()
@@ -185,13 +176,14 @@ func (s *Store) Restore(dir string) error {
 	if fstate == nil {
 		return fmt.Errorf("rmw: restore: SEGMENTS lacks %s", deltaLogical)
 	}
-	oldLog := s.log
-	if err := s.openGen(s.gen + 1); err != nil {
-		return err
-	}
-	oldLog.Remove()
 	newIndex := make(map[id]span)
-	var dead int64
+	live := make(map[uint32]int64) // per segment, installed under mu at the end
+	retire := func(ident id) {
+		if sp, ok := newIndex[ident]; ok {
+			live[sp.seg] -= int64(sp.n)
+			delete(newIndex, ident)
+		}
+	}
 	for _, seg := range fstate.Segments {
 		f, err := fsys.Open(filepath.Join(dir, seg.Name))
 		if err != nil {
@@ -213,20 +205,23 @@ func (s *Store) Restore(dir string) error {
 			ident := id{key: string(key), w: w}
 			switch kind {
 			case deltaKindTombstone:
-				if sp, ok := newIndex[ident]; ok {
-					dead += int64(sp.n)
-					delete(newIndex, ident)
-				}
+				retire(ident)
 			case deltaKindUpsert:
-				off, n, err := s.log.Append(entry)
+				if s.head == nil {
+					if s.head, err = s.openSegLocked(); err != nil {
+						f.Close()
+						return err
+					}
+				}
+				off, n, err := s.head.log.Append(entry)
 				if err != nil {
 					f.Close()
 					return err
 				}
-				if sp, ok := newIndex[ident]; ok {
-					dead += int64(sp.n)
-				}
-				newIndex[ident] = span{off: off, n: n}
+				retire(ident)
+				newIndex[ident] = span{off: off, seg: s.head.id, n: uint32(n)}
+				live[s.head.id] += int64(n)
+				s.sealLocked(s.head, false)
 			default:
 				f.Close()
 				return fmt.Errorf("rmw: restore: unknown delta record kind %d in %s", kind, seg.Name)
@@ -240,13 +235,17 @@ func (s *Store) Restore(dir string) error {
 			return fmt.Errorf("rmw: restore %s: %w", seg.Name, err)
 		}
 	}
-	if err := s.log.Flush(); err != nil {
-		return err
+	for _, l := range s.logsLocked() {
+		if err := l.Flush(); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	s.index = newIndex
-	s.dead = dead
-	s.lastCutID = meta.CutID
+	for sid, n := range live {
+		s.segs[sid].live = n
+	}
+	s.marks.Restored(meta.CutID)
 	s.mu.Unlock()
-	return nil
+	return s.reapLocked()
 }

@@ -4,29 +4,51 @@
 // instead of a tuple list.
 //
 // Because the aggregate is read back on every tuple arrival, read-time
-// prediction is useless; the store is a plain unsorted hash store — an
+// prediction is useless; the store is an unsorted hash store — an
 // in-memory hash write buffer, an in-memory hash index mapping
-// (key, window) to on-disk locations, and a single append-only log file.
-// Compaction rewrites live entries into a fresh log when space
-// amplification exceeds the MSA threshold.
+// (key, window) to on-disk locations, and an append-only log.
+//
+// # The segmented log
+//
+// Get is a fetch-&-remove, so a flushed aggregate is read back at most
+// once and is then dead: window semantics tell the store when its bytes
+// die. The log is therefore a set of segment files (rmw-NNNNNN.log), one
+// per full-buffer flush, each with a count of the bytes the index still
+// points at. A sealed segment whose count reaches zero is unlinked
+// without copying a byte — state that dies in age order, as session and
+// window aggregates do, empties whole segments by itself. Only when
+// space amplification still exceeds the MSA threshold after a flush does
+// a cleaning pass run: it takes the sealed segments with the lowest live
+// ratio, reads each once, sequentially, and re-appends the records the
+// index still points at into a survivor segment — never into the flush
+// head, so long-lived state collects in segments of its own instead of
+// pinning the ones short-lived state would have emptied.
+//
+// Both open segments (the flush head and the survivor) are sealed once
+// they hold WriteBufferBytes, and the head additionally after every
+// full-buffer flush, so a sealed segment is never smaller than one flush
+// and the instance holds at most about MSA·live/flush + 2 files.
 //
 // # Concurrency
 //
 // A Store instance is safe for concurrent use. Two locks split the state:
 //
-//   - mu guards the in-memory maps (buf, index, dead-byte accounting and
-//     the in-flight flush marker). Every fast-path operation — Put, and
-//     Get served from the buffer — takes only mu, so ingestion never
-//     waits for disk.
-//   - ioMu serializes everything that touches the log file: flushes,
-//     compaction, indexed reads, checkpoints. mu is never held across
-//     I/O; a flush detaches the buffer under mu, writes the batch with
-//     only ioMu held, then installs the index entries under mu again.
+//   - mu guards the in-memory maps (buf, index, the segments' live-byte
+//     counts and the in-flight flush marker). Every fast-path operation —
+//     Put, and Get served from the buffer — takes only mu, so ingestion
+//     never waits for disk.
+//   - ioMu serializes everything that touches the segment files: flushes,
+//     cleaning, segment drops, indexed reads, checkpoints. mu is never
+//     held across I/O; a flush detaches the buffer under mu, writes the
+//     batch with only ioMu held, then installs the index entries under mu
+//     again.
 //
 // The lock order is ioMu before mu; mu is never held while acquiring
-// ioMu. Operations on an identity that is part of an in-flight flush
-// batch divert to the slow path (which waits on ioMu) so a fetch-&-remove
-// can never miss values that are mid-flight between buffer and log.
+// ioMu. The segment table is changed only with both held, so either lock
+// suffices to read it. Operations on an identity that is part of an
+// in-flight flush batch divert to the slow path (which waits on ioMu) so
+// a fetch-&-remove can never miss values that are mid-flight between
+// buffer and log.
 package rmw
 
 import (
@@ -36,6 +58,7 @@ import (
 	"sync"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
@@ -53,12 +76,13 @@ var DisableFlushReattach bool
 
 // Options configures an RMW store instance.
 type Options struct {
-	// Dir is the directory holding the instance's log files.
+	// Dir is the directory holding the instance's log segments.
 	Dir string
 	// WriteBufferBytes caps the in-memory write buffer; exceeding it
-	// flushes every buffered aggregate to the log. Default 32 MiB.
+	// flushes every buffered aggregate into a log segment of its own. It
+	// is also the size at which an open segment is sealed. Default 32 MiB.
 	WriteBufferBytes int64
-	// MaxSpaceAmplification (MSA) triggers compaction when
+	// MaxSpaceAmplification (MSA) triggers segment cleaning when
 	// total/(total-dead) log bytes exceed it. Default 1.5.
 	MaxSpaceAmplification float64
 	// FS is the filesystem seam; nil means the real OS filesystem.
@@ -89,17 +113,27 @@ type id struct {
 	w   window.Window
 }
 
+// span locates one flushed aggregate: the segment holding it, the
+// record's offset there and its framed length.
 type span struct {
 	off int64
-	n   int
+	seg uint32
+	n   uint32
 }
 
-// deltaMark records one identity's latest mutation since the last
-// committed delta checkpoint.
-type deltaMark struct {
-	seq  uint64
-	tomb bool
+// segment is one file of the log. Its log is owned by ioMu like any
+// logfile.Log; live and sealed are guarded by mu.
+type segment struct {
+	id  uint32
+	log *logfile.Log
+	// live is the framed bytes of the records the index points at.
+	live int64
+	// sealed marks a segment that takes no more appends: it is dropped
+	// once live reaches zero.
+	sealed bool
 }
+
+func segmentName(id uint32) string { return fmt.Sprintf("rmw-%06d.log", id) }
 
 // Store is a single RMW store instance, safe for concurrent use.
 type Store struct {
@@ -113,35 +147,39 @@ type Store struct {
 	bufBytes int64
 	index    map[id]span   // on-disk location of each flushed aggregate
 	flushing map[id][]byte // batch detached by an in-flight flush, nil otherwise
-	dead     int64
 	closed   bool
-	// deltas tracks every identity mutated since the last committed
-	// delta checkpoint: an upsert (Put) or a tombstone (fetch-&-remove).
-	// CheckpointDelta persists exactly these marks on top of the parent
-	// checkpoint; the seq lets its post-commit hook retire only marks
-	// that were not re-dirtied while the checkpoint was being written.
-	// lastCutID names the last committed delta cut — a delta extends its
-	// parent only when the parent's recorded cut matches.
-	deltas    map[id]deltaMark
-	deltaSeq  uint64
-	lastCutID uint64
+	// marks tracks every identity mutated since the last committed delta
+	// checkpoint — an upsert (Put) or a tombstone (fetch-&-remove) — and
+	// the id of that cut; CheckpointDelta persists exactly these marks on
+	// top of the parent checkpoint.
+	marks *ckpt.Marks[id]
+	// segs is every segment file of the log, by id. Entries are added
+	// and removed with ioMu and mu both held.
+	segs map[uint32]*segment
 
-	// ioMu serializes log I/O: flush, compaction, indexed reads,
+	// ioMu serializes segment I/O: flush, cleaning, drops, indexed reads,
 	// checkpoint/restore. Never acquired while holding mu.
 	ioMu sync.Mutex
-	log  *logfile.Log
-	gen  int
+	// head is the open segment flushes append to and surv the open
+	// segment cleaning re-appends survivors to; nil until first needed
+	// and again after sealing.
+	head, surv *segment
+	nextSeg    uint32
 
-	// syncMu admits one split sync at a time; held around (not under)
-	// ioMu, so the fsync runs with ioMu released.
+	// syncMu admits one Sync at a time; held around (not under) ioMu,
+	// so the fsyncs run with ioMu released.
 	syncMu sync.Mutex
 
-	compactions metrics.Counter
-	puts        metrics.Counter
-	gets        metrics.Counter
+	passes       metrics.Counter // cleaning passes
+	compactions  metrics.Counter // passes that re-appended at least one record
+	cleanedBytes metrics.Counter // bytes cleaning re-appended
+	dropped      metrics.Counter // segments unlinked, emptied or cleaned
+	puts         metrics.Counter
+	gets         metrics.Counter
 }
 
-// Open creates an RMW store instance rooted at opts.Dir.
+// Open creates an RMW store instance rooted at opts.Dir. Segment files
+// are created as flushes need them; a store that never spills owns none.
 func Open(opts Options) (*Store, error) {
 	opts.fill()
 	dir, err := logfile.OpenDirFS(opts.FS, opts.Dir, opts.Breakdown)
@@ -149,35 +187,103 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	dir.SetPolicy(opts.Policy)
-	s := &Store{
-		opts:   opts,
-		dir:    dir,
-		bd:     opts.Breakdown,
-		buf:    make(map[id][]byte),
-		index:  make(map[id]span),
-		deltas: make(map[id]deltaMark),
-	}
-	if err := s.openGen(0); err != nil {
+	return &Store{
+		opts:  opts,
+		dir:   dir,
+		bd:    opts.Breakdown,
+		buf:   make(map[id][]byte),
+		index: make(map[id]span),
+		marks: ckpt.NewMarks[id](),
+		segs:  make(map[uint32]*segment),
+	}, nil
+}
+
+// openSegLocked creates the next segment file and registers it; caller
+// holds ioMu.
+func (s *Store) openSegLocked() (*segment, error) {
+	l, err := s.dir.Create(segmentName(s.nextSeg))
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	sg := &segment{id: s.nextSeg, log: l}
+	s.nextSeg++
+	s.mu.Lock()
+	s.segs[sg.id] = sg
+	s.mu.Unlock()
+	return sg, nil
 }
 
-// markDeltaLocked records a mutation of ident for the next delta
-// checkpoint; the caller holds mu.
-func (s *Store) markDeltaLocked(ident id, tomb bool) {
-	s.deltaSeq++
-	s.deltas[ident] = deltaMark{seq: s.deltaSeq, tomb: tomb}
+// sealLocked closes sg to appends once it holds WriteBufferBytes, or
+// whatever it holds with force; caller holds ioMu. A sealed segment stays
+// readable until its last live record is consumed or cleaned away.
+func (s *Store) sealLocked(sg *segment, force bool) {
+	if !force && sg.log.Size() < s.opts.WriteBufferBytes {
+		return
+	}
+	s.mu.Lock()
+	sg.sealed = true
+	s.mu.Unlock()
+	s.forgetOpenLocked(sg)
 }
 
-// openGen swaps in a fresh log generation; caller holds ioMu (or is Open).
-func (s *Store) openGen(gen int) error {
-	l, err := s.dir.Create(fmt.Sprintf("rmw-%06d.log", gen))
-	if err != nil {
+// forgetOpenLocked stops appending to sg if it is the flush head or the
+// survivor segment; caller holds ioMu.
+func (s *Store) forgetOpenLocked(sg *segment) {
+	if s.head == sg {
+		s.head = nil
+	}
+	if s.surv == sg {
+		s.surv = nil
+	}
+}
+
+// dropLocked unlinks a segment no index entry points at and forgets it;
+// caller holds ioMu. The unlink goes first: if it fails the segment stays
+// tracked and open, and the next reap retries. A reader that fetched a
+// span into sg before its records were consumed or moved may still be
+// preading it without the lock; the close fails that read and the reader
+// retries under ioMu (see getFlushed).
+func (s *Store) dropLocked(sg *segment) error {
+	if err := s.dir.Remove(segmentName(sg.id)); err != nil {
 		return err
 	}
-	s.log, s.gen = l, gen
+	s.mu.Lock()
+	delete(s.segs, sg.id)
+	s.mu.Unlock()
+	s.forgetOpenLocked(sg)
+	_ = sg.log.Close() // the file is gone; nothing it buffered is referenced
+	s.dropped.Inc()
 	return nil
+}
+
+// reapLocked drops every sealed segment whose live count reached zero;
+// caller holds ioMu. Every such segment is attempted; the first failure
+// is returned.
+func (s *Store) reapLocked() error {
+	var empty []*segment
+	s.mu.Lock()
+	for _, sg := range s.segs {
+		if sg.sealed && sg.live == 0 {
+			empty = append(empty, sg)
+		}
+	}
+	s.mu.Unlock()
+	var first error
+	for _, sg := range empty {
+		if err := s.dropLocked(sg); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// retireLocked accounts the record at sp dead and reports whether that
+// emptied a sealed segment, which is then due a reap; caller holds mu
+// and has removed the index entry.
+func (s *Store) retireLocked(sp span) (emptied bool) {
+	sg := s.segs[sp.seg]
+	sg.live -= int64(sp.n)
+	return sg.sealed && sg.live == 0
 }
 
 // Put stores the updated aggregate for (key, window) (paper API:
@@ -201,21 +307,27 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if old, ok := s.buf[ident]; ok {
+	old, wasLive := s.buf[ident]
+	if wasLive {
 		s.bufBytes -= int64(len(old))
 	}
 	// A newer aggregate makes any flushed copy dead; the index entry is
-	// retired immediately, the bytes at compaction.
+	// retired immediately, the bytes with their segment (one this
+	// empties waits for the next flush's reap: Put never waits for disk).
 	if sp, ok := s.index[ident]; ok {
-		s.dead += int64(sp.n)
 		delete(s.index, ident)
+		s.retireLocked(sp)
+		wasLive = true
+	}
+	if !wasLive {
+		_, wasLive = s.flushing[ident]
 	}
 	ac := make([]byte, len(agg))
 	copy(ac, agg)
 	s.buf[ident] = ac
 	s.bufBytes += int64(len(ac))
-	s.markDeltaLocked(ident, false)
-	need := s.bufBytes+int64(len(s.buf))*48 > s.opts.WriteBufferBytes
+	s.marks.Upsert(ident, wasLive)
+	need := s.bufferFullLocked()
 	s.mu.Unlock()
 	s.puts.Inc()
 	if !need {
@@ -226,7 +338,13 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
-	return s.maybeCompactLocked()
+	return s.maybeCleanLocked()
+}
+
+// bufferFullLocked reports whether the write buffer has outgrown
+// WriteBufferBytes; caller holds mu.
+func (s *Store) bufferFullLocked() bool {
+	return s.bufBytes+int64(len(s.buf))*48 > s.opts.WriteBufferBytes
 }
 
 // Get fetches and removes the aggregate of (key, window) (paper API:
@@ -243,6 +361,20 @@ func (s *Store) Get(key []byte, w window.Window) (agg []byte, ok bool, err error
 	return agg, ok, err
 }
 
+// takeBufferedLocked consumes ident's buffered aggregate, if any; caller
+// holds mu.
+func (s *Store) takeBufferedLocked(ident id) ([]byte, bool) {
+	v, ok := s.buf[ident]
+	if !ok {
+		return nil, false
+	}
+	s.bufBytes -= int64(len(v))
+	delete(s.buf, ident)
+	s.marks.Remove(ident)
+	s.gets.Inc()
+	return v, true
+}
+
 func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 	ident := id{key: string(key), w: w}
 
@@ -255,12 +387,8 @@ func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 		return nil, false, ErrClosed
 	}
 	if _, inflight := s.flushing[ident]; !inflight {
-		if v, ok := s.buf[ident]; ok {
-			s.bufBytes -= int64(len(v))
-			delete(s.buf, ident)
-			s.markDeltaLocked(ident, true)
+		if v, ok := s.takeBufferedLocked(ident); ok {
 			s.mu.Unlock()
-			s.gets.Inc()
 			return v, true, nil
 		}
 		if _, ok := s.index[ident]; !ok {
@@ -271,6 +399,15 @@ func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 	s.mu.Unlock()
 
 	// Slow path: wait for any in-flight flush, then read from the log.
+	return s.getFlushed(ident, true)
+}
+
+// getFlushed is Get's slow path: under ioMu, with any in-flight flush
+// complete, the buffer and the index are authoritative. With unlocked it
+// drops ioMu before the pread, so point reads overlap fsyncs and flushes
+// from other workers, and comes back without that licence if the read
+// raced a segment drop, a cleaning move or another writer.
+func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 	s.ioMu.Lock()
 	s.mu.Lock()
 	if s.closed {
@@ -278,110 +415,94 @@ func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 		s.ioMu.Unlock()
 		return nil, false, ErrClosed
 	}
-	if v, ok := s.buf[ident]; ok {
-		s.bufBytes -= int64(len(v))
-		delete(s.buf, ident)
-		s.markDeltaLocked(ident, true)
+	if v, ok := s.takeBufferedLocked(ident); ok {
 		s.mu.Unlock()
 		s.ioMu.Unlock()
-		s.gets.Inc()
 		return v, true, nil
 	}
 	sp, ok := s.index[ident]
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		s.ioMu.Unlock()
 		return nil, false, nil
 	}
-	lg := s.log
-	var payload []byte
-	var err error
-	healthy := lg.Poisoned() == nil
-	if healthy {
-		healthy = lg.Flush() == nil
+	lg := s.segs[sp.seg].log
+	s.mu.Unlock()
+	if !unlocked || lg.Poisoned() != nil || lg.Flush() != nil {
+		// Also the degraded case: the stitched durable-prefix+tail read
+		// walks the log's mutable state, so it stays under ioMu.
+		v, err := s.readLocked(ident, sp)
+		s.ioMu.Unlock()
+		return v, err == nil, err
 	}
-	if healthy {
-		// The span's bytes are on the fd now; drop ioMu before the pread
-		// so point reads overlap fsyncs and flushes from other workers.
-		s.ioMu.Unlock()
-		payload, err = lg.ReadRecordAtRaw(sp.off, sp.n)
-		if err != nil {
-			// A compaction (or recovery reopen) may have swapped the
-			// generation and closed lg's fd while we read without the
-			// lock; retry against current state under ioMu.
-			return s.reread(ident)
-		}
-	} else {
-		// Degraded: the stitched durable-prefix+tail read walks the
-		// log's mutable state, so it stays under ioMu.
-		payload, err = lg.ReadRecordAt(sp.off, sp.n)
-		s.ioMu.Unlock()
-		if err != nil {
-			return nil, false, err
-		}
+	// The span's bytes are on the fd now.
+	s.ioMu.Unlock()
+	payload, err := lg.ReadRecordAtRaw(sp.off, int(sp.n))
+	if err != nil {
+		// The segment may have been dropped (or reopened by recovery) and
+		// its fd closed while we read without the lock.
+		return s.getFlushed(ident, false)
 	}
 	_, _, v, err := decodeEntry(payload)
 	if err != nil {
 		return nil, false, err
 	}
-	s.finishGet(ident, sp)
+	consumed, emptied := s.consume(ident, sp)
+	if !consumed {
+		// The entry changed under the unlocked read — cleaning moved it,
+		// a Put superseded it, or another Get won — so what was read may
+		// not be what is live now.
+		return s.getFlushed(ident, false)
+	}
+	if emptied {
+		s.ioMu.Lock()
+		// A failed unlink leaves the segment tracked; the next flush's
+		// reap retries it and reports.
+		_ = s.reapLocked()
+		s.ioMu.Unlock()
+	}
 	return v, true, nil
 }
 
-// reread retries a point read that raced with a generation swap: under
-// ioMu the index span is authoritative for the current log.
-func (s *Store) reread(ident id) ([]byte, bool, error) {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, false, ErrClosed
-	}
-	if v, ok := s.buf[ident]; ok {
-		s.bufBytes -= int64(len(v))
-		delete(s.buf, ident)
-		s.markDeltaLocked(ident, true)
-		s.mu.Unlock()
-		s.gets.Inc()
-		return v, true, nil
-	}
-	sp, ok := s.index[ident]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	payload, err := s.log.ReadRecordAt(sp.off, sp.n)
+// readLocked reads and consumes the flushed aggregate at sp, which the
+// caller found in the index while holding ioMu (still held): no cleaning
+// pass or drop can have moved it since. A concurrent Put may have
+// superseded it, and then the value read is the one this Get linearizes
+// before.
+func (s *Store) readLocked(ident id, sp span) ([]byte, error) {
+	payload, err := s.segs[sp.seg].log.ReadRecordAt(sp.off, int(sp.n))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	_, _, v, err := decodeEntry(payload)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	s.finishGet(ident, sp)
-	return v, true, nil
+	if _, emptied := s.consume(ident, sp); emptied {
+		_ = s.reapLocked() // still tracked on failure; the next reap retries
+	}
+	return v, nil
 }
 
-// finishGet retires a consumed index entry, tolerating a concurrent Put
-// that already retired it (and accounted its dead bytes) while the
-// record was being read.
-func (s *Store) finishGet(ident id, sp span) {
+// consume retires ident's index entry if it is still sp, reporting
+// whether it was and whether retiring it emptied a sealed segment.
+func (s *Store) consume(ident id, sp span) (consumed, emptied bool) {
 	s.mu.Lock()
-	if cur, still := s.index[ident]; still && cur == sp {
-		delete(s.index, ident)
-		s.dead += int64(sp.n)
-		s.markDeltaLocked(ident, true)
+	defer s.mu.Unlock()
+	if cur, still := s.index[ident]; !still || cur != sp {
+		return false, false
 	}
-	s.mu.Unlock()
+	delete(s.index, ident)
+	s.marks.Remove(ident)
 	s.gets.Inc()
+	return true, s.retireLocked(sp)
 }
 
 // ForEachLive invokes fn for every live aggregate with its key and
 // window, in (key, window) order, without consuming anything: buffered
 // aggregates are served from memory and flushed ones are point-read from
-// the log in place. Used by job rescaling to re-route committed state
-// into a new worker set.
+// their segments in place. Used by job rescaling to re-route committed
+// state into a new worker set.
 func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) error) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -416,7 +537,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 	for _, la := range live {
 		agg := la.agg
 		if !la.buffered {
-			payload, err := s.log.ReadRecordAt(la.sp.off, la.sp.n)
+			payload, err := s.segs[la.sp.seg].log.ReadRecordAt(la.sp.off, int(la.sp.n))
 			if err != nil {
 				return err
 			}
@@ -454,22 +575,40 @@ func decodeEntry(b []byte) (key []byte, w window.Window, agg []byte, err error) 
 	return key, w, agg, err
 }
 
-// flushLocked spills every buffered aggregate to the log and indexes it.
-// Caller holds ioMu. The buffer is detached under mu, written with only
-// ioMu held (so ingestion proceeds), and installed under mu again; an id
-// re-put while its batch was in flight keeps the newer buffered value and
-// the flushed copy is born dead.
+// flushLocked spills every buffered aggregate into the head segment and
+// indexes it. Caller holds ioMu. The buffer is detached under mu, written
+// with only ioMu held (so ingestion proceeds), and installed under mu
+// again; an id re-put while its batch was in flight keeps the newer
+// buffered value and the flushed copy is born dead.
+//
+// A full buffer's flush seals the segment it wrote, so in steady state
+// every segment holds one flush and the aggregates in it share an age. A
+// partial flush (an explicit Flush or Sync) leaves the head open for the
+// next one rather than sealing a tiny file.
 func (s *Store) flushLocked() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	batch := s.buf
-	if len(batch) == 0 {
-		s.mu.Unlock()
+	empty := len(s.buf) == 0
+	s.mu.Unlock()
+	if empty {
 		return nil
 	}
+	if s.head == nil {
+		// Before the buffer is detached: a failed create loses nothing.
+		sg, err := s.openSegLocked()
+		if err != nil {
+			return err
+		}
+		s.head = sg
+	}
+	head := s.head
+
+	s.mu.Lock()
+	full := s.bufferFullLocked()
+	batch := s.buf
 	s.buf = make(map[id][]byte)
 	s.bufBytes = 0
 	s.flushing = batch
@@ -484,12 +623,12 @@ func (s *Store) flushLocked() error {
 	var werr error
 	for ident, v := range batch {
 		payload = encodeEntry(payload[:0], ident, v)
-		off, n, err := s.log.Append(payload)
+		off, n, err := head.log.Append(payload)
 		if err != nil {
 			werr = err
 			break
 		}
-		written = append(written, wrec{ident, span{off: off, n: n}})
+		written = append(written, wrec{ident, span{off: off, seg: head.id, n: uint32(n)}})
 	}
 
 	s.mu.Lock()
@@ -497,10 +636,10 @@ func (s *Store) flushLocked() error {
 	for _, wr := range written {
 		delete(batch, wr.ident)
 		if _, newer := s.buf[wr.ident]; newer {
-			s.dead += int64(wr.sp.n)
-			continue
+			continue // born dead: in the segment's size, not in its live count
 		}
 		s.index[wr.ident] = wr.sp
+		head.live += int64(wr.sp.n)
 	}
 	if werr != nil && !DisableFlushReattach {
 		// Flush failure is atomic: aggregates the log did not accept go
@@ -515,24 +654,42 @@ func (s *Store) flushLocked() error {
 		}
 	}
 	s.mu.Unlock()
-	return werr
+	if werr != nil {
+		return werr
+	}
+	s.sealLocked(head, full)
+	return nil
 }
 
-// spaceAmpLocked reports the log's space amplification; caller holds ioMu.
-func (s *Store) spaceAmpLocked() float64 {
-	total := s.log.Size()
+// logBytesLocked returns the log's total and live bytes; caller holds
+// ioMu.
+func (s *Store) logBytesLocked() (total, live int64) {
 	s.mu.Lock()
-	dead := s.dead
-	s.mu.Unlock()
-	if total == 0 || total == dead {
+	defer s.mu.Unlock()
+	for _, sg := range s.segs {
+		total += sg.log.Size()
+		live += sg.live
+	}
+	return total, live
+}
+
+// spaceAmpLocked reports the log's space amplification — total bytes
+// over live bytes, i.e. total/(total-dead); caller holds ioMu.
+func (s *Store) spaceAmpLocked() float64 {
+	total, live := s.logBytesLocked()
+	if total == 0 || live == 0 {
 		return 1.0
 	}
-	return float64(total) / float64(total-dead)
+	return float64(total) / float64(live)
 }
 
-// maybeCompactLocked compacts when amplification exceeds MSA; caller
+// maybeCleanLocked reaps the segments that emptied by themselves and,
+// when amplification still exceeds MSA, runs one cleaning pass; caller
 // holds ioMu.
-func (s *Store) maybeCompactLocked() error {
+func (s *Store) maybeCleanLocked() error {
+	if err := s.reapLocked(); err != nil {
+		return err
+	}
 	if s.spaceAmpLocked() <= s.opts.MaxSpaceAmplification {
 		return nil
 	}
@@ -540,73 +697,193 @@ func (s *Store) maybeCompactLocked() error {
 	if s.bd != nil {
 		stop = s.bd.Start(metrics.OpCompact)
 	}
-	err := s.compactLocked()
+	err := s.cleanLocked()
 	if stop != nil {
 		stop()
-	}
-	if err == nil {
-		s.compactions.Inc()
 	}
 	return err
 }
 
-// compactLocked rewrites all live (indexed) aggregates into a fresh log,
-// as hash KV stores do (§4.3), and removes the old generation. Caller
-// holds ioMu. The index is snapshotted under mu; entries retired by
-// concurrent Puts or Gets while the rewrite ran are not re-installed, and
-// their rewritten bytes are accounted dead in the new log.
-func (s *Store) compactLocked() error {
+// move is one record a cleaning pass re-appended.
+type move struct {
+	ident    id
+	from, to span
+}
+
+// cleanLocked is one cleaning pass; caller holds ioMu. It re-appends the
+// victims' live records into the survivor segment, repoints the index,
+// and drops the victims.
+//
+// Nothing is installed until every victim has been copied: a pass that
+// fails leaves the index pointing at the intact victims, removes the
+// survivor segment if the pass opened it, and otherwise leaves what it
+// appended there unreferenced, as dead bytes. Index entries retired by
+// concurrent Puts or Gets while the pass ran are not repointed; their
+// copies are born dead in the survivor.
+func (s *Store) cleanLocked() error {
+	victims := s.pickVictimsLocked()
+	if len(victims) == 0 {
+		return nil
+	}
+	for _, v := range victims {
+		s.sealLocked(v, true) // news only to an open survivor segment
+	}
+	opens := s.surv == nil
+	var moved []move
+	for _, v := range victims {
+		if err := s.copyLiveLocked(v, &moved); err != nil {
+			if sg := s.surv; opens && sg != nil {
+				s.mu.Lock()
+				delete(s.segs, sg.id)
+				s.mu.Unlock()
+				s.surv = nil
+				sg.log.Remove() // best effort; the fault may also block the unlink
+			}
+			return err
+		}
+	}
+
+	var appended int64
 	s.mu.Lock()
-	snap := make(map[id]span, len(s.index))
-	for ident, sp := range s.index {
-		snap[ident] = sp
+	for _, m := range moved {
+		appended += int64(m.to.n)
+		if cur, ok := s.index[m.ident]; ok && cur == m.from {
+			s.index[m.ident] = m.to
+			s.segs[m.from.seg].live -= int64(m.from.n)
+			s.surv.live += int64(m.to.n)
+		}
 	}
 	s.mu.Unlock()
+	s.passes.Inc()
+	if len(moved) > 0 {
+		s.compactions.Inc()
+		s.cleanedBytes.Add(appended)
+	}
+	if s.surv != nil {
+		s.sealLocked(s.surv, false)
+	}
+	// Every record of a victim the index pointed at has moved (entries
+	// only ever point at newly appended records, never back into a sealed
+	// segment), so the victims are empty now.
+	return s.reapLocked()
+}
 
-	oldLog := s.log
-	oldGen := s.gen
-	if err := s.openGen(s.gen + 1); err != nil {
-		s.log = oldLog
-		s.gen = oldGen
+// pickVictimsLocked chooses what a cleaning pass cleans: segments in
+// order of live ratio, emptiest first, until dropping them brings
+// amplification back under MSA. Caller holds ioMu.
+func (s *Store) pickVictimsLocked() []*segment {
+	type cand struct {
+		sg         *segment
+		size, live int64
+	}
+	var cands []cand
+	var total, live int64
+	s.mu.Lock()
+	for _, sg := range s.segs {
+		c := cand{sg: sg, size: sg.log.Size(), live: sg.live}
+		total += c.size
+		live += c.live
+		// Everything with dead bytes but the flush head can be cleaned.
+		// The open survivor segment too — it is sealed early if picked,
+		// so a mostly dead one cannot sit on its bytes for want of new
+		// survivors to fill it.
+		if sg != s.head && c.live < c.size {
+			cands = append(cands, c)
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(cands, func(i, j int) bool {
+		// live/size ascending, cross-multiplied; ties oldest first.
+		l, r := cands[i].live*cands[j].size, cands[j].live*cands[i].size
+		if l != r {
+			return l < r
+		}
+		return cands[i].sg.id < cands[j].sg.id
+	})
+	var victims []*segment
+	for _, c := range cands {
+		if float64(total) <= s.opts.MaxSpaceAmplification*float64(live) {
+			break
+		}
+		victims = append(victims, c.sg)
+		total -= c.size - c.live
+	}
+	return victims
+}
+
+// copyLiveLocked reads victim v once, sequentially, and re-appends every
+// record the index still points at into the survivor segment (opened on
+// first need), recording the moves; caller holds ioMu. The scan stops
+// early once it has seen all of v's live bytes.
+func (s *Store) copyLiveLocked(v *segment, moved *[]move) error {
+	s.mu.Lock()
+	want := v.live
+	s.mu.Unlock()
+	if want == 0 {
+		return nil
+	}
+	if s.surv == nil {
+		sg, err := s.openSegLocked()
+		if err != nil {
+			return err
+		}
+		s.surv = sg
+	}
+	sc, err := v.log.Scanner(0)
+	if err != nil {
 		return err
 	}
-	abort := func() {
-		// Revert to the old generation: the index still points into it,
-		// so serving reads from the half-built new log would be wrong.
-		bad := s.log
-		s.log = oldLog
-		s.gen = oldGen
-		bad.Remove() // best effort; the fault may also block the unlink
-	}
-	newIndex := make(map[id]span, len(snap))
-	for ident, sp := range snap {
-		payload, err := oldLog.ReadRecordAt(sp.off, sp.n)
+	defer sc.Close()
+	var off, found int64
+	for found < want && sc.Scan() {
+		at := span{off: off, seg: v.id, n: uint32(sc.Offset() - off)}
+		off = sc.Offset()
+		rec := sc.Record()
+		key, w, _, err := decodeEntry(rec)
 		if err != nil {
-			abort()
+			return fmt.Errorf("rmw: clean %s: %w", v.log.Path(), err)
+		}
+		s.mu.Lock()
+		cur, ok := s.index[id{key: string(key), w: w}]
+		s.mu.Unlock()
+		if !ok || cur != at {
+			continue
+		}
+		found += int64(at.n)
+		noff, n, err := s.surv.log.Append(rec)
+		if err != nil {
 			return err
 		}
-		off, n, err := s.log.Append(payload)
-		if err != nil {
-			abort()
-			return err
-		}
-		newIndex[ident] = span{off: off, n: n}
+		*moved = append(*moved, move{
+			ident: id{key: string(key), w: w},
+			from:  at,
+			to:    span{off: noff, seg: s.surv.id, n: uint32(n)},
+		})
 	}
+	return sc.Err()
+}
 
+// segmentsLocked returns the log's segments in id (age) order; caller
+// holds ioMu.
+func (s *Store) segmentsLocked() []*segment {
 	s.mu.Lock()
-	var newDead int64
-	for ident, nsp := range newIndex {
-		if cur, ok := s.index[ident]; ok && cur == snap[ident] {
-			s.index[ident] = nsp
-		} else {
-			// Consumed or superseded mid-compaction: the copy just
-			// written to the new log is already dead.
-			newDead += int64(nsp.n)
-		}
+	segs := make([]*segment, 0, len(s.segs))
+	for _, sg := range s.segs {
+		segs = append(segs, sg)
 	}
-	s.dead = newDead
 	s.mu.Unlock()
-	return oldLog.Remove()
+	sort.Slice(segs, func(i, j int) bool { return segs[i].id < segs[j].id })
+	return segs
+}
+
+// logsLocked returns the segments' logs in id order; caller holds ioMu.
+func (s *Store) logsLocked() []*logfile.Log {
+	segs := s.segmentsLocked()
+	logs := make([]*logfile.Log, len(segs))
+	for i, sg := range segs {
+		logs[i] = sg.log
+	}
+	return logs
 }
 
 // Flush spills all buffered data to disk (checkpoint support).
@@ -616,44 +893,78 @@ func (s *Store) Flush() error {
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
-	return s.log.Flush()
+	for _, l := range s.logsLocked() {
+		if err := l.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Sync flushes all buffered data and fsyncs the log, making every
-// acknowledged Put durable. The fsync itself runs outside ioMu
-// (logfile.SplitSync), so concurrent point reads and later flushes
-// overlap it instead of queueing for its whole duration; syncMu keeps
-// at most one fsync in flight, as the split protocol requires.
+// Sync flushes all buffered data and fsyncs every segment holding bytes
+// not yet durable, making every acknowledged Put durable. A sealed
+// segment never grows, so it is fsynced at most once in its life. Each
+// fsync runs outside ioMu (logfile.SplitSync), so concurrent point reads
+// and later flushes overlap it instead of queueing for its whole
+// duration; a segment dropped while its fsync is in flight has nothing
+// left to make durable. A cleaning pass that ran meanwhile may have moved
+// records out of a segment already synced into a survivor that is not,
+// and then the sweep is repeated.
 func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.ioMu.Lock()
-	if err := s.flushLocked(); err != nil {
-		s.ioMu.Unlock()
+	err := s.flushLocked()
+	s.ioMu.Unlock()
+	if err != nil {
 		return err
 	}
-	s.ioMu.Unlock()
-	return logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.log })
+	for {
+		s.ioMu.Lock()
+		pass := s.passes.Load()
+		var dirty []*segment
+		for _, sg := range s.segmentsLocked() {
+			if sg.log.DurableOffset() < sg.log.Size() {
+				dirty = append(dirty, sg)
+			}
+		}
+		s.ioMu.Unlock()
+		for _, sg := range dirty {
+			err := logfile.SplitSync(&s.ioMu, func() *logfile.Log {
+				if s.segs[sg.id] != sg {
+					return nil
+				}
+				return sg.log
+			})
+			if err != nil {
+				return err
+			}
+		}
+		if s.passes.Load() == pass {
+			return nil
+		}
+	}
 }
 
-// Poisoned returns the log's poisoning error, or nil when it is healthy.
+// Poisoned returns the first poisoning error among the log's segments,
+// or nil when all are healthy.
 func (s *Store) Poisoned() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return s.log.Poisoned()
+	return logfile.FirstPoisoned(s.logsLocked())
 }
 
-// Recover reopens a poisoned log from its durable offset, rewriting the
-// retained unsynced tail, so the write path works again after the
-// underlying fault has cleared.
+// Recover reopens every poisoned segment from its durable offset,
+// rewriting the retained unsynced tail, so the write path works again
+// after the underlying fault has cleared.
 func (s *Store) Recover() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return logfile.RecoverAll([]*logfile.Log{s.log})
+	return logfile.RecoverAll(s.logsLocked())
 }
 
-// Scrub verifies the live log's record frames against their checksums
-// under the instance I/O lock, healing rot confined to the unsynced tail
+// Scrub verifies every segment's record frames against their checksums
+// under the instance I/O lock, healing rot confined to an unsynced tail
 // where the retained in-memory copy allows (see logfile.Log.Scrub). It
 // returns the per-instance summary and the first unrepairable corruption.
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
@@ -665,11 +976,30 @@ func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	if closed {
 		return logfile.ScrubSummary{}, ErrClosed
 	}
-	return logfile.ScrubAll([]*logfile.Log{s.log})
+	return logfile.ScrubAll(s.logsLocked())
 }
 
-// Compactions returns the number of compactions performed.
+// Compactions returns the number of cleaning passes that had to re-append
+// at least one record.
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
+
+// CleaningPasses returns the number of cleaning passes run, including
+// those whose victims turned out to hold nothing live.
+func (s *Store) CleaningPasses() int64 { return s.passes.Load() }
+
+// CompactionBytes returns the bytes cleaning has re-appended.
+func (s *Store) CompactionBytes() int64 { return s.cleanedBytes.Load() }
+
+// SegmentsDropped returns the number of segments unlinked, whether they
+// emptied by themselves or were cleaned.
+func (s *Store) SegmentsDropped() int64 { return s.dropped.Load() }
+
+// LiveSegments returns the number of segment files the log holds.
+func (s *Store) LiveSegments() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.segs)
+}
 
 // SpaceAmplification returns the log's current space amplification.
 func (s *Store) SpaceAmplification() float64 {
@@ -703,14 +1033,15 @@ func (s *Store) LiveStates() int {
 }
 
 // DiskUsage returns the logical bytes of the instance's log, including
-// appends still in its write-through buffer.
+// appends still in a segment's write-through buffer.
 func (s *Store) DiskUsage() int64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return s.log.Size()
+	total, _ := s.logBytesLocked()
+	return total
 }
 
-// Close closes the store's log file, leaving state on disk.
+// Close closes the store's segment files, leaving state on disk.
 func (s *Store) Close() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -721,7 +1052,13 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	return s.log.Close()
+	var first error
+	for _, l := range s.logsLocked() {
+		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Destroy closes the store and deletes its directory.

@@ -124,10 +124,11 @@ func TestFlushedStateReadableFromDisk(t *testing.T) {
 	}
 }
 
-func TestCompactionReclaimsSpace(t *testing.T) {
+func TestOverwriteChurnReclaimsSpace(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1, MaxSpaceAmplification: 1.3})
 	w := window.Window{Start: 0, End: 100}
-	// Repeated overwrites of the same keys create dead log entries.
+	// Repeated overwrites of the same keys kill every flushed copy; with
+	// one record per segment the dead ones are unlinked, never copied.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
 			k := []byte(fmt.Sprintf("k%d", i))
@@ -136,16 +137,53 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 			}
 		}
 	}
-	if s.Compactions() == 0 {
-		t.Fatal("no compactions despite heavy overwrite churn")
+	if s.SegmentsDropped() == 0 {
+		t.Fatal("no segments dropped despite heavy overwrite churn")
+	}
+	if n := s.CompactionBytes(); n != 0 {
+		t.Errorf("cleaning re-appended %d bytes; wholly dead segments need no copying", n)
 	}
 	if amp := s.SpaceAmplification(); amp > 2.0 {
-		t.Errorf("space amplification %f after compaction", amp)
+		t.Errorf("space amplification %f after reclaim", amp)
 	}
 	// Everything still readable.
 	for i := 0; i < 10; i++ {
 		if _, ok, err := s.Get([]byte(fmt.Sprintf("k%d", i)), w); !ok || err != nil {
-			t.Fatalf("k%d lost after compaction: %v", i, err)
+			t.Fatalf("k%d lost after reclaim: %v", i, err)
+		}
+	}
+}
+
+func TestCleaningReclaimsSpace(t *testing.T) {
+	// Every segment holds 16 aggregates of which 12 are overwritten a
+	// round later: no segment empties by itself, so the space can only
+	// come back through cleaning passes that copy the 4 survivors.
+	s := openTest(t, Options{WriteBufferBytes: 16 * (200 + 48), MaxSpaceAmplification: 1.3})
+	w := window.Window{Start: 0, End: 100}
+	want := make(map[string]string)
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 16; i++ {
+			k := fmt.Sprintf("hot%02d", i)
+			if i >= 12 {
+				k = fmt.Sprintf("cold%02d-%03d", i, round)
+			}
+			v := fmt.Sprintf("%s@%d%s", k, round, make([]byte, 180))
+			if err := s.Put([]byte(k), w, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+	}
+	if s.Compactions() == 0 || s.CompactionBytes() == 0 {
+		t.Fatalf("no cleaning despite churn: %d passes, %d bytes", s.Compactions(), s.CompactionBytes())
+	}
+	if amp := s.SpaceAmplification(); amp > 2.0 {
+		t.Errorf("space amplification %f after cleaning", amp)
+	}
+	for k, v := range want {
+		got, ok, err := s.Get([]byte(k), w)
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("%s after cleaning: ok=%v err=%v", k, ok, err)
 		}
 	}
 }

@@ -1,0 +1,418 @@
+package rmw
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
+	"flowkv/internal/logfile"
+	"flowkv/internal/window"
+)
+
+// checkSegmentFiles asserts that the instance directory holds exactly the
+// segment files the store tracks: none leaked, none missing.
+func checkSegmentFiles(t *testing.T, s *Store) {
+	t.Helper()
+	ents, err := os.ReadDir(s.dir.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk []string
+	for _, e := range ents {
+		onDisk = append(onDisk, e.Name())
+	}
+	var tracked []string
+	s.mu.Lock()
+	for sid := range s.segs {
+		tracked = append(tracked, segmentName(sid))
+	}
+	s.mu.Unlock()
+	sort.Strings(onDisk)
+	sort.Strings(tracked)
+	if !slices.Equal(onDisk, tracked) {
+		t.Fatalf("directory holds %v, store tracks %v", onDisk, tracked)
+	}
+}
+
+func dumpLive(t *testing.T, s *Store) map[id]string {
+	t.Helper()
+	out := make(map[id]string)
+	err := s.ForEachLive(func(key []byte, w window.Window, agg []byte) error {
+		out[id{key: string(key), w: w}] = string(agg)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// diffRun is one differential run: a store with a 4 KiB buffer driven by
+// random operations next to a map oracle.
+type diffRun struct {
+	t      *testing.T
+	rng    *rand.Rand
+	zipf   *rand.Zipf // nil for uniform key draws
+	base   string
+	s      *Store
+	oracle map[id]string
+	step   int
+
+	// The committed checkpoint chain's tip and the oracle at its cut.
+	ckptDir    string
+	ckptMeta   *ckpt.Meta
+	ckptOracle map[id]string
+	nDirs      int
+
+	flushMin int64 // on-disk bytes of the smallest full flush
+	// Churn summed over the stores the run went through.
+	dropped, cleaned int64
+}
+
+const (
+	diffBuffer = 4 << 10
+	diffKeys   = 400
+	diffMSA    = 1.5
+	diffValLen = 16
+)
+
+func (d *diffRun) open() *Store {
+	d.nDirs++
+	s, err := Open(Options{
+		Dir:                   filepath.Join(d.base, fmt.Sprintf("store-%d", d.nDirs)),
+		WriteBufferBytes:      diffBuffer,
+		MaxSpaceAmplification: diffMSA,
+	})
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return s
+}
+
+func (d *diffRun) draw() id {
+	n := d.rng.Intn(diffKeys)
+	if d.zipf != nil {
+		n = int(d.zipf.Uint64())
+	}
+	wi := int64(n % 3)
+	return id{key: fmt.Sprintf("key-%04d", n), w: window.Window{Start: wi * 100, End: wi*100 + 100}}
+}
+
+func (d *diffRun) put() {
+	ident := d.draw()
+	v := fmt.Sprintf("v%0*d", diffValLen-1, d.step)
+	if err := d.s.Put([]byte(ident.key), ident.w, []byte(v)); err != nil {
+		d.t.Fatalf("step %d put: %v", d.step, err)
+	}
+	d.oracle[ident] = v
+	if d.s.BufferedBytes() != 0 {
+		return
+	}
+	// The Put flushed, so it also reaped and, if needed, cleaned: the
+	// space and file-count bounds hold now.
+	d.s.ioMu.Lock()
+	total, live := d.s.logBytesLocked()
+	d.s.ioMu.Unlock()
+	if float64(total) > diffMSA*float64(live)+diffBuffer {
+		d.t.Fatalf("step %d: log holds %d bytes for %d live — over MSA %.1f by more than one segment",
+			d.step, total, live, diffMSA)
+	}
+	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.flushMin))) + 2
+	if n := d.s.LiveSegments(); n > maxSegs {
+		d.t.Fatalf("step %d: %d segments for %d live bytes (flush %d), want <= %d",
+			d.step, n, live, d.flushMin, maxSegs)
+	}
+}
+
+func (d *diffRun) get() {
+	ident := d.draw()
+	got, ok, err := d.s.Get([]byte(ident.key), ident.w)
+	if err != nil {
+		d.t.Fatalf("step %d get: %v", d.step, err)
+	}
+	want, exists := d.oracle[ident]
+	if ok != exists || (ok && string(got) != want) {
+		d.t.Fatalf("step %d get %v: %q,%v want %q,%v", d.step, ident, got, ok, want, exists)
+	}
+	delete(d.oracle, ident)
+}
+
+// checkpoint cuts a delta on top of the chain's tip, runs a few more
+// operations while the cut is "being written", and then either commits it
+// (and proves the chain restores to the oracle at the cut) or abandons it
+// as a failed commit would.
+func (d *diffRun) checkpoint() {
+	d.nDirs++
+	dir := filepath.Join(d.base, fmt.Sprintf("ckpt-%d", d.nDirs))
+	res, err := d.s.CheckpointDelta(dir, d.ckptMeta, d.ckptDir)
+	if err != nil {
+		d.t.Fatalf("step %d checkpoint: %v", d.step, err)
+	}
+	atCut := maps.Clone(d.oracle)
+	for n := d.rng.Intn(6); n > 0; n-- {
+		if d.rng.Intn(2) == 0 {
+			d.put()
+		} else {
+			d.get()
+		}
+	}
+	if d.rng.Intn(5) == 0 {
+		os.RemoveAll(dir) // the commit failed: the hook never runs
+		return
+	}
+	res.Commit()
+	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.ckptDir, d.ckptMeta, d.ckptOracle = dir, meta, atCut
+
+	scratch := d.open()
+	defer scratch.Destroy()
+	if err := scratch.Restore(dir); err != nil {
+		d.t.Fatalf("step %d: chain does not restore: %v", d.step, err)
+	}
+	checkSegmentFiles(d.t, scratch)
+	if got := dumpLive(d.t, scratch); !reflect.DeepEqual(got, atCut) {
+		d.t.Fatalf("step %d: chain restores %d aggregates, oracle at the cut has %d", d.step, len(got), len(atCut))
+	}
+}
+
+// restore replaces the store with one restored from the chain's tip, as a
+// restart would, rolling the oracle back to that cut.
+func (d *diffRun) restore() {
+	if d.ckptMeta == nil {
+		return
+	}
+	fresh := d.open()
+	if err := fresh.Restore(d.ckptDir); err != nil {
+		d.t.Fatalf("step %d restore: %v", d.step, err)
+	}
+	d.retire()
+	d.s, d.oracle = fresh, maps.Clone(d.ckptOracle)
+}
+
+// retire destroys the current store, keeping its churn counts.
+func (d *diffRun) retire() {
+	d.dropped += d.s.SegmentsDropped()
+	d.cleaned += d.s.CompactionBytes()
+	d.s.Destroy()
+}
+
+func (d *diffRun) run(steps int) {
+	for d.step = 0; d.step < steps; d.step++ {
+		switch r := d.rng.Intn(100); {
+		case r < 52:
+			d.put()
+		case r < 90:
+			d.get()
+		case r < 94:
+			d.checkpoint()
+		case r < 96:
+			d.restore()
+		default:
+			if got := dumpLive(d.t, d.s); !reflect.DeepEqual(got, d.oracle) {
+				d.t.Fatalf("step %d: live dump has %d aggregates, oracle %d", d.step, len(got), len(d.oracle))
+			}
+		}
+		checkSegmentFiles(d.t, d.s)
+	}
+	if got := dumpLive(d.t, d.s); !reflect.DeepEqual(got, d.oracle) {
+		d.t.Fatalf("final live dump has %d aggregates, oracle %d", len(got), len(d.oracle))
+	}
+}
+
+// TestSegmentedLogDifferential drives one store against a map oracle
+// through puts, fetch-&-removes, delta checkpoint chains (committed and
+// abandoned, with operations in flight), restarts and live dumps, under
+// uniform and skewed key draws, asserting the segmented log's invariants
+// along the way: the directory holds exactly the tracked segments, space
+// amplification and the file count stay bounded after every flush, and a
+// restored chain, the live dump and the oracle agree.
+func TestSegmentedLogDifferential(t *testing.T) {
+	// Every key, value and window encodes to the same length but for the
+	// window's varints; the smallest record times the entries of a full
+	// buffer is the smallest flush.
+	val := make([]byte, diffValLen)
+	rec := encodeEntry(nil, id{key: "key-0000", w: window.Window{Start: 0, End: 100}}, val)
+	recBytes := int64(len(binio.AppendRecordV(nil, rec, binio.FrameV1)))
+	flushMin := (diffBuffer/(diffValLen+48) + 1) * recBytes
+
+	const steps = 2500
+	for _, seed := range []int64{1, 7, time.Now().UnixNano()} {
+		for _, skewed := range []bool{false, true} {
+			seed, skewed := seed, skewed
+			t.Run(fmt.Sprintf("seed=%d/skewed=%v", seed, skewed), func(t *testing.T) {
+				t.Parallel()
+				d := &diffRun{
+					t:        t,
+					rng:      rand.New(rand.NewSource(seed)),
+					base:     t.TempDir(),
+					oracle:   make(map[id]string),
+					flushMin: flushMin,
+				}
+				if skewed {
+					d.zipf = rand.NewZipf(d.rng, 1.1, 30, diffKeys-1)
+				}
+				d.s = d.open()
+				d.run(steps)
+				d.retire()
+				t.Logf("seed %d: %d segments dropped, %d bytes cleaned", seed, d.dropped, d.cleaned)
+				if (d.dropped == 0 || d.cleaned == 0) && seed < 100 { // the fixed seeds are known to churn
+					t.Errorf("the run never exercised drops (%d) or cleaning (%d bytes)", d.dropped, d.cleaned)
+				}
+			})
+		}
+	}
+}
+
+// fifoRun puts ids in order and consumes each one lag puts later; it
+// returns the store for inspection.
+func fifoRun(t *testing.T, n, lag int) *Store {
+	t.Helper()
+	s := openTest(t, Options{WriteBufferBytes: diffBuffer, MaxSpaceAmplification: diffMSA})
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < n; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("id-%06d", i)), w, []byte(fmt.Sprintf("v%015d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i < lag {
+			continue
+		}
+		got, ok, err := s.Get([]byte(fmt.Sprintf("id-%06d", i-lag)), w)
+		if err != nil || !ok || string(got) != fmt.Sprintf("v%015d", i-lag) {
+			t.Fatalf("id %d: %q,%v,%v", i-lag, got, ok, err)
+		}
+	}
+	return s
+}
+
+// TestFIFOLifetimeNeedsNoCleaning is the unit-level guard for the claim
+// the segmented log rests on: when flushed state dies in age order —
+// here every id is consumed within three flushes of being written —
+// segments empty by themselves and are unlinked, and cleaning never
+// copies a byte.
+func TestFIFOLifetimeNeedsNoCleaning(t *testing.T) {
+	const (
+		n       = 10_000
+		perFlow = diffBuffer/(16+48) + 1 // aggregates in one flush
+		lag     = 2*perFlow + perFlow/2
+	)
+	s := fifoRun(t, n, lag)
+	if b, p := s.CompactionBytes(), s.CleaningPasses(); b != 0 || p != 0 {
+		t.Fatalf("cleaning re-appended %d bytes in %d passes; FIFO lifetimes need none", b, p)
+	}
+	s.ioMu.Lock()
+	created := int64(s.nextSeg)
+	s.ioMu.Unlock()
+	live, dropped := int64(s.LiveSegments()), s.SegmentsDropped()
+	if created < n/perFlow-1 {
+		t.Fatalf("%d segments created for %d flushes", created, n/perFlow)
+	}
+	if dropped != created-live {
+		t.Fatalf("%d segments created, %d live, but %d dropped", created, live, dropped)
+	}
+	// What is left is what still holds live ids: the lag, rounded up to
+	// whole flushes.
+	if live > 3 {
+		t.Fatalf("%d segments live at the end, want at most 3", live)
+	}
+	checkSegmentFiles(t, s)
+
+	// The counts are a property of the workload, not of map order or
+	// timing: a second run repeats them exactly.
+	s2 := fifoRun(t, n, lag)
+	if d2, b2 := s2.SegmentsDropped(), s2.CompactionBytes(); d2 != dropped || b2 != 0 {
+		t.Fatalf("second run dropped %d segments and cleaned %d bytes, first %d and 0", d2, b2, dropped)
+	}
+}
+
+// TestScrubNamesCorruptSealedSegment flips a bit in a sealed, synced
+// segment: the scrub must fail with a typed CorruptError naming that
+// segment's file, not the head's.
+func TestScrubNamesCorruptSealedSegment(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: diffBuffer})
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 300; i++ { // four full flushes and a partial buffer
+		if err := s.Put([]byte(fmt.Sprintf("id-%06d", i)), w, []byte(fmt.Sprintf("v%015d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := s.Scrub(); err != nil || sum.Files != s.LiveSegments() || sum.Files < 4 {
+		t.Fatalf("clean scrub: %+v, %v over %d segments", sum, err, s.LiveSegments())
+	}
+	s.mu.Lock()
+	sealed := s.segs[1]
+	s.mu.Unlock()
+	if sealed == nil || !sealed.sealed {
+		t.Fatalf("segment 1 is not a sealed segment: %+v", sealed)
+	}
+	path := filepath.Join(s.dir.Root(), segmentName(1))
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], 100); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b[:], 100); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, err = s.Scrub()
+	var ce *logfile.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("scrub over a flipped bit: %v, want a CorruptError", err)
+	}
+	if ce.Path != path {
+		t.Fatalf("CorruptError names %s, want the sealed segment %s", ce.Path, path)
+	}
+}
+
+// TestSyncMakesEverySegmentDurable checks the multi-segment sync: after
+// Sync no segment holds bytes past its durable offset, and a second Sync
+// with nothing new fsyncs nothing.
+func TestSyncMakesEverySegmentDurable(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS)
+	s := openTest(t, Options{WriteBufferBytes: diffBuffer, FS: inj})
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 300; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("id-%06d", i)), w, []byte(fmt.Sprintf("v%015d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.ioMu.Lock()
+	for _, sg := range s.segmentsLocked() {
+		if sg.log.DurableOffset() != sg.log.Size() {
+			t.Errorf("segment %d: durable %d of %d bytes after Sync", sg.id, sg.log.DurableOffset(), sg.log.Size())
+		}
+	}
+	s.ioMu.Unlock()
+	// Any further fsync would now fail loudly.
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpSync, Class: faultfs.ClassPersistent})
+	if err := s.Sync(); err != nil {
+		t.Fatalf("second Sync fsynced a segment that was already durable: %v", err)
+	}
+	inj.Reset()
+}

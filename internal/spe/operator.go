@@ -190,6 +190,10 @@ func (o *WindowOperator) onSessionTuple(t Tuple) error {
 		for _, s := range absorbed {
 			cur.initials = append(cur.initials, s.initials...)
 		}
+	case len(absorbed) == 1:
+		// The tuple extends one session: its accumulator already sits
+		// under the session's initial window, where addState updates it.
+		cur = &session{cur: merged, initials: absorbed[0].initials[:1]}
 	default:
 		// Migrate accumulators into the earliest constituent's initial.
 		sort.Slice(absorbed, func(i, j int) bool { return absorbed[i].cur.Before(absorbed[j].cur) })

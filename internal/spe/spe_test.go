@@ -168,6 +168,71 @@ func TestSessionWindowBridgeMergesState(t *testing.T) {
 	}
 }
 
+// aggCountingBackend counts the aggregate round trips an operator makes.
+type aggCountingBackend struct {
+	statebackend.Backend
+	gets, puts, takes int
+}
+
+func (c *aggCountingBackend) GetAgg(key []byte, w window.Window) ([]byte, bool, error) {
+	c.gets++
+	return c.Backend.GetAgg(key, w)
+}
+
+func (c *aggCountingBackend) PutAgg(key []byte, w window.Window, agg []byte) error {
+	c.puts++
+	return c.Backend.PutAgg(key, w, agg)
+}
+
+func (c *aggCountingBackend) TakeAgg(key []byte, w window.Window) ([]byte, bool, error) {
+	c.takes++
+	return c.Backend.TakeAgg(key, w)
+}
+
+// TestSessionExtensionCostsOneRoundTrip pins the backend traffic of an
+// incremental session: a tuple that opens or extends a session reads and
+// writes its accumulator once; only a tuple bridging two sessions takes
+// and re-puts accumulators to migrate them.
+func TestSessionExtensionCostsOneRoundTrip(t *testing.T) {
+	spec := OperatorSpec{
+		Assigner: window.SessionAssigner{Gap: 20},
+		Incremental: IncrementalFunc{AddFunc: countAgg.AddFunc, MergeFunc: countAgg.MergeFunc,
+			ResultFunc: func(acc []byte) []byte {
+				return []byte(strconv.FormatUint(binary.LittleEndian.Uint64(acc), 10))
+			}},
+	}
+	backend := &aggCountingBackend{Backend: memBackend(t)}
+	var got []string
+	op, err := NewWindowOperator(spec, backend, func(out Tuple) { got = append(got, string(out.Value)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(ts int64, gets, puts, takes int) {
+		t.Helper()
+		before := *backend
+		if err := op.OnTuple(Tuple{Key: []byte("k"), TS: ts}); err != nil {
+			t.Fatal(err)
+		}
+		if g, p, k := backend.gets-before.gets, backend.puts-before.puts, backend.takes-before.takes; g != gets || p != puts || k != takes {
+			t.Fatalf("tuple at %d: %d gets, %d puts, %d takes; want %d, %d, %d", ts, g, p, k, gets, puts, takes)
+		}
+	}
+	step(0, 1, 1, 0) // opens [0,20)
+	for ts := int64(5); ts <= 15; ts += 5 {
+		step(ts, 1, 1, 0) // extends it
+	}
+	step(45, 1, 1, 0) // [0,35) is over: opens [45,65)
+	step(50, 1, 1, 0)
+	step(30, 1, 2, 2) // [30,50) bridges both: two takes, one merged put, then the add
+	if err := op.Finish(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "7" {
+		t.Fatalf("results = %v, want one session of 7 tuples", got)
+	}
+	backend.Destroy()
+}
+
 func TestSessionFiresOnWatermark(t *testing.T) {
 	spec := OperatorSpec{Assigner: window.SessionAssigner{Gap: 10}, Holistic: listLenAgg}
 	backend := memBackend(t)
