@@ -71,9 +71,11 @@ bench-delta:
 # median and quartiles, the change's wins/ties/losses and the parent's
 # IQR — what a performance claim is judged on.
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=rmw_session_job PAIRS=10
+# JSON=<file> also writes the table as a BENCH_flowkvbench.json row.
 PARENT ?= HEAD~1
 WORKLOAD ?= rmw_session_job
 PAIRS ?= 10
 BENCHARGS ?=
+JSON ?=
 bench-pair:
-	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(BENCHARGS)
+	bash scripts/benchpair.sh $(if $(JSON),-json $(JSON)) $(PARENT) $(WORKLOAD) $(PAIRS) $(BENCHARGS)

@@ -239,8 +239,13 @@ func cmdHealth(dir string) error {
 	var files, torn, corrupt int
 	// An RMW instance's log is a set of segments numbered from 0 in
 	// creation order: per directory, how many are left and the highest
-	// number seen say how many have been dropped.
-	type rmwLog struct{ live, created int }
+	// number seen say how many have been dropped, and what the ones left
+	// hold says how large an eviction — a quarter of the write buffer —
+	// came out.
+	type rmwLog struct {
+		live, created  int
+		records, bytes int64
+	}
 	rmwLogs := make(map[string]*rmwLog)
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -254,14 +259,16 @@ func cmdHealth(dir string) error {
 		}
 		files++
 		rel, _ := filepath.Rel(dir, path)
+		var rl *rmwLog // set for a segment of an RMW instance's log
 		if strings.HasPrefix(name, "rmw-") {
 			inst := filepath.Dir(rel)
 			if rmwLogs[inst] == nil {
 				rmwLogs[inst] = &rmwLog{}
 			}
-			rmwLogs[inst].live++
-			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "rmw-"), ".log")); err == nil && n >= rmwLogs[inst].created {
-				rmwLogs[inst].created = n + 1
+			rl = rmwLogs[inst]
+			rl.live++
+			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "rmw-"), ".log")); err == nil && n >= rl.created {
+				rl.created = n + 1
 			}
 		}
 		f, err := os.Open(path)
@@ -284,6 +291,10 @@ func cmdHealth(dir string) error {
 			status = fmt.Sprintf("torn@%d", sc.Offset())
 		}
 		fmt.Printf("%-8s %7d %10d  %s\n", status, records, sc.Offset(), rel)
+		if rl != nil {
+			rl.records += int64(records)
+			rl.bytes += sc.Offset()
+		}
 		return nil
 	})
 	if err != nil {
@@ -296,10 +307,12 @@ func cmdHealth(dir string) error {
 	sort.Strings(insts)
 	for _, inst := range insts {
 		l := rmwLogs[inst]
-		// Bytes re-appended by cleaning are a counter of the running
-		// store (core.Stats.CompactionBytes); the files do not record them.
-		fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned)\n",
-			inst, l.live, l.created-l.live)
+		fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned); %d records in %d bytes on disk, %d bytes a segment\n",
+			inst, l.live, l.created-l.live, l.records, l.bytes, l.bytes/int64(l.live))
+	}
+	if len(insts) > 0 {
+		// The files record what is on disk now, not how it got there.
+		fmt.Println("rmw logs: bytes flushed and cleaned, aggregates consumed from the buffer vs from disk, and checkpoint rebases are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits, CheckpointRebases)")
 	}
 	fmt.Printf("%d log files: %d clean, %d torn tails (recoverable), %d corrupt\n",
 		files, files-torn-corrupt, torn, corrupt)

@@ -153,6 +153,18 @@ func TestMultiSegmentRMWLog(t *testing.T) {
 	if !strings.Contains(printed, want) {
 		t.Errorf("health does not report %q:\n%s", want, printed)
 	}
+	// After the Flush everything live is in the segments, and what the
+	// files hold is what the running store counts as its disk footprint.
+	if want := fmt.Sprintf("in %d bytes on disk, %d bytes a segment", stats.DiskBytes, stats.DiskBytes/int64(len(segs))); !strings.Contains(printed, want) {
+		t.Errorf("health does not report %q:\n%s", want, printed)
+	}
+	// The running store's counters say how the bytes got there: every Get
+	// above hit, in the buffer or on disk, and nothing is on disk that was
+	// not flushed or cleaned there.
+	if stats.BufferHits+stats.DiskHits != 40 || stats.DiskHits == 0 || stats.FlushBytes+stats.CompactionBytes < stats.DiskBytes {
+		t.Errorf("stats: %d buffer hits, %d disk hits, %d bytes flushed, %d cleaned, %d on disk",
+			stats.BufferHits, stats.DiskHits, stats.FlushBytes, stats.CompactionBytes, stats.DiskBytes)
+	}
 }
 
 // TestIndexDecodesBlockIndexLog runs `flowkvctl index` over the index

@@ -19,10 +19,15 @@ package ckpt
 // towards a tombstone for state its parent never held, which replays as a
 // no-op.
 //
+// Marks also knows when extending the parent is not worth it: it counts
+// its marks and its tombstones as they change, and BaseIsCheaper compares
+// the records a delta would ship against the records of a fresh base.
+//
 // Marks does no locking; the owning store calls it under the mutex that
 // guards the state the marks describe.
 type Marks[K comparable] struct {
 	m       map[K]mark
+	tombs   int // marks in m that are tombstones
 	seq     uint64
 	lastCut uint64
 }
@@ -44,24 +49,63 @@ func NewMarks[K comparable]() *Marks[K] {
 	return &Marks[K]{m: make(map[K]mark)}
 }
 
+// set stores k's mark and drop deletes it; every change to m goes through
+// one of them, which is what keeps the tombstone count exact.
+func (t *Marks[K]) set(k K, m mark) {
+	if t.m[k].tomb {
+		t.tombs--
+	}
+	if m.tomb {
+		t.tombs++
+	}
+	t.m[k] = m
+}
+
+func (t *Marks[K]) drop(k K) {
+	if t.m[k].tomb {
+		t.tombs--
+	}
+	delete(t.m, k)
+}
+
 // Upsert records that k was written. wasLive says whether k had live
 // state just before the write; it decides freshness only when k carries
 // no mark yet (an existing mark already knows).
 func (t *Marks[K]) Upsert(k K, wasLive bool) {
 	old, marked := t.m[k]
 	t.seq++
-	t.m[k] = mark{seq: t.seq, fresh: (marked && old.fresh) || (!marked && !wasLive)}
+	t.set(k, mark{seq: t.seq, fresh: (marked && old.fresh) || (!marked && !wasLive)})
 }
 
 // Remove records that k's live state was consumed: a fresh mark is
 // deleted, anything else becomes (or stays) a tombstone.
 func (t *Marks[K]) Remove(k K) {
 	if old, marked := t.m[k]; marked && old.fresh {
-		delete(t.m, k)
+		t.drop(k)
 		return
 	}
 	t.seq++
-	t.m[k] = mark{seq: t.seq, tomb: true}
+	t.set(k, mark{seq: t.seq, tomb: true})
+}
+
+// Len returns the number of marked identities: the records an incremental
+// cut taken now would ship.
+func (t *Marks[K]) Len() int { return len(t.m) }
+
+// Tombstones returns how many of the marks are tombstones.
+func (t *Marks[K]) Tombstones() int { return t.tombs }
+
+// BaseIsCheaper reports whether a cut taken now is better written as the
+// base of a new stream than as a delta on its parent, live being the
+// number of identities with live state. A delta ships one record per
+// mark; a base ships one per live identity — the upsert marks plus the
+// clean identities no mark names. The base is the smaller of the two
+// exactly when the tombstones outnumber the clean identities, and it has
+// two further advantages the count does not show: it links none of the
+// parent's dead records forward, and it restores from one segment.
+func (t *Marks[K]) BaseIsCheaper(live int) bool {
+	clean := live - (len(t.m) - t.tombs)
+	return t.tombs > clean
 }
 
 // Cut captures every mark for a checkpoint being written and clears its
@@ -74,7 +118,7 @@ func (t *Marks[K]) Cut(visit func(k K, tomb bool)) Captured[K] {
 		c[k] = m.seq
 		if m.fresh {
 			m.fresh = false
-			t.m[k] = m
+			t.m[k] = m // a fresh mark is never a tombstone: the count stands
 		}
 		if visit != nil {
 			visit(k, m.tomb)
@@ -88,7 +132,7 @@ func (t *Marks[K]) Cut(visit func(k K, tomb bool)) Captured[K] {
 func (t *Marks[K]) Commit(c Captured[K], cutID uint64) {
 	for k, seq := range c {
 		if cur, ok := t.m[k]; ok && cur.seq == seq {
-			delete(t.m, k)
+			t.drop(k)
 		}
 	}
 	t.lastCut = cutID

@@ -120,3 +120,92 @@ func TestMarksCommitKeepsRedirtied(t *testing.T) {
 		t.Fatalf("last cut %d after restore, want 11", m.LastCut())
 	}
 }
+
+// wantCounts checks Len and Tombstones against both the expected values
+// and a recount of the marks themselves.
+func wantCounts(t *testing.T, m *Marks[string], marks, tombs int) {
+	t.Helper()
+	recount := 0
+	for _, mk := range m.m {
+		if mk.tomb {
+			recount++
+		}
+	}
+	if m.Len() != marks || m.Tombstones() != tombs || recount != tombs || len(m.m) != marks {
+		t.Fatalf("Len %d Tombstones %d (recount %d of %d marks), want %d and %d",
+			m.Len(), m.Tombstones(), recount, len(m.m), marks, tombs)
+	}
+}
+
+func TestMarksCountsStayExact(t *testing.T) {
+	m := NewMarks[string]()
+	wantCounts(t, m, 0, 0)
+	m.Upsert("held", true) // the parent holds it
+	wantCounts(t, m, 1, 0)
+	m.Remove("held") // upsert -> tombstone
+	wantCounts(t, m, 1, 1)
+	m.Remove("held") // a tombstone stays one tombstone
+	wantCounts(t, m, 1, 1)
+	m.Upsert("born", false)
+	m.Remove("born") // fresh: the mark is deleted, not turned
+	wantCounts(t, m, 1, 1)
+	m.Upsert("held", false) // tombstone -> upsert
+	wantCounts(t, m, 1, 0)
+	m.Remove("clean") // unmarked, so the parent may hold it
+	wantCounts(t, m, 2, 1)
+
+	// A cut whose commit never runs changes no count, and clearing the
+	// fresh bits must not disturb them either.
+	m.Upsert("born", false)
+	_, recs := cutOf(m)
+	wantRecs(t, recs, "-clean", "born", "held")
+	wantCounts(t, m, 3, 1)
+	m.Remove("born") // no longer fresh: a tombstone now
+	wantCounts(t, m, 3, 2)
+
+	// Commit retires what the cut captured, but born was re-dirtied (its
+	// tombstone is newer than the captured upsert) and stays, counted.
+	c, _ := cutOf(m)
+	m.Remove("held")
+	m.Upsert("born", false)
+	m.Commit(c, 5)
+	wantCounts(t, m, 2, 1)
+	_, recs = cutOf(m)
+	wantRecs(t, recs, "-held", "born")
+}
+
+func TestMarksBaseIsCheaperFlipsAtTombsEqualClean(t *testing.T) {
+	m := NewMarks[string]()
+	// Four live identities: two clean ones the parent holds, two dirty.
+	m.Upsert("d1", true)
+	m.Upsert("d2", true)
+	const live = 4
+	if m.BaseIsCheaper(live) {
+		t.Fatal("no tombstones: a delta of 2 records beats a base of 4")
+	}
+	m.Remove("t1")
+	m.Remove("t2") // tombs == clean == 2: delta 4 records, base 4
+	if m.BaseIsCheaper(live) {
+		t.Fatal("tombstones equal the clean identities: the delta is no larger and must be kept")
+	}
+	m.Remove("t3") // tombs 3 > clean 2: delta 5 records, base 4
+	if !m.BaseIsCheaper(live) {
+		t.Fatal("tombstones outnumber the clean identities: the base is smaller")
+	}
+	// A clean identity more tips it back.
+	if m.BaseIsCheaper(live + 1) {
+		t.Fatal("three tombstones against three clean identities: keep the delta")
+	}
+	// Every live identity dirty and one tombstone: the delta is a full
+	// dump plus an obituary.
+	all := NewMarks[string]()
+	all.Upsert("a", true)
+	all.Remove("gone")
+	if !all.BaseIsCheaper(1) {
+		t.Fatal("a full dump plus a tombstone must rebase")
+	}
+	// Nothing marked, nothing live: nothing to rebase.
+	if NewMarks[string]().BaseIsCheaper(0) {
+		t.Fatal("an empty tracker prefers a base")
+	}
+}

@@ -98,15 +98,18 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		return nil, err
 	}
 	// The Stat cut: with a parent whose cut id matches the last committed
-	// cut, only identities marked dirty since then are shipped; otherwise
-	// the table is dumped whole as a new stream base.
+	// cut, only identities marked dirty since then are shipped; otherwise —
+	// or when those marks would outnumber the table's rows, tombstones of
+	// short-lived sessions included — the table is dumped whole as a new
+	// stream base.
 	type statRec struct {
 		ident id
 		maxTS int64
 		tomb  bool
 	}
 	s.mu.Lock()
-	statIncr := parent.Extends(statDeltaLogical, s.statMarks.LastCut())
+	statIncr := parent.Extends(statDeltaLogical, s.statMarks.LastCut()) &&
+		!s.statMarks.BaseIsCheaper(len(s.stat))
 	var statWork []statRec
 	var captured ckpt.Captured[id]
 	if statIncr {

@@ -222,3 +222,71 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 		t.Fatalf("restored Stat table has %d rows (kept present: %v), want only kept", rows, kept)
 	}
 }
+
+// TestStatStreamRebasesWhenTombstonesOutnumberCleanRows: the rule RMW's
+// rmw.dlt follows (ckpt.Marks.BaseIsCheaper) governs stat.dlt too. When
+// most of the sessions the parent holds have fired by the next cut, the
+// Stat table is dumped whole as a one-segment base with no tombstones
+// rather than shipped as a delta longer than itself; a cut that leaves
+// most rows clean extends the stream again.
+func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	w := window.Window{Start: 0, End: gap}
+	base := t.TempDir()
+	var parent *ckpt.Meta
+	var parentDir string
+	cut := func(name string) (segments int, linked int64) {
+		t.Helper()
+		dir := filepath.Join(base, name)
+		res, err := s.CheckpointDelta(dir, parent, parentDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Commit()
+		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, parentDir = meta, dir
+		fstate := meta.File(statDeltaLogical)
+		for _, seg := range fstate.Segments[:len(fstate.Segments)-1] {
+			linked += seg.Len
+		}
+		return len(fstate.Segments), linked
+	}
+	for i := 0; i < 10; i++ {
+		s.Append([]byte(fmt.Sprintf("s%02d", i)), []byte("v"), w, 1)
+	}
+	if n, _ := cut("c1"); n != 1 {
+		t.Fatalf("the first cut's stat.dlt has %d segments", n)
+	}
+	for i := 0; i < 8; i++ { // eight tombstones against two clean rows
+		mustGet(t, s, fmt.Sprintf("s%02d", i), w)
+	}
+	for i := 10; i < 13; i++ {
+		s.Append([]byte(fmt.Sprintf("s%02d", i)), []byte("v"), w, 2)
+	}
+	if n, linked := cut("c2"); n != 1 || linked != 0 {
+		t.Fatalf("c2's stat.dlt has %d segments, %d bytes of them the parent's; want a one-segment base", n, linked)
+	}
+	s.Append([]byte("s12"), []byte("v"), w, 3) // one dirty row, four clean
+	if n, linked := cut("c3"); n != 2 || linked == 0 {
+		t.Fatalf("c3's stat.dlt has %d segments, %d bytes of them the parent's; want a delta on c2", n, linked)
+	}
+
+	dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	if err := dst.Restore(parentDir); err != nil {
+		t.Fatal(err)
+	}
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	if len(dst.stat) != 5 {
+		t.Fatalf("restored Stat table has %d rows, want 5", len(dst.stat))
+	}
+	for _, k := range []string{"s08", "s09", "s10", "s11", "s12"} {
+		st := dst.stat[id{key: k, w: w}]
+		if want := int64(map[string]int{"s08": 1, "s09": 1, "s10": 2, "s11": 2, "s12": 3}[k]); st == nil || st.maxTS != want {
+			t.Fatalf("restored row %s = %+v, want maxTS %d", k, st, want)
+		}
+	}
+}

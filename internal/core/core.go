@@ -783,6 +783,18 @@ type Stats struct {
 	CompactionBytes int64
 	SegmentsDropped int64
 	LiveSegments    int
+	// FlushBytes is the bytes RMW write buffers spilled into their logs
+	// (evictions and drains; cleaning's re-appends are CompactionBytes).
+	// BufferHits and DiskHits count the RMW aggregates fetched-&-removed
+	// from a write buffer and read back from a log segment: eviction by
+	// window end exists to move hits from the second to the first.
+	// CheckpointRebases counts RMW instance cuts written as a fresh base
+	// although their parent could have been extended, because the delta
+	// would have held more records than the live state. Zero for the
+	// other patterns.
+	FlushBytes           int64
+	BufferHits, DiskHits int64
+	CheckpointRebases    int64
 	// BufferedBytes is the current total write-buffer occupancy.
 	BufferedBytes int64
 	// DiskBytes is the current total on-disk footprint.

@@ -193,6 +193,32 @@ func TestDeltaCrashRecoveryRandomized(t *testing.T) {
 	}
 }
 
+// writeAnchors gives a store long-lived state in a window far outside the
+// crash oracle's range, so that every delta commit of the oracle's
+// workload has a parent segment to hard-link: the AAR workload can churn
+// through every oracle window between two cuts, and the AUR and RMW
+// workloads consume state about as fast as they create it — without the
+// anchors the tombstones of a cut can outnumber the identities it leaves
+// clean, and the replay stream is then rebased instead of extended
+// (ckpt.Marks.BaseIsCheaper). More anchors than a phase has operations
+// keeps the clean identities in the majority.
+func writeAnchors(s *Store, p Pattern) error {
+	aw := window.Window{Start: 1 << 30, End: 1<<30 + 100}
+	for i := 0; i < 64; i++ {
+		key := []byte(fmt.Sprintf("anchor-%02d", i))
+		var err error
+		if p == PatternRMW {
+			err = s.PutAggregate(key, aw, []byte("a"))
+		} else {
+			err = s.Append(key, []byte("a"), aw, aw.Start)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func runDeltaCrashIteration(t *testing.T, pattern Pattern, seed int64, pin string) (fired bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed*4 + int64(len(pin))))
@@ -210,17 +236,8 @@ func runDeltaCrashIteration(t *testing.T, pattern Pattern, seed int64, pin strin
 
 	// Phase A: fault-free workload and a committed two-link chain, so the
 	// upcoming crash lands on a commit that actually links, group-syncs,
-	// and resolves a parent. One anchor state unit lives in a window far
-	// outside the oracle's range: the AAR workload can churn through every
-	// oracle window between two cuts, and the anchor guarantees each delta
-	// commit still has a sealed segment to hard-link.
-	aw := window.Window{Start: 1 << 30, End: 1<<30 + 100}
-	if pattern == PatternRMW {
-		err = st.PutAggregate([]byte("anchor"), aw, []byte("a"))
-	} else {
-		err = st.Append([]byte("anchor"), []byte("a"), aw, aw.Start)
-	}
-	if err != nil {
+	// and resolves a parent.
+	if err := writeAnchors(st, pattern); err != nil {
 		t.Fatalf("anchor write: %v", err)
 	}
 	for i := 0; i < 120; i++ {

@@ -297,13 +297,16 @@ func TestFaultInjectionBattery(t *testing.T) {
 // the segments the store still counts, and after Recover the store
 // cleans successfully.
 func TestFaultInjectionRMWCleaning(t *testing.T) {
-	// Each round writes 6 hot aggregates every later round overwrites and
-	// 10 cold ones nothing touches again, and is one full flush: no
-	// segment ever empties by itself, so only cleaning passes can bring
-	// the log back under MSA. One victim's survivors outgrow the logfile
-	// write buffer, so the survivor append reaches the file (and the
-	// injector) while the pass runs.
-	const perRound, hot = 16, 6
+	// Each round writes 36 hot aggregates every later round overwrites
+	// and 60 cold ones nothing touches again, and fills the buffer once.
+	// All share a window, so the eviction order falls to the keys, which
+	// interleave hot and cold: every eviction — a quarter of the buffer, two
+	// dozen aggregates — mixes the two, no segment ever empties by itself,
+	// and only cleaning passes can bring the log back under MSA. One
+	// victim's survivors outgrow the logfile write buffer, so the survivor
+	// append reaches the file (and the injector) while the pass runs.
+	const perRound = 96
+	isHot := func(i int) bool { return i%8 < 3 }
 	w := batteryWindow(0)
 	open := func(t *testing.T, fsys faultfs.FS) *Store {
 		s, err := OpenPattern(PatternRMW, window.Fixed, Options{
@@ -322,9 +325,9 @@ func TestFaultInjectionRMWCleaning(t *testing.T) {
 	acked := make(map[string]string)
 	put := func(s *Store, n int) error {
 		round, i := n/perRound, n%perRound
-		key := fmt.Sprintf("hot-%02d", i)
-		if i >= hot {
-			key = fmt.Sprintf("cold-%02d-%03d", i, round)
+		key := fmt.Sprintf("%02d-hot", i)
+		if !isHot(i) {
+			key = fmt.Sprintf("%02d-cold-%03d", i, round)
 		}
 		val := fmt.Sprintf("%s@%d|%s", key, round, batteryValuePad)
 		err := s.PutAggregate([]byte(key), w, []byte(val))
@@ -476,15 +479,9 @@ func TestFaultInjectionLinkFallback(t *testing.T) {
 				o := newCrashOracle(p)
 				rng := rand.New(rand.NewSource(int64(p)*13 + int64(len(fc.name))))
 				ctr := 0
-				// An anchor plus a fault-free workload and base: the delta
+				// Anchors plus a fault-free workload and base: the delta
 				// commit under fire is guaranteed to attempt links.
-				aw := window.Window{Start: 1 << 30, End: 1<<30 + 100}
-				if p == PatternRMW {
-					err = s.PutAggregate([]byte("anchor"), aw, []byte("a"))
-				} else {
-					err = s.Append([]byte("anchor"), []byte("a"), aw, aw.Start)
-				}
-				if err != nil {
+				if err := writeAnchors(s, p); err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < 100; i++ {

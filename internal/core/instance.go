@@ -66,6 +66,11 @@ func (r rmwInstance) addStats(st *Stats) {
 	st.CompactionBytes += r.CompactionBytes()
 	st.SegmentsDropped += r.SegmentsDropped()
 	st.LiveSegments += r.LiveSegments()
+	st.FlushBytes += r.FlushBytes()
+	b, d := r.HitCount()
+	st.BufferHits += b
+	st.DiskHits += d
+	st.CheckpointRebases += r.CheckpointRebases()
 	st.BufferedBytes += r.BufferedBytes()
 	st.LiveStates += r.LiveStates()
 	st.DiskBytes += r.DiskUsage()

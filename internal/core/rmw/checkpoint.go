@@ -3,6 +3,7 @@ package rmw
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
@@ -27,11 +28,18 @@ const (
 // buffered aggregates (aliased, not copied — Put installs fresh slices,
 // never mutates in place) and index spans not superseded by a buffered
 // copy. When the parent checkpoint's cut matches this instance's last
-// committed cut, only identities in the deltas map — mutated since then
-// — are written (as upserts or tombstones) and the parent's segments are
+// committed cut, only the marked identities — mutated since then — are
+// written (as upserts or tombstones) and the parent's segments are
 // hard-linked across; otherwise the live state is dumped whole as the
 // base of a new chain. The hash index is not persisted: restore rebuilds
 // it by replaying the stream.
+//
+// A cut that could extend its parent is still written as a base when the
+// delta would be the larger of the two (ckpt.Marks.BaseIsCheaper): state
+// that lives for less than a barrier interval is all dirty at every cut,
+// and its delta is a full dump plus a tombstone for every identity of the
+// previous one. The base has no more records, carries no dead records
+// forward, and restores from a single segment.
 //
 // Writing the checkpoint from the snapshot, rather than compacting the
 // live log and copying it, is what makes the cut exact under concurrent
@@ -56,45 +64,47 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	defer s.ioMu.Unlock()
 
 	// The cut. flushing is always nil here: flushes run under ioMu.
-	type pending struct {
+	type buffered struct {
 		ident id
-		tomb  bool
-		v     []byte // buffered value (aliased; Put never mutates in place)
-		sp    span   // on-disk span, valid when v is nil and !tomb
+		v     []byte // nil for a tombstone; aliased, Put never mutates in place
 	}
+	var (
+		inMem    []buffered
+		spilled  []span // upserts to read back from the segments
+		captured ckpt.Captured[id]
+	)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	incremental := parent.Extends(deltaLogical, s.marks.LastCut())
-	var work []pending
-	var captured ckpt.Captured[id]
+	if incremental && s.marks.BaseIsCheaper(len(s.buf)+len(s.index)) {
+		incremental = false
+		s.rebases.Inc()
+	}
 	if incremental {
 		captured = s.marks.Cut(func(ident id, tomb bool) {
-			p := pending{ident: ident}
 			if v, ok := s.buf[ident]; ok && !tomb {
-				p.v = v
+				inMem = append(inMem, buffered{ident, v})
 			} else if sp, ok := s.index[ident]; ok && !tomb {
-				p.sp = sp
+				spilled = append(spilled, sp)
 			} else {
 				// An upsert mark without live state cannot happen (a
 				// consume leaves a tombstone mark or none); keep the
 				// snapshot sound anyway.
-				p.tomb = true
+				inMem = append(inMem, buffered{ident: ident})
 			}
-			work = append(work, p)
 		})
 	} else {
+		// A buffered identity is never also indexed (Put retires the
+		// index entry), so the two maps are the live state, disjoint.
 		captured = s.marks.Cut(nil)
 		for ident, v := range s.buf {
-			work = append(work, pending{ident: ident, v: v})
+			inMem = append(inMem, buffered{ident, v})
 		}
-		for ident, sp := range s.index {
-			if _, buffered := s.buf[ident]; buffered {
-				continue // the buffered copy is newer
-			}
-			work = append(work, pending{ident: ident, sp: sp})
+		for _, sp := range s.index {
+			spilled = append(spilled, sp)
 		}
 	}
 	s.mu.Unlock()
@@ -103,31 +113,25 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err != nil {
 		return nil, fmt.Errorf("rmw: checkpoint: %w", err)
 	}
+	// The stream's records are a set — at most one per identity in a cut —
+	// so their order within the segment is free: what is in memory goes
+	// first, what was spilled follows in log order.
 	err = cut.Stream(deltaLogical, incremental, func(emit func([]byte) error) error {
 		var payload []byte
-		for _, p := range work {
-			switch {
-			case p.tomb:
-				payload = append(payload[:0], deltaKindTombstone)
-				payload = encodeEntry(payload, p.ident, nil)
-			case p.v != nil:
-				payload = append(payload[:0], deltaKindUpsert)
-				payload = encodeEntry(payload, p.ident, p.v)
-			default:
-				// Spans stay readable under ioMu: cleaning, which would
-				// move them, also needs ioMu.
-				entry, err := s.segs[p.sp.seg].log.ReadRecordAt(p.sp.off, int(p.sp.n))
-				if err != nil {
-					return fmt.Errorf("rmw: checkpoint %q: %w", p.ident.key, err)
-				}
-				payload = append(payload[:0], deltaKindUpsert)
-				payload = append(payload, entry...)
+		for _, b := range inMem {
+			kind := deltaKindUpsert
+			if b.v == nil {
+				kind = deltaKindTombstone
 			}
+			payload = encodeEntry(append(payload[:0], kind), b.ident, b.v)
 			if err := emit(payload); err != nil {
 				return err
 			}
 		}
-		return nil
+		return s.readSpansLocked(spilled, func(entry []byte) error {
+			payload = append(append(payload[:0], deltaKindUpsert), entry...)
+			return emit(payload)
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -143,6 +147,57 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		s.mu.Unlock()
 	}
 	return res, nil
+}
+
+const (
+	// dumpGapBytes is the most dead bytes one read bridges to reach the
+	// next live record: a page, which the read would have touched anyway.
+	dumpGapBytes = 4 << 10
+	// dumpRunBytes bounds one coalesced read.
+	dumpRunBytes = 256 << 10
+)
+
+// readSpansLocked hands fn the entry of every record in spans, reading
+// them in (segment, offset) order and covering near-adjacent records with
+// one read each: an eviction's records lie back to back in its segment, so
+// a checkpoint reads spilled state in a few hundred reads, not one per
+// aggregate. Caller holds ioMu, which keeps the spans where they are. The
+// entry passed to fn is valid only during the call.
+func (s *Store) readSpansLocked(spans []span, fn func(entry []byte) error) error {
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].seg != spans[j].seg {
+			return spans[i].seg < spans[j].seg
+		}
+		return spans[i].off < spans[j].off
+	})
+	for i := 0; i < len(spans); {
+		first := spans[i]
+		end := first.off + int64(first.n)
+		j := i + 1
+		for ; j < len(spans) && spans[j].seg == first.seg; j++ {
+			next := spans[j].off + int64(spans[j].n)
+			if spans[j].off-end > dumpGapBytes || next-first.off > dumpRunBytes {
+				break
+			}
+			end = next
+		}
+		lg := s.segs[first.seg].log
+		raw, err := lg.ReadRangeAt(first.off, int(end-first.off))
+		if err != nil {
+			return fmt.Errorf("rmw: checkpoint: %w", err)
+		}
+		for _, sp := range spans[i:j] {
+			entry, err := lg.DecodeRecord(raw[sp.off-first.off:][:sp.n], sp.off)
+			if err != nil {
+				return fmt.Errorf("rmw: checkpoint: %w", err)
+			}
+			if err := fn(entry); err != nil {
+				return err
+			}
+		}
+		i = j
+	}
+	return nil
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint

@@ -3,18 +3,34 @@
 // functions, which keep one intermediate aggregate per (key, window)
 // instead of a tuple list.
 //
-// Because the aggregate is read back on every tuple arrival, read-time
-// prediction is useless; the store is an unsorted hash store — an
+// The aggregate is read back on every tuple arrival, so nothing predicts
+// an identity's next read; the store is an unsorted hash store — an
 // in-memory hash write buffer, an in-memory hash index mapping
-// (key, window) to on-disk locations, and an append-only log.
+// (key, window) to on-disk locations, and an append-only log. What the
+// window does tell the store is an identity's last read: no aggregate is
+// consumed for good before its window ends.
+//
+// # Eviction by lifetime
+//
+// A full write buffer therefore does not spill everything. It evicts the
+// quarter of the buffered identities whose windows end last — ordered by
+// the identity's own window end, then start, then key — and keeps the
+// rest: the state that triggers soonest stays in memory to be updated and
+// finally consumed there, and the state that would have sat in the buffer
+// longest goes to disk once. The window end is a lower bound on a
+// session's trigger and the exact trigger of an aligned window, it never
+// changes for an identity, and in-order it sorts sessions as
+// maxTimestamp + gap does, so the order needs no clock, timestamp or
+// predictor. Each eviction is written as a segment of its own, so a
+// segment's records also share a lifetime and tend to die together.
 //
 // # The segmented log
 //
 // Get is a fetch-&-remove, so a flushed aggregate is read back at most
 // once and is then dead: window semantics tell the store when its bytes
 // die. The log is therefore a set of segment files (rmw-NNNNNN.log), one
-// per full-buffer flush, each with a count of the bytes the index still
-// points at. A sealed segment whose count reaches zero is unlinked
+// per full-buffer eviction, each with a count of the bytes the index
+// still points at. A sealed segment whose count reaches zero is unlinked
 // without copying a byte — state that dies in age order, as session and
 // window aggregates do, empties whole segments by itself. Only when
 // space amplification still exceeds the MSA threshold after a flush does
@@ -26,8 +42,9 @@
 //
 // Both open segments (the flush head and the survivor) are sealed once
 // they hold WriteBufferBytes, and the head additionally after every
-// full-buffer flush, so a sealed segment is never smaller than one flush
-// and the instance holds at most about MSA·live/flush + 2 files.
+// full-buffer eviction, so a sealed segment is never smaller than one
+// eviction — a quarter of the buffer — and the instance holds at most
+// about MSA·live/eviction + 2 files.
 //
 // # Concurrency
 //
@@ -79,8 +96,9 @@ type Options struct {
 	// Dir is the directory holding the instance's log segments.
 	Dir string
 	// WriteBufferBytes caps the in-memory write buffer; exceeding it
-	// flushes every buffered aggregate into a log segment of its own. It
-	// is also the size at which an open segment is sealed. Default 32 MiB.
+	// evicts the quarter of the buffered aggregates whose windows end last
+	// into a log segment of their own. It is also the size at which an
+	// open segment is sealed. Default 32 MiB.
 	WriteBufferBytes int64
 	// MaxSpaceAmplification (MSA) triggers segment cleaning when
 	// total/(total-dead) log bytes exceed it. Default 1.5.
@@ -165,6 +183,9 @@ type Store struct {
 	// and again after sealing.
 	head, surv *segment
 	nextSeg    uint32
+	// evictIDs is the slice an eviction selects its victims in, kept from
+	// one eviction to the next (they run one at a time, under ioMu).
+	evictIDs []id
 
 	// syncMu admits one Sync at a time; held around (not under) ioMu,
 	// so the fsyncs run with ioMu released.
@@ -175,7 +196,10 @@ type Store struct {
 	cleanedBytes metrics.Counter // bytes cleaning re-appended
 	dropped      metrics.Counter // segments unlinked, emptied or cleaned
 	puts         metrics.Counter
-	gets         metrics.Counter
+	flushedBytes metrics.Counter // framed bytes flushes appended
+	bufferHits   metrics.Counter // aggregates consumed from the write buffer
+	diskHits     metrics.Counter // aggregates consumed from a segment
+	rebases      metrics.Counter // cuts written as a base though the parent could be extended
 }
 
 // Open creates an RMW store instance rooted at opts.Dir. Segment files
@@ -215,7 +239,9 @@ func (s *Store) openSegLocked() (*segment, error) {
 
 // sealLocked closes sg to appends once it holds WriteBufferBytes, or
 // whatever it holds with force; caller holds ioMu. A sealed segment stays
-// readable until its last live record is consumed or cleaned away.
+// readable until its last live record is consumed or cleaned away, but
+// gives its write buffer back now: an instance holds a dozen sealed
+// segments for every open one.
 func (s *Store) sealLocked(sg *segment, force bool) {
 	if !force && sg.log.Size() < s.opts.WriteBufferBytes {
 		return
@@ -224,6 +250,10 @@ func (s *Store) sealLocked(sg *segment, force bool) {
 	sg.sealed = true
 	s.mu.Unlock()
 	s.forgetOpenLocked(sg)
+	// A failed flush poisons the log, which keeps serving its records
+	// from the retained tail; the next Sync, or the health check, reports
+	// it, as they would had the flush been left to the first read.
+	_ = sg.log.Seal()
 }
 
 // forgetOpenLocked stops appending to sg if it is the flush head or the
@@ -335,7 +365,7 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(false); err != nil {
 		return err
 	}
 	return s.maybeCleanLocked()
@@ -344,7 +374,13 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 // bufferFullLocked reports whether the write buffer has outgrown
 // WriteBufferBytes; caller holds mu.
 func (s *Store) bufferFullLocked() bool {
-	return s.bufBytes+int64(len(s.buf))*48 > s.opts.WriteBufferBytes
+	return s.overCap(s.bufBytes, len(s.buf))
+}
+
+// overCap reports whether n buffered aggregates totalling bytes outgrow
+// WriteBufferBytes, each entry charged 48 bytes of map and key overhead.
+func (s *Store) overCap(bytes int64, n int) bool {
+	return bytes+int64(n)*48 > s.opts.WriteBufferBytes
 }
 
 // Get fetches and removes the aggregate of (key, window) (paper API:
@@ -371,7 +407,7 @@ func (s *Store) takeBufferedLocked(ident id) ([]byte, bool) {
 	s.bufBytes -= int64(len(v))
 	delete(s.buf, ident)
 	s.marks.Remove(ident)
-	s.gets.Inc()
+	s.bufferHits.Inc()
 	return v, true
 }
 
@@ -494,7 +530,7 @@ func (s *Store) consume(ident id, sp span) (consumed, emptied bool) {
 	}
 	delete(s.index, ident)
 	s.marks.Remove(ident)
-	s.gets.Inc()
+	s.diskHits.Inc()
 	return true, s.retireLocked(sp)
 }
 
@@ -575,25 +611,124 @@ func decodeEntry(b []byte) (key []byte, w window.Window, agg []byte, err error) 
 	return key, w, agg, err
 }
 
-// flushLocked spills every buffered aggregate into the head segment and
-// indexes it. Caller holds ioMu. The buffer is detached under mu, written
-// with only ioMu held (so ingestion proceeds), and installed under mu
-// again; an id re-put while its batch was in flight keeps the newer
-// buffered value and the flushed copy is born dead.
+// evictDivisor is the share of the buffered identities a full buffer
+// evicts: the quarter whose windows end last. Replaying the session
+// benchmark's operations, a quarter and an eighth flush the fewest records
+// (a quarter below draining the buffer whole) and a half gives back a
+// third of that; the eighth writes twice the files for the same bytes.
+const evictDivisor = 4
+
+// endsLater orders identities by lifetime: a's window ends after b's,
+// ties by the later start, then by key, so the order is total and an
+// eviction's victims — and with them every byte count downstream — are a
+// function of the buffer's contents alone.
+func endsLater(a, b id) bool {
+	if a.w.End != b.w.End {
+		return a.w.End > b.w.End
+	}
+	if a.w.Start != b.w.Start {
+		return a.w.Start > b.w.Start
+	}
+	return a.key > b.key
+}
+
+// selectLatest reorders ids so that ids[:k] are the k identities that end
+// latest, in no particular order among themselves: a quickselect, linear
+// in len(ids) on the randomly ordered slices a map iteration yields.
+func selectLatest(ids []id, k int) {
+	lo, hi := 0, len(ids)-1
+	for lo < hi {
+		// Median-of-three pivot, moved to lo.
+		mid := lo + (hi-lo)/2
+		if endsLater(ids[mid], ids[lo]) {
+			ids[mid], ids[lo] = ids[lo], ids[mid]
+		}
+		if endsLater(ids[hi], ids[lo]) {
+			ids[hi], ids[lo] = ids[lo], ids[hi]
+		}
+		if endsLater(ids[hi], ids[mid]) {
+			ids[hi], ids[mid] = ids[mid], ids[hi]
+		}
+		ids[lo], ids[mid] = ids[mid], ids[lo]
+		pivot := ids[lo]
+		// Hoare partition: ids[lo..j] end no earlier than the pivot,
+		// ids[j+1..hi] no later.
+		i, j := lo-1, hi+1
+		for {
+			for i++; endsLater(ids[i], pivot); i++ {
+			}
+			for j--; endsLater(pivot, ids[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			ids[i], ids[j] = ids[j], ids[i]
+		}
+		if k <= j+1 {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+}
+
+// detachLocked removes from the buffer, and returns, the batch a flush
+// writes; caller holds mu. A drain takes everything. An eviction takes the
+// quarter of the buffered identities whose windows end last — unless what
+// that leaves is still over the cap (a few large aggregates among many
+// small ones), and then it too takes everything, so a flush always brings
+// the buffer back under WriteBufferBytes.
+func (s *Store) detachLocked(all bool) map[id][]byte {
+	if !all {
+		ids := s.evictIDs[:0]
+		for ident := range s.buf {
+			ids = append(ids, ident)
+		}
+		s.evictIDs = ids
+		k := (len(ids) + evictDivisor - 1) / evictDivisor
+		selectLatest(ids, k)
+		var bytes int64
+		for _, ident := range ids[:k] {
+			bytes += int64(len(s.buf[ident]))
+		}
+		if !s.overCap(s.bufBytes-bytes, len(ids)-k) {
+			batch := make(map[id][]byte, k)
+			for _, ident := range ids[:k] {
+				batch[ident] = s.buf[ident]
+				delete(s.buf, ident)
+			}
+			s.bufBytes -= bytes
+			return batch
+		}
+	}
+	batch := s.buf
+	s.buf = make(map[id][]byte)
+	s.bufBytes = 0
+	return batch
+}
+
+// flushLocked spills buffered aggregates into the head segment and
+// indexes them: all of them for a drain (Flush, Sync), the quarter that
+// ends last for the eviction a Put starts on finding the buffer full — and
+// nothing if an eviction queued behind another finds the buffer no longer
+// full. Caller holds ioMu. The batch is detached under mu, written with
+// only ioMu held (so ingestion proceeds), and installed under mu again; an
+// id re-put while its batch was in flight keeps the newer buffered value
+// and the flushed copy is born dead.
 //
 // A full buffer's flush seals the segment it wrote, so in steady state
-// every segment holds one flush and the aggregates in it share an age. A
-// partial flush (an explicit Flush or Sync) leaves the head open for the
-// next one rather than sealing a tiny file.
-func (s *Store) flushLocked() error {
+// every segment holds one eviction and the aggregates in it share a
+// lifetime. A drain of a buffer that was not full leaves the head open
+// for the next flush rather than sealing a tiny file.
+func (s *Store) flushLocked(all bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	empty := len(s.buf) == 0
+	idle := len(s.buf) == 0 || (!all && !s.bufferFullLocked())
 	s.mu.Unlock()
-	if empty {
+	if idle {
 		return nil
 	}
 	if s.head == nil {
@@ -608,9 +743,7 @@ func (s *Store) flushLocked() error {
 
 	s.mu.Lock()
 	full := s.bufferFullLocked()
-	batch := s.buf
-	s.buf = make(map[id][]byte)
-	s.bufBytes = 0
+	batch := s.detachLocked(all)
 	s.flushing = batch
 	s.mu.Unlock()
 
@@ -621,6 +754,7 @@ func (s *Store) flushLocked() error {
 	written := make([]wrec, 0, len(batch))
 	var payload []byte
 	var werr error
+	var bytes int64
 	for ident, v := range batch {
 		payload = encodeEntry(payload[:0], ident, v)
 		off, n, err := head.log.Append(payload)
@@ -628,8 +762,10 @@ func (s *Store) flushLocked() error {
 			werr = err
 			break
 		}
+		bytes += int64(n)
 		written = append(written, wrec{ident, span{off: off, seg: head.id, n: uint32(n)}})
 	}
+	s.flushedBytes.Add(bytes)
 
 	s.mu.Lock()
 	s.flushing = nil
@@ -890,7 +1026,7 @@ func (s *Store) logsLocked() []*logfile.Log {
 func (s *Store) Flush() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(true); err != nil {
 		return err
 	}
 	for _, l := range s.logsLocked() {
@@ -914,7 +1050,7 @@ func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.ioMu.Lock()
-	err := s.flushLocked()
+	err := s.flushLocked(true)
 	s.ioMu.Unlock()
 	if err != nil {
 		return err
@@ -993,6 +1129,21 @@ func (s *Store) CompactionBytes() int64 { return s.cleanedBytes.Load() }
 // SegmentsDropped returns the number of segments unlinked, whether they
 // emptied by themselves or were cleaned.
 func (s *Store) SegmentsDropped() int64 { return s.dropped.Load() }
+
+// FlushBytes returns the framed bytes flushes have appended to the log:
+// evictions and drains, not cleaning's re-appends (CompactionBytes).
+func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
+
+// HitCount returns how many aggregates Get consumed from the write buffer
+// and how many it had to read back from a segment.
+func (s *Store) HitCount() (buffer, disk int64) {
+	return s.bufferHits.Load(), s.diskHits.Load()
+}
+
+// CheckpointRebases returns the number of cuts written as the base of a
+// new stream although their parent could have been extended, because the
+// delta would have held more records than the live state.
+func (s *Store) CheckpointRebases() int64 { return s.rebases.Load() }
 
 // LiveSegments returns the number of segment files the log holds.
 func (s *Store) LiveSegments() int {

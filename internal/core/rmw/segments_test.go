@@ -76,7 +76,7 @@ type diffRun struct {
 	ckptOracle map[id]string
 	nDirs      int
 
-	flushMin int64 // on-disk bytes of the smallest full flush
+	evictMin int64 // on-disk bytes of the smallest full-buffer eviction
 	// Churn summed over the stores the run went through.
 	dropped, cleaned int64
 }
@@ -113,15 +113,54 @@ func (d *diffRun) draw() id {
 func (d *diffRun) put() {
 	ident := d.draw()
 	v := fmt.Sprintf("v%0*d", diffValLen-1, d.step)
+	d.s.mu.Lock()
+	before := make([]id, 0, len(d.s.buf)+1)
+	for b := range d.s.buf {
+		if b != ident {
+			before = append(before, b)
+		}
+	}
+	d.s.mu.Unlock()
+	before = append(before, ident)
+	flushed := d.s.FlushBytes()
 	if err := d.s.Put([]byte(ident.key), ident.w, []byte(v)); err != nil {
 		d.t.Fatalf("step %d put: %v", d.step, err)
 	}
 	d.oracle[ident] = v
-	if d.s.BufferedBytes() != 0 {
+	if d.s.FlushBytes() == flushed {
 		return
 	}
-	// The Put flushed, so it also reaped and, if needed, cleaned: the
-	// space and file-count bounds hold now.
+	// The Put found the buffer full: it evicted the quarter that ends
+	// last — everything it kept ends no later than anything it evicted —
+	// and the buffer is back under its cap.
+	d.s.mu.Lock()
+	var evicted, kept []id
+	for _, b := range before {
+		if _, ok := d.s.buf[b]; ok {
+			kept = append(kept, b)
+		} else {
+			evicted = append(evicted, b)
+		}
+	}
+	full, nbuf := d.s.bufferFullLocked(), len(d.s.buf)
+	d.s.mu.Unlock()
+	if want := (len(before) + 3) / 4; len(evicted) != want || nbuf != len(kept) {
+		d.t.Fatalf("step %d: evicted %d of %d buffered identities, want %d; %d kept, %d buffered",
+			d.step, len(evicted), len(before), want, len(kept), nbuf)
+	}
+	if full {
+		d.t.Fatalf("step %d: buffer still over its cap after an eviction (%d bytes)", d.step, d.s.BufferedBytes())
+	}
+	for _, k := range kept {
+		for _, e := range evicted {
+			if k.w.End > e.w.End || !endsLater(e, k) {
+				d.t.Fatalf("step %d: kept %v although evicted %v ends no later", d.step, k, e)
+			}
+		}
+	}
+	// The Put also reaped and, if needed, cleaned: the space and
+	// file-count bounds hold now. A segment is never smaller than one
+	// eviction, a quarter of the buffer.
 	d.s.ioMu.Lock()
 	total, live := d.s.logBytesLocked()
 	d.s.ioMu.Unlock()
@@ -129,10 +168,10 @@ func (d *diffRun) put() {
 		d.t.Fatalf("step %d: log holds %d bytes for %d live — over MSA %.1f by more than one segment",
 			d.step, total, live, diffMSA)
 	}
-	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.flushMin))) + 2
+	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.evictMin))) + 2
 	if n := d.s.LiveSegments(); n > maxSegs {
-		d.t.Fatalf("step %d: %d segments for %d live bytes (flush %d), want <= %d",
-			d.step, n, live, d.flushMin, maxSegs)
+		d.t.Fatalf("step %d: %d segments for %d live bytes (eviction %d), want <= %d",
+			d.step, n, live, d.evictMin, maxSegs)
 	}
 }
 
@@ -237,18 +276,19 @@ func (d *diffRun) run(steps int) {
 // TestSegmentedLogDifferential drives one store against a map oracle
 // through puts, fetch-&-removes, delta checkpoint chains (committed and
 // abandoned, with operations in flight), restarts and live dumps, under
-// uniform and skewed key draws, asserting the segmented log's invariants
-// along the way: the directory holds exactly the tracked segments, space
-// amplification and the file count stay bounded after every flush, and a
-// restored chain, the live dump and the oracle agree.
+// uniform and skewed key draws, asserting the store's invariants along the
+// way: a full buffer evicts exactly the quarter whose windows end last and
+// ends up under its cap, the directory holds exactly the tracked segments,
+// space amplification and the file count stay bounded after every
+// eviction, and a restored chain, the live dump and the oracle agree.
 func TestSegmentedLogDifferential(t *testing.T) {
 	// Every key, value and window encodes to the same length but for the
-	// window's varints; the smallest record times the entries of a full
-	// buffer is the smallest flush.
+	// window's varints; the smallest record times a quarter of the entries
+	// of a full buffer is the smallest eviction.
 	val := make([]byte, diffValLen)
 	rec := encodeEntry(nil, id{key: "key-0000", w: window.Window{Start: 0, End: 100}}, val)
 	recBytes := int64(len(binio.AppendRecordV(nil, rec, binio.FrameV1)))
-	flushMin := (diffBuffer/(diffValLen+48) + 1) * recBytes
+	evictMin := int64((diffBuffer/(diffValLen+48)+1+3)/4) * recBytes
 
 	const steps = 2500
 	for _, seed := range []int64{1, 7, time.Now().UnixNano()} {
@@ -261,7 +301,7 @@ func TestSegmentedLogDifferential(t *testing.T) {
 					rng:      rand.New(rand.NewSource(seed)),
 					base:     t.TempDir(),
 					oracle:   make(map[id]string),
-					flushMin: flushMin,
+					evictMin: evictMin,
 				}
 				if skewed {
 					d.zipf = rand.NewZipf(d.rng, 1.1, 30, diffKeys-1)
@@ -301,14 +341,16 @@ func fifoRun(t *testing.T, n, lag int) *Store {
 
 // TestFIFOLifetimeNeedsNoCleaning is the unit-level guard for the claim
 // the segmented log rests on: when flushed state dies in age order —
-// here every id is consumed within three flushes of being written —
+// here every id is consumed two and a half buffers after it was written —
 // segments empty by themselves and are unlinked, and cleaning never
-// copies a byte.
+// copies a byte. All ids share one window, so eviction order falls to the
+// key: the newest ids, the ones read last, are the ones evicted.
 func TestFIFOLifetimeNeedsNoCleaning(t *testing.T) {
 	const (
-		n       = 10_000
-		perFlow = diffBuffer/(16+48) + 1 // aggregates in one flush
-		lag     = 2*perFlow + perFlow/2
+		n        = 10_000
+		perBuf   = diffBuffer/(16+48) + 1 // aggregates in a full buffer
+		perEvict = (perBuf + 3) / 4       // aggregates in one eviction, and so in one segment
+		lag      = 2*perBuf + perBuf/2
 	)
 	s := fifoRun(t, n, lag)
 	if b, p := s.CompactionBytes(), s.CleaningPasses(); b != 0 || p != 0 {
@@ -318,25 +360,34 @@ func TestFIFOLifetimeNeedsNoCleaning(t *testing.T) {
 	created := int64(s.nextSeg)
 	s.ioMu.Unlock()
 	live, dropped := int64(s.LiveSegments()), s.SegmentsDropped()
-	if created < n/perFlow-1 {
-		t.Fatalf("%d segments created for %d flushes", created, n/perFlow)
+	// Of every lag live ids a buffer's worth is in memory; the rest went
+	// through a segment.
+	if min := int64(n * (lag - perBuf) / lag / perEvict / 2); created < min {
+		t.Fatalf("%d segments created, want at least %d", created, min)
 	}
 	if dropped != created-live {
 		t.Fatalf("%d segments created, %d live, but %d dropped", created, live, dropped)
 	}
 	// What is left is what still holds live ids: the lag, rounded up to
-	// whole flushes.
-	if live > 3 {
-		t.Fatalf("%d segments live at the end, want at most 3", live)
+	// whole evictions.
+	if max := int64(lag/perEvict + 2); live > max {
+		t.Fatalf("%d segments live at the end, want at most %d", live, max)
 	}
 	checkSegmentFiles(t, s)
+	buffer, disk := s.HitCount()
+	if buffer+disk != n-lag || buffer == 0 || disk == 0 {
+		t.Fatalf("%d ids consumed from the buffer and %d from disk, want %d in all and some of each", buffer, disk, n-lag)
+	}
 
 	// The counts are a property of the workload, not of map order or
 	// timing: a second run repeats them exactly.
 	s2 := fifoRun(t, n, lag)
-	if d2, b2 := s2.SegmentsDropped(), s2.CompactionBytes(); d2 != dropped || b2 != 0 {
-		t.Fatalf("second run dropped %d segments and cleaned %d bytes, first %d and 0", d2, b2, dropped)
+	b2, d2 := s2.HitCount()
+	if s2.SegmentsDropped() != dropped || s2.CompactionBytes() != 0 || s2.FlushBytes() != s.FlushBytes() || b2 != buffer || d2 != disk {
+		t.Fatalf("second run: %d segments dropped, %d bytes cleaned, %d flushed, %d+%d hits; first %d, 0, %d, %d+%d",
+			s2.SegmentsDropped(), s2.CompactionBytes(), s2.FlushBytes(), b2, d2, dropped, s.FlushBytes(), buffer, disk)
 	}
+	t.Logf("%d segments created, %d live; %d ids consumed from the buffer, %d from disk", created, live, buffer, disk)
 }
 
 // TestScrubNamesCorruptSealedSegment flips a bit in a sealed, synced

@@ -31,6 +31,10 @@ import (
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("logfile: closed")
 
+// ErrSealed reports an append to a log that has given up its write buffer
+// (see Log.Seal).
+var ErrSealed = errors.New("logfile: sealed")
+
 // ErrPoisoned reports an operation on a log whose write path failed. A
 // failed fsync may have dropped dirty pages without telling us which
 // (the "fsyncgate" failure mode), so the log never retries fsync on the
@@ -87,6 +91,20 @@ func corruptErr(path string, off int64, cause error) error {
 // ioBufBytes sizes a log's write buffer and its scan buffer: appends
 // reach the file, and scans read it, in pieces of this size.
 const ioBufBytes = 256 * 1024
+
+// writers recycles the logs' write buffers. A store whose log is a set of
+// short-lived files (one RMW segment per write-buffer eviction) creates
+// thousands of logs in a run; a fresh ioBufBytes buffer each would make
+// the buffers most of what the process allocates.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, ioBufBytes) }}
+
+// takeWriter returns a pooled write buffer aimed at w, empty and with no
+// error: Reset clears both whatever its last owner left.
+func takeWriter(w io.Writer) *bufio.Writer {
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
 
 // Log is a single append-only file of framed records. A Log performs no
 // locking: it is owned by whichever goroutine holds its store instance's
@@ -216,7 +234,7 @@ func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, ver binio.F
 	// latency observation apply uniformly; with no policy installed the
 	// guard is a passthrough.
 	l.f = &guard{lg: l, f: f}
-	l.w = bufio.NewWriterSize(l.f, ioBufBytes)
+	l.w = takeWriter(l.f)
 	l.rw = binio.NewRecordWriterV(l.w, off, ver)
 	return l
 }
@@ -261,6 +279,9 @@ func (l *Log) flush() error {
 	if l.perr != nil {
 		return l.poisonedErr()
 	}
+	if l.w == nil {
+		return nil // sealed: everything appended is on the descriptor
+	}
 	if err := l.w.Flush(); err != nil {
 		l.poison(err)
 		return err
@@ -276,6 +297,9 @@ func (l *Log) Append(payload []byte) (off int64, n int, err error) {
 	}
 	if l.perr != nil {
 		return 0, 0, l.poisonedErr()
+	}
+	if l.w == nil {
+		return 0, 0, ErrSealed
 	}
 	off, n, err = l.rw.Write(payload)
 	if err != nil {
@@ -306,6 +330,32 @@ func (l *Log) Flush() error {
 		return ErrClosed
 	}
 	return l.flush()
+}
+
+// Seal flushes the log and hands its write buffer back to the pool, for
+// a log that will take no more appends but stays open to be read — a
+// sealed RMW segment lives until its last record is consumed, and there
+// can be dozens of them, each otherwise holding ioBufBytes it will never
+// use. Reads, scans, Sync and Scrub work as before; Append, and
+// TransferTo into the log, fail with ErrSealed. Recovery undoes the seal:
+// ReopenAtDurable needs a buffer to rewrite the retained tail through and
+// leaves the log with it. Sealing a sealed log is a no-op.
+func (l *Log) Seal() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if err := l.flush(); err != nil || l.w == nil {
+		return err
+	}
+	l.releaseWriter()
+	return nil
+}
+
+// releaseWriter returns the drained, healthy write buffer to the pool.
+func (l *Log) releaseWriter() {
+	l.w.Reset(nil)
+	writers.Put(l.w)
+	l.w = nil
 }
 
 // Sync flushes and fsyncs the log. SPEs typically disable per-write
@@ -448,7 +498,7 @@ func (l *Log) ReopenAtDurable() error {
 		return fmt.Errorf("logfile: reopen seek: %w", err)
 	}
 	g := &guard{lg: l, f: f}
-	w := bufio.NewWriterSize(g, ioBufBytes)
+	w := takeWriter(g) // the poisoned log's own buffer is abandoned, not reused
 	if len(l.tail) > 0 {
 		if _, err := w.Write(l.tail); err != nil {
 			f.Close()
@@ -519,12 +569,13 @@ func (l *Log) preadStitched(buf []byte, off int64) error {
 	return nil
 }
 
-// decodeRecord verifies and decodes the single framed record occupying
-// exactly buf (read from offset off). Beyond the checksum it checks that
+// DecodeRecord verifies and decodes the single framed record occupying
+// exactly buf (read from offset off) — by ReadRecordAt, or by a caller
+// that fetched several records with one ReadRangeAt and holds their spans. Beyond the checksum it checks that
 // the frame consumes the whole buffer: an index entry said n bytes, so a
 // valid-looking shorter frame at that offset means the read was stale or
 // misdirected, which is corruption, not a decode quirk.
-func (l *Log) decodeRecord(buf []byte, off int64) ([]byte, error) {
+func (l *Log) DecodeRecord(buf []byte, off int64) ([]byte, error) {
 	payload, used, err := binio.ReadRecordV(buf, l.ver)
 	if err != nil {
 		return nil, corruptErr(l.path, off, err)
@@ -551,7 +602,7 @@ func (l *Log) ReadRecordAt(off int64, n int) ([]byte, error) {
 	if l.bd != nil {
 		l.bd.AddBytesRead(int64(n))
 	}
-	return l.decodeRecord(buf, off)
+	return l.DecodeRecord(buf, off)
 }
 
 // ReadRangeAt reads n raw bytes starting at off. Used by batch reads that
@@ -600,7 +651,7 @@ func (l *Log) ReadRecordAtRaw(off int64, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.decodeRecord(buf, off)
+	return l.DecodeRecord(buf, off)
 }
 
 // Scanner returns a sequential scanner over the log's records from offset
@@ -667,6 +718,9 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
 	if l.closed || dst.closed {
 		return ErrClosed
+	}
+	if dst.w == nil {
+		return ErrSealed
 	}
 	// The frames are copied verbatim, so the destination must speak the
 	// source's frame version. A fresh (empty) destination simply adopts
@@ -864,10 +918,10 @@ func (l *Log) scrubPass() (int, int64, error) {
 	return records, sc.Offset(), nil
 }
 
-// Close flushes and closes the log file. The file remains on disk. A
-// second Close returns ErrClosed, consistent with every other method on a
-// closed log, so latent double-close bugs surface instead of passing
-// silently.
+// Close flushes and closes the log file, returning its write buffer to
+// the pool. The file remains on disk. A second Close returns ErrClosed,
+// consistent with every other method on a closed log, so latent
+// double-close bugs surface instead of passing silently.
 func (l *Log) Close() error {
 	if l.closed {
 		return ErrClosed
@@ -880,9 +934,16 @@ func (l *Log) Close() error {
 		l.f.Close()
 		return l.poisonedErr()
 	}
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
+	if l.w != nil {
+		if err := l.w.Flush(); err != nil {
+			l.f.Close()
+			return err
+		}
+		// Only a healthy, drained buffer is recycled. The early returns
+		// above leave a poisoned log's buffer to the collector: beyond the
+		// sticky error, a write abandoned at the policy deadline may still
+		// read it.
+		l.releaseWriter()
 	}
 	return l.f.Close()
 }

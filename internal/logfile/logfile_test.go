@@ -1,10 +1,12 @@
 package logfile
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -585,5 +587,176 @@ func BenchmarkSequentialScan(b *testing.B) {
 		if err := sc.Err(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWriteBufferIsRecycledClean: a log closed healthy hands its write
+// buffer to the next log, empty; a poisoned log's buffer — sticky error,
+// suspect bytes, possibly still read by a write abandoned at the deadline
+// — never comes back out of the pool, whether the log is closed poisoned
+// or reopened at its durable offset.
+func TestWriteBufferIsRecycledClean(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.OS)
+	create := func(name string) *Log {
+		t.Helper()
+		l, err := CreateFS(inj, filepath.Join(dir, name), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// drain empties the pool and returns what it held.
+	drain := func() map[*bufio.Writer]bool {
+		held := make(map[*bufio.Writer]bool)
+		for i := 0; i < 64; i++ {
+			held[writers.Get().(*bufio.Writer)] = true
+		}
+		return held
+	}
+
+	// Healthy: the buffer goes back, and the next log starts empty. (Under
+	// the race detector sync.Pool drops a Put now and then, so reuse is
+	// asserted over many logs, by what they allocate.)
+	drain()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const churn = 64
+	for i := 0; i < churn; i++ {
+		a := create("a.log")
+		if _, _, err := a.Append([]byte("from-a")); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > churn*ioBufBytes/2 {
+		t.Errorf("%d logs opened and closed in turn allocated %d bytes: their %d-byte write buffers are not being reused",
+			churn, got, ioBufBytes)
+	}
+	b := create("b.log")
+	if b.w.Buffered() != 0 {
+		t.Fatalf("a recycled buffer came back holding %d bytes", b.w.Buffered())
+	}
+	if _, _, err := b.Append([]byte("from-b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "b.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := binio.AppendRecordV(nil, []byte("from-b"), binio.FrameV1); !bytes.Equal(got, want) {
+		t.Fatalf("b.log holds %q, want only its own record", got)
+	}
+
+	// Poisoned and closed, poisoned and reopened: neither buffer is pooled.
+	drain()
+	for _, reopen := range []bool{false, true} {
+		p := create(fmt.Sprintf("p-%v.log", reopen))
+		pw := p.w
+		if _, _, err := p.Append([]byte("doomed")); err != nil {
+			t.Fatal(err)
+		}
+		inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, Err: faultfs.ErrDiskIO})
+		if err := p.Flush(); err == nil || p.Poisoned() == nil {
+			t.Fatalf("flush under a write fault: %v, poisoned %v", err, p.Poisoned())
+		}
+		inj.Reset()
+		if reopen {
+			if err := p.ReopenAtDurable(); err != nil {
+				t.Fatal(err)
+			}
+			if p.w == pw {
+				t.Fatal("the reopened log kept its poisoned buffer")
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := p.Close(); err == nil {
+			t.Fatal("closing a poisoned log reported success")
+		}
+		if drain()[pw] {
+			t.Fatalf("a poisoned log's write buffer was handed out again (reopen=%v)", reopen)
+		}
+	}
+
+	// And whatever a buffer went through, the next log to take it works.
+	c := create("c.log")
+	if _, _, err := c.Append([]byte("from-c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatalf("a log on a recycled buffer inherited an error: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealReleasesTheWriteBuffer: a sealed log has flushed what it held
+// and given its buffer away, yet reads, syncs, scrubs and closes like any
+// other; only appends are refused.
+func TestSealReleasesTheWriteBuffer(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.log")
+	l, err := Create(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, n, err := l.Append([]byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if l.w != nil {
+		t.Fatal("a sealed log still holds its write buffer")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != l.Size() {
+		t.Fatalf("the file holds %v of the log's %d bytes after Seal (%v)", fi.Size(), l.Size(), err)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatalf("sealing a sealed log: %v", err)
+	}
+	if _, _, err := l.Append([]byte("late")); err != ErrSealed {
+		t.Fatalf("Append on a sealed log: %v, want ErrSealed", err)
+	}
+	dst, err := Create(filepath.Join(dir, "b.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.TransferTo(l, 0, 0); err != ErrSealed {
+		t.Fatalf("TransferTo into a sealed log: %v, want ErrSealed", err)
+	}
+	if got, err := l.ReadRecordAt(off, n); err != nil || string(got) != "kept" {
+		t.Fatalf("ReadRecordAt on a sealed log: %q, %v", got, err)
+	}
+	if got, err := l.ReadRecordAtRaw(off, n); err != nil || string(got) != "kept" {
+		t.Fatalf("ReadRecordAtRaw on a sealed log: %q, %v", got, err)
+	}
+	if err := l.TransferTo(dst, off, int64(n)); err != nil {
+		t.Fatalf("TransferTo out of a sealed log: %v", err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatalf("Flush on a sealed log: %v", err)
+	}
+	if err := l.Sync(); err != nil || l.DurableOffset() != l.Size() {
+		t.Fatalf("Sync on a sealed log: %v, durable %d of %d", err, l.DurableOffset(), l.Size())
+	}
+	if res, err := l.Scrub(); err != nil || res.Records != 1 {
+		t.Fatalf("Scrub on a sealed log: %+v, %v", res, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close on a sealed log: %v", err)
+	}
+	if err := l.Seal(); err != ErrClosed {
+		t.Fatalf("Seal on a closed log: %v, want ErrClosed", err)
 	}
 }

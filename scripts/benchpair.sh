@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of a parent commit against the working tree:
 #
-#   scripts/benchpair.sh <parent-ref> <workload> [pairs=10] [extra flowkvbench args]
+#   scripts/benchpair.sh [-json <file>] <parent-ref> <workload> [pairs=10] [extra flowkvbench args]
 #
 # The parent is exported (git archive) into a temporary directory, and
 # `bash bench/run.sh` — the command BENCHMARK.json names — runs on the
@@ -14,9 +14,21 @@
 # the medians differ by more than the parent's IQR. The three metrics the
 # benchmark gates are marked with *.
 #
+# With -json the same numbers are also written to <file> as one JSON
+# object in the shape of a BENCH_flowkvbench.json row — commit, parent,
+# host provenance, and under "workloads" this workload's per-metric
+# medians, quartiles and wins/ties/losses — ready to be merged into that
+# file's "rows" (one row per performance change, one "workloads" entry per
+# workload measured for it).
+#
 # Nothing under bench/ is edited; each side builds into its own bench/out/.
 set -euo pipefail
 
+json=""
+if [ "${1:-}" = "-json" ]; then
+	json="${2:?-json needs a file}"
+	shift 2
+fi
 if [ $# -lt 2 ]; then
 	sed -n '2,5p' "$0" >&2
 	exit 2
@@ -51,11 +63,16 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-echo "workload $workload, $pairs pairs (seeds 1..$pairs), parent $(git -C "$root" rev-parse --short "$parent"), change $(git -C "$root" rev-parse --short HEAD)$(git -C "$root" diff --quiet HEAD -- . ':!ISSUE.md' || echo '+uncommitted')"
-echo "host: $(nproc) cpus, GOMAXPROCS ${GOMAXPROCS:-unset}, $(go version | cut -d' ' -f3), $(df --output=fstype "$root" | tail -1) on $(uname -sr)"
+parentrev="$(git -C "$root" rev-parse --short "$parent")"
+changerev="$(git -C "$root" rev-parse --short HEAD)$(git -C "$root" diff --quiet HEAD -- . ':!ISSUE.md' || echo '+uncommitted')"
+host="$(nproc) cpus, GOMAXPROCS ${GOMAXPROCS:-unset}, $(go version | cut -d' ' -f3), $(df --output=fstype "$root" | tail -1) on $(uname -sr)"
+echo "workload $workload, $pairs pairs (seeds 1..$pairs), parent $parentrev, change $changerev"
+echo "host: $host"
 
 # Metric lines look like "  name   value unit   [min ... n=3]".
-awk -v pairs="$pairs" -v dir="$tmp/runs" -v spec="$root/BENCHMARK.json" '
+awk -v pairs="$pairs" -v dir="$tmp/runs" -v spec="$root/BENCHMARK.json" -v json="$json" \
+	-v workload="$workload" -v parentrev="$parentrev" -v changerev="$changerev" -v host="$host" \
+	-v seconds="${seconds:-20}" -v extra="$*" -v today="$(date -u +%Y-%m-%d)" '
 function sorted(arr, n, out,    i, j, v) { # insertion sort: n is a few dozen at most
 	for (i = 1; i <= n; i++) out[i] = arr[i]
 	for (i = 2; i <= n; i++) { v = out[i]; for (j = i - 1; j >= 1 && out[j] > v; j--) out[j+1] = out[j]; out[j+1] = v }
@@ -64,6 +81,7 @@ function quantile(s, n, q,    pos, lo, frac) { # linear interpolation between or
 	pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
 	return lo >= n ? s[n] : s[lo] + frac * (s[lo+1] - s[lo])
 }
+function jside(m, q1, q3) { return sprintf("{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", m, q1, q3) }
 BEGIN {
 	while ((getline line < spec) > 0) {
 		if (line ~ /"end_to_end"/) gatedPart = 1
@@ -102,5 +120,10 @@ BEGIN {
 		cq1 = quantile(cs, pairs, 0.25); cq3 = quantile(cs, pairs, 0.75)
 		chg = pm != 0 ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "n/a"
 		printf "%-26s %-5s %13.6g %25s %13.6g %25s %9s %12.4g %8s\n", (name in gated ? "*" : " ") name, unit[name], pm, sprintf("[%.6g, %.6g]", pq1, pq3), cm, sprintf("[%.6g, %.6g]", cq1, cq3), w "/" t "/" l, pq3 - pq1, chg
+		rows = rows sprintf("%s\n        \"%s\": {\"unit\": \"%s\", \"gated\": %s, \"parent\": %s, \"change\": %s, \"wins\": %d, \"ties\": %d, \"losses\": %d}", (m > 1 ? "," : ""), name, unit[name], (name in gated ? "true" : "false"), jside(pm, pq1, pq3), jside(cm, cq1, cq3), w, t, l)
+	}
+	if (json != "") {
+		gsub(/["\\]/, "", extra); gsub(/["\\]/, "", host)
+		printf "{\n  \"commit\": \"%s\",\n  \"parent\": \"%s\",\n  \"date\": \"%s\",\n  \"host\": \"%s\",\n  \"run_seconds\": %s,\n  \"args\": \"%s\",\n  \"workloads\": {\n    \"%s\": {\n      \"pairs\": %d,\n      \"seeds\": \"1-%d\",\n      \"metrics\": {%s\n      }\n    }\n  }\n}\n", changerev, parentrev, today, host, seconds, extra, workload, pairs, pairs, rows > json
 	}
 }'
