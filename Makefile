@@ -71,11 +71,13 @@ bench-delta:
 # median and quartiles, the change's wins/ties/losses and the parent's
 # IQR — what a performance claim is judged on.
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=rmw_session_job PAIRS=10
-# JSON=<file> also writes the table as a BENCH_flowkvbench.json row.
+# JSON=<file> also writes the table as a BENCH_flowkvbench.json row;
+# KEEP=<dir> keeps every run's full output there.
 PARENT ?= HEAD~1
 WORKLOAD ?= rmw_session_job
 PAIRS ?= 10
 BENCHARGS ?=
 JSON ?=
+KEEP ?=
 bench-pair:
-	bash scripts/benchpair.sh $(if $(JSON),-json $(JSON)) $(PARENT) $(WORKLOAD) $(PAIRS) $(BENCHARGS)
+	bash scripts/benchpair.sh $(if $(JSON),-json $(JSON)) $(if $(KEEP),-keep $(KEEP)) $(PARENT) $(WORKLOAD) $(PAIRS) $(BENCHARGS)

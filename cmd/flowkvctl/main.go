@@ -247,6 +247,11 @@ func cmdHealth(dir string) error {
 		records, bytes int64
 	}
 	rmwLogs := make(map[string]*rmwLog)
+	// An AUR instance's log is a data log of value batches and an index
+	// log of packed blocks locating them: per directory, the sizes of the
+	// two say what the batches cost to index.
+	type aurLog struct{ batches, blocks, dataBytes, indexBytes int64 }
+	aurLogs := make(map[string]*aurLog)
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -295,6 +300,19 @@ func cmdHealth(dir string) error {
 			rl.records += int64(records)
 			rl.bytes += sc.Offset()
 		}
+		if isData, isIndex := strings.HasPrefix(name, "data-"), strings.HasPrefix(name, "index-"); isData || isIndex {
+			inst := filepath.Dir(rel)
+			if aurLogs[inst] == nil {
+				aurLogs[inst] = &aurLog{}
+			}
+			if al := aurLogs[inst]; isData {
+				al.batches += int64(records)
+				al.dataBytes += sc.Offset()
+			} else {
+				al.blocks += int64(records)
+				al.indexBytes += sc.Offset()
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -313,6 +331,19 @@ func cmdHealth(dir string) error {
 	if len(insts) > 0 {
 		// The files record what is on disk now, not how it got there.
 		fmt.Println("rmw logs: bytes flushed and cleaned, aggregates consumed from the buffer vs from disk, and checkpoint rebases are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits, CheckpointRebases)")
+	}
+	insts = insts[:0]
+	for inst := range aurLogs {
+		insts = append(insts, inst)
+	}
+	sort.Strings(insts)
+	for _, inst := range insts {
+		l := aurLogs[inst]
+		fmt.Printf("aur log %s: %d batches in %d bytes of data log, located by %d blocks in %d bytes of index log\n",
+			inst, l.batches, l.dataBytes, l.blocks, l.indexBytes)
+	}
+	if len(insts) > 0 {
+		fmt.Println("aur logs: bytes flushed and compacted, and sessions consumed from the buffer vs with state on disk, are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits)")
 	}
 	fmt.Printf("%d log files: %d clean, %d torn tails (recoverable), %d corrupt\n",
 		files, files-torn-corrupt, torn, corrupt)

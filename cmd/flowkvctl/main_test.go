@@ -167,6 +167,77 @@ func TestMultiSegmentRMWLog(t *testing.T) {
 	}
 }
 
+// TestHealthReportsAURLogs spills an AUR instance past several evictions
+// and a compaction and requires that `health` prints, per instance, what
+// its data and index logs hold — and that the running store's counters,
+// which the last line points to, account for those bytes.
+func TestHealthReportsAURLogs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := core.OpenPattern(core.PatternAUR, window.Session, core.Options{
+		Dir: dir, Instances: 1, WriteBufferBytes: 1024, Assigner: window.SessionAssigner{Gap: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Destroy()
+	session := func(i int) ([]byte, window.Window) {
+		return []byte(fmt.Sprintf("user-%03d", i)), window.Window{Start: int64(i), End: int64(i) + 100}
+	}
+	const ids, fired = 200, 150
+	for i := 0; i < ids+fired; i++ {
+		if i < ids {
+			k, w := session(i)
+			if err := st.Append(k, []byte("value"), w, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i >= fired { // sessions fire in the order they were opened
+			k, w := session(i - fired)
+			if vals, err := st.Get(k, w); err != nil || len(vals) != 1 {
+				t.Fatalf("%s: %d values, err %v", k, len(vals), err)
+			}
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stats := st.Stats()
+	if stats.BufferHits == 0 || stats.DiskHits == 0 || stats.BufferHits+stats.DiskHits != ids || stats.Compactions == 0 {
+		t.Fatalf("stats: %d buffer hits, %d disk hits, %d compactions; want %d sessions consumed, some each way, and a compaction",
+			stats.BufferHits, stats.DiskHits, stats.Compactions, ids)
+	}
+	if stats.FlushBytes+stats.CompactionBytes < stats.DiskBytes || stats.FlushBytes == 0 || stats.CompactionBytes == 0 {
+		t.Errorf("stats: %d bytes flushed, %d compacted, %d on disk", stats.FlushBytes, stats.CompactionBytes, stats.DiskBytes)
+	}
+	datas, _ := filepath.Glob(filepath.Join(dir, "inst-*", "data-*.log"))
+	indexes, _ := filepath.Glob(filepath.Join(dir, "inst-*", "index-*.log"))
+	if len(datas) != 1 || len(indexes) != 1 {
+		t.Fatalf("%d data and %d index logs", len(datas), len(indexes))
+	}
+	size := func(path string) int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if size(datas[0])+size(indexes[0]) != stats.DiskBytes {
+		t.Fatalf("logs of %d and %d bytes, the store counts %d on disk", size(datas[0]), size(indexes[0]), stats.DiskBytes)
+	}
+	printed := captureStdout(t, func() error { return cmdHealth(dir) })
+	for _, want := range []string{
+		fmt.Sprintf("aur log %s: ", filepath.Base(filepath.Dir(datas[0]))),
+		fmt.Sprintf("in %d bytes of data log, located by ", size(datas[0])),
+		fmt.Sprintf("in %d bytes of index log", size(indexes[0])),
+		"core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits)",
+		"2 log files: 2 clean",
+	} {
+		if !strings.Contains(printed, want) {
+			t.Errorf("health does not report %q:\n%s", want, printed)
+		}
+	}
+}
+
 // TestIndexDecodesBlockIndexLog runs `flowkvctl index` over the index
 // log of a real AUR instance that has flushed, compacted and flushed
 // again, and checks the rows against the data log next to it: one row

@@ -10,6 +10,14 @@
 // one packed block per flush (index.go gives the layout), keeping
 // per-window location metadata on disk rather than in memory.
 //
+// What gets spilled. An append never reads, so the only access that needs
+// a window's state in memory is its trigger. A full write buffer therefore
+// evicts only the quarter of its identities whose estimated trigger time
+// is latest (identities without an estimate first of all): the sessions
+// about to fire stay, are consumed from memory, and are never written.
+// Flush, Sync and CheckpointDelta drain the buffer whole through the same
+// flush.
+//
 // Predictive batch read. An in-memory Stat table tracks each live
 // window's estimated trigger time (ETT), computed by a window-semantics
 // predictor from the statically-known window function and the maximum
@@ -82,8 +90,9 @@ var DisableFlushReattach bool
 type Options struct {
 	// Dir is the directory holding the instance's data and index logs.
 	Dir string
-	// WriteBufferBytes caps the in-memory write buffer; exceeding it
-	// flushes every buffered batch. Default 32 MiB.
+	// WriteBufferBytes caps the in-memory write buffer; an append that
+	// exceeds it evicts the quarter of the buffered identities that will
+	// trigger last (see flushLocked). Default 32 MiB.
 	WriteBufferBytes int64
 	// ReadBatchRatio sets the fraction of live (key, window) states
 	// prefetched per predictive batch read. 0 disables prediction (every
@@ -122,6 +131,12 @@ const (
 	// readParallelism bounds the worker goroutines fanning those reads
 	// across the data log.
 	readParallelism = 4
+	// evictDivisor is the share of the buffered identities a full buffer
+	// evicts: the quarter with the latest estimated trigger time. On the
+	// session benchmark a half writes 28.9 B an event, a quarter 26.7 B and
+	// an eighth 25.6 B with twice the flushes (draining the buffer whole:
+	// 35.1 B) — the same trade the RMW store's evictDivisor settles.
+	evictDivisor = 4
 )
 
 func (o *Options) fill() {
@@ -202,7 +217,10 @@ type Store struct {
 	// consumed is keyed by the canonical (key, window) byte encoding
 	// (identBytes) — the same bytes every index entry starts with — so
 	// the index scan can test deadness without allocating an id per entry.
-	consumed map[string]struct{}
+	// The value is the data log's size when the identity was last
+	// consumed: its batches below that offset are dead, and batches a
+	// later life of the same (key, window) flushes above it are not.
+	consumed map[string]int64
 	dataLog  *logfile.Log
 	indexLog *logfile.Log
 	gen      int
@@ -220,6 +238,13 @@ type Store struct {
 	compactions metrics.Counter
 	indexScans  metrics.Counter
 	batchReads  metrics.Counter
+	// Where the written bytes went, data and index log together, and how
+	// many batches flushes wrote; where consumed identities were found.
+	flushedBytes   metrics.Counter
+	flushedBatches metrics.Counter
+	compactedBytes metrics.Counter
+	bufferHits     metrics.Counter // consumed wholly from the write buffer
+	diskHits       metrics.Counter // consumed with state on disk
 }
 
 // Open creates an AUR store instance rooted at opts.Dir.
@@ -237,7 +262,7 @@ func Open(opts Options) (*Store, error) {
 		buf:       make(map[id]*bufEntry),
 		stat:      make(map[id]*statEntry),
 		onDisk:    make(map[id]int64),
-		consumed:  make(map[string]struct{}),
+		consumed:  make(map[string]int64),
 		prefetch:  make(map[id][][]byte),
 		statMarks: ckpt.NewMarks[id](),
 	}
@@ -339,7 +364,7 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(false); err != nil {
 		return err
 	}
 	if s.opts.SeparateCompactionScan {
@@ -364,6 +389,10 @@ type flushItem struct {
 // does not make compaction's live runs longer, as one might hope (50 B
 // to 52 B there): long-lived sessions outlive their flush-mates wherever
 // they are placed.
+//
+// The same order, read from its far end, picks an eviction's victims
+// (detachLocked): it is total, so victims and byte counts repeat from run
+// to run.
 func byTrigger(a, b flushItem) int {
 	switch {
 	case a.e.hasETT != b.e.hasETT:
@@ -393,31 +422,88 @@ func compareIDs(a, b id) int {
 	return 0
 }
 
-// flushLocked spills the write buffer (step ③): one data record per
-// buffered (key, window) batch, in byTrigger order, then the batches'
-// locations as index blocks. Caller holds ioMu. The buffer is detached
-// under mu and written with only ioMu held, so ingestion proceeds; ids in
-// the detached batch are marked in-flight, diverting their reads to the
-// slow path until the on-disk accounting is installed.
-func (s *Store) flushLocked() error {
+// triggersLater is byTrigger read from its far end: the order an eviction
+// selects its victims by.
+func triggersLater(a, b flushItem) bool { return byTrigger(a, b) > 0 }
+
+// detachLocked removes from the buffer, and returns, the batch a flush
+// writes — marked in flight — or nil when there is nothing to do: an empty
+// buffer, or an eviction that queued on ioMu behind another and finds the
+// buffer no longer full. Caller holds ioMu and mu. A drain takes
+// everything. An eviction takes the quarter of the buffered identities
+// that come last in byTrigger order, found by selection rather than by
+// sorting the buffer — unless what that leaves is still over the cap (a
+// few large batches among many small ones), and then it too takes
+// everything, so a flush always brings the buffer back under
+// WriteBufferBytes. items lists the batch when selecting built the list
+// anyway.
+//
+// Why the estimated trigger time and not the window's end, the order the
+// RMW store evicts by: an RMW update reads its aggregate back, an AUR
+// append reads nothing, so the trigger is the only access that wants the
+// state in memory — and the session just appended to (latest maxTS + gap)
+// is the one furthest from it. Ordered by the initial window's end the
+// session benchmark writes 39.0 B an event, more than draining the buffer
+// whole (35.1 B); ordered by ETT, 26.7 B.
+func (s *Store) detachLocked(all bool) (batch map[id]*bufEntry, items []flushItem) {
+	if len(s.buf) == 0 || (!all && s.bufBytes <= s.opts.WriteBufferBytes) {
+		return nil, nil
+	}
+	if !all {
+		items = make([]flushItem, 0, len(s.buf))
+		for ident, e := range s.buf {
+			items = append(items, flushItem{ident: ident, e: e})
+		}
+		k := (len(items) + evictDivisor - 1) / evictDivisor
+		window.SelectLast(items, k, triggersLater)
+		var bytes int64
+		for _, it := range items[:k] {
+			bytes += it.e.bytes
+		}
+		if s.bufBytes-bytes <= s.opts.WriteBufferBytes {
+			items = items[:k]
+			batch = make(map[id]*bufEntry, k)
+			for _, it := range items {
+				batch[it.ident] = it.e
+				delete(s.buf, it.ident)
+			}
+			s.bufBytes -= bytes
+			s.flushing = batch
+			return batch, items
+		}
+	}
+	batch = s.buf
+	s.buf = make(map[id]*bufEntry)
+	s.bufBytes = 0
+	s.flushing = batch
+	return batch, items
+}
+
+// flushLocked spills buffered batches (step ③): all of them for a drain
+// (Flush, Sync, CheckpointDelta — the drain is the checkpoint cut), the
+// quarter that will trigger last for the eviction an Append starts on
+// finding the buffer full (detachLocked). One data record per (key,
+// window) batch, in byTrigger order, then the batches' locations as index
+// blocks. Caller holds ioMu. The batch is detached under mu and written
+// with only ioMu held, so ingestion proceeds; ids in the detached batch
+// are marked in-flight, diverting their reads to the slow path until the
+// on-disk accounting is installed.
+func (s *Store) flushLocked(all bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	batch := s.buf
-	if len(batch) == 0 {
-		s.mu.Unlock()
+	batch, items := s.detachLocked(all)
+	s.mu.Unlock()
+	if batch == nil {
 		return nil
 	}
-	s.buf = make(map[id]*bufEntry)
-	s.bufBytes = 0
-	s.flushing = batch
-	s.mu.Unlock()
-
-	items := make([]flushItem, 0, len(batch))
-	for ident, e := range batch {
-		items = append(items, flushItem{ident: ident, e: e})
+	if items == nil {
+		items = make([]flushItem, 0, len(batch))
+		for ident, e := range batch {
+			items = append(items, flushItem{ident: ident, e: e})
+		}
 	}
 	slices.SortFunc(items, byTrigger)
 
@@ -425,10 +511,13 @@ func (s *Store) flushLocked() error {
 	// items[:indexed] are also covered by an index block the index log
 	// accepted.
 	var stored, indexed int
+	var bytes int64 // data and index bytes the logs accepted
 	iw := indexWriter{emit: func(block []byte, entries int) error {
-		if _, _, err := s.indexLog.Append(block); err != nil {
+		_, n, err := s.indexLog.Append(block)
+		if err != nil {
 			return err
 		}
+		bytes += int64(n)
 		indexed += entries
 		return nil
 	}}
@@ -446,6 +535,7 @@ func (s *Store) flushLocked() error {
 			break
 		}
 		it.n = int64(n)
+		bytes += it.n
 		stored++
 		prefix = appendIdent(prefix[:0], it.ident)
 		if err := iw.add(prefix, span{off, n}); err != nil {
@@ -463,6 +553,8 @@ func (s *Store) flushLocked() error {
 	for _, it := range items[indexed:stored] {
 		s.dead += it.n
 	}
+	s.flushedBytes.Add(bytes)
+	s.flushedBatches.Add(int64(stored))
 
 	s.mu.Lock()
 	s.flushing = nil
@@ -537,11 +629,9 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 		return nil, ErrClosed
 	}
 	if s.fastPathLocked(ident) {
-		var bufVals [][]byte
-		if e, ok := s.buf[ident]; ok {
-			bufVals = e.values
-			s.bufBytes -= e.bytes
-			delete(s.buf, ident)
+		bufVals := s.takeBufferedLocked(ident)
+		if bufVals != nil {
+			s.bufferHits.Inc()
 		}
 		s.dropStatLocked(ident)
 		s.mu.Unlock()
@@ -578,15 +668,13 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 			diskVals = vals
 		}
 		s.dropPrefetchLocked(ident)
-		s.dead += s.onDisk[ident]
-		delete(s.onDisk, ident)
-		s.consumed[string(identBytes(ident))] = struct{}{}
+		s.consumeDiskLocked(ident)
 	}
-	var bufVals [][]byte
-	if e, ok := s.buf[ident]; ok {
-		bufVals = e.values
-		s.bufBytes -= e.bytes
-		delete(s.buf, ident)
+	bufVals := s.takeBufferedLocked(ident)
+	if diskVals != nil {
+		s.diskHits.Inc()
+	} else if bufVals != nil {
+		s.bufferHits.Inc()
 	}
 	s.dropStatLocked(ident)
 	s.mu.Unlock()
@@ -729,10 +817,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 		return ErrClosed
 	}
 	if s.fastPathLocked(ident) {
-		if e, ok := s.buf[ident]; ok {
-			s.bufBytes -= e.bytes
-			delete(s.buf, ident)
-		}
+		s.takeBufferedLocked(ident)
 		s.dropStatLocked(ident)
 		s.mu.Unlock()
 		return nil
@@ -746,19 +831,43 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if e, ok := s.buf[ident]; ok {
-		s.bufBytes -= e.bytes
-		delete(s.buf, ident)
-	}
+	s.takeBufferedLocked(ident)
 	s.dropPrefetchLocked(ident)
-	if n := s.onDisk[ident]; n > 0 {
-		s.dead += n
-		delete(s.onDisk, ident)
-		s.consumed[string(identBytes(ident))] = struct{}{}
+	if s.onDisk[ident] > 0 {
+		s.consumeDiskLocked(ident)
 	}
 	s.dropStatLocked(ident)
 	s.mu.Unlock()
 	return nil
+}
+
+// takeBufferedLocked removes ident's batch from the write buffer and
+// returns its values, nil if it has none; caller holds mu.
+func (s *Store) takeBufferedLocked(ident id) [][]byte {
+	e, ok := s.buf[ident]
+	if !ok {
+		return nil
+	}
+	s.bufBytes -= e.bytes
+	delete(s.buf, ident)
+	return e.values
+}
+
+// consumeDiskLocked retires ident's flushed batches: every one the data
+// log holds now — all below its current size — is dead, and a batch a new
+// life of the same (key, window) flushes later lands above that mark and
+// is not. Caller holds ioMu, so no flush is in flight, and mu.
+func (s *Store) consumeDiskLocked(ident id) {
+	s.dead += s.onDisk[ident]
+	delete(s.onDisk, ident)
+	s.consumed[string(identBytes(ident))] = s.dataLog.Size()
+}
+
+// consumedEntry reports whether the batch e locates was consumed; caller
+// holds ioMu.
+func (s *Store) consumedEntry(e *indexEntry) bool {
+	mark, ok := s.consumed[string(e.prefix)]
+	return ok && e.Off < mark
 }
 
 // dropPrefetchLocked removes ident's prefetched values; caller holds mu.
@@ -802,7 +911,7 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 		if !wanted && plan == nil {
 			return nil
 		}
-		if _, dead := s.consumed[string(e.prefix)]; dead {
+		if s.consumedEntry(e) {
 			return nil
 		}
 		if plan != nil {
@@ -1160,7 +1269,7 @@ func (s *Store) maybeCompactSeparateLocked() error {
 	}
 	plan := newCompactPlan()
 	err := s.scanIndexLocked(func(e *indexEntry) error {
-		if _, dead := s.consumed[string(e.prefix)]; dead {
+		if s.consumedEntry(e) {
 			return nil
 		}
 		return plan.add(e)
@@ -1261,23 +1370,25 @@ func (s *Store) compactInner(plan *compactPlan) error {
 			return err
 		}
 	}
+	s.compactedBytes.Add(s.dataLog.Size() + s.indexLog.Size())
 
 	// The new generation is fully built and referenced from here on, so
 	// the accounting resets even if unlinking the old files fails (they
 	// are garbage either way; the error still surfaces).
 	s.dead = 0
-	s.consumed = make(map[string]struct{})
+	s.consumed = make(map[string]int64)
 	if err := oldData.Remove(); err != nil {
 		return err
 	}
 	return oldIndex.Remove()
 }
 
-// Flush spills all buffered data to disk (checkpoint support).
+// Flush spills all buffered data to disk (checkpoint support): a drain,
+// where a full buffer's eviction spills a quarter.
 func (s *Store) Flush() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(true); err != nil {
 		return err
 	}
 	if err := s.dataLog.Flush(); err != nil {
@@ -1297,7 +1408,7 @@ func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.ioMu.Lock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(true); err != nil {
 		s.ioMu.Unlock()
 		return err
 	}
@@ -1352,6 +1463,25 @@ func (s *Store) HitRatio() float64 { return s.ratio.Value() }
 
 // HitCount returns (hits, misses) of the prefetch buffer.
 func (s *Store) HitCount() (int64, int64) { return s.ratio.Hits(), s.ratio.Misses() }
+
+// ConsumedCount returns how many identities a Get found wholly in the
+// write buffer and how many had state on disk: evicting by trigger time
+// exists to move sessions from the second count to the first.
+func (s *Store) ConsumedCount() (buffer, disk int64) {
+	return s.bufferHits.Load(), s.diskHits.Load()
+}
+
+// FlushBytes returns the data- and index-log bytes flushes have written:
+// evictions and drains, not compaction's rewrites (CompactionBytes).
+func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
+
+// FlushedBatches returns the number of (key, window) batches flushes have
+// written to the data log.
+func (s *Store) FlushedBatches() int64 { return s.flushedBatches.Load() }
+
+// CompactionBytes returns the data- and index-log bytes of the
+// generations compactions have built.
+func (s *Store) CompactionBytes() int64 { return s.compactedBytes.Load() }
 
 // Evictions returns the number of prefetched windows evicted by wrong ETT
 // estimates.

@@ -356,6 +356,48 @@ func TestBreakdownAccounting(t *testing.T) {
 	}
 }
 
+// TestByteAndHitCountersAccountForTheLogs: before any compaction every
+// byte in the two logs was put there by a flush; a compaction's bytes are
+// the generation it builds; and a consumed identity counts once, by
+// whether it had state on disk.
+func TestByteAndHitCountersAccountForTheLogs(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2})
+	session := func(i int) (string, window.Window) {
+		return fmt.Sprintf("k%02d", i), window.Window{Start: int64(i), End: int64(i) + gap}
+	}
+	for i := 0; i < 40; i++ {
+		k, w := session(i)
+		s.Append([]byte(k), []byte("value"), w, int64(i))
+		if i == 19 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, disk := s.FlushBytes(), s.DiskUsage(); got != disk || s.FlushedBatches() != 20 || s.CompactionBytes() != 0 {
+		t.Fatalf("%d bytes in %d batches flushed, %d compacted, %d on disk; want 20 batches and every byte on disk flushed",
+			got, s.FlushedBatches(), s.CompactionBytes(), disk)
+	}
+	for i := 30; i < 40; i++ { // never flushed
+		k, w := session(i)
+		mustGet(t, s, k, w)
+	}
+	for i := 0; i < 10 && s.Compactions() == 0; i++ {
+		k, w := session(i)
+		mustGet(t, s, k, w)
+	}
+	if s.Compactions() != 1 {
+		t.Fatalf("%d compactions, want 1", s.Compactions())
+	}
+	if got, disk := s.CompactionBytes(), s.DiskUsage(); got != disk || got == 0 {
+		t.Fatalf("%d bytes compacted, the generation the compaction built holds %d", got, disk)
+	}
+	buffer, disk := s.ConsumedCount()
+	if _, misses := s.HitCount(); buffer != 10 || disk != misses || disk == 0 {
+		t.Fatalf("%d identities consumed from the buffer and %d with state on disk after %d misses; want 10 and one per miss", buffer, disk, misses)
+	}
+}
+
 func TestClosedErrors(t *testing.T) {
 	s := openTest(t, Options{})
 	if err := s.Close(); err != nil {

@@ -28,21 +28,28 @@ const (
 // a checkpoint. CheckpointDelta does not compact before copying, so the
 // snapshot's data log still contains consumed (fetch-&-removed) entries;
 // Restore loads this file into s.consumed before scanning the index so
-// those entries cannot resurrect.
+// those entries cannot resurrect. One record for the dead-byte counter,
+// then one per consumed identity: its identBytes and the data-log offset
+// below which its batches are dead. A record that ends after the
+// identBytes — what stores wrote before the offset existed — means every
+// batch the snapshot's data log holds.
 const consumedSnapshotName = "consumed.snap"
 
-func encodeConsumedSnapshot(consumed map[string]struct{}, dead int64) []byte {
+func encodeConsumedSnapshot(consumed map[string]int64, dead int64) []byte {
 	var buf, payload []byte
 	payload = binio.PutVarint(payload, dead)
 	buf = binio.AppendRecord(buf, payload)
-	for prefix := range consumed {
+	for prefix, mark := range consumed {
 		payload = binio.PutBytes(payload[:0], []byte(prefix))
+		payload = binio.PutUvarint(payload, uint64(mark))
 		buf = binio.AppendRecord(buf, payload)
 	}
 	return buf
 }
 
-func (s *Store) loadConsumedSnapshot(path string) (map[string]struct{}, int64, error) {
+// loadConsumedSnapshot reads a checkpoint's consumed.snap; dataLen is the
+// length of the checkpoint's data log, the mark of a record without one.
+func (s *Store) loadConsumedSnapshot(path string, dataLen int64) (map[string]int64, int64, error) {
 	b, err := s.dir.FS().ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -56,18 +63,26 @@ func (s *Store) loadConsumedSnapshot(path string) (map[string]struct{}, int64, e
 	if err != nil {
 		return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
 	}
-	out := make(map[string]struct{})
+	out := make(map[string]int64)
 	for len(b) > 0 {
 		payload, n, err := binio.ReadRecord(b)
 		if err != nil {
 			return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
 		}
 		b = b[n:]
-		prefix, _, err := binio.Bytes(payload)
+		prefix, n, err := binio.Bytes(payload)
 		if err != nil {
 			return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
 		}
-		out[string(prefix)] = struct{}{}
+		mark := dataLen
+		if payload = payload[n:]; len(payload) > 0 {
+			m, _, err := binio.Uvarint(payload)
+			if err != nil || m > uint64(dataLen) {
+				return nil, 0, fmt.Errorf("aur: consumed snapshot: consumed mark: %w", binio.ErrCorrupt)
+			}
+			mark = int64(m)
+		}
+		out[string(prefix)] = mark
 	}
 	return out, dead, nil
 }
@@ -94,7 +109,7 @@ func (s *Store) loadConsumedSnapshot(path string) (map[string]struct{}, int64, e
 func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(); err != nil {
+	if err := s.flushLocked(true); err != nil {
 		return nil, err
 	}
 	// The Stat cut: with a parent whose cut id matches the last committed
@@ -224,7 +239,7 @@ func (s *Store) Restore(dir string) error {
 	if err := ckpt.Materialize(fsys, dir, istate, filepath.Join(s.dir.Root(), indexName)); err != nil {
 		return fmt.Errorf("aur: restore: %w", err)
 	}
-	consumed, dead, err := s.loadConsumedSnapshot(filepath.Join(dir, consumedSnapshotName))
+	consumed, dead, err := s.loadConsumedSnapshot(filepath.Join(dir, consumedSnapshotName), dstate.TotalLen())
 	if err != nil {
 		return err
 	}
@@ -246,7 +261,7 @@ func (s *Store) Restore(dir string) error {
 	// Rebuild onDisk byte accounting from the index log.
 	newOnDisk := make(map[id]int64)
 	err = s.scanIndexLocked(func(e *indexEntry) error {
-		if _, dead := s.consumed[string(e.prefix)]; !dead {
+		if !s.consumedEntry(e) {
 			newOnDisk[id{key: string(e.Key), w: e.Window}] += int64(e.Len)
 		}
 		return nil

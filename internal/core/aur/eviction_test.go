@@ -1,0 +1,658 @@
+package aur
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
+	"flowkv/internal/window"
+)
+
+const diffBuffer = 4 << 10 // the differential runs' write buffer
+
+// coarsePredictor is a session predictor that rounds its estimates to
+// eight ticks, so equal ETTs are common, and has no estimate at all for
+// windows starting on a multiple of five — the two cases the eviction
+// order must break by identity.
+type coarsePredictor struct{}
+
+func (coarsePredictor) ETT(w window.Window, maxTS int64) (int64, bool) {
+	if w.Start%5 == 0 {
+		return 0, false
+	}
+	return (maxTS + gap) / 8 * 8, true
+}
+
+// bufSnap is what the eviction order reads of one buffered identity.
+type bufSnap struct {
+	bytes  int64
+	ett    int64
+	hasETT bool
+}
+
+func (b bufSnap) item(ident id) flushItem {
+	return flushItem{ident: ident, e: &bufEntry{ett: b.ett, hasETT: b.hasETT}}
+}
+
+func snapshotBuffer(s *Store) map[id]bufSnap {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[id]bufSnap, len(s.buf))
+	for ident, e := range s.buf {
+		out[ident] = bufSnap{bytes: e.bytes, ett: e.ett, hasETT: e.hasETT}
+	}
+	return out
+}
+
+// checkEviction holds one evicting Append to the rule: pre is the buffer
+// as the eviction found it, and what is buffered now must be pre less
+// exactly the quarter that comes last in byTrigger order — or less
+// everything, when and only when that quarter would have left the buffer
+// over its cap.
+func checkEviction(t *testing.T, s *Store, pre map[id]bufSnap, flushed int64) {
+	t.Helper()
+	after := snapshotBuffer(s)
+	var total, kept int64
+	var stayed, left []flushItem
+	for ident, b := range pre {
+		total += b.bytes
+		if a, ok := after[ident]; ok {
+			if a != b {
+				t.Fatalf("%v stayed buffered but changed from %+v to %+v", ident, b, a)
+			}
+			kept += b.bytes
+			stayed = append(stayed, b.item(ident))
+		} else {
+			left = append(left, b.item(ident))
+		}
+	}
+	if len(after) != len(stayed) {
+		t.Fatalf("%d identities buffered after the eviction, %d of them there before it", len(after), len(stayed))
+	}
+	if got := s.BufferedBytes(); got != kept || got > diffBuffer {
+		t.Fatalf("%d bytes buffered after the eviction, the survivors hold %d, the cap is %d", got, kept, diffBuffer)
+	}
+	if int64(len(left)) != flushed {
+		t.Fatalf("%d identities left the buffer, %d batches were flushed", len(left), flushed)
+	}
+	n := len(pre)
+	k := (n + evictDivisor - 1) / evictDivisor
+	all := make([]flushItem, 0, n)
+	all = append(append(all, stayed...), left...)
+	slices.SortFunc(all, byTrigger)
+	var lastQuarter int64
+	for _, it := range all[n-k:] {
+		lastQuarter += pre[it.ident].bytes
+	}
+	switch {
+	case len(left) == n && k < n:
+		if total-lastQuarter <= diffBuffer {
+			t.Fatalf("all %d identities were evicted although the last quarter (%d of %d bytes) would have been enough", n, lastQuarter, total)
+		}
+	case len(left) == k:
+		for _, x := range stayed {
+			for _, y := range left {
+				if byTrigger(x, y) >= 0 {
+					t.Fatalf("%v stayed although it comes after the evicted %v", x.ident, y.ident)
+				}
+			}
+		}
+		if total-lastQuarter > diffBuffer {
+			t.Fatalf("a quarter was evicted and left %d bytes in a %d-byte buffer", total-lastQuarter, diffBuffer)
+		}
+	default:
+		t.Fatalf("%d of %d identities were evicted, want %d or all", len(left), n, k)
+	}
+}
+
+func wantValues(t *testing.T, what string, ident id, got [][]byte, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s %v: %d values, want %d", what, ident, len(got), len(want))
+	}
+	for i := range got {
+		if string(got[i]) != want[i] {
+			t.Fatalf("%s %v: value %d is %q, want %q: append order lost", what, ident, i, got[i], want[i])
+		}
+	}
+}
+
+// readAll checks every identity of the oracle, and nothing else, against
+// the store without consuming anything.
+func readAll(t *testing.T, what string, s *Store, oracle map[id][]string) {
+	t.Helper()
+	for ident, want := range oracle {
+		got, err := s.Read([]byte(ident.key), ident.w)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		wantValues(t, what, ident, got, want)
+	}
+	if live := s.LiveStates(); live != len(oracle) {
+		t.Fatalf("%s: %d live states, the oracle holds %d", what, live, len(oracle))
+	}
+}
+
+// TestDifferentialEvictionAgainstOracle drives Append / Get / Read / Drop
+// and delta checkpoints with restores against a map, with a 4 KiB buffer
+// so that evictions, misses and compactions happen every few dozen steps,
+// identities are reused after they are consumed, and now and then a value
+// is large enough that a quarter is not enough. Every evicting Append is
+// held to the eviction rule and every read to the oracle's append order.
+func TestDifferentialEvictionAgainstOracle(t *testing.T) {
+	for _, seed := range []int64{1, 7, time.Now().UnixNano()} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { runDifferential(t, seed) })
+	}
+}
+
+func runDifferential(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	opts := Options{
+		WriteBufferBytes:      diffBuffer,
+		ReadBatchRatio:        0.1,
+		MinBatchWindows:       4,
+		MaxSpaceAmplification: 1.3,
+		Predictor:             coarsePredictor{},
+	}
+	base := t.TempDir()
+	open := func(name string) *Store {
+		o := opts
+		o.Dir = filepath.Join(base, name)
+		return openTest(t, o)
+	}
+	s := open("store-0")
+	oracle := make(map[id][]string)
+	ident := func(i int) id {
+		return id{key: fmt.Sprintf("k%03d", i%97), w: window.Window{Start: int64(i), End: int64(i) + gap}}
+	}
+	var (
+		parent             *ckpt.Meta
+		parentDir          string
+		cuts, restores     int
+		evictions, wholes  int
+		compactionsCarried int64
+	)
+	cut := func() string {
+		t.Helper()
+		cuts++
+		dir := filepath.Join(base, fmt.Sprintf("ckpt-%d", cuts))
+		res, err := s.CheckpointDelta(dir, parent, parentDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Commit()
+		if n := len(snapshotBuffer(s)); n != 0 || s.BufferedBytes() != 0 {
+			t.Fatalf("%d identities (%d bytes) buffered after a checkpoint", n, s.BufferedBytes())
+		}
+		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, parentDir = meta, dir
+		return dir
+	}
+	restoreInto := func(name, dir string) *Store {
+		t.Helper()
+		dst := open(name)
+		if err := dst.Restore(dir); err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, "restored from "+filepath.Base(dir), dst, oracle)
+		return dst
+	}
+	const steps = 12000
+	for step := 0; step < steps; step++ {
+		target := ident(rng.Intn(240))
+		switch r := rng.Intn(100); {
+		case r < 62:
+			v := fmt.Sprintf("v%06d", step)
+			if rng.Intn(150) == 0 { // large enough that three quarters stay over the cap
+				v += string(make([]byte, diffBuffer+rng.Intn(diffBuffer)))
+			}
+			pre := snapshotBuffer(s)
+			flushed := s.FlushedBatches()
+			if err := s.Append([]byte(target.key), []byte(v), target.w, int64(step)+rng.Int63n(16)); err != nil {
+				t.Fatal(err)
+			}
+			oracle[target] = append(oracle[target], v)
+			if flushed = s.FlushedBatches() - flushed; flushed == 0 {
+				continue
+			}
+			// The buffer the eviction found: the one before the Append plus
+			// this tuple, under the estimate the Append left in the Stat table.
+			b := pre[target]
+			b.bytes += int64(len(v) + 24)
+			s.mu.Lock()
+			b.ett, b.hasETT = s.stat[target].ett, s.stat[target].hasETT
+			s.mu.Unlock()
+			pre[target] = b
+			checkEviction(t, s, pre, flushed)
+			evictions++
+			if int(flushed) == len(pre) {
+				wholes++
+			}
+			if rng.Intn(12) == 0 {
+				// A checkpoint cut right behind an eviction: what the eviction
+				// left in memory and what it wrote are both in it.
+				restoreInto(fmt.Sprintf("probe-%d", step), cut()).Destroy()
+			}
+		case r < 80:
+			got, err := s.Get([]byte(target.key), target.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantValues(t, fmt.Sprintf("step %d Get", step), target, got, oracle[target])
+			delete(oracle, target)
+		case r < 92:
+			got, err := s.Read([]byte(target.key), target.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantValues(t, fmt.Sprintf("step %d Read", step), target, got, oracle[target])
+		case r < 97 || rng.Intn(6) != 0:
+			if err := s.Drop([]byte(target.key), target.w); err != nil {
+				t.Fatal(err)
+			}
+			delete(oracle, target)
+		default: // a drain every couple of hundred steps, so evictions outnumber them
+			dir := cut()
+			if rng.Intn(2) == 0 { // carry on in a store restored from the cut
+				restores++
+				compactionsCarried += s.Compactions()
+				old := s
+				s = restoreInto(fmt.Sprintf("store-%d", restores), dir)
+				old.Destroy()
+			}
+		}
+	}
+	compactions := compactionsCarried + s.Compactions()
+	t.Logf("seed %d: %d evictions (%d of the whole buffer), %d compactions, %d checkpoints, %d restores",
+		seed, evictions, wholes, compactions, cuts, restores)
+	if evictions-wholes < 20 || wholes == 0 || compactions == 0 || restores == 0 {
+		t.Errorf("the run is not exercising what it is for")
+	}
+	for ident, want := range oracle {
+		got, err := s.Get([]byte(ident.key), ident.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, "final Get", ident, got, want)
+	}
+	if live := s.LiveStates(); live != 0 {
+		t.Fatalf("%d states live after every one was consumed", live)
+	}
+}
+
+// sessionRun is the session benchmark's regime in miniature: one tuple a
+// tick, in order, each opening a session of its own unless it is the late
+// second tuple of an earlier one; a session fires — its values are
+// fetched and removed — gap ticks after its last tuple. Live state is
+// about three write buffers. drainWhole emulates the store that spills
+// its whole buffer, by calling Flush whenever the next Append would
+// overflow it.
+type sessionRun struct {
+	fromBuffer, fromDisk int64 // sessions consumed at their trigger
+	flushed              int64 // batches flushed
+}
+
+func runSessions(t *testing.T, drainWhole bool) sessionRun {
+	t.Helper()
+	const (
+		n       = 30_000
+		sessGap = 400 // about three buffers of live sessions
+		late    = 90  // a session's second tuple, when it has one, is this late
+	)
+	s := openTest(t, Options{
+		WriteBufferBytes: diffBuffer,
+		ReadBatchRatio:   0.02,
+		Predictor:        window.SessionPredictor{Gap: sessGap},
+	})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("s%06d", i)) }
+	win := func(i int) window.Window { return window.Window{Start: int64(i), End: int64(i) + sessGap} }
+	// One session in eight gets a second tuple: its ETT moves with it, so,
+	// unlike an order by window end, the eviction order is not fooled.
+	hasSecond := func(i int) bool { return i%8 == 1 && i+late < n }
+	value := []byte("bid-0001")
+	tuple := func(i int, ts int64) {
+		if drainWhole && s.BufferedBytes()+int64(len(value)+24) > diffBuffer {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Append(key(i), value, win(i), ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fire := func(i, tuples int) {
+		got, err := s.Get(key(i), win(i))
+		if err != nil || len(got) != tuples {
+			t.Fatalf("session %d fired %d values, err %v; want %d", i, len(got), err, tuples)
+		}
+	}
+	for tick := 0; tick < n+sessGap+late; tick++ {
+		// Sessions whose last tuple is a gap old fire first.
+		if i := tick - sessGap; i >= 0 && i < n && i%4 != 3 && !hasSecond(i) {
+			fire(i, 1)
+		}
+		if i := tick - sessGap - late; i >= 0 && i < n && hasSecond(i) {
+			fire(i, 2)
+		}
+		if tick >= n {
+			continue
+		}
+		if tick%4 == 3 && tick >= late && hasSecond(tick-late) {
+			tuple(tick-late, int64(tick))
+		} else if tick%4 != 3 {
+			tuple(tick, int64(tick))
+		}
+	}
+	if live := s.LiveStates(); live != 0 {
+		t.Fatalf("%d sessions left after every trigger", live)
+	}
+	var out sessionRun
+	out.fromBuffer, out.fromDisk = s.ConsumedCount()
+	out.flushed = s.FlushedBatches()
+	return out
+}
+
+// TestEvictionKeepsSoonestTriggersInMemory is the unit-level form of the
+// benchmark claim: with live sessions at three times the buffer, evicting
+// the quarter that triggers last lets a good share of the sessions be
+// consumed at their trigger without ever touching disk, and flushes a
+// fifth fewer batches than draining the whole buffer does on the same
+// operations — and the counts are a property of the operations, not of
+// map order: a second run repeats them.
+func TestEvictionKeepsSoonestTriggersInMemory(t *testing.T) {
+	evict, drain := runSessions(t, false), runSessions(t, true)
+	t.Logf("evicting a quarter: %d sessions fired from memory, %d with state on disk, %d batches flushed", evict.fromBuffer, evict.fromDisk, evict.flushed)
+	t.Logf("draining the buffer: %d sessions fired from memory, %d with state on disk, %d batches flushed", drain.fromBuffer, drain.fromDisk, drain.flushed)
+	if evict.fromBuffer+evict.fromDisk != drain.fromBuffer+drain.fromDisk {
+		t.Fatalf("the two runs fired %d and %d sessions", evict.fromBuffer+evict.fromDisk, drain.fromBuffer+drain.fromDisk)
+	}
+	fired := float64(evict.fromBuffer + evict.fromDisk)
+	if share := float64(evict.fromBuffer) / fired; share < 0.15 {
+		t.Errorf("%.1f%% of sessions fired from memory, want at least 15%%", 100*share)
+	}
+	if share := float64(drain.fromBuffer) / fired; share >= 0.05 {
+		t.Errorf("draining the whole buffer fired %.1f%% of sessions from memory, want under 5%%: the emulation is off", 100*share)
+	}
+	if saved := 1 - float64(evict.flushed)/float64(drain.flushed); saved < 0.20 {
+		t.Errorf("eviction flushed %.1f%% fewer batches than a whole-buffer drain, want at least 20%%", 100*saved)
+	}
+	if again := runSessions(t, false); again != evict {
+		t.Errorf("second run %+v, first %+v: the counts do not repeat", again, evict)
+	}
+	if again := runSessions(t, true); again != drain {
+		t.Errorf("second whole-buffer run %+v, first %+v: the counts do not repeat", again, drain)
+	}
+}
+
+// fillPastOneEviction appends distinct sessions, in trigger order, until
+// the buffer has evicted once — three quarters of it are still in memory —
+// and returns the oracle of what was appended.
+func fillPastOneEviction(t *testing.T, s *Store) map[id][]string {
+	t.Helper()
+	oracle := make(map[id][]string)
+	for i := 0; s.FlushedBatches() == 0; i++ {
+		ident := id{key: fmt.Sprintf("id-%06d", i), w: window.Window{Start: int64(i), End: int64(i) + gap}}
+		v := fmt.Sprintf("v%015d", i)
+		if err := s.Append([]byte(ident.key), []byte(v), ident.w, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		oracle[ident] = append(oracle[ident], v)
+	}
+	s.mu.Lock()
+	buffered, spilled := len(s.buf), len(s.onDisk)
+	s.mu.Unlock()
+	if buffered == 0 || spilled == 0 || buffered+spilled != len(oracle) {
+		t.Fatalf("%d buffered and %d spilled of %d appended, want some of each", buffered, spilled, len(oracle))
+	}
+	return oracle
+}
+
+// TestDrainsLeaveNothingBuffered: an eviction keeps three quarters of the
+// buffer, but Flush, Sync and CheckpointDelta go through the same flush
+// with every buffered identity as a victim — the drain is the checkpoint
+// cut, and a cut right behind an eviction restores everything.
+func TestDrainsLeaveNothingBuffered(t *testing.T) {
+	drains := map[string]func(*Store, string) error{
+		"Flush": func(s *Store, _ string) error { return s.Flush() },
+		"Sync":  func(s *Store, _ string) error { return s.Sync() },
+		"CheckpointDelta": func(s *Store, dir string) error {
+			_, err := s.CheckpointDelta(dir, nil, "")
+			return err
+		},
+	}
+	for name, drain := range drains {
+		t.Run(name, func(t *testing.T) {
+			s := openTest(t, Options{WriteBufferBytes: diffBuffer})
+			oracle := fillPastOneEviction(t, s)
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			if err := drain(s, dir); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			buffered, spilled := len(s.buf), len(s.onDisk)
+			s.mu.Unlock()
+			if buffered != 0 || s.BufferedBytes() != 0 || spilled != len(oracle) {
+				t.Fatalf("%d entries (%d bytes) still buffered after %s, %d of %d spilled", buffered, s.BufferedBytes(), name, spilled, len(oracle))
+			}
+			readAll(t, "after "+name, s, oracle)
+			if name == "CheckpointDelta" {
+				dst := openTest(t, Options{WriteBufferBytes: diffBuffer})
+				if err := dst.Restore(dir); err != nil {
+					t.Fatal(err)
+				}
+				readAll(t, "restored", dst, oracle)
+			}
+		})
+	}
+}
+
+// TestEvictionTakesEverythingWhenAQuarterIsNotEnough: when what the
+// quarter would leave behind is still over the cap — one large batch that
+// triggers soon among many small ones that trigger late — the flush takes
+// the whole buffer rather than leave it over its cap.
+func TestEvictionTakesEverythingWhenAQuarterIsNotEnough(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: diffBuffer})
+	w := window.Window{Start: 0, End: gap}
+	for i := 0; i < 20; i++ {
+		if err := s.Append([]byte(fmt.Sprintf("small-%02d", i)), []byte("v"), w, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.FlushedBatches() != 0 {
+		t.Fatal("twenty small batches spilled a 4 KiB buffer")
+	}
+	if err := s.Append([]byte("large"), make([]byte, 2*diffBuffer), w, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snapshotBuffer(s)); n != 0 || s.FlushedBatches() != 21 || s.BufferedBytes() != 0 {
+		t.Fatalf("%d buffered (%d bytes), %d flushed; want everything spilled", n, s.BufferedBytes(), s.FlushedBatches())
+	}
+}
+
+// TestQueuedEvictionFindsBufferNoLongerFull: an eviction that waited on
+// ioMu behind another flush and finds the buffer under its cap again
+// writes nothing.
+func TestQueuedEvictionFindsBufferNoLongerFull(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: diffBuffer})
+	oracle := fillPastOneEviction(t, s)
+	flushed, buffered := s.FlushedBatches(), len(snapshotBuffer(s))
+	s.ioMu.Lock()
+	err := s.flushLocked(false)
+	s.ioMu.Unlock()
+	if err != nil || s.FlushedBatches() != flushed || len(snapshotBuffer(s)) != buffered {
+		t.Fatalf("an eviction of a buffer under its cap: err %v, batches flushed %d -> %d, buffered %d -> %d",
+			err, flushed, s.FlushedBatches(), buffered, len(snapshotBuffer(s)))
+	}
+	readAll(t, "after the idle eviction", s, oracle)
+}
+
+// TestNoPredictorEvictsADeterministicQuarter: without a predictor no
+// identity has an ETT and the order falls to the identity — the quarter
+// with the largest (key, window) goes — and everything reads back.
+func TestNoPredictorEvictsADeterministicQuarter(t *testing.T) {
+	s, err := Open(Options{Dir: filepath.Join(t.TempDir(), "aur"), WriteBufferBytes: diffBuffer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Destroy()
+	oracle := make(map[id][]string)
+	var ids []id
+	perm := rand.New(rand.NewSource(3)).Perm(500)
+	for n := 0; s.FlushedBatches() == 0; n++ {
+		i := perm[n]
+		ident := id{key: fmt.Sprintf("id-%03d", i%50), w: window.Window{Start: int64(i / 50), End: int64(i/50) + 10}}
+		v := fmt.Sprintf("v%015d", i)
+		if err := s.Append([]byte(ident.key), []byte(v), ident.w, int64(n)); err != nil {
+			t.Fatal(err)
+		}
+		oracle[ident] = append(oracle[ident], v)
+		ids = append(ids, ident)
+	}
+	slices.SortFunc(ids, compareIDs)
+	k := (len(ids) + evictDivisor - 1) / evictDivisor
+	if got := s.FlushedBatches(); got != int64(k) {
+		t.Fatalf("%d batches flushed from %d identities, want %d", got, len(ids), k)
+	}
+	after := snapshotBuffer(s)
+	for i, ident := range ids {
+		if _, buffered := after[ident]; buffered != (i < len(ids)-k) {
+			t.Fatalf("identity %d of %d in (key, window) order, %v: buffered=%v", i, len(ids), ident, buffered)
+		}
+	}
+	for ident, want := range oracle {
+		got, err := s.Get([]byte(ident.key), ident.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, "Get", ident, got, want)
+	}
+}
+
+// TestFailedEvictionReattachesExactlyTheVictims fails the disk in the
+// middle of an eviction's batch, after parking the flush long enough for
+// one more tuple to arrive for the victim that is written last. The
+// identities the eviction did not pick must not notice. Every victim is
+// either where the logs accepted it — indexed, and readable from the
+// poisoned log's retained tail — or back in the buffer, in front of what
+// arrived meanwhile; none is lost, none is in both places, bufBytes is
+// exact, and after the disk heals every acknowledged Append reads back.
+func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
+	// 1 KiB values and a 4 MiB buffer: a quarter of the buffer is a
+	// megabyte, four times the data log's write buffer, so the batch
+	// reaches the file — and the fault — while it is being appended.
+	const bufBytes, valLen = 4 << 20, 1 << 10
+	inj := faultfs.NewInjector(faultfs.OS)
+	s := openTest(t, Options{WriteBufferBytes: bufBytes, FS: inj})
+	acked := make(map[id][]string)
+	next := func(i int) (id, string) {
+		return id{key: fmt.Sprintf("id-%05d", i), w: window.Window{Start: int64(i), End: int64(i) + gap}},
+			fmt.Sprintf("%0*d", valLen, i)
+	}
+	appendTo := func(ident id, v string, ts int64) error {
+		err := s.Append([]byte(ident.key), []byte(v), ident.w, ts)
+		acked[ident] = append(acked[ident], v) // buffered before any flush it starts
+		return err
+	}
+	i := 0
+	for ; s.BufferedBytes()+valLen+24 <= bufBytes; i++ {
+		ident, v := next(i)
+		if err := appendTo(ident, v, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.FlushedBatches() != 0 {
+		t.Fatal("the buffer spilled before it was full")
+	}
+	n := i + 1
+	k := (n + evictDivisor - 1) / evictDivisor
+
+	// The overflowing Append carries the latest timestamp, so its session
+	// is the last the eviction writes. Park the first write to the data
+	// log, append to that session again, then let the write through and
+	// fail the next one.
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: "data-", Hang: true})
+	last, v := next(i)
+	done := make(chan error, 1)
+	go func() { done <- s.Append([]byte(last.key), []byte(v), last.w, int64(i)) }()
+	acked[last] = append(acked[last], v)
+	for inj.Stalled() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := appendTo(last, "arrived-meanwhile", int64(i)+1); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: "data-", Class: faultfs.ClassPersistent, Err: faultfs.ErrDiskIO})
+	if err := <-done; !errors.Is(err, faultfs.ErrDiskIO) || !inj.Fired() {
+		t.Fatalf("the overflowing Append: err=%v fired=%v, want the injected disk error", err, inj.Fired())
+	}
+
+	s.mu.Lock()
+	var reattached, indexed int
+	var bytes int64
+	for j := 0; j < n; j++ {
+		ident, _ := next(j)
+		e, inBuf := s.buf[ident]
+		onDisk := s.onDisk[ident] > 0
+		var held []string
+		if inBuf {
+			bytes += e.bytes
+			var sum int64
+			for _, v := range e.values {
+				held = append(held, string(v))
+				sum += int64(len(v) + 24)
+			}
+			if sum != e.bytes {
+				t.Errorf("%v is buffered with %d bytes of values accounted as %d", ident, sum, e.bytes)
+			}
+		}
+		victim := j >= n-k
+		switch {
+		case !victim && (onDisk || !slices.Equal(held, acked[ident])):
+			t.Errorf("survivor %v: on disk %v, buffered %d values", ident, onDisk, len(held))
+		case victim && ident == last && onDisk:
+			t.Errorf("the victim written last was indexed although the disk failed before it")
+		case victim && ident == last && !slices.Equal(held, acked[ident]):
+			t.Errorf("the re-attached batch of %v is not in front of what arrived meanwhile: %d values buffered, the last %q", ident, len(held), held[len(held)-1])
+		case victim && onDisk && inBuf:
+			t.Errorf("victim %v is both indexed and back in the buffer", ident)
+		case victim && onDisk:
+			indexed++
+		case victim && slices.Equal(held, acked[ident]):
+			reattached++
+		case victim:
+			t.Errorf("victim %v is neither indexed nor back in the buffer with its values", ident)
+		}
+	}
+	if len(s.buf)+indexed != n || s.bufBytes != bytes || s.flushing != nil {
+		t.Errorf("%d buffered (%d bytes, counted %d) + %d indexed of %d identities; batch in flight: %v",
+			len(s.buf), s.bufBytes, bytes, indexed, n, s.flushing != nil)
+	}
+	s.mu.Unlock()
+	if reattached == 0 || indexed == 0 || reattached+indexed != k {
+		t.Errorf("%d victims re-attached, %d indexed, of %d: the fault should cut the batch in two", reattached, indexed, k)
+	}
+	if t.Failed() {
+		return
+	}
+
+	inj.Reset()
+	if err := s.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	for ident, want := range acked {
+		got, err := s.Get([]byte(ident.key), ident.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, "after the failed eviction", ident, got, want)
+	}
+}

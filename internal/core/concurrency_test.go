@@ -439,6 +439,17 @@ func runStress(t *testing.T, pattern Pattern, seed int64) {
 				st.SegmentsDropped, st.Compactions, st.CompactionBytes, st.LiveSegments)
 		}
 	}
+	if pattern == PatternAUR {
+		// Likewise: Gets must have raced evictions that kept part of the
+		// buffer, so some sessions were consumed from memory and some not.
+		if st := s.Stats(); st.BufferHits == 0 || st.DiskHits == 0 || st.FlushBytes == 0 {
+			t.Errorf("AUR stress consumed %d sessions from the buffer and %d with state on disk, flushed %d bytes; want all nonzero",
+				st.BufferHits, st.DiskHits, st.FlushBytes)
+		} else {
+			t.Logf("AUR stress: %d sessions consumed from the buffer, %d with state on disk; %d bytes flushed, %d compactions rewrote %d",
+				st.BufferHits, st.DiskHits, st.FlushBytes, st.Compactions, st.CompactionBytes)
+		}
+	}
 	reportStressLatency(t, pattern, lats, len(fails) == 0)
 }
 

@@ -776,22 +776,27 @@ type Stats struct {
 	// rewrites, and RMW cleaning passes that re-appended at least one
 	// record.
 	Compactions int64
-	// CompactionBytes is the bytes RMW cleaning passes re-appended;
-	// SegmentsDropped counts RMW log segments unlinked (emptied by
-	// consumption, or cleaned) and LiveSegments the segment files the RMW
-	// logs currently hold. Zero for the other patterns.
+	// CompactionBytes is the bytes compactions rewrote: what RMW cleaning
+	// passes re-appended, and the data- and index-log bytes of every
+	// generation an AUR compaction built. SegmentsDropped counts RMW log
+	// segments unlinked (emptied by consumption, or cleaned) and
+	// LiveSegments the segment files the RMW logs currently hold; both are
+	// zero for the other patterns.
 	CompactionBytes int64
 	SegmentsDropped int64
 	LiveSegments    int
-	// FlushBytes is the bytes RMW write buffers spilled into their logs
-	// (evictions and drains; cleaning's re-appends are CompactionBytes).
-	// BufferHits and DiskHits count the RMW aggregates fetched-&-removed
-	// from a write buffer and read back from a log segment: eviction by
-	// window end exists to move hits from the second to the first.
-	// CheckpointRebases counts RMW instance cuts written as a fresh base
-	// although their parent could have been extended, because the delta
-	// would have held more records than the live state. Zero for the
-	// other patterns.
+	// FlushBytes is the bytes write buffers spilled into their logs
+	// (evictions and drains; compaction's rewrites are CompactionBytes):
+	// framed records for RMW, data records plus index blocks for AUR.
+	// BufferHits and DiskHits count the units of state fetched-&-removed
+	// while wholly in a write buffer, and those that had state on disk —
+	// RMW aggregates, AUR (key, window) batches: evicting a full buffer's
+	// longest-lived quarter exists to move hits from the second to the
+	// first. Not to be confused with Hits/Misses, the AUR prefetch
+	// buffer's. CheckpointRebases counts RMW instance cuts written as a
+	// fresh base although their parent could have been extended, because
+	// the delta would have held more records than the live state. All
+	// zero for AAR.
 	FlushBytes           int64
 	BufferHits, DiskHits int64
 	CheckpointRebases    int64

@@ -56,6 +56,11 @@ func (a aurInstance) addStats(st *Stats) {
 	st.Misses += m
 	st.Evictions += a.Evictions()
 	st.Compactions += a.Compactions()
+	st.CompactionBytes += a.CompactionBytes()
+	st.FlushBytes += a.FlushBytes()
+	b, d := a.ConsumedCount()
+	st.BufferHits += b
+	st.DiskHits += d
 	st.BufferedBytes += a.BufferedBytes()
 	st.LiveStates += a.LiveStates()
 	st.DiskBytes += a.DiskUsage()

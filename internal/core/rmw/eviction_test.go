@@ -3,62 +3,11 @@ package rmw
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/window"
 )
-
-// TestSelectLatestMatchesSort checks the quickselect against a full sort
-// on slices of every small size and on the orders that hurt a careless
-// pivot: sorted, reversed, one window for every identity, few distinct
-// window ends.
-func TestSelectLatestMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	gens := map[string]func(i, n int) id{
-		"random": func(i, n int) id {
-			e := rng.Int63n(50)
-			return id{key: fmt.Sprintf("k%04d", i), w: window.Window{Start: e - rng.Int63n(3), End: e}}
-		},
-		"ascending":  func(i, n int) id { return id{key: "k", w: window.Window{Start: int64(i), End: int64(i) + 10}} },
-		"descending": func(i, n int) id { return id{key: "k", w: window.Window{Start: int64(n - i), End: int64(n-i) + 10}} },
-		"one-window": func(i, n int) id { return id{key: fmt.Sprintf("k%04d", (i*7919)%n), w: window.Window{End: 100}} },
-		"two-ends":   func(i, n int) id { return id{key: fmt.Sprintf("k%04d", i), w: window.Window{End: int64(i % 2)}} },
-	}
-	for name, gen := range gens {
-		for n := 0; n <= 70; n++ {
-			ids := make([]id, n)
-			for i := range ids {
-				ids[i] = gen(i, n)
-			}
-			want := append([]id(nil), ids...)
-			sort.Slice(want, func(i, j int) bool { return endsLater(want[i], want[j]) })
-			for _, k := range []int{0, 1, (n + 3) / 4, n / 2, n - 1, n} {
-				if k < 0 || k > n {
-					continue
-				}
-				got := append([]id(nil), ids...)
-				selectLatest(got, k)
-				top := append([]id(nil), got[:k]...)
-				sort.Slice(top, func(i, j int) bool { return endsLater(top[i], top[j]) })
-				for i := range top {
-					if top[i] != want[i] {
-						t.Fatalf("%s n=%d k=%d: selected %v, want %v", name, n, k, top, want[:k])
-					}
-				}
-				rest := append([]id(nil), got[k:]...)
-				sort.Slice(rest, func(i, j int) bool { return endsLater(rest[i], rest[j]) })
-				for i := range rest {
-					if rest[i] != want[k+i] {
-						t.Fatalf("%s n=%d k=%d: selection lost or duplicated an identity", name, n, k)
-					}
-				}
-			}
-		}
-	}
-}
 
 // sessionRun is the session benchmark's regime in miniature: one tuple a
 // tick, in order, each opening a session of its own unless it is the late

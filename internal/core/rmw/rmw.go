@@ -632,46 +632,6 @@ func endsLater(a, b id) bool {
 	return a.key > b.key
 }
 
-// selectLatest reorders ids so that ids[:k] are the k identities that end
-// latest, in no particular order among themselves: a quickselect, linear
-// in len(ids) on the randomly ordered slices a map iteration yields.
-func selectLatest(ids []id, k int) {
-	lo, hi := 0, len(ids)-1
-	for lo < hi {
-		// Median-of-three pivot, moved to lo.
-		mid := lo + (hi-lo)/2
-		if endsLater(ids[mid], ids[lo]) {
-			ids[mid], ids[lo] = ids[lo], ids[mid]
-		}
-		if endsLater(ids[hi], ids[lo]) {
-			ids[hi], ids[lo] = ids[lo], ids[hi]
-		}
-		if endsLater(ids[hi], ids[mid]) {
-			ids[hi], ids[mid] = ids[mid], ids[hi]
-		}
-		ids[lo], ids[mid] = ids[mid], ids[lo]
-		pivot := ids[lo]
-		// Hoare partition: ids[lo..j] end no earlier than the pivot,
-		// ids[j+1..hi] no later.
-		i, j := lo-1, hi+1
-		for {
-			for i++; endsLater(ids[i], pivot); i++ {
-			}
-			for j--; endsLater(pivot, ids[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			ids[i], ids[j] = ids[j], ids[i]
-		}
-		if k <= j+1 {
-			hi = j
-		} else {
-			lo = j + 1
-		}
-	}
-}
-
 // detachLocked removes from the buffer, and returns, the batch a flush
 // writes; caller holds mu. A drain takes everything. An eviction takes the
 // quarter of the buffered identities whose windows end last — unless what
@@ -686,7 +646,7 @@ func (s *Store) detachLocked(all bool) map[id][]byte {
 		}
 		s.evictIDs = ids
 		k := (len(ids) + evictDivisor - 1) / evictDivisor
-		selectLatest(ids, k)
+		window.SelectLast(ids, k, endsLater)
 		var bytes int64
 		for _, ident := range ids[:k] {
 			bytes += int64(len(s.buf[ident]))

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of a parent commit against the working tree:
 #
-#   scripts/benchpair.sh [-json <file>] <parent-ref> <workload> [pairs=10] [extra flowkvbench args]
+#   scripts/benchpair.sh [-json <file>] [-keep <dir>] <parent-ref> <workload> [pairs=10] [extra flowkvbench args]
 #
 # The parent is exported (git archive) into a temporary directory, and
 # `bash bench/run.sh` — the command BENCHMARK.json names — runs on the
@@ -21,14 +21,23 @@
 # file's "rows" (one row per performance change, one "workloads" entry per
 # workload measured for it).
 #
+# With -keep every run's full output is copied to <dir> as parent.<pair>
+# and change.<pair> before the temporary directory is removed — also when
+# a run fails — so a value the table folds into a median (the one pair
+# with a nonzero slo_miss_frac, say) can be looked up afterwards.
+#
 # Nothing under bench/ is edited; each side builds into its own bench/out/.
 set -euo pipefail
 
-json=""
-if [ "${1:-}" = "-json" ]; then
-	json="${2:?-json needs a file}"
+json="" keep=""
+while :; do
+	case "${1:-}" in
+	-json) json="${2:?-json needs a file}" ;;
+	-keep) keep="${2:?-keep needs a directory}" ;;
+	*) break ;;
+	esac
 	shift 2
-fi
+done
 if [ $# -lt 2 ]; then
 	sed -n '2,5p' "$0" >&2
 	exit 2
@@ -40,7 +49,13 @@ shift $(($# < 3 ? $# : 3))
 
 root="$(git rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+cleanup() {
+	if [ -n "$keep" ] && mkdir -p "$keep"; then
+		cp "$tmp"/runs/* "$keep"/ 2>/dev/null || true
+	fi
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
 mkdir "$tmp/parent" "$tmp/runs"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")"
