@@ -105,6 +105,10 @@ func cmdLs(dir string) error {
 	})
 }
 
+// aurSegmentLog matches a log of an AUR segment, live or as a checkpoint
+// segment of it, capturing which of the pair it is and the segment's id.
+var aurSegmentLog = regexp.MustCompile(`^(data|index)-(\d{6})\.log`)
+
 // segmentName matches a checkpoint segment file, "<logical>.seg-<offset>"
 // (ckpt.SegmentName), capturing the logical file it is a slice of.
 var segmentName = regexp.MustCompile(`^(.+)\.seg-\d{12}$`)
@@ -120,9 +124,9 @@ func fileKind(name string) string {
 	switch {
 	case strings.HasPrefix(logical, "win_"):
 		return "aar-window" + suffix
-	case strings.HasPrefix(logical, "data-"), logical == "data.log":
+	case strings.HasPrefix(logical, "data-"):
 		return "aur-data" + suffix
-	case strings.HasPrefix(logical, "index-"), logical == "index.log":
+	case strings.HasPrefix(logical, "index-"):
 		return "aur-index" + suffix
 	case logical == "stat.dlt":
 		return "aur-stat-stream" + suffix
@@ -134,8 +138,8 @@ func fileKind(name string) string {
 		return "sstable"
 	case strings.HasPrefix(name, "hlog-"):
 		return "hybrid-log"
-	case name == "consumed.snap":
-		return "aur-consumed-set"
+	case name == "segments.snap":
+		return "aur-segment-table"
 	case name == "SEGMENTS":
 		return "segment-manifest"
 	case name == "MANIFEST":
@@ -171,7 +175,7 @@ func scanRecords(path string, fn func(i int, off int64, payload []byte) error) e
 }
 
 func cmdIndex(path string) error {
-	fmt.Println("#   key                window                 data-off  data-len")
+	fmt.Println("#   key                window                 data-off  data-len  flush")
 	var total int64
 	var i int
 	err := scanRecords(path, func(_ int, _ int64, payload []byte) error {
@@ -181,7 +185,7 @@ func cmdIndex(path string) error {
 		}
 		for _, e := range entries {
 			total += int64(e.Len)
-			fmt.Printf("%-3d %-18s %-22s %9d %9d\n", i, e.Key, e.Window, e.Off, e.Len)
+			fmt.Printf("%-3d %-18s %-22s %9d %9d %6d\n", i, e.Key, e.Window, e.Off, e.Len, e.Seq)
 			i++
 		}
 		return nil
@@ -247,10 +251,16 @@ func cmdHealth(dir string) error {
 		records, bytes int64
 	}
 	rmwLogs := make(map[string]*rmwLog)
-	// An AUR instance's log is a data log of value batches and an index
-	// log of packed blocks locating them: per directory, the sizes of the
-	// two say what the batches cost to index.
-	type aurLog struct{ batches, blocks, dataBytes, indexBytes int64 }
+	// An AUR instance's log is a set of segments, each a data log of value
+	// batches and an index log of packed blocks locating them: per
+	// segment, the sizes of the two say what the batches cost to index,
+	// and — inside a checkpoint, where segments.snap holds the consumed
+	// marks — how much of the data log is still live.
+	type aurSeg struct{ batches, blocks, dataBytes, indexBytes, live int64 }
+	type aurLog struct {
+		segs map[uint32]*aurSeg
+		snap map[uint32]*aur.SegmentInfo // nil outside a checkpoint
+	}
 	aurLogs := make(map[string]*aurLog)
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -281,10 +291,48 @@ func cmdHealth(dir string) error {
 			return err
 		}
 		defer f.Close()
+		var as *aurSeg          // set for a log of an AUR instance's segment
+		var si *aur.SegmentInfo // and, for its index log in a checkpoint, its marks
+		if m := aurSegmentLog.FindStringSubmatch(name); m != nil {
+			inst := filepath.Dir(rel)
+			al := aurLogs[inst]
+			if al == nil {
+				al = &aurLog{segs: make(map[uint32]*aurSeg)}
+				aurLogs[inst] = al
+				if b, err := os.ReadFile(filepath.Join(filepath.Dir(path), "segments.snap")); err == nil {
+					infos, err := aur.DecodeSegmentsSnapshot(b)
+					if err != nil {
+						return fmt.Errorf("%s: %w", inst, err)
+					}
+					al.snap = make(map[uint32]*aur.SegmentInfo, len(infos))
+					for i := range infos {
+						al.snap[infos[i].ID] = &infos[i]
+					}
+				}
+			}
+			sid, _ := strconv.ParseUint(m[2], 10, 32)
+			if as = al.segs[uint32(sid)]; as == nil {
+				as = &aurSeg{}
+				al.segs[uint32(sid)] = as
+			}
+			if m[1] == "index" {
+				si = al.snap[uint32(sid)]
+			}
+		}
 		sc := binio.NewRecordScannerSniff(bufio.NewReaderSize(f, 1<<20), 0)
 		var records int
 		for sc.Scan() {
 			records++
+			if si == nil {
+				continue
+			}
+			if entries, err := aur.DecodeIndexBlock(sc.Record()); err == nil {
+				for _, e := range entries {
+					if !si.Dead(e) {
+						as.live += int64(e.Len)
+					}
+				}
+			}
 		}
 		status := "ok"
 		switch {
@@ -300,18 +348,12 @@ func cmdHealth(dir string) error {
 			rl.records += int64(records)
 			rl.bytes += sc.Offset()
 		}
-		if isData, isIndex := strings.HasPrefix(name, "data-"), strings.HasPrefix(name, "index-"); isData || isIndex {
-			inst := filepath.Dir(rel)
-			if aurLogs[inst] == nil {
-				aurLogs[inst] = &aurLog{}
-			}
-			if al := aurLogs[inst]; isData {
-				al.batches += int64(records)
-				al.dataBytes += sc.Offset()
-			} else {
-				al.blocks += int64(records)
-				al.indexBytes += sc.Offset()
-			}
+		if as != nil && strings.HasPrefix(name, "data-") {
+			as.batches += int64(records)
+			as.dataBytes += sc.Offset()
+		} else if as != nil {
+			as.blocks += int64(records)
+			as.indexBytes += sc.Offset()
 		}
 		return nil
 	})
@@ -339,11 +381,31 @@ func cmdHealth(dir string) error {
 	sort.Strings(insts)
 	for _, inst := range insts {
 		l := aurLogs[inst]
-		fmt.Printf("aur log %s: %d batches in %d bytes of data log, located by %d blocks in %d bytes of index log\n",
-			inst, l.batches, l.dataBytes, l.blocks, l.indexBytes)
+		sids := make([]uint32, 0, len(l.segs))
+		var sum aurSeg
+		for sid, sg := range l.segs {
+			sids = append(sids, sid)
+			sum.batches += sg.batches
+			sum.blocks += sg.blocks
+			sum.dataBytes += sg.dataBytes
+			sum.indexBytes += sg.indexBytes
+		}
+		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
+		fmt.Printf("aur log %s: %d segments; %d batches in %d bytes of data logs, located by %d blocks in %d bytes of index logs\n",
+			inst, len(sids), sum.batches, sum.dataBytes, sum.blocks, sum.indexBytes)
+		for _, sid := range sids {
+			sg := l.segs[sid]
+			// What is live and which segments are open is in the running
+			// store's memory; a checkpoint carries it as segments.snap.
+			state := "live share and state not on disk (no segments.snap)"
+			if si := l.snap[sid]; si != nil {
+				state = fmt.Sprintf("%d%% live, %s", 100*sg.live/max(sg.dataBytes, 1), [...]string{"sealed", "open (flush head)", "open (survivor)"}[si.State])
+			}
+			fmt.Printf("  segment %06d: %d data + %d index bytes, %s\n", sid, sg.dataBytes, sg.indexBytes, state)
+		}
 	}
 	if len(insts) > 0 {
-		fmt.Println("aur logs: bytes flushed and compacted, and sessions consumed from the buffer vs with state on disk, are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits)")
+		fmt.Println("aur logs: bytes flushed and cleaned, segments dropped, and sessions consumed from the buffer vs with state on disk, are counters of the running store (core.Stats FlushBytes, CompactionBytes, SegmentsDropped, BufferHits, DiskHits)")
 	}
 	fmt.Printf("%d log files: %d clean, %d torn tails (recoverable), %d corrupt\n",
 		files, files-torn-corrupt, torn, corrupt)

@@ -168,9 +168,11 @@ func TestMultiSegmentRMWLog(t *testing.T) {
 }
 
 // TestHealthReportsAURLogs spills an AUR instance past several evictions
-// and a compaction and requires that `health` prints, per instance, what
-// its data and index logs hold — and that the running store's counters,
-// which the last line points to, account for those bytes.
+// and a cleaning pass and requires that `health` prints, per instance,
+// what its segments' data and index logs hold — with each segment's live
+// share and state when run over a checkpoint, whose segments.snap carries
+// them — and that the running store's counters, which the last line points
+// to, account for those bytes.
 func TestHealthReportsAURLogs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := core.OpenPattern(core.PatternAUR, window.Session, core.Options{
@@ -183,142 +185,179 @@ func TestHealthReportsAURLogs(t *testing.T) {
 	session := func(i int) ([]byte, window.Window) {
 		return []byte(fmt.Sprintf("user-%03d", i)), window.Window{Start: int64(i), End: int64(i) + 100}
 	}
-	const ids, fired = 200, 150
-	for i := 0; i < ids+fired; i++ {
+	// Every third session outlives the others: the segments the short ones
+	// leave two thirds dead are what cleaning takes.
+	const ids, lag = 400, 60
+	var fired int64
+	for i := 0; i < ids+lag; i++ {
 		if i < ids {
 			k, w := session(i)
 			if err := st.Append(k, []byte("value"), w, int64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if i >= fired { // sessions fire in the order they were opened
-			k, w := session(i - fired)
+		if j := i - lag; j >= 0 && j%3 != 0 {
+			k, w := session(j)
 			if vals, err := st.Get(k, w); err != nil || len(vals) != 1 {
 				t.Fatalf("%s: %d values, err %v", k, len(vals), err)
 			}
+			fired++
 		}
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	stats := st.Stats()
-	if stats.BufferHits == 0 || stats.DiskHits == 0 || stats.BufferHits+stats.DiskHits != ids || stats.Compactions == 0 {
-		t.Fatalf("stats: %d buffer hits, %d disk hits, %d compactions; want %d sessions consumed, some each way, and a compaction",
-			stats.BufferHits, stats.DiskHits, stats.Compactions, ids)
+	if stats.BufferHits == 0 || stats.DiskHits == 0 || stats.BufferHits+stats.DiskHits != fired || stats.Compactions == 0 || stats.SegmentsDropped == 0 {
+		t.Fatalf("stats: %d buffer hits, %d disk hits, %d cleaning passes, %d segments dropped; want %d sessions consumed, some each way, and a pass",
+			stats.BufferHits, stats.DiskHits, stats.Compactions, stats.SegmentsDropped, fired)
 	}
 	if stats.FlushBytes+stats.CompactionBytes < stats.DiskBytes || stats.FlushBytes == 0 || stats.CompactionBytes == 0 {
-		t.Errorf("stats: %d bytes flushed, %d compacted, %d on disk", stats.FlushBytes, stats.CompactionBytes, stats.DiskBytes)
+		t.Errorf("stats: %d bytes flushed, %d cleaned, %d on disk", stats.FlushBytes, stats.CompactionBytes, stats.DiskBytes)
 	}
 	datas, _ := filepath.Glob(filepath.Join(dir, "inst-*", "data-*.log"))
 	indexes, _ := filepath.Glob(filepath.Join(dir, "inst-*", "index-*.log"))
-	if len(datas) != 1 || len(indexes) != 1 {
-		t.Fatalf("%d data and %d index logs", len(datas), len(indexes))
+	if len(datas) != stats.LiveSegments || len(indexes) != len(datas) || len(datas) < 2 {
+		t.Fatalf("%d data and %d index logs, the store counts %d segments", len(datas), len(indexes), stats.LiveSegments)
 	}
-	size := func(path string) int64 {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
+	size := func(paths []string) (n int64) {
+		for _, path := range paths {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
 		}
-		return fi.Size()
+		return n
 	}
-	if size(datas[0])+size(indexes[0]) != stats.DiskBytes {
-		t.Fatalf("logs of %d and %d bytes, the store counts %d on disk", size(datas[0]), size(indexes[0]), stats.DiskBytes)
+	if size(datas)+size(indexes) != stats.DiskBytes {
+		t.Fatalf("logs of %d and %d bytes, the store counts %d on disk", size(datas), size(indexes), stats.DiskBytes)
 	}
 	printed := captureStdout(t, func() error { return cmdHealth(dir) })
 	for _, want := range []string{
-		fmt.Sprintf("aur log %s: ", filepath.Base(filepath.Dir(datas[0]))),
-		fmt.Sprintf("in %d bytes of data log, located by ", size(datas[0])),
-		fmt.Sprintf("in %d bytes of index log", size(indexes[0])),
-		"core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits)",
-		"2 log files: 2 clean",
+		fmt.Sprintf("aur log %s: %d segments; ", filepath.Base(filepath.Dir(datas[0])), len(datas)),
+		fmt.Sprintf("in %d bytes of data logs, located by ", size(datas)),
+		fmt.Sprintf("in %d bytes of index logs", size(indexes)),
+		fmt.Sprintf("  segment %s: %d data + %d index bytes, live share and state not on disk",
+			strings.TrimSuffix(strings.TrimPrefix(filepath.Base(datas[0]), "data-"), ".log"), size(datas[:1]), size(indexes[:1])),
+		"core.Stats FlushBytes, CompactionBytes, SegmentsDropped, BufferHits, DiskHits)",
+		fmt.Sprintf("%d log files: %d clean", 2*len(datas), 2*len(datas)),
 	} {
 		if !strings.Contains(printed, want) {
 			t.Errorf("health does not report %q:\n%s", want, printed)
 		}
 	}
+
+	// A checkpoint says which segments are open and what is live in each.
+	ck := filepath.Join(t.TempDir(), "ck")
+	if err := st.Checkpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	printed = captureStdout(t, func() error { return cmdHealth(ck) })
+	var sealed, head, surv, live int
+	for _, line := range strings.Split(printed, "\n") {
+		var sid, data, index, share int
+		var state string
+		if n, _ := fmt.Sscanf(line, "  segment %d: %d data + %d index bytes, %d%% live, %s", &sid, &data, &index, &share, &state); n != 5 {
+			continue
+		}
+		if share > 0 {
+			live++
+		}
+		switch {
+		case strings.HasSuffix(line, ", sealed"):
+			sealed++
+		case strings.HasSuffix(line, ", open (flush head)"):
+			head++
+		case strings.HasSuffix(line, ", open (survivor)"):
+			surv++
+		}
+	}
+	if sealed+head+surv != len(datas) || head != 1 || surv > 1 || live != len(datas) {
+		t.Errorf("health over the checkpoint lists %d sealed segments, %d flush heads and %d survivor segments, %d with live state; the store holds %d:\n%s",
+			sealed, head, surv, live, len(datas), printed)
+	}
 }
 
-// TestIndexDecodesBlockIndexLog runs `flowkvctl index` over the index
-// log of a real AUR instance that has flushed, compacted and flushed
-// again, and checks the rows against the data log next to it: one row
-// per live batch, every (data-off, data-len) pair locating a whole,
-// checksum-clean frame, the rows contiguous where the log is.
+// TestIndexDecodesBlockIndexLog runs `flowkvctl index` over every index
+// log of a real AUR instance that has evicted, cleaned and evicted again,
+// and checks the rows against the data log next to it: every (data-off,
+// data-len) pair locating a whole, checksum-clean frame, the rows
+// contiguous and covering the data log, and — in the survivor segment,
+// which cleaning fills — flush numbers from more than one flush.
 func TestIndexDecodesBlockIndexLog(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "aur")
-	s, err := aur.Open(aur.Options{Dir: dir, WriteBufferBytes: 1 << 20, Predictor: window.SessionPredictor{Gap: 100}})
+	s, err := aur.Open(aur.Options{Dir: dir, WriteBufferBytes: 1 << 10, Predictor: window.SessionPredictor{Gap: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	session := func(i int) ([]byte, window.Window) {
 		return []byte(fmt.Sprintf("user-%03d", i)), window.Window{Start: int64(i) * 10, End: int64(i)*10 + 100}
 	}
-	const ids = 120
+	const ids, lag = 400, 60
 	for i := 0; i < ids; i++ {
 		k, w := session(i)
 		if err := s.Append(k, []byte("value"), w, w.Start); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ids/2; i++ {
-		if _, err := s.Get(session(i)); err != nil {
-			t.Fatal(err)
+		if j := i - lag; j >= 0 && j%3 != 0 { // every third session stays
+			if _, err := s.Get(session(j)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if s.Compactions() == 0 {
-		t.Fatal("store never compacted")
-	}
-	k, w := session(ids - 1)
-	if err := s.Append(k, []byte("later"), w, w.Start+1); err != nil {
-		t.Fatal(err)
+		t.Fatal("store never cleaned")
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	live := s.LiveStates()
+	segments := s.LiveSegments()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	indexes, _ := filepath.Glob(filepath.Join(dir, "index-*.log"))
-	datas, _ := filepath.Glob(filepath.Join(dir, "data-*.log"))
-	if len(indexes) != 1 || len(datas) != 1 {
-		t.Fatalf("store dir holds %d index and %d data logs", len(indexes), len(datas))
+	if len(indexes) != segments || segments < 2 {
+		t.Fatalf("store dir holds %d index logs, the store counted %d segments", len(indexes), segments)
 	}
-	data, err := os.ReadFile(datas[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	printed := captureStdout(t, func() error { return cmdIndex(indexes[0]) })
-	lines := strings.Split(strings.TrimSpace(printed), "\n")
-	rows, total := lines[1:len(lines)-1], lines[len(lines)-1]
-	// The compaction dropped the batches consumed before it; batches
-	// consumed after it, and the one flushed after it, are still listed.
-	if len(rows) <= live || len(rows) > ids {
-		t.Fatalf("index printed %d rows for %d ids, %d of them live:\n%s", len(rows), ids, live, printed)
-	}
-	var end, sum int64
-	for i, row := range rows {
-		f := strings.Fields(row)
-		if len(f) != 5 {
-			t.Fatalf("row %d has %d columns: %q", i, len(f), row)
+	var mixed int // segments whose batches were first written by several flushes
+	for _, index := range indexes {
+		data, err := os.ReadFile(filepath.Join(dir, "data-"+strings.TrimPrefix(filepath.Base(index), "index-")))
+		if err != nil {
+			t.Fatal(err)
 		}
-		off, _ := strconv.ParseInt(f[3], 10, 64)
-		n, _ := strconv.ParseInt(f[4], 10, 64)
-		if off != end || off+n > int64(len(data)) {
-			t.Fatalf("row %d locates [%d,%d) in a %d-byte data log, previous row ended at %d", i, off, off+n, len(data), end)
+		printed := captureStdout(t, func() error { return cmdIndex(index) })
+		lines := strings.Split(strings.TrimSpace(printed), "\n")
+		rows, total := lines[1:len(lines)-1], lines[len(lines)-1]
+		var end, sum int64
+		flushes := make(map[string]bool)
+		for i, row := range rows {
+			f := strings.Fields(row)
+			if len(f) != 6 {
+				t.Fatalf("%s row %d has %d columns: %q", index, i, len(f), row)
+			}
+			off, _ := strconv.ParseInt(f[3], 10, 64)
+			n, _ := strconv.ParseInt(f[4], 10, 64)
+			if off != end || off+n > int64(len(data)) {
+				t.Fatalf("%s row %d locates [%d,%d) in a %d-byte data log, previous row ended at %d", index, i, off, off+n, len(data), end)
+			}
+			if _, used, err := binio.ReadRecordV(data[off:off+n], binio.FrameV1); err != nil || int64(used) != n {
+				t.Fatalf("%s row %d (%q): frame at %d spans %d of %d bytes, err %v", index, i, row, off, used, n, err)
+			}
+			end, sum = off+n, sum+n
+			flushes[f[5]] = true
 		}
-		if _, used, err := binio.ReadRecordV(data[off:off+n], binio.FrameV1); err != nil || int64(used) != n {
-			t.Fatalf("row %d (%q): frame at %d spans %d of %d bytes, err %v", i, row, off, used, n, err)
+		if end != int64(len(data)) {
+			t.Errorf("%s: rows cover %d of the data log's %d bytes", index, end, len(data))
 		}
-		end, sum = off+n, sum+n
+		if want := fmt.Sprintf("total indexed data: %d bytes", sum); total != want {
+			t.Errorf("%s: last line %q, want %q", index, total, want)
+		}
+		if len(flushes) > 1 {
+			mixed++
+		}
 	}
-	if end != int64(len(data)) {
-		t.Errorf("rows cover %d of the data log's %d bytes", end, len(data))
-	}
-	if want := fmt.Sprintf("total indexed data: %d bytes", sum); total != want {
-		t.Errorf("last line %q, want %q", total, want)
+	if mixed == 0 {
+		t.Error("no segment holds batches of more than one flush: no survivor segment among them")
 	}
 }

@@ -3,12 +3,13 @@
 // per-key times (session, count, and custom windows).
 //
 // Layout. The in-memory write buffer hashes tuples by (key, initial
-// window boundary). A flush appends its value batches to a single global
-// data log, one CRC frame per batch, in ascending estimated trigger time,
-// and then appends the batches' locations — (key, window, length), the
-// offsets implied by the running sum — to an append-only *index log* as
-// one packed block per flush (index.go gives the layout), keeping
-// per-window location metadata on disk rather than in memory.
+// window boundary). A flush appends its value batches to a data log, one
+// CRC frame per batch, in ascending estimated trigger time, and then
+// appends the batches' locations — (key, window, length), the offsets
+// implied by the running sum — to the *index log* beside it as one packed
+// block per flush (index.go gives the layout), keeping per-window location
+// metadata on disk rather than in memory. A data log and its index log are
+// a *segment*; the log is a set of them (see "The segmented log").
 //
 // What gets spilled. An append never reads, so the only access that needs
 // a window's state in memory is its trigger. A full write buffer therefore
@@ -24,21 +25,28 @@
 // tuple timestamp seen (for session windows: maxTS + gap, a guaranteed
 // lower bound on the trigger). When a Get misses the prefetch buffer, the
 // store selects, from the Stat table, the N flushed windows closest to
-// their ETT (N = read-batch ratio × live windows), scans the index log
-// once for their locations, and loads all of them with coalesced range
-// reads. Subsequent triggers hit in memory; the paper observes ≈0.93 hit
-// ratio at ratio 0.02, i.e. ≈1.08× read amplification (Equation 1). A
-// tuple arriving for a prefetched window proves the ETT wrong and evicts
-// that window's prefetched state.
+// their ETT (N = read-batch ratio × live windows), scans the index logs of
+// the segments holding them once for their locations, and loads all of
+// them with coalesced range reads. Subsequent triggers hit in memory; the
+// paper observes ≈0.93 hit ratio at ratio 0.02, i.e. ≈1.08× read
+// amplification (Equation 1). A tuple arriving for a prefetched window
+// proves the ETT wrong and evicts that window's prefetched state.
 //
-// Integrated compaction. Consumed (fetched & removed) entries leave dead
-// bytes in the data log. When space amplification total/(total-dead)
-// exceeds the MSA threshold, compaction reuses the index scan performed
-// for predictive batch read: the same pass plans the live byte runs and
-// the new index, and the runs are then transferred to a fresh data log
-// (kernel copy for long runs, gathered through the write buffer for
-// short ones). The SeparateCompactionScan option disables the
-// integration for ablation, issuing a dedicated scan instead.
+// The segmented log. Get is a fetch-&-remove, so window semantics say when
+// a flushed batch dies, and an eviction's batches — chosen by trigger time
+// — die at about the same time. Each full-buffer eviction is therefore
+// written as a segment of its own (data-NNNNNN.log, index-NNNNNN.log),
+// sealed behind it, with a count of the data bytes still live in it; a
+// sealed segment whose count reaches zero is unlinked without a byte
+// copied. Only when space amplification still exceeds MSA after an
+// evicting flush does a cleaning pass move the live batches of the
+// emptiest sealed segments into a *survivor* segment — never the flush
+// head, so long-lived state collects in segments of its own. This replaces
+// the paper's integrated compaction, which rewrote the whole log off the
+// batch read's index scan: state that dies in age order is never copied,
+// and with an index per segment there is no whole-index scan to share.
+// Memory holds, per flushed identity, which segments hold its batches and
+// how many bytes in each — not where.
 //
 // # Concurrency
 //
@@ -48,20 +56,23 @@
 //     buffer and the per-id on-disk byte accounting. Appends, and
 //     Get/Read/Drop of state that lives only in the buffer, take mu
 //     alone, so ingestion never waits for disk.
-//   - ioMu serializes everything involving the data and index logs:
-//     flushes, index scans, span loads, compaction, checkpoints — plus
-//     the consumed set and dead-byte counter, which only disk-touching
-//     paths mutate. mu is never held across I/O; a flush detaches the
-//     buffer under mu, writes with only ioMu held, and installs the
-//     on-disk accounting under mu again.
+//   - ioMu serializes everything involving the segments' logs: flushes,
+//     index scans, span loads, cleaning, drops, checkpoints — plus the
+//     segments' consumed marks, which only disk-touching paths mutate.
+//     mu is never held across I/O; a flush detaches the buffer under mu,
+//     writes with only ioMu held, and installs the on-disk accounting
+//     under mu again.
 //
 // The lock order is ioMu before mu; mu is never held while acquiring
-// ioMu. Operations on an identity with on-disk state, or one mid-flight
-// in a flush, divert to the slow path (which waits on ioMu) so a
-// fetch-&-remove can never miss values between buffer and log.
+// ioMu. The segment table and the segments' live counts change only with
+// both held, so either suffices to read them. Operations on an identity
+// with on-disk state, or one mid-flight in a flush, divert to the slow
+// path (which waits on ioMu) so a fetch-&-remove can never miss values
+// between buffer and log.
 package aur
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -88,7 +99,7 @@ var DisableFlushReattach bool
 
 // Options configures an AUR store instance.
 type Options struct {
-	// Dir is the directory holding the instance's data and index logs.
+	// Dir is the directory holding the instance's log segments.
 	Dir string
 	// WriteBufferBytes caps the in-memory write buffer; an append that
 	// exceeds it evicts the quarter of the buffered identities that will
@@ -104,15 +115,12 @@ type Options struct {
 	// scan every few reads; at the paper's scale ratio × live windows is
 	// in the thousands and this floor is never reached). Default 64.
 	MinBatchWindows int
-	// MaxSpaceAmplification (MSA) triggers compaction when
+	// MaxSpaceAmplification (MSA) triggers segment cleaning when
 	// total/(total-dead) data-log bytes exceed it. Default 1.5.
 	MaxSpaceAmplification float64
 	// Predictor estimates window trigger times. nil disables prediction
 	// (the degraded mode FlowKV uses for count and custom windows).
 	Predictor window.Predictor
-	// SeparateCompactionScan runs compaction with its own index-log scan
-	// instead of piggybacking on predictive batch read (ablation).
-	SeparateCompactionScan bool
 	// FS is the filesystem seam; nil means the real OS filesystem.
 	// Fault-injection tests substitute a faultfs.Injector.
 	FS faultfs.FS
@@ -129,8 +137,11 @@ const (
 	// adjacent range reads of one predictive batch read.
 	coalesceGapBytes = 32 << 10
 	// readParallelism bounds the worker goroutines fanning those reads
-	// across the data log.
-	readParallelism = 4
+	// across the data logs, and parallelReadBytes is what one batch read
+	// must fetch before they are started: handing a few KiB to goroutines
+	// costs more in wake-ups than the reads take.
+	readParallelism   = 4
+	parallelReadBytes = 1 << 20
 	// evictDivisor is the share of the buffered identities a full buffer
 	// evicts: the quarter with the latest estimated trigger time. On the
 	// session benchmark a half writes 28.9 B an event, a quarter 26.7 B and
@@ -176,12 +187,68 @@ type statEntry struct {
 	maxTS  int64
 	ett    int64
 	hasETT bool
+	// spilled says the identity has a row in onDisk, so the pass over the
+	// table that selects a batch read does not probe a second map per row.
+	spilled bool
 }
 
-// span locates one flushed value batch inside the data log.
+// span locates one flushed value batch inside a segment's data log.
 type span struct {
 	off int64
 	n   int
+}
+
+// segShare is the data-log bytes of one identity's live batches in one
+// segment.
+type segShare struct {
+	seg uint32
+	n   int64
+}
+
+// addShare adds n (negative to take away) to the share seg holds; a share
+// that reaches zero goes.
+func addShare(shares []segShare, seg uint32, n int64) []segShare {
+	for i := range shares {
+		if shares[i].seg == seg {
+			if shares[i].n += n; shares[i].n == 0 {
+				return slices.Delete(shares, i, i+1)
+			}
+			return shares
+		}
+	}
+	return append(shares, segShare{seg, n})
+}
+
+// segment is one file pair of the log: a data log of value batches and the
+// index log locating them. The logs, indexed and consumed are owned by
+// ioMu; live and sealed change with ioMu and mu both held.
+type segment struct {
+	id          uint32
+	data, index *logfile.Log
+	// epoch is the pair's random identity in a checkpoint's SEGMENTS
+	// manifest: a cut links what its parent holds only while they match.
+	epoch uint64
+	// indexed is the length of the index log whose blocks locate installed
+	// batches; only a cleaning pass that failed while writing its blocks
+	// leaves any past it, and they are never read.
+	indexed int64
+	// consumed maps the identBytes of an identity consumed from this
+	// segment to the data log's size at that moment: its batches below
+	// that offset are dead, those a later life of the same (key, window)
+	// lands here — flushed into an open head, or cleaned in — are not.
+	consumed map[string]int64
+	live     int64 // data-log bytes of the batches still live here
+	sealed   bool  // takes no more appends; dropped once live reaches zero
+}
+
+func dataName(id uint32) string  { return fmt.Sprintf("data-%06d.log", id) }
+func indexName(id uint32) string { return fmt.Sprintf("index-%06d.log", id) }
+
+// dead reports whether the batch e locates in sg was consumed; caller
+// holds ioMu.
+func (sg *segment) dead(e *indexEntry) bool {
+	mark, ok := sg.consumed[string(e.prefix)]
+	return ok && e.Off < mark
 }
 
 // Store is a single AUR store instance, safe for concurrent use.
@@ -195,7 +262,9 @@ type Store struct {
 	buf      map[id]*bufEntry
 	bufBytes int64
 	stat     map[id]*statEntry
-	onDisk   map[id]int64 // bytes of flushed record data per live id
+	// onDisk says, per live flushed identity, which segments hold its
+	// batches and how many bytes in each — not where: that is on disk.
+	onDisk   map[id][]segShare
 	flushing map[id]*bufEntry
 	closed   bool
 	// statMarks marks identities whose Stat entry changed since the
@@ -207,6 +276,9 @@ type Store struct {
 
 	prefetch      map[id][][]byte
 	prefetchBytes int64
+	// segs is every segment of the log, by id; entries are added and
+	// removed with ioMu and mu both held.
+	segs map[uint32]*segment
 
 	// ioMu serializes log I/O and the state only disk paths touch.
 	// Never acquired while holding mu.
@@ -214,31 +286,20 @@ type Store struct {
 	// syncMu admits one split sync at a time; held around (not under)
 	// ioMu so the fsyncs run with ioMu released.
 	syncMu sync.Mutex
-	// consumed is keyed by the canonical (key, window) byte encoding
-	// (identBytes) — the same bytes every index entry starts with — so
-	// the index scan can test deadness without allocating an id per entry.
-	// The value is the data log's size when the identity was last
-	// consumed: its batches below that offset are dead, and batches a
-	// later life of the same (key, window) flushes above it are not.
-	consumed map[string]int64
-	dataLog  *logfile.Log
-	indexLog *logfile.Log
-	gen      int
-	// genEpoch is a random identity for the current log generation,
-	// recorded in delta-checkpoint SEGMENTS manifests. Compaction (or
-	// any other generation swap) changes it, so a delta checkpoint can
-	// only extend a parent whose logs are still a live prefix; a
-	// mismatch falls back to a full copy.
-	genEpoch uint64
-	dead     int64 // dead bytes in the current data log
+	// head is the open segment flushes append to and surv the open segment
+	// cleaning transfers survivors to; nil until first needed and again
+	// after sealing.
+	head, surv *segment
+	nextSeg    uint32
+	seq        uint64 // the last flush's sequence number (see index.go)
 
 	// Evaluation metrics.
 	ratio       metrics.Ratio
 	evictions   metrics.Counter
-	compactions metrics.Counter
+	compactions metrics.Counter // cleaning passes that moved at least one batch
+	dropped     metrics.Counter // segments unlinked, emptied or cleaned
 	indexScans  metrics.Counter
-	batchReads  metrics.Counter
-	// Where the written bytes went, data and index log together, and how
+	// Where the written bytes went, data and index logs together, and how
 	// many batches flushes wrote; where consumed identities were found.
 	flushedBytes   metrics.Counter
 	flushedBatches metrics.Counter
@@ -247,7 +308,8 @@ type Store struct {
 	diskHits       metrics.Counter // consumed with state on disk
 }
 
-// Open creates an AUR store instance rooted at opts.Dir.
+// Open creates an AUR store instance rooted at opts.Dir. Segment files are
+// created as flushes need them; a store that never spills owns none.
 func Open(opts Options) (*Store, error) {
 	opts.fill()
 	dir, err := logfile.OpenDirFS(opts.FS, opts.Dir, opts.Breakdown)
@@ -261,13 +323,10 @@ func Open(opts Options) (*Store, error) {
 		bd:        opts.Breakdown,
 		buf:       make(map[id]*bufEntry),
 		stat:      make(map[id]*statEntry),
-		onDisk:    make(map[id]int64),
-		consumed:  make(map[string]int64),
+		onDisk:    make(map[id][]segShare),
 		prefetch:  make(map[id][][]byte),
+		segs:      make(map[uint32]*segment),
 		statMarks: ckpt.NewMarks[id](),
-	}
-	if err := s.openGen(0); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -281,20 +340,100 @@ func (s *Store) dropStatLocked(ident id) {
 	}
 }
 
-// openGen swaps in fresh log generations; caller holds ioMu (or is Open).
-func (s *Store) openGen(gen int) error {
-	data, err := s.dir.Create(fmt.Sprintf("data-%06d.log", gen))
+// openSegLocked creates the next segment's files and registers it; caller
+// holds ioMu.
+func (s *Store) openSegLocked() (*segment, error) {
+	data, err := s.dir.Create(dataName(s.nextSeg))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	index, err := s.dir.Create(fmt.Sprintf("index-%06d.log", gen))
+	index, err := s.dir.Create(indexName(s.nextSeg))
 	if err != nil {
-		data.Close()
-		return err
+		data.Remove()
+		return nil, err
 	}
-	s.dataLog, s.indexLog, s.gen = data, index, gen
-	s.genEpoch = ckpt.Rand64()
-	return nil
+	sg := &segment{id: s.nextSeg, data: data, index: index, epoch: ckpt.Rand64(), consumed: make(map[string]int64)}
+	s.nextSeg++
+	s.mu.Lock()
+	s.segs[sg.id] = sg
+	s.mu.Unlock()
+	return sg, nil
+}
+
+// sealLocked closes sg to appends once its data log holds
+// WriteBufferBytes, or whatever it holds with force; caller holds ioMu. A
+// sealed segment stays readable until its last live batch is consumed or
+// cleaned away, but gives its write buffers back now.
+func (s *Store) sealLocked(sg *segment, force bool) {
+	if !force && sg.data.Size() < s.opts.WriteBufferBytes {
+		return
+	}
+	s.mu.Lock()
+	sg.sealed = true
+	s.mu.Unlock()
+	if s.head == sg {
+		s.head = nil
+	}
+	if s.surv == sg {
+		s.surv = nil
+	}
+	// A failed flush poisons the log, which keeps serving its records from
+	// the retained tail; the next Sync, or the health check, reports it.
+	_ = sg.data.Seal()
+	_ = sg.index.Seal()
+}
+
+// reapLocked unlinks every sealed segment whose live count reached zero
+// and forgets it; caller holds ioMu. The unlinks go first: if one fails
+// the segment stays tracked and open, the next reap retries, and the
+// first failure is returned.
+func (s *Store) reapLocked() (first error) {
+	for _, sg := range s.segmentsLocked() {
+		if !sg.sealed || sg.live != 0 {
+			continue
+		}
+		err := s.dir.Remove(dataName(sg.id))
+		if err == nil {
+			err = s.dir.Remove(indexName(sg.id))
+		}
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		s.mu.Lock()
+		delete(s.segs, sg.id)
+		s.mu.Unlock()
+		_ = sg.data.Close() // the files are gone; nothing they buffered is referenced
+		_ = sg.index.Close()
+		s.dropped.Inc()
+	}
+	return first
+}
+
+// segmentsLocked returns the log's segments in id (creation) order; caller
+// holds ioMu.
+func (s *Store) segmentsLocked() []*segment {
+	s.mu.Lock()
+	segs := make([]*segment, 0, len(s.segs))
+	for _, sg := range s.segs {
+		segs = append(segs, sg)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(segs, func(a, b *segment) int { return int(a.id) - int(b.id) })
+	return segs
+}
+
+// logsLocked returns every segment's data and index log, data first, in
+// segment order; caller holds ioMu.
+func (s *Store) logsLocked() []*logfile.Log {
+	segs := s.segmentsLocked()
+	logs := make([]*logfile.Log, 0, 2*len(segs))
+	for _, sg := range segs {
+		logs = append(logs, sg.data, sg.index)
+	}
+	return logs
 }
 
 // Append adds the KV tuple with its window and timestamp (paper API:
@@ -367,10 +506,7 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	if err := s.flushLocked(false); err != nil {
 		return err
 	}
-	if s.opts.SeparateCompactionScan {
-		return s.maybeCompactSeparateLocked()
-	}
-	return nil
+	return s.maybeCleanLocked()
 }
 
 // flushItem is one buffered batch on its way to disk.
@@ -384,11 +520,8 @@ type flushItem struct {
 // one last, ties by identity so the layout is a function of the buffer's
 // content rather than of map order. The windows one predictive batch
 // read selects — the soonest to trigger — then sit next to each other in
-// every flush's region of the data log, and its coalesced reads bridge
-// fewer dead gaps (5.6% fewer bytes read on the session benchmark). It
-// does not make compaction's live runs longer, as one might hope (50 B
-// to 52 B there): long-lived sessions outlive their flush-mates wherever
-// they are placed.
+// every flush's region of a data log, and its coalesced reads bridge
+// fewer dead gaps (5.6% fewer bytes read on the session benchmark).
 //
 // The same order, read from its far end, picks an eviction's victims
 // (detachLocked): it is total, so victims and byte counts repeat from run
@@ -488,17 +621,32 @@ func (s *Store) detachLocked(all bool) (batch map[id]*bufEntry, items []flushIte
 // with only ioMu held, so ingestion proceeds; ids in the detached batch
 // are marked in-flight, diverting their reads to the slow path until the
 // on-disk accounting is installed.
+//
+// A full buffer's flush seals the segment it wrote, so in steady state
+// every segment holds one eviction and its batches share a lifetime. A
+// drain of a buffer that was not full leaves the head open for the next
+// flush rather than sealing a tiny file.
 func (s *Store) flushLocked(all bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	full := s.bufBytes > s.opts.WriteBufferBytes
 	batch, items := s.detachLocked(all)
 	s.mu.Unlock()
 	if batch == nil {
 		return nil
 	}
+	// A head that cannot be created fails the flush like a failed first
+	// write: everything detached goes back.
+	head, werr := s.head, error(nil)
+	if head == nil {
+		if head, werr = s.openSegLocked(); werr == nil {
+			s.head = head
+		}
+	}
+	s.seq++
 	if items == nil {
 		items = make([]flushItem, 0, len(batch))
 		for ident, e := range batch {
@@ -507,13 +655,13 @@ func (s *Store) flushLocked(all bool) error {
 	}
 	slices.SortFunc(items, byTrigger)
 
-	// items[:stored] have their data record in the data log; of those,
-	// items[:indexed] are also covered by an index block the index log
-	// accepted.
+	// items[:stored] have their data record in the head's data log; of
+	// those, items[:indexed] are also covered by an index block its index
+	// log accepted.
 	var stored, indexed int
 	var bytes int64 // data and index bytes the logs accepted
 	iw := indexWriter{emit: func(block []byte, entries int) error {
-		_, n, err := s.indexLog.Append(block)
+		_, n, err := head.index.Append(block)
 		if err != nil {
 			return err
 		}
@@ -522,14 +670,13 @@ func (s *Store) flushLocked(all bool) error {
 		return nil
 	}}
 	var payload, prefix []byte
-	var werr error
-	for i := range items {
+	for i := 0; werr == nil && i < len(items); i++ {
 		it := &items[i]
 		payload = binio.PutUvarint(payload[:0], uint64(len(it.e.values)))
 		for _, v := range it.e.values {
 			payload = binio.PutBytes(payload, v)
 		}
-		off, n, err := s.dataLog.Append(payload)
+		off, n, err := head.data.Append(payload)
 		if err != nil {
 			werr = err
 			break
@@ -538,29 +685,30 @@ func (s *Store) flushLocked(all bool) error {
 		bytes += it.n
 		stored++
 		prefix = appendIdent(prefix[:0], it.ident)
-		if err := iw.add(prefix, span{off, n}); err != nil {
-			werr = err
-			break
-		}
+		werr = iw.add(prefix, span{off, n}, s.seq)
 	}
 	// Also after a data-log failure: the records already written are
 	// whole and deserve their index entries.
 	if err := iw.flush(); err != nil && werr == nil {
 		werr = err
 	}
-	// Data records no index block references are orphans; account them
-	// dead so compaction reclaims them.
-	for _, it := range items[indexed:stored] {
-		s.dead += it.n
-	}
+	// Data records no index block references (items[indexed:stored]) are
+	// orphans: in the segment's size, not in its live count.
 	s.flushedBytes.Add(bytes)
 	s.flushedBatches.Add(int64(stored))
+	if indexed > 0 {
+		head.indexed = head.index.Size()
+	}
 
 	s.mu.Lock()
 	s.flushing = nil
 	for _, it := range items[:indexed] {
 		delete(batch, it.ident)
-		s.onDisk[it.ident] += it.n
+		s.onDisk[it.ident] = addShare(s.onDisk[it.ident], head.id, it.n)
+		head.live += it.n
+		if st := s.stat[it.ident]; st != nil {
+			st.spilled = true
+		}
 		// A prefetch entry covers every flushed span of its id at the
 		// instant it was installed; the span just written is not among
 		// them, so the entry (installed by a batch read that targeted a
@@ -592,13 +740,16 @@ func (s *Store) flushLocked(all bool) error {
 		}
 	}
 	s.mu.Unlock()
+	if werr == nil {
+		s.sealLocked(head, full)
+	}
 	return werr
 }
 
 // fastPathLocked reports whether ident can be served under mu alone:
 // no on-disk state and no copy mid-flight in a flush. Caller holds mu.
 func (s *Store) fastPathLocked(ident id) bool {
-	if s.onDisk[ident] > 0 {
+	if len(s.onDisk[ident]) > 0 {
 		return false
 	}
 	_, inflight := s.flushing[ident]
@@ -648,7 +799,8 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 		return nil, ErrClosed
 	}
 	var diskVals [][]byte
-	if s.onDisk[ident] > 0 {
+	var emptied bool
+	if len(s.onDisk[ident]) > 0 {
 		if pv, ok := s.prefetch[ident]; ok {
 			// Step ④: served from the prefetch buffer.
 			s.ratio.Hit()
@@ -668,7 +820,7 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 			diskVals = vals
 		}
 		s.dropPrefetchLocked(ident)
-		s.consumeDiskLocked(ident)
+		emptied = s.consumeDiskLocked(ident)
 	}
 	bufVals := s.takeBufferedLocked(ident)
 	if diskVals != nil {
@@ -678,6 +830,9 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 	}
 	s.dropStatLocked(ident)
 	s.mu.Unlock()
+	if emptied {
+		_ = s.reapLocked() // still tracked on failure; the next reap retries
+	}
 
 	if diskVals == nil && bufVals == nil {
 		return nil, nil
@@ -728,7 +883,7 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 		return nil, ErrClosed
 	}
 	var diskVals [][]byte
-	if s.onDisk[ident] > 0 {
+	if len(s.onDisk[ident]) > 0 {
 		if pv, ok := s.prefetch[ident]; ok {
 			s.ratio.Hit()
 			diskVals = pv
@@ -767,7 +922,10 @@ func (s *Store) Peek(key []byte, w window.Window) (buffered, onDisk int64, prefe
 		buffered = e.bytes
 	}
 	_, prefetched = s.prefetch[ident]
-	return buffered, s.onDisk[ident], prefetched
+	for _, sh := range s.onDisk[ident] {
+		onDisk += sh.n
+	}
+	return buffered, onDisk, prefetched
 }
 
 // ForEachLive invokes fn for every live (unconsumed) unit of state — a
@@ -833,11 +991,12 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 	}
 	s.takeBufferedLocked(ident)
 	s.dropPrefetchLocked(ident)
-	if s.onDisk[ident] > 0 {
-		s.consumeDiskLocked(ident)
-	}
+	emptied := s.consumeDiskLocked(ident)
 	s.dropStatLocked(ident)
 	s.mu.Unlock()
+	if emptied {
+		_ = s.reapLocked() // still tracked on failure; the next reap retries
+	}
 	return nil
 }
 
@@ -853,21 +1012,26 @@ func (s *Store) takeBufferedLocked(ident id) [][]byte {
 	return e.values
 }
 
-// consumeDiskLocked retires ident's flushed batches: every one the data
-// log holds now — all below its current size — is dead, and a batch a new
-// life of the same (key, window) flushes later lands above that mark and
-// is not. Caller holds ioMu, so no flush is in flight, and mu.
-func (s *Store) consumeDiskLocked(ident id) {
-	s.dead += s.onDisk[ident]
+// consumeDiskLocked retires ident's flushed batches, debiting exactly the
+// segments that hold them: every batch of it such a segment holds now —
+// all below its data log's current size — is dead, and a batch a new life
+// of the same (key, window) lands there later is above that mark and is
+// not. It reports whether that emptied a sealed segment, which is then
+// due a reap. Caller holds ioMu, so no flush is in flight, and mu.
+func (s *Store) consumeDiskLocked(ident id) (emptied bool) {
+	shares := s.onDisk[ident]
+	if len(shares) == 0 {
+		return false
+	}
+	key := string(identBytes(ident))
+	for _, sh := range shares {
+		sg := s.segs[sh.seg]
+		sg.live -= sh.n
+		sg.consumed[key] = sg.data.Size()
+		emptied = emptied || sg.sealed && sg.live == 0
+	}
 	delete(s.onDisk, ident)
-	s.consumed[string(identBytes(ident))] = s.dataLog.Size()
-}
-
-// consumedEntry reports whether the batch e locates was consumed; caller
-// holds ioMu.
-func (s *Store) consumedEntry(e *indexEntry) bool {
-	mark, ok := s.consumed[string(e.prefix)]
-	return ok && e.Off < mark
+	return emptied
 }
 
 // dropPrefetchLocked removes ident's prefetched values; caller holds mu.
@@ -881,10 +1045,9 @@ func (s *Store) dropPrefetchLocked(ident id) {
 }
 
 // batchReadLocked performs one predictive batch read targeting ident:
-// select the target plus the N flushed windows nearest their ETT, scan
-// the index log for their locations, load them into the prefetch buffer
-// with coalesced range reads, and — in integrated mode — run compaction
-// off the same scan if space amplification exceeds MSA. Caller holds
+// select the target plus the N flushed windows nearest their ETT, scan the
+// index logs of the segments holding them for their locations, and load
+// them into the prefetch buffer with coalesced range reads. Caller holds
 // ioMu (not mu).
 //
 // The target's values are returned directly rather than via the
@@ -897,54 +1060,35 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 	// Get serves still-buffered values straight from the write buffer,
 	// and onDisk bytes are by definition already indexed.
 	//
-	// Selecting before scanning means the scan materialises locations
-	// for the selected ids alone; whether it must also plan a compaction
-	// (step ⑦, riding the same scan) depends on nothing the scan finds.
+	// Selecting before scanning means a scan reads only the segments the
+	// selection names and materialises locations for the selected ids
+	// alone.
 	want, left := s.selectBatch(target)
-	var plan *compactPlan
-	if !s.opts.SeparateCompactionScan && s.spaceAmpLocked() > s.opts.MaxSpaceAmplification {
-		plan = newCompactPlan()
-	}
+	s.indexScans.Inc()
 	var tasks []loadTask
-	err := s.scanIndexLocked(func(e *indexEntry) error {
-		ident, wanted := want[string(e.prefix)]
-		if !wanted && plan == nil {
-			return nil
+	for _, sg := range s.segmentsLocked() {
+		n := left[sg.id]
+		if n == 0 {
+			continue
 		}
-		if s.consumedEntry(e) {
-			return nil
-		}
-		if plan != nil {
-			if err := plan.add(e); err != nil {
-				return err
+		err := s.scanSegLocked(sg, func(e *indexEntry) error {
+			ident, wanted := want[string(e.prefix)]
+			if !wanted || sg.dead(e) {
+				return nil
 			}
-		}
-		if wanted {
-			tasks = append(tasks, loadTask{ident: ident, sp: span{e.Off, e.Len}})
-			// Windows about to trigger were last written to a while ago:
-			// once every byte onDisk counts for the selection is located,
-			// the rest of the index is about younger windows.
-			if left -= int64(e.Len); left == 0 && plan == nil {
+			tasks = append(tasks, loadTask{ident: ident, seg: sg, seq: e.Seq, sp: span{e.Off, e.Len}})
+			// Once every byte onDisk counts for the selection in this
+			// segment is located, the rest of its index is about others.
+			if n -= int64(e.Len); n == 0 {
 				return errScanDone
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.batchReads.Inc()
-
-	targetVals, err := s.loadSpansLocked(tasks, target)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		if err := s.compact(plan); err != nil {
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
-	return targetVals, nil
+	return s.loadSpansLocked(tasks, target)
 }
 
 // cand is a prefetch candidate: a flushed identity and its ETT.
@@ -989,11 +1133,12 @@ func siftLatest(h []cand, i int) {
 // candidates are exactly the ids the index log holds live entries for —
 // onDisk has a row for an id from its first indexed flush until it is
 // consumed — so the choice needs nothing from the scan, and the bytes
-// onDisk counts for the chosen ids, returned as well, are exactly what
-// the scan will find for them. One pass over the Stat table keeps the N
-// soonest in a heap; once it is full, a row whose ETT is no sooner than
-// the heap's latest costs one comparison. Caller holds ioMu.
-func (s *Store) selectBatch(target id) (want map[string]id, bytes int64) {
+// onDisk counts for the chosen ids in each segment, returned as well, are
+// exactly what a scan of that segment will find for them. One pass over
+// the Stat table keeps the N soonest in a heap; once it is full, a row
+// whose ETT is no sooner than the heap's latest costs one comparison.
+// Caller holds ioMu.
+func (s *Store) selectBatch(target id) (want map[string]id, left map[uint32]int64) {
 	var soonest []cand
 	s.mu.Lock()
 	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.stat))))
@@ -1004,10 +1149,10 @@ func (s *Store) selectBatch(target id) (want map[string]id, bytes int64) {
 		soonest = make([]cand, 0, min(n, len(s.onDisk)))
 		for ident, st := range s.stat {
 			c := cand{ident, st.ett}
-			if !st.hasETT || len(soonest) == n && !c.sooner(soonest[0]) {
+			if !st.hasETT || !st.spilled || len(soonest) == n && !c.sooner(soonest[0]) {
 				continue
 			}
-			if ident == target || s.onDisk[ident] == 0 {
+			if ident == target {
 				continue
 			}
 			if _, already := s.prefetch[ident]; already {
@@ -1026,45 +1171,47 @@ func (s *Store) selectBatch(target id) (want map[string]id, bytes int64) {
 			}
 		}
 	}
-	bytes = s.onDisk[target]
+	want = make(map[string]id, len(soonest)+1)
+	left = make(map[uint32]int64)
+	add := func(ident id) {
+		want[string(identBytes(ident))] = ident
+		for _, sh := range s.onDisk[ident] {
+			left[sh.seg] += sh.n
+		}
+	}
+	add(target)
 	for _, c := range soonest {
-		bytes += s.onDisk[c.ident]
+		add(c.ident)
 	}
 	s.mu.Unlock()
-	want = make(map[string]id, len(soonest)+1)
-	want[string(identBytes(target))] = target
-	for _, c := range soonest {
-		want[string(identBytes(c.ident))] = c.ident
-	}
-	return want, bytes
+	return want, left
 }
 
 // errScanDone, returned by a scan callback, ends the scan without error.
 var errScanDone = errors.New("aur: index scan done")
 
-// scanIndexLocked reads the index log once, calling fn for every entry —
+// scanSegLocked reads sg's index log once, calling fn for every entry —
 // consumed ones included, the caller filters — in data-log offset order,
-// until the log ends or fn returns errScanDone. The entry and the slices
-// it holds are valid only during the call. Caller holds ioMu, under
-// which the consumed set is stable.
-func (s *Store) scanIndexLocked(fn func(e *indexEntry) error) error {
-	s.indexScans.Inc()
+// until the installed blocks end or fn returns errScanDone. The entry and
+// the slices it holds are valid only during the call. Caller holds ioMu,
+// under which the consumed marks are stable.
+func (s *Store) scanSegLocked(sg *segment, fn func(e *indexEntry) error) error {
 	if s.bd != nil {
 		defer s.bd.Start(metrics.OpRead)()
 	}
-	sc, err := s.indexLog.Scanner(0)
+	sc, err := sg.index.Scanner(0)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
 	var e indexEntry
 	var end int64 // data offset one past the previous entry
-	for sc.Scan() {
+	for sc.Scan() && sc.Offset() <= sg.indexed {
 		it, err := openBlock(sc.Record())
 		if err != nil {
 			return err
 		}
-		// Loads and compaction both take index order for offset order.
+		// Loads and cleaning both take index order for offset order.
 		if it.off < end {
 			return badBlock("block at data offset %d follows an entry ending at %d", it.off, end)
 		}
@@ -1084,9 +1231,12 @@ func (s *Store) scanIndexLocked(fn func(e *indexEntry) error) error {
 	return sc.Err()
 }
 
-// loadTask is one data-log span to load during a batch read.
+// loadTask is one batch to load during a batch read: where it sits and
+// the flush that first wrote it.
 type loadTask struct {
 	ident id
+	seg   *segment
+	seq   uint64
 	sp    span
 	vals  [][]byte
 }
@@ -1097,11 +1247,11 @@ type loadRun struct {
 	lo, hi    int // inclusive task range
 }
 
-// loadSpansLocked reads the given data-log spans — in ascending offset
-// order, as the index scan yields them — into the prefetch buffer,
-// coalescing adjacent ranges into single reads and fanning independent
-// ranges across readParallelism worker goroutines (positional reads on
-// the flushed log are independent). Caller holds ioMu (not mu); the
+// loadSpansLocked reads the given batches — segment by segment, in
+// ascending offset order within each, as the index scans yield them — into
+// the prefetch buffer, coalescing adjacent ranges of one data log into
+// single reads and fanning independent ranges across readParallelism
+// worker goroutines (positional reads on flushed logs are independent). Caller holds ioMu (not mu); the
 // decoded values are installed under mu at the end. The target's values
 // are also returned directly (see batchReadLocked).
 func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
@@ -1115,7 +1265,7 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 		// Coalesce a run of tasks whose byte ranges are near-adjacent.
 		j := i
 		end := tasks[i].sp.off + int64(tasks[i].sp.n)
-		for j+1 < len(tasks) && tasks[j+1].sp.off-end <= coalesceGapBytes {
+		for j+1 < len(tasks) && tasks[j+1].seg == tasks[i].seg && tasks[j+1].sp.off-end <= coalesceGapBytes {
 			j++
 			end = tasks[j].sp.off + int64(tasks[j].sp.n)
 		}
@@ -1123,8 +1273,12 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 		i = j + 1
 	}
 
-	frameVer := s.dataLog.Version()
-	loadRun := func(r loadRun, read func(off int64, n int) ([]byte, error)) error {
+	loadRun := func(r loadRun, unlocked bool) error {
+		lg := tasks[r.lo].seg.data
+		read, frameVer := lg.ReadRangeAt, lg.Version()
+		if unlocked {
+			read = lg.ReadRangeAtRaw
+		}
 		raw, err := read(r.base, int(r.end-r.base))
 		if err != nil {
 			return err
@@ -1154,9 +1308,14 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 	// path below goes through ReadRangeAt, which stitches the durable
 	// prefix with the tail, keeping degraded reads working. The same
 	// fallback catches a flush that fails (and poisons the log) here.
-	parallel := len(runs) > 1 && s.dataLog.Poisoned() == nil
-	if parallel && s.dataLog.Flush() != nil {
-		parallel = false
+	var bytes int64
+	for _, r := range runs {
+		bytes += r.end - r.base
+	}
+	parallel := len(runs) > 1 && bytes >= parallelReadBytes
+	for i := 0; parallel && i < len(runs); i++ {
+		lg := tasks[runs[i].lo].seg.data
+		parallel = lg.Poisoned() == nil && lg.Flush() == nil
 	}
 	if parallel {
 		workers := min(readParallelism, len(runs))
@@ -1185,7 +1344,7 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 					if ri < 0 {
 						return
 					}
-					if err := loadRun(runs[ri], s.dataLog.ReadRangeAtRaw); err != nil {
+					if err := loadRun(runs[ri], true); err != nil {
 						emu.Lock()
 						if ferr == nil {
 							ferr = err
@@ -1202,18 +1361,20 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 		}
 	} else {
 		for _, r := range runs {
-			if err := loadRun(r, s.dataLog.ReadRangeAt); err != nil {
+			if err := loadRun(r, false); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	// Install in global offset order — the data log is append-only, so
-	// that is flush order — keeping per-id value order chronological. A
+	// Install in flush order — not scan order: a survivor segment holds
+	// batches older than a sealed eviction's, and out of order among
+	// themselves — keeping per-id value order chronological. A
 	// concurrent Append may already have evicted and re-created state for
 	// an id; re-installing is harmless — Get merges prefetched disk values
 	// with newer buffered ones. The target's values are also collected
 	// into a caller-owned slice that no concurrent eviction can take away.
+	slices.SortFunc(tasks, func(a, b loadTask) int { return cmp.Compare(a.seq, b.seq) })
 	var targetVals [][]byte
 	s.mu.Lock()
 	for i := range tasks {
@@ -1250,137 +1411,167 @@ func decodeValues(payload []byte) ([][]byte, error) {
 	return vals, nil
 }
 
-// spaceAmpLocked returns the data log's current space amplification
-// total/(total-dead); 1.0 when the log is empty. Caller holds ioMu.
+// spaceAmpLocked returns the log's space amplification, data-log bytes
+// over live data-log bytes; 1.0 when nothing is live. Index bytes follow
+// data bytes batch for batch and are left out, so a segment nothing was
+// consumed from is exactly as large as it is live. Caller holds ioMu.
 func (s *Store) spaceAmpLocked() float64 {
-	total := s.dataLog.Size()
-	if total == 0 || total == s.dead {
+	var total, live int64
+	for _, sg := range s.segmentsLocked() {
+		total += sg.data.Size()
+		live += sg.live
+	}
+	if live == 0 {
 		return 1.0
 	}
-	return float64(total) / float64(total-s.dead)
+	return float64(total) / float64(live)
 }
 
-// maybeCompactSeparateLocked is the ablation path: a dedicated index
-// scan is issued whenever the space-amplification threshold is crossed.
-// Caller holds ioMu.
-func (s *Store) maybeCompactSeparateLocked() error {
-	if s.spaceAmpLocked() <= s.opts.MaxSpaceAmplification {
+// move is one batch a cleaning pass transferred out of segment from.
+type move struct {
+	ident id
+	from  *segment
+	n     int64
+}
+
+// maybeCleanLocked reaps the segments that emptied by themselves and, when
+// amplification still exceeds MSA, runs one cleaning pass (§4.2's
+// compaction and §5's byte transfer, per segment); caller holds ioMu,
+// under which the live set cannot change: consuming state requires ioMu
+// and appends only touch the buffer. The pass takes the sealed segments
+// with the lowest live share (logfile.PickVictims, shared with the RMW
+// store) — and the open survivor, sealed early, if it is among them —
+// transfers their live batches into the survivor segment and drops them.
+//
+// Nothing is installed until every victim is copied and the survivor's
+// index log has accepted every block locating the copies: a pass that
+// fails leaves onDisk pointing at the intact victims and removes the
+// survivor if it opened it; one already open is sealed — what the pass
+// appended stays dead in its data log and past indexed in its index log.
+func (s *Store) maybeCleanLocked() error {
+	if err := s.reapLocked(); err != nil {
+		return err
+	}
+	var cands []logfile.Candidate
+	var total, live int64
+	for _, sg := range s.segmentsLocked() {
+		size := sg.data.Size()
+		total += size
+		live += sg.live
+		if sg != s.head && sg.live < size {
+			cands = append(cands, logfile.Candidate{ID: sg.id, Size: size, Live: sg.live})
+		}
+	}
+	if live == 0 { // amplification 1.0, as spaceAmpLocked has it
 		return nil
 	}
-	plan := newCompactPlan()
-	err := s.scanIndexLocked(func(e *indexEntry) error {
-		if s.consumedEntry(e) {
-			return nil
+	victims := logfile.PickVictims(cands, total, live, s.opts.MaxSpaceAmplification)
+	if len(victims) == 0 {
+		return nil
+	}
+	if s.bd != nil {
+		defer s.bd.Start(metrics.OpCompact)()
+	}
+	for _, v := range victims {
+		s.sealLocked(s.segs[v.ID], true) // news only to an open survivor segment
+	}
+	opens := s.surv == nil
+	var moved []move
+	var blocks [][]byte
+	iw := indexWriter{emit: func(block []byte, _ int) error {
+		blocks = append(blocks, slices.Clone(block))
+		return nil
+	}}
+	var appended int64 // data and index bytes the survivor segment took
+	err := func() error {
+		for _, v := range victims {
+			if err := s.copyLiveLocked(s.segs[v.ID], &iw, &moved); err != nil {
+				return err
+			}
 		}
-		return plan.add(e)
-	})
+		if err := iw.flush(); err != nil {
+			return err
+		}
+		for _, block := range blocks {
+			_, n, err := s.surv.index.Append(block)
+			if err != nil {
+				return err
+			}
+			appended += int64(n)
+		}
+		return nil
+	}()
+	if sg := s.surv; err != nil && sg != nil {
+		s.sealLocked(sg, true)
+		if opens {
+			s.mu.Lock()
+			delete(s.segs, sg.id)
+			s.mu.Unlock()
+			sg.data.Remove() // best effort; the fault may also block the unlinks
+			sg.index.Remove()
+		}
+	}
 	if err != nil {
 		return err
 	}
-	return s.compact(plan)
+	if surv := s.surv; len(moved) > 0 {
+		surv.indexed = surv.index.Size()
+		s.mu.Lock()
+		for _, m := range moved {
+			shares := addShare(s.onDisk[m.ident], m.from.id, -m.n)
+			s.onDisk[m.ident] = addShare(shares, surv.id, m.n)
+			m.from.live -= m.n
+			surv.live += m.n
+			appended += m.n
+		}
+		s.mu.Unlock()
+		s.compactions.Inc()
+		s.compactedBytes.Add(appended)
+		s.sealLocked(surv, false)
+	}
+	// Every live batch of a victim has moved, so the victims are empty now.
+	return s.reapLocked()
 }
 
-// byteRun is a range of the data log.
-type byteRun struct{ off, n int64 }
-
-// compactPlan is what an index scan works out for the compaction that
-// follows it: the maximal runs of live bytes in the current data log,
-// ascending, and the index blocks describing those same batches once the
-// runs are laid end to end in a fresh log. It holds no per-identity
-// state: the scan visits entries in offset order, which is both the copy
-// order and the order the new index wants.
-type compactPlan struct {
-	runs   []byteRun
-	blocks [][]byte
-	size   int64 // bytes planned so far: the next batch's new offset
-	iw     indexWriter
-}
-
-func newCompactPlan() *compactPlan {
-	p := &compactPlan{}
-	p.iw.emit = func(block []byte, _ int) error {
-		p.blocks = append(p.blocks, slices.Clone(block))
+// copyLiveLocked reads victim v's index once and transfers every batch
+// still live in it to the end of the survivor segment's data log (opened
+// on first need), maximal runs of adjacent batches in one transfer each,
+// handing their new locations to iw under the sequence numbers they were
+// first written with and recording the moves; caller holds ioMu. The scan
+// stops once it has seen all of v's live bytes.
+func (s *Store) copyLiveLocked(v *segment, iw *indexWriter, moved *[]move) (err error) {
+	left := v.live
+	if left == 0 {
 		return nil
 	}
-	return p
-}
-
-// add plans the move of one live entry.
-func (p *compactPlan) add(e *indexEntry) error {
-	n := int64(e.Len)
-	if last := len(p.runs) - 1; last >= 0 && p.runs[last].off+p.runs[last].n == e.Off {
-		p.runs[last].n += n
-	} else {
-		p.runs = append(p.runs, byteRun{e.Off, n})
-	}
-	err := p.iw.add(e.prefix, span{off: p.size, n: e.Len})
-	p.size += n
-	return err
-}
-
-// compact builds a fresh data log holding only live bytes and a fresh
-// index log, then removes the old generation (§4.2 "Integrated
-// Compaction", §5 "Zero-copy Byte Transfer"). Caller holds ioMu; the
-// live set cannot change underneath (consuming state requires ioMu) and
-// appends only touch the buffer.
-func (s *Store) compact(plan *compactPlan) error {
-	var stop func()
-	if s.bd != nil {
-		stop = s.bd.Start(metrics.OpCompact)
-	}
-	err := s.compactInner(plan)
-	if stop != nil {
-		stop()
-	}
-	if err == nil {
-		s.compactions.Inc()
-	}
-	return err
-}
-
-func (s *Store) compactInner(plan *compactPlan) error {
-	if err := plan.iw.flush(); err != nil {
-		return err
-	}
-	oldData, oldIndex, oldGen, oldEpoch := s.dataLog, s.indexLog, s.gen, s.genEpoch
-	if err := s.openGen(oldGen + 1); err != nil {
-		s.dataLog, s.indexLog, s.gen, s.genEpoch = oldData, oldIndex, oldGen, oldEpoch
-		return err
-	}
-	abort := func() {
-		// Revert to the old generation: nothing references the half-built
-		// new logs yet, and the old ones still hold every live byte.
-		badData, badIndex := s.dataLog, s.indexLog
-		s.dataLog, s.indexLog, s.gen, s.genEpoch = oldData, oldIndex, oldGen, oldEpoch
-		badData.Remove() // best effort; the fault may also block the unlinks
-		badIndex.Remove()
-	}
-
-	// Relative order is preserved, so every identity's batches stay in
-	// append order and Get keeps returning values chronologically.
-	for _, r := range plan.runs {
-		if err := oldData.TransferTo(s.dataLog, r.off, r.n); err != nil {
-			abort()
+	if s.surv == nil {
+		if s.surv, err = s.openSegLocked(); err != nil {
 			return err
 		}
 	}
-	for _, block := range plan.blocks {
-		if _, _, err := s.indexLog.Append(block); err != nil {
-			abort()
-			return err
+	next := s.surv.data.Size() // where the next batch transferred lands
+	var runs []span            // live byte runs of v's data log, ascending
+	err = s.scanSegLocked(v, func(e *indexEntry) error {
+		if v.dead(e) {
+			return nil
 		}
-	}
-	s.compactedBytes.Add(s.dataLog.Size() + s.indexLog.Size())
-
-	// The new generation is fully built and referenced from here on, so
-	// the accounting resets even if unlinking the old files fails (they
-	// are garbage either way; the error still surfaces).
-	s.dead = 0
-	s.consumed = make(map[string]int64)
-	if err := oldData.Remove(); err != nil {
+		if last := len(runs) - 1; last >= 0 && runs[last].off+int64(runs[last].n) == e.Off {
+			runs[last].n += e.Len
+		} else {
+			runs = append(runs, span{e.Off, e.Len})
+		}
+		*moved = append(*moved, move{id{key: string(e.Key), w: e.Window}, v, int64(e.Len)})
+		err := iw.add(e.prefix, span{next, e.Len}, e.Seq)
+		next += int64(e.Len)
+		if left -= int64(e.Len); left == 0 && err == nil {
+			err = errScanDone
+		}
 		return err
+	})
+	for i := 0; err == nil && i < len(runs); i++ {
+		err = v.data.TransferTo(s.surv.data, runs[i].off, int64(runs[i].n))
 	}
-	return oldIndex.Remove()
+	return err
 }
 
 // Flush spills all buffered data to disk (checkpoint support): a drain,
@@ -1391,61 +1582,77 @@ func (s *Store) Flush() error {
 	if err := s.flushLocked(true); err != nil {
 		return err
 	}
-	if err := s.dataLog.Flush(); err != nil {
-		return err
+	for _, l := range s.logsLocked() {
+		if err := l.Flush(); err != nil {
+			return err
+		}
 	}
-	return s.indexLog.Flush()
+	return nil
 }
 
-// Sync flushes all buffered data and fsyncs both logs, making every
-// acknowledged Append durable. The fsyncs run outside ioMu
-// (logfile.SplitSync), so concurrent appends, batch reads, and later
-// flushes overlap them instead of queueing for their whole duration;
-// syncMu keeps at most one split sync in flight, as the protocol
-// requires. The data log is synced before the index log, preserving the
-// original commit order.
+// Sync flushes all buffered data and fsyncs every log holding bytes not
+// yet durable — a segment's data log before its index log, a sealed
+// segment at most once in its life — making every acknowledged Append
+// durable. Each fsync runs outside ioMu (logfile.SplitSync), so appends,
+// batch reads and later flushes overlap it; syncMu keeps at most one in
+// flight, as the protocol requires, and a segment dropped meanwhile has
+// nothing left to make durable. A cleaning pass that ran meanwhile may
+// have moved batches out of a segment already synced into a survivor that
+// is not, and then the sweep is repeated.
 func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	s.ioMu.Lock()
-	if err := s.flushLocked(true); err != nil {
-		s.ioMu.Unlock()
-		return err
-	}
+	err := s.flushLocked(true)
 	s.ioMu.Unlock()
-	if err := logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.dataLog }); err != nil {
+	if err != nil {
 		return err
 	}
-	return logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.indexLog })
+	for {
+		s.ioMu.Lock()
+		pass := s.compactions.Load()
+		segs := s.segmentsLocked()
+		s.ioMu.Unlock()
+		for _, sg := range segs {
+			for _, lg := range []*logfile.Log{sg.data, sg.index} {
+				err := logfile.SplitSync(&s.ioMu, func() *logfile.Log {
+					if s.segs[sg.id] != sg || lg.DurableOffset() == lg.Size() {
+						return nil
+					}
+					return lg
+				})
+				if err != nil {
+					return err
+				}
+			}
+		}
+		if s.compactions.Load() == pass {
+			return nil
+		}
+	}
 }
 
-// liveLogs returns the current data and index logs; caller holds ioMu.
-func (s *Store) liveLogs() []*logfile.Log {
-	return []*logfile.Log{s.dataLog, s.indexLog}
-}
-
-// Poisoned returns the first poisoning error among the instance's data
-// and index logs, or nil when both are healthy.
+// Poisoned returns the first poisoning error among the segments' logs, or
+// nil when all are healthy.
 func (s *Store) Poisoned() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return logfile.FirstPoisoned(s.liveLogs())
+	return logfile.FirstPoisoned(s.logsLocked())
 }
 
-// Recover reopens the data and index logs from their durable offsets if
-// poisoned, rewriting their retained unsynced tails, so the write path
-// works again after the underlying fault has cleared.
+// Recover reopens every poisoned log from its durable offset, rewriting
+// its retained unsynced tail, so the write path works again after the
+// underlying fault has cleared.
 func (s *Store) Recover() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return logfile.RecoverAll(s.liveLogs())
+	return logfile.RecoverAll(s.logsLocked())
 }
 
-// Scrub verifies the live data and index logs' record frames against
-// their checksums under the instance I/O lock, healing rot confined to
-// the unsynced tail where the retained in-memory copy allows (see
-// logfile.Log.Scrub). It returns the per-instance summary and the first
-// unrepairable corruption.
+// Scrub verifies every segment's record frames against their checksums
+// under the instance I/O lock, healing rot confined to an unsynced tail
+// where the retained in-memory copy allows (see logfile.Log.Scrub). It
+// returns the per-instance summary and the first unrepairable corruption.
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -1455,7 +1662,7 @@ func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	if closed {
 		return logfile.ScrubSummary{}, ErrClosed
 	}
-	return logfile.ScrubAll(s.liveLogs())
+	return logfile.ScrubAll(s.logsLocked())
 }
 
 // HitRatio returns the prefetch buffer hit ratio (Figure 11b metric).
@@ -1472,28 +1679,41 @@ func (s *Store) ConsumedCount() (buffer, disk int64) {
 }
 
 // FlushBytes returns the data- and index-log bytes flushes have written:
-// evictions and drains, not compaction's rewrites (CompactionBytes).
+// evictions and drains, not cleaning's re-appends (CompactionBytes).
 func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
 
 // FlushedBatches returns the number of (key, window) batches flushes have
 // written to the data log.
 func (s *Store) FlushedBatches() int64 { return s.flushedBatches.Load() }
 
-// CompactionBytes returns the data- and index-log bytes of the
-// generations compactions have built.
+// CompactionBytes returns the data- and index-log bytes cleaning has
+// re-appended.
 func (s *Store) CompactionBytes() int64 { return s.compactedBytes.Load() }
+
+// SegmentsDropped returns the number of segments unlinked, whether they
+// emptied by themselves or were cleaned.
+func (s *Store) SegmentsDropped() int64 { return s.dropped.Load() }
+
+// LiveSegments returns the number of segments the log holds.
+func (s *Store) LiveSegments() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.segs)
+}
 
 // Evictions returns the number of prefetched windows evicted by wrong ETT
 // estimates.
 func (s *Store) Evictions() int64 { return s.evictions.Load() }
 
-// Compactions returns the number of compactions performed.
+// Compactions returns the number of cleaning passes that had to move at
+// least one batch.
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
 
-// IndexScans returns the number of full index-log scans performed.
+// IndexScans returns the number of prefetch misses that went to the index
+// logs.
 func (s *Store) IndexScans() int64 { return s.indexScans.Load() }
 
-// SpaceAmplification returns the data log's current space amplification.
+// SpaceAmplification returns the log's current space amplification.
 func (s *Store) SpaceAmplification() float64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -1523,10 +1743,13 @@ func (s *Store) LiveStates() int {
 
 // DiskUsage returns the logical bytes of the instance's data and index
 // logs, including appends still in their write-through buffers.
-func (s *Store) DiskUsage() int64 {
+func (s *Store) DiskUsage() (n int64) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return s.dataLog.Size() + s.indexLog.Size()
+	for _, l := range s.logsLocked() {
+		n += l.Size()
+	}
+	return n
 }
 
 // Close closes the store's log files, leaving state on disk.
@@ -1540,11 +1763,13 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	err := s.dataLog.Close()
-	if e := s.indexLog.Close(); e != nil && err == nil {
-		err = e
+	var first error
+	for _, l := range s.logsLocked() {
+		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return err
+	return first
 }
 
 // Destroy closes the store and deletes its directory.

@@ -218,10 +218,11 @@ func TestWrongETTEvictsPrefetchedState(t *testing.T) {
 	}
 }
 
-func TestCompactionReclaimsDeadBytes(t *testing.T) {
+// TestConsumedSegmentsAreDropped: state that dies in the order it was
+// written empties whole segments, and an emptied segment is unlinked
+// without a byte being copied.
+func TestConsumedSegmentsAreDropped(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1, MaxSpaceAmplification: 1.2, ReadBatchRatio: 0})
-	// Write and consume many states; consuming leaves dead bytes that
-	// compaction must reclaim on a later batch-read scan.
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 10; i++ {
 			k := []byte(fmt.Sprintf("r%02d-k%d", round, i))
@@ -238,60 +239,69 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 			}
 		}
 	}
-	if s.Compactions() == 0 {
-		t.Error("no compaction despite heavy consumption")
+	if dropped, live, disk := s.SegmentsDropped(), s.LiveSegments(), s.DiskUsage(); dropped != 200 || live != 0 || disk != 0 {
+		t.Errorf("%d segments dropped, %d live holding %d bytes; want one per append dropped and nothing left", dropped, live, disk)
 	}
-	if amp := s.SpaceAmplification(); amp > 3.0 {
-		t.Errorf("space amplification %f stayed high after compactions", amp)
+	if s.Compactions() != 0 || s.CompactionBytes() != 0 {
+		t.Errorf("%d cleaning passes copied %d bytes of state that died in order", s.Compactions(), s.CompactionBytes())
+	}
+	if files, err := filepath.Glob(filepath.Join(s.dir.Root(), "*")); err != nil || len(files) != 0 {
+		t.Errorf("files left behind: %v (%v)", files, err)
 	}
 }
 
-func TestCompactionPreservesUnreadState(t *testing.T) {
-	s := openTest(t, Options{WriteBufferBytes: 1, MaxSpaceAmplification: 1.1, ReadBatchRatio: 0})
+// churn appends n one-value sessions beside whatever the store holds and
+// consumes every other one thirty appends later, so every eviction's
+// segment ends up half dead.
+func churn(t *testing.T, s *Store, n int) {
+	t.Helper()
+	session := func(i int) (string, window.Window) {
+		return fmt.Sprintf("churn-%d", i), window.Window{Start: int64(i), End: int64(i) + gap}
+	}
+	for i := 0; i < n; i++ {
+		k, w := session(i)
+		if err := s.Append([]byte(k), make([]byte, 64), w, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if j := i - 30; j >= 0 && j%2 == 0 {
+			k, w := session(j)
+			if got := mustGet(t, s, k, w); len(got) != 1 {
+				t.Fatalf("churn read %s: %d values", k, len(got))
+			}
+		}
+	}
+}
+
+func TestCleaningReclaimsDeadBytes(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 10, MaxSpaceAmplification: 1.2, ReadBatchRatio: 0})
+	churn(t, s, 2000)
+	if s.Compactions() == 0 {
+		t.Error("no cleaning pass despite heavy consumption")
+	}
+	if amp := s.SpaceAmplification(); amp > 2.0 {
+		t.Errorf("space amplification %f stayed high after cleaning", amp)
+	}
+}
+
+func TestCleaningPreservesUnreadState(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 10, MaxSpaceAmplification: 1.1, ReadBatchRatio: 0})
 	keep := window.Window{Start: 9999, End: 9999 + gap}
 	if err := s.Append([]byte("keeper"), []byte("precious-1"), keep, 9999); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append([]byte("keeper"), []byte("precious-2"), keep, 10000); err != nil {
 		t.Fatal(err)
 	}
-	// Generate churn to force compactions.
-	for i := 0; i < 200; i++ {
-		k := []byte(fmt.Sprintf("churn-%d", i))
-		w := window.Window{Start: int64(i), End: int64(i) + gap}
-		if err := s.Append(k, make([]byte, 64), w, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if got := mustGet(t, s, string(k), w); len(got) != 1 {
-			t.Fatal("churn read failed")
-		}
-	}
+	churn(t, s, 600)
 	if s.Compactions() == 0 {
-		t.Fatal("test needs at least one compaction")
+		t.Fatal("test needs at least one cleaning pass")
 	}
 	got := mustGet(t, s, "keeper", keep)
 	if len(got) != 2 || got[0] != "precious-1" || got[1] != "precious-2" {
-		t.Fatalf("state lost across compaction: %v", got)
-	}
-}
-
-func TestSeparateCompactionScanAblation(t *testing.T) {
-	s := openTest(t, Options{
-		WriteBufferBytes:       1,
-		MaxSpaceAmplification:  1.2,
-		ReadBatchRatio:         0,
-		SeparateCompactionScan: true,
-	})
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("k%d", i))
-		w := window.Window{Start: int64(i), End: int64(i) + gap}
-		s.Append(k, make([]byte, 100), w, int64(i))
-		if got := mustGet(t, s, string(k), w); len(got) != 1 {
-			t.Fatal("read failed")
-		}
-	}
-	if s.Compactions() == 0 {
-		t.Error("separate-scan mode never compacted")
+		t.Fatalf("state lost across cleaning: %v", got)
 	}
 }
 
@@ -356,45 +366,49 @@ func TestBreakdownAccounting(t *testing.T) {
 	}
 }
 
-// TestByteAndHitCountersAccountForTheLogs: before any compaction every
-// byte in the two logs was put there by a flush; a compaction's bytes are
-// the generation it builds; and a consumed identity counts once, by
-// whether it had state on disk.
+// TestByteAndHitCountersAccountForTheLogs: before anything is consumed
+// every byte in the logs was put there by a flush; a cleaning pass's bytes
+// are what it appended to the survivor segment; and a consumed identity
+// counts once, by whether it had state on disk.
 func TestByteAndHitCountersAccountForTheLogs(t *testing.T) {
-	s := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2})
+	s := openTest(t, Options{WriteBufferBytes: 1 << 10, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2})
 	session := func(i int) (string, window.Window) {
-		return fmt.Sprintf("k%02d", i), window.Window{Start: int64(i), End: int64(i) + gap}
+		return fmt.Sprintf("k%03d", i), window.Window{Start: int64(i), End: int64(i) + gap}
 	}
-	for i := 0; i < 40; i++ {
+	n := 0
+	for ; s.LiveSegments() < 4; n++ {
+		k, w := session(n)
+		s.Append([]byte(k), []byte("value"), w, int64(n))
+	}
+	flushed := s.FlushedBatches()
+	if got, disk := s.FlushBytes(), s.DiskUsage(); got != disk || flushed == 0 || s.CompactionBytes() != 0 {
+		t.Fatalf("%d bytes in %d batches flushed, %d cleaned, %d on disk; want every byte on disk flushed",
+			got, flushed, s.CompactionBytes(), disk)
+	}
+	// Consume every other session, flushed or not, then fill the buffer
+	// again: the eviction finds the sealed segments half dead and cleans.
+	var fromDisk int64
+	for i := 0; i < n; i += 2 {
+		k, w := session(i)
+		if _, onDisk, _ := s.Peek([]byte(k), w); onDisk > 0 {
+			fromDisk++
+		}
+		mustGet(t, s, k, w)
+	}
+	for i := n; s.Compactions() == 0 && i < 2*n; i++ {
 		k, w := session(i)
 		s.Append([]byte(k), []byte("value"), w, int64(i))
-		if i == 19 {
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	if got, disk := s.FlushBytes(), s.DiskUsage(); got != disk || s.FlushedBatches() != 20 || s.CompactionBytes() != 0 {
-		t.Fatalf("%d bytes in %d batches flushed, %d compacted, %d on disk; want 20 batches and every byte on disk flushed",
-			got, s.FlushedBatches(), s.CompactionBytes(), disk)
+	if s.Compactions() != 1 || s.surv == nil {
+		t.Fatalf("%d cleaning passes, survivor segment %v; want 1 and open", s.Compactions(), s.surv)
 	}
-	for i := 30; i < 40; i++ { // never flushed
-		k, w := session(i)
-		mustGet(t, s, k, w)
-	}
-	for i := 0; i < 10 && s.Compactions() == 0; i++ {
-		k, w := session(i)
-		mustGet(t, s, k, w)
-	}
-	if s.Compactions() != 1 {
-		t.Fatalf("%d compactions, want 1", s.Compactions())
-	}
-	if got, disk := s.CompactionBytes(), s.DiskUsage(); got != disk || got == 0 {
-		t.Fatalf("%d bytes compacted, the generation the compaction built holds %d", got, disk)
+	if got, surv := s.CompactionBytes(), s.surv.data.Size()+s.surv.index.Size(); got != surv || got == 0 {
+		t.Fatalf("%d bytes cleaned, the survivor segment holds %d", got, surv)
 	}
 	buffer, disk := s.ConsumedCount()
-	if _, misses := s.HitCount(); buffer != 10 || disk != misses || disk == 0 {
-		t.Fatalf("%d identities consumed from the buffer and %d with state on disk after %d misses; want 10 and one per miss", buffer, disk, misses)
+	if _, misses := s.HitCount(); buffer != int64((n+1)/2)-fromDisk || disk != fromDisk || disk != misses || disk == 0 || buffer == 0 {
+		t.Fatalf("%d identities consumed from the buffer and %d with state on disk after %d misses; want %d and %d, one per miss",
+			buffer, disk, misses, int64((n+1)/2)-fromDisk, fromDisk)
 	}
 }
 

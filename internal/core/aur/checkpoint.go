@@ -2,7 +2,9 @@ package aur
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
@@ -24,82 +26,118 @@ const (
 	statKindTomb byte = 1
 )
 
-// consumedSnapshotName persists the consumed set and dead-byte counter in
-// a checkpoint. CheckpointDelta does not compact before copying, so the
-// snapshot's data log still contains consumed (fetch-&-removed) entries;
-// Restore loads this file into s.consumed before scanning the index so
-// those entries cannot resurrect. One record for the dead-byte counter,
-// then one per consumed identity: its identBytes and the data-log offset
-// below which its batches are dead. A record that ends after the
-// identBytes — what stores wrote before the offset existed — means every
-// batch the snapshot's data log holds.
-const consumedSnapshotName = "consumed.snap"
+// segmentsSnapshotName persists, in a checkpoint, what the segment files
+// themselves do not say: which segments the log consists of, which are
+// open, and each one's consumed marks. CheckpointDelta does not clean
+// before copying, so the snapshot's data logs still contain consumed
+// (fetch-&-removed) batches; Restore loads the marks before scanning the
+// indexes so those cannot resurrect, and rebuilds the live counts and
+// onDisk from the scan. A record with the number of segments, then one per
+// segment, ascending: id, state, and per consumed identity its identBytes
+// and the data-log offset below which its batches there are dead.
+const segmentsSnapshotName = "segments.snap"
 
-func encodeConsumedSnapshot(consumed map[string]int64, dead int64) []byte {
-	var buf, payload []byte
-	payload = binio.PutVarint(payload, dead)
-	buf = binio.AppendRecord(buf, payload)
-	for prefix, mark := range consumed {
-		payload = binio.PutBytes(payload[:0], []byte(prefix))
-		payload = binio.PutUvarint(payload, uint64(mark))
+// Segment states in segments.snap.
+const (
+	SegmentSealed byte = iota
+	SegmentHead
+	SegmentSurvivor
+)
+
+// SegmentInfo is one segment as segments.snap records it.
+type SegmentInfo struct {
+	ID    uint32
+	State byte
+	Marks map[string]int64 // identBytes → offset below which batches are dead
+}
+
+// Dead reports whether the batch e locates in the segment was consumed.
+func (si *SegmentInfo) Dead(e IndexEntry) bool {
+	mark, ok := si.Marks[string(identBytes(id{key: string(e.Key), w: e.Window}))]
+	return ok && e.Off < mark
+}
+
+// encodeSegmentsSnapshot writes segs, in id order; caller holds ioMu.
+func (s *Store) encodeSegmentsSnapshot(segs []*segment) []byte {
+	payload := binio.PutUvarint(nil, uint64(len(segs)))
+	buf := binio.AppendRecord(nil, payload)
+	for _, sg := range segs {
+		state := SegmentSealed
+		switch sg {
+		case s.head:
+			state = SegmentHead
+		case s.surv:
+			state = SegmentSurvivor
+		}
+		payload = append(binio.PutUvarint(payload[:0], uint64(sg.id)), state)
+		for prefix, mark := range sg.consumed {
+			payload = binio.PutBytes(payload, []byte(prefix))
+			payload = binio.PutUvarint(payload, uint64(mark))
+		}
 		buf = binio.AppendRecord(buf, payload)
 	}
 	return buf
 }
 
-// loadConsumedSnapshot reads a checkpoint's consumed.snap; dataLen is the
-// length of the checkpoint's data log, the mark of a record without one.
-func (s *Store) loadConsumedSnapshot(path string, dataLen int64) (map[string]int64, int64, error) {
-	b, err := s.dir.FS().ReadFile(path)
-	if err != nil {
-		return nil, 0, err
+// DecodeSegmentsSnapshot parses a segments.snap file. It never panics,
+// whatever the input.
+func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
+	bad := func(what string) ([]SegmentInfo, error) {
+		return nil, fmt.Errorf("aur: segments snapshot: %s: %w", what, binio.ErrCorrupt)
 	}
-	header, n, err := binio.ReadRecord(b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
-	}
-	b = b[n:]
-	dead, _, err := binio.Varint(header)
-	if err != nil {
-		return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
-	}
-	out := make(map[string]int64)
-	for len(b) > 0 {
-		payload, n, err := binio.ReadRecord(b)
+	var out []SegmentInfo
+	for first, segs := true, uint64(0); len(b) > 0 || uint64(len(out)) != segs; first = false {
+		p, n, err := binio.ReadRecord(b)
 		if err != nil {
-			return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
+			return nil, fmt.Errorf("aur: segments snapshot: %w", err)
 		}
 		b = b[n:]
-		prefix, n, err := binio.Bytes(payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("aur: consumed snapshot: %w", err)
+		v, n, err := binio.Uvarint(p) // the header's count, or a segment's id
+		if err != nil || v > math.MaxUint32 {
+			return bad("segment count or id")
 		}
-		mark := dataLen
-		if payload = payload[n:]; len(payload) > 0 {
-			m, _, err := binio.Uvarint(payload)
-			if err != nil || m > uint64(dataLen) {
-				return nil, 0, fmt.Errorf("aur: consumed snapshot: consumed mark: %w", binio.ErrCorrupt)
+		if first {
+			if segs = v; n != len(p) || segs > uint64(len(b)) {
+				return bad("segment count")
 			}
-			mark = int64(m)
+			continue
 		}
-		out[string(prefix)] = mark
+		if len(p) == n || p[n] > SegmentSurvivor || len(out) > 0 && uint32(v) <= out[len(out)-1].ID {
+			return bad("segment header")
+		}
+		if p[n] != SegmentSealed && slices.ContainsFunc(out, func(si SegmentInfo) bool { return si.State == p[n] }) {
+			return bad("two open segments of a kind")
+		}
+		si := SegmentInfo{ID: uint32(v), State: p[n], Marks: make(map[string]int64)}
+		for p = p[n+1:]; len(p) > 0; {
+			prefix, n, err := binio.Bytes(p)
+			if err != nil {
+				return bad("consumed identity")
+			}
+			mark, m, err := binio.Uvarint(p[n:])
+			if err != nil || mark > math.MaxInt64 {
+				return bad("consumed mark")
+			}
+			p = p[n+m:]
+			si.Marks[string(prefix)] = int64(mark)
+		}
+		out = append(out, si)
 	}
-	return out, dead, nil
+	return out, nil
 }
 
 // CheckpointDelta writes a snapshot of the instance into dir. It flushes
-// the write buffer but does not compact: the data and index logs are
-// recorded as segment lists extending the parent checkpoint's (same
-// generation epoch, parent length within the live log), so only bytes
-// appended since the parent's cut are copied and the rest is hard-linked
-// across (ckpt.Cut.Log); a nil parent copies both logs whole. Because
-// the uncompacted data log still contains consumed entries, the consumed
-// set and dead-byte counter are persisted in consumed.snap; Restore
-// loads it before scanning the index so consumed state cannot resurrect.
-// A compaction between the two cuts swaps the generation epoch and falls
-// this instance back to a full copy. Nothing is fsynced here — the
-// returned Result's NeedSync lists every written file for the composite
-// store's group-commit sync window.
+// the write buffer but does not clean: every segment's data and index log
+// is recorded under its own name and epoch as a segment list extending
+// the parent checkpoint's (ckpt.Cut.Log, the way the AAR store records
+// its window files), so a sealed segment the parent already holds is
+// hard-linked whole, only what the open segments gained since the
+// parent's cut is copied, and a nil parent copies every log whole.
+// Because the data logs still contain consumed batches, the segment table
+// and the consumed marks are persisted in segments.snap; Restore loads it
+// before scanning the indexes so consumed state cannot resurrect. Nothing
+// is fsynced here — the returned Result's NeedSync lists every written
+// file for the composite store's group-commit sync window.
 //
 // CheckpointDelta holds only ioMu, so concurrent Appends and
 // buffer-served reads proceed while the snapshot is written; the cut is
@@ -142,23 +180,26 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		}
 	}
 	s.mu.Unlock()
-	if err := s.dataLog.Flush(); err != nil {
-		return nil, err
-	}
-	if err := s.indexLog.Flush(); err != nil {
-		return nil, err
-	}
 	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
 	if err != nil {
 		return nil, fmt.Errorf("aur: checkpoint: %w", err)
 	}
-	if err := cut.Log("data.log", s.genEpoch, s.dataLog.Path(), s.dataLog.Size()); err != nil {
-		return nil, err
+	segs := s.segmentsLocked()
+	for _, sg := range segs {
+		if err := sg.data.Flush(); err != nil {
+			return nil, err
+		}
+		if err := sg.index.Flush(); err != nil {
+			return nil, err
+		}
+		if err := cut.Log(dataName(sg.id), sg.epoch, sg.data.Path(), sg.data.Size()); err != nil {
+			return nil, err
+		}
+		if err := cut.Log(indexName(sg.id), sg.epoch, sg.index.Path(), sg.indexed); err != nil {
+			return nil, err
+		}
 	}
-	if err := cut.Log("index.log", s.genEpoch, s.indexLog.Path(), s.indexLog.Size()); err != nil {
-		return nil, err
-	}
-	if err := cut.Extra(consumedSnapshotName, encodeConsumedSnapshot(s.consumed, s.dead)); err != nil {
+	if err := cut.Extra(segmentsSnapshotName, s.encodeSegmentsSnapshot(segs)); err != nil {
 		return nil, err
 	}
 	err = cut.Stream(statDeltaLogical, statIncr, func(emit func([]byte) error) error {
@@ -197,8 +238,12 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory. On-disk locations come back from the materialized index
-// log; the Stat table and ETTs come back from the Stat stream.
+// directory: every segment segments.snap names is materialized from its
+// checkpoint segments under its own id and epoch — so the delta chain
+// continues across the restart — and reopened as it was, sealed, head or
+// survivor. Live counts, onDisk and the flush sequence come back from a
+// scan of the index logs under the restored consumed marks; the Stat
+// table and ETTs come back from the Stat stream.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -207,84 +252,90 @@ func (s *Store) Restore(dir string) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if len(s.buf) != 0 || len(s.onDisk) != 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("aur: restore into a non-empty store")
-	}
+	dirty := len(s.buf) != 0 || len(s.onDisk) != 0 || len(s.segs) != 0
 	s.mu.Unlock()
-	if s.dataLog.Size() != 0 {
+	if dirty {
 		return fmt.Errorf("aur: restore into a non-empty store")
 	}
 	fsys := s.dir.FS()
-	// Replace the empty generation with the checkpointed logs, each
-	// materialized by concatenating its segments; the generation epoch
-	// and the consumed set carry over so the delta chain continues across
-	// the restart and consumed entries in the uncompacted data log cannot
-	// resurrect.
 	meta, err := ckpt.ReadMeta(fsys, dir)
 	if err != nil {
 		return fmt.Errorf("aur: restore: %w", err)
 	}
-	dstate, istate := meta.File("data.log"), meta.File("index.log")
-	if dstate == nil || istate == nil {
-		return fmt.Errorf("aur: restore: SEGMENTS lacks data.log/index.log")
-	}
-	oldData, oldIndex := s.dataLog, s.indexLog
-	gen := s.gen + 1
-	dataName := fmt.Sprintf("data-%06d.log", gen)
-	indexName := fmt.Sprintf("index-%06d.log", gen)
-	if err := ckpt.Materialize(fsys, dir, dstate, filepath.Join(s.dir.Root(), dataName)); err != nil {
-		return fmt.Errorf("aur: restore: %w", err)
-	}
-	if err := ckpt.Materialize(fsys, dir, istate, filepath.Join(s.dir.Root(), indexName)); err != nil {
-		return fmt.Errorf("aur: restore: %w", err)
-	}
-	consumed, dead, err := s.loadConsumedSnapshot(filepath.Join(dir, consumedSnapshotName), dstate.TotalLen())
+	snap, err := fsys.ReadFile(filepath.Join(dir, segmentsSnapshotName))
 	if err != nil {
 		return err
 	}
-	s.consumed, s.dead = consumed, dead
-	s.genEpoch = dstate.Epoch
-	data, err := s.dir.Open(dataName)
+	infos, err := DecodeSegmentsSnapshot(snap)
 	if err != nil {
 		return err
 	}
-	index, err := s.dir.Open(indexName)
-	if err != nil {
-		data.Close()
-		return err
-	}
-	s.dataLog, s.indexLog, s.gen = data, index, gen
-	oldData.Remove()
-	oldIndex.Remove()
-
-	// Rebuild onDisk byte accounting from the index log.
-	newOnDisk := make(map[id]int64)
-	err = s.scanIndexLocked(func(e *indexEntry) error {
-		if !s.consumedEntry(e) {
-			newOnDisk[id{key: string(e.Key), w: e.Window}] += int64(e.Len)
+	newOnDisk := make(map[id][]segShare)
+	for _, si := range infos {
+		sg := &segment{id: si.ID, consumed: si.Marks, sealed: si.State == SegmentSealed}
+		for _, name := range []string{dataName(si.ID), indexName(si.ID)} {
+			fstate := meta.File(name)
+			if fstate == nil {
+				return fmt.Errorf("aur: restore: SEGMENTS lacks %s", name)
+			}
+			if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), name)); err != nil {
+				return fmt.Errorf("aur: restore: %w", err)
+			}
+			sg.epoch = fstate.Epoch
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		if sg.data, err = s.dir.Open(dataName(si.ID)); err != nil {
+			return err
+		}
+		if sg.index, err = s.dir.Open(indexName(si.ID)); err != nil {
+			sg.data.Close()
+			return err
+		}
+		sg.indexed = sg.index.Size()
+		s.mu.Lock()
+		s.segs[sg.id] = sg
+		s.mu.Unlock()
+		s.nextSeg = sg.id + 1
+		switch si.State {
+		case SegmentHead:
+			s.head = sg
+		case SegmentSurvivor:
+			s.surv = sg
+		default:
+			s.sealLocked(sg, true)
+		}
+		for _, mark := range si.Marks {
+			if mark > sg.data.Size() {
+				return fmt.Errorf("aur: segments snapshot: consumed mark past %s: %w", dataName(si.ID), binio.ErrCorrupt)
+			}
+		}
+		err := s.scanSegLocked(sg, func(e *indexEntry) error {
+			s.seq = max(s.seq, e.Seq)
+			if !sg.dead(e) {
+				ident := id{key: string(e.Key), w: e.Window}
+				newOnDisk[ident] = addShare(newOnDisk[ident], sg.id, int64(e.Len))
+				sg.live += int64(e.Len)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	newStat, err := s.loadStatStream(dir, meta)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	for ident, n := range newOnDisk {
-		s.onDisk[ident] = n
-	}
+	s.onDisk = newOnDisk
 	for ident, st := range newStat {
+		st.spilled = len(newOnDisk[ident]) > 0
 		s.stat[ident] = st
 	}
 	// The restored table IS the state of this cut: record its id so the
 	// next checkpoint can extend the stream.
 	s.statMarks.Restored(meta.CutID)
 	s.mu.Unlock()
-	return nil
+	return s.reapLocked()
 }
 
 // loadStatStream replays a checkpoint's Stat stream (the

@@ -601,7 +601,7 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	for j := 0; j < n; j++ {
 		ident, _ := next(j)
 		e, inBuf := s.buf[ident]
-		onDisk := s.onDisk[ident] > 0
+		onDisk := len(s.onDisk[ident]) > 0
 		var held []string
 		if inBuf {
 			bytes += e.bytes

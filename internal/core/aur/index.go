@@ -8,12 +8,14 @@ import (
 	"flowkv/internal/window"
 )
 
-// Index log format. The index log is a sequence of CRC-framed *blocks*,
-// one per flush (or per compaction), split at about indexBlockBytes of
-// payload. A block locates a run of value batches that sit back to back
-// in the data log, so only the first offset is stored:
+// Index log format. A segment's index log is a sequence of CRC-framed
+// *blocks*, one per flush (or per run a cleaning pass moved in), split at
+// about indexBlockBytes of payload. A block locates a run of value batches
+// that sit back to back in the segment's data log and were first written
+// by one flush, so the first offset and that flush are stored once:
 //
 //	uvarint base     data-log offset of the first entry's batch
+//	uvarint seq      sequence number of the flush that wrote the batches
 //	uvarint count    number of entries, at least 1
 //	count × entry:
 //	    uvarint keyLen, key
@@ -22,10 +24,12 @@ import (
 //	    uvarint length   on-disk bytes of the batch, frame included
 //
 // Entry i's batch starts at base plus the lengths of entries 0..i-1.
-// Blocks are appended in data-log offset order and compaction rewrites
-// them in that order, so the whole index log ascends by offset and, the
-// data log being append-only, lists every identity's batches in append
-// order.
+// Blocks are appended in data-log offset order, so an index log ascends by
+// offset. It does not ascend by age: cleaning fills a survivor segment
+// emptiest victim first, over several passes. The sequence number is what
+// orders an identity's batches — across segments and within a survivor —
+// and a load installs them by it, so Get returns values in append order
+// however often they were moved.
 //
 // The bytes key · start · width of an entry the store wrote (the frame's
 // CRC vouches for that) are the identity's canonical encoding,
@@ -51,13 +55,14 @@ func appendIdent(dst []byte, ident id) []byte {
 // to the leading bytes of its index entries.
 func identBytes(ident id) []byte { return appendIdent(nil, ident) }
 
-// IndexEntry is one location entry of an index block: where in the data
-// log one flushed value batch of (Key, Window) sits.
+// IndexEntry is one location entry of an index block: where in the
+// segment's data log one flushed value batch of (Key, Window) sits.
 type IndexEntry struct {
 	Key    []byte
 	Window window.Window
-	Off    int64 // data-log offset of the batch's frame
-	Len    int   // on-disk length of the batch, frame included
+	Off    int64  // data-log offset of the batch's frame
+	Len    int    // on-disk length of the batch, frame included
+	Seq    uint64 // the flush that first wrote the batch
 }
 
 // indexEntry is an entry as a scan sees it: decoded, plus the bytes it
@@ -71,6 +76,7 @@ type indexEntry struct {
 type blockIter struct {
 	rest []byte
 	off  int64  // data-log offset of the next entry
+	seq  uint64 // the block's flush sequence number
 	left uint64 // entries not yet returned
 }
 
@@ -88,6 +94,11 @@ func openBlock(b []byte) (blockIter, error) {
 		return blockIter{}, badBlock("base offset %d overflows", base)
 	}
 	b = b[n:]
+	seq, n, err := binio.Uvarint(b)
+	if err != nil {
+		return blockIter{}, badBlock("flush sequence: %v", err)
+	}
+	b = b[n:]
 	count, n, err := binio.Uvarint(b)
 	if err != nil {
 		return blockIter{}, badBlock("entry count: %v", err)
@@ -98,7 +109,7 @@ func openBlock(b []byte) (blockIter, error) {
 	if count == 0 || count > uint64(len(b)) {
 		return blockIter{}, badBlock("%d entries in %d bytes", count, len(b))
 	}
-	return blockIter{rest: b, off: int64(base), left: count}, nil
+	return blockIter{rest: b, off: int64(base), seq: seq, left: count}, nil
 }
 
 // next decodes the next entry into e; the caller checks left first. This
@@ -129,7 +140,7 @@ func (it *blockIter) next(e *indexEntry) error {
 	if ln > math.MaxInt32 || int64(ln) > math.MaxInt64-it.off {
 		return badBlock("batch of %d bytes at offset %d overflows", ln, it.off)
 	}
-	e.Off, e.Len = it.off, int(ln)
+	e.Off, e.Len, e.Seq = it.off, int(ln), it.seq
 	it.off += int64(ln)
 	it.rest = b[p:]
 	it.left--
@@ -159,28 +170,30 @@ func DecodeIndexBlock(b []byte) ([]IndexEntry, error) {
 
 // indexWriter packs entries, added in data-log offset order, into blocks
 // and hands each finished block to emit with its entry count. A block is
-// closed when it reaches indexBlockBytes or when the next entry does not
+// closed when it reaches indexBlockBytes, when the next entry does not
 // start where the previous one ended (bytes between them belong to no
-// live batch).
+// live batch), or when it was written by another flush.
 type indexWriter struct {
 	emit func(block []byte, entries int) error
 
 	entries []byte // encoded entries of the open block
 	count   int
-	base    int64 // data offset of the open block's first entry
-	next    int64 // data offset one past its last entry
+	base    int64  // data offset of the open block's first entry
+	next    int64  // data offset one past its last entry
+	seq     uint64 // flush sequence number of its entries
 	block   []byte
 }
 
-// add appends the entry (prefix, sp); prefix is the identity's identBytes.
-func (w *indexWriter) add(prefix []byte, sp span) error {
-	if w.count > 0 && (sp.off != w.next || len(w.entries) >= indexBlockBytes) {
+// add appends the entry (prefix, sp) of a batch flush seq first wrote;
+// prefix is the identity's identBytes.
+func (w *indexWriter) add(prefix []byte, sp span, seq uint64) error {
+	if w.count > 0 && (sp.off != w.next || seq != w.seq || len(w.entries) >= indexBlockBytes) {
 		if err := w.flush(); err != nil {
 			return err
 		}
 	}
 	if w.count == 0 {
-		w.base = sp.off
+		w.base, w.seq = sp.off, seq
 	}
 	w.entries = append(w.entries, prefix...)
 	w.entries = binio.PutUvarint(w.entries, uint64(sp.n))
@@ -196,6 +209,7 @@ func (w *indexWriter) flush() error {
 		return nil
 	}
 	w.block = binio.PutUvarint(w.block[:0], uint64(w.base))
+	w.block = binio.PutUvarint(w.block, w.seq)
 	w.block = binio.PutUvarint(w.block, uint64(w.count))
 	w.block = append(w.block, w.entries...)
 	if err := w.emit(w.block, w.count); err != nil {

@@ -17,31 +17,57 @@ import (
 	"flowkv/internal/window"
 )
 
-// indexEntries decodes every entry of the store's index log.
+// indexEntries decodes every entry of the store's index logs, consumed
+// ones included, segment by segment in id order.
 func indexEntries(t testing.TB, s *Store) []IndexEntry {
 	t.Helper()
+	return decodeEntries(t, s, false)
+}
+
+func decodeEntries(t testing.TB, s *Store, liveOnly bool) []IndexEntry {
+	t.Helper()
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
 	var out []IndexEntry
-	for _, b := range indexBlocks(t, s) {
-		es, err := DecodeIndexBlock(b)
-		if err != nil {
-			t.Fatal(err)
+	for _, sg := range s.segmentsLocked() {
+		marks := SegmentInfo{Marks: sg.consumed}
+		for _, b := range segmentBlocks(t, sg) {
+			es, err := DecodeIndexBlock(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range es {
+				if !liveOnly || !marks.Dead(e) {
+					out = append(out, e)
+				}
+			}
 		}
-		out = append(out, es...)
 	}
 	return out
 }
 
-func indexLogSize(s *Store) int64 {
+func indexLogSize(s *Store) (n int64) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return s.indexLog.Size()
+	for _, sg := range s.segmentsLocked() {
+		n += sg.index.Size()
+	}
+	return n
+}
+
+// forceClean seals the flush head and runs what an evicting flush runs
+// behind itself: a reap and, over MSA, one cleaning pass.
+func forceClean(t testing.TB, s *Store) {
+	t.Helper()
+	sealHead(t, s)
+	cleanNow(t, s)
 }
 
 // TestValueOrderSurvivesBlockIndexLifecycle drives ids whose ETTs descend
 // in insertion order — so a flush lays batches out in the reverse of the
-// order they were first appended — through flush, flush, compaction, a
-// base checkpoint, another flush, a delta checkpoint whose index.log
-// extends the parent's at a block boundary, and a restore, and checks
+// order they were first appended — through flush, flush, a cleaning pass,
+// another flush, a base checkpoint, a delta checkpoint whose head index
+// log extends the parent's at a block boundary, and a restore, and checks
 // every id's values against a slice oracle at the end: append order per
 // id must not depend on where the batches landed.
 func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
@@ -77,7 +103,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	}
 	appendRound(1)
 
-	// Consume every other id: half the data log dies, and a miss compacts.
+	// Consume every other id: half the segment dies, and is cleaned.
 	for i := 0; i < ids; i += 2 {
 		k, w := session(i)
 		if got := mustGet(t, s, k, w); !slices.Equal(got, oracle[i]) {
@@ -85,9 +111,23 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 		}
 		delete(oracle, i)
 	}
-	if s.Compactions() == 0 {
-		t.Fatal("consuming half the state never compacted")
+	forceClean(t, s)
+	if s.Compactions() != 1 {
+		t.Fatal("consuming half the state never cleaned")
 	}
+	extend := func() {
+		t.Helper()
+		for i := range oracle {
+			k, w := session(i)
+			v := fmt.Sprintf("v%05d", seq)
+			seq++
+			if err := s.Append([]byte(k), []byte(v), w, w.Start+50); err != nil {
+				t.Fatal(err)
+			}
+			oracle[i] = append(oracle[i], v)
+		}
+	}
+	extend()
 
 	parentDir := filepath.Join(t.TempDir(), "base")
 	res, err := s.CheckpointDelta(parentDir, nil, "")
@@ -99,15 +139,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range oracle {
-		k, w := session(i)
-		v := fmt.Sprintf("v%05d", seq)
-		seq++
-		if err := s.Append([]byte(k), []byte(v), w, w.Start+50); err != nil {
-			t.Fatal(err)
-		}
-		oracle[i] = append(oracle[i], v)
-	}
+	extend()
 	childDir := filepath.Join(t.TempDir(), "delta")
 	if _, err := s.CheckpointDelta(childDir, parent, parentDir); err != nil {
 		t.Fatal(err)
@@ -116,8 +148,11 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs := child.File("index.log").Segments; len(segs) < 2 {
-		t.Fatalf("delta checkpoint's index.log has %d segment(s): the parent's was not extended", len(segs))
+	s.ioMu.Lock()
+	head := indexName(s.head.id)
+	s.ioMu.Unlock()
+	if segs := child.File(head).Segments; len(segs) < 2 {
+		t.Fatalf("delta checkpoint's %s has %d segment(s): the parent's was not extended", head, len(segs))
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0.1})
@@ -140,7 +175,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 // TestIndexBytesPerEntryBudget is the unit-level guard for the block
 // index's size: 1 000 single-value batches with 5-byte keys must cost at
 // most 14 index-log bytes each — the per-entry frame and absolute offset
-// of the old format alone were 9 — and the index a compaction rewrites
+// of the old format alone were 9 — and the index a cleaning pass writes
 // must obey the same budget. The counts repeat exactly.
 func TestIndexBytesPerEntryBudget(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
@@ -169,15 +204,16 @@ func TestIndexBytesPerEntryBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Compactions() == 0 {
-		t.Fatal("consuming half the state never compacted")
+	forceClean(t, s)
+	if s.Compactions() != 1 {
+		t.Fatal("consuming half the state never cleaned")
 	}
 	live := len(indexEntries(t, s))
-	if live == 0 || live >= n {
-		t.Fatalf("compacted index holds %d entries", live)
+	if live != n/2 {
+		t.Fatalf("survivor index holds %d entries, want %d", live, n/2)
 	}
 	if size := indexLogSize(s); size > int64(14*live) {
-		t.Errorf("compaction: %d index bytes for %d entries (%.1f B/entry), budget 14", size, live, float64(size)/float64(live))
+		t.Errorf("cleaning: %d index bytes for %d entries (%.1f B/entry), budget 14", size, live, float64(size)/float64(live))
 	}
 }
 
@@ -276,14 +312,14 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 // TestSelectionFirstMatchesScanFirst holds selectBatch to.
 func scanFirstSelection(t *testing.T, s *Store, target id) map[id]bool {
 	t.Helper()
-	entries := indexEntries(t, s)
+	entries := decodeEntries(t, s, true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var order []id
 	seen := make(map[id]bool)
 	for _, e := range entries {
 		ident := id{key: string(e.Key), w: e.Window}
-		if _, dead := s.consumed[string(identBytes(ident))]; dead || seen[ident] {
+		if seen[ident] {
 			continue
 		}
 		seen[ident] = true

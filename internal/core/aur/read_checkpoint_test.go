@@ -2,11 +2,9 @@ package aur
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
@@ -294,16 +292,18 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 }
 
 // TestConsumedIdentityLivesAgain: a (key, window) that was flushed and
-// consumed can be appended to, flushed and consumed again. The consumed
-// set hides only the batches that were in the data log when the identity
-// was consumed — not the ones its next life flushes above them — whether
-// or not a compaction or a checkpoint and restore comes in between.
+// consumed can be appended to, flushed — into the same open head — and
+// consumed again. A segment's consumed mark hides only the batches that
+// were in its data log when the identity was consumed — not the ones its
+// next life flushes above them — whether or not a cleaning pass (which
+// seals that head and moves its neighbour out) or a checkpoint and restore
+// comes in between.
 func TestConsumedIdentityLivesAgain(t *testing.T) {
 	w := window.Window{Start: 0, End: gap}
 	opts := Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.1}
-	for _, compact := range []bool{false, true} {
+	for _, clean := range []bool{false, true} {
 		for _, restore := range []string{"never", "before the second life", "after the second life"} {
-			t.Run(fmt.Sprintf("compaction=%v/restore=%s", compact, restore), func(t *testing.T) {
+			t.Run(fmt.Sprintf("cleaning=%v/restore=%s", clean, restore), func(t *testing.T) {
 				s := openTest(t, opts)
 				reopen := func() {
 					t.Helper()
@@ -330,14 +330,10 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 				if got := mustGet(t, s, "k", w); len(got) != 2 || got[0] != "first-1" || got[1] != "first-2" {
 					t.Fatalf("first life = %v", got)
 				}
-				if compact {
-					// A miss while the consumed batch keeps space amplification
-					// over MSA compacts off its scan.
-					s.Append([]byte("churn"), []byte("x"), w, 3)
-					flush()
-					mustGet(t, s, "churn", w)
+				if clean {
+					forceClean(t, s)
 					if s.Compactions() != 1 {
-						t.Fatalf("%d compactions, want 1", s.Compactions())
+						t.Fatalf("%d cleaning passes, want 1", s.Compactions())
 					}
 				}
 				if restore == "before the second life" {
@@ -362,42 +358,5 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestRestoreReadsConsumedSnapshotWithoutMarks: a consumed.snap written
-// before records carried the data-log mark — identBytes and nothing else
-// — still restores: a bare record hides every batch of its identity in
-// the checkpoint's data log, and nothing flushed after the restore.
-func TestRestoreReadsConsumedSnapshotWithoutMarks(t *testing.T) {
-	w := window.Window{Start: 0, End: gap}
-	src := openTest(t, Options{WriteBufferBytes: 1, ReadBatchRatio: 0})
-	src.Append([]byte("gone"), []byte("v"), w, 1)
-	src.Append([]byte("kept"), []byte("v"), w, 1)
-	mustGet(t, src, "gone", w)
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(dir, nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	var old, payload []byte
-	old = binio.AppendRecord(old, binio.PutVarint(nil, src.dead))
-	payload = binio.PutBytes(payload, identBytes(id{key: "gone", w: w}))
-	old = binio.AppendRecord(old, payload)
-	if err := os.WriteFile(filepath.Join(dir, consumedSnapshotName), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dst := openTest(t, Options{WriteBufferBytes: 1, ReadBatchRatio: 0})
-	if err := dst.Restore(dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := mustGet(t, dst, "gone", w); got != nil {
-		t.Fatalf("consumed state resurrected: %v", got)
-	}
-	dst.Append([]byte("gone"), []byte("again"), w, 5)
-	if got := mustGet(t, dst, "gone", w); len(got) != 1 || got[0] != "again" {
-		t.Fatalf("gone, appended to after the restore = %v", got)
-	}
-	if got := mustGet(t, dst, "kept", w); len(got) != 1 {
-		t.Fatalf("kept = %v", got)
 	}
 }

@@ -72,41 +72,42 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	inj.Reset()
 
 	// Reboot: assemble a checkpoint from the surviving on-disk files —
-	// each log as one whole-file segment, nothing consumed, an empty Stat
-	// stream. (A real core checkpoint would have been rejected mid-write;
+	// each log as one whole-file segment under its own name, every segment
+	// sealed and nothing consumed, an empty Stat stream. (A real core checkpoint would have been rejected mid-write;
 	// this models restoring the instance directory itself after a crash.)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	meta := &ckpt.Meta{CutID: 1}
-	copyAs := func(prefix, logical string) {
-		t.Helper()
-		ents, err := os.ReadDir(dir)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []*segment
+	for _, e := range ents {
+		var sid uint32
+		if _, err := fmt.Sscanf(e.Name(), "data-%d.log", &sid); err == nil {
+			segs = append(segs, &segment{id: sid, sealed: true})
+		} else if !strings.HasPrefix(e.Name(), "index-") {
+			t.Fatalf("unexpected file %s in %s", e.Name(), dir)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), prefix) {
-				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				seg := ckpt.SegmentName(logical, 0)
-				if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				meta.Files = append(meta.Files, ckpt.FileState{Logical: logical, Epoch: 1,
-					Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
-				return
-			}
+		seg := ckpt.SegmentName(e.Name(), 0)
+		if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("no %s* file in %s", prefix, dir)
+		meta.Files = append(meta.Files, ckpt.FileState{Logical: e.Name(), Epoch: 1,
+			Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
 	}
-	copyAs("data-", "data.log")
-	copyAs("index-", "index.log")
+	if len(segs) < 11 {
+		t.Fatalf("%d segments survived, want batch 1's ten and the torn one", len(segs))
+	}
 	meta.Files = append(meta.Files, ckpt.FileState{Logical: statDeltaLogical, Epoch: 1})
-	if err := os.WriteFile(filepath.Join(ckptDir, consumedSnapshotName), encodeConsumedSnapshot(nil, 0), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ckptDir, segmentsSnapshotName), s.encodeSegmentsSnapshot(segs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {

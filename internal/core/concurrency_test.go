@@ -441,13 +441,14 @@ func runStress(t *testing.T, pattern Pattern, seed int64) {
 	}
 	if pattern == PatternAUR {
 		// Likewise: Gets must have raced evictions that kept part of the
-		// buffer, so some sessions were consumed from memory and some not.
-		if st := s.Stats(); st.BufferHits == 0 || st.DiskHits == 0 || st.FlushBytes == 0 {
-			t.Errorf("AUR stress consumed %d sessions from the buffer and %d with state on disk, flushed %d bytes; want all nonzero",
-				st.BufferHits, st.DiskHits, st.FlushBytes)
+		// buffer, so some sessions were consumed from memory and some not,
+		// and cleaning passes that moved what they were about to read.
+		if st := s.Stats(); st.BufferHits == 0 || st.DiskHits == 0 || st.FlushBytes == 0 || st.SegmentsDropped == 0 || st.CompactionBytes == 0 {
+			t.Errorf("AUR stress consumed %d sessions from the buffer and %d with state on disk, flushed %d bytes, dropped %d segments and cleaned %d bytes; want all nonzero",
+				st.BufferHits, st.DiskHits, st.FlushBytes, st.SegmentsDropped, st.CompactionBytes)
 		} else {
-			t.Logf("AUR stress: %d sessions consumed from the buffer, %d with state on disk; %d bytes flushed, %d compactions rewrote %d",
-				st.BufferHits, st.DiskHits, st.FlushBytes, st.Compactions, st.CompactionBytes)
+			t.Logf("AUR stress: %d sessions consumed from the buffer, %d with state on disk; %d bytes flushed, %d segments dropped, %d cleaning passes copied %d bytes, %d segments live",
+				st.BufferHits, st.DiskHits, st.FlushBytes, st.SegmentsDropped, st.Compactions, st.CompactionBytes, st.LiveSegments)
 		}
 	}
 	reportStressLatency(t, pattern, lats, len(fails) == 0)

@@ -161,8 +161,6 @@ type Options struct {
 	ReadRetryBackoff time.Duration
 	// FineGrainedAAR enables the fine-grained AAR layout (ablation).
 	FineGrainedAAR bool
-	// SeparateCompactionScan disables integrated compaction (ablation).
-	SeparateCompactionScan bool
 	// FS is the filesystem seam shared by every instance and the
 	// checkpoint machinery; nil means the real OS filesystem.
 	// Fault-injection tests substitute a faultfs.Injector.
@@ -386,15 +384,14 @@ func OpenPattern(p Pattern, wk window.Kind, opts Options) (*Store, error) {
 		case PatternAUR:
 			var st *aur.Store
 			st, err = aur.Open(aur.Options{
-				Dir:                    dir,
-				WriteBufferBytes:       perInstanceBuf,
-				ReadBatchRatio:         opts.ReadBatchRatio,
-				MaxSpaceAmplification:  opts.MaxSpaceAmplification,
-				Predictor:              pred,
-				SeparateCompactionScan: opts.SeparateCompactionScan,
-				FS:                     opts.FS,
-				Breakdown:              opts.Breakdown,
-				Policy:                 policy,
+				Dir:                   dir,
+				WriteBufferBytes:      perInstanceBuf,
+				ReadBatchRatio:        opts.ReadBatchRatio,
+				MaxSpaceAmplification: opts.MaxSpaceAmplification,
+				Predictor:             pred,
+				FS:                    opts.FS,
+				Breakdown:             opts.Breakdown,
+				Policy:                policy,
 			})
 			if err == nil {
 				s.aurView = append(s.aurView, st)
@@ -772,16 +769,15 @@ type Stats struct {
 	Hits, Misses int64
 	// Evictions counts AUR prefetch evictions from wrong ETTs.
 	Evictions int64
-	// Compactions counts compactions across instances: AUR generation
-	// rewrites, and RMW cleaning passes that re-appended at least one
-	// record.
+	// Compactions counts, across instances, the cleaning passes of the
+	// segmented logs (AUR and RMW) that re-appended at least one record
+	// or batch.
 	Compactions int64
-	// CompactionBytes is the bytes compactions rewrote: what RMW cleaning
-	// passes re-appended, and the data- and index-log bytes of every
-	// generation an AUR compaction built. SegmentsDropped counts RMW log
-	// segments unlinked (emptied by consumption, or cleaned) and
-	// LiveSegments the segment files the RMW logs currently hold; both are
-	// zero for the other patterns.
+	// CompactionBytes is the bytes those passes re-appended to survivor
+	// segments (for AUR data and index log together). SegmentsDropped
+	// counts log segments unlinked (emptied by consumption, or cleaned)
+	// and LiveSegments the segments the logs currently hold; all are zero
+	// for AAR.
 	CompactionBytes int64
 	SegmentsDropped int64
 	LiveSegments    int

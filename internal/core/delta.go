@@ -122,7 +122,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	// committed checkpoint (and do not degrade the store — acknowledged
 	// state is unaffected by a failed unlink of an old checkpoint).
 	if k := s.opts.RetainCheckpoints; k > 0 {
-		if err := gcCheckpoints(fsys, dir, k, s.protectedParents()); err != nil {
+		if err := s.retentionGC(dir, k); err != nil {
 			return fmt.Errorf("flowkv: checkpoint: retention gc: %w", err)
 		}
 	}
@@ -155,18 +155,20 @@ func (s *Store) protectParent(path string) func() {
 	}
 }
 
-// protectedParents snapshots the in-flight parent set for a GC pass.
-func (s *Store) protectedParents() map[string]bool {
+// retentionGC runs one GC pass behind the commit of just, with the
+// in-flight parents protected. The whole pass holds gcMu, so a parent is
+// either registered before the pass looks — and kept — or its delta waits
+// in protectParent until the pass is over and then, finding the parent
+// gone, falls back to a full cut: never unlinked under a delta that has
+// already read its manifest and is linking against it.
+func (s *Store) retentionGC(just string, keep int) error {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
-	if len(s.inflightParents) == 0 {
-		return nil
-	}
-	out := make(map[string]bool, len(s.inflightParents))
+	protected := make(map[string]bool, len(s.inflightParents))
 	for k := range s.inflightParents {
-		out[k] = true
+		protected[k] = true
 	}
-	return out
+	return gcCheckpoints(s.opts.FS, just, keep, protected)
 }
 
 // resolveParent decides what the new checkpoint diffs against. It

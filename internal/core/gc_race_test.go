@@ -38,7 +38,7 @@ func TestRetentionGCSkipsProtectedParent(t *testing.T) {
 	}
 
 	release := s.protectParent(dirs[0])
-	if err := gcCheckpoints(s.opts.FS, dirs[2], 1, s.protectedParents()); err != nil {
+	if err := s.retentionGC(dirs[2], 1); err != nil {
 		t.Fatalf("gc: %v", err)
 	}
 	if _, _, err := VerifyCheckpointDir(nil, dirs[0]); err != nil {
@@ -51,7 +51,7 @@ func TestRetentionGCSkipsProtectedParent(t *testing.T) {
 	// Released, the same pass removes it.
 	release()
 	release() // double release is harmless
-	if err := gcCheckpoints(s.opts.FS, dirs[2], 1, s.protectedParents()); err != nil {
+	if err := s.retentionGC(dirs[2], 1); err != nil {
 		t.Fatalf("second gc: %v", err)
 	}
 	if _, _, err := VerifyCheckpointDir(nil, dirs[0]); err == nil {
@@ -64,8 +64,9 @@ func TestRetentionGCSkipsProtectedParent(t *testing.T) {
 
 // TestRetentionGCConcurrentDeltaChains races two incremental-checkpoint
 // chains, each GC-ing aggressively after every commit (keep=2), against
-// each other and a concurrent write load. The in-flight parent guard is
-// what makes this safe: every CheckpointDelta must succeed — a chain's
+// each other and a concurrent write load. The in-flight parent guard,
+// and a GC pass that holds it from its look at the guard to its last
+// unlink, is what makes this safe: every CheckpointDelta must succeed — a chain's
 // GC unlinking the segments the other chain is mid-link against would
 // surface as a commit error — and both final checkpoints must verify
 // and restore. Run under -race this also proves the registry and the
@@ -90,17 +91,22 @@ func TestRetentionGCConcurrentDeltaChains(t *testing.T) {
 	// Retention only promises to keep the K newest siblings (plus
 	// referenced ancestors), so a chain that finishes early has no claim
 	// on survival. Both goroutines rendezvous before their final round:
-	// the two heads commit last, land in every keep=2 set, and survive.
+	// the two heads commit last, land in every keep=2 set, and survive. A
+	// chain that errors out arrives on its way out, so the other is not left
+	// waiting for it and the test fails rather than hangs.
 	var lastRound sync.WaitGroup
 	lastRound.Add(2)
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var arrived sync.Once
+			arrive := func() { arrived.Do(lastRound.Done) }
+			defer arrive()
 			parent := ""
 			for i := 0; i < rounds; i++ {
 				if i == rounds-1 {
-					lastRound.Done()
+					arrive()
 					lastRound.Wait()
 				}
 				for k := 0; k < 12; k++ {
@@ -165,7 +171,10 @@ func TestRetentionGCConcurrentDeltaChains(t *testing.T) {
 		}
 		fresh.Destroy()
 	}
-	if got := len(s.protectedParents()); got != 0 {
-		t.Fatalf("%d in-flight parents leaked after all deltas finished", got)
+	s.gcMu.Lock()
+	leaked := len(s.inflightParents)
+	s.gcMu.Unlock()
+	if leaked != 0 {
+		t.Fatalf("%d in-flight parents leaked after all deltas finished", leaked)
 	}
 }

@@ -144,6 +144,11 @@ func TestHungSyncDegradesWithStallReason(t *testing.T) {
 		t.Fatalf("baseline sync: %v", err)
 	}
 
+	// Something to make durable: a sync of logs that are already durable
+	// issues no fsync.
+	if err := writeBattery(s, PatternAUR, 0, "key-unsynced", 150); err != nil {
+		t.Fatalf("write before the hung sync: %v", err)
+	}
 	inj.SetRule(faultfs.Rule{Op: faultfs.OpSync, Class: faultfs.ClassOnce, Hang: true})
 	err := s.Sync()
 	if err == nil {

@@ -57,6 +57,8 @@ func (a aurInstance) addStats(st *Stats) {
 	st.Evictions += a.Evictions()
 	st.Compactions += a.Compactions()
 	st.CompactionBytes += a.CompactionBytes()
+	st.SegmentsDropped += a.SegmentsDropped()
+	st.LiveSegments += a.LiveSegments()
 	st.FlushBytes += a.FlushBytes()
 	b, d := a.ConsumedCount()
 	st.BufferHits += b

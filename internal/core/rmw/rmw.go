@@ -866,43 +866,28 @@ func (s *Store) cleanLocked() error {
 
 // pickVictimsLocked chooses what a cleaning pass cleans: segments in
 // order of live ratio, emptiest first, until dropping them brings
-// amplification back under MSA. Caller holds ioMu.
+// amplification back under MSA (logfile.PickVictims, the policy the AUR
+// store's log shares). Caller holds ioMu.
 func (s *Store) pickVictimsLocked() []*segment {
-	type cand struct {
-		sg         *segment
-		size, live int64
-	}
-	var cands []cand
+	var cands []logfile.Candidate
 	var total, live int64
 	s.mu.Lock()
 	for _, sg := range s.segs {
-		c := cand{sg: sg, size: sg.log.Size(), live: sg.live}
-		total += c.size
-		live += c.live
+		c := logfile.Candidate{ID: sg.id, Size: sg.log.Size(), Live: sg.live}
+		total += c.Size
+		live += c.Live
 		// Everything with dead bytes but the flush head can be cleaned.
 		// The open survivor segment too — it is sealed early if picked,
 		// so a mostly dead one cannot sit on its bytes for want of new
 		// survivors to fill it.
-		if sg != s.head && c.live < c.size {
+		if sg != s.head && c.Live < c.Size {
 			cands = append(cands, c)
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool {
-		// live/size ascending, cross-multiplied; ties oldest first.
-		l, r := cands[i].live*cands[j].size, cands[j].live*cands[i].size
-		if l != r {
-			return l < r
-		}
-		return cands[i].sg.id < cands[j].sg.id
-	})
 	var victims []*segment
-	for _, c := range cands {
-		if float64(total) <= s.opts.MaxSpaceAmplification*float64(live) {
-			break
-		}
-		victims = append(victims, c.sg)
-		total -= c.size - c.live
+	for _, c := range logfile.PickVictims(cands, total, live, s.opts.MaxSpaceAmplification) {
+		victims = append(victims, s.segs[c.ID])
 	}
 	return victims
 }

@@ -342,9 +342,8 @@ type AblationRow struct {
 }
 
 // Ablations benchmarks the design choices DESIGN.md calls out beyond the
-// paper's own sensitivity studies: integrated vs separate compaction
-// scans, coarse vs fine AAR layout, store-instance count m, and the
-// Faster synchronization model.
+// paper's own sensitivity studies: coarse vs fine AAR layout,
+// store-instance count m, and the Faster synchronization model.
 func Ablations(sc Scale, w io.Writer) ([]AblationRow, error) {
 	events := GenerateEvents(sc.Events)
 	var rows []AblationRow
@@ -358,10 +357,6 @@ func Ablations(sc Scale, w io.Writer) ([]AblationRow, error) {
 		rows = append(rows, AblationRow{Name: name, Query: q,
 			ThroughputTPS: out.ThroughputTPS, Failed: out.Failed})
 	}
-	add("aur/integrated-compaction", "Q11-Median", statebackend.KindFlowKV, nil)
-	add("aur/separate-compaction", "Q11-Median", statebackend.KindFlowKV, func(o *Options) {
-		o.FlowKV.SeparateCompactionScan = true
-	})
 	add("aar/coarse-grained", "Q7", statebackend.KindFlowKV, nil)
 	add("aar/fine-grained", "Q7", statebackend.KindFlowKV, func(o *Options) {
 		o.FlowKV.FineGrainedAAR = true

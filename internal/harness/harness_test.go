@@ -159,7 +159,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
+	if len(rows) != 7 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
 	for _, r := range rows {
@@ -167,7 +167,7 @@ func TestAblations(t *testing.T) {
 			t.Errorf("ablation %s failed", r.Name)
 		}
 	}
-	if !strings.Contains(buf.String(), "aur/integrated-compaction") {
+	if !strings.Contains(buf.String(), "aar/coarse-grained") {
 		t.Error("report missing rows")
 	}
 }

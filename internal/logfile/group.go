@@ -2,6 +2,7 @@ package logfile
 
 import (
 	"errors"
+	"sort"
 	"sync"
 )
 
@@ -94,4 +95,32 @@ func ScrubAll(logs []*Log) (ScrubSummary, error) {
 		}
 	}
 	return sum, nil
+}
+
+// Candidate is one segment of a segmented log that a cleaning pass may
+// take: its id (creation order), its size and how much of that is live.
+type Candidate struct {
+	ID         uint32
+	Size, Live int64
+}
+
+// PickVictims chooses what a cleaning pass cleans, the policy the RMW and
+// AUR stores share: of cands, those with the lowest live share first —
+// Live/Size ascending, compared by cross-multiplication, ties oldest first
+// — until dropping their dead bytes brings the whole log, total bytes of
+// which live are live, back under msa: total ≤ msa·live. It sorts cands and
+// returns the prefix to clean.
+func PickVictims(cands []Candidate, total, live int64, msa float64) []Candidate {
+	sort.Slice(cands, func(i, j int) bool {
+		l, r := cands[i].Live*cands[j].Size, cands[j].Live*cands[i].Size
+		if l != r {
+			return l < r
+		}
+		return cands[i].ID < cands[j].ID
+	})
+	n := 0
+	for ; n < len(cands) && float64(total) > msa*float64(live); n++ {
+		total -= cands[n].Size - cands[n].Live
+	}
+	return cands[:n]
 }

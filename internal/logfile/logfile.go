@@ -92,6 +92,9 @@ func corruptErr(path string, off int64, cause error) error {
 // reach the file, and scans read it, in pieces of this size.
 const ioBufBytes = 256 * 1024
 
+// minScanBufBytes is the smallest scan buffer a log allocates.
+const minScanBufBytes = 4 * 1024
+
 // writers recycles the logs' write buffers. A store whose log is a set of
 // short-lived files (one RMW segment per write-buffer eviction) creates
 // thousands of logs in a run; a fresh ioBufBytes buffer each would make
@@ -658,8 +661,8 @@ func (l *Log) ReadRecordAtRaw(off int64, n int) ([]byte, error) {
 // base. The log's buffered writes are flushed first; on a poisoned log
 // the scan covers the durable prefix stitched with the retained tail.
 //
-// The scanner reads the file straight into one ioBufBytes buffer. The
-// buffer belongs to the Log and is reused by every scan that runs to its
+// The scanner reads the file straight into one buffer of up to ioBufBytes.
+// The buffer belongs to the Log and is reused by every scan that runs to its
 // end — the AUR index scan, scrub passes, AAR's window reads — which is
 // safe because a Log has a single owner; a scanner still in use when a
 // second one is requested (AAR keeps a gradual window read open across
@@ -693,12 +696,18 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 		r = io.MultiReader(parts...)
 	}
 	sc := &Scanner{path: l.path, bd: l.bd}
+	// No larger than the log, in powers of two: a store holds dozens of
+	// sealed segments of a few KiB, each scanned while it lives.
+	want := ioBufBytes
+	for want > minScanBufBytes && int64(want/2) >= l.Size() {
+		want /= 2
+	}
 	var buf []byte
 	if l.scanLent {
-		buf = make([]byte, ioBufBytes)
+		buf = make([]byte, want)
 	} else {
-		if l.scanBuf == nil {
-			l.scanBuf = make([]byte, ioBufBytes)
+		if len(l.scanBuf) < want {
+			l.scanBuf = make([]byte, want)
 		}
 		buf, l.scanLent, sc.lender = l.scanBuf, true, l
 	}
