@@ -31,7 +31,6 @@ fuzz:
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecodeRecordFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -fuzz FuzzParseDeltaManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeIndexBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -fuzztime $(FUZZTIME)

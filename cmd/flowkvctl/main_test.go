@@ -306,13 +306,13 @@ func TestIndexDecodesBlockIndexLog(t *testing.T) {
 			}
 		}
 	}
-	if s.Compactions() == 0 {
+	if s.SegmentStats().Compactions == 0 {
 		t.Fatal("store never cleaned")
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	segments := s.LiveSegments()
+	segments := s.SegmentStats().LiveSegments
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

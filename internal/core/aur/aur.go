@@ -35,18 +35,14 @@
 // The segmented log. Get is a fetch-&-remove, so window semantics say when
 // a flushed batch dies, and an eviction's batches — chosen by trigger time
 // — die at about the same time. Each full-buffer eviction is therefore
-// written as a segment of its own (data-NNNNNN.log, index-NNNNNN.log),
-// sealed behind it, with a count of the data bytes still live in it; a
-// sealed segment whose count reaches zero is unlinked without a byte
-// copied. Only when space amplification still exceeds MSA after an
-// evicting flush does a cleaning pass move the live batches of the
-// emptiest sealed segments into a *survivor* segment — never the flush
-// head, so long-lived state collects in segments of its own. This replaces
-// the paper's integrated compaction, which rewrote the whole log off the
-// batch read's index scan: state that dies in age order is never copied,
-// and with an index per segment there is no whole-index scan to share.
-// Memory holds, per flushed identity, which segments hold its batches and
-// how many bytes in each — not where.
+// written as a segment of a logfile.Segments (data-NNNNNN.log,
+// index-NNNNNN.log) whose live count is its live data bytes, unlinked
+// without a byte copied once that reaches zero. This replaces the paper's
+// integrated compaction, which rewrote the whole log off the batch read's
+// index scan: state that dies in age order is never copied, and with an
+// index per segment there is no whole-index scan to share. Memory holds,
+// per flushed identity, which segments hold its batches and how many bytes
+// in each — not where.
 //
 // # Concurrency
 //
@@ -219,12 +215,21 @@ func addShare(shares []segShare, seg uint32, n int64) []segShare {
 	return append(shares, segShare{seg, n})
 }
 
-// segment is one file pair of the log: a data log of value batches and the
-// index log locating them. The logs, indexed and consumed are owned by
-// ioMu; live and sealed change with ioMu and mu both held.
-type segment struct {
-	id          uint32
-	data, index *logfile.Log
+// segment is one file pair of the log — a data log of value batches, then
+// the index log locating them — in logfile.Segments' lifecycle.
+type segment = logfile.Segment[segState]
+
+// A segment's logs in Logs order, and their file name prefixes.
+const dataLog, indexLog = 0, 1
+
+var logPrefixes = []string{dataLog: "data", indexLog: "index"}
+
+func dataName(id uint32) string  { return logfile.SegmentName(logPrefixes[dataLog], id) }
+func indexName(id uint32) string { return logfile.SegmentName(logPrefixes[indexLog], id) }
+
+// segState is what the store keeps per segment beside its logs, all owned
+// by ioMu.
+type segState struct {
 	// epoch is the pair's random identity in a checkpoint's SEGMENTS
 	// manifest: a cut links what its parent holds only while they match.
 	epoch uint64
@@ -237,17 +242,12 @@ type segment struct {
 	// that offset are dead, those a later life of the same (key, window)
 	// lands here — flushed into an open head, or cleaned in — are not.
 	consumed map[string]int64
-	live     int64 // data-log bytes of the batches still live here
-	sealed   bool  // takes no more appends; dropped once live reaches zero
 }
 
-func dataName(id uint32) string  { return fmt.Sprintf("data-%06d.log", id) }
-func indexName(id uint32) string { return fmt.Sprintf("index-%06d.log", id) }
-
-// dead reports whether the batch e locates in sg was consumed; caller
-// holds ioMu.
-func (sg *segment) dead(e *indexEntry) bool {
-	mark, ok := sg.consumed[string(e.prefix)]
+// dead reports whether the batch e locates in the segment was consumed;
+// caller holds ioMu.
+func (st *segState) dead(e *indexEntry) bool {
+	mark, ok := st.consumed[string(e.prefix)]
 	return ok && e.Off < mark
 }
 
@@ -266,7 +266,6 @@ type Store struct {
 	// batches and how many bytes in each — not where: that is on disk.
 	onDisk   map[id][]segShare
 	flushing map[id]*bufEntry
-	closed   bool
 	// statMarks marks identities whose Stat entry changed since the
 	// last committed delta checkpoint, so an incremental checkpoint
 	// ships only those rows (as upserts or tombstones) instead of
@@ -276,34 +275,22 @@ type Store struct {
 
 	prefetch      map[id][][]byte
 	prefetchBytes int64
-	// segs is every segment of the log, by id; entries are added and
-	// removed with ioMu and mu both held.
-	segs map[uint32]*segment
 
 	// ioMu serializes log I/O and the state only disk paths touch.
 	// Never acquired while holding mu.
 	ioMu sync.Mutex
-	// syncMu admits one split sync at a time; held around (not under)
-	// ioMu so the fsyncs run with ioMu released.
-	syncMu sync.Mutex
-	// head is the open segment flushes append to and surv the open segment
-	// cleaning transfers survivors to; nil until first needed and again
-	// after sealing.
-	head, surv *segment
-	nextSeg    uint32
-	seq        uint64 // the last flush's sequence number (see index.go)
+	// segs is the log: every segment, the flush head and the survivor.
+	segs *logfile.Segments[segState]
+	seq  uint64 // the last flush's sequence number (see index.go)
 
 	// Evaluation metrics.
-	ratio       metrics.Ratio
-	evictions   metrics.Counter
-	compactions metrics.Counter // cleaning passes that moved at least one batch
-	dropped     metrics.Counter // segments unlinked, emptied or cleaned
-	indexScans  metrics.Counter
+	ratio      metrics.Ratio
+	evictions  metrics.Counter
+	indexScans metrics.Counter
 	// Where the written bytes went, data and index logs together, and how
 	// many batches flushes wrote; where consumed identities were found.
 	flushedBytes   metrics.Counter
 	flushedBatches metrics.Counter
-	compactedBytes metrics.Counter
 	bufferHits     metrics.Counter // consumed wholly from the write buffer
 	diskHits       metrics.Counter // consumed with state on disk
 }
@@ -325,9 +312,12 @@ func Open(opts Options) (*Store, error) {
 		stat:      make(map[id]*statEntry),
 		onDisk:    make(map[id][]segShare),
 		prefetch:  make(map[id][][]byte),
-		segs:      make(map[uint32]*segment),
 		statMarks: ckpt.NewMarks[id](),
 	}
+	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, logPrefixes, opts.WriteBufferBytes,
+		opts.MaxSpaceAmplification, func() segState {
+			return segState{epoch: ckpt.Rand64(), consumed: make(map[string]int64)}
+		})
 	return s, nil
 }
 
@@ -338,102 +328,6 @@ func (s *Store) dropStatLocked(ident id) {
 		delete(s.stat, ident)
 		s.statMarks.Remove(ident)
 	}
-}
-
-// openSegLocked creates the next segment's files and registers it; caller
-// holds ioMu.
-func (s *Store) openSegLocked() (*segment, error) {
-	data, err := s.dir.Create(dataName(s.nextSeg))
-	if err != nil {
-		return nil, err
-	}
-	index, err := s.dir.Create(indexName(s.nextSeg))
-	if err != nil {
-		data.Remove()
-		return nil, err
-	}
-	sg := &segment{id: s.nextSeg, data: data, index: index, epoch: ckpt.Rand64(), consumed: make(map[string]int64)}
-	s.nextSeg++
-	s.mu.Lock()
-	s.segs[sg.id] = sg
-	s.mu.Unlock()
-	return sg, nil
-}
-
-// sealLocked closes sg to appends once its data log holds
-// WriteBufferBytes, or whatever it holds with force; caller holds ioMu. A
-// sealed segment stays readable until its last live batch is consumed or
-// cleaned away, but gives its write buffers back now.
-func (s *Store) sealLocked(sg *segment, force bool) {
-	if !force && sg.data.Size() < s.opts.WriteBufferBytes {
-		return
-	}
-	s.mu.Lock()
-	sg.sealed = true
-	s.mu.Unlock()
-	if s.head == sg {
-		s.head = nil
-	}
-	if s.surv == sg {
-		s.surv = nil
-	}
-	// A failed flush poisons the log, which keeps serving its records from
-	// the retained tail; the next Sync, or the health check, reports it.
-	_ = sg.data.Seal()
-	_ = sg.index.Seal()
-}
-
-// reapLocked unlinks every sealed segment whose live count reached zero
-// and forgets it; caller holds ioMu. The unlinks go first: if one fails
-// the segment stays tracked and open, the next reap retries, and the
-// first failure is returned.
-func (s *Store) reapLocked() (first error) {
-	for _, sg := range s.segmentsLocked() {
-		if !sg.sealed || sg.live != 0 {
-			continue
-		}
-		err := s.dir.Remove(dataName(sg.id))
-		if err == nil {
-			err = s.dir.Remove(indexName(sg.id))
-		}
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		s.mu.Lock()
-		delete(s.segs, sg.id)
-		s.mu.Unlock()
-		_ = sg.data.Close() // the files are gone; nothing they buffered is referenced
-		_ = sg.index.Close()
-		s.dropped.Inc()
-	}
-	return first
-}
-
-// segmentsLocked returns the log's segments in id (creation) order; caller
-// holds ioMu.
-func (s *Store) segmentsLocked() []*segment {
-	s.mu.Lock()
-	segs := make([]*segment, 0, len(s.segs))
-	for _, sg := range s.segs {
-		segs = append(segs, sg)
-	}
-	s.mu.Unlock()
-	slices.SortFunc(segs, func(a, b *segment) int { return int(a.id) - int(b.id) })
-	return segs
-}
-
-// logsLocked returns every segment's data and index log, data first, in
-// segment order; caller holds ioMu.
-func (s *Store) logsLocked() []*logfile.Log {
-	segs := s.segmentsLocked()
-	logs := make([]*logfile.Log, 0, 2*len(segs))
-	for _, sg := range segs {
-		logs = append(logs, sg.data, sg.index)
-	}
-	return logs
 }
 
 // Append adds the KV tuple with its window and timestamp (paper API:
@@ -457,7 +351,7 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	copy(vc, value)
 
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -506,7 +400,7 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	if err := s.flushLocked(false); err != nil {
 		return err
 	}
-	return s.maybeCleanLocked()
+	return s.cleanLocked()
 }
 
 // flushItem is one buffered batch on its way to disk.
@@ -628,7 +522,7 @@ func (s *Store) detachLocked(all bool) (batch map[id]*bufEntry, items []flushIte
 // flush rather than sealing a tiny file.
 func (s *Store) flushLocked(all bool) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -640,12 +534,7 @@ func (s *Store) flushLocked(all bool) error {
 	}
 	// A head that cannot be created fails the flush like a failed first
 	// write: everything detached goes back.
-	head, werr := s.head, error(nil)
-	if head == nil {
-		if head, werr = s.openSegLocked(); werr == nil {
-			s.head = head
-		}
-	}
+	head, werr := s.segs.OpenHead()
 	s.seq++
 	if items == nil {
 		items = make([]flushItem, 0, len(batch))
@@ -661,7 +550,7 @@ func (s *Store) flushLocked(all bool) error {
 	var stored, indexed int
 	var bytes int64 // data and index bytes the logs accepted
 	iw := indexWriter{emit: func(block []byte, entries int) error {
-		_, n, err := head.index.Append(block)
+		_, n, err := head.Logs[indexLog].Append(block)
 		if err != nil {
 			return err
 		}
@@ -676,7 +565,7 @@ func (s *Store) flushLocked(all bool) error {
 		for _, v := range it.e.values {
 			payload = binio.PutBytes(payload, v)
 		}
-		off, n, err := head.data.Append(payload)
+		off, n, err := head.Logs[dataLog].Append(payload)
 		if err != nil {
 			werr = err
 			break
@@ -697,15 +586,15 @@ func (s *Store) flushLocked(all bool) error {
 	s.flushedBytes.Add(bytes)
 	s.flushedBatches.Add(int64(stored))
 	if indexed > 0 {
-		head.indexed = head.index.Size()
+		head.X.indexed = head.Logs[indexLog].Size()
 	}
 
 	s.mu.Lock()
 	s.flushing = nil
 	for _, it := range items[:indexed] {
 		delete(batch, it.ident)
-		s.onDisk[it.ident] = addShare(s.onDisk[it.ident], head.id, it.n)
-		head.live += it.n
+		s.onDisk[it.ident] = addShare(s.onDisk[it.ident], head.ID, it.n)
+		head.Live += it.n
 		if st := s.stat[it.ident]; st != nil {
 			st.spilled = true
 		}
@@ -741,7 +630,7 @@ func (s *Store) flushLocked(all bool) error {
 	}
 	s.mu.Unlock()
 	if werr == nil {
-		s.sealLocked(head, full)
+		s.segs.Seal(head, full)
 	}
 	return werr
 }
@@ -775,7 +664,7 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 	ident := id{key: string(key), w: w}
 
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -794,31 +683,18 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 	defer s.ioMu.Unlock()
 	// Any flush that was in flight has completed: state is buffer + disk.
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	var diskVals [][]byte
+	onDisk := len(s.onDisk[ident]) > 0
+	diskVals, err := s.diskValuesLocked(ident)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
 	var emptied bool
-	if len(s.onDisk[ident]) > 0 {
-		if pv, ok := s.prefetch[ident]; ok {
-			// Step ④: served from the prefetch buffer.
-			s.ratio.Hit()
-			diskVals = pv
-		} else {
-			// Miss: predictive batch read (steps ⑤–⑦). The values come
-			// back directly: a concurrent Append to this id while mu is
-			// released would evict its fresh prefetch entry, so the map
-			// cannot be re-read here.
-			s.ratio.Miss()
-			s.mu.Unlock()
-			vals, err := s.batchReadLocked(ident)
-			if err != nil {
-				return nil, err
-			}
-			s.mu.Lock()
-			diskVals = vals
-		}
+	if onDisk {
 		s.dropPrefetchLocked(ident)
 		emptied = s.consumeDiskLocked(ident)
 	}
@@ -831,7 +707,7 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 	s.dropStatLocked(ident)
 	s.mu.Unlock()
 	if emptied {
-		_ = s.reapLocked() // still tracked on failure; the next reap retries
+		_ = s.segs.Reap() // still tracked on failure; the next reap retries
 	}
 
 	if diskVals == nil && bufVals == nil {
@@ -861,7 +737,7 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 	ident := id{key: string(key), w: w}
 
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -878,25 +754,14 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	var diskVals [][]byte
-	if len(s.onDisk[ident]) > 0 {
-		if pv, ok := s.prefetch[ident]; ok {
-			s.ratio.Hit()
-			diskVals = pv
-		} else {
-			s.ratio.Miss()
-			s.mu.Unlock()
-			vals, err := s.batchReadLocked(ident)
-			if err != nil {
-				return nil, err
-			}
-			s.mu.Lock()
-			diskVals = vals
-		}
+	diskVals, err := s.diskValuesLocked(ident)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
 	var bufVals [][]byte
 	if e, ok := s.buf[ident]; ok {
@@ -910,6 +775,26 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 	out := make([][]byte, 0, len(diskVals)+len(bufVals))
 	out = append(out, diskVals...)
 	return append(out, bufVals...), nil
+}
+
+// diskValuesLocked returns ident's on-disk values, nil if it has none:
+// from the prefetch buffer (step ④) or, on a miss, by a predictive batch
+// read (steps ⑤–⑦). The values come back directly: a concurrent Append to
+// this id while mu is released would evict its fresh prefetch entry, so
+// the map cannot be re-read. Caller holds ioMu and mu, which a batch read
+// releases and which is held again on return.
+func (s *Store) diskValuesLocked(ident id) ([][]byte, error) {
+	if len(s.onDisk[ident]) == 0 {
+		return nil, nil
+	}
+	if pv, ok := s.prefetch[ident]; ok {
+		s.ratio.Hit()
+		return pv, nil
+	}
+	s.ratio.Miss()
+	s.mu.Unlock()
+	defer s.mu.Lock()
+	return s.batchReadLocked(ident)
 }
 
 // Peek returns the number of buffered, on-disk and prefetched bytes held
@@ -940,7 +825,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, values [][]byte
 		maxTS int64
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -970,7 +855,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 	ident := id{key: string(key), w: w}
 
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -985,7 +870,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -995,7 +880,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 	s.dropStatLocked(ident)
 	s.mu.Unlock()
 	if emptied {
-		_ = s.reapLocked() // still tracked on failure; the next reap retries
+		_ = s.segs.Reap() // still tracked on failure; the next reap retries
 	}
 	return nil
 }
@@ -1025,10 +910,10 @@ func (s *Store) consumeDiskLocked(ident id) (emptied bool) {
 	}
 	key := string(identBytes(ident))
 	for _, sh := range shares {
-		sg := s.segs[sh.seg]
-		sg.live -= sh.n
-		sg.consumed[key] = sg.data.Size()
-		emptied = emptied || sg.sealed && sg.live == 0
+		sg := s.segs.Get(sh.seg)
+		sg.Live -= sh.n
+		sg.X.consumed[key] = sg.Logs[dataLog].Size()
+		emptied = emptied || sg.Sealed && sg.Live == 0
 	}
 	delete(s.onDisk, ident)
 	return emptied
@@ -1066,14 +951,14 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 	want, left := s.selectBatch(target)
 	s.indexScans.Inc()
 	var tasks []loadTask
-	for _, sg := range s.segmentsLocked() {
-		n := left[sg.id]
+	for _, sg := range s.segs.List() {
+		n := left[sg.ID]
 		if n == 0 {
 			continue
 		}
 		err := s.scanSegLocked(sg, func(e *indexEntry) error {
 			ident, wanted := want[string(e.prefix)]
-			if !wanted || sg.dead(e) {
+			if !wanted || sg.X.dead(e) {
 				return nil
 			}
 			tasks = append(tasks, loadTask{ident: ident, seg: sg, seq: e.Seq, sp: span{e.Off, e.Len}})
@@ -1199,14 +1084,14 @@ func (s *Store) scanSegLocked(sg *segment, fn func(e *indexEntry) error) error {
 	if s.bd != nil {
 		defer s.bd.Start(metrics.OpRead)()
 	}
-	sc, err := sg.index.Scanner(0)
+	sc, err := sg.Logs[indexLog].Scanner(0)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
 	var e indexEntry
 	var end int64 // data offset one past the previous entry
-	for sc.Scan() && sc.Offset() <= sg.indexed {
+	for sc.Scan() && sc.Offset() <= sg.X.indexed {
 		it, err := openBlock(sc.Record())
 		if err != nil {
 			return err
@@ -1274,7 +1159,7 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 	}
 
 	loadRun := func(r loadRun, unlocked bool) error {
-		lg := tasks[r.lo].seg.data
+		lg := tasks[r.lo].seg.Logs[dataLog]
 		read, frameVer := lg.ReadRangeAt, lg.Version()
 		if unlocked {
 			read = lg.ReadRangeAtRaw
@@ -1314,7 +1199,7 @@ func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
 	}
 	parallel := len(runs) > 1 && bytes >= parallelReadBytes
 	for i := 0; parallel && i < len(runs); i++ {
-		lg := tasks[runs[i].lo].seg.data
+		lg := tasks[runs[i].lo].seg.Logs[dataLog]
 		parallel = lg.Poisoned() == nil && lg.Flush() == nil
 	}
 	if parallel {
@@ -1411,22 +1296,6 @@ func decodeValues(payload []byte) ([][]byte, error) {
 	return vals, nil
 }
 
-// spaceAmpLocked returns the log's space amplification, data-log bytes
-// over live data-log bytes; 1.0 when nothing is live. Index bytes follow
-// data bytes batch for batch and are left out, so a segment nothing was
-// consumed from is exactly as large as it is live. Caller holds ioMu.
-func (s *Store) spaceAmpLocked() float64 {
-	var total, live int64
-	for _, sg := range s.segmentsLocked() {
-		total += sg.data.Size()
-		live += sg.live
-	}
-	if live == 0 {
-		return 1.0
-	}
-	return float64(total) / float64(live)
-}
-
 // move is one batch a cleaning pass transferred out of segment from.
 type move struct {
 	ident id
@@ -1434,125 +1303,65 @@ type move struct {
 	n     int64
 }
 
-// maybeCleanLocked reaps the segments that emptied by themselves and, when
-// amplification still exceeds MSA, runs one cleaning pass (§4.2's
-// compaction and §5's byte transfer, per segment); caller holds ioMu,
-// under which the live set cannot change: consuming state requires ioMu
-// and appends only touch the buffer. The pass takes the sealed segments
-// with the lowest live share (logfile.PickVictims, shared with the RMW
-// store) — and the open survivor, sealed early, if it is among them —
-// transfers their live batches into the survivor segment and drops them.
-//
-// Nothing is installed until every victim is copied and the survivor's
-// index log has accepted every block locating the copies: a pass that
-// fails leaves onDisk pointing at the intact victims and removes the
-// survivor if it opened it; one already open is sealed — what the pass
-// appended stays dead in its data log and past indexed in its index log.
-func (s *Store) maybeCleanLocked() error {
-	if err := s.reapLocked(); err != nil {
-		return err
-	}
-	var cands []logfile.Candidate
-	var total, live int64
-	for _, sg := range s.segmentsLocked() {
-		size := sg.data.Size()
-		total += size
-		live += sg.live
-		if sg != s.head && sg.live < size {
-			cands = append(cands, logfile.Candidate{ID: sg.id, Size: size, Live: sg.live})
-		}
-	}
-	if live == 0 { // amplification 1.0, as spaceAmpLocked has it
-		return nil
-	}
-	victims := logfile.PickVictims(cands, total, live, s.opts.MaxSpaceAmplification)
-	if len(victims) == 0 {
-		return nil
-	}
-	if s.bd != nil {
-		defer s.bd.Start(metrics.OpCompact)()
-	}
-	for _, v := range victims {
-		s.sealLocked(s.segs[v.ID], true) // news only to an open survivor segment
-	}
-	opens := s.surv == nil
+// cleanLocked, behind an evicting flush, reaps the segments that emptied
+// by themselves and, when amplification — data-log bytes over live
+// data-log bytes; index bytes follow data bytes batch for batch and are
+// left out — still exceeds MSA, runs one cleaning pass (§4.2's compaction
+// and §5's byte transfer, per segment; logfile.Segments.Clean); caller
+// holds ioMu, under which the live set cannot change: consuming state
+// requires ioMu and appends only touch the buffer. The pass transfers the
+// victims' live batches into the survivor segment, collecting the index
+// blocks that locate the copies; nothing is installed until the
+// survivor's index log has accepted every block, and blocks a failed pass
+// appended lie past indexed, never read.
+func (s *Store) cleanLocked() error {
 	var moved []move
 	var blocks [][]byte
 	iw := indexWriter{emit: func(block []byte, _ int) error {
 		blocks = append(blocks, slices.Clone(block))
 		return nil
 	}}
-	var appended int64 // data and index bytes the survivor segment took
-	err := func() error {
-		for _, v := range victims {
-			if err := s.copyLiveLocked(s.segs[v.ID], &iw, &moved); err != nil {
-				return err
-			}
-		}
+	return s.segs.Clean(func(v *segment, live int64, surv *segment) error {
+		return s.copyLiveLocked(v, live, surv, &iw, &moved)
+	}, func(surv *segment) (appended int64, err error) {
 		if err := iw.flush(); err != nil {
-			return err
+			return 0, err
 		}
 		for _, block := range blocks {
-			_, n, err := s.surv.index.Append(block)
+			_, n, err := surv.Logs[indexLog].Append(block)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			appended += int64(n)
 		}
-		return nil
-	}()
-	if sg := s.surv; err != nil && sg != nil {
-		s.sealLocked(sg, true)
-		if opens {
-			s.mu.Lock()
-			delete(s.segs, sg.id)
-			s.mu.Unlock()
-			sg.data.Remove() // best effort; the fault may also block the unlinks
-			sg.index.Remove()
+		if len(moved) == 0 {
+			return appended, nil
 		}
-	}
-	if err != nil {
-		return err
-	}
-	if surv := s.surv; len(moved) > 0 {
-		surv.indexed = surv.index.Size()
+		surv.X.indexed = surv.Logs[indexLog].Size()
 		s.mu.Lock()
 		for _, m := range moved {
-			shares := addShare(s.onDisk[m.ident], m.from.id, -m.n)
-			s.onDisk[m.ident] = addShare(shares, surv.id, m.n)
-			m.from.live -= m.n
-			surv.live += m.n
+			shares := addShare(s.onDisk[m.ident], m.from.ID, -m.n)
+			s.onDisk[m.ident] = addShare(shares, surv.ID, m.n)
+			m.from.Live -= m.n
+			surv.Live += m.n
 			appended += m.n
 		}
 		s.mu.Unlock()
-		s.compactions.Inc()
-		s.compactedBytes.Add(appended)
-		s.sealLocked(surv, false)
-	}
-	// Every live batch of a victim has moved, so the victims are empty now.
-	return s.reapLocked()
+		return appended, nil
+	})
 }
 
 // copyLiveLocked reads victim v's index once and transfers every batch
-// still live in it to the end of the survivor segment's data log (opened
-// on first need), maximal runs of adjacent batches in one transfer each,
-// handing their new locations to iw under the sequence numbers they were
-// first written with and recording the moves; caller holds ioMu. The scan
-// stops once it has seen all of v's live bytes.
-func (s *Store) copyLiveLocked(v *segment, iw *indexWriter, moved *[]move) (err error) {
-	left := v.live
-	if left == 0 {
-		return nil
-	}
-	if s.surv == nil {
-		if s.surv, err = s.openSegLocked(); err != nil {
-			return err
-		}
-	}
-	next := s.surv.data.Size() // where the next batch transferred lands
-	var runs []span            // live byte runs of v's data log, ascending
-	err = s.scanSegLocked(v, func(e *indexEntry) error {
-		if v.dead(e) {
+// still live in it to the end of surv's data log, maximal runs of adjacent
+// batches in one transfer each, handing their new locations to iw under
+// the sequence numbers they were first written with and recording the
+// moves; caller holds ioMu. The scan stops once it has seen all of v's live
+// bytes.
+func (s *Store) copyLiveLocked(v *segment, left int64, surv *segment, iw *indexWriter, moved *[]move) error {
+	next := surv.Logs[dataLog].Size() // where the next batch transferred lands
+	var runs []span                   // live byte runs of v's data log, ascending
+	err := s.scanSegLocked(v, func(e *indexEntry) error {
+		if v.X.dead(e) {
 			return nil
 		}
 		if last := len(runs) - 1; last >= 0 && runs[last].off+int64(runs[last].n) == e.Off {
@@ -1569,7 +1378,7 @@ func (s *Store) copyLiveLocked(v *segment, iw *indexWriter, moved *[]move) (err 
 		return err
 	})
 	for i := 0; err == nil && i < len(runs); i++ {
-		err = v.data.TransferTo(s.surv.data, runs[i].off, int64(runs[i].n))
+		err = v.Logs[dataLog].TransferTo(surv.Logs[dataLog], runs[i].off, int64(runs[i].n))
 	}
 	return err
 }
@@ -1582,72 +1391,25 @@ func (s *Store) Flush() error {
 	if err := s.flushLocked(true); err != nil {
 		return err
 	}
-	for _, l := range s.logsLocked() {
-		if err := l.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.segs.Flush()
 }
 
 // Sync flushes all buffered data and fsyncs every log holding bytes not
-// yet durable — a segment's data log before its index log, a sealed
-// segment at most once in its life — making every acknowledged Append
-// durable. Each fsync runs outside ioMu (logfile.SplitSync), so appends,
-// batch reads and later flushes overlap it; syncMu keeps at most one in
-// flight, as the protocol requires, and a segment dropped meanwhile has
-// nothing left to make durable. A cleaning pass that ran meanwhile may
-// have moved batches out of a segment already synced into a survivor that
-// is not, and then the sweep is repeated.
+// yet durable — a segment's data log before its index log — making every
+// acknowledged Append durable (logfile.Segments.Sync: each fsync runs
+// outside ioMu, so appends, batch reads and later flushes overlap it).
 func (s *Store) Sync() error {
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	s.ioMu.Lock()
-	err := s.flushLocked(true)
-	s.ioMu.Unlock()
-	if err != nil {
-		return err
-	}
-	for {
-		s.ioMu.Lock()
-		pass := s.compactions.Load()
-		segs := s.segmentsLocked()
-		s.ioMu.Unlock()
-		for _, sg := range segs {
-			for _, lg := range []*logfile.Log{sg.data, sg.index} {
-				err := logfile.SplitSync(&s.ioMu, func() *logfile.Log {
-					if s.segs[sg.id] != sg || lg.DurableOffset() == lg.Size() {
-						return nil
-					}
-					return lg
-				})
-				if err != nil {
-					return err
-				}
-			}
-		}
-		if s.compactions.Load() == pass {
-			return nil
-		}
-	}
+	return s.segs.Sync(func() error { return s.flushLocked(true) })
 }
 
 // Poisoned returns the first poisoning error among the segments' logs, or
 // nil when all are healthy.
-func (s *Store) Poisoned() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	return logfile.FirstPoisoned(s.logsLocked())
-}
+func (s *Store) Poisoned() error { return s.segs.Poisoned() }
 
 // Recover reopens every poisoned log from its durable offset, rewriting
 // its retained unsynced tail, so the write path works again after the
 // underlying fault has cleared.
-func (s *Store) Recover() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	return logfile.RecoverAll(s.logsLocked())
-}
+func (s *Store) Recover() error { return s.segs.Recover() }
 
 // Scrub verifies every segment's record frames against their checksums
 // under the instance I/O lock, healing rot confined to an unsynced tail
@@ -1656,14 +1418,16 @@ func (s *Store) Recover() error {
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.segs.Closed() {
 		return logfile.ScrubSummary{}, ErrClosed
 	}
-	return logfile.ScrubAll(s.logsLocked())
+	return logfile.ScrubAll(s.segs.Logs())
 }
+
+// SegmentStats returns the log's segment lifecycle accounting: cleaning
+// passes and what they re-appended (data and index bytes), segments
+// dropped and live.
+func (s *Store) SegmentStats() logfile.SegmentStats { return s.segs.Stats() }
 
 // HitRatio returns the prefetch buffer hit ratio (Figure 11b metric).
 func (s *Store) HitRatio() float64 { return s.ratio.Value() }
@@ -1679,46 +1443,20 @@ func (s *Store) ConsumedCount() (buffer, disk int64) {
 }
 
 // FlushBytes returns the data- and index-log bytes flushes have written:
-// evictions and drains, not cleaning's re-appends (CompactionBytes).
+// evictions and drains, not cleaning's re-appends (SegmentStats).
 func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
 
 // FlushedBatches returns the number of (key, window) batches flushes have
 // written to the data log.
 func (s *Store) FlushedBatches() int64 { return s.flushedBatches.Load() }
 
-// CompactionBytes returns the data- and index-log bytes cleaning has
-// re-appended.
-func (s *Store) CompactionBytes() int64 { return s.compactedBytes.Load() }
-
-// SegmentsDropped returns the number of segments unlinked, whether they
-// emptied by themselves or were cleaned.
-func (s *Store) SegmentsDropped() int64 { return s.dropped.Load() }
-
-// LiveSegments returns the number of segments the log holds.
-func (s *Store) LiveSegments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
-
 // Evictions returns the number of prefetched windows evicted by wrong ETT
 // estimates.
 func (s *Store) Evictions() int64 { return s.evictions.Load() }
 
-// Compactions returns the number of cleaning passes that had to move at
-// least one batch.
-func (s *Store) Compactions() int64 { return s.compactions.Load() }
-
 // IndexScans returns the number of prefetch misses that went to the index
 // logs.
 func (s *Store) IndexScans() int64 { return s.indexScans.Load() }
-
-// SpaceAmplification returns the log's current space amplification.
-func (s *Store) SpaceAmplification() float64 {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	return s.spaceAmpLocked()
-}
 
 // BufferedBytes returns the current write-buffer occupancy.
 func (s *Store) BufferedBytes() int64 {
@@ -1743,34 +1481,10 @@ func (s *Store) LiveStates() int {
 
 // DiskUsage returns the logical bytes of the instance's data and index
 // logs, including appends still in their write-through buffers.
-func (s *Store) DiskUsage() (n int64) {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	for _, l := range s.logsLocked() {
-		n += l.Size()
-	}
-	return n
-}
+func (s *Store) DiskUsage() int64 { return s.segs.Size() }
 
 // Close closes the store's log files, leaving state on disk.
-func (s *Store) Close() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	var first error
-	for _, l := range s.logsLocked() {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *Store) Close() error { return s.segs.Close() }
 
 // Destroy closes the store and deletes its directory.
 func (s *Store) Destroy() error {

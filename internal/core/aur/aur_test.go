@@ -28,6 +28,22 @@ func openTest(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// spaceAmp returns the log's space amplification: data-log bytes over
+// live data-log bytes, 1.0 when nothing is live.
+func spaceAmp(s *Store) float64 {
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	var total, live int64
+	for _, sg := range s.segs.List() {
+		total += sg.Logs[dataLog].Size()
+		live += sg.Live
+	}
+	if live == 0 {
+		return 1.0
+	}
+	return float64(total) / float64(live)
+}
+
 func mustGet(t *testing.T, s *Store, key string, w window.Window) []string {
 	t.Helper()
 	vals, err := s.Get([]byte(key), w)
@@ -239,11 +255,11 @@ func TestConsumedSegmentsAreDropped(t *testing.T) {
 			}
 		}
 	}
-	if dropped, live, disk := s.SegmentsDropped(), s.LiveSegments(), s.DiskUsage(); dropped != 200 || live != 0 || disk != 0 {
+	if dropped, live, disk := s.SegmentStats().SegmentsDropped, s.SegmentStats().LiveSegments, s.DiskUsage(); dropped != 200 || live != 0 || disk != 0 {
 		t.Errorf("%d segments dropped, %d live holding %d bytes; want one per append dropped and nothing left", dropped, live, disk)
 	}
-	if s.Compactions() != 0 || s.CompactionBytes() != 0 {
-		t.Errorf("%d cleaning passes copied %d bytes of state that died in order", s.Compactions(), s.CompactionBytes())
+	if s.SegmentStats().Compactions != 0 || s.SegmentStats().CompactionBytes != 0 {
+		t.Errorf("%d cleaning passes copied %d bytes of state that died in order", s.SegmentStats().Compactions, s.SegmentStats().CompactionBytes)
 	}
 	if files, err := filepath.Glob(filepath.Join(s.dir.Root(), "*")); err != nil || len(files) != 0 {
 		t.Errorf("files left behind: %v (%v)", files, err)
@@ -275,10 +291,10 @@ func churn(t *testing.T, s *Store, n int) {
 func TestCleaningReclaimsDeadBytes(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 10, MaxSpaceAmplification: 1.2, ReadBatchRatio: 0})
 	churn(t, s, 2000)
-	if s.Compactions() == 0 {
+	if s.SegmentStats().Compactions == 0 {
 		t.Error("no cleaning pass despite heavy consumption")
 	}
-	if amp := s.SpaceAmplification(); amp > 2.0 {
+	if amp := spaceAmp(s); amp > 2.0 {
 		t.Errorf("space amplification %f stayed high after cleaning", amp)
 	}
 }
@@ -296,7 +312,7 @@ func TestCleaningPreservesUnreadState(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(t, s, 600)
-	if s.Compactions() == 0 {
+	if s.SegmentStats().Compactions == 0 {
 		t.Fatal("test needs at least one cleaning pass")
 	}
 	got := mustGet(t, s, "keeper", keep)
@@ -358,7 +374,7 @@ func TestBreakdownAccounting(t *testing.T) {
 	if bd.Calls(metrics.OpWrite) == 0 || bd.Calls(metrics.OpRead) == 0 {
 		t.Error("missing op accounting")
 	}
-	if s.Compactions() > 0 && bd.Calls(metrics.OpCompact) == 0 {
+	if s.SegmentStats().Compactions > 0 && bd.Calls(metrics.OpCompact) == 0 {
 		t.Error("compactions not charged to the compaction bucket")
 	}
 	if bd.BytesWritten() == 0 || bd.BytesRead() == 0 {
@@ -376,14 +392,14 @@ func TestByteAndHitCountersAccountForTheLogs(t *testing.T) {
 		return fmt.Sprintf("k%03d", i), window.Window{Start: int64(i), End: int64(i) + gap}
 	}
 	n := 0
-	for ; s.LiveSegments() < 4; n++ {
+	for ; s.SegmentStats().LiveSegments < 4; n++ {
 		k, w := session(n)
 		s.Append([]byte(k), []byte("value"), w, int64(n))
 	}
 	flushed := s.FlushedBatches()
-	if got, disk := s.FlushBytes(), s.DiskUsage(); got != disk || flushed == 0 || s.CompactionBytes() != 0 {
+	if got, disk := s.FlushBytes(), s.DiskUsage(); got != disk || flushed == 0 || s.SegmentStats().CompactionBytes != 0 {
 		t.Fatalf("%d bytes in %d batches flushed, %d cleaned, %d on disk; want every byte on disk flushed",
-			got, flushed, s.CompactionBytes(), disk)
+			got, flushed, s.SegmentStats().CompactionBytes, disk)
 	}
 	// Consume every other session, flushed or not, then fill the buffer
 	// again: the eviction finds the sealed segments half dead and cleans.
@@ -395,14 +411,14 @@ func TestByteAndHitCountersAccountForTheLogs(t *testing.T) {
 		}
 		mustGet(t, s, k, w)
 	}
-	for i := n; s.Compactions() == 0 && i < 2*n; i++ {
+	for i := n; s.SegmentStats().Compactions == 0 && i < 2*n; i++ {
 		k, w := session(i)
 		s.Append([]byte(k), []byte("value"), w, int64(i))
 	}
-	if s.Compactions() != 1 || s.surv == nil {
-		t.Fatalf("%d cleaning passes, survivor segment %v; want 1 and open", s.Compactions(), s.surv)
+	if s.SegmentStats().Compactions != 1 || s.segs.Survivor() == nil {
+		t.Fatalf("%d cleaning passes, survivor segment %v; want 1 and open", s.SegmentStats().Compactions, s.segs.Survivor())
 	}
-	if got, surv := s.CompactionBytes(), s.surv.data.Size()+s.surv.index.Size(); got != surv || got == 0 {
+	if got, surv := s.SegmentStats().CompactionBytes, s.segs.Survivor().Logs[dataLog].Size()+s.segs.Survivor().Logs[indexLog].Size(); got != surv || got == 0 {
 		t.Fatalf("%d bytes cleaned, the survivor segment holds %d", got, surv)
 	}
 	buffer, disk := s.ConsumedCount()

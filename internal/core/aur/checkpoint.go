@@ -8,6 +8,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
@@ -37,17 +38,10 @@ const (
 // and the data-log offset below which its batches there are dead.
 const segmentsSnapshotName = "segments.snap"
 
-// Segment states in segments.snap.
-const (
-	SegmentSealed byte = iota
-	SegmentHead
-	SegmentSurvivor
-)
-
 // SegmentInfo is one segment as segments.snap records it.
 type SegmentInfo struct {
 	ID    uint32
-	State byte
+	State byte             // logfile.SegmentSealed, SegmentHead or SegmentSurvivor
 	Marks map[string]int64 // identBytes → offset below which batches are dead
 }
 
@@ -57,20 +51,13 @@ func (si *SegmentInfo) Dead(e IndexEntry) bool {
 	return ok && e.Off < mark
 }
 
-// encodeSegmentsSnapshot writes segs, in id order; caller holds ioMu.
-func (s *Store) encodeSegmentsSnapshot(segs []*segment) []byte {
-	payload := binio.PutUvarint(nil, uint64(len(segs)))
+// encodeSegmentsSnapshot writes infos, in id order.
+func encodeSegmentsSnapshot(infos []SegmentInfo) []byte {
+	payload := binio.PutUvarint(nil, uint64(len(infos)))
 	buf := binio.AppendRecord(nil, payload)
-	for _, sg := range segs {
-		state := SegmentSealed
-		switch sg {
-		case s.head:
-			state = SegmentHead
-		case s.surv:
-			state = SegmentSurvivor
-		}
-		payload = append(binio.PutUvarint(payload[:0], uint64(sg.id)), state)
-		for prefix, mark := range sg.consumed {
+	for _, si := range infos {
+		payload = append(binio.PutUvarint(payload[:0], uint64(si.ID)), si.State)
+		for prefix, mark := range si.Marks {
 			payload = binio.PutBytes(payload, []byte(prefix))
 			payload = binio.PutUvarint(payload, uint64(mark))
 		}
@@ -102,10 +89,10 @@ func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 			}
 			continue
 		}
-		if len(p) == n || p[n] > SegmentSurvivor || len(out) > 0 && uint32(v) <= out[len(out)-1].ID {
+		if len(p) == n || p[n] > logfile.SegmentSurvivor || len(out) > 0 && uint32(v) <= out[len(out)-1].ID {
 			return bad("segment header")
 		}
-		if p[n] != SegmentSealed && slices.ContainsFunc(out, func(si SegmentInfo) bool { return si.State == p[n] }) {
+		if p[n] != logfile.SegmentSealed && slices.ContainsFunc(out, func(si SegmentInfo) bool { return si.State == p[n] }) {
 			return bad("two open segments of a kind")
 		}
 		si := SegmentInfo{ID: uint32(v), State: p[n], Marks: make(map[string]int64)}
@@ -184,22 +171,21 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err != nil {
 		return nil, fmt.Errorf("aur: checkpoint: %w", err)
 	}
-	segs := s.segmentsLocked()
-	for _, sg := range segs {
-		if err := sg.data.Flush(); err != nil {
-			return nil, err
-		}
-		if err := sg.index.Flush(); err != nil {
-			return nil, err
-		}
-		if err := cut.Log(dataName(sg.id), sg.epoch, sg.data.Path(), sg.data.Size()); err != nil {
-			return nil, err
-		}
-		if err := cut.Log(indexName(sg.id), sg.epoch, sg.index.Path(), sg.indexed); err != nil {
-			return nil, err
-		}
+	if err := s.segs.Flush(); err != nil {
+		return nil, err
 	}
-	if err := cut.Extra(segmentsSnapshotName, s.encodeSegmentsSnapshot(segs)); err != nil {
+	var infos []SegmentInfo
+	for _, sg := range s.segs.List() {
+		data, index := sg.Logs[dataLog], sg.Logs[indexLog]
+		if err := cut.Log(dataName(sg.ID), sg.X.epoch, data.Path(), data.Size()); err != nil {
+			return nil, err
+		}
+		if err := cut.Log(indexName(sg.ID), sg.X.epoch, index.Path(), sg.X.indexed); err != nil {
+			return nil, err
+		}
+		infos = append(infos, SegmentInfo{ID: sg.ID, State: s.segs.State(sg), Marks: sg.X.consumed})
+	}
+	if err := cut.Extra(segmentsSnapshotName, encodeSegmentsSnapshot(infos)); err != nil {
 		return nil, err
 	}
 	err = cut.Stream(statDeltaLogical, statIncr, func(emit func([]byte) error) error {
@@ -248,11 +234,11 @@ func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	dirty := len(s.buf) != 0 || len(s.onDisk) != 0 || len(s.segs) != 0
+	dirty := len(s.buf) != 0 || len(s.onDisk) != 0 || s.segs.Len() != 0
 	s.mu.Unlock()
 	if dirty {
 		return fmt.Errorf("aur: restore into a non-empty store")
@@ -272,7 +258,7 @@ func (s *Store) Restore(dir string) error {
 	}
 	newOnDisk := make(map[id][]segShare)
 	for _, si := range infos {
-		sg := &segment{id: si.ID, consumed: si.Marks, sealed: si.State == SegmentSealed}
+		st := segState{consumed: si.Marks}
 		for _, name := range []string{dataName(si.ID), indexName(si.ID)} {
 			fstate := meta.File(name)
 			if fstate == nil {
@@ -281,39 +267,24 @@ func (s *Store) Restore(dir string) error {
 			if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), name)); err != nil {
 				return fmt.Errorf("aur: restore: %w", err)
 			}
-			sg.epoch = fstate.Epoch
+			st.epoch = fstate.Epoch
 		}
-		if sg.data, err = s.dir.Open(dataName(si.ID)); err != nil {
+		sg, err := s.segs.Reopen(si.ID, si.State, st)
+		if err != nil {
 			return err
 		}
-		if sg.index, err = s.dir.Open(indexName(si.ID)); err != nil {
-			sg.data.Close()
-			return err
-		}
-		sg.indexed = sg.index.Size()
-		s.mu.Lock()
-		s.segs[sg.id] = sg
-		s.mu.Unlock()
-		s.nextSeg = sg.id + 1
-		switch si.State {
-		case SegmentHead:
-			s.head = sg
-		case SegmentSurvivor:
-			s.surv = sg
-		default:
-			s.sealLocked(sg, true)
-		}
+		sg.X.indexed = sg.Logs[indexLog].Size()
 		for _, mark := range si.Marks {
-			if mark > sg.data.Size() {
+			if mark > sg.Logs[dataLog].Size() {
 				return fmt.Errorf("aur: segments snapshot: consumed mark past %s: %w", dataName(si.ID), binio.ErrCorrupt)
 			}
 		}
-		err := s.scanSegLocked(sg, func(e *indexEntry) error {
+		err = s.scanSegLocked(sg, func(e *indexEntry) error {
 			s.seq = max(s.seq, e.Seq)
-			if !sg.dead(e) {
+			if !sg.X.dead(e) {
 				ident := id{key: string(e.Key), w: e.Window}
-				newOnDisk[ident] = addShare(newOnDisk[ident], sg.id, int64(e.Len))
-				sg.live += int64(e.Len)
+				newOnDisk[ident] = addShare(newOnDisk[ident], sg.ID, int64(e.Len))
+				sg.Live += int64(e.Len)
 			}
 			return nil
 		})
@@ -335,7 +306,7 @@ func (s *Store) Restore(dir string) error {
 	// next checkpoint can extend the stream.
 	s.statMarks.Restored(meta.CutID)
 	s.mu.Unlock()
-	return s.reapLocked()
+	return s.segs.Reap()
 }
 
 // loadStatStream replays a checkpoint's Stat stream (the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
@@ -17,7 +18,7 @@ func indexBlocks(t testing.TB, s *Store) [][]byte {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	var blocks [][]byte
-	for _, sg := range s.segmentsLocked() {
+	for _, sg := range s.segs.List() {
 		blocks = append(blocks, segmentBlocks(t, sg)...)
 	}
 	return blocks
@@ -27,7 +28,7 @@ func indexBlocks(t testing.TB, s *Store) [][]byte {
 // holds ioMu.
 func segmentBlocks(t testing.TB, sg *segment) [][]byte {
 	t.Helper()
-	sc, err := sg.index.Scanner(0)
+	sc, err := sg.Logs[indexLog].Scanner(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func realIndexBlocks(f *testing.F) (flush, cleaning []byte) {
 		return []byte(fmt.Sprintf("user-%d", i)), window.Window{Start: int64(i) * 7, End: int64(i)*7 + gap}
 	}
 	n := 0
-	for ; s.LiveSegments() < 4; n++ {
+	for ; s.SegmentStats().LiveSegments < 4; n++ {
 		k, w := session(n)
 		if err := s.Append(k, []byte("value"), w, w.Start); err != nil {
 			f.Fatal(err)
@@ -72,7 +73,7 @@ func realIndexBlocks(f *testing.F) (flush, cleaning []byte) {
 			f.Fatal(err)
 		}
 	}
-	for i := n; s.Compactions() == 0; i++ {
+	for i := n; s.SegmentStats().Compactions == 0; i++ {
 		if i == 4*n {
 			f.Fatal("seed store never cleaned")
 		}
@@ -83,7 +84,7 @@ func realIndexBlocks(f *testing.F) (flush, cleaning []byte) {
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	return flush, segmentBlocks(f, s.surv)[0]
+	return flush, segmentBlocks(f, s.segs.Survivor())[0]
 }
 
 // encodeIndexBlocks packs entries through the production writer.
@@ -181,29 +182,29 @@ func FuzzDecodeIndexBlock(f *testing.F) {
 // in ascending id order with states it knows, and anything it accepts must
 // come back unchanged through the production encoder.
 func FuzzDecodeSegmentsSnapshot(f *testing.F) {
-	s := &Store{}
 	w := window.Window{Start: 7, End: 7 + gap}
 	marks := map[string]int64{string(identBytes(id{"user-1", w})): 117, string(identBytes(id{"", w})): 0}
-	s.head, s.surv = &segment{id: 9}, &segment{id: 4, consumed: marks}
-	real := s.encodeSegmentsSnapshot([]*segment{{id: 0, sealed: true, consumed: marks}, s.surv, s.head})
+	real := encodeSegmentsSnapshot([]SegmentInfo{
+		{ID: 0, State: logfile.SegmentSealed, Marks: marks},
+		{ID: 4, State: logfile.SegmentSurvivor, Marks: marks},
+		{ID: 9, State: logfile.SegmentHead},
+	})
 	f.Add(real)
-	f.Add(s.encodeSegmentsSnapshot(nil))
+	f.Add(encodeSegmentsSnapshot(nil))
 	f.Add([]byte{})
-	f.Add(real[:len(real)-3])                                                    // a torn last record
-	f.Add(real[:len(real)-len(binio.AppendRecord(nil, []byte{9, SegmentHead}))]) // one segment fewer than counted
-	f.Add(binio.AppendRecord(nil, binio.PutUvarint(nil, 1<<40)))                 // a count larger than the file
-	f.Add(binio.AppendRecord(binio.AppendRecord(nil, []byte{1}), []byte{3, 7}))  // an unknown state
-	f.Add(binio.AppendRecord(binio.AppendRecord(binio.AppendRecord(nil, []byte{2}), []byte{3, SegmentHead}), []byte{5, SegmentHead}))
+	f.Add(real[:len(real)-3])                                                            // a torn last record
+	f.Add(real[:len(real)-len(binio.AppendRecord(nil, []byte{9, logfile.SegmentHead}))]) // one segment fewer than counted
+	f.Add(binio.AppendRecord(nil, binio.PutUvarint(nil, 1<<40)))                         // a count larger than the file
+	f.Add(binio.AppendRecord(binio.AppendRecord(nil, []byte{1}), []byte{3, 7}))          // an unknown state
+	f.Add(binio.AppendRecord(binio.AppendRecord(binio.AppendRecord(nil, []byte{2}), []byte{3, logfile.SegmentHead}), []byte{5, logfile.SegmentHead}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		infos, err := DecodeSegmentsSnapshot(b)
 		if err != nil {
 			return
 		}
-		var segs []*segment
-		again := &Store{}
 		for i, si := range infos {
-			if si.State > SegmentSurvivor || i > 0 && si.ID <= infos[i-1].ID {
+			if si.State > logfile.SegmentSurvivor || i > 0 && si.ID <= infos[i-1].ID {
 				t.Fatalf("segment %d: id %d after %d, state %d", i, si.ID, infos[max(i, 1)-1].ID, si.State)
 			}
 			for prefix, mark := range si.Marks {
@@ -211,16 +212,8 @@ func FuzzDecodeSegmentsSnapshot(f *testing.F) {
 					t.Fatalf("segment %d: mark %d for %x", si.ID, mark, prefix)
 				}
 			}
-			sg := &segment{id: si.ID, consumed: si.Marks}
-			switch si.State {
-			case SegmentHead:
-				again.head = sg
-			case SegmentSurvivor:
-				again.surv = sg
-			}
-			segs = append(segs, sg)
 		}
-		back, err := DecodeSegmentsSnapshot(again.encodeSegmentsSnapshot(segs))
+		back, err := DecodeSegmentsSnapshot(encodeSegmentsSnapshot(infos))
 		if err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)
 		}

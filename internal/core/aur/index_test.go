@@ -29,8 +29,8 @@ func decodeEntries(t testing.TB, s *Store, liveOnly bool) []IndexEntry {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	var out []IndexEntry
-	for _, sg := range s.segmentsLocked() {
-		marks := SegmentInfo{Marks: sg.consumed}
+	for _, sg := range s.segs.List() {
+		marks := SegmentInfo{Marks: sg.X.consumed}
 		for _, b := range segmentBlocks(t, sg) {
 			es, err := DecodeIndexBlock(b)
 			if err != nil {
@@ -49,8 +49,8 @@ func decodeEntries(t testing.TB, s *Store, liveOnly bool) []IndexEntry {
 func indexLogSize(s *Store) (n int64) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	for _, sg := range s.segmentsLocked() {
-		n += sg.index.Size()
+	for _, sg := range s.segs.List() {
+		n += sg.Logs[indexLog].Size()
 	}
 	return n
 }
@@ -112,7 +112,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 		delete(oracle, i)
 	}
 	forceClean(t, s)
-	if s.Compactions() != 1 {
+	if s.SegmentStats().Compactions != 1 {
 		t.Fatal("consuming half the state never cleaned")
 	}
 	extend := func() {
@@ -149,7 +149,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ioMu.Lock()
-	head := indexName(s.head.id)
+	head := indexName(s.segs.Head().ID)
 	s.ioMu.Unlock()
 	if segs := child.File(head).Segments; len(segs) < 2 {
 		t.Fatalf("delta checkpoint's %s has %d segment(s): the parent's was not extended", head, len(segs))
@@ -205,7 +205,7 @@ func TestIndexBytesPerEntryBudget(t *testing.T) {
 		}
 	}
 	forceClean(t, s)
-	if s.Compactions() != 1 {
+	if s.SegmentStats().Compactions != 1 {
 		t.Fatal("consuming half the state never cleaned")
 	}
 	live := len(indexEntries(t, s))

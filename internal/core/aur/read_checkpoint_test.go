@@ -332,8 +332,8 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 				}
 				if clean {
 					forceClean(t, s)
-					if s.Compactions() != 1 {
-						t.Fatalf("%d cleaning passes, want 1", s.Compactions())
+					if s.SegmentStats().Compactions != 1 {
+						t.Fatalf("%d cleaning passes, want 1", s.SegmentStats().Compactions)
 					}
 				}
 				if restore == "before the second life" {

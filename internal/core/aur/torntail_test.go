@@ -10,6 +10,7 @@ import (
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
+	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
@@ -84,11 +85,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var segs []*segment
+	var segs []SegmentInfo
 	for _, e := range ents {
 		var sid uint32
 		if _, err := fmt.Sscanf(e.Name(), "data-%d.log", &sid); err == nil {
-			segs = append(segs, &segment{id: sid, sealed: true})
+			segs = append(segs, SegmentInfo{ID: sid, State: logfile.SegmentSealed})
 		} else if !strings.HasPrefix(e.Name(), "index-") {
 			t.Fatalf("unexpected file %s in %s", e.Name(), dir)
 		}
@@ -107,7 +108,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		t.Fatalf("%d segments survived, want batch 1's ten and the torn one", len(segs))
 	}
 	meta.Files = append(meta.Files, ckpt.FileState{Logical: statDeltaLogical, Epoch: 1})
-	if err := os.WriteFile(filepath.Join(ckptDir, segmentsSnapshotName), s.encodeSegmentsSnapshot(segs), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ckptDir, segmentsSnapshotName), encodeSegmentsSnapshot(segs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {

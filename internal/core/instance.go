@@ -55,10 +55,7 @@ func (a aurInstance) addStats(st *Stats) {
 	st.Hits += h
 	st.Misses += m
 	st.Evictions += a.Evictions()
-	st.Compactions += a.Compactions()
-	st.CompactionBytes += a.CompactionBytes()
-	st.SegmentsDropped += a.SegmentsDropped()
-	st.LiveSegments += a.LiveSegments()
+	addSegmentStats(st, a.SegmentStats())
 	st.FlushBytes += a.FlushBytes()
 	b, d := a.ConsumedCount()
 	st.BufferHits += b
@@ -69,10 +66,7 @@ func (a aurInstance) addStats(st *Stats) {
 }
 
 func (r rmwInstance) addStats(st *Stats) {
-	st.Compactions += r.Compactions()
-	st.CompactionBytes += r.CompactionBytes()
-	st.SegmentsDropped += r.SegmentsDropped()
-	st.LiveSegments += r.LiveSegments()
+	addSegmentStats(st, r.SegmentStats())
 	st.FlushBytes += r.FlushBytes()
 	b, d := r.HitCount()
 	st.BufferHits += b
@@ -81,4 +75,12 @@ func (r rmwInstance) addStats(st *Stats) {
 	st.BufferedBytes += r.BufferedBytes()
 	st.LiveStates += r.LiveStates()
 	st.DiskBytes += r.DiskUsage()
+}
+
+// addSegmentStats folds a segmented log's lifecycle accounting into st.
+func addSegmentStats(st *Stats, ss logfile.SegmentStats) {
+	st.Compactions += ss.Compactions
+	st.CompactionBytes += ss.CompactionBytes
+	st.SegmentsDropped += ss.SegmentsDropped
+	st.LiveSegments += ss.LiveSegments
 }

@@ -16,14 +16,10 @@ import (
 // without a valid MANIFEST is not a checkpoint.
 const manifestName = "MANIFEST"
 
-// manifestMagic identifies the original manifest format, still emitted
-// for chain-base checkpoints (no parent, depth 0).
-const manifestMagic = "flowkv-checkpoint-v1"
-
-// manifestMagicV2 is the incremental-checkpoint manifest format: the
-// header additionally records the parent generation's base name and the
-// chain depth. Readers accept both magics.
-const manifestMagicV2 = "flowkv-checkpoint-v2"
+// manifestMagic identifies the manifest format: a header recording the
+// pattern, the instance count, the parent generation's base name ("" for a
+// chain base) and the chain depth.
+const manifestMagic = "flowkv-checkpoint-v2"
 
 // ErrCheckpointInvalid is the sentinel matched (via errors.Is) by every
 // rejection of a partial, corrupted, or mismatched checkpoint directory.
@@ -117,24 +113,15 @@ func snapshotDir(fsys faultfs.FS, root string) ([]manifestEntry, error) {
 }
 
 // encodeManifest serializes a manifest: a header record (magic, pattern,
-// instance count, and for incremental checkpoints the parent name and
-// chain depth) followed by one record per file, all CRC-framed through
-// binio. A manifest with no parent and depth 0 is emitted in the v1
-// format, byte-identical to pre-incremental checkpoints.
+// instance count, parent name, chain depth) followed by one record per
+// file, all CRC-framed through binio.
 func encodeManifest(m *manifest) []byte {
 	var buf, payload []byte
-	v2 := m.parent != "" || m.depth != 0
-	if v2 {
-		payload = binio.PutString(payload[:0], manifestMagicV2)
-	} else {
-		payload = binio.PutString(payload[:0], manifestMagic)
-	}
+	payload = binio.PutString(payload[:0], manifestMagic)
 	payload = binio.PutUvarint(payload, uint64(m.pattern))
 	payload = binio.PutUvarint(payload, uint64(m.instances))
-	if v2 {
-		payload = binio.PutString(payload, m.parent)
-		payload = binio.PutUvarint(payload, uint64(m.depth))
-	}
+	payload = binio.PutString(payload, m.parent)
+	payload = binio.PutUvarint(payload, uint64(m.depth))
 	buf = binio.AppendRecord(buf, payload)
 	for _, e := range m.entries {
 		payload = binio.PutString(payload[:0], e.path)
@@ -145,10 +132,9 @@ func encodeManifest(m *manifest) []byte {
 	return buf
 }
 
-// parseManifest decodes a serialized manifest, accepting both the v1 and
-// the v2 (parent-bearing) header. On rejection it returns a non-empty
-// reason and a nil manifest; it never panics, whatever the input (fuzzed
-// by FuzzParseManifest and FuzzParseDeltaManifest).
+// parseManifest decodes a serialized manifest. On rejection it returns a
+// non-empty reason and a nil manifest; it never panics, whatever the input
+// (fuzzed by FuzzParseManifest).
 func parseManifest(b []byte) (*manifest, string) {
 	header, n, err := binio.ReadRecord(b)
 	if err != nil {
@@ -156,7 +142,7 @@ func parseManifest(b []byte) (*manifest, string) {
 	}
 	b = b[n:]
 	magic, hn, err := binio.String(header)
-	if err != nil || (magic != manifestMagic && magic != manifestMagicV2) {
+	if err != nil || magic != manifestMagic {
 		return nil, "bad magic"
 	}
 	header = header[hn:]
@@ -170,29 +156,26 @@ func parseManifest(b []byte) (*manifest, string) {
 		return nil, "truncated header"
 	}
 	header = header[hn:]
-	m := &manifest{pattern: Pattern(pat), instances: int(inst)}
-	if magic == manifestMagicV2 {
-		parent, pn, err := binio.String(header)
-		if err != nil {
-			return nil, "truncated header"
-		}
-		header = header[pn:]
-		depth, _, err := binio.Uvarint(header)
-		if err != nil {
-			return nil, "truncated header"
-		}
-		// A parent reference is a sibling directory's base name; path
-		// separators or traversal would let a crafted manifest point the
-		// chain walk (GC refcounting, flowkvctl display) outside the
-		// checkpoint parent directory.
-		if parent != filepath.Base(parent) && parent != "" {
-			return nil, "parent is not a sibling name"
-		}
-		if parent == "." || parent == ".." {
-			return nil, "parent is not a sibling name"
-		}
-		m.parent, m.depth = parent, int(depth)
+	parent, pn, err := binio.String(header)
+	if err != nil {
+		return nil, "truncated header"
 	}
+	header = header[pn:]
+	depth, _, err := binio.Uvarint(header)
+	if err != nil {
+		return nil, "truncated header"
+	}
+	// A parent reference is a sibling directory's base name; path
+	// separators or traversal would let a crafted manifest point the chain
+	// walk (GC refcounting, flowkvctl display) outside the checkpoint
+	// parent directory.
+	if parent != filepath.Base(parent) && parent != "" {
+		return nil, "parent is not a sibling name"
+	}
+	if parent == "." || parent == ".." {
+		return nil, "parent is not a sibling name"
+	}
+	m := &manifest{pattern: Pattern(pat), instances: int(inst), parent: parent, depth: int(depth)}
 	for len(b) > 0 {
 		rec, n, err := binio.ReadRecord(b)
 		if err != nil {

@@ -6,49 +6,34 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-)
 
-func encodeManifestV1(p Pattern, instances int, entries []manifestEntry) []byte {
-	return encodeManifest(&manifest{pattern: p, instances: instances, entries: entries})
-}
+	"flowkv/internal/binio"
+	"flowkv/internal/faultfs"
+)
 
 // FuzzParseManifest feeds arbitrary bytes to the checkpoint MANIFEST
 // parser. The parser is the gate between a possibly-corrupted checkpoint
 // directory and Restore, so it must reject garbage with a reason rather
 // than panic, and anything it accepts must survive an encode/parse round
-// trip unchanged (the manifest format is canonical).
+// trip unchanged (the manifest format is canonical). Parent references —
+// the header of a delta cut — must always be plain sibling names, never
+// paths that would let a crafted manifest walk the chain out of the
+// checkpoint directory.
 func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeManifestV1(PatternAAR, 4, nil))
-	f.Add(encodeManifestV1(PatternAUR, 2, []manifestEntry{
+	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 4}))
+	f.Add(encodeManifest(&manifest{pattern: PatternAUR, instances: 2, entries: []manifestEntry{
 		{path: "inst-0000/data-000000.log", size: 4096, crc: 0xdeadbeef},
 		{path: "inst-0000/index-000000.log", size: 128, crc: 1},
-	}))
-	f.Add(encodeManifestV1(PatternRMW, 1, []manifestEntry{{path: "inst-0000/rmw.log", size: 0, crc: 0}}))
-	// Truncated and bit-flipped variants of a valid manifest.
-	full := encodeManifestV1(PatternAUR, 8, []manifestEntry{{path: "x", size: 7, crc: 9}})
-	f.Add(full[:len(full)-3])
-	flipped := append([]byte(nil), full...)
+	}}))
+	f.Add(encodeManifest(&manifest{pattern: PatternRMW, instances: 1, entries: []manifestEntry{{path: "inst-0000/rmw.log", size: 0, crc: 0}}}))
+	// Truncated and bit-flipped variants of a valid parentless manifest.
+	base := encodeManifest(&manifest{pattern: PatternAUR, instances: 8, entries: []manifestEntry{{path: "x", size: 7, crc: 9}}})
+	f.Add(base[:len(base)-3])
+	flipped := append([]byte(nil), base...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, reason := parseManifest(b)
-		if reason != "" {
-			return
-		}
-		roundTripManifest(t, m)
-	})
-}
-
-// FuzzParseDeltaManifest targets the v2 (parent-bearing) header:
-// parent references, chain depth, and truncated or bit-flipped segment
-// entries. Accepted manifests must round-trip canonically, a full
-// manifest (no parent, depth 0) must re-encode to the v1 format, and
-// parent references must always be plain sibling names — never paths
-// that would let a crafted manifest walk the chain out of the checkpoint
-// directory.
-func FuzzParseDeltaManifest(f *testing.F) {
 	segs := []manifestEntry{
 		{path: "inst-00/SEGMENTS", size: 96, crc: 0x1234},
 		{path: "inst-00/win_0_10.log.seg-000000000000", size: 4096, crc: 0xdeadbeef},
@@ -58,13 +43,13 @@ func FuzzParseDeltaManifest(f *testing.F) {
 	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 1, parent: "gen-000004", depth: 3, entries: segs}))
 	f.Add(encodeManifest(&manifest{pattern: PatternRMW, instances: 2, parent: "gen-000001", depth: 1,
 		entries: []manifestEntry{{path: "inst-00/rmw.dlt.seg-000000000000", size: 64, crc: 1}}}))
-	// Depth without parent (a base written at the chain cap).
+	// No parent, depth 0: a base, here one written at the chain cap.
 	f.Add(encodeManifest(&manifest{pattern: PatternAUR, instances: 4, parent: "", depth: 0, entries: segs[:1]}))
 	// Hostile parents: traversal and separators must be rejected.
 	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 1, parent: "gen-000001", depth: 1}))
 	full := encodeManifest(&manifest{pattern: PatternAUR, instances: 2, parent: "gen-000007", depth: 2, entries: segs})
 	f.Add(full[:len(full)-5])
-	flipped := append([]byte(nil), full...)
+	flipped = append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
 
@@ -79,6 +64,24 @@ func FuzzParseDeltaManifest(f *testing.F) {
 		}
 		roundTripManifest(t, m)
 	})
+}
+
+// TestV1ManifestIsRejected pins the one-format rule: a MANIFEST in the
+// v1 format, which base checkpoints were written in before every manifest
+// carried a parent and a depth, is rejected as a CheckpointError, not
+// read.
+func TestV1ManifestIsRejected(t *testing.T) {
+	dir := t.TempDir()
+	header := binio.PutString(nil, "flowkv-checkpoint-v1")
+	header = binio.PutUvarint(binio.PutUvarint(header, uint64(PatternRMW)), 1)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), binio.AppendRecord(nil, header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := readManifest(faultfs.OS, dir, PatternRMW, 1)
+	var ce *CheckpointError
+	if !errors.As(err, &ce) || ce.Reason != "bad magic" || !errors.Is(err, ErrCheckpointInvalid) {
+		t.Fatalf("v1 manifest: %v, want a CheckpointError saying bad magic", err)
+	}
 }
 
 func roundTripManifest(t *testing.T, m *manifest) {

@@ -74,7 +74,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		captured ckpt.Captured[id]
 	)
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -181,7 +181,7 @@ func (s *Store) readSpansLocked(spans []span, fn func(entry []byte) error) error
 			}
 			end = next
 		}
-		lg := s.segs[first.seg].log
+		lg := s.segs.Get(first.seg).Logs[0]
 		raw, err := lg.ReadRangeAt(first.off, int(end-first.off))
 		if err != nil {
 			return fmt.Errorf("rmw: checkpoint: %w", err)
@@ -213,11 +213,11 @@ func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	dirty := len(s.buf) != 0 || len(s.index) != 0 || len(s.segs) != 0
+	dirty := len(s.buf) != 0 || len(s.index) != 0 || s.segs.Len() != 0
 	s.mu.Unlock()
 	if dirty {
 		return fmt.Errorf("rmw: restore into a non-empty store")
@@ -262,21 +262,20 @@ func (s *Store) Restore(dir string) error {
 			case deltaKindTombstone:
 				retire(ident)
 			case deltaKindUpsert:
-				if s.head == nil {
-					if s.head, err = s.openSegLocked(); err != nil {
-						f.Close()
-						return err
-					}
+				head, err := s.segs.OpenHead()
+				if err != nil {
+					f.Close()
+					return err
 				}
-				off, n, err := s.head.log.Append(entry)
+				off, n, err := head.Logs[0].Append(entry)
 				if err != nil {
 					f.Close()
 					return err
 				}
 				retire(ident)
-				newIndex[ident] = span{off: off, seg: s.head.id, n: uint32(n)}
-				live[s.head.id] += int64(n)
-				s.sealLocked(s.head, false)
+				newIndex[ident] = span{off: off, seg: head.ID, n: uint32(n)}
+				live[head.ID] += int64(n)
+				s.segs.Seal(head, false)
 			default:
 				f.Close()
 				return fmt.Errorf("rmw: restore: unknown delta record kind %d in %s", kind, seg.Name)
@@ -290,17 +289,15 @@ func (s *Store) Restore(dir string) error {
 			return fmt.Errorf("rmw: restore %s: %w", seg.Name, err)
 		}
 	}
-	for _, l := range s.logsLocked() {
-		if err := l.Flush(); err != nil {
-			return err
-		}
+	if err := s.segs.Flush(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.index = newIndex
 	for sid, n := range live {
-		s.segs[sid].live = n
+		s.segs.Get(sid).Live = n
 	}
 	s.marks.Restored(meta.CutID)
 	s.mu.Unlock()
-	return s.reapLocked()
+	return s.segs.Reap()
 }

@@ -460,7 +460,7 @@ func TestCheckpointReadsSpilledStateInRuns(t *testing.T) {
 	fstate := c.commit(dir, res)
 	// A segment here is an eviction of some twenty records, and the holes
 	// are far smaller than a page: one read a segment.
-	if segs := int64(s.LiveSegments()); spilled < 500 || reads == 0 || reads > segs {
+	if segs := int64(s.SegmentStats().LiveSegments); spilled < 500 || reads == 0 || reads > segs {
 		t.Fatalf("the cut read %d spilled aggregates from %d segments in %d reads", spilled, segs, reads)
 	}
 	upserts, tombs := c.records(dir, fstate.Segments[0])

@@ -28,23 +28,15 @@
 //
 // Get is a fetch-&-remove, so a flushed aggregate is read back at most
 // once and is then dead: window semantics tell the store when its bytes
-// die. The log is therefore a set of segment files (rmw-NNNNNN.log), one
-// per full-buffer eviction, each with a count of the bytes the index
-// still points at. A sealed segment whose count reaches zero is unlinked
-// without copying a byte — state that dies in age order, as session and
-// window aggregates do, empties whole segments by itself. Only when
-// space amplification still exceeds the MSA threshold after a flush does
-// a cleaning pass run: it takes the sealed segments with the lowest live
-// ratio, reads each once, sequentially, and re-appends the records the
-// index still points at into a survivor segment — never into the flush
-// head, so long-lived state collects in segments of its own instead of
-// pinning the ones short-lived state would have emptied.
-//
-// Both open segments (the flush head and the survivor) are sealed once
-// they hold WriteBufferBytes, and the head additionally after every
-// full-buffer eviction, so a sealed segment is never smaller than one
-// eviction — a quarter of the buffer — and the instance holds at most
-// about MSA·live/eviction + 2 files.
+// die. The log is therefore a logfile.Segments of rmw-NNNNNN.log files,
+// one per full-buffer eviction, whose live count is the bytes the index
+// still points at: state that dies in age order, as session and window
+// aggregates do, empties whole segments, which are unlinked without a
+// byte copied. A cleaning pass reads each victim once, sequentially, and
+// re-appends the records the index still points at to the survivor. The
+// head is sealed behind every full-buffer eviction, so a sealed segment is
+// never smaller than one eviction — a quarter of the buffer — and the
+// instance holds at most about MSA·live/eviction + 2 files.
 //
 // # Concurrency
 //
@@ -139,19 +131,12 @@ type span struct {
 	n   uint32
 }
 
-// segment is one file of the log. Its log is owned by ioMu like any
-// logfile.Log; live and sealed are guarded by mu.
-type segment struct {
-	id  uint32
-	log *logfile.Log
-	// live is the framed bytes of the records the index points at.
-	live int64
-	// sealed marks a segment that takes no more appends: it is dropped
-	// once live reaches zero.
-	sealed bool
-}
+// segment is one file of the log: logfile.Segments' lifecycle with a
+// single log and no state of the store's own.
+type segment = logfile.Segment[struct{}]
 
-func segmentName(id uint32) string { return fmt.Sprintf("rmw-%06d.log", id) }
+// segmentPrefix names the log's files, rmw-NNNNNN.log.
+const segmentPrefix = "rmw"
 
 // Store is a single RMW store instance, safe for concurrent use.
 type Store struct {
@@ -165,36 +150,21 @@ type Store struct {
 	bufBytes int64
 	index    map[id]span   // on-disk location of each flushed aggregate
 	flushing map[id][]byte // batch detached by an in-flight flush, nil otherwise
-	closed   bool
 	// marks tracks every identity mutated since the last committed delta
 	// checkpoint — an upsert (Put) or a tombstone (fetch-&-remove) — and
 	// the id of that cut; CheckpointDelta persists exactly these marks on
 	// top of the parent checkpoint.
 	marks *ckpt.Marks[id]
-	// segs is every segment file of the log, by id. Entries are added
-	// and removed with ioMu and mu both held.
-	segs map[uint32]*segment
 
 	// ioMu serializes segment I/O: flush, cleaning, drops, indexed reads,
 	// checkpoint/restore. Never acquired while holding mu.
 	ioMu sync.Mutex
-	// head is the open segment flushes append to and surv the open
-	// segment cleaning re-appends survivors to; nil until first needed
-	// and again after sealing.
-	head, surv *segment
-	nextSeg    uint32
+	// segs is the log: every segment file, the flush head and the survivor.
+	segs *logfile.Segments[struct{}]
 	// evictIDs is the slice an eviction selects its victims in, kept from
 	// one eviction to the next (they run one at a time, under ioMu).
 	evictIDs []id
 
-	// syncMu admits one Sync at a time; held around (not under) ioMu,
-	// so the fsyncs run with ioMu released.
-	syncMu sync.Mutex
-
-	passes       metrics.Counter // cleaning passes
-	compactions  metrics.Counter // passes that re-appended at least one record
-	cleanedBytes metrics.Counter // bytes cleaning re-appended
-	dropped      metrics.Counter // segments unlinked, emptied or cleaned
 	puts         metrics.Counter
 	flushedBytes metrics.Counter // framed bytes flushes appended
 	bufferHits   metrics.Counter // aggregates consumed from the write buffer
@@ -211,109 +181,26 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	dir.SetPolicy(opts.Policy)
-	return &Store{
+	s := &Store{
 		opts:  opts,
 		dir:   dir,
 		bd:    opts.Breakdown,
 		buf:   make(map[id][]byte),
 		index: make(map[id]span),
 		marks: ckpt.NewMarks[id](),
-		segs:  make(map[uint32]*segment),
-	}, nil
-}
-
-// openSegLocked creates the next segment file and registers it; caller
-// holds ioMu.
-func (s *Store) openSegLocked() (*segment, error) {
-	l, err := s.dir.Create(segmentName(s.nextSeg))
-	if err != nil {
-		return nil, err
 	}
-	sg := &segment{id: s.nextSeg, log: l}
-	s.nextSeg++
-	s.mu.Lock()
-	s.segs[sg.id] = sg
-	s.mu.Unlock()
-	return sg, nil
-}
-
-// sealLocked closes sg to appends once it holds WriteBufferBytes, or
-// whatever it holds with force; caller holds ioMu. A sealed segment stays
-// readable until its last live record is consumed or cleaned away, but
-// gives its write buffer back now: an instance holds a dozen sealed
-// segments for every open one.
-func (s *Store) sealLocked(sg *segment, force bool) {
-	if !force && sg.log.Size() < s.opts.WriteBufferBytes {
-		return
-	}
-	s.mu.Lock()
-	sg.sealed = true
-	s.mu.Unlock()
-	s.forgetOpenLocked(sg)
-	// A failed flush poisons the log, which keeps serving its records
-	// from the retained tail; the next Sync, or the health check, reports
-	// it, as they would had the flush been left to the first read.
-	_ = sg.log.Seal()
-}
-
-// forgetOpenLocked stops appending to sg if it is the flush head or the
-// survivor segment; caller holds ioMu.
-func (s *Store) forgetOpenLocked(sg *segment) {
-	if s.head == sg {
-		s.head = nil
-	}
-	if s.surv == sg {
-		s.surv = nil
-	}
-}
-
-// dropLocked unlinks a segment no index entry points at and forgets it;
-// caller holds ioMu. The unlink goes first: if it fails the segment stays
-// tracked and open, and the next reap retries. A reader that fetched a
-// span into sg before its records were consumed or moved may still be
-// preading it without the lock; the close fails that read and the reader
-// retries under ioMu (see getFlushed).
-func (s *Store) dropLocked(sg *segment) error {
-	if err := s.dir.Remove(segmentName(sg.id)); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	delete(s.segs, sg.id)
-	s.mu.Unlock()
-	s.forgetOpenLocked(sg)
-	_ = sg.log.Close() // the file is gone; nothing it buffered is referenced
-	s.dropped.Inc()
-	return nil
-}
-
-// reapLocked drops every sealed segment whose live count reached zero;
-// caller holds ioMu. Every such segment is attempted; the first failure
-// is returned.
-func (s *Store) reapLocked() error {
-	var empty []*segment
-	s.mu.Lock()
-	for _, sg := range s.segs {
-		if sg.sealed && sg.live == 0 {
-			empty = append(empty, sg)
-		}
-	}
-	s.mu.Unlock()
-	var first error
-	for _, sg := range empty {
-		if err := s.dropLocked(sg); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	s.segs = logfile.NewSegments[struct{}](dir, &s.ioMu, &s.mu, []string{segmentPrefix},
+		opts.WriteBufferBytes, opts.MaxSpaceAmplification, nil)
+	return s, nil
 }
 
 // retireLocked accounts the record at sp dead and reports whether that
 // emptied a sealed segment, which is then due a reap; caller holds mu
 // and has removed the index entry.
 func (s *Store) retireLocked(sp span) (emptied bool) {
-	sg := s.segs[sp.seg]
-	sg.live -= int64(sp.n)
-	return sg.sealed && sg.live == 0
+	sg := s.segs.Get(sp.seg)
+	sg.Live -= int64(sp.n)
+	return sg.Sealed && sg.Live == 0
 }
 
 // Put stores the updated aggregate for (key, window) (paper API:
@@ -333,7 +220,7 @@ func (s *Store) Put(key []byte, w window.Window, agg []byte) error {
 func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 	ident := id{key: string(key), w: w}
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -368,7 +255,7 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 	if err := s.flushLocked(false); err != nil {
 		return err
 	}
-	return s.maybeCleanLocked()
+	return s.cleanLocked()
 }
 
 // bufferFullLocked reports whether the write buffer has outgrown
@@ -418,7 +305,7 @@ func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 	// copy in flight to disk — either a pure buffer hit (put invariant:
 	// a buffered id is never also indexed) or a definitive miss.
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
@@ -446,7 +333,7 @@ func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 	s.ioMu.Lock()
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		s.ioMu.Unlock()
 		return nil, false, ErrClosed
@@ -462,7 +349,7 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 		s.ioMu.Unlock()
 		return nil, false, nil
 	}
-	lg := s.segs[sp.seg].log
+	lg := s.segs.Get(sp.seg).Logs[0]
 	s.mu.Unlock()
 	if !unlocked || lg.Poisoned() != nil || lg.Flush() != nil {
 		// Also the degraded case: the stitched durable-prefix+tail read
@@ -494,7 +381,7 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 		s.ioMu.Lock()
 		// A failed unlink leaves the segment tracked; the next flush's
 		// reap retries it and reports.
-		_ = s.reapLocked()
+		_ = s.segs.Reap()
 		s.ioMu.Unlock()
 	}
 	return v, true, nil
@@ -506,7 +393,7 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 // superseded it, and then the value read is the one this Get linearizes
 // before.
 func (s *Store) readLocked(ident id, sp span) ([]byte, error) {
-	payload, err := s.segs[sp.seg].log.ReadRecordAt(sp.off, int(sp.n))
+	payload, err := s.segs.Get(sp.seg).Logs[0].ReadRecordAt(sp.off, int(sp.n))
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +402,7 @@ func (s *Store) readLocked(ident id, sp span) ([]byte, error) {
 		return nil, err
 	}
 	if _, emptied := s.consume(ident, sp); emptied {
-		_ = s.reapLocked() // still tracked on failure; the next reap retries
+		_ = s.segs.Reap() // still tracked on failure; the next reap retries
 	}
 	return v, nil
 }
@@ -549,7 +436,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 		sp       span
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -573,7 +460,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 	for _, la := range live {
 		agg := la.agg
 		if !la.buffered {
-			payload, err := s.segs[la.sp.seg].log.ReadRecordAt(la.sp.off, int(la.sp.n))
+			payload, err := s.segs.Get(la.sp.seg).Logs[0].ReadRecordAt(la.sp.off, int(la.sp.n))
 			if err != nil {
 				return err
 			}
@@ -682,7 +569,7 @@ func (s *Store) detachLocked(all bool) map[id][]byte {
 // for the next flush rather than sealing a tiny file.
 func (s *Store) flushLocked(all bool) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -691,15 +578,11 @@ func (s *Store) flushLocked(all bool) error {
 	if idle {
 		return nil
 	}
-	if s.head == nil {
-		// Before the buffer is detached: a failed create loses nothing.
-		sg, err := s.openSegLocked()
-		if err != nil {
-			return err
-		}
-		s.head = sg
+	// Before the buffer is detached: a failed create loses nothing.
+	head, err := s.segs.OpenHead()
+	if err != nil {
+		return err
 	}
-	head := s.head
 
 	s.mu.Lock()
 	full := s.bufferFullLocked()
@@ -717,13 +600,13 @@ func (s *Store) flushLocked(all bool) error {
 	var bytes int64
 	for ident, v := range batch {
 		payload = encodeEntry(payload[:0], ident, v)
-		off, n, err := head.log.Append(payload)
+		off, n, err := head.Logs[0].Append(payload)
 		if err != nil {
 			werr = err
 			break
 		}
 		bytes += int64(n)
-		written = append(written, wrec{ident, span{off: off, seg: head.id, n: uint32(n)}})
+		written = append(written, wrec{ident, span{off: off, seg: head.ID, n: uint32(n)}})
 	}
 	s.flushedBytes.Add(bytes)
 
@@ -735,7 +618,7 @@ func (s *Store) flushLocked(all bool) error {
 			continue // born dead: in the segment's size, not in its live count
 		}
 		s.index[wr.ident] = wr.sp
-		head.live += int64(wr.sp.n)
+		head.Live += int64(wr.sp.n)
 	}
 	if werr != nil && !DisableFlushReattach {
 		// Flush failure is atomic: aggregates the log did not accept go
@@ -753,51 +636,8 @@ func (s *Store) flushLocked(all bool) error {
 	if werr != nil {
 		return werr
 	}
-	s.sealLocked(head, full)
+	s.segs.Seal(head, full)
 	return nil
-}
-
-// logBytesLocked returns the log's total and live bytes; caller holds
-// ioMu.
-func (s *Store) logBytesLocked() (total, live int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sg := range s.segs {
-		total += sg.log.Size()
-		live += sg.live
-	}
-	return total, live
-}
-
-// spaceAmpLocked reports the log's space amplification — total bytes
-// over live bytes, i.e. total/(total-dead); caller holds ioMu.
-func (s *Store) spaceAmpLocked() float64 {
-	total, live := s.logBytesLocked()
-	if total == 0 || live == 0 {
-		return 1.0
-	}
-	return float64(total) / float64(live)
-}
-
-// maybeCleanLocked reaps the segments that emptied by themselves and,
-// when amplification still exceeds MSA, runs one cleaning pass; caller
-// holds ioMu.
-func (s *Store) maybeCleanLocked() error {
-	if err := s.reapLocked(); err != nil {
-		return err
-	}
-	if s.spaceAmpLocked() <= s.opts.MaxSpaceAmplification {
-		return nil
-	}
-	var stop func()
-	if s.bd != nil {
-		stop = s.bd.Start(metrics.OpCompact)
-	}
-	err := s.cleanLocked()
-	if stop != nil {
-		stop()
-	}
-	return err
 }
 
 // move is one record a cleaning pass re-appended.
@@ -806,123 +646,49 @@ type move struct {
 	from, to span
 }
 
-// cleanLocked is one cleaning pass; caller holds ioMu. It re-appends the
-// victims' live records into the survivor segment, repoints the index,
-// and drops the victims.
-//
-// Nothing is installed until every victim has been copied: a pass that
-// fails leaves the index pointing at the intact victims, removes the
-// survivor segment if the pass opened it, and otherwise leaves what it
-// appended there unreferenced, as dead bytes. Index entries retired by
-// concurrent Puts or Gets while the pass ran are not repointed; their
-// copies are born dead in the survivor.
+// cleanLocked reaps the segments that emptied by themselves and, when
+// amplification still exceeds MSA, runs one cleaning pass
+// (logfile.Segments.Clean): each victim is read once, sequentially, and
+// every record the index still points at is re-appended to the survivor;
+// then the index is repointed. Index entries retired by concurrent Puts or
+// Gets while the pass ran are not repointed; their copies are born dead in
+// the survivor. Caller holds ioMu.
 func (s *Store) cleanLocked() error {
-	victims := s.pickVictimsLocked()
-	if len(victims) == 0 {
-		return nil
-	}
-	for _, v := range victims {
-		s.sealLocked(v, true) // news only to an open survivor segment
-	}
-	opens := s.surv == nil
 	var moved []move
-	for _, v := range victims {
-		if err := s.copyLiveLocked(v, &moved); err != nil {
-			if sg := s.surv; opens && sg != nil {
-				s.mu.Lock()
-				delete(s.segs, sg.id)
-				s.mu.Unlock()
-				s.surv = nil
-				sg.log.Remove() // best effort; the fault may also block the unlink
+	return s.segs.Clean(func(v *segment, live int64, surv *segment) error {
+		return s.copyLiveLocked(v, live, surv, &moved)
+	}, func(surv *segment) (appended int64, _ error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, m := range moved {
+			appended += int64(m.to.n)
+			if cur, ok := s.index[m.ident]; ok && cur == m.from {
+				s.index[m.ident] = m.to
+				s.segs.Get(m.from.seg).Live -= int64(m.from.n)
+				surv.Live += int64(m.to.n)
 			}
-			return err
 		}
-	}
-
-	var appended int64
-	s.mu.Lock()
-	for _, m := range moved {
-		appended += int64(m.to.n)
-		if cur, ok := s.index[m.ident]; ok && cur == m.from {
-			s.index[m.ident] = m.to
-			s.segs[m.from.seg].live -= int64(m.from.n)
-			s.surv.live += int64(m.to.n)
-		}
-	}
-	s.mu.Unlock()
-	s.passes.Inc()
-	if len(moved) > 0 {
-		s.compactions.Inc()
-		s.cleanedBytes.Add(appended)
-	}
-	if s.surv != nil {
-		s.sealLocked(s.surv, false)
-	}
-	// Every record of a victim the index pointed at has moved (entries
-	// only ever point at newly appended records, never back into a sealed
-	// segment), so the victims are empty now.
-	return s.reapLocked()
-}
-
-// pickVictimsLocked chooses what a cleaning pass cleans: segments in
-// order of live ratio, emptiest first, until dropping them brings
-// amplification back under MSA (logfile.PickVictims, the policy the AUR
-// store's log shares). Caller holds ioMu.
-func (s *Store) pickVictimsLocked() []*segment {
-	var cands []logfile.Candidate
-	var total, live int64
-	s.mu.Lock()
-	for _, sg := range s.segs {
-		c := logfile.Candidate{ID: sg.id, Size: sg.log.Size(), Live: sg.live}
-		total += c.Size
-		live += c.Live
-		// Everything with dead bytes but the flush head can be cleaned.
-		// The open survivor segment too — it is sealed early if picked,
-		// so a mostly dead one cannot sit on its bytes for want of new
-		// survivors to fill it.
-		if sg != s.head && c.Live < c.Size {
-			cands = append(cands, c)
-		}
-	}
-	s.mu.Unlock()
-	var victims []*segment
-	for _, c := range logfile.PickVictims(cands, total, live, s.opts.MaxSpaceAmplification) {
-		victims = append(victims, s.segs[c.ID])
-	}
-	return victims
+		return appended, nil
+	})
 }
 
 // copyLiveLocked reads victim v once, sequentially, and re-appends every
-// record the index still points at into the survivor segment (opened on
-// first need), recording the moves; caller holds ioMu. The scan stops
-// early once it has seen all of v's live bytes.
-func (s *Store) copyLiveLocked(v *segment, moved *[]move) error {
-	s.mu.Lock()
-	want := v.live
-	s.mu.Unlock()
-	if want == 0 {
-		return nil
-	}
-	if s.surv == nil {
-		sg, err := s.openSegLocked()
-		if err != nil {
-			return err
-		}
-		s.surv = sg
-	}
-	sc, err := v.log.Scanner(0)
+// record the index still points at into surv, recording the moves; caller
+// holds ioMu. The scan stops early once it has seen all of v's live bytes.
+func (s *Store) copyLiveLocked(v *segment, want int64, surv *segment, moved *[]move) error {
+	sc, err := v.Logs[0].Scanner(0)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
 	var off, found int64
 	for found < want && sc.Scan() {
-		at := span{off: off, seg: v.id, n: uint32(sc.Offset() - off)}
+		at := span{off: off, seg: v.ID, n: uint32(sc.Offset() - off)}
 		off = sc.Offset()
 		rec := sc.Record()
 		key, w, _, err := decodeEntry(rec)
 		if err != nil {
-			return fmt.Errorf("rmw: clean %s: %w", v.log.Path(), err)
+			return fmt.Errorf("rmw: clean %s: %w", v.Logs[0].Path(), err)
 		}
 		s.mu.Lock()
 		cur, ok := s.index[id{key: string(key), w: w}]
@@ -931,40 +697,17 @@ func (s *Store) copyLiveLocked(v *segment, moved *[]move) error {
 			continue
 		}
 		found += int64(at.n)
-		noff, n, err := s.surv.log.Append(rec)
+		noff, n, err := surv.Logs[0].Append(rec)
 		if err != nil {
 			return err
 		}
 		*moved = append(*moved, move{
 			ident: id{key: string(key), w: w},
 			from:  at,
-			to:    span{off: noff, seg: s.surv.id, n: uint32(n)},
+			to:    span{off: noff, seg: surv.ID, n: uint32(n)},
 		})
 	}
 	return sc.Err()
-}
-
-// segmentsLocked returns the log's segments in id (age) order; caller
-// holds ioMu.
-func (s *Store) segmentsLocked() []*segment {
-	s.mu.Lock()
-	segs := make([]*segment, 0, len(s.segs))
-	for _, sg := range s.segs {
-		segs = append(segs, sg)
-	}
-	s.mu.Unlock()
-	sort.Slice(segs, func(i, j int) bool { return segs[i].id < segs[j].id })
-	return segs
-}
-
-// logsLocked returns the segments' logs in id order; caller holds ioMu.
-func (s *Store) logsLocked() []*logfile.Log {
-	segs := s.segmentsLocked()
-	logs := make([]*logfile.Log, len(segs))
-	for i, sg := range segs {
-		logs[i] = sg.log
-	}
-	return logs
 }
 
 // Flush spills all buffered data to disk (checkpoint support).
@@ -974,75 +717,25 @@ func (s *Store) Flush() error {
 	if err := s.flushLocked(true); err != nil {
 		return err
 	}
-	for _, l := range s.logsLocked() {
-		if err := l.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.segs.Flush()
 }
 
 // Sync flushes all buffered data and fsyncs every segment holding bytes
-// not yet durable, making every acknowledged Put durable. A sealed
-// segment never grows, so it is fsynced at most once in its life. Each
-// fsync runs outside ioMu (logfile.SplitSync), so concurrent point reads
-// and later flushes overlap it instead of queueing for its whole
-// duration; a segment dropped while its fsync is in flight has nothing
-// left to make durable. A cleaning pass that ran meanwhile may have moved
-// records out of a segment already synced into a survivor that is not,
-// and then the sweep is repeated.
+// not yet durable, making every acknowledged Put durable
+// (logfile.Segments.Sync: each fsync runs outside ioMu, so concurrent
+// point reads and later flushes overlap it).
 func (s *Store) Sync() error {
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	s.ioMu.Lock()
-	err := s.flushLocked(true)
-	s.ioMu.Unlock()
-	if err != nil {
-		return err
-	}
-	for {
-		s.ioMu.Lock()
-		pass := s.passes.Load()
-		var dirty []*segment
-		for _, sg := range s.segmentsLocked() {
-			if sg.log.DurableOffset() < sg.log.Size() {
-				dirty = append(dirty, sg)
-			}
-		}
-		s.ioMu.Unlock()
-		for _, sg := range dirty {
-			err := logfile.SplitSync(&s.ioMu, func() *logfile.Log {
-				if s.segs[sg.id] != sg {
-					return nil
-				}
-				return sg.log
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if s.passes.Load() == pass {
-			return nil
-		}
-	}
+	return s.segs.Sync(func() error { return s.flushLocked(true) })
 }
 
 // Poisoned returns the first poisoning error among the log's segments,
 // or nil when all are healthy.
-func (s *Store) Poisoned() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	return logfile.FirstPoisoned(s.logsLocked())
-}
+func (s *Store) Poisoned() error { return s.segs.Poisoned() }
 
 // Recover reopens every poisoned segment from its durable offset,
 // rewriting the retained unsynced tail, so the write path works again
 // after the underlying fault has cleared.
-func (s *Store) Recover() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	return logfile.RecoverAll(s.logsLocked())
-}
+func (s *Store) Recover() error { return s.segs.Recover() }
 
 // Scrub verifies every segment's record frames against their checksums
 // under the instance I/O lock, healing rot confined to an unsynced tail
@@ -1051,32 +744,18 @@ func (s *Store) Recover() error {
 func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.segs.Closed() {
 		return logfile.ScrubSummary{}, ErrClosed
 	}
-	return logfile.ScrubAll(s.logsLocked())
+	return logfile.ScrubAll(s.segs.Logs())
 }
 
-// Compactions returns the number of cleaning passes that had to re-append
-// at least one record.
-func (s *Store) Compactions() int64 { return s.compactions.Load() }
-
-// CleaningPasses returns the number of cleaning passes run, including
-// those whose victims turned out to hold nothing live.
-func (s *Store) CleaningPasses() int64 { return s.passes.Load() }
-
-// CompactionBytes returns the bytes cleaning has re-appended.
-func (s *Store) CompactionBytes() int64 { return s.cleanedBytes.Load() }
-
-// SegmentsDropped returns the number of segments unlinked, whether they
-// emptied by themselves or were cleaned.
-func (s *Store) SegmentsDropped() int64 { return s.dropped.Load() }
+// SegmentStats returns the log's segment lifecycle accounting: cleaning
+// passes and what they re-appended, segments dropped and live.
+func (s *Store) SegmentStats() logfile.SegmentStats { return s.segs.Stats() }
 
 // FlushBytes returns the framed bytes flushes have appended to the log:
-// evictions and drains, not cleaning's re-appends (CompactionBytes).
+// evictions and drains, not cleaning's re-appends (SegmentStats).
 func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
 
 // HitCount returns how many aggregates Get consumed from the write buffer
@@ -1089,20 +768,6 @@ func (s *Store) HitCount() (buffer, disk int64) {
 // new stream although their parent could have been extended, because the
 // delta would have held more records than the live state.
 func (s *Store) CheckpointRebases() int64 { return s.rebases.Load() }
-
-// LiveSegments returns the number of segment files the log holds.
-func (s *Store) LiveSegments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.segs)
-}
-
-// SpaceAmplification returns the log's current space amplification.
-func (s *Store) SpaceAmplification() float64 {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	return s.spaceAmpLocked()
-}
 
 // BufferedBytes returns the current write-buffer occupancy.
 func (s *Store) BufferedBytes() int64 {
@@ -1130,32 +795,10 @@ func (s *Store) LiveStates() int {
 
 // DiskUsage returns the logical bytes of the instance's log, including
 // appends still in a segment's write-through buffer.
-func (s *Store) DiskUsage() int64 {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	total, _ := s.logBytesLocked()
-	return total
-}
+func (s *Store) DiskUsage() int64 { return s.segs.Size() }
 
 // Close closes the store's segment files, leaving state on disk.
-func (s *Store) Close() error {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	var first error
-	for _, l := range s.logsLocked() {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *Store) Close() error { return s.segs.Close() }
 
 // Destroy closes the store and deletes its directory.
 func (s *Store) Destroy() error {

@@ -137,13 +137,13 @@ func TestOverwriteChurnReclaimsSpace(t *testing.T) {
 			}
 		}
 	}
-	if s.SegmentsDropped() == 0 {
+	if s.SegmentStats().SegmentsDropped == 0 {
 		t.Fatal("no segments dropped despite heavy overwrite churn")
 	}
-	if n := s.CompactionBytes(); n != 0 {
+	if n := s.SegmentStats().CompactionBytes; n != 0 {
 		t.Errorf("cleaning re-appended %d bytes; wholly dead segments need no copying", n)
 	}
-	if amp := s.SpaceAmplification(); amp > 2.0 {
+	if amp := spaceAmp(s); amp > 2.0 {
 		t.Errorf("space amplification %f after reclaim", amp)
 	}
 	// Everything still readable.
@@ -174,10 +174,10 @@ func TestCleaningReclaimsSpace(t *testing.T) {
 			want[k] = v
 		}
 	}
-	if s.Compactions() == 0 || s.CompactionBytes() == 0 {
-		t.Fatalf("no cleaning despite churn: %d passes, %d bytes", s.Compactions(), s.CompactionBytes())
+	if st := s.SegmentStats(); st.Compactions == 0 || st.CompactionBytes == 0 {
+		t.Fatalf("no cleaning despite churn: %d passes, %d bytes", st.Compactions, st.CompactionBytes)
 	}
-	if amp := s.SpaceAmplification(); amp > 2.0 {
+	if amp := spaceAmp(s); amp > 2.0 {
 		t.Errorf("space amplification %f after cleaning", amp)
 	}
 	for k, v := range want {

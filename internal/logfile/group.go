@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// The helpers below run one operation over "this instance's live logs".
-// A store instance owns between one log (RMW) and one per live window
-// (AAR); its split sync and its poison probe, recovery and scrub are the
-// same loops whichever it is.
+// The helpers below run one operation over "this instance's live logs":
+// one per live window (AAR) or every log of every segment (Segments, the
+// RMW and AUR logs); the split sync, poison probe, recovery and scrub are
+// the same loops whichever it is.
 
 // SplitSync fsyncs the log cur currently returns while mu — the owning
 // instance's I/O lock, which guards the log and whatever cur reads — is
@@ -17,8 +17,7 @@ import (
 // queueing behind it. cur is called with mu held. A nil log means there
 // is nothing left to make durable (the log was consumed, possibly while
 // its fsync was in flight) and the sync trivially succeeds. A log
-// swapped mid-fsync (compaction opened a new generation) or reopened by
-// recovery invalidates the outcome — an fsync of the old descriptor says
+// swapped mid-fsync or reopened by recovery invalidates the outcome — an fsync of the old descriptor says
 // nothing about the data's new home — and the sync is redone against
 // current state; swaps copy all live state, so the retry converges. The
 // caller keeps at most one SplitSync in flight per log.

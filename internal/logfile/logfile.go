@@ -1,7 +1,7 @@
 // Package logfile implements the on-disk substrate shared by all stores in
 // this repository: append-only log files with buffered writes, framed
 // record scanning, positional reads, and zero-copy byte transfer between
-// logs (used by the AUR store's integrated compaction, §5 of the paper).
+// logs (used by the AUR store's cleaning, §5 of the paper).
 //
 // Every byte of I/O performed through this package is charged to a
 // metrics.Breakdown so that experiment harnesses can reproduce the
@@ -16,9 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -716,12 +713,12 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 }
 
 // TransferTo copies the n raw bytes of whole frames at offset off into
-// dst, reproducing the paper's byte transfer between old and new data
-// logs during AUR compaction. A range of at least ioBufBytes takes the
+// dst, reproducing the paper's byte transfer between a victim's and the
+// survivor's data logs during AUR cleaning. A range of at least ioBufBytes takes the
 // kernel-assisted copy path (io.Copy over *os.File lowers to
 // copy_file_range on Linux). A shorter one is gathered instead: read
 // straight into dst's write buffer and left there for the next flush, so
-// a compaction whose live runs are a few dozen bytes long issues one
+// a cleaning pass whose live runs are a few dozen bytes long issues one
 // write per buffer-full rather than one copy_file_range, preceded by a
 // flush, per run.
 func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
@@ -1032,16 +1029,13 @@ func (s *Scanner) Err() error {
 	return err
 }
 
-// Dir manages a directory of named log files for one store instance: file
-// naming, creation, listing, and space accounting. It is the substrate for
-// the AAR store's per-window files and the AUR/RMW stores' numbered
-// generations of data and index logs.
+// Dir manages a directory of named log files for one store instance:
+// creation, removal and space accounting. It is the substrate for the AAR
+// store's per-window files and the AUR/RMW stores' segments (Segments).
 type Dir struct {
-	mu   sync.Mutex
 	fs   faultfs.FS
 	root string
 	bd   *metrics.Breakdown
-	seq  int64
 
 	pol atomic.Pointer[Policy] // inherited by every log this Dir opens
 }
@@ -1092,44 +1086,6 @@ func (d *Dir) Open(name string) (*Log, error) {
 	}
 	l.pol.Store(d.pol.Load())
 	return l, nil
-}
-
-// NextName returns a fresh "<prefix>-<seq>.log" name, unique within this
-// Dir for the life of the process.
-func (d *Dir) NextName(prefix string) string {
-	d.mu.Lock()
-	d.seq++
-	n := d.seq
-	d.mu.Unlock()
-	return fmt.Sprintf("%s-%06d.log", prefix, n)
-}
-
-// List returns the names of logs in the directory with the given prefix,
-// sorted by sequence number.
-func (d *Dir) List(prefix string) ([]string, error) {
-	ents, err := d.fs.ReadDir(d.root)
-	if err != nil {
-		return nil, fmt.Errorf("logfile: list: %w", err)
-	}
-	var names []string
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, prefix+"-") && strings.HasSuffix(name, ".log") {
-			names = append(names, name)
-		}
-	}
-	sort.Slice(names, func(i, j int) bool { return seqOf(names[i]) < seqOf(names[j]) })
-	return names, nil
-}
-
-func seqOf(name string) int64 {
-	base := strings.TrimSuffix(name, ".log")
-	if i := strings.LastIndexByte(base, '-'); i >= 0 {
-		if n, err := strconv.ParseInt(base[i+1:], 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
 }
 
 // Remove unlinks the named log file.

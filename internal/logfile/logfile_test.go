@@ -477,50 +477,12 @@ func TestSync(t *testing.T) {
 	}
 }
 
-func TestDirNamingAndListing(t *testing.T) {
-	root := filepath.Join(t.TempDir(), "store")
-	d, err := OpenDir(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for i := 0; i < 12; i++ {
-		name := d.NextName("data")
-		names = append(names, name)
-		l, err := d.Create(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Append([]byte("x"))
-		l.Close()
-	}
-	// A different prefix must not show up in the listing.
-	idx, err := d.Create(d.NextName("index"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.Close()
-
-	got, err := d.List("data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(names) {
-		t.Fatalf("List = %d names, want %d", len(got), len(names))
-	}
-	for i := range names {
-		if got[i] != names[i] {
-			t.Fatalf("List[%d] = %q, want %q (sequence order)", i, got[i], names[i])
-		}
-	}
-}
-
 func TestDirDiskUsageAndRemove(t *testing.T) {
 	d, err := OpenDir(filepath.Join(t.TempDir(), "s"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := d.NextName("data")
+	name := SegmentName("data", 0)
 	l, err := d.Create(name)
 	if err != nil {
 		t.Fatal(err)
