@@ -479,7 +479,7 @@ func cmdCheckpoints(parent string) error {
 // disk, MANIFEST verification of every worker checkpoint in the
 // committed generation, and a committed-ledger summary. With a target
 // parallelism it additionally reports how a resume at that worker count
-// would restore each stage — direct, rescaled (key ranges split/merged),
+// would restore each stage — direct, rescaled (key ranges regrouped),
 // or fanned out from a shared single-owner cut. This is the operator's
 // pre-restart check: if it passes, Resume will succeed.
 func cmdJob(dir string, target int) error {
@@ -507,40 +507,36 @@ func cmdJob(dir string, target int) error {
 		}
 	}
 
-	layout, err := spe.CommittedLayout(nil, dir, meta.Gen)
-	if err != nil {
-		return err
-	}
-	stages := make([]int, 0, len(layout))
-	for si := range layout {
-		stages = append(stages, si)
-	}
-	sort.Ints(stages)
-	fmt.Println("key-range manifest:")
-	for _, si := range stages {
-		cs := layout[si]
-		par := cs.Workers
-		if si < len(meta.StagePars) && meta.StagePars[si] > 0 {
-			par = int(meta.StagePars[si])
-		}
-		switch {
-		case cs.Shared:
-			fmt.Printf("  stage %2d: shared single-owner cut, %d operator snapshots\n", si, par)
-		default:
-			fmt.Printf("  stage %2d: %d workers; worker w owns keys with hash(key) mod %d == w\n",
-				si, par, par)
-		}
-	}
-
 	genDir := filepath.Join(dir, fmt.Sprintf("gen-%06d", meta.Gen))
 	ents, err := os.ReadDir(genDir)
 	if err != nil {
 		return fmt.Errorf("committed generation unreadable: %w", err)
 	}
+	// The committed StagePars is the key-range manifest; the listing
+	// must hold exactly the cuts it names.
+	cuts, err := spe.StageCuts(ents, meta.StagePars)
+	if err != nil {
+		return err
+	}
+	stages := make([]int, 0, len(cuts))
+	for si := range cuts {
+		stages = append(stages, si)
+	}
+	sort.Ints(stages)
+	fmt.Println("key-range manifest:")
+	for _, si := range stages {
+		par := meta.StagePars[si]
+		if cuts[si] < 0 {
+			fmt.Printf("  stage %2d: shared single-owner cut, %d operator snapshots\n", si, par)
+		} else {
+			fmt.Printf("  stage %2d: %d workers; worker w owns keys with hash(key) mod %d == w\n", si, par, par)
+		}
+	}
+
 	fmt.Println("worker checkpoints:")
 	var workers, invalid int
 	for _, e := range ents {
-		if !e.IsDir() {
+		if _, _, ok := spe.ParseCutDir(e.Name()); !ok || !e.IsDir() {
 			continue
 		}
 		workers++
@@ -570,15 +566,14 @@ func cmdJob(dir string, target int) error {
 		} else {
 			fmt.Printf("resume at %d workers:\n", target)
 			for _, si := range stages {
-				cs := layout[si]
 				switch {
-				case cs.Shared:
+				case cuts[si] < 0:
 					fmt.Printf("  stage %2d: shared store restores whole; operator snapshots fan out to %d workers\n", si, target)
-				case cs.Workers == target:
+				case cuts[si] == target:
 					fmt.Printf("  stage %2d: direct worker-for-worker restore\n", si)
 				default:
-					fmt.Printf("  stage %2d: rescale %d -> %d; committed key ranges split/merged by rehash\n",
-						si, cs.Workers, target)
+					fmt.Printf("  stage %2d: rescale %d -> %d; committed key ranges regrouped by rehash\n",
+						si, cuts[si], target)
 				}
 			}
 			// Show where the committed results' keys land under the new

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"flowkv/internal/binio"
 	"flowkv/internal/core"
 	"flowkv/internal/core/aur"
+	"flowkv/internal/spe"
+	"flowkv/internal/statebackend"
 	"flowkv/internal/window"
 )
 
@@ -359,5 +362,94 @@ func TestIndexDecodesBlockIndexLog(t *testing.T) {
 	}
 	if mixed == 0 {
 		t.Error("no segment holds batches of more than one flush: no survivor segment among them")
+	}
+}
+
+// killedJob commits a few generations of a windowed job whose stage 1
+// runs at 2 workers — private FlowKV stores, or one shared store — and
+// kills it, leaving a resumable job directory.
+func killedJob(t *testing.T, shared bool) string {
+	t.Helper()
+	base := t.TempDir()
+	assigner := window.FixedAssigner{Size: 64}
+	spec := spe.OperatorSpec{Assigner: assigner, Holistic: spe.HolisticFunc(func(_ []byte, vals [][]byte) []byte {
+		return []byte(strconv.Itoa(len(vals)))
+	})}
+	var tuples []spe.Tuple
+	for i := 0; i < 400; i++ {
+		tuples = append(tuples, spe.Tuple{Key: []byte(fmt.Sprintf("k%02d", i%13)), Value: []byte("v"), TS: int64(i)})
+	}
+	job := &spe.Job{
+		Pipeline: &spe.Pipeline{
+			WatermarkEvery: 25,
+			Stages: []spe.Stage{
+				{Name: "tag", Parallelism: 2, Map: func(t spe.Tuple, emit func(spe.Tuple)) { emit(t) }},
+				{
+					Name: "win", Parallelism: 2, ShareBackend: shared, Window: &spec,
+					NewBackend: func(w int) (statebackend.Backend, error) {
+						return statebackend.Open(statebackend.Config{
+							Kind:       statebackend.KindFlowKV,
+							Dir:        filepath.Join(base, "state", fmt.Sprintf("w%02d", w)),
+							Agg:        core.AggHolistic,
+							WindowKind: window.Fixed,
+							Assigner:   assigner,
+							FlowKV:     core.Options{Instances: 2, WriteBufferBytes: 1 << 10},
+						})
+					},
+				},
+			},
+		},
+		Source:          spe.NewSliceSource(tuples),
+		Dir:             filepath.Join(base, "job"),
+		CheckpointEvery: 97,
+		KillAfterTuples: 300,
+	}
+	if _, err := job.Run(); !errors.Is(err, spe.ErrJobKilled) {
+		t.Fatalf("want a killed job, got %v", err)
+	}
+	return job.Dir
+}
+
+// TestJobReportsResumePlan drives `flowkvctl job` over a committed
+// private-stage job at 2 workers and a shared-stage job: at target 2 the
+// private stage restores directly, at 3 it rescales 2 -> 3, and the
+// shared stage fans its snapshots out. A generation missing one worker
+// cut fails the command.
+func TestJobReportsResumePlan(t *testing.T) {
+	private := killedJob(t, false)
+	for target, want := range map[int]string{
+		2: "stage  1: direct worker-for-worker restore",
+		3: "stage  1: rescale 2 -> 3",
+	} {
+		out := captureStdout(t, func() error { return cmdJob(private, target) })
+		for _, line := range []string{"stage  1: 2 workers", "s01-w00", "s01-w01", want} {
+			if !strings.Contains(out, line) {
+				t.Errorf("target %d: report lacks %q:\n%s", target, line, out)
+			}
+		}
+	}
+	shared := killedJob(t, true)
+	for _, target := range []int{2, 3} {
+		out := captureStdout(t, func() error { return cmdJob(shared, target) })
+		want := fmt.Sprintf("stage  1: shared store restores whole; operator snapshots fan out to %d workers", target)
+		if !strings.Contains(out, want) || !strings.Contains(out, "shared single-owner cut, 2 operator snapshots") {
+			t.Errorf("target %d: shared report lacks %q:\n%s", target, want, out)
+		}
+	}
+
+	meta, err := spe.ReadJobMeta(nil, private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(private, fmt.Sprintf("gen-%06d", meta.Gen), "s01-w01")); err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout, _ = os.Open(os.DevNull)
+	err = cmdJob(private, 2)
+	os.Stdout.Close()
+	os.Stdout = stdout
+	if err == nil || !strings.Contains(err.Error(), "1 of its 2 committed worker cuts") {
+		t.Fatalf("generation missing a worker cut: err = %v", err)
 	}
 }

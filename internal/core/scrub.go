@@ -59,27 +59,7 @@ func QuarantineCheckpoint(fsys faultfs.FS, dir, reason string) error {
 	if IsQuarantined(fsys, dir) {
 		return nil
 	}
-	marker := filepath.Join(dir, quarantineName)
-	tmp := marker + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("flowkv: quarantine %s: %w", dir, err)
-	}
-	if _, err := f.Write([]byte(reason + "\n")); err != nil {
-		f.Close()
-		return fmt.Errorf("flowkv: quarantine %s: %w", dir, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("flowkv: quarantine %s: %w", dir, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("flowkv: quarantine %s: %w", dir, err)
-	}
-	if err := fsys.Rename(tmp, marker); err != nil {
-		return fmt.Errorf("flowkv: quarantine %s: %w", dir, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if err := faultfs.WriteFileAtomic(fsys, filepath.Join(dir, quarantineName), []byte(reason+"\n")); err != nil {
 		return fmt.Errorf("flowkv: quarantine %s: %w", dir, err)
 	}
 	return nil

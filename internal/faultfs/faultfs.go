@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,6 +170,34 @@ func LinkOrCopy(fsys FS, src, dst string) (linked bool, err error) {
 		return false, err
 	}
 	return false, out.Close()
+}
+
+// WriteFileAtomic durably replaces the small file at path with data:
+// write a temporary sibling (path + ".tmp"), fsync it, close it, rename
+// it over path, then fsync the directory. The data is on disk before the
+// rename makes it visible, so a crash at any step leaves path holding
+// either its old content or data — never a prefix, never an empty file.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
 // CorruptAtRest mutates the file at path in place, modelling bit rot

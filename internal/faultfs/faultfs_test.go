@@ -185,3 +185,41 @@ func TestInjectorPathAndKindMatching(t *testing.T) {
 		t.Fatalf("second index write err = %v, want ErrInjected", err)
 	}
 }
+
+// TestWriteFileAtomicCrashAtEachStep crashes WriteFileAtomic at every
+// mutating step — create, (torn) write, fsync, rename, directory fsync —
+// and checks the target holds exactly the old content until the rename
+// and exactly the new content from it on: never a prefix, never empty.
+// Crashing at the fsync must leave the old content, which pins the fsync
+// before the rename. With no old file, the target is absent or whole.
+func TestWriteFileAtomicCrashAtEachStep(t *testing.T) {
+	const steps = 5 // create, write, sync, rename, syncdir
+	newData := []byte(`{"tenants": ["a", "b"]}` + "\n")
+	for _, old := range [][]byte{[]byte(`{"tenants": ["a"]}` + "\n"), nil} {
+		for n := int64(1); n <= steps+1; n++ {
+			path := filepath.Join(t.TempDir(), "TENANTS.json")
+			if old != nil {
+				if err := os.WriteFile(path, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inj := NewInjector(OS)
+			inj.SetRule(Rule{AtOp: n, Crash: true, TornBytes: 3})
+			err := WriteFileAtomic(inj, path, newData)
+			if fired := inj.Fired(); fired != (n <= steps) || fired != (err != nil) {
+				t.Fatalf("step %d: fired=%v err=%v", n, fired, err)
+			}
+			got, rerr := os.ReadFile(path)
+			want := old
+			if n > 4 { // the rename (step 4) completed before the crash
+				want = newData
+			}
+			switch {
+			case want == nil && !errors.Is(rerr, os.ErrNotExist):
+				t.Fatalf("step %d: target exists (%q, %v), want absent", n, got, rerr)
+			case want != nil && string(got) != string(want):
+				t.Fatalf("step %d: target holds %q (%v), want %q", n, got, rerr, want)
+			}
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"flowkv/internal/core"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/jobmanager/limit"
 	"flowkv/internal/logfile"
 	"flowkv/internal/spe"
@@ -632,13 +633,8 @@ func (m *Manager) writeTenantsFileLocked() error {
 	if err != nil {
 		return fmt.Errorf("jobmanager: encode %s: %w", TenantsFileName, err)
 	}
-	path := filepath.Join(m.opts.Dir, TenantsFileName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS, filepath.Join(m.opts.Dir, TenantsFileName), append(b, '\n')); err != nil {
 		return fmt.Errorf("jobmanager: write %s: %w", TenantsFileName, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("jobmanager: commit %s: %w", TenantsFileName, err)
 	}
 	return nil
 }

@@ -51,8 +51,8 @@ import (
 // checkpoint of the merged store carrying all workers' operator
 // snapshots in a combined frame, and restore fans the snapshots back out
 // (the store itself needs no splitting — it is shared). Resume may also
-// change a stage's parallelism: committed per-worker checkpoints are
-// split/merged along key ranges before replay (see rescale.go).
+// change a stage's parallelism: committed per-worker cuts are regrouped
+// by key before replay (see rescale.go).
 //
 // Determinism requirements on the pipeline: a seekable, deterministic
 // source, and every stateful backend must support checkpointing
@@ -67,16 +67,15 @@ const (
 	genPrefix   = "gen-"     // checkpoint generation directories
 )
 
-// jobMetaMagic versions the JOB file encoding. v3 appends the per-stage
-// routing tables (live-migration ownership); v2 added the per-stage
-// parallelisms (the key-range manifest); v1 files (neither) are still
-// readable — their layout is recovered from the generation directory
-// scan. New JOB files are always written as v3.
-const (
-	jobMetaMagic   = "flowkv-job3\n"
-	jobMetaMagicV2 = "flowkv-job2\n"
-	jobMetaMagicV1 = "flowkv-job1\n"
-)
+// jobMetaMagic versions the JOB (and GENMETA) record: progress, the
+// per-stage parallelisms (the key-range manifest) and the per-stage
+// routing tables (live-migration ownership).
+const jobMetaMagic = "flowkv-job3\n"
+
+// selfHealWait bounds how long a barrier checkpoint waits for a
+// degraded store to heal when the job sets SelfHeal but no
+// DegradedCheckpointTimeout.
+const selfHealWait = 5 * time.Second
 
 // ErrJobKilled reports a run aborted by the KillAfterTuples crash knob.
 var ErrJobKilled = errors.New("spe: job killed (simulated crash)")
@@ -131,12 +130,9 @@ type Job struct {
 	// barrier checkpoint wait for the heal and retry once instead of
 	// aborting the run.
 	SelfHeal *core.SelfHealOptions
-	// SelfHealWait bounds how long a barrier checkpoint waits for a
-	// degraded store to heal. Default 5s.
-	SelfHealWait time.Duration
-	// DegradedCheckpointTimeout, when positive, overrides SelfHealWait
-	// as the wait-and-retry-while-Degraded deadline, and hardens the
-	// failure mode: where an expired SelfHealWait surfaces whatever raw
+	// DegradedCheckpointTimeout, when positive, replaces the 5 s
+	// wait-and-retry-while-Degraded deadline of SelfHeal, and hardens
+	// the failure mode: where an expired 5 s wait surfaces whatever raw
 	// checkpoint error last occurred, an expired
 	// DegradedCheckpointTimeout halts the run with a typed *Halt whose
 	// error wraps ErrCheckpointTimeout — the signal a job manager keys
@@ -200,8 +196,8 @@ type JobMeta struct {
 	LedgerLen int64
 	// StagePars records each pipeline stage's parallelism at commit time
 	// — the key-range manifest: worker w of stage s held exactly the
-	// keys with routeKey(key, StagePars[s]) == w. Empty for jobs
-	// committed before the manifest existed (v1 JOB files).
+	// keys with routeKey(key, StagePars[s]) == w. Resume reads each
+	// stage's committed worker count here.
 	StagePars []int64
 	// Routing records each stage's live routing table at commit time:
 	// Routing[s][b] is the worker of stage s that owns hash bucket b
@@ -250,10 +246,6 @@ func (j *Job) fs() faultfs.FS {
 }
 
 func genDirName(gen int64) string { return fmt.Sprintf("%s%06d", genPrefix, gen) }
-
-func workerDirName(stage, worker int) string { return fmt.Sprintf("s%02d-w%02d", stage, worker) }
-
-func sharedDirName(stage int) string { return fmt.Sprintf("s%02d-shared", stage) }
 
 // Run starts the job from a clean slate. It refuses to run over a job
 // directory that already has committed progress — use Resume there. Any
@@ -345,41 +337,26 @@ func (j *Job) retain() int64 {
 	return 1
 }
 
-// jobStage is one stateful stage of a running job: its operators plus
-// either per-worker private backends/checkpointers or one shared backend
-// with a single-owner checkpoint cut.
+// jobStage is one stateful stage of a running job: its operators, each
+// over its own private backend (ops[w].Backend(), swapped in place by a
+// migration), or one shared backend with a single-owner checkpoint cut.
 type jobStage struct {
 	si   int    // pipeline stage index
 	name string // stage name for errors
 	par  int    // current parallelism
 	join bool   // interval-join stage (selects the snapshot codec)
 	ops  []opSnapshotter
-	// Private mode: one backend + checkpointer per worker.
-	backends []statebackend.Backend
-	cps      []statebackend.Checkpointer
-	// Shared mode: the stage's single backend and checkpointer, plus the
-	// deferred drop tracker whose fired-window queue rides inside the
-	// single-owner cut (nil when the backend has no partitioned reads).
-	shared   statebackend.Backend
-	sharedCP statebackend.Checkpointer
-	drops    *sharedDrops
+	// Shared mode: the stage's single backend, plus the deferred drop
+	// tracker whose fired-window queue rides inside the single-owner cut
+	// (nil when the backend has no partitioned reads).
+	shared statebackend.Backend
+	drops  *sharedDrops
 	// Per-worker self-healer stop functions (nil entries when no healer
 	// runs); sharedHeal covers shared mode. Tracked per worker so live
 	// migration can stop and restart a single worker's healer around a
 	// backend swap.
 	heal       []func()
 	sharedHeal func()
-}
-
-// eachBackend visits the stage's distinct backends (one in shared mode).
-func (js *jobStage) eachBackend(fn func(statebackend.Backend)) {
-	if js.shared != nil {
-		fn(js.shared)
-		return
-	}
-	for _, b := range js.backends {
-		fn(b)
-	}
 }
 
 // jobRun is the state of one job execution attempt.
@@ -480,12 +457,10 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 		}
 		js := &jobStage{si: si, name: rt.stage.Name, par: rt.par, join: rt.stage.Join != nil}
 		if rt.shared != nil {
-			cp, ok := statebackend.AsCheckpointer(rt.shared)
-			if !ok {
+			if _, ok := statebackend.AsCheckpointer(rt.shared); !ok {
 				return fail(fmt.Errorf("spe: stage %s: shared backend %s does not support checkpointing", rt.stage.Name, rt.shared.Name()))
 			}
-			js.shared, js.sharedCP = rt.shared, cp
-			js.drops = rt.drops
+			js.shared, js.drops = rt.shared, rt.drops
 		}
 		for wi, op := range rt.ops {
 			snapOp, ok := op.(opSnapshotter)
@@ -494,12 +469,9 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 			}
 			js.ops = append(js.ops, snapOp)
 			if rt.shared == nil {
-				cp, ok := statebackend.AsCheckpointer(op.Backend())
-				if !ok {
+				if _, ok := statebackend.AsCheckpointer(op.Backend()); !ok {
 					return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
 				}
-				js.backends = append(js.backends, op.Backend())
-				js.cps = append(js.cps, cp)
 			}
 		}
 		jr.stages = append(jr.stages, js)
@@ -697,16 +669,6 @@ func (jr *jobRun) commit(final bool) error {
 	if err := jr.fsys.RemoveAll(genDir); err != nil {
 		return fmt.Errorf("spe: job checkpoint: clear gen dir: %w", err)
 	}
-	// Checkpoints are priced incrementally against the previous
-	// generation, which clearGens has kept alive exactly for this: each
-	// backend hard-links the bytes gen-1 already persisted and rewrites
-	// only the delta. Any unusable parent (first generation, a
-	// parallelism change, a legacy-format ancestor) silently falls back
-	// to a full base.
-	prevGenDir := ""
-	if jr.gen >= 1 {
-		prevGenDir = filepath.Join(j.Dir, genDirName(jr.gen))
-	}
 	for _, js := range jr.stages {
 		if js.shared != nil {
 			snaps := make([][]byte, len(js.ops))
@@ -717,24 +679,14 @@ func (jr *jobRun) commit(final bool) error {
 			if js.drops != nil {
 				fired = js.drops.snapshotFired()
 			}
-			dir := filepath.Join(genDir, sharedDirName(js.si))
-			parent := ""
-			if prevGenDir != "" {
-				parent = filepath.Join(prevGenDir, sharedDirName(js.si))
-			}
-			if err := jr.checkpointBackend(js.sharedCP, js.shared, dir, parent, encodeShardSnaps(snaps, fired)); err != nil {
-				return jr.checkpointFailed(js, -1, js.shared, gen, err)
+			if err := jr.checkpointCut(gen, js, -1, js.shared, encodeShardSnaps(snaps, fired)); err != nil {
+				return err
 			}
 			continue
 		}
 		for w, op := range js.ops {
-			dir := filepath.Join(genDir, workerDirName(js.si, w))
-			parent := ""
-			if prevGenDir != "" {
-				parent = filepath.Join(prevGenDir, workerDirName(js.si, w))
-			}
-			if err := jr.checkpointBackend(js.cps[w], js.backends[w], dir, parent, op.snapshotState()); err != nil {
-				return jr.checkpointFailed(js, w, js.backends[w], gen, err)
+			if err := jr.checkpointCut(gen, js, w, op.Backend(), op.snapshotState()); err != nil {
+				return err
 			}
 		}
 	}
@@ -779,11 +731,13 @@ func (jr *jobRun) commit(final bool) error {
 	// one using its committed offset, ledger length and routing — without
 	// trusting the JOB file that points at the rotten tip. Written before
 	// the JOB rename so the commit point covers it.
-	if err := writeGenMeta(jr.fsys, genDir, m); err != nil {
-		return err
+	rec := encodeJobMeta(m)
+	if err := faultfs.WriteFileAtomic(jr.fsys, filepath.Join(genDir, genMetaName), rec); err != nil {
+		return fmt.Errorf("spe: job commit: gen meta: %w", err)
 	}
-	if err := writeJobMeta(jr.fsys, j.Dir, m); err != nil {
-		return err
+	// The JOB rename is the job's commit point.
+	if err := faultfs.WriteFileAtomic(jr.fsys, filepath.Join(j.Dir, jobMetaName), rec); err != nil {
+		return fmt.Errorf("spe: job commit: %w", err)
 	}
 	jr.gen = gen
 	// GC failures do not invalidate the commit; stale generations are
@@ -809,8 +763,8 @@ func (jr *jobRun) startHealers() {
 			}
 			continue
 		}
-		js.heal = make([]func(), len(js.backends))
-		for w := range js.backends {
+		js.heal = make([]func(), len(js.ops))
+		for w := range js.ops {
 			jr.startHeal(js, w)
 		}
 	}
@@ -823,10 +777,10 @@ func (jr *jobRun) startHeal(js *jobStage, w int) {
 		return
 	}
 	if js.heal == nil {
-		js.heal = make([]func(), len(js.backends))
+		js.heal = make([]func(), len(js.ops))
 	}
 	jr.stopHeal(js, w)
-	if stop, ok := statebackend.StartSelfHeal(js.backends[w], *jr.j.SelfHeal); ok {
+	if stop, ok := statebackend.StartSelfHeal(js.ops[w].Backend(), *jr.j.SelfHeal); ok {
 		js.heal[w] = stop
 	}
 }
@@ -872,9 +826,40 @@ func (jr *jobRun) checkpointFailed(js *jobStage, worker int, b statebackend.Back
 	return h
 }
 
+// checkpointCut writes stage js's cut for worker w (-1: the shared cut)
+// into generation gen, priced against the same cut of the previous
+// generation, which clearGens has kept alive exactly for this: each
+// backend hard-links the bytes gen-1 already persisted and rewrites only
+// the delta. Any unusable parent (first generation, a parallelism
+// change) silently falls back to a full base.
+func (jr *jobRun) checkpointCut(gen int64, js *jobStage, w int, b statebackend.Backend, meta []byte) error {
+	name := cutDirName(js.si, w)
+	parent := ""
+	if gen > 1 {
+		parent = filepath.Join(jr.j.Dir, genDirName(gen-1), name)
+	}
+	if err := jr.checkpointBackend(b, filepath.Join(jr.j.Dir, genDirName(gen), name), parent, meta); err != nil {
+		return jr.checkpointFailed(js, w, b, gen, err)
+	}
+	return nil
+}
+
+// snapshotTo takes one checkpoint of b into dir with meta as its
+// application metadata. Backends with the incremental capability always
+// go through the delta path — with an empty or unusable parent it writes
+// a full base in the segmented format, so later cuts can link against
+// it; plain Checkpointers take full snapshots forever.
+func snapshotTo(b statebackend.Backend, dir, parent string, meta []byte) error {
+	cp, _ := statebackend.AsCheckpointer(b)
+	if dc, ok := cp.(statebackend.DeltaCheckpointer); ok {
+		return dc.CheckpointDeltaMeta(dir, parent, meta)
+	}
+	return cp.CheckpointMeta(dir, meta)
+}
+
 // checkpointBackend snapshots one backend with meta as its application
 // metadata. If the checkpoint fails while a self-healer is running, wait
-// for the store to come back Healthy and retry, bounded by SelfHealWait:
+// for the store to come back Healthy and retry, bounded by selfHealWait:
 // a flush failure during the checkpoint poisons the live logs, Recover
 // rewrites the buffered tail at the durable offset, and the retried
 // checkpoint captures the full state — the run survives transient faults
@@ -882,18 +867,9 @@ func (jr *jobRun) checkpointFailed(js *jobStage, worker int, b statebackend.Back
 // reaches Failed, or a failure that persists with the store Healthy
 // (confined to the snapshot directory), aborts the attempt; the run ends
 // uncommitted and stays resumable.
-func (jr *jobRun) checkpointBackend(cp statebackend.Checkpointer, b statebackend.Backend, dir, parent string, meta []byte) error {
+func (jr *jobRun) checkpointBackend(b statebackend.Backend, dir, parent string, meta []byte) error {
 	clk := clock.Or(jr.j.Clock)
-	// Backends with the incremental capability always go through the
-	// delta path — with an empty or unusable parent it writes a full
-	// base in the segmented format, so later generations can link
-	// against it; plain Checkpointers take full snapshots forever.
-	snap := func() error {
-		if dc, ok := cp.(statebackend.DeltaCheckpointer); ok {
-			return dc.CheckpointDeltaMeta(dir, parent, meta)
-		}
-		return cp.CheckpointMeta(dir, meta)
-	}
+	snap := func() error { return snapshotTo(b, dir, parent, meta) }
 	if pd := jr.j.ProgressDeadline; pd > 0 {
 		// Checkpoint-side progress watchdog: a snapshot wedged in a hung
 		// syscall (no store-level OpDeadline to bound it) is abandoned at
@@ -923,10 +899,7 @@ func (jr *jobRun) checkpointBackend(cp statebackend.Checkpointer, b statebackend
 	}
 	wait := jr.j.DegradedCheckpointTimeout
 	if wait <= 0 {
-		wait = jr.j.SelfHealWait
-	}
-	if wait <= 0 {
-		wait = 5 * time.Second
+		wait = selfHealWait
 	}
 	deadline := clk.Now().Add(wait)
 	wasDegraded := false
@@ -960,99 +933,104 @@ func (jr *jobRun) checkpointBackend(cp statebackend.Checkpointer, b statebackend
 }
 
 // restoreCommitted rebuilds every stateful stage from the committed
-// generation. Same-parallelism private stages restore worker-for-worker;
-// a parallelism change routes each committed worker checkpoint through a
-// scratch store and re-appends its state into the new workers by key
-// hash, then re-partitions the operator snapshots the same way. Shared
-// stages restore their single merged cut and fan the combined operator
-// snapshots back out — re-partitioned first if the worker count changed.
-// The committed generation is only ever read; a crash mid-restore leaves
-// it intact for the next Resume.
+// generation. The committed generation is only ever read; a crash
+// mid-restore leaves it intact for the next Resume.
 func (jr *jobRun) restoreCommitted(meta JobMeta) error {
-	j := jr.j
-	genDir := filepath.Join(j.Dir, genDirName(meta.Gen))
-	layout, err := CommittedLayout(jr.fsys, j.Dir, meta.Gen)
-	if err != nil {
-		return err
-	}
-	scratchRoot := filepath.Join(j.Dir, rescaleDirName)
-	defer jr.fsys.RemoveAll(scratchRoot)
+	genDir := filepath.Join(jr.j.Dir, genDirName(meta.Gen))
 	for _, js := range jr.stages {
-		cs, ok := layout[js.si]
-		if !ok {
-			return fmt.Errorf("spe: job resume gen %d: stage %s has no committed checkpoint", meta.Gen, js.name)
+		if err := jr.restoreStage(js, meta, genDir); err != nil {
+			return fmt.Errorf("spe: job resume gen %d: stage %s: %w", meta.Gen, js.name, err)
 		}
-		if cs.Shared != (js.shared != nil) {
-			return fmt.Errorf("spe: job resume gen %d: stage %s committed shared=%v, pipeline shared=%v", meta.Gen, js.name, cs.Shared, js.shared != nil)
+	}
+	return nil
+}
+
+// restoreStage rebuilds one stage from its cuts in genDir. Its committed
+// worker count is StagePars[si]. At the same count, private workers
+// restore worker for worker; at another, every committed cut is rerouted
+// by key into the new workers. A shared stage restores its single cut
+// whole (the store needs no splitting). Either way the operator
+// snapshots are regrouped onto the new workers when their count changed.
+func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error {
+	if js.si >= len(meta.StagePars) || meta.StagePars[js.si] < 1 {
+		return fmt.Errorf("no committed parallelism in the key-range manifest %v", meta.StagePars)
+	}
+	committed := int(meta.StagePars[js.si])
+	// cut locates one expected cut. A missing one is a pipeline whose
+	// stage shape changed since the commit, or a lost directory — not
+	// rot, so the error must not read as ErrCheckpointInvalid, which
+	// would quarantine the generation.
+	cut := func(w int) (string, error) {
+		dir := filepath.Join(genDir, cutDirName(js.si, w))
+		if _, err := jr.fsys.ReadDir(dir); err != nil {
+			return "", fmt.Errorf("committed cut %s is missing: %v", dir, err)
 		}
-		if js.shared != nil {
-			combined, err := js.sharedCP.RestoreMeta(filepath.Join(genDir, sharedDirName(js.si)))
-			if err != nil {
-				return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-			}
-			snaps, fired, err := decodeShardSnaps(combined)
-			if err != nil {
-				return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-			}
-			if len(snaps) != js.par {
-				if snaps, err = repartitionOpSnaps(snaps, js.par, js.join); err != nil {
-					return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, len(snaps), js.par, err)
-				}
-			}
-			for w, op := range js.ops {
-				if err := op.restoreState(snaps[w]); err != nil {
-					return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-				}
-			}
-			// Requeue the committed fired-window list: these windows'
-			// merged state is still linked in the shared store but no
-			// operator snapshot references them anymore, so without the
-			// reseed a resumed stage would leak them as orphans.
-			if js.drops != nil {
-				js.drops.reseedFired(fired)
-			}
-			continue
-		}
-		if cs.Workers == js.par {
-			for w, op := range js.ops {
-				snap, err := js.cps[w].RestoreMeta(filepath.Join(genDir, workerDirName(js.si, w)))
-				if err != nil {
-					return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-				}
-				if err := op.restoreState(snap); err != nil {
-					return fmt.Errorf("spe: job resume gen %d: %w", meta.Gen, err)
-				}
-			}
-			continue
-		}
-		// Rescale: split/merge the committed key ranges onto the new
-		// worker set.
-		route := func(key []byte) int { return routeKey(key, js.par) }
-		if js.join {
-			// Join state lives under side-tagged backend keys; the new
-			// owner is decided by the user key, as live routing does.
-			route = func(key []byte) int { return routeKey(sideKeyUser(key), js.par) }
-		}
-		oldSnaps := make([][]byte, 0, cs.Workers)
-		for ow := 0; ow < cs.Workers; ow++ {
-			snap, err := rerouteCheckpointState(jr.fsys,
-				filepath.Join(genDir, workerDirName(js.si, ow)),
-				filepath.Join(scratchRoot, workerDirName(js.si, ow)),
-				js.backends, route)
-			if err != nil {
-				return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, cs.Workers, js.par, err)
-			}
-			oldSnaps = append(oldSnaps, snap)
-		}
-		newSnaps, err := repartitionOpSnaps(oldSnaps, js.par, js.join)
+		return dir, nil
+	}
+	owner := func(k []byte) int { return routeKey(k, js.par) }
+	var snaps [][]byte
+	var fired []window.Window
+	switch {
+	case js.shared != nil:
+		dir, err := cut(-1)
 		if err != nil {
-			return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, cs.Workers, js.par, err)
+			return err
 		}
-		for w, op := range js.ops {
-			if err := op.restoreState(newSnaps[w]); err != nil {
-				return fmt.Errorf("spe: job rescale stage %s %d->%d: %w", js.name, cs.Workers, js.par, err)
+		cp, _ := statebackend.AsCheckpointer(js.shared)
+		combined, err := cp.RestoreMeta(dir)
+		if err != nil {
+			return err
+		}
+		if snaps, fired, err = decodeShardSnaps(combined); err != nil {
+			return err
+		}
+	case committed == js.par:
+		for w := range js.ops {
+			dir, err := cut(w)
+			if err != nil {
+				return err
 			}
+			cp, _ := statebackend.AsCheckpointer(js.ops[w].Backend())
+			snap, err := cp.RestoreMeta(dir)
+			if err != nil {
+				return err
+			}
+			snaps = append(snaps, snap)
 		}
+	default:
+		backends := make([]statebackend.Backend, js.par)
+		for w := range backends {
+			backends[w] = js.ops[w].Backend()
+		}
+		for ow := 0; ow < committed; ow++ {
+			dir, err := cut(ow)
+			if err != nil {
+				return err
+			}
+			snap, err := jr.rerouteCut(dir, backends, owner, js.join)
+			if err != nil {
+				return fmt.Errorf("rescale %d->%d: %w", committed, js.par, err)
+			}
+			snaps = append(snaps, snap)
+		}
+	}
+	if len(snaps) != js.par {
+		var err error
+		if snaps, err = regroupSnaps(snaps, js.par, func(k string) int { return owner([]byte(k)) }, js.join); err != nil {
+			return fmt.Errorf("rescale %d->%d: %w", committed, js.par, err)
+		}
+	}
+	for w, op := range js.ops {
+		if err := op.restoreState(snaps[w]); err != nil {
+			return err
+		}
+	}
+	// Requeue the committed fired-window list: these windows' merged
+	// state is still linked in the shared store but no operator snapshot
+	// references them anymore, so without the reseed a resumed stage
+	// would leak them as orphans.
+	if js.drops != nil {
+		js.drops.reseedFired(fired)
 	}
 	return nil
 }
@@ -1188,17 +1166,10 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 	if err != nil {
 		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %w", err)
 	}
-	version := 3
-	switch {
-	case len(payload) >= len(jobMetaMagic) && string(payload[:len(jobMetaMagic)]) == jobMetaMagic:
-	case len(payload) >= len(jobMetaMagicV2) && string(payload[:len(jobMetaMagicV2)]) == jobMetaMagicV2:
-		version = 2
-	case len(payload) >= len(jobMetaMagicV1) && string(payload[:len(jobMetaMagicV1)]) == jobMetaMagicV1:
-		version = 1
-	default:
+	d := snapDecoder{b: payload}
+	if d.magic(jobMetaMagic) != nil {
 		return JobMeta{}, fmt.Errorf("spe: not a JOB file (bad magic)")
 	}
-	d := snapDecoder{b: payload[len(jobMetaMagic):]} // all three magics have equal length
 	var m JobMeta
 	m.Gen = d.varint()
 	m.Final = d.varint() != 0
@@ -1207,31 +1178,27 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 	m.MaxTS = d.varint()
 	m.SinceWM = d.varint()
 	m.LedgerLen = d.varint()
-	if version >= 2 {
-		n := d.uvarint()
-		if n > maxShardSnaps {
-			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d stages", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			m.StagePars = append(m.StagePars, d.varint())
-		}
+	n := d.uvarint()
+	if n > maxShardSnaps {
+		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d stages", n)
 	}
-	if version >= 3 {
-		n := d.uvarint()
-		if n > maxShardSnaps {
-			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing tables", n)
+	for i := uint64(0); i < n; i++ {
+		m.StagePars = append(m.StagePars, d.varint())
+	}
+	n = d.uvarint()
+	if n > maxShardSnaps {
+		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing tables", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		rn := d.uvarint()
+		if rn > maxShardSnaps {
+			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing entries", rn)
 		}
-		for i := uint64(0); i < n; i++ {
-			rn := d.uvarint()
-			if rn > maxShardSnaps {
-				return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing entries", rn)
-			}
-			var rt []int64
-			for k := uint64(0); k < rn; k++ {
-				rt = append(rt, d.varint())
-			}
-			m.Routing = append(m.Routing, rt)
+		var rt []int64
+		for k := uint64(0); k < rn; k++ {
+			rt = append(rt, d.varint())
 		}
+		m.Routing = append(m.Routing, rt)
 	}
 	if d.err != nil {
 		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %w", d.err)
@@ -1264,60 +1231,6 @@ func (m *JobMeta) validRouting() error {
 				return fmt.Errorf("spe: corrupt JOB file: stage %d bucket %d routed to worker %d of %d", si, b, w, m.StagePars[si])
 			}
 		}
-	}
-	return nil
-}
-
-// writeGenMeta drops the progress record into the generation directory
-// itself (same encoding as the JOB file). No rename dance: the sidecar
-// only ever becomes meaningful once the JOB rename commits the
-// generation, and a torn GENMETA fails decode and is simply not a
-// fallback candidate.
-func writeGenMeta(fsys faultfs.FS, genDir string, m JobMeta) error {
-	f, err := fsys.Create(filepath.Join(genDir, genMetaName))
-	if err != nil {
-		return fmt.Errorf("spe: job commit: gen meta: %w", err)
-	}
-	if _, err := f.Write(encodeJobMeta(m)); err != nil {
-		f.Close()
-		return fmt.Errorf("spe: job commit: gen meta: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("spe: job commit: gen meta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("spe: job commit: gen meta: %w", err)
-	}
-	return fsys.SyncDir(genDir)
-}
-
-// writeJobMeta durably replaces the JOB file: write + fsync a temporary,
-// atomic rename, fsync the directory. The rename is the job's commit
-// point.
-func writeJobMeta(fsys faultfs.FS, dir string, m JobMeta) error {
-	path := filepath.Join(dir, jobMetaName)
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("spe: job commit: %w", err)
-	}
-	if _, err := f.Write(encodeJobMeta(m)); err != nil {
-		f.Close()
-		return fmt.Errorf("spe: job commit: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("spe: job commit: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("spe: job commit: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("spe: job commit: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("spe: job commit: %w", err)
 	}
 	return nil
 }
@@ -1391,9 +1304,11 @@ func ReadLedgerBytes(fsys faultfs.FS, dir string) ([]byte, error) {
 }
 
 // ListGenerations returns the checkpoint generation numbers present in a
-// job directory, ascending. At most the committed generation and one
-// uncommitted in-flight generation exist at any instant; stale ones are
-// removed on resume. A nil fsys uses the real filesystem.
+// job directory, ascending: the RetainGenerations newest committed ones
+// (the committed tip and its fallbacks), quarantined ones kept as
+// evidence, and at most one uncommitted in-flight generation above the
+// tip, which the next Resume removes. A nil fsys uses the real
+// filesystem.
 func ListGenerations(fsys faultfs.FS, dir string) ([]int64, error) {
 	if fsys == nil {
 		fsys = faultfs.OS

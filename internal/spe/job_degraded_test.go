@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 	"flowkv/internal/window"
 )
 
-// TestShardSnapsCodecFiredWindows covers the v2 shared-stage snapshot
+// TestShardSnapsCodecFiredWindows covers the shared-stage snapshot
 // frame: the fired-window queue rides next to the per-worker operator
-// snapshots, and v1 frames (no queue) still decode.
+// snapshots, and v1 frames (no queue) are rejected.
 func TestShardSnapsCodecFiredWindows(t *testing.T) {
 	snaps := [][]byte{[]byte("worker-0"), []byte("worker-1"), nil}
 	fired := []window.Window{{Start: 0, End: 64}, {Start: 64, End: 128}}
@@ -41,18 +42,15 @@ func TestShardSnapsCodecFiredWindows(t *testing.T) {
 		t.Fatalf("empty queue round trip: fired=%v err=%v", gotFired, err)
 	}
 
-	// v1 frame: same layout minus the queue, old magic.
-	v1 := []byte(shardSnapsMagicV1)
+	// A frame of the retired v1 format (no fired-window queue) is
+	// rejected: only shardsnaps2 is ever written.
+	v1 := []byte("flowkv-shardsnaps1\n")
 	v1 = binio.PutUvarint(v1, uint64(len(snaps)))
 	for _, s := range snaps {
 		v1 = binio.PutBytes(v1, s)
 	}
-	gotSnaps, gotFired, err = decodeShardSnaps(v1)
-	if err != nil {
-		t.Fatalf("v1 fallback: %v", err)
-	}
-	if len(gotSnaps) != len(snaps) || gotFired != nil {
-		t.Fatalf("v1 fallback: %d snaps, fired=%v", len(gotSnaps), gotFired)
+	if _, _, err := decodeShardSnaps(v1); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("v1 frame: err = %v, want bad magic", err)
 	}
 
 	// Corruption must be rejected, not panic.
@@ -109,9 +107,8 @@ func TestSharedDropsReseedFired(t *testing.T) {
 }
 
 // TestJobDegradedCheckpointTimeout: with no healer running, a store
-// degraded mid-checkpoint can never return to Healthy, and the old
-// SelfHealWait path would just report the raw flush error after its
-// wait. DegradedCheckpointTimeout instead converts the expired wait
+// degraded mid-checkpoint can never return to Healthy, and the default
+// SelfHeal wait would just report the raw flush error after it expires. DegradedCheckpointTimeout instead converts the expired wait
 // into a typed *Halt wrapping ErrCheckpointTimeout that names the
 // failing stage and backend — and the job stays resumable.
 func TestJobDegradedCheckpointTimeout(t *testing.T) {

@@ -5,27 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"flowkv/internal/binio"
 )
-
-// encodeJobMetaV1 builds a legacy v1 JOB record (no StagePars manifest)
-// for fallback-path seeds.
-func encodeJobMetaV1(m JobMeta) []byte {
-	p := []byte(jobMetaMagicV1)
-	p = binio.PutVarint(p, m.Gen)
-	var fin int64
-	if m.Final {
-		fin = 1
-	}
-	p = binio.PutVarint(p, fin)
-	p = binio.PutVarint(p, m.Offset)
-	p = binio.PutVarint(p, m.TuplesIn)
-	p = binio.PutVarint(p, m.MaxTS)
-	p = binio.PutVarint(p, m.SinceWM)
-	p = binio.PutVarint(p, m.LedgerLen)
-	return binio.AppendRecord(nil, p)
-}
 
 // realJobRecord runs a tiny checkpointed job and returns its committed
 // JOB file — a seed drawn from the real encoder+commit path rather than
@@ -55,8 +35,7 @@ func realJobRecord(f *testing.F) []byte {
 // resume trusts it to locate the committed generation, source offset
 // and ledger length — so the decoder must reject corruption with a
 // reason rather than panic, and anything it accepts must survive a
-// re-encode/decode round trip unchanged (v1 records re-encode as v2
-// with an empty manifest).
+// re-encode/decode round trip unchanged.
 func FuzzDecodeJobRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeJobMeta(JobMeta{}))
@@ -65,7 +44,10 @@ func FuzzDecodeJobRecord(f *testing.F) {
 		LedgerLen: 65536, StagePars: []int64{2, 4, 1},
 	}))
 	f.Add(encodeJobMeta(JobMeta{Gen: 3, Final: true, Offset: 100, LedgerLen: 12, StagePars: []int64{1}}))
-	f.Add(encodeJobMetaV1(JobMeta{Gen: 2, Offset: 99, TuplesIn: 99, MaxTS: 55, SinceWM: 3, LedgerLen: 2048}))
+	f.Add(encodeJobMeta(JobMeta{
+		Gen: 2, Offset: 99, TuplesIn: 99, MaxTS: 55, SinceWM: 3, LedgerLen: 2048,
+		StagePars: []int64{2, 3}, Routing: [][]int64{nil, {2, 0, 1}},
+	}))
 	real := realJobRecord(f)
 	f.Add(real)
 	// Truncated and bit-flipped variants of the real committed record.
@@ -83,9 +65,6 @@ func FuzzDecodeJobRecord(f *testing.F) {
 		m2, err := decodeJobMeta(re)
 		if err != nil {
 			t.Fatalf("re-encoded JOB record rejected: %v", err)
-		}
-		if m.StagePars == nil {
-			m.StagePars = nil // v1: decodes nil, re-decodes nil — normalize
 		}
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round trip changed record: %+v -> %+v", m, m2)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -472,7 +473,7 @@ func TestOperatorSnapshotRoundTrip(t *testing.T) {
 func TestJobMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := JobMeta{Gen: 42, Final: true, Offset: 1234, TuplesIn: 5678, MaxTS: 99, SinceWM: 7, LedgerLen: 4096, StagePars: []int64{1, 3, 2}}
-	if err := writeJobMeta(faultfs.OS, dir, m); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS, filepath.Join(dir, jobMetaName), encodeJobMeta(m)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJobMeta(nil, dir)
@@ -482,28 +483,22 @@ func TestJobMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("meta round trip: got %+v want %+v", got, m)
 	}
-	// A v1 JOB file (no key-range manifest) still decodes; the manifest
-	// comes back empty and the layout is recovered from the generation
-	// directory scan instead.
-	v1 := []byte(jobMetaMagicV1)
-	v1 = binio.PutVarint(v1, m.Gen)
-	v1 = binio.PutVarint(v1, 1)
-	v1 = binio.PutVarint(v1, m.Offset)
-	v1 = binio.PutVarint(v1, m.TuplesIn)
-	v1 = binio.PutVarint(v1, m.MaxTS)
-	v1 = binio.PutVarint(v1, m.SinceWM)
-	v1 = binio.PutVarint(v1, m.LedgerLen)
-	if err := os.WriteFile(filepath.Join(dir, jobMetaName), binio.AppendRecord(nil, v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gotV1, err := ReadJobMeta(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV1 := m
-	wantV1.StagePars = nil
-	if !reflect.DeepEqual(gotV1, wantV1) {
-		t.Fatalf("v1 meta decode: got %+v want %+v", gotV1, wantV1)
+	// JOB records of the retired v1 (no key-range manifest) and v2 (no
+	// routing tables) formats are rejected: every directory a current
+	// build commits carries v3, so nothing falls back to a directory scan.
+	for _, magic := range []string{"flowkv-job1\n", "flowkv-job2\n"} {
+		old := []byte(magic)
+		for _, v := range []int64{m.Gen, 1, m.Offset, m.TuplesIn, m.MaxTS, m.SinceWM, m.LedgerLen} {
+			old = binio.PutVarint(old, v)
+		}
+		if magic == "flowkv-job2\n" {
+			old = binio.PutUvarint(old, 1)
+			old = binio.PutVarint(old, 2)
+		}
+		_, err := decodeJobMeta(binio.AppendRecord(nil, old))
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("%q JOB record: err = %v, want bad magic", magic, err)
+		}
 	}
 	// A corrupt JOB file is detected, not silently accepted.
 	if err := os.WriteFile(filepath.Join(dir, jobMetaName), []byte("garbage"), 0o644); err != nil {

@@ -11,7 +11,6 @@ import (
 	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/statebackend"
-	"flowkv/internal/window"
 )
 
 // Live key-range migration. A running job can hand one hash bucket of a
@@ -34,8 +33,8 @@ import (
 //   base, a rollback cut of the destination is taken, then the moved
 //   bucket's state is split out — store entries re-appended into the
 //   destination's live store, the rest rebuilt into a fresh source
-//   store, operator control state split and merged the same way — and
-//   the in-memory routing table flips. The JOB v3 rename of the very
+//   store, operator control state split and merged by regroupSnaps —
+//   and the in-memory routing table flips. The JOB v3 rename of the very
 //   next checkpoint persists the flipped table and is the migration's
 //   single commit point: a crash at any earlier instant resumes from
 //   the previous generation with the source still owning the bucket
@@ -79,7 +78,6 @@ const (
 	MigJournalName  = "MIGRATIONS"
 	migJournalMagic = "flowkv-mig1\n"
 	migDirPrefix    = "mig-"
-	migScratchName  = ".migscratch"
 )
 
 // Migration record states, in protocol order.
@@ -189,31 +187,12 @@ func ReadMigrationJournal(fsys faultfs.FS, dir string) ([]MigrationRecord, error
 	return decodeMigrationJournal(b)
 }
 
-// writeMigJournal durably replaces the journal: write + fsync a
-// temporary, atomic rename, fsync the directory — the same discipline
-// as the JOB file, so a crash leaves either the old journal or the new.
+// writeMigJournal durably replaces the journal with the same atomic
+// small-file write as the JOB file, so a crash leaves either the old
+// journal or the new.
 func (jr *jobRun) writeMigJournal() error {
 	path := filepath.Join(jr.j.Dir, MigJournalName)
-	tmp := path + ".tmp"
-	f, err := jr.fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("spe: migration journal: %w", err)
-	}
-	if _, err := f.Write(encodeMigrationJournal(jr.migs)); err != nil {
-		f.Close()
-		return fmt.Errorf("spe: migration journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("spe: migration journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("spe: migration journal: %w", err)
-	}
-	if err := jr.fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("spe: migration journal: %w", err)
-	}
-	if err := jr.fsys.SyncDir(jr.j.Dir); err != nil {
+	if err := faultfs.WriteFileAtomic(jr.fsys, path, encodeMigrationJournal(jr.migs)); err != nil {
 		return fmt.Errorf("spe: migration journal: %w", err)
 	}
 	return nil
@@ -343,7 +322,7 @@ func (jr *jobRun) startPrepare(idx int, mg Migration, js *jobStage, from int) er
 // the coordinator joins it at the next barrier, before the commit that
 // would garbage-collect the base generation.
 func (jr *jobRun) prepareClone(m *migRun) error {
-	src := filepath.Join(jr.j.Dir, genDirName(m.rec.BaseGen), workerDirName(m.rec.Stage, m.rec.From))
+	src := filepath.Join(jr.j.Dir, genDirName(m.rec.BaseGen), cutDirName(m.rec.Stage, m.rec.From))
 	base := filepath.Join(m.dir, "base")
 	res, err := core.CloneCheckpointDir(jr.fsys, src, base)
 	if err != nil {
@@ -388,11 +367,12 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	rt := jr.r.rts[js.si]
 	s, d, bucket := m.rec.From, m.rec.To, m.rec.Bucket
 
-	movedUser := func(k []byte) bool { return routeKey(k, js.par) == bucket }
-	storeMoved := movedUser
-	if js.join {
-		// Join store keys are side-tagged; ownership follows the user key.
-		storeMoved = func(k []byte) bool { return movedUser(sideKeyUser(k)) }
+	// Split owner: output 1 is the moved bucket, output 0 what stays.
+	moved := func(k []byte) int {
+		if routeKey(k, js.par) == bucket {
+			return 1
+		}
+		return 0
 	}
 
 	// Seal the source: one delta cut of the live store priced against
@@ -400,7 +380,7 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	// links), carrying the operator snapshot taken at this barrier.
 	snapS := js.ops[s].snapshotState()
 	cutDir := filepath.Join(m.dir, "cut")
-	if err := jr.migCut(js.cps[s], cutDir, filepath.Join(m.dir, "base"), snapS); err != nil {
+	if err := snapshotTo(js.ops[s].Backend(), cutDir, filepath.Join(m.dir, "base"), snapS); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("seal source: %w", err))
 	}
 	// Rollback cut of the destination, priced against its committed
@@ -408,8 +388,8 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	// dies halfway.
 	snapD := js.ops[d].snapshotState()
 	dcutDir := filepath.Join(m.dir, "dcut")
-	dParent := filepath.Join(jr.j.Dir, genDirName(jr.gen), workerDirName(js.si, d))
-	if err := jr.migCut(js.cps[d], dcutDir, dParent, snapD); err != nil {
+	dParent := filepath.Join(jr.j.Dir, genDirName(jr.gen), cutDirName(js.si, d))
+	if err := snapshotTo(js.ops[d].Backend(), dcutDir, dParent, snapD); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("destination rollback cut: %w", err))
 	}
 
@@ -419,32 +399,24 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	if err != nil {
 		return jr.rollbackMigration(m, nil, snapS, snapD, err)
 	}
-	split := func(key []byte) int {
-		if storeMoved(key) {
-			return 1
-		}
-		return 0
-	}
-	if _, err := rerouteCheckpointState(jr.fsys, cutDir,
-		filepath.Join(jr.j.Dir, migScratchName),
-		[]statebackend.Backend{newS, js.backends[d]}, split); err != nil {
+	if _, err := jr.rerouteCut(cutDir, []statebackend.Backend{newS, js.ops[d].Backend()}, moved, js.join); err != nil {
 		return jr.rollbackMigration(m, newS, snapS, snapD, fmt.Errorf("import moved range: %w", err))
 	}
-	staySnap, moveSnap, err := splitOpSnap(snapS, movedUser, js.join)
+	split, err := regroupSnaps([][]byte{snapS}, 2, func(k string) int { return moved([]byte(k)) }, js.join)
 	if err != nil {
 		return jr.rollbackMigration(m, newS, snapS, snapD, err)
 	}
-	mergedD, err := mergeOpSnaps(snapD, moveSnap, js.join)
+	merged, err := regroupSnaps([][]byte{snapD, split[1]}, 1, func(string) int { return 0 }, js.join)
 	if err != nil {
 		return jr.rollbackMigration(m, newS, snapS, snapD, err)
 	}
-	if err := js.ops[s].restoreState(staySnap); err != nil {
+	if err := js.ops[s].restoreState(split[0]); err != nil {
 		return jr.rollbackMigration(m, newS, snapS, snapD, err)
 	}
-	if err := js.ops[d].restoreState(mergedD); err != nil {
+	if err := js.ops[d].restoreState(merged[0]); err != nil {
 		return jr.rollbackMigration(m, newS, snapS, snapD, err)
 	}
-	if err := jr.swapWorkerBackend(js, s, newS); err != nil {
+	if err := swapWorkerBackend(js, s, newS); err != nil {
 		return jr.rollbackMigration(m, newS, snapS, snapD, err)
 	}
 	jr.startHeal(js, s)
@@ -461,19 +433,10 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	return nil
 }
 
-// migCut takes one checkpoint for the migration protocol, delta-priced
-// when the backend supports it.
-func (jr *jobRun) migCut(cp statebackend.Checkpointer, dir, parent string, meta []byte) error {
-	if dc, ok := cp.(statebackend.DeltaCheckpointer); ok {
-		return dc.CheckpointDeltaMeta(dir, parent, meta)
-	}
-	return cp.CheckpointMeta(dir, meta)
-}
-
 // reopenWorker destroys one worker's live store and reopens it empty
 // (the job's NewBackend wrapper already clears stale state on open).
 func (jr *jobRun) reopenWorker(js *jobStage, w int) (statebackend.Backend, error) {
-	if err := js.backends[w].Destroy(); err != nil {
+	if err := js.ops[w].Backend().Destroy(); err != nil {
 		return nil, fmt.Errorf("spe: migration: clear worker %d store: %w", w, err)
 	}
 	b, err := jr.r.rts[js.si].stage.NewBackend(w)
@@ -484,14 +447,11 @@ func (jr *jobRun) reopenWorker(js *jobStage, w int) (statebackend.Backend, error
 }
 
 // swapWorkerBackend installs a replacement backend for one parked
-// worker: stage bookkeeping, checkpointer, and the operator itself.
-func (jr *jobRun) swapWorkerBackend(js *jobStage, w int, b statebackend.Backend) error {
-	cp, ok := statebackend.AsCheckpointer(b)
-	if !ok {
+// worker: the operator's backend is the one record of it.
+func swapWorkerBackend(js *jobStage, w int, b statebackend.Backend) error {
+	if _, ok := statebackend.AsCheckpointer(b); !ok {
 		return fmt.Errorf("spe: migration: backend %s lost checkpoint support", b.Name())
 	}
-	js.backends[w] = b
-	js.cps[w] = cp
 	js.ops[w].setBackend(b)
 	return nil
 }
@@ -508,8 +468,19 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	fatal := func(step string, err error) error {
 		return fmt.Errorf("spe: migration %d: %v; rollback failed at %s: %w", m.rec.Seq, cause, step, err)
 	}
-	// Source: fresh store restored from the sealed cut, operator state
-	// from the barrier snapshot.
+	// rebuild installs b, an empty store, as worker w's and restores it —
+	// store and operator — from cut, taken at this barrier.
+	rebuild := func(w int, b statebackend.Backend, cut string, snap []byte) error {
+		if err := swapWorkerBackend(js, w, b); err != nil {
+			return err
+		}
+		cp, _ := statebackend.AsCheckpointer(b)
+		if _, err := cp.RestoreMeta(filepath.Join(m.dir, cut)); err != nil {
+			return err
+		}
+		return js.ops[w].restoreState(snap)
+	}
+	// Source: fresh store restored from the sealed cut.
 	if newS != nil {
 		if err := newS.Destroy(); err != nil {
 			return fatal("clear partial source rebuild", err)
@@ -519,17 +490,8 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	if err != nil {
 		return fatal("reopen source store", err)
 	}
-	cp, ok := statebackend.AsCheckpointer(b)
-	if !ok {
-		return fatal("reopen source store", fmt.Errorf("backend %s lost checkpoint support", b.Name()))
-	}
-	if _, err := cp.RestoreMeta(filepath.Join(m.dir, "cut")); err != nil {
+	if err := rebuild(s, b, "cut", snapS); err != nil {
 		return fatal("restore source from cut", err)
-	}
-	js.backends[s], js.cps[s] = b, cp
-	js.ops[s].setBackend(b)
-	if err := js.ops[s].restoreState(snapS); err != nil {
-		return fatal("restore source operator", err)
 	}
 	// Destination: the import may have landed a partial range; rebuild
 	// from the rollback cut.
@@ -538,21 +500,11 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	if err != nil {
 		return fatal("reopen destination store", err)
 	}
-	cpd, ok := statebackend.AsCheckpointer(bd)
-	if !ok {
-		return fatal("reopen destination store", fmt.Errorf("backend %s lost checkpoint support", bd.Name()))
-	}
-	if _, err := cpd.RestoreMeta(filepath.Join(m.dir, "dcut")); err != nil {
+	if err := rebuild(d, bd, "dcut", snapD); err != nil {
 		return fatal("restore destination from cut", err)
-	}
-	js.backends[d], js.cps[d] = bd, cpd
-	js.ops[d].setBackend(bd)
-	if err := js.ops[d].restoreState(snapD); err != nil {
-		return fatal("restore destination operator", err)
 	}
 	jr.startHeal(js, s)
 	jr.startHeal(js, d)
-	jr.fsys.RemoveAll(filepath.Join(jr.j.Dir, migScratchName))
 	return jr.abortMigration(m, cause)
 }
 
@@ -587,9 +539,6 @@ func (jr *jobRun) finishMigration() error {
 	}
 	if err := jr.fsys.RemoveAll(m.dir); err != nil {
 		return fmt.Errorf("spe: migration %d: clear staging: %w", m.rec.Seq, err)
-	}
-	if err := jr.fsys.RemoveAll(filepath.Join(jr.j.Dir, migScratchName)); err != nil {
-		return fmt.Errorf("spe: migration %d: clear scratch: %w", m.rec.Seq, err)
 	}
 	return nil
 }
@@ -646,7 +595,7 @@ func (jr *jobRun) reconcileMigrations(meta JobMeta) error {
 			return fmt.Errorf("spe: migration %d: clear staging: %w", rec.Seq, err)
 		}
 	}
-	if err := jr.fsys.RemoveAll(filepath.Join(jr.j.Dir, migScratchName)); err != nil {
+	if err := jr.fsys.RemoveAll(filepath.Join(jr.j.Dir, scratchName)); err != nil {
 		return fmt.Errorf("spe: migration: clear scratch: %w", err)
 	}
 	if changed {
@@ -683,186 +632,11 @@ func (jr *jobRun) clearMigrationDebris() error {
 	for _, e := range ents {
 		name := e.Name()
 		if name == MigJournalName || name == MigJournalName+".tmp" ||
-			name == migScratchName || strings.HasPrefix(name, migDirPrefix) {
+			name == scratchName || strings.HasPrefix(name, migDirPrefix) {
 			if err := jr.fsys.RemoveAll(filepath.Join(jr.j.Dir, name)); err != nil {
 				return fmt.Errorf("spe: migration: clear debris: %w", err)
 			}
 		}
 	}
 	return nil
-}
-
-// splitOpSnap splits one operator snapshot into the registries that
-// stay on the source worker and the ones that move with the bucket.
-// Lifetime counters (results, late drops, triggers) are the worker's
-// history, not keyed state: they stay put, so job-level sums are
-// unchanged by a migration.
-func splitOpSnap(snap []byte, moved func([]byte) bool, join bool) (stay, move []byte, err error) {
-	mk := func(k string) bool { return moved([]byte(k)) }
-	if join {
-		return splitJoinSnap(snap, mk)
-	}
-	return splitWindowSnap(snap, mk)
-}
-
-// mergeOpSnaps merges a moved bucket's registries into the destination
-// worker's snapshot. The two sides' key sets are disjoint (the
-// destination never owned the moved bucket), the watermark is the max
-// (equal at a barrier in practice), and counters add.
-func mergeOpSnaps(dst, add []byte, join bool) ([]byte, error) {
-	if join {
-		return mergeJoinSnaps(dst, add)
-	}
-	return mergeWindowSnaps(dst, add)
-}
-
-func splitWindowSnap(snap []byte, moved func(string) bool) (stay, move []byte, err error) {
-	src := &WindowOperator{}
-	if err := src.restoreState(snap); err != nil {
-		return nil, nil, err
-	}
-	mk := func() *WindowOperator {
-		return &WindowOperator{
-			wm:       src.wm,
-			aligned:  make(map[window.Window]map[string]struct{}),
-			sessions: make(map[string][]*session),
-			armedAt:  make(map[string]int64),
-			custom:   make(map[string]map[window.Window]int64),
-			counts:   make(map[string]int64),
-		}
-	}
-	st, mv := mk(), mk()
-	st.resultsEmitted, st.lateDropped, st.triggersFired = src.resultsEmitted, src.lateDropped, src.triggersFired
-	pick := func(k string) *WindowOperator {
-		if moved(k) {
-			return mv
-		}
-		return st
-	}
-	for w, keys := range src.aligned {
-		for k := range keys {
-			o := pick(k)
-			set := o.aligned[w]
-			if set == nil {
-				set = make(map[string]struct{})
-				o.aligned[w] = set
-			}
-			set[k] = struct{}{}
-		}
-	}
-	for k, list := range src.sessions {
-		pick(k).sessions[k] = list
-	}
-	for k, set := range src.custom {
-		pick(k).custom[k] = set
-	}
-	for k, n := range src.counts {
-		pick(k).counts[k] = n
-	}
-	return st.snapshotState(), mv.snapshotState(), nil
-}
-
-func mergeWindowSnaps(dstSnap, addSnap []byte) ([]byte, error) {
-	a := &WindowOperator{}
-	if err := a.restoreState(dstSnap); err != nil {
-		return nil, err
-	}
-	b := &WindowOperator{}
-	if err := b.restoreState(addSnap); err != nil {
-		return nil, err
-	}
-	if b.wm > a.wm {
-		a.wm = b.wm
-	}
-	a.resultsEmitted += b.resultsEmitted
-	a.lateDropped += b.lateDropped
-	a.triggersFired += b.triggersFired
-	for w, keys := range b.aligned {
-		set := a.aligned[w]
-		if set == nil {
-			set = make(map[string]struct{})
-			a.aligned[w] = set
-		}
-		for k := range keys {
-			set[k] = struct{}{}
-		}
-	}
-	for k, list := range b.sessions {
-		a.sessions[k] = list
-	}
-	for k, set := range b.custom {
-		a.custom[k] = set
-	}
-	for k, n := range b.counts {
-		a.counts[k] = n
-	}
-	return a.snapshotState(), nil
-}
-
-func splitJoinSnap(snap []byte, moved func(string) bool) (stay, move []byte, err error) {
-	src := &IntervalJoinOperator{}
-	if err := src.restoreState(snap); err != nil {
-		return nil, nil, err
-	}
-	mk := func() *IntervalJoinOperator {
-		return &IntervalJoinOperator{
-			wm: src.wm,
-			buckets: map[Side]map[window.Window]map[string]struct{}{
-				Left:  make(map[window.Window]map[string]struct{}),
-				Right: make(map[window.Window]map[string]struct{}),
-			},
-			expiry: map[Side]*windowHeap{Left: {}, Right: {}},
-		}
-	}
-	st, mv := mk(), mk()
-	st.results, st.late = src.results, src.late
-	pick := func(k string) *IntervalJoinOperator {
-		if moved(k) {
-			return mv
-		}
-		return st
-	}
-	for _, side := range []Side{Left, Right} {
-		for w, keys := range src.buckets[side] {
-			for k := range keys {
-				o := pick(k)
-				set := o.buckets[side][w]
-				if set == nil {
-					set = make(map[string]struct{})
-					o.buckets[side][w] = set
-				}
-				set[k] = struct{}{}
-			}
-		}
-	}
-	return st.snapshotState(), mv.snapshotState(), nil
-}
-
-func mergeJoinSnaps(dstSnap, addSnap []byte) ([]byte, error) {
-	a := &IntervalJoinOperator{}
-	if err := a.restoreState(dstSnap); err != nil {
-		return nil, err
-	}
-	b := &IntervalJoinOperator{}
-	if err := b.restoreState(addSnap); err != nil {
-		return nil, err
-	}
-	if b.wm > a.wm {
-		a.wm = b.wm
-	}
-	a.results += b.results
-	a.late += b.late
-	for _, side := range []Side{Left, Right} {
-		for w, keys := range b.buckets[side] {
-			set := a.buckets[side][w]
-			if set == nil {
-				set = make(map[string]struct{})
-				a.buckets[side][w] = set
-			}
-			for k := range keys {
-				set[k] = struct{}{}
-			}
-		}
-	}
-	return a.snapshotState(), nil
 }

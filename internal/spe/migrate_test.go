@@ -49,7 +49,7 @@ func requireNoMigDebris(t *testing.T, jobDir string) {
 	}
 	for _, e := range ents {
 		name := e.Name()
-		if strings.HasPrefix(name, migDirPrefix) || name == migScratchName || name == MigJournalName+".tmp" {
+		if strings.HasPrefix(name, migDirPrefix) || name == scratchName || name == MigJournalName+".tmp" {
 			t.Fatalf("migration debris left behind: %s", name)
 		}
 	}

@@ -2,41 +2,42 @@ package spe
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
-	"strings"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/core"
-	"flowkv/internal/faultfs"
 	"flowkv/internal/statebackend"
 	"flowkv/internal/window"
 )
 
-// Rescaling on restart. A committed generation carries an implicit
-// key-range manifest: stage s was checkpointed by StagePars[s] workers,
-// and worker w's checkpoint holds exactly the keys with
-// routeKey(key, StagePars[s]) == w. When Resume runs the stage at a
-// different parallelism, the committed state is split/merged along those
-// key ranges before replay:
+// One model of a committed generation. Commit writes one cut per
+// stateful stage worker — gen-<G>/sSS-wWW, or one sSS-shared cut for a
+// shared-backend stage (cutDirName) — and a JOB record whose StagePars
+// is the key-range manifest: worker w of stage s held exactly the keys
+// with routeKey(key, StagePars[s]) == w. Everything that moves keyed
+// state between workers is one operation over that model: route every
+// key to its new owner.
 //
-//   - Store state (AAR/AUR/RMW): each old worker's checkpoint is
-//     restored into a scratch store, enumerated entry by entry
-//     (core.ForEachState — non-destructive, so the committed checkpoint
-//     stays intact for a crash during recovery), and every entry is
-//     re-appended into the new worker's backend chosen by rehashing its
-//     key. Appended values keep their order (a single old worker held
-//     all values of a key, and they re-append in order); window
-//     boundaries route wholesale with their key.
-//   - Operator snapshots: the old workers' control states are decoded,
-//     their per-key registries re-routed by the same hash, and fresh
-//     snapshots encoded for the new workers (repartitionWindowSnaps /
-//     repartitionJoinSnaps).
+//   - Store state (AAR/AUR/RMW): a cut is restored into a scratch store,
+//     enumerated entry by entry (core.ForEachState — non-destructive, so
+//     the committed cut stays intact for a crash mid-move), and every
+//     entry is re-appended into the backend of its key's owner
+//     (rerouteCut). Appended values keep their order (one cut held all
+//     values of a key), and window boundaries move wholesale with their
+//     key.
+//   - Operator snapshots: regroupSnaps decodes the snapshots and sends
+//     every keyed registry entry to its owner.
 //
-// Replay then proceeds from the committed source offset exactly as a
-// same-parallelism resume: barriers land at the same source offsets and
-// watermarks at the same tuples (the cadence is parallelism-independent),
-// so the committed ledger stays byte-identical to an uninterrupted run
-// at either parallelism.
+// Resume at another parallelism reroutes every committed cut of a stage
+// by routeKey at the new worker count; a live migration (migrate.go)
+// splits one bucket out of its source and merges it into the
+// destination. Replay then proceeds from the committed source offset
+// exactly as a same-parallelism resume: barriers land at the same source
+// offsets and watermarks at the same tuples (the cadence is
+// parallelism-independent), so the committed ledger stays byte-identical
+// to an uninterrupted run at either parallelism.
 
 // opSnapshotter is the snapshot/restore contract job checkpoints need
 // from a stateful operator. WindowOperator and IntervalJoinOperator
@@ -49,6 +50,11 @@ type opSnapshotter interface {
 	// migration path rebuilds a parked worker's store and re-points the
 	// operator at it without reconstructing the operator.
 	setBackend(statebackend.Backend)
+	// regroupInto hands every keyed registry entry of a restored
+	// snapshot to outs[owner(key)], adds the lifetime counters onto
+	// outs[0], and raises every output's watermark to its own. outs are
+	// emptyOpState shells of the same operator kind.
+	regroupInto(outs []opSnapshotter, owner func(key string) int)
 }
 
 var (
@@ -56,143 +62,130 @@ var (
 	_ opSnapshotter = (*IntervalJoinOperator)(nil)
 )
 
-// rescaleDirName is the scratch area used while re-routing committed
-// worker checkpoints; cleared before and after use.
-const rescaleDirName = ".rescale"
+// scratchName is the scratch store a reroute restores a cut into, under
+// the job directory; rescaling resume and live migration share it. It
+// is cleared before each use and removed after; a crash mid-reroute
+// leaves it for the next run to clear.
+const scratchName = ".migscratch"
 
-// repartitionWindowSnaps re-routes committed window-operator snapshots
-// onto a new worker set: per-key registries (aligned key sets, sessions,
-// custom windows, count cursors) move to the worker that now owns their
-// key, watermarks carry over (equal across workers at a barrier), and
-// the job-total counters land on worker 0 so job-level sums are
-// unchanged.
-func repartitionWindowSnaps(snaps [][]byte, newPar int) ([][]byte, error) {
-	outs := make([]*WindowOperator, newPar)
+// regroupSnaps is the one key-regrouping primitive over operator
+// snapshots: it decodes snaps and encodes n new ones under three rules.
+// Every keyed registry entry — aligned key sets, sessions, custom windows
+// and count cursors; both sides' bucket keys for a join, which hold user
+// keys — goes to output owner(key). Every output gets the largest input
+// watermark (equal across workers at a barrier). Lifetime counters
+// (results, late drops, triggers) sum onto output 0, so job-level totals
+// are unchanged.
+//
+// Rescale, migration split and migration merge are all this call:
+//
+//	rescale: regroupSnaps(committed, par, routeKey at par, join)
+//	split:   regroupSnaps([src], 2, moved bucket -> 1, join)
+//	merge:   regroupSnaps([dst, move], 1, all -> 0, join)
+//
+// A split keeps the counters on the side that stays (output 0), and a
+// merge adds the moved side's zero counters.
+func regroupSnaps(snaps [][]byte, n int, owner func(key string) int, join bool) ([][]byte, error) {
+	outs := make([]opSnapshotter, n)
 	for i := range outs {
-		outs[i] = &WindowOperator{
-			wm:       -1 << 62,
-			aligned:  make(map[window.Window]map[string]struct{}),
-			sessions: make(map[string][]*session),
-			armedAt:  make(map[string]int64),
-			custom:   make(map[string]map[window.Window]int64),
-			counts:   make(map[string]int64),
-		}
+		outs[i] = emptyOpState(join)
 	}
-	var results, late, triggers int64
-	wm := int64(-1 << 62)
 	for _, snap := range snaps {
-		tmp := &WindowOperator{}
-		if err := tmp.restoreState(snap); err != nil {
+		in := opSnapshotter(&WindowOperator{})
+		if join {
+			in = &IntervalJoinOperator{}
+		}
+		if err := in.restoreState(snap); err != nil {
 			return nil, err
 		}
-		if tmp.wm > wm {
-			wm = tmp.wm
-		}
-		results += tmp.resultsEmitted
-		late += tmp.lateDropped
-		triggers += tmp.triggersFired
-		for w, keys := range tmp.aligned {
-			for k := range keys {
-				o := outs[routeKey([]byte(k), newPar)]
-				set := o.aligned[w]
-				if set == nil {
-					set = make(map[string]struct{})
-					o.aligned[w] = set
-				}
-				set[k] = struct{}{}
-			}
-		}
-		for k, list := range tmp.sessions {
-			outs[routeKey([]byte(k), newPar)].sessions[k] = list
-		}
-		for k, set := range tmp.custom {
-			outs[routeKey([]byte(k), newPar)].custom[k] = set
-		}
-		for k, n := range tmp.counts {
-			outs[routeKey([]byte(k), newPar)].counts[k] = n
-		}
+		in.regroupInto(outs, owner)
 	}
-	out := make([][]byte, newPar)
+	res := make([][]byte, n)
 	for i, o := range outs {
-		o.wm = wm
-		if i == 0 {
-			o.resultsEmitted, o.lateDropped, o.triggersFired = results, late, triggers
-		}
-		out[i] = o.snapshotState()
+		res[i] = o.snapshotState()
 	}
-	return out, nil
+	return res, nil
 }
 
-// repartitionJoinSnaps is repartitionWindowSnaps for interval-join
-// operators: both sides' bucket registries re-route per key.
-func repartitionJoinSnaps(snaps [][]byte, newPar int) ([][]byte, error) {
-	outs := make([]*IntervalJoinOperator, newPar)
-	for i := range outs {
-		outs[i] = &IntervalJoinOperator{
-			wm: -1 << 62,
-			buckets: map[Side]map[window.Window]map[string]struct{}{
-				Left:  make(map[window.Window]map[string]struct{}),
-				Right: make(map[window.Window]map[string]struct{}),
-			},
-			expiry: map[Side]*windowHeap{Left: {}, Right: {}},
-		}
-	}
-	var results, late int64
-	wm := int64(-1 << 62)
-	for _, snap := range snaps {
-		tmp := &IntervalJoinOperator{}
-		if err := tmp.restoreState(snap); err != nil {
-			return nil, err
-		}
-		if tmp.wm > wm {
-			wm = tmp.wm
-		}
-		results += tmp.results
-		late += tmp.late
-		for _, side := range []Side{Left, Right} {
-			for w, keys := range tmp.buckets[side] {
-				for k := range keys {
-					o := outs[routeKey([]byte(k), newPar)]
-					set := o.buckets[side][w]
-					if set == nil {
-						set = make(map[string]struct{})
-						o.buckets[side][w] = set
-					}
-					set[k] = struct{}{}
-				}
-			}
-		}
-	}
-	out := make([][]byte, newPar)
-	for i, o := range outs {
-		o.wm = wm
-		if i == 0 {
-			o.results, o.late = results, late
-		}
-		out[i] = o.snapshotState()
-	}
-	return out, nil
-}
-
-// repartitionOpSnaps re-routes one stage's committed operator snapshots
-// onto a new worker set.
-func repartitionOpSnaps(snaps [][]byte, newPar int, join bool) ([][]byte, error) {
+// emptyOpState is an operator shell with empty registries and the
+// lowest watermark — what regroupInto adds onto. It only ever encodes a
+// snapshot; it never runs.
+func emptyOpState(join bool) opSnapshotter {
 	if join {
-		return repartitionJoinSnaps(snaps, newPar)
+		return &IntervalJoinOperator{
+			wm:      math.MinInt64,
+			buckets: map[Side]map[window.Window]map[string]struct{}{Left: {}, Right: {}},
+		}
 	}
-	return repartitionWindowSnaps(snaps, newPar)
+	return &WindowOperator{
+		wm:       math.MinInt64,
+		aligned:  make(map[window.Window]map[string]struct{}),
+		sessions: make(map[string][]*session),
+		custom:   make(map[string]map[window.Window]int64),
+		counts:   make(map[string]int64),
+	}
+}
+
+func (o *WindowOperator) regroupInto(outs []opSnapshotter, owner func(key string) int) {
+	to := func(k string) *WindowOperator { return outs[owner(k)].(*WindowOperator) }
+	for w, keys := range o.aligned {
+		for k := range keys {
+			addKey(to(k).aligned, w, k)
+		}
+	}
+	for k, list := range o.sessions {
+		to(k).sessions[k] = list
+	}
+	for k, set := range o.custom {
+		to(k).custom[k] = set
+	}
+	for k, n := range o.counts {
+		to(k).counts[k] = n
+	}
+	for _, out := range outs {
+		out := out.(*WindowOperator)
+		out.wm = max(out.wm, o.wm)
+	}
+	o0 := outs[0].(*WindowOperator)
+	o0.resultsEmitted += o.resultsEmitted
+	o0.lateDropped += o.lateDropped
+	o0.triggersFired += o.triggersFired
+}
+
+func (o *IntervalJoinOperator) regroupInto(outs []opSnapshotter, owner func(key string) int) {
+	for _, side := range []Side{Left, Right} {
+		for w, keys := range o.buckets[side] {
+			for k := range keys {
+				addKey(outs[owner(k)].(*IntervalJoinOperator).buckets[side], w, k)
+			}
+		}
+	}
+	for _, out := range outs {
+		out := out.(*IntervalJoinOperator)
+		out.wm = max(out.wm, o.wm)
+	}
+	o0 := outs[0].(*IntervalJoinOperator)
+	o0.results += o.results
+	o0.late += o.late
+}
+
+// addKey adds key k to window w's key set in reg.
+func addKey(reg map[window.Window]map[string]struct{}, w window.Window, k string) {
+	set := reg[w]
+	if set == nil {
+		set = make(map[string]struct{})
+		reg[w] = set
+	}
+	set[k] = struct{}{}
 }
 
 // shardSnapsMagic frames the per-worker operator snapshots of one
-// shared-backend stage inside the stage's single checkpoint metadata.
-// v2 appends the drop tracker's fully-fired window queue — windows every
+// shared-backend stage inside the stage's single checkpoint metadata,
+// followed by the drop tracker's fully-fired window queue — windows every
 // owner has drained but whose merged state still waits on the stage-min
 // watermark — so a resumed stage drops them instead of leaking orphan
-// window state; v1 frames (no queue) still decode with an empty queue.
-const (
-	shardSnapsMagic   = "flowkv-shardsnaps2\n"
-	shardSnapsMagicV1 = "flowkv-shardsnaps1\n"
-)
+// window state.
+const shardSnapsMagic = "flowkv-shardsnaps2\n"
 
 // maxShardSnaps bounds the decoded worker count against corrupt input.
 const maxShardSnaps = 1 << 16
@@ -212,14 +205,9 @@ func encodeShardSnaps(snaps [][]byte, fired []window.Window) []byte {
 }
 
 func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err error) {
-	v1 := false
 	d := snapDecoder{b: b}
 	if err := d.magic(shardSnapsMagic); err != nil {
-		v1 = true
-		d = snapDecoder{b: b}
-		if err := d.magic(shardSnapsMagicV1); err != nil {
-			return nil, nil, err
-		}
+		return nil, nil, err
 	}
 	n := d.uvarint()
 	if n > maxShardSnaps {
@@ -229,15 +217,12 @@ func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err erro
 	for i := uint64(0); i < n; i++ {
 		snaps = append(snaps, d.bytes())
 	}
-	if !v1 {
-		f := d.uvarint()
-		if f > maxShardSnaps {
-			return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d fired windows", f)
-		}
-		for i := uint64(0); i < f; i++ {
-			w := window.Window{Start: d.varint(), End: d.varint()}
-			fired = append(fired, w)
-		}
+	f := d.uvarint()
+	if f > maxShardSnaps {
+		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d fired windows", f)
+	}
+	for i := uint64(0); i < f; i++ {
+		fired = append(fired, window.Window{Start: d.varint(), End: d.varint()})
 	}
 	if d.err != nil {
 		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %w", d.err)
@@ -245,24 +230,27 @@ func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err erro
 	return snaps, fired, nil
 }
 
-// rerouteCheckpointState restores one committed worker checkpoint into a
-// scratch store, re-appends every live unit of state into the new worker
-// set's (empty) backends — route maps a backend key to its new worker —
-// and returns the operator snapshot the checkpoint carried. The
-// committed checkpoint directory is only read, never modified — a crash
-// mid-rescale leaves it fully intact for the next Resume.
-func rerouteCheckpointState(fsys faultfs.FS, cpDir, scratchDir string, backends []statebackend.Backend, route func(key []byte) int) ([]byte, error) {
-	pat, inst, err := core.VerifyCheckpointDir(fsys, cpDir)
+// rerouteCut restores one committed cut into the scratch store and
+// re-appends every live unit of its state into backends[owner(key)],
+// returning the operator snapshot the cut carried. owner maps a user
+// key: join state lives under side-tagged backend keys, and its owner is
+// decided by the user key, as live routing does. The cut is only read,
+// never modified — a crash mid-reroute leaves it intact for the next
+// Resume.
+func (jr *jobRun) rerouteCut(cpDir string, backends []statebackend.Backend, owner func(key []byte) int, join bool) ([]byte, error) {
+	pat, inst, err := core.VerifyCheckpointDir(jr.fsys, cpDir)
 	if err != nil {
 		return nil, err
 	}
-	if err := fsys.RemoveAll(scratchDir); err != nil {
+	scratch := filepath.Join(jr.j.Dir, scratchName)
+	if err := jr.fsys.RemoveAll(scratch); err != nil {
 		return nil, err
 	}
+	defer jr.fsys.RemoveAll(scratch)
 	st, err := core.OpenPattern(pat, window.Custom, core.Options{
-		Dir:       scratchDir,
+		Dir:       scratch,
 		Instances: inst,
-		FS:        fsys,
+		FS:        jr.fsys,
 	})
 	if err != nil {
 		return nil, err
@@ -273,7 +261,11 @@ func rerouteCheckpointState(fsys faultfs.FS, cpDir, scratchDir string, backends 
 		return nil, rerr
 	}
 	ferr := st.ForEachState(func(e core.StateEntry) error {
-		nb := backends[route(e.Key)]
+		user := e.Key
+		if join {
+			user = sideKeyUser(e.Key)
+		}
+		nb := backends[owner(user)]
 		if e.HasAgg {
 			return nb.PutAgg(e.Key, e.Window, e.Agg)
 		}
@@ -294,55 +286,54 @@ func rerouteCheckpointState(fsys faultfs.FS, cpDir, scratchDir string, backends 
 	return snap, nil
 }
 
-// CommittedStage describes one stage's checkpoint layout inside a
-// committed generation directory.
-type CommittedStage struct {
-	// Workers is the parallelism the stage was committed at — its
-	// key-range manifest: worker w held the keys with
-	// routeKey(key, Workers) == w.
-	Workers int
-	// Shared marks a single-owner shared-backend checkpoint (one store
-	// cut carrying all workers' operator snapshots).
-	Shared bool
+// cutDirName names stage si's cut inside a generation directory: worker
+// w's private cut, or with w = -1 the stage's single-owner shared cut.
+func cutDirName(si, w int) string {
+	if w < 0 {
+		return fmt.Sprintf("s%02d-shared", si)
+	}
+	return fmt.Sprintf("s%02d-w%02d", si, w)
 }
 
-// CommittedLayout scans a committed generation directory and returns the
-// checkpoint layout per stage index. Stages without state (Map stages)
-// do not appear. A nil fsys uses the real filesystem.
-func CommittedLayout(fsys faultfs.FS, dir string, gen int64) (map[int]CommittedStage, error) {
-	if fsys == nil {
-		fsys = faultfs.OS
+// ParseCutDir is cutDirName's inverse: the stage and worker (-1 for a
+// shared cut) a generation entry names; ok is false for any other name.
+func ParseCutDir(name string) (si, w int, ok bool) {
+	if _, err := fmt.Sscanf(name, "s%d-w%d", &si, &w); err != nil {
+		if _, err := fmt.Sscanf(name, "s%d-shared", &si); err != nil {
+			return 0, 0, false
+		}
+		w = -1
 	}
-	ents, err := fsys.ReadDir(filepath.Join(dir, genDirName(gen)))
-	if err != nil {
-		return nil, fmt.Errorf("spe: read generation %d: %w", gen, err)
-	}
-	out := make(map[int]CommittedStage)
+	return si, w, si >= 0 && cutDirName(si, w) == name
+}
+
+// StageCuts groups the cut directories among a generation directory's
+// entries by stage — its number of worker cuts, or -1 for a shared cut —
+// and checks them against the key-range manifest: every cut must name a
+// recorded stage, and a private stage must hold exactly one cut per
+// committed worker, StagePars[si]. Other entries are ignored.
+func StageCuts(ents []os.DirEntry, stagePars []int64) (map[int]int, error) {
+	cuts := make(map[int]int)
 	for _, e := range ents {
-		if !e.IsDir() {
+		si, w, ok := ParseCutDir(e.Name())
+		if !ok || !e.IsDir() {
 			continue
 		}
-		var si, wi int
-		if strings.HasSuffix(e.Name(), "-shared") {
-			if n, _ := fmt.Sscanf(e.Name(), "s%02d-shared", &si); n == 1 {
-				cs := out[si]
-				cs.Shared = true
-				if cs.Workers == 0 {
-					cs.Workers = -1 // worker count lives in the snapshot framing
-				}
-				out[si] = cs
-			}
-			continue
+		if si >= len(stagePars) || int64(w) >= stagePars[si] {
+			return nil, fmt.Errorf("spe: cut %s is outside the key-range manifest %v", e.Name(), stagePars)
 		}
-		if n, _ := fmt.Sscanf(e.Name(), "s%02d-w%02d", &si, &wi); n == 2 {
-			cs := out[si]
-			if wi+1 > cs.Workers {
-				cs.Workers = wi + 1
-			}
-			out[si] = cs
+		if w < 0 {
+			cuts[si] = -1
+		} else {
+			cuts[si]++
 		}
 	}
-	return out, nil
+	for si, n := range cuts {
+		if n >= 0 && int64(n) != stagePars[si] {
+			return nil, fmt.Errorf("spe: stage %d holds %d of its %d committed worker cuts", si, n, stagePars[si])
+		}
+	}
+	return cuts, nil
 }
 
 // WorkerForKey reports which worker of a par-way stage owns key — the

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"flowkv/internal/core"
@@ -434,7 +436,7 @@ func TestJobRescaleCrashDuringRecovery(t *testing.T) {
 		t.Fatalf("want ErrJobKilled, got %v", err)
 	}
 	// Crash inside the rescaling restore: the scratch re-route writes into
-	// the .rescale area and the new workers' stores.
+	// the scratch store and the new workers' stores.
 	inj.Reset()
 	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: "state", Nth: 10, Crash: true})
 	if _, err := mk(3, 0).Resume(); err == nil {
@@ -586,33 +588,314 @@ func TestOperatorSnapshotJoinReplay(t *testing.T) {
 	}
 }
 
-// TestCommittedLayout covers the generation-directory scanner feeding the
-// rescale path and flowkvctl's resumability report.
-func TestCommittedLayout(t *testing.T) {
-	dir := t.TempDir()
-	gd := filepath.Join(dir, genDirName(3))
+// TestParseCutDir pins the one place a generation names its cuts:
+// cutDirName and ParseCutDir round-trip, junk names are ignored, the
+// shared cut is recognised, StageCuts checks a listing against the
+// key-range manifest, and verification of a job whose committed
+// generation is missing fails.
+func TestParseCutDir(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		si, w  int
+		parsed bool
+	}{
+		{"s01-w00", 1, 0, true},
+		{"s03-w12", 3, 12, true},
+		{"s02-shared", 2, -1, true},
+		{"s100-w100", 100, 100, true},
+		{"junk", 0, 0, false},
+		{"GENMETA", 0, 0, false},
+		{"", 0, 0, false},
+		{"s1-w0", 0, 0, false},
+		{"s01-w00x", 0, 0, false},
+		{"s01-w-1", 0, 0, false},
+		{"s-1-w00", 0, 0, false},
+		{"s01-shared.tmp", 0, 0, false},
+		{"s01", 0, 0, false},
+	} {
+		si, w, ok := ParseCutDir(tc.name)
+		if ok != tc.parsed || (ok && (si != tc.si || w != tc.w)) {
+			t.Errorf("ParseCutDir(%q) = %d, %d, %v; want %d, %d, %v", tc.name, si, w, ok, tc.si, tc.w, tc.parsed)
+		}
+		if ok && cutDirName(si, w) != tc.name {
+			t.Errorf("cutDirName(%d, %d) = %q, want %q", si, w, cutDirName(si, w), tc.name)
+		}
+	}
+
+	gd := t.TempDir()
 	for _, sub := range []string{"s01-w00", "s01-w01", "s01-w02", "s02-shared", "junk", "s03-w00"} {
 		if err := os.MkdirAll(filepath.Join(gd, sub), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	layout, err := CommittedLayout(nil, dir, 3)
+	ents, err := os.ReadDir(gd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := layout[1]; cs.Workers != 3 || cs.Shared {
-		t.Errorf("stage 1 layout = %+v", cs)
+	cuts, err := StageCuts(ents, []int64{2, 3, 2, 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cs := layout[2]; !cs.Shared {
-		t.Errorf("stage 2 layout = %+v", cs)
+	if want := map[int]int{1: 3, 2: -1, 3: 1}; !reflect.DeepEqual(cuts, want) {
+		t.Errorf("StageCuts = %v, want %v", cuts, want)
 	}
-	if cs := layout[3]; cs.Workers != 1 || cs.Shared {
-		t.Errorf("stage 3 layout = %+v", cs)
+	if _, err := StageCuts(ents, []int64{2, 4, 2, 1}); err == nil {
+		t.Error("stage 1 holds 3 of 4 worker cuts, accepted")
 	}
-	if _, ok := layout[0]; ok {
-		t.Error("phantom stage 0")
+	if _, err := StageCuts(ents, []int64{2, 2, 2, 1}); err == nil {
+		t.Error("cut s01-w02 outside a 2-way stage accepted")
 	}
-	if _, err := CommittedLayout(nil, dir, 9); err == nil {
-		t.Error("missing generation accepted")
+	if _, err := StageCuts(ents, []int64{2, 3, 2}); err == nil {
+		t.Error("cut of an unrecorded stage accepted")
 	}
+
+	jobDir := t.TempDir()
+	rec := encodeJobMeta(JobMeta{Gen: 9, StagePars: []int64{1}})
+	if err := faultfs.WriteFileAtomic(faultfs.OS, filepath.Join(jobDir, jobMetaName), rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyJobDir(nil, jobDir); err == nil || !strings.Contains(err.Error(), "generation 9 is missing") {
+		t.Errorf("missing committed generation: err = %v", err)
+	}
+}
+
+// TestJobResumeNamesMissingCut deletes one worker cut of the committed
+// generation: Resume must fail with an error naming the stage and the
+// directory, and must not mistake the loss for rot — the generation is
+// not quarantined.
+func TestJobResumeNamesMissingCut(t *testing.T) {
+	pat := crashPatterns()[0]
+	base := t.TempDir()
+	tuples := crashTuples(300)
+	mk := func(kill int64) *Job {
+		return &Job{
+			Pipeline:        crashPipelineAt(pat, filepath.Join(base, "state"), nil, 1<<10, 2),
+			Source:          NewSliceSource(tuples),
+			Dir:             filepath.Join(base, "job"),
+			CheckpointEvery: 61,
+			KillAfterTuples: kill,
+		}
+	}
+	if _, err := mk(200).Run(); !errors.Is(err, ErrJobKilled) {
+		t.Fatalf("want ErrJobKilled, got %v", err)
+	}
+	meta, err := ReadJobMeta(nil, filepath.Join(base, "job"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genDir := filepath.Join(base, "job", genDirName(meta.Gen))
+	lost := filepath.Join(genDir, cutDirName(1, 1))
+	if err := os.RemoveAll(lost); err != nil {
+		t.Fatal(err)
+	}
+	_, err = mk(0).Resume()
+	if err == nil || !strings.Contains(err.Error(), "stage win") || !strings.Contains(err.Error(), lost) {
+		t.Fatalf("resume over a missing cut: err = %v, want one naming stage win and %s", err, lost)
+	}
+	if errors.Is(err, core.ErrCheckpointInvalid) || core.IsQuarantined(nil, genDir) {
+		t.Fatalf("a missing cut was treated as rot: %v", err)
+	}
+}
+
+// randomOpState builds a random window or join operator state shaped as
+// a live operator holds it: registries only ever hold non-empty key
+// sets.
+func randomOpState(rng *rand.Rand, join bool) opSnapshotter {
+	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(80)) }
+	win := func() window.Window {
+		start := int64(rng.Intn(40)) * 10
+		return window.Window{Start: start, End: start + 10*int64(1+rng.Intn(3))}
+	}
+	wm := int64(rng.Intn(600)) - 100
+	if rng.Intn(8) == 0 {
+		wm = -1 << 62 // no watermark seen yet
+	}
+	o := emptyOpState(join)
+	if j, ok := o.(*IntervalJoinOperator); ok {
+		j.wm, j.results, j.late = wm, rng.Int63n(1000), rng.Int63n(50)
+		for _, side := range []Side{Left, Right} {
+			for i := rng.Intn(30); i > 0; i-- {
+				addKey(j.buckets[side], win(), key())
+			}
+		}
+		return j
+	}
+	w := o.(*WindowOperator)
+	w.wm, w.resultsEmitted, w.lateDropped, w.triggersFired = wm, rng.Int63n(1000), rng.Int63n(50), rng.Int63n(500)
+	for i := rng.Intn(30); i > 0; i-- {
+		addKey(w.aligned, win(), key())
+	}
+	for i := rng.Intn(20); i > 0; i-- {
+		var list []*session
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			s := &session{cur: win()}
+			for m := 1 + rng.Intn(3); m > 0; m-- {
+				s.initials = append(s.initials, win())
+			}
+			list = append(list, s)
+		}
+		w.sessions[key()] = list
+	}
+	for i := rng.Intn(20); i > 0; i-- {
+		k := key()
+		if w.custom[k] == nil {
+			w.custom[k] = make(map[window.Window]int64)
+		}
+		w.custom[k][win()] = rng.Int63n(1000)
+	}
+	for i := rng.Intn(20); i > 0; i-- {
+		w.counts[key()] = rng.Int63n(100)
+	}
+	return w
+}
+
+// opStateKeys decodes a snapshot and returns its keyed registry entries
+// as "registry/key" strings, with its watermark and counter sum.
+func opStateKeys(t *testing.T, snap []byte, join bool) (keys []string, wm, counters int64) {
+	t.Helper()
+	if join {
+		o := &IntervalJoinOperator{}
+		if err := o.restoreState(snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, side := range []Side{Left, Right} {
+			for w, set := range o.buckets[side] {
+				for k := range set {
+					keys = append(keys, fmt.Sprintf("%c%v/%s", side, w, k))
+				}
+			}
+		}
+		return keys, o.wm, o.results + o.late
+	}
+	o := &WindowOperator{}
+	if err := o.restoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	for w, set := range o.aligned {
+		for k := range set {
+			keys = append(keys, fmt.Sprintf("a%v/%s", w, k))
+		}
+	}
+	for k := range o.sessions {
+		keys = append(keys, "s/"+k)
+	}
+	for k := range o.custom {
+		keys = append(keys, "c/"+k)
+	}
+	for k := range o.counts {
+		keys = append(keys, "n/"+k)
+	}
+	return keys, o.wm, o.resultsEmitted + o.lateDropped + o.triggersFired
+}
+
+// TestOperatorSnapshotRegroup is the property test of regroupSnaps, the
+// one primitive behind rescale, migration split and migration merge,
+// over random window and join operator states: every key lands on its
+// owner (a join by user key, the same worker on both sides), a split
+// followed by a merge gives back the original bytes, n -> m -> n
+// round-trips, and job-level counter sums and the largest watermark are
+// preserved.
+func TestOperatorSnapshotRegroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5e9))
+	for iter := 0; iter < 400; iter++ {
+		join := iter%2 == 1
+		n, m := 1+rng.Intn(4), 1+rng.Intn(5)
+		route := func(par int) func(string) int {
+			return func(k string) int { return routeKey([]byte(k), par) }
+		}
+		// Inputs as separate workers left them: any keys, watermarks and
+		// counters.
+		var in [][]byte
+		var inKeys []string
+		var inWM, inCounters int64 = -1 << 63, 0
+		for i := 0; i < n; i++ {
+			snap := randomOpState(rng, join).snapshotState()
+			keys, wm, c := opStateKeys(t, snap, join)
+			in, inKeys = append(in, snap), append(inKeys, keys...)
+			inWM, inCounters = max(inWM, wm), inCounters+c
+		}
+		out, err := regroupSnaps(in, m, route(m), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var outKeys []string
+		var outCounters int64
+		for w, snap := range out {
+			keys, wm, c := opStateKeys(t, snap, join)
+			for _, k := range keys {
+				user := k[strings.LastIndexByte(k, '/')+1:]
+				if got := routeKey([]byte(user), m); got != w {
+					t.Fatalf("iter %d: key %s on worker %d of %d, owner %d", iter, k, w, m, got)
+				}
+			}
+			if wm != inWM {
+				t.Fatalf("iter %d: worker %d watermark %d, want the largest input's %d", iter, w, wm, inWM)
+			}
+			if w > 0 && c != 0 {
+				t.Fatalf("iter %d: worker %d holds counters %d; they belong on worker 0", iter, w, c)
+			}
+			outKeys, outCounters = append(outKeys, keys...), outCounters+c
+		}
+		if outCounters != inCounters {
+			t.Fatalf("iter %d: counter sum %d, want %d", iter, outCounters, inCounters)
+		}
+		sort.Strings(inKeys)
+		sort.Strings(outKeys)
+		// Distinct workers may hold the same key in different inputs; the
+		// regrouped set is their union.
+		inKeys = dedupStrings(inKeys)
+		if !reflect.DeepEqual(inKeys, outKeys) {
+			t.Fatalf("iter %d: keyed entries changed: %d in, %d out", iter, len(inKeys), len(outKeys))
+		}
+
+		// n -> m -> n round-trips from a regrouped (canonical) state.
+		back, err := regroupSnaps(out, n, route(n), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		there, err := regroupSnaps(back, m, route(m), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := regroupSnaps(there, n, route(n), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range back {
+			if !bytes.Equal(back[w], again[w]) {
+				t.Fatalf("iter %d: %d -> %d -> %d changed worker %d", iter, n, m, n, w)
+			}
+		}
+
+		// A migration's split followed by its merge gives back the source.
+		src := randomOpState(rng, join).snapshotState()
+		bucket := rng.Intn(n)
+		moved := func(k string) int {
+			if routeKey([]byte(k), n) == bucket {
+				return 1
+			}
+			return 0
+		}
+		split, err := regroupSnaps([][]byte{src}, 2, moved, join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := regroupSnaps(split, 1, func(string) int { return 0 }, join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(merged[0], src) {
+			t.Fatalf("iter %d: split then merge changed the snapshot", iter)
+		}
+	}
+}
+
+func dedupStrings(s []string) []string {
+	out := s[:0]
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

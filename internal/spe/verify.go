@@ -14,10 +14,11 @@ import (
 
 // VerifyJobDir deep-verifies a job directory offline, without opening
 // the job: the JOB progress record must decode, the committed generation
-// must exist with every worker/shared checkpoint verifying against its
-// MANIFEST (size and CRC32C of every file), each generation's GENMETA
-// sidecar must decode and agree with its directory, and the committed
-// prefix of the sink ledger must frame- and payload-decode end to end.
+// must exist and hold every cut its key-range manifest names, every cut
+// must verify against its MANIFEST (size and CRC32C of every file), each
+// generation's GENMETA sidecar must decode and agree with its directory,
+// and the committed prefix of the sink ledger must frame- and
+// payload-decode end to end.
 // Quarantined generations are failures too: the directory still holds
 // detected rot an operator has not resolved. The first failure is
 // returned; nil means every committed byte verified. A nil fsys means
@@ -53,18 +54,23 @@ func VerifyJobDir(fsys faultfs.FS, dir string) error {
 		if err != nil {
 			return fmt.Errorf("spe: verify %s: %w", dir, err)
 		}
-		stages := 0
+		cuts := 0
 		for _, e := range ents {
-			if !e.IsDir() {
+			if _, _, ok := ParseCutDir(e.Name()); !ok || !e.IsDir() {
 				continue
 			}
 			if _, _, err := core.VerifyCheckpointDir(fsys, filepath.Join(gdir, e.Name())); err != nil {
 				return fmt.Errorf("spe: verify %s: generation %d: %w", dir, g, err)
 			}
-			stages++
+			cuts++
 		}
-		if g == meta.Gen && stages == 0 {
-			return fmt.Errorf("spe: verify %s: committed generation %d holds no checkpoints", dir, g)
+		if g == meta.Gen {
+			if cuts == 0 {
+				return fmt.Errorf("spe: verify %s: committed generation %d holds no checkpoints", dir, g)
+			}
+			if _, err := StageCuts(ents, meta.StagePars); err != nil {
+				return fmt.Errorf("spe: verify %s: generation %d: %w", dir, g, err)
+			}
 		}
 		if b, rerr := fsys.ReadFile(filepath.Join(gdir, genMetaName)); rerr == nil {
 			gm, derr := decodeJobMeta(b)
@@ -81,39 +87,7 @@ func VerifyJobDir(fsys faultfs.FS, dir string) error {
 	if !tipSeen {
 		return fmt.Errorf("spe: verify %s: committed generation %d is missing", dir, meta.Gen)
 	}
-	if err := verifyRouting(dir, meta); err != nil {
-		return err
-	}
 	return verifyLedger(fsys, dir, meta)
-}
-
-// verifyRouting checks the committed routing tables for internal
-// consistency: a stage's table must be sized to its committed
-// parallelism (when both are recorded) and every bucket must name a
-// worker inside that parallelism. Rot in the JOB record usually fails
-// the record CRC first; this catches a decodable-but-nonsensical
-// table before a resume routes keys to a worker that does not exist.
-func verifyRouting(dir string, meta JobMeta) error {
-	for si, tab := range meta.Routing {
-		if tab == nil {
-			continue
-		}
-		par := int64(len(tab))
-		if si < len(meta.StagePars) && meta.StagePars[si] > 0 {
-			par = meta.StagePars[si]
-			if int64(len(tab)) != par {
-				return fmt.Errorf("spe: verify %s: stage %d routing table has %d buckets for parallelism %d",
-					dir, si, len(tab), par)
-			}
-		}
-		for b, w := range tab {
-			if w < 0 || w >= par {
-				return fmt.Errorf("spe: verify %s: stage %d routes bucket %d to worker %d of %d",
-					dir, si, b, w, par)
-			}
-		}
-	}
-	return nil
 }
 
 // verifyLedger decodes the committed prefix of the sink ledger record by
