@@ -37,6 +37,8 @@ fuzz:
 	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeMigrationRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spe/ -fuzz FuzzDecodeOperatorSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spe/ -fuzz FuzzDecodeLedgerBlock -fuzztime $(FUZZTIME)
 
 # Gray-failure battery: stall injection, deadline-bounded I/O, progress
 # watchdogs, and the manager hung-fsync failover + latency-driven

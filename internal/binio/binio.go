@@ -205,6 +205,26 @@ func AppendRecordV(dst, payload []byte, v FrameVersion) []byte {
 	return append(dst, payload...)
 }
 
+// FrameHeadroom is the most bytes a v1 frame header takes: marker, CRC
+// and the longest length varint. A writer that reserves this many bytes
+// at the front of its buffer can build the payload behind them and frame
+// it in place with SealFrame.
+const FrameHeadroom = 5 + binary.MaxVarintLen64
+
+// SealFrame frames buf[FrameHeadroom:] as one v1 record in place: the
+// header goes into the reserved bytes right before the payload, and the
+// frame returned — a subslice of buf — is the same bytes AppendRecordV
+// would produce, without copying the payload.
+func SealFrame(buf []byte) []byte {
+	var lenb [binary.MaxVarintLen64]byte
+	ln := binary.PutUvarint(lenb[:], uint64(len(buf)-FrameHeadroom))
+	start := FrameHeadroom - 5 - ln
+	buf[start] = FrameMarker
+	copy(buf[start+5:], lenb[:ln])
+	binary.LittleEndian.PutUint32(buf[start+1:], Checksum(buf[start+5:]))
+	return buf[start:]
+}
+
 // RecordOverhead returns the legacy (v0) framing overhead in bytes for a
 // payload of length n.
 func RecordOverhead(n int) int {

@@ -108,6 +108,18 @@ func TestRecordOverheadMatchesAppend(t *testing.T) {
 	}
 }
 
+// TestSealFrameMatchesAppend: a frame sealed in place is byte for byte
+// the frame AppendRecordV builds, at every length-varint width.
+func TestSealFrameMatchesAppend(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 21} {
+		p := bytes.Repeat([]byte{0xa5}, n)
+		buf := append(make([]byte, FrameHeadroom), p...)
+		if got, want := SealFrame(buf), AppendRecordV(nil, p, FrameV1); !bytes.Equal(got, want) {
+			t.Fatalf("payload %d bytes: SealFrame differs from AppendRecordV", n)
+		}
+	}
+}
+
 func TestRecordCorruption(t *testing.T) {
 	buf := AppendRecord(nil, []byte("hello world"))
 	buf[len(buf)-1] ^= 0xff

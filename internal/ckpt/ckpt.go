@@ -19,6 +19,8 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/faultfs"
@@ -137,66 +139,54 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	bad := func(why string) (*Meta, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadMeta, why)
 	}
-	header, n, err := binio.ReadRecord(b)
-	if err != nil {
+	// A cursor over the current record: a failed decode consumes nothing
+	// and clears ok.
+	var rec []byte
+	ok := true
+	next := func() bool {
+		var n int
+		var err error
+		rec, n, err = binio.ReadRecord(b)
+		b = b[n:]
+		return err == nil
+	}
+	str := func() string {
+		s, n, err := binio.String(rec)
+		ok, rec = ok && err == nil, rec[n:]
+		return s
+	}
+	uvarint := func() uint64 {
+		v, n, err := binio.Uvarint(rec)
+		ok, rec = ok && err == nil, rec[n:]
+		return v
+	}
+	if !next() {
 		return bad("corrupt header")
 	}
-	b = b[n:]
-	magic, hn, err := binio.String(header)
-	if err != nil || magic != metaMagic {
+	if str() != metaMagic || !ok {
 		return bad("bad magic")
 	}
-	header = header[hn:]
-	cut, _, err := binio.Uvarint(header)
-	if err != nil {
+	m := &Meta{CutID: uvarint()}
+	if !ok {
 		return bad("truncated header")
 	}
-	m := &Meta{CutID: cut}
 	for len(b) > 0 {
-		rec, n, err := binio.ReadRecord(b)
-		if err != nil {
+		if !next() {
 			return bad("corrupt file record")
 		}
-		b = b[n:]
-		logical, fn, err := binio.String(rec)
-		if err != nil {
+		fs := FileState{Logical: str(), Epoch: uvarint()}
+		count := uvarint()
+		if !ok || count > uint64(len(rec)) {
 			return bad("truncated file record")
 		}
-		rec = rec[fn:]
-		epoch, fn, err := binio.Uvarint(rec)
-		if err != nil {
-			return bad("truncated file record")
-		}
-		rec = rec[fn:]
-		count, fn, err := binio.Uvarint(rec)
-		if err != nil {
-			return bad("truncated file record")
-		}
-		rec = rec[fn:]
-		if count > uint64(len(rec)) {
-			return bad("segment count exceeds record")
-		}
-		fs := FileState{Logical: logical, Epoch: epoch}
-		for i := uint64(0); i < count; i++ {
-			name, sn, err := binio.String(rec)
-			if err != nil {
+		for ; count > 0; count-- {
+			seg := Segment{Name: str(), Len: int64(uvarint())}
+			if !ok || len(rec) < 4 {
 				return bad("truncated segment")
 			}
-			rec = rec[sn:]
-			slen, sn, err := binio.Uvarint(rec)
-			if err != nil {
-				return bad("truncated segment")
-			}
-			rec = rec[sn:]
-			if len(rec) < 4 {
-				return bad("truncated segment")
-			}
-			crc, err := binio.Uint32(rec[:4])
-			if err != nil {
-				return bad("truncated segment")
-			}
+			seg.CRC, _ = binio.Uint32(rec)
 			rec = rec[4:]
-			fs.Segments = append(fs.Segments, Segment{Name: name, Len: int64(slen), CRC: crc})
+			fs.Segments = append(fs.Segments, seg)
 		}
 		m.Files = append(m.Files, fs)
 	}
@@ -267,12 +257,13 @@ func Begin(fsys faultfs.FS, dir string, parent *Meta, parentDir string) (*Cut, e
 // ID returns the cut's identifier, recorded as the SEGMENTS CutID.
 func (c *Cut) ID() uint64 { return c.meta.CutID }
 
-// wrote folds a freshly written (unsynced) file into the result: a
-// manifest entry and a place in the sync window. Data files are also
-// counted as copied bytes, by their callers.
+// wrote folds a freshly written (unsynced) data file into the result: a
+// manifest entry, a place in the sync window, and its bytes counted as
+// copied.
 func (c *Cut) wrote(name string, size int64, crc uint32) {
 	c.res.Entries = append(c.res.Entries, Entry{Path: name, Size: size, CRC: crc})
 	c.res.NeedSync = append(c.res.NeedSync, filepath.Join(c.dir, name))
+	c.res.CopiedBytes += size
 }
 
 // writeFile writes buf whole into a fresh file of the cut directory.
@@ -339,7 +330,6 @@ func (c *Cut) Log(logical string, epoch uint64, path string, size int64) error {
 		}
 		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: tail, CRC: crc})
 		c.wrote(name, tail, crc)
-		c.res.CopiedBytes += tail
 	}
 	c.meta.Files = append(c.meta.Files, fstate)
 	return nil
@@ -352,22 +342,31 @@ func (c *Cut) Extra(name string, buf []byte) error {
 		return err
 	}
 	c.wrote(name, int64(len(buf)), binio.Checksum(buf))
-	c.res.CopiedBytes += int64(len(buf))
 	return nil
 }
 
-// streamChunk bounds the framed bytes Stream buffers before writing.
+// streamChunk bounds a replay stream's blocks: Stream seals the block it
+// is filling once its records reach this many bytes, and at the end of
+// the cut.
 const streamChunk = 256 << 10
 
+// blockPool recycles Stream's block buffers, so checkpoints allocate none
+// in steady state.
+var blockPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // Stream records a replay stream under the logical name: a logical file
-// whose segments, concatenated, are CRC-framed records that replay in
-// order into the instance's state at the cut. With extend the parent's
-// segments are linked across (the stream keeps the parent's epoch) and
-// this cut appends one segment; otherwise the segment written here is
-// the base of a new stream. write emits the cut's records through emit.
-// A cut with no records adds no segment — a zero-length one would make
-// the next cut's segment start at the same offset and collide on name.
-func (c *Cut) Stream(logical string, extend bool, write func(emit func(payload []byte) error) error) error {
+// whose segments, concatenated, replay in order into the instance's state
+// at the cut. A segment is a run of blocks, each one v1 frame whose
+// payload is length-prefixed records (binio.PutBytes), so a block of
+// small records pays for one checksum, not one per record. With extend
+// the parent's segments are linked across (the stream keeps the parent's
+// epoch) and this cut appends one segment; otherwise the segment written
+// here is the base of a new stream. write emits the cut's records through
+// emit; a failed block write is sticky — later emits do nothing — and is
+// what Stream returns. A cut with no records adds no segment — a
+// zero-length one would make the next cut's segment start at the same
+// offset and collide on name. Replay is the reader.
+func (c *Cut) Stream(logical string, extend bool, write func(emit func(rec []byte)) error) error {
 	fstate := FileState{Logical: logical, Epoch: Rand64()}
 	var from int64
 	if extend {
@@ -379,40 +378,39 @@ func (c *Cut) Stream(logical string, extend bool, write func(emit func(payload [
 		from = p.TotalLen()
 	}
 	name := SegmentName(logical, from)
+	pooled := blockPool.Get().(*[]byte)
+	block := slices.Grow((*pooled)[:0], binio.FrameHeadroom)[:binio.FrameHeadroom]
 	var (
 		f    faultfs.File
-		buf  []byte
+		werr error // the first failed write: sticky, later blocks are dropped
 		crc  uint32
 		size int64
 	)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if f == nil {
-			var err error
-			if f, err = c.fsys.Create(filepath.Join(c.dir, name)); err != nil {
-				return err
+	seal := func() {
+		if werr == nil && len(block) > binio.FrameHeadroom {
+			if f == nil {
+				f, werr = c.fsys.Create(filepath.Join(c.dir, name))
+			}
+			if werr == nil {
+				frame := binio.SealFrame(block)
+				_, werr = f.Write(frame)
+				crc = binio.ChecksumUpdate(crc, frame)
+				size += int64(len(frame))
 			}
 		}
-		if _, err := f.Write(buf); err != nil {
-			return err
-		}
-		crc = binio.ChecksumUpdate(crc, buf)
-		size += int64(len(buf))
-		buf = buf[:0]
-		return nil
+		block = block[:binio.FrameHeadroom]
 	}
-	err := write(func(payload []byte) error {
-		buf = binio.AppendRecord(buf, payload)
-		if len(buf) >= streamChunk {
-			return flush()
+	err := write(func(rec []byte) {
+		if block = binio.PutBytes(block, rec); len(block)-binio.FrameHeadroom >= streamChunk {
+			seal()
 		}
-		return nil
 	})
 	if err == nil {
-		err = flush()
+		seal()
+		err = werr
 	}
+	*pooled = block[:0]
+	blockPool.Put(pooled)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -424,9 +422,53 @@ func (c *Cut) Stream(logical string, extend bool, write func(emit func(payload [
 	if size > 0 {
 		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: size, CRC: crc})
 		c.wrote(name, size, crc)
-		c.res.CopiedBytes += size
 	}
 	c.meta.Files = append(c.meta.Files, fstate)
+	return nil
+}
+
+// Replay reads the replay stream fstate describes from the checkpoint
+// directory dir, verifying every block, and hands fn its records in
+// order; rec is valid only during the call. The stream is the one Stream
+// wrote: anything else — a flipped bit, a zeroed page, a segment that
+// ends mid-block or mid-record — stops the replay with an error wrapping
+// a *binio.FrameError, never with a silently short stream. An error from
+// fn stops it too and is returned as is.
+func Replay(fsys faultfs.FS, dir string, fstate *FileState, fn func(rec []byte) error) error {
+	for _, seg := range fstate.Segments {
+		if err := replaySegment(fsys, filepath.Join(dir, seg.Name), seg.Len, fn); err != nil {
+			return fmt.Errorf("ckpt: replay %s: %w", seg.Name, err)
+		}
+	}
+	return nil
+}
+
+// replaySegment replays one segment file of size bytes through fn.
+func replaySegment(fsys faultfs.FS, path string, size int64, fn func(rec []byte) error) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc := binio.NewRecordScannerV(f, 0, binio.FrameV1)
+	for sc.Scan() {
+		for block := sc.Record(); len(block) > 0; {
+			rec, n, err := binio.Bytes(block)
+			if err != nil {
+				return &binio.FrameError{Reason: fmt.Sprintf("block ending at offset %d ends mid-record", sc.Offset())}
+			}
+			if err := fn(rec); err != nil {
+				return err
+			}
+			block = block[n:]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if sc.Offset() != size {
+		return &binio.FrameError{Reason: fmt.Sprintf("blocks end at offset %d of %d", sc.Offset(), size)}
+	}
 	return nil
 }
 
@@ -439,12 +481,13 @@ func (c *Cut) Finish() (*Result, error) {
 	if err := c.writeFile(MetaName, buf); err != nil {
 		return nil, err
 	}
-	c.wrote(MetaName, int64(len(buf)), binio.Checksum(buf))
+	c.res.Entries = append(c.res.Entries, Entry{Path: MetaName, Size: int64(len(buf)), CRC: binio.Checksum(buf)})
+	c.res.NeedSync = append(c.res.NeedSync, filepath.Join(c.dir, MetaName))
 	return &c.res, nil
 }
 
-// copyRange copies src's bytes [off, off+n) into a fresh file at dst,
-// returning the CRC32C of the written bytes.
+// copyRange copies src's bytes [off, off+n) into a fresh file at dst in
+// 256 KiB reads and writes, returning the CRC32C of the written bytes.
 func copyRange(fsys faultfs.FS, src string, off, n int64, dst string) (uint32, error) {
 	in, err := fsys.Open(src)
 	if err != nil {
@@ -455,31 +498,23 @@ func copyRange(fsys faultfs.FS, src string, off, n int64, dst string) (uint32, e
 	if err != nil {
 		return 0, err
 	}
-	crc := uint32(0)
-	buf := make([]byte, 256<<10)
-	remaining := n
-	pos := off
-	for remaining > 0 {
-		chunk := int64(len(buf))
-		if chunk > remaining {
-			chunk = remaining
-		}
-		if _, err := in.ReadAt(buf[:chunk], pos); err != nil {
-			out.Close()
-			return 0, err
-		}
-		if _, err := out.Write(buf[:chunk]); err != nil {
-			out.Close()
-			return 0, err
-		}
-		crc = binio.ChecksumUpdate(crc, buf[:chunk])
-		pos += chunk
-		remaining -= chunk
+	var crc crcWriter
+	copied, err := io.CopyBuffer(io.MultiWriter(out, &crc), io.NewSectionReader(in, off, n), make([]byte, 256<<10))
+	if err == nil && copied != n {
+		err = io.ErrUnexpectedEOF
 	}
-	if err := out.Close(); err != nil {
-		return 0, err
+	if cerr := out.Close(); err == nil {
+		err = cerr
 	}
-	return crc, nil
+	return uint32(crc), err
+}
+
+// crcWriter accumulates the CRC32C of what is written to it.
+type crcWriter uint32
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	*c = crcWriter(binio.ChecksumUpdate(uint32(*c), p))
+	return len(p), nil
 }
 
 // SegmentName names the segment of a logical file starting at offset

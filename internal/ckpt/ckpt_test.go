@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,13 +227,11 @@ func TestCutStream(t *testing.T) {
 		if extend != (gen > 0) {
 			t.Fatalf("gen %d: Extends = %v", gen, extend)
 		}
-		err = cut.Stream("s.dlt", extend, func(emit func([]byte) error) error {
+		err = cut.Stream("s.dlt", extend, func(emit func([]byte)) error {
 			for i := 0; i < n; i++ {
 				rec := []byte(fmt.Sprintf("gen%d-rec%06d", gen, i))
 				want = append(want, rec)
-				if err := emit(rec); err != nil {
-					return err
-				}
+				emit(rec)
 			}
 			return nil
 		})
@@ -257,22 +256,129 @@ func TestCutStream(t *testing.T) {
 		if parent.Extends("s.dlt", 12345) {
 			t.Fatal("a parent that was not the last committed cut extends")
 		}
-		out := filepath.Join(t.TempDir(), "stream")
-		if err := Materialize(faultfs.OS, dir, fstate, out); err != nil {
-			t.Fatal(err)
-		}
-		b, _ := os.ReadFile(out)
-		for i, rec := range want {
-			got, used, err := binio.ReadRecord(b)
-			if err != nil || !bytes.Equal(got, rec) {
-				t.Fatalf("gen %d record %d = %q, %v; want %q", gen, i, got, err, rec)
-			}
-			b = b[used:]
-		}
-		if len(b) != 0 {
-			t.Fatalf("gen %d: %d trailing bytes", gen, len(b))
+		if got := replayed(t, dir, fstate); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gen %d: replayed %d records, want %d in order", gen, len(got), len(want))
 		}
 		parent, parentDir = meta, dir
+	}
+}
+
+// replayed collects the records Replay hands out for fstate.
+func replayed(t *testing.T, dir string, fstate *FileState) [][]byte {
+	t.Helper()
+	var got [][]byte
+	if err := Replay(faultfs.OS, dir, fstate, func(rec []byte) error {
+		got = append(got, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestStreamSpansBlocks: a cut whose records outgrow one block is sealed
+// into several v1 frames of at most streamChunk bytes of records plus the
+// one that crossed the bound, and Replay hands the records back in order
+// across the block boundaries.
+func TestStreamSpansBlocks(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cut")
+	cut, err := Begin(faultfs.OS, dir, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	rng := rand.New(rand.NewSource(7))
+	err = cut.Stream("s.dlt", false, func(emit func([]byte)) error {
+		for total := 0; total < 3*streamChunk; {
+			rec := bytes.Repeat([]byte{byte(len(want))}, 1+rng.Intn(3000))
+			want = append(want, rec)
+			total += len(rec)
+			emit(rec)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cut.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ReadMeta(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fstate := meta.File("s.dlt")
+	b, err := os.ReadFile(filepath.Join(dir, fstate.Segments[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	for len(b) > 0 {
+		block, n, err := binio.ReadRecordV(b, binio.FrameV1)
+		if err != nil {
+			t.Fatalf("block %d: %v", blocks, err)
+		}
+		if len(block) > streamChunk+3002 {
+			t.Fatalf("block %d holds %d bytes of records", blocks, len(block))
+		}
+		b = b[n:]
+		blocks++
+	}
+	if blocks < 3 {
+		t.Fatalf("%d blocks for %d bytes of records", blocks, 3*streamChunk)
+	}
+	if got := replayed(t, dir, fstate); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %d records across %d blocks, want %d in order", len(got), blocks, len(want))
+	}
+}
+
+// TestReplayRejectsDamage: a flipped bit, a zeroed page and a segment cut
+// mid-block each stop the replay with a typed FrameError, never with a
+// shorter stream.
+func TestReplayRejectsDamage(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cut")
+	cut, err := Begin(faultfs.OS, dir, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cut.Stream("s.dlt", false, func(emit func([]byte)) error {
+		for i := 0; i < 2000; i++ {
+			emit([]byte(fmt.Sprintf("record-%05d", i)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cut.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ReadMeta(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fstate := meta.File("s.dlt")
+	path := filepath.Join(dir, fstate.Segments[0].Name)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage := map[string]func([]byte) []byte{
+		"bit flip":    func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b },
+		"zeroed page": func(b []byte) []byte { copy(b[4096:8192], make([]byte, 4096)); return b },
+		"zeroed tail": func(b []byte) []byte { copy(b[len(b)-4096:], make([]byte, 4096)); return b },
+		"cut short":   func(b []byte) []byte { return b[:len(b)-100] },
+	}
+	for name, rot := range damage {
+		b := rot(append([]byte(nil), clean...))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var fe *binio.FrameError
+		err := Replay(faultfs.OS, dir, fstate, func([]byte) error { return nil })
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: Replay = %v, want a FrameError", name, err)
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err := cut.Extra(segmentsSnapshotName, encodeSegmentsSnapshot(infos)); err != nil {
 		return nil, err
 	}
-	err = cut.Stream(statDeltaLogical, statIncr, func(emit func([]byte) error) error {
+	err = cut.Stream(statDeltaLogical, statIncr, func(emit func([]byte)) error {
 		var payload []byte
 		for _, rec := range statWork {
 			kind := statKindSet
@@ -201,9 +201,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 			if !rec.tomb {
 				payload = binio.PutVarint(payload, rec.maxTS)
 			}
-			if err := emit(payload); err != nil {
-				return err
-			}
+			emit(payload)
 		}
 		return nil
 	})
@@ -317,54 +315,43 @@ func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*statEntry, 
 	if fstate == nil {
 		return nil, fmt.Errorf("aur: restore: SEGMENTS lacks %s", statDeltaLogical)
 	}
-	fsys := s.dir.FS()
 	out := make(map[id]*statEntry)
-	for _, seg := range fstate.Segments {
-		b, err := fsys.ReadFile(filepath.Join(dir, seg.Name))
+	err := ckpt.Replay(s.dir.FS(), dir, fstate, func(rec []byte) error {
+		if len(rec) == 0 {
+			return fmt.Errorf("empty record")
+		}
+		kind := rec[0]
+		k, kn, err := binio.Bytes(rec[1:])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for len(b) > 0 {
-			payload, n, err := binio.ReadRecord(b)
-			if err != nil {
-				return nil, fmt.Errorf("aur: stat stream: %w", err)
-			}
-			b = b[n:]
-			if len(payload) == 0 {
-				return nil, fmt.Errorf("aur: stat stream: empty record")
-			}
-			kind := payload[0]
-			payload = payload[1:]
-			k, kn, err := binio.Bytes(payload)
-			if err != nil {
-				return nil, fmt.Errorf("aur: stat stream: %w", err)
-			}
-			payload = payload[kn:]
-			w, wn, err := window.Decode(payload)
-			if err != nil {
-				return nil, fmt.Errorf("aur: stat stream: %w", err)
-			}
-			payload = payload[wn:]
-			ident := id{key: string(k), w: w}
-			switch kind {
-			case statKindTomb:
-				delete(out, ident)
-			case statKindSet:
-				maxTS, _, err := binio.Varint(payload)
-				if err != nil {
-					return nil, fmt.Errorf("aur: stat stream: %w", err)
-				}
-				st := &statEntry{maxTS: maxTS}
-				if s.opts.Predictor != nil {
-					if ett, ok := s.opts.Predictor.ETT(w, maxTS); ok {
-						st.ett, st.hasETT = ett, true
-					}
-				}
-				out[ident] = st
-			default:
-				return nil, fmt.Errorf("aur: stat stream: unknown record kind %d", kind)
-			}
+		w, wn, err := window.Decode(rec[1+kn:])
+		if err != nil {
+			return err
 		}
+		ident := id{key: string(k), w: w}
+		switch kind {
+		case statKindTomb:
+			delete(out, ident)
+		case statKindSet:
+			maxTS, _, err := binio.Varint(rec[1+kn+wn:])
+			if err != nil {
+				return err
+			}
+			st := &statEntry{maxTS: maxTS}
+			if s.opts.Predictor != nil {
+				if ett, ok := s.opts.Predictor.ETT(w, maxTS); ok {
+					st.ett, st.hasETT = ett, true
+				}
+			}
+			out[ident] = st
+		default:
+			return fmt.Errorf("unknown record kind %d", kind)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("aur: stat stream: %w", err)
 	}
 	return out, nil
 }

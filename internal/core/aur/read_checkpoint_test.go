@@ -1,10 +1,12 @@
 package aur
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
@@ -358,5 +360,37 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRestoreRejectsZeroedStatPage: a zeroed page inside a stat.dlt
+// segment is a typed FrameError from Restore, never a Stat table missing
+// the rows the page held.
+func TestRestoreRejectsZeroedStatPage(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	w := window.Window{Start: 0, End: gap}
+	for i := 0; i < 2000; i++ {
+		if err := s.Append([]byte(fmt.Sprintf("session-%05d", i)), []byte("v"), w, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := meta.File(statDeltaLogical).Segments[0]
+	if seg.Len < 3*4096 {
+		t.Fatalf("segment of %d bytes is too small to zero an inner page", seg.Len)
+	}
+	if err := faultfs.CorruptAtRest(nil, filepath.Join(dir, seg.Name), faultfs.CorruptZeroPage, 4096); err != nil {
+		t.Fatal(err)
+	}
+	var fe *binio.FrameError
+	if err := openTest(t, Options{WriteBufferBytes: 1 << 20}).Restore(dir); !errors.As(err, &fe) {
+		t.Fatalf("restore over a zeroed stat.dlt page: %v, want a FrameError", err)
 	}
 }

@@ -2,15 +2,13 @@ package rmw
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 )
 
-// Checkpoints persist the RMW store as a replay stream: one
-// logical file (deltaLogical) whose segments, concatenated in order,
+// Checkpoints persist the RMW store as a replay stream (ckpt.Cut.Stream):
+// one logical file (deltaLogical) whose segments, concatenated in order,
 // form a sequence of kind-prefixed records — a full dump of live
 // aggregates as upserts at the chain's base, then per checkpoint one
 // segment holding exactly the identities mutated since the parent's cut
@@ -116,7 +114,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	// The stream's records are a set — at most one per identity in a cut —
 	// so their order within the segment is free: what is in memory goes
 	// first, what was spilled follows in log order.
-	err = cut.Stream(deltaLogical, incremental, func(emit func([]byte) error) error {
+	err = cut.Stream(deltaLogical, incremental, func(emit func([]byte)) error {
 		var payload []byte
 		for _, b := range inMem {
 			kind := deltaKindUpsert
@@ -124,13 +122,12 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 				kind = deltaKindTombstone
 			}
 			payload = encodeEntry(append(payload[:0], kind), b.ident, b.v)
-			if err := emit(payload); err != nil {
-				return err
-			}
+			emit(payload)
 		}
 		return s.readSpansLocked(spilled, func(entry []byte) error {
 			payload = append(append(payload[:0], deltaKindUpsert), entry...)
-			return emit(payload)
+			emit(payload)
+			return nil
 		})
 	})
 	if err != nil {
@@ -233,61 +230,41 @@ func (s *Store) Restore(dir string) error {
 	}
 	newIndex := make(map[id]span)
 	live := make(map[uint32]int64) // per segment, installed under mu at the end
-	retire := func(ident id) {
-		if sp, ok := newIndex[ident]; ok {
-			live[sp.seg] -= int64(sp.n)
-			delete(newIndex, ident)
+	err = ckpt.Replay(fsys, dir, fstate, func(rec []byte) error {
+		if len(rec) == 0 {
+			return fmt.Errorf("empty delta record")
 		}
-	}
-	for _, seg := range fstate.Segments {
-		f, err := fsys.Open(filepath.Join(dir, seg.Name))
+		kind, entry := rec[0], rec[1:]
+		key, w, _, err := decodeEntry(entry)
 		if err != nil {
 			return err
 		}
-		sc := binio.NewRecordScanner(f, 0)
-		for sc.Scan() {
-			rec := sc.Record()
-			if len(rec) == 0 {
-				f.Close()
-				return fmt.Errorf("rmw: restore: empty delta record in %s", seg.Name)
-			}
-			kind, entry := rec[0], rec[1:]
-			key, w, _, err := decodeEntry(entry)
+		ident := id{key: string(key), w: w}
+		if sp, ok := newIndex[ident]; ok { // superseded, or dropped by a tombstone
+			live[sp.seg] -= int64(sp.n)
+			delete(newIndex, ident)
+		}
+		switch kind {
+		case deltaKindTombstone:
+		case deltaKindUpsert:
+			head, err := s.segs.OpenHead()
 			if err != nil {
-				f.Close()
-				return fmt.Errorf("rmw: restore: %w", err)
+				return err
 			}
-			ident := id{key: string(key), w: w}
-			switch kind {
-			case deltaKindTombstone:
-				retire(ident)
-			case deltaKindUpsert:
-				head, err := s.segs.OpenHead()
-				if err != nil {
-					f.Close()
-					return err
-				}
-				off, n, err := head.Logs[0].Append(entry)
-				if err != nil {
-					f.Close()
-					return err
-				}
-				retire(ident)
-				newIndex[ident] = span{off: off, seg: head.ID, n: uint32(n)}
-				live[head.ID] += int64(n)
-				s.segs.Seal(head, false)
-			default:
-				f.Close()
-				return fmt.Errorf("rmw: restore: unknown delta record kind %d in %s", kind, seg.Name)
+			off, n, err := head.Logs[0].Append(entry)
+			if err != nil {
+				return err
 			}
+			newIndex[ident] = span{off: off, seg: head.ID, n: uint32(n)}
+			live[head.ID] += int64(n)
+			s.segs.Seal(head, false)
+		default:
+			return fmt.Errorf("unknown delta record kind %d", kind)
 		}
-		err = sc.Err()
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("rmw: restore %s: %w", seg.Name, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("rmw: restore: %w", err)
 	}
 	if err := s.segs.Flush(); err != nil {
 		return err

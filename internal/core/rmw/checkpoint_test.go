@@ -1,6 +1,7 @@
 package rmw
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -147,13 +148,20 @@ func TestDeltaElidesBornAndConsumed(t *testing.T) {
 		}
 		parent, parentDir = meta, dir
 	}
-	upsertBytes := func(key, val string) int64 {
-		payload := encodeEntry([]byte{deltaKindUpsert}, id{key: key, w: w}, []byte(val))
-		return int64(len(binio.AppendRecord(nil, payload)))
+	upsert := func(key, val string) []byte {
+		return encodeEntry([]byte{deltaKindUpsert}, id{key: key, w: w}, []byte(val))
 	}
-	tombBytes := func(key string) int64 {
-		payload := encodeEntry([]byte{deltaKindTombstone}, id{key: key, w: w}, nil)
-		return int64(len(binio.AppendRecord(nil, payload)))
+	tomb := func(key string) []byte {
+		return encodeEntry([]byte{deltaKindTombstone}, id{key: key, w: w}, nil)
+	}
+	// A segment this small is one stream block: one v1 frame around the
+	// records' length-prefixed payloads.
+	blockBytes := func(recs ...[]byte) int64 {
+		var block []byte
+		for _, rec := range recs {
+			block = binio.PutBytes(block, rec)
+		}
+		return int64(len(binio.AppendRecordV(nil, block, binio.FrameV1)))
 	}
 
 	// Three aggregates nothing touches again keep the clean identities in
@@ -173,7 +181,7 @@ func TestDeltaElidesBornAndConsumed(t *testing.T) {
 	s.Get([]byte("brief"), w)
 	s.Put([]byte("kept"), w, []byte("k"))
 	res, dir, n := cut("c2")
-	if want := upsertBytes("kept", "k"); n != want {
+	if want := blockBytes(upsert("kept", "k")); n != want {
 		t.Fatalf("c2 shipped %d bytes, want only kept's upsert (%d)", n, want)
 	}
 	// Between c2's cut and its commit: kept, which c2 is shipping, and
@@ -184,7 +192,7 @@ func TestDeltaElidesBornAndConsumed(t *testing.T) {
 	commit(res, dir)
 
 	res, dir, n = cut("c3")
-	if want := tombBytes("kept") + tombBytes("held") + upsertBytes("late", "l"); n != want {
+	if want := blockBytes(tomb("kept"), tomb("held"), upsert("late", "l")); n != want {
 		t.Fatalf("c3 shipped %d bytes, want two tombstones and late's upsert (%d)", n, want)
 	}
 	commit(res, dir)
@@ -268,18 +276,11 @@ func (c *chain) commit(dir string, res *ckpt.Result) *ckpt.FileState {
 // spilled in log order.
 func (c *chain) records(dir string, seg ckpt.Segment) (upserts, tombs map[id]bool) {
 	c.t.Helper()
-	f, err := faultfs.OS.Open(filepath.Join(dir, seg.Name))
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	defer f.Close()
 	upserts, tombs = make(map[id]bool), make(map[id]bool)
-	sc := binio.NewRecordScanner(f, 0)
-	for sc.Scan() {
-		rec := sc.Record()
+	err := ckpt.Replay(faultfs.OS, dir, &ckpt.FileState{Segments: []ckpt.Segment{seg}}, func(rec []byte) error {
 		key, w, _, err := decodeEntry(rec[1:])
 		if err != nil {
-			c.t.Fatal(err)
+			return err
 		}
 		ident := id{key: string(key), w: w}
 		if upserts[ident] || tombs[ident] {
@@ -290,8 +291,9 @@ func (c *chain) records(dir string, seg ckpt.Segment) (upserts, tombs map[id]boo
 		} else {
 			upserts[ident] = true
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		c.t.Fatal(err)
 	}
 	return upserts, tombs
@@ -468,4 +470,36 @@ func TestCheckpointReadsSpilledStateInRuns(t *testing.T) {
 		t.Fatalf("the base holds %d upserts and %d tombstones for %d live aggregates", len(upserts), len(tombs), len(c.oracle))
 	}
 	c.restoresToOracle()
+}
+
+// TestRestoreRejectsZeroedStreamPage: a zeroed page inside an rmw.dlt
+// segment — the rot v0 framing read as a run of valid empty records — is
+// a typed FrameError from Restore, never a silently shorter state.
+func TestRestoreRejectsZeroedStreamPage(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: diffBuffer})
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 2000; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key-%05d", i)), w, []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := meta.File(deltaLogical).Segments[0]
+	if seg.Len < 3*4096 {
+		t.Fatalf("segment of %d bytes is too small to zero an inner page", seg.Len)
+	}
+	if err := faultfs.CorruptAtRest(nil, filepath.Join(dir, seg.Name), faultfs.CorruptZeroPage, 4096); err != nil {
+		t.Fatal(err)
+	}
+	var fe *binio.FrameError
+	if err := openTest(t, Options{}).Restore(dir); !errors.As(err, &fe) {
+		t.Fatalf("restore over a zeroed rmw.dlt page: %v, want a FrameError", err)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -63,7 +64,7 @@ import (
 const (
 	jobMetaName = "JOB"      // committed progress record (atomic rename)
 	genMetaName = "GENMETA"  // per-generation copy of the progress record
-	ledgerName  = "SINK.log" // CRC-framed committed sink results
+	ledgerName  = "SINK.log" // committed sink results, one block per commit
 	genPrefix   = "gen-"     // checkpoint generation directories
 )
 
@@ -367,8 +368,9 @@ type jobRun struct {
 	stages  []*jobStage
 	segment []SinkRecord
 	lf      faultfs.File
-	ledger  int64 // committed + appended ledger bytes
-	gen     int64 // last committed generation
+	ledger  int64  // committed + appended ledger bytes
+	block   []byte // the ledger block buffer, reused across commits
+	gen     int64  // last committed generation
 
 	// Live-migration state (migrate.go): the loaded journal, the
 	// in-flight attempt, and which plan entries this run has attempted.
@@ -1036,13 +1038,17 @@ func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error 
 }
 
 // appendSegment sorts the inter-barrier sink segment canonically by
-// (TS, Key, Value) and appends it to the ledger. The sort is what makes
-// ledger bytes independent of worker interleaving: the segment's record
-// set is deterministic (barriers land at fixed source positions and
-// triggers fire at fixed watermarks), only its arrival order is not.
+// (TS, Key, Value) and appends it to the ledger as one block. The sort is
+// what makes ledger bytes independent of worker interleaving: the
+// segment's record set is deterministic (barriers land at fixed source
+// positions and triggers fire at fixed watermarks), only its arrival
+// order is not.
 func (jr *jobRun) appendSegment() error {
 	seg := jr.segment
 	jr.segment = jr.segment[:0]
+	if len(seg) == 0 {
+		return nil
+	}
 	sort.Slice(seg, func(i, k int) bool {
 		if seg[i].TS != seg[k].TS {
 			return seg[i].TS < seg[k].TS
@@ -1052,23 +1058,94 @@ func (jr *jobRun) appendSegment() error {
 		}
 		return bytes.Compare(seg[i].Value, seg[k].Value) < 0
 	})
-	var buf []byte
-	for _, rec := range seg {
-		p := binio.PutVarint(nil, rec.TS)
-		p = binio.PutBytes(p, rec.Key)
-		p = binio.PutBytes(p, rec.Value)
-		buf = binio.AppendRecord(buf, p)
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	if _, err := jr.lf.Write(buf); err != nil {
+	jr.block = appendLedgerBlock(slices.Grow(jr.block[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], seg)
+	frame := binio.SealFrame(jr.block)
+	if _, err := jr.lf.Write(frame); err != nil {
 		return fmt.Errorf("spe: job ledger: %w", err)
 	}
 	if err := jr.lf.Sync(); err != nil {
 		return fmt.Errorf("spe: job ledger: %w", err)
 	}
-	jr.ledger += int64(len(buf))
+	jr.ledger += int64(len(frame))
+	return nil
+}
+
+// The sink ledger is a run of blocks, one per commit that produced
+// results: a v1 frame (one CRC for the whole commit) whose payload is the
+// record count, then per record its TS as a delta from the previous
+// record's (the first one's from zero, so absolute), its key and its
+// value. Records are in the commit's canonical (TS, Key, Value) order, so
+// the deltas are small and never negative.
+
+// appendLedgerBlock appends the payload of the ledger block holding recs
+// to dst.
+func appendLedgerBlock(dst []byte, recs []SinkRecord) []byte {
+	dst = binio.PutUvarint(dst, uint64(len(recs)))
+	var prev int64
+	for _, r := range recs {
+		dst = binio.PutVarint(dst, r.TS-prev)
+		dst = binio.PutBytes(dst, r.Key)
+		dst = binio.PutBytes(dst, r.Value)
+		prev = r.TS
+	}
+	return dst
+}
+
+// decodeLedgerBlock decodes the ledger block at the front of b, handing fn
+// its records in order (key and value alias b), and returns the bytes the
+// block took. Anything but a whole block that decodes exactly — a frame
+// that fails its CRC or ends early, a record count other than the records
+// the payload holds, a byte left over — is a *binio.FrameError.
+func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, error) {
+	p, n, err := binio.ReadRecordV(b, binio.FrameV1)
+	if errors.Is(err, binio.ErrShortBuffer) {
+		return 0, &binio.FrameError{Reason: "ledger ends mid-block"}
+	}
+	if err != nil {
+		return 0, err
+	}
+	if n != len(p)+binio.RecordOverheadV(len(p), binio.FrameV1) {
+		return 0, &binio.FrameError{Reason: "padded ledger block length"}
+	}
+	d := snapDecoder{b: p}
+	count := d.count(3) // a record takes at least three bytes
+	var ts int64
+	for i := uint64(0); i < count && d.err == nil; i++ {
+		ts += d.varint()
+		key, val := d.bytes(), d.bytes()
+		if d.err == nil {
+			fn(ts, key, val)
+		}
+	}
+	if d.err != nil || len(d.b) != 0 {
+		return 0, &binio.FrameError{Reason: fmt.Sprintf("ledger block of %d records does not decode exactly (%v, %d bytes left)", count, d.err, len(d.b))}
+	}
+	return n, nil
+}
+
+// decodeLedger decodes the committed prefix of dir's ledger — the
+// LedgerLen bytes meta commits — block by block, handing fn every record
+// in order. A prefix that does not decode completely is an error wrapping
+// a *binio.FrameError.
+func decodeLedger(fsys faultfs.FS, dir string, meta JobMeta, fn func(ts int64, key, value []byte)) error {
+	b, err := fsys.ReadFile(filepath.Join(dir, ledgerName))
+	if errors.Is(err, fs.ErrNotExist) {
+		b, err = nil, nil
+	}
+	if err != nil {
+		return fmt.Errorf("spe: read ledger: %w", err)
+	}
+	if meta.LedgerLen > int64(len(b)) {
+		return fmt.Errorf("spe: read ledger: %w", &binio.FrameError{
+			Reason: fmt.Sprintf("ledger is %d bytes, JOB commits %d", len(b), meta.LedgerLen)})
+	}
+	for off := int64(0); off < meta.LedgerLen; {
+		n, err := decodeLedgerBlock(b[off:meta.LedgerLen], fn)
+		if err != nil {
+			return fmt.Errorf("spe: read ledger: block at offset %d: %w", off, err)
+		}
+		off += int64(n)
+	}
 	return nil
 }
 
@@ -1248,35 +1325,30 @@ func ReadJobMeta(fsys faultfs.FS, dir string) (JobMeta, error) {
 	return decodeJobMeta(b)
 }
 
-// ReadLedger returns the committed sink results of a job directory,
-// stopping cleanly at a torn tail (uncommitted suffix after a crash).
-// A nil fsys uses the real filesystem.
+// ReadLedger returns the committed sink results of a job directory: the
+// ledger's prefix up to the JOB file's LedgerLen. What lies past it — a
+// block a crash left between the ledger's fsync and the JOB rename — was
+// never committed and is not returned. A committed prefix that does not
+// decode completely is an error wrapping a *binio.FrameError; a directory
+// without a JOB file has committed nothing. A nil fsys uses the real
+// filesystem.
 func ReadLedger(fsys faultfs.FS, dir string) ([]SinkRecord, error) {
 	if fsys == nil {
 		fsys = faultfs.OS
 	}
-	f, err := fsys.Open(filepath.Join(dir, ledgerName))
+	meta, err := ReadJobMeta(fsys, dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("spe: read ledger: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	sc := binio.NewRecordScanner(f, 0)
 	var out []SinkRecord
-	for sc.Scan() {
-		d := snapDecoder{b: sc.Record()}
-		ts := d.varint()
-		key := d.bytes()
-		val := d.bytes()
-		if d.err != nil {
-			return nil, fmt.Errorf("spe: corrupt ledger record: %w", d.err)
-		}
-		out = append(out, SinkRecord{TS: ts, Key: key, Value: val})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("spe: read ledger: %w", err)
+	err = decodeLedger(fsys, dir, meta, func(ts int64, key, value []byte) {
+		out = append(out, SinkRecord{TS: ts, Key: key, Value: value})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package spe
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/statebackend"
@@ -263,10 +262,12 @@ func (o *IntervalJoinOperator) Finish(int64) error {
 }
 
 // joinSnapMagic versions the interval-join operator snapshot encoding.
-const joinSnapMagic = "flowkv-joinsnap1\n"
+const joinSnapMagic = "flowkv-joinsnap2\n"
 
 // snapshotState serializes the join operator's control state: the
-// watermark, the counters, and both sides' live bucket registries; the
+// watermark, the counters, and both sides' live bucket registries — per
+// side a bucket count, then per bucket in order the bucket window and its
+// key set (putKeySet, as the window operator's aligned windows); the
 // expiry heaps are re-derived on restore. No emitted-pair frontier is
 // needed: snapshots are taken at aligned barriers, where every
 // pre-barrier emission is already committed in the sink ledger, and a
@@ -280,19 +281,10 @@ func (o *IntervalJoinOperator) snapshotState() []byte {
 	b = binio.PutVarint(b, o.late)
 	for _, side := range []Side{Left, Right} {
 		reg := o.buckets[side]
-		wins := make([]window.Window, 0, len(reg))
-		for w := range reg {
-			wins = append(wins, w)
-		}
-		sort.Slice(wins, func(i, j int) bool { return wins[i].Before(wins[j]) })
+		wins := sortedWindows(reg)
 		b = binio.PutUvarint(b, uint64(len(wins)))
 		for _, w := range wins {
-			b = w.AppendTo(b)
-			keys := sortedKeys(reg[w])
-			b = binio.PutUvarint(b, uint64(len(keys)))
-			for _, k := range keys {
-				b = binio.PutString(b, k)
-			}
+			b = putKeySet(w.AppendTo(b), reg[w])
 		}
 	}
 	return b
@@ -315,21 +307,19 @@ func (o *IntervalJoinOperator) restoreState(b []byte) error {
 	}
 	o.expiry = map[Side]*windowHeap{Left: {}, Right: {}}
 	for _, side := range []Side{Left, Right} {
-		for n := d.uvarint(); n > 0; n-- {
-			w := d.window()
-			set := make(map[string]struct{})
-			for kn := d.uvarint(); kn > 0; kn-- {
-				set[d.str()] = struct{}{}
+		var prev window.Window
+		for i, n := uint64(0), d.count(3); i < n && d.err == nil; i++ {
+			w := d.nextWindow(prev, i)
+			set := d.keySet()
+			if d.err == nil {
+				o.buckets[side][w] = set
+				heap.Push(o.expiry[side], w)
 			}
-			if d.err != nil {
-				break
-			}
-			o.buckets[side][w] = set
-			heap.Push(o.expiry[side], w)
+			prev = w
 		}
 	}
-	if d.err != nil {
-		return fmt.Errorf("spe: corrupt join snapshot: %w", d.err)
+	if err := d.finish(); err != nil {
+		return fmt.Errorf("spe: corrupt join snapshot: %w", err)
 	}
 	return nil
 }

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"testing"
 
+	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
 )
@@ -272,5 +274,84 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 		default:
 			t.Fatalf("iter %d (%s %v): job neither final nor failed", i, rel, kind)
 		}
+	}
+}
+
+// TestScrubBatteryZeroedPageIsFrameError zeroes a page inside the committed
+// SINK.log prefix and inside the committed generation's rmw.dlt and
+// stat.dlt replay segments — the rot v0 framing read as a run of valid
+// empty records. Each must fail typed, as a *binio.FrameError: the
+// ledger from VerifyJobDir and ReadLedger, a replay segment from the
+// replay its restore runs (the checkpoint MANIFEST catches it first, as
+// the CheckpointError VerifyJobDir reports). Never a shorter result.
+func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
+	tuples := crashTuples(450)
+	const every = 79
+	for _, leg := range []struct {
+		pat     crashPattern
+		logical string // replay stream to rot; "" rots the ledger
+	}{
+		{crashPatterns()[0], ""},
+		{crashPatterns()[2], "rmw.dlt"},
+		{crashPatterns()[1], "stat.dlt"},
+	} {
+		name := leg.logical
+		if name == "" {
+			name = ledgerName
+		}
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			job := &Job{
+				Pipeline:        crashPipeline(leg.pat, filepath.Join(base, "state"), nil, 1<<10),
+				Source:          NewSliceSource(tuples),
+				Dir:             filepath.Join(base, "job"),
+				CheckpointEvery: every,
+				KillAfterTuples: 300,
+			}
+			if _, err := job.Run(); !errors.Is(err, ErrJobKilled) {
+				t.Fatalf("run: %v", err)
+			}
+			meta, err := ReadJobMeta(nil, job.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fe *binio.FrameError
+			if leg.logical == "" {
+				if meta.LedgerLen == 0 {
+					t.Fatal("nothing committed to the ledger")
+				}
+				if err := faultfs.CorruptAtRest(nil, filepath.Join(job.Dir, ledgerName), faultfs.CorruptZeroPage, meta.LedgerLen/2); err != nil {
+					t.Fatal(err)
+				}
+				if err := VerifyJobDir(nil, job.Dir); !errors.As(err, &fe) {
+					t.Fatalf("VerifyJobDir over a zeroed ledger page: %v, want a FrameError", err)
+				}
+				if recs, err := ReadLedger(nil, job.Dir); !errors.As(err, &fe) {
+					t.Fatalf("ReadLedger over a zeroed ledger page: %d records, %v; want a FrameError", len(recs), err)
+				}
+				return
+			}
+			inst := filepath.Join(job.Dir, genDirName(meta.Gen), cutDirName(1, 0), "inst-00")
+			segs, err := ckpt.ReadMeta(faultfs.OS, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fstate := segs.File(leg.logical)
+			if fstate == nil || len(fstate.Segments) == 0 {
+				t.Fatalf("%s records no %s segment", inst, leg.logical)
+			}
+			last := fstate.Segments[len(fstate.Segments)-1]
+			if err := faultfs.CorruptAtRest(nil, filepath.Join(inst, last.Name), faultfs.CorruptZeroPage, last.Len/2); err != nil {
+				t.Fatal(err)
+			}
+			if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
+				t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", leg.logical, err)
+			}
+			n := 0
+			err = ckpt.Replay(faultfs.OS, inst, fstate, func([]byte) error { n++; return nil })
+			if !errors.As(err, &fe) {
+				t.Fatalf("replay of a zeroed %s page: %d records, %v; want a FrameError", leg.logical, n, err)
+			}
+		})
 	}
 }

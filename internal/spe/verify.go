@@ -1,13 +1,11 @@
 package spe
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
 )
@@ -90,37 +88,17 @@ func VerifyJobDir(fsys faultfs.FS, dir string) error {
 	return verifyLedger(fsys, dir, meta)
 }
 
-// verifyLedger decodes the committed prefix of the sink ledger record by
-// record. Payloads are decoded too, not just frame CRCs: an all-zero rot
-// page happens to satisfy the legacy v0 framing (CRC32C of the empty
-// payload is zero), but an empty payload can never decode as a sink
-// record. Bytes past the committed length are an uncommitted suffix that
-// the next resume discards, so they are not verified.
+// verifyLedger decodes the committed prefix of the sink ledger block by
+// block. Each block is a v1 frame, so a zeroed page (a frame cannot start
+// with a zero byte) or a flipped bit fails its CRC. Its payload is decoded
+// too, and must hold exactly the records its count names with no byte
+// left over, so a block whose CRC happened to survive rot is caught as
+// well; and the blocks must end exactly at the committed length. Bytes
+// past it are an uncommitted suffix that the next resume discards, so
+// they are not verified.
 func verifyLedger(fsys faultfs.FS, dir string, meta JobMeta) error {
-	b, err := fsys.ReadFile(filepath.Join(dir, ledgerName))
-	if errors.Is(err, fs.ErrNotExist) {
-		b = nil
-	} else if err != nil {
-		return fmt.Errorf("spe: verify %s: ledger: %w", dir, err)
-	}
-	if meta.LedgerLen > int64(len(b)) {
-		return fmt.Errorf("spe: verify %s: ledger is %d bytes, JOB commits %d", dir, len(b), meta.LedgerLen)
-	}
-	sc := binio.NewRecordScanner(bytes.NewReader(b[:meta.LedgerLen]), 0)
-	for sc.Scan() {
-		d := snapDecoder{b: sc.Record()}
-		d.varint()
-		d.bytes()
-		d.bytes()
-		if d.err != nil {
-			return fmt.Errorf("spe: verify %s: ledger record ending at offset %d: %w", dir, sc.Offset(), d.err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("spe: verify %s: ledger: %w", dir, err)
-	}
-	if sc.Offset() != meta.LedgerLen {
-		return fmt.Errorf("spe: verify %s: committed ledger ends mid-record at %d of %d", dir, sc.Offset(), meta.LedgerLen)
+	if err := decodeLedger(fsys, dir, meta, func(int64, []byte, []byte) {}); err != nil {
+		return fmt.Errorf("spe: verify %s: %w", dir, err)
 	}
 	return nil
 }
