@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeIndexBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeMigrationRecord -fuzztime $(FUZZTIME)

@@ -8,7 +8,7 @@
 //	flowkvctl ls    <store-dir>        # list files with sizes and kinds
 //	flowkvctl index <index-log-file>   # decode an AUR index log
 //	flowkvctl data  <data-log-file>    # summarize an AUR data log
-//	flowkvctl aar   <win_*.log file>   # decode an AAR per-window log
+//	flowkvctl aar   <win_*.log file>   # keys and tuples per flush chunk of an AAR per-window log
 //	flowkvctl rmw   <rmw-*.log file>   # decode one segment of an RMW log
 //	flowkvctl health <store-dir>       # offline log integrity scan
 //	flowkvctl checkpoints <parent-dir> # list and verify checkpoints
@@ -32,6 +32,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/core"
+	"flowkv/internal/core/aar"
 	"flowkv/internal/core/aur"
 	"flowkv/internal/jobmanager"
 	"flowkv/internal/metrics"
@@ -212,24 +213,26 @@ func cmdData(path string) error {
 }
 
 func cmdAAR(path string) error {
-	fmt.Println("#   tuples  bytes   first-key")
-	var tuples int
+	fmt.Println("#   keys  tuples  bytes   first-key")
+	var keys, tuples int
 	err := scanRecords(path, func(i int, _ int64, payload []byte) error {
-		count, n, err := binio.Uvarint(payload)
-		if err != nil {
-			return err
-		}
-		firstKey := []byte("-")
-		if count > 0 {
-			if k, _, err := binio.Bytes(payload[n:]); err == nil {
-				firstKey = k
+		var n int
+		var firstKey []byte
+		k, err := aar.DecodeChunk(payload, func(key []byte, vals [][]byte) {
+			if n == 0 {
+				firstKey = append(firstKey, key...)
 			}
+			n += len(vals)
+		})
+		if err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
 		}
-		tuples += int(count)
-		fmt.Printf("%-3d %6d %6d   %s\n", i, count, len(payload), firstKey)
+		keys += k
+		tuples += n
+		fmt.Printf("%-3d %5d %7d %6d   %s\n", i, k, n, len(payload), firstKey)
 		return nil
 	})
-	fmt.Printf("%d tuples total\n", tuples)
+	fmt.Printf("%d keys, %d tuples total\n", keys, tuples)
 	return err
 }
 

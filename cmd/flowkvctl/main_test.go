@@ -11,6 +11,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/core"
+	"flowkv/internal/core/aar"
 	"flowkv/internal/core/aur"
 	"flowkv/internal/spe"
 	"flowkv/internal/statebackend"
@@ -451,5 +452,41 @@ func TestJobReportsResumePlan(t *testing.T) {
 	os.Stdout = stdout
 	if err == nil || !strings.Contains(err.Error(), "1 of its 2 committed worker cuts") {
 		t.Fatalf("generation missing a worker cut: err = %v", err)
+	}
+}
+
+// flowkvctl aar prints each flush chunk's keys and tuples, decoded with
+// the store's own chunk codec: a one-window log flushed twice holds two
+// chunks whose rows add up to the tuples appended.
+func TestAARPrintsKeysAndTuplesPerChunk(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "aar")
+	s, err := aar.Open(aar.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := window.Window{Start: 0, End: 100}
+	for flush, keys := range []int{3, 5} {
+		for i := 0; i < 10; i++ {
+			if err := s.Append([]byte(fmt.Sprintf("user-%02d", i%keys)), []byte{byte(flush)}, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	printed := captureStdout(t, func() error { return cmdAAR(filepath.Join(dir, "win_0_100.log")) })
+	lines := strings.Split(strings.TrimSpace(printed), "\n")
+	if len(lines) != 4 || lines[3] != "8 keys, 20 tuples total" {
+		t.Fatalf("printed %q", printed)
+	}
+	for i, want := range [][]string{{"0", "3", "10"}, {"1", "5", "10"}} {
+		f := strings.Fields(lines[1+i])
+		if len(f) != 5 || f[0] != want[0] || f[1] != want[1] || f[2] != want[2] || f[4] != "user-00" {
+			t.Errorf("chunk row %d = %q, want # keys tuples = %v, first key user-00", i, lines[1+i], want)
+		}
 	}
 }

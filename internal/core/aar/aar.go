@@ -11,7 +11,11 @@
 // single unlink — no per-key search and no compaction at all.
 //
 // Reads use gradual state loading: GetWindow returns one bounded partition
-// per call so only one non-aggregated partition resides in memory.
+// per call so only one non-aggregated partition resides in memory. A
+// window's log holds only what spilled; the tail still buffered when the
+// window fires is served from memory, so a window that never filled the
+// buffer is never written at all. Each flush writes a bucket as chunks
+// grouped by key, keys prefix-coded (chunk.go).
 //
 // # Concurrency
 //
@@ -24,12 +28,14 @@
 package aar
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
@@ -56,12 +62,12 @@ type Options struct {
 	// LoadPartitionBytes bounds the size of each partition returned by
 	// GetWindow (gradual state loading). Default 4 MiB.
 	LoadPartitionBytes int64
-	// FlushChunkBytes bounds the size of each on-disk record written at
+	// FlushChunkBytes bounds the size of each on-disk chunk written at
 	// flush; larger chunks amortize framing. Default 64 KiB.
 	FlushChunkBytes int64
-	// FineGrained switches the write buffer and flush format to per-key
-	// organization (one record per key per flush), the naive layout the
-	// paper's coarse-grained design replaces. Ablation only.
+	// FineGrained cuts flush chunks per key (one chunk per key per
+	// flush), the naive layout the paper's coarse-grained design
+	// replaces. Ablation only.
 	FineGrained bool
 	// FS is the filesystem seam; nil means the real OS filesystem.
 	// Fault-injection tests substitute a faultfs.Injector.
@@ -106,18 +112,24 @@ type bucket struct {
 	bytes   int64
 }
 
+// readState is a window drain in progress: its log is read from off,
+// then its bucket from entry served.
 type readState struct {
-	log *logfile.Log
-	sc  *logfile.Scanner
+	sc *logfile.Scanner
 	// off is the absolute offset of the first record not yet served in a
 	// returned partition. On a scan error the scanner is dropped and
 	// recreated here, so a transient read fault is retryable without
 	// duplicating or skipping records.
-	off int64
-	// mem holds entries that could not be spilled to the log (degraded
-	// mode: the flush on first read failed); they are served after the
-	// on-disk records so no acked append is lost.
-	mem []kvPair
+	off    int64
+	served int // bucket entries, in arrival order, returned from memory
+}
+
+// closeScan drops the scanner; the next read recreates it at off.
+func (rs *readState) closeScan() {
+	if rs.sc != nil {
+		rs.sc.Close()
+		rs.sc = nil
+	}
 }
 
 // Store is a single AAR store instance, safe for concurrent use.
@@ -143,6 +155,8 @@ type Store struct {
 	// file's epoch still matches: drop-then-recreate of the same window
 	// changes the epoch and forces a full copy of that file.
 	epochs map[window.Window]uint64
+	// chunk is the flush chunk encode buffer.
+	chunk []byte
 
 	// syncMu admits one split sync at a time; held around (not under)
 	// ioMu so the fsyncs run with ioMu released.
@@ -295,86 +309,110 @@ func (s *Store) flushBucket(w window.Window, b *bucket) ([]kvPair, error) {
 		s.files[w] = l
 		s.epochs[w] = ckpt.Rand64()
 	}
-	if s.opts.FineGrained {
-		return flushFine(l, b.entries)
+	rs := s.reads[w]
+	if rs == nil {
+		rest, _, err := s.writeChunks(l, b.entries)
+		return rest, err
 	}
-	return flushCoarse(l, b.entries, s.opts.FlushChunkBytes)
+	// Mid-drain: entries[:served] went out from memory. They go first, so
+	// the log holds the whole window, and the drain resumes past them.
+	rs.closeScan()
+	served := min(rs.served, len(b.entries))
+	rest, end, err := s.writeChunks(l, b.entries[:served])
+	if served > 0 {
+		rs.off = end
+	}
+	rs.served = len(rest)
+	if err != nil {
+		// rest, a suffix of entries[:served], goes back still served.
+		return b.entries[served-len(rest):], err
+	}
+	rest, _, err = s.writeChunks(l, b.entries[served:])
+	return rest, err
 }
 
-// flushCoarse writes the bucket as chunked multi-tuple records — the
-// paper's coarse-grained layout: data organized by window, not by key.
-// On error it returns the entries not accepted by the log.
-func flushCoarse(l *logfile.Log, entries []kvPair, chunkBytes int64) ([]kvPair, error) {
-	payload := make([]byte, 0, chunkBytes+1024)
-	count := 0
-	done := 0
-	var body []byte
-	emit := func() error {
-		if count == 0 {
-			return nil
+// writeChunks sorts entries stably by key, so each key keeps its arrival
+// order, and appends them to l as flush chunks of about FlushChunkBytes —
+// the paper's coarse-grained layout, data organized by window — or, in
+// the FineGrained ablation, one chunk per key. It returns the entries the
+// log did not accept, a suffix of the sorted entries, and the offset just
+// past the last chunk it accepted.
+func (s *Store) writeChunks(l *logfile.Log, entries []kvPair) ([]kvPair, int64, error) {
+	sortByKey(entries)
+	end := l.Size()
+	start, size := 0, int64(0)
+	for i, e := range entries {
+		if i == start || !bytes.Equal(e.k, entries[i-1].k) {
+			size += int64(len(e.k)) + 2
 		}
-		payload = binio.PutUvarint(payload[:0], uint64(count))
-		payload = append(payload, body...)
-		_, _, err := l.Append(payload)
-		if err == nil {
-			done += count
+		size += int64(len(e.v)) + 1
+		if i+1 < len(entries) && size < s.opts.FlushChunkBytes &&
+			!(s.opts.FineGrained && !bytes.Equal(e.k, entries[i+1].k)) {
+			continue
 		}
-		body = body[:0]
-		count = 0
-		return err
-	}
-	for _, e := range entries {
-		body = binio.PutBytes(body, e.k)
-		body = binio.PutBytes(body, e.v)
-		count++
-		if int64(len(body)) >= chunkBytes {
-			if err := emit(); err != nil {
-				return entries[done:], err
-			}
+		s.chunk = encodeChunk(s.chunk[:0], entries[start:i+1])
+		off, n, err := l.Append(s.chunk)
+		if err != nil {
+			return entries[start:], end, err
 		}
+		end, start, size = off+int64(n), i+1, 0
 	}
-	if err := emit(); err != nil {
-		return entries[done:], err
-	}
-	return nil, nil
+	return nil, end, nil
 }
 
-// flushFine writes one record per key (grouping the bucket by key first),
-// the naive fine-grained layout used by the ablation in §4.1. On error
-// it returns the entries of the groups not accepted by the log (group
-// order, which loses the original arrival interleaving — acceptable for
-// an ablation-only layout).
-func flushFine(l *logfile.Log, entries []kvPair) ([]kvPair, error) {
-	groups := make(map[string][][]byte)
-	var order []string
-	for _, e := range entries {
-		k := string(e.k)
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], e.v)
+// sortByKey sorts entries stably by key, in place, at a third of a
+// comparison sort's cost: an LSD radix sort on the keys' first eight
+// bytes, skipping bytes all keys share, then a stable sort by whole key
+// of any run that ties on them but holds different keys.
+func sortByKey(entries []kvPair) {
+	type ord struct {
+		pfx uint64
+		i   int
 	}
-	var payload []byte
-	for gi, k := range order {
-		vs := groups[k]
-		// One single-key record per value group: count=len(vs) entries of
-		// the same key, preserving the record wire format.
-		payload = binio.PutUvarint(payload[:0], uint64(len(vs)))
-		for _, v := range vs {
-			payload = binio.PutBytes(payload, []byte(k))
-			payload = binio.PutBytes(payload, v)
+	n := len(entries)
+	ab := make([]ord, 2*n)
+	a, b := ab[:n], ab[n:]
+	var varies uint64 // the bits that differ between keys
+	for i, e := range entries {
+		var p [8]byte
+		copy(p[:], e.k)
+		a[i] = ord{binary.BigEndian.Uint64(p[:]), i}
+		varies |= a[i].pfx ^ a[0].pfx
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(varies>>shift) == 0 {
+			continue
 		}
-		if _, _, err := l.Append(payload); err != nil {
-			var rem []kvPair
-			for _, k2 := range order[gi:] {
-				for _, v := range groups[k2] {
-					rem = append(rem, kvPair{[]byte(k2), v})
-				}
-			}
-			return rem, err
+		var at [257]int
+		for _, x := range a {
+			at[byte(x.pfx>>shift)+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, x := range a {
+			b[at[byte(x.pfx>>shift)]] = x
+			at[byte(x.pfx>>shift)]++
+		}
+		a, b = b, a
+	}
+	for j := range a { // position k takes entry a[k].i, cycle by cycle
+		tmp, k := entries[j], j
+		for a[k].i != j && a[k].i >= 0 {
+			entries[k], a[k].i, k = entries[a[k].i], -1, a[k].i
+		}
+		entries[k], a[k].i = tmp, -1
+	}
+	for i, j := 0, 1; i < n; i, j = j, j+1 {
+		for j < n && a[j].pfx == a[i].pfx {
+			j++
+		}
+		if !slices.EqualFunc(entries[i+1:j], entries[i:j-1], func(x, y kvPair) bool {
+			return len(x.k) == len(y.k) && (len(x.k) <= 8 || bytes.Equal(x.k, y.k))
+		}) {
+			slices.SortStableFunc(entries[i:j], func(x, y kvPair) int { return bytes.Compare(x.k, y.k) })
 		}
 	}
-	return nil, nil
 }
 
 // GetWindow returns the next partition of window w's state, grouped by
@@ -382,7 +420,8 @@ func flushFine(l *logfile.Log, entries []kvPair) ([]kvPair, error) {
 // log has been unlinked (paper API: GetWindow(W), fetch & remove). The
 // same key may appear in multiple partitions; the consumer merges.
 // Concurrent GetWindow calls for the same window serialize on ioMu and
-// each receive a distinct partition.
+// each receive a distinct partition. Values served from the write buffer
+// are shared with it, not copied: callers must not modify them.
 func (s *Store) GetWindow(w window.Window) ([]KeyValues, error) {
 	var stop func()
 	if s.bd != nil {
@@ -395,122 +434,112 @@ func (s *Store) GetWindow(w window.Window) ([]KeyValues, error) {
 	return part, err
 }
 
+// getWindow scans the window's log from rs.off, then serves the bucket's
+// entries from memory, oldest first, all inside one LoadPartitionBytes
+// bound. The bucket stays buffered until the drain completes, so a flush
+// between two calls still writes the whole window (flushBucket).
 func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	rs := s.reads[w]
-	if rs == nil {
-		// First call for this window: spill any buffered tuples so the
-		// read is a single sequential file scan.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		b := s.buf[w]
-		if b != nil {
-			s.bufBytes -= b.bytes
-			delete(s.buf, w)
-		}
-		s.mu.Unlock()
-		var mem []kvPair
-		if b != nil {
-			// A flush failure here must not fail the read: the store is
-			// degraded, but the unspilled entries are still in hand —
-			// serve them from memory after the on-disk records.
-			if remaining, err := s.flushBucket(w, b); err != nil {
-				mem = remaining
-			}
-		}
-		l := s.files[w]
-		if l == nil && len(mem) == 0 {
-			return nil, nil // window has no state
-		}
-		rs = &readState{log: l, mem: mem}
+	s.mu.Lock()
+	closed, buffered := s.closed, s.buf[w] != nil
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	l, rs := s.files[w], s.reads[w]
+	if rs == nil && l == nil && !buffered {
+		return nil, nil // window has no state
+	} else if rs == nil {
+		rs = &readState{}
 		s.reads[w] = rs
 	}
-	if rs.sc == nil && rs.log != nil {
-		sc, err := rs.log.Scanner(rs.off)
+	p := partition{groups: make(map[string]int)}
+	limit := s.opts.LoadPartitionBytes
+	off := rs.off
+	if l != nil && rs.sc == nil && off < l.Size() {
+		sc, err := l.Scanner(off)
 		if err != nil {
 			return nil, err
 		}
 		rs.sc = sc
 	}
-
-	groups := make(map[string]int)
-	var part []KeyValues
-	var read int64
-	for read < s.opts.LoadPartitionBytes && rs.sc != nil && rs.sc.Scan() {
-		rec := rs.sc.Record()
-		read += int64(len(rec))
-		n, used, err := binio.Uvarint(rec)
-		if err != nil {
+	for rs.sc != nil && p.bytes < limit {
+		if !rs.sc.Scan() {
+			// End of log, or a read fault: a retry rescans from rs.off,
+			// the first record of this (discarded) partition attempt.
+			err := rs.sc.Err()
+			rs.sc = nil
+			if err != nil {
+				return nil, err
+			}
+			break
+		}
+		rec := append([]byte(nil), rs.sc.Record()...) // values alias the copy
+		off = rs.sc.Offset()
+		p.bytes += int64(len(rec))
+		if _, err := DecodeChunk(rec, p.add); err != nil {
+			rs.closeScan()
 			return nil, fmt.Errorf("aar: window %v: %w", w, err)
 		}
-		rec = rec[used:]
-		for i := uint64(0); i < n; i++ {
-			k, kn, err := binio.Bytes(rec)
-			if err != nil {
-				return nil, fmt.Errorf("aar: window %v: %w", w, err)
+	}
+	rs.off = off
+	if rs.sc == nil && p.bytes < limit {
+		// The log is exhausted: serve the buffered tail.
+		s.mu.Lock()
+		var tail []kvPair
+		if b := s.buf[w]; b != nil {
+			if rs.served < len(b.entries) {
+				tail = b.entries[rs.served:]
+			} else if len(p.part) == 0 {
+				s.bufBytes -= b.bytes
+				delete(s.buf, w)
 			}
-			rec = rec[kn:]
-			v, vn, err := binio.Bytes(rec)
-			if err != nil {
-				return nil, fmt.Errorf("aar: window %v: %w", w, err)
+		}
+		s.mu.Unlock()
+		one := make([][]byte, 1)
+		for _, e := range tail {
+			if p.bytes >= limit {
+				break
 			}
-			rec = rec[vn:]
-			vc := make([]byte, len(v))
-			copy(vc, v)
-			idx, seen := groups[string(k)]
-			if !seen {
-				kc := make([]byte, len(k))
-				copy(kc, k)
-				part = append(part, KeyValues{Key: kc})
-				idx = len(part) - 1
-				groups[string(k)] = idx
-			}
-			part[idx].Values = append(part[idx].Values, vc)
+			p.bytes += int64(len(e.k) + len(e.v))
+			one[0] = e.v
+			p.add(e.k, one)
+			rs.served++
 		}
 	}
-	if rs.sc != nil {
-		if err := rs.sc.Err(); err != nil {
-			// Drop the broken scanner; a retry recreates it at rs.off, the
-			// first record of this (discarded) partition attempt.
-			rs.sc = nil
-			return nil, err
-		}
-		rs.off = rs.sc.Offset()
-	}
-	// Serve entries the degraded-mode flush kept in memory after the
-	// on-disk records are exhausted.
-	for read < s.opts.LoadPartitionBytes && len(rs.mem) > 0 {
-		e := rs.mem[0]
-		rs.mem = rs.mem[1:]
-		read += int64(len(e.k) + len(e.v))
-		idx, seen := groups[string(e.k)]
-		if !seen {
-			part = append(part, KeyValues{Key: e.k})
-			idx = len(part) - 1
-			groups[string(e.k)] = idx
-		}
-		part[idx].Values = append(part[idx].Values, e.v)
-	}
-	if len(part) == 0 {
+	if len(p.part) == 0 {
 		// Exhausted: clean the per-window log from disk (step ④).
 		delete(s.reads, w)
 		delete(s.files, w)
 		delete(s.epochs, w)
-		if rs.log == nil {
-			return nil, nil
-		}
-		if err := rs.log.Remove(); err != nil && !errors.Is(err, logfile.ErrPoisoned) {
+		if l != nil {
 			// A poisoned log's close error is expected in degraded mode;
 			// the unlink still happened and the data was fully served.
-			return nil, err
+			if err := l.Remove(); err != nil && !errors.Is(err, logfile.ErrPoisoned) {
+				return nil, err
+			}
 		}
 		return nil, nil
 	}
-	return part, nil
+	return p.part, nil
+}
+
+// partition groups tuples by key, in order of each key's first tuple.
+type partition struct {
+	groups map[string]int
+	part   []KeyValues
+	bytes  int64
+}
+
+func (p *partition) add(k []byte, vals [][]byte) {
+	idx, seen := p.groups[string(k)]
+	if !seen {
+		idx = len(p.part)
+		p.groups[string(k)] = idx
+		p.part = append(p.part, KeyValues{Key: append([]byte(nil), k...)})
+	}
+	p.part[idx].Values = append(p.part[idx].Values, vals...)
 }
 
 // DropWindow discards all state of window w without reading it, used when
@@ -585,23 +614,11 @@ func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) (
 	}
 	s.mu.Unlock()
 
-	groups := make(map[string]int)
-	var out []KeyValues
-	add := func(k, v []byte) {
-		if own != nil && !own(k) {
-			return
+	p := partition{groups: make(map[string]int)}
+	add := func(k []byte, vals [][]byte) {
+		if own == nil || own(k) {
+			p.add(k, vals)
 		}
-		idx, seen := groups[string(k)]
-		if !seen {
-			kc := make([]byte, len(k))
-			copy(kc, k)
-			out = append(out, KeyValues{Key: kc})
-			idx = len(out) - 1
-			groups[string(k)] = idx
-		}
-		vc := make([]byte, len(v))
-		copy(vc, v)
-		out[idx].Values = append(out[idx].Values, vc)
 	}
 	if l := s.files[w]; l != nil {
 		sc, err := l.Scanner(0)
@@ -609,24 +626,9 @@ func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) (
 			return nil, err
 		}
 		for sc.Scan() {
-			rec := sc.Record()
-			n, used, err := binio.Uvarint(rec)
-			if err != nil {
+			if _, err := DecodeChunk(append([]byte(nil), sc.Record()...), add); err != nil {
+				sc.Close()
 				return nil, fmt.Errorf("aar: window %v: %w", w, err)
-			}
-			rec = rec[used:]
-			for i := uint64(0); i < n; i++ {
-				k, kn, err := binio.Bytes(rec)
-				if err != nil {
-					return nil, fmt.Errorf("aar: window %v: %w", w, err)
-				}
-				rec = rec[kn:]
-				v, vn, err := binio.Bytes(rec)
-				if err != nil {
-					return nil, fmt.Errorf("aar: window %v: %w", w, err)
-				}
-				rec = rec[vn:]
-				add(k, v)
 			}
 		}
 		if err := sc.Err(); err != nil {
@@ -634,9 +636,9 @@ func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) (
 		}
 	}
 	for _, e := range buffered {
-		add(e.k, e.v)
+		add(e.k, [][]byte{e.v})
 	}
-	return out, nil
+	return p.part, nil
 }
 
 // BufferedBytes returns the current in-memory write buffer size.
@@ -749,7 +751,7 @@ func (s *Store) Recover() error {
 	defer s.ioMu.Unlock()
 	for w, rs := range s.reads {
 		if l := s.files[w]; l != nil && l.Poisoned() != nil {
-			rs.sc = nil // the scanner holds the stale fd; recreate at rs.off
+			rs.closeScan() // the scanner holds the stale fd
 		}
 	}
 	return logfile.RecoverAll(s.liveLogs())

@@ -56,7 +56,8 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 // written by CheckpointDelta. The store must be freshly opened (empty).
 // Each per-window log is materialized by concatenating its segments, and
 // the file epochs carry over, so the delta chain can continue across a
-// restart.
+// restart. A log whose first record is not a flush chunk — one written
+// in the earlier count-prefixed layout — fails with a *ChunkError.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -93,6 +94,15 @@ func (s *Store) Restore(dir string) error {
 		}
 		s.files[w] = l
 		s.epochs[w] = fstate.Epoch
+		// A log of an earlier chunk layout fails here, not in its drain.
+		sc, err := l.Scanner(0)
+		if err == nil && sc.Scan() {
+			_, err = DecodeChunk(sc.Record(), func([]byte, [][]byte) {})
+			sc.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("aar: restore %s: %w", fstate.Logical, err)
+		}
 	}
 	return nil
 }

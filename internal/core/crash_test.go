@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"flowkv/internal/faultfs"
@@ -101,11 +102,13 @@ func (o *crashOracle) stepAAR(rng *rand.Rand, s *Store, ctr int) error {
 	// eventually fall out of use, like event time moving forward.
 	base := int64(ctr / 50)
 	if len(o.aarLive) > 0 && rng.Intn(100) < 8 {
-		// Full drain of one live window (fetch & remove at trigger).
+		// Full drain of one live window (fetch & remove at trigger). The
+		// candidates are sorted so the seed, not map order, picks it.
 		var ws []window.Window
 		for w := range o.aarLive {
 			ws = append(ws, w)
 		}
+		sort.Slice(ws, func(i, j int) bool { return ws[i].Before(ws[j]) })
 		w := ws[rng.Intn(len(ws))]
 		for {
 			part, err := s.GetWindow(w)
