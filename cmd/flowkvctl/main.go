@@ -1,13 +1,12 @@
 // Command flowkvctl inspects on-disk FlowKV store state: it decodes AAR
-// per-window logs, AUR data/index logs, and RMW logs, printing entry
+// per-window logs, AUR segment logs, and RMW logs, printing entry
 // summaries and space accounting. Useful for debugging store behaviour
 // and for verifying what a checkpoint contains.
 //
 // Usage:
 //
 //	flowkvctl ls    <store-dir>        # list files with sizes and kinds
-//	flowkvctl index <index-log-file>   # decode an AUR index log
-//	flowkvctl data  <data-log-file>    # summarize an AUR data log
+//	flowkvctl aur   <aur-*.log file>   # flush number, keys, windows and value counts per block of an AUR segment
 //	flowkvctl aar   <win_*.log file>   # keys and tuples per flush chunk of an AAR per-window log
 //	flowkvctl rmw   <rmw-*.log file>   # decode one segment of an RMW log
 //	flowkvctl health <store-dir>       # offline log integrity scan
@@ -49,10 +48,8 @@ func main() {
 	switch cmd {
 	case "ls":
 		err = cmdLs(path)
-	case "index":
-		err = cmdIndex(path)
-	case "data":
-		err = cmdData(path)
+	case "aur":
+		err = cmdAUR(path)
 	case "aar":
 		err = cmdAAR(path)
 	case "rmw":
@@ -86,7 +83,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: flowkvctl {ls|index|data|aar|rmw|health|checkpoints|job|migration|tenants|verify} <path> [job-target-parallelism]")
+	fmt.Fprintln(os.Stderr, "usage: flowkvctl {ls|aur|aar|rmw|health|checkpoints|job|migration|tenants|verify} <path> [job-target-parallelism]")
 	os.Exit(2)
 }
 
@@ -106,13 +103,14 @@ func cmdLs(dir string) error {
 	})
 }
 
-// aurSegmentLog matches a log of an AUR segment, live or as a checkpoint
-// segment of it, capturing which of the pair it is and the segment's id.
-var aurSegmentLog = regexp.MustCompile(`^(data|index)-(\d{6})\.log`)
+// aurSegmentLog matches the log of an AUR segment, live or as a checkpoint
+// segment of it, capturing the segment's id.
+var aurSegmentLog = regexp.MustCompile(`^aur-(\d{6})\.log`)
 
 // segmentName matches a checkpoint segment file, "<logical>.seg-<offset>"
-// (ckpt.SegmentName), capturing the logical file it is a slice of.
-var segmentName = regexp.MustCompile(`^(.+)\.seg-\d{12}$`)
+// (ckpt.SegmentName), capturing the logical file it is a slice of and the
+// offset in it where the slice starts.
+var segmentName = regexp.MustCompile(`^(.+)\.seg-(\d{12})$`)
 
 // fileKind names what a store or checkpoint file holds, from its file
 // name alone: live logs by their prefix, checkpoint segments by the
@@ -125,10 +123,8 @@ func fileKind(name string) string {
 	switch {
 	case strings.HasPrefix(logical, "win_"):
 		return "aar-window" + suffix
-	case strings.HasPrefix(logical, "data-"):
-		return "aur-data" + suffix
-	case strings.HasPrefix(logical, "index-"):
-		return "aur-index" + suffix
+	case strings.HasPrefix(logical, "aur-"):
+		return "aur-segment" + suffix
 	case logical == "stat.dlt":
 		return "aur-stat-stream" + suffix
 	case strings.HasPrefix(logical, "rmw-"):
@@ -175,40 +171,22 @@ func scanRecords(path string, fn func(i int, off int64, payload []byte) error) e
 	return sc.Err()
 }
 
-func cmdIndex(path string) error {
-	fmt.Println("#   key                window                 data-off  data-len  flush")
-	var total int64
-	var i int
-	err := scanRecords(path, func(_ int, _ int64, payload []byte) error {
-		entries, err := aur.DecodeIndexBlock(payload)
+func cmdAUR(path string) error {
+	fmt.Println("#   flush  key                window                 values")
+	var blocks, entries, values int
+	err := scanRecords(path, func(i int, _ int64, payload []byte) error {
+		n, err := aur.DecodeSegmentBlock(payload, func(e *aur.BlockEntry) error {
+			fmt.Printf("%-3d %5d  %-18s %-22s %6d\n", i, e.Seq, e.Key, e.Window, len(e.Values))
+			values += len(e.Values)
+			return nil
+		})
 		if err != nil {
-			return err
+			return fmt.Errorf("block %d: %w", i, err)
 		}
-		for _, e := range entries {
-			total += int64(e.Len)
-			fmt.Printf("%-3d %-18s %-22s %9d %9d %6d\n", i, e.Key, e.Window, e.Off, e.Len, e.Seq)
-			i++
-		}
+		blocks, entries = blocks+1, entries+n
 		return nil
 	})
-	fmt.Printf("total indexed data: %d bytes\n", total)
-	return err
-}
-
-func cmdData(path string) error {
-	fmt.Println("#   off        values  bytes")
-	var records, values int
-	err := scanRecords(path, func(i int, off int64, payload []byte) error {
-		count, _, err := binio.Uvarint(payload)
-		if err != nil {
-			return err
-		}
-		records++
-		values += int(count)
-		fmt.Printf("%-3d %-10d %6d %6d\n", i, off, count, len(payload))
-		return nil
-	})
-	fmt.Printf("%d records, %d values\n", records, values)
+	fmt.Printf("%d blocks, %d batches, %d values\n", blocks, entries, values)
 	return err
 }
 
@@ -254,12 +232,11 @@ func cmdHealth(dir string) error {
 		records, bytes int64
 	}
 	rmwLogs := make(map[string]*rmwLog)
-	// An AUR instance's log is a set of segments, each a data log of value
-	// batches and an index log of packed blocks locating them: per
-	// segment, the sizes of the two say what the batches cost to index,
-	// and — inside a checkpoint, where segments.snap holds the consumed
-	// marks — how much of the data log is still live.
-	type aurSeg struct{ batches, blocks, dataBytes, indexBytes, live int64 }
+	// An AUR instance's log is a set of segments, each a log of blocks
+	// carrying value batches with their keys and windows: per segment, its
+	// batches, blocks and bytes, and — inside a checkpoint, where
+	// segments.snap holds the consumed marks — how much of it is live.
+	type aurSeg struct{ batches, blocks, bytes, live int64 }
 	type aurLog struct {
 		segs map[uint32]*aurSeg
 		snap map[uint32]*aur.SegmentInfo // nil outside a checkpoint
@@ -270,8 +247,8 @@ func cmdHealth(dir string) error {
 			return err
 		}
 		name := d.Name()
-		isLog := strings.HasPrefix(name, "win_") || strings.HasPrefix(name, "data-") ||
-			strings.HasPrefix(name, "index-") || strings.HasPrefix(name, "rmw-")
+		isLog := strings.HasPrefix(name, "win_") || strings.HasPrefix(name, "aur-") ||
+			strings.HasPrefix(name, "rmw-")
 		if !isLog {
 			return nil
 		}
@@ -294,8 +271,9 @@ func cmdHealth(dir string) error {
 			return err
 		}
 		defer f.Close()
-		var as *aurSeg          // set for a log of an AUR instance's segment
-		var si *aur.SegmentInfo // and, for its index log in a checkpoint, its marks
+		var as *aurSeg          // set for the log of an AUR instance's segment
+		var si *aur.SegmentInfo // and, in a checkpoint, its marks
+		var base int64          // where in the segment's log the file starts
 		if m := aurSegmentLog.FindStringSubmatch(name); m != nil {
 			inst := filepath.Dir(rel)
 			al := aurLogs[inst]
@@ -313,29 +291,32 @@ func cmdHealth(dir string) error {
 					}
 				}
 			}
-			sid, _ := strconv.ParseUint(m[2], 10, 32)
-			if as = al.segs[uint32(sid)]; as == nil {
+			sid, _ := strconv.ParseUint(m[1], 10, 32)
+			if as = al.segs[uint32(sid)]; as == nil { // a delta checkpoint may hold it in pieces
 				as = &aurSeg{}
 				al.segs[uint32(sid)] = as
 			}
-			if m[1] == "index" {
-				si = al.snap[uint32(sid)]
+			si = al.snap[uint32(sid)]
+			if m := segmentName.FindStringSubmatch(name); m != nil {
+				base, _ = strconv.ParseInt(m[2], 10, 64)
 			}
 		}
 		sc := binio.NewRecordScannerSniff(bufio.NewReaderSize(f, 1<<20), 0)
 		var records int
-		for sc.Scan() {
+		for off := int64(0); sc.Scan(); off = sc.Offset() {
 			records++
-			if si == nil {
+			if as == nil {
 				continue
 			}
-			if entries, err := aur.DecodeIndexBlock(sc.Record()); err == nil {
-				for _, e := range entries {
-					if !si.Dead(e) {
-						as.live += int64(e.Len)
-					}
+			frame := int(sc.Offset()-off) - len(sc.Record()) // counted by the first batch
+			n, _ := aur.DecodeSegmentBlock(sc.Record(), func(e *aur.BlockEntry) error {
+				if si != nil && !si.Dead(base+off, e) {
+					as.live += int64(e.Size + frame)
 				}
-			}
+				frame = 0
+				return nil
+			})
+			as.batches += int64(n)
 		}
 		status := "ok"
 		switch {
@@ -351,12 +332,9 @@ func cmdHealth(dir string) error {
 			rl.records += int64(records)
 			rl.bytes += sc.Offset()
 		}
-		if as != nil && strings.HasPrefix(name, "data-") {
-			as.batches += int64(records)
-			as.dataBytes += sc.Offset()
-		} else if as != nil {
+		if as != nil {
 			as.blocks += int64(records)
-			as.indexBytes += sc.Offset()
+			as.bytes += sc.Offset()
 		}
 		return nil
 	})
@@ -390,21 +368,20 @@ func cmdHealth(dir string) error {
 			sids = append(sids, sid)
 			sum.batches += sg.batches
 			sum.blocks += sg.blocks
-			sum.dataBytes += sg.dataBytes
-			sum.indexBytes += sg.indexBytes
+			sum.bytes += sg.bytes
 		}
 		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-		fmt.Printf("aur log %s: %d segments; %d batches in %d bytes of data logs, located by %d blocks in %d bytes of index logs\n",
-			inst, len(sids), sum.batches, sum.dataBytes, sum.blocks, sum.indexBytes)
+		fmt.Printf("aur log %s: %d segments; %d batches in %d blocks, %d bytes\n",
+			inst, len(sids), sum.batches, sum.blocks, sum.bytes)
 		for _, sid := range sids {
 			sg := l.segs[sid]
 			// What is live and which segments are open is in the running
 			// store's memory; a checkpoint carries it as segments.snap.
 			state := "live share and state not on disk (no segments.snap)"
 			if si := l.snap[sid]; si != nil {
-				state = fmt.Sprintf("%d%% live, %s", 100*sg.live/max(sg.dataBytes, 1), [...]string{"sealed", "open (flush head)", "open (survivor)"}[si.State])
+				state = fmt.Sprintf("%d%% live, %s", 100*sg.live/max(sg.bytes, 1), [...]string{"sealed", "open (flush head)", "open (survivor)"}[si.State])
 			}
-			fmt.Printf("  segment %06d: %d data + %d index bytes, %s\n", sid, sg.dataBytes, sg.indexBytes, state)
+			fmt.Printf("  segment %06d: %d batches in %d bytes, %s\n", sid, sg.batches, sg.bytes, state)
 		}
 	}
 	if len(insts) > 0 {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/core"
 	"flowkv/internal/core/aar"
 	"flowkv/internal/core/aur"
@@ -173,7 +172,7 @@ func TestMultiSegmentRMWLog(t *testing.T) {
 
 // TestHealthReportsAURLogs spills an AUR instance past several evictions
 // and a cleaning pass and requires that `health` prints, per instance,
-// what its segments' data and index logs hold — with each segment's live
+// what its segment logs hold — with each segment's live
 // share and state when run over a checkpoint, whose segments.snap carries
 // them — and that the running store's counters, which the last line points
 // to, account for those bytes.
@@ -219,10 +218,9 @@ func TestHealthReportsAURLogs(t *testing.T) {
 	if stats.FlushBytes+stats.CompactionBytes < stats.DiskBytes || stats.FlushBytes == 0 || stats.CompactionBytes == 0 {
 		t.Errorf("stats: %d bytes flushed, %d cleaned, %d on disk", stats.FlushBytes, stats.CompactionBytes, stats.DiskBytes)
 	}
-	datas, _ := filepath.Glob(filepath.Join(dir, "inst-*", "data-*.log"))
-	indexes, _ := filepath.Glob(filepath.Join(dir, "inst-*", "index-*.log"))
-	if len(datas) != stats.LiveSegments || len(indexes) != len(datas) || len(datas) < 2 {
-		t.Fatalf("%d data and %d index logs, the store counts %d segments", len(datas), len(indexes), stats.LiveSegments)
+	segs, _ := filepath.Glob(filepath.Join(dir, "inst-*", "aur-*.log"))
+	if len(segs) != stats.LiveSegments || len(segs) < 2 {
+		t.Fatalf("%d segment logs, the store counts %d segments", len(segs), stats.LiveSegments)
 	}
 	size := func(paths []string) (n int64) {
 		for _, path := range paths {
@@ -234,18 +232,17 @@ func TestHealthReportsAURLogs(t *testing.T) {
 		}
 		return n
 	}
-	if size(datas)+size(indexes) != stats.DiskBytes {
-		t.Fatalf("logs of %d and %d bytes, the store counts %d on disk", size(datas), size(indexes), stats.DiskBytes)
+	if size(segs) != stats.DiskBytes {
+		t.Fatalf("logs of %d bytes, the store counts %d on disk", size(segs), stats.DiskBytes)
 	}
 	printed := captureStdout(t, func() error { return cmdHealth(dir) })
 	for _, want := range []string{
-		fmt.Sprintf("aur log %s: %d segments; ", filepath.Base(filepath.Dir(datas[0])), len(datas)),
-		fmt.Sprintf("in %d bytes of data logs, located by ", size(datas)),
-		fmt.Sprintf("in %d bytes of index logs", size(indexes)),
-		fmt.Sprintf("  segment %s: %d data + %d index bytes, live share and state not on disk",
-			strings.TrimSuffix(strings.TrimPrefix(filepath.Base(datas[0]), "data-"), ".log"), size(datas[:1]), size(indexes[:1])),
+		fmt.Sprintf("aur log %s: %d segments; ", filepath.Base(filepath.Dir(segs[0])), len(segs)),
+		fmt.Sprintf(" blocks, %d bytes\n", size(segs)),
+		fmt.Sprintf("  segment %s: ", strings.TrimSuffix(strings.TrimPrefix(filepath.Base(segs[0]), "aur-"), ".log")),
+		fmt.Sprintf(" batches in %d bytes, live share and state not on disk", size(segs[:1])),
 		"core.Stats FlushBytes, CompactionBytes, SegmentsDropped, BufferHits, DiskHits)",
-		fmt.Sprintf("%d log files: %d clean", 2*len(datas), 2*len(datas)),
+		fmt.Sprintf("%d log files: %d clean", len(segs), len(segs)),
 	} {
 		if !strings.Contains(printed, want) {
 			t.Errorf("health does not report %q:\n%s", want, printed)
@@ -260,9 +257,9 @@ func TestHealthReportsAURLogs(t *testing.T) {
 	printed = captureStdout(t, func() error { return cmdHealth(ck) })
 	var sealed, head, surv, live int
 	for _, line := range strings.Split(printed, "\n") {
-		var sid, data, index, share int
+		var sid, batches, bytes, share int
 		var state string
-		if n, _ := fmt.Sscanf(line, "  segment %d: %d data + %d index bytes, %d%% live, %s", &sid, &data, &index, &share, &state); n != 5 {
+		if n, _ := fmt.Sscanf(line, "  segment %d: %d batches in %d bytes, %d%% live, %s", &sid, &batches, &bytes, &share, &state); n != 5 {
 			continue
 		}
 		if share > 0 {
@@ -277,19 +274,19 @@ func TestHealthReportsAURLogs(t *testing.T) {
 			surv++
 		}
 	}
-	if sealed+head+surv != len(datas) || head != 1 || surv > 1 || live != len(datas) {
+	if sealed+head+surv != len(segs) || head != 1 || surv > 1 || live != len(segs) {
 		t.Errorf("health over the checkpoint lists %d sealed segments, %d flush heads and %d survivor segments, %d with live state; the store holds %d:\n%s",
-			sealed, head, surv, live, len(datas), printed)
+			sealed, head, surv, live, len(segs), printed)
 	}
 }
 
-// TestIndexDecodesBlockIndexLog runs `flowkvctl index` over every index
+// TestAURPrintsBlocksAndBatches runs `flowkvctl aur` over every segment
 // log of a real AUR instance that has evicted, cleaned and evicted again,
-// and checks the rows against the data log next to it: every (data-off,
-// data-len) pair locating a whole, checksum-clean frame, the rows
-// contiguous and covering the data log, and — in the survivor segment,
-// which cleaning fills — flush numbers from more than one flush.
-func TestIndexDecodesBlockIndexLog(t *testing.T) {
+// and checks the rows against the file: one row per batch, each with a
+// value, the rows of a block under one flush number, the totals line
+// counting the file's frames, and — in the survivor segment, which
+// cleaning fills — flush numbers from more than one flush.
+func TestAURPrintsBlocksAndBatches(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "aur")
 	s, err := aur.Open(aur.Options{Dir: dir, WriteBufferBytes: 1 << 10, Predictor: window.SessionPredictor{Gap: 100}})
 	if err != nil {
@@ -320,42 +317,40 @@ func TestIndexDecodesBlockIndexLog(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	indexes, _ := filepath.Glob(filepath.Join(dir, "index-*.log"))
-	if len(indexes) != segments || segments < 2 {
-		t.Fatalf("store dir holds %d index logs, the store counted %d segments", len(indexes), segments)
+	logs, _ := filepath.Glob(filepath.Join(dir, "aur-*.log"))
+	if len(logs) != segments || segments < 2 {
+		t.Fatalf("store dir holds %d segment logs, the store counted %d segments", len(logs), segments)
 	}
 	var mixed int // segments whose batches were first written by several flushes
-	for _, index := range indexes {
-		data, err := os.ReadFile(filepath.Join(dir, "data-"+strings.TrimPrefix(filepath.Base(index), "index-")))
-		if err != nil {
+	for _, path := range logs {
+		frames := 0
+		if err := scanRecords(path, func(int, int64, []byte) error { frames++; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		printed := captureStdout(t, func() error { return cmdIndex(index) })
+		printed := captureStdout(t, func() error { return cmdAUR(path) })
 		lines := strings.Split(strings.TrimSpace(printed), "\n")
 		rows, total := lines[1:len(lines)-1], lines[len(lines)-1]
-		var end, sum int64
+		values := 0
 		flushes := make(map[string]bool)
+		blockFlush := make(map[string]string)
 		for i, row := range rows {
 			f := strings.Fields(row)
-			if len(f) != 6 {
-				t.Fatalf("%s row %d has %d columns: %q", index, i, len(f), row)
+			if len(f) != 5 {
+				t.Fatalf("%s row %d has %d columns: %q", path, i, len(f), row)
 			}
-			off, _ := strconv.ParseInt(f[3], 10, 64)
-			n, _ := strconv.ParseInt(f[4], 10, 64)
-			if off != end || off+n > int64(len(data)) {
-				t.Fatalf("%s row %d locates [%d,%d) in a %d-byte data log, previous row ended at %d", index, i, off, off+n, len(data), end)
+			n, _ := strconv.Atoi(f[4])
+			if n < 1 || !strings.HasPrefix(f[2], "user-") {
+				t.Fatalf("%s row %d: %q", path, i, row)
 			}
-			if _, used, err := binio.ReadRecordV(data[off:off+n], binio.FrameV1); err != nil || int64(used) != n {
-				t.Fatalf("%s row %d (%q): frame at %d spans %d of %d bytes, err %v", index, i, row, off, used, n, err)
+			if prev, ok := blockFlush[f[0]]; ok && prev != f[1] {
+				t.Fatalf("%s block %s holds batches of flushes %s and %s", path, f[0], prev, f[1])
 			}
-			end, sum = off+n, sum+n
-			flushes[f[5]] = true
+			blockFlush[f[0]] = f[1]
+			values += n
+			flushes[f[1]] = true
 		}
-		if end != int64(len(data)) {
-			t.Errorf("%s: rows cover %d of the data log's %d bytes", index, end, len(data))
-		}
-		if want := fmt.Sprintf("total indexed data: %d bytes", sum); total != want {
-			t.Errorf("%s: last line %q, want %q", index, total, want)
+		if want := fmt.Sprintf("%d blocks, %d batches, %d values", frames, len(rows), values); total != want || len(blockFlush) != frames {
+			t.Errorf("%s: last line %q, rows in %d blocks; want %q", path, total, len(blockFlush), want)
 		}
 		if len(flushes) > 1 {
 			mixed++

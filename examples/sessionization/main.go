@@ -71,7 +71,7 @@ func main() {
 					Assigner:   assigner,
 					// A small write buffer keeps state on disk, as it
 					// would be at production scale, so the run exercises
-					// the index log and predictive batch read.
+					// the segment scan and predictive batch read.
 					FlowKV: core.Options{WriteBufferBytes: 8 << 10},
 				})
 			},

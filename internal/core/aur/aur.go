@@ -3,13 +3,11 @@
 // per-key times (session, count, and custom windows).
 //
 // Layout. The in-memory write buffer hashes tuples by (key, initial
-// window boundary). A flush appends its value batches to a data log, one
-// CRC frame per batch, in ascending estimated trigger time, and then
-// appends the batches' locations — (key, window, length), the offsets
-// implied by the running sum — to the *index log* beside it as one packed
-// block per flush (index.go gives the layout), keeping per-window location
-// metadata on disk rather than in memory. A data log and its index log are
-// a *segment*; the log is a set of them (see "The segmented log").
+// window boundary). A flush appends its value batches, in ascending
+// estimated trigger time, to a segment log as blocks that carry each
+// batch's identity — key and window — beside its values (block.go gives
+// the layout), keeping per-window location metadata on disk rather than in
+// memory. The log is a set of such segments (see "The segmented log").
 //
 // What gets spilled. An append never reads, so the only access that needs
 // a window's state in memory is its trigger. A full write buffer therefore
@@ -25,9 +23,10 @@
 // tuple timestamp seen (for session windows: maxTS + gap, a guaranteed
 // lower bound on the trigger). When a Get misses the prefetch buffer, the
 // store selects, from the Stat table, the N flushed windows closest to
-// their ETT (N = read-batch ratio × live windows), scans the index logs of
-// the segments holding them once for their locations, and loads all of
-// them with coalesced range reads. Subsequent triggers hit in memory; the
+// their ETT (N = read-batch ratio × live windows) and scans the blocks of
+// the segments holding them once, taking their values as it finds them:
+// the scan that locates a batch is the read that loads it. Subsequent
+// triggers hit in memory; the
 // paper observes ≈0.93 hit ratio at ratio 0.02, i.e. ≈1.08× read
 // amplification (Equation 1). A tuple arriving for a prefetched window
 // proves the ETT wrong and evicts that window's prefetched state.
@@ -35,14 +34,13 @@
 // The segmented log. Get is a fetch-&-remove, so window semantics say when
 // a flushed batch dies, and an eviction's batches — chosen by trigger time
 // — die at about the same time. Each full-buffer eviction is therefore
-// written as a segment of a logfile.Segments (data-NNNNNN.log,
-// index-NNNNNN.log) whose live count is its live data bytes, unlinked
-// without a byte copied once that reaches zero. This replaces the paper's
-// integrated compaction, which rewrote the whole log off the batch read's
-// index scan: state that dies in age order is never copied, and with an
-// index per segment there is no whole-index scan to share. Memory holds,
-// per flushed identity, which segments hold its batches and how many bytes
-// in each — not where.
+// written as a segment of a logfile.Segments (aur-NNNNNN.log) whose live
+// count is its live entries' bytes, unlinked without a byte copied once
+// that reaches zero. This replaces the paper's integrated compaction,
+// which rewrote the whole log off the batch read's index scan: state that
+// dies in age order is never copied, and a miss scans only the segments
+// that hold what it selected. Memory holds, per flushed identity, which
+// segments hold its batches and how many bytes in each — not where.
 //
 // # Concurrency
 //
@@ -53,7 +51,7 @@
 //     Get/Read/Drop of state that lives only in the buffer, take mu
 //     alone, so ingestion never waits for disk.
 //   - ioMu serializes everything involving the segments' logs: flushes,
-//     index scans, span loads, cleaning, drops, checkpoints — plus the
+//     batch-read scans, cleaning, drops, checkpoints — plus the
 //     segments' consumed marks, which only disk-touching paths mutate.
 //     mu is never held across I/O; a flush detaches the buffer under mu,
 //     writes with only ioMu held, and installs the on-disk accounting
@@ -76,7 +74,6 @@ import (
 	"strings"
 	"sync"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
@@ -103,16 +100,16 @@ type Options struct {
 	WriteBufferBytes int64
 	// ReadBatchRatio sets the fraction of live (key, window) states
 	// prefetched per predictive batch read. 0 disables prediction (every
-	// read with on-disk state scans the index log for that state alone).
+	// read with on-disk state scans its segments for that state alone).
 	// The paper's default is 0.02.
 	ReadBatchRatio float64
 	// MinBatchWindows floors the per-scan prefetch count when the ratio
-	// yields fewer (small live sets would otherwise trigger an index
+	// yields fewer (small live sets would otherwise trigger a segment
 	// scan every few reads; at the paper's scale ratio × live windows is
 	// in the thousands and this floor is never reached). Default 64.
 	MinBatchWindows int
 	// MaxSpaceAmplification (MSA) triggers segment cleaning when
-	// total/(total-dead) data-log bytes exceed it. Default 1.5.
+	// total/(total-dead) segment-log bytes exceed it. Default 1.5.
 	MaxSpaceAmplification float64
 	// Predictor estimates window trigger times. nil disables prediction
 	// (the degraded mode FlowKV uses for count and custom windows).
@@ -128,23 +125,12 @@ type Options struct {
 	Policy *logfile.Policy
 }
 
-const (
-	// coalesceGapBytes is the maximum dead gap bridged when batching
-	// adjacent range reads of one predictive batch read.
-	coalesceGapBytes = 32 << 10
-	// readParallelism bounds the worker goroutines fanning those reads
-	// across the data logs, and parallelReadBytes is what one batch read
-	// must fetch before they are started: handing a few KiB to goroutines
-	// costs more in wake-ups than the reads take.
-	readParallelism   = 4
-	parallelReadBytes = 1 << 20
-	// evictDivisor is the share of the buffered identities a full buffer
-	// evicts: the quarter with the latest estimated trigger time. On the
-	// session benchmark a half writes 28.9 B an event, a quarter 26.7 B and
-	// an eighth 25.6 B with twice the flushes (draining the buffer whole:
-	// 35.1 B) — the same trade the RMW store's evictDivisor settles.
-	evictDivisor = 4
-)
+// evictDivisor is the share of the buffered identities a full buffer
+// evicts: the quarter with the latest estimated trigger time. On the
+// session benchmark a half writes 28.9 B an event, a quarter 26.7 B and an
+// eighth 25.6 B with twice the flushes (draining the buffer whole: 35.1 B)
+// — the same trade the RMW store's evictDivisor settles.
+const evictDivisor = 4
 
 func (o *Options) fill() {
 	if o.WriteBufferBytes <= 0 {
@@ -188,13 +174,7 @@ type statEntry struct {
 	spilled bool
 }
 
-// span locates one flushed value batch inside a segment's data log.
-type span struct {
-	off int64
-	n   int
-}
-
-// segShare is the data-log bytes of one identity's live batches in one
+// segShare is the encoded bytes of one identity's live batches in one
 // segment.
 type segShare struct {
 	seg uint32
@@ -215,40 +195,36 @@ func addShare(shares []segShare, seg uint32, n int64) []segShare {
 	return append(shares, segShare{seg, n})
 }
 
-// segment is one file pair of the log — a data log of value batches, then
-// the index log locating them — in logfile.Segments' lifecycle.
+// segment is one log of the segment set, in logfile.Segments' lifecycle.
 type segment = logfile.Segment[segState]
 
-// A segment's logs in Logs order, and their file name prefixes.
-const dataLog, indexLog = 0, 1
+// segmentPrefix names the segment files: aur-NNNNNN.log.
+const segmentPrefix = "aur"
 
-var logPrefixes = []string{dataLog: "data", indexLog: "index"}
+func segmentName(id uint32) string { return logfile.SegmentName(segmentPrefix, id) }
 
-func dataName(id uint32) string  { return logfile.SegmentName(logPrefixes[dataLog], id) }
-func indexName(id uint32) string { return logfile.SegmentName(logPrefixes[indexLog], id) }
-
-// segState is what the store keeps per segment beside its logs, all owned
+// segState is what the store keeps per segment beside its log, all owned
 // by ioMu.
 type segState struct {
-	// epoch is the pair's random identity in a checkpoint's SEGMENTS
+	// epoch is the segment's random identity in a checkpoint's SEGMENTS
 	// manifest: a cut links what its parent holds only while they match.
 	epoch uint64
-	// indexed is the length of the index log whose blocks locate installed
-	// batches; only a cleaning pass that failed while writing its blocks
+	// committed is the length of the log whose blocks hold installed
+	// batches; only a cleaning pass that failed after appending blocks
 	// leaves any past it, and they are never read.
-	indexed int64
+	committed int64
 	// consumed maps the identBytes of an identity consumed from this
-	// segment to the data log's size at that moment: its batches below
+	// segment to committed at that moment: its batches in blocks below
 	// that offset are dead, those a later life of the same (key, window)
 	// lands here — flushed into an open head, or cleaned in — are not.
 	consumed map[string]int64
 }
 
-// dead reports whether the batch e locates in the segment was consumed;
-// caller holds ioMu.
-func (st *segState) dead(e *indexEntry) bool {
-	mark, ok := st.consumed[string(e.prefix)]
-	return ok && e.Off < mark
+// dead reports whether a batch of the identity whose identBytes are ident,
+// in the block at offset off, was consumed; caller holds ioMu.
+func (st *segState) dead(ident []byte, off int64) bool {
+	mark, ok := st.consumed[string(ident)]
+	return ok && off < mark
 }
 
 // Store is a single AUR store instance, safe for concurrent use.
@@ -281,14 +257,14 @@ type Store struct {
 	ioMu sync.Mutex
 	// segs is the log: every segment, the flush head and the survivor.
 	segs *logfile.Segments[segState]
-	seq  uint64 // the last flush's sequence number (see index.go)
+	seq  uint64 // the last flush's sequence number (see block.go)
 
 	// Evaluation metrics.
 	ratio      metrics.Ratio
 	evictions  metrics.Counter
 	indexScans metrics.Counter
-	// Where the written bytes went, data and index logs together, and how
-	// many batches flushes wrote; where consumed identities were found.
+	// What flushes wrote, in bytes and batches; where consumed identities
+	// were found.
 	flushedBytes   metrics.Counter
 	flushedBatches metrics.Counter
 	bufferHits     metrics.Counter // consumed wholly from the write buffer
@@ -314,7 +290,7 @@ func Open(opts Options) (*Store, error) {
 		prefetch:  make(map[id][][]byte),
 		statMarks: ckpt.NewMarks[id](),
 	}
-	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, logPrefixes, opts.WriteBufferBytes,
+	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix, opts.WriteBufferBytes,
 		opts.MaxSpaceAmplification, func() segState {
 			return segState{epoch: ckpt.Rand64(), consumed: make(map[string]int64)}
 		})
@@ -407,15 +383,15 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 type flushItem struct {
 	ident id
 	e     *bufEntry
-	n     int64 // on-disk bytes of its data record, once written
+	n     int64 // encoded bytes of its entry, once written
 }
 
 // byTrigger orders a flush's batches by ascending ETT, identities without
 // one last, ties by identity so the layout is a function of the buffer's
 // content rather than of map order. The windows one predictive batch
-// read selects — the soonest to trigger — then sit next to each other in
-// every flush's region of a data log, and its coalesced reads bridge
-// fewer dead gaps (5.6% fewer bytes read on the session benchmark).
+// read selects — the soonest to trigger — then sit next to each other at
+// the front of every flush's blocks, and neighbours differ little in start
+// and width, which the blocks' deltas turn into bytes saved.
 //
 // The same order, read from its far end, picks an eviction's victims
 // (detachLocked): it is total, so victims and byte counts repeat from run
@@ -509,12 +485,11 @@ func (s *Store) detachLocked(all bool) (batch map[id]*bufEntry, items []flushIte
 // flushLocked spills buffered batches (step ③): all of them for a drain
 // (Flush, Sync, CheckpointDelta — the drain is the checkpoint cut), the
 // quarter that will trigger last for the eviction an Append starts on
-// finding the buffer full (detachLocked). One data record per (key,
-// window) batch, in byTrigger order, then the batches' locations as index
-// blocks. Caller holds ioMu. The batch is detached under mu and written
-// with only ioMu held, so ingestion proceeds; ids in the detached batch
-// are marked in-flight, diverting their reads to the slow path until the
-// on-disk accounting is installed.
+// finding the buffer full (detachLocked). One block entry per (key,
+// window) batch, in byTrigger order. Caller holds ioMu. The batch is
+// detached under mu and written with only ioMu held, so ingestion
+// proceeds; ids in the detached batch are marked in-flight, diverting
+// their reads to the slow path until the on-disk accounting is installed.
 //
 // A full buffer's flush seals the segment it wrote, so in steady state
 // every segment holds one eviction and its batches share a lifetime. A
@@ -544,54 +519,34 @@ func (s *Store) flushLocked(all bool) error {
 	}
 	slices.SortFunc(items, byTrigger)
 
-	// items[:stored] have their data record in the head's data log; of
-	// those, items[:indexed] are also covered by an index block its index
-	// log accepted.
-	var stored, indexed int
-	var bytes int64 // data and index bytes the logs accepted
-	iw := indexWriter{emit: func(block []byte, entries int) error {
-		_, n, err := head.Logs[indexLog].Append(block)
+	// items[:installed] are in blocks the head's log accepted.
+	var installed int
+	var bytes int64
+	bw := blockWriter{emit: func(block []byte, entries, body int) error {
+		off, n, err := head.Log.Append(block)
 		if err != nil {
 			return err
 		}
+		items[installed].n += int64(n - body)
 		bytes += int64(n)
-		indexed += entries
+		installed += entries
+		head.X.committed = off + int64(n)
 		return nil
 	}}
-	var payload, prefix []byte
 	for i := 0; werr == nil && i < len(items); i++ {
 		it := &items[i]
-		payload = binio.PutUvarint(payload[:0], uint64(len(it.e.values)))
-		for _, v := range it.e.values {
-			payload = binio.PutBytes(payload, v)
-		}
-		off, n, err := head.Logs[dataLog].Append(payload)
-		if err != nil {
-			werr = err
-			break
-		}
-		it.n = int64(n)
-		bytes += it.n
-		stored++
-		prefix = appendIdent(prefix[:0], it.ident)
-		werr = iw.add(prefix, span{off, n}, s.seq)
+		n, err := bw.add(s.seq, it.ident.key, it.ident.w, it.e.values)
+		it.n, werr = int64(n), err
 	}
-	// Also after a data-log failure: the records already written are
-	// whole and deserve their index entries.
-	if err := iw.flush(); err != nil && werr == nil {
-		werr = err
+	if werr == nil {
+		werr = bw.flush()
 	}
-	// Data records no index block references (items[indexed:stored]) are
-	// orphans: in the segment's size, not in its live count.
 	s.flushedBytes.Add(bytes)
-	s.flushedBatches.Add(int64(stored))
-	if indexed > 0 {
-		head.X.indexed = head.Logs[indexLog].Size()
-	}
+	s.flushedBatches.Add(int64(installed))
 
 	s.mu.Lock()
 	s.flushing = nil
-	for _, it := range items[:indexed] {
+	for _, it := range items[:installed] {
 		delete(batch, it.ident)
 		s.onDisk[it.ident] = addShare(s.onDisk[it.ident], head.ID, it.n)
 		head.Live += it.n
@@ -899,9 +854,9 @@ func (s *Store) takeBufferedLocked(ident id) [][]byte {
 
 // consumeDiskLocked retires ident's flushed batches, debiting exactly the
 // segments that hold them: every batch of it such a segment holds now —
-// all below its data log's current size — is dead, and a batch a new life
-// of the same (key, window) lands there later is above that mark and is
-// not. It reports whether that emptied a sealed segment, which is then
+// all in blocks below its committed length — is dead, and a batch a new
+// life of the same (key, window) lands there later is above that mark and
+// is not. It reports whether that emptied a sealed segment, which is then
 // due a reap. Caller holds ioMu, so no flush is in flight, and mu.
 func (s *Store) consumeDiskLocked(ident id) (emptied bool) {
 	shares := s.onDisk[ident]
@@ -912,7 +867,7 @@ func (s *Store) consumeDiskLocked(ident id) (emptied bool) {
 	for _, sh := range shares {
 		sg := s.segs.Get(sh.seg)
 		sg.Live -= sh.n
-		sg.X.consumed[key] = sg.Logs[dataLog].Size()
+		sg.X.consumed[key] = sg.X.committed
 		emptied = emptied || sg.Sealed && sg.Live == 0
 	}
 	delete(s.onDisk, ident)
@@ -930,9 +885,9 @@ func (s *Store) dropPrefetchLocked(ident id) {
 }
 
 // batchReadLocked performs one predictive batch read targeting ident:
-// select the target plus the N flushed windows nearest their ETT, scan the
-// index logs of the segments holding them for their locations, and load
-// them into the prefetch buffer with coalesced range reads. Caller holds
+// select the target plus the N flushed windows nearest their ETT, then scan
+// the blocks of the segments holding them, taking the selected batches'
+// values as the scan finds them, into the prefetch buffer. Caller holds
 // ioMu (not mu).
 //
 // The target's values are returned directly rather than via the
@@ -941,30 +896,33 @@ func (s *Store) dropPrefetchLocked(ident id) {
 // entry, so a caller that re-read s.prefetch[target] could find nothing
 // and lose the on-disk values it is about to consume.
 func (s *Store) batchReadLocked(target id) ([][]byte, error) {
-	// No flush here: the index only needs to cover flushed state — a
-	// Get serves still-buffered values straight from the write buffer,
-	// and onDisk bytes are by definition already indexed.
-	//
 	// Selecting before scanning means a scan reads only the segments the
-	// selection names and materialises locations for the selected ids
-	// alone.
+	// selection names, copies values for the selected ids alone, and
+	// stops in each segment once it has found what onDisk counts there.
 	want, left := s.selectBatch(target)
 	s.indexScans.Inc()
-	var tasks []loadTask
+	type load struct {
+		ident id
+		seq   uint64
+		vals  [][]byte
+	}
+	var loads []load
 	for _, sg := range s.segs.List() {
 		n := left[sg.ID]
 		if n == 0 {
 			continue
 		}
-		err := s.scanSegLocked(sg, func(e *indexEntry) error {
-			ident, wanted := want[string(e.prefix)]
-			if !wanted || sg.X.dead(e) {
+		err := s.scanSegLocked(sg, func(off int64, ident []byte, e *BlockEntry) error {
+			wanted, ok := want[string(ident)]
+			if !ok || sg.X.dead(ident, off) {
 				return nil
 			}
-			tasks = append(tasks, loadTask{ident: ident, seg: sg, seq: e.Seq, sp: span{e.Off, e.Len}})
-			// Once every byte onDisk counts for the selection in this
-			// segment is located, the rest of its index is about others.
-			if n -= int64(e.Len); n == 0 {
+			vals := make([][]byte, len(e.Values))
+			for i, v := range e.Values {
+				vals[i] = slices.Clone(v)
+			}
+			loads = append(loads, load{wanted, e.Seq, vals})
+			if n -= int64(e.Size); n == 0 {
 				return errScanDone
 			}
 			return nil
@@ -973,7 +931,28 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 			return nil, err
 		}
 	}
-	return s.loadSpansLocked(tasks, target)
+
+	// Install in flush order — not scan order: a survivor segment holds
+	// batches older than a sealed eviction's, and out of order among
+	// themselves — keeping per-id value order chronological. A concurrent
+	// Append may already have evicted and re-created state for an id;
+	// re-installing is harmless — Get merges prefetched disk values with
+	// newer buffered ones. The target's values are also collected into a
+	// caller-owned slice that no concurrent eviction can take away.
+	slices.SortStableFunc(loads, func(a, b load) int { return cmp.Compare(a.seq, b.seq) })
+	var targetVals [][]byte
+	s.mu.Lock()
+	for _, l := range loads {
+		for _, v := range l.vals {
+			s.prefetchBytes += int64(len(v))
+		}
+		s.prefetch[l.ident] = append(s.prefetch[l.ident], l.vals...)
+		if l.ident == target {
+			targetVals = append(targetVals, l.vals...)
+		}
+	}
+	s.mu.Unlock()
+	return targetVals, nil
 }
 
 // cand is a prefetch candidate: a flushed identity and its ETT.
@@ -1015,8 +994,8 @@ func siftLatest(h []cand, i int) {
 // N = ceil(ratio × live states) so any positive ratio prefetches at least
 // one upcoming window. Ids without an ETT cannot be predicted and are
 // only loaded on demand; ids already prefetched are skipped. The
-// candidates are exactly the ids the index log holds live entries for —
-// onDisk has a row for an id from its first indexed flush until it is
+// candidates are exactly the ids the segments hold live entries for —
+// onDisk has a row for an id from its first installed flush until it is
 // consumed — so the choice needs nothing from the scan, and the bytes
 // onDisk counts for the chosen ids in each segment, returned as well, are
 // exactly what a scan of that segment will find for them. One pass over
@@ -1073,314 +1052,119 @@ func (s *Store) selectBatch(target id) (want map[string]id, left map[uint32]int6
 }
 
 // errScanDone, returned by a scan callback, ends the scan without error.
-var errScanDone = errors.New("aur: index scan done")
+var errScanDone = errors.New("aur: segment scan done")
 
-// scanSegLocked reads sg's index log once, calling fn for every entry —
-// consumed ones included, the caller filters — in data-log offset order,
-// until the installed blocks end or fn returns errScanDone. The entry and
-// the slices it holds are valid only during the call. Caller holds ioMu,
-// under which the consumed marks are stable.
-func (s *Store) scanSegLocked(sg *segment, fn func(e *indexEntry) error) error {
+// scanSegLocked reads sg's log once, calling fn for every entry — consumed
+// ones included, the caller filters — with the offset of its block and its
+// identity's identBytes, until the committed blocks end or fn returns
+// errScanDone. ident, the entry and the slices it holds are valid only
+// during the call. Caller holds ioMu, under which the consumed marks are
+// stable.
+func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *BlockEntry) error) error {
 	if s.bd != nil {
 		defer s.bd.Start(metrics.OpRead)()
 	}
-	sc, err := sg.Logs[indexLog].Scanner(0)
+	sc, err := sg.Log.Scanner(0)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	var e indexEntry
-	var end int64 // data offset one past the previous entry
-	for sc.Scan() && sc.Offset() <= sg.X.indexed {
-		it, err := openBlock(sc.Record())
-		if err != nil {
+	var ident []byte
+	for off := int64(0); sc.Scan() && sc.Offset() <= sg.X.committed; off = sc.Offset() {
+		// The block's first entry counts its frame as well (block.go).
+		frame := int(sc.Offset()-off) - len(sc.Record())
+		_, err := DecodeSegmentBlock(sc.Record(), func(e *BlockEntry) error {
+			e.Size, frame = e.Size+frame, 0
+			ident = appendIdent(ident[:0], e.Key, e.Window)
+			return fn(off, ident, e)
+		})
+		switch {
+		case err == errScanDone:
+			return sc.Err() // nil; accounts the bytes read
+		case errors.As(err, new(*BlockError)):
+			return fmt.Errorf("aur: %s: block at %d: %w", sg.Log.Path(), off, err)
+		case err != nil:
 			return err
 		}
-		// Loads and cleaning both take index order for offset order.
-		if it.off < end {
-			return badBlock("block at data offset %d follows an entry ending at %d", it.off, end)
-		}
-		for it.left > 0 {
-			if err := it.next(&e); err != nil {
-				return err
-			}
-			if err := fn(&e); err != nil {
-				if err == errScanDone {
-					return sc.Err() // nil; accounts the bytes read
-				}
-				return err
-			}
-		}
-		end = it.off
 	}
 	return sc.Err()
 }
 
-// loadTask is one batch to load during a batch read: where it sits and
-// the flush that first wrote it.
-type loadTask struct {
-	ident id
-	seg   *segment
-	seq   uint64
-	sp    span
-	vals  [][]byte
-}
-
-// loadRun is a coalesced range of adjacent tasks read with one I/O.
-type loadRun struct {
-	base, end int64
-	lo, hi    int // inclusive task range
-}
-
-// loadSpansLocked reads the given batches — segment by segment, in
-// ascending offset order within each, as the index scans yield them — into
-// the prefetch buffer, coalescing adjacent ranges of one data log into
-// single reads and fanning independent ranges across readParallelism
-// worker goroutines (positional reads on flushed logs are independent). Caller holds ioMu (not mu); the
-// decoded values are installed under mu at the end. The target's values
-// are also returned directly (see batchReadLocked).
-func (s *Store) loadSpansLocked(tasks []loadTask, target id) ([][]byte, error) {
-	if len(tasks) == 0 {
-		return nil, nil
-	}
-
-	var runs []loadRun
-	i := 0
-	for i < len(tasks) {
-		// Coalesce a run of tasks whose byte ranges are near-adjacent.
-		j := i
-		end := tasks[i].sp.off + int64(tasks[i].sp.n)
-		for j+1 < len(tasks) && tasks[j+1].seg == tasks[i].seg && tasks[j+1].sp.off-end <= coalesceGapBytes {
-			j++
-			end = tasks[j].sp.off + int64(tasks[j].sp.n)
-		}
-		runs = append(runs, loadRun{base: tasks[i].sp.off, end: end, lo: i, hi: j})
-		i = j + 1
-	}
-
-	loadRun := func(r loadRun, unlocked bool) error {
-		lg := tasks[r.lo].seg.Logs[dataLog]
-		read, frameVer := lg.ReadRangeAt, lg.Version()
-		if unlocked {
-			read = lg.ReadRangeAtRaw
-		}
-		raw, err := read(r.base, int(r.end-r.base))
-		if err != nil {
-			return err
-		}
-		for k := r.lo; k <= r.hi; k++ {
-			t := &tasks[k]
-			rec := raw[t.sp.off-r.base : t.sp.off-r.base+int64(t.sp.n)]
-			payload, used, err := binio.ReadRecordV(rec, frameVer)
-			if err != nil {
-				return fmt.Errorf("aur: data record at %d: %w", t.sp.off, err)
-			}
-			if used != len(rec) {
-				return fmt.Errorf("aur: data record at %d: frame spans %d of %d indexed bytes: %w",
-					t.sp.off, used, len(rec), binio.ErrCorrupt)
-			}
-			vals, err := decodeValues(payload)
-			if err != nil {
-				return err
-			}
-			t.vals = vals
-		}
-		return nil
-	}
-
-	// A poisoned data log cannot serve raw positional reads (part of the
-	// range may live only in its retained in-memory tail); the serial
-	// path below goes through ReadRangeAt, which stitches the durable
-	// prefix with the tail, keeping degraded reads working. The same
-	// fallback catches a flush that fails (and poisons the log) here.
-	var bytes int64
-	for _, r := range runs {
-		bytes += r.end - r.base
-	}
-	parallel := len(runs) > 1 && bytes >= parallelReadBytes
-	for i := 0; parallel && i < len(runs); i++ {
-		lg := tasks[runs[i].lo].seg.Logs[dataLog]
-		parallel = lg.Poisoned() == nil && lg.Flush() == nil
-	}
-	if parallel {
-		workers := min(readParallelism, len(runs))
-		var (
-			wg   sync.WaitGroup
-			next int64
-			emu  sync.Mutex
-			ferr error
-		)
-		nextRun := func() int {
-			emu.Lock()
-			defer emu.Unlock()
-			if ferr != nil || next >= int64(len(runs)) {
-				return -1
-			}
-			n := next
-			next++
-			return int(n)
-		}
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ri := nextRun()
-					if ri < 0 {
-						return
-					}
-					if err := loadRun(runs[ri], true); err != nil {
-						emu.Lock()
-						if ferr == nil {
-							ferr = err
-						}
-						emu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if ferr != nil {
-			return nil, ferr
-		}
-	} else {
-		for _, r := range runs {
-			if err := loadRun(r, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Install in flush order — not scan order: a survivor segment holds
-	// batches older than a sealed eviction's, and out of order among
-	// themselves — keeping per-id value order chronological. A
-	// concurrent Append may already have evicted and re-created state for
-	// an id; re-installing is harmless — Get merges prefetched disk values
-	// with newer buffered ones. The target's values are also collected
-	// into a caller-owned slice that no concurrent eviction can take away.
-	slices.SortFunc(tasks, func(a, b loadTask) int { return cmp.Compare(a.seq, b.seq) })
-	var targetVals [][]byte
-	s.mu.Lock()
-	for i := range tasks {
-		t := &tasks[i]
-		for _, v := range t.vals {
-			s.prefetchBytes += int64(len(v))
-		}
-		s.prefetch[t.ident] = append(s.prefetch[t.ident], t.vals...)
-		if t.ident == target {
-			targetVals = append(targetVals, t.vals...)
-		}
-	}
-	s.mu.Unlock()
-	return targetVals, nil
-}
-
-func decodeValues(payload []byte) ([][]byte, error) {
-	count, n, err := binio.Uvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	payload = payload[n:]
-	vals := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, n, err := binio.Bytes(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[n:]
-		vc := make([]byte, len(v))
-		copy(vc, v)
-		vals = append(vals, vc)
-	}
-	return vals, nil
-}
-
-// move is one batch a cleaning pass transferred out of segment from.
+// move is one batch a cleaning pass re-encoded out of segment from: n
+// bytes there, to bytes in the survivor.
 type move struct {
 	ident id
 	from  *segment
-	n     int64
+	n, to int64
 }
 
 // cleanLocked, behind an evicting flush, reaps the segments that emptied
-// by themselves and, when amplification — data-log bytes over live
-// data-log bytes; index bytes follow data bytes batch for batch and are
-// left out — still exceeds MSA, runs one cleaning pass (§4.2's compaction
-// and §5's byte transfer, per segment; logfile.Segments.Clean); caller
-// holds ioMu, under which the live set cannot change: consuming state
-// requires ioMu and appends only touch the buffer. The pass transfers the
-// victims' live batches into the survivor segment, collecting the index
-// blocks that locate the copies; nothing is installed until the
-// survivor's index log has accepted every block, and blocks a failed pass
-// appended lie past indexed, never read.
+// by themselves and, when amplification — log bytes over live entry bytes
+// — still exceeds MSA, runs one cleaning pass (§4.2's compaction, per
+// segment; logfile.Segments.Clean); caller holds ioMu, under which the
+// live set cannot change: consuming state requires ioMu and appends only
+// touch the buffer. The pass scans each victim once and re-encodes its
+// live entries into the survivor's blocks; nothing is installed until the
+// survivor's log has accepted every block, and blocks a failed pass
+// appended lie past committed, never read.
 func (s *Store) cleanLocked() error {
 	var moved []move
-	var blocks [][]byte
-	iw := indexWriter{emit: func(block []byte, _ int) error {
-		blocks = append(blocks, slices.Clone(block))
+	var surv *segment
+	var appended, committed int64
+	bw := blockWriter{emit: func(block []byte, entries, body int) error {
+		off, n, err := surv.Log.Append(block)
+		if err != nil {
+			return err
+		}
+		moved[len(moved)-entries].to += int64(n - body)
+		appended, committed = appended+int64(n), off+int64(n)
 		return nil
 	}}
-	return s.segs.Clean(func(v *segment, live int64, surv *segment) error {
-		return s.copyLiveLocked(v, live, surv, &iw, &moved)
-	}, func(surv *segment) (appended int64, err error) {
-		if err := iw.flush(); err != nil {
+	return s.segs.Clean(func(v *segment, live int64, sv *segment) error {
+		surv = sv
+		return s.copyLiveLocked(v, live, &bw, &moved)
+	}, func(sv *segment) (int64, error) {
+		surv = sv
+		if err := bw.flush(); err != nil {
 			return 0, err
-		}
-		for _, block := range blocks {
-			_, n, err := surv.Logs[indexLog].Append(block)
-			if err != nil {
-				return 0, err
-			}
-			appended += int64(n)
 		}
 		if len(moved) == 0 {
 			return appended, nil
 		}
-		surv.X.indexed = surv.Logs[indexLog].Size()
+		sv.X.committed = committed
 		s.mu.Lock()
 		for _, m := range moved {
 			shares := addShare(s.onDisk[m.ident], m.from.ID, -m.n)
-			s.onDisk[m.ident] = addShare(shares, surv.ID, m.n)
+			s.onDisk[m.ident] = addShare(shares, sv.ID, m.to)
 			m.from.Live -= m.n
-			surv.Live += m.n
-			appended += m.n
+			sv.Live += m.to
 		}
 		s.mu.Unlock()
 		return appended, nil
 	})
 }
 
-// copyLiveLocked reads victim v's index once and transfers every batch
-// still live in it to the end of surv's data log, maximal runs of adjacent
-// batches in one transfer each, handing their new locations to iw under
-// the sequence numbers they were first written with and recording the
-// moves; caller holds ioMu. The scan stops once it has seen all of v's live
-// bytes.
-func (s *Store) copyLiveLocked(v *segment, left int64, surv *segment, iw *indexWriter, moved *[]move) error {
-	next := surv.Logs[dataLog].Size() // where the next batch transferred lands
-	var runs []span                   // live byte runs of v's data log, ascending
-	err := s.scanSegLocked(v, func(e *indexEntry) error {
-		if v.X.dead(e) {
+// copyLiveLocked scans victim v's blocks once and hands every batch still
+// live in it to bw, under the sequence number it was first written with,
+// recording the moves; caller holds ioMu. The scan stops once it has seen
+// all of v's live bytes.
+func (s *Store) copyLiveLocked(v *segment, left int64, bw *blockWriter, moved *[]move) error {
+	return s.scanSegLocked(v, func(off int64, ident []byte, e *BlockEntry) error {
+		if v.X.dead(ident, off) {
 			return nil
 		}
-		if last := len(runs) - 1; last >= 0 && runs[last].off+int64(runs[last].n) == e.Off {
-			runs[last].n += e.Len
-		} else {
-			runs = append(runs, span{e.Off, e.Len})
+		m := move{ident: id{key: string(e.Key), w: e.Window}, from: v, n: int64(e.Size)}
+		to, err := bw.add(e.Seq, m.ident.key, e.Window, e.Values)
+		if err != nil {
+			return err
 		}
-		*moved = append(*moved, move{id{key: string(e.Key), w: e.Window}, v, int64(e.Len)})
-		err := iw.add(e.prefix, span{next, e.Len}, e.Seq)
-		next += int64(e.Len)
-		if left -= int64(e.Len); left == 0 && err == nil {
-			err = errScanDone
+		m.to = int64(to)
+		*moved = append(*moved, m)
+		if left -= m.n; left == 0 {
+			return errScanDone
 		}
-		return err
+		return nil
 	})
-	for i := 0; err == nil && i < len(runs); i++ {
-		err = v.Logs[dataLog].TransferTo(surv.Logs[dataLog], runs[i].off, int64(runs[i].n))
-	}
-	return err
 }
 
 // Flush spills all buffered data to disk (checkpoint support): a drain,
@@ -1395,8 +1179,7 @@ func (s *Store) Flush() error {
 }
 
 // Sync flushes all buffered data and fsyncs every log holding bytes not
-// yet durable — a segment's data log before its index log — making every
-// acknowledged Append durable (logfile.Segments.Sync: each fsync runs
+// yet durable, making every acknowledged Append durable (logfile.Segments.Sync: each fsync runs
 // outside ioMu, so appends, batch reads and later flushes overlap it).
 func (s *Store) Sync() error {
 	return s.segs.Sync(func() error { return s.flushLocked(true) })
@@ -1425,8 +1208,7 @@ func (s *Store) Scrub() (logfile.ScrubSummary, error) {
 }
 
 // SegmentStats returns the log's segment lifecycle accounting: cleaning
-// passes and what they re-appended (data and index bytes), segments
-// dropped and live.
+// passes and the bytes they re-appended, segments dropped and live.
 func (s *Store) SegmentStats() logfile.SegmentStats { return s.segs.Stats() }
 
 // HitRatio returns the prefetch buffer hit ratio (Figure 11b metric).
@@ -1442,20 +1224,20 @@ func (s *Store) ConsumedCount() (buffer, disk int64) {
 	return s.bufferHits.Load(), s.diskHits.Load()
 }
 
-// FlushBytes returns the data- and index-log bytes flushes have written:
-// evictions and drains, not cleaning's re-appends (SegmentStats).
+// FlushBytes returns the segment-log bytes flushes have written: evictions
+// and drains, not cleaning's re-appends (SegmentStats).
 func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
 
 // FlushedBatches returns the number of (key, window) batches flushes have
-// written to the data log.
+// written to the segment logs.
 func (s *Store) FlushedBatches() int64 { return s.flushedBatches.Load() }
 
 // Evictions returns the number of prefetched windows evicted by wrong ETT
 // estimates.
 func (s *Store) Evictions() int64 { return s.evictions.Load() }
 
-// IndexScans returns the number of prefetch misses that went to the index
-// logs.
+// IndexScans returns the number of prefetch misses that scanned the
+// segment logs.
 func (s *Store) IndexScans() int64 { return s.indexScans.Load() }
 
 // BufferedBytes returns the current write-buffer occupancy.
@@ -1479,8 +1261,8 @@ func (s *Store) LiveStates() int {
 	return len(s.stat)
 }
 
-// DiskUsage returns the logical bytes of the instance's data and index
-// logs, including appends still in their write-through buffers.
+// DiskUsage returns the logical bytes of the instance's segment logs,
+// including appends still in their write-through buffers.
 func (s *Store) DiskUsage() int64 { return s.segs.Size() }
 
 // Close closes the store's log files, leaving state on disk.

@@ -28,14 +28,14 @@ func openTest(t *testing.T, opts Options) *Store {
 	return s
 }
 
-// spaceAmp returns the log's space amplification: data-log bytes over
-// live data-log bytes, 1.0 when nothing is live.
+// spaceAmp returns the log's space amplification: segment-log bytes over
+// live bytes, 1.0 when nothing is live.
 func spaceAmp(s *Store) float64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	var total, live int64
 	for _, sg := range s.segs.List() {
-		total += sg.Logs[dataLog].Size()
+		total += sg.Log.Size()
 		live += sg.Live
 	}
 	if live == 0 {
@@ -418,7 +418,7 @@ func TestByteAndHitCountersAccountForTheLogs(t *testing.T) {
 	if s.SegmentStats().Compactions != 1 || s.segs.Survivor() == nil {
 		t.Fatalf("%d cleaning passes, survivor segment %v; want 1 and open", s.SegmentStats().Compactions, s.segs.Survivor())
 	}
-	if got, surv := s.SegmentStats().CompactionBytes, s.segs.Survivor().Logs[dataLog].Size()+s.segs.Survivor().Logs[indexLog].Size(); got != surv || got == 0 {
+	if got, surv := s.SegmentStats().CompactionBytes, s.segs.Survivor().Log.Size(); got != surv || got == 0 {
 		t.Fatalf("%d bytes cleaned, the survivor segment holds %d", got, surv)
 	}
 	buffer, disk := s.ConsumedCount()

@@ -11,46 +11,74 @@ import (
 	"sort"
 	"testing"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
-// indexEntries decodes every entry of the store's index logs, consumed
-// ones included, segment by segment in id order.
-func indexEntries(t testing.TB, s *Store) []IndexEntry {
-	t.Helper()
-	return decodeEntries(t, s, false)
+// entry is one batch in a segment as a test sees it.
+type entry struct {
+	ident id
+	vals  []string
+	seq   uint64
+	off   int64 // the offset of its block
+	size  int   // what it counts for in the segment's live bytes
 }
 
-func decodeEntries(t testing.TB, s *Store, liveOnly bool) []IndexEntry {
+// segmentEntries decodes every entry of sg's log, consumed ones and those
+// past committed included; caller holds ioMu.
+func segmentEntries(t testing.TB, sg *segment) []entry {
+	t.Helper()
+	sc, err := sg.Log.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []entry
+	for off := int64(0); sc.Scan(); off = sc.Offset() {
+		frame := int(sc.Offset()-off) - len(sc.Record())
+		_, err := DecodeSegmentBlock(sc.Record(), func(e *BlockEntry) error {
+			en := entry{ident: id{key: string(e.Key), w: e.Window}, seq: e.Seq, off: off, size: e.Size + frame}
+			for _, v := range e.Values {
+				en.vals = append(en.vals, string(v))
+			}
+			out, frame = append(out, en), 0
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// storeEntries decodes every entry of the store's segments, segment by
+// segment in id order; liveOnly leaves out consumed ones.
+func storeEntries(t testing.TB, s *Store, liveOnly bool) []entry {
 	t.Helper()
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var out []IndexEntry
+	var out []entry
 	for _, sg := range s.segs.List() {
-		marks := SegmentInfo{Marks: sg.X.consumed}
-		for _, b := range segmentBlocks(t, sg) {
-			es, err := DecodeIndexBlock(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range es {
-				if !liveOnly || !marks.Dead(e) {
-					out = append(out, e)
-				}
+		for _, e := range segmentEntries(t, sg) {
+			if !liveOnly || !sg.X.dead(identBytes(e.ident), e.off) {
+				out = append(out, e)
 			}
 		}
 	}
 	return out
 }
 
-func indexLogSize(s *Store) (n int64) {
+// segmentLogSize returns the bytes of every segment log.
+func segmentLogSize(s *Store) (n int64) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	for _, sg := range s.segs.List() {
-		n += sg.Logs[indexLog].Size()
+		n += sg.Log.Size()
 	}
 	return n
 }
@@ -66,8 +94,8 @@ func forceClean(t testing.TB, s *Store) {
 // TestValueOrderSurvivesBlockIndexLifecycle drives ids whose ETTs descend
 // in insertion order — so a flush lays batches out in the reverse of the
 // order they were first appended — through flush, flush, a cleaning pass,
-// another flush, a base checkpoint, a delta checkpoint whose head index
-// log extends the parent's at a block boundary, and a restore, and checks
+// another flush, a base checkpoint, a delta checkpoint whose head segment
+// extends the parent's at a block boundary, and a restore, and checks
 // every id's values against a slice oracle at the end: append order per
 // id must not depend on where the batches landed.
 func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
@@ -97,9 +125,9 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 		}
 	}
 	appendRound(2)
-	entries := indexEntries(t, s)
-	if len(entries) != ids || string(entries[0].Key) != fmt.Sprintf("k%02d", ids-1) {
-		t.Fatalf("first flush wrote %d entries starting with %q: not in ETT order", len(entries), entries[0].Key)
+	entries := storeEntries(t, s, false)
+	if len(entries) != ids || entries[0].ident.key != fmt.Sprintf("k%02d", ids-1) {
+		t.Fatalf("first flush wrote %d entries starting with %q: not in ETT order", len(entries), entries[0].ident.key)
 	}
 	appendRound(1)
 
@@ -149,7 +177,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ioMu.Lock()
-	head := indexName(s.segs.Head().ID)
+	head := segmentName(s.segs.Head().ID)
 	s.ioMu.Unlock()
 	if segs := child.File(head).Segments; len(segs) < 2 {
 		t.Fatalf("delta checkpoint's %s has %d segment(s): the parent's was not extended", head, len(segs))
@@ -172,14 +200,15 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	}
 }
 
-// TestIndexBytesPerEntryBudget is the unit-level guard for the block
-// index's size: 1 000 single-value batches with 5-byte keys must cost at
-// most 14 index-log bytes each — the per-entry frame and absolute offset
-// of the old format alone were 9 — and the index a cleaning pass writes
-// must obey the same budget. The counts repeat exactly.
-func TestIndexBytesPerEntryBudget(t *testing.T) {
+// TestSegmentBytesPerBatchBudget is the unit-level guard for the segment
+// layout's size: 1 000 single-value batches with 5-byte keys must cost at
+// most 16 segment-log bytes each, data and location together — the data
+// frame and index entry of the earlier data/index pair spent about 27 —
+// and so must the batches a cleaning pass re-encodes. The counts repeat
+// exactly.
+func TestSegmentBytesPerBatchBudget(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
-	const n = 1000
+	const n, budget = 1000, 16
 	session := func(i int) ([]byte, window.Window) {
 		return []byte(fmt.Sprintf("k%04d", i)), window.Window{Start: int64(i) * 10, End: int64(i)*10 + gap}
 	}
@@ -192,11 +221,11 @@ func TestIndexBytesPerEntryBudget(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(indexEntries(t, s)); got != n {
-		t.Fatalf("flush indexed %d entries, want %d", got, n)
+	if got := len(storeEntries(t, s, false)); got != n {
+		t.Fatalf("flush wrote %d entries, want %d", got, n)
 	}
-	if size := indexLogSize(s); size > 14*n {
-		t.Errorf("flush: %d index bytes for %d entries (%.1f B/entry), budget 14", size, n, float64(size)/n)
+	if size := segmentLogSize(s); size > budget*n {
+		t.Errorf("flush: %d segment bytes for %d batches (%.1f B/batch), budget %d", size, n, float64(size)/n, budget)
 	}
 
 	for i := 0; i < n/2; i++ {
@@ -208,45 +237,57 @@ func TestIndexBytesPerEntryBudget(t *testing.T) {
 	if s.SegmentStats().Compactions != 1 {
 		t.Fatal("consuming half the state never cleaned")
 	}
-	live := len(indexEntries(t, s))
+	live := len(storeEntries(t, s, false))
 	if live != n/2 {
-		t.Fatalf("survivor index holds %d entries, want %d", live, n/2)
+		t.Fatalf("survivor holds %d entries, want %d", live, n/2)
 	}
-	if size := indexLogSize(s); size > int64(14*live) {
-		t.Errorf("cleaning: %d index bytes for %d entries (%.1f B/entry), budget 14", size, live, float64(size)/float64(live))
+	if size := segmentLogSize(s); size > int64(budget*live) {
+		t.Errorf("cleaning: %d segment bytes for %d batches (%.1f B/batch), budget %d", size, live, float64(size)/float64(live), budget)
 	}
 }
 
-// TestCorruptIndexBlockIsTyped flips one byte inside a synced index block
-// — past anything the retained tail could heal — and requires the typed
-// logfile.CorruptError from both the read path's scan and scrub.
+// TestCorruptIndexBlockIsTyped damages a synced segment block — the
+// blocks are what locate the batches now — past anything the retained tail
+// could heal, by a flipped byte and by a zeroed page in the middle of the
+// log, and requires the typed logfile.CorruptError, carrying the
+// *binio.FrameError, from both the read path's scan and scrub.
 func TestCorruptIndexBlockIsTyped(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "aur")
-	s := openTest(t, Options{Dir: dir, WriteBufferBytes: 1 << 20})
-	w := window.Window{Start: 0, End: gap}
-	for i := 0; i < 200; i++ {
-		if err := s.Append([]byte(fmt.Sprintf("k%03d", i)), []byte("v"), w, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, dir, "index-", 0.5)
+	for _, kind := range []faultfs.CorruptKind{faultfs.CorruptBitFlip, faultfs.CorruptZeroPage} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "aur")
+			s := openTest(t, Options{Dir: dir, WriteBufferBytes: 1 << 20})
+			w := window.Window{Start: 0, End: gap}
+			const n = 2000 // about 16 KiB: a page in the middle spares the first and last blocks
+			for i := 0; i < n; i++ {
+				if err := s.Append([]byte(fmt.Sprintf("k%04d", i)), []byte("v"), w, int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segmentName(0))
+			if err := faultfs.CorruptAtRest(nil, path, kind, segmentLogSize(s)/2); err != nil {
+				t.Fatal(err)
+			}
 
-	var ce *logfile.CorruptError
-	if _, err := s.Get([]byte("k000"), w); !errors.As(err, &ce) {
-		t.Errorf("get over a bit-flipped index block: %v, want a *logfile.CorruptError", err)
-	}
-	if _, err := s.Scrub(); !errors.As(err, &ce) {
-		t.Errorf("scrub over a bit-flipped index block: %v, want a *logfile.CorruptError", err)
+			// The last key's batch sits behind the damage in the scan.
+			var ce *logfile.CorruptError
+			var fe *binio.FrameError
+			if _, err := s.Get([]byte(fmt.Sprintf("k%04d", n-1)), w); !errors.As(err, &ce) || !errors.As(err, &fe) {
+				t.Errorf("get over a damaged block: %v, want a *logfile.CorruptError over a *binio.FrameError", err)
+			}
+			if _, err := s.Scrub(); !errors.As(err, &ce) || !errors.As(err, &fe) {
+				t.Errorf("scrub over a damaged block: %v, want a *logfile.CorruptError over a *binio.FrameError", err)
+			}
+		})
 	}
 }
 
-// TestTornTailIndexBlockTruncatedOnOpen tears the last index block of a
-// closed store's index log and reopens the file: open-time recovery must
-// cut the log back to the previous block boundary, exactly as it did
-// for a torn single entry.
+// TestTornTailIndexBlockTruncatedOnOpen tears the last block of a closed
+// store's segment log and reopens the file: open-time recovery must cut
+// the log back to the previous block boundary, the first flush's blocks
+// intact.
 func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "aur")
 	s, err := Open(Options{Dir: dir, WriteBufferBytes: 1 << 20, Predictor: window.SessionPredictor{Gap: gap}})
@@ -265,14 +306,14 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if round == 0 {
-			firstBlockEnd = indexLogSize(s)
+			firstBlockEnd = segmentLogSize(s)
 		}
 	}
-	total := indexLogSize(s)
+	total := segmentLogSize(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	name := "index-000000.log"
+	name := segmentName(0)
 	if err := os.Truncate(filepath.Join(dir, name), total-3); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +327,7 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 	}
 	defer l.Close()
 	if l.Size() != firstBlockEnd {
-		t.Fatalf("reopened index log is %d bytes, want the first block's %d", l.Size(), firstBlockEnd)
+		t.Fatalf("reopened segment log is %d bytes, want the first block's %d", l.Size(), firstBlockEnd)
 	}
 	sc, err := l.Scanner(0)
 	if err != nil {
@@ -294,14 +335,14 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 	}
 	entries := 0
 	for sc.Scan() {
-		es, err := DecodeIndexBlock(sc.Record())
+		n, err := DecodeSegmentBlock(sc.Record(), func(*BlockEntry) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries += len(es)
+		entries += n
 	}
 	if err := sc.Err(); err != nil || entries != 50 {
-		t.Fatalf("surviving index: %d entries, err %v; want the first flush's 50", entries, err)
+		t.Fatalf("surviving log: %d entries, err %v; want the first flush's 50", entries, err)
 	}
 }
 
@@ -312,13 +353,13 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 // TestSelectionFirstMatchesScanFirst holds selectBatch to.
 func scanFirstSelection(t *testing.T, s *Store, target id) map[id]bool {
 	t.Helper()
-	entries := decodeEntries(t, s, true)
+	entries := storeEntries(t, s, true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var order []id
 	seen := make(map[id]bool)
 	for _, e := range entries {
-		ident := id{key: string(e.Key), w: e.Window}
+		ident := e.ident
 		if seen[ident] {
 			continue
 		}

@@ -30,12 +30,13 @@ const (
 // segmentsSnapshotName persists, in a checkpoint, what the segment files
 // themselves do not say: which segments the log consists of, which are
 // open, and each one's consumed marks. CheckpointDelta does not clean
-// before copying, so the snapshot's data logs still contain consumed
+// before copying, so the snapshot's segments still contain consumed
 // (fetch-&-removed) batches; Restore loads the marks before scanning the
-// indexes so those cannot resurrect, and rebuilds the live counts and
-// onDisk from the scan. A record with the number of segments, then one per
-// segment, ascending: id, state, and per consumed identity its identBytes
-// and the data-log offset below which its batches there are dead.
+// segments so those cannot resurrect, and rebuilds the live counts and
+// onDisk from the scan. It is binio v1 frames: one with the number of
+// segments, then one per segment, ascending: id, state, and per consumed
+// identity its identBytes and the offset below which its batches' blocks
+// there are dead.
 const segmentsSnapshotName = "segments.snap"
 
 // SegmentInfo is one segment as segments.snap records it.
@@ -45,36 +46,39 @@ type SegmentInfo struct {
 	Marks map[string]int64 // identBytes → offset below which batches are dead
 }
 
-// Dead reports whether the batch e locates in the segment was consumed.
-func (si *SegmentInfo) Dead(e IndexEntry) bool {
-	mark, ok := si.Marks[string(identBytes(id{key: string(e.Key), w: e.Window}))]
-	return ok && e.Off < mark
+// Dead reports whether the batch e, in the block at offset off of the
+// segment, was consumed.
+func (si *SegmentInfo) Dead(off int64, e *BlockEntry) bool {
+	mark, ok := si.Marks[string(appendIdent(nil, e.Key, e.Window))]
+	return ok && off < mark
 }
 
 // encodeSegmentsSnapshot writes infos, in id order.
 func encodeSegmentsSnapshot(infos []SegmentInfo) []byte {
 	payload := binio.PutUvarint(nil, uint64(len(infos)))
-	buf := binio.AppendRecord(nil, payload)
+	buf := binio.AppendRecordV(nil, payload, binio.FrameV1)
 	for _, si := range infos {
 		payload = append(binio.PutUvarint(payload[:0], uint64(si.ID)), si.State)
 		for prefix, mark := range si.Marks {
 			payload = binio.PutBytes(payload, []byte(prefix))
 			payload = binio.PutUvarint(payload, uint64(mark))
 		}
-		buf = binio.AppendRecord(buf, payload)
+		buf = binio.AppendRecordV(buf, payload, binio.FrameV1)
 	}
 	return buf
 }
 
 // DecodeSegmentsSnapshot parses a segments.snap file. It never panics,
-// whatever the input.
+// whatever the input; a frame that fails verification — a zeroed page, or
+// a snapshot of the earlier data/index pair layout, framed v0 — is a
+// *binio.FrameError.
 func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 	bad := func(what string) ([]SegmentInfo, error) {
 		return nil, fmt.Errorf("aur: segments snapshot: %s: %w", what, binio.ErrCorrupt)
 	}
 	var out []SegmentInfo
 	for first, segs := true, uint64(0); len(b) > 0 || uint64(len(out)) != segs; first = false {
-		p, n, err := binio.ReadRecord(b)
+		p, n, err := binio.ReadRecordV(b, binio.FrameV1)
 		if err != nil {
 			return nil, fmt.Errorf("aur: segments snapshot: %w", err)
 		}
@@ -114,15 +118,16 @@ func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 }
 
 // CheckpointDelta writes a snapshot of the instance into dir. It flushes
-// the write buffer but does not clean: every segment's data and index log
-// is recorded under its own name and epoch as a segment list extending
+// the write buffer but does not clean: every segment's log, up to its
+// committed length, is recorded under its own name and epoch as a segment
+// list extending
 // the parent checkpoint's (ckpt.Cut.Log, the way the AAR store records
 // its window files), so a sealed segment the parent already holds is
 // hard-linked whole, only what the open segments gained since the
 // parent's cut is copied, and a nil parent copies every log whole.
-// Because the data logs still contain consumed batches, the segment table
+// Because the segments still contain consumed batches, the segment table
 // and the consumed marks are persisted in segments.snap; Restore loads it
-// before scanning the indexes so consumed state cannot resurrect. Nothing
+// before scanning the segments so consumed state cannot resurrect. Nothing
 // is fsynced here — the returned Result's NeedSync lists every written
 // file for the composite store's group-commit sync window.
 //
@@ -176,11 +181,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	}
 	var infos []SegmentInfo
 	for _, sg := range s.segs.List() {
-		data, index := sg.Logs[dataLog], sg.Logs[indexLog]
-		if err := cut.Log(dataName(sg.ID), sg.X.epoch, data.Path(), data.Size()); err != nil {
-			return nil, err
-		}
-		if err := cut.Log(indexName(sg.ID), sg.X.epoch, index.Path(), sg.X.indexed); err != nil {
+		if err := cut.Log(segmentName(sg.ID), sg.X.epoch, sg.Log.Path(), sg.X.committed); err != nil {
 			return nil, err
 		}
 		infos = append(infos, SegmentInfo{ID: sg.ID, State: s.segs.State(sg), Marks: sg.X.consumed})
@@ -225,9 +226,11 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 // directory: every segment segments.snap names is materialized from its
 // checkpoint segments under its own id and epoch — so the delta chain
 // continues across the restart — and reopened as it was, sealed, head or
-// survivor. Live counts, onDisk and the flush sequence come back from a
-// scan of the index logs under the restored consumed marks; the Stat
-// table and ETTs come back from the Stat stream.
+// survivor. Live counts, onDisk and the flush sequence come back from one
+// scan of each segment under the restored consumed marks; the Stat table
+// and ETTs come back from the Stat stream. A checkpoint of the earlier
+// data/index pair layout fails on its v0-framed segments.snap with a
+// *binio.FrameError.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -256,33 +259,30 @@ func (s *Store) Restore(dir string) error {
 	}
 	newOnDisk := make(map[id][]segShare)
 	for _, si := range infos {
-		st := segState{consumed: si.Marks}
-		for _, name := range []string{dataName(si.ID), indexName(si.ID)} {
-			fstate := meta.File(name)
-			if fstate == nil {
-				return fmt.Errorf("aur: restore: SEGMENTS lacks %s", name)
-			}
-			if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), name)); err != nil {
-				return fmt.Errorf("aur: restore: %w", err)
-			}
-			st.epoch = fstate.Epoch
+		name := segmentName(si.ID)
+		fstate := meta.File(name)
+		if fstate == nil {
+			return fmt.Errorf("aur: restore: SEGMENTS lacks %s", name)
 		}
-		sg, err := s.segs.Reopen(si.ID, si.State, st)
+		if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), name)); err != nil {
+			return fmt.Errorf("aur: restore: %w", err)
+		}
+		sg, err := s.segs.Reopen(si.ID, si.State, segState{epoch: fstate.Epoch, consumed: si.Marks})
 		if err != nil {
 			return err
 		}
-		sg.X.indexed = sg.Logs[indexLog].Size()
+		sg.X.committed = sg.Log.Size()
 		for _, mark := range si.Marks {
-			if mark > sg.Logs[dataLog].Size() {
-				return fmt.Errorf("aur: segments snapshot: consumed mark past %s: %w", dataName(si.ID), binio.ErrCorrupt)
+			if mark > sg.X.committed {
+				return fmt.Errorf("aur: segments snapshot: consumed mark past %s: %w", name, binio.ErrCorrupt)
 			}
 		}
-		err = s.scanSegLocked(sg, func(e *indexEntry) error {
+		err = s.scanSegLocked(sg, func(off int64, ident []byte, e *BlockEntry) error {
 			s.seq = max(s.seq, e.Seq)
-			if !sg.X.dead(e) {
+			if !sg.X.dead(ident, off) {
 				ident := id{key: string(e.Key), w: e.Window}
-				newOnDisk[ident] = addShare(newOnDisk[ident], sg.ID, int64(e.Len))
-				sg.Live += int64(e.Len)
+				newOnDisk[ident] = addShare(newOnDisk[ident], sg.ID, int64(e.Size))
+				sg.Live += int64(e.Size)
 			}
 			return nil
 		})

@@ -37,6 +37,8 @@ func flipByte(t *testing.T, dir, prefix string, frac float64) {
 	t.Fatalf("no %s* file found", prefix)
 }
 
+// TestDataLogCorruptionSurfacesAsError flips a byte of a value in a
+// segment log.
 func TestDataLogCorruptionSurfacesAsError(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "aur")
 	s, err := Open(Options{
@@ -59,7 +61,7 @@ func TestDataLogCorruptionSurfacesAsError(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, dir, "data-", 0.5)
+	flipByte(t, dir, segmentPrefix+"-", 0.75) // a one-batch segment's last 15 bytes are the value
 
 	var sawErr bool
 	for i := 0; i < 20; i++ {
@@ -70,10 +72,13 @@ func TestDataLogCorruptionSurfacesAsError(t *testing.T) {
 		}
 	}
 	if !sawErr {
-		t.Error("corrupted data log read back without error")
+		t.Error("corrupted value read back without error")
 	}
 }
 
+// TestIndexLogCorruptionSurfacesAsError flips a byte of the location
+// metadata the index log used to hold: the key of a segment's one batch,
+// which its block carries in front of the value.
 func TestIndexLogCorruptionSurfacesAsError(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "aur")
 	s, err := Open(Options{
@@ -95,9 +100,11 @@ func TestIndexLogCorruptionSurfacesAsError(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the middle of the index log: the scan must detect it
-	// rather than return partial state silently.
-	flipByte(t, dir, "index-", 0.5)
+	// Corrupt the key: the scan must detect it rather than return
+	// partial state silently. A one-batch segment is 18 bytes: a 6-byte
+	// frame header, the flush number and entry count, the key's length and
+	// its three bytes from the tenth on, then window and value.
+	flipByte(t, dir, segmentPrefix+"-", 0.5)
 
 	var sawErr bool
 	for i := 0; i < 20; i++ {
@@ -107,6 +114,6 @@ func TestIndexLogCorruptionSurfacesAsError(t *testing.T) {
 		}
 	}
 	if !sawErr {
-		t.Error("corrupted index log scanned without error")
+		t.Error("corrupted key scanned without error")
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -544,13 +546,13 @@ func TestNoPredictorEvictsADeterministicQuarter(t *testing.T) {
 // middle of an eviction's batch, after parking the flush long enough for
 // one more tuple to arrive for the victim that is written last. The
 // identities the eviction did not pick must not notice. Every victim is
-// either where the logs accepted it — indexed, and readable from the
+// either where the log accepted it — installed, and readable from the
 // poisoned log's retained tail — or back in the buffer, in front of what
 // arrived meanwhile; none is lost, none is in both places, bufBytes is
 // exact, and after the disk heals every acknowledged Append reads back.
 func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	// 1 KiB values and a 4 MiB buffer: a quarter of the buffer is a
-	// megabyte, four times the data log's write buffer, so the batch
+	// megabyte, four times the segment log's write buffer, so the batch
 	// reaches the file — and the fault — while it is being appended.
 	const bufBytes, valLen = 4 << 20, 1 << 10
 	inj := faultfs.NewInjector(faultfs.OS)
@@ -579,10 +581,10 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	k := (n + evictDivisor - 1) / evictDivisor
 
 	// The overflowing Append carries the latest timestamp, so its session
-	// is the last the eviction writes. Park the first write to the data
+	// is the last the eviction writes. Park the first write to the segment
 	// log, append to that session again, then let the write through and
 	// fail the next one.
-	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: "data-", Hang: true})
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: segmentPrefix + "-", Hang: true})
 	last, v := next(i)
 	done := make(chan error, 1)
 	go func() { done <- s.Append([]byte(last.key), []byte(v), last.w, int64(i)) }()
@@ -593,13 +595,13 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	if err := appendTo(last, "arrived-meanwhile", int64(i)+1); err != nil {
 		t.Fatal(err)
 	}
-	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: "data-", Class: faultfs.ClassPersistent, Err: faultfs.ErrDiskIO})
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: segmentPrefix + "-", Class: faultfs.ClassPersistent, Err: faultfs.ErrDiskIO})
 	if err := <-done; !errors.Is(err, faultfs.ErrDiskIO) || !inj.Fired() {
 		t.Fatalf("the overflowing Append: err=%v fired=%v, want the injected disk error", err, inj.Fired())
 	}
 
 	s.mu.Lock()
-	var reattached, indexed int
+	var reattached, installed int
 	var bytes int64
 	for j := 0; j < n; j++ {
 		ident, _ := next(j)
@@ -622,26 +624,26 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 		case !victim && (onDisk || !slices.Equal(held, acked[ident])):
 			t.Errorf("survivor %v: on disk %v, buffered %d values", ident, onDisk, len(held))
 		case victim && ident == last && onDisk:
-			t.Errorf("the victim written last was indexed although the disk failed before it")
+			t.Errorf("the victim written last was installed although the disk failed before it")
 		case victim && ident == last && !slices.Equal(held, acked[ident]):
 			t.Errorf("the re-attached batch of %v is not in front of what arrived meanwhile: %d values buffered, the last %q", ident, len(held), held[len(held)-1])
 		case victim && onDisk && inBuf:
-			t.Errorf("victim %v is both indexed and back in the buffer", ident)
+			t.Errorf("victim %v is both installed and back in the buffer", ident)
 		case victim && onDisk:
-			indexed++
+			installed++
 		case victim && slices.Equal(held, acked[ident]):
 			reattached++
 		case victim:
-			t.Errorf("victim %v is neither indexed nor back in the buffer with its values", ident)
+			t.Errorf("victim %v is neither installed nor back in the buffer with its values", ident)
 		}
 	}
-	if len(s.buf)+indexed != n || s.bufBytes != bytes || s.flushing != nil {
-		t.Errorf("%d buffered (%d bytes, counted %d) + %d indexed of %d identities; batch in flight: %v",
-			len(s.buf), s.bufBytes, bytes, indexed, n, s.flushing != nil)
+	if len(s.buf)+installed != n || s.bufBytes != bytes || s.flushing != nil {
+		t.Errorf("%d buffered (%d bytes, counted %d) + %d installed of %d identities; batch in flight: %v",
+			len(s.buf), s.bufBytes, bytes, installed, n, s.flushing != nil)
 	}
 	s.mu.Unlock()
-	if reattached == 0 || indexed == 0 || reattached+indexed != k {
-		t.Errorf("%d victims re-attached, %d indexed, of %d: the fault should cut the batch in two", reattached, indexed, k)
+	if reattached == 0 || installed == 0 || reattached+installed != k {
+		t.Errorf("%d victims re-attached, %d installed, of %d: the fault should cut the batch in two", reattached, installed, k)
 	}
 	if t.Failed() {
 		return
@@ -657,5 +659,44 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantValues(t, "after the failed eviction", ident, got, want)
+	}
+}
+
+// createFS counts the files created through it.
+type createFS struct {
+	faultfs.FS
+	creates atomic.Int64
+}
+
+func (c *createFS) Create(path string) (faultfs.File, error) {
+	c.creates.Add(1)
+	return c.FS.Create(path)
+}
+
+// TestEvictionCreatesOneFile: an eviction writes its batches and what
+// locates them into one new file, the segment's log — where the
+// data/index pair took two — and that file is all the store directory
+// gains.
+func TestEvictionCreatesOneFile(t *testing.T) {
+	fs := &createFS{FS: faultfs.OS}
+	s := openTest(t, Options{WriteBufferBytes: 4 << 10, Predictor: window.SessionPredictor{Gap: gap}, FS: fs})
+	var evictions int64
+	for i := 0; evictions < 8; i++ {
+		before := s.FlushedBatches()
+		w := window.Window{Start: int64(i), End: int64(i) + gap}
+		if err := s.Append([]byte(fmt.Sprintf("s%05d", i)), []byte("value"), w, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if s.FlushedBatches() != before {
+			evictions++
+		}
+	}
+	ents, err := os.ReadDir(s.dir.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.creates.Load(); got != evictions || int64(len(ents)) != evictions || s.SegmentStats().LiveSegments != len(ents) {
+		t.Fatalf("%d evictions created %d files; the directory holds %d, the store counts %d segments",
+			evictions, got, len(ents), s.SegmentStats().LiveSegments)
 	}
 }

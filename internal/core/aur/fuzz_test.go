@@ -2,6 +2,7 @@ package aur
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -11,24 +12,10 @@ import (
 	"flowkv/internal/window"
 )
 
-// indexBlocks returns the payloads of the records in the store's index
-// logs, segment by segment in id order.
-func indexBlocks(t testing.TB, s *Store) [][]byte {
-	t.Helper()
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	var blocks [][]byte
-	for _, sg := range s.segs.List() {
-		blocks = append(blocks, segmentBlocks(t, sg)...)
-	}
-	return blocks
-}
-
-// segmentBlocks returns the payloads of sg's index-log records; caller
-// holds ioMu.
+// segmentBlocks returns the payloads of sg's blocks; caller holds ioMu.
 func segmentBlocks(t testing.TB, sg *segment) [][]byte {
 	t.Helper()
-	sc, err := sg.Logs[indexLog].Scanner(0)
+	sc, err := sg.Log.Scanner(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +29,9 @@ func segmentBlocks(t testing.TB, sg *segment) [][]byte {
 	return blocks
 }
 
-// realIndexBlocks runs a small store through evictions and a cleaning
-// pass and returns one index block written by each.
-func realIndexBlocks(f *testing.F) (flush, cleaning []byte) {
+// realSegmentBlocks runs a small store through evictions and a cleaning
+// pass and returns one block written by each.
+func realSegmentBlocks(f *testing.F) (flush, cleaning []byte) {
 	s, err := Open(Options{
 		Dir:              filepath.Join(f.TempDir(), "aur"),
 		WriteBufferBytes: 1 << 10,
@@ -65,7 +52,9 @@ func realIndexBlocks(f *testing.F) (flush, cleaning []byte) {
 			f.Fatal(err)
 		}
 	}
-	flush = indexBlocks(f, s)[0]
+	s.ioMu.Lock()
+	flush = segmentBlocks(f, s.segs.List()[0])[0]
+	s.ioMu.Unlock()
 	// Consume every other window, then keep appending: an eviction finds
 	// the sealed segments half dead and cleans them.
 	for i := 0; i < n; i += 2 {
@@ -87,90 +76,54 @@ func realIndexBlocks(f *testing.F) (flush, cleaning []byte) {
 	return flush, segmentBlocks(f, s.segs.Survivor())[0]
 }
 
-// encodeIndexBlocks packs entries through the production writer.
-func encodeIndexBlocks(t testing.TB, entries []IndexEntry) [][]byte {
-	var blocks [][]byte
-	iw := indexWriter{emit: func(block []byte, _ int) error {
-		blocks = append(blocks, bytes.Clone(block))
-		return nil
-	}}
-	for _, e := range entries {
-		if err := iw.add(identBytes(id{key: string(e.Key), w: e.Window}), span{off: e.Off, n: e.Len}, e.Seq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := iw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	return blocks
-}
-
-// FuzzDecodeIndexBlock throws arbitrary bytes at the index-block decoder.
-// The index log is scanned on every prefetch miss and on every restore,
-// so the decoder is the gate between on-disk bytes and the locations the
-// store reads and cleans by: it must reject garbage without panicking
-// or sizing an allocation from a corrupt count, the offsets it
-// reconstructs must be the running sum the format promises, and anything
-// it accepts must survive a trip through the production writer unchanged.
-func FuzzDecodeIndexBlock(f *testing.F) {
-	flush, cleaning := realIndexBlocks(f)
+// FuzzDecodeSegmentBlock throws arbitrary bytes at the segment-block
+// decoder. Segments are scanned on every prefetch miss, every cleaning pass
+// and every restore, so the decoder is the gate between on-disk bytes and
+// the values and locations the store serves: it must reject garbage with a
+// typed *BlockError, without panicking or sizing an allocation from a
+// corrupt count, and what it accepts is canonical — the production writer
+// re-encodes it byte for byte.
+func FuzzDecodeSegmentBlock(f *testing.F) {
+	flush, cleaning := realSegmentBlocks(f)
 	f.Add(flush)
 	f.Add(cleaning)
 	f.Add([]byte{})
-	f.Add(flush[:len(flush)-2]) // truncated entry
-	// header builds a block header: base, flush sequence, count.
-	header := func(base, seq, count uint64) []byte {
-		return binio.PutUvarint(binio.PutUvarint(binio.PutUvarint(nil, base), seq), count)
-	}
-	// A count larger than the payload.
-	f.Add(header(0, 1, 1<<40))
-	// A base offset that overflows int64, and two lengths whose running
-	// sum does.
-	f.Add(append(header(1<<63, 1, 1), 0, 0, 0, 1))
-	sum := header(1<<63-1<<31, 1, 2)
-	for i := 0; i < 2; i++ {
-		sum = binio.PutUvarint(append(sum, 0, 0, 0), 1<<31-1)
-	}
-	f.Add(sum)
+	f.Add(flush[:len(flush)-2])                                                // truncated entry
+	f.Add(append(bytes.Clone(flush), 0))                                       // a trailing byte
+	f.Add(binio.PutUvarint(binio.PutUvarint(nil, 1), 1<<40))                   // a count larger than the payload
+	f.Add([]byte{1, 0x81, 0x00, 1, 'k', 0, 0, 1, 1, 'v'})                      // a padded count
+	f.Add([]byte{1, 1, 1, 'k', 0, 0, 0})                                       // an entry without values
+	f.Add([]byte{1, 2, 1, 'k', 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Δstart MaxInt64, then one that wraps
+		0xff, 0x01, 0, 1, 0, 1, 'k', 2, 1, 1, 0})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		entries, err := DecodeIndexBlock(b)
+		var w blockWriter
+		var seq uint64
+		var size int
+		count, err := DecodeSegmentBlock(b, func(e *BlockEntry) error {
+			if e.Size <= 0 || len(e.Values) == 0 {
+				t.Fatalf("entry of %d bytes with %d values", e.Size, len(e.Values))
+			}
+			seq, size = e.Seq, size+e.Size
+			w.put(e.Seq, string(e.Key), e.Window, e.Values)
+			return nil
+		})
 		if err != nil {
+			if be := (*BlockError)(nil); !errors.As(err, &be) || !errors.Is(err, binio.ErrCorrupt) {
+				t.Fatalf("rejected with %v, not a *BlockError", err)
+			}
 			return
 		}
-		if len(entries) == 0 {
-			t.Fatalf("accepted a block without entries: %x", b)
+		if count == 0 || count != w.count || size != len(b) {
+			t.Fatalf("accepted %d entries of %d bytes in a %d-byte block, re-encoded %d", count, size, len(b), w.count)
 		}
-		for i, e := range entries {
-			if e.Off < 0 || e.Len < 0 {
-				t.Fatalf("entry %d has negative location %d+%d", i, e.Off, e.Len)
-			}
-			if e.Seq != entries[0].Seq {
-				t.Fatalf("entry %d was written by flush %d, entry 0 by flush %d", i, e.Seq, entries[0].Seq)
-			}
-			if i > 0 && e.Off != entries[i-1].Off+int64(entries[i-1].Len) {
-				t.Fatalf("entry %d at %d does not follow entry %d (%d+%d)",
-					i, e.Off, i-1, entries[i-1].Off, entries[i-1].Len)
-			}
+		var again []byte
+		w.emit = func(block []byte, _, _ int) error { again = bytes.Clone(block); return nil }
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
 		}
-		// The writer splits at indexBlockBytes, so a large accepted block
-		// may come back as several; their concatenation must be equal.
-		var again []IndexEntry
-		for _, block := range encodeIndexBlocks(t, entries) {
-			part, err := DecodeIndexBlock(block)
-			if err != nil {
-				t.Fatalf("re-encoded block rejected: %v", err)
-			}
-			again = append(again, part...)
-		}
-		if len(again) != len(entries) {
-			t.Fatalf("round trip changed entry count: %d -> %d", len(entries), len(again))
-		}
-		for i := range entries {
-			a, e := again[i], entries[i]
-			if !bytes.Equal(a.Key, e.Key) || a.Window != e.Window || a.Off != e.Off || a.Len != e.Len || a.Seq != e.Seq {
-				t.Fatalf("round trip changed entry %d: %+v -> %+v", i, e, a)
-			}
+		if !bytes.Equal(again, b) || w.seq != seq {
+			t.Fatalf("block re-encodes differently:\n%x\n%x", b, again)
 		}
 	})
 }
@@ -192,11 +145,18 @@ func FuzzDecodeSegmentsSnapshot(f *testing.F) {
 	f.Add(real)
 	f.Add(encodeSegmentsSnapshot(nil))
 	f.Add([]byte{})
-	f.Add(real[:len(real)-3])                                                            // a torn last record
-	f.Add(real[:len(real)-len(binio.AppendRecord(nil, []byte{9, logfile.SegmentHead}))]) // one segment fewer than counted
-	f.Add(binio.AppendRecord(nil, binio.PutUvarint(nil, 1<<40)))                         // a count larger than the file
-	f.Add(binio.AppendRecord(binio.AppendRecord(nil, []byte{1}), []byte{3, 7}))          // an unknown state
-	f.Add(binio.AppendRecord(binio.AppendRecord(binio.AppendRecord(nil, []byte{2}), []byte{3, logfile.SegmentHead}), []byte{5, logfile.SegmentHead}))
+	f.Add(real[:len(real)-3]) // a torn last record
+	v1 := func(payloads ...[]byte) (b []byte) {
+		for _, p := range payloads {
+			b = binio.AppendRecordV(b, p, binio.FrameV1)
+		}
+		return b
+	}
+	f.Add(real[:len(real)-len(v1([]byte{9, logfile.SegmentHead}))]) // one segment fewer than counted
+	f.Add(v1(binio.PutUvarint(nil, 1<<40)))                         // a count larger than the file
+	f.Add(v1([]byte{1}, []byte{3, 7}))                              // an unknown state
+	f.Add(v1([]byte{2}, []byte{3, logfile.SegmentHead}, []byte{5, logfile.SegmentHead}))
+	f.Add(binio.AppendRecord(nil, []byte{0})) // the earlier pair layout's v0 frame
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		infos, err := DecodeSegmentsSnapshot(b)

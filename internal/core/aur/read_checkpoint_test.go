@@ -3,12 +3,14 @@ package aur
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
+	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
@@ -296,7 +298,7 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 // TestConsumedIdentityLivesAgain: a (key, window) that was flushed and
 // consumed can be appended to, flushed — into the same open head — and
 // consumed again. A segment's consumed mark hides only the batches that
-// were in its data log when the identity was consumed — not the ones its
+// were in the segment when the identity was consumed — not the ones its
 // next life flushes above them — whether or not a cleaning pass (which
 // seals that head and moves its neighbour out) or a checkpoint and restore
 // comes in between.
@@ -392,5 +394,50 @@ func TestRestoreRejectsZeroedStatPage(t *testing.T) {
 	var fe *binio.FrameError
 	if err := openTest(t, Options{WriteBufferBytes: 1 << 20}).Restore(dir); !errors.As(err, &fe) {
 		t.Fatalf("restore over a zeroed stat.dlt page: %v, want a FrameError", err)
+	}
+}
+
+// TestRestoreRejectsPairLayout: a checkpoint of the earlier layout — each
+// segment a data-NNNNNN.log / index-NNNNNN.log pair, segments.snap framed
+// v0 — fails Restore with a typed *binio.FrameError and restores nothing,
+// whether or not the store had spilled.
+func TestRestoreRejectsPairLayout(t *testing.T) {
+	for _, spilled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spilled=%v", spilled), func(t *testing.T) {
+			dir := t.TempDir()
+			write := func(name string, b []byte) {
+				t.Helper()
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			meta := &ckpt.Meta{CutID: 1, Files: []ckpt.FileState{{Logical: statDeltaLogical, Epoch: 1}}}
+			segments := uint64(0)
+			if spilled {
+				segments = 1
+				for _, name := range []string{"data-000000.log", "index-000000.log"} {
+					b := binio.AppendRecordV(nil, []byte("batch"), binio.FrameV1)
+					seg := ckpt.SegmentName(name, 0)
+					write(seg, b)
+					meta.Files = append(meta.Files, ckpt.FileState{Logical: name, Epoch: 1,
+						Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
+				}
+			}
+			snap := binio.AppendRecord(nil, binio.PutUvarint(nil, segments))
+			if spilled {
+				snap = binio.AppendRecord(snap, []byte{0, logfile.SegmentHead})
+			}
+			write(segmentsSnapshotName, snap)
+			write(ckpt.MetaName, meta.Encode())
+
+			s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+			var fe *binio.FrameError
+			if err := s.Restore(dir); !errors.As(err, &fe) {
+				t.Fatalf("restore of a pair-layout checkpoint: %v, want a *binio.FrameError", err)
+			}
+			if s.SegmentStats().LiveSegments != 0 || s.LiveStates() != 0 {
+				t.Fatalf("the failed restore left %d segments and %d states", s.SegmentStats().LiveSegments, s.LiveStates())
+			}
+		})
 	}
 }

@@ -62,8 +62,8 @@ func (o *segmentOracle) consume(s *Store, ident id) {
 }
 
 // checkSegments holds the store's segment table to the oracle and to the
-// directory: every segment's live count is the bytes of the index entries
-// the oracle calls live, onDisk lists exactly those bytes per identity and
+// directory: every segment's live count is the bytes of the committed
+// entries the oracle calls live, onDisk lists exactly those bytes per identity and
 // segment, no sealed segment sits empty, and the directory holds the
 // table's files and nothing else.
 func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
@@ -73,7 +73,7 @@ func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
 	want := make(map[string]bool)
 	shares := make(map[id]map[uint32]int64)
 	for _, sg := range s.segs.List() {
-		want[dataName(sg.ID)], want[indexName(sg.ID)] = true, true
+		want[segmentName(sg.ID)] = true
 		if sg.Sealed && sg.Live == 0 {
 			t.Fatalf("%s: sealed segment %d holds nothing live and is still there", what, sg.ID)
 		}
@@ -81,22 +81,15 @@ func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
 			t.Fatalf("%s: segment %d sealed=%v, head=%v, survivor=%v", what, sg.ID, sg.Sealed, sg == head, sg == surv)
 		}
 		var live int64
-		for _, b := range segmentBlocks(t, sg) {
-			es, err := DecodeIndexBlock(b)
-			if err != nil {
-				t.Fatal(err)
+		for _, e := range segmentEntries(t, sg) {
+			if _, ok := o.values[e.ident]; !ok || e.seq <= o.retired[e.ident] || e.off >= sg.X.committed {
+				continue
 			}
-			for _, e := range es {
-				ident := id{key: string(e.Key), w: e.Window}
-				if _, ok := o.values[ident]; !ok || e.Seq <= o.retired[ident] {
-					continue
-				}
-				live += int64(e.Len)
-				if shares[ident] == nil {
-					shares[ident] = make(map[uint32]int64)
-				}
-				shares[ident][sg.ID] += int64(e.Len)
+			live += int64(e.size)
+			if shares[e.ident] == nil {
+				shares[e.ident] = make(map[uint32]int64)
 			}
+			shares[e.ident][sg.ID] += int64(e.size)
 		}
 		if sg.Live != live {
 			t.Fatalf("%s: segment %d counts %d live bytes, the oracle finds %d", what, sg.ID, sg.Live, live)
@@ -230,7 +223,7 @@ func runSegmentDifferential(t *testing.T, seed int64) {
 				}
 				old.Destroy()
 				// Flushes of the restored store number on from the highest
-				// sequence the checkpoint's indexes hold, which may be below
+				// sequence the checkpoint's segments hold, which may be below
 				// where the old store had got to.
 				s.ioMu.Lock()
 				for ident, seq := range o.retired {
@@ -272,9 +265,9 @@ func runSegmentDifferential(t *testing.T, seed int64) {
 // TestSurvivorKeepsAppendOrder pins the hazard a survivor segment brings:
 // an identity with batches in three sealed segments, the newest cleaned
 // first and the oldest in a later pass into the same open survivor, so
-// that the survivor's index lists the newer batch before the older one.
-// The flush sequence in the block headers must bring them back in order,
-// before and after a restore.
+// that the survivor lists the newer batch before the older one. The flush
+// sequence in the block headers must bring them back in order, before and
+// after a restore.
 func TestSurvivorKeepsAppendOrder(t *testing.T) {
 	opts := Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.05}
 	s := openTest(t, opts)
@@ -311,15 +304,9 @@ func TestSurvivorKeepsAppendOrder(t *testing.T) {
 	empty(0) // then the oldest, into the same survivor
 	s.ioMu.Lock()
 	var seqs []uint64
-	for _, b := range segmentBlocks(t, surv) {
-		es, err := DecodeIndexBlock(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range es {
-			if string(e.Key) == "x" {
-				seqs = append(seqs, e.Seq)
-			}
+	for _, e := range segmentEntries(t, surv) {
+		if e.ident.key == "x" {
+			seqs = append(seqs, e.seq)
 		}
 	}
 	same := s.segs.Survivor() == surv
@@ -348,9 +335,11 @@ func TestSurvivorKeepsAppendOrder(t *testing.T) {
 }
 
 // TestBlocksPastIndexedAreNeverRead: a cleaning pass that failed after its
-// survivor's index log had accepted some of its blocks leaves those blocks
-// behind, locating copies of batches that are still live where they were.
-// Nothing may read them: not a miss, not the next pass, not a checkpoint.
+// survivor's log had accepted some of its blocks leaves those blocks behind
+// its committed length, holding copies of batches that are still live
+// where they were. Nothing may read them: not a miss, not the next pass —
+// which, counting them as dead bytes, cleans the survivor they sit in —
+// and not a checkpoint.
 func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 	opts := Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.05}
 	s := openTest(t, opts)
@@ -372,10 +361,10 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 	if surv == nil || s.SegmentStats().Compactions != 1 {
 		t.Fatalf("%d passes, survivor %v", s.SegmentStats().Compactions, surv)
 	}
-	// What the failed pass would have left: a block locating a copy of
+	// What the failed pass would have left: a block holding a copy of
 	// k0-0's batch, appended and never installed.
 	stray := segmentBlocks(t, surv)[0]
-	if _, _, err := surv.Logs[indexLog].Append(stray); err != nil {
+	if _, _, err := surv.Log.Append(stray); err != nil {
 		t.Fatal(err)
 	}
 	s.segs.Seal(surv, true)
@@ -392,8 +381,11 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		mustGet(t, s, fmt.Sprintf("k1-%d", i), w)
 	}
-	cleanNow(t, s) // the sealed survivor is not a victim: nothing in it is dead
+	cleanNow(t, s) // segment 1 and the sealed survivor, half of it the stray
 	check("after another pass", s)
+	if s.SegmentStats().Compactions != 2 || s.segs.Get(surv.ID) != nil {
+		t.Fatalf("%d passes, the stray's survivor still there: %v; want it cleaned", s.SegmentStats().Compactions, s.segs.Get(surv.ID) != nil)
+	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
 		t.Fatal(err)
@@ -403,8 +395,9 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("restored", dst)
-	if _, onDisk, _ := dst.Peek([]byte("k0-0"), w); onDisk != surv.Live {
-		t.Fatalf("restored k0-0 counts %d bytes on disk, the survivor held %d", onDisk, surv.Live)
+	_, held, _ := s.Peek([]byte("k0-0"), w)
+	if _, onDisk, _ := dst.Peek([]byte("k0-0"), w); onDisk != held || held == 0 {
+		t.Fatalf("restored k0-0 counts %d bytes on disk, the store held %d", onDisk, held)
 	}
 }
 
@@ -492,10 +485,9 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+snap.Size(), snap.Size())
 	}
 	for _, sid := range sealed {
-		for _, name := range []string{dataName(sid), indexName(sid)} {
-			if f := child.File(name); f == nil || len(f.Segments) != 1 || f.TotalLen() != held[name] {
-				t.Fatalf("%s, sealed at the parent's cut, is not the parent's one segment in the delta: %+v", name, f)
-			}
+		name := segmentName(sid)
+		if f := child.File(name); f == nil || len(f.Segments) != 1 || f.TotalLen() != held[name] {
+			t.Fatalf("%s, sealed at the parent's cut, is not the parent's one segment in the delta: %+v", name, f)
 		}
 	}
 
@@ -523,7 +515,7 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 }
 
 // TestFailedCleaningPassLeavesVictimsIntact fails the disk in the middle
-// of a cleaning pass's transfer, once with the pass opening its survivor
+// of a cleaning pass's copy, once with the pass opening its survivor
 // segment and once with one already open. Either way nothing was
 // installed: every victim is where it was and reads back, a survivor the
 // pass opened is gone (one that was open is sealed and whole), and after
@@ -533,7 +525,8 @@ func TestFailedCleaningPassLeavesVictimsIntact(t *testing.T) {
 		t.Run(fmt.Sprintf("survivor-open=%v", preexisting), func(t *testing.T) {
 			// 1 KiB values and segments of 600 of them: a victim half live
 			// moves 300 KiB, more than the survivor's 256 KiB write buffer,
-			// so the transfer reaches the file — and the fault — mid-pass.
+			// so the re-encoded blocks reach the file — and the fault —
+			// mid-pass.
 			const perSeg, valLen = 600, 1 << 10
 			inj := faultfs.NewInjector(faultfs.OS)
 			s := openTest(t, Options{WriteBufferBytes: 64 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2, FS: inj})
@@ -578,9 +571,9 @@ func TestFailedCleaningPassLeavesVictimsIntact(t *testing.T) {
 			halve(1)
 			halve(2)
 			s.ioMu.Lock()
-			surv, survName := s.segs.Survivor(), dataName(s.segs.NextID())
+			surv, survName := s.segs.Survivor(), segmentName(s.segs.NextID())
 			if surv != nil {
-				survName = dataName(surv.ID)
+				survName = segmentName(surv.ID)
 			}
 			s.ioMu.Unlock()
 			if (surv != nil) != preexisting || s.SegmentStats().LiveSegments != segments {
@@ -700,8 +693,8 @@ func TestSessionRunCleansLittle(t *testing.T) {
 		t.Errorf("cleaning re-appended %d bytes, flushes wrote %d: want some, and at most half", first.cleaned, first.flushed)
 	}
 	// An eviction's segment is a quarter of the buffer's identities; its
-	// data log is what those batches frame to.
-	const batch = 8 + 7 // "bid-0001" and its count, length and frame bytes
+	// log is what their entries take.
+	const batch = 8 + 12 // "bid-0001", its length and count, the key and window deltas
 	eviction := int64(diffBuffer / (8 + 24) / evictDivisor * batch)
 	if bound := int64(1.5*float64(first.peakLive)/float64(eviction)) + 2; first.maxAlive > bound {
 		t.Errorf("%d segments alive at once, %d live bytes at most, %d a segment: over MSA·live/eviction + 2 = %d", first.maxAlive, first.peakLive, eviction, bound)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -14,12 +13,12 @@ import (
 	"flowkv/internal/window"
 )
 
-// TestIndexLogTornTailRecovery tears an index-log write mid-record (the
-// data-log write of the same flush lands first and succeeds) and then
-// restores the surviving files into a fresh store. The index log is the
-// authority: its torn tail must be truncated on reopen, so batch-1
-// states read back exactly and batch-2 states — whose data bytes may
-// sit unindexed in the data log — are simply absent, never corrupt.
+// TestIndexLogTornTailRecovery tears a segment-log write mid-block — the
+// block is where a batch's location and its values both live — and then
+// restores the surviving files into a fresh store. The torn tail must be
+// truncated on reopen, so batch-1 states read back exactly and batch-2
+// states, whose block never landed whole, are simply absent, never
+// corrupt.
 func TestIndexLogTornTailRecovery(t *testing.T) {
 	inj := faultfs.NewInjector(faultfs.OS)
 	dir := filepath.Join(t.TempDir(), "aur")
@@ -39,7 +38,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 			window.Window{Start: int64(i * 10), End: int64(i*10 + 100)}
 	}
 
-	// Batch 1: ten states durably flushed to both logs.
+	// Batch 1: ten states flushed, one segment each.
 	for i := 0; i < 10; i++ {
 		k, w := state(i)
 		if err := s.Append(k, []byte(fmt.Sprintf("val-%02d", i)), w, w.Start); err != nil {
@@ -50,9 +49,9 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Batch 2: the index-log write tears after 5 bytes; everything
-	// after (including later data-log writes) is frozen.
-	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: "index-", TornBytes: 5, Crash: true})
+	// Batch 2: the segment-log write tears after 5 bytes; everything
+	// after is frozen.
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: segmentPrefix + "-", TornBytes: 5, Crash: true})
 	var failed bool
 	for i := 10; i < 20; i++ {
 		k, w := state(i)
@@ -63,7 +62,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	}
 	if !failed {
 		if err := s.Flush(); err == nil {
-			t.Fatal("flush through a torn index write unexpectedly succeeded")
+			t.Fatal("flush through a torn segment write unexpectedly succeeded")
 		}
 	}
 	if !inj.Fired() {
@@ -73,8 +72,9 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	inj.Reset()
 
 	// Reboot: assemble a checkpoint from the surviving on-disk files —
-	// each log as one whole-file segment under its own name, every segment
-	// sealed and nothing consumed, an empty Stat stream. (A real core checkpoint would have been rejected mid-write;
+	// each log as one whole-file checkpoint segment under its own name,
+	// every store segment sealed and nothing consumed, an empty Stat
+	// stream. (A real core checkpoint would have been rejected mid-write;
 	// this models restoring the instance directory itself after a crash.)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
@@ -88,11 +88,10 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	var segs []SegmentInfo
 	for _, e := range ents {
 		var sid uint32
-		if _, err := fmt.Sscanf(e.Name(), "data-%d.log", &sid); err == nil {
-			segs = append(segs, SegmentInfo{ID: sid, State: logfile.SegmentSealed})
-		} else if !strings.HasPrefix(e.Name(), "index-") {
+		if _, err := fmt.Sscanf(e.Name(), segmentPrefix+"-%d.log", &sid); err != nil {
 			t.Fatalf("unexpected file %s in %s", e.Name(), dir)
 		}
+		segs = append(segs, SegmentInfo{ID: sid, State: logfile.SegmentSealed})
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +125,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	}
 	defer fresh.Destroy()
 	if err := fresh.Restore(ckptDir); err != nil {
-		t.Fatalf("restore of torn-index checkpoint: %v", err)
+		t.Fatalf("restore of torn-segment checkpoint: %v", err)
 	}
 	for i := 0; i < 10; i++ {
 		k, w := state(i)
@@ -142,10 +141,10 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		k, w := state(i)
 		vals, err := fresh.Get(k, w)
 		if err != nil {
-			t.Fatalf("get batch-2 state %s after torn index: %v", k, err)
+			t.Fatalf("get batch-2 state %s after torn segment: %v", k, err)
 		}
 		if vals != nil {
-			t.Fatalf("unindexed batch-2 state %s resurrected: %q", k, vals)
+			t.Fatalf("torn batch-2 state %s resurrected: %q", k, vals)
 		}
 	}
 }

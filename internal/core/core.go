@@ -774,7 +774,7 @@ type Stats struct {
 	// or batch.
 	Compactions int64
 	// CompactionBytes is the bytes those passes re-appended to survivor
-	// segments (for AUR data and index log together). SegmentsDropped
+	// segments. SegmentsDropped
 	// counts log segments unlinked (emptied by consumption, or cleaned)
 	// and LiveSegments the segments the logs currently hold; all are zero
 	// for AAR.
@@ -783,7 +783,7 @@ type Stats struct {
 	LiveSegments    int
 	// FlushBytes is the bytes write buffers spilled into their logs
 	// (evictions and drains; compaction's rewrites are CompactionBytes):
-	// framed records for RMW, data records plus index blocks for AUR.
+	// framed records for RMW, blocks of batches for AUR.
 	// BufferHits and DiskHits count the units of state fetched-&-removed
 	// while wholly in a write buffer, and those that had state on disk —
 	// RMW aggregates, AUR (key, window) batches: evicting a full buffer's

@@ -178,7 +178,7 @@ func (s *Store) readSpansLocked(spans []span, fn func(entry []byte) error) error
 			}
 			end = next
 		}
-		lg := s.segs.Get(first.seg).Logs[0]
+		lg := s.segs.Get(first.seg).Log
 		raw, err := lg.ReadRangeAt(first.off, int(end-first.off))
 		if err != nil {
 			return fmt.Errorf("rmw: checkpoint: %w", err)
@@ -251,7 +251,7 @@ func (s *Store) Restore(dir string) error {
 			if err != nil {
 				return err
 			}
-			off, n, err := head.Logs[0].Append(entry)
+			off, n, err := head.Log.Append(entry)
 			if err != nil {
 				return err
 			}

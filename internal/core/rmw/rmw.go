@@ -189,7 +189,7 @@ func Open(opts Options) (*Store, error) {
 		index: make(map[id]span),
 		marks: ckpt.NewMarks[id](),
 	}
-	s.segs = logfile.NewSegments[struct{}](dir, &s.ioMu, &s.mu, []string{segmentPrefix},
+	s.segs = logfile.NewSegments[struct{}](dir, &s.ioMu, &s.mu, segmentPrefix,
 		opts.WriteBufferBytes, opts.MaxSpaceAmplification, nil)
 	return s, nil
 }
@@ -349,7 +349,7 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 		s.ioMu.Unlock()
 		return nil, false, nil
 	}
-	lg := s.segs.Get(sp.seg).Logs[0]
+	lg := s.segs.Get(sp.seg).Log
 	s.mu.Unlock()
 	if !unlocked || lg.Poisoned() != nil || lg.Flush() != nil {
 		// Also the degraded case: the stitched durable-prefix+tail read
@@ -393,7 +393,7 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 // superseded it, and then the value read is the one this Get linearizes
 // before.
 func (s *Store) readLocked(ident id, sp span) ([]byte, error) {
-	payload, err := s.segs.Get(sp.seg).Logs[0].ReadRecordAt(sp.off, int(sp.n))
+	payload, err := s.segs.Get(sp.seg).Log.ReadRecordAt(sp.off, int(sp.n))
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +460,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 	for _, la := range live {
 		agg := la.agg
 		if !la.buffered {
-			payload, err := s.segs.Get(la.sp.seg).Logs[0].ReadRecordAt(la.sp.off, int(la.sp.n))
+			payload, err := s.segs.Get(la.sp.seg).Log.ReadRecordAt(la.sp.off, int(la.sp.n))
 			if err != nil {
 				return err
 			}
@@ -600,7 +600,7 @@ func (s *Store) flushLocked(all bool) error {
 	var bytes int64
 	for ident, v := range batch {
 		payload = encodeEntry(payload[:0], ident, v)
-		off, n, err := head.Logs[0].Append(payload)
+		off, n, err := head.Log.Append(payload)
 		if err != nil {
 			werr = err
 			break
@@ -676,7 +676,7 @@ func (s *Store) cleanLocked() error {
 // record the index still points at into surv, recording the moves; caller
 // holds ioMu. The scan stops early once it has seen all of v's live bytes.
 func (s *Store) copyLiveLocked(v *segment, want int64, surv *segment, moved *[]move) error {
-	sc, err := v.Logs[0].Scanner(0)
+	sc, err := v.Log.Scanner(0)
 	if err != nil {
 		return err
 	}
@@ -688,7 +688,7 @@ func (s *Store) copyLiveLocked(v *segment, want int64, surv *segment, moved *[]m
 		rec := sc.Record()
 		key, w, _, err := decodeEntry(rec)
 		if err != nil {
-			return fmt.Errorf("rmw: clean %s: %w", v.Logs[0].Path(), err)
+			return fmt.Errorf("rmw: clean %s: %w", v.Log.Path(), err)
 		}
 		s.mu.Lock()
 		cur, ok := s.index[id{key: string(key), w: w}]
@@ -697,7 +697,7 @@ func (s *Store) copyLiveLocked(v *segment, want int64, surv *segment, moved *[]m
 			continue
 		}
 		found += int64(at.n)
-		noff, n, err := surv.Logs[0].Append(rec)
+		noff, n, err := surv.Log.Append(rec)
 		if err != nil {
 			return err
 		}

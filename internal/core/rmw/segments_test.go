@@ -55,7 +55,7 @@ func logBytes(s *Store) (total, live int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sg := range segs {
-		total += sg.Logs[0].Size()
+		total += sg.Log.Size()
 		live += sg.Live
 	}
 	return total, live
@@ -488,7 +488,7 @@ func TestSyncMakesEverySegmentDurable(t *testing.T) {
 	}
 	s.ioMu.Lock()
 	for _, sg := range s.segs.List() {
-		if lg := sg.Logs[0]; lg.DurableOffset() != lg.Size() {
+		if lg := sg.Log; lg.DurableOffset() != lg.Size() {
 			t.Errorf("segment %d: durable %d of %d bytes after Sync", sg.ID, lg.DurableOffset(), lg.Size())
 		}
 	}

@@ -3,7 +3,6 @@ package logfile
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -211,25 +210,6 @@ func (g *guard) Close() error {
 }
 
 func (g *guard) Name() string { return g.f.Name() }
-
-// ReadFrom preserves the kernel copy path (copy_file_range) TransferTo
-// relies on when the underlying file supports it; otherwise it copies
-// through guard.Write so the deadline still applies.
-func (g *guard) ReadFrom(r io.Reader) (int64, error) {
-	if g.stalled.Load() {
-		return 0, g.abandonedErr("write")
-	}
-	if rf, ok := g.f.(io.ReaderFrom); ok {
-		return rf.ReadFrom(r)
-	}
-	return io.Copy(writerOnly{g}, r)
-}
-
-// writerOnly hides guard's ReadFrom from io.Copy so the fallback copy
-// does not recurse.
-type writerOnly struct{ w io.Writer }
-
-func (w writerOnly) Write(p []byte) (int, error) { return w.w.Write(p) }
 
 // SetPolicy installs (or replaces, or with nil removes) the I/O policy
 // on this log. Takes effect on the next operation.

@@ -1,7 +1,6 @@
 // Package logfile implements the on-disk substrate shared by all stores in
 // this repository: append-only log files with buffered writes, framed
-// record scanning, positional reads, and zero-copy byte transfer between
-// logs (used by the AUR store's cleaning, §5 of the paper).
+// record scanning and positional reads.
 //
 // Every byte of I/O performed through this package is charged to a
 // metrics.Breakdown so that experiment harnesses can reproduce the
@@ -108,9 +107,8 @@ func takeWriter(w io.Writer) *bufio.Writer {
 
 // Log is a single append-only file of framed records. A Log performs no
 // locking: it is owned by whichever goroutine holds its store instance's
-// I/O lock, and the only methods safe to call outside that ownership are
-// ReadRangeAtRaw and ReadRecordAtRaw (positional reads that touch no
-// mutable state).
+// I/O lock, and the only method safe to call outside that ownership is
+// ReadRecordAtRaw (a positional read that touches no mutable state).
 //
 // A Log tracks its durable offset — the size covered by the last
 // successful Sync — and retains the framed bytes appended past it (the
@@ -239,10 +237,6 @@ func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, ver binio.F
 	return l
 }
 
-// Version returns the log's frame version. Callers that decode raw byte
-// ranges themselves (ReadRangeAt / ReadRangeAtRaw) must decode with it.
-func (l *Log) Version() binio.FrameVersion { return l.ver }
-
 // Path returns the file path of the log.
 func (l *Log) Path() string { return l.path }
 
@@ -336,8 +330,8 @@ func (l *Log) Flush() error {
 // a log that will take no more appends but stays open to be read — a
 // sealed RMW segment lives until its last record is consumed, and there
 // can be dozens of them, each otherwise holding ioBufBytes it will never
-// use. Reads, scans, Sync and Scrub work as before; Append, and
-// TransferTo into the log, fail with ErrSealed. Recovery undoes the seal:
+// use. Reads, scans, Sync and Scrub work as before; Append fails with
+// ErrSealed. Recovery undoes the seal:
 // ReopenAtDurable needs a buffer to rewrite the retained tail through and
 // leaves the log with it. Sealing a sealed log is a no-op.
 func (l *Log) Seal() error {
@@ -605,8 +599,8 @@ func (l *Log) ReadRecordAt(off int64, n int) ([]byte, error) {
 	return l.DecodeRecord(buf, off)
 }
 
-// ReadRangeAt reads n raw bytes starting at off. Used by batch reads that
-// cover several adjacent records with one I/O.
+// ReadRangeAt reads n raw bytes starting at off. Used by reads that cover
+// several adjacent records with one I/O.
 func (l *Log) ReadRangeAt(off int64, n int) ([]byte, error) {
 	if l.closed {
 		return nil, ErrClosed
@@ -621,13 +615,13 @@ func (l *Log) ReadRangeAt(off int64, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadRangeAtRaw reads n raw bytes starting at off without touching the
-// write buffer. Unlike ReadRangeAt it is safe to call from several
-// goroutines at once — it lowers to a positional pread and mutates no Log
-// state — provided the caller has flushed the log once beforehand and no
-// append, flush, or close runs concurrently. The AUR store uses it to fan
-// one batch read's coalesced ranges across worker goroutines.
-func (l *Log) ReadRangeAtRaw(off int64, n int) ([]byte, error) {
+// ReadRecordAtRaw reads the framed record at offset off (total on-disk
+// length n) without touching the write buffer or any mutable Log state, so
+// it is safe to call concurrently with other reads, provided the record's
+// bytes were flushed beforehand and no append, flush, or close runs
+// concurrently. The RMW store uses it to pread outside its I/O lock so
+// point reads overlap fsyncs.
+func (l *Log) ReadRecordAtRaw(off int64, n int) ([]byte, error) {
 	buf := make([]byte, n)
 	start := time.Now()
 	if _, err := l.f.ReadAt(buf, off); err != nil {
@@ -636,20 +630,6 @@ func (l *Log) ReadRangeAtRaw(off int64, n int) ([]byte, error) {
 	if l.bd != nil {
 		l.bd.Observe(metrics.OpIOWait, time.Since(start))
 		l.bd.AddBytesRead(int64(n))
-	}
-	return buf, nil
-}
-
-// ReadRecordAtRaw reads the framed record at offset off (total on-disk
-// length n) without touching the write buffer or any mutable Log state.
-// Like ReadRangeAtRaw it is safe to call concurrently with other reads,
-// provided the record's bytes were flushed beforehand and no append,
-// flush, or close runs concurrently. The RMW store uses it to pread
-// outside its I/O lock so point reads overlap fsyncs.
-func (l *Log) ReadRecordAtRaw(off int64, n int) ([]byte, error) {
-	buf, err := l.ReadRangeAtRaw(off, n)
-	if err != nil {
-		return nil, err
 	}
 	return l.DecodeRecord(buf, off)
 }
@@ -710,111 +690,6 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 	}
 	sc.sc = binio.NewRecordScannerV(r, base, l.ver).Buffer(buf)
 	return sc, nil
-}
-
-// TransferTo copies the n raw bytes of whole frames at offset off into
-// dst, reproducing the paper's byte transfer between a victim's and the
-// survivor's data logs during AUR cleaning. A range of at least ioBufBytes takes the
-// kernel-assisted copy path (io.Copy over *os.File lowers to
-// copy_file_range on Linux). A shorter one is gathered instead: read
-// straight into dst's write buffer and left there for the next flush, so
-// a cleaning pass whose live runs are a few dozen bytes long issues one
-// write per buffer-full rather than one copy_file_range, preceded by a
-// flush, per run.
-func (l *Log) TransferTo(dst *Log, off int64, n int64) error {
-	if l.closed || dst.closed {
-		return ErrClosed
-	}
-	if dst.w == nil {
-		return ErrSealed
-	}
-	// The frames are copied verbatim, so the destination must speak the
-	// source's frame version. A fresh (empty) destination simply adopts
-	// it; a non-empty one with a different version would become a mixed
-	// file no reader could verify.
-	if dst.ver != l.ver {
-		if dst.rw.Offset() != 0 {
-			return fmt.Errorf("logfile: transfer: frame version mismatch (src v%d, dst v%d)", l.ver, dst.ver)
-		}
-		dst.ver = l.ver
-		dst.rw = binio.NewRecordWriterV(dst.w, 0, l.ver)
-	}
-	if err := l.flush(); err != nil {
-		return err
-	}
-	if dst.perr != nil {
-		return dst.poisonedErr()
-	}
-	start := time.Now()
-	var err error
-	if n < ioBufBytes {
-		err = l.gatherTo(dst, off, n)
-	} else {
-		err = l.copyTo(dst, off, n)
-	}
-	if err != nil {
-		return err
-	}
-	if l.bd != nil {
-		l.bd.Observe(metrics.OpIOWait, time.Since(start))
-		l.bd.AddBytesRead(n)
-		l.bd.AddBytesWritten(n)
-	}
-	return nil
-}
-
-// copyTo is TransferTo's kernel-copy path.
-func (l *Log) copyTo(dst *Log, off, n int64) error {
-	if err := dst.flush(); err != nil {
-		return err
-	}
-	copied, err := io.Copy(dst.f, io.NewSectionReader(l.f, off, n))
-	if err != nil {
-		return fmt.Errorf("logfile: transfer: %w", err)
-	}
-	if copied != n {
-		return fmt.Errorf("logfile: transfer copied %d of %d bytes", copied, n)
-	}
-	// The destination file position advanced by the kernel copy; keep the
-	// record writer's logical offset in step. The transferred bytes never
-	// passed through memory, so dst stops retaining a tail until its next
-	// successful Sync re-establishes a durable baseline.
-	dst.rw = binio.NewRecordWriterV(dst.w, dst.rw.Offset()+n, dst.ver)
-	if n > 0 {
-		dst.tail = nil
-		dst.tailOK = false
-	}
-	return nil
-}
-
-// gatherTo is TransferTo's small-range path: pread into the free part of
-// dst's write buffer, which the following WriteRaw then only has to
-// account for. The bytes pass through memory, so dst's tail keeps them
-// like any other append.
-func (l *Log) gatherTo(dst *Log, off, n int64) error {
-	for n > 0 {
-		if dst.w.Available() == 0 {
-			if err := dst.flush(); err != nil {
-				return err
-			}
-		}
-		buf := dst.w.AvailableBuffer()
-		buf = buf[:min(int64(cap(buf)), n)]
-		if _, err := l.f.ReadAt(buf, off); err != nil {
-			return fmt.Errorf("logfile: transfer: read at %d: %w", off, err)
-		}
-		if err := dst.rw.WriteRaw(buf); err != nil {
-			dst.poison(err)
-			return err
-		}
-		if dst.tailOK {
-			dst.tail = append(dst.tail, buf...)
-			dst.capTail()
-		}
-		off += int64(len(buf))
-		n -= int64(len(buf))
-	}
-	return nil
 }
 
 // ScrubSummary aggregates ScrubResults across the logs of one store

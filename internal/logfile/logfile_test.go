@@ -101,11 +101,11 @@ func TestReadRangeAtCoversAdjacentRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, used, err := binio.ReadRecordV(raw, l.Version())
+	p0, err := l.DecodeRecord(raw[:n0], off0)
 	if err != nil || string(p0) != "first" {
 		t.Fatalf("first record: %q %v", p0, err)
 	}
-	p1, _, err := binio.ReadRecordV(raw[used:], l.Version())
+	p1, err := l.DecodeRecord(raw[n0:], off0+int64(n0))
 	if err != nil || string(p1) != "second" {
 		t.Fatalf("second record: %q %v", p1, err)
 	}
@@ -180,144 +180,6 @@ func TestScannerFromOffset(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "two" {
 		t.Fatalf("got %v, want [two three]", got)
-	}
-}
-
-func TestTransferTo(t *testing.T) {
-	dir := t.TempDir()
-	var bd metrics.Breakdown
-	src, err := Create(filepath.Join(dir, "src.log"), &bd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := Create(filepath.Join(dir, "dst.log"), &bd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-
-	var offs []int64
-	var lens []int
-	for i := 0; i < 10; i++ {
-		off, n, err := src.Append(bytes.Repeat([]byte{byte('a' + i)}, 100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		offs = append(offs, off)
-		lens = append(lens, n)
-	}
-	// Transfer records 3..6 (a contiguous "valid" region).
-	start := offs[3]
-	length := offs[7] - offs[3]
-	if err := src.TransferTo(dst, start, length); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Size() != length {
-		t.Fatalf("dst size = %d, want %d", dst.Size(), length)
-	}
-	// Appends after a transfer must land after the transferred bytes.
-	if _, _, err := dst.Append([]byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := dst.Scanner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for sc.Scan() {
-		got = append(got, string(sc.Record()[:1]))
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"d", "e", "f", "g", "t"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-// TestTransferToGathersShortAndCopiesLong moves runs on both sides of
-// the ioBufBytes threshold, interleaved, and checks the destination
-// holds exactly the source's records in order. The short runs must not
-// cost a write each (they ride dst's buffer), and — having passed
-// through memory — must stay in dst's retained tail, so a failed sync
-// after a gather-only transfer is recoverable.
-func TestTransferToGathersShortAndCopiesLong(t *testing.T) {
-	dir := t.TempDir()
-	inj := faultfs.NewInjector(faultfs.OS)
-	src, err := CreateFS(inj, filepath.Join(dir, "src.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := CreateFS(inj, filepath.Join(dir, "dst.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-
-	// Records of 1 000 bytes; runs of 3 (gathered) and of 300 (copied).
-	var want []string
-	transfer := func(records int) {
-		t.Helper()
-		start := src.Size()
-		for i := 0; i < records; i++ {
-			p := bytes.Repeat([]byte{byte('a' + len(want)%26)}, 1000)
-			if _, _, err := src.Append(p); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, string(p[:1]))
-		}
-		if err := src.TransferTo(dst, start, src.Size()-start); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		transfer(3)
-	}
-	if dst.Size() != src.Size() {
-		t.Fatalf("dst size = %d after gathers, want %d", dst.Size(), src.Size())
-	}
-	if !dst.tailOK || int64(len(dst.tail)) != dst.Size() {
-		t.Fatalf("gathered bytes not retained: tailOK=%v, %d of %d bytes", dst.tailOK, len(dst.tail), dst.Size())
-	}
-	// A sync failure now poisons dst; the retained tail rebuilds it.
-	inj.SetRule(faultfs.Rule{Op: faultfs.OpSync, PathContains: "dst.log", Class: faultfs.ClassOnce, Err: faultfs.ErrDiskIO})
-	if err := dst.Sync(); err == nil {
-		t.Fatal("injected sync failure did not surface")
-	}
-	if err := dst.ReopenAtDurable(); err != nil {
-		t.Fatalf("reopen after a gather-only transfer: %v", err)
-	}
-	transfer(300)
-	transfer(3)
-	if dst.Size() != src.Size() {
-		t.Fatalf("dst size = %d, want %d", dst.Size(), src.Size())
-	}
-	if _, _, err := dst.Append([]byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, "t")
-
-	sc, err := dst.Scanner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for sc.Scan() {
-		if i >= len(want) || string(sc.Record()[:1]) != want[i] {
-			t.Fatalf("record %d = %q, want %v", i, sc.Record()[:1], want[min(i, len(want)-1)])
-		}
-		i++
-	}
-	if err := sc.Err(); err != nil || i != len(want) {
-		t.Fatalf("scanned %d of %d records, err %v", i, len(want), err)
 	}
 }
 
@@ -689,22 +551,11 @@ func TestSealReleasesTheWriteBuffer(t *testing.T) {
 	if _, _, err := l.Append([]byte("late")); err != ErrSealed {
 		t.Fatalf("Append on a sealed log: %v, want ErrSealed", err)
 	}
-	dst, err := Create(filepath.Join(dir, "b.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	if err := dst.TransferTo(l, 0, 0); err != ErrSealed {
-		t.Fatalf("TransferTo into a sealed log: %v, want ErrSealed", err)
-	}
 	if got, err := l.ReadRecordAt(off, n); err != nil || string(got) != "kept" {
 		t.Fatalf("ReadRecordAt on a sealed log: %q, %v", got, err)
 	}
 	if got, err := l.ReadRecordAtRaw(off, n); err != nil || string(got) != "kept" {
 		t.Fatalf("ReadRecordAtRaw on a sealed log: %q, %v", got, err)
-	}
-	if err := l.TransferTo(dst, off, int64(n)); err != nil {
-		t.Fatalf("TransferTo out of a sealed log: %v", err)
 	}
 	if err := l.Flush(); err != nil {
 		t.Fatalf("Flush on a sealed log: %v", err)

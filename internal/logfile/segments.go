@@ -19,14 +19,13 @@ const (
 	SegmentSurvivor
 )
 
-// Segment is one segment of a segmented log: logs created, sealed and
-// unlinked together. Logs[0] seals the segment and counts toward space
-// amplification; Live is the part of it its store still references. Logs
-// and X, the store's own per-segment state, are owned by ioMu; Live and
-// Sealed are guarded by mu.
+// Segment is one segment of a segmented log: a log file created, sealed
+// and unlinked whole. Its size counts toward space amplification; Live is
+// the part of it its store still references. Log and X, the store's own
+// per-segment state, are owned by ioMu; Live and Sealed are guarded by mu.
 type Segment[X any] struct {
 	ID     uint32
-	Logs   []*Log
+	Log    *Log
 	Live   int64
 	Sealed bool
 	X      X
@@ -44,10 +43,10 @@ type SegmentStats struct {
 
 // Segments is the segmented log the RMW and AUR stores share: a segment is
 // created when first needed — as the flush head flushes append to, or the
-// survivor cleaning re-appends to — sealed once its first log holds
+// survivor cleaning re-appends to — sealed once its log holds
 // sealBytes or its owner says so, unlinked without a byte copied once
 // nothing in it is live, and cleaned, emptiest first, while space
-// amplification over the first logs exceeds msa. Survivors never go to
+// amplification over the logs exceeds msa. Survivors never go to
 // the head: what survives a pass is long-lived by selection and would pin
 // the segment of short-lived state it was appended to.
 //
@@ -60,7 +59,7 @@ type Segments[X any] struct {
 	ioMu, mu  *sync.Mutex
 	syncMu    sync.Mutex // one Sync at a time, held around (not under) ioMu
 	dir       *Dir
-	prefixes  []string // a file name prefix per log, Logs order
+	prefix    string // the segment files' name prefix
 	sealBytes int64
 	msa       float64
 	newX      func() X
@@ -73,13 +72,14 @@ type Segments[X any] struct {
 	passes, compactions, cleaned, dropped metrics.Counter
 }
 
-// NewSegments returns an empty set in dir whose segments have a log per
-// prefix and an X from newX (nil: the zero X).
-func NewSegments[X any](dir *Dir, ioMu, mu *sync.Mutex, prefixes []string, sealBytes int64, msa float64, newX func() X) *Segments[X] {
+// NewSegments returns an empty set in dir whose segment files are named
+// SegmentName(prefix, id) and whose segments get an X from newX (nil: the
+// zero X).
+func NewSegments[X any](dir *Dir, ioMu, mu *sync.Mutex, prefix string, sealBytes int64, msa float64, newX func() X) *Segments[X] {
 	if newX == nil {
 		newX = func() (x X) { return x }
 	}
-	return &Segments[X]{ioMu: ioMu, mu: mu, dir: dir, prefixes: prefixes, sealBytes: sealBytes, msa: msa,
+	return &Segments[X]{ioMu: ioMu, mu: mu, dir: dir, prefix: prefix, sealBytes: sealBytes, msa: msa,
 		newX: newX, segs: make(map[uint32]*Segment[X])}
 }
 
@@ -143,20 +143,14 @@ func (ss *Segments[X]) Reopen(id uint32, state byte, x X) (*Segment[X], error) {
 	return sg, nil
 }
 
-// open creates or opens segment id's logs and registers it with payload
-// x; on failure it leaves none of the logs and uses up no id.
+// open creates or opens segment id's log and registers it with payload x;
+// on failure it uses up no id.
 func (ss *Segments[X]) open(id uint32, open func(name string) (*Log, error), x X) (*Segment[X], error) {
-	sg := &Segment[X]{ID: id, X: x}
-	for _, p := range ss.prefixes {
-		l, err := open(SegmentName(p, id))
-		if err != nil {
-			for _, l := range sg.Logs {
-				l.Remove()
-			}
-			return nil, err
-		}
-		sg.Logs = append(sg.Logs, l)
+	l, err := open(SegmentName(ss.prefix, id))
+	if err != nil {
+		return nil, err
 	}
+	sg := &Segment[X]{ID: id, Log: l, X: x}
 	ss.next = id + 1
 	ss.mu.Lock()
 	ss.segs[id] = sg
@@ -164,13 +158,12 @@ func (ss *Segments[X]) open(id uint32, open func(name string) (*Log, error), x X
 	return sg, nil
 }
 
-// Seal closes sg to appends once its first log holds sealBytes, or
-// whatever it holds with force. A sealed segment stays readable until its
-// last live record is consumed or cleaned away, but gives its write
-// buffers back now: a set holds a dozen sealed segments for every open
-// one.
+// Seal closes sg to appends once its log holds sealBytes, or whatever it
+// holds with force. A sealed segment stays readable until its last live
+// record is consumed or cleaned away, but gives its write buffer back now:
+// a set holds a dozen sealed segments for every open one.
 func (ss *Segments[X]) Seal(sg *Segment[X], force bool) {
-	if !force && sg.Logs[0].Size() < ss.sealBytes {
+	if !force && sg.Log.Size() < ss.sealBytes {
 		return
 	}
 	ss.mu.Lock()
@@ -179,9 +172,7 @@ func (ss *Segments[X]) Seal(sg *Segment[X], force bool) {
 	ss.unassign(sg)
 	// A failed flush poisons the log, which keeps serving its records from
 	// the retained tail; the next Sync, or the health check, reports it.
-	for _, l := range sg.Logs {
-		_ = l.Seal()
-	}
+	_ = sg.Log.Seal()
 }
 
 // unassign stops appending to sg if it is the head or the survivor.
@@ -219,20 +210,12 @@ func (ss *Segments[X]) Reap() (first error) {
 	ss.mu.Unlock()
 	slices.SortFunc(empty, func(a, b *Segment[X]) int { return int(a.ID) - int(b.ID) })
 	for _, sg := range empty {
-		var err error
-		for _, p := range ss.prefixes {
-			if err = ss.dir.Remove(SegmentName(p, sg.ID)); err != nil {
-				break
-			}
-		}
-		if err != nil {
+		if err := ss.dir.Remove(SegmentName(ss.prefix, sg.ID)); err != nil {
 			first = cmp.Or(first, err)
 			continue
 		}
 		ss.drop(sg)
-		for _, l := range sg.Logs {
-			_ = l.Close() // the files are gone; nothing they buffered is referenced
-		}
+		_ = sg.Log.Close() // the file is gone; nothing it buffered is referenced
 		ss.dropped.Inc()
 	}
 	return first
@@ -250,17 +233,17 @@ func (ss *Segments[X]) List() []*Segment[X] {
 	return segs
 }
 
-// Logs returns every segment's logs, segment by segment in id order.
+// Logs returns every segment's log in id order.
 func (ss *Segments[X]) Logs() []*Log {
 	var logs []*Log
 	for _, sg := range ss.List() {
-		logs = append(logs, sg.Logs...)
+		logs = append(logs, sg.Log)
 	}
 	return logs
 }
 
 // Clean reaps the segments that emptied by themselves and, when space
-// amplification — first-log bytes over live bytes — still exceeds msa,
+// amplification — log bytes over live bytes — still exceeds msa,
 // runs one cleaning pass. Its victims are the segments with the lowest
 // live share (PickVictims) but the flush head — the open survivor too,
 // sealed early if picked, so a mostly dead one cannot sit on its bytes for
@@ -295,9 +278,7 @@ func (ss *Segments[X]) Clean(copyLive func(v *Segment[X], live int64, surv *Segm
 		ss.Seal(sg, true)
 		if opens {
 			ss.drop(sg)
-			for _, l := range sg.Logs {
-				l.Remove() // best effort; the fault may also block the unlink
-			}
+			sg.Log.Remove() // best effort; the fault may also block the unlink
 		}
 	}
 	if err != nil {
@@ -321,7 +302,7 @@ func (ss *Segments[X]) victims() []*Segment[X] {
 	var total, live int64
 	ss.mu.Lock()
 	for _, sg := range ss.segs {
-		c := Candidate{ID: sg.ID, Size: sg.Logs[0].Size(), Live: sg.Live}
+		c := Candidate{ID: sg.ID, Size: sg.Log.Size(), Live: sg.Live}
 		total += c.Size
 		live += c.Live
 		if sg != ss.head && c.Live < c.Size {
@@ -365,8 +346,8 @@ func (ss *Segments[X]) copyAll(victims []*Segment[X], copyLive func(v *Segment[X
 }
 
 // Sync runs flush under ioMu, then fsyncs every log holding bytes not yet
-// durable — a segment's logs in order, a sealed segment's at most once in
-// its life — each with ioMu released (SplitSync), so reads and later
+// durable — a sealed segment's at most once in its life — each with ioMu
+// released (SplitSync), so reads and later
 // flushes overlap it; a segment dropped meanwhile has nothing left to make
 // durable. A cleaning pass that moved records meanwhile may have moved them
 // from a segment already synced into one that is not, and then the sweep
@@ -383,15 +364,13 @@ func (ss *Segments[X]) Sync(flush func() error) error {
 		segs := ss.List()
 		ss.ioMu.Unlock()
 		for _, sg := range segs {
-			for _, lg := range sg.Logs {
-				if err := SplitSync(ss.ioMu, func() *Log {
-					if ss.segs[sg.ID] != sg || lg.DurableOffset() == lg.Size() {
-						return nil
-					}
-					return lg
-				}); err != nil {
-					return err
+			if err := SplitSync(ss.ioMu, func() *Log {
+				if ss.segs[sg.ID] != sg || sg.Log.DurableOffset() == sg.Log.Size() {
+					return nil
 				}
+				return sg.Log
+			}); err != nil {
+				return err
 			}
 		}
 		if ss.compactions.Load() == moved {

@@ -14,6 +14,7 @@ import (
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
+	"flowkv/internal/core/aur"
 	"flowkv/internal/faultfs"
 )
 
@@ -278,12 +279,13 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 }
 
 // TestScrubBatteryZeroedPageIsFrameError zeroes a page inside the committed
-// SINK.log prefix and inside the committed generation's rmw.dlt and
-// stat.dlt replay segments — the rot v0 framing read as a run of valid
-// empty records. Each must fail typed, as a *binio.FrameError: the
-// ledger from VerifyJobDir and ReadLedger, a replay segment from the
-// replay its restore runs (the checkpoint MANIFEST catches it first, as
-// the CheckpointError VerifyJobDir reports). Never a shorter result.
+// SINK.log prefix, inside the committed generation's rmw.dlt and stat.dlt
+// replay segments, and in its AUR segments.snap — the rot v0 framing read
+// as a run of valid empty records. Each must fail typed, as a
+// *binio.FrameError: the ledger from VerifyJobDir and ReadLedger, a replay
+// segment from the replay its restore runs, segments.snap from the AUR
+// store's Restore (the checkpoint MANIFEST catches both first, as the
+// CheckpointError VerifyJobDir reports). Never a shorter result.
 func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 	tuples := crashTuples(450)
 	const every = 79
@@ -294,6 +296,7 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 		{crashPatterns()[0], ""},
 		{crashPatterns()[2], "rmw.dlt"},
 		{crashPatterns()[1], "stat.dlt"},
+		{crashPatterns()[1], "segments.snap"},
 	} {
 		name := leg.logical
 		if name == "" {
@@ -332,6 +335,23 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				return
 			}
 			inst := filepath.Join(job.Dir, genDirName(meta.Gen), cutDirName(1, 0), "inst-00")
+			if leg.logical == "segments.snap" {
+				if err := faultfs.CorruptAtRest(nil, filepath.Join(inst, leg.logical), faultfs.CorruptZeroPage, -1); err != nil {
+					t.Fatal(err)
+				}
+				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
+					t.Fatalf("VerifyJobDir over a zeroed segments.snap page: %v, want a CheckpointError", err)
+				}
+				st, err := aur.Open(aur.Options{Dir: filepath.Join(base, "restored")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Destroy()
+				if err := st.Restore(inst); !errors.As(err, &fe) {
+					t.Fatalf("restore over a zeroed segments.snap page: %v, want a FrameError", err)
+				}
+				return
+			}
 			segs, err := ckpt.ReadMeta(faultfs.OS, inst)
 			if err != nil {
 				t.Fatal(err)
