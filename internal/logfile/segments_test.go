@@ -238,111 +238,119 @@ func (f *fakeStore) checkDir(what string) {
 	}
 }
 
+// oneLog runs fn under a "1-log" subtest: a segment is one log, the shape
+// these tests have always run under that name.
+func oneLog(t *testing.T, fn func(t *testing.T, f *fakeStore)) {
+	t.Run("1-log", func(t *testing.T) { fn(t, newFakeStore(t)) })
+}
+
 // TestSegmentsLifecycle: no file before the first head; a head sealed by
 // its log's size; a reap that unlinks an emptied segment's log before it
 // closes it, and that, when the unlink fails, leaves the segment tracked
 // for the next reap to retry.
 func TestSegmentsLifecycle(t *testing.T) {
-	f := newFakeStore(t)
-	f.checkDir("opened")
-	if f.ss.Len() != 0 || f.ss.Head() != nil || f.made != 0 {
-		t.Fatalf("a fresh set holds %d segments, head %v", f.ss.Len(), f.ss.Head())
-	}
-	head := f.flush(1, false)
-	f.checkDir("first flush")
-	if head.ID != 0 || head.Sealed || f.ss.Head() != head || head.X != 1 {
-		t.Fatalf("first head: id %d, sealed %v, payload %d", head.ID, head.Sealed, head.X)
-	}
-	for !head.Sealed {
-		if f.flush(1, false) != head {
-			t.Fatal("a flush opened a second head while the first was open")
+	oneLog(t, func(t *testing.T, f *fakeStore) {
+		f.checkDir("opened")
+		if f.ss.Len() != 0 || f.ss.Head() != nil || f.made != 0 {
+			t.Fatalf("a fresh set holds %d segments, head %v", f.ss.Len(), f.ss.Head())
 		}
-	}
-	f.ioMu.Lock()
-	size := head.Log.Size()
-	f.ioMu.Unlock()
-	if size < fakeSealBytes || size >= fakeSealBytes+f.recBytes() || f.ss.Head() != nil {
-		t.Fatalf("head sealed at %d bytes, seal size %d; still the head: %v", size, fakeSealBytes, f.ss.Head() == head)
-	}
-	f.checkDir("sealed")
-
-	// A failed unlink keeps the segment, and the next reap retries.
-	f.consume(head, func(int) bool { return true })
-	f.fs.take()
-	f.fs.SetRule(faultfs.Rule{Op: faultfs.OpRemove, PathContains: SegmentName(fakePrefix, head.ID)})
-	f.ioMu.Lock()
-	err := f.ss.Reap()
-	f.ioMu.Unlock()
-	if !errors.Is(err, faultfs.ErrInjected) || f.ss.Get(head.ID) != head || f.ss.Stats().SegmentsDropped != 0 {
-		t.Fatalf("reap over a failing unlink: %v, still tracked %v", err, f.ss.Get(head.ID) != nil)
-	}
-	f.checkDir("failed unlink")
-	f.fs.Reset()
-	f.ioMu.Lock()
-	err = f.ss.Reap()
-	f.ioMu.Unlock()
-	if err != nil || f.ss.Len() != 0 || f.ss.Stats().SegmentsDropped != 1 {
-		t.Fatalf("retried reap: %v, %d segments left", err, f.ss.Len())
-	}
-	f.checkDir("reaped")
-	var removes, closes int
-	for _, ev := range f.fs.take() {
-		switch {
-		case strings.HasPrefix(ev, "remove "):
-			if closes > 0 {
-				t.Fatalf("the log was closed before it was unlinked: %v", ev)
+		head := f.flush(1, false)
+		f.checkDir("first flush")
+		if head.ID != 0 || head.Sealed || f.ss.Head() != head || head.X != 1 {
+			t.Fatalf("first head: id %d, sealed %v, payload %d", head.ID, head.Sealed, head.X)
+		}
+		for !head.Sealed {
+			if f.flush(1, false) != head {
+				t.Fatal("a flush opened a second head while the first was open")
 			}
-			removes++
-		case strings.HasPrefix(ev, "close "):
-			closes++
 		}
-	}
-	if removes != 1 || closes != 1 {
-		t.Fatalf("reap unlinked %d and closed %d logs, want one each", removes, closes)
-	}
+		f.ioMu.Lock()
+		size := head.Log.Size()
+		f.ioMu.Unlock()
+		if size < fakeSealBytes || size >= fakeSealBytes+f.recBytes() || f.ss.Head() != nil {
+			t.Fatalf("head sealed at %d bytes, seal size %d; still the head: %v", size, fakeSealBytes, f.ss.Head() == head)
+		}
+		f.checkDir("sealed")
+
+		// A failed unlink keeps the segment, and the next reap retries.
+		f.consume(head, func(int) bool { return true })
+		f.fs.take()
+		f.fs.SetRule(faultfs.Rule{Op: faultfs.OpRemove, PathContains: SegmentName(fakePrefix, head.ID)})
+		f.ioMu.Lock()
+		err := f.ss.Reap()
+		f.ioMu.Unlock()
+		if !errors.Is(err, faultfs.ErrInjected) || f.ss.Get(head.ID) != head || f.ss.Stats().SegmentsDropped != 0 {
+			t.Fatalf("reap over a failing unlink: %v, still tracked %v", err, f.ss.Get(head.ID) != nil)
+		}
+		f.checkDir("failed unlink")
+		f.fs.Reset()
+		f.ioMu.Lock()
+		err = f.ss.Reap()
+		f.ioMu.Unlock()
+		if err != nil || f.ss.Len() != 0 || f.ss.Stats().SegmentsDropped != 1 {
+			t.Fatalf("retried reap: %v, %d segments left", err, f.ss.Len())
+		}
+		f.checkDir("reaped")
+		var removes, closes int
+		for _, ev := range f.fs.take() {
+			switch {
+			case strings.HasPrefix(ev, "remove "):
+				if closes > 0 {
+					t.Fatalf("the log was closed before it was unlinked: %v", ev)
+				}
+				removes++
+			case strings.HasPrefix(ev, "close "):
+				closes++
+			}
+		}
+		if removes != 1 || closes != 1 {
+			t.Fatalf("reap unlinked %d and closed %d logs, want one each", removes, closes)
+		}
+	})
 }
 
 // TestSegmentsCleaningVictims: a pass never takes the flush head, however
 // dead, and does take the open survivor once it is the emptiest, sealing
 // it early.
 func TestSegmentsCleaningVictims(t *testing.T) {
-	f := newFakeStore(t)
-	odd := func(rec int) bool { return rec%2 == 1 }
-	s0 := f.flush(4, true)
-	s1 := f.flush(4, true)
-	f.consume(s0, odd)
-	f.consume(s1, odd)
-	head := f.flush(4, false)
-	f.consume(head, func(rec int) bool { return rec != 8 })
-	f.checkDir("before the first pass")
-	victims, err := f.clean(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surv := f.ss.Survivor()
-	if slices.Contains(victims, head) || !slices.Equal(victims, []*Segment[int]{s0, s1}) || surv == nil {
-		t.Fatalf("victims %v, survivor %v; want segments 0 and 1, not the head", ids(victims), surv)
-	}
-	if st := f.ss.Stats(); st.Passes != 1 || st.Compactions != 1 || st.SegmentsDropped != 2 {
-		t.Fatalf("after the first pass: %+v", st)
-	}
-	f.checkDir("after the first pass")
+	oneLog(t, func(t *testing.T, f *fakeStore) {
+		odd := func(rec int) bool { return rec%2 == 1 }
+		s0 := f.flush(4, true)
+		s1 := f.flush(4, true)
+		f.consume(s0, odd)
+		f.consume(s1, odd)
+		head := f.flush(4, false)
+		f.consume(head, func(rec int) bool { return rec != 8 })
+		f.checkDir("before the first pass")
+		victims, err := f.clean(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		surv := f.ss.Survivor()
+		if slices.Contains(victims, head) || !slices.Equal(victims, []*Segment[int]{s0, s1}) || surv == nil {
+			t.Fatalf("victims %v, survivor %v; want segments 0 and 1, not the head", ids(victims), surv)
+		}
+		if st := f.ss.Stats(); st.Passes != 1 || st.Compactions != 1 || st.SegmentsDropped != 2 {
+			t.Fatalf("after the first pass: %+v", st)
+		}
+		f.checkDir("after the first pass")
 
-	// Three of the survivor's four records die: it is now the emptiest.
-	f.consume(surv, func(rec int) bool { return rec != 0 })
-	s3 := f.flush(4, true)
-	f.consume(s3, func(rec int) bool { return rec%4 == 0 })
-	victims, err = f.clean(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(victims) == 0 || victims[0] != surv || !surv.Sealed || f.ss.Get(surv.ID) != nil {
-		t.Fatalf("second pass took %v; want the open survivor %d first, sealed and reaped", ids(victims), surv.ID)
-	}
-	if slices.Contains(victims, f.ss.Head()) {
-		t.Fatal("the second pass took the head")
-	}
-	f.checkDir("after the second pass")
+		// Three of the survivor's four records die: it is now the emptiest.
+		f.consume(surv, func(rec int) bool { return rec != 0 })
+		s3 := f.flush(4, true)
+		f.consume(s3, func(rec int) bool { return rec%4 == 0 })
+		victims, err = f.clean(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(victims) == 0 || victims[0] != surv || !surv.Sealed || f.ss.Get(surv.ID) != nil {
+			t.Fatalf("second pass took %v; want the open survivor %d first, sealed and reaped", ids(victims), surv.ID)
+		}
+		if slices.Contains(victims, f.ss.Head()) {
+			t.Fatal("the second pass took the head")
+		}
+		f.checkDir("after the second pass")
+	})
 }
 
 func ids(segs []*Segment[int]) (out []uint32) {
@@ -358,49 +366,50 @@ func ids(segs []*Segment[int]) (out []uint32) {
 func TestSegmentsFailedPass(t *testing.T) {
 	for _, preexisting := range []bool{false, true} {
 		t.Run(fmt.Sprintf("survivor-open=%v", preexisting), func(t *testing.T) {
-			f := newFakeStore(t)
-			odd := func(rec int) bool { return rec%2 == 1 }
-			if preexisting {
-				s := f.flush(4, true)
-				f.consume(s, func(rec int) bool { return rec != 0 })
-				if _, err := f.clean(0); err != nil || f.ss.Survivor() == nil {
-					t.Fatalf("setting up an open survivor: %v", err)
+			oneLog(t, func(t *testing.T, f *fakeStore) {
+				odd := func(rec int) bool { return rec%2 == 1 }
+				if preexisting {
+					s := f.flush(4, true)
+					f.consume(s, func(rec int) bool { return rec != 0 })
+					if _, err := f.clean(0); err != nil || f.ss.Survivor() == nil {
+						t.Fatalf("setting up an open survivor: %v", err)
+					}
 				}
-			}
-			s0, s1 := f.flush(4, true), f.flush(4, true)
-			f.consume(s0, odd)
-			f.consume(s1, odd)
-			open, next := f.ss.Survivor(), f.ss.NextID()
-			before := f.ss.Stats()
-			f.mu.Lock()
-			recs := recTable(f.recs)
-			f.mu.Unlock()
+				s0, s1 := f.flush(4, true), f.flush(4, true)
+				f.consume(s0, odd)
+				f.consume(s1, odd)
+				open, next := f.ss.Survivor(), f.ss.NextID()
+				before := f.ss.Stats()
+				f.mu.Lock()
+				recs := recTable(f.recs)
+				f.mu.Unlock()
 
-			victims, err := f.clean(2)
-			if err == nil || len(victims) != 2 {
-				t.Fatalf("the failing pass: %v over victims %v", err, ids(victims))
-			}
-			f.mu.Lock()
-			same := recTable(f.recs) == recs
-			f.mu.Unlock()
-			if st := f.ss.Stats(); !same || st.Passes != before.Passes || st.Compactions != before.Compactions {
-				t.Fatalf("a failed pass installed something: records moved %v, stats %+v then %+v", !same, before, st)
-			}
-			if f.ss.Survivor() != nil {
-				t.Fatal("a failed pass left a survivor open")
-			}
-			if preexisting {
-				if !open.Sealed || f.ss.Get(open.ID) != open {
-					t.Fatalf("the survivor the pass found open: sealed %v, tracked %v", open.Sealed, f.ss.Get(open.ID) != nil)
+				victims, err := f.clean(2)
+				if err == nil || len(victims) != 2 {
+					t.Fatalf("the failing pass: %v over victims %v", err, ids(victims))
 				}
-			} else if f.ss.Get(next) != nil {
-				t.Fatalf("the survivor the pass opened, %d, is still tracked", next)
-			}
-			f.checkDir("after the failed pass")
-			if _, err := f.clean(0); err != nil {
-				t.Fatal(err)
-			}
-			f.checkDir("after the next pass")
+				f.mu.Lock()
+				same := recTable(f.recs) == recs
+				f.mu.Unlock()
+				if st := f.ss.Stats(); !same || st.Passes != before.Passes || st.Compactions != before.Compactions {
+					t.Fatalf("a failed pass installed something: records moved %v, stats %+v then %+v", !same, before, st)
+				}
+				if f.ss.Survivor() != nil {
+					t.Fatal("a failed pass left a survivor open")
+				}
+				if preexisting {
+					if !open.Sealed || f.ss.Get(open.ID) != open {
+						t.Fatalf("the survivor the pass found open: sealed %v, tracked %v", open.Sealed, f.ss.Get(open.ID) != nil)
+					}
+				} else if f.ss.Get(next) != nil {
+					t.Fatalf("the survivor the pass opened, %d, is still tracked", next)
+				}
+				f.checkDir("after the failed pass")
+				if _, err := f.clean(0); err != nil {
+					t.Fatal(err)
+				}
+				f.checkDir("after the next pass")
+			})
 		})
 	}
 }
@@ -424,51 +433,52 @@ func recTable(recs map[int]uint32) string {
 // its fsyncs is in flight moves records into a survivor the sweep never
 // listed, and the sweep repeats for it.
 func TestSegmentsSync(t *testing.T) {
-	f := newFakeStore(t)
-	syncAll := func() error { return f.ss.Sync(func() error { return nil }) }
-	s0 := f.flush(4, true)
-	s1 := f.flush(4, true)
-	f.flush(1, false)
-	f.fs.take()
-	if err := syncAll(); err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, sid := range []uint32{s0.ID, s1.ID, 2} {
-		want = append(want, "sync "+SegmentName(fakePrefix, sid))
-	}
-	if got := f.fs.take(); !slices.Equal(got, want) {
-		t.Fatalf("first sync: %v, want %v", got, want)
-	}
-	if err := syncAll(); err != nil || len(f.fs.take()) != 0 {
-		t.Fatalf("a sync with every log durable: %v", err)
-	}
-
-	f.flush(1, false) // only the head is dirty
-	f.consume(s0, func(rec int) bool { return rec%2 == 1 })
-	f.fs.SetRule(faultfs.Rule{Op: faultfs.OpSync, Hang: true, Class: faultfs.ClassOnce})
-	done := make(chan error, 1)
-	go func() { done <- syncAll() }()
-	for deadline := time.Now().Add(10 * time.Second); f.fs.Stalled() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the sync never reached its fsync")
+	oneLog(t, func(t *testing.T, f *fakeStore) {
+		syncAll := func() error { return f.ss.Sync(func() error { return nil }) }
+		s0 := f.flush(4, true)
+		s1 := f.flush(4, true)
+		f.flush(1, false)
+		f.fs.take()
+		if err := syncAll(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The head's fsync hangs with ioMu released: clean under it.
-	f.ss.msa = 1.0
-	if victims, err := f.clean(0); err != nil || len(victims) == 0 || f.ss.Survivor() == nil {
-		t.Fatalf("the pass under the sync: %v, victims %v", err, ids(victims))
-	}
-	surv := f.ss.Survivor()
-	f.fs.Release()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	f.ioMu.Lock()
-	if l := surv.Log; l.DurableOffset() != l.Size() {
-		t.Errorf("%s: durable %d of %d bytes after the sync the pass ran under", filepath.Base(l.Path()), l.DurableOffset(), l.Size())
-	}
-	f.ioMu.Unlock()
-	f.fs.Reset()
-	f.checkDir("after the sync")
+		var want []string
+		for _, sid := range []uint32{s0.ID, s1.ID, 2} {
+			want = append(want, "sync "+SegmentName(fakePrefix, sid))
+		}
+		if got := f.fs.take(); !slices.Equal(got, want) {
+			t.Fatalf("first sync: %v, want %v", got, want)
+		}
+		if err := syncAll(); err != nil || len(f.fs.take()) != 0 {
+			t.Fatalf("a sync with every log durable: %v", err)
+		}
+
+		f.flush(1, false) // only the head is dirty
+		f.consume(s0, func(rec int) bool { return rec%2 == 1 })
+		f.fs.SetRule(faultfs.Rule{Op: faultfs.OpSync, Hang: true, Class: faultfs.ClassOnce})
+		done := make(chan error, 1)
+		go func() { done <- syncAll() }()
+		for deadline := time.Now().Add(10 * time.Second); f.fs.Stalled() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the sync never reached its fsync")
+			}
+		}
+		// The head's fsync hangs with ioMu released: clean under it.
+		f.ss.msa = 1.0
+		if victims, err := f.clean(0); err != nil || len(victims) == 0 || f.ss.Survivor() == nil {
+			t.Fatalf("the pass under the sync: %v, victims %v", err, ids(victims))
+		}
+		surv := f.ss.Survivor()
+		f.fs.Release()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		f.ioMu.Lock()
+		if l := surv.Log; l.DurableOffset() != l.Size() {
+			t.Errorf("%s: durable %d of %d bytes after the sync the pass ran under", filepath.Base(l.Path()), l.DurableOffset(), l.Size())
+		}
+		f.ioMu.Unlock()
+		f.fs.Reset()
+		f.checkDir("after the sync")
+	})
 }
