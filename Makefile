@@ -32,7 +32,8 @@ fuzz:
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecodeRecordFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)

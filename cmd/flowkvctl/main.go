@@ -8,7 +8,7 @@
 //	flowkvctl ls    <store-dir>        # list files with sizes and kinds
 //	flowkvctl aur   <aur-*.log file>   # flush number, keys, windows and value counts per block of an AUR segment
 //	flowkvctl aar   <win_*.log file>   # keys and tuples per flush chunk of an AAR per-window log
-//	flowkvctl rmw   <rmw-*.log file>   # decode one segment of an RMW log
+//	flowkvctl rmw   <rmw-*.log file>   # flush number, key, window and aggregate bytes per entry of an RMW segment
 //	flowkvctl health <store-dir>       # offline log integrity scan
 //	flowkvctl checkpoints <parent-dir> # list and verify checkpoints
 //	flowkvctl job <job-dir>            # inspect a job's committed progress
@@ -34,9 +34,9 @@ import (
 	"flowkv/internal/core/aar"
 	"flowkv/internal/core/aur"
 	"flowkv/internal/jobmanager"
+	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
 	"flowkv/internal/spe"
-	"flowkv/internal/window"
 )
 
 func main() {
@@ -175,7 +175,7 @@ func cmdAUR(path string) error {
 	fmt.Println("#   flush  key                window                 values")
 	var blocks, entries, values int
 	err := scanRecords(path, func(i int, _ int64, payload []byte) error {
-		n, err := aur.DecodeSegmentBlock(payload, func(e *aur.BlockEntry) error {
+		n, err := logfile.DecodeSegmentBlock(payload, func(e *logfile.BlockEntry) error {
 			fmt.Printf("%-3d %5d  %-18s %-22s %6d\n", i, e.Seq, e.Key, e.Window, len(e.Values))
 			values += len(e.Values)
 			return nil
@@ -223,13 +223,13 @@ func cmdHealth(dir string) error {
 	fmt.Println("status   records      bytes  file")
 	var files, torn, corrupt int
 	// An RMW instance's log is a set of segments numbered from 0 in
-	// creation order: per directory, how many are left and the highest
-	// number seen say how many have been dropped, and what the ones left
-	// hold says how large an eviction — a quarter of the write buffer —
-	// came out.
+	// creation order, each a log of blocks of one aggregate per entry: per
+	// directory, how many are left and the highest number seen say how
+	// many have been dropped, and what the ones left hold says how large an
+	// eviction — a quarter of the write buffer — came out.
 	type rmwLog struct {
-		live, created  int
-		records, bytes int64
+		live, created          int
+		entries, blocks, bytes int64
 	}
 	rmwLogs := make(map[string]*rmwLog)
 	// An AUR instance's log is a set of segments, each a log of blocks
@@ -305,11 +305,15 @@ func cmdHealth(dir string) error {
 		var records int
 		for off := int64(0); sc.Scan(); off = sc.Offset() {
 			records++
+			if rl != nil {
+				n, _ := logfile.DecodeSegmentBlock(sc.Record(), func(*logfile.BlockEntry) error { return nil })
+				rl.entries += int64(n)
+			}
 			if as == nil {
 				continue
 			}
 			frame := int(sc.Offset()-off) - len(sc.Record()) // counted by the first batch
-			n, _ := aur.DecodeSegmentBlock(sc.Record(), func(e *aur.BlockEntry) error {
+			n, _ := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
 				if si != nil && !si.Dead(base+off, e) {
 					as.live += int64(e.Size + frame)
 				}
@@ -329,7 +333,7 @@ func cmdHealth(dir string) error {
 		}
 		fmt.Printf("%-8s %7d %10d  %s\n", status, records, sc.Offset(), rel)
 		if rl != nil {
-			rl.records += int64(records)
+			rl.blocks += int64(records)
 			rl.bytes += sc.Offset()
 		}
 		if as != nil {
@@ -348,8 +352,8 @@ func cmdHealth(dir string) error {
 	sort.Strings(insts)
 	for _, inst := range insts {
 		l := rmwLogs[inst]
-		fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned); %d records in %d bytes on disk, %d bytes a segment\n",
-			inst, l.live, l.created-l.live, l.records, l.bytes, l.bytes/int64(l.live))
+		fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned); %d entries and %d blocks in %d bytes on disk, %d bytes a segment\n",
+			inst, l.live, l.created-l.live, l.entries, l.blocks, l.bytes, l.bytes/int64(l.live))
 	}
 	if len(insts) > 0 {
 		// The files record what is on disk now, not how it got there.
@@ -663,25 +667,25 @@ func cmdVerify(dir string) error {
 }
 
 func cmdRMW(path string) error {
-	fmt.Println("#   key                window                 agg-bytes")
+	fmt.Println("#   flush  key                window                 agg-bytes")
+	var blocks, entries, aggBytes int
 	err := scanRecords(path, func(i int, _ int64, payload []byte) error {
-		key, n, err := binio.Bytes(payload)
+		n, err := logfile.DecodeSegmentBlock(payload, func(e *logfile.BlockEntry) error {
+			var size int
+			for _, v := range e.Values { // one, the aggregate
+				size += len(v)
+			}
+			fmt.Printf("%-3d %5d  %-18s %-22s %9d\n", i, e.Seq, e.Key, e.Window, size)
+			aggBytes += size
+			return nil
+		})
 		if err != nil {
-			return err
+			return fmt.Errorf("block %d: %w", i, err)
 		}
-		payload = payload[n:]
-		w, n, err := window.Decode(payload)
-		if err != nil {
-			return err
-		}
-		payload = payload[n:]
-		agg, _, err := binio.Bytes(payload)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-3d %-18s %-22s %9d\n", i, key, w, len(agg))
+		blocks, entries = blocks+1, entries+n
 		return nil
 	})
+	fmt.Printf("%d blocks, %d entries, %d aggregate bytes\n", blocks, entries, aggBytes)
 	return err
 }
 

@@ -12,6 +12,7 @@ import (
 	"flowkv/internal/core"
 	"flowkv/internal/core/aar"
 	"flowkv/internal/core/aur"
+	"flowkv/internal/core/rmw"
 	"flowkv/internal/spe"
 	"flowkv/internal/statebackend"
 	"flowkv/internal/window"
@@ -358,6 +359,90 @@ func TestAURPrintsBlocksAndBatches(t *testing.T) {
 	}
 	if mixed == 0 {
 		t.Error("no segment holds batches of more than one flush: no survivor segment among them")
+	}
+}
+
+// TestRMWPrintsBlocksAndEntries spills an RMW store through evictions and
+// a cleaning pass, runs `flowkvctl rmw` over every segment and checks the
+// rows against the file: one row per entry, each a key put and the size of
+// its aggregate, the rows of a block under one flush number, the totals
+// line counting the file's frames, and every aggregate live after the
+// drain in some segment.
+func TestRMWPrintsBlocksAndEntries(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "rmw")
+	s, err := rmw.Open(rmw.Options{Dir: dir, WriteBufferBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(i int) ([]byte, window.Window) {
+		return []byte(fmt.Sprintf("user-%03d", i)), window.Window{Start: int64(i) * 10, End: int64(i)*10 + 100}
+	}
+	const ids, lag = 400, 60
+	live := make(map[string]int) // key -> aggregate bytes
+	for i := 0; i < ids; i++ {
+		k, w := session(i)
+		agg := strings.Repeat("a", 1+i%5)
+		if err := s.Put(k, w, []byte(agg)); err != nil {
+			t.Fatal(err)
+		}
+		live[string(k)] = len(agg)
+		if j := i - lag; j >= 0 && j%3 != 0 { // every third session stays
+			k, w := session(j)
+			if _, ok, err := s.Get(k, w); err != nil || !ok {
+				t.Fatalf("%s: ok=%v err=%v", k, ok, err)
+			}
+			delete(live, string(k))
+		}
+	}
+	if s.SegmentStats().Compactions == 0 {
+		t.Fatal("store never cleaned")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segments := s.SegmentStats().LiveSegments
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs, _ := filepath.Glob(filepath.Join(dir, "rmw-*.log"))
+	if len(logs) != segments || segments < 2 {
+		t.Fatalf("store dir holds %d segment logs, the store counted %d segments", len(logs), segments)
+	}
+	seen := make(map[string]bool)
+	for _, path := range logs {
+		frames := 0
+		if err := scanRecords(path, func(int, int64, []byte) error { frames++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		printed := captureStdout(t, func() error { return cmdRMW(path) })
+		lines := strings.Split(strings.TrimSpace(printed), "\n")
+		rows, total := lines[1:len(lines)-1], lines[len(lines)-1]
+		aggBytes := 0
+		blockFlush := make(map[string]string)
+		for i, row := range rows {
+			f := strings.Fields(row)
+			if len(f) != 5 {
+				t.Fatalf("%s row %d has %d columns: %q", path, i, len(f), row)
+			}
+			n, _ := strconv.Atoi(f[4])
+			if n < 1 || n > 5 || !strings.HasPrefix(f[2], "user-") {
+				t.Fatalf("%s row %d: %q", path, i, row)
+			}
+			if want, ok := live[f[2]]; ok && want == n {
+				seen[f[2]] = true
+			}
+			if prev, ok := blockFlush[f[0]]; ok && prev != f[1] {
+				t.Fatalf("%s block %s holds entries of flushes %s and %s", path, f[0], prev, f[1])
+			}
+			blockFlush[f[0]] = f[1]
+			aggBytes += n
+		}
+		if want := fmt.Sprintf("%d blocks, %d entries, %d aggregate bytes", frames, len(rows), aggBytes); total != want || len(blockFlush) != frames {
+			t.Errorf("%s: last line %q, rows in %d blocks; want %q", path, total, len(blockFlush), want)
+		}
+	}
+	if len(seen) != len(live) {
+		t.Errorf("the segments print %d of the %d live aggregates", len(seen), len(live))
 	}
 }
 

@@ -522,7 +522,7 @@ func (s *Store) flushLocked(all bool) error {
 	// items[:installed] are in blocks the head's log accepted.
 	var installed int
 	var bytes int64
-	bw := blockWriter{emit: func(block []byte, entries, body int) error {
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
 		off, n, err := head.Log.Append(block)
 		if err != nil {
 			return err
@@ -535,11 +535,11 @@ func (s *Store) flushLocked(all bool) error {
 	}}
 	for i := 0; werr == nil && i < len(items); i++ {
 		it := &items[i]
-		n, err := bw.add(s.seq, it.ident.key, it.ident.w, it.e.values)
+		_, n, err := bw.Add(s.seq, it.ident.key, it.ident.w, it.e.values)
 		it.n, werr = int64(n), err
 	}
 	if werr == nil {
-		werr = bw.flush()
+		werr = bw.Flush()
 	}
 	s.flushedBytes.Add(bytes)
 	s.flushedBatches.Add(int64(installed))
@@ -912,7 +912,7 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 		if n == 0 {
 			continue
 		}
-		err := s.scanSegLocked(sg, func(off int64, ident []byte, e *BlockEntry) error {
+		err := s.scanSegLocked(sg, func(off int64, ident []byte, e *logfile.BlockEntry) error {
 			wanted, ok := want[string(ident)]
 			if !ok || sg.X.dead(ident, off) {
 				return nil
@@ -1060,7 +1060,7 @@ var errScanDone = errors.New("aur: segment scan done")
 // errScanDone. ident, the entry and the slices it holds are valid only
 // during the call. Caller holds ioMu, under which the consumed marks are
 // stable.
-func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *BlockEntry) error) error {
+func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *logfile.BlockEntry) error) error {
 	if s.bd != nil {
 		defer s.bd.Start(metrics.OpRead)()
 	}
@@ -1073,7 +1073,7 @@ func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *B
 	for off := int64(0); sc.Scan() && sc.Offset() <= sg.X.committed; off = sc.Offset() {
 		// The block's first entry counts its frame as well (block.go).
 		frame := int(sc.Offset()-off) - len(sc.Record())
-		_, err := DecodeSegmentBlock(sc.Record(), func(e *BlockEntry) error {
+		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
 			e.Size, frame = e.Size+frame, 0
 			ident = appendIdent(ident[:0], e.Key, e.Window)
 			return fn(off, ident, e)
@@ -1081,7 +1081,7 @@ func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *B
 		switch {
 		case err == errScanDone:
 			return sc.Err() // nil; accounts the bytes read
-		case errors.As(err, new(*BlockError)):
+		case errors.As(err, new(*logfile.BlockError)):
 			return fmt.Errorf("aur: %s: block at %d: %w", sg.Log.Path(), off, err)
 		case err != nil:
 			return err
@@ -1111,7 +1111,7 @@ func (s *Store) cleanLocked() error {
 	var moved []move
 	var surv *segment
 	var appended, committed int64
-	bw := blockWriter{emit: func(block []byte, entries, body int) error {
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
 		off, n, err := surv.Log.Append(block)
 		if err != nil {
 			return err
@@ -1125,7 +1125,7 @@ func (s *Store) cleanLocked() error {
 		return s.copyLiveLocked(v, live, &bw, &moved)
 	}, func(sv *segment) (int64, error) {
 		surv = sv
-		if err := bw.flush(); err != nil {
+		if err := bw.Flush(); err != nil {
 			return 0, err
 		}
 		if len(moved) == 0 {
@@ -1148,13 +1148,13 @@ func (s *Store) cleanLocked() error {
 // live in it to bw, under the sequence number it was first written with,
 // recording the moves; caller holds ioMu. The scan stops once it has seen
 // all of v's live bytes.
-func (s *Store) copyLiveLocked(v *segment, left int64, bw *blockWriter, moved *[]move) error {
-	return s.scanSegLocked(v, func(off int64, ident []byte, e *BlockEntry) error {
+func (s *Store) copyLiveLocked(v *segment, left int64, bw *logfile.BlockWriter, moved *[]move) error {
+	return s.scanSegLocked(v, func(off int64, ident []byte, e *logfile.BlockEntry) error {
 		if v.X.dead(ident, off) {
 			return nil
 		}
 		m := move{ident: id{key: string(e.Key), w: e.Window}, from: v, n: int64(e.Size)}
-		to, err := bw.add(e.Seq, m.ident.key, e.Window, e.Values)
+		_, to, err := bw.Add(e.Seq, m.ident.key, e.Window, e.Values)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package aur
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -38,7 +39,7 @@ func segmentEntries(t testing.TB, sg *segment) []entry {
 	var out []entry
 	for off := int64(0); sc.Scan(); off = sc.Offset() {
 		frame := int(sc.Offset()-off) - len(sc.Record())
-		_, err := DecodeSegmentBlock(sc.Record(), func(e *BlockEntry) error {
+		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
 			en := entry{ident: id{key: string(e.Key), w: e.Window}, seq: e.Seq, off: off, size: e.Size + frame}
 			for _, v := range e.Values {
 				en.vals = append(en.vals, string(v))
@@ -54,6 +55,23 @@ func segmentEntries(t testing.TB, sg *segment) []entry {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// segmentBlocks returns the payloads of sg's blocks; caller holds ioMu.
+func segmentBlocks(t testing.TB, sg *segment) [][]byte {
+	t.Helper()
+	sc, err := sg.Log.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks [][]byte
+	for sc.Scan() {
+		blocks = append(blocks, bytes.Clone(sc.Record()))
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return blocks
 }
 
 // storeEntries decodes every entry of the store's segments, segment by
@@ -335,7 +353,7 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 	}
 	entries := 0
 	for sc.Scan() {
-		n, err := DecodeSegmentBlock(sc.Record(), func(*BlockEntry) error { return nil })
+		n, err := logfile.DecodeSegmentBlock(sc.Record(), func(*logfile.BlockEntry) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

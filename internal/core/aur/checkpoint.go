@@ -48,7 +48,7 @@ type SegmentInfo struct {
 
 // Dead reports whether the batch e, in the block at offset off of the
 // segment, was consumed.
-func (si *SegmentInfo) Dead(off int64, e *BlockEntry) bool {
+func (si *SegmentInfo) Dead(off int64, e *logfile.BlockEntry) bool {
 	mark, ok := si.Marks[string(appendIdent(nil, e.Key, e.Window))]
 	return ok && off < mark
 }
@@ -277,7 +277,7 @@ func (s *Store) Restore(dir string) error {
 				return fmt.Errorf("aur: segments snapshot: consumed mark past %s: %w", name, binio.ErrCorrupt)
 			}
 		}
-		err = s.scanSegLocked(sg, func(off int64, ident []byte, e *BlockEntry) error {
+		err = s.scanSegLocked(sg, func(off int64, ident []byte, e *logfile.BlockEntry) error {
 			s.seq = max(s.seq, e.Seq)
 			if !sg.X.dead(ident, off) {
 				ident := id{key: string(e.Key), w: e.Window}

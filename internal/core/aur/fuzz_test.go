@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -11,23 +12,6 @@ import (
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
-
-// segmentBlocks returns the payloads of sg's blocks; caller holds ioMu.
-func segmentBlocks(t testing.TB, sg *segment) [][]byte {
-	t.Helper()
-	sc, err := sg.Log.Scanner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocks [][]byte
-	for sc.Scan() {
-		blocks = append(blocks, bytes.Clone(sc.Record()))
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return blocks
-}
 
 // realSegmentBlocks runs a small store through evictions and a cleaning
 // pass and returns one block written by each.
@@ -76,13 +60,16 @@ func realSegmentBlocks(f *testing.F) (flush, cleaning []byte) {
 	return flush, segmentBlocks(f, s.segs.Survivor())[0]
 }
 
-// FuzzDecodeSegmentBlock throws arbitrary bytes at the segment-block
-// decoder. Segments are scanned on every prefetch miss, every cleaning pass
-// and every restore, so the decoder is the gate between on-disk bytes and
-// the values and locations the store serves: it must reject garbage with a
-// typed *BlockError, without panicking or sizing an allocation from a
-// corrupt count, and what it accepts is canonical — the production writer
-// re-encodes it byte for byte.
+// FuzzDecodeSegmentBlock throws arbitrary bytes, seeded with blocks a
+// running AUR store wrote, at the segment-block codec the store shares
+// with the RMW log (logfile.DecodeSegmentBlock; the codec's own fuzz
+// target is in internal/logfile). Segments are scanned on every prefetch
+// miss, every cleaning pass and every restore, so the decoder is the gate
+// between on-disk bytes and the values and locations the store serves: it
+// must reject garbage with a typed *logfile.BlockError, without panicking
+// or sizing an allocation from a corrupt count, and what it accepts is
+// canonical — the writer re-encodes it byte for byte, so an AUR block is
+// the same bytes through the shared codec as the store wrote.
 func FuzzDecodeSegmentBlock(f *testing.F) {
 	flush, cleaning := realSegmentBlocks(f)
 	f.Add(flush)
@@ -97,32 +84,33 @@ func FuzzDecodeSegmentBlock(f *testing.F) {
 		0xff, 0x01, 0, 1, 0, 1, 'k', 2, 1, 1, 0})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var w blockWriter
-		var seq uint64
-		var size int
-		count, err := DecodeSegmentBlock(b, func(e *BlockEntry) error {
+		var again []byte
+		w := logfile.BlockWriter{Bound: math.MaxInt, Emit: func(block []byte, _, _ int) error {
+			again = bytes.Clone(block)
+			return nil
+		}}
+		var entries, size int
+		count, err := logfile.DecodeSegmentBlock(b, func(e *logfile.BlockEntry) error {
 			if e.Size <= 0 || len(e.Values) == 0 {
 				t.Fatalf("entry of %d bytes with %d values", e.Size, len(e.Values))
 			}
-			seq, size = e.Seq, size+e.Size
-			w.put(e.Seq, string(e.Key), e.Window, e.Values)
-			return nil
+			entries, size = entries+1, size+e.Size
+			_, _, err := w.Add(e.Seq, string(e.Key), e.Window, e.Values)
+			return err
 		})
 		if err != nil {
-			if be := (*BlockError)(nil); !errors.As(err, &be) || !errors.Is(err, binio.ErrCorrupt) {
-				t.Fatalf("rejected with %v, not a *BlockError", err)
+			if be := (*logfile.BlockError)(nil); !errors.As(err, &be) || !errors.Is(err, binio.ErrCorrupt) {
+				t.Fatalf("rejected with %v, not a *logfile.BlockError", err)
 			}
 			return
 		}
-		if count == 0 || count != w.count || size != len(b) {
-			t.Fatalf("accepted %d entries of %d bytes in a %d-byte block, re-encoded %d", count, size, len(b), w.count)
+		if count == 0 || count != entries || size != len(b) {
+			t.Fatalf("accepted %d entries of %d bytes in a %d-byte block, decoded %d", count, size, len(b), entries)
 		}
-		var again []byte
-		w.emit = func(block []byte, _, _ int) error { again = bytes.Clone(block); return nil }
-		if err := w.flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, b) || w.seq != seq {
+		if !bytes.Equal(again, b) {
 			t.Fatalf("block re-encodes differently:\n%x\n%x", b, again)
 		}
 	})

@@ -1,10 +1,12 @@
 package rmw
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowkv/internal/ckpt"
+	"flowkv/internal/logfile"
 )
 
 // Checkpoints persist the RMW store as a replay stream (ckpt.Cut.Stream):
@@ -68,7 +70,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	}
 	var (
 		inMem    []buffered
-		spilled  []span // upserts to read back from the segments
+		spilled  []spilledAgg // upserts to read back from the segments
 		captured ckpt.Captured[id]
 	)
 	s.mu.Lock()
@@ -86,7 +88,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 			if v, ok := s.buf[ident]; ok && !tomb {
 				inMem = append(inMem, buffered{ident, v})
 			} else if sp, ok := s.index[ident]; ok && !tomb {
-				spilled = append(spilled, sp)
+				spilled = append(spilled, spilledAgg{ident, sp})
 			} else {
 				// An upsert mark without live state cannot happen (a
 				// consume leaves a tombstone mark or none); keep the
@@ -101,8 +103,8 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		for ident, v := range s.buf {
 			inMem = append(inMem, buffered{ident, v})
 		}
-		for _, sp := range s.index {
-			spilled = append(spilled, sp)
+		for ident, sp := range s.index {
+			spilled = append(spilled, spilledAgg{ident, sp})
 		}
 	}
 	s.mu.Unlock()
@@ -113,7 +115,9 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	}
 	// The stream's records are a set — at most one per identity in a cut —
 	// so their order within the segment is free: what is in memory goes
-	// first, what was spilled follows in log order.
+	// first, what was spilled follows in log order. A spilled record is
+	// the same bytes as one from memory: the segments' block entries are
+	// not the stream's format.
 	err = cut.Stream(deltaLogical, incremental, func(emit func([]byte)) error {
 		var payload []byte
 		for _, b := range inMem {
@@ -124,9 +128,8 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 			payload = encodeEntry(append(payload[:0], kind), b.ident, b.v)
 			emit(payload)
 		}
-		return s.readSpansLocked(spilled, func(entry []byte) error {
-			payload = append(append(payload[:0], deltaKindUpsert), entry...)
-			emit(payload)
+		return s.readSpilledLocked(spilled, func(ident id, agg []byte) error {
+			emit(encodeEntry(append(payload[:0], deltaKindUpsert), ident, agg))
 			return nil
 		})
 	})
@@ -148,47 +151,63 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 
 const (
 	// dumpGapBytes is the most dead bytes one read bridges to reach the
-	// next live record: a page, which the read would have touched anyway.
+	// next block it needs: a page, which the read would have touched anyway.
 	dumpGapBytes = 4 << 10
 	// dumpRunBytes bounds one coalesced read.
 	dumpRunBytes = 256 << 10
 )
 
-// readSpansLocked hands fn the entry of every record in spans, reading
-// them in (segment, offset) order and covering near-adjacent records with
-// one read each: an eviction's records lie back to back in its segment, so
-// a checkpoint reads spilled state in a few hundred reads, not one per
-// aggregate. Caller holds ioMu, which keeps the spans where they are. The
-// entry passed to fn is valid only during the call.
-func (s *Store) readSpansLocked(spans []span, fn func(entry []byte) error) error {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].seg != spans[j].seg {
-			return spans[i].seg < spans[j].seg
-		}
-		return spans[i].off < spans[j].off
+// spilledAgg is a flushed aggregate to read back, and its identity.
+type spilledAgg struct {
+	ident id
+	sp    span
+}
+
+// readSpilledLocked hands fn the aggregate of every entry in spilled,
+// reading the blocks that hold them in (segment, offset) order, each block
+// once, and covering near-adjacent blocks with one read: an eviction's
+// blocks lie back to back in its segment, so a checkpoint reads spilled
+// state in a few hundred reads, not one per aggregate. It checks each
+// block's checksum once and decodes only the entries it wants. Caller
+// holds ioMu, which keeps the spans where they are. The aggregate passed
+// to fn aliases a block read for this call.
+func (s *Store) readSpilledLocked(spilled []spilledAgg, fn func(ident id, agg []byte) error) error {
+	slices.SortFunc(spilled, func(a, b spilledAgg) int {
+		return cmp.Or(cmp.Compare(a.sp.seg, b.sp.seg), cmp.Compare(a.sp.off, b.sp.off), cmp.Compare(a.sp.entry, b.sp.entry))
 	})
-	for i := 0; i < len(spans); {
-		first := spans[i]
+	var e logfile.BlockEntry
+	for i := 0; i < len(spilled); {
+		first := spilled[i].sp
 		end := first.off + int64(first.n)
 		j := i + 1
-		for ; j < len(spans) && spans[j].seg == first.seg; j++ {
-			next := spans[j].off + int64(spans[j].n)
-			if spans[j].off-end > dumpGapBytes || next-first.off > dumpRunBytes {
+		for ; j < len(spilled) && spilled[j].sp.seg == first.seg; j++ {
+			sp := spilled[j].sp
+			next := sp.off + int64(sp.n)
+			// An entry of a block the run covers joins it whatever its size.
+			if sp.off >= end && (sp.off-end > dumpGapBytes || next-first.off > dumpRunBytes) {
 				break
 			}
-			end = next
+			end = max(end, next)
 		}
 		lg := s.segs.Get(first.seg).Log
 		raw, err := lg.ReadRangeAt(first.off, int(end-first.off))
 		if err != nil {
-			return fmt.Errorf("rmw: checkpoint: %w", err)
+			return fmt.Errorf("rmw: read spilled: %w", err)
 		}
-		for _, sp := range spans[i:j] {
-			entry, err := lg.DecodeRecord(raw[sp.off-first.off:][:sp.n], sp.off)
-			if err != nil {
-				return fmt.Errorf("rmw: checkpoint: %w", err)
+		var block []byte
+		blockOff := int64(-1)
+		for _, sa := range spilled[i:j] {
+			if sa.sp.off != blockOff {
+				blockOff = sa.sp.off
+				if block, err = lg.DecodeRecord(raw[blockOff-first.off:][:sa.sp.n], blockOff); err != nil {
+					return fmt.Errorf("rmw: read spilled: %w", err)
+				}
 			}
-			if err := fn(entry); err != nil {
+			agg, err := aggAt(lg, block, sa.sp, sa.ident.key, &e)
+			if err != nil {
+				return err
+			}
+			if err := fn(sa.ident, agg); err != nil {
 				return err
 			}
 		}
@@ -198,14 +217,15 @@ func (s *Store) readSpansLocked(spans []span, fn func(entry []byte) error) error
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory by replaying its delta stream: upserts append to fresh log
-// segments in arrival order, rolling to the next segment as each fills (a
-// later upsert of the same identity supersedes, leaving dead bytes) and
-// tombstones drop the identity, re-deriving the hash index and the
-// segments' live counts along the way. Segments the replay leaves with
-// nothing live are dropped; the last one stays open as the flush head.
-// The cut id carries over so the delta chain continues across the
-// restart.
+// directory by replaying its delta stream: upserts are written through a
+// block writer into fresh log segments in arrival order, rolling to the
+// next segment as each fills (a later upsert of the same identity
+// supersedes, leaving dead bytes) and tombstones drop the identity,
+// re-deriving the hash index and the segments' live counts along the way.
+// Only the open block's entries wait in memory for their location.
+// Segments the replay leaves with nothing live are dropped; the last one
+// stays open as the flush head. The cut id carries over so the delta chain
+// continues across the restart.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -230,39 +250,69 @@ func (s *Store) Restore(dir string) error {
 	}
 	newIndex := make(map[id]span)
 	live := make(map[uint32]int64) // per segment, installed under mu at the end
+	// The open block's entries, and where each identity's is among them;
+	// one superseded or dropped before the block is written is left out of
+	// pendingAt, and born dead.
+	var pending []placed
+	pendingAt := make(map[id]int)
+	s.seq++
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
+		head, err := s.segs.OpenHead()
+		if err != nil {
+			return err
+		}
+		off, n, err := head.Log.Append(block)
+		if err != nil {
+			return err
+		}
+		placeBlock(pending, off, head.ID, n, block, body)
+		for i, p := range pending {
+			if at, ok := pendingAt[p.ident]; ok && at == i {
+				newIndex[p.ident] = p.sp
+				live[head.ID] += int64(p.sp.share)
+			}
+		}
+		pending = pending[:0]
+		clear(pendingAt)
+		s.segs.Seal(head, false)
+		return nil
+	}}
+	vals := make([][]byte, 1)
 	err = ckpt.Replay(fsys, dir, fstate, func(rec []byte) error {
 		if len(rec) == 0 {
 			return fmt.Errorf("empty delta record")
 		}
 		kind, entry := rec[0], rec[1:]
-		key, w, _, err := decodeEntry(entry)
+		key, w, agg, err := decodeEntry(entry)
 		if err != nil {
 			return err
 		}
 		ident := id{key: string(key), w: w}
-		if sp, ok := newIndex[ident]; ok { // superseded, or dropped by a tombstone
-			live[sp.seg] -= int64(sp.n)
+		// Superseded, or dropped by a tombstone.
+		if _, ok := pendingAt[ident]; ok {
+			delete(pendingAt, ident)
+		} else if sp, ok := newIndex[ident]; ok {
+			live[sp.seg] -= int64(sp.share)
 			delete(newIndex, ident)
 		}
 		switch kind {
 		case deltaKindTombstone:
 		case deltaKindUpsert:
-			head, err := s.segs.OpenHead()
+			vals[0] = agg
+			off, n, err := bw.Add(s.seq, ident.key, w, vals)
 			if err != nil {
 				return err
 			}
-			off, n, err := head.Log.Append(entry)
-			if err != nil {
-				return err
-			}
-			newIndex[ident] = span{off: off, seg: head.ID, n: uint32(n)}
-			live[head.ID] += int64(n)
-			s.segs.Seal(head, false)
+			pendingAt[ident] = len(pending)
+			pending = append(pending, placed{ident, span{entry: uint32(off), share: uint32(n)}})
 		default:
 			return fmt.Errorf("unknown delta record kind %d", kind)
 		}
 		return nil
 	})
+	if err == nil {
+		err = bw.Flush()
+	}
 	if err != nil {
 		return fmt.Errorf("rmw: restore: %w", err)
 	}

@@ -3,6 +3,8 @@ package rmw
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -440,8 +442,9 @@ func TestRebaseAfterFailedCommit(t *testing.T) {
 }
 
 // TestCheckpointReadsSpilledStateInRuns: a base over mostly spilled state
-// reads the segments in coalesced runs, not one pread per aggregate, and
-// the stream it writes holds every live identity exactly once.
+// reads the segments in coalesced runs of blocks, not one pread per
+// aggregate or block, and the stream it writes holds every live identity
+// exactly once.
 func TestCheckpointReadsSpilledStateInRuns(t *testing.T) {
 	var bd metrics.Breakdown
 	s := openTest(t, Options{WriteBufferBytes: diffBuffer, Breakdown: &bd})
@@ -460,8 +463,9 @@ func TestCheckpointReadsSpilledStateInRuns(t *testing.T) {
 	dir, res := c.cut()
 	reads = bd.Calls(metrics.OpIOWait) - reads
 	fstate := c.commit(dir, res)
-	// A segment here is an eviction of some twenty records, and the holes
-	// are far smaller than a page: one read a segment.
+	// A segment here is an eviction of some twenty aggregates in a block or
+	// two, and the holes are far smaller than a page: one read a segment,
+	// each block decoded once.
 	if segs := int64(s.SegmentStats().LiveSegments); spilled < 500 || reads == 0 || reads > segs {
 		t.Fatalf("the cut read %d spilled aggregates from %d segments in %d reads", spilled, segs, reads)
 	}
@@ -501,5 +505,67 @@ func TestRestoreRejectsZeroedStreamPage(t *testing.T) {
 	var fe *binio.FrameError
 	if err := openTest(t, Options{}).Restore(dir); !errors.As(err, &fe) {
 		t.Fatalf("restore over a zeroed rmw.dlt page: %v, want a FrameError", err)
+	}
+}
+
+// streamCRC returns the CRC-32C of the checkpoint's rmw.dlt stream: its
+// segment files concatenated in order.
+func streamCRC(t *testing.T, dir string) uint32 {
+	t.Helper()
+	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []byte
+	for _, seg := range meta.File(deltaLogical).Segments {
+		b, err := os.ReadFile(filepath.Join(dir, seg.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, b...)
+	}
+	return crc32.Checksum(stream, crc32.MakeTable(crc32.Castagnoli))
+}
+
+// TestCheckpointStreamBytesUnchanged pins the rmw.dlt format: a fixed
+// sequence of puts, overwrites and fetches, cut three times, writes the
+// same stream bytes as the store did when its segments held one frame per
+// record, so a checkpoint written then still restores now. Every cut
+// holds at most one record from memory and spills the rest one eviction
+// at a time, so the stream's record order is fixed too.
+func TestCheckpointStreamBytesUnchanged(t *testing.T) {
+	// Room for one 8-byte aggregate: a second one evicts whichever ends
+	// last.
+	s := openTest(t, Options{WriteBufferBytes: 60})
+	c := newChain(t, s)
+	win := func(i int) window.Window { return window.Window{Start: int64(i) * 10, End: int64(i)*10 + 25_000} }
+	for i := 0; i < 10; i++ {
+		c.put(fmt.Sprintf("k%04d", i), win(i), fmt.Sprintf("v%07d", i))
+	}
+	c.put("k0003", win(3), "V0000003")
+	c.get("k0005", win(5))
+	var crcs []uint32
+	dir, res := c.cut()
+	c.commit(dir, res)
+	crcs = append(crcs, streamCRC(t, dir))
+	c.restoresToOracle()
+
+	c.put("k0010", win(10), "v0000010")
+	c.get("k0001", win(1))
+	dir, res = c.cut()
+	c.commit(dir, res)
+	crcs = append(crcs, streamCRC(t, dir))
+	c.restoresToOracle()
+
+	c.get("k0000", win(0))
+	dir, res = c.cut()
+	if fstate := c.commit(dir, res); len(fstate.Segments) != 3 {
+		t.Fatalf("the third cut's stream has %d segments, want a base and two deltas", len(fstate.Segments))
+	}
+	crcs = append(crcs, streamCRC(t, dir))
+	c.restoresToOracle()
+	// Recorded from the per-record segment layout.
+	if want := []uint32{0x4ce09676, 0xc352a793, 0x805cdce6}; !reflect.DeepEqual(crcs, want) {
+		t.Fatalf("rmw.dlt CRCs %#x, want %#x", crcs, want)
 	}
 }

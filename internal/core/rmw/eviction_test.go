@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/window"
 )
 
@@ -18,7 +17,7 @@ import (
 // buffer full.
 type sessionRun struct {
 	fromBuffer, fromDisk int64 // sessions consumed at their trigger
-	flushed              int64 // records flushed
+	flushed              int64 // aggregates flushed
 }
 
 func runSessions(t *testing.T, drainWhole bool) sessionRun {
@@ -102,12 +101,7 @@ func runSessions(t *testing.T, drainWhole bool) sessionRun {
 	if live := s.LiveStates(); live != 0 {
 		t.Fatalf("%d sessions left after every trigger", live)
 	}
-	// Keys, values and window bounds are fixed-width, so every record is.
-	recBytes := int64(len(binio.AppendRecordV(nil, encodeEntry(nil, id{key: string(open(0).key), w: open(0).w}, make([]byte, 8)), binio.FrameV1)))
-	if s.FlushBytes()%recBytes != 0 {
-		t.Fatalf("flushed %d bytes in records of %d", s.FlushBytes(), recBytes)
-	}
-	out.flushed = s.FlushBytes() / recBytes
+	out.flushed = s.flushedAggs.Load()
 	return out
 }
 

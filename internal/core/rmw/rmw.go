@@ -22,7 +22,7 @@
 // changes for an identity, and in-order it sorts sessions as
 // maxTimestamp + gap does, so the order needs no clock, timestamp or
 // predictor. Each eviction is written as a segment of its own, so a
-// segment's records also share a lifetime and tend to die together.
+// segment's aggregates also share a lifetime and tend to die together.
 //
 // # The segmented log
 //
@@ -33,10 +33,22 @@
 // still points at: state that dies in age order, as session and window
 // aggregates do, empties whole segments, which are unlinked without a
 // byte copied. A cleaning pass reads each victim once, sequentially, and
-// re-appends the records the index still points at to the survivor. The
-// head is sealed behind every full-buffer eviction, so a sealed segment is
-// never smaller than one eviction — a quarter of the buffer — and the
-// instance holds at most about MSA·live/eviction + 2 files.
+// re-encodes the entries the index still points at into the survivor's
+// blocks. The head is sealed behind every full-buffer eviction, so a sealed
+// segment is never smaller than one eviction — a quarter of the buffer —
+// and the instance holds at most about MSA·live/eviction + 2 files.
+//
+// # Blocks
+//
+// A segment is written in the segment block format the AUR store shares
+// (logfile.BlockWriter): v1 frames closed once their entries reach
+// segmentBlockBytes, each entry one (key, window) and its one aggregate,
+// with the window as deltas from the entry before it. A flush writes its
+// victims in lifetime order — by window end, then start, then key — so
+// neighbouring entries are sessions that opened one after another with the
+// same width, and the deltas take a byte each. The index points at the
+// entry inside its block: a miss reads the one block, whose checksum
+// covers every entry in it, and decodes only the entry it wants.
 //
 // # Concurrency
 //
@@ -61,9 +73,13 @@
 package rmw
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"flowkv/internal/binio"
@@ -123,12 +139,16 @@ type id struct {
 	w   window.Window
 }
 
-// span locates one flushed aggregate: the segment holding it, the
-// record's offset there and its framed length.
+// span locates one flushed aggregate: the block holding it — its segment,
+// offset and framed length — the entry's offset in the block's payload,
+// and the entry's share of the segment's bytes: its encoded size, the
+// block's header and frame included for a block's first entry.
 type span struct {
-	off int64
-	seg uint32
-	n   uint32
+	off   int64
+	seg   uint32
+	n     uint32
+	entry uint32
+	share uint32
 }
 
 // segment is one file of the log: logfile.Segments' lifecycle with a
@@ -137,6 +157,21 @@ type segment = logfile.Segment[struct{}]
 
 // segmentPrefix names the log's files, rmw-NNNNNN.log.
 const segmentPrefix = "rmw"
+
+// segmentBlockBytes is the entry payload at which a block is closed. A
+// miss reads its entry's whole block, so the bound trades the frame and
+// header a block adds to its entries against the bytes a miss reads. On
+// the session benchmark (seed 1, traced; 1.2 M preads at every bound, and
+// 27.6 MB, 16.15 B an event, 45 MB read with one frame per aggregate):
+//
+//	bound   rmw-*.log   write B/event   pread bytes   cpu s/Mevent
+//	256 B   15.9 MB     12.58           334 MB        10.7
+//	1 KiB   15.3 MB     12.41           1 236 MB      10.8
+//	4 KiB   15.2 MB     12.37           4 282 MB      13.1
+//
+// Past 256 B a block saves a few hundredths of a byte an entry and costs
+// a miss four times the read.
+const segmentBlockBytes = 256
 
 // Store is a single RMW store instance, safe for concurrent use.
 type Store struct {
@@ -164,9 +199,12 @@ type Store struct {
 	// evictIDs is the slice an eviction selects its victims in, kept from
 	// one eviction to the next (they run one at a time, under ioMu).
 	evictIDs []id
+	// seq numbers the flushes, and with them the blocks each writes.
+	seq uint64
 
 	puts         metrics.Counter
 	flushedBytes metrics.Counter // framed bytes flushes appended
+	flushedAggs  metrics.Counter // aggregates flushes appended
 	bufferHits   metrics.Counter // aggregates consumed from the write buffer
 	diskHits     metrics.Counter // aggregates consumed from a segment
 	rebases      metrics.Counter // cuts written as a base though the parent could be extended
@@ -194,12 +232,12 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// retireLocked accounts the record at sp dead and reports whether that
+// retireLocked accounts the entry at sp dead and reports whether that
 // emptied a sealed segment, which is then due a reap; caller holds mu
 // and has removed the index entry.
 func (s *Store) retireLocked(sp span) (emptied bool) {
 	sg := s.segs.Get(sp.seg)
-	sg.Live -= int64(sp.n)
+	sg.Live -= int64(sp.share)
 	return sg.Sealed && sg.Live == 0
 }
 
@@ -360,13 +398,20 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 	}
 	// The span's bytes are on the fd now.
 	s.ioMu.Unlock()
-	payload, err := lg.ReadRecordAtRaw(sp.off, int(sp.n))
+	pr := pointReads.Get().(*pointRead)
+	if cap(pr.buf) < int(sp.n) {
+		pr.buf = make([]byte, sp.n)
+	}
+	block, err := lg.ReadRecordAtRaw(sp.off, pr.buf[:sp.n])
 	if err != nil {
+		pointReads.Put(pr)
 		// The segment may have been dropped (or reopened by recovery) and
 		// its fd closed while we read without the lock.
 		return s.getFlushed(ident, false)
 	}
-	_, _, v, err := decodeEntry(payload)
+	v, err := aggAt(lg, block, sp, ident.key, &pr.e)
+	v = bytes.Clone(v) // the block goes back to the pool
+	pointReads.Put(pr)
 	if err != nil {
 		return nil, false, err
 	}
@@ -393,11 +438,13 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 // superseded it, and then the value read is the one this Get linearizes
 // before.
 func (s *Store) readLocked(ident id, sp span) ([]byte, error) {
-	payload, err := s.segs.Get(sp.seg).Log.ReadRecordAt(sp.off, int(sp.n))
+	lg := s.segs.Get(sp.seg).Log
+	block, err := lg.ReadRecordAt(sp.off, int(sp.n))
 	if err != nil {
 		return nil, err
 	}
-	_, _, v, err := decodeEntry(payload)
+	var e logfile.BlockEntry
+	v, err := aggAt(lg, block, sp, ident.key, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -423,17 +470,15 @@ func (s *Store) consume(ident id, sp span) (consumed, emptied bool) {
 
 // ForEachLive invokes fn for every live aggregate with its key and
 // window, in (key, window) order, without consuming anything: buffered
-// aggregates are served from memory and flushed ones are point-read from
-// their segments in place. Used by job rescaling to re-route committed
-// state into a new worker set.
+// aggregates are served from memory and flushed ones are read from their
+// segments in place, each block once. Used by job rescaling to re-route
+// committed state into a new worker set.
 func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) error) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	type liveAgg struct {
-		ident    id
-		agg      []byte
-		buffered bool
-		sp       span
+		ident id
+		agg   []byte
 	}
 	s.mu.Lock()
 	if s.segs.Closed() {
@@ -442,15 +487,21 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 	}
 	live := make([]liveAgg, 0, len(s.buf)+len(s.index))
 	for ident, v := range s.buf {
-		live = append(live, liveAgg{ident: ident, agg: v, buffered: true})
+		live = append(live, liveAgg{ident: ident, agg: v})
 	}
+	// A buffered identity is never also indexed (Put retires the entry).
+	spilled := make([]spilledAgg, 0, len(s.index))
 	for ident, sp := range s.index {
-		if _, ok := s.buf[ident]; ok {
-			continue // the buffer holds the newer value
-		}
-		live = append(live, liveAgg{ident: ident, sp: sp})
+		spilled = append(spilled, spilledAgg{ident, sp})
 	}
 	s.mu.Unlock()
+	err := s.readSpilledLocked(spilled, func(ident id, agg []byte) error {
+		live = append(live, liveAgg{ident: ident, agg: agg})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	sort.Slice(live, func(i, j int) bool {
 		if live[i].ident.key != live[j].ident.key {
 			return live[i].ident.key < live[j].ident.key
@@ -458,25 +509,43 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 		return live[i].ident.w.Before(live[j].ident.w)
 	})
 	for _, la := range live {
-		agg := la.agg
-		if !la.buffered {
-			payload, err := s.segs.Get(la.sp.seg).Log.ReadRecordAt(la.sp.off, int(la.sp.n))
-			if err != nil {
-				return err
-			}
-			_, _, v, err := decodeEntry(payload)
-			if err != nil {
-				return err
-			}
-			agg = v
-		}
-		if err := fn([]byte(la.ident.key), la.ident.w, agg); err != nil {
+		if err := fn([]byte(la.ident.key), la.ident.w, la.agg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// pointRead is what a miss reads into, pooled: the block and the entry
+// it decodes, so a miss allocates only the aggregate it returns.
+type pointRead struct {
+	buf []byte
+	e   logfile.BlockEntry
+}
+
+var pointReads = sync.Pool{New: func() any { return new(pointRead) }}
+
+// aggAt decodes the aggregate of key from the entry at sp in block, the
+// payload read from lg, into e: only that entry, which must hold key and
+// one value, else the read is a *logfile.BlockError naming the block. The
+// aggregate aliases block.
+func aggAt(lg *logfile.Log, block []byte, sp span, key string, e *logfile.BlockEntry) ([]byte, error) {
+	err := logfile.SegmentEntryAt(block, int(sp.entry), e)
+	switch {
+	case err != nil:
+	case string(e.Key) != key:
+		err = &logfile.BlockError{Reason: fmt.Sprintf("entry at %d holds key %q, not %q", sp.entry, e.Key, key)}
+	case len(e.Values) != 1:
+		err = &logfile.BlockError{Reason: fmt.Sprintf("entry at %d holds %d values, not an aggregate", sp.entry, len(e.Values))}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rmw: %s: block at %d: %w", lg.Path(), sp.off, err)
+	}
+	return e.Values[0], nil
+}
+
+// encodeEntry appends the rmw.dlt record body of (ident, agg): key,
+// absolute window, aggregate. decodeEntry reads it back.
 func encodeEntry(dst []byte, ident id, agg []byte) []byte {
 	dst = binio.PutBytes(dst, []byte(ident.key))
 	dst = ident.w.AppendTo(dst)
@@ -509,29 +578,35 @@ const evictDivisor = 4
 // ties by the later start, then by key, so the order is total and an
 // eviction's victims — and with them every byte count downstream — are a
 // function of the buffer's contents alone.
-func endsLater(a, b id) bool {
-	if a.w.End != b.w.End {
-		return a.w.End > b.w.End
+func endsLater(a, b id) bool { return byLifetime(a, b) > 0 }
+
+// byLifetime is endsLater as a three-way comparison, ascending: the order a
+// flush writes its victims in, so that neighbouring entries of a block
+// opened one after another and share a width.
+func byLifetime(a, b id) int {
+	switch {
+	case a.w.End != b.w.End:
+		return cmp.Compare(a.w.End, b.w.End)
+	case a.w.Start != b.w.Start:
+		return cmp.Compare(a.w.Start, b.w.Start)
 	}
-	if a.w.Start != b.w.Start {
-		return a.w.Start > b.w.Start
-	}
-	return a.key > b.key
+	return strings.Compare(a.key, b.key)
 }
 
 // detachLocked removes from the buffer, and returns, the batch a flush
-// writes; caller holds mu. A drain takes everything. An eviction takes the
-// quarter of the buffered identities whose windows end last — unless what
-// that leaves is still over the cap (a few large aggregates among many
-// small ones), and then it too takes everything, so a flush always brings
-// the buffer back under WriteBufferBytes.
-func (s *Store) detachLocked(all bool) map[id][]byte {
+// writes and its identities in lifetime order; caller holds mu. A drain
+// takes everything. An eviction takes the quarter of the buffered
+// identities whose windows end last — unless what that leaves is still
+// over the cap (a few large aggregates among many small ones), and then it
+// too takes everything, so a flush always brings the buffer back under
+// WriteBufferBytes.
+func (s *Store) detachLocked(all bool) (map[id][]byte, []id) {
+	ids := s.evictIDs[:0]
+	for ident := range s.buf {
+		ids = append(ids, ident)
+	}
+	s.evictIDs = ids
 	if !all {
-		ids := s.evictIDs[:0]
-		for ident := range s.buf {
-			ids = append(ids, ident)
-		}
-		s.evictIDs = ids
 		k := (len(ids) + evictDivisor - 1) / evictDivisor
 		window.SelectLast(ids, k, endsLater)
 		var bytes int64
@@ -545,13 +620,15 @@ func (s *Store) detachLocked(all bool) map[id][]byte {
 				delete(s.buf, ident)
 			}
 			s.bufBytes -= bytes
-			return batch
+			slices.SortFunc(ids[:k], byLifetime)
+			return batch, ids[:k]
 		}
 	}
 	batch := s.buf
 	s.buf = make(map[id][]byte)
 	s.bufBytes = 0
-	return batch
+	slices.SortFunc(ids, byLifetime)
+	return batch, ids
 }
 
 // flushLocked spills buffered aggregates into the head segment and
@@ -586,29 +663,43 @@ func (s *Store) flushLocked(all bool) error {
 
 	s.mu.Lock()
 	full := s.bufferFullLocked()
-	batch := s.detachLocked(all)
+	batch, victims := s.detachLocked(all)
 	s.flushing = batch
 	s.mu.Unlock()
 
-	type wrec struct {
-		ident id
-		sp    span
-	}
-	written := make([]wrec, 0, len(batch))
-	var payload []byte
-	var werr error
+	// written[:installed] are in blocks the head's log accepted; the rest
+	// hold their entry's offset among the open block's entries and size.
+	s.seq++
+	written := make([]placed, len(victims))
+	var installed int
 	var bytes int64
-	for ident, v := range batch {
-		payload = encodeEntry(payload[:0], ident, v)
-		off, n, err := head.Log.Append(payload)
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
+		off, n, err := head.Log.Append(block)
+		if err != nil {
+			return err
+		}
+		placeBlock(written[installed:installed+entries], off, head.ID, n, block, body)
+		installed += entries
+		bytes += int64(n)
+		return nil
+	}}
+	var werr error
+	vals := make([][]byte, 1)
+	for i, ident := range victims {
+		vals[0] = batch[ident]
+		off, n, err := bw.Add(s.seq, ident.key, ident.w, vals)
 		if err != nil {
 			werr = err
 			break
 		}
-		bytes += int64(n)
-		written = append(written, wrec{ident, span{off: off, seg: head.ID, n: uint32(n)}})
+		written[i] = placed{ident, span{entry: uint32(off), share: uint32(n)}}
 	}
+	if werr == nil {
+		werr = bw.Flush()
+	}
+	written = written[:installed]
 	s.flushedBytes.Add(bytes)
+	s.flushedAggs.Add(int64(installed))
 
 	s.mu.Lock()
 	s.flushing = nil
@@ -618,7 +709,7 @@ func (s *Store) flushLocked(all bool) error {
 			continue // born dead: in the segment's size, not in its live count
 		}
 		s.index[wr.ident] = wr.sp
-		head.Live += int64(wr.sp.n)
+		head.Live += int64(wr.sp.share)
 	}
 	if werr != nil && !DisableFlushReattach {
 		// Flush failure is atomic: aggregates the log did not accept go
@@ -640,72 +731,122 @@ func (s *Store) flushLocked(all bool) error {
 	return nil
 }
 
-// move is one record a cleaning pass re-appended.
-type move struct {
-	ident    id
-	from, to span
+// placed is one entry a flush, a cleaning pass or a restore wrote: its
+// identity and where it went.
+type placed struct {
+	ident id
+	sp    span
+}
+
+// placeBlock completes the spans of ps, the entries of block, which Emit
+// has just appended at off in segment seg, n bytes framed, body of them
+// entries: until then each span held the entry's offset among the block's
+// entries and its encoded size. The first entry's share takes the header
+// and frame.
+func placeBlock(ps []placed, off int64, seg uint32, n int, block []byte, body int) {
+	hdr := uint32(len(block) - body)
+	for i := range ps {
+		sp := &ps[i].sp
+		sp.off, sp.seg, sp.n = off, seg, uint32(n)
+		sp.entry += hdr
+	}
+	ps[0].sp.share += uint32(n - body)
+}
+
+// moves are the entries a cleaning pass re-encoded into the survivor:
+// where each was, and where it went.
+type moves struct {
+	from []span
+	to   []placed
 }
 
 // cleanLocked reaps the segments that emptied by themselves and, when
 // amplification still exceeds MSA, runs one cleaning pass
-// (logfile.Segments.Clean): each victim is read once, sequentially, and
-// every record the index still points at is re-appended to the survivor;
-// then the index is repointed. Index entries retired by concurrent Puts or
-// Gets while the pass ran are not repointed; their copies are born dead in
-// the survivor. Caller holds ioMu.
+// (logfile.Segments.Clean): each victim's blocks are read once, in order,
+// and every entry the index still points at is re-encoded into the
+// survivor's blocks; then the index is repointed. Index entries retired by
+// concurrent Puts or Gets while the pass ran are not repointed; their
+// copies are born dead in the survivor. Caller holds ioMu.
 func (s *Store) cleanLocked() error {
-	var moved []move
-	return s.segs.Clean(func(v *segment, live int64, surv *segment) error {
-		return s.copyLiveLocked(v, live, surv, &moved)
-	}, func(surv *segment) (appended int64, _ error) {
+	var moved moves
+	var surv *segment
+	var appended int64
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
+		off, n, err := surv.Log.Append(block)
+		if err != nil {
+			return err
+		}
+		placeBlock(moved.to[len(moved.to)-entries:], off, surv.ID, n, block, body)
+		appended += int64(n)
+		return nil
+	}}
+	return s.segs.Clean(func(v *segment, live int64, sv *segment) error {
+		surv = sv
+		return s.copyLiveLocked(v, live, &bw, &moved)
+	}, func(sv *segment) (int64, error) {
+		surv = sv
+		if err := bw.Flush(); err != nil {
+			return 0, err
+		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for _, m := range moved {
-			appended += int64(m.to.n)
-			if cur, ok := s.index[m.ident]; ok && cur == m.from {
-				s.index[m.ident] = m.to
-				s.segs.Get(m.from.seg).Live -= int64(m.from.n)
-				surv.Live += int64(m.to.n)
+		for i, to := range moved.to {
+			from := moved.from[i]
+			if cur, ok := s.index[to.ident]; ok && cur == from {
+				s.index[to.ident] = to.sp
+				s.segs.Get(from.seg).Live -= int64(from.share)
+				sv.Live += int64(to.sp.share)
 			}
 		}
 		return appended, nil
 	})
 }
 
-// copyLiveLocked reads victim v once, sequentially, and re-appends every
-// record the index still points at into surv, recording the moves; caller
-// holds ioMu. The scan stops early once it has seen all of v's live bytes.
-func (s *Store) copyLiveLocked(v *segment, want int64, surv *segment, moved *[]move) error {
+// errScanDone, returned by a block callback, ends a victim's scan.
+var errScanDone = errors.New("rmw: segment scan done")
+
+// copyLiveLocked scans victim v's blocks once and hands every entry the
+// index still points at to bw, recording the moves; caller holds ioMu. The
+// scan stops once it has seen all of v's live bytes.
+func (s *Store) copyLiveLocked(v *segment, want int64, bw *logfile.BlockWriter, moved *moves) error {
 	sc, err := v.Log.Scanner(0)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	var off, found int64
-	for found < want && sc.Scan() {
-		at := span{off: off, seg: v.ID, n: uint32(sc.Offset() - off)}
-		off = sc.Offset()
-		rec := sc.Record()
-		key, w, _, err := decodeEntry(rec)
-		if err != nil {
-			return fmt.Errorf("rmw: clean %s: %w", v.Log.Path(), err)
-		}
-		s.mu.Lock()
-		cur, ok := s.index[id{key: string(key), w: w}]
-		s.mu.Unlock()
-		if !ok || cur != at {
-			continue
-		}
-		found += int64(at.n)
-		noff, n, err := surv.Log.Append(rec)
-		if err != nil {
+	var found int64
+	for off := int64(0); sc.Scan(); off = sc.Offset() {
+		n := sc.Offset() - off
+		frame := int(n) - len(sc.Record()) // counted by the first entry
+		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
+			at := span{off: off, seg: v.ID, n: uint32(n), entry: uint32(e.Off), share: uint32(e.Size + frame)}
+			frame = 0
+			ident := id{key: string(e.Key), w: e.Window}
+			s.mu.Lock()
+			cur, ok := s.index[ident]
+			s.mu.Unlock()
+			if !ok || cur != at {
+				return nil
+			}
+			eoff, en, err := bw.Add(s.seq, ident.key, e.Window, e.Values)
+			if err != nil {
+				return err
+			}
+			moved.from = append(moved.from, at)
+			moved.to = append(moved.to, placed{ident, span{entry: uint32(eoff), share: uint32(en)}})
+			if found += int64(at.share); found >= want {
+				return errScanDone
+			}
+			return nil
+		})
+		switch {
+		case err == errScanDone:
+			return sc.Err() // nil; accounts the bytes read
+		case errors.As(err, new(*logfile.BlockError)):
+			return fmt.Errorf("rmw: clean %s: block at %d: %w", v.Log.Path(), off, err)
+		case err != nil:
 			return err
 		}
-		*moved = append(*moved, move{
-			ident: id{key: string(key), w: w},
-			from:  at,
-			to:    span{off: noff, seg: surv.ID, n: uint32(n)},
-		})
 	}
 	return sc.Err()
 }

@@ -128,7 +128,7 @@ func TestOverwriteChurnReclaimsSpace(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1, MaxSpaceAmplification: 1.3})
 	w := window.Window{Start: 0, End: 100}
 	// Repeated overwrites of the same keys kill every flushed copy; with
-	// one record per segment the dead ones are unlinked, never copied.
+	// one aggregate per segment the dead ones are unlinked, never copied.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
 			k := []byte(fmt.Sprintf("k%d", i))

@@ -305,13 +305,23 @@ func (d *diffRun) run(steps int) {
 // space amplification and the file count stay bounded after every
 // eviction, and a restored chain, the live dump and the oracle agree.
 func TestSegmentedLogDifferential(t *testing.T) {
-	// Every key, value and window encodes to the same length but for the
-	// window's varints; the smallest record times a quarter of the entries
-	// of a full buffer is the smallest eviction.
-	val := make([]byte, diffValLen)
-	rec := encodeEntry(nil, id{key: "key-0000", w: window.Window{Start: 0, End: 100}}, val)
-	recBytes := int64(len(binio.AppendRecordV(nil, rec, binio.FrameV1)))
-	evictMin := int64((diffBuffer/(diffValLen+48)+1+3)/4) * recBytes
+	// Every key and value encodes to the same length, and an entry's window
+	// deltas take at least a byte each: a quarter of the entries of a full
+	// buffer, all of one window, written in blocks, is the smallest
+	// eviction.
+	var evictMin int64
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, _, _ int) error {
+		evictMin += int64(len(binio.AppendRecordV(nil, block, binio.FrameV1)))
+		return nil
+	}}
+	for i := 0; i < (diffBuffer/(diffValLen+48)+1+3)/4; i++ {
+		if _, _, err := bw.Add(0, "key-0000", window.Window{}, [][]byte{make([]byte, diffValLen)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	const steps = 2500
 	// The last seed is a fresh one every run, under a stable name; it is

@@ -615,21 +615,21 @@ func (l *Log) ReadRangeAt(off int64, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadRecordAtRaw reads the framed record at offset off (total on-disk
-// length n) without touching the write buffer or any mutable Log state, so
-// it is safe to call concurrently with other reads, provided the record's
-// bytes were flushed beforehand and no append, flush, or close runs
-// concurrently. The RMW store uses it to pread outside its I/O lock so
-// point reads overlap fsyncs.
-func (l *Log) ReadRecordAtRaw(off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
+// ReadRecordAtRaw reads the framed record at offset off, whose total
+// on-disk length is len(buf), into buf and returns its payload, which
+// aliases buf. It touches neither the write buffer nor any mutable Log
+// state, so it is safe to call concurrently with other reads, provided the
+// record's bytes were flushed beforehand and no append, flush, or close
+// runs concurrently. The RMW store uses it to pread outside its I/O lock
+// so point reads overlap fsyncs, into a buffer it reuses.
+func (l *Log) ReadRecordAtRaw(off int64, buf []byte) ([]byte, error) {
 	start := time.Now()
 	if _, err := l.f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("logfile: read range at %d: %w", off, err)
 	}
 	if l.bd != nil {
 		l.bd.Observe(metrics.OpIOWait, time.Since(start))
-		l.bd.AddBytesRead(int64(n))
+		l.bd.AddBytesRead(int64(len(buf)))
 	}
 	return l.DecodeRecord(buf, off)
 }

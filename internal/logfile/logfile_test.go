@@ -554,7 +554,7 @@ func TestSealReleasesTheWriteBuffer(t *testing.T) {
 	if got, err := l.ReadRecordAt(off, n); err != nil || string(got) != "kept" {
 		t.Fatalf("ReadRecordAt on a sealed log: %q, %v", got, err)
 	}
-	if got, err := l.ReadRecordAtRaw(off, n); err != nil || string(got) != "kept" {
+	if got, err := l.ReadRecordAtRaw(off, make([]byte, n)); err != nil || string(got) != "kept" {
 		t.Fatalf("ReadRecordAtRaw on a sealed log: %q, %v", got, err)
 	}
 	if err := l.Flush(); err != nil {
