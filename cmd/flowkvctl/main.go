@@ -463,9 +463,9 @@ func cmdCheckpoints(parent string) error {
 // disk, MANIFEST verification of every worker checkpoint in the
 // committed generation, and a committed-ledger summary. With a target
 // parallelism it additionally reports how a resume at that worker count
-// would restore each stage — direct, rescaled (key ranges regrouped),
-// or fanned out from a shared single-owner cut. This is the operator's
-// pre-restart check: if it passes, Resume will succeed.
+// would restore each stage — direct, or rescaled (key ranges
+// regrouped). This is the operator's pre-restart check: if it passes,
+// Resume will succeed.
 func cmdJob(dir string, target int) error {
 	meta, err := spe.ReadJobMeta(nil, dir)
 	if err != nil {
@@ -491,7 +491,7 @@ func cmdJob(dir string, target int) error {
 		}
 	}
 
-	genDir := filepath.Join(dir, fmt.Sprintf("gen-%06d", meta.Gen))
+	genDir := filepath.Join(dir, spe.GenDirName(meta.Gen))
 	ents, err := os.ReadDir(genDir)
 	if err != nil {
 		return fmt.Errorf("committed generation unreadable: %w", err)
@@ -510,11 +510,7 @@ func cmdJob(dir string, target int) error {
 	fmt.Println("key-range manifest:")
 	for _, si := range stages {
 		par := meta.StagePars[si]
-		if cuts[si] < 0 {
-			fmt.Printf("  stage %2d: shared single-owner cut, %d operator snapshots\n", si, par)
-		} else {
-			fmt.Printf("  stage %2d: %d workers; worker w owns keys with hash(key) mod %d == w\n", si, par, par)
-		}
+		fmt.Printf("  stage %2d: %d workers; worker w owns keys with hash(key) mod %d == w\n", si, par, par)
 	}
 
 	fmt.Println("worker checkpoints:")
@@ -550,12 +546,9 @@ func cmdJob(dir string, target int) error {
 		} else {
 			fmt.Printf("resume at %d workers:\n", target)
 			for _, si := range stages {
-				switch {
-				case cuts[si] < 0:
-					fmt.Printf("  stage %2d: shared store restores whole; operator snapshots fan out to %d workers\n", si, target)
-				case cuts[si] == target:
+				if cuts[si] == target {
 					fmt.Printf("  stage %2d: direct worker-for-worker restore\n", si)
-				default:
+				} else {
 					fmt.Printf("  stage %2d: rescale %d -> %d; committed key ranges regrouped by rehash\n",
 						si, cuts[si], target)
 				}

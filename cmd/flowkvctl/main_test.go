@@ -447,9 +447,9 @@ func TestRMWPrintsBlocksAndEntries(t *testing.T) {
 }
 
 // killedJob commits a few generations of a windowed job whose stage 1
-// runs at 2 workers — private FlowKV stores, or one shared store — and
-// kills it, leaving a resumable job directory.
-func killedJob(t *testing.T, shared bool) string {
+// runs at 2 workers over private FlowKV stores, and kills it, leaving a
+// resumable job directory.
+func killedJob(t *testing.T) string {
 	t.Helper()
 	base := t.TempDir()
 	assigner := window.FixedAssigner{Size: 64}
@@ -466,7 +466,7 @@ func killedJob(t *testing.T, shared bool) string {
 			Stages: []spe.Stage{
 				{Name: "tag", Parallelism: 2, Map: func(t spe.Tuple, emit func(spe.Tuple)) { emit(t) }},
 				{
-					Name: "win", Parallelism: 2, ShareBackend: shared, Window: &spec,
+					Name: "win", Parallelism: 2, Window: &spec,
 					NewBackend: func(w int) (statebackend.Backend, error) {
 						return statebackend.Open(statebackend.Config{
 							Kind:       statebackend.KindFlowKV,
@@ -491,13 +491,12 @@ func killedJob(t *testing.T, shared bool) string {
 	return job.Dir
 }
 
-// TestJobReportsResumePlan drives `flowkvctl job` over a committed
-// private-stage job at 2 workers and a shared-stage job: at target 2 the
-// private stage restores directly, at 3 it rescales 2 -> 3, and the
-// shared stage fans its snapshots out. A generation missing one worker
-// cut fails the command.
+// TestJobReportsResumePlan drives `flowkvctl job` over a committed job
+// at 2 workers: at target 2 the stage restores directly, at 3 it
+// rescales 2 -> 3. A generation missing one worker cut fails the
+// command.
 func TestJobReportsResumePlan(t *testing.T) {
-	private := killedJob(t, false)
+	private := killedJob(t)
 	for target, want := range map[int]string{
 		2: "stage  1: direct worker-for-worker restore",
 		3: "stage  1: rescale 2 -> 3",
@@ -509,20 +508,12 @@ func TestJobReportsResumePlan(t *testing.T) {
 			}
 		}
 	}
-	shared := killedJob(t, true)
-	for _, target := range []int{2, 3} {
-		out := captureStdout(t, func() error { return cmdJob(shared, target) })
-		want := fmt.Sprintf("stage  1: shared store restores whole; operator snapshots fan out to %d workers", target)
-		if !strings.Contains(out, want) || !strings.Contains(out, "shared single-owner cut, 2 operator snapshots") {
-			t.Errorf("target %d: shared report lacks %q:\n%s", target, want, out)
-		}
-	}
 
 	meta, err := spe.ReadJobMeta(nil, private)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(filepath.Join(private, fmt.Sprintf("gen-%06d", meta.Gen), "s01-w01")); err != nil {
+	if err := os.RemoveAll(filepath.Join(private, spe.GenDirName(meta.Gen), "s01-w01")); err != nil {
 		t.Fatal(err)
 	}
 	stdout := os.Stdout

@@ -71,11 +71,10 @@ func (s *Store) ForEachState(fn func(StateEntry) error) error {
 
 // ReadWindowOwned returns window w's state restricted to the keys the
 // own predicate accepts (nil accepts every key), grouped by key, without
-// consuming the window (AAR only). This is the shared-backend trigger
-// path: each worker of a stage sharing one store drains only the key
-// range it owns, and the window is dropped wholesale (DropWindow) once
-// every owner has fired. It must not overlap a destructive GetWindow
-// drain of the same window.
+// consuming the window (AAR only): several readers can each take the key
+// range they own, and the window is dropped wholesale (DropWindow)
+// afterwards. It must not overlap a destructive GetWindow drain of the
+// same window.
 func (s *Store) ReadWindowOwned(w window.Window, own func(key []byte) bool) ([]KeyValues, error) {
 	if s.pattern != PatternAAR {
 		return nil, ErrWrongPattern

@@ -1,10 +1,8 @@
 // Package limit implements the admission-control strategies the job
 // manager applies at its two choke points: source ingest (events/sec per
-// tenant) and store write bandwidth (bytes/sec per tenant). Strategies
-// register themselves in a small registry — token bucket, GCRA, leaky
-// bucket and sliding window ship by default — so tenant quotas name a
-// strategy the way backends name a Kind, and limiters compose into
-// multi-tier quotas (e.g. a burst-tight per-second tier under a
+// tenant) and store write bandwidth (bytes/sec per tenant). There are
+// two strategies, token bucket and GCRA; tenant quotas name one the way
+// backends name a Kind, and limiters compose into multi-tier quotas (e.g. a burst-tight per-second tier under a
 // sustained per-minute tier) where admission requires every tier to
 // agree.
 //
@@ -18,7 +16,6 @@ package limit
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -26,7 +23,7 @@ import (
 // Limiter is one admission-control strategy instance. Implementations
 // are safe for concurrent use.
 type Limiter interface {
-	// Name identifies the strategy (registry key) in stats and reports.
+	// Name identifies the strategy (its New name) in stats and reports.
 	Name() string
 	// Reserve requests admission of n units at time now. When ok, the n
 	// units are charged and the caller must wait `wait` (possibly zero)
@@ -70,55 +67,15 @@ func (c Config) fill() (Config, error) {
 	return c, nil
 }
 
-// Factory constructs a limiter from a config (registry entry).
-type Factory func(Config) (Limiter, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
-
-// Register adds a strategy to the registry. It panics on a duplicate
-// name — strategies register from init, and a silent overwrite would
-// make quota behavior depend on package-init order.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("limit: strategy %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// New constructs a limiter by strategy name. Unknown names report the
-// registered alternatives.
+// New constructs a limiter by strategy name: "token_bucket" or "gcra".
 func New(name string, cfg Config) (Limiter, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("limit: unknown strategy %q (have %v)", name, Strategies())
+	switch name {
+	case "token_bucket":
+		return NewTokenBucket(cfg)
+	case "gcra":
+		return NewGCRA(cfg)
 	}
-	return f(cfg)
-}
-
-// Strategies lists the registered strategy names, sorted.
-func Strategies() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("token_bucket", func(c Config) (Limiter, error) { return NewTokenBucket(c) })
-	Register("gcra", func(c Config) (Limiter, error) { return NewGCRA(c) })
-	Register("leaky_bucket", func(c Config) (Limiter, error) { return NewLeakyBucket(c) })
-	Register("sliding_window", func(c Config) (Limiter, error) { return NewSlidingWindow(c) })
+	return nil, fmt.Errorf("limit: unknown strategy %q (have token_bucket, gcra)", name)
 }
 
 // TokenBucket is the classic leaky-bucket-as-meter: tokens refill at
@@ -278,223 +235,6 @@ func (g *GCRA) Cancel(now time.Time, n float64) {
 	g.tat = g.tat.Add(-inc)
 }
 
-// LeakyBucket meters admission as water in a bucket that drains at Rate
-// units per second with capacity Burst: each admitted unit pours one
-// unit in, a request that would overflow is held back exactly as long
-// as the overflow takes to drain. It is the token bucket's dual (water
-// level = Burst - tokens) and paces identically at every point, but the
-// state it carries — outstanding work, not remaining allowance — is the
-// shape operators reason about when the choke point guards a queue.
-type LeakyBucket struct {
-	mu    sync.Mutex
-	rate  float64 // drain rate, units per second
-	cap   float64 // bucket capacity (burst)
-	level float64 // current water
-	last  time.Time
-}
-
-// NewLeakyBucket builds an empty bucket.
-func NewLeakyBucket(cfg Config) (*LeakyBucket, error) {
-	c, err := cfg.fill()
-	if err != nil {
-		return nil, err
-	}
-	return &LeakyBucket{rate: c.Rate, cap: c.Burst}, nil
-}
-
-// Name implements Limiter.
-func (lb *LeakyBucket) Name() string { return "leaky_bucket" }
-
-func (lb *LeakyBucket) drainLocked(now time.Time) {
-	if lb.last.IsZero() {
-		lb.last = now
-		return
-	}
-	if dt := now.Sub(lb.last); dt > 0 {
-		lb.level -= dt.Seconds() * lb.rate
-		if lb.level < 0 {
-			lb.level = 0
-		}
-		lb.last = now
-	}
-}
-
-// Reserve implements Limiter.
-func (lb *LeakyBucket) Reserve(now time.Time, n float64, maxWait time.Duration) (time.Duration, bool) {
-	if n <= 0 {
-		return 0, true
-	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.drainLocked(now)
-	if n > lb.cap {
-		// Larger than the bucket: no amount of draining admits it whole.
-		return 0, false
-	}
-	after := lb.level + n
-	if after <= lb.cap {
-		lb.level = after
-		return 0, true
-	}
-	wait := time.Duration((after - lb.cap) / lb.rate * float64(time.Second))
-	if maxWait >= 0 && wait > maxWait {
-		return 0, false
-	}
-	lb.level = after
-	return wait, true
-}
-
-// Cancel implements Canceler: scoops n units back out.
-func (lb *LeakyBucket) Cancel(now time.Time, n float64) {
-	if n <= 0 {
-		return
-	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.drainLocked(now)
-	lb.level -= n
-	if lb.level < 0 {
-		lb.level = 0
-	}
-}
-
-// Level reports the current water level at time now (tests, stats).
-func (lb *LeakyBucket) Level(now time.Time) float64 {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.drainLocked(now)
-	return lb.level
-}
-
-// SlidingWindow admits at most Burst units inside any trailing window
-// of Burst/Rate seconds, tracked as an exact admission log (no
-// fixed-boundary approximation). Unlike the meters above it does not
-// smooth: a full burst admits at once and the window must actually
-// slide past old admissions before new ones fit, so recovery after a
-// burst is a cliff at window age rather than a gradual refill. Delayed
-// admissions are logged at their scheduled time, which keeps the
-// invariant exact across queued waits; Cancel pops the newest charges
-// off the log.
-type SlidingWindow struct {
-	mu   sync.Mutex
-	win  time.Duration
-	cap  float64
-	used float64   // sum of log entries
-	log  []swEntry // admissions, ascending by ts
-}
-
-type swEntry struct {
-	ts time.Time
-	n  float64
-}
-
-// NewSlidingWindow builds an empty window.
-func NewSlidingWindow(cfg Config) (*SlidingWindow, error) {
-	c, err := cfg.fill()
-	if err != nil {
-		return nil, err
-	}
-	win := time.Duration(c.Burst / c.Rate * float64(time.Second))
-	if win <= 0 {
-		win = 1
-	}
-	return &SlidingWindow{win: win, cap: c.Burst}, nil
-}
-
-// Name implements Limiter.
-func (sw *SlidingWindow) Name() string { return "sliding_window" }
-
-// evictLocked drops admissions that have aged out of the window ending
-// at now.
-func (sw *SlidingWindow) evictLocked(now time.Time) {
-	i := 0
-	for i < len(sw.log) && !sw.log[i].ts.Add(sw.win).After(now) {
-		sw.used -= sw.log[i].n
-		i++
-	}
-	if i > 0 {
-		sw.log = append(sw.log[:0], sw.log[i:]...)
-		if sw.used < 0 {
-			sw.used = 0
-		}
-	}
-}
-
-// Reserve implements Limiter.
-func (sw *SlidingWindow) Reserve(now time.Time, n float64, maxWait time.Duration) (time.Duration, bool) {
-	if n <= 0 {
-		return 0, true
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if n > sw.cap {
-		// Larger than the window capacity: never admissible at once.
-		return 0, false
-	}
-	sw.evictLocked(now)
-	if sw.used+n <= sw.cap {
-		sw.log = append(sw.log, swEntry{ts: now, n: n})
-		sw.used += n
-		return 0, true
-	}
-	// Walk the log oldest-first until enough admissions will have aged
-	// out; the last one's exit time is the earliest admissible instant.
-	need := sw.used + n - sw.cap
-	var freed float64
-	admitAt := now
-	for _, e := range sw.log {
-		freed += e.n
-		if freed >= need {
-			admitAt = e.ts.Add(sw.win)
-			break
-		}
-	}
-	wait := admitAt.Sub(now)
-	if wait < 0 {
-		wait = 0
-	}
-	if maxWait >= 0 && wait > maxWait {
-		return 0, false
-	}
-	// Log at the scheduled time: successive queued waits walk ever
-	// deeper into the log, so appends stay sorted.
-	sw.log = append(sw.log, swEntry{ts: admitAt, n: n})
-	sw.used += n
-	return wait, true
-}
-
-// Cancel implements Canceler: removes the newest n units from the log.
-func (sw *SlidingWindow) Cancel(now time.Time, n float64) {
-	if n <= 0 {
-		return
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	for n > 0 && len(sw.log) > 0 {
-		last := &sw.log[len(sw.log)-1]
-		if last.n > n {
-			last.n -= n
-			sw.used -= n
-			return
-		}
-		n -= last.n
-		sw.used -= last.n
-		sw.log = sw.log[:len(sw.log)-1]
-	}
-	if sw.used < 0 {
-		sw.used = 0
-	}
-}
-
-// InWindow reports the units currently charged inside the trailing
-// window at time now (tests, stats).
-func (sw *SlidingWindow) InWindow(now time.Time) float64 {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	sw.evictLocked(now)
-	return sw.used
-}
-
 // MultiTier composes limiters into one quota where every tier must
 // admit: the returned wait is the maximum across tiers (each tier's
 // constraint is satisfied by waiting the longest one), and a refusal by
@@ -558,12 +298,8 @@ func (m *MultiTier) Cancel(now time.Time, n float64) {
 var (
 	_ Limiter  = (*TokenBucket)(nil)
 	_ Limiter  = (*GCRA)(nil)
-	_ Limiter  = (*LeakyBucket)(nil)
-	_ Limiter  = (*SlidingWindow)(nil)
 	_ Limiter  = (*MultiTier)(nil)
 	_ Canceler = (*TokenBucket)(nil)
 	_ Canceler = (*GCRA)(nil)
-	_ Canceler = (*LeakyBucket)(nil)
-	_ Canceler = (*SlidingWindow)(nil)
 	_ Canceler = (*MultiTier)(nil)
 )

@@ -2,6 +2,7 @@ package limit
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,33 +11,15 @@ var t0 = time.Unix(1_700_000_000, 0)
 
 func at(d time.Duration) time.Time { return t0.Add(d) }
 
-// allStrategies is every registered strategy; meterStrategies are the
-// ones that pace like a refilling meter (burst then per-unit waits of
-// 1/Rate) — the sliding window instead recovers on a cliff when old
-// admissions age out, so wait-magnitude tests run only over the meters.
-var (
-	allStrategies   = []string{"token_bucket", "gcra", "leaky_bucket", "sliding_window"}
-	meterStrategies = []string{"token_bucket", "gcra", "leaky_bucket"}
-)
+// allStrategies is every strategy New knows.
+var allStrategies = []string{"token_bucket", "gcra"}
 
+// TestRegistryStrategies: New builds each strategy under its own name,
+// and an unknown name fails naming both.
 func TestRegistryStrategies(t *testing.T) {
-	names := Strategies()
-	want := make(map[string]bool, len(allStrategies))
-	for _, n := range allStrategies {
-		want[n] = false
-	}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("strategy %q not registered (have %v)", n, names)
-		}
-	}
-	if _, err := New("nope", Config{Rate: 1}); err == nil {
-		t.Fatal("unknown strategy must error")
+	_, err := New("leaky_bucket", Config{Rate: 1})
+	if err == nil || !strings.Contains(err.Error(), "token_bucket, gcra") {
+		t.Fatalf("unknown strategy: err = %v, want one naming token_bucket and gcra", err)
 	}
 	for _, n := range allStrategies {
 		l, err := New(n, Config{Rate: 10, Burst: 5})
@@ -60,21 +43,16 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // Every strategy must satisfy the same admission contract; run the
-// shared battery over each of names.
-func strategies(t *testing.T, names []string, cfg Config, fn func(t *testing.T, l Limiter)) {
+// shared battery over each one.
+func eachStrategy(t *testing.T, cfg Config, fn func(t *testing.T, l Limiter)) {
 	t.Helper()
-	for _, name := range names {
+	for _, name := range allStrategies {
 		l, err := New(name, cfg)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 		t.Run(name, func(t *testing.T) { fn(t, l) })
 	}
-}
-
-func eachStrategy(t *testing.T, cfg Config, fn func(t *testing.T, l Limiter)) {
-	t.Helper()
-	strategies(t, meterStrategies, cfg, fn)
 }
 
 func TestBurstThenThrottle(t *testing.T) {
@@ -115,7 +93,7 @@ func TestShedDoesNotCharge(t *testing.T) {
 }
 
 func TestOversizeRequestRefused(t *testing.T) {
-	strategies(t, allStrategies, Config{Rate: 10, Burst: 4}, func(t *testing.T, l Limiter) {
+	eachStrategy(t, Config{Rate: 10, Burst: 4}, func(t *testing.T, l Limiter) {
 		if _, ok := l.Reserve(t0, 100, -1); ok {
 			t.Fatal("request larger than burst admitted")
 		}
@@ -130,7 +108,7 @@ func TestSteadyRateConverges(t *testing.T) {
 	// Admitting with unbounded wait, the cumulative admitted count over
 	// a simulated second must approach Rate + Burst (every strategy
 	// meters the same sustained rate).
-	strategies(t, allStrategies, Config{Rate: 100, Burst: 10}, func(t *testing.T, l Limiter) {
+	eachStrategy(t, Config{Rate: 100, Burst: 10}, func(t *testing.T, l Limiter) {
 		admitted := 0
 		now := t0
 		for i := 0; i < 2000; i++ {
@@ -149,7 +127,7 @@ func TestSteadyRateConverges(t *testing.T) {
 }
 
 func TestCancelReturnsCharge(t *testing.T) {
-	strategies(t, allStrategies, Config{Rate: 10, Burst: 4}, func(t *testing.T, l Limiter) {
+	eachStrategy(t, Config{Rate: 10, Burst: 4}, func(t *testing.T, l Limiter) {
 		if _, ok := l.Reserve(t0, 4, 0); !ok {
 			t.Fatal("burst refused")
 		}
@@ -254,145 +232,9 @@ func TestMultiTierWaitIsMax(t *testing.T) {
 	}
 }
 
-func TestLeakyBucketDrainsAndClamps(t *testing.T) {
-	lb, err := NewLeakyBucket(Config{Rate: 10, Burst: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lb.Reserve(t0, 4, 0); !ok {
-		t.Fatal("burst refused")
-	}
-	if got := lb.Level(t0); got != 4 {
-		t.Fatalf("level = %v after 4 units, want 4", got)
-	}
-	// Half the bucket drains in 200ms at rate 10.
-	if got := lb.Level(at(200 * time.Millisecond)); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("level = %v after 200ms, want 2", got)
-	}
-	// Over-cancel clamps to empty rather than banking credit.
-	lb.Cancel(at(200*time.Millisecond), 1000)
-	if got := lb.Level(at(200 * time.Millisecond)); got != 0 {
-		t.Fatalf("level = %v after over-cancel, want 0", got)
-	}
-	// An over-capacity reserve queues: wait is exactly the overflow
-	// divided by the drain rate.
-	if _, ok := lb.Reserve(at(200*time.Millisecond), 4, 0); !ok {
-		t.Fatal("refill refused")
-	}
-	w, ok := lb.Reserve(at(200*time.Millisecond), 2, -1)
-	if !ok {
-		t.Fatal("queued reserve refused at unbounded wait")
-	}
-	if w != 200*time.Millisecond {
-		t.Fatalf("queued wait = %v, want 200ms (2 units at rate 10)", w)
-	}
-}
-
-func TestSlidingWindowPacing(t *testing.T) {
-	// Rate 10, burst 5 → at most 5 units in any trailing 500ms window.
-	sw, err := NewSlidingWindow(Config{Rate: 10, Burst: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if w, ok := sw.Reserve(t0, 1, -1); !ok || w != 0 {
-			t.Fatalf("burst unit %d: wait=%v ok=%v, want immediate", i, w, ok)
-		}
-	}
-	// The 6th unit must wait for the full window, not one emission
-	// interval: nothing ages out before t0+500ms.
-	w, ok := sw.Reserve(t0, 1, -1)
-	if !ok || w != 500*time.Millisecond {
-		t.Fatalf("6th unit: wait=%v ok=%v, want exactly 500ms", w, ok)
-	}
-	// Queued admissions log at their scheduled time: a 7th unit shares
-	// the same admit instant (two t0 entries age out together).
-	if w, ok := sw.Reserve(t0, 1, -1); !ok || w != 500*time.Millisecond {
-		t.Fatalf("7th unit: wait=%v ok=%v, want 500ms", w, ok)
-	}
-	// Queued units are charged the moment they reserve.
-	if got := sw.InWindow(t0); got != 7 {
-		t.Fatalf("charged at t0 = %v, want 7 (5 admitted + 2 queued)", got)
-	}
-	// By the queued units' admit instant the t0 burst has aged out and
-	// only they remain charged.
-	if got := sw.InWindow(at(500 * time.Millisecond)); got != 2 {
-		t.Fatalf("charged at +500ms = %v, want 2", got)
-	}
-}
-
-func TestSlidingWindowCliffRecovery(t *testing.T) {
-	sw, err := NewSlidingWindow(Config{Rate: 10, Burst: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sw.Reserve(t0, 5, 0); !ok {
-		t.Fatal("burst refused")
-	}
-	// One instant before the window edge the burst still counts...
-	if _, ok := sw.Reserve(at(500*time.Millisecond-time.Nanosecond), 1, 0); ok {
-		t.Fatal("admitted inside a full window")
-	}
-	// ...and at the edge the whole burst ages out at once.
-	if w, ok := sw.Reserve(at(500*time.Millisecond), 5, 0); !ok || w != 0 {
-		t.Fatalf("post-window burst: wait=%v ok=%v, want immediate", w, ok)
-	}
-}
-
-func TestSlidingWindowCancelPartial(t *testing.T) {
-	sw, err := NewSlidingWindow(Config{Rate: 10, Burst: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sw.Reserve(t0, 3, 0); !ok {
-		t.Fatal("reserve refused")
-	}
-	sw.Cancel(t0, 2)
-	if got := sw.InWindow(t0); got != 1 {
-		t.Fatalf("in-window after partial cancel = %v, want 1", got)
-	}
-	if w, ok := sw.Reserve(t0, 4, 0); !ok || w != 0 {
-		t.Fatalf("reserve after cancel: wait=%v ok=%v, want immediate", w, ok)
-	}
-	// Over-cancel empties the log and stays at zero.
-	sw.Cancel(t0, 1000)
-	if got := sw.InWindow(t0); got != 0 {
-		t.Fatalf("in-window after over-cancel = %v, want 0", got)
-	}
-}
-
-func TestMultiTierMixedNewStrategies(t *testing.T) {
-	// A tight sliding window under a loose leaky bucket: a refusal by
-	// the window tier must return the bucket tier's charge.
-	loose, err := NewLeakyBucket(Config{Rate: 100, Burst: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := NewSlidingWindow(Config{Rate: 5, Burst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, err := NewMultiTier(loose, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mt.Name(), "multi(leaky_bucket+sliding_window)"; got != want {
-		t.Fatalf("Name() = %q, want %q", got, want)
-	}
-	if _, ok := mt.Reserve(t0, 2, 0); !ok {
-		t.Fatal("within both tiers refused")
-	}
-	if _, ok := mt.Reserve(t0, 1, 0); ok {
-		t.Fatal("admitted past the full window tier")
-	}
-	if got := loose.Level(t0); got != 2 {
-		t.Fatalf("refusal leaked charge on the bucket tier: level %v, want 2", got)
-	}
-}
-
 func TestReserveConcurrentTotal(t *testing.T) {
 	// Under concurrency the admitted total must respect rate*time+burst.
-	strategies(t, allStrategies, Config{Rate: 1000, Burst: 100}, func(t *testing.T, l Limiter) {
+	eachStrategy(t, Config{Rate: 1000, Burst: 100}, func(t *testing.T, l Limiter) {
 		const goroutines = 8
 		done := make(chan int, goroutines)
 		for g := 0; g < goroutines; g++ {

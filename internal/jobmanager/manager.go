@@ -43,7 +43,7 @@ const TenantsFileName = "TENANTS.json"
 
 // Quota is one tenant's admission-control configuration.
 type Quota struct {
-	// Strategy names the rate-limit strategy (limit registry key) used
+	// Strategy names the rate-limit strategy (a limit.New name) used
 	// for both choke points. Default "token_bucket".
 	Strategy string
 	// IngestEPS is the sustained source admission rate in events/sec;

@@ -20,7 +20,6 @@ import (
 	"flowkv/internal/faultfs"
 	"flowkv/internal/metrics"
 	"flowkv/internal/statebackend"
-	"flowkv/internal/window"
 )
 
 // Jobs: checkpointed pipeline runs with exactly-once resume.
@@ -47,13 +46,9 @@ import (
 //
 // Every pipeline shape participates. Interval-join stages snapshot and
 // restore like window stages (IntervalJoinOperator implements the
-// snapshot contract). A shared-backend stage commits a single-owner cut:
-// the coordinator, which owns the barrier's exclusive cut, takes ONE
-// checkpoint of the merged store carrying all workers' operator
-// snapshots in a combined frame, and restore fans the snapshots back out
-// (the store itself needs no splitting — it is shared). Resume may also
-// change a stage's parallelism: committed per-worker cuts are regrouped
-// by key before replay (see rescale.go).
+// snapshot contract). Resume may also change a stage's parallelism:
+// committed per-worker cuts are regrouped by key before replay (see
+// rescale.go).
 //
 // Determinism requirements on the pipeline: a seekable, deterministic
 // source, and every stateful backend must support checkpointing
@@ -72,6 +67,11 @@ const (
 // per-stage parallelisms (the key-range manifest) and the per-stage
 // routing tables (live-migration ownership).
 const jobMetaMagic = "flowkv-job3\n"
+
+// maxDecodedCount bounds every count the JOB and migration-journal
+// decoders read (stages, routing tables and entries, journal records)
+// against corrupt input.
+const maxDecodedCount = 1 << 16
 
 // selfHealWait bounds how long a barrier checkpoint waits for a
 // degraded store to heal when the job sets SelfHeal but no
@@ -246,7 +246,8 @@ func (j *Job) fs() faultfs.FS {
 	return faultfs.OS
 }
 
-func genDirName(gen int64) string { return fmt.Sprintf("%s%06d", genPrefix, gen) }
+// GenDirName names generation gen's directory inside a job directory.
+func GenDirName(gen int64) string { return fmt.Sprintf("%s%06d", genPrefix, gen) }
 
 // Run starts the job from a clean slate. It refuses to run over a job
 // directory that already has committed progress — use Resume there. Any
@@ -286,7 +287,7 @@ func (j *Job) Resume() (*JobResult, error) {
 	}
 	res, err := j.run(&meta)
 	for err != nil && errors.Is(err, core.ErrCheckpointInvalid) {
-		tip := filepath.Join(j.Dir, genDirName(meta.Gen))
+		tip := filepath.Join(j.Dir, GenDirName(meta.Gen))
 		if qerr := core.QuarantineCheckpoint(fsys, tip, err.Error()); qerr != nil {
 			return res, err
 		}
@@ -313,7 +314,7 @@ func (j *Job) fallbackMeta(gen int64) (JobMeta, bool) {
 		if gens[i] >= gen {
 			continue
 		}
-		dir := filepath.Join(j.Dir, genDirName(gens[i]))
+		dir := filepath.Join(j.Dir, GenDirName(gens[i]))
 		if core.IsQuarantined(fsys, dir) {
 			continue
 		}
@@ -340,24 +341,17 @@ func (j *Job) retain() int64 {
 
 // jobStage is one stateful stage of a running job: its operators, each
 // over its own private backend (ops[w].Backend(), swapped in place by a
-// migration), or one shared backend with a single-owner checkpoint cut.
+// migration).
 type jobStage struct {
 	si   int    // pipeline stage index
 	name string // stage name for errors
 	par  int    // current parallelism
 	join bool   // interval-join stage (selects the snapshot codec)
 	ops  []opSnapshotter
-	// Shared mode: the stage's single backend, plus the deferred drop
-	// tracker whose fired-window queue rides inside the single-owner cut
-	// (nil when the backend has no partitioned reads).
-	shared statebackend.Backend
-	drops  *sharedDrops
 	// Per-worker self-healer stop functions (nil entries when no healer
-	// runs); sharedHeal covers shared mode. Tracked per worker so live
-	// migration can stop and restart a single worker's healer around a
-	// backend swap.
-	heal       []func()
-	sharedHeal func()
+	// runs). Tracked per worker so live migration can stop and restart a
+	// single worker's healer around a backend swap.
+	heal []func()
 }
 
 // jobRun is the state of one job execution attempt.
@@ -458,22 +452,14 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 			continue
 		}
 		js := &jobStage{si: si, name: rt.stage.Name, par: rt.par, join: rt.stage.Join != nil}
-		if rt.shared != nil {
-			if _, ok := statebackend.AsCheckpointer(rt.shared); !ok {
-				return fail(fmt.Errorf("spe: stage %s: shared backend %s does not support checkpointing", rt.stage.Name, rt.shared.Name()))
-			}
-			js.shared, js.drops = rt.shared, rt.drops
-		}
 		for wi, op := range rt.ops {
 			snapOp, ok := op.(opSnapshotter)
 			if !ok {
 				return fail(fmt.Errorf("spe: stage %s worker %d: operator does not support snapshots", rt.stage.Name, wi))
 			}
 			js.ops = append(js.ops, snapOp)
-			if rt.shared == nil {
-				if _, ok := statebackend.AsCheckpointer(op.Backend()); !ok {
-					return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
-				}
+			if _, ok := statebackend.AsCheckpointer(op.Backend()); !ok {
+				return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
 			}
 		}
 		jr.stages = append(jr.stages, js)
@@ -494,7 +480,6 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 		r.maxTS = meta.MaxTS
 		r.sinceWM = int(meta.SinceWM)
 		jr.gen = meta.Gen
-		r.reseedSharedWindows()
 		// Re-apply committed routing tables. A stage resumed at a
 		// different parallelism drops back to identity: the rescale path
 		// just re-routed every key from scratch.
@@ -658,34 +643,18 @@ loop:
 }
 
 // commit writes one checkpoint generation and moves the commit point:
-// per-worker checkpoints (with operator snapshots as metadata) for
-// private stages, one single-owner checkpoint per shared stage (the
-// merged store cut carrying all workers' snapshots in a combined frame),
-// the sorted sink segment appended to the ledger, then the JOB file
-// renamed into place. Superseded generations are garbage-collected after
+// per-worker checkpoints (with operator snapshots as metadata), the
+// sorted sink segment appended to the ledger, then the JOB file renamed
+// into place. Superseded generations are garbage-collected after
 // the commit.
 func (jr *jobRun) commit(final bool) error {
 	j := jr.j
 	gen := jr.gen + 1
-	genDir := filepath.Join(j.Dir, genDirName(gen))
+	genDir := filepath.Join(j.Dir, GenDirName(gen))
 	if err := jr.fsys.RemoveAll(genDir); err != nil {
 		return fmt.Errorf("spe: job checkpoint: clear gen dir: %w", err)
 	}
 	for _, js := range jr.stages {
-		if js.shared != nil {
-			snaps := make([][]byte, len(js.ops))
-			for w, op := range js.ops {
-				snaps[w] = op.snapshotState()
-			}
-			var fired []window.Window
-			if js.drops != nil {
-				fired = js.drops.snapshotFired()
-			}
-			if err := jr.checkpointCut(gen, js, -1, js.shared, encodeShardSnaps(snaps, fired)); err != nil {
-				return err
-			}
-			continue
-		}
 		for w, op := range js.ops {
 			if err := jr.checkpointCut(gen, js, w, op.Backend(), op.snapshotState()); err != nil {
 				return err
@@ -759,12 +728,6 @@ func (jr *jobRun) startHealers() {
 		return
 	}
 	for _, js := range jr.stages {
-		if js.shared != nil {
-			if stop, ok := statebackend.StartSelfHeal(js.shared, *jr.j.SelfHeal); ok {
-				js.sharedHeal = stop
-			}
-			continue
-		}
 		js.heal = make([]func(), len(js.ops))
 		for w := range js.ops {
 			jr.startHeal(js, w)
@@ -775,7 +738,7 @@ func (jr *jobRun) startHealers() {
 // startHeal (re)starts one worker's self-healer over its current
 // backend.
 func (jr *jobRun) startHeal(js *jobStage, w int) {
-	if jr.j.SelfHeal == nil || js.shared != nil {
+	if jr.j.SelfHeal == nil {
 		return
 	}
 	if js.heal == nil {
@@ -799,10 +762,6 @@ func (jr *jobRun) stopHeal(js *jobStage, w int) {
 // stopHealers stops every running self-healer.
 func (jr *jobRun) stopHealers() {
 	for _, js := range jr.stages {
-		if js.sharedHeal != nil {
-			js.sharedHeal()
-			js.sharedHeal = nil
-		}
 		for w := range js.heal {
 			jr.stopHeal(js, w)
 		}
@@ -828,19 +787,18 @@ func (jr *jobRun) checkpointFailed(js *jobStage, worker int, b statebackend.Back
 	return h
 }
 
-// checkpointCut writes stage js's cut for worker w (-1: the shared cut)
-// into generation gen, priced against the same cut of the previous
-// generation, which clearGens has kept alive exactly for this: each
-// backend hard-links the bytes gen-1 already persisted and rewrites only
-// the delta. Any unusable parent (first generation, a parallelism
+// checkpointCut writes stage js's cut for worker w into generation gen,
+// priced against the same cut of the previous generation, which
+// clearGens has kept alive exactly for this: each backend hard-links the
+// bytes gen-1 already persisted and rewrites only the delta. Any unusable parent (first generation, a parallelism
 // change) silently falls back to a full base.
 func (jr *jobRun) checkpointCut(gen int64, js *jobStage, w int, b statebackend.Backend, meta []byte) error {
 	name := cutDirName(js.si, w)
 	parent := ""
 	if gen > 1 {
-		parent = filepath.Join(jr.j.Dir, genDirName(gen-1), name)
+		parent = filepath.Join(jr.j.Dir, GenDirName(gen-1), name)
 	}
-	if err := jr.checkpointBackend(b, filepath.Join(jr.j.Dir, genDirName(gen), name), parent, meta); err != nil {
+	if err := jr.checkpointBackend(b, filepath.Join(jr.j.Dir, GenDirName(gen), name), parent, meta); err != nil {
 		return jr.checkpointFailed(js, w, b, gen, err)
 	}
 	return nil
@@ -938,7 +896,7 @@ func (jr *jobRun) checkpointBackend(b statebackend.Backend, dir, parent string, 
 // generation. The committed generation is only ever read; a crash
 // mid-restore leaves it intact for the next Resume.
 func (jr *jobRun) restoreCommitted(meta JobMeta) error {
-	genDir := filepath.Join(jr.j.Dir, genDirName(meta.Gen))
+	genDir := filepath.Join(jr.j.Dir, GenDirName(meta.Gen))
 	for _, js := range jr.stages {
 		if err := jr.restoreStage(js, meta, genDir); err != nil {
 			return fmt.Errorf("spe: job resume gen %d: stage %s: %w", meta.Gen, js.name, err)
@@ -948,11 +906,10 @@ func (jr *jobRun) restoreCommitted(meta JobMeta) error {
 }
 
 // restoreStage rebuilds one stage from its cuts in genDir. Its committed
-// worker count is StagePars[si]. At the same count, private workers
-// restore worker for worker; at another, every committed cut is rerouted
-// by key into the new workers. A shared stage restores its single cut
-// whole (the store needs no splitting). Either way the operator
-// snapshots are regrouped onto the new workers when their count changed.
+// worker count is StagePars[si]. At the same count, workers restore
+// worker for worker; at another, every committed cut is rerouted by key
+// into the new workers, and the operator snapshots are regrouped onto
+// them.
 func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error {
 	if js.si >= len(meta.StagePars) || meta.StagePars[js.si] < 1 {
 		return fmt.Errorf("no committed parallelism in the key-range manifest %v", meta.StagePars)
@@ -971,22 +928,7 @@ func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error 
 	}
 	owner := func(k []byte) int { return routeKey(k, js.par) }
 	var snaps [][]byte
-	var fired []window.Window
-	switch {
-	case js.shared != nil:
-		dir, err := cut(-1)
-		if err != nil {
-			return err
-		}
-		cp, _ := statebackend.AsCheckpointer(js.shared)
-		combined, err := cp.RestoreMeta(dir)
-		if err != nil {
-			return err
-		}
-		if snaps, fired, err = decodeShardSnaps(combined); err != nil {
-			return err
-		}
-	case committed == js.par:
+	if committed == js.par {
 		for w := range js.ops {
 			dir, err := cut(w)
 			if err != nil {
@@ -999,7 +941,7 @@ func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error 
 			}
 			snaps = append(snaps, snap)
 		}
-	default:
+	} else {
 		backends := make([]statebackend.Backend, js.par)
 		for w := range backends {
 			backends[w] = js.ops[w].Backend()
@@ -1015,8 +957,6 @@ func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error 
 			}
 			snaps = append(snaps, snap)
 		}
-	}
-	if len(snaps) != js.par {
 		var err error
 		if snaps, err = regroupSnaps(snaps, js.par, func(k string) int { return owner([]byte(k)) }, js.join); err != nil {
 			return fmt.Errorf("rescale %d->%d: %w", committed, js.par, err)
@@ -1026,13 +966,6 @@ func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error 
 		if err := op.restoreState(snaps[w]); err != nil {
 			return err
 		}
-	}
-	// Requeue the committed fired-window list: these windows' merged
-	// state is still linked in the shared store but no operator snapshot
-	// references them anymore, so without the reseed a resumed stage
-	// would leak them as orphans.
-	if js.drops != nil {
-		js.drops.reseedFired(fired)
 	}
 	return nil
 }
@@ -1174,7 +1107,7 @@ func clearGens(fsys faultfs.FS, dir string, keep, retain int64) error {
 		if keep >= 0 {
 			var n int64
 			if _, serr := fmt.Sscanf(strings.TrimPrefix(name, genPrefix), "%d", &n); serr == nil &&
-				name == genDirName(n) && n <= keep && n > keep-retain {
+				name == GenDirName(n) && n <= keep && n > keep-retain {
 				continue // inside the retained window
 			}
 		}
@@ -1256,19 +1189,19 @@ func decodeJobMeta(b []byte) (JobMeta, error) {
 	m.SinceWM = d.varint()
 	m.LedgerLen = d.varint()
 	n := d.uvarint()
-	if n > maxShardSnaps {
+	if n > maxDecodedCount {
 		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d stages", n)
 	}
 	for i := uint64(0); i < n; i++ {
 		m.StagePars = append(m.StagePars, d.varint())
 	}
 	n = d.uvarint()
-	if n > maxShardSnaps {
+	if n > maxDecodedCount {
 		return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing tables", n)
 	}
 	for i := uint64(0); i < n; i++ {
 		rn := d.uvarint()
-		if rn > maxShardSnaps {
+		if rn > maxDecodedCount {
 			return JobMeta{}, fmt.Errorf("spe: corrupt JOB file: %d routing entries", rn)
 		}
 		var rt []int64

@@ -1,110 +1,13 @@
 package spe
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/faultfs"
-	"flowkv/internal/window"
 )
-
-// TestShardSnapsCodecFiredWindows covers the shared-stage snapshot
-// frame: the fired-window queue rides next to the per-worker operator
-// snapshots, and v1 frames (no queue) are rejected.
-func TestShardSnapsCodecFiredWindows(t *testing.T) {
-	snaps := [][]byte{[]byte("worker-0"), []byte("worker-1"), nil}
-	fired := []window.Window{{Start: 0, End: 64}, {Start: 64, End: 128}}
-	enc := encodeShardSnaps(snaps, fired)
-	gotSnaps, gotFired, err := decodeShardSnaps(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotSnaps) != len(snaps) {
-		t.Fatalf("decoded %d snaps, want %d", len(gotSnaps), len(snaps))
-	}
-	for i := range snaps {
-		if !bytes.Equal(gotSnaps[i], snaps[i]) {
-			t.Fatalf("snap %d changed: %q -> %q", i, snaps[i], gotSnaps[i])
-		}
-	}
-	if !reflect.DeepEqual(gotFired, fired) {
-		t.Fatalf("fired windows changed: %v -> %v", fired, gotFired)
-	}
-
-	// Empty fired queue round-trips as empty.
-	if _, gotFired, err = decodeShardSnaps(encodeShardSnaps(snaps, nil)); err != nil || len(gotFired) != 0 {
-		t.Fatalf("empty queue round trip: fired=%v err=%v", gotFired, err)
-	}
-
-	// A frame of the retired v1 format (no fired-window queue) is
-	// rejected: only shardsnaps2 is ever written.
-	v1 := []byte("flowkv-shardsnaps1\n")
-	v1 = binio.PutUvarint(v1, uint64(len(snaps)))
-	for _, s := range snaps {
-		v1 = binio.PutBytes(v1, s)
-	}
-	if _, _, err := decodeShardSnaps(v1); err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("v1 frame: err = %v, want bad magic", err)
-	}
-
-	// Corruption must be rejected, not panic.
-	if _, _, err := decodeShardSnaps(enc[:len(enc)-2]); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-	if _, _, err := decodeShardSnaps([]byte("not a frame")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// TestSharedDropsReseedFired: a committed fired-window queue reseeded
-// into a fresh tracker must unlink exactly those windows once the
-// stage-min watermark passes their end — the orphan-window leak the v2
-// frame exists to close.
-func TestSharedDropsReseedFired(t *testing.T) {
-	var dropped []window.Window
-	d := newSharedDrops(2, func(w window.Window) error {
-		dropped = append(dropped, w)
-		return nil
-	})
-	// Restored watermarks: both workers committed at wm=50.
-	d.reseedWM(0, 50)
-	d.reseedWM(1, 50)
-	// Committed queue: {0,40} already due (end <= 50), {100,140} not.
-	d.reseedFired([]window.Window{{Start: 0, End: 40}, {Start: 100, End: 140}})
-
-	if err := d.noteWM(0, 60); err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 1 || dropped[0] != (window.Window{Start: 0, End: 40}) {
-		t.Fatalf("after first watermark: dropped %v, want [{0 40}]", dropped)
-	}
-	// The second window stays until BOTH workers pass its end.
-	if err := d.noteWM(0, 200); err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 1 {
-		t.Fatalf("window dropped before stage-min watermark passed: %v", dropped)
-	}
-	if err := d.noteWM(1, 200); err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 2 || dropped[1] != (window.Window{Start: 100, End: 140}) {
-		t.Fatalf("after both watermarks: dropped %v", dropped)
-	}
-	// snapshotFired sorts canonically and reflects only the live queue.
-	d.reseedFired([]window.Window{{Start: 300, End: 360}, {Start: 200, End: 260}})
-	got := d.snapshotFired()
-	want := []window.Window{{Start: 200, End: 260}, {Start: 300, End: 360}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshotFired = %v, want %v", got, want)
-	}
-}
 
 // TestJobDegradedCheckpointTimeout: with no healer running, a store
 // degraded mid-checkpoint can never return to Healthy, and the default

@@ -544,7 +544,7 @@ func TestJobGenerationsChainIncrementally(t *testing.T) {
 			if meta.Gen < 2 {
 				t.Fatalf("job committed only generation %d; the chain was never exercised", meta.Gen)
 			}
-			genDir := filepath.Join(job.Dir, genDirName(meta.Gen))
+			genDir := filepath.Join(job.Dir, GenDirName(meta.Gen))
 			infos, err := core.ListCheckpoints(nil, genDir)
 			if err != nil {
 				t.Fatal(err)

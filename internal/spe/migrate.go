@@ -59,8 +59,8 @@ import (
 // a failed attempt is not retried within the run but is re-attempted by
 // a later Resume (the routing table still shows it pending).
 type Migration struct {
-	// Stage is the pipeline stage index; it must name a private stateful
-	// stage (window or join, not shared-backend, not Map).
+	// Stage is the pipeline stage index; it must name a stateful stage
+	// (window or join, not Map).
 	Stage int
 	// Bucket is the hash bucket to move: the keys with
 	// routeKey(key, par) == Bucket.
@@ -138,7 +138,7 @@ func decodeMigrationJournal(b []byte) ([]MigrationRecord, error) {
 		return nil, fmt.Errorf("spe: not a migration journal (bad magic)")
 	}
 	n := d.uvarint()
-	if n > maxShardSnaps {
+	if n > maxDecodedCount {
 		return nil, fmt.Errorf("spe: corrupt migration journal: %d records", n)
 	}
 	recs := make([]MigrationRecord, 0, n)
@@ -230,17 +230,12 @@ func (jr *jobRun) bucketOwner(si, bucket int) int {
 }
 
 // validateMigrations rejects plans that name a stage or worker the
-// pipeline does not have. Shared-backend stages are refused: their
-// store is one merged cut, not per-worker files, and the worker views'
-// key-range predicates assume identity routing.
+// pipeline does not have.
 func (jr *jobRun) validateMigrations() error {
 	for i, mg := range jr.j.Migrations {
 		js := jr.stageBySI(mg.Stage)
 		if js == nil {
 			return fmt.Errorf("spe: migration %d: stage %d is not a stateful stage", i, mg.Stage)
-		}
-		if js.shared != nil {
-			return fmt.Errorf("spe: migration %d: stage %s shares one backend; there is no per-worker range to move", i, js.name)
 		}
 		if mg.Bucket < 0 || mg.Bucket >= js.par {
 			return fmt.Errorf("spe: migration %d: bucket %d out of range (parallelism %d)", i, mg.Bucket, js.par)
@@ -322,7 +317,7 @@ func (jr *jobRun) startPrepare(idx int, mg Migration, js *jobStage, from int) er
 // the coordinator joins it at the next barrier, before the commit that
 // would garbage-collect the base generation.
 func (jr *jobRun) prepareClone(m *migRun) error {
-	src := filepath.Join(jr.j.Dir, genDirName(m.rec.BaseGen), cutDirName(m.rec.Stage, m.rec.From))
+	src := filepath.Join(jr.j.Dir, GenDirName(m.rec.BaseGen), cutDirName(m.rec.Stage, m.rec.From))
 	base := filepath.Join(m.dir, "base")
 	res, err := core.CloneCheckpointDir(jr.fsys, src, base)
 	if err != nil {
@@ -388,7 +383,7 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	// dies halfway.
 	snapD := js.ops[d].snapshotState()
 	dcutDir := filepath.Join(m.dir, "dcut")
-	dParent := filepath.Join(jr.j.Dir, genDirName(jr.gen), cutDirName(js.si, d))
+	dParent := filepath.Join(jr.j.Dir, GenDirName(jr.gen), cutDirName(js.si, d))
 	if err := snapshotTo(js.ops[d].Backend(), dcutDir, dParent, snapD); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("destination rollback cut: %w", err))
 	}

@@ -6,17 +6,15 @@ import (
 	"os"
 	"path/filepath"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/core"
 	"flowkv/internal/statebackend"
 	"flowkv/internal/window"
 )
 
 // One model of a committed generation. Commit writes one cut per
-// stateful stage worker — gen-<G>/sSS-wWW, or one sSS-shared cut for a
-// shared-backend stage (cutDirName) — and a JOB record whose StagePars
-// is the key-range manifest: worker w of stage s held exactly the keys
-// with routeKey(key, StagePars[s]) == w. Everything that moves keyed
+// stateful stage worker — gen-<G>/sSS-wWW (cutDirName) — and a JOB
+// record whose StagePars is the key-range manifest: worker w of stage s
+// held exactly the keys with routeKey(key, StagePars[s]) == w. Everything that moves keyed
 // state between workers is one operation over that model: route every
 // key to its new owner.
 //
@@ -179,57 +177,6 @@ func addKey(reg map[window.Window]map[string]struct{}, w window.Window, k string
 	set[k] = struct{}{}
 }
 
-// shardSnapsMagic frames the per-worker operator snapshots of one
-// shared-backend stage inside the stage's single checkpoint metadata,
-// followed by the drop tracker's fully-fired window queue — windows every
-// owner has drained but whose merged state still waits on the stage-min
-// watermark — so a resumed stage drops them instead of leaking orphan
-// window state.
-const shardSnapsMagic = "flowkv-shardsnaps2\n"
-
-// maxShardSnaps bounds the decoded worker count against corrupt input.
-const maxShardSnaps = 1 << 16
-
-func encodeShardSnaps(snaps [][]byte, fired []window.Window) []byte {
-	b := []byte(shardSnapsMagic)
-	b = binio.PutUvarint(b, uint64(len(snaps)))
-	for _, s := range snaps {
-		b = binio.PutBytes(b, s)
-	}
-	b = binio.PutUvarint(b, uint64(len(fired)))
-	for _, w := range fired {
-		b = binio.PutVarint(b, w.Start)
-		b = binio.PutVarint(b, w.End)
-	}
-	return b
-}
-
-func decodeShardSnaps(b []byte) (snaps [][]byte, fired []window.Window, err error) {
-	d := snapDecoder{b: b}
-	if err := d.magic(shardSnapsMagic); err != nil {
-		return nil, nil, err
-	}
-	n := d.uvarint()
-	if n > maxShardSnaps {
-		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d workers", n)
-	}
-	snaps = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		snaps = append(snaps, d.bytes())
-	}
-	f := d.uvarint()
-	if f > maxShardSnaps {
-		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %d fired windows", f)
-	}
-	for i := uint64(0); i < f; i++ {
-		fired = append(fired, window.Window{Start: d.varint(), End: d.varint()})
-	}
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("spe: corrupt shared-stage snapshot: %w", d.err)
-	}
-	return snaps, fired, nil
-}
-
 // rerouteCut restores one committed cut into the scratch store and
 // re-appends every live unit of its state into backends[owner(key)],
 // returning the operator snapshot the cut carried. owner maps a user
@@ -286,32 +233,25 @@ func (jr *jobRun) rerouteCut(cpDir string, backends []statebackend.Backend, owne
 	return snap, nil
 }
 
-// cutDirName names stage si's cut inside a generation directory: worker
-// w's private cut, or with w = -1 the stage's single-owner shared cut.
+// cutDirName names worker w's cut of stage si inside a generation
+// directory.
 func cutDirName(si, w int) string {
-	if w < 0 {
-		return fmt.Sprintf("s%02d-shared", si)
-	}
 	return fmt.Sprintf("s%02d-w%02d", si, w)
 }
 
-// ParseCutDir is cutDirName's inverse: the stage and worker (-1 for a
-// shared cut) a generation entry names; ok is false for any other name.
+// ParseCutDir is cutDirName's inverse: the stage and worker a generation
+// entry names; ok is false for any other name.
 func ParseCutDir(name string) (si, w int, ok bool) {
 	if _, err := fmt.Sscanf(name, "s%d-w%d", &si, &w); err != nil {
-		if _, err := fmt.Sscanf(name, "s%d-shared", &si); err != nil {
-			return 0, 0, false
-		}
-		w = -1
+		return 0, 0, false
 	}
-	return si, w, si >= 0 && cutDirName(si, w) == name
+	return si, w, si >= 0 && w >= 0 && cutDirName(si, w) == name
 }
 
-// StageCuts groups the cut directories among a generation directory's
-// entries by stage — its number of worker cuts, or -1 for a shared cut —
-// and checks them against the key-range manifest: every cut must name a
-// recorded stage, and a private stage must hold exactly one cut per
-// committed worker, StagePars[si]. Other entries are ignored.
+// StageCuts counts the worker cuts among a generation directory's
+// entries by stage and checks them against the key-range manifest: every
+// cut must name a recorded stage, and a stage must hold exactly one cut
+// per committed worker, StagePars[si]. Other entries are ignored.
 func StageCuts(ents []os.DirEntry, stagePars []int64) (map[int]int, error) {
 	cuts := make(map[int]int)
 	for _, e := range ents {
@@ -322,14 +262,10 @@ func StageCuts(ents []os.DirEntry, stagePars []int64) (map[int]int, error) {
 		if si >= len(stagePars) || int64(w) >= stagePars[si] {
 			return nil, fmt.Errorf("spe: cut %s is outside the key-range manifest %v", e.Name(), stagePars)
 		}
-		if w < 0 {
-			cuts[si] = -1
-		} else {
-			cuts[si]++
-		}
+		cuts[si]++
 	}
 	for si, n := range cuts {
-		if n >= 0 && int64(n) != stagePars[si] {
+		if int64(n) != stagePars[si] {
 			return nil, fmt.Errorf("spe: stage %d holds %d of its %d committed worker cuts", si, n, stagePars[si])
 		}
 	}

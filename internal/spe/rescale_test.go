@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -216,141 +217,23 @@ func TestJobRescaleResumeExactlyOnce(t *testing.T) {
 	}
 }
 
-// sharedJobPipeline builds a checkpointable shared-backend pipeline: a
-// par-way holistic fixed-window stage where every worker hits one FlowKV
-// AAR store — the configuration whose barrier commit is a single-owner
-// cut of the merged state.
-func sharedJobPipeline(stateDir string, fsys faultfs.FS, par int) *Pipeline {
-	assigner := window.FixedAssigner{Size: 64}
-	spec := OperatorSpec{Assigner: assigner, Holistic: crashHolistic}
-	opts := core.Options{Instances: 2, WriteBufferBytes: 1 << 10}
-	if fsys != nil {
-		opts.FS = fsys
-	}
-	return &Pipeline{
-		WatermarkEvery: 25,
-		Stages: []Stage{
-			{
-				Name: "tag", Parallelism: 2,
-				Map: func(t Tuple, emit func(Tuple)) { emit(t) },
-			},
-			{
-				Name: "win", Parallelism: par,
-				ShareBackend: true,
-				Window:       &spec,
-				NewBackend: func(int) (statebackend.Backend, error) {
-					return statebackend.Open(statebackend.Config{
-						Kind:       statebackend.KindFlowKV,
-						Dir:        filepath.Join(stateDir, "shared"),
-						Agg:        core.AggHolistic,
-						WindowKind: window.Fixed,
-						Assigner:   assigner,
-						FlowKV:     opts,
-					})
-				},
-			},
-		},
-	}
-}
-
-// TestJobSharedBackendCrashResume runs the kill battery over a shared
-// holistic+aligned stage: one checkpoint per barrier covers the merged
-// store, restore fans the per-worker operator snapshots back out, and
-// resumes may change the worker count (snapshots re-partition; the
-// shared store needs no splitting). Ledger must match golden exactly.
-func TestJobSharedBackendCrashResume(t *testing.T) {
-	iters := (crashIters(t) + 1) / 2
-	tuples := crashTuples(600)
-	const every = 97
-	mk := func(base string, par int, src *SliceSource, kill int64) *Job {
-		return &Job{
-			Pipeline:        sharedJobPipeline(filepath.Join(base, "state"), nil, par),
-			Source:          src,
-			Dir:             filepath.Join(base, "job"),
-			CheckpointEvery: every,
-			KillAfterTuples: kill,
-		}
-	}
-	goldenBase := t.TempDir()
-	res, err := mk(goldenBase, 2, NewSliceSource(tuples), 0).Run()
-	if err != nil {
-		t.Fatalf("golden run: %v", err)
-	}
-	if !res.Final {
-		t.Fatal("golden run did not finish")
-	}
-	golden, err := os.ReadFile(filepath.Join(goldenBase, "job", ledgerName))
-	if err != nil || len(golden) == 0 {
-		t.Fatalf("golden ledger: %v (%d bytes)", err, len(golden))
-	}
-	rescalePars := []int{2, 1, 3, 4}
-	rng := rand.New(rand.NewSource(0x5a7ed))
-	base := t.TempDir()
-	for i := 0; i < iters; i++ {
-		dir := filepath.Join(base, fmt.Sprintf("i%03d", i))
-		src := NewSliceSource(tuples)
-		par := rescalePars[i%len(rescalePars)]
-		res, err := mk(dir, 2, src, 1+rng.Int63n(int64(len(tuples)))).Run()
-		for attempts := 0; err != nil; attempts++ {
-			if !errors.Is(err, ErrJobKilled) {
-				t.Fatalf("iter %d: unexpected error: %v", i, err)
-			}
-			if attempts > 30 {
-				t.Fatalf("iter %d: still killed after %d attempts", i, attempts)
-			}
-			var kill int64
-			if rng.Intn(2) == 0 {
-				kill = 1 + rng.Int63n(int64(len(tuples)))
-			}
-			res, err = runOrResume(mk(dir, par, src, kill))
-			par = rescalePars[rng.Intn(len(rescalePars))]
-		}
-		if !res.Final {
-			t.Fatalf("iter %d: job not final", i)
-		}
-		checkLedger(t, filepath.Join(dir, "job"), golden)
-	}
-}
-
 // TestJobCrashDuringCommitJoinAndShared pins the mid-checkpoint and
-// mid-commit crash points for the two new checkpoint shapes: a crash
-// while renaming an interval-join stage's store checkpoint, while
-// renaming a shared stage's single-owner checkpoint, and while renaming
-// the JOB file over either shape. Resume must land on the previous
-// committed cut and converge to the golden ledger.
+// mid-commit crash points for an interval-join stage: a crash while
+// renaming its store checkpoint, and while renaming the JOB file over it.
+// Resume must land on the previous committed cut and converge to the
+// golden ledger. The shared-backend shape went with that mode; the join
+// shape keeps its subtest so each leg is still named join/<leg>.
 func TestJobCrashDuringCommitJoinAndShared(t *testing.T) {
 	const every = 61
-	shapes := []struct {
-		name   string
-		tuples []Tuple
-		mk     func(base string, fsys faultfs.FS, src *SliceSource) *Job
-	}{
-		{
-			name:   "join",
-			tuples: joinCrashTuples(400),
-			mk: func(base string, fsys faultfs.FS, src *SliceSource) *Job {
-				return &Job{
-					Pipeline:        joinJobPipeline(filepath.Join(base, "state"), fsys, 1<<10, 2),
-					Source:          src,
-					Dir:             filepath.Join(base, "job"),
-					FS:              fsys,
-					CheckpointEvery: every,
-				}
-			},
-		},
-		{
-			name:   "shared",
-			tuples: crashTuples(400),
-			mk: func(base string, fsys faultfs.FS, src *SliceSource) *Job {
-				return &Job{
-					Pipeline:        sharedJobPipeline(filepath.Join(base, "state"), fsys, 2),
-					Source:          src,
-					Dir:             filepath.Join(base, "job"),
-					FS:              fsys,
-					CheckpointEvery: every,
-				}
-			},
-		},
+	tuples := joinCrashTuples(400)
+	mk := func(base string, fsys faultfs.FS, src *SliceSource) *Job {
+		return &Job{
+			Pipeline:        joinJobPipeline(filepath.Join(base, "state"), fsys, 1<<10, 2),
+			Source:          src,
+			Dir:             filepath.Join(base, "job"),
+			FS:              fsys,
+			CheckpointEvery: every,
+		}
 	}
 	legs := []struct {
 		name string
@@ -361,39 +244,34 @@ func TestJobCrashDuringCommitJoinAndShared(t *testing.T) {
 		{"job-commit-rename", faultfs.Rule{Op: faultfs.OpRename, PathContains: "JOB", Crash: true}},
 		{"ledger-sync", faultfs.Rule{Op: faultfs.OpSync, PathContains: ledgerName, Crash: true}},
 	}
-	for _, shape := range shapes {
-		shape := shape
-		t.Run(shape.name, func(t *testing.T) {
-			t.Parallel()
-			goldenBase := t.TempDir()
-			res, err := shape.mk(goldenBase, nil, NewSliceSource(shape.tuples)).Run()
-			if err != nil || !res.Final {
-				t.Fatalf("golden run: final=%v err=%v", res != nil && res.Final, err)
-			}
-			golden, err := os.ReadFile(filepath.Join(goldenBase, "job", ledgerName))
-			if err != nil || len(golden) == 0 {
-				t.Fatalf("golden ledger: %v (%d bytes)", err, len(golden))
-			}
-			for _, leg := range legs {
-				leg := leg
-				t.Run(leg.name, func(t *testing.T) {
-					base := t.TempDir()
-					inj := faultfs.NewInjector(faultfs.OS)
-					src := NewSliceSource(shape.tuples)
-					mk := func() *Job { return shape.mk(base, inj, src) }
-					inj.SetRule(leg.rule)
-					if _, err := mk().Run(); err == nil {
-						t.Fatal("run survived a crashed filesystem")
-					}
-					if !inj.Fired() {
-						t.Fatal("fault did not fire")
-					}
-					inj.Reset()
-					resumeToFinal(t, func(int64) *Job { return mk() }, golden)
-				})
-			}
-		})
-	}
+	t.Run("join", func(t *testing.T) {
+		goldenBase := t.TempDir()
+		res, err := mk(goldenBase, nil, NewSliceSource(tuples)).Run()
+		if err != nil || !res.Final {
+			t.Fatalf("golden run: final=%v err=%v", res != nil && res.Final, err)
+		}
+		golden, err := os.ReadFile(filepath.Join(goldenBase, "job", ledgerName))
+		if err != nil || len(golden) == 0 {
+			t.Fatalf("golden ledger: %v (%d bytes)", err, len(golden))
+		}
+		for _, leg := range legs {
+			t.Run(leg.name, func(t *testing.T) {
+				base := t.TempDir()
+				inj := faultfs.NewInjector(faultfs.OS)
+				src := NewSliceSource(tuples)
+				mkRun := func() *Job { return mk(base, inj, src) }
+				inj.SetRule(leg.rule)
+				if _, err := mkRun().Run(); err == nil {
+					t.Fatal("run survived a crashed filesystem")
+				}
+				if !inj.Fired() {
+					t.Fatal("fault did not fire")
+				}
+				inj.Reset()
+				resumeToFinal(t, func(int64) *Job { return mkRun() }, golden)
+			})
+		}
+	})
 }
 
 // TestJobRescaleCrashDuringRecovery crashes the filesystem while a
@@ -589,8 +467,9 @@ func TestOperatorSnapshotJoinReplay(t *testing.T) {
 }
 
 // TestParseCutDir pins the one place a generation names its cuts:
-// cutDirName and ParseCutDir round-trip, junk names are ignored, the
-// shared cut is recognised, StageCuts checks a listing against the
+// cutDirName and ParseCutDir round-trip, junk names are ignored (the
+// sSS-shared cut of the retired shared-backend mode among them),
+// StageCuts checks a listing against the
 // key-range manifest, and verification of a job whose committed
 // generation is missing fails.
 func TestParseCutDir(t *testing.T) {
@@ -601,7 +480,7 @@ func TestParseCutDir(t *testing.T) {
 	}{
 		{"s01-w00", 1, 0, true},
 		{"s03-w12", 3, 12, true},
-		{"s02-shared", 2, -1, true},
+		{"s02-shared", 0, 0, false},
 		{"s100-w100", 100, 100, true},
 		{"junk", 0, 0, false},
 		{"GENMETA", 0, 0, false},
@@ -636,7 +515,7 @@ func TestParseCutDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := map[int]int{1: 3, 2: -1, 3: 1}; !reflect.DeepEqual(cuts, want) {
+	if want := map[int]int{1: 3, 3: 1}; !reflect.DeepEqual(cuts, want) {
 		t.Errorf("StageCuts = %v, want %v", cuts, want)
 	}
 	if _, err := StageCuts(ents, []int64{2, 4, 2, 1}); err == nil {
@@ -659,41 +538,74 @@ func TestParseCutDir(t *testing.T) {
 	}
 }
 
-// TestJobResumeNamesMissingCut deletes one worker cut of the committed
-// generation: Resume must fail with an error naming the stage and the
-// directory, and must not mistake the loss for rot — the generation is
-// not quarantined.
+// TestJobResumeNamesMissingCut damages the committed generation's cuts
+// of stage 1: Resume must fail with an error naming the stage and the
+// missing directory, and must not mistake the loss for rot — the
+// generation is not quarantined. The legs delete one worker cut, and
+// turn the stage into the single s01-shared cut that the retired
+// shared-backend mode wrote, which is not a cut any more.
 func TestJobResumeNamesMissingCut(t *testing.T) {
 	pat := crashPatterns()[0]
-	base := t.TempDir()
 	tuples := crashTuples(300)
-	mk := func(kill int64) *Job {
-		return &Job{
-			Pipeline:        crashPipelineAt(pat, filepath.Join(base, "state"), nil, 1<<10, 2),
-			Source:          NewSliceSource(tuples),
-			Dir:             filepath.Join(base, "job"),
-			CheckpointEvery: 61,
-			KillAfterTuples: kill,
-		}
-	}
-	if _, err := mk(200).Run(); !errors.Is(err, ErrJobKilled) {
-		t.Fatalf("want ErrJobKilled, got %v", err)
-	}
-	meta, err := ReadJobMeta(nil, filepath.Join(base, "job"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	genDir := filepath.Join(base, "job", genDirName(meta.Gen))
-	lost := filepath.Join(genDir, cutDirName(1, 1))
-	if err := os.RemoveAll(lost); err != nil {
-		t.Fatal(err)
-	}
-	_, err = mk(0).Resume()
-	if err == nil || !strings.Contains(err.Error(), "stage win") || !strings.Contains(err.Error(), lost) {
-		t.Fatalf("resume over a missing cut: err = %v, want one naming stage win and %s", err, lost)
-	}
-	if errors.Is(err, core.ErrCheckpointInvalid) || core.IsQuarantined(nil, genDir) {
-		t.Fatalf("a missing cut was treated as rot: %v", err)
+	for _, leg := range []struct {
+		name string
+		// damage edits the generation directory and returns the cut
+		// that Resume must name as missing.
+		damage func(t *testing.T, genDir string) string
+	}{
+		{"deleted-worker", func(t *testing.T, genDir string) string {
+			lost := filepath.Join(genDir, cutDirName(1, 1))
+			if err := os.RemoveAll(lost); err != nil {
+				t.Fatal(err)
+			}
+			return lost
+		}},
+		{"shared-layout", func(t *testing.T, genDir string) string {
+			if err := os.RemoveAll(filepath.Join(genDir, cutDirName(1, 1))); err != nil {
+				t.Fatal(err)
+			}
+			lost := filepath.Join(genDir, cutDirName(1, 0))
+			if err := os.Rename(lost, filepath.Join(genDir, "s01-shared")); err != nil {
+				t.Fatal(err)
+			}
+			return lost
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			base := t.TempDir()
+			mk := func(kill int64) *Job {
+				return &Job{
+					Pipeline:        crashPipelineAt(pat, filepath.Join(base, "state"), nil, 1<<10, 2),
+					Source:          NewSliceSource(tuples),
+					Dir:             filepath.Join(base, "job"),
+					CheckpointEvery: 61,
+					KillAfterTuples: kill,
+				}
+			}
+			if _, err := mk(200).Run(); !errors.Is(err, ErrJobKilled) {
+				t.Fatalf("want ErrJobKilled, got %v", err)
+			}
+			meta, err := ReadJobMeta(nil, filepath.Join(base, "job"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			genDir := filepath.Join(base, "job", GenDirName(meta.Gen))
+			lost := leg.damage(t, genDir)
+			_, err = mk(0).Resume()
+			if err == nil || !strings.Contains(err.Error(), "stage win") ||
+				!strings.Contains(err.Error(), "committed cut "+lost+" is missing") {
+				t.Fatalf("resume over a missing cut: err = %v, want one naming stage win and %s", err, lost)
+			}
+			if errors.Is(err, core.ErrCheckpointInvalid) || core.IsQuarantined(nil, genDir) {
+				t.Fatalf("a missing cut was treated as rot: %v", err)
+			}
+			filepath.WalkDir(filepath.Join(base, "job"), func(path string, d fs.DirEntry, err error) error {
+				if err == nil && d.Name() == "QUARANTINE" {
+					t.Errorf("a missing cut was quarantined: %s", path)
+				}
+				return nil
+			})
+		})
 	}
 }
 

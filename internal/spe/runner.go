@@ -13,7 +13,6 @@ import (
 	"flowkv/internal/core"
 	"flowkv/internal/metrics"
 	"flowkv/internal/statebackend"
-	"flowkv/internal/window"
 )
 
 // Stage is one operator of a pipeline, executed by Parallelism workers.
@@ -29,17 +28,6 @@ type Stage struct {
 	NewBackend func(workerID int) (statebackend.Backend, error)
 	// Join describes an interval-join operator (uses NewBackend too).
 	Join *IntervalJoinSpec
-	// ShareBackend makes every worker of the stage share one backend,
-	// constructed by NewBackend(0), instead of one private backend per
-	// worker — the arrangement that exercises a concurrent store. The
-	// FlowKV backend is used as-is (core.Store is internally concurrent);
-	// other kinds are wrapped with statebackend.Synchronized. Workers
-	// still own disjoint key ranges (tuples are routed by key hash), so
-	// per-key state never interleaves across workers. Holistic aggregates
-	// over aligned windows run each worker behind a view that reads only
-	// its own key range from the merged window and defers the wholesale
-	// drop until every owner has fired (see shared.go).
-	ShareBackend bool
 	// Map is a stateless transform; it may emit zero or more tuples.
 	Map func(t Tuple, emit func(Tuple))
 }
@@ -226,11 +214,10 @@ func newBarrier() *barrier {
 // stageRT is the runtime of one stage: its workers' input channels,
 // their operators, and the per-stage barrier arrival counter.
 type stageRT struct {
-	stage  Stage
-	par    int
-	in     []chan Message
-	ops    []statefulOperator
-	shared statebackend.Backend
+	stage Stage
+	par   int
+	in    []chan Message
+	ops   []statefulOperator
 
 	// route maps a key's hash bucket (routeKey(key, par)) to the worker
 	// that owns it. nil means identity — bucket w is owned by worker w.
@@ -238,15 +225,6 @@ type stageRT struct {
 	// at an aligned barrier; the table is persisted in the JOB record so
 	// ownership survives restarts (see migrate.go).
 	route []int
-
-	// Holistic aligned windows over a shared backend: per-worker key-range
-	// views and the deferred whole-window drop tracker (see shared.go).
-	// views is nil for every other stage shape; drops is additionally nil
-	// when the shared backend cannot serve partitioned window reads (the
-	// operators then fall back to consuming per-key reads, which need no
-	// deferred drop).
-	views []*workerView
-	drops *sharedDrops
 
 	barMu sync.Mutex
 	barN  int
@@ -344,44 +322,13 @@ func (r *runtime) buildOperators() error {
 		rt := r.rts[i]
 		emitTuple, _ := r.sender(i)
 		rt.ops = make([]statefulOperator, rt.par)
-		if rt.stage.ShareBackend && (rt.stage.Window != nil || rt.stage.Join != nil) {
-			b, err := rt.stage.NewBackend(0)
-			if err != nil {
-				return fmt.Errorf("spe: stage %s shared backend: %w", rt.stage.Name, err)
-			}
-			rt.shared = statebackend.Synchronized(b)
-			if rt.stage.Window != nil && rt.stage.Window.IsHolistic() &&
-				rt.stage.Window.Assigner.Kind().Aligned() {
-				// Holistic aligned triggers bulk-read whole windows; behind a
-				// shared backend each worker must read only its own key range
-				// and the merged window is dropped once every owner fired.
-				part, _ := statebackend.AsPartitionedWindowReader(rt.shared)
-				if part != nil {
-					shared := rt.shared
-					rt.drops = newSharedDrops(rt.par, func(w window.Window) error {
-						return shared.DropAppended(nil, w)
-					})
-				}
-				rt.views = make([]*workerView, rt.par)
-				for w := 0; w < rt.par; w++ {
-					rt.views[w] = newWorkerView(rt.shared, part, rt.drops, w, rt.par)
-				}
-			}
+		if rt.stage.Window == nil && rt.stage.Join == nil {
+			continue
 		}
 		for w := 0; w < rt.par; w++ {
-			if rt.stage.Window == nil && rt.stage.Join == nil {
-				continue
-			}
-			var err error
-			backend := rt.shared
-			if rt.views != nil {
-				backend = rt.views[w]
-			}
-			if backend == nil {
-				backend, err = rt.stage.NewBackend(w)
-				if err != nil {
-					return fmt.Errorf("spe: stage %s worker %d: %w", rt.stage.Name, w, err)
-				}
+			backend, err := rt.stage.NewBackend(w)
+			if err != nil {
+				return fmt.Errorf("spe: stage %s worker %d: %w", rt.stage.Name, w, err)
 			}
 			var op statefulOperator
 			if rt.stage.Window != nil {
@@ -399,28 +346,6 @@ func (r *runtime) buildOperators() error {
 	return nil
 }
 
-// reseedSharedWindows re-registers restored state with the shared-stage
-// drop trackers after a job resume: each worker's restored watermark and
-// the aligned windows still owing triggers, exactly what live ingestion
-// would have registered. Called before any worker goroutine starts.
-func (r *runtime) reseedSharedWindows() {
-	for _, rt := range r.rts {
-		if rt.views == nil || rt.drops == nil {
-			continue
-		}
-		for w, op := range rt.ops {
-			wo, ok := op.(*WindowOperator)
-			if !ok {
-				continue
-			}
-			rt.drops.reseedWM(w, wo.wm)
-			for win := range wo.aligned {
-				rt.views[w].register(win)
-			}
-		}
-	}
-}
-
 // destroyBackends releases every backend built so far (construction
 // failure path — no goroutines are running).
 func (r *runtime) destroyBackends() {
@@ -429,12 +354,9 @@ func (r *runtime) destroyBackends() {
 			continue
 		}
 		for _, op := range rt.ops {
-			if op != nil && rt.shared == nil {
+			if op != nil {
 				op.Backend().Destroy()
 			}
-		}
-		if rt.shared != nil {
-			rt.shared.Destroy()
 		}
 	}
 }
@@ -691,12 +613,6 @@ func (r *runtime) worker(stageIdx, w int, rt *stageRT, op statefulOperator, fw *
 			if op != nil {
 				if err := op.OnWatermark(wm, msg.WallNS); err != nil {
 					r.opFail(rt.stage.Name, w, op, err)
-				} else if rt.drops != nil {
-					// Advance the shared-stage drop tracker only after this
-					// worker's triggers for the watermark actually fired.
-					if err := rt.drops.noteWM(w, wm); err != nil {
-						r.opFail(rt.stage.Name, w, op, err)
-					}
 				}
 			}
 			fw.observe(w, wm, msg.WallNS)
@@ -713,10 +629,6 @@ func (r *runtime) worker(stageIdx, w int, rt *stageRT, op statefulOperator, fw *
 	if op != nil && !r.halted.Load() {
 		if err := op.Finish(time.Now().UnixNano()); err != nil {
 			r.opFail(rt.stage.Name, w, op, err)
-		} else if rt.drops != nil {
-			if err := rt.drops.noteWM(w, window.MaxTime); err != nil {
-				r.opFail(rt.stage.Name, w, op, err)
-			}
 		}
 	}
 }
@@ -755,8 +667,12 @@ func (r *runtime) feed(t Tuple) {
 func (r *runtime) backendStatuses() []BackendStatus {
 	var out []BackendStatus
 	for _, rt := range r.rts {
-		statusOf := func(worker int, b statebackend.Backend) BackendStatus {
-			bs := BackendStatus{Stage: rt.stage.Name, Worker: worker, Backend: b.Name()}
+		for w, op := range rt.ops {
+			if op == nil {
+				continue
+			}
+			b := op.Backend()
+			bs := BackendStatus{Stage: rt.stage.Name, Worker: w, Backend: b.Name()}
 			if st, ok := statebackend.FlowKVStats(b); ok {
 				bs.Health = st.Health
 				bs.HealthErr = st.HealthErr
@@ -764,17 +680,7 @@ func (r *runtime) backendStatuses() []BackendStatus {
 				bs.ReadErrors = st.ReadErrors
 				bs.Recoveries = st.Recoveries
 			}
-			return bs
-		}
-		if rt.shared != nil {
-			out = append(out, statusOf(-1, rt.shared))
-			continue
-		}
-		for w, op := range rt.ops {
-			if op == nil {
-				continue
-			}
-			out = append(out, statusOf(w, op.Backend()))
+			out = append(out, bs)
 		}
 	}
 	return out
@@ -812,19 +718,6 @@ func (r *runtime) collect(destroy bool) *RunResult {
 	}
 	res.Backends = r.backendStatuses()
 
-	// A shared backend is counted and released once per stage, not once
-	// per worker.
-	release := func(b statebackend.Backend) {
-		var err error
-		if destroy {
-			err = b.Destroy()
-		} else {
-			err = b.Close()
-		}
-		if err != nil {
-			r.fail(err)
-		}
-	}
 	for _, rt := range r.rts {
 		var agg OperatorStats
 		for _, op := range rt.ops {
@@ -842,25 +735,22 @@ func (r *runtime) collect(destroy bool) *RunResult {
 				agg.ResultsEmitted += st.Results
 				agg.LateDropped += st.LateDropped
 			}
-			if rt.shared != nil {
-				continue
-			}
-			if fs, ok := statebackend.FlowKVStats(op.Backend()); ok {
+			b := op.Backend()
+			if fs, ok := statebackend.FlowKVStats(b); ok {
 				res.FlowKV.Hits += fs.Hits
 				res.FlowKV.Misses += fs.Misses
 				res.FlowKV.Evictions += fs.Evictions
 				res.FlowKV.Compactions += fs.Compactions
 			}
-			release(op.Backend())
-		}
-		if rt.shared != nil {
-			if fs, ok := statebackend.FlowKVStats(rt.shared); ok {
-				res.FlowKV.Hits += fs.Hits
-				res.FlowKV.Misses += fs.Misses
-				res.FlowKV.Evictions += fs.Evictions
-				res.FlowKV.Compactions += fs.Compactions
+			var err error
+			if destroy {
+				err = b.Destroy()
+			} else {
+				err = b.Close()
 			}
-			release(rt.shared)
+			if err != nil {
+				r.fail(err)
+			}
 		}
 		res.Operators = append(res.Operators, agg)
 	}

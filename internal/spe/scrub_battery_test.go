@@ -70,7 +70,7 @@ func rotTipCheckpoint(t *testing.T, jobDir string, gen int64) string {
 	t.Helper()
 	var target string
 	var size int64
-	gdir := filepath.Join(jobDir, genDirName(gen))
+	gdir := filepath.Join(jobDir, GenDirName(gen))
 	err := filepath.WalkDir(gdir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || d.Name() == genMetaName || d.Name() == "QUARANTINE" {
 			return err
@@ -131,7 +131,7 @@ func TestJobResumeRejectsRottenTip(t *testing.T) {
 			t.Fatalf("resume attempt %d over rotten tip: %v", attempt, err)
 		}
 	}
-	tip := filepath.Join(base, "job", genDirName(meta.Gen))
+	tip := filepath.Join(base, "job", GenDirName(meta.Gen))
 	if !core.IsQuarantined(nil, tip) {
 		t.Fatal("rotten tip was not quarantined")
 	}
@@ -334,7 +334,7 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				}
 				return
 			}
-			inst := filepath.Join(job.Dir, genDirName(meta.Gen), cutDirName(1, 0), "inst-00")
+			inst := filepath.Join(job.Dir, GenDirName(meta.Gen), cutDirName(1, 0), "inst-00")
 			if leg.logical == "segments.snap" {
 				if err := faultfs.CorruptAtRest(nil, filepath.Join(inst, leg.logical), faultfs.CorruptZeroPage, -1); err != nil {
 					t.Fatal(err)

@@ -119,7 +119,7 @@ func realOpSnapshot(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(job.Dir, genDirName(meta.Gen), cutDirName(1, 0), "APPMETA"))
+	b, err := os.ReadFile(filepath.Join(job.Dir, GenDirName(meta.Gen), cutDirName(1, 0), "APPMETA"))
 	if err != nil {
 		f.Fatalf("seed snapshot: %v", err)
 	}

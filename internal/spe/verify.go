@@ -35,7 +35,7 @@ func VerifyJobDir(fsys faultfs.FS, dir string) error {
 	}
 	tipSeen := false
 	for _, g := range gens {
-		gdir := filepath.Join(dir, genDirName(g))
+		gdir := filepath.Join(dir, GenDirName(g))
 		if g > meta.Gen {
 			// Debris from a crash mid-commit: never committed, removed
 			// by the next Resume. A partial checkpoint here is expected,

@@ -48,7 +48,7 @@ func (b *flowkvBackend) RestoreMeta(dir string) ([]byte, error) {
 }
 
 // AsCheckpointer extracts the checkpoint capability from a backend,
-// looking through wrappers (Synchronized, shared-stage worker views).
+// looking through wrappers (see Unwrapper).
 func AsCheckpointer(b Backend) (Checkpointer, bool) {
 	for {
 		if c, ok := b.(Checkpointer); ok {

@@ -24,11 +24,10 @@ import (
 )
 
 // Backend is the windowed-state interface used by the SPE's window
-// operator. One Backend instance belongs to one physical operator; in the
-// default one-worker-per-operator arrangement it is used from that
-// worker's goroutine only. The FlowKV backend is safe for concurrent use
-// (core.Store carries its own locks); the other kinds are not — wrap them
-// with Synchronized before sharing across workers.
+// operator. One Backend instance belongs to one physical operator and is
+// used from that worker's goroutine only. The FlowKV backend is also
+// safe for concurrent use (core.Store carries its own locks, so a
+// self-healer can run beside the worker); the other kinds are not.
 //
 // Aggregate contract: GetAgg logically consumes the value — the caller
 // must write it back with PutAgg after aggregating (FlowKV's RMW store
@@ -235,9 +234,9 @@ func (b *flowkvBackend) Destroy() error { return b.store.Destroy() }
 // Stats exposes FlowKV-specific metrics (prefetch hit ratio etc.).
 func (b *flowkvBackend) Stats() core.Stats { return b.store.Stats() }
 
-// Unwrapper is implemented by backend wrappers (Synchronized, the SPE's
-// shared-stage worker views); Unwrap returns the next backend in the
-// chain so capability probes reach the concrete store.
+// Unwrapper is implemented by backend wrappers (such as the job
+// manager's admission-limited backend); Unwrap returns the next backend
+// in the chain so capability probes reach the concrete store.
 type Unwrapper interface{ Unwrap() Backend }
 
 // unwrap follows the wrapper chain to the innermost backend.
@@ -288,12 +287,11 @@ func SubscribeHealth(b Backend, fn func(core.Health, core.HealthReason, error)) 
 	return true
 }
 
-// PartitionedWindowReader is the optional capability behind shared-
-// backend holistic aligned stages: read one window's state restricted to
-// a key-ownership predicate, grouped by key, WITHOUT consuming the
-// window, so several workers sharing one store can each drain their own
-// key range and the window is dropped wholesale afterwards. Only the
-// FlowKV backend over an AAR store provides it.
+// PartitionedWindowReader is the optional capability to read one
+// window's state restricted to a key predicate, grouped by key, WITHOUT
+// consuming the window: several readers can each take their own key
+// range and the window is dropped wholesale afterwards. Only the FlowKV
+// backend over an AAR store provides it.
 type PartitionedWindowReader interface {
 	ReadWindowOwned(w window.Window, own func(key []byte) bool, emit func(key []byte, values [][]byte) error) error
 }
