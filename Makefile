@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -fuzztime $(FUZZTIME)

@@ -155,7 +155,7 @@ func scanRecords(path string, fn func(i int, off int64, payload []byte) error) e
 		return err
 	}
 	defer f.Close()
-	sc := binio.NewRecordScannerSniff(bufio.NewReaderSize(f, 1<<20), 0)
+	sc := binio.NewRecordScanner(bufio.NewReaderSize(f, 1<<20), 0)
 	var i int
 	var off int64
 	for sc.Scan() {
@@ -301,7 +301,7 @@ func cmdHealth(dir string) error {
 				base, _ = strconv.ParseInt(m[2], 10, 64)
 			}
 		}
-		sc := binio.NewRecordScannerSniff(bufio.NewReaderSize(f, 1<<20), 0)
+		sc := binio.NewRecordScanner(bufio.NewReaderSize(f, 1<<20), 0)
 		var records int
 		for off := int64(0); sc.Scan(); off = sc.Offset() {
 			records++
@@ -647,9 +647,8 @@ func cmdMigration(dir string) error {
 // MANIFEST verification (sizes + CRC32C) of every checkpoint in every
 // retained generation, GENMETA sidecar agreement, quarantine markers,
 // and a record-by-record payload decode of the committed sink ledger.
-// This catches silent at-rest corruption — including zeroed pages that
-// legacy v0 framing cannot distinguish from empty records — before an
-// operator trusts the directory for a resume. Exit status is non-zero
+// This catches silent at-rest corruption, zeroed pages included, before
+// an operator trusts the directory for a resume. Exit status is non-zero
 // on the first failure.
 func cmdVerify(dir string) error {
 	if err := spe.VerifyJobDir(nil, dir); err != nil {

@@ -123,41 +123,19 @@ func String(b []byte) (string, int, error) {
 	return string(p), n, nil
 }
 
-// Record framing. Two frame versions exist:
+// Record framing. Every record in every file has one frame:
 //
-//	v0 (legacy):  crc32c(uint32 LE) | length(uvarint) | payload
-//	v1:           marker(0xF7)      | crc32c(uint32 LE) | length(uvarint) | payload
+//	marker(0xF7) | crc32c(length ‖ payload) (uint32 LE) | length(uvarint) | payload
 //
-// In v0 the CRC covers the payload alone. That leaves a silent-corruption
-// hole: a page of zeroes decodes as an endless stream of valid empty
-// records (crc=0, len=0, Checksum(nil)=0), so a zeroed block in the middle
-// of a log is served as data instead of detected. v1 closes it twice over:
-// every frame starts with a nonzero marker byte, and the CRC covers the
+// Every frame starts with a nonzero marker byte and the CRC covers the
 // length bytes as well as the payload, so neither a zeroed page nor a
-// flipped length byte can survive verification. Writers always emit v1;
-// v0 remains readable for files written before the version bump. A file is
-// homogeneous — its version is decided at creation (or sniffed at open)
-// and every record in it uses that frame.
-//
-// Both frames allow a reader to detect torn tails after a crash and stop
-// at the first bad record, the standard recovery discipline for
-// append-only logs.
+// flipped length byte survives verification: a page of zeroes is never
+// read as a run of valid empty records. The frame lets a reader detect a
+// torn tail after a crash and stop at the first bad record, the standard
+// recovery discipline for append-only logs.
 
-// FrameVersion selects the record frame layout of a file.
-type FrameVersion uint8
-
-const (
-	// FrameV0 is the legacy frame: CRC over the payload only, no marker.
-	FrameV0 FrameVersion = 0
-	// FrameV1 is the current frame: a leading marker byte plus a CRC over
-	// the length bytes and the payload.
-	FrameV1 FrameVersion = 1
-)
-
-// FrameMarker is the first byte of every v1 frame. It is deliberately
-// nonzero (a zeroed page can never start a valid v1 record) and an
-// unlikely first byte for a v0 frame (it would have to be the low byte of
-// the first record's CRC).
+// FrameMarker is the first byte of every frame. It is deliberately nonzero:
+// a zeroed page can never start a valid record.
 const FrameMarker = 0xF7
 
 // FrameError describes a frame that failed verification, carrying the
@@ -180,22 +158,8 @@ func (e *FrameError) Error() string {
 
 func (e *FrameError) Unwrap() error { return ErrCorrupt }
 
-// AppendRecord appends a legacy (v0) framed record holding payload to dst.
-// It remains in use for self-describing metadata blobs (manifests,
-// SEGMENTS files) whose encodings carry their own magic; log files use
-// AppendRecordV with the file's frame version.
+// AppendRecord appends a framed, checksummed record holding payload to dst.
 func AppendRecord(dst, payload []byte) []byte {
-	dst = PutUint32(dst, Checksum(payload))
-	dst = PutUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
-}
-
-// AppendRecordV appends a framed, checksummed record in the given frame
-// version.
-func AppendRecordV(dst, payload []byte, v FrameVersion) []byte {
-	if v == FrameV0 {
-		return AppendRecord(dst, payload)
-	}
 	dst = append(dst, FrameMarker)
 	var lenb [binary.MaxVarintLen64]byte
 	ln := binary.PutUvarint(lenb[:], uint64(len(payload)))
@@ -205,16 +169,16 @@ func AppendRecordV(dst, payload []byte, v FrameVersion) []byte {
 	return append(dst, payload...)
 }
 
-// FrameHeadroom is the most bytes a v1 frame header takes: marker, CRC
-// and the longest length varint. A writer that reserves this many bytes
-// at the front of its buffer can build the payload behind them and frame
-// it in place with SealFrame.
+// FrameHeadroom is the most bytes a frame header takes: marker, CRC and
+// the longest length varint. A writer that reserves this many bytes at the
+// front of its buffer can build the payload behind them and frame it in
+// place with SealFrame.
 const FrameHeadroom = 5 + binary.MaxVarintLen64
 
-// SealFrame frames buf[FrameHeadroom:] as one v1 record in place: the
-// header goes into the reserved bytes right before the payload, and the
-// frame returned — a subslice of buf — is the same bytes AppendRecordV
-// would produce, without copying the payload.
+// SealFrame frames buf[FrameHeadroom:] as one record in place: the header
+// goes into the reserved bytes right before the payload, and the frame
+// returned — a subslice of buf — is the same bytes AppendRecord would
+// produce, without copying the payload.
 func SealFrame(buf []byte) []byte {
 	var lenb [binary.MaxVarintLen64]byte
 	ln := binary.PutUvarint(lenb[:], uint64(len(buf)-FrameHeadroom))
@@ -225,54 +189,19 @@ func SealFrame(buf []byte) []byte {
 	return buf[start:]
 }
 
-// RecordOverhead returns the legacy (v0) framing overhead in bytes for a
-// payload of length n.
+// RecordOverhead returns the framing overhead in bytes for a payload of
+// length n.
 func RecordOverhead(n int) int {
 	var tmp [binary.MaxVarintLen64]byte
-	return 4 + binary.PutUvarint(tmp[:], uint64(n))
+	return 5 + binary.PutUvarint(tmp[:], uint64(n))
 }
 
-// RecordOverheadV returns the framing overhead in bytes for a payload of
-// length n in the given frame version.
-func RecordOverheadV(n int, v FrameVersion) int {
-	if v == FrameV0 {
-		return RecordOverhead(n)
-	}
-	return 1 + RecordOverhead(n)
-}
-
-// ReadRecord decodes one legacy (v0) framed record from the front of b. It
-// returns the payload (aliasing b) and the total number of bytes consumed.
-// A checksum mismatch yields ErrCorrupt; a truncated frame yields
-// ErrShortBuffer.
+// ReadRecord decodes one framed record from the front of b. It returns the
+// payload (aliasing b) and the total number of bytes consumed. Corruption
+// yields a *FrameError (errors.Is ErrCorrupt) carrying the expected-vs-got
+// checksums; a truncated frame yields ErrShortBuffer so scanners can
+// distinguish a torn tail from rot.
 func ReadRecord(b []byte) ([]byte, int, error) {
-	crc, err := Uint32(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	n, sz, err := Uvarint(b[4:])
-	if err != nil {
-		return nil, 0, err
-	}
-	head := 4 + sz
-	if uint64(len(b)-head) < n {
-		return nil, 0, ErrShortBuffer
-	}
-	payload := b[head : head+int(n)]
-	if Checksum(payload) != crc {
-		return nil, 0, ErrCorrupt
-	}
-	return payload, head + int(n), nil
-}
-
-// ReadRecordV decodes one framed record in the given frame version from
-// the front of b. Corruption yields a *FrameError (errors.Is ErrCorrupt)
-// carrying the expected-vs-got checksums; a truncated frame yields
-// ErrShortBuffer so scanners can distinguish a torn tail from rot.
-func ReadRecordV(b []byte, v FrameVersion) ([]byte, int, error) {
-	if v == FrameV0 {
-		return ReadRecord(b)
-	}
 	if len(b) < 1 {
 		return nil, 0, ErrShortBuffer
 	}
@@ -302,39 +231,17 @@ func ReadRecordV(b []byte, v FrameVersion) ([]byte, int, error) {
 	return payload, head + int(n), nil
 }
 
-// SniffFrameVersion guesses the frame version of a file from its first
-// bytes. An empty prefix (new or empty file) reports v1, the version
-// writers emit; a leading FrameMarker reports v1; anything else is a
-// legacy v0 file. The guess can be wrong for a v0 file whose first CRC
-// byte happens to equal the marker (≈1/256 of legacy files); callers that
-// recover real files (logfile open) fall back to a v0 scan when the v1
-// read yields nothing.
-func SniffFrameVersion(prefix []byte) FrameVersion {
-	if len(prefix) == 0 || prefix[0] == FrameMarker {
-		return FrameV1
-	}
-	return FrameV0
-}
-
 // RecordWriter streams framed records to an io.Writer, tracking the byte
 // offset of each record so callers can build indexes while writing.
 type RecordWriter struct {
 	w   io.Writer
 	off int64
-	ver FrameVersion
 	buf []byte
 }
 
-// NewRecordWriter returns a legacy (v0) RecordWriter positioned at offset
-// off of w.
+// NewRecordWriter returns a RecordWriter positioned at offset off of w.
 func NewRecordWriter(w io.Writer, off int64) *RecordWriter {
-	return NewRecordWriterV(w, off, FrameV0)
-}
-
-// NewRecordWriterV returns a RecordWriter emitting frames of version v,
-// positioned at offset off of w.
-func NewRecordWriterV(w io.Writer, off int64, v FrameVersion) *RecordWriter {
-	return &RecordWriter{w: w, off: off, ver: v}
+	return &RecordWriter{w: w, off: off}
 }
 
 // Offset returns the file offset at which the next record will begin.
@@ -343,24 +250,13 @@ func (rw *RecordWriter) Offset() int64 { return rw.off }
 // Write appends one framed record and returns the offset at which it was
 // written and its total on-disk length.
 func (rw *RecordWriter) Write(payload []byte) (off int64, n int, err error) {
-	rw.buf = AppendRecordV(rw.buf[:0], payload, rw.ver)
+	rw.buf = AppendRecord(rw.buf[:0], payload)
 	off = rw.off
 	if _, err = rw.w.Write(rw.buf); err != nil {
 		return 0, 0, fmt.Errorf("binio: write record: %w", err)
 	}
 	rw.off += int64(len(rw.buf))
 	return off, len(rw.buf), nil
-}
-
-// WriteRaw appends p, which must hold whole frames of the writer's
-// version, verbatim (no re-framing), keeping the offset in step. Used to
-// move already-framed records between logs.
-func (rw *RecordWriter) WriteRaw(p []byte) error {
-	if _, err := rw.w.Write(p); err != nil {
-		return fmt.Errorf("binio: write raw: %w", err)
-	}
-	rw.off += int64(len(p))
-	return nil
 }
 
 // RecordScanner iterates framed records from an io.Reader. It buffers
@@ -371,29 +267,14 @@ type RecordScanner struct {
 	start  int
 	end    int
 	off    int64
-	ver    FrameVersion
-	sniff  bool
 	err    error
 	record []byte
 }
 
-// NewRecordScanner returns a scanner reading legacy (v0) framed records
-// from r, treating the first byte of r as file offset base.
-func NewRecordScanner(r io.Reader, base int64) *RecordScanner {
-	return NewRecordScannerV(r, base, FrameV0)
-}
-
-// NewRecordScannerV returns a scanner reading frames of version v from r,
+// NewRecordScanner returns a scanner reading framed records from r,
 // treating the first byte of r as file offset base.
-func NewRecordScannerV(r io.Reader, base int64, v FrameVersion) *RecordScanner {
-	return &RecordScanner{r: r, off: base, ver: v}
-}
-
-// NewRecordScannerSniff returns a scanner that decides the frame version
-// from the first byte of the stream (SniffFrameVersion). base must be the
-// start of the file for the sniff to be meaningful.
-func NewRecordScannerSniff(r io.Reader, base int64) *RecordScanner {
-	return &RecordScanner{r: r, off: base, sniff: true}
+func NewRecordScanner(r io.Reader, base int64) *RecordScanner {
+	return &RecordScanner{r: r, off: base}
 }
 
 // Buffer has the scanner read into buf (all of its capacity) instead of
@@ -409,10 +290,6 @@ func (s *RecordScanner) Buffer(buf []byte) *RecordScanner {
 	return s
 }
 
-// Version returns the scanner's frame version. For a sniffing scanner the
-// value is meaningful only after the first Scan call.
-func (s *RecordScanner) Version() FrameVersion { return s.ver }
-
 // Scan advances to the next record, reporting false at EOF or error.
 func (s *RecordScanner) Scan() bool {
 	if s.err != nil {
@@ -422,11 +299,7 @@ func (s *RecordScanner) Scan() bool {
 		s.buf = make([]byte, 64*1024)
 	}
 	for {
-		if s.sniff && s.end > s.start {
-			s.ver = SniffFrameVersion(s.buf[s.start:s.end])
-			s.sniff = false
-		}
-		payload, n, err := ReadRecordV(s.buf[s.start:s.end], s.ver)
+		payload, n, err := ReadRecord(s.buf[s.start:s.end])
 		if err == nil {
 			s.record = payload
 			s.start += n
@@ -434,12 +307,12 @@ func (s *RecordScanner) Scan() bool {
 			return true
 		}
 		if errors.Is(err, ErrCorrupt) {
-			// A v1 frame can never start with a zero byte, so an all-zero
+			// A frame can never start with a zero byte, so an all-zero
 			// remainder is the classic crash artifact — file size updated,
 			// data blocks never flushed — and recovery treats it as a torn
 			// tail. Any nonzero garbage (here or later in the stream) is
 			// rot, not a tear, and stays a typed corruption.
-			if s.ver == FrameV1 && s.restIsZero() {
+			if s.restIsZero() {
 				s.err = io.ErrUnexpectedEOF
 				return false
 			}

@@ -2,6 +2,7 @@ package binio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -109,13 +110,13 @@ func TestRecordOverheadMatchesAppend(t *testing.T) {
 }
 
 // TestSealFrameMatchesAppend: a frame sealed in place is byte for byte
-// the frame AppendRecordV builds, at every length-varint width.
+// the frame AppendRecord builds, at every length-varint width.
 func TestSealFrameMatchesAppend(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 21} {
 		p := bytes.Repeat([]byte{0xa5}, n)
 		buf := append(make([]byte, FrameHeadroom), p...)
-		if got, want := SealFrame(buf), AppendRecordV(nil, p, FrameV1); !bytes.Equal(got, want) {
-			t.Fatalf("payload %d bytes: SealFrame differs from AppendRecordV", n)
+		if got, want := SealFrame(buf), AppendRecord(nil, p); !bytes.Equal(got, want) {
+			t.Fatalf("payload %d bytes: SealFrame differs from AppendRecord", n)
 		}
 	}
 }
@@ -123,8 +124,9 @@ func TestSealFrameMatchesAppend(t *testing.T) {
 func TestRecordCorruption(t *testing.T) {
 	buf := AppendRecord(nil, []byte("hello world"))
 	buf[len(buf)-1] ^= 0xff
-	if _, _, err := ReadRecord(buf); err != ErrCorrupt {
-		t.Errorf("corrupted record: got %v want ErrCorrupt", err)
+	var fe *FrameError
+	if _, _, err := ReadRecord(buf); !errors.As(err, &fe) || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("corrupted record: got %v want a *FrameError", err)
 	}
 }
 
@@ -252,7 +254,7 @@ func TestRecordScannerLargeRecords(t *testing.T) {
 // buffer, and that an empty buffer is ignored rather than looping.
 func TestRecordScannerCallerBuffer(t *testing.T) {
 	var file bytes.Buffer
-	rw := NewRecordWriterV(&file, 0, FrameV1)
+	rw := NewRecordWriter(&file, 0)
 	var recs [][]byte
 	for i := 0; i < 200; i++ {
 		p := bytes.Repeat([]byte{byte(i)}, 1+i*37%90)
@@ -265,7 +267,7 @@ func TestRecordScannerCallerBuffer(t *testing.T) {
 		recs = append(recs, p)
 	}
 	for _, buf := range [][]byte{make([]byte, 256), make([]byte, 0, 256), nil} {
-		sc := NewRecordScannerV(bytes.NewReader(file.Bytes()), 0, FrameV1).Buffer(buf)
+		sc := NewRecordScanner(bytes.NewReader(file.Bytes()), 0).Buffer(buf)
 		for i, want := range recs {
 			if !sc.Scan() || !bytes.Equal(sc.Record(), want) {
 				t.Fatalf("cap %d: record %d mismatch (err %v)", cap(buf), i, sc.Err())
@@ -273,34 +275,6 @@ func TestRecordScannerCallerBuffer(t *testing.T) {
 		}
 		if sc.Scan() || sc.Err() != nil {
 			t.Fatalf("cap %d: scan did not end cleanly: %v", cap(buf), sc.Err())
-		}
-	}
-}
-
-// TestRecordWriterWriteRaw appends frames produced elsewhere verbatim:
-// the offset advances by their length, later records land after them,
-// and a scan sees one homogeneous stream.
-func TestRecordWriterWriteRaw(t *testing.T) {
-	raw := AppendRecordV(AppendRecordV(nil, []byte("one"), FrameV1), []byte("two"), FrameV1)
-	var file bytes.Buffer
-	rw := NewRecordWriterV(&file, 0, FrameV1)
-	if _, _, err := rw.Write([]byte("zero")); err != nil {
-		t.Fatal(err)
-	}
-	before := rw.Offset()
-	if err := rw.WriteRaw(raw); err != nil {
-		t.Fatal(err)
-	}
-	if rw.Offset() != before+int64(len(raw)) {
-		t.Fatalf("offset %d after %d raw bytes at %d", rw.Offset(), len(raw), before)
-	}
-	if off, _, err := rw.Write([]byte("three")); err != nil || off != before+int64(len(raw)) {
-		t.Fatalf("record after raw bytes at %d, err %v", off, err)
-	}
-	sc := NewRecordScannerV(bytes.NewReader(file.Bytes()), 0, FrameV1)
-	for _, want := range []string{"zero", "one", "two", "three"} {
-		if !sc.Scan() || string(sc.Record()) != want {
-			t.Fatalf("got %q, want %q (err %v)", sc.Record(), want, sc.Err())
 		}
 	}
 }
@@ -335,52 +309,6 @@ func BenchmarkAppendRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendRecord(buf[:0], payload)
-	}
-}
-
-// BenchmarkScanRecordsFramed compares sequential scan cost across
-// frame versions: legacy v0, marker-prefixed v1, and the sniffing
-// scanner that accepts both. The v1 marker costs one byte and one
-// compare per record; the framing bump's acceptance bound is <= 5%
-// read overhead over v0.
-func BenchmarkScanRecordsFramed(b *testing.B) {
-	payload := bytes.Repeat([]byte("v"), 84)
-	for _, bench := range []struct {
-		name  string
-		ver   FrameVersion
-		sniff bool
-	}{
-		{"v0", FrameV0, false},
-		{"v1", FrameV1, false},
-		{"sniff-v1", FrameV1, true},
-	} {
-		var file bytes.Buffer
-		rw := NewRecordWriterV(&file, 0, bench.ver)
-		for i := 0; i < 10000; i++ {
-			if _, _, err := rw.Write(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		data := file.Bytes()
-		b.Run(bench.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var sc *RecordScanner
-				if bench.sniff {
-					sc = NewRecordScannerSniff(bytes.NewReader(data), 0)
-				} else {
-					sc = NewRecordScannerV(bytes.NewReader(data), 0, bench.ver)
-				}
-				n := 0
-				for sc.Scan() {
-					n++
-				}
-				if err := sc.Err(); err != nil || n != 10000 {
-					b.Fatalf("records %d, err %v", n, err)
-				}
-			}
-		})
 	}
 }
 

@@ -24,10 +24,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(PutVarint(PutString(nil, "key"), -12345))
 	// A valid record with its checksum flipped.
 	bad := AppendRecord(nil, []byte("flip"))
-	bad[0] ^= 0xff
+	bad[1] ^= 0xff
 	f.Add(bad)
 	// A record claiming a huge payload length.
-	f.Add(PutUvarint(PutUint32(nil, 0), 1<<62))
+	f.Add(PutUvarint(PutUint32([]byte{FrameMarker}, 0), 1<<62))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if payload, n, err := ReadRecord(b); err == nil {
@@ -98,73 +98,67 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecordFrame drives the v1 checksummed frame decoder and the
-// sniffing scanner with arbitrary bytes. The properties are the ones the
+// FuzzDecodeRecordFrame drives the checksummed frame decoder and the
+// record scanner with arbitrary bytes. The properties are the ones the
 // scrubber and recovery paths depend on:
 //
-//   - ReadRecordV never panics and never accepts a frame whose CRC does
+//   - ReadRecord never panics and never accepts a frame whose CRC does
 //     not cover its bytes (a successful decode must re-encode to a frame
 //     that decodes to the same payload);
-//   - every failure is either ErrShort (feed more bytes) or a typed
-//     corruption matching errors.Is(err, ErrCorrupt) — nothing else;
-//   - the sniffing scanner terminates with increasing offsets whatever
-//     version it picks, and only stops on EOF, a torn tail, or typed
-//     corruption.
+//   - every failure is either ErrShortBuffer (feed more bytes) or a
+//     *FrameError matching errors.Is(err, ErrCorrupt) — nothing else;
+//   - the scanner terminates with increasing offsets and only stops on
+//     EOF, a torn tail, or typed corruption.
 func FuzzDecodeRecordFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendRecordV(nil, []byte("hello"), FrameV1))
-	f.Add(AppendRecordV(AppendRecordV(nil, []byte("a"), FrameV1), bytes.Repeat([]byte("b"), 300), FrameV1))
+	f.Add(AppendRecord(nil, []byte("hello")))
+	f.Add(AppendRecord(AppendRecord(nil, []byte("a")), bytes.Repeat([]byte("b"), 300)))
 	// Marker present but CRC flipped.
-	bad := AppendRecordV(nil, []byte("flip"), FrameV1)
+	bad := AppendRecord(nil, []byte("flip"))
 	bad[1] ^= 0xff
 	f.Add(bad)
 	// Payload bit-flip after a clean first frame.
-	two := AppendRecordV(AppendRecordV(nil, []byte("ok"), FrameV1), []byte("rot"), FrameV1)
+	two := AppendRecord(AppendRecord(nil, []byte("ok")), []byte("rot"))
 	two[len(two)-1] ^= 0x01
 	f.Add(two)
 	// Truncated frame (torn tail) and zero tail after a clean frame.
-	whole := AppendRecordV(nil, []byte("torn"), FrameV1)
+	whole := AppendRecord(nil, []byte("torn"))
 	f.Add(whole[:len(whole)-2])
-	f.Add(append(AppendRecordV(nil, []byte("zeros"), FrameV1), make([]byte, 37)...))
-	// v1 marker byte leading legacy v0 bytes (the 1/256 collision).
-	v0 := AppendRecord(nil, []byte("legacy"))
-	f.Add(append([]byte{byte(FrameMarker)}, v0...))
+	f.Add(append(AppendRecord(nil, []byte("zeros")), make([]byte, 37)...))
+	// A frame without its marker byte.
+	f.Add(AppendRecord(nil, []byte("no marker"))[1:])
 	// Huge claimed length.
 	f.Add(append([]byte{byte(FrameMarker), 1, 2, 3, 4}, PutUvarint(nil, 1<<62)...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payload, n, err := ReadRecordV(b, FrameV1)
+		payload, n, err := ReadRecord(b)
+		var fe *FrameError
 		switch {
 		case err == nil:
 			if n <= 0 || n > len(b) {
-				t.Fatalf("ReadRecordV consumed %d of %d bytes", n, len(b))
+				t.Fatalf("ReadRecord consumed %d of %d bytes", n, len(b))
 			}
-			re := AppendRecordV(nil, payload, FrameV1)
-			p2, n2, err2 := ReadRecordV(re, FrameV1)
+			re := AppendRecord(nil, payload)
+			p2, n2, err2 := ReadRecord(re)
 			if err2 != nil || n2 != len(re) || !bytes.Equal(p2, payload) {
 				t.Fatalf("frame round trip: payload %x -> %x, n=%d/%d, err=%v",
 					payload, p2, n2, len(re), err2)
 			}
-		case errors.Is(err, ErrShortBuffer) || errors.Is(err, ErrCorrupt):
+		case errors.Is(err, ErrShortBuffer) || errors.As(err, &fe):
 		default:
-			t.Fatalf("ReadRecordV: untyped error %v", err)
+			t.Fatalf("ReadRecord: untyped error %v", err)
 		}
 
-		for _, mk := range []func() *RecordScanner{
-			func() *RecordScanner { return NewRecordScannerV(bytes.NewReader(b), 0, FrameV1) },
-			func() *RecordScanner { return NewRecordScannerSniff(bytes.NewReader(b), 0) },
-		} {
-			sc := mk()
-			prev := int64(0)
-			for sc.Scan() {
-				if sc.Offset() <= prev {
-					t.Fatalf("scanner offset stuck at %d", sc.Offset())
-				}
-				prev = sc.Offset()
+		sc := NewRecordScanner(bytes.NewReader(b), 0)
+		prev := int64(0)
+		for sc.Scan() {
+			if sc.Offset() <= prev {
+				t.Fatalf("scanner offset stuck at %d", sc.Offset())
 			}
-			if sc.Err() != nil && !errors.Is(sc.Err(), ErrCorrupt) {
-				t.Fatalf("scanner error on in-memory input: %v", sc.Err())
-			}
+			prev = sc.Offset()
+		}
+		if sc.Err() != nil && !errors.Is(sc.Err(), ErrCorrupt) {
+			t.Fatalf("scanner error on in-memory input: %v", sc.Err())
 		}
 	})
 }

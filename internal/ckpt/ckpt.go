@@ -134,21 +134,25 @@ func (m *Meta) Encode() []byte {
 }
 
 // DecodeMeta parses a SEGMENTS file. It never panics, whatever the
-// input; malformed bytes yield ErrBadMeta.
+// input; malformed bytes yield ErrBadMeta, wrapping the frame's error
+// (a *binio.FrameError for a corrupt frame) when a record fails to read.
 func DecodeMeta(b []byte) (*Meta, error) {
-	bad := func(why string) (*Meta, error) {
-		return nil, fmt.Errorf("%w: %s", ErrBadMeta, why)
-	}
 	// A cursor over the current record: a failed decode consumes nothing
-	// and clears ok.
+	// and clears ok; a record that fails to read leaves its error in rerr.
 	var rec []byte
+	var rerr error
 	ok := true
 	next := func() bool {
 		var n int
-		var err error
-		rec, n, err = binio.ReadRecord(b)
+		rec, n, rerr = binio.ReadRecord(b)
 		b = b[n:]
-		return err == nil
+		return rerr == nil
+	}
+	bad := func(why string) (*Meta, error) {
+		if rerr != nil {
+			return nil, fmt.Errorf("%w: %s: %w", ErrBadMeta, why, rerr)
+		}
+		return nil, fmt.Errorf("%w: %s", ErrBadMeta, why)
 	}
 	str := func() string {
 		s, n, err := binio.String(rec)
@@ -356,7 +360,7 @@ var blockPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Stream records a replay stream under the logical name: a logical file
 // whose segments, concatenated, replay in order into the instance's state
-// at the cut. A segment is a run of blocks, each one v1 frame whose
+// at the cut. A segment is a run of blocks, each one binio frame whose
 // payload is length-prefixed records (binio.PutBytes), so a block of
 // small records pays for one checksum, not one per record. With extend
 // the parent's segments are linked across (the stream keeps the parent's
@@ -450,7 +454,7 @@ func replaySegment(fsys faultfs.FS, path string, size int64, fn func(rec []byte)
 		return err
 	}
 	defer f.Close()
-	sc := binio.NewRecordScannerV(f, 0, binio.FrameV1)
+	sc := binio.NewRecordScanner(f, 0)
 	for sc.Scan() {
 		for block := sc.Record(); len(block) > 0; {
 			rec, n, err := binio.Bytes(block)

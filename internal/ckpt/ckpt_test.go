@@ -277,7 +277,7 @@ func replayed(t *testing.T, dir string, fstate *FileState) [][]byte {
 }
 
 // TestStreamSpansBlocks: a cut whose records outgrow one block is sealed
-// into several v1 frames of at most streamChunk bytes of records plus the
+// into several frames of at most streamChunk bytes of records plus the
 // one that crossed the bound, and Replay hands the records back in order
 // across the block boundaries.
 func TestStreamSpansBlocks(t *testing.T) {
@@ -314,7 +314,7 @@ func TestStreamSpansBlocks(t *testing.T) {
 	}
 	blocks := 0
 	for len(b) > 0 {
-		block, n, err := binio.ReadRecordV(b, binio.FrameV1)
+		block, n, err := binio.ReadRecord(b)
 		if err != nil {
 			t.Fatalf("block %d: %v", blocks, err)
 		}

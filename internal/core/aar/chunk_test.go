@@ -109,7 +109,7 @@ func TestCountPrefixedChunkIsRejected(t *testing.T) {
 
 	w := window.Window{Start: 0, End: 100}
 	name := windowFileName(w)
-	seg := binio.AppendRecordV(nil, countPrefixed(pairs("k1", "a", "k2", "b")), binio.FrameV1)
+	seg := binio.AppendRecord(nil, countPrefixed(pairs("k1", "a", "k2", "b")))
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, ckpt.SegmentName(name, 0)), seg, 0o644); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ const (
 // before copying, so the snapshot's segments still contain consumed
 // (fetch-&-removed) batches; Restore loads the marks before scanning the
 // segments so those cannot resurrect, and rebuilds the live counts and
-// onDisk from the scan. It is binio v1 frames: one with the number of
+// onDisk from the scan. It is binio frames: one with the number of
 // segments, then one per segment, ascending: id, state, and per consumed
 // identity its identBytes and the offset below which its batches' blocks
 // there are dead.
@@ -56,29 +56,29 @@ func (si *SegmentInfo) Dead(off int64, e *logfile.BlockEntry) bool {
 // encodeSegmentsSnapshot writes infos, in id order.
 func encodeSegmentsSnapshot(infos []SegmentInfo) []byte {
 	payload := binio.PutUvarint(nil, uint64(len(infos)))
-	buf := binio.AppendRecordV(nil, payload, binio.FrameV1)
+	buf := binio.AppendRecord(nil, payload)
 	for _, si := range infos {
 		payload = append(binio.PutUvarint(payload[:0], uint64(si.ID)), si.State)
 		for prefix, mark := range si.Marks {
 			payload = binio.PutBytes(payload, []byte(prefix))
 			payload = binio.PutUvarint(payload, uint64(mark))
 		}
-		buf = binio.AppendRecordV(buf, payload, binio.FrameV1)
+		buf = binio.AppendRecord(buf, payload)
 	}
 	return buf
 }
 
 // DecodeSegmentsSnapshot parses a segments.snap file. It never panics,
 // whatever the input; a frame that fails verification — a zeroed page, or
-// a snapshot of the earlier data/index pair layout, framed v0 — is a
-// *binio.FrameError.
+// a snapshot of the earlier data/index pair layout, whose frames had no
+// marker byte — is a *binio.FrameError.
 func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 	bad := func(what string) ([]SegmentInfo, error) {
 		return nil, fmt.Errorf("aur: segments snapshot: %s: %w", what, binio.ErrCorrupt)
 	}
 	var out []SegmentInfo
 	for first, segs := true, uint64(0); len(b) > 0 || uint64(len(out)) != segs; first = false {
-		p, n, err := binio.ReadRecordV(b, binio.FrameV1)
+		p, n, err := binio.ReadRecord(b)
 		if err != nil {
 			return nil, fmt.Errorf("aur: segments snapshot: %w", err)
 		}
@@ -229,7 +229,7 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 // survivor. Live counts, onDisk and the flush sequence come back from one
 // scan of each segment under the restored consumed marks; the Stat table
 // and ETTs come back from the Stat stream. A checkpoint of the earlier
-// data/index pair layout fails on its v0-framed segments.snap with a
+// data/index pair layout fails on its marker-less segments.snap with a
 // *binio.FrameError.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()

@@ -134,17 +134,17 @@ func FuzzDecodeSegmentsSnapshot(f *testing.F) {
 	f.Add(encodeSegmentsSnapshot(nil))
 	f.Add([]byte{})
 	f.Add(real[:len(real)-3]) // a torn last record
-	v1 := func(payloads ...[]byte) (b []byte) {
+	frames := func(payloads ...[]byte) (b []byte) {
 		for _, p := range payloads {
-			b = binio.AppendRecordV(b, p, binio.FrameV1)
+			b = binio.AppendRecord(b, p)
 		}
 		return b
 	}
-	f.Add(real[:len(real)-len(v1([]byte{9, logfile.SegmentHead}))]) // one segment fewer than counted
-	f.Add(v1(binio.PutUvarint(nil, 1<<40)))                         // a count larger than the file
-	f.Add(v1([]byte{1}, []byte{3, 7}))                              // an unknown state
-	f.Add(v1([]byte{2}, []byte{3, logfile.SegmentHead}, []byte{5, logfile.SegmentHead}))
-	f.Add(binio.AppendRecord(nil, []byte{0})) // the earlier pair layout's v0 frame
+	f.Add(real[:len(real)-len(frames([]byte{9, logfile.SegmentHead}))]) // one segment fewer than counted
+	f.Add(frames(binio.PutUvarint(nil, 1<<40)))                         // a count larger than the file
+	f.Add(frames([]byte{1}, []byte{3, 7}))                              // an unknown state
+	f.Add(frames([]byte{2}, []byte{3, logfile.SegmentHead}, []byte{5, logfile.SegmentHead}))
+	f.Add([]byte{0x51, 0x53, 0x7d, 0x52, 1, 0}) // the earlier pair layout's marker-less frame: crc32c | len | payload 0
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		infos, err := DecodeSegmentsSnapshot(b)

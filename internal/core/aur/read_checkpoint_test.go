@@ -397,10 +397,17 @@ func TestRestoreRejectsZeroedStatPage(t *testing.T) {
 	}
 }
 
+// pairLayoutFrame frames p as the earlier pair layout's files were framed:
+// crc32c(p) | uvarint(len(p)) | p, with no marker byte.
+func pairLayoutFrame(dst, p []byte) []byte {
+	dst = binio.PutUint32(dst, binio.Checksum(p))
+	return append(binio.PutUvarint(dst, uint64(len(p))), p...)
+}
+
 // TestRestoreRejectsPairLayout: a checkpoint of the earlier layout — each
-// segment a data-NNNNNN.log / index-NNNNNN.log pair, segments.snap framed
-// v0 — fails Restore with a typed *binio.FrameError and restores nothing,
-// whether or not the store had spilled.
+// segment a data-NNNNNN.log / index-NNNNNN.log pair, every file framed
+// without the marker byte — fails Restore with a typed *binio.FrameError
+// and restores nothing, whether or not the store had spilled.
 func TestRestoreRejectsPairLayout(t *testing.T) {
 	for _, spilled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("spilled=%v", spilled), func(t *testing.T) {
@@ -416,16 +423,16 @@ func TestRestoreRejectsPairLayout(t *testing.T) {
 			if spilled {
 				segments = 1
 				for _, name := range []string{"data-000000.log", "index-000000.log"} {
-					b := binio.AppendRecordV(nil, []byte("batch"), binio.FrameV1)
+					b := pairLayoutFrame(nil, []byte("batch"))
 					seg := ckpt.SegmentName(name, 0)
 					write(seg, b)
 					meta.Files = append(meta.Files, ckpt.FileState{Logical: name, Epoch: 1,
 						Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
 				}
 			}
-			snap := binio.AppendRecord(nil, binio.PutUvarint(nil, segments))
+			snap := pairLayoutFrame(nil, binio.PutUvarint(nil, segments))
 			if spilled {
-				snap = binio.AppendRecord(snap, []byte{0, logfile.SegmentHead})
+				snap = pairLayoutFrame(snap, []byte{0, logfile.SegmentHead})
 			}
 			write(segmentsSnapshotName, snap)
 			write(ckpt.MetaName, meta.Encode())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -413,6 +414,12 @@ func runStress(t *testing.T, pattern Pattern, seed int64) {
 					fail(err)
 					return
 				}
+				// Yield after every op so the workers interleave with each
+				// other and with the chaos goroutine at any GOMAXPROCS: at
+				// one P a worker would otherwise run its whole sequence in
+				// one time slice, and no flush would ever race a cleaning
+				// pass.
+				runtime.Gosched()
 			}
 			if err := sw.finalVerify(s, pattern); err != nil {
 				fail(err)

@@ -42,11 +42,11 @@ func CloneCheckpointDir(fsys faultfs.FS, src, dst string) (CloneResult, error) {
 	}
 	mb, err := fsys.ReadFile(filepath.Join(src, manifestName))
 	if err != nil {
-		return res, &CheckpointError{Dir: src, Reason: fmt.Sprintf("missing or unreadable MANIFEST: %v", err)}
+		return res, &CheckpointError{Dir: src, Reason: "missing or unreadable MANIFEST", Err: err}
 	}
-	m, reason := parseManifest(mb)
-	if reason != "" {
-		return res, &CheckpointError{Dir: src, File: manifestName, Reason: reason}
+	m, err := parseManifest(src, mb)
+	if err != nil {
+		return res, err
 	}
 	if err := fsys.RemoveAll(dst); err != nil {
 		return res, fmt.Errorf("flowkv: clone checkpoint: clear destination: %w", err)

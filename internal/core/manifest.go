@@ -26,8 +26,8 @@ const manifestMagic = "flowkv-checkpoint-v2"
 var ErrCheckpointInvalid = errors.New("flowkv: invalid checkpoint")
 
 // CheckpointError reports why a checkpoint directory was rejected. It
-// unwraps to ErrCheckpointInvalid so callers can branch on the class
-// while logging the specifics.
+// matches ErrCheckpointInvalid so callers can branch on the class while
+// logging the specifics, and unwraps to the underlying failure, if any.
 type CheckpointError struct {
 	// Dir is the checkpoint directory that was rejected.
 	Dir string
@@ -36,18 +36,29 @@ type CheckpointError struct {
 	File string
 	// Reason describes the failed check.
 	Reason string
+	// Err is the failure underneath the check, when there is one: a
+	// *binio.FrameError for a MANIFEST record that fails verification.
+	Err error
 }
 
 // Error formats the rejection.
 func (e *CheckpointError) Error() string {
-	if e.File == "" {
-		return fmt.Sprintf("flowkv: invalid checkpoint %s: %s", e.Dir, e.Reason)
+	msg := "flowkv: invalid checkpoint " + e.Dir
+	if e.File != "" {
+		msg += ": file " + e.File
 	}
-	return fmt.Sprintf("flowkv: invalid checkpoint %s: file %s: %s", e.Dir, e.File, e.Reason)
+	msg += ": " + e.Reason
+	if e.Err != nil {
+		msg += ": " + e.Err.Error()
+	}
+	return msg
 }
 
-// Unwrap makes errors.Is(err, ErrCheckpointInvalid) hold.
-func (e *CheckpointError) Unwrap() error { return ErrCheckpointInvalid }
+// Is makes errors.Is(err, ErrCheckpointInvalid) hold.
+func (e *CheckpointError) Is(target error) bool { return target == ErrCheckpointInvalid }
+
+// Unwrap returns the underlying failure, nil if there is none.
+func (e *CheckpointError) Unwrap() error { return e.Err }
 
 // manifestEntry records one checkpointed file: its slash-separated path
 // relative to the checkpoint root, its exact size, and the CRC32C of its
@@ -132,73 +143,86 @@ func encodeManifest(m *manifest) []byte {
 	return buf
 }
 
-// parseManifest decodes a serialized manifest. On rejection it returns a
-// non-empty reason and a nil manifest; it never panics, whatever the input
-// (fuzzed by FuzzParseManifest).
-func parseManifest(b []byte) (*manifest, string) {
+// parseManifest decodes dir's serialized manifest. On rejection it returns
+// a *CheckpointError naming the MANIFEST, wrapping the frame's error when a
+// record fails verification; it never panics, whatever the input (fuzzed
+// by FuzzParseManifest).
+func parseManifest(dir string, b []byte) (*manifest, error) {
+	bad := func(reason string, err error) (*manifest, error) {
+		return nil, &CheckpointError{Dir: dir, File: manifestName, Reason: reason, Err: err}
+	}
 	header, n, err := binio.ReadRecord(b)
 	if err != nil {
-		return nil, fmt.Sprintf("corrupt header: %v", err)
+		return bad("corrupt header", err)
 	}
 	b = b[n:]
 	magic, hn, err := binio.String(header)
 	if err != nil || magic != manifestMagic {
-		return nil, "bad magic"
+		return bad("bad magic", nil)
 	}
 	header = header[hn:]
 	pat, hn, err := binio.Uvarint(header)
 	if err != nil {
-		return nil, "truncated header"
+		return bad("truncated header", nil)
 	}
 	header = header[hn:]
 	inst, hn, err := binio.Uvarint(header)
 	if err != nil {
-		return nil, "truncated header"
+		return bad("truncated header", nil)
 	}
 	header = header[hn:]
 	parent, pn, err := binio.String(header)
 	if err != nil {
-		return nil, "truncated header"
+		return bad("truncated header", nil)
 	}
 	header = header[pn:]
 	depth, _, err := binio.Uvarint(header)
 	if err != nil {
-		return nil, "truncated header"
+		return bad("truncated header", nil)
 	}
 	// A parent reference is a sibling directory's base name; path
 	// separators or traversal would let a crafted manifest point the chain
 	// walk (GC refcounting, flowkvctl display) outside the checkpoint
 	// parent directory.
 	if parent != filepath.Base(parent) && parent != "" {
-		return nil, "parent is not a sibling name"
+		return bad("parent is not a sibling name", nil)
 	}
 	if parent == "." || parent == ".." {
-		return nil, "parent is not a sibling name"
+		return bad("parent is not a sibling name", nil)
 	}
 	m := &manifest{pattern: Pattern(pat), instances: int(inst), parent: parent, depth: int(depth)}
 	for len(b) > 0 {
 		rec, n, err := binio.ReadRecord(b)
 		if err != nil {
-			return nil, fmt.Sprintf("corrupt entry: %v", err)
+			return bad("corrupt entry", err)
 		}
 		b = b[n:]
 		name, fn, err := binio.String(rec)
 		if err != nil {
-			return nil, "truncated entry"
+			return bad("truncated entry", nil)
 		}
 		rec = rec[fn:]
 		size, fn, err := binio.Uvarint(rec)
 		if err != nil {
-			return nil, "truncated entry"
+			return bad("truncated entry", nil)
 		}
 		rec = rec[fn:]
 		crc, err := binio.Uint32(rec)
 		if err != nil {
-			return nil, "truncated entry"
+			return bad("truncated entry", nil)
 		}
 		m.entries = append(m.entries, manifestEntry{path: name, size: int64(size), crc: crc})
 	}
-	return m, ""
+	return m, nil
+}
+
+// loadManifest reads and parses dir's MANIFEST.
+func loadManifest(fsys faultfs.FS, dir string) (*manifest, error) {
+	b, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return nil, &CheckpointError{Dir: dir, Reason: "missing or unreadable MANIFEST", Err: err}
+	}
+	return parseManifest(dir, b)
 }
 
 // writeManifestEncoded writes a fully-specified manifest — entries
@@ -236,20 +260,13 @@ func readManifest(fsys faultfs.FS, dir string, p Pattern, instances int) (*manif
 	if reason, ok := QuarantineReason(fsys, dir); ok {
 		return nil, &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
 	}
-	b, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	m, err := loadManifest(fsys, dir)
 	if err != nil {
-		return nil, &CheckpointError{Dir: dir, Reason: fmt.Sprintf("missing or unreadable MANIFEST: %v", err)}
-	}
-	bad := func(reason string) (*manifest, error) {
-		return nil, &CheckpointError{Dir: dir, File: manifestName, Reason: reason}
-	}
-	m, reason := parseManifest(b)
-	if reason != "" {
-		return bad(reason)
+		return nil, err
 	}
 	if m.pattern != p || m.instances != instances {
-		return bad(fmt.Sprintf("checkpoint is %v/%d instances, store is %v/%d",
-			m.pattern, m.instances, p, instances))
+		return nil, &CheckpointError{Dir: dir, File: manifestName, Reason: fmt.Sprintf("checkpoint is %v/%d instances, store is %v/%d",
+			m.pattern, m.instances, p, instances)}
 	}
 	return m, nil
 }

@@ -54,8 +54,11 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, reason := parseManifest(b)
-		if reason != "" {
+		m, err := parseManifest("fuzz", b)
+		if err != nil {
+			if ce := (*CheckpointError)(nil); !errors.As(err, &ce) || !errors.Is(err, ErrCheckpointInvalid) {
+				t.Fatalf("rejected with %v, not a CheckpointError", err)
+			}
 			return
 		}
 		if m.parent == "." || m.parent == ".." ||
@@ -87,9 +90,9 @@ func TestV1ManifestIsRejected(t *testing.T) {
 func roundTripManifest(t *testing.T, m *manifest) {
 	t.Helper()
 	re := encodeManifest(m)
-	m2, reason2 := parseManifest(re)
-	if reason2 != "" {
-		t.Fatalf("re-encoded manifest rejected: %s", reason2)
+	m2, err := parseManifest("round-trip", re)
+	if err != nil {
+		t.Fatalf("re-encoded manifest rejected: %v", err)
 	}
 	if m2.pattern != m.pattern || m2.instances != m.instances ||
 		m2.parent != m.parent || m2.depth != m.depth || len(m2.entries) != len(m.entries) {

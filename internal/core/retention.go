@@ -60,18 +60,12 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 		if info, ierr := e.Info(); ierr == nil {
 			ci.ModTime = info.ModTime()
 		}
-		b, rerr := fsys.ReadFile(filepath.Join(dir, manifestName))
-		if rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // not a checkpoint directory
-			}
-			ci.Err = &CheckpointError{Dir: dir, Reason: fmt.Sprintf("unreadable MANIFEST: %v", rerr)}
-			out = append(out, ci)
-			continue
+		m, err := loadManifest(fsys, dir)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // not a checkpoint directory
 		}
-		m, reason := parseManifest(b)
-		if reason != "" {
-			ci.Err = &CheckpointError{Dir: dir, File: manifestName, Reason: reason}
+		if err != nil {
+			ci.Err = err
 			out = append(out, ci)
 			continue
 		}
@@ -106,13 +100,9 @@ func VerifyCheckpointDir(fsys faultfs.FS, dir string) (Pattern, int, error) {
 	if reason, ok := QuarantineReason(fsys, dir); ok {
 		return 0, 0, &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
 	}
-	b, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	m, err := loadManifest(fsys, dir)
 	if err != nil {
-		return 0, 0, &CheckpointError{Dir: dir, Reason: fmt.Sprintf("missing or unreadable MANIFEST: %v", err)}
-	}
-	m, reason := parseManifest(b)
-	if reason != "" {
-		return 0, 0, &CheckpointError{Dir: dir, File: manifestName, Reason: reason}
+		return 0, 0, err
 	}
 	return m.pattern, m.instances, verifyContents(fsys, dir, m)
 }
@@ -141,20 +131,12 @@ func CheckpointChain(fsys faultfs.FS, dir string) ([]string, error) {
 		}
 		seen[name] = true
 		chain = append(chain, name)
-		b, err := fsys.ReadFile(filepath.Join(parent, name, manifestName))
+		m, err := loadManifest(fsys, filepath.Join(parent, name))
 		if err != nil {
 			if len(chain) == 1 {
-				return nil, &CheckpointError{Dir: dir, Reason: fmt.Sprintf("missing or unreadable MANIFEST: %v", err)}
+				return nil, err
 			}
 			chain = chain[:len(chain)-1] // ancestor already collected
-			break
-		}
-		m, reason := parseManifest(b)
-		if reason != "" {
-			if len(chain) == 1 {
-				return nil, &CheckpointError{Dir: dir, File: manifestName, Reason: reason}
-			}
-			chain = chain[:len(chain)-1]
 			break
 		}
 		name = m.parent
@@ -206,12 +188,8 @@ func gcCheckpoints(fsys faultfs.FS, just string, keep int, protected map[string]
 		if IsQuarantined(fsys, dir) {
 			continue
 		}
-		b, rerr := fsys.ReadFile(filepath.Join(dir, manifestName))
-		if rerr != nil {
-			continue
-		}
-		m, reason := parseManifest(b)
-		if reason != "" {
+		m, err := loadManifest(fsys, dir)
+		if err != nil {
 			continue
 		}
 		if e.Name() == base {

@@ -199,7 +199,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		block, _, err := binio.ReadRecordV(raw[sp.off:sp.off+int64(sp.n)], binio.FrameV1)
+		block, _, err := binio.ReadRecord(raw[sp.off : sp.off+int64(sp.n)])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,14 +156,14 @@ func TestDeltaElidesBornAndConsumed(t *testing.T) {
 	tomb := func(key string) []byte {
 		return encodeEntry([]byte{deltaKindTombstone}, id{key: key, w: w}, nil)
 	}
-	// A segment this small is one stream block: one v1 frame around the
+	// A segment this small is one stream block: one frame around the
 	// records' length-prefixed payloads.
 	blockBytes := func(recs ...[]byte) int64 {
 		var block []byte
 		for _, rec := range recs {
 			block = binio.PutBytes(block, rec)
 		}
-		return int64(len(binio.AppendRecordV(nil, block, binio.FrameV1)))
+		return int64(len(binio.AppendRecord(nil, block)))
 	}
 
 	// Three aggregates nothing touches again keep the clean identities in
@@ -477,7 +477,7 @@ func TestCheckpointReadsSpilledStateInRuns(t *testing.T) {
 }
 
 // TestRestoreRejectsZeroedStreamPage: a zeroed page inside an rmw.dlt
-// segment — the rot v0 framing read as a run of valid empty records — is
+// segment — rot a marker-less frame would read as valid empty records — is
 // a typed FrameError from Restore, never a silently shorter state.
 func TestRestoreRejectsZeroedStreamPage(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: diffBuffer})

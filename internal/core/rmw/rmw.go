@@ -41,7 +41,7 @@
 // # Blocks
 //
 // A segment is written in the segment block format the AUR store shares
-// (logfile.BlockWriter): v1 frames closed once their entries reach
+// (logfile.BlockWriter): frames closed once their entries reach
 // segmentBlockBytes, each entry one (key, window) and its one aggregate,
 // with the window as deltas from the entry before it. A flush writes its
 // victims in lifetime order — by window end, then start, then key — so

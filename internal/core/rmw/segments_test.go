@@ -311,7 +311,7 @@ func TestSegmentedLogDifferential(t *testing.T) {
 	// eviction.
 	var evictMin int64
 	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, _, _ int) error {
-		evictMin += int64(len(binio.AppendRecordV(nil, block, binio.FrameV1)))
+		evictMin += int64(len(binio.AppendRecord(nil, block)))
 		return nil
 	}}
 	for i := 0; i < (diffBuffer/(diffValLen+48)+1+3)/4; i++ {

@@ -231,12 +231,11 @@ func (s *Store) scrubCheckpointParent(parent string, rep *ScrubReport, pacer *sc
 				continue // not a checkpoint directory
 			}
 			rep.add(ScrubVerdict{Path: dir,
-				Err: &CheckpointError{Dir: dir, Reason: fmt.Sprintf("unreadable MANIFEST: %v", rerr)}})
+				Err: &CheckpointError{Dir: dir, Reason: "unreadable MANIFEST", Err: rerr}})
 			continue
 		}
-		m, reason := parseManifest(b)
-		if reason != "" {
-			verr := &CheckpointError{Dir: dir, File: manifestName, Reason: reason}
+		m, verr := parseManifest(dir, b)
+		if verr != nil {
 			s.quarantineScrubbed(dir, verr, rep)
 			continue
 		}
@@ -272,7 +271,7 @@ func (s *Store) quarantineScrubbed(dir string, verr error, rep *ScrubReport) {
 // file. It returns -1 when the frames scan cleanly (the mismatch lies in
 // non-framed bytes) or the file is not frame-structured.
 func firstCorruptFrame(b []byte) int64 {
-	sc := binio.NewRecordScannerSniff(bytes.NewReader(b), 0)
+	sc := binio.NewRecordScanner(bytes.NewReader(b), 0)
 	for sc.Scan() {
 	}
 	if err := sc.Err(); err != nil && errors.Is(err, binio.ErrCorrupt) {

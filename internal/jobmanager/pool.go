@@ -3,7 +3,6 @@ package jobmanager
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -543,11 +542,11 @@ func probeSlotMedia(s Slot) error {
 }
 
 // scrubSlotFiles is the default idle-slot scrub: it walks the slot
-// directory, frame-verifies every ".log" file (frame version sniffed per
-// file) and verifies every checkpoint directory against its MANIFEST. A
-// torn log tail is a crash artifact, not corruption. Quarantined
-// checkpoint directories were already detected and handled upstream, so
-// they are skipped rather than re-reported forever.
+// directory, frame-verifies every ".log" file and verifies every
+// checkpoint directory against its MANIFEST. A torn log tail is a crash
+// artifact, not corruption. Quarantined checkpoint directories were
+// already detected and handled upstream, so they are skipped rather than
+// re-reported forever.
 func scrubSlotFiles(s Slot) error {
 	fsys := s.FS
 	if fsys == nil {
@@ -593,31 +592,17 @@ func scrubTree(fsys faultfs.FS, dir string) error {
 	return nil
 }
 
-// scrubLogFile frame-scans one log file end to end. A sniffed v1 scan
-// that hits corruption retries as legacy v0 before declaring rot — the
-// 1/256 marker collision where a v0 record's first CRC byte happens to
-// equal the v1 frame marker.
+// scrubLogFile frame-scans one log file end to end.
 func scrubLogFile(fsys faultfs.FS, path string) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sc := binio.NewRecordScannerSniff(f, 0)
+	sc := binio.NewRecordScanner(f, 0)
 	for sc.Scan() {
 	}
-	err = sc.Err()
-	if err != nil && sc.Version() == binio.FrameV1 {
-		if _, serr := f.Seek(0, io.SeekStart); serr == nil {
-			sc0 := binio.NewRecordScanner(f, 0)
-			for sc0.Scan() {
-			}
-			if sc0.Err() == nil {
-				return nil
-			}
-		}
-	}
-	if err != nil {
+	if err := sc.Err(); err != nil {
 		return fmt.Errorf("scrub %s: %w", path, err)
 	}
 	return nil

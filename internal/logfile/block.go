@@ -9,7 +9,7 @@ import (
 )
 
 // Segment block format, shared by the AUR and RMW segmented logs. A segment
-// is one log of binio v1 frames, each a *block* of entries written by one
+// is one log of binio frames, each a *block* of entries written by one
 // flush, or moved by a cleaning pass:
 //
 //	uvarint seq      sequence number of the flush that first wrote them

@@ -121,7 +121,6 @@ type Log struct {
 	w      *bufio.Writer
 	rw     *binio.RecordWriter
 	bd     *metrics.Breakdown
-	ver    binio.FrameVersion
 	closed bool
 
 	durable int64  // offset covered by the last successful Sync
@@ -145,14 +144,13 @@ func Create(path string, bd *metrics.Breakdown) (*Log, error) {
 }
 
 // CreateFS is Create against an explicit filesystem, the seam used by
-// fault-injection tests. New logs always use the current (v1) record
-// frame.
+// fault-injection tests.
 func CreateFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("logfile: create: %w", err)
 	}
-	return newLog(fsys, path, f, 0, binio.FrameV1, bd), nil
+	return newLog(fsys, path, f, 0, bd), nil
 }
 
 // Open opens an existing log for appending; new records go after any valid
@@ -161,16 +159,13 @@ func Open(path string, bd *metrics.Breakdown) (*Log, error) {
 	return OpenFS(faultfs.OS, path, bd)
 }
 
-// OpenFS is Open against an explicit filesystem. The file's frame version
-// is sniffed from its first byte — new and current files use the v1 frame,
-// files written before the version bump keep the legacy v0 frame for both
-// reads and appends (per-file homogeneity: a file never mixes frames).
+// OpenFS is Open against an explicit filesystem.
 func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("logfile: open: %w", err)
 	}
-	end, ver, err := recoverEnd(path, f)
+	end, err := recoverEnd(path, f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -183,57 +178,36 @@ func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("logfile: seek: %w", err)
 	}
-	return newLog(fsys, path, f, end, ver, bd), nil
+	return newLog(fsys, path, f, end, bd), nil
 }
 
 // recoverEnd scans f and returns the offset one past its last valid
-// record plus the file's sniffed frame version. Corruption before the
-// final record (a torn tail is fine; mid-file rot is not) fails the open
-// with a typed CorruptError, so a store never resumes over bytes it
-// cannot vouch for.
-func recoverEnd(path string, f faultfs.File) (int64, binio.FrameVersion, error) {
+// record. Corruption before the final record (a torn tail is fine;
+// mid-file rot is not) fails the open with a typed CorruptError, so a
+// store never resumes over bytes it cannot vouch for.
+func recoverEnd(path string, f faultfs.File) (int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	buf := make([]byte, ioBufBytes)
-	sc := binio.NewRecordScannerSniff(f, 0).Buffer(buf)
-	records := 0
+	sc := binio.NewRecordScanner(f, 0).Buffer(make([]byte, ioBufBytes))
 	for sc.Scan() {
-		records++
 	}
-	ver := sc.Version()
 	if err := sc.Err(); err != nil {
-		// A legacy v0 file can begin with the v1 marker byte when the low
-		// byte of its first record's CRC happens to equal it (~1/256 of
-		// legacy files). If the sniffed v1 scan found nothing valid, retry
-		// the whole file as v0 before declaring it corrupt.
-		if ver == binio.FrameV1 && records == 0 {
-			if _, serr := f.Seek(0, io.SeekStart); serr == nil {
-				sc0 := binio.NewRecordScanner(f, 0).Buffer(buf)
-				n0 := 0
-				for sc0.Scan() {
-					n0++
-				}
-				if sc0.Err() == nil && n0 > 0 {
-					return sc0.Offset(), binio.FrameV0, nil
-				}
-			}
-		}
-		return 0, 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
+		return 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
 	}
-	return sc.Offset(), ver, nil
+	return sc.Offset(), nil
 }
 
-func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, ver binio.FrameVersion, bd *metrics.Breakdown) *Log {
+func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, bd *metrics.Breakdown) *Log {
 	// Bytes present at open are on disk already; treat them as the
 	// durable baseline a reopen may truncate back to.
-	l := &Log{fs: fsys, path: path, bd: bd, ver: ver, durable: off, tailOK: true}
+	l := &Log{fs: fsys, path: path, bd: bd, durable: off, tailOK: true}
 	// Every descriptor is wrapped in the policy guard so deadlines and
 	// latency observation apply uniformly; with no policy installed the
 	// guard is a passthrough.
 	l.f = &guard{lg: l, f: f}
 	l.w = takeWriter(l.f)
-	l.rw = binio.NewRecordWriterV(l.w, off, ver)
+	l.rw = binio.NewRecordWriter(l.w, off)
 	return l
 }
 
@@ -301,7 +275,7 @@ func (l *Log) Append(payload []byte) (off int64, n int, err error) {
 		return 0, 0, err
 	}
 	if l.tailOK {
-		l.tail = binio.AppendRecordV(l.tail, payload, l.ver)
+		l.tail = binio.AppendRecord(l.tail, payload)
 		l.capTail()
 	}
 	if l.bd != nil {
@@ -501,7 +475,7 @@ func (l *Log) ReopenAtDurable() error {
 	}
 	l.f = g
 	l.w = w
-	l.rw = binio.NewRecordWriterV(w, l.durable+int64(len(l.tail)), l.ver)
+	l.rw = binio.NewRecordWriter(w, l.durable+int64(len(l.tail)))
 	l.perr = nil
 	return nil
 }
@@ -570,7 +544,7 @@ func (l *Log) preadStitched(buf []byte, off int64) error {
 // valid-looking shorter frame at that offset means the read was stale or
 // misdirected, which is corruption, not a decode quirk.
 func (l *Log) DecodeRecord(buf []byte, off int64) ([]byte, error) {
-	payload, used, err := binio.ReadRecordV(buf, l.ver)
+	payload, used, err := binio.ReadRecord(buf)
 	if err != nil {
 		return nil, corruptErr(l.path, off, err)
 	}
@@ -688,7 +662,7 @@ func (l *Log) Scanner(base int64) (*Scanner, error) {
 		}
 		buf, l.scanLent, sc.lender = l.scanBuf, true, l
 	}
-	sc.sc = binio.NewRecordScannerV(r, base, l.ver).Buffer(buf)
+	sc.sc = binio.NewRecordScanner(r, base).Buffer(buf)
 	return sc, nil
 }
 

@@ -3,6 +3,7 @@ package logfile
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,7 +127,7 @@ func TestOpenRecoversTornTail(t *testing.T) {
 	}
 	// Append the prefix of a real frame, simulating a torn write (a crash
 	// cuts the stream mid-frame, so the tail is a valid-frame prefix).
-	full := binio.AppendRecordV(nil, []byte("torn-away-record"), binio.FrameV1)
+	full := binio.AppendRecord(nil, []byte("torn-away-record"))
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +158,39 @@ func TestOpenRecoversTornTail(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "keep-me" || got[1] != "after-recovery" {
 		t.Fatalf("recovered records = %v", got)
+	}
+}
+
+// TestOpenRejectsMarkerlessFrames: a log of frames without the marker
+// byte — crc32c(p) | uvarint(len(p)) | p, the layout logs had before every
+// frame carried one — fails OpenFS with a *CorruptError wrapping a
+// *binio.FrameError, and the open leaves the file byte for byte as it was:
+// no torn-tail truncation of bytes it could not read.
+func TestOpenRejectsMarkerlessFrames(t *testing.T) {
+	var old []byte
+	for i := 0; i < 3; i++ {
+		p := []byte(fmt.Sprintf("old-record-%d", i))
+		old = binio.PutUint32(old, binio.Checksum(p))
+		old = append(binio.PutUvarint(old, uint64(len(p))), p...)
+	}
+	if old[0] == binio.FrameMarker {
+		t.Fatal("the first checksum byte is the frame marker; pick other payloads")
+	}
+	path := filepath.Join(t.TempDir(), "old.log")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFS(faultfs.OS, path, nil)
+	var ce *CorruptError
+	var fe *binio.FrameError
+	if !errors.As(err, &ce) || !errors.As(err, &fe) || !errors.Is(err, ErrCorruptRecord) {
+		if l != nil {
+			l.Close()
+		}
+		t.Fatalf("open of a marker-less log: %v, want a *CorruptError wrapping a *binio.FrameError", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the failed open changed the file (err %v)", err)
 	}
 }
 
@@ -474,7 +508,7 @@ func TestWriteBufferIsRecycledClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := binio.AppendRecordV(nil, []byte("from-b"), binio.FrameV1); !bytes.Equal(got, want) {
+	if want := binio.AppendRecord(nil, []byte("from-b")); !bytes.Equal(got, want) {
 		t.Fatalf("b.log holds %q, want only its own record", got)
 	}
 

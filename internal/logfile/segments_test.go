@@ -160,7 +160,7 @@ func (f *fakeStore) consume(sg *Segment[int], kill func(rec int) bool) {
 
 // recBytes is a record's framed size in a log.
 func (f *fakeStore) recBytes() int64 {
-	return int64(len(binio.AppendRecordV(nil, make([]byte, fakePayload), binio.FrameV1)))
+	return int64(len(binio.AppendRecord(nil, make([]byte, fakePayload))))
 }
 
 // clean runs Clean with a copy that moves every live record of a victim

@@ -1004,7 +1004,7 @@ func (jr *jobRun) appendSegment() error {
 }
 
 // The sink ledger is a run of blocks, one per commit that produced
-// results: a v1 frame (one CRC for the whole commit) whose payload is the
+// results: a binio frame (one CRC for the whole commit) whose payload is the
 // record count, then per record its TS as a delta from the previous
 // record's (the first one's from zero, so absolute), its key and its
 // value. Records are in the commit's canonical (TS, Key, Value) order, so
@@ -1030,14 +1030,14 @@ func appendLedgerBlock(dst []byte, recs []SinkRecord) []byte {
 // that fails its CRC or ends early, a record count other than the records
 // the payload holds, a byte left over — is a *binio.FrameError.
 func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, error) {
-	p, n, err := binio.ReadRecordV(b, binio.FrameV1)
+	p, n, err := binio.ReadRecord(b)
 	if errors.Is(err, binio.ErrShortBuffer) {
 		return 0, &binio.FrameError{Reason: "ledger ends mid-block"}
 	}
 	if err != nil {
 		return 0, err
 	}
-	if n != len(p)+binio.RecordOverheadV(len(p), binio.FrameV1) {
+	if n != len(p)+binio.RecordOverhead(len(p)) {
 		return 0, &binio.FrameError{Reason: "padded ledger block length"}
 	}
 	d := snapDecoder{b: p}

@@ -93,7 +93,7 @@ func TestLedgerBlockRoundTrip(t *testing.T) {
 	}
 	payload := appendLedgerBlock(nil, sampleLedger[0])
 	payload[0]++ // the count names one record more than the block holds
-	bad := binio.AppendRecordV(nil, payload, binio.FrameV1)
+	bad := binio.AppendRecord(nil, payload)
 	if _, err := ReadLedger(nil, writeJobDir(t, bad, len(bad))); !errors.As(err, &fe) {
 		t.Fatalf("block with a wrong record count: %v, want a FrameError", err)
 	}
@@ -170,7 +170,7 @@ func FuzzDecodeLedgerBlock(f *testing.F) {
 	f.Add(block[:len(block)-3])
 	f.Add(make([]byte, 64)) // a zeroed page
 	// A count of 2^40 records in a valid frame.
-	f.Add(binio.AppendRecordV(nil, binio.PutUvarint(nil, 1<<40), binio.FrameV1))
+	f.Add(binio.AppendRecord(nil, binio.PutUvarint(nil, 1<<40)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var recs []SinkRecord
 		n, err := decodeLedgerBlock(b, func(ts int64, key, value []byte) {

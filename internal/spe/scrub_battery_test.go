@@ -280,23 +280,31 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 
 // TestScrubBatteryZeroedPageIsFrameError zeroes a page inside the committed
 // SINK.log prefix, inside the committed generation's rmw.dlt and stat.dlt
-// replay segments, and in its AUR segments.snap — the rot v0 framing read
-// as a run of valid empty records. Each must fail typed, as a
-// *binio.FrameError: the ledger from VerifyJobDir and ReadLedger, a replay
-// segment from the replay its restore runs, segments.snap from the AUR
-// store's Restore (the checkpoint MANIFEST catches both first, as the
-// CheckpointError VerifyJobDir reports). Never a shorter result.
+// replay segments, in its AUR segments.snap, and in each metadata file:
+// JOB, GENMETA, a cut's MANIFEST and an instance's SEGMENTS. Each must
+// fail typed, as a *binio.FrameError — a frame cannot start with a zero
+// byte, so a zeroed page is never a run of valid empty records: the ledger
+// from VerifyJobDir and ReadLedger, a replay segment from the replay its
+// restore runs, segments.snap from the AUR store's Restore (the checkpoint
+// MANIFEST catches both first, as the CheckpointError VerifyJobDir
+// reports), JOB from ReadJobMeta, GENMETA from VerifyJobDir, MANIFEST from
+// core.VerifyCheckpointDir (still an ErrCheckpointInvalid) and SEGMENTS
+// from ckpt.DecodeMeta (still an ErrBadMeta). Never a shorter result.
 func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 	tuples := crashTuples(450)
 	const every = 79
 	for _, leg := range []struct {
 		pat     crashPattern
-		logical string // replay stream to rot; "" rots the ledger
+		logical string // file to rot; "" rots the ledger
 	}{
 		{crashPatterns()[0], ""},
 		{crashPatterns()[2], "rmw.dlt"},
 		{crashPatterns()[1], "stat.dlt"},
 		{crashPatterns()[1], "segments.snap"},
+		{crashPatterns()[2], jobMetaName},
+		{crashPatterns()[2], genMetaName},
+		{crashPatterns()[2], "MANIFEST"},
+		{crashPatterns()[2], ckpt.MetaName},
 	} {
 		name := leg.logical
 		if name == "" {
@@ -318,27 +326,56 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			zero := func(path string, off int64) {
+				t.Helper()
+				if err := faultfs.CorruptAtRest(nil, path, faultfs.CorruptZeroPage, off); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var fe *binio.FrameError
-			if leg.logical == "" {
+			gen := filepath.Join(job.Dir, GenDirName(meta.Gen))
+			cut := filepath.Join(gen, cutDirName(1, 0))
+			inst := filepath.Join(cut, "inst-00")
+			switch leg.logical {
+			case "":
 				if meta.LedgerLen == 0 {
 					t.Fatal("nothing committed to the ledger")
 				}
-				if err := faultfs.CorruptAtRest(nil, filepath.Join(job.Dir, ledgerName), faultfs.CorruptZeroPage, meta.LedgerLen/2); err != nil {
-					t.Fatal(err)
-				}
+				zero(filepath.Join(job.Dir, ledgerName), meta.LedgerLen/2)
 				if err := VerifyJobDir(nil, job.Dir); !errors.As(err, &fe) {
 					t.Fatalf("VerifyJobDir over a zeroed ledger page: %v, want a FrameError", err)
 				}
 				if recs, err := ReadLedger(nil, job.Dir); !errors.As(err, &fe) {
 					t.Fatalf("ReadLedger over a zeroed ledger page: %d records, %v; want a FrameError", len(recs), err)
 				}
-				return
-			}
-			inst := filepath.Join(job.Dir, GenDirName(meta.Gen), cutDirName(1, 0), "inst-00")
-			if leg.logical == "segments.snap" {
-				if err := faultfs.CorruptAtRest(nil, filepath.Join(inst, leg.logical), faultfs.CorruptZeroPage, -1); err != nil {
+			case jobMetaName:
+				zero(filepath.Join(job.Dir, jobMetaName), -1)
+				if _, err := ReadJobMeta(nil, job.Dir); !errors.As(err, &fe) {
+					t.Fatalf("ReadJobMeta over a zeroed JOB page: %v, want a FrameError", err)
+				}
+			case genMetaName:
+				zero(filepath.Join(gen, genMetaName), -1)
+				if err := VerifyJobDir(nil, job.Dir); !errors.As(err, &fe) {
+					t.Fatalf("VerifyJobDir over a zeroed GENMETA page: %v, want a FrameError", err)
+				}
+			case "MANIFEST":
+				zero(filepath.Join(cut, "MANIFEST"), -1)
+				_, _, err := core.VerifyCheckpointDir(nil, cut)
+				if !errors.As(err, &fe) || !errors.Is(err, core.ErrCheckpointInvalid) {
+					t.Fatalf("VerifyCheckpointDir over a zeroed MANIFEST page: %v, want a FrameError and ErrCheckpointInvalid", err)
+				}
+			case ckpt.MetaName:
+				path := filepath.Join(inst, ckpt.MetaName)
+				zero(path, -1)
+				b, err := os.ReadFile(path)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if _, err := ckpt.DecodeMeta(b); !errors.As(err, &fe) || !errors.Is(err, ckpt.ErrBadMeta) {
+					t.Fatalf("DecodeMeta of a zeroed SEGMENTS page: %v, want a FrameError and ErrBadMeta", err)
+				}
+			case "segments.snap":
+				zero(filepath.Join(inst, leg.logical), -1)
 				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
 					t.Fatalf("VerifyJobDir over a zeroed segments.snap page: %v, want a CheckpointError", err)
 				}
@@ -350,27 +387,25 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				if err := st.Restore(inst); !errors.As(err, &fe) {
 					t.Fatalf("restore over a zeroed segments.snap page: %v, want a FrameError", err)
 				}
-				return
-			}
-			segs, err := ckpt.ReadMeta(faultfs.OS, inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fstate := segs.File(leg.logical)
-			if fstate == nil || len(fstate.Segments) == 0 {
-				t.Fatalf("%s records no %s segment", inst, leg.logical)
-			}
-			last := fstate.Segments[len(fstate.Segments)-1]
-			if err := faultfs.CorruptAtRest(nil, filepath.Join(inst, last.Name), faultfs.CorruptZeroPage, last.Len/2); err != nil {
-				t.Fatal(err)
-			}
-			if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
-				t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", leg.logical, err)
-			}
-			n := 0
-			err = ckpt.Replay(faultfs.OS, inst, fstate, func([]byte) error { n++; return nil })
-			if !errors.As(err, &fe) {
-				t.Fatalf("replay of a zeroed %s page: %d records, %v; want a FrameError", leg.logical, n, err)
+			default:
+				segs, err := ckpt.ReadMeta(faultfs.OS, inst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fstate := segs.File(leg.logical)
+				if fstate == nil || len(fstate.Segments) == 0 {
+					t.Fatalf("%s records no %s segment", inst, leg.logical)
+				}
+				last := fstate.Segments[len(fstate.Segments)-1]
+				zero(filepath.Join(inst, last.Name), last.Len/2)
+				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
+					t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", leg.logical, err)
+				}
+				n := 0
+				err = ckpt.Replay(faultfs.OS, inst, fstate, func([]byte) error { n++; return nil })
+				if !errors.As(err, &fe) {
+					t.Fatalf("replay of a zeroed %s page: %d records, %v; want a FrameError", leg.logical, n, err)
+				}
 			}
 		})
 	}

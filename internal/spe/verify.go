@@ -89,7 +89,7 @@ func VerifyJobDir(fsys faultfs.FS, dir string) error {
 }
 
 // verifyLedger decodes the committed prefix of the sink ledger block by
-// block. Each block is a v1 frame, so a zeroed page (a frame cannot start
+// block. Each block is a binio frame, so a zeroed page (a frame cannot start
 // with a zero byte) or a flipped bit fails its CRC. Its payload is decoded
 // too, and must hold exactly the records its count names with no byte
 // left over, so a block whose CRC happened to survive rot is caught as
