@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/rmw/ -fuzz FuzzDecodeLiveness -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -fuzztime $(FUZZTIME)

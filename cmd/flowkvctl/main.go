@@ -129,12 +129,14 @@ func fileKind(name string) string {
 		return "aur-stat-stream" + suffix
 	case strings.HasPrefix(logical, "rmw-"):
 		return "rmw" + suffix
-	case logical == "rmw.dlt":
-		return "rmw-delta-stream" + suffix
 	case strings.HasSuffix(name, ".sst"):
 		return "sstable"
 	case strings.HasPrefix(name, "hlog-"):
 		return "hybrid-log"
+	case name == "rmw.live":
+		return "rmw-liveness"
+	case logical == "rmw.buf":
+		return "rmw-buffer-dump" + suffix
 	case name == "segments.snap":
 		return "aur-segment-table"
 	case name == "SEGMENTS":
@@ -357,7 +359,7 @@ func cmdHealth(dir string) error {
 	}
 	if len(insts) > 0 {
 		// The files record what is on disk now, not how it got there.
-		fmt.Println("rmw logs: bytes flushed and cleaned, aggregates consumed from the buffer vs from disk, and checkpoint rebases are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits, CheckpointRebases)")
+		fmt.Println("rmw logs: bytes flushed and cleaned, and aggregates consumed from the buffer vs from disk, are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits)")
 	}
 	insts = insts[:0]
 	for inst := range aurLogs {

@@ -26,12 +26,12 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 	for _, tc := range []struct {
 		pattern core.Pattern
 		kind    window.Kind
-		// want is a kind this pattern's checkpoint must contain.
-		want string
+		// want are kinds this pattern's checkpoint must contain.
+		want []string
 	}{
-		{core.PatternAAR, window.Fixed, "aar-window-seg"},
-		{core.PatternAUR, window.Session, "aur-stat-stream-seg"},
-		{core.PatternRMW, window.Fixed, "rmw-delta-stream-seg"},
+		{core.PatternAAR, window.Fixed, []string{"aar-window-seg"}},
+		{core.PatternAUR, window.Session, []string{"aur-stat-stream-seg"}},
+		{core.PatternRMW, window.Fixed, []string{"rmw-seg", "rmw-liveness", "rmw-buffer-dump-seg"}},
 	} {
 		t.Run(tc.pattern.String(), func(t *testing.T) {
 			base := t.TempDir()
@@ -76,7 +76,7 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []string{tc.want, "segment-manifest", "checkpoint-manifest", "app-metadata", "quarantine-marker"} {
+			for _, k := range append(tc.want, "segment-manifest", "checkpoint-manifest", "app-metadata", "quarantine-marker") {
 				if !seen[k] {
 					t.Errorf("no %s file in the checkpoint (kinds seen: %v)", k, seen)
 				}

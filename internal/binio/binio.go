@@ -259,6 +259,10 @@ func (rw *RecordWriter) Write(payload []byte) (off int64, n int, err error) {
 	return off, len(rw.buf), nil
 }
 
+// Frame returns the frame the last Write wrote, marker to payload; it is
+// valid until the next Write.
+func (rw *RecordWriter) Frame() []byte { return rw.buf }
+
 // RecordScanner iterates framed records from an io.Reader. It buffers
 // internally and stops cleanly at EOF or at the first corrupt/torn record.
 type RecordScanner struct {
@@ -269,6 +273,7 @@ type RecordScanner struct {
 	off    int64
 	err    error
 	record []byte
+	frame  []byte
 }
 
 // NewRecordScanner returns a scanner reading framed records from r,
@@ -301,7 +306,7 @@ func (s *RecordScanner) Scan() bool {
 	for {
 		payload, n, err := ReadRecord(s.buf[s.start:s.end])
 		if err == nil {
-			s.record = payload
+			s.record, s.frame = payload, s.buf[s.start:s.start+n]
 			s.start += n
 			s.off += int64(n)
 			return true
@@ -372,6 +377,10 @@ func (s *RecordScanner) restIsZero() bool {
 // Record returns the payload of the record most recently scanned. The
 // slice is only valid until the next call to Scan.
 func (s *RecordScanner) Record() []byte { return s.record }
+
+// Frame returns the whole frame of the record most recently scanned,
+// marker to payload, valid only until the next call to Scan.
+func (s *RecordScanner) Frame() []byte { return s.frame }
 
 // Offset returns the file offset one byte past the most recent record.
 func (s *RecordScanner) Offset() int64 { return s.off }

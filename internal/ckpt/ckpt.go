@@ -219,11 +219,11 @@ type Entry struct {
 
 // Result is what an instance's checkpoint hands back to the composite
 // store: the manifest entries for every file it placed in the directory,
-// the files that still need an fsync before the commit rename (newly
-// written or copy-fallback data; linked files are already durable), byte
-// accounting for the Stats counters, and an optional Commit hook the
-// store layer invokes only after the checkpoint's MANIFEST rename lands
-// (AUR and RMW use it to retire the dirty marks they diffed).
+// the files that still need an fsync before the commit rename (written
+// or copied data, and links of bytes not yet durable), byte accounting
+// for the Stats counters, and an optional Commit hook the store layer
+// invokes only after the checkpoint's MANIFEST rename lands (AUR uses it
+// to retire the dirty marks it diffed).
 type Result struct {
 	Entries     []Entry
 	NeedSync    []string
@@ -283,27 +283,50 @@ func (c *Cut) writeFile(name string, buf []byte) error {
 	return f.Close()
 }
 
+// linkFile hard-links src into the cut as seg (copy fallback). A link is as
+// durable as src, so it joins the sync window unless durable; a copy does.
+func (c *Cut) linkFile(src string, seg Segment, durable bool) error {
+	dst := filepath.Join(c.dir, seg.Name)
+	linked, err := faultfs.LinkOrCopy(c.fsys, src, dst)
+	if err != nil {
+		return err
+	}
+	if linked {
+		c.res.LinkedBytes += seg.Len
+	} else {
+		c.res.CopiedBytes += seg.Len
+	}
+	if !linked || !durable {
+		c.res.NeedSync = append(c.res.NeedSync, dst)
+	}
+	c.res.Entries = append(c.res.Entries, Entry{Path: seg.Name, Size: seg.Len, CRC: seg.CRC})
+	return nil
+}
+
 // link carries the parent's segments of one logical file into the cut,
-// hard-linking each (copy fallback): linked segments count as
-// LinkedBytes and need no sync; copied ones count as CopiedBytes and
-// join the sync window.
+// hard-linking each: the parent committed them, so they are durable.
 func (c *Cut) link(p *FileState, fstate *FileState) error {
 	for _, seg := range p.Segments {
-		dst := filepath.Join(c.dir, seg.Name)
-		linked, err := faultfs.LinkOrCopy(c.fsys, filepath.Join(c.parentDir, seg.Name), dst)
-		if err != nil {
+		if err := c.linkFile(filepath.Join(c.parentDir, seg.Name), seg, true); err != nil {
 			return err
 		}
-		if linked {
-			c.res.LinkedBytes += seg.Len
-		} else {
-			c.res.CopiedBytes += seg.Len
-			c.res.NeedSync = append(c.res.NeedSync, dst)
-		}
-		c.res.Entries = append(c.res.Entries, Entry{Path: seg.Name, Size: seg.Len, CRC: seg.CRC})
 	}
 	fstate.Segments = append(fstate.Segments, p.Segments...)
 	return nil
+}
+
+// Link records the sealed live file at path, size bytes never to be
+// written again, hard-linked: from the parent when it holds the whole file
+// (Log then copies nothing), else from path, durable saying whether its
+// bytes are on disk yet. crc is what its writer appended, not a read of
+// the file, so rot already on disk fails the checkpoint's verification.
+func (c *Cut) Link(logical string, epoch uint64, path string, size int64, crc uint32, durable bool) error {
+	if p := c.parent.File(logical); p != nil && p.Epoch == epoch && p.TotalLen() == size {
+		return c.Log(logical, epoch, path, size)
+	}
+	seg := Segment{Name: SegmentName(logical, 0), Len: size, CRC: crc}
+	c.meta.Files = append(c.meta.Files, FileState{Logical: logical, Epoch: epoch, Segments: []Segment{seg}})
+	return c.linkFile(path, seg, durable)
 }
 
 // Log records the live log file at path (size bytes, already flushed to

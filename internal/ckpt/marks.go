@@ -1,7 +1,7 @@
 package ckpt
 
-// Marks is the dirty-mark tracker behind a replay stream (RMW's rmw.dlt,
-// AUR's stat.dlt): it records which identities changed since the last
+// Marks is the dirty-mark tracker behind a replay stream (AUR's
+// stat.dlt): it records which identities changed since the last
 // committed cut, so an incremental checkpoint ships only those — an
 // upsert for an identity that is live at the cut, a tombstone for one
 // that was consumed — and it remembers the id of that last committed cut,

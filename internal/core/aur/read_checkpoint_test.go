@@ -227,8 +227,8 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	}
 }
 
-// TestStatStreamRebasesWhenTombstonesOutnumberCleanRows: the rule RMW's
-// rmw.dlt follows (ckpt.Marks.BaseIsCheaper) governs stat.dlt too. When
+// TestStatStreamRebasesWhenTombstonesOutnumberCleanRows: the rebase rule
+// (ckpt.Marks.BaseIsCheaper) governs stat.dlt. When
 // most of the sessions the parent holds have fired by the next cut, the
 // Stat table is dumped whole as a one-segment base with no tombstones
 // rather than shipped as a delta longer than itself; a cut that leaves

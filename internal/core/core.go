@@ -783,19 +783,15 @@ type Stats struct {
 	LiveSegments    int
 	// FlushBytes is the bytes write buffers spilled into their logs
 	// (evictions and drains; compaction's rewrites are CompactionBytes):
-	// framed records for RMW, blocks of batches for AUR.
+	// framed blocks of aggregates for RMW, of batches for AUR.
 	// BufferHits and DiskHits count the units of state fetched-&-removed
 	// while wholly in a write buffer, and those that had state on disk —
 	// RMW aggregates, AUR (key, window) batches: evicting a full buffer's
 	// longest-lived quarter exists to move hits from the second to the
 	// first. Not to be confused with Hits/Misses, the AUR prefetch
-	// buffer's. CheckpointRebases counts RMW instance cuts written as a
-	// fresh base although their parent could have been extended, because
-	// the delta would have held more records than the live state. All
-	// zero for AAR.
+	// buffer's. All zero for AAR.
 	FlushBytes           int64
 	BufferHits, DiskHits int64
-	CheckpointRebases    int64
 	// BufferedBytes is the current total write-buffer occupancy.
 	BufferedBytes int64
 	// DiskBytes is the current total on-disk footprint.
@@ -818,7 +814,8 @@ type Stats struct {
 	// Recoveries counts successful Recover calls.
 	Recoveries int64
 	// CkptLinkedBytes is the total bytes carried into committed
-	// incremental checkpoints by hard link (not rewritten);
+	// checkpoints by hard link (not rewritten) — from the parent, and for
+	// RMW from the live segments too;
 	// CkptCopiedBytes is the bytes physically written — new segment
 	// tails, copy fallbacks, and per-checkpoint snapshot files. Their
 	// ratio is the delta saving.

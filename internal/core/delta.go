@@ -45,8 +45,10 @@ import (
 // window (fanned across Options.Parallelism workers) before the manifest
 // is written, so a barrier pays one sync wave instead of one fsync per
 // file per instance. Options.DisableGroupCommit reverts to immediate
-// per-file fsyncs for ablation. Hard-linked segments are already durable
-// and are never re-synced.
+// per-file fsyncs for ablation. Segments linked from a parent checkpoint
+// are already durable and are never re-synced; a link of a live file whose
+// bytes are not yet on disk (an RMW segment sealed since the last sync) is
+// in the window like a written file.
 //
 // meta is the opaque application metadata (see CheckpointWithMeta). The
 // resulting directory is physically self-contained: restoring it never
@@ -105,7 +107,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: sync parent: %w", err)
 	}
-	// The checkpoint is committed: run the instance commit hooks (RMW
+	// The checkpoint is committed: run the instance commit hooks (AUR
 	// retires the dirty marks it diffed — doing this before the rename
 	// would lose deltas if the commit crashed) and account the bytes.
 	for _, res := range results {

@@ -71,7 +71,6 @@ func (r rmwInstance) addStats(st *Stats) {
 	b, d := r.HitCount()
 	st.BufferHits += b
 	st.DiskHits += d
-	st.CheckpointRebases += r.CheckpointRebases()
 	st.BufferedBytes += r.BufferedBytes()
 	st.LiveStates += r.LiveStates()
 	st.DiskBytes += r.DiskUsage()

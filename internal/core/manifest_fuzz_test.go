@@ -42,7 +42,7 @@ func FuzzParseManifest(f *testing.F) {
 	}
 	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 1, parent: "gen-000004", depth: 3, entries: segs}))
 	f.Add(encodeManifest(&manifest{pattern: PatternRMW, instances: 2, parent: "gen-000001", depth: 1,
-		entries: []manifestEntry{{path: "inst-00/rmw.dlt.seg-000000000000", size: 64, crc: 1}}}))
+		entries: []manifestEntry{{path: "inst-00/rmw-000000.log.seg-000000000000", size: 64, crc: 1}}}))
 	// No parent, depth 0: a base, here one written at the chain cap.
 	f.Add(encodeManifest(&manifest{pattern: PatternAUR, instances: 4, parent: "", depth: 0, entries: segs[:1]}))
 	// Hostile parents: traversal and separators must be rejected.

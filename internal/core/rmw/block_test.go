@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
@@ -169,7 +170,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		return nil, id{}, span{}
 	}
 	// readsFail runs every read path; each must fail as want says.
-	readsFail := func(t *testing.T, s *Store, ident id, want func(error) bool) {
+	readsFail := func(t *testing.T, s *Store, ident id, seg uint32, want func(error) bool) {
 		t.Helper()
 		agg, ok, err := s.Get([]byte(ident.key), ident.w)
 		if !want(err) || ok || agg != nil {
@@ -178,8 +179,25 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		if err := s.ForEachLive(func([]byte, window.Window, []byte) error { return nil }); !want(err) {
 			t.Errorf("ForEachLive: %v", err)
 		}
-		if _, err := s.CheckpointDelta(filepath.Join(t.TempDir(), "ckpt"), nil, ""); !want(err) {
-			t.Errorf("CheckpointDelta: %v", err)
+		// A cut reads no segment: it links the file and records the CRC of
+		// what was written, which the rotted file no longer matches, and
+		// restoring the cut fails like the reads.
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		res, err := s.CheckpointDelta(dir, nil, "")
+		if err != nil {
+			t.Fatalf("CheckpointDelta: %v", err)
+		}
+		name := logfile.SegmentName(segmentPrefix, seg) + ".seg-000000000000"
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(res.Entries, func(e ckpt.Entry) bool { return e.Path == name })
+		if i < 0 || res.Entries[i].CRC == binio.Checksum(b) {
+			t.Errorf("the cut does not record %s, or records it as it is on disk, rot included: %+v", name, res.Entries)
+		}
+		if err := openTest(t, Options{}).Restore(dir); !want(err) {
+			t.Errorf("Restore of the cut: %v", err)
 		}
 	}
 	frameError := func(err error) bool { return errors.As(err, new(*binio.FrameError)) }
@@ -212,7 +230,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		if err := faultfs.CorruptAtRest(nil, path, faultfs.CorruptBitFlip, off); err != nil {
 			t.Fatal(err)
 		}
-		readsFail(t, s, ident, frameError)
+		readsFail(t, s, ident, sp.seg, frameError)
 		scrubFails(t, s, path)
 	})
 	t.Run("zeroed-page", func(t *testing.T) {
@@ -221,7 +239,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		if err := faultfs.CorruptAtRest(nil, path, faultfs.CorruptZeroPage, sp.off); err != nil {
 			t.Fatal(err)
 		}
-		readsFail(t, s, ident, frameError)
+		readsFail(t, s, ident, sp.seg, frameError)
 		scrubFails(t, s, path)
 	})
 	t.Run("misdirected-span", func(t *testing.T) {

@@ -1,111 +1,60 @@
 package rmw
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"math"
+	"path/filepath"
 	"slices"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 )
 
-// Checkpoints persist the RMW store as a replay stream (ckpt.Cut.Stream):
-// one logical file (deltaLogical) whose segments, concatenated in order,
-// form a sequence of kind-prefixed records — a full dump of live
-// aggregates as upserts at the chain's base, then per checkpoint one
-// segment holding exactly the identities mutated since the parent's cut
-// (upserts carry the aggregate, tombstones record a fetch-&-remove).
-// Restore replays the stream into a fresh live log.
-const deltaLogical = "rmw.dlt"
-
+// A checkpoint links the segments the index points into and adds the
+// liveness file (encodeLiveness) and the buffer dump: a replay stream of
+// segment blocks holding the whole write buffer in lifetime order.
 const (
-	deltaKindUpsert    byte = 0
-	deltaKindTombstone byte = 1
+	livenessName   = "rmw.live"
+	bufferName     = "rmw.buf"
+	dumpBlockBytes = 16 << 10
 )
 
-// CheckpointDelta writes a snapshot of the instance into dir. The cut
-// is one mu critical section that snapshots the live state directly:
-// buffered aggregates (aliased, not copied — Put installs fresh slices,
-// never mutates in place) and index spans not superseded by a buffered
-// copy. When the parent checkpoint's cut matches this instance's last
-// committed cut, only the marked identities — mutated since then — are
-// written (as upserts or tombstones) and the parent's segments are
-// hard-linked across; otherwise the live state is dumped whole as the
-// base of a new chain. The hash index is not persisted: restore rebuilds
-// it by replaying the stream.
-//
-// A cut that could extend its parent is still written as a base when the
-// delta would be the larger of the two (ckpt.Marks.BaseIsCheaper): state
-// that lives for less than a barrier interval is all dirty at every cut,
-// and its delta is a full dump plus a tombstone for every identity of the
-// previous one. The base has no more records, carries no dead records
-// forward, and restores from a single segment.
-//
-// Writing the checkpoint from the snapshot, rather than compacting the
-// live log and copying it, is what makes the cut exact under concurrent
-// writers: a Put that lands after the cut retires its identity's index
-// entry immediately (under mu alone), so any scheme that re-reads the
-// live index after the cut can miss an aggregate that was acknowledged
-// before it. The snapshot taken inside the cut is immune — spans stay
-// readable because cleaning and segment drops need ioMu, which
-// CheckpointDelta holds.
-// Only ioMu is held, so concurrent Puts and buffer-served Gets proceed
-// while the snapshot is written; aggregates put after the cut are not in
-// it.
-//
-// The returned Result's Commit hook must be invoked only after the
-// enclosing checkpoint's atomic rename: it retires the delta marks this
-// cut absorbed (identities re-dirtied mid-write keep their newer marks)
-// and records the cut id the next delta will extend. An uncommitted cut
-// leaves the marks in place, so a failed checkpoint merely re-ships
-// those identities next time.
+// bufAgg is an aggregate, aliased (Put never mutates one), and its identity.
+type bufAgg struct {
+	ident id
+	v     []byte
+}
+
+// CheckpointDelta writes a snapshot of the instance into dir. The cut is
+// one mu section: the write buffer and, from the index, a liveness bitmap
+// per segment. Then, with only ioMu held, every segment holding a live
+// entry goes in, a sealed one hard-linked (ckpt.Cut.Link, under the CRC
+// its log kept as it appended), an open one through ckpt.Cut.Log. The cut
+// is exact under concurrent writers: the files stay whole, as cleaning and
+// reaping need ioMu and a sealed file is never written again.
 func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-
-	// The cut. flushing is always nil here: flushes run under ioMu.
-	type buffered struct {
-		ident id
-		v     []byte // nil for a tombstone; aliased, Put never mutates in place
-	}
-	var (
-		inMem    []buffered
-		spilled  []spilledAgg // upserts to read back from the segments
-		captured ckpt.Captured[id]
-	)
+	segs := s.segs.List() // the table cannot change under ioMu
 	s.mu.Lock()
 	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	incremental := parent.Extends(deltaLogical, s.marks.LastCut())
-	if incremental && s.marks.BaseIsCheaper(len(s.buf)+len(s.index)) {
-		incremental = false
-		s.rebases.Inc()
+	dump := make([]bufAgg, 0, len(s.buf))
+	for ident, v := range s.buf {
+		dump = append(dump, bufAgg{ident, v})
 	}
-	if incremental {
-		captured = s.marks.Cut(func(ident id, tomb bool) {
-			if v, ok := s.buf[ident]; ok && !tomb {
-				inMem = append(inMem, buffered{ident, v})
-			} else if sp, ok := s.index[ident]; ok && !tomb {
-				spilled = append(spilled, spilledAgg{ident, sp})
-			} else {
-				// An upsert mark without live state cannot happen (a
-				// consume leaves a tombstone mark or none); keep the
-				// snapshot sound anyway.
-				inMem = append(inMem, buffered{ident: ident})
-			}
-		})
-	} else {
-		// A buffered identity is never also indexed (Put retires the
-		// index entry), so the two maps are the live state, disjoint.
-		captured = s.marks.Cut(nil)
-		for ident, v := range s.buf {
-			inMem = append(inMem, buffered{ident, v})
+	bits := make(map[uint32][]byte, len(segs))
+	for _, sp := range s.index {
+		if bits[sp.seg] == nil {
+			bits[sp.seg] = make([]byte, (s.segs.Get(sp.seg).X.entries+7)/8)
 		}
-		for ident, sp := range s.index {
-			spilled = append(spilled, spilledAgg{ident, sp})
-		}
+		bits[sp.seg][sp.ord/8] |= 1 << (sp.ord % 8)
 	}
 	s.mu.Unlock()
 
@@ -113,119 +62,118 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err != nil {
 		return nil, fmt.Errorf("rmw: checkpoint: %w", err)
 	}
-	// The stream's records are a set — at most one per identity in a cut —
-	// so their order within the segment is free: what is in memory goes
-	// first, what was spilled follows in log order. A spilled record is
-	// the same bytes as one from memory: the segments' block entries are
-	// not the stream's format.
-	err = cut.Stream(deltaLogical, incremental, func(emit func([]byte)) error {
-		var payload []byte
-		for _, b := range inMem {
-			kind := deltaKindUpsert
-			if b.v == nil {
-				kind = deltaKindTombstone
-			}
-			payload = encodeEntry(append(payload[:0], kind), b.ident, b.v)
-			emit(payload)
+	var live []segLive
+	for _, sg := range segs {
+		if bits[sg.ID] == nil {
+			continue // nothing live: a restore has no use for it
 		}
-		return s.readSpilledLocked(spilled, func(ident id, agg []byte) error {
-			emit(encodeEntry(append(payload[:0], deltaKindUpsert), ident, agg))
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := cut.Finish()
-	if err != nil {
-		return nil, err
-	}
-	cutID := cut.ID()
-	res.Commit = func() {
-		s.mu.Lock()
-		s.marks.Commit(captured, cutID)
-		s.mu.Unlock()
-	}
-	return res, nil
-}
-
-const (
-	// dumpGapBytes is the most dead bytes one read bridges to reach the
-	// next block it needs: a page, which the read would have touched anyway.
-	dumpGapBytes = 4 << 10
-	// dumpRunBytes bounds one coalesced read.
-	dumpRunBytes = 256 << 10
-)
-
-// spilledAgg is a flushed aggregate to read back, and its identity.
-type spilledAgg struct {
-	ident id
-	sp    span
-}
-
-// readSpilledLocked hands fn the aggregate of every entry in spilled,
-// reading the blocks that hold them in (segment, offset) order, each block
-// once, and covering near-adjacent blocks with one read: an eviction's
-// blocks lie back to back in its segment, so a checkpoint reads spilled
-// state in a few hundred reads, not one per aggregate. It checks each
-// block's checksum once and decodes only the entries it wants. Caller
-// holds ioMu, which keeps the spans where they are. The aggregate passed
-// to fn aliases a block read for this call.
-func (s *Store) readSpilledLocked(spilled []spilledAgg, fn func(ident id, agg []byte) error) error {
-	slices.SortFunc(spilled, func(a, b spilledAgg) int {
-		return cmp.Or(cmp.Compare(a.sp.seg, b.sp.seg), cmp.Compare(a.sp.off, b.sp.off), cmp.Compare(a.sp.entry, b.sp.entry))
-	})
-	var e logfile.BlockEntry
-	for i := 0; i < len(spilled); {
-		first := spilled[i].sp
-		end := first.off + int64(first.n)
-		j := i + 1
-		for ; j < len(spilled) && spilled[j].sp.seg == first.seg; j++ {
-			sp := spilled[j].sp
-			next := sp.off + int64(sp.n)
-			// An entry of a block the run covers joins it whatever its size.
-			if sp.off >= end && (sp.off-end > dumpGapBytes || next-first.off > dumpRunBytes) {
-				break
+		name, lg := logfile.SegmentName(segmentPrefix, sg.ID), sg.Log
+		if !sg.Sealed { // set only with ioMu held too
+			if err = lg.Flush(); err == nil {
+				err = cut.Log(name, sg.X.epoch, lg.Path(), lg.Size())
 			}
-			end = max(end, next)
+		} else if err = lg.Poisoned(); err == nil { // else its file may lack what it appended
+			err = cut.Link(name, sg.X.epoch, lg.Path(), lg.Size(), lg.CRC(), lg.DurableOffset() == lg.Size())
 		}
-		lg := s.segs.Get(first.seg).Log
-		raw, err := lg.ReadRangeAt(first.off, int(end-first.off))
 		if err != nil {
-			return fmt.Errorf("rmw: read spilled: %w", err)
+			return nil, fmt.Errorf("rmw: checkpoint %s: %w", name, err)
 		}
-		var block []byte
-		blockOff := int64(-1)
-		for _, sa := range spilled[i:j] {
-			if sa.sp.off != blockOff {
-				blockOff = sa.sp.off
-				if block, err = lg.DecodeRecord(raw[blockOff-first.off:][:sa.sp.n], blockOff); err != nil {
-					return fmt.Errorf("rmw: read spilled: %w", err)
-				}
-			}
-			agg, err := aggAt(lg, block, sa.sp, sa.ident.key, &e)
-			if err != nil {
-				return err
-			}
-			if err := fn(sa.ident, agg); err != nil {
-				return err
-			}
-		}
-		i = j
+		live = append(live, segLive{id: sg.ID, entries: sg.X.entries, bits: bits[sg.ID]})
 	}
-	return nil
+	// The whole buffer, not a dirty part of it: state that lives less than
+	// a barrier interval is all dirty at every cut anyway.
+	slices.SortFunc(dump, func(a, b bufAgg) int { return byLifetime(a.ident, b.ident) })
+	if err = cut.Extra(livenessName, encodeLiveness(live)); err == nil {
+		err = cut.Stream(bufferName, false, func(emit func([]byte)) error {
+			bw := logfile.BlockWriter{Bound: dumpBlockBytes, Emit: func(block []byte, _, _ int) error {
+				emit(block)
+				return nil
+			}}
+			for _, b := range dump {
+				_, _, _ = bw.Add(s.seq, b.ident.key, b.ident.w, [][]byte{b.v}) // Emit never fails
+			}
+			return bw.Flush()
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rmw: checkpoint: %w", err)
+	}
+	return cut.Finish()
+}
+
+// segLive is one segment in a liveness file: id, entry count at the cut
+// and bitmap, bit i%8 of byte i/8 for the entry of ordinal i.
+type segLive struct {
+	id, entries uint32
+	bits        []byte
+}
+
+func (sl *segLive) live(ord uint32) bool {
+	return int(ord/8) < len(sl.bits) && sl.bits[ord/8]&(1<<(ord%8)) != 0
+}
+
+// encodeLiveness writes segs, ascending by id, as one frame: their count,
+// then per segment its id, entry count and bitmap without its trailing
+// zero bytes, length-prefixed.
+func encodeLiveness(segs []segLive) []byte {
+	p := binio.PutUvarint(nil, uint64(len(segs)))
+	for _, sl := range segs {
+		p = binio.PutUvarint(binio.PutUvarint(p, uint64(sl.id)), uint64(sl.entries))
+		p = binio.PutBytes(p, bytes.TrimRight(sl.bits, "\x00"))
+	}
+	return binio.AppendRecord(nil, p)
+}
+
+// decodeLiveness parses a liveness file, never panicking: what is not one
+// whole frame is a *binio.FrameError, and what encodeLiveness could not
+// have written (ids not ascending, a bitmap longer than its segment or
+// with a bit past its entries) matches binio.ErrCorrupt. Bitmaps alias b.
+func decodeLiveness(b []byte) ([]segLive, error) {
+	p, n, err := binio.ReadRecord(b)
+	if err == binio.ErrShortBuffer || err == nil && n != len(b) {
+		err = &binio.FrameError{Reason: "not one whole frame"}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rmw: liveness file: %w", err)
+	}
+	bad := func(sid uint64, why string) ([]segLive, error) {
+		return nil, fmt.Errorf("rmw: liveness file: segment %d: %s: %w", sid, why, binio.ErrCorrupt)
+	}
+	uvarint := func() uint64 {
+		v, n, e := binio.Uvarint(p)
+		p, err = p[n:], cmp.Or(err, e)
+		return v
+	}
+	var out []segLive
+	for count := uvarint(); err == nil && count > uint64(len(out)); {
+		sid, entries := uvarint(), uvarint()
+		bits, n, e := binio.Bytes(p)
+		p, err = p[n:], cmp.Or(err, e)
+		sl := segLive{id: uint32(sid), entries: uint32(entries), bits: bits}
+		switch {
+		case err != nil || sid > math.MaxUint32 || entries > math.MaxUint32:
+			return bad(sid, "truncated")
+		case len(out) > 0 && sl.id <= out[len(out)-1].id:
+			return bad(sid, "id not ascending")
+		case uint64(len(bits)) > (entries+7)/8:
+			return bad(sid, "bitmap longer than the segment")
+		case uint64(len(bits))*8 > entries && bits[len(bits)-1]>>(entries%8) != 0:
+			return bad(sid, "bit set past the entries")
+		}
+		out = append(out, sl)
+	}
+	// Trailing bytes or zeros, overlong varints: not what the encoder writes.
+	if err != nil || !bytes.Equal(encodeLiveness(out), b) {
+		return bad(0, "not canonical")
+	}
+	return out, nil
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory by replaying its delta stream: upserts are written through a
-// block writer into fresh log segments in arrival order, rolling to the
-// next segment as each fills (a later upsert of the same identity
-// supersedes, leaving dead bytes) and tombstones drop the identity,
-// re-deriving the hash index and the segments' live counts along the way.
-// Only the open block's entries wait in memory for their location.
-// Segments the replay leaves with nothing live are dropped; the last one
-// stays open as the flush head. The cut id carries over so the delta chain
-// continues across the restart.
+// directory: every segment the liveness file names comes back under its id
+// and epoch, sealed, and one scan of it rebuilds the index and live counts
+// from its bitmap; the dump loads into the write buffer. Damage fails it
+// with a *binio.FrameError or *logfile.BlockError, never with less state.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -241,90 +189,101 @@ func (s *Store) Restore(dir string) error {
 	}
 	fsys := s.dir.FS()
 	meta, err := ckpt.ReadMeta(fsys, dir)
-	if err != nil {
-		return fmt.Errorf("rmw: restore: %w", err)
-	}
-	fstate := meta.File(deltaLogical)
-	if fstate == nil {
-		return fmt.Errorf("rmw: restore: SEGMENTS lacks %s", deltaLogical)
-	}
-	newIndex := make(map[id]span)
-	live := make(map[uint32]int64) // per segment, installed under mu at the end
-	// The open block's entries, and where each identity's is among them;
-	// one superseded or dropped before the block is written is left out of
-	// pendingAt, and born dead.
-	var pending []placed
-	pendingAt := make(map[id]int)
-	s.seq++
-	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
-		head, err := s.segs.OpenHead()
-		if err != nil {
-			return err
-		}
-		off, n, err := head.Log.Append(block)
-		if err != nil {
-			return err
-		}
-		placeBlock(pending, off, head.ID, n, block, body)
-		for i, p := range pending {
-			if at, ok := pendingAt[p.ident]; ok && at == i {
-				newIndex[p.ident] = p.sp
-				live[head.ID] += int64(p.sp.share)
-			}
-		}
-		pending = pending[:0]
-		clear(pendingAt)
-		s.segs.Seal(head, false)
-		return nil
-	}}
-	vals := make([][]byte, 1)
-	err = ckpt.Replay(fsys, dir, fstate, func(rec []byte) error {
-		if len(rec) == 0 {
-			return fmt.Errorf("empty delta record")
-		}
-		kind, entry := rec[0], rec[1:]
-		key, w, agg, err := decodeEntry(entry)
-		if err != nil {
-			return err
-		}
-		ident := id{key: string(key), w: w}
-		// Superseded, or dropped by a tombstone.
-		if _, ok := pendingAt[ident]; ok {
-			delete(pendingAt, ident)
-		} else if sp, ok := newIndex[ident]; ok {
-			live[sp.seg] -= int64(sp.share)
-			delete(newIndex, ident)
-		}
-		switch kind {
-		case deltaKindTombstone:
-		case deltaKindUpsert:
-			vals[0] = agg
-			off, n, err := bw.Add(s.seq, ident.key, w, vals)
-			if err != nil {
-				return err
-			}
-			pendingAt[ident] = len(pending)
-			pending = append(pending, placed{ident, span{entry: uint32(off), share: uint32(n)}})
-		default:
-			return fmt.Errorf("unknown delta record kind %d", kind)
-		}
-		return nil
-	})
+	var segs []segLive
 	if err == nil {
-		err = bw.Flush()
+		var lb []byte
+		if lb, err = fsys.ReadFile(filepath.Join(dir, livenessName)); err == nil {
+			segs, err = decodeLiveness(lb)
+		}
+	}
+	dump := meta.File(bufferName)
+	if err == nil && dump == nil {
+		err = fmt.Errorf("SEGMENTS lacks %s: %w", bufferName, ckpt.ErrBadMeta)
 	}
 	if err != nil {
 		return fmt.Errorf("rmw: restore: %w", err)
 	}
-	if err := s.segs.Flush(); err != nil {
+	index := make(map[id]span)
+	live := make(map[*segment]int64) // installed under mu at the end
+	for _, sl := range segs {
+		name := logfile.SegmentName(segmentPrefix, sl.id)
+		sg, err := s.restoreSegment(dir, meta, name, sl.id)
+		if err == nil {
+			err = s.scanLocked(sg, func(at span, e *logfile.BlockEntry) error {
+				s.seq = max(s.seq, e.Seq)
+				sg.X.entries++
+				if !sl.live(at.ord) {
+					return nil
+				}
+				ident := id{key: string(e.Key), w: e.Window}
+				if _, dup := index[ident]; dup {
+					return &logfile.BlockError{Reason: fmt.Sprintf("%v live twice", ident)}
+				}
+				index[ident] = at
+				live[sg] += int64(at.share)
+				return nil
+			})
+		}
+		if err == nil && sg.X.entries != sl.entries {
+			err = &binio.FrameError{Reason: fmt.Sprintf("%d entries, the liveness file says %d", sg.X.entries, sl.entries)}
+		}
+		if err != nil {
+			return fmt.Errorf("rmw: restore %s: %w", name, err)
+		}
+	}
+	buf := make(map[id][]byte) // never holding an indexed identity
+	var bufBytes int64
+	err = ckpt.Replay(fsys, dir, dump, func(block []byte) error {
+		_, err := logfile.DecodeSegmentBlock(block, func(e *logfile.BlockEntry) error {
+			ident := id{key: string(e.Key), w: e.Window}
+			_, indexed := index[ident]
+			if _, twice := buf[ident]; twice || indexed || len(e.Values) != 1 {
+				return &logfile.BlockError{Reason: fmt.Sprintf("%v: %d values, or not its one copy", ident, len(e.Values))}
+			}
+			s.seq = max(s.seq, e.Seq)
+			buf[ident] = bytes.Clone(e.Values[0])
+			bufBytes += int64(len(e.Values[0]))
+			return nil
+		})
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("rmw: restore: %w", err)
 	}
 	s.mu.Lock()
-	s.index = newIndex
-	for sid, n := range live {
-		s.segs.Get(sid).Live = n
+	s.index, s.buf, s.bufBytes = index, buf, bufBytes
+	for sg, n := range live {
+		sg.Live = n
 	}
-	s.marks.Restored(meta.CutID)
 	s.mu.Unlock()
 	return s.segs.Reap()
+}
+
+// restoreSegment puts segment sid, name, of the checkpoint in dir back and
+// registers it sealed: hard-linked, as its inode is never written again,
+// or concatenated from pieces and fsynced, as a later cut may link it.
+func (s *Store) restoreSegment(dir string, meta *ckpt.Meta, name string, sid uint32) (sg *segment, err error) {
+	fstate := meta.File(name)
+	if fstate == nil || len(fstate.Segments) == 0 {
+		return nil, fmt.Errorf("SEGMENTS lacks it: %w", ckpt.ErrBadMeta)
+	}
+	fsys, x, dst := s.dir.FS(), segState{epoch: fstate.Epoch}, filepath.Join(s.dir.Root(), name)
+	if piece := fstate.Segments[0]; len(fstate.Segments) == 1 {
+		var linked bool
+		if linked, err = faultfs.LinkOrCopy(fsys, filepath.Join(dir, piece.Name), dst); err == nil {
+			sg, err = s.segs.ReopenSealed(sid, x, piece.CRC)
+		}
+		if err == nil && !linked {
+			err = sg.Log.Sync()
+		}
+	} else if err = ckpt.Materialize(fsys, dir, fstate, dst); err == nil {
+		// A file of its own: opening it checksums its frames.
+		if sg, err = s.segs.Reopen(sid, logfile.SegmentSealed, x); err == nil {
+			err = sg.Log.Sync()
+		}
+	}
+	if err == nil && sg.Log.Size() != fstate.TotalLen() {
+		err = fmt.Errorf("%w: %d bytes, SEGMENTS says %d", ckpt.ErrBadMeta, sg.Log.Size(), fstate.TotalLen())
+	}
+	return sg, err
 }

@@ -77,6 +77,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -139,21 +140,28 @@ type id struct {
 	w   window.Window
 }
 
-// span locates one flushed aggregate: the block holding it — its segment,
-// offset and framed length — the entry's offset in the block's payload,
-// and the entry's share of the segment's bytes: its encoded size, the
-// block's header and frame included for a block's first entry.
+// span locates one flushed aggregate: its block (segment, offset, framed
+// length), its entry's offset in the block, share of the segment's bytes
+// (its size, the block's header and frame too for a block's first entry)
+// and ordinal among the segment's entries, its bit in a checkpoint.
 type span struct {
 	off   int64
 	seg   uint32
 	n     uint32
 	entry uint32
 	share uint32
+	ord   uint32
+}
+
+// segState is the store's own state of a segment, owned by ioMu.
+type segState struct {
+	epoch   uint64 // tells checkpoints this file from another of its name
+	entries uint32 // in its blocks: the next entry's ordinal
 }
 
 // segment is one file of the log: logfile.Segments' lifecycle with a
-// single log and no state of the store's own.
-type segment = logfile.Segment[struct{}]
+// single log.
+type segment = logfile.Segment[segState]
 
 // segmentPrefix names the log's files, rmw-NNNNNN.log.
 const segmentPrefix = "rmw"
@@ -185,17 +193,12 @@ type Store struct {
 	bufBytes int64
 	index    map[id]span   // on-disk location of each flushed aggregate
 	flushing map[id][]byte // batch detached by an in-flight flush, nil otherwise
-	// marks tracks every identity mutated since the last committed delta
-	// checkpoint — an upsert (Put) or a tombstone (fetch-&-remove) — and
-	// the id of that cut; CheckpointDelta persists exactly these marks on
-	// top of the parent checkpoint.
-	marks *ckpt.Marks[id]
 
 	// ioMu serializes segment I/O: flush, cleaning, drops, indexed reads,
 	// checkpoint/restore. Never acquired while holding mu.
 	ioMu sync.Mutex
 	// segs is the log: every segment file, the flush head and the survivor.
-	segs *logfile.Segments[struct{}]
+	segs *logfile.Segments[segState]
 	// evictIDs is the slice an eviction selects its victims in, kept from
 	// one eviction to the next (they run one at a time, under ioMu).
 	evictIDs []id
@@ -207,16 +210,27 @@ type Store struct {
 	flushedAggs  metrics.Counter // aggregates flushes appended
 	bufferHits   metrics.Counter // aggregates consumed from the write buffer
 	diskHits     metrics.Counter // aggregates consumed from a segment
-	rebases      metrics.Counter // cuts written as a base though the parent could be extended
 }
 
 // Open creates an RMW store instance rooted at opts.Dir. Segment files
 // are created as flushes need them; a store that never spills owns none.
+// A store starts empty, so segment files an earlier process left in the
+// directory are unlinked: one may share its inode with a checkpoint, which
+// creating over it would truncate.
 func Open(opts Options) (*Store, error) {
 	opts.fill()
 	dir, err := logfile.OpenDirFS(opts.FS, opts.Dir, opts.Breakdown)
 	if err != nil {
 		return nil, err
+	}
+	ents, err := opts.FS.ReadDir(opts.Dir)
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), segmentPrefix+"-") {
+			err = cmp.Or(err, dir.Remove(e.Name()))
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rmw: open: clear stale segments: %w", err)
 	}
 	dir.SetPolicy(opts.Policy)
 	s := &Store{
@@ -225,10 +239,9 @@ func Open(opts Options) (*Store, error) {
 		bd:    opts.Breakdown,
 		buf:   make(map[id][]byte),
 		index: make(map[id]span),
-		marks: ckpt.NewMarks[id](),
 	}
-	s.segs = logfile.NewSegments[struct{}](dir, &s.ioMu, &s.mu, segmentPrefix,
-		opts.WriteBufferBytes, opts.MaxSpaceAmplification, nil)
+	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix,
+		opts.WriteBufferBytes, opts.MaxSpaceAmplification, func() segState { return segState{epoch: ckpt.Rand64()} })
 	return s, nil
 }
 
@@ -262,8 +275,7 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	old, wasLive := s.buf[ident]
-	if wasLive {
+	if old, ok := s.buf[ident]; ok {
 		s.bufBytes -= int64(len(old))
 	}
 	// A newer aggregate makes any flushed copy dead; the index entry is
@@ -272,16 +284,11 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 	if sp, ok := s.index[ident]; ok {
 		delete(s.index, ident)
 		s.retireLocked(sp)
-		wasLive = true
-	}
-	if !wasLive {
-		_, wasLive = s.flushing[ident]
 	}
 	ac := make([]byte, len(agg))
 	copy(ac, agg)
 	s.buf[ident] = ac
 	s.bufBytes += int64(len(ac))
-	s.marks.Upsert(ident, wasLive)
 	need := s.bufferFullLocked()
 	s.mu.Unlock()
 	s.puts.Inc()
@@ -331,7 +338,6 @@ func (s *Store) takeBufferedLocked(ident id) ([]byte, bool) {
 	}
 	s.bufBytes -= int64(len(v))
 	delete(s.buf, ident)
-	s.marks.Remove(ident)
 	s.bufferHits.Inc()
 	return v, true
 }
@@ -463,7 +469,6 @@ func (s *Store) consume(ident id, sp span) (consumed, emptied bool) {
 		return false, false
 	}
 	delete(s.index, ident)
-	s.marks.Remove(ident)
 	s.diskHits.Inc()
 	return true, s.retireLocked(sp)
 }
@@ -471,36 +476,35 @@ func (s *Store) consume(ident id, sp span) (consumed, emptied bool) {
 // ForEachLive invokes fn for every live aggregate with its key and
 // window, in (key, window) order, without consuming anything: buffered
 // aggregates are served from memory and flushed ones are read from their
-// segments in place, each block once. Used by job rescaling to re-route
-// committed state into a new worker set.
+// segments in place, by the scan cleaning uses. Used by job rescaling to
+// re-route committed state into a new worker set.
 func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) error) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	type liveAgg struct {
-		ident id
-		agg   []byte
-	}
+	segs := s.segs.List()
 	s.mu.Lock()
 	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	live := make([]liveAgg, 0, len(s.buf)+len(s.index))
+	live := make([]bufAgg, 0, len(s.buf)+len(s.index))
 	for ident, v := range s.buf {
-		live = append(live, liveAgg{ident: ident, agg: v})
+		live = append(live, bufAgg{ident, v})
 	}
 	// A buffered identity is never also indexed (Put retires the entry).
-	spilled := make([]spilledAgg, 0, len(s.index))
-	for ident, sp := range s.index {
-		spilled = append(spilled, spilledAgg{ident, sp})
-	}
+	spilled := maps.Clone(s.index)
 	s.mu.Unlock()
-	err := s.readSpilledLocked(spilled, func(ident id, agg []byte) error {
-		live = append(live, liveAgg{ident: ident, agg: agg})
-		return nil
-	})
-	if err != nil {
-		return err
+	for _, sg := range segs {
+		err := s.scanLocked(sg, func(at span, e *logfile.BlockEntry) error {
+			ident := id{key: string(e.Key), w: e.Window}
+			if sp, ok := spilled[ident]; ok && sp == at {
+				live = append(live, bufAgg{ident, bytes.Clone(e.Values[0])})
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	sort.Slice(live, func(i, j int) bool {
 		if live[i].ident.key != live[j].ident.key {
@@ -509,7 +513,7 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 		return live[i].ident.w.Before(live[j].ident.w)
 	})
 	for _, la := range live {
-		if err := fn([]byte(la.ident.key), la.ident.w, la.agg); err != nil {
+		if err := fn([]byte(la.ident.key), la.ident.w, la.v); err != nil {
 			return err
 		}
 	}
@@ -542,29 +546,6 @@ func aggAt(lg *logfile.Log, block []byte, sp span, key string, e *logfile.BlockE
 		return nil, fmt.Errorf("rmw: %s: block at %d: %w", lg.Path(), sp.off, err)
 	}
 	return e.Values[0], nil
-}
-
-// encodeEntry appends the rmw.dlt record body of (ident, agg): key,
-// absolute window, aggregate. decodeEntry reads it back.
-func encodeEntry(dst []byte, ident id, agg []byte) []byte {
-	dst = binio.PutBytes(dst, []byte(ident.key))
-	dst = ident.w.AppendTo(dst)
-	return binio.PutBytes(dst, agg)
-}
-
-func decodeEntry(b []byte) (key []byte, w window.Window, agg []byte, err error) {
-	key, n, err := binio.Bytes(b)
-	if err != nil {
-		return nil, window.Window{}, nil, err
-	}
-	b = b[n:]
-	w, n, err = window.Decode(b)
-	if err != nil {
-		return nil, window.Window{}, nil, err
-	}
-	b = b[n:]
-	agg, _, err = binio.Bytes(b)
-	return key, w, agg, err
 }
 
 // evictDivisor is the share of the buffered identities a full buffer
@@ -678,7 +659,7 @@ func (s *Store) flushLocked(all bool) error {
 		if err != nil {
 			return err
 		}
-		placeBlock(written[installed:installed+entries], off, head.ID, n, block, body)
+		placeBlock(written[installed:installed+entries], off, head, n, block, body)
 		installed += entries
 		bytes += int64(n)
 		return nil
@@ -739,16 +720,18 @@ type placed struct {
 }
 
 // placeBlock completes the spans of ps, the entries of block, which Emit
-// has just appended at off in segment seg, n bytes framed, body of them
+// has just appended at off in segment sg, n bytes framed, body of them
 // entries: until then each span held the entry's offset among the block's
 // entries and its encoded size. The first entry's share takes the header
-// and frame.
-func placeBlock(ps []placed, off int64, seg uint32, n int, block []byte, body int) {
+// and frame. Only a block the log accepted takes ordinals.
+func placeBlock(ps []placed, off int64, sg *segment, n int, block []byte, body int) {
 	hdr := uint32(len(block) - body)
 	for i := range ps {
 		sp := &ps[i].sp
-		sp.off, sp.seg, sp.n = off, seg, uint32(n)
+		sp.off, sp.seg, sp.n = off, sg.ID, uint32(n)
 		sp.entry += hdr
+		sp.ord = sg.X.entries
+		sg.X.entries++
 	}
 	ps[0].sp.share += uint32(n - body)
 }
@@ -776,7 +759,7 @@ func (s *Store) cleanLocked() error {
 		if err != nil {
 			return err
 		}
-		placeBlock(moved.to[len(moved.to)-entries:], off, surv.ID, n, block, body)
+		placeBlock(moved.to[len(moved.to)-entries:], off, surv, n, block, body)
 		appended += int64(n)
 		return nil
 	}}
@@ -802,53 +785,70 @@ func (s *Store) cleanLocked() error {
 	})
 }
 
-// errScanDone, returned by a block callback, ends a victim's scan.
+// errScanDone, returned by a scan's callback, ends the scan.
 var errScanDone = errors.New("rmw: segment scan done")
 
 // copyLiveLocked scans victim v's blocks once and hands every entry the
 // index still points at to bw, recording the moves; caller holds ioMu. The
 // scan stops once it has seen all of v's live bytes.
 func (s *Store) copyLiveLocked(v *segment, want int64, bw *logfile.BlockWriter, moved *moves) error {
+	var found int64
+	return s.scanLocked(v, func(at span, e *logfile.BlockEntry) error {
+		ident := id{key: string(e.Key), w: e.Window}
+		s.mu.Lock()
+		cur, ok := s.index[ident]
+		s.mu.Unlock()
+		if !ok || cur != at {
+			return nil
+		}
+		eoff, en, err := bw.Add(s.seq, ident.key, e.Window, e.Values)
+		if err != nil {
+			return err
+		}
+		moved.from = append(moved.from, at)
+		moved.to = append(moved.to, placed{ident, span{entry: uint32(eoff), share: uint32(en)}})
+		if found += int64(at.share); found >= want {
+			return errScanDone
+		}
+		return nil
+	})
+}
+
+// scanLocked reads segment v's blocks once, in order, and hands fn every
+// entry with the span the index holds for it while it is live; caller
+// holds ioMu. fn's error ends the scan, errScanDone with nil. A block that
+// is not canonical is a *logfile.BlockError, and blocks ending short of
+// the log's size (a zeroed last page looks like a torn tail) a
+// *binio.FrameError.
+func (s *Store) scanLocked(v *segment, fn func(at span, e *logfile.BlockEntry) error) error {
 	sc, err := v.Log.Scanner(0)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	var found int64
+	var ord uint32
 	for off := int64(0); sc.Scan(); off = sc.Offset() {
 		n := sc.Offset() - off
 		frame := int(n) - len(sc.Record()) // counted by the first entry
 		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
-			at := span{off: off, seg: v.ID, n: uint32(n), entry: uint32(e.Off), share: uint32(e.Size + frame)}
+			at := span{off: off, seg: v.ID, n: uint32(n), entry: uint32(e.Off), share: uint32(e.Size + frame), ord: ord}
 			frame = 0
-			ident := id{key: string(e.Key), w: e.Window}
-			s.mu.Lock()
-			cur, ok := s.index[ident]
-			s.mu.Unlock()
-			if !ok || cur != at {
-				return nil
-			}
-			eoff, en, err := bw.Add(s.seq, ident.key, e.Window, e.Values)
-			if err != nil {
-				return err
-			}
-			moved.from = append(moved.from, at)
-			moved.to = append(moved.to, placed{ident, span{entry: uint32(eoff), share: uint32(en)}})
-			if found += int64(at.share); found >= want {
-				return errScanDone
-			}
-			return nil
+			ord++
+			return fn(at, e)
 		})
 		switch {
 		case err == errScanDone:
 			return sc.Err() // nil; accounts the bytes read
 		case errors.As(err, new(*logfile.BlockError)):
-			return fmt.Errorf("rmw: clean %s: block at %d: %w", v.Log.Path(), off, err)
+			return fmt.Errorf("rmw: %s: block at %d: %w", v.Log.Path(), off, err)
 		case err != nil:
 			return err
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil || sc.Offset() == v.Log.Size() {
+		return err
+	}
+	return fmt.Errorf("rmw: %s: %w", v.Log.Path(), &binio.FrameError{Reason: fmt.Sprintf("blocks end at offset %d of %d", sc.Offset(), v.Log.Size())})
 }
 
 // Flush spills all buffered data to disk (checkpoint support).
@@ -904,11 +904,6 @@ func (s *Store) FlushBytes() int64 { return s.flushedBytes.Load() }
 func (s *Store) HitCount() (buffer, disk int64) {
 	return s.bufferHits.Load(), s.diskHits.Load()
 }
-
-// CheckpointRebases returns the number of cuts written as the base of a
-// new stream although their parent could have been extended, because the
-// delta would have held more records than the live state.
-func (s *Store) CheckpointRebases() int64 { return s.rebases.Load() }
 
 // BufferedBytes returns the current write-buffer occupancy.
 func (s *Store) BufferedBytes() int64 {

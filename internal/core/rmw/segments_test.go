@@ -94,13 +94,18 @@ type diffRun struct {
 	oracle map[id]string
 	step   int
 
-	// The committed checkpoint chain's tip and the oracle at its cut.
-	ckptDir    string
-	ckptMeta   *ckpt.Meta
-	ckptOracle map[id]string
-	nDirs      int
+	// The committed checkpoint chain's tip, and the last few committed
+	// cuts, each with the oracle at its cut: the older ones outlive the
+	// segments they link in the live store, and their parents.
+	ckptDir  string
+	ckptMeta *ckpt.Meta
+	kept     []keptCut
+	nDirs    int
 
 	evictMin int64 // on-disk bytes of the smallest full-buffer eviction
+	// restoredBelow is the first segment id the store created itself, past
+	// the ones its restore reopened; 0 for a store never restored.
+	restoredBelow uint32
 	// Churn summed over the stores the run went through.
 	dropped, cleaned int64
 }
@@ -111,6 +116,17 @@ const (
 	diffMSA    = 1.5
 	diffValLen = 16
 )
+
+// keptCut is a committed checkpoint and the oracle at its cut.
+type keptCut struct {
+	dir    string
+	meta   *ckpt.Meta
+	oracle map[id]string
+}
+
+// keepCuts is how many committed checkpoints a run keeps; older ones are
+// deleted, as retention would.
+const keepCuts = 3
 
 func (d *diffRun) open() *Store {
 	d.nDirs++
@@ -184,17 +200,32 @@ func (d *diffRun) put() {
 	}
 	// The Put also reaped and, if needed, cleaned: the space and
 	// file-count bounds hold now. A segment is never smaller than one
-	// eviction, a quarter of the buffer.
+	// eviction, a quarter of the buffer — but for the open head and
+	// survivor, and for the ones a restore reopened sealed (each cut's
+	// head and survivor, at most two a restore, until their entries die).
 	total, live := logBytes(d.s)
 	if float64(total) > diffMSA*float64(live)+diffBuffer {
 		d.t.Fatalf("step %d: log holds %d bytes for %d live — over MSA %.1f by more than one segment",
 			d.step, total, live, diffMSA)
 	}
-	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.evictMin))) + 2
+	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.evictMin))) + 2 + d.smallRestored()
 	if n := d.s.SegmentStats().LiveSegments; n > maxSegs {
 		d.t.Fatalf("step %d: %d segments for %d live bytes (eviction %d), want <= %d",
 			d.step, n, live, d.evictMin, maxSegs)
 	}
+}
+
+// smallRestored counts the live segments smaller than one eviction that a
+// restore reopened sealed.
+func (d *diffRun) smallRestored() (n int) {
+	d.s.ioMu.Lock()
+	defer d.s.ioMu.Unlock()
+	for _, sg := range d.s.segs.List() {
+		if sg.ID < d.restoredBelow && sg.Log.Size() < d.evictMin {
+			n++
+		}
+	}
+	return n
 }
 
 func (d *diffRun) get() {
@@ -210,15 +241,15 @@ func (d *diffRun) get() {
 	delete(d.oracle, ident)
 }
 
-// checkpoint cuts a delta on top of the chain's tip, runs a few more
+// checkpoint cuts a checkpoint against the chain's tip, runs a few more
 // operations while the cut is "being written", and then either commits it
-// (and proves the chain restores to the oracle at the cut) or abandons it
-// as a failed commit would.
+// (and proves it restores to the oracle at the cut) or abandons it as a
+// failed commit would. Committing deletes the oldest kept cut beyond
+// keepCuts.
 func (d *diffRun) checkpoint() {
 	d.nDirs++
 	dir := filepath.Join(d.base, fmt.Sprintf("ckpt-%d", d.nDirs))
-	res, err := d.s.CheckpointDelta(dir, d.ckptMeta, d.ckptDir)
-	if err != nil {
+	if _, err := d.s.CheckpointDelta(dir, d.ckptMeta, d.ckptDir); err != nil {
 		d.t.Fatalf("step %d checkpoint: %v", d.step, err)
 	}
 	atCut := maps.Clone(d.oracle)
@@ -230,15 +261,19 @@ func (d *diffRun) checkpoint() {
 		}
 	}
 	if d.rng.Intn(5) == 0 {
-		os.RemoveAll(dir) // the commit failed: the hook never runs
+		os.RemoveAll(dir) // the commit failed
 		return
 	}
-	res.Commit()
 	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	d.ckptDir, d.ckptMeta, d.ckptOracle = dir, meta, atCut
+	d.ckptDir, d.ckptMeta = dir, meta
+	d.kept = append(d.kept, keptCut{dir, meta, atCut})
+	if len(d.kept) > keepCuts {
+		os.RemoveAll(d.kept[0].dir)
+		d.kept = d.kept[1:]
+	}
 
 	scratch := d.open()
 	defer scratch.Destroy()
@@ -251,18 +286,25 @@ func (d *diffRun) checkpoint() {
 	}
 }
 
-// restore replaces the store with one restored from the chain's tip, as a
-// restart would, rolling the oracle back to that cut.
+// restore replaces the store with one restored from a kept cut — the
+// tip, or one its store has moved on from since — as a restart would,
+// rolling the oracle back to that cut, which becomes the chain's tip.
 func (d *diffRun) restore() {
-	if d.ckptMeta == nil {
+	if len(d.kept) == 0 {
 		return
 	}
+	k := d.kept[d.rng.Intn(len(d.kept))]
 	fresh := d.open()
-	if err := fresh.Restore(d.ckptDir); err != nil {
-		d.t.Fatalf("step %d restore: %v", d.step, err)
+	if err := fresh.Restore(k.dir); err != nil {
+		d.t.Fatalf("step %d restore %s: %v", d.step, k.dir, err)
 	}
 	d.retire()
-	d.s, d.oracle = fresh, maps.Clone(d.ckptOracle)
+	d.s, d.oracle = fresh, maps.Clone(k.oracle)
+	d.restoredBelow = fresh.segs.NextID()
+	d.ckptDir, d.ckptMeta = k.dir, k.meta
+	if got := dumpLive(d.t, d.s); !reflect.DeepEqual(got, d.oracle) {
+		d.t.Fatalf("step %d: %s restores %d aggregates, the oracle at its cut has %d", d.step, k.dir, len(got), len(d.oracle))
+	}
 }
 
 // retire destroys the current store, keeping its churn counts.
@@ -297,8 +339,9 @@ func (d *diffRun) run(steps int) {
 }
 
 // TestSegmentedLogDifferential drives one store against a map oracle
-// through puts, fetch-&-removes, delta checkpoint chains (committed and
-// abandoned, with operations in flight), restarts and live dumps, under
+// through puts, fetch-&-removes, checkpoint chains (committed and
+// abandoned, with operations in flight, the oldest deleted as retention
+// would), restarts from any kept cut and live dumps, under
 // uniform and skewed key draws, asserting the store's invariants along the
 // way: a full buffer evicts exactly the quarter whose windows end last and
 // ends up under its cap, the directory holds exactly the tracked segments,

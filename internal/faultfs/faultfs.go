@@ -147,11 +147,11 @@ func (osFS) SyncDir(path string) error {
 
 // LinkOrCopy hard-links src to dst, falling back to a full copy when the
 // filesystem refuses the link (no hard-link support, cross-device, or an
-// injected link fault). It reports whether the cheap path was taken: a
-// linked file's bytes are already durable (they were fsynced when the
-// source was sealed), while a copied file still needs an fsync before any
-// commit that references it — the caller owns that sync, so group-commit
-// checkpoints can batch it.
+// injected link fault). It reports whether the cheap path was taken. A
+// link shares src's inode, so its bytes are exactly as durable as src's:
+// on disk if src was fsynced, and otherwise not until one of the two
+// names is. A copy is never durable until fsynced. Either way the caller
+// owns that sync, so group-commit checkpoints can batch it.
 func LinkOrCopy(fsys FS, src, dst string) (linked bool, err error) {
 	if err := fsys.Link(src, dst); err == nil {
 		return true, nil

@@ -124,6 +124,7 @@ type Log struct {
 	closed bool
 
 	durable int64  // offset covered by the last successful Sync
+	crc     uint32 // CRC32C of the log's bytes, [0, Size())
 	tail    []byte // framed bytes appended past durable, if tailOK
 	tailOK  bool
 	perr    error // first write-path error; non-nil means poisoned
@@ -150,7 +151,7 @@ func CreateFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error)
 	if err != nil {
 		return nil, fmt.Errorf("logfile: create: %w", err)
 	}
-	return newLog(fsys, path, f, 0, bd), nil
+	return newLog(fsys, path, f, 0, 0, bd), nil
 }
 
 // Open opens an existing log for appending; new records go after any valid
@@ -165,7 +166,7 @@ func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("logfile: open: %w", err)
 	}
-	end, err := recoverEnd(path, f)
+	end, crc, err := recoverEnd(path, f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -178,30 +179,32 @@ func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("logfile: seek: %w", err)
 	}
-	return newLog(fsys, path, f, end, bd), nil
+	return newLog(fsys, path, f, end, crc, bd), nil
 }
 
 // recoverEnd scans f and returns the offset one past its last valid
-// record. Corruption before the final record (a torn tail is fine;
-// mid-file rot is not) fails the open with a typed CorruptError, so a
-// store never resumes over bytes it cannot vouch for.
-func recoverEnd(path string, f faultfs.File) (int64, error) {
+// record and the CRC32C up to it. Corruption before the final record (a
+// torn tail is fine; mid-file rot is not) fails the open with a typed
+// CorruptError, so a store never resumes over bytes it cannot vouch for.
+func recoverEnd(path string, f faultfs.File) (int64, uint32, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	sc := binio.NewRecordScanner(f, 0).Buffer(make([]byte, ioBufBytes))
+	var crc uint32
 	for sc.Scan() {
+		crc = binio.ChecksumUpdate(crc, sc.Frame())
 	}
 	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
+		return 0, 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
 	}
-	return sc.Offset(), nil
+	return sc.Offset(), crc, nil
 }
 
-func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, bd *metrics.Breakdown) *Log {
+func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, crc uint32, bd *metrics.Breakdown) *Log {
 	// Bytes present at open are on disk already; treat them as the
 	// durable baseline a reopen may truncate back to.
-	l := &Log{fs: fsys, path: path, bd: bd, durable: off, tailOK: true}
+	l := &Log{fs: fsys, path: path, bd: bd, durable: off, crc: crc, tailOK: true}
 	// Every descriptor is wrapped in the policy guard so deadlines and
 	// latency observation apply uniformly; with no policy installed the
 	// guard is a passthrough.
@@ -217,6 +220,10 @@ func (l *Log) Path() string { return l.path }
 // Size returns the logical size of the log: the offset one byte past the
 // last appended record, including any bytes still in the write buffer.
 func (l *Log) Size() int64 { return l.rw.Offset() }
+
+// CRC returns the CRC32C of the log's Size() bytes as they were appended,
+// never read back; ReopenAtDurable rewrites the same bytes and keeps it.
+func (l *Log) CRC() uint32 { return l.crc }
 
 // DurableOffset returns the offset covered by the last successful Sync.
 // Records below it survive a reopen; records above it exist only in the
@@ -274,6 +281,7 @@ func (l *Log) Append(payload []byte) (off int64, n int, err error) {
 		l.poison(err)
 		return 0, 0, err
 	}
+	l.crc = binio.ChecksumUpdate(l.crc, l.rw.Frame())
 	if l.tailOK {
 		l.tail = binio.AppendRecord(l.tail, payload)
 		l.capTail()
@@ -537,13 +545,12 @@ func (l *Log) preadStitched(buf []byte, off int64) error {
 	return nil
 }
 
-// DecodeRecord verifies and decodes the single framed record occupying
-// exactly buf (read from offset off) — by ReadRecordAt, or by a caller
-// that fetched several records with one ReadRangeAt and holds their spans. Beyond the checksum it checks that
+// decodeRecord verifies and decodes the single framed record occupying
+// exactly buf, read from offset off. Beyond the checksum it checks that
 // the frame consumes the whole buffer: an index entry said n bytes, so a
 // valid-looking shorter frame at that offset means the read was stale or
 // misdirected, which is corruption, not a decode quirk.
-func (l *Log) DecodeRecord(buf []byte, off int64) ([]byte, error) {
+func (l *Log) decodeRecord(buf []byte, off int64) ([]byte, error) {
 	payload, used, err := binio.ReadRecord(buf)
 	if err != nil {
 		return nil, corruptErr(l.path, off, err)
@@ -570,23 +577,7 @@ func (l *Log) ReadRecordAt(off int64, n int) ([]byte, error) {
 	if l.bd != nil {
 		l.bd.AddBytesRead(int64(n))
 	}
-	return l.DecodeRecord(buf, off)
-}
-
-// ReadRangeAt reads n raw bytes starting at off. Used by reads that cover
-// several adjacent records with one I/O.
-func (l *Log) ReadRangeAt(off int64, n int) ([]byte, error) {
-	if l.closed {
-		return nil, ErrClosed
-	}
-	buf := make([]byte, n)
-	if err := l.readAt(buf, off); err != nil {
-		return nil, err
-	}
-	if l.bd != nil {
-		l.bd.AddBytesRead(int64(n))
-	}
-	return buf, nil
+	return l.decodeRecord(buf, off)
 }
 
 // ReadRecordAtRaw reads the framed record at offset off, whose total
@@ -605,7 +596,7 @@ func (l *Log) ReadRecordAtRaw(off int64, buf []byte) ([]byte, error) {
 		l.bd.Observe(metrics.OpIOWait, time.Since(start))
 		l.bd.AddBytesRead(int64(len(buf)))
 	}
-	return l.DecodeRecord(buf, off)
+	return l.decodeRecord(buf, off)
 }
 
 // Scanner returns a sequential scanner over the log's records from offset
@@ -933,6 +924,26 @@ func (d *Dir) Open(name string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.pol.Store(d.pol.Load())
+	return l, nil
+}
+
+// OpenSealed opens an existing named log read-only and sealed (Seal), for
+// a file never to be written again: its bytes are taken as durable and,
+// unverified, as checksumming to crc. It inherits the directory's policy.
+func (d *Dir) OpenSealed(name string, crc uint32) (*Log, error) {
+	path := filepath.Join(d.root, name)
+	f, err := d.fs.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("logfile: open: %w", err)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("logfile: seek: %w", err)
+	}
+	l := newLog(d.fs, path, f, size, crc, d.bd)
+	l.releaseWriter()
 	l.pol.Store(d.pol.Load())
 	return l, nil
 }

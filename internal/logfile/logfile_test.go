@@ -89,29 +89,6 @@ func TestReadRecordAt(t *testing.T) {
 	}
 }
 
-func TestReadRangeAtCoversAdjacentRecords(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Create(filepath.Join(dir, "a.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	off0, n0, _ := l.Append([]byte("first"))
-	_, n1, _ := l.Append([]byte("second"))
-	raw, err := l.ReadRangeAt(off0, n0+n1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, err := l.DecodeRecord(raw[:n0], off0)
-	if err != nil || string(p0) != "first" {
-		t.Fatalf("first record: %q %v", p0, err)
-	}
-	p1, err := l.DecodeRecord(raw[n0:], off0+int64(n0))
-	if err != nil || string(p1) != "second" {
-		t.Fatalf("second record: %q %v", p1, err)
-	}
-}
-
 func TestOpenRecoversTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.log")

@@ -143,6 +143,17 @@ func (ss *Segments[X]) Reopen(id uint32, state byte, x X) (*Segment[X], error) {
 	return sg, nil
 }
 
+// ReopenSealed is Reopen for a sealed segment whose file is never to be
+// written again (Dir.OpenSealed), its bytes checksumming to crc.
+func (ss *Segments[X]) ReopenSealed(id uint32, x X, crc uint32) (*Segment[X], error) {
+	sg, err := ss.open(id, func(name string) (*Log, error) { return ss.dir.OpenSealed(name, crc) }, x)
+	if err != nil {
+		return nil, err
+	}
+	ss.Seal(sg, true)
+	return sg, nil
+}
+
 // open creates or opens segment id's log and registers it with payload x;
 // on failure it uses up no id.
 func (ss *Segments[X]) open(id uint32, open func(name string) (*Log, error), x X) (*Segment[X], error) {

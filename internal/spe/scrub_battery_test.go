@@ -15,7 +15,9 @@ import (
 	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
 	"flowkv/internal/core/aur"
+	"flowkv/internal/core/rmw"
 	"flowkv/internal/faultfs"
+	"flowkv/internal/logfile"
 )
 
 // The scrub battery: plant silent corruption (bit flips, zeroed pages,
@@ -279,17 +281,20 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 }
 
 // TestScrubBatteryZeroedPageIsFrameError zeroes a page inside the committed
-// SINK.log prefix, inside the committed generation's rmw.dlt and stat.dlt
-// replay segments, in its AUR segments.snap, and in each metadata file:
-// JOB, GENMETA, a cut's MANIFEST and an instance's SEGMENTS. Each must
-// fail typed, as a *binio.FrameError — a frame cannot start with a zero
-// byte, so a zeroed page is never a run of valid empty records: the ledger
-// from VerifyJobDir and ReadLedger, a replay segment from the replay its
-// restore runs, segments.snap from the AUR store's Restore (the checkpoint
-// MANIFEST catches both first, as the CheckpointError VerifyJobDir
-// reports), JOB from ReadJobMeta, GENMETA from VerifyJobDir, MANIFEST from
-// core.VerifyCheckpointDir (still an ErrCheckpointInvalid) and SEGMENTS
-// from ckpt.DecodeMeta (still an ErrBadMeta). Never a shorter result.
+// SINK.log prefix, inside the committed generation's stat.dlt replay
+// segment, its RMW buffer dump and an RMW segment file the cut links, in
+// its AUR segments.snap, and in each metadata file: JOB, GENMETA, a cut's
+// MANIFEST and an instance's SEGMENTS. Each must fail typed, as a
+// *binio.FrameError — a frame cannot start with a zero byte, so a zeroed
+// page is never a run of valid empty records: the ledger from
+// VerifyJobDir and ReadLedger, a replay segment from the replay its
+// restore runs, segments.snap from the AUR store's Restore, the RMW files
+// from the RMW store's Restore (a *logfile.BlockError would do there too;
+// the checkpoint MANIFEST catches all of these first, as the
+// CheckpointError VerifyJobDir reports), JOB from ReadJobMeta, GENMETA
+// from VerifyJobDir, MANIFEST from core.VerifyCheckpointDir (still an
+// ErrCheckpointInvalid) and SEGMENTS from ckpt.DecodeMeta (still an
+// ErrBadMeta). Never a shorter result.
 func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 	tuples := crashTuples(450)
 	const every = 79
@@ -298,7 +303,8 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 		logical string // file to rot; "" rots the ledger
 	}{
 		{crashPatterns()[0], ""},
-		{crashPatterns()[2], "rmw.dlt"},
+		{crashPatterns()[2], "rmw.buf"},
+		{crashPatterns()[2], "rmw-segment"},
 		{crashPatterns()[1], "stat.dlt"},
 		{crashPatterns()[1], "segments.snap"},
 		{crashPatterns()[2], jobMetaName},
@@ -310,10 +316,14 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 		if name == "" {
 			name = ledgerName
 		}
+		bufBytes := int64(1 << 10)
+		if leg.logical == "rmw-segment" {
+			bufBytes = 64 // the RMW state spills into segments the cuts link
+		}
 		t.Run(name, func(t *testing.T) {
 			base := t.TempDir()
 			job := &Job{
-				Pipeline:        crashPipeline(leg.pat, filepath.Join(base, "state"), nil, 1<<10),
+				Pipeline:        crashPipeline(leg.pat, filepath.Join(base, "state"), nil, bufBytes),
 				Source:          NewSliceSource(tuples),
 				Dir:             filepath.Join(base, "job"),
 				CheckpointEvery: every,
@@ -373,6 +383,35 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				}
 				if _, err := ckpt.DecodeMeta(b); !errors.As(err, &fe) || !errors.Is(err, ckpt.ErrBadMeta) {
 					t.Fatalf("DecodeMeta of a zeroed SEGMENTS page: %v, want a FrameError and ErrBadMeta", err)
+				}
+			case "rmw.buf", "rmw-segment":
+				// The first instance of the committed generation holding
+				// one: a worker whose state all fired has neither.
+				pattern := map[string]string{"rmw.buf": "rmw.buf.seg-*", "rmw-segment": "rmw-*.log.seg-*"}[leg.logical]
+				var path string
+				err := filepath.WalkDir(gen, func(p string, d fs.DirEntry, err error) error {
+					if ok, _ := filepath.Match(pattern, d.Name()); err == nil && ok && path == "" {
+						if fi, err := d.Info(); err == nil && fi.Size() > 0 {
+							path = p
+						}
+					}
+					return err
+				})
+				if err != nil || path == "" {
+					t.Fatalf("%s holds no %s: %v", gen, pattern, err)
+				}
+				zero(path, -1)
+				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
+					t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", path, err)
+				}
+				st, err := rmw.Open(rmw.Options{Dir: filepath.Join(base, "restored")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Destroy()
+				err = st.Restore(filepath.Dir(path))
+				if be := (*logfile.BlockError)(nil); !errors.As(err, &fe) && !errors.As(err, &be) {
+					t.Fatalf("RMW restore over a zeroed %s page: %v, want a FrameError or BlockError", path, err)
 				}
 			case "segments.snap":
 				zero(filepath.Join(inst, leg.logical), -1)
