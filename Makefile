@@ -30,6 +30,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/binio/ -fuzz 'FuzzDecodeRecordFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/binio/ -fuzz FuzzInflate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)

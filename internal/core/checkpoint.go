@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"path/filepath"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/faultfs"
 )
 
@@ -34,36 +35,45 @@ func (s *Store) CheckpointWithMeta(dir string, meta []byte) error {
 }
 
 // appMetaName is the application-metadata file inside a checkpoint
-// directory. It is listed in the MANIFEST like any store file, so
-// tampering with it invalidates the whole checkpoint.
+// directory. It holds the metadata as one deflate stream (binio.Deflate),
+// and is listed in the MANIFEST like any store file — its size and CRC are
+// the deflated bytes' — so tampering with it invalidates the whole
+// checkpoint.
 const appMetaName = "APPMETA"
 
-// writeAppMeta durably writes the application metadata file into the
-// snapshot staging directory.
-func writeAppMeta(fsys faultfs.FS, dir string, meta []byte) error {
+// writeAppMeta durably writes meta, deflated, as the application metadata
+// file of the snapshot staging directory, and returns its MANIFEST entry,
+// whose size and CRC are the deflated bytes'.
+func writeAppMeta(fsys faultfs.FS, dir string, meta []byte) (manifestEntry, error) {
+	z, err := binio.Deflate(nil, meta)
+	if err != nil {
+		return manifestEntry{}, fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
+	}
 	f, err := fsys.Create(filepath.Join(dir, appMetaName))
 	if err != nil {
-		return fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
+		return manifestEntry{}, fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
 	}
-	if _, err := f.Write(meta); err != nil {
+	if _, err := f.Write(z); err != nil {
 		f.Close()
-		return fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
+		return manifestEntry{}, fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
+		return manifestEntry{}, fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
+		return manifestEntry{}, fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
 	}
-	return nil
+	return manifestEntry{path: appMetaName, size: int64(len(z)), crc: binio.Checksum(z)}, nil
 }
 
 // ReadCheckpointMeta returns the application metadata stored in a
 // checkpoint directory by CheckpointWithMeta, or nil if the checkpoint
 // carries none. It does not verify the checkpoint — callers that need
-// integrity use RestoreWithMeta or VerifyCheckpointDir first. A nil fsys
-// uses the real filesystem.
+// integrity use RestoreWithMeta or VerifyCheckpointDir first — but an
+// APPMETA that does not inflate (rot, or a checkpoint written before the
+// metadata was deflated) is a *binio.FrameError. A nil fsys uses the real
+// filesystem.
 func ReadCheckpointMeta(fsys faultfs.FS, dir string) ([]byte, error) {
 	if fsys == nil {
 		fsys = faultfs.OS
@@ -75,7 +85,11 @@ func ReadCheckpointMeta(fsys faultfs.FS, dir string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flowkv: read checkpoint meta: %w", err)
 	}
-	return b, nil
+	meta, err := binio.Inflate(nil, b)
+	if err != nil {
+		return nil, fmt.Errorf("flowkv: read checkpoint meta: %w", err)
+	}
+	return meta, nil
 }
 
 // Restore rebuilds a freshly-opened store from a checkpoint directory
@@ -94,8 +108,9 @@ func (s *Store) Restore(dir string) error {
 
 // RestoreWithMeta is Restore returning the application metadata the
 // checkpoint was taken with (nil for checkpoints written without any).
-// The metadata is read only after the manifest verification passes, so a
-// non-nil return is exactly the bytes given to CheckpointWithMeta.
+// The metadata is read and inflated only after the manifest verification
+// passes, so a non-nil return is exactly the bytes given to
+// CheckpointWithMeta.
 func (s *Store) RestoreWithMeta(dir string) ([]byte, error) {
 	if len(s.insts) != s.opts.Instances {
 		return nil, fmt.Errorf("flowkv: restore: store not fully open")

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 )
@@ -271,12 +270,14 @@ func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, p
 	}); err != nil {
 		return nil, fmt.Errorf("flowkv: checkpoint: sync instance dir: %w", err)
 	}
+	var entries []manifestEntry
 	if meta != nil {
-		if err := writeAppMeta(fsys, tmp, meta); err != nil {
+		e, err := writeAppMeta(fsys, tmp, meta)
+		if err != nil {
 			return nil, err
 		}
+		entries = append(entries, e)
 	}
-	var entries []manifestEntry
 	for i, res := range results {
 		for _, e := range res.Entries {
 			entries = append(entries, manifestEntry{
@@ -285,13 +286,6 @@ func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, p
 				crc:  e.CRC,
 			})
 		}
-	}
-	if meta != nil {
-		entries = append(entries, manifestEntry{
-			path: appMetaName,
-			size: int64(len(meta)),
-			crc:  binio.Checksum(meta),
-		})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].path < entries[j].path })
 	m := &manifest{

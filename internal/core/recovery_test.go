@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -33,7 +34,7 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	if err := s.Append([]byte("k"), []byte("v"), w, 10); err != nil {
 		t.Fatal(err)
 	}
-	meta := []byte("offset=1234 wm=77")
+	meta := bytes.Repeat([]byte("offset=1234 wm=77 "), 20)
 	ckpt := filepath.Join(base, "ckpt")
 	if err := s.CheckpointWithMeta(ckpt, meta); err != nil {
 		t.Fatal(err)
@@ -41,6 +42,28 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 
 	if got, err := ReadCheckpointMeta(nil, ckpt); err != nil || !bytes.Equal(got, meta) {
 		t.Fatalf("ReadCheckpointMeta = %q, %v; want %q", got, err, meta)
+	}
+	// APPMETA holds the metadata deflated, and the MANIFEST entry covers
+	// the bytes on disk.
+	onDisk, err := os.ReadFile(filepath.Join(ckpt, appMetaName))
+	if err != nil || len(onDisk) >= len(meta) {
+		t.Fatalf("APPMETA is %d bytes (%v) for %d bytes of metadata; want it deflated", len(onDisk), err, len(meta))
+	}
+	if _, _, err := VerifyCheckpointDir(nil, ckpt); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	// An APPMETA written before the metadata was deflated — the raw bytes —
+	// fails typed.
+	old := filepath.Join(base, "undeflated")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, appMetaName), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fe *binio.FrameError
+	if got, err := ReadCheckpointMeta(nil, old); !errors.As(err, &fe) {
+		t.Fatalf("ReadCheckpointMeta of undeflated metadata = %d bytes, %v; want a FrameError", len(got), err)
 	}
 
 	restOpts := opts

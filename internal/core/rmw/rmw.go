@@ -17,12 +17,15 @@
 // the identity's own window end, then start, then key — and keeps the
 // rest: the state that triggers soonest stays in memory to be updated and
 // finally consumed there, and the state that would have sat in the buffer
-// longest goes to disk once. The window end is a lower bound on a
-// session's trigger and the exact trigger of an aligned window, it never
-// changes for an identity, and in-order it sorts sessions as
-// maxTimestamp + gap does, so the order needs no clock, timestamp or
-// predictor. Each eviction is written as a segment of its own, so a
-// segment's aggregates also share a lifetime and tend to die together.
+// longest goes to disk once. The window end is the exact trigger of an
+// aligned window and a lower bound on a session's, and it never changes
+// for an identity, so the order needs no clock, timestamp or predictor.
+// A session's window end is its first tuple + gap, so sessions sort by
+// start, not by trigger (maxTimestamp + gap): the victims are the
+// sessions started last, and an extended session keeps its early place
+// and stays in memory past sessions that will fire before it. Each
+// eviction is written as a segment of its own, so a segment's aggregates
+// also share a lifetime and tend to die together.
 //
 // # The segmented log
 //

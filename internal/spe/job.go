@@ -362,9 +362,9 @@ type jobRun struct {
 	stages  []*jobStage
 	segment []SinkRecord
 	lf      faultfs.File
-	ledger  int64  // committed + appended ledger bytes
-	block   []byte // the ledger block buffer, reused across commits
-	gen     int64  // last committed generation
+	ledger  int64         // committed + appended ledger bytes
+	blocks  ledgerEncoder // the ledger block buffers, reused across commits
+	gen     int64         // last committed generation
 
 	// Live-migration state (migrate.go): the loaded journal, the
 	// in-flight attempt, and which plan entries this run has attempted.
@@ -991,8 +991,10 @@ func (jr *jobRun) appendSegment() error {
 		}
 		return bytes.Compare(seg[i].Value, seg[k].Value) < 0
 	})
-	jr.block = appendLedgerBlock(slices.Grow(jr.block[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], seg)
-	frame := binio.SealFrame(jr.block)
+	frame, err := jr.blocks.encode(seg)
+	if err != nil {
+		return fmt.Errorf("spe: job ledger: %w", err)
+	}
 	if _, err := jr.lf.Write(frame); err != nil {
 		return fmt.Errorf("spe: job ledger: %w", err)
 	}
@@ -1004,14 +1006,36 @@ func (jr *jobRun) appendSegment() error {
 }
 
 // The sink ledger is a run of blocks, one per commit that produced
-// results: a binio frame (one CRC for the whole commit) whose payload is the
-// record count, then per record its TS as a delta from the previous
-// record's (the first one's from zero, so absolute), its key and its
-// value. Records are in the commit's canonical (TS, Key, Value) order, so
-// the deltas are small and never negative.
+// results: a binio frame (one CRC for the whole commit) whose payload is
+// the deflate stream (binio.Deflate) of the block's records: the record
+// count, then per record its TS as a delta from the previous record's
+// (the first one's from zero, so absolute), its key and its value.
+// Records are in the commit's canonical (TS, Key, Value) order, so the
+// deltas are small and never negative. A block is a pure function of its
+// record set within one build — the deflate writer is reset for every
+// block — which is what keeps resumed, rescaled and migrated ledgers
+// byte-identical to an uninterrupted run's.
 
-// appendLedgerBlock appends the payload of the ledger block holding recs
-// to dst.
+// ledgerEncoder builds framed ledger blocks in buffers it reuses.
+type ledgerEncoder struct {
+	raw   []byte // the block's records before deflate
+	block []byte // the frame: header room, then the deflated records
+}
+
+// encode returns the framed ledger block holding recs, valid until the
+// next call.
+func (e *ledgerEncoder) encode(recs []SinkRecord) ([]byte, error) {
+	e.raw = appendLedgerBlock(e.raw[:0], recs)
+	block, err := binio.Deflate(slices.Grow(e.block[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], e.raw)
+	if err != nil {
+		return nil, err
+	}
+	e.block = block
+	return binio.SealFrame(block), nil
+}
+
+// appendLedgerBlock appends the records of the ledger block holding recs,
+// before deflate, to dst.
 func appendLedgerBlock(dst []byte, recs []SinkRecord) []byte {
 	dst = binio.PutUvarint(dst, uint64(len(recs)))
 	var prev int64
@@ -1025,10 +1049,11 @@ func appendLedgerBlock(dst []byte, recs []SinkRecord) []byte {
 }
 
 // decodeLedgerBlock decodes the ledger block at the front of b, handing fn
-// its records in order (key and value alias b), and returns the bytes the
-// block took. Anything but a whole block that decodes exactly — a frame
-// that fails its CRC or ends early, a record count other than the records
-// the payload holds, a byte left over — is a *binio.FrameError.
+// its records in order (key and value alias the block's inflated bytes),
+// and returns the bytes the block took. Anything but a whole block that
+// decodes exactly — a frame that fails its CRC or ends early, a payload
+// that does not inflate, a record count other than the records the
+// payload holds, a byte left over — is a *binio.FrameError.
 func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, error) {
 	p, n, err := binio.ReadRecord(b)
 	if errors.Is(err, binio.ErrShortBuffer) {
@@ -1040,7 +1065,11 @@ func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, err
 	if n != len(p)+binio.RecordOverhead(len(p)) {
 		return 0, &binio.FrameError{Reason: "padded ledger block length"}
 	}
-	d := snapDecoder{b: p}
+	raw, err := binio.Inflate(nil, p)
+	if err != nil {
+		return 0, err
+	}
+	d := snapDecoder{b: raw}
 	count := d.count(3) // a record takes at least three bytes
 	var ts int64
 	for i := uint64(0); i < count && d.err == nil; i++ {

@@ -2,10 +2,13 @@ package spe
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -15,7 +18,21 @@ import (
 // ledgerBlock is the framed ledger block holding recs, as appendSegment
 // writes it.
 func ledgerBlock(recs []SinkRecord) []byte {
-	return binio.SealFrame(appendLedgerBlock(make([]byte, binio.FrameHeadroom), recs))
+	var e ledgerEncoder
+	b, err := e.encode(recs)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// deflatedBlock frames the deflate stream of payload as a ledger block.
+func deflatedBlock(payload []byte) []byte {
+	z, err := binio.Deflate(nil, payload)
+	if err != nil {
+		panic(err)
+	}
+	return binio.AppendRecord(nil, z)
 }
 
 // decodeLedgerBytes decodes a run of whole ledger blocks.
@@ -65,7 +82,8 @@ var sampleLedger = [][]SinkRecord{
 // same records; ReadLedger returns every committed block and stops at the
 // JOB record's LedgerLen, ignoring a torn block past it; a LedgerLen that
 // ends mid-block, or a block whose count disagrees with its records, is a
-// typed FrameError.
+// typed FrameError, and so is a block whose payload is not a deflate stream
+// — the layout before blocks were deflated.
 func TestLedgerBlockRoundTrip(t *testing.T) {
 	var ledger []byte
 	var want []SinkRecord
@@ -92,8 +110,12 @@ func TestLedgerBlockRoundTrip(t *testing.T) {
 		t.Fatalf("ledger shorter than its committed length: %v, want a FrameError", err)
 	}
 	payload := appendLedgerBlock(nil, sampleLedger[0])
+	undeflated := binio.AppendRecord(nil, payload)
+	if _, err := ReadLedger(nil, writeJobDir(t, undeflated, len(undeflated))); !errors.As(err, &fe) {
+		t.Fatalf("block whose records are not deflated: %v, want a FrameError", err)
+	}
 	payload[0]++ // the count names one record more than the block holds
-	bad := binio.AppendRecord(nil, payload)
+	bad := deflatedBlock(payload)
 	if _, err := ReadLedger(nil, writeJobDir(t, bad, len(bad))); !errors.As(err, &fe) {
 		t.Fatalf("block with a wrong record count: %v, want a FrameError", err)
 	}
@@ -158,8 +180,11 @@ func TestReadLedgerIgnoresUncommittedBlock(t *testing.T) {
 
 // FuzzDecodeLedgerBlock feeds arbitrary bytes to the ledger block decoder
 // behind ReadLedger and VerifyJobDir: it must never panic, fail only with
-// a FrameError, consume a whole block within the input when it accepts,
-// and an accepted block must re-encode to exactly the bytes it took.
+// a FrameError, and consume a whole block within the input when it
+// accepts. The records of an accepted block must be exactly what its
+// payload inflates to — the record encoding is canonical — and re-encode
+// to a block that decodes to the same records. (The deflate stream itself
+// is not canonical: many streams inflate to the same bytes.)
 func FuzzDecodeLedgerBlock(f *testing.F) {
 	for _, recs := range sampleLedger {
 		f.Add(ledgerBlock(recs))
@@ -170,7 +195,11 @@ func FuzzDecodeLedgerBlock(f *testing.F) {
 	f.Add(block[:len(block)-3])
 	f.Add(make([]byte, 64)) // a zeroed page
 	// A count of 2^40 records in a valid frame.
-	f.Add(binio.AppendRecord(nil, binio.PutUvarint(nil, 1<<40)))
+	f.Add(deflatedBlock(binio.PutUvarint(nil, 1<<40)))
+	// Valid frames whose payloads are not deflate streams: a reserved
+	// block type, and a block's records framed without deflate.
+	f.Add(binio.AppendRecord(nil, []byte{0x07, 0x01}))
+	f.Add(binio.AppendRecord(nil, appendLedgerBlock(nil, sampleLedger[0])))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var recs []SinkRecord
 		n, err := decodeLedgerBlock(b, func(ts int64, key, value []byte) {
@@ -186,8 +215,57 @@ func FuzzDecodeLedgerBlock(f *testing.F) {
 		if n <= 0 || n > len(b) {
 			t.Fatalf("decode took %d of %d bytes", n, len(b))
 		}
-		if re := ledgerBlock(recs); !bytes.Equal(re, b[:n]) {
-			t.Fatalf("accepted block does not re-encode to itself:\n%x\n%x", b[:n], re)
+		p, _, err := binio.ReadRecord(b)
+		if err != nil {
+			t.Fatalf("accepted block's frame: %v", err)
+		}
+		raw, err := binio.Inflate(nil, p)
+		if err != nil {
+			t.Fatalf("accepted block's payload: %v", err)
+		}
+		if re := appendLedgerBlock(nil, recs); !bytes.Equal(re, raw) {
+			t.Fatalf("accepted block's records do not re-encode to its payload:\n%x\n%x", raw, re)
+		}
+		re := ledgerBlock(recs)
+		if got := decodeLedgerBytes(t, re); !reflect.DeepEqual(normalize(got), normalize(recs)) {
+			t.Fatalf("re-encoded block decodes to %v, want %v", got, recs)
 		}
 	})
+}
+
+// TestLedgerBlockBytesIgnoreEncoderHistory: a block is a pure function of
+// its records. The encoder appendSegment reuses across commits — and the
+// pooled deflate writer behind it — must produce, after encoding other
+// blocks, the bytes a fresh flate.Writer produces; resumed, rescaled and
+// migrated ledgers are byte-identical only because of this.
+func TestLedgerBlockBytesIgnoreEncoderHistory(t *testing.T) {
+	fresh := func(recs []SinkRecord) []byte {
+		var z bytes.Buffer
+		w, err := flate.NewWriter(&z, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(appendLedgerBlock(nil, recs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return binio.AppendRecord(nil, z.Bytes())
+	}
+	big := make([]SinkRecord, 5000)
+	for i := range big {
+		big[i] = SinkRecord{TS: int64(i / 7), Key: []byte(fmt.Sprintf("key-%05d", i*31%5000)), Value: []byte(strconv.Itoa(i % 97))}
+	}
+	sets := append(append([][]SinkRecord(nil), sampleLedger...), big, nil, sampleLedger[0])
+	var reused ledgerEncoder
+	for i, recs := range sets {
+		got, err := reused.encode(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh(recs); !bytes.Equal(got, want) {
+			t.Fatalf("set %d: a reused encoder wrote %d bytes that differ from a fresh one's %d", i, len(got), len(want))
+		}
+	}
 }

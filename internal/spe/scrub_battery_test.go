@@ -284,17 +284,19 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 // SINK.log prefix, inside the committed generation's stat.dlt replay
 // segment, its RMW buffer dump and an RMW segment file the cut links, in
 // its AUR segments.snap, and in each metadata file: JOB, GENMETA, a cut's
-// MANIFEST and an instance's SEGMENTS. Each must fail typed, as a
-// *binio.FrameError — a frame cannot start with a zero byte, so a zeroed
-// page is never a run of valid empty records: the ledger from
-// VerifyJobDir and ReadLedger, a replay segment from the replay its
-// restore runs, segments.snap from the AUR store's Restore, the RMW files
+// MANIFEST and APPMETA, and an instance's SEGMENTS. Each must fail typed,
+// as a *binio.FrameError — a frame cannot start with a zero byte, so a
+// zeroed page is never a run of valid empty records, and a deflate stream
+// zeroed from its start is a stored block whose length check fails: the
+// ledger from VerifyJobDir and ReadLedger, a replay segment from the
+// replay its restore runs, segments.snap from the AUR store's Restore, the RMW files
 // from the RMW store's Restore (a *logfile.BlockError would do there too;
 // the checkpoint MANIFEST catches all of these first, as the
 // CheckpointError VerifyJobDir reports), JOB from ReadJobMeta, GENMETA
 // from VerifyJobDir, MANIFEST from core.VerifyCheckpointDir (still an
-// ErrCheckpointInvalid) and SEGMENTS from ckpt.DecodeMeta (still an
-// ErrBadMeta). Never a shorter result.
+// ErrCheckpointInvalid), APPMETA from core.ReadCheckpointMeta (VerifyJobDir
+// reports the CheckpointError its MANIFEST entry raises) and SEGMENTS from
+// ckpt.DecodeMeta (still an ErrBadMeta). Never a shorter result.
 func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 	tuples := crashTuples(450)
 	const every = 79
@@ -311,6 +313,7 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 		{crashPatterns()[2], genMetaName},
 		{crashPatterns()[2], "MANIFEST"},
 		{crashPatterns()[2], ckpt.MetaName},
+		{crashPatterns()[2], "APPMETA"},
 	} {
 		name := leg.logical
 		if name == "" {
@@ -383,6 +386,14 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				}
 				if _, err := ckpt.DecodeMeta(b); !errors.As(err, &fe) || !errors.Is(err, ckpt.ErrBadMeta) {
 					t.Fatalf("DecodeMeta of a zeroed SEGMENTS page: %v, want a FrameError and ErrBadMeta", err)
+				}
+			case "APPMETA":
+				zero(filepath.Join(cut, "APPMETA"), -1)
+				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
+					t.Fatalf("VerifyJobDir over a zeroed APPMETA page: %v, want a CheckpointError", err)
+				}
+				if _, err := core.ReadCheckpointMeta(nil, cut); !errors.As(err, &fe) {
+					t.Fatalf("ReadCheckpointMeta of a zeroed APPMETA page: %v, want a FrameError", err)
 				}
 			case "rmw.buf", "rmw-segment":
 				// The first instance of the committed generation holding

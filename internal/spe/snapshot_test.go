@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/core"
 	"flowkv/internal/window"
 )
 
@@ -119,7 +119,7 @@ func realOpSnapshot(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(job.Dir, GenDirName(meta.Gen), cutDirName(1, 0), "APPMETA"))
+	b, err := core.ReadCheckpointMeta(nil, filepath.Join(job.Dir, GenDirName(meta.Gen), cutDirName(1, 0)))
 	if err != nil {
 		f.Fatalf("seed snapshot: %v", err)
 	}
