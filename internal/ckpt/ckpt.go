@@ -31,8 +31,9 @@ import (
 // instance checkpoint from any other directory.
 const MetaName = "SEGMENTS"
 
-// metaMagic versions the SEGMENTS encoding.
-const metaMagic = "flowkv-segments-v1"
+// metaMagic versions the SEGMENTS encoding; the header record is the
+// magic alone.
+const metaMagic = "flowkv-segments-v2"
 
 // ErrBadMeta reports an undecodable or inconsistent SEGMENTS file.
 var ErrBadMeta = errors.New("ckpt: invalid SEGMENTS file")
@@ -74,10 +75,6 @@ func (f *FileState) TotalLen() int64 {
 
 // Meta is the decoded SEGMENTS file of one instance checkpoint.
 type Meta struct {
-	// CutID identifies this checkpoint's cut. RMW delta checkpoints
-	// diff against in-memory dirty state, so they additionally require
-	// the parent's CutID to match the instance's last committed cut.
-	CutID uint64
 	// Files lists every logical file, sorted by logical name.
 	Files []FileState
 }
@@ -96,18 +93,9 @@ func (m *Meta) File(logical string) *FileState {
 	return nil
 }
 
-// Extends reports whether the next cut of an instance whose last
-// committed cut was lastCutID may extend m's replay stream logical
-// instead of re-basing it: m records the stream and is that last cut, so
-// the instance's in-memory dirty marks are exactly the difference
-// between the two. A nil receiver (no parent) extends nothing.
-func (m *Meta) Extends(logical string, lastCutID uint64) bool {
-	return m.File(logical) != nil && m.CutID != 0 && m.CutID == lastCutID
-}
-
-// Rand64 returns a random epoch / cut identifier. Uniqueness is
-// probabilistic; epochs only need to avoid colliding across the handful
-// of file generations a checkpoint chain can reference.
+// Rand64 returns a random file epoch. Uniqueness is probabilistic; epochs
+// only need to avoid colliding across the handful of file generations a
+// checkpoint chain can reference.
 func Rand64() uint64 {
 	return rand.Uint64()
 }
@@ -116,9 +104,7 @@ func Rand64() uint64 {
 // CRC-framed through binio.
 func (m *Meta) Encode() []byte {
 	var buf, payload []byte
-	payload = binio.PutString(payload[:0], metaMagic)
-	payload = binio.PutUvarint(payload, m.CutID)
-	buf = binio.AppendRecord(buf, payload)
+	buf = binio.AppendRecord(buf, binio.PutString(nil, metaMagic))
 	for _, f := range m.Files {
 		payload = binio.PutString(payload[:0], f.Logical)
 		payload = binio.PutUvarint(payload, f.Epoch)
@@ -167,13 +153,10 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	if !next() {
 		return bad("corrupt header")
 	}
-	if str() != metaMagic || !ok {
+	if str() != metaMagic || !ok || len(rec) != 0 {
 		return bad("bad magic")
 	}
-	m := &Meta{CutID: uvarint()}
-	if !ok {
-		return bad("truncated header")
-	}
+	m := &Meta{}
 	for len(b) > 0 {
 		if !next() {
 			return bad("corrupt file record")
@@ -220,16 +203,13 @@ type Entry struct {
 // Result is what an instance's checkpoint hands back to the composite
 // store: the manifest entries for every file it placed in the directory,
 // the files that still need an fsync before the commit rename (written
-// or copied data, and links of bytes not yet durable), byte accounting
-// for the Stats counters, and an optional Commit hook the store layer
-// invokes only after the checkpoint's MANIFEST rename lands (AUR uses it
-// to retire the dirty marks it diffed).
+// or copied data, and links of bytes not yet durable), and byte
+// accounting for the Stats counters.
 type Result struct {
 	Entries     []Entry
 	NeedSync    []string
 	LinkedBytes int64
 	CopiedBytes int64
-	Commit      func()
 }
 
 // Cut is one instance's segmented checkpoint while it is being written:
@@ -247,19 +227,15 @@ type Cut struct {
 	res       Result
 }
 
-// Begin creates dir and starts an instance cut under a fresh cut id.
-// parent is the decoded SEGMENTS of the previous generation rooted at
-// parentDir; nil means there is nothing to reuse and every file is
-// written in full.
+// Begin creates dir and starts an instance cut. parent is the decoded
+// SEGMENTS of the previous generation rooted at parentDir; nil means
+// there is nothing to reuse and every file is written in full.
 func Begin(fsys faultfs.FS, dir string, parent *Meta, parentDir string) (*Cut, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Cut{fsys: fsys, dir: dir, parent: parent, parentDir: parentDir, meta: Meta{CutID: Rand64()}}, nil
+	return &Cut{fsys: fsys, dir: dir, parent: parent, parentDir: parentDir}, nil
 }
-
-// ID returns the cut's identifier, recorded as the SEGMENTS CutID.
-func (c *Cut) ID() uint64 { return c.meta.CutID }
 
 // wrote folds a freshly written (unsynced) data file into the result: a
 // manifest entry, a place in the sync window, and its bytes counted as
@@ -303,18 +279,6 @@ func (c *Cut) linkFile(src string, seg Segment, durable bool) error {
 	return nil
 }
 
-// link carries the parent's segments of one logical file into the cut,
-// hard-linking each: the parent committed them, so they are durable.
-func (c *Cut) link(p *FileState, fstate *FileState) error {
-	for _, seg := range p.Segments {
-		if err := c.linkFile(filepath.Join(c.parentDir, seg.Name), seg, true); err != nil {
-			return err
-		}
-	}
-	fstate.Segments = append(fstate.Segments, p.Segments...)
-	return nil
-}
-
 // Link records the sealed live file at path, size bytes never to be
 // written again, hard-linked: from the parent when it holds the whole file
 // (Log then copies nothing), else from path, durable saying whether its
@@ -344,9 +308,13 @@ func (c *Cut) Log(logical string, epoch uint64, path string, size int64) error {
 	// segments — Materialize recreates it empty.
 	if p := c.parent.File(logical); p != nil && p.Epoch == epoch &&
 		p.TotalLen() > 0 && p.TotalLen() <= size {
-		if err := c.link(p, &fstate); err != nil {
-			return err
+		// The parent committed its segments, so their links are durable.
+		for _, seg := range p.Segments {
+			if err := c.linkFile(filepath.Join(c.parentDir, seg.Name), seg, true); err != nil {
+				return err
+			}
 		}
+		fstate.Segments = append(fstate.Segments, p.Segments...)
 		from = p.TotalLen()
 	}
 	if tail := size - from; tail > 0 {
@@ -381,30 +349,17 @@ const streamChunk = 256 << 10
 // in steady state.
 var blockPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Stream records a replay stream under the logical name: a logical file
-// whose segments, concatenated, replay in order into the instance's state
-// at the cut. A segment is a run of blocks, each one binio frame whose
-// payload is length-prefixed records (binio.PutBytes), so a block of
-// small records pays for one checksum, not one per record. With extend
-// the parent's segments are linked across (the stream keeps the parent's
-// epoch) and this cut appends one segment; otherwise the segment written
-// here is the base of a new stream. write emits the cut's records through
-// emit; a failed block write is sticky — later emits do nothing — and is
-// what Stream returns. A cut with no records adds no segment — a
-// zero-length one would make the next cut's segment start at the same
-// offset and collide on name. Replay is the reader.
-func (c *Cut) Stream(logical string, extend bool, write func(emit func(rec []byte)) error) error {
+// Stream records a replay stream under the logical name: one segment,
+// written whole at every cut, whose records replay in order into the
+// instance's state at the cut. The segment is a run of blocks, each one
+// binio frame whose payload is length-prefixed records (binio.PutBytes),
+// so a block of small records pays for one checksum, not one per record.
+// write emits the cut's records through emit; a failed block write is
+// sticky — later emits do nothing — and is what Stream returns. A cut
+// with no records adds no segment. Replay is the reader.
+func (c *Cut) Stream(logical string, write func(emit func(rec []byte)) error) error {
 	fstate := FileState{Logical: logical, Epoch: Rand64()}
-	var from int64
-	if extend {
-		p := c.parent.File(logical)
-		if err := c.link(p, &fstate); err != nil {
-			return err
-		}
-		fstate.Epoch = p.Epoch
-		from = p.TotalLen()
-	}
-	name := SegmentName(logical, from)
+	name := SegmentName(logical, 0)
 	pooled := blockPool.Get().(*[]byte)
 	block := slices.Grow((*pooled)[:0], binio.FrameHeadroom)[:binio.FrameHeadroom]
 	var (

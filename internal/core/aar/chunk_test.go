@@ -114,7 +114,7 @@ func TestCountPrefixedChunkIsRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ckpt.SegmentName(name, 0)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meta := &ckpt.Meta{CutID: 1, Files: []ckpt.FileState{{Logical: name, Epoch: 1,
+	meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1,
 		Segments: []ckpt.Segment{{Name: ckpt.SegmentName(name, 0), Len: int64(len(seg)), CRC: binio.Checksum(seg)}}}}}
 	if err := os.WriteFile(filepath.Join(dir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func TestTornTailRecovery(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meta := &ckpt.Meta{CutID: 1, Files: []ckpt.FileState{{Logical: name, Epoch: 1,
+	meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1,
 		Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}}}}
 	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@
 // Flush, Sync and CheckpointDelta drain the buffer whole through the same
 // flush.
 //
-// Predictive batch read. An in-memory Stat table tracks each live
+// Predictive batch read. The in-memory Stat table tracks each live
 // window's estimated trigger time (ETT), computed by a window-semantics
 // predictor from the statically-known window function and the maximum
 // tuple timestamp seen (for session windows: maxTS + gap, a guaranteed
@@ -42,20 +42,23 @@
 // that hold what it selected. Memory holds, per flushed identity, which
 // segments hold its batches and how many bytes in each — not where.
 //
+// The table. Everything memory holds of an identity is one entry of one
+// map: its Stat row, its buffered values, its segment shares and its
+// prefetched values (see entry).
+//
 // # Concurrency
 //
 // A Store instance is safe for concurrent use. Two locks split the state:
 //
-//   - mu guards the in-memory maps: write buffer, Stat table, prefetch
-//     buffer and the per-id on-disk byte accounting. Appends, and
+//   - mu guards the table and the buffer totals. Appends, and
 //     Get/Read/Drop of state that lives only in the buffer, take mu
 //     alone, so ingestion never waits for disk.
 //   - ioMu serializes everything involving the segments' logs: flushes,
 //     batch-read scans, cleaning, drops, checkpoints — plus the
 //     segments' consumed marks, which only disk-touching paths mutate.
 //     mu is never held across I/O; a flush detaches the buffer under mu,
-//     writes with only ioMu held, and installs the on-disk accounting
-//     under mu again.
+//     writes with only ioMu held, and installs the segment shares under
+//     mu again.
 //
 // The lock order is ioMu before mu; mu is never held while acquiring
 // ioMu. The segment table and the segments' live counts change only with
@@ -99,15 +102,10 @@ type Options struct {
 	// trigger last (see flushLocked). Default 32 MiB.
 	WriteBufferBytes int64
 	// ReadBatchRatio sets the fraction of live (key, window) states
-	// prefetched per predictive batch read. 0 disables prediction (every
-	// read with on-disk state scans its segments for that state alone).
-	// The paper's default is 0.02.
+	// prefetched per predictive batch read, at least minBatchWindows. 0
+	// disables prediction (every read with on-disk state scans its
+	// segments for that state alone). The paper's default is 0.02.
 	ReadBatchRatio float64
-	// MinBatchWindows floors the per-scan prefetch count when the ratio
-	// yields fewer (small live sets would otherwise trigger a segment
-	// scan every few reads; at the paper's scale ratio × live windows is
-	// in the thousands and this floor is never reached). Default 64.
-	MinBatchWindows int
 	// MaxSpaceAmplification (MSA) triggers segment cleaning when
 	// total/(total-dead) segment-log bytes exceed it. Default 1.5.
 	MaxSpaceAmplification float64
@@ -123,7 +121,16 @@ type Options struct {
 	// + latency monitor); nil is a passthrough. Shared by reference: the
 	// composite store installs one policy across its instances.
 	Policy *logfile.Policy
+
+	// minBatch overrides minBatchWindows; in-package tests set it.
+	minBatch int
 }
+
+// minBatchWindows floors the per-scan prefetch count when the ratio yields
+// fewer: small live sets would otherwise trigger a segment scan every few
+// reads. At the paper's scale ratio × live windows is in the thousands and
+// the floor is never reached.
+const minBatchWindows = 64
 
 // evictDivisor is the share of the buffered identities a full buffer
 // evicts: the quarter with the latest estimated trigger time. On the
@@ -139,8 +146,8 @@ func (o *Options) fill() {
 	if o.MaxSpaceAmplification <= 0 {
 		o.MaxSpaceAmplification = 1.5
 	}
-	if o.MinBatchWindows <= 0 {
-		o.MinBatchWindows = 64
+	if o.minBatch <= 0 {
+		o.minBatch = minBatchWindows
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -155,23 +162,25 @@ type id struct {
 	w   window.Window
 }
 
-type bufEntry struct {
-	values [][]byte
-	bytes  int64
-	// ett is the identity's Stat-table estimate as of its latest append,
-	// kept here so a flush can order its batches without the table.
-	ett    int64
-	hasETT bool
-}
-
-// statEntry is one row of the in-memory Stat table.
-type statEntry struct {
+// entry is an identity's row in the table. It lives from the identity's
+// first Append to the Get or Drop that consumes it, and until then holds
+// buffered values, segment shares or a flush in flight.
+type entry struct {
+	// The Stat row (step ②): the latest tuple timestamp and the ETT the
+	// predictor derives from it.
 	maxTS  int64
 	ett    int64
 	hasETT bool
-	// spilled says the identity has a row in onDisk, so the pass over the
-	// table that selects a batch read does not probe a second map per row.
-	spilled bool
+	// flushing says a flush has detached the buffered values and not yet
+	// installed them: reads take the slow path, which waits for it.
+	flushing bool
+	values   [][]byte // buffered, in append order
+	bytes    int64    // what values charge the write buffer
+	// shares says which segments hold the identity's live batches and how
+	// many bytes in each — not where: that is on disk.
+	shares []segShare
+	// prefetched holds the values a batch read loaded, nil when none.
+	prefetched [][]byte
 }
 
 // segShare is the encoded bytes of one identity's live batches in one
@@ -234,23 +243,10 @@ type Store struct {
 	bd   *metrics.Breakdown
 
 	// mu guards the in-memory state below.
-	mu       sync.Mutex
-	buf      map[id]*bufEntry
-	bufBytes int64
-	stat     map[id]*statEntry
-	// onDisk says, per live flushed identity, which segments hold its
-	// batches and how many bytes in each — not where: that is on disk.
-	onDisk   map[id][]segShare
-	flushing map[id]*bufEntry
-	// statMarks marks identities whose Stat entry changed since the
-	// last committed delta checkpoint, so an incremental checkpoint
-	// ships only those rows (as upserts or tombstones) instead of
-	// rewriting the whole table, and remembers that cut's id, which a
-	// parent checkpoint must match for its stat stream to be extended.
-	statMarks *ckpt.Marks[id]
-
-	prefetch      map[id][][]byte
-	prefetchBytes int64
+	mu            sync.Mutex
+	table         map[id]*entry
+	bufBytes      int64 // the entries' buffered bytes
+	prefetchBytes int64 // the entries' prefetched bytes
 
 	// ioMu serializes log I/O and the state only disk paths touch.
 	// Never acquired while holding mu.
@@ -258,6 +254,9 @@ type Store struct {
 	// segs is the log: every segment, the flush head and the survivor.
 	segs *logfile.Segments[segState]
 	seq  uint64 // the last flush's sequence number (see block.go)
+	// items is the slice a flush detaches its batch into, kept from one
+	// flush to the next (they run one at a time, under ioMu).
+	items []flushItem
 
 	// Evaluation metrics.
 	ratio      metrics.Ratio
@@ -280,30 +279,12 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	dir.SetPolicy(opts.Policy)
-	s := &Store{
-		opts:      opts,
-		dir:       dir,
-		bd:        opts.Breakdown,
-		buf:       make(map[id]*bufEntry),
-		stat:      make(map[id]*statEntry),
-		onDisk:    make(map[id][]segShare),
-		prefetch:  make(map[id][][]byte),
-		statMarks: ckpt.NewMarks[id](),
-	}
+	s := &Store{opts: opts, dir: dir, bd: opts.Breakdown, table: make(map[id]*entry)}
 	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix, opts.WriteBufferBytes,
 		opts.MaxSpaceAmplification, func() segState {
 			return segState{epoch: ckpt.Rand64(), consumed: make(map[string]int64)}
 		})
 	return s, nil
-}
-
-// dropStatLocked removes ident's Stat row, if it has one, and marks the
-// removal for the next delta checkpoint; caller holds mu.
-func (s *Store) dropStatLocked(ident id) {
-	if _, ok := s.stat[ident]; ok {
-		delete(s.stat, ident)
-		s.statMarks.Remove(ident)
-	}
 }
 
 // Append adds the KV tuple with its window and timestamp (paper API:
@@ -331,40 +312,27 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	e := s.table[ident]
+	if e == nil {
+		e = &entry{maxTS: ts}
+		s.table[ident] = e
+	} else {
+		e.maxTS = max(e.maxTS, ts)
+	}
 	// A new tuple for a prefetched window proves its ETT estimate wrong:
 	// evict the stale prefetched state (§4.2); it will be re-read when
 	// the window actually triggers.
-	if _, ok := s.prefetch[ident]; ok {
-		s.dropPrefetchLocked(ident)
-		s.evictions.Inc()
-	}
-
-	e := s.buf[ident]
-	if e == nil {
-		e = &bufEntry{}
-		s.buf[ident] = e
-	}
+	s.evictPrefetchLocked(e)
 	e.values = append(e.values, vc)
 	sz := int64(len(value) + 24)
 	e.bytes += sz
 	s.bufBytes += sz
-
-	// Update the Stat table (step ②).
-	st := s.stat[ident]
-	if st == nil {
-		st = &statEntry{maxTS: ts}
-		s.stat[ident] = st
-		s.statMarks.Upsert(ident, false)
-	} else if ts > st.maxTS {
-		st.maxTS = ts
-		s.statMarks.Upsert(ident, true)
-	}
+	// Update the Stat row (step ②).
 	if s.opts.Predictor != nil {
-		if ett, ok := s.opts.Predictor.ETT(w, st.maxTS); ok {
-			st.ett, st.hasETT = ett, true
+		if ett, ok := s.opts.Predictor.ETT(w, e.maxTS); ok {
+			e.ett, e.hasETT = ett, true
 		}
 	}
-	e.ett, e.hasETT = st.ett, st.hasETT
 	need := s.bufBytes > s.opts.WriteBufferBytes
 	s.mu.Unlock()
 
@@ -373,17 +341,29 @@ func (s *Store) append(key, value []byte, w window.Window, ts int64) error {
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(false); err != nil {
+	if err := s.flushLocked(false, nil); err != nil {
 		return err
 	}
 	return s.cleanLocked()
 }
 
-// flushItem is one buffered batch on its way to disk.
+// flushItem is one buffered batch on its way to disk: its entry, and the
+// values and Stat estimate detached from it under mu, so the flush reads
+// nothing of an entry an Append may be updating.
 type flushItem struct {
+	ident  id
+	e      *entry
+	values [][]byte
+	bytes  int64
+	ett    int64
+	hasETT bool
+	n      int64 // encoded bytes of its entry, once written
+}
+
+// statRow is one row of the Stat table as a checkpoint ships it.
+type statRow struct {
 	ident id
-	e     *bufEntry
-	n     int64 // encoded bytes of its entry, once written
+	maxTS int64
 }
 
 // byTrigger orders a flush's batches by ascending ETT, identities without
@@ -398,13 +378,13 @@ type flushItem struct {
 // to run.
 func byTrigger(a, b flushItem) int {
 	switch {
-	case a.e.hasETT != b.e.hasETT:
-		if a.e.hasETT {
+	case a.hasETT != b.hasETT:
+		if a.hasETT {
 			return -1
 		}
 		return 1
-	case a.e.hasETT && a.e.ett != b.e.ett:
-		if a.e.ett < b.e.ett {
+	case a.hasETT && a.ett != b.ett:
+		if a.ett < b.ett {
 			return -1
 		}
 		return 1
@@ -429,17 +409,17 @@ func compareIDs(a, b id) int {
 // selects its victims by.
 func triggersLater(a, b flushItem) bool { return byTrigger(a, b) > 0 }
 
-// detachLocked removes from the buffer, and returns, the batch a flush
-// writes — marked in flight — or nil when there is nothing to do: an empty
-// buffer, or an eviction that queued on ioMu behind another and finds the
-// buffer no longer full. Caller holds ioMu and mu. A drain takes
-// everything. An eviction takes the quarter of the buffered identities
-// that come last in byTrigger order, found by selection rather than by
-// sorting the buffer — unless what that leaves is still over the cap (a
-// few large batches among many small ones), and then it too takes
+// detachLocked takes out of the buffer the batches a flush writes, their
+// entries marked in flight, and returns them; none when there is nothing to
+// do: an empty buffer, or an eviction that queued on ioMu behind another
+// and finds the buffer no longer full. Caller holds ioMu and mu. A drain
+// takes everything. An eviction takes the quarter of the buffered
+// identities that come last in byTrigger order, found by selection rather
+// than by sorting the buffer — unless what that leaves is still over the
+// cap (a few large batches among many small ones), and then it too takes
 // everything, so a flush always brings the buffer back under
-// WriteBufferBytes. items lists the batch when selecting built the list
-// anyway.
+// WriteBufferBytes. With rows non-nil, the checkpoint cut, the same pass
+// over the table appends every identity's Stat row to rows.
 //
 // Why the estimated trigger time and not the window's end, the order the
 // RMW store evicts by: an RMW update reads its aggregate back, an AUR
@@ -448,38 +428,37 @@ func triggersLater(a, b flushItem) bool { return byTrigger(a, b) > 0 }
 // is the one furthest from it. Ordered by the initial window's end the
 // session benchmark writes 39.0 B an event, more than draining the buffer
 // whole (35.1 B); ordered by ETT, 26.7 B.
-func (s *Store) detachLocked(all bool) (batch map[id]*bufEntry, items []flushItem) {
-	if len(s.buf) == 0 || (!all && s.bufBytes <= s.opts.WriteBufferBytes) {
-		return nil, nil
+func (s *Store) detachLocked(all bool, rows *[]statRow) []flushItem {
+	if rows == nil && (s.bufBytes == 0 || !all && s.bufBytes <= s.opts.WriteBufferBytes) {
+		return nil
 	}
-	if !all {
-		items = make([]flushItem, 0, len(s.buf))
-		for ident, e := range s.buf {
-			items = append(items, flushItem{ident: ident, e: e})
+	items := s.items[:0]
+	for ident, e := range s.table {
+		if rows != nil {
+			*rows = append(*rows, statRow{ident, e.maxTS})
 		}
+		if len(e.values) > 0 {
+			items = append(items, flushItem{ident: ident, e: e, bytes: e.bytes, ett: e.ett, hasETT: e.hasETT})
+		}
+	}
+	s.items = items
+	if !all {
 		k := (len(items) + evictDivisor - 1) / evictDivisor
 		window.SelectLast(items, k, triggersLater)
 		var bytes int64
 		for _, it := range items[:k] {
-			bytes += it.e.bytes
+			bytes += it.bytes
 		}
 		if s.bufBytes-bytes <= s.opts.WriteBufferBytes {
 			items = items[:k]
-			batch = make(map[id]*bufEntry, k)
-			for _, it := range items {
-				batch[it.ident] = it.e
-				delete(s.buf, it.ident)
-			}
-			s.bufBytes -= bytes
-			s.flushing = batch
-			return batch, items
 		}
 	}
-	batch = s.buf
-	s.buf = make(map[id]*bufEntry)
-	s.bufBytes = 0
-	s.flushing = batch
-	return batch, items
+	for i := range items {
+		it := &items[i]
+		it.values, it.e.values, it.e.bytes, it.e.flushing = it.e.values, nil, 0, true
+		s.bufBytes -= it.bytes
+	}
+	return items
 }
 
 // flushLocked spills buffered batches (step ③): all of them for a drain
@@ -488,35 +467,31 @@ func (s *Store) detachLocked(all bool) (batch map[id]*bufEntry, items []flushIte
 // finding the buffer full (detachLocked). One block entry per (key,
 // window) batch, in byTrigger order. Caller holds ioMu. The batch is
 // detached under mu and written with only ioMu held, so ingestion
-// proceeds; ids in the detached batch are marked in-flight, diverting
-// their reads to the slow path until the on-disk accounting is installed.
+// proceeds; its entries are marked in flight, diverting their reads to
+// the slow path until the segment shares are installed. rows is
+// detachLocked's.
 //
 // A full buffer's flush seals the segment it wrote, so in steady state
 // every segment holds one eviction and its batches share a lifetime. A
 // drain of a buffer that was not full leaves the head open for the next
 // flush rather than sealing a tiny file.
-func (s *Store) flushLocked(all bool) error {
+func (s *Store) flushLocked(all bool, rows *[]statRow) error {
 	s.mu.Lock()
 	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
 	full := s.bufBytes > s.opts.WriteBufferBytes
-	batch, items := s.detachLocked(all)
+	items := s.detachLocked(all, rows)
 	s.mu.Unlock()
-	if batch == nil {
+	if len(items) == 0 {
 		return nil
 	}
+	defer clear(s.items) // the next flush reuses the slice, not the values
 	// A head that cannot be created fails the flush like a failed first
 	// write: everything detached goes back.
 	head, werr := s.segs.OpenHead()
 	s.seq++
-	if items == nil {
-		items = make([]flushItem, 0, len(batch))
-		for ident, e := range batch {
-			items = append(items, flushItem{ident: ident, e: e})
-		}
-	}
 	slices.SortFunc(items, byTrigger)
 
 	// items[:installed] are in blocks the head's log accepted.
@@ -535,7 +510,7 @@ func (s *Store) flushLocked(all bool) error {
 	}}
 	for i := 0; werr == nil && i < len(items); i++ {
 		it := &items[i]
-		_, n, err := bw.Add(s.seq, it.ident.key, it.ident.w, it.e.values)
+		_, n, err := bw.Add(s.seq, it.ident.key, it.ident.w, it.values)
 		it.n, werr = int64(n), err
 	}
 	if werr == nil {
@@ -545,42 +520,29 @@ func (s *Store) flushLocked(all bool) error {
 	s.flushedBatches.Add(int64(installed))
 
 	s.mu.Lock()
-	s.flushing = nil
-	for _, it := range items[:installed] {
-		delete(batch, it.ident)
-		s.onDisk[it.ident] = addShare(s.onDisk[it.ident], head.ID, it.n)
-		head.Live += it.n
-		if st := s.stat[it.ident]; st != nil {
-			st.spilled = true
-		}
-		// A prefetch entry covers every flushed span of its id at the
-		// instant it was installed; the span just written is not among
-		// them, so the entry (installed by a batch read that targeted a
-		// different id while this one sat in the buffer) is now stale
-		// and must go, exactly as an append evicts it.
-		if _, ok := s.prefetch[it.ident]; ok {
-			s.dropPrefetchLocked(it.ident)
-			s.evictions.Inc()
-		}
-	}
-	if werr != nil && !DisableFlushReattach {
-		// Flush failure is atomic: batches the logs did not fully accept
-		// go back into the live buffer, prepended so value order per id
-		// stays chronological relative to appends that raced in since
-		// the detach. No acked Append is lost.
-		for ident, e := range batch {
-			cur := s.buf[ident]
-			if cur == nil {
-				s.buf[ident] = e
-			} else {
-				cur.values = append(e.values, cur.values...)
-				cur.bytes += e.bytes
-			}
-			s.bufBytes += e.bytes
-			if _, ok := s.prefetch[ident]; ok {
-				s.dropPrefetchLocked(ident)
-				s.evictions.Inc()
-			}
+	for i := range items {
+		it := &items[i]
+		e := it.e
+		e.flushing = false
+		switch {
+		case i < installed:
+			e.shares = addShare(e.shares, head.ID, it.n)
+			head.Live += it.n
+			// A prefetch entry covers every flushed span of its id at the
+			// instant it was installed; the span just written is not among
+			// them, so the entry (installed by a batch read that targeted a
+			// different id while this one sat in the buffer) is now stale
+			// and must go, exactly as an append evicts it.
+			s.evictPrefetchLocked(e)
+		case !DisableFlushReattach:
+			// Flush failure is atomic: batches the logs did not fully accept
+			// go back into the live buffer, prepended so value order per id
+			// stays chronological relative to appends that raced in since
+			// the detach. No acked Append is lost.
+			e.values = append(it.values, e.values...)
+			e.bytes += it.bytes
+			s.bufBytes += it.bytes
+			s.evictPrefetchLocked(e)
 		}
 	}
 	s.mu.Unlock()
@@ -590,15 +552,9 @@ func (s *Store) flushLocked(all bool) error {
 	return werr
 }
 
-// fastPathLocked reports whether ident can be served under mu alone:
-// no on-disk state and no copy mid-flight in a flush. Caller holds mu.
-func (s *Store) fastPathLocked(ident id) bool {
-	if len(s.onDisk[ident]) > 0 {
-		return false
-	}
-	_, inflight := s.flushing[ident]
-	return !inflight
-}
+// fastPath reports whether e can be served under mu alone: no on-disk
+// state and no copy mid-flight in a flush. Caller holds mu.
+func (e *entry) fastPath() bool { return len(e.shares) == 0 && !e.flushing }
 
 // Get fetches and removes the values of (key, window) (paper API:
 // Get(K, W)). Values are returned in append order. A nil slice means the
@@ -623,12 +579,11 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if s.fastPathLocked(ident) {
-		bufVals := s.takeBufferedLocked(ident)
+	if e := s.table[ident]; e == nil || e.fastPath() {
+		bufVals, _ := s.removeLocked(ident, e)
 		if bufVals != nil {
 			s.bufferHits.Inc()
 		}
-		s.dropStatLocked(ident)
 		s.mu.Unlock()
 		return bufVals, nil
 	}
@@ -642,24 +597,22 @@ func (s *Store) get(key []byte, w window.Window) ([][]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	onDisk := len(s.onDisk[ident]) > 0
-	diskVals, err := s.diskValuesLocked(ident)
+	e := s.table[ident]
+	if e == nil { // consumed meanwhile
+		s.mu.Unlock()
+		return nil, nil
+	}
+	diskVals, err := s.diskValuesLocked(ident, e)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	var emptied bool
-	if onDisk {
-		s.dropPrefetchLocked(ident)
-		emptied = s.consumeDiskLocked(ident)
-	}
-	bufVals := s.takeBufferedLocked(ident)
+	bufVals, emptied := s.removeLocked(ident, e)
 	if diskVals != nil {
 		s.diskHits.Inc()
 	} else if bufVals != nil {
 		s.bufferHits.Inc()
 	}
-	s.dropStatLocked(ident)
 	s.mu.Unlock()
 	if emptied {
 		_ = s.segs.Reap() // still tracked on failure; the next reap retries
@@ -696,9 +649,9 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if s.fastPathLocked(ident) {
+	if e := s.table[ident]; e == nil || e.fastPath() {
 		var out [][]byte
-		if e, ok := s.buf[ident]; ok {
+		if e != nil {
 			out = append(out, e.values...)
 		}
 		s.mu.Unlock()
@@ -713,15 +666,17 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	diskVals, err := s.diskValuesLocked(ident)
+	e := s.table[ident]
+	if e == nil { // consumed meanwhile
+		s.mu.Unlock()
+		return nil, nil
+	}
+	diskVals, err := s.diskValuesLocked(ident, e)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	var bufVals [][]byte
-	if e, ok := s.buf[ident]; ok {
-		bufVals = e.values
-	}
+	bufVals := e.values
 	s.mu.Unlock()
 
 	if diskVals == nil && bufVals == nil {
@@ -732,40 +687,39 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 	return append(out, bufVals...), nil
 }
 
-// diskValuesLocked returns ident's on-disk values, nil if it has none:
-// from the prefetch buffer (step ④) or, on a miss, by a predictive batch
-// read (steps ⑤–⑦). The values come back directly: a concurrent Append to
-// this id while mu is released would evict its fresh prefetch entry, so
-// the map cannot be re-read. Caller holds ioMu and mu, which a batch read
-// releases and which is held again on return.
-func (s *Store) diskValuesLocked(ident id) ([][]byte, error) {
-	if len(s.onDisk[ident]) == 0 {
+// diskValuesLocked returns the on-disk values of ident, whose entry is e,
+// nil if it has none: from the prefetch buffer (step ④) or, on a miss, by
+// a predictive batch read (steps ⑤–⑦). The values come back directly: a
+// concurrent Append to this id while mu is released would evict its fresh
+// prefetched values, so the entry cannot be re-read. Caller holds ioMu and
+// mu, which a batch read releases and which is held again on return.
+func (s *Store) diskValuesLocked(ident id, e *entry) ([][]byte, error) {
+	if len(e.shares) == 0 {
 		return nil, nil
 	}
-	if pv, ok := s.prefetch[ident]; ok {
+	if e.prefetched != nil {
 		s.ratio.Hit()
-		return pv, nil
+		return e.prefetched, nil
 	}
 	s.ratio.Miss()
 	s.mu.Unlock()
 	defer s.mu.Lock()
-	return s.batchReadLocked(ident)
+	return s.batchReadLocked(ident, e)
 }
 
 // Peek returns the number of buffered, on-disk and prefetched bytes held
 // for (key, window) without consuming them. Diagnostic/testing hook.
 func (s *Store) Peek(key []byte, w window.Window) (buffered, onDisk int64, prefetched bool) {
-	ident := id{key: string(key), w: w}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.buf[ident]; ok {
-		buffered = e.bytes
+	e := s.table[id{key: string(key), w: w}]
+	if e == nil {
+		return 0, 0, false
 	}
-	_, prefetched = s.prefetch[ident]
-	for _, sh := range s.onDisk[ident] {
+	for _, sh := range e.shares {
 		onDisk += sh.n
 	}
-	return buffered, onDisk, prefetched
+	return e.bytes, onDisk, e.prefetched != nil
 }
 
 // ForEachLive invokes fn for every live (unconsumed) unit of state — a
@@ -775,30 +729,26 @@ func (s *Store) Peek(key []byte, w window.Window) (buffered, onDisk int64, prefe
 // Used by job rescaling to re-route committed state into a new worker
 // set. Identities are visited in (key, window) order.
 func (s *Store) ForEachLive(fn func(key []byte, w window.Window, values [][]byte, maxTS int64) error) error {
-	type liveID struct {
-		ident id
-		maxTS int64
-	}
 	s.mu.Lock()
 	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	ids := make([]liveID, 0, len(s.stat))
-	for ident, st := range s.stat {
-		ids = append(ids, liveID{ident: ident, maxTS: st.maxTS})
+	rows := make([]statRow, 0, len(s.table))
+	for ident, e := range s.table {
+		rows = append(rows, statRow{ident, e.maxTS})
 	}
 	s.mu.Unlock()
-	slices.SortFunc(ids, func(a, b liveID) int { return compareIDs(a.ident, b.ident) })
-	for _, li := range ids {
-		vals, err := s.Read([]byte(li.ident.key), li.ident.w)
+	slices.SortFunc(rows, func(a, b statRow) int { return compareIDs(a.ident, b.ident) })
+	for _, r := range rows {
+		vals, err := s.Read([]byte(r.ident.key), r.ident.w)
 		if err != nil {
 			return err
 		}
 		if len(vals) == 0 {
 			continue
 		}
-		if err := fn([]byte(li.ident.key), li.ident.w, vals, li.maxTS); err != nil {
+		if err := fn([]byte(r.ident.key), r.ident.w, vals, r.maxTS); err != nil {
 			return err
 		}
 	}
@@ -814,9 +764,8 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.fastPathLocked(ident) {
-		s.takeBufferedLocked(ident)
-		s.dropStatLocked(ident)
+	if e := s.table[ident]; e == nil || e.fastPath() {
+		s.removeLocked(ident, e)
 		s.mu.Unlock()
 		return nil
 	}
@@ -829,10 +778,7 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.takeBufferedLocked(ident)
-	s.dropPrefetchLocked(ident)
-	emptied := s.consumeDiskLocked(ident)
-	s.dropStatLocked(ident)
+	_, emptied := s.removeLocked(ident, s.table[ident])
 	s.mu.Unlock()
 	if emptied {
 		_ = s.segs.Reap() // still tracked on failure; the next reap retries
@@ -840,71 +786,78 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 	return nil
 }
 
-// takeBufferedLocked removes ident's batch from the write buffer and
-// returns its values, nil if it has none; caller holds mu.
-func (s *Store) takeBufferedLocked(ident id) [][]byte {
-	e, ok := s.buf[ident]
-	if !ok {
-		return nil
+// removeLocked consumes ident, whose entry is e (nil: nothing to do): the
+// entry leaves the table and its buffered values are returned, its
+// prefetched values dropped, and its flushed batches retired, debiting
+// exactly the segments that hold them: every batch of it such a segment
+// holds now — all in blocks below its committed length — is dead, and a
+// batch a new life of the same (key, window) lands there later is above
+// that mark and is not. emptied reports whether that emptied a sealed
+// segment, which is then due a reap. Caller holds mu, and ioMu too unless
+// e is on the fast path.
+func (s *Store) removeLocked(ident id, e *entry) (values [][]byte, emptied bool) {
+	if e == nil {
+		return nil, false
 	}
+	delete(s.table, ident)
 	s.bufBytes -= e.bytes
-	delete(s.buf, ident)
-	return e.values
+	s.dropPrefetchLocked(e)
+	if len(e.shares) > 0 {
+		key := string(identBytes(ident))
+		for _, sh := range e.shares {
+			sg := s.segs.Get(sh.seg)
+			sg.Live -= sh.n
+			sg.X.consumed[key] = sg.X.committed
+			emptied = emptied || sg.Sealed && sg.Live == 0
+		}
+	}
+	return e.values, emptied
 }
 
-// consumeDiskLocked retires ident's flushed batches, debiting exactly the
-// segments that hold them: every batch of it such a segment holds now —
-// all in blocks below its committed length — is dead, and a batch a new
-// life of the same (key, window) lands there later is above that mark and
-// is not. It reports whether that emptied a sealed segment, which is then
-// due a reap. Caller holds ioMu, so no flush is in flight, and mu.
-func (s *Store) consumeDiskLocked(ident id) (emptied bool) {
-	shares := s.onDisk[ident]
-	if len(shares) == 0 {
+// dropPrefetchLocked drops e's prefetched values, reporting whether it had
+// any; caller holds mu.
+func (s *Store) dropPrefetchLocked(e *entry) bool {
+	if e.prefetched == nil {
 		return false
 	}
-	key := string(identBytes(ident))
-	for _, sh := range shares {
-		sg := s.segs.Get(sh.seg)
-		sg.Live -= sh.n
-		sg.X.consumed[key] = sg.X.committed
-		emptied = emptied || sg.Sealed && sg.Live == 0
+	for _, v := range e.prefetched {
+		s.prefetchBytes -= int64(len(v))
 	}
-	delete(s.onDisk, ident)
-	return emptied
+	e.prefetched = nil
+	return true
 }
 
-// dropPrefetchLocked removes ident's prefetched values; caller holds mu.
-func (s *Store) dropPrefetchLocked(ident id) {
-	if vs, ok := s.prefetch[ident]; ok {
-		for _, v := range vs {
-			s.prefetchBytes -= int64(len(v))
-		}
-		delete(s.prefetch, ident)
+// evictPrefetchLocked drops e's prefetched values as stale, counting the
+// eviction; caller holds mu.
+func (s *Store) evictPrefetchLocked(e *entry) {
+	if s.dropPrefetchLocked(e) {
+		s.evictions.Inc()
 	}
 }
 
-// batchReadLocked performs one predictive batch read targeting ident:
-// select the target plus the N flushed windows nearest their ETT, then scan
-// the blocks of the segments holding them, taking the selected batches'
-// values as the scan finds them, into the prefetch buffer. Caller holds
-// ioMu (not mu).
+// batchReadLocked performs one predictive batch read targeting ident,
+// whose entry is te: select the target plus the N flushed windows nearest
+// their ETT, then scan the blocks of the segments holding them, taking the
+// selected batches' values as the scan finds them, into the prefetch
+// buffer. Caller holds ioMu (not mu), so no selected entry can be
+// consumed before the install.
 //
-// The target's values are returned directly rather than via the
-// prefetch buffer: a concurrent Append to the target between the
-// prefetch install and the caller's next mu acquisition evicts the
-// entry, so a caller that re-read s.prefetch[target] could find nothing
-// and lose the on-disk values it is about to consume.
-func (s *Store) batchReadLocked(target id) ([][]byte, error) {
+// The target's values are returned directly rather than via its entry: a
+// concurrent Append to the target between the prefetch install and the
+// caller's next mu acquisition evicts them, so a caller that re-read the
+// entry could find nothing and lose the on-disk values it is about to
+// consume.
+func (s *Store) batchReadLocked(target id, te *entry) ([][]byte, error) {
 	// Selecting before scanning means a scan reads only the segments the
 	// selection names, copies values for the selected ids alone, and
-	// stops in each segment once it has found what onDisk counts there.
-	want, left := s.selectBatch(target)
+	// stops in each segment once it has found what their shares count
+	// there.
+	want, left := s.selectBatch(target, te)
 	s.indexScans.Inc()
 	type load struct {
-		ident id
-		seq   uint64
-		vals  [][]byte
+		e    *entry
+		seq  uint64
+		vals [][]byte
 	}
 	var loads []load
 	for _, sg := range s.segs.List() {
@@ -912,17 +865,17 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 		if n == 0 {
 			continue
 		}
-		err := s.scanSegLocked(sg, func(off int64, ident []byte, e *logfile.BlockEntry) error {
-			wanted, ok := want[string(ident)]
+		err := s.scanSegLocked(sg, func(off int64, ident []byte, be *logfile.BlockEntry) error {
+			e, ok := want[string(ident)]
 			if !ok || sg.X.dead(ident, off) {
 				return nil
 			}
-			vals := make([][]byte, len(e.Values))
-			for i, v := range e.Values {
+			vals := make([][]byte, len(be.Values))
+			for i, v := range be.Values {
 				vals[i] = slices.Clone(v)
 			}
-			loads = append(loads, load{wanted, e.Seq, vals})
-			if n -= int64(e.Size); n == 0 {
+			loads = append(loads, load{e, be.Seq, vals})
+			if n -= int64(be.Size); n == 0 {
 				return errScanDone
 			}
 			return nil
@@ -935,10 +888,11 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 	// Install in flush order — not scan order: a survivor segment holds
 	// batches older than a sealed eviction's, and out of order among
 	// themselves — keeping per-id value order chronological. A concurrent
-	// Append may already have evicted and re-created state for an id;
-	// re-installing is harmless — Get merges prefetched disk values with
-	// newer buffered ones. The target's values are also collected into a
-	// caller-owned slice that no concurrent eviction can take away.
+	// Append may already have evicted prefetched values and buffered new
+	// ones for an id; re-installing is harmless — Get merges prefetched
+	// disk values with newer buffered ones. The target's values are also
+	// collected into a caller-owned slice that no concurrent eviction can
+	// take away.
 	slices.SortStableFunc(loads, func(a, b load) int { return cmp.Compare(a.seq, b.seq) })
 	var targetVals [][]byte
 	s.mu.Lock()
@@ -946,8 +900,8 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 		for _, v := range l.vals {
 			s.prefetchBytes += int64(len(v))
 		}
-		s.prefetch[l.ident] = append(s.prefetch[l.ident], l.vals...)
-		if l.ident == target {
+		l.e.prefetched = append(l.e.prefetched, l.vals...)
+		if l.e == te {
 			targetVals = append(targetVals, l.vals...)
 		}
 	}
@@ -955,9 +909,10 @@ func (s *Store) batchReadLocked(target id) ([][]byte, error) {
 	return targetVals, nil
 }
 
-// cand is a prefetch candidate: a flushed identity and its ETT.
+// cand is a prefetch candidate: a flushed identity, its entry and its ETT.
 type cand struct {
 	ident id
+	e     *entry
 	ett   int64
 }
 
@@ -994,32 +949,28 @@ func siftLatest(h []cand, i int) {
 // N = ceil(ratio × live states) so any positive ratio prefetches at least
 // one upcoming window. Ids without an ETT cannot be predicted and are
 // only loaded on demand; ids already prefetched are skipped. The
-// candidates are exactly the ids the segments hold live entries for —
-// onDisk has a row for an id from its first installed flush until it is
-// consumed — so the choice needs nothing from the scan, and the bytes
-// onDisk counts for the chosen ids in each segment, returned as well, are
-// exactly what a scan of that segment will find for them. One pass over
-// the Stat table keeps the N soonest in a heap; once it is full, a row
-// whose ETT is no sooner than the heap's latest costs one comparison.
-// Caller holds ioMu.
-func (s *Store) selectBatch(target id) (want map[string]id, left map[uint32]int64) {
+// candidates are exactly the ids the segments hold live entries for — an
+// entry has shares from its first installed flush until it is consumed —
+// so the choice needs nothing from the scan, and the bytes the chosen
+// entries' shares count in each segment, returned as well, are exactly
+// what a scan of that segment will find for them. One pass over the table
+// keeps the N soonest in a heap; once it is full, a row whose ETT is no
+// sooner than the heap's latest costs one comparison. Caller holds ioMu.
+func (s *Store) selectBatch(target id, te *entry) (want map[string]*entry, left map[uint32]int64) {
 	var soonest []cand
 	s.mu.Lock()
-	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.stat))))
-	if s.opts.ReadBatchRatio > 0 && n < s.opts.MinBatchWindows {
-		n = s.opts.MinBatchWindows
+	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.table))))
+	if s.opts.ReadBatchRatio > 0 && n < s.opts.minBatch {
+		n = s.opts.minBatch
 	}
 	if n > 0 {
-		soonest = make([]cand, 0, min(n, len(s.onDisk)))
-		for ident, st := range s.stat {
-			c := cand{ident, st.ett}
-			if !st.hasETT || !st.spilled || len(soonest) == n && !c.sooner(soonest[0]) {
+		soonest = make([]cand, 0, min(n, len(s.table)))
+		for ident, e := range s.table {
+			c := cand{ident, e, e.ett}
+			if !e.hasETT || len(e.shares) == 0 || len(soonest) == n && !c.sooner(soonest[0]) {
 				continue
 			}
-			if ident == target {
-				continue
-			}
-			if _, already := s.prefetch[ident]; already {
+			if e == te || e.prefetched != nil {
 				continue
 			}
 			if len(soonest) < n {
@@ -1035,17 +986,17 @@ func (s *Store) selectBatch(target id) (want map[string]id, left map[uint32]int6
 			}
 		}
 	}
-	want = make(map[string]id, len(soonest)+1)
+	want = make(map[string]*entry, len(soonest)+1)
 	left = make(map[uint32]int64)
-	add := func(ident id) {
-		want[string(identBytes(ident))] = ident
-		for _, sh := range s.onDisk[ident] {
+	add := func(ident id, e *entry) {
+		want[string(identBytes(ident))] = e
+		for _, sh := range e.shares {
 			left[sh.seg] += sh.n
 		}
 	}
-	add(target)
+	add(target, te)
 	for _, c := range soonest {
-		add(c.ident)
+		add(c.ident, c.e)
 	}
 	s.mu.Unlock()
 	return want, left
@@ -1134,8 +1085,8 @@ func (s *Store) cleanLocked() error {
 		sv.X.committed = committed
 		s.mu.Lock()
 		for _, m := range moved {
-			shares := addShare(s.onDisk[m.ident], m.from.ID, -m.n)
-			s.onDisk[m.ident] = addShare(shares, sv.ID, m.to)
+			e := s.table[m.ident]
+			e.shares = addShare(addShare(e.shares, m.from.ID, -m.n), sv.ID, m.to)
 			m.from.Live -= m.n
 			sv.Live += m.to
 		}
@@ -1172,7 +1123,7 @@ func (s *Store) copyLiveLocked(v *segment, left int64, bw *logfile.BlockWriter, 
 func (s *Store) Flush() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(true); err != nil {
+	if err := s.flushLocked(true, nil); err != nil {
 		return err
 	}
 	return s.segs.Flush()
@@ -1182,7 +1133,7 @@ func (s *Store) Flush() error {
 // yet durable, making every acknowledged Append durable (logfile.Segments.Sync: each fsync runs
 // outside ioMu, so appends, batch reads and later flushes overlap it).
 func (s *Store) Sync() error {
-	return s.segs.Sync(func() error { return s.flushLocked(true) })
+	return s.segs.Sync(func() error { return s.flushLocked(true, nil) })
 }
 
 // Poisoned returns the first poisoning error among the segments' logs, or
@@ -1258,7 +1209,7 @@ func (s *Store) PrefetchedBytes() int64 {
 func (s *Store) LiveStates() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.stat)
+	return len(s.table)
 }
 
 // DiskUsage returns the logical bytes of the instance's segment logs,

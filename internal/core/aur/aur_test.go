@@ -341,9 +341,9 @@ func TestStatTableETTOrdering(t *testing.T) {
 	// The batch read must prefer windows with the soonest ETT. Construct
 	// three windows with distinct maxTS, read the earliest, and check
 	// with a tiny ratio that only the next-soonest was prefetched.
-	// ceil(0.1*3) = 1 candidate; MinBatchWindows lowered so the floor
+	// ceil(0.1*3) = 1 candidate; minBatch lowered so the floor
 	// does not widen the batch in this tiny scenario.
-	s := openTest(t, Options{WriteBufferBytes: 1, ReadBatchRatio: 0.1, MinBatchWindows: 1})
+	s := openTest(t, Options{WriteBufferBytes: 1, ReadBatchRatio: 0.1, minBatch: 1})
 	wEarly := window.Window{Start: 0, End: gap}
 	wMid := window.Window{Start: 0, End: gap} // same initial boundary shape, different key
 	wLate := window.Window{Start: 0, End: gap}

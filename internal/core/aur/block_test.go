@@ -19,8 +19,8 @@ import (
 	"flowkv/internal/window"
 )
 
-// entry is one batch in a segment as a test sees it.
-type entry struct {
+// diskBatch is one batch in a segment as a test sees it.
+type diskBatch struct {
 	ident id
 	vals  []string
 	seq   uint64
@@ -30,17 +30,17 @@ type entry struct {
 
 // segmentEntries decodes every entry of sg's log, consumed ones and those
 // past committed included; caller holds ioMu.
-func segmentEntries(t testing.TB, sg *segment) []entry {
+func segmentEntries(t testing.TB, sg *segment) []diskBatch {
 	t.Helper()
 	sc, err := sg.Log.Scanner(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []entry
+	var out []diskBatch
 	for off := int64(0); sc.Scan(); off = sc.Offset() {
 		frame := int(sc.Offset()-off) - len(sc.Record())
 		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
-			en := entry{ident: id{key: string(e.Key), w: e.Window}, seq: e.Seq, off: off, size: e.Size + frame}
+			en := diskBatch{ident: id{key: string(e.Key), w: e.Window}, seq: e.Seq, off: off, size: e.Size + frame}
 			for _, v := range e.Values {
 				en.vals = append(en.vals, string(v))
 			}
@@ -76,11 +76,11 @@ func segmentBlocks(t testing.TB, sg *segment) [][]byte {
 
 // storeEntries decodes every entry of the store's segments, segment by
 // segment in id order; liveOnly leaves out consumed ones.
-func storeEntries(t testing.TB, s *Store, liveOnly bool) []entry {
+func storeEntries(t testing.TB, s *Store, liveOnly bool) []diskBatch {
 	t.Helper()
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	var out []entry
+	var out []diskBatch
 	for _, sg := range s.segs.List() {
 		for _, e := range segmentEntries(t, sg) {
 			if !liveOnly || !sg.X.dead(identBytes(e.ident), e.off) {
@@ -176,11 +176,9 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	extend()
 
 	parentDir := filepath.Join(t.TempDir(), "base")
-	res, err := s.CheckpointDelta(parentDir, nil, "")
-	if err != nil {
+	if _, err := s.CheckpointDelta(parentDir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	res.Commit()
 	parent, err := ckpt.ReadMeta(faultfs.OS, parentDir)
 	if err != nil {
 		t.Fatal(err)
@@ -388,23 +386,20 @@ func scanFirstSelection(t *testing.T, s *Store, target id) map[id]bool {
 	if seen[target] {
 		selected[target] = true
 	}
-	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.stat))))
-	if s.opts.ReadBatchRatio > 0 && n < s.opts.MinBatchWindows {
-		n = s.opts.MinBatchWindows
+	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.table))))
+	if s.opts.ReadBatchRatio > 0 && n < s.opts.minBatch {
+		n = s.opts.minBatch
 	}
 	var cands []id
 	for _, ident := range order {
 		if ident == target {
 			continue
 		}
-		if _, already := s.prefetch[ident]; already {
-			continue
-		}
-		if st := s.stat[ident]; st != nil && st.hasETT {
+		if e := s.table[ident]; e != nil && e.hasETT && e.prefetched == nil {
 			cands = append(cands, ident)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return s.stat[cands[i]].ett < s.stat[cands[j]].ett })
+	sort.Slice(cands, func(i, j int) bool { return s.table[cands[i]].ett < s.table[cands[j]].ett })
 	for _, ident := range cands[:min(n, len(cands))] {
 		selected[ident] = true
 	}
@@ -418,7 +413,7 @@ func scanFirstSelection(t *testing.T, s *Store, target id) map[id]bool {
 // have chosen. Timestamps are unique, so ETTs never tie.
 func TestSelectionFirstMatchesScanFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0.05, MinBatchWindows: 4})
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0.05, minBatch: 4})
 	const ids = 400
 	session := func(i int) (string, window.Window) {
 		return fmt.Sprintf("u%03d", i), window.Window{Start: int64(i), End: int64(i) + gap}
@@ -443,8 +438,8 @@ func TestSelectionFirstMatchesScanFirst(t *testing.T) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		var out []id
-		for ident := range s.onDisk {
-			if _, pre := s.prefetch[ident]; !pre {
+		for ident, e := range s.table {
+			if len(e.shares) > 0 && e.prefetched == nil {
 				out = append(out, ident)
 			}
 		}
@@ -454,9 +449,11 @@ func TestSelectionFirstMatchesScanFirst(t *testing.T) {
 	prefetched := func() map[id]bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		out := make(map[id]bool, len(s.prefetch))
-		for ident := range s.prefetch {
-			out[ident] = true
+		out := make(map[id]bool)
+		for ident, e := range s.table {
+			if e.prefetched != nil {
+				out[ident] = true
+			}
 		}
 		return out
 	}

@@ -1,6 +1,7 @@
 package aur
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -12,20 +13,16 @@ import (
 	"flowkv/internal/window"
 )
 
-// statDeltaLogical is the Stat table's replay stream inside a
-// checkpoint: concatenated segments of kind-prefixed records (set or
-// tombstone) that replay, in order, into the table at the cut. A base
-// checkpoint's stream is a full dump; an incremental checkpoint links
-// the parent's segments and appends one segment holding only the rows
-// the statMarks marks named — without the stream, the per-key table
-// would be rewritten whole at every barrier and incremental commit cost
-// would grow with live state instead of with the delta.
-const statDeltaLogical = "stat.dlt"
+// statLogical is the Stat table inside a checkpoint: a replay stream
+// (ckpt.Cut.Stream) written whole at every cut, one record per identity
+// whose batches are on disk at the cut — every live identity, since the
+// cut is a drain. A record is the kind byte statKindSet, the key, the
+// initial window and maxTS. It is not a delta on the parent's stream:
+// sessions turn over within a barrier, so nearly every row differs from
+// the parent cut's (DESIGN.md §14).
+const statLogical = "stat.dlt"
 
-const (
-	statKindSet  byte = 0
-	statKindTomb byte = 1
-)
+const statKindSet byte = 0
 
 // segmentsSnapshotName persists, in a checkpoint, what the segment files
 // themselves do not say: which segments the log consists of, which are
@@ -33,10 +30,11 @@ const (
 // before copying, so the snapshot's segments still contain consumed
 // (fetch-&-removed) batches; Restore loads the marks before scanning the
 // segments so those cannot resurrect, and rebuilds the live counts and
-// onDisk from the scan. It is binio frames: one with the number of
-// segments, then one per segment, ascending: id, state, and per consumed
-// identity its identBytes and the offset below which its batches' blocks
-// there are dead.
+// segment shares from the scan. It is binio frames: one with the number
+// of segments, then one per segment, ascending: id, state, and per
+// consumed identity, ascending by identBytes, its identBytes and the
+// offset below which its batches' blocks there are dead. A state has
+// exactly one encoding.
 const segmentsSnapshotName = "segments.snap"
 
 // SegmentInfo is one segment as segments.snap records it.
@@ -53,15 +51,22 @@ func (si *SegmentInfo) Dead(off int64, e *logfile.BlockEntry) bool {
 	return ok && off < mark
 }
 
-// encodeSegmentsSnapshot writes infos, in id order.
+// encodeSegmentsSnapshot writes infos, in id order, each segment's marks
+// sorted, so one state always writes the same bytes.
 func encodeSegmentsSnapshot(infos []SegmentInfo) []byte {
 	payload := binio.PutUvarint(nil, uint64(len(infos)))
 	buf := binio.AppendRecord(nil, payload)
+	var idents []string
 	for _, si := range infos {
 		payload = append(binio.PutUvarint(payload[:0], uint64(si.ID)), si.State)
-		for prefix, mark := range si.Marks {
-			payload = binio.PutBytes(payload, []byte(prefix))
-			payload = binio.PutUvarint(payload, uint64(mark))
+		idents = idents[:0]
+		for ident := range si.Marks {
+			idents = append(idents, ident)
+		}
+		slices.Sort(idents)
+		for _, ident := range idents {
+			payload = binio.PutBytes(payload, []byte(ident))
+			payload = binio.PutUvarint(payload, uint64(si.Marks[ident]))
 		}
 		buf = binio.AppendRecord(buf, payload)
 	}
@@ -71,11 +76,14 @@ func encodeSegmentsSnapshot(infos []SegmentInfo) []byte {
 // DecodeSegmentsSnapshot parses a segments.snap file. It never panics,
 // whatever the input; a frame that fails verification — a zeroed page, or
 // a snapshot of the earlier data/index pair layout, whose frames had no
-// marker byte — is a *binio.FrameError.
+// marker byte — is a *binio.FrameError, and anything encodeSegmentsSnapshot
+// would not have written byte for byte, consumed identities out of order
+// among them, matches binio.ErrCorrupt.
 func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 	bad := func(what string) ([]SegmentInfo, error) {
 		return nil, fmt.Errorf("aur: segments snapshot: %s: %w", what, binio.ErrCorrupt)
 	}
+	orig := b
 	var out []SegmentInfo
 	for first, segs := true, uint64(0); len(b) > 0 || uint64(len(out)) != segs; first = false {
 		p, n, err := binio.ReadRecord(b)
@@ -100,31 +108,38 @@ func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 			return bad("two open segments of a kind")
 		}
 		si := SegmentInfo{ID: uint32(v), State: p[n], Marks: make(map[string]int64)}
+		var prev []byte
 		for p = p[n+1:]; len(p) > 0; {
-			prefix, n, err := binio.Bytes(p)
+			ident, n, err := binio.Bytes(p)
 			if err != nil {
 				return bad("consumed identity")
+			}
+			if len(si.Marks) > 0 && bytes.Compare(ident, prev) <= 0 {
+				return bad("consumed identities not ascending")
 			}
 			mark, m, err := binio.Uvarint(p[n:])
 			if err != nil || mark > math.MaxInt64 {
 				return bad("consumed mark")
 			}
-			p = p[n+m:]
-			si.Marks[string(prefix)] = int64(mark)
+			p, prev = p[n+m:], ident
+			si.Marks[string(ident)] = int64(mark)
 		}
 		out = append(out, si)
+	}
+	// Overlong varints and the like: not what the encoder writes.
+	if !bytes.Equal(encodeSegmentsSnapshot(out), orig) {
+		return bad("not canonical")
 	}
 	return out, nil
 }
 
-// CheckpointDelta writes a snapshot of the instance into dir. It flushes
+// CheckpointDelta writes a snapshot of the instance into dir. It drains
 // the write buffer but does not clean: every segment's log, up to its
 // committed length, is recorded under its own name and epoch as a segment
-// list extending
-// the parent checkpoint's (ckpt.Cut.Log, the way the AAR store records
-// its window files), so a sealed segment the parent already holds is
-// hard-linked whole, only what the open segments gained since the
-// parent's cut is copied, and a nil parent copies every log whole.
+// list extending the parent checkpoint's (ckpt.Cut.Log, the way the AAR
+// store records its window files), so a sealed segment the parent already
+// holds is hard-linked whole, only what the open segments gained since
+// the parent's cut is copied, and a nil parent copies every log whole.
 // Because the segments still contain consumed batches, the segment table
 // and the consumed marks are persisted in segments.snap; Restore loads it
 // before scanning the segments so consumed state cannot resurrect. Nothing
@@ -132,46 +147,18 @@ func DecodeSegmentsSnapshot(b []byte) ([]SegmentInfo, error) {
 // file for the composite store's group-commit sync window.
 //
 // CheckpointDelta holds only ioMu, so concurrent Appends and
-// buffer-served reads proceed while the snapshot is written; the cut is
-// the instant the buffer is detached inside the flush, and the Stat
-// table is cut right after it: ids appended in between may add Stat
-// rows, but those tuples are not in the snapshot either.
+// buffer-served reads proceed while the snapshot is written. The cut is
+// the mu section in which the drain detaches the buffer, which also
+// collects the Stat table: the stream holds exactly the identities whose
+// values the segments hold at the cut, with the maxTS of the tuples that
+// are in them.
 func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	if err := s.flushLocked(true); err != nil {
+	var rows []statRow
+	if err := s.flushLocked(true, &rows); err != nil {
 		return nil, err
 	}
-	// The Stat cut: with a parent whose cut id matches the last committed
-	// cut, only identities marked dirty since then are shipped; otherwise —
-	// or when those marks would outnumber the table's rows, tombstones of
-	// short-lived sessions included — the table is dumped whole as a new
-	// stream base.
-	type statRec struct {
-		ident id
-		maxTS int64
-		tomb  bool
-	}
-	s.mu.Lock()
-	statIncr := parent.Extends(statDeltaLogical, s.statMarks.LastCut()) &&
-		!s.statMarks.BaseIsCheaper(len(s.stat))
-	var statWork []statRec
-	var captured ckpt.Captured[id]
-	if statIncr {
-		captured = s.statMarks.Cut(func(ident id, tomb bool) {
-			if st, ok := s.stat[ident]; ok && !tomb {
-				statWork = append(statWork, statRec{ident: ident, maxTS: st.maxTS})
-			} else {
-				statWork = append(statWork, statRec{ident: ident, tomb: true})
-			}
-		})
-	} else {
-		captured = s.statMarks.Cut(nil)
-		for ident, st := range s.stat {
-			statWork = append(statWork, statRec{ident: ident, maxTS: st.maxTS})
-		}
-	}
-	s.mu.Unlock()
 	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
 	if err != nil {
 		return nil, fmt.Errorf("aur: checkpoint: %w", err)
@@ -189,19 +176,11 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err := cut.Extra(segmentsSnapshotName, encodeSegmentsSnapshot(infos)); err != nil {
 		return nil, err
 	}
-	err = cut.Stream(statDeltaLogical, statIncr, func(emit func([]byte)) error {
+	err = cut.Stream(statLogical, func(emit func([]byte)) error {
 		var payload []byte
-		for _, rec := range statWork {
-			kind := statKindSet
-			if rec.tomb {
-				kind = statKindTomb
-			}
-			payload = append(payload[:0], kind)
-			payload = binio.PutBytes(payload, []byte(rec.ident.key))
-			payload = rec.ident.w.AppendTo(payload)
-			if !rec.tomb {
-				payload = binio.PutVarint(payload, rec.maxTS)
-			}
+		for _, r := range rows {
+			payload = binio.PutBytes(append(payload[:0], statKindSet), []byte(r.ident.key))
+			payload = binio.PutVarint(r.ident.w.AppendTo(payload), r.maxTS)
 			emit(payload)
 		}
 		return nil
@@ -209,28 +188,19 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cut.Finish()
-	if err != nil {
-		return nil, err
-	}
-	cutID := cut.ID()
-	res.Commit = func() {
-		s.mu.Lock()
-		s.statMarks.Commit(captured, cutID)
-		s.mu.Unlock()
-	}
-	return res, nil
+	return cut.Finish()
 }
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory: every segment segments.snap names is materialized from its
-// checkpoint segments under its own id and epoch — so the delta chain
-// continues across the restart — and reopened as it was, sealed, head or
-// survivor. Live counts, onDisk and the flush sequence come back from one
-// scan of each segment under the restored consumed marks; the Stat table
-// and ETTs come back from the Stat stream. A checkpoint of the earlier
-// data/index pair layout fails on its marker-less segments.snap with a
-// *binio.FrameError.
+// directory. The Stat stream gives the table its entries and ETTs. Every
+// segment segments.snap names is materialized from its checkpoint segments
+// under its own id and epoch — so the delta chain continues across the
+// restart — and reopened as it was, sealed, head or survivor; one scan of
+// each under the restored consumed marks gives the entries their shares,
+// the segments their live counts and the store its flush sequence. A row
+// with no live batch, or a live batch with no row, fails the restore
+// (binio.ErrCorrupt). A checkpoint of the earlier data/index pair layout
+// fails on its marker-less segments.snap with a *binio.FrameError.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -239,7 +209,7 @@ func (s *Store) Restore(dir string) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	dirty := len(s.buf) != 0 || len(s.onDisk) != 0 || s.segs.Len() != 0
+	dirty := len(s.table) != 0 || s.segs.Len() != 0
 	s.mu.Unlock()
 	if dirty {
 		return fmt.Errorf("aur: restore into a non-empty store")
@@ -257,7 +227,10 @@ func (s *Store) Restore(dir string) error {
 	if err != nil {
 		return err
 	}
-	newOnDisk := make(map[id][]segShare)
+	table, err := s.loadStatStream(dir, meta)
+	if err != nil {
+		return err
+	}
 	for _, si := range infos {
 		name := segmentName(si.ID)
 		fstate := meta.File(name)
@@ -277,50 +250,48 @@ func (s *Store) Restore(dir string) error {
 				return fmt.Errorf("aur: segments snapshot: consumed mark past %s: %w", name, binio.ErrCorrupt)
 			}
 		}
-		err = s.scanSegLocked(sg, func(off int64, ident []byte, e *logfile.BlockEntry) error {
-			s.seq = max(s.seq, e.Seq)
-			if !sg.X.dead(ident, off) {
-				ident := id{key: string(e.Key), w: e.Window}
-				newOnDisk[ident] = addShare(newOnDisk[ident], sg.ID, int64(e.Size))
-				sg.Live += int64(e.Size)
+		err = s.scanSegLocked(sg, func(off int64, ident []byte, be *logfile.BlockEntry) error {
+			s.seq = max(s.seq, be.Seq)
+			if sg.X.dead(ident, off) {
+				return nil
 			}
+			e := table[id{key: string(be.Key), w: be.Window}]
+			if e == nil {
+				return fmt.Errorf("aur: restore: %s holds a live batch of %q %v, which has no Stat row: %w",
+					name, be.Key, be.Window, binio.ErrCorrupt)
+			}
+			e.shares = addShare(e.shares, sg.ID, int64(be.Size))
+			sg.Live += int64(be.Size)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
 	}
-	newStat, err := s.loadStatStream(dir, meta)
-	if err != nil {
-		return err
+	for ident, e := range table {
+		if len(e.shares) == 0 {
+			return fmt.Errorf("aur: restore: the Stat row of %q %v has no batch on disk: %w", ident.key, ident.w, binio.ErrCorrupt)
+		}
 	}
 	s.mu.Lock()
-	s.onDisk = newOnDisk
-	for ident, st := range newStat {
-		st.spilled = len(newOnDisk[ident]) > 0
-		s.stat[ident] = st
-	}
-	// The restored table IS the state of this cut: record its id so the
-	// next checkpoint can extend the stream.
-	s.statMarks.Restored(meta.CutID)
+	s.table = table
 	s.mu.Unlock()
 	return s.segs.Reap()
 }
 
-// loadStatStream replays a checkpoint's Stat stream (the
-// stat.dlt segment chain) into a fresh table: set records install a
-// row, tombstones remove one, later records win.
-func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*statEntry, error) {
-	fstate := meta.File(statDeltaLogical)
+// loadStatStream replays a checkpoint's Stat stream into a fresh table,
+// one entry per row; anything the writer would not have written — another
+// record kind, a second row for an identity — matches binio.ErrCorrupt.
+func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*entry, error) {
+	fstate := meta.File(statLogical)
 	if fstate == nil {
-		return nil, fmt.Errorf("aur: restore: SEGMENTS lacks %s", statDeltaLogical)
+		return nil, fmt.Errorf("aur: restore: SEGMENTS lacks %s", statLogical)
 	}
-	out := make(map[id]*statEntry)
+	table := make(map[id]*entry)
 	err := ckpt.Replay(s.dir.FS(), dir, fstate, func(rec []byte) error {
-		if len(rec) == 0 {
-			return fmt.Errorf("empty record")
+		if len(rec) == 0 || rec[0] != statKindSet {
+			return fmt.Errorf("not a row: %w", binio.ErrCorrupt)
 		}
-		kind := rec[0]
 		k, kn, err := binio.Bytes(rec[1:])
 		if err != nil {
 			return err
@@ -329,29 +300,25 @@ func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*statEntry, 
 		if err != nil {
 			return err
 		}
-		ident := id{key: string(k), w: w}
-		switch kind {
-		case statKindTomb:
-			delete(out, ident)
-		case statKindSet:
-			maxTS, _, err := binio.Varint(rec[1+kn+wn:])
-			if err != nil {
-				return err
-			}
-			st := &statEntry{maxTS: maxTS}
-			if s.opts.Predictor != nil {
-				if ett, ok := s.opts.Predictor.ETT(w, maxTS); ok {
-					st.ett, st.hasETT = ett, true
-				}
-			}
-			out[ident] = st
-		default:
-			return fmt.Errorf("unknown record kind %d", kind)
+		maxTS, _, err := binio.Varint(rec[1+kn+wn:])
+		if err != nil {
+			return err
 		}
+		ident := id{key: string(k), w: w}
+		if table[ident] != nil {
+			return fmt.Errorf("two rows for %q %v: %w", k, w, binio.ErrCorrupt)
+		}
+		e := &entry{maxTS: maxTS}
+		if s.opts.Predictor != nil {
+			if ett, ok := s.opts.Predictor.ETT(w, maxTS); ok {
+				e.ett, e.hasETT = ett, true
+			}
+		}
+		table[ident] = e
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("aur: stat stream: %w", err)
 	}
-	return out, nil
+	return table, nil
 }

@@ -39,17 +39,58 @@ type bufSnap struct {
 }
 
 func (b bufSnap) item(ident id) flushItem {
-	return flushItem{ident: ident, e: &bufEntry{ett: b.ett, hasETT: b.hasETT}}
+	return flushItem{ident: ident, ett: b.ett, hasETT: b.hasETT}
 }
 
 func snapshotBuffer(s *Store) map[id]bufSnap {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[id]bufSnap, len(s.buf))
-	for ident, e := range s.buf {
-		out[ident] = bufSnap{bytes: e.bytes, ett: e.ett, hasETT: e.hasETT}
+	out := make(map[id]bufSnap)
+	for ident, e := range s.table {
+		if len(e.values) > 0 {
+			out[ident] = bufSnap{bytes: e.bytes, ett: e.ett, hasETT: e.hasETT}
+		}
 	}
 	return out
+}
+
+// bufferedAndSpilled counts the entries holding buffered values and those
+// holding segment shares.
+func bufferedAndSpilled(s *Store) (buffered, spilled int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.table {
+		buffered += min(len(e.values), 1)
+		spilled += min(len(e.shares), 1)
+	}
+	return buffered, spilled
+}
+
+// checkTable holds the table to its invariants: every entry holds buffered
+// values, segment shares or a flush in flight — none outlives its state —
+// prefetched values only beside shares, and the buffer and prefetch totals
+// are the entries' sums.
+func checkTable(t *testing.T, what string, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var buffered, prefetched int64
+	for ident, e := range s.table {
+		if len(e.values) == 0 && len(e.shares) == 0 && !e.flushing {
+			t.Fatalf("%s: the entry of %v holds nothing: %+v", what, ident, e)
+		}
+		if e.prefetched != nil && len(e.shares) == 0 {
+			t.Fatalf("%s: %v has prefetched values and nothing on disk", what, ident)
+		}
+		buffered += e.bytes
+		for _, v := range e.prefetched {
+			prefetched += int64(len(v))
+		}
+	}
+	if buffered != s.bufBytes || prefetched != s.prefetchBytes {
+		t.Fatalf("%s: the entries hold %d buffered and %d prefetched bytes, the store counts %d and %d",
+			what, buffered, prefetched, s.bufBytes, s.prefetchBytes)
+	}
 }
 
 // checkEviction holds one evicting Append to the rule: pre is the buffer
@@ -161,7 +202,7 @@ func runDifferential(t *testing.T, seed int64) {
 	opts := Options{
 		WriteBufferBytes:      diffBuffer,
 		ReadBatchRatio:        0.1,
-		MinBatchWindows:       4,
+		minBatch:              4,
 		MaxSpaceAmplification: 1.3,
 		Predictor:             coarsePredictor{},
 	}
@@ -187,11 +228,9 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Helper()
 		cuts++
 		dir := filepath.Join(base, fmt.Sprintf("ckpt-%d", cuts))
-		res, err := s.CheckpointDelta(dir, parent, parentDir)
-		if err != nil {
+		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
-		res.Commit()
 		if n := len(snapshotBuffer(s)); n != 0 || s.BufferedBytes() != 0 {
 			t.Fatalf("%d identities (%d bytes) buffered after a checkpoint", n, s.BufferedBytes())
 		}
@@ -213,6 +252,9 @@ func runDifferential(t *testing.T, seed int64) {
 	}
 	const steps = 12000
 	for step := 0; step < steps; step++ {
+		if step > 0 {
+			checkTable(t, fmt.Sprintf("after step %d", step-1), s)
+		}
 		target := ident(rng.Intn(240))
 		switch r := rng.Intn(100); {
 		case r < 62:
@@ -234,7 +276,7 @@ func runDifferential(t *testing.T, seed int64) {
 			b := pre[target]
 			b.bytes += int64(len(v) + 24)
 			s.mu.Lock()
-			b.ett, b.hasETT = s.stat[target].ett, s.stat[target].hasETT
+			b.ett, b.hasETT = s.table[target].ett, s.table[target].hasETT
 			s.mu.Unlock()
 			pre[target] = b
 			checkEviction(t, s, pre, flushed)
@@ -412,9 +454,7 @@ func fillPastOneEviction(t *testing.T, s *Store) map[id][]string {
 		}
 		oracle[ident] = append(oracle[ident], v)
 	}
-	s.mu.Lock()
-	buffered, spilled := len(s.buf), len(s.onDisk)
-	s.mu.Unlock()
+	buffered, spilled := bufferedAndSpilled(s)
 	if buffered == 0 || spilled == 0 || buffered+spilled != len(oracle) {
 		t.Fatalf("%d buffered and %d spilled of %d appended, want some of each", buffered, spilled, len(oracle))
 	}
@@ -442,9 +482,7 @@ func TestDrainsLeaveNothingBuffered(t *testing.T) {
 			if err := drain(s, dir); err != nil {
 				t.Fatal(err)
 			}
-			s.mu.Lock()
-			buffered, spilled := len(s.buf), len(s.onDisk)
-			s.mu.Unlock()
+			buffered, spilled := bufferedAndSpilled(s)
 			if buffered != 0 || s.BufferedBytes() != 0 || spilled != len(oracle) {
 				t.Fatalf("%d entries (%d bytes) still buffered after %s, %d of %d spilled", buffered, s.BufferedBytes(), name, spilled, len(oracle))
 			}
@@ -491,7 +529,7 @@ func TestQueuedEvictionFindsBufferNoLongerFull(t *testing.T) {
 	oracle := fillPastOneEviction(t, s)
 	flushed, buffered := s.FlushedBatches(), len(snapshotBuffer(s))
 	s.ioMu.Lock()
-	err := s.flushLocked(false)
+	err := s.flushLocked(false, nil)
 	s.ioMu.Unlock()
 	if err != nil || s.FlushedBatches() != flushed || len(snapshotBuffer(s)) != buffered {
 		t.Fatalf("an eviction of a buffer under its cap: err %v, batches flushed %d -> %d, buffered %d -> %d",
@@ -601,14 +639,18 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	var reattached, installed int
+	var reattached, installed, nbuf int
 	var bytes int64
 	for j := 0; j < n; j++ {
 		ident, _ := next(j)
-		e, inBuf := s.buf[ident]
-		onDisk := len(s.onDisk[ident]) > 0
+		e := s.table[ident]
+		inBuf, onDisk := len(e.values) > 0, len(e.shares) > 0
+		if e.flushing {
+			t.Errorf("%v is still in flight", ident)
+		}
 		var held []string
 		if inBuf {
+			nbuf++
 			bytes += e.bytes
 			var sum int64
 			for _, v := range e.values {
@@ -637,9 +679,9 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 			t.Errorf("victim %v is neither installed nor back in the buffer with its values", ident)
 		}
 	}
-	if len(s.buf)+installed != n || s.bufBytes != bytes || s.flushing != nil {
-		t.Errorf("%d buffered (%d bytes, counted %d) + %d installed of %d identities; batch in flight: %v",
-			len(s.buf), s.bufBytes, bytes, installed, n, s.flushing != nil)
+	if nbuf+installed != n || len(s.table) != n || s.bufBytes != bytes {
+		t.Errorf("%d buffered (%d bytes, counted %d) + %d installed of %d identities, %d in the table",
+			nbuf, s.bufBytes, bytes, installed, n, len(s.table))
 	}
 	s.mu.Unlock()
 	if reattached == 0 || installed == 0 || reattached+installed != k {

@@ -121,7 +121,8 @@ func FuzzDecodeSegmentBlock(f *testing.F) {
 // it before it looks at an index, so it must reject garbage without
 // panicking or sizing an allocation from a corrupt count, return segments
 // in ascending id order with states it knows, and anything it accepts must
-// come back unchanged through the production encoder.
+// come back byte for byte through the production encoder: a snapshot has
+// one encoding.
 func FuzzDecodeSegmentsSnapshot(f *testing.F) {
 	w := window.Window{Start: 7, End: 7 + gap}
 	marks := map[string]int64{string(identBytes(id{"user-1", w})): 117, string(identBytes(id{"", w})): 0}
@@ -145,6 +146,12 @@ func FuzzDecodeSegmentsSnapshot(f *testing.F) {
 	f.Add(frames([]byte{1}, []byte{3, 7}))                              // an unknown state
 	f.Add(frames([]byte{2}, []byte{3, logfile.SegmentHead}, []byte{5, logfile.SegmentHead}))
 	f.Add([]byte{0x51, 0x53, 0x7d, 0x52, 1, 0}) // the earlier pair layout's marker-less frame: crc32c | len | payload 0
+	mark := func(p []byte, ident string, at uint64) []byte {
+		return binio.PutUvarint(binio.PutBytes(p, []byte(ident)), at)
+	}
+	f.Add(frames([]byte{1}, mark(mark([]byte{0, logfile.SegmentSealed}, "b", 1), "a", 1))) // marks out of order
+	f.Add(frames([]byte{1}, mark(mark([]byte{0, logfile.SegmentSealed}, "a", 1), "a", 2))) // an identity twice
+	f.Add(frames([]byte{0x81, 0}))                                                         // an overlong count
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		infos, err := DecodeSegmentsSnapshot(b)
@@ -161,22 +168,8 @@ func FuzzDecodeSegmentsSnapshot(f *testing.F) {
 				}
 			}
 		}
-		back, err := DecodeSegmentsSnapshot(encodeSegmentsSnapshot(infos))
-		if err != nil {
-			t.Fatalf("re-encoded snapshot rejected: %v", err)
-		}
-		for i := range back {
-			if back[i].ID != infos[i].ID || back[i].State != infos[i].State || len(back[i].Marks) != len(infos[i].Marks) {
-				t.Fatalf("round trip changed segment %d: %+v -> %+v", i, infos[i], back[i])
-			}
-			for prefix, mark := range infos[i].Marks {
-				if back[i].Marks[prefix] != mark {
-					t.Fatalf("round trip changed segment %d's mark for %x: %d -> %d", infos[i].ID, prefix, mark, back[i].Marks[prefix])
-				}
-			}
-		}
-		if len(back) != len(infos) {
-			t.Fatalf("round trip changed the segment count: %d -> %d", len(infos), len(back))
+		if again := encodeSegmentsSnapshot(infos); !bytes.Equal(again, b) {
+			t.Fatalf("an accepted snapshot re-encodes to other bytes:\n%x\n%x", b, again)
 		}
 	})
 }

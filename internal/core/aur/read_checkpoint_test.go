@@ -1,8 +1,10 @@
 package aur
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,10 +169,89 @@ func TestStatsAccessors(t *testing.T) {
 	}
 }
 
+// TestStatStreamIsOneBaseOfTheOnDiskRows: every cut, with or without a
+// parent, writes stat.dlt as one segment — none when the table is empty —
+// whose rows are exactly the identities whose batches the cut's segments
+// hold, each with its maxTS, and the cut restores to that table.
+func TestStatStreamIsOneBaseOfTheOnDiskRows(t *testing.T) {
+	opts := Options{WriteBufferBytes: 1 << 20, Predictor: window.SessionPredictor{Gap: gap}}
+	s := openTest(t, opts)
+	rng := rand.New(rand.NewSource(3))
+	ident := func() id {
+		start := int64(rng.Intn(3))
+		return id{key: fmt.Sprintf("s%03d", rng.Intn(60)), w: window.Window{Start: start, End: start + gap}}
+	}
+	base := t.TempDir()
+	var parent *ckpt.Meta
+	var parentDir string
+	for c := 0; c < 6; c++ {
+		for i := 0; i < 40 && c < 5; i++ {
+			k := ident()
+			if err := s.Append([]byte(k.key), []byte("v"), k.w, int64(c*100+rng.Intn(100))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 30 || c == 5 && s.LiveStates() > 0; i++ {
+			k := ident()
+			if c == 5 { // the last cut is of an empty table
+				s.mu.Lock()
+				for k = range s.table {
+					break
+				}
+				s.mu.Unlock()
+			}
+			if _, err := s.Get([]byte(k.key), k.w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := filepath.Join(base, fmt.Sprintf("c%d", c))
+		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[id]int64)
+		s.mu.Lock()
+		for k, e := range s.table {
+			if len(e.shares) == 0 {
+				t.Fatalf("cut %d: %v is not on disk after the drain", c, k)
+			}
+			want[k] = e.maxTS
+		}
+		s.mu.Unlock()
+		if n := len(meta.File(statLogical).Segments); n != min(len(want), 1) {
+			t.Fatalf("cut %d: stat.dlt has %d segments for %d rows, want one base", c, n, len(want))
+		}
+		rows, err := s.loadStatStream(dir, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("cut %d: stat.dlt holds %d rows, %d identities are on disk", c, len(rows), len(want))
+		}
+		for k, e := range rows {
+			if maxTS, ok := want[k]; !ok || e.maxTS != maxTS {
+				t.Fatalf("cut %d: stat.dlt row %v has maxTS %d; on disk %v with maxTS %d", c, k, e.maxTS, ok, maxTS)
+			}
+		}
+		dst := openTest(t, opts)
+		if err := dst.Restore(dir); err != nil {
+			t.Fatal(err)
+		}
+		if dst.LiveStates() != len(want) {
+			t.Fatalf("cut %d restored %d states, want %d", c, dst.LiveStates(), len(want))
+		}
+		parent, parentDir = meta, dir
+	}
+}
+
 // TestStatStreamElidesBornAndConsumed chains three checkpoints: a state
-// appended and consumed between two cuts adds nothing to stat.dlt, a
-// state the parent holds ships its tombstone when consumed, and the
-// chain restores to exactly the rows still live.
+// appended and consumed between two cuts leaves no row in stat.dlt, a
+// state the parent holds leaves none once consumed, each cut's stream is
+// one segment however the parent's looked, and the chain restores to
+// exactly the rows still live.
 func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
@@ -178,40 +259,50 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	cut := func(name string, parent *ckpt.Meta, parentDir string) (*ckpt.Meta, string) {
 		t.Helper()
 		dir := filepath.Join(base, name)
-		res, err := s.CheckpointDelta(dir, parent, parentDir)
-		if err != nil {
+		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
-		res.Commit()
 		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return meta, dir
 	}
-	statSegments := func(m *ckpt.Meta) int { return len(m.File(statDeltaLogical).Segments) }
+	rowsOf := func(m *ckpt.Meta, dir string) map[id]*entry {
+		t.Helper()
+		if n := len(m.File(statLogical).Segments); n != 1 {
+			t.Fatalf("%s: stat.dlt has %d segments, want one base", dir, n)
+		}
+		rows, err := s.loadStatStream(dir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
 
 	s.Append([]byte("kept"), []byte("v"), w, 1)
 	s.Append([]byte("held"), []byte("v"), w, 1)
 	m1, d1 := cut("c1", nil, "")
+	if rows := rowsOf(m1, d1); len(rows) != 2 {
+		t.Fatalf("c1's stat.dlt holds %d rows, want kept and held", len(rows))
+	}
 
-	// Born and consumed between c1 and c2: no row, no tombstone, and with
-	// nothing else dirty no segment at all.
+	// Born and consumed between c1 and c2: no row.
 	s.Append([]byte("brief"), []byte("v"), w, 2)
 	s.Append([]byte("brief"), []byte("v"), w, 3)
 	if got := mustGet(t, s, "brief", w); len(got) != 2 {
 		t.Fatalf("brief = %v", got)
 	}
 	m2, d2 := cut("c2", m1, d1)
-	if a, b := statSegments(m1), statSegments(m2); b != a {
-		t.Fatalf("stat.dlt grew from %d to %d segments over state born and consumed between the cuts", a, b)
+	if rows := rowsOf(m2, d2); len(rows) != 2 || rows[id{key: "brief", w: w}] != nil {
+		t.Fatalf("c2's stat.dlt holds %d rows over state born and consumed between the cuts, want kept and held", len(rows))
 	}
 
-	// Held by c1/c2, consumed now: the tombstone must ship.
+	// Held by c1/c2, consumed now: its row is gone from the stream.
 	mustGet(t, s, "held", w)
 	m3, d3 := cut("c3", m2, d2)
-	if a, b := statSegments(m2), statSegments(m3); b != a+1 {
-		t.Fatalf("stat.dlt has %d segments after consuming a held state, want %d", b, a+1)
+	if rows := rowsOf(m3, d3); len(rows) != 1 || rows[id{key: "kept", w: w}] == nil {
+		t.Fatalf("c3's stat.dlt holds %d rows after consuming a held state, want only kept", len(rows))
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
@@ -219,20 +310,18 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst.mu.Lock()
-	_, kept := dst.stat[id{key: "kept", w: w}]
-	rows := len(dst.stat)
+	_, kept := dst.table[id{key: "kept", w: w}]
+	rows := len(dst.table)
 	dst.mu.Unlock()
 	if !kept || rows != 1 {
 		t.Fatalf("restored Stat table has %d rows (kept present: %v), want only kept", rows, kept)
 	}
 }
 
-// TestStatStreamRebasesWhenTombstonesOutnumberCleanRows: the rebase rule
-// (ckpt.Marks.BaseIsCheaper) governs stat.dlt. When
-// most of the sessions the parent holds have fired by the next cut, the
-// Stat table is dumped whole as a one-segment base with no tombstones
-// rather than shipped as a delta longer than itself; a cut that leaves
-// most rows clean extends the stream again.
+// TestStatStreamRebasesWhenTombstonesOutnumberCleanRows: when most of the
+// sessions the parent holds have fired by the next cut, stat.dlt is the
+// live table dumped whole as a one-segment base that links nothing of the
+// parent's stream — and so is a cut that leaves most rows clean.
 func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
@@ -242,17 +331,15 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	cut := func(name string) (segments int, linked int64) {
 		t.Helper()
 		dir := filepath.Join(base, name)
-		res, err := s.CheckpointDelta(dir, parent, parentDir)
-		if err != nil {
+		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
-		res.Commit()
 		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parent, parentDir = meta, dir
-		fstate := meta.File(statDeltaLogical)
+		fstate := meta.File(statLogical)
 		for _, seg := range fstate.Segments[:len(fstate.Segments)-1] {
 			linked += seg.Len
 		}
@@ -264,7 +351,7 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	if n, _ := cut("c1"); n != 1 {
 		t.Fatalf("the first cut's stat.dlt has %d segments", n)
 	}
-	for i := 0; i < 8; i++ { // eight tombstones against two clean rows
+	for i := 0; i < 8; i++ { // eight consumed rows against two clean ones
 		mustGet(t, s, fmt.Sprintf("s%02d", i), w)
 	}
 	for i := 10; i < 13; i++ {
@@ -274,8 +361,8 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 		t.Fatalf("c2's stat.dlt has %d segments, %d bytes of them the parent's; want a one-segment base", n, linked)
 	}
 	s.Append([]byte("s12"), []byte("v"), w, 3) // one dirty row, four clean
-	if n, linked := cut("c3"); n != 2 || linked == 0 {
-		t.Fatalf("c3's stat.dlt has %d segments, %d bytes of them the parent's; want a delta on c2", n, linked)
+	if n, linked := cut("c3"); n != 1 || linked != 0 {
+		t.Fatalf("c3's stat.dlt has %d segments, %d bytes of them the parent's; want a one-segment base", n, linked)
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
@@ -284,14 +371,133 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	}
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	if len(dst.stat) != 5 {
-		t.Fatalf("restored Stat table has %d rows, want 5", len(dst.stat))
+	if len(dst.table) != 5 {
+		t.Fatalf("restored Stat table has %d rows, want 5", len(dst.table))
 	}
 	for _, k := range []string{"s08", "s09", "s10", "s11", "s12"} {
-		st := dst.stat[id{key: k, w: w}]
-		if want := int64(map[string]int{"s08": 1, "s09": 1, "s10": 2, "s11": 2, "s12": 3}[k]); st == nil || st.maxTS != want {
-			t.Fatalf("restored row %s = %+v, want maxTS %d", k, st, want)
+		e := dst.table[id{key: k, w: w}]
+		if want := int64(map[string]int{"s08": 1, "s09": 1, "s10": 2, "s11": 2, "s12": 3}[k]); e == nil || e.maxTS != want {
+			t.Fatalf("restored row %s = %+v, want maxTS %d", k, e, want)
 		}
+	}
+}
+
+// TestSegmentsSnapshotIsDeterministic: two cuts of one state write the
+// same segments.snap, byte for byte, however many identities were
+// consumed from a segment.
+func TestSegmentsSnapshotIsDeterministic(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	w := window.Window{Start: 0, End: gap}
+	for i := 0; i < 40; i++ {
+		if err := s.Append([]byte(fmt.Sprintf("s%02d", i)), []byte("v"), w, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		mustGet(t, s, fmt.Sprintf("s%02d", i), w)
+	}
+	var snaps [][]byte
+	for c := 0; c < 2; c++ {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, segmentsSnapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, b)
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("two cuts of one state wrote different segments.snap files:\n%x\n%x", snaps[0], snaps[1])
+	}
+	infos, err := DecodeSegmentsSnapshot(snaps[0])
+	if err != nil || len(infos) != 1 || len(infos[0].Marks) != 30 {
+		t.Fatalf("segments.snap decodes to %+v, %v; want one segment with 30 consumed marks", infos, err)
+	}
+}
+
+// handCut writes a checkpoint of s, which must hold no buffered values,
+// with rows as its Stat stream: the segments and segments.snap as
+// CheckpointDelta writes them, the stream assembled here.
+func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
+	t.Helper()
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	cut, err := ckpt.Begin(faultfs.OS, dir, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.segs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var infos []SegmentInfo
+	for _, sg := range s.segs.List() {
+		if err := cut.Log(segmentName(sg.ID), sg.X.epoch, sg.Log.Path(), sg.X.committed); err != nil {
+			t.Fatal(err)
+		}
+		infos = append(infos, SegmentInfo{ID: sg.ID, State: s.segs.State(sg), Marks: sg.X.consumed})
+	}
+	if err := cut.Extra(segmentsSnapshotName, encodeSegmentsSnapshot(infos)); err != nil {
+		t.Fatal(err)
+	}
+	err = cut.Stream(statLogical, func(emit func([]byte)) error {
+		for _, r := range rows {
+			rec := binio.PutBytes([]byte{statKindSet}, []byte(r.ident.key))
+			emit(binio.PutVarint(r.ident.w.AppendTo(rec), r.maxTS))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cut.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreChecksStatRowsAgainstSegments: a Stat row without a live
+// batch on disk, a live batch without a Stat row and a row shipped twice
+// each fail Restore with binio.ErrCorrupt; the rows that match the
+// segments restore.
+func TestRestoreChecksStatRowsAgainstSegments(t *testing.T) {
+	w := window.Window{Start: 0, End: gap}
+	kept, consumed, ghost := id{key: "kept", w: w}, id{key: "consumed", w: w}, id{key: "ghost", w: w}
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	for _, k := range []id{kept, consumed} {
+		if err := s.Append([]byte(k.key), []byte("v"), k.w, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, s, consumed.key, w) // its batch stays in the segment, dead
+	for name, rows := range map[string][]statRow{
+		"rows as on disk":      {{kept, 5}},
+		"a row with no batch":  {{kept, 5}, {ghost, 5}},
+		"a row for a dead one": {{kept, 5}, {consumed, 5}},
+		"a batch with no row":  nil,
+		"a row shipped twice":  {{kept, 5}, {kept, 5}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			handCut(t, s, dir, rows)
+			dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
+			err := dst.Restore(dir)
+			if name == "rows as on disk" {
+				if err != nil || dst.LiveStates() != 1 {
+					t.Fatalf("restore: %v, %d states", err, dst.LiveStates())
+				}
+				return
+			}
+			if !errors.Is(err, binio.ErrCorrupt) {
+				t.Fatalf("restore: %v, want binio.ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -384,7 +590,7 @@ func TestRestoreRejectsZeroedStatPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := meta.File(statDeltaLogical).Segments[0]
+	seg := meta.File(statLogical).Segments[0]
 	if seg.Len < 3*4096 {
 		t.Fatalf("segment of %d bytes is too small to zero an inner page", seg.Len)
 	}
@@ -418,7 +624,7 @@ func TestRestoreRejectsPairLayout(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			meta := &ckpt.Meta{CutID: 1, Files: []ckpt.FileState{{Logical: statDeltaLogical, Epoch: 1}}}
+			meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: statLogical, Epoch: 1}}}
 			segments := uint64(0)
 			if spilled {
 				segments = 1

@@ -96,21 +96,20 @@ func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
 		}
 	}
 	s.mu.Lock()
-	for ident, got := range s.onDisk {
-		for _, sh := range got {
+	spilled := 0
+	for ident, e := range s.table {
+		for _, sh := range e.shares {
 			if shares[ident][sh.seg] != sh.n || sh.n == 0 {
-				t.Fatalf("%s: onDisk has %v hold %d bytes in segment %d, the oracle finds %d", what, ident, sh.n, sh.seg, shares[ident][sh.seg])
+				t.Fatalf("%s: %v's shares have segment %d hold %d bytes, the oracle finds %d", what, ident, sh.seg, sh.n, shares[ident][sh.seg])
 			}
 		}
-		if len(got) != len(shares[ident]) {
-			t.Fatalf("%s: onDisk lists %d segments for %v, the oracle %d", what, len(got), ident, len(shares[ident]))
+		if len(e.shares) != len(shares[ident]) {
+			t.Fatalf("%s: %v's shares list %d segments, the oracle %d", what, ident, len(e.shares), len(shares[ident]))
 		}
-		if st := s.stat[ident]; st == nil || !st.spilled {
-			t.Fatalf("%s: %v is on disk and its Stat row says %+v", what, ident, st)
-		}
+		spilled += min(len(e.shares), 1)
 	}
-	if len(s.onDisk) != len(shares) {
-		t.Fatalf("%s: onDisk has %d identities, the oracle finds %d with live batches", what, len(s.onDisk), len(shares))
+	if spilled != len(shares) {
+		t.Fatalf("%s: %d entries have shares, the oracle finds %d identities with live batches", what, spilled, len(shares))
 	}
 	s.mu.Unlock()
 	ents, err := os.ReadDir(s.dir.Root())
@@ -148,7 +147,7 @@ func runSegmentDifferential(t *testing.T, seed int64) {
 	opts := Options{
 		WriteBufferBytes:      diffBuffer,
 		ReadBatchRatio:        0.1,
-		MinBatchWindows:       4,
+		minBatch:              4,
 		MaxSpaceAmplification: 1.2,
 		Predictor:             coarsePredictor{},
 	}
@@ -207,7 +206,6 @@ func runSegmentDifferential(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res.Commit()
 			linked, copied = linked+res.LinkedBytes, copied+res.CopiedBytes
 			if parent, err = ckpt.ReadMeta(faultfs.OS, dir); err != nil {
 				t.Fatal(err)
@@ -405,7 +403,7 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 // evictions after its parent hard-links every segment file the parent
 // held and the store still does — sealed ones whole — and copies only what
 // was written since: the new segments, the tail of the segment that was
-// the parent's open head, segments.snap and the Stat delta. A checkpoint
+// the parent's open head, segments.snap and the Stat stream. A checkpoint
 // taken right after a cleaning pass restores to the oracle.
 func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	opts := Options{WriteBufferBytes: diffBuffer, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
@@ -429,7 +427,6 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Commit()
 	if res.LinkedBytes != 0 {
 		t.Fatalf("a base checkpoint linked %d bytes", res.LinkedBytes)
 	}
@@ -474,12 +471,8 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLinked -= held[statDeltaLogical] // the one-cut-old Stat stream is re-based, not extended, when that is cheaper
-	if f := child.File(statDeltaLogical); len(f.Segments) > 1 {
-		wantLinked += held[statDeltaLogical]
-	} else {
-		wantCopied += held[statDeltaLogical]
-	}
+	wantLinked -= held[statLogical] // the Stat stream is written whole at every cut
+	wantCopied += held[statLogical]
 	if res.LinkedBytes != wantLinked || res.CopiedBytes != wantCopied+snap.Size() || wantLinked == 0 {
 		t.Fatalf("delta linked %d and copied %d bytes; want %d linked (all the parent holds) and %d copied (what was written since, and the %d-byte segments.snap)",
 			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+snap.Size(), snap.Size())

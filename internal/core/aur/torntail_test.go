@@ -73,14 +73,15 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 
 	// Reboot: assemble a checkpoint from the surviving on-disk files —
 	// each log as one whole-file checkpoint segment under its own name,
-	// every store segment sealed and nothing consumed, an empty Stat
-	// stream. (A real core checkpoint would have been rejected mid-write;
-	// this models restoring the instance directory itself after a crash.)
+	// every store segment sealed and nothing consumed, and a Stat stream
+	// of batch 1's rows, the states whose batches landed. (A real core
+	// checkpoint would have been rejected mid-write; this models restoring
+	// the instance directory itself after a crash.)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	meta := &ckpt.Meta{CutID: 1}
+	meta := &ckpt.Meta{}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +107,17 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	if len(segs) < 11 {
 		t.Fatalf("%d segments survived, want batch 1's ten and the torn one", len(segs))
 	}
-	meta.Files = append(meta.Files, ckpt.FileState{Logical: statDeltaLogical, Epoch: 1})
+	var rows []byte
+	for i := 0; i < 10; i++ {
+		k, w := state(i)
+		rows = binio.PutBytes(rows, binio.PutVarint(w.AppendTo(binio.PutBytes([]byte{statKindSet}, k)), w.Start))
+	}
+	stat, statSeg := binio.AppendRecord(nil, rows), ckpt.SegmentName(statLogical, 0)
+	if err := os.WriteFile(filepath.Join(ckptDir, statSeg), stat, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta.Files = append(meta.Files, ckpt.FileState{Logical: statLogical, Epoch: 1,
+		Segments: []ckpt.Segment{{Name: statSeg, Len: int64(len(stat)), CRC: binio.Checksum(stat)}}})
 	if err := os.WriteFile(filepath.Join(ckptDir, segmentsSnapshotName), encodeSegmentsSnapshot(segs), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -143,10 +143,11 @@ type Options struct {
 	RetainCheckpoints int
 	// MaxDeltaChain caps the incremental-checkpoint chain depth: when a
 	// CheckpointDelta would exceed it, the checkpoint is written as a
-	// fresh full base instead. The cap bounds how long retention GC must
-	// keep ancestor generations alive and how far the RMW replay stream
-	// can grow before it is re-based. Default 16; negative disables
-	// incremental checkpoints entirely (every CheckpointDelta is full).
+	// fresh full base instead. The cap bounds the parent chain that
+	// retention GC keeps alive behind a surviving checkpoint, and that a
+	// chain walk (CheckpointChain, flowkvctl) reads. Default 16; negative
+	// disables incremental checkpoints entirely (every CheckpointDelta is
+	// full).
 	MaxDeltaChain int
 	// DisableGroupCommit makes CheckpointDelta fsync each written file
 	// immediately (the historical per-log discipline) instead of

@@ -106,13 +106,8 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: sync parent: %w", err)
 	}
-	// The checkpoint is committed: run the instance commit hooks (AUR
-	// retires the dirty marks it diffed — doing this before the rename
-	// would lose deltas if the commit crashed) and account the bytes.
+	// The checkpoint is committed: account its bytes.
 	for _, res := range results {
-		if res.Commit != nil {
-			res.Commit()
-		}
 		s.ckptLinkedBytes.Add(res.LinkedBytes)
 		s.ckptCopiedBytes.Add(res.CopiedBytes)
 	}

@@ -88,7 +88,7 @@ func TestSegmentBytesPerAggregateBudget(t *testing.T) {
 	// dead, and the next eviction cleans.
 	s.mu.Lock()
 	var spilled []id
-	for ident := range s.index {
+	for ident := range s.indexedLocked() {
 		spilled = append(spilled, ident)
 	}
 	s.mu.Unlock()
@@ -161,7 +161,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for ident, sp := range s.index {
+		for ident, sp := range s.indexedLocked() {
 			if sg := s.segs.Get(sp.seg); sg.Sealed && sp.off >= minOff && sg.Log.Size() >= sp.off+2*4096 {
 				return s, ident, sp
 			}
@@ -246,7 +246,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		s, ident, sp := open(t, 0)
 		s.mu.Lock()
 		var other span
-		for o, osp := range s.index {
+		for o, osp := range s.indexedLocked() {
 			if o != ident && osp.seg == sp.seg && osp.off == sp.off {
 				other = osp
 				break
@@ -257,7 +257,7 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 			t.Fatal("the block holds one entry")
 		}
 		sp.entry = other.entry
-		s.index[ident] = sp
+		s.table[ident] = slot{sp: sp, indexed: true}
 		s.mu.Unlock()
 		agg, ok, err := s.Get([]byte(ident.key), ident.w)
 		if be := (*logfile.BlockError)(nil); !errors.As(err, &be) || ok || agg != nil {

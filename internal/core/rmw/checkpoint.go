@@ -30,8 +30,8 @@ type bufAgg struct {
 }
 
 // CheckpointDelta writes a snapshot of the instance into dir. The cut is
-// one mu section: the write buffer and, from the index, a liveness bitmap
-// per segment. Then, with only ioMu held, every segment holding a live
+// one mu section over the table: the write buffer and, from the indexed
+// slots, a liveness bitmap per segment. Then, with only ioMu held, every segment holding a live
 // entry goes in, a sealed one hard-linked (ckpt.Cut.Link, under the CRC
 // its log kept as it appended), an open one through ckpt.Cut.Log. The cut
 // is exact under concurrent writers: the files stay whole, as cleaning and
@@ -45,12 +45,14 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	dump := make([]bufAgg, 0, len(s.buf))
-	for ident, v := range s.buf {
-		dump = append(dump, bufAgg{ident, v})
-	}
+	dump := make([]bufAgg, 0, s.buffered)
 	bits := make(map[uint32][]byte, len(segs))
-	for _, sp := range s.index {
+	for ident, sl := range s.table { // none in flight: that needs ioMu
+		if sl.buffered {
+			dump = append(dump, bufAgg{ident, sl.agg})
+			continue
+		}
+		sp := sl.sp
 		if bits[sp.seg] == nil {
 			bits[sp.seg] = make([]byte, (s.segs.Get(sp.seg).X.entries+7)/8)
 		}
@@ -82,9 +84,9 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	}
 	// The whole buffer, not a dirty part of it: state that lives less than
 	// a barrier interval is all dirty at every cut anyway.
-	slices.SortFunc(dump, func(a, b bufAgg) int { return byLifetime(a.ident, b.ident) })
+	slices.SortFunc(dump, victimByLifetime)
 	if err = cut.Extra(livenessName, encodeLiveness(live)); err == nil {
-		err = cut.Stream(bufferName, false, func(emit func([]byte)) error {
+		err = cut.Stream(bufferName, func(emit func([]byte)) error {
 			bw := logfile.BlockWriter{Bound: dumpBlockBytes, Emit: func(block []byte, _, _ int) error {
 				emit(block)
 				return nil
@@ -171,8 +173,8 @@ func decodeLiveness(b []byte) ([]segLive, error) {
 
 // Restore rebuilds a freshly-opened (empty) instance from a checkpoint
 // directory: every segment the liveness file names comes back under its id
-// and epoch, sealed, and one scan of it rebuilds the index and live counts
-// from its bitmap; the dump loads into the write buffer. Damage fails it
+// and epoch, sealed, and one scan of it rebuilds the indexed slots and live
+// counts from its bitmap; the dump loads into buffered slots. Damage fails it
 // with a *binio.FrameError or *logfile.BlockError, never with less state.
 func (s *Store) Restore(dir string) error {
 	s.ioMu.Lock()
@@ -182,7 +184,7 @@ func (s *Store) Restore(dir string) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	dirty := len(s.buf) != 0 || len(s.index) != 0 || s.segs.Len() != 0
+	dirty := len(s.table) != 0 || s.segs.Len() != 0
 	s.mu.Unlock()
 	if dirty {
 		return fmt.Errorf("rmw: restore into a non-empty store")
@@ -203,7 +205,7 @@ func (s *Store) Restore(dir string) error {
 	if err != nil {
 		return fmt.Errorf("rmw: restore: %w", err)
 	}
-	index := make(map[id]span)
+	table := make(map[id]slot)
 	live := make(map[*segment]int64) // installed under mu at the end
 	for _, sl := range segs {
 		name := logfile.SegmentName(segmentPrefix, sl.id)
@@ -216,10 +218,10 @@ func (s *Store) Restore(dir string) error {
 					return nil
 				}
 				ident := id{key: string(e.Key), w: e.Window}
-				if _, dup := index[ident]; dup {
+				if _, dup := table[ident]; dup {
 					return &logfile.BlockError{Reason: fmt.Sprintf("%v live twice", ident)}
 				}
-				index[ident] = at
+				table[ident] = slot{sp: at, indexed: true}
 				live[sg] += int64(at.share)
 				return nil
 			})
@@ -231,17 +233,17 @@ func (s *Store) Restore(dir string) error {
 			return fmt.Errorf("rmw: restore %s: %w", name, err)
 		}
 	}
-	buf := make(map[id][]byte) // never holding an indexed identity
+	var buffered int
 	var bufBytes int64
 	err = ckpt.Replay(fsys, dir, dump, func(block []byte) error {
 		_, err := logfile.DecodeSegmentBlock(block, func(e *logfile.BlockEntry) error {
 			ident := id{key: string(e.Key), w: e.Window}
-			_, indexed := index[ident]
-			if _, twice := buf[ident]; twice || indexed || len(e.Values) != 1 {
+			if _, twice := table[ident]; twice || len(e.Values) != 1 {
 				return &logfile.BlockError{Reason: fmt.Sprintf("%v: %d values, or not its one copy", ident, len(e.Values))}
 			}
 			s.seq = max(s.seq, e.Seq)
-			buf[ident] = bytes.Clone(e.Values[0])
+			table[ident] = slot{agg: bytes.Clone(e.Values[0]), buffered: true}
+			buffered++
 			bufBytes += int64(len(e.Values[0]))
 			return nil
 		})
@@ -251,7 +253,7 @@ func (s *Store) Restore(dir string) error {
 		return fmt.Errorf("rmw: restore: %w", err)
 	}
 	s.mu.Lock()
-	s.index, s.buf, s.bufBytes = index, buf, bufBytes
+	s.table, s.buffered, s.bufBytes = table, buffered, bufBytes
 	for sg, n := range live {
 		sg.Live = n
 	}

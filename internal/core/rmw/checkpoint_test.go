@@ -408,7 +408,7 @@ func TestConsumedAfterLinkIsClearedByNextCut(t *testing.T) {
 	var victim id
 	var sp span
 	s.mu.Lock()
-	for ident, at := range s.index {
+	for ident, at := range s.indexedLocked() {
 		if s.segs.Get(at.seg).Sealed && (victim.key == "" || ident.key < victim.key) {
 			victim, sp = ident, at
 		}

@@ -59,7 +59,7 @@ func runSessions(t *testing.T, drainWhole bool) sessionRun {
 		binary.LittleEndian.PutUint64(v[:], count+1)
 		if drainWhole {
 			s.mu.Lock()
-			full := s.overCap(s.bufBytes+int64(len(v)), len(s.buf)+1)
+			full := s.overCap(s.bufBytes+int64(len(v)), s.buffered+1)
 			s.mu.Unlock()
 			if full {
 				if err := s.Flush(); err != nil {
@@ -151,18 +151,14 @@ func TestDrainsLeaveNothingBuffered(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s.mu.Lock()
-			buffered, indexed := len(s.buf), len(s.index)
-			s.mu.Unlock()
+			buffered, indexed := slotCounts(s)
 			if buffered == 0 || indexed == 0 || buffered+indexed != 100 {
 				t.Fatalf("%d buffered and %d spilled before the drain, want some of each and 100 in all", buffered, indexed)
 			}
 			if err := drain(s); err != nil {
 				t.Fatal(err)
 			}
-			s.mu.Lock()
-			buffered, indexed = len(s.buf), len(s.index)
-			s.mu.Unlock()
+			buffered, indexed = slotCounts(s)
 			if buffered != 0 || s.BufferedBytes() != 0 || indexed != 100 {
 				t.Fatalf("%d entries (%d bytes) still buffered after %s, %d spilled", buffered, s.BufferedBytes(), name, indexed)
 			}
@@ -190,9 +186,7 @@ func TestEvictionTakesEverythingWhenAQuarterIsNotEnough(t *testing.T) {
 	if err := s.Put([]byte("large"), window.Window{Start: 0, End: 100}, make([]byte, 2*diffBuffer)); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	buffered, indexed := len(s.buf), len(s.index)
-	s.mu.Unlock()
+	buffered, indexed := slotCounts(s)
 	if buffered != 0 || indexed != 21 {
 		t.Fatalf("%d buffered, %d spilled; want everything spilled", buffered, indexed)
 	}

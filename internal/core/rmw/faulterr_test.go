@@ -32,7 +32,7 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	i := 0
 	for ; ; i++ {
 		s.mu.Lock()
-		last := s.overCap(s.bufBytes+valLen, len(s.buf)+1)
+		last := s.overCap(s.bufBytes+valLen, s.buffered+1)
 		s.mu.Unlock()
 		if last {
 			break
@@ -66,8 +66,11 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	var reattached, indexed int
 	var bytes int64
 	for n, a := range all {
-		v, inBuf := s.buf[a]
-		_, inIndex := s.index[a]
+		sl := s.table[a]
+		v, inBuf, inIndex := sl.agg, sl.buffered, sl.indexed
+		if sl.flushing {
+			t.Errorf("%v is still in flight", a)
+		}
 		if inBuf {
 			bytes += int64(len(v))
 		}
@@ -86,9 +89,9 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 			t.Errorf("victim %v is neither indexed nor back in the buffer", a)
 		}
 	}
-	if len(s.buf)+len(s.index) != len(all) || s.bufBytes != bytes || s.flushing != nil {
-		t.Errorf("%d buffered (%d bytes, counted %d) + %d indexed of %d acked; batch in flight: %v",
-			len(s.buf), s.bufBytes, bytes, len(s.index), len(all), s.flushing != nil)
+	if nindexed := len(s.indexedLocked()); s.buffered+nindexed != len(all) || len(s.table) != len(all) || s.bufBytes != bytes {
+		t.Errorf("%d buffered (%d bytes, counted %d) + %d indexed of %d acked, %d in the table",
+			s.buffered, s.bufBytes, bytes, nindexed, len(all), len(s.table))
 	}
 	s.mu.Unlock()
 	if reattached == 0 || indexed == 0 || reattached+indexed != k {

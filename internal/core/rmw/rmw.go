@@ -57,18 +57,18 @@
 //
 // A Store instance is safe for concurrent use. Two locks split the state:
 //
-//   - mu guards the in-memory maps (buf, index, the segments' live-byte
-//     counts and the in-flight flush marker). Every fast-path operation —
-//     Put, and Get served from the buffer — takes only mu, so ingestion
-//     never waits for disk.
+//   - mu guards the table (one slot per identity: its buffered aggregate
+//     or the span of its flushed one, and whether a flush has it in
+//     flight) and the segments' live-byte counts. Every fast-path
+//     operation — Put, and Get served from the buffer — takes only mu, so
+//     ingestion never waits for disk.
 //   - ioMu serializes everything that touches the segment files: flushes,
 //     cleaning, segment drops, indexed reads, checkpoints. mu is never
 //     held across I/O; a flush detaches the buffer under mu, writes the
-//     batch with only ioMu held, then installs the index entries under mu
-//     again.
+//     batch with only ioMu held, then installs the spans under mu again.
 //
 // The lock order is ioMu before mu; mu is never held while acquiring
-// ioMu. The segment table is changed only with both held, so either lock
+// ioMu. The segment set is changed only with both held, so either lock
 // suffices to read it. Operations on an identity that is part of an
 // in-flight flush batch divert to the slow path (which waits on ioMu) so
 // a fetch-&-remove can never miss values that are mid-flight between
@@ -80,7 +80,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -156,6 +155,17 @@ type span struct {
 	ord   uint32
 }
 
+// slot is an identity's row in the table, held by value. It lives from the
+// Put that buffers the identity's aggregate to the Get that consumes it,
+// and until then is buffered, indexed — its aggregate flushed to sp — or
+// in flight in a flush, which may find it buffered again on landing. It is
+// never both buffered and indexed: a Put retires the flushed copy.
+type slot struct {
+	agg                         []byte
+	sp                          span
+	buffered, indexed, flushing bool
+}
+
 // segState is the store's own state of a segment, owned by ioMu.
 type segState struct {
 	epoch   uint64 // tells checkpoints this file from another of its name
@@ -192,19 +202,18 @@ type Store struct {
 
 	// mu guards the in-memory state below.
 	mu       sync.Mutex
-	buf      map[id][]byte // latest aggregate per id, not yet flushed
-	bufBytes int64
-	index    map[id]span   // on-disk location of each flushed aggregate
-	flushing map[id][]byte // batch detached by an in-flight flush, nil otherwise
+	table    map[id]slot
+	buffered int   // slots buffered
+	bufBytes int64 // their aggregates' bytes
 
 	// ioMu serializes segment I/O: flush, cleaning, drops, indexed reads,
 	// checkpoint/restore. Never acquired while holding mu.
 	ioMu sync.Mutex
 	// segs is the log: every segment file, the flush head and the survivor.
 	segs *logfile.Segments[segState]
-	// evictIDs is the slice an eviction selects its victims in, kept from
-	// one eviction to the next (they run one at a time, under ioMu).
-	evictIDs []id
+	// victims is the slice a flush detaches its batch into, kept from one
+	// flush to the next (they run one at a time, under ioMu).
+	victims []bufAgg
 	// seq numbers the flushes, and with them the blocks each writes.
 	seq uint64
 
@@ -236,13 +245,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("rmw: open: clear stale segments: %w", err)
 	}
 	dir.SetPolicy(opts.Policy)
-	s := &Store{
-		opts:  opts,
-		dir:   dir,
-		bd:    opts.Breakdown,
-		buf:   make(map[id][]byte),
-		index: make(map[id]span),
-	}
+	s := &Store{opts: opts, dir: dir, bd: opts.Breakdown, table: make(map[id]slot)}
 	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix,
 		opts.WriteBufferBytes, opts.MaxSpaceAmplification, func() segState { return segState{epoch: ckpt.Rand64()} })
 	return s, nil
@@ -250,7 +253,7 @@ func Open(opts Options) (*Store, error) {
 
 // retireLocked accounts the entry at sp dead and reports whether that
 // emptied a sealed segment, which is then due a reap; caller holds mu
-// and has removed the index entry.
+// and has unindexed the slot.
 func (s *Store) retireLocked(sp span) (emptied bool) {
 	sg := s.segs.Get(sp.seg)
 	sg.Live -= int64(sp.share)
@@ -278,20 +281,23 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if old, ok := s.buf[ident]; ok {
-		s.bufBytes -= int64(len(old))
+	sl := s.table[ident]
+	if sl.buffered {
+		s.bufBytes -= int64(len(sl.agg))
+	} else {
+		s.buffered++
 	}
-	// A newer aggregate makes any flushed copy dead; the index entry is
-	// retired immediately, the bytes with their segment (one this
-	// empties waits for the next flush's reap: Put never waits for disk).
-	if sp, ok := s.index[ident]; ok {
-		delete(s.index, ident)
-		s.retireLocked(sp)
+	// A newer aggregate makes any flushed copy dead; the span is retired
+	// immediately, the bytes with their segment (one this empties waits
+	// for the next flush's reap: Put never waits for disk).
+	if sl.indexed {
+		sl.indexed = false
+		s.retireLocked(sl.sp)
 	}
-	ac := make([]byte, len(agg))
-	copy(ac, agg)
-	s.buf[ident] = ac
-	s.bufBytes += int64(len(ac))
+	sl.agg, sl.buffered = make([]byte, len(agg)), true
+	copy(sl.agg, agg)
+	s.table[ident] = sl
+	s.bufBytes += int64(len(agg))
 	need := s.bufferFullLocked()
 	s.mu.Unlock()
 	s.puts.Inc()
@@ -309,7 +315,7 @@ func (s *Store) put(key []byte, w window.Window, agg []byte) error {
 // bufferFullLocked reports whether the write buffer has outgrown
 // WriteBufferBytes; caller holds mu.
 func (s *Store) bufferFullLocked() bool {
-	return s.overCap(s.bufBytes, len(s.buf))
+	return s.overCap(s.bufBytes, s.buffered)
 }
 
 // overCap reports whether n buffered aggregates totalling bytes outgrow
@@ -332,39 +338,33 @@ func (s *Store) Get(key []byte, w window.Window) (agg []byte, ok bool, err error
 	return agg, ok, err
 }
 
-// takeBufferedLocked consumes ident's buffered aggregate, if any; caller
-// holds mu.
-func (s *Store) takeBufferedLocked(ident id) ([]byte, bool) {
-	v, ok := s.buf[ident]
-	if !ok {
-		return nil, false
-	}
-	s.bufBytes -= int64(len(v))
-	delete(s.buf, ident)
+// takeBufferedLocked consumes ident's buffered aggregate, the slot sl,
+// which no flush has in flight; caller holds mu.
+func (s *Store) takeBufferedLocked(ident id, sl slot) []byte {
+	delete(s.table, ident)
+	s.buffered--
+	s.bufBytes -= int64(len(sl.agg))
 	s.bufferHits.Inc()
-	return v, true
+	return sl.agg
 }
 
 func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 	ident := id{key: string(key), w: w}
 
 	// Fast path under mu alone: possible whenever the identity has no
-	// copy in flight to disk — either a pure buffer hit (put invariant:
-	// a buffered id is never also indexed) or a definitive miss.
+	// copy in flight to disk — either a buffer hit or a definitive miss.
 	s.mu.Lock()
 	if s.segs.Closed() {
 		s.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	if _, inflight := s.flushing[ident]; !inflight {
-		if v, ok := s.takeBufferedLocked(ident); ok {
-			s.mu.Unlock()
-			return v, true, nil
+	if sl, ok := s.table[ident]; !ok || sl.buffered && !sl.flushing {
+		var v []byte
+		if ok {
+			v = s.takeBufferedLocked(ident, sl)
 		}
-		if _, ok := s.index[ident]; !ok {
-			s.mu.Unlock()
-			return nil, false, nil
-		}
+		s.mu.Unlock()
+		return v, ok, nil
 	}
 	s.mu.Unlock()
 
@@ -373,7 +373,7 @@ func (s *Store) get(key []byte, w window.Window) ([]byte, bool, error) {
 }
 
 // getFlushed is Get's slow path: under ioMu, with any in-flight flush
-// complete, the buffer and the index are authoritative. With unlocked it
+// complete, the table is authoritative. With unlocked it
 // drops ioMu before the pread, so point reads overlap fsyncs and flushes
 // from other workers, and comes back without that licence if the read
 // raced a segment drop, a cleaning move or another writer.
@@ -385,17 +385,17 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 		s.ioMu.Unlock()
 		return nil, false, ErrClosed
 	}
-	if v, ok := s.takeBufferedLocked(ident); ok {
+	sl, ok := s.table[ident]
+	if !ok || sl.buffered {
+		var v []byte
+		if ok {
+			v = s.takeBufferedLocked(ident, sl)
+		}
 		s.mu.Unlock()
 		s.ioMu.Unlock()
-		return v, true, nil
+		return v, ok, nil
 	}
-	sp, ok := s.index[ident]
-	if !ok {
-		s.mu.Unlock()
-		s.ioMu.Unlock()
-		return nil, false, nil
-	}
+	sp := sl.sp
 	lg := s.segs.Get(sp.seg).Log
 	s.mu.Unlock()
 	if !unlocked || lg.Poisoned() != nil || lg.Flush() != nil {
@@ -442,7 +442,7 @@ func (s *Store) getFlushed(ident id, unlocked bool) ([]byte, bool, error) {
 }
 
 // readLocked reads and consumes the flushed aggregate at sp, which the
-// caller found in the index while holding ioMu (still held): no cleaning
+// caller found in the table while holding ioMu (still held): no cleaning
 // pass or drop can have moved it since. A concurrent Put may have
 // superseded it, and then the value read is the one this Get linearizes
 // before.
@@ -463,15 +463,15 @@ func (s *Store) readLocked(ident id, sp span) ([]byte, error) {
 	return v, nil
 }
 
-// consume retires ident's index entry if it is still sp, reporting
+// consume retires ident's slot if it is still indexed at sp, reporting
 // whether it was and whether retiring it emptied a sealed segment.
 func (s *Store) consume(ident id, sp span) (consumed, emptied bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, still := s.index[ident]; !still || cur != sp {
+	if sl := s.table[ident]; !sl.indexed || sl.sp != sp {
 		return false, false
 	}
-	delete(s.index, ident)
+	delete(s.table, ident)
 	s.diskHits.Inc()
 	return true, s.retireLocked(sp)
 }
@@ -490,18 +490,20 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, agg []byte) err
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	live := make([]bufAgg, 0, len(s.buf)+len(s.index))
-	for ident, v := range s.buf {
-		live = append(live, bufAgg{ident, v})
+	live := make([]bufAgg, 0, len(s.table))
+	spilled := make(map[span]bool)
+	for ident, sl := range s.table {
+		if sl.buffered {
+			live = append(live, bufAgg{ident, sl.agg})
+		} else {
+			spilled[sl.sp] = true
+		}
 	}
-	// A buffered identity is never also indexed (Put retires the entry).
-	spilled := maps.Clone(s.index)
 	s.mu.Unlock()
 	for _, sg := range segs {
 		err := s.scanLocked(sg, func(at span, e *logfile.BlockEntry) error {
-			ident := id{key: string(e.Key), w: e.Window}
-			if sp, ok := spilled[ident]; ok && sp == at {
-				live = append(live, bufAgg{ident, bytes.Clone(e.Values[0])})
+			if spilled[at] {
+				live = append(live, bufAgg{id{key: string(e.Key), w: e.Window}, bytes.Clone(e.Values[0])})
 			}
 			return nil
 		})
@@ -564,6 +566,11 @@ const evictDivisor = 4
 // function of the buffer's contents alone.
 func endsLater(a, b id) bool { return byLifetime(a, b) > 0 }
 
+// victimEndsLater and victimByLifetime are the same orders on the batch a
+// flush detaches.
+func victimEndsLater(a, b bufAgg) bool { return endsLater(a.ident, b.ident) }
+func victimByLifetime(a, b bufAgg) int { return byLifetime(a.ident, b.ident) }
+
 // byLifetime is endsLater as a three-way comparison, ascending: the order a
 // flush writes its victims in, so that neighbouring entries of a block
 // opened one after another and share a width.
@@ -577,52 +584,48 @@ func byLifetime(a, b id) int {
 	return strings.Compare(a.key, b.key)
 }
 
-// detachLocked removes from the buffer, and returns, the batch a flush
-// writes and its identities in lifetime order; caller holds mu. A drain
-// takes everything. An eviction takes the quarter of the buffered
-// identities whose windows end last — unless what that leaves is still
-// over the cap (a few large aggregates among many small ones), and then it
-// too takes everything, so a flush always brings the buffer back under
+// detachLocked takes out of the buffer the batch a flush writes, its slots
+// marked in flight, and returns it; caller holds mu. A drain takes
+// everything. An eviction takes the quarter of the buffered identities
+// whose windows end last — unless what that leaves is still over the cap
+// (a few large aggregates among many small ones), and then it too takes
+// everything, so a flush always brings the buffer back under
 // WriteBufferBytes.
-func (s *Store) detachLocked(all bool) (map[id][]byte, []id) {
-	ids := s.evictIDs[:0]
-	for ident := range s.buf {
-		ids = append(ids, ident)
+func (s *Store) detachLocked(all bool) []bufAgg {
+	victims := s.victims[:0]
+	for ident, sl := range s.table {
+		if sl.buffered {
+			victims = append(victims, bufAgg{ident, sl.agg})
+		}
 	}
-	s.evictIDs = ids
+	s.victims = victims
 	if !all {
-		k := (len(ids) + evictDivisor - 1) / evictDivisor
-		window.SelectLast(ids, k, endsLater)
+		k := (len(victims) + evictDivisor - 1) / evictDivisor
+		window.SelectLast(victims, k, victimEndsLater)
 		var bytes int64
-		for _, ident := range ids[:k] {
-			bytes += int64(len(s.buf[ident]))
+		for _, v := range victims[:k] {
+			bytes += int64(len(v.v))
 		}
-		if !s.overCap(s.bufBytes-bytes, len(ids)-k) {
-			batch := make(map[id][]byte, k)
-			for _, ident := range ids[:k] {
-				batch[ident] = s.buf[ident]
-				delete(s.buf, ident)
-			}
-			s.bufBytes -= bytes
-			slices.SortFunc(ids[:k], byLifetime)
-			return batch, ids[:k]
+		if !s.overCap(s.bufBytes-bytes, len(victims)-k) {
+			victims = victims[:k]
 		}
 	}
-	batch := s.buf
-	s.buf = make(map[id][]byte)
-	s.bufBytes = 0
-	slices.SortFunc(ids, byLifetime)
-	return batch, ids
+	for _, v := range victims {
+		s.table[v.ident] = slot{flushing: true}
+		s.bufBytes -= int64(len(v.v))
+	}
+	s.buffered -= len(victims)
+	return victims
 }
 
 // flushLocked spills buffered aggregates into the head segment and
 // indexes them: all of them for a drain (Flush, Sync), the quarter that
 // ends last for the eviction a Put starts on finding the buffer full — and
 // nothing if an eviction queued behind another finds the buffer no longer
-// full. Caller holds ioMu. The batch is detached under mu, written with
-// only ioMu held (so ingestion proceeds), and installed under mu again; an
-// id re-put while its batch was in flight keeps the newer buffered value
-// and the flushed copy is born dead.
+// full. Caller holds ioMu. The batch is detached under mu, sorted and
+// written with only ioMu held (so ingestion proceeds), and installed under
+// mu again; an id re-put while its batch was in flight keeps the newer
+// buffered value and the flushed copy is born dead.
 //
 // A full buffer's flush seals the segment it wrote, so in steady state
 // every segment holds one eviction and the aggregates in it share a
@@ -634,7 +637,7 @@ func (s *Store) flushLocked(all bool) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	idle := len(s.buf) == 0 || (!all && !s.bufferFullLocked())
+	idle := s.buffered == 0 || (!all && !s.bufferFullLocked())
 	s.mu.Unlock()
 	if idle {
 		return nil
@@ -647,9 +650,10 @@ func (s *Store) flushLocked(all bool) error {
 
 	s.mu.Lock()
 	full := s.bufferFullLocked()
-	batch, victims := s.detachLocked(all)
-	s.flushing = batch
+	victims := s.detachLocked(all)
 	s.mu.Unlock()
+	defer clear(s.victims) // the next flush reuses the slice, not the aggregates
+	slices.SortFunc(victims, victimByLifetime)
 
 	// written[:installed] are in blocks the head's log accepted; the rest
 	// hold their entry's offset among the open block's entries and size.
@@ -669,43 +673,44 @@ func (s *Store) flushLocked(all bool) error {
 	}}
 	var werr error
 	vals := make([][]byte, 1)
-	for i, ident := range victims {
-		vals[0] = batch[ident]
-		off, n, err := bw.Add(s.seq, ident.key, ident.w, vals)
+	for i, v := range victims {
+		vals[0] = v.v
+		off, n, err := bw.Add(s.seq, v.ident.key, v.ident.w, vals)
 		if err != nil {
 			werr = err
 			break
 		}
-		written[i] = placed{ident, span{entry: uint32(off), share: uint32(n)}}
+		written[i] = placed{v.ident, span{entry: uint32(off), share: uint32(n)}}
 	}
 	if werr == nil {
 		werr = bw.Flush()
 	}
-	written = written[:installed]
 	s.flushedBytes.Add(bytes)
 	s.flushedAggs.Add(int64(installed))
 
 	s.mu.Lock()
-	s.flushing = nil
-	for _, wr := range written {
-		delete(batch, wr.ident)
-		if _, newer := s.buf[wr.ident]; newer {
-			continue // born dead: in the segment's size, not in its live count
+	for i, v := range victims {
+		sl := s.table[v.ident]
+		sl.flushing = false
+		switch {
+		case sl.buffered:
+			// Re-put while in flight: the newer value stands, and a copy
+			// the log accepted is born dead — in the segment's size, not in
+			// its live count.
+		case i < installed:
+			sl.sp, sl.indexed = written[i].sp, true
+			head.Live += int64(sl.sp.share)
+		case !DisableFlushReattach:
+			// Flush failure is atomic: aggregates the log did not accept go
+			// back into the live buffer, so no acked Put is lost.
+			sl.agg, sl.buffered = v.v, true
+			s.buffered++
+			s.bufBytes += int64(len(v.v))
+		default:
+			delete(s.table, v.ident)
+			continue
 		}
-		s.index[wr.ident] = wr.sp
-		head.Live += int64(wr.sp.share)
-	}
-	if werr != nil && !DisableFlushReattach {
-		// Flush failure is atomic: aggregates the log did not accept go
-		// back into the live buffer (unless a newer value superseded
-		// them while the batch was in flight), so no acked Put is lost.
-		for ident, v := range batch {
-			if _, newer := s.buf[ident]; newer {
-				continue
-			}
-			s.buf[ident] = v
-			s.bufBytes += int64(len(v))
-		}
+		s.table[v.ident] = sl
 	}
 	s.mu.Unlock()
 	if werr != nil {
@@ -750,9 +755,9 @@ type moves struct {
 // amplification still exceeds MSA, runs one cleaning pass
 // (logfile.Segments.Clean): each victim's blocks are read once, in order,
 // and every entry the index still points at is re-encoded into the
-// survivor's blocks; then the index is repointed. Index entries retired by
-// concurrent Puts or Gets while the pass ran are not repointed; their
-// copies are born dead in the survivor. Caller holds ioMu.
+// survivor's blocks; then the slots are repointed. Slots a concurrent Put
+// or Get unindexed while the pass ran are not repointed; their copies are
+// born dead in the survivor. Caller holds ioMu.
 func (s *Store) cleanLocked() error {
 	var moved moves
 	var surv *segment
@@ -778,8 +783,9 @@ func (s *Store) cleanLocked() error {
 		defer s.mu.Unlock()
 		for i, to := range moved.to {
 			from := moved.from[i]
-			if cur, ok := s.index[to.ident]; ok && cur == from {
-				s.index[to.ident] = to.sp
+			if sl := s.table[to.ident]; sl.indexed && sl.sp == from {
+				sl.sp = to.sp
+				s.table[to.ident] = sl
 				s.segs.Get(from.seg).Live -= int64(from.share)
 				sv.Live += int64(to.sp.share)
 			}
@@ -791,17 +797,17 @@ func (s *Store) cleanLocked() error {
 // errScanDone, returned by a scan's callback, ends the scan.
 var errScanDone = errors.New("rmw: segment scan done")
 
-// copyLiveLocked scans victim v's blocks once and hands every entry the
-// index still points at to bw, recording the moves; caller holds ioMu. The
-// scan stops once it has seen all of v's live bytes.
+// copyLiveLocked scans victim v's blocks once and hands every entry a slot
+// still points at to bw, recording the moves; caller holds ioMu. The scan
+// stops once it has seen all of v's live bytes.
 func (s *Store) copyLiveLocked(v *segment, want int64, bw *logfile.BlockWriter, moved *moves) error {
 	var found int64
 	return s.scanLocked(v, func(at span, e *logfile.BlockEntry) error {
 		ident := id{key: string(e.Key), w: e.Window}
 		s.mu.Lock()
-		cur, ok := s.index[ident]
+		sl := s.table[ident]
 		s.mu.Unlock()
-		if !ok || cur != at {
+		if !sl.indexed || sl.sp != at {
 			return nil
 		}
 		eoff, en, err := bw.Add(s.seq, ident.key, e.Window, e.Values)
@@ -919,17 +925,7 @@ func (s *Store) BufferedBytes() int64 {
 func (s *Store) LiveStates() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.buf) + len(s.index)
-	for ident := range s.flushing {
-		if _, ok := s.buf[ident]; ok {
-			continue
-		}
-		if _, ok := s.index[ident]; ok {
-			continue
-		}
-		n++
-	}
-	return n
+	return len(s.table)
 }
 
 // DiskUsage returns the logical bytes of the instance's log, including

@@ -304,3 +304,21 @@ func BenchmarkRMWCycle(b *testing.B) {
 		}
 	}
 }
+
+// indexedLocked returns the span of every indexed slot; caller holds mu.
+func (s *Store) indexedLocked() map[id]span {
+	out := make(map[id]span)
+	for ident, sl := range s.table {
+		if sl.indexed {
+			out[ident] = sl.sp
+		}
+	}
+	return out
+}
+
+// slotCounts returns how many slots are buffered and how many indexed.
+func slotCounts(s *Store) (buffered, indexed int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buffered, len(s.indexedLocked())
+}

@@ -83,6 +83,29 @@ func dumpLive(t *testing.T, s *Store) map[id]string {
 	return out
 }
 
+// checkTable holds the table to its invariants after step: every slot is
+// buffered or indexed and never both, none is in flight between
+// operations, and the buffer counts are the buffered slots' sums.
+func checkTable(t *testing.T, step int, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var buffered int
+	var bytes int64
+	for ident, sl := range s.table {
+		if sl.buffered == sl.indexed || sl.flushing {
+			t.Fatalf("step %d: slot of %v is buffered=%v indexed=%v in flight=%v", step, ident, sl.buffered, sl.indexed, sl.flushing)
+		}
+		if sl.buffered {
+			buffered++
+			bytes += int64(len(sl.agg))
+		}
+	}
+	if buffered != s.buffered || bytes != s.bufBytes {
+		t.Fatalf("step %d: %d slots with %d bytes buffered, the store counts %d and %d", step, buffered, bytes, s.buffered, s.bufBytes)
+	}
+}
+
 // diffRun is one differential run: a store with a 4 KiB buffer driven by
 // random operations next to a map oracle.
 type diffRun struct {
@@ -154,9 +177,9 @@ func (d *diffRun) put() {
 	ident := d.draw()
 	v := fmt.Sprintf("v%0*d", diffValLen-1, d.step)
 	d.s.mu.Lock()
-	before := make([]id, 0, len(d.s.buf)+1)
-	for b := range d.s.buf {
-		if b != ident {
+	before := make([]id, 0, d.s.buffered+1)
+	for b, sl := range d.s.table {
+		if sl.buffered && b != ident {
 			before = append(before, b)
 		}
 	}
@@ -176,13 +199,13 @@ func (d *diffRun) put() {
 	d.s.mu.Lock()
 	var evicted, kept []id
 	for _, b := range before {
-		if _, ok := d.s.buf[b]; ok {
+		if d.s.table[b].buffered {
 			kept = append(kept, b)
 		} else {
 			evicted = append(evicted, b)
 		}
 	}
-	full, nbuf := d.s.bufferFullLocked(), len(d.s.buf)
+	full, nbuf := d.s.bufferFullLocked(), d.s.buffered
 	d.s.mu.Unlock()
 	if want := (len(before) + 3) / 4; len(evicted) != want || nbuf != len(kept) {
 		d.t.Fatalf("step %d: evicted %d of %d buffered identities, want %d; %d kept, %d buffered",
@@ -332,6 +355,7 @@ func (d *diffRun) run(steps int) {
 			}
 		}
 		checkSegmentFiles(d.t, d.s)
+		checkTable(d.t, d.step, d.s)
 	}
 	if got := dumpLive(d.t, d.s); !reflect.DeepEqual(got, d.oracle) {
 		d.t.Fatalf("final live dump has %d aggregates, oracle %d", len(got), len(d.oracle))
