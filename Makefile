@@ -28,22 +28,22 @@ race:
 # real hunt.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/binio/ -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/binio/ -fuzz 'FuzzDecodeRecordFrame$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/binio/ -fuzz FuzzInflate -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/rmw/ -fuzz FuzzDecodeLiveness -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/spe/ -fuzz FuzzDecodeMigrationRecord -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/spe/ -fuzz FuzzDecodeOperatorSnapshot -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/spe/ -fuzz FuzzDecodeLedgerBlock -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/binio/ -fuzz 'FuzzDecode$$' -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/binio/ -fuzz 'FuzzDecodeRecordFrame$$' -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/binio/ -fuzz FuzzInflate -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/rmw/ -fuzz FuzzDecodeLiveness -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spe/ -fuzz FuzzDecodeJobRecord -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spe/ -fuzz FuzzDecodeMigrationRecord -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spe/ -fuzz FuzzDecodeOperatorSnapshot -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spe/ -fuzz FuzzDecodeLedgerBlock -run '^$$' -fuzztime $(FUZZTIME)
 
 # Gray-failure battery: stall injection, deadline-bounded I/O, progress
 # watchdogs, and the manager hung-fsync failover + latency-driven

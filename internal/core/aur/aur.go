@@ -755,6 +755,22 @@ func (s *Store) ForEachLive(fn func(key []byte, w window.Window, values [][]byte
 	return nil
 }
 
+// ForEachIdentity calls fn for every live (key, initial window)
+// identity, in no particular order, from the table alone: no segment is
+// read. fn runs under the table's lock and must not call back into the
+// store.
+func (s *Store) ForEachIdentity(fn func(key string, w window.Window)) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.segs.Closed() {
+		return ErrClosed
+	}
+	for ident := range s.table {
+		fn(ident.key, ident.w)
+	}
+	return nil
+}
+
 // Drop discards all state of (key, window) without reading it.
 func (s *Store) Drop(key []byte, w window.Window) error {
 	ident := id{key: string(key), w: w}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"flowkv/internal/window"
@@ -67,6 +70,52 @@ func (s *Store) ForEachState(fn func(StateEntry) error) error {
 		}
 	}
 	return nil
+}
+
+// Identity names one unit of AUR or RMW state: a key and the window it
+// was stored under — for a session, its initial window (§4.2).
+type Identity struct {
+	Key    string
+	Window window.Window
+}
+
+// CompareIdentities orders identities by key, then by window
+// (window.Before): the order Identities lists them in.
+func CompareIdentities(a, b Identity) int {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Window.Start, b.Window.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Window.End, b.Window.End)
+}
+
+// Identities lists every live identity across all instances, sorted by
+// CompareIdentities. It walks the instances' in-memory tables and reads
+// nothing from disk. AAR stores, which name state by window alone, return
+// ErrWrongPattern.
+func (s *Store) Identities() ([]Identity, error) {
+	if s.pattern == PatternAAR {
+		return nil, ErrWrongPattern
+	}
+	if err := s.guardRead(); err != nil {
+		return nil, err
+	}
+	var ids []Identity
+	add := func(key string, w window.Window) { ids = append(ids, Identity{key, w}) }
+	for _, st := range s.aurView {
+		if err := st.ForEachIdentity(add); err != nil {
+			return nil, err
+		}
+	}
+	for _, st := range s.rmwView {
+		if err := st.ForEachIdentity(add); err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(ids, CompareIdentities)
+	return ids, nil
 }
 
 // ReadWindowOwned returns window w's state restricted to the keys the

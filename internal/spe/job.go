@@ -908,8 +908,9 @@ func (jr *jobRun) restoreCommitted(meta JobMeta) error {
 // restoreStage rebuilds one stage from its cuts in genDir. Its committed
 // worker count is StagePars[si]. At the same count, workers restore
 // worker for worker; at another, every committed cut is rerouted by key
-// into the new workers, and the operator snapshots are regrouped onto
-// them.
+// into the new workers, each cut's operator snapshot is decoded against
+// the identities the reroute enumerated, and the decoded states are
+// regrouped onto the workers.
 func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error {
 	if js.si >= len(meta.StagePars) || meta.StagePars[js.si] < 1 {
 		return fmt.Errorf("no committed parallelism in the key-range manifest %v", meta.StagePars)
@@ -926,48 +927,69 @@ func (jr *jobRun) restoreStage(js *jobStage, meta JobMeta, genDir string) error 
 		}
 		return dir, nil
 	}
-	owner := func(k []byte) int { return routeKey(k, js.par) }
-	var snaps [][]byte
 	if committed == js.par {
-		for w := range js.ops {
+		for w, op := range js.ops {
 			dir, err := cut(w)
 			if err != nil {
 				return err
 			}
-			cp, _ := statebackend.AsCheckpointer(js.ops[w].Backend())
-			snap, err := cp.RestoreMeta(dir)
-			if err != nil {
+			if err := jr.restoreCut(op, dir, js.join); err != nil {
 				return err
 			}
-			snaps = append(snaps, snap)
 		}
-	} else {
-		backends := make([]statebackend.Backend, js.par)
-		for w := range backends {
-			backends[w] = js.ops[w].Backend()
-		}
-		for ow := 0; ow < committed; ow++ {
-			dir, err := cut(ow)
-			if err != nil {
-				return err
-			}
-			snap, err := jr.rerouteCut(dir, backends, owner, js.join)
-			if err != nil {
-				return fmt.Errorf("rescale %d->%d: %w", committed, js.par, err)
-			}
-			snaps = append(snaps, snap)
-		}
-		var err error
-		if snaps, err = regroupSnaps(snaps, js.par, func(k string) int { return owner([]byte(k)) }, js.join); err != nil {
-			return fmt.Errorf("rescale %d->%d: %w", committed, js.par, err)
-		}
+		return nil
 	}
-	for w, op := range js.ops {
-		if err := op.restoreState(snaps[w]); err != nil {
+	backends := make([]statebackend.Backend, js.par)
+	for w := range backends {
+		backends[w] = js.ops[w].Backend()
+	}
+	owner := func(k []byte) int { return routeKey(k, js.par) }
+	ins := make([]opSnapshotter, 0, committed)
+	for ow := 0; ow < committed; ow++ {
+		dir, err := cut(ow)
+		if err != nil {
 			return err
 		}
+		snap, ids, err := jr.rerouteCut(dir, backends, owner, js.join, js.ops[0].claimsIdentities())
+		if err == nil {
+			in := emptyOpState(js.join)
+			if err = in.restoreState(snap, ids); err == nil {
+				ins = append(ins, in)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("rescale %d->%d: cut %s: %w", committed, js.par, dir, err)
+		}
+	}
+	for w, out := range regroup(ins, js.par, func(k string) int { return owner([]byte(k)) }, js.join) {
+		js.ops[w].adopt(out)
 	}
 	return nil
+}
+
+// restoreCut restores the cut in dir into op's backend, which must be
+// empty, and op's control state from the snapshot the cut carries,
+// decoded against the identities the restored store lists when op
+// claims them. A backend that can checkpoint but not list its identities
+// is refilled through the scratch store, which can: the reroute a
+// rescale runs, onto this one worker.
+func (jr *jobRun) restoreCut(op opSnapshotter, dir string, join bool) error {
+	b := op.Backend()
+	var snap []byte
+	var ids []core.Identity
+	var err error
+	if l, ok := statebackend.AsIdentityLister(b); ok || !op.claimsIdentities() {
+		cp, _ := statebackend.AsCheckpointer(b)
+		if snap, err = cp.RestoreMeta(dir); err == nil && op.claimsIdentities() {
+			ids, err = l.Identities()
+		}
+	} else {
+		snap, ids, err = jr.rerouteCut(dir, []statebackend.Backend{b}, func([]byte) int { return 0 }, join, true)
+	}
+	if err != nil {
+		return err
+	}
+	return op.restoreState(snap, ids)
 }
 
 // appendSegment sorts the inter-barrier sink segment canonically by

@@ -416,7 +416,9 @@ func TestJobSelfHealRetriesCheckpoint(t *testing.T) {
 }
 
 // TestOperatorSnapshotRoundTrip checks the operator snapshot codec:
-// restoring a snapshot into a fresh operator and snapshotting again must
+// checkpointing a FlowKV backend with the operator's snapshot, restoring
+// both into fresh instances — the snapshot decoded against the
+// identities the restored store lists — and snapshotting again must
 // reproduce identical bytes for every window kind the codec covers.
 func TestOperatorSnapshotRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -425,6 +427,7 @@ func TestOperatorSnapshotRoundTrip(t *testing.T) {
 	}{
 		{"aligned", OperatorSpec{Assigner: window.FixedAssigner{Size: 50}, Holistic: crashHolistic}},
 		{"session", OperatorSpec{Assigner: window.SessionAssigner{Gap: 30}, Holistic: crashHolistic}},
+		{"session-incremental", OperatorSpec{Assigner: window.SessionAssigner{Gap: 30}, Incremental: crashIncremental}},
 		{"count", OperatorSpec{Assigner: window.CountAssigner{Size: 7}, Incremental: crashIncremental}},
 		{"custom", OperatorSpec{Assigner: window.CustomAssigner{AssignFunc: func(ts int64) []window.Window {
 			start := ts / 40 * 40
@@ -435,7 +438,9 @@ func TestOperatorSnapshotRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			op, err := NewWindowOperator(tc.spec, memBackend(t), func(Tuple) {})
+			base := t.TempDir()
+			b1 := specBackend(t, tc.spec, filepath.Join(base, "pre"))
+			op, err := NewWindowOperator(tc.spec, b1, func(Tuple) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,22 +455,49 @@ func TestOperatorSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 			snap := op.snapshotState()
-			fresh, err := NewWindowOperator(tc.spec, memBackend(t), func(Tuple) {})
+			cp, _ := statebackend.AsCheckpointer(b1)
+			cpDir := filepath.Join(base, "cp")
+			if err := cp.CheckpointMeta(cpDir, snap); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewWindowOperator(tc.spec, specBackend(t, tc.spec, filepath.Join(base, "post")), func(Tuple) {})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.restoreState(snap); err != nil {
+			if err := (&jobRun{}).restoreCut(fresh, cpDir, false); err != nil {
 				t.Fatal(err)
 			}
 			again := fresh.snapshotState()
 			if !bytes.Equal(snap, again) {
 				t.Fatalf("snapshot not stable across restore: %d bytes vs %d", len(snap), len(again))
 			}
-			if err := fresh.restoreState([]byte("garbage")); err == nil {
-				t.Fatal("restore accepted garbage")
+			if err := fresh.restoreState([]byte("garbage"), nil); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("restore of garbage: %v, want ErrCorruptSnapshot", err)
 			}
 		})
 	}
+}
+
+// specBackend opens the FlowKV backend spec's operator deploys, in dir.
+func specBackend(t testing.TB, spec OperatorSpec, dir string) statebackend.Backend {
+	t.Helper()
+	agg := core.AggIncremental
+	if spec.IsHolistic() {
+		agg = core.AggHolistic
+	}
+	b, err := statebackend.Open(statebackend.Config{
+		Kind:       statebackend.KindFlowKV,
+		Dir:        dir,
+		Agg:        agg,
+		WindowKind: spec.Assigner.Kind(),
+		Assigner:   spec.Assigner,
+		FlowKV:     core.Options{Instances: 2, WriteBufferBytes: 1 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Destroy() })
+	return b
 }
 
 // TestJobMetaRoundTrip covers the JOB file codec and its crash

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/core"
 	"flowkv/internal/statebackend"
 	"flowkv/internal/window"
 )
@@ -291,9 +292,9 @@ func (o *IntervalJoinOperator) snapshotState() []byte {
 }
 
 // restoreState rebuilds the join operator's control state from a
-// snapshot. The operator must be freshly constructed; the expiry heaps
-// are rebuilt from the bucket registries.
-func (o *IntervalJoinOperator) restoreState(b []byte) error {
+// snapshot. Join snapshots claim no store identities (claimsIdentities),
+// so ids is nil; the expiry heaps are rebuilt from the bucket registries.
+func (o *IntervalJoinOperator) restoreState(b []byte, _ []core.Identity) error {
 	d := snapDecoder{b: b}
 	if err := d.magic(joinSnapMagic); err != nil {
 		return err
@@ -305,7 +306,6 @@ func (o *IntervalJoinOperator) restoreState(b []byte) error {
 		Left:  make(map[window.Window]map[string]struct{}),
 		Right: make(map[window.Window]map[string]struct{}),
 	}
-	o.expiry = map[Side]*windowHeap{Left: {}, Right: {}}
 	for _, side := range []Side{Left, Right} {
 		var prev window.Window
 		for i, n := uint64(0), d.count(3); i < n && d.err == nil; i++ {
@@ -313,15 +313,37 @@ func (o *IntervalJoinOperator) restoreState(b []byte) error {
 			set := d.keySet()
 			if d.err == nil {
 				o.buckets[side][w] = set
-				heap.Push(o.expiry[side], w)
 			}
 			prev = w
 		}
 	}
 	if err := d.finish(); err != nil {
-		return fmt.Errorf("spe: corrupt join snapshot: %w", err)
+		return fmt.Errorf("%w (join): %v", ErrCorruptSnapshot, err)
 	}
+	o.rearm()
 	return nil
+}
+
+// claimsIdentities is false: the join's buckets are registered by window,
+// not by the identities of its side-tagged store keys.
+func (o *IntervalJoinOperator) claimsIdentities() bool { return false }
+
+// adopt installs the bucket registries, watermark and counters of from,
+// a shell regrouped in memory (regroup), and rebuilds the expiry heaps.
+func (o *IntervalJoinOperator) adopt(from opSnapshotter) {
+	f := from.(*IntervalJoinOperator)
+	o.wm, o.results, o.late, o.buckets = f.wm, f.results, f.late, f.buckets
+	o.rearm()
+}
+
+// rearm rebuilds both sides' expiry heaps from the bucket registries.
+func (o *IntervalJoinOperator) rearm() {
+	o.expiry = map[Side]*windowHeap{Left: {}, Right: {}}
+	for _, side := range []Side{Left, Right} {
+		for _, w := range sortedWindows(o.buckets[side]) {
+			heap.Push(o.expiry[side], w)
+		}
+	}
 }
 
 // JoinStats reports the operator's counters.

@@ -33,7 +33,7 @@ import (
 //   base, a rollback cut of the destination is taken, then the moved
 //   bucket's state is split out — store entries re-appended into the
 //   destination's live store, the rest rebuilt into a fresh source
-//   store, operator control state split and merged by regroupSnaps —
+//   store, operator control state split and merged in memory by regroup —
 //   and the in-memory routing table flips. The JOB v3 rename of the very
 //   next checkpoint persists the flipped table and is the migration's
 //   single commit point: a crash at any earlier instant resumes from
@@ -373,18 +373,16 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	// Seal the source: one delta cut of the live store priced against
 	// the staged base (same files, so unchanged segments arrive as
 	// links), carrying the operator snapshot taken at this barrier.
-	snapS := js.ops[s].snapshotState()
 	cutDir := filepath.Join(m.dir, "cut")
-	if err := snapshotTo(js.ops[s].Backend(), cutDir, filepath.Join(m.dir, "base"), snapS); err != nil {
+	if err := snapshotTo(js.ops[s].Backend(), cutDir, filepath.Join(m.dir, "base"), js.ops[s].snapshotState()); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("seal source: %w", err))
 	}
 	// Rollback cut of the destination, priced against its committed
 	// generation — ABORT rebuilds the destination from it if the import
 	// dies halfway.
-	snapD := js.ops[d].snapshotState()
 	dcutDir := filepath.Join(m.dir, "dcut")
 	dParent := filepath.Join(jr.j.Dir, GenDirName(jr.gen), cutDirName(js.si, d))
-	if err := snapshotTo(js.ops[d].Backend(), dcutDir, dParent, snapD); err != nil {
+	if err := snapshotTo(js.ops[d].Backend(), dcutDir, dParent, js.ops[d].snapshotState()); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("destination rollback cut: %w", err))
 	}
 
@@ -392,28 +390,20 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 	jr.stopHeal(js, s)
 	newS, err := jr.reopenWorker(js, s)
 	if err != nil {
-		return jr.rollbackMigration(m, nil, snapS, snapD, err)
+		return jr.rollbackMigration(m, nil, err)
 	}
-	if _, err := jr.rerouteCut(cutDir, []statebackend.Backend{newS, js.ops[d].Backend()}, moved, js.join); err != nil {
-		return jr.rollbackMigration(m, newS, snapS, snapD, fmt.Errorf("import moved range: %w", err))
-	}
-	split, err := regroupSnaps([][]byte{snapS}, 2, func(k string) int { return moved([]byte(k)) }, js.join)
-	if err != nil {
-		return jr.rollbackMigration(m, newS, snapS, snapD, err)
-	}
-	merged, err := regroupSnaps([][]byte{snapD, split[1]}, 1, func(string) int { return 0 }, js.join)
-	if err != nil {
-		return jr.rollbackMigration(m, newS, snapS, snapD, err)
-	}
-	if err := js.ops[s].restoreState(split[0]); err != nil {
-		return jr.rollbackMigration(m, newS, snapS, snapD, err)
-	}
-	if err := js.ops[d].restoreState(merged[0]); err != nil {
-		return jr.rollbackMigration(m, newS, snapS, snapD, err)
+	if _, _, err := jr.rerouteCut(cutDir, []statebackend.Backend{newS, js.ops[d].Backend()}, moved, js.join, false); err != nil {
+		return jr.rollbackMigration(m, newS, fmt.Errorf("import moved range: %w", err))
 	}
 	if err := swapWorkerBackend(js, s, newS); err != nil {
-		return jr.rollbackMigration(m, newS, snapS, snapD, err)
+		return jr.rollbackMigration(m, newS, err)
 	}
+	// The parked operators' control state splits and merges in memory,
+	// as the stores' state just did.
+	split := regroup([]opSnapshotter{js.ops[s]}, 2, func(k string) int { return moved([]byte(k)) }, js.join)
+	merged := regroup([]opSnapshotter{js.ops[d], split[1]}, 1, func(string) int { return 0 }, js.join)
+	js.ops[s].adopt(split[0])
+	js.ops[d].adopt(merged[0])
 	jr.startHeal(js, s)
 	// Flip routing in memory. The JOB rename of the commit that follows
 	// this barrier persists the flipped table — the single commit point.
@@ -457,7 +447,7 @@ func swapWorkerBackend(js *jobStage, w int, b statebackend.Backend) error {
 // rollback itself fails the run ends with an error — the committed
 // generation is untouched, so Resume recovers (and reconciles the
 // journal to aborted).
-func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS, snapD []byte, cause error) error {
+func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, cause error) error {
 	js := m.js
 	s, d := m.rec.From, m.rec.To
 	fatal := func(step string, err error) error {
@@ -465,15 +455,11 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	}
 	// rebuild installs b, an empty store, as worker w's and restores it —
 	// store and operator — from cut, taken at this barrier.
-	rebuild := func(w int, b statebackend.Backend, cut string, snap []byte) error {
+	rebuild := func(w int, b statebackend.Backend, cut string) error {
 		if err := swapWorkerBackend(js, w, b); err != nil {
 			return err
 		}
-		cp, _ := statebackend.AsCheckpointer(b)
-		if _, err := cp.RestoreMeta(filepath.Join(m.dir, cut)); err != nil {
-			return err
-		}
-		return js.ops[w].restoreState(snap)
+		return jr.restoreCut(js.ops[w], filepath.Join(m.dir, cut), js.join)
 	}
 	// Source: fresh store restored from the sealed cut.
 	if newS != nil {
@@ -485,7 +471,7 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	if err != nil {
 		return fatal("reopen source store", err)
 	}
-	if err := rebuild(s, b, "cut", snapS); err != nil {
+	if err := rebuild(s, b, "cut"); err != nil {
 		return fatal("restore source from cut", err)
 	}
 	// Destination: the import may have landed a partial range; rebuild
@@ -495,7 +481,7 @@ func (jr *jobRun) rollbackMigration(m *migRun, newS statebackend.Backend, snapS,
 	if err != nil {
 		return fatal("reopen destination store", err)
 	}
-	if err := rebuild(d, bd, "dcut", snapD); err != nil {
+	if err := rebuild(d, bd, "dcut"); err != nil {
 		return fatal("restore destination from cut", err)
 	}
 	jr.startHeal(js, s)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"flowkv/internal/core"
 	"flowkv/internal/statebackend"
@@ -25,8 +26,9 @@ import (
 //     (rerouteCut). Appended values keep their order (one cut held all
 //     values of a key), and window boundaries move wholesale with their
 //     key.
-//   - Operator snapshots: regroupSnaps decodes the snapshots and sends
-//     every keyed registry entry to its owner.
+//   - Operator snapshots: each is decoded against the identities its
+//     cut's store enumerated, and regroup sends every keyed registry
+//     entry to its owner.
 //
 // Resume at another parallelism reroutes every committed cut of a stage
 // by routeKey at the new worker count; a live migration (migrate.go)
@@ -43,15 +45,23 @@ import (
 type opSnapshotter interface {
 	statefulOperator
 	snapshotState() []byte
-	restoreState([]byte) error
+	// restoreState decodes a snapshot against ids, the identities of the
+	// store restored with it when claimsIdentities, else nil.
+	restoreState(snap []byte, ids []core.Identity) error
+	// claimsIdentities reports whether the operator's snapshots name
+	// its state by the store's identities, so a restore must list them.
+	claimsIdentities() bool
+	// adopt installs a regrouped shell's registries and counters in
+	// place and re-derives the scheduling structures from them.
+	adopt(from opSnapshotter)
 	// setBackend swaps the operator's state backend in place — the live
 	// migration path rebuilds a parked worker's store and re-points the
 	// operator at it without reconstructing the operator.
 	setBackend(statebackend.Backend)
-	// regroupInto hands every keyed registry entry of a restored
-	// snapshot to outs[owner(key)], adds the lifetime counters onto
-	// outs[0], and raises every output's watermark to its own. outs are
-	// emptyOpState shells of the same operator kind.
+	// regroupInto hands every keyed registry entry of the operator to
+	// outs[owner(key)], adds the lifetime counters onto outs[0], and
+	// raises every output's watermark to its own. outs are emptyOpState
+	// shells of the same operator kind.
 	regroupInto(outs []opSnapshotter, owner func(key string) int)
 }
 
@@ -66,48 +76,38 @@ var (
 // leaves it for the next run to clear.
 const scratchName = ".migscratch"
 
-// regroupSnaps is the one key-regrouping primitive over operator
-// snapshots: it decodes snaps and encodes n new ones under three rules.
-// Every keyed registry entry — aligned key sets, sessions, custom windows
-// and count cursors; both sides' bucket keys for a join, which hold user
-// keys — goes to output owner(key). Every output gets the largest input
+// regroup is the one key-regrouping primitive over operator states: it
+// distributes ins over n new shells under three rules. Every keyed
+// registry entry — aligned key sets, sessions, custom windows and count
+// cursors; both sides' bucket keys for a join, which hold user keys —
+// goes to output owner(key). Every output gets the largest input
 // watermark (equal across workers at a barrier). Lifetime counters
 // (results, late drops, triggers) sum onto output 0, so job-level totals
-// are unchanged.
+// are unchanged. The outputs share registry entries with ins, whose own
+// registries are not used after (adopt replaces a live input's).
 //
 // Rescale, migration split and migration merge are all this call:
 //
-//	rescale: regroupSnaps(committed, par, routeKey at par, join)
-//	split:   regroupSnaps([src], 2, moved bucket -> 1, join)
-//	merge:   regroupSnaps([dst, move], 1, all -> 0, join)
+//	rescale: regroup(committed, par, routeKey at par, join)
+//	split:   regroup([src], 2, moved bucket -> 1, join)
+//	merge:   regroup([dst, move], 1, all -> 0, join)
 //
 // A split keeps the counters on the side that stays (output 0), and a
 // merge adds the moved side's zero counters.
-func regroupSnaps(snaps [][]byte, n int, owner func(key string) int, join bool) ([][]byte, error) {
+func regroup(ins []opSnapshotter, n int, owner func(key string) int, join bool) []opSnapshotter {
 	outs := make([]opSnapshotter, n)
 	for i := range outs {
 		outs[i] = emptyOpState(join)
 	}
-	for _, snap := range snaps {
-		in := opSnapshotter(&WindowOperator{})
-		if join {
-			in = &IntervalJoinOperator{}
-		}
-		if err := in.restoreState(snap); err != nil {
-			return nil, err
-		}
+	for _, in := range ins {
 		in.regroupInto(outs, owner)
 	}
-	res := make([][]byte, n)
-	for i, o := range outs {
-		res[i] = o.snapshotState()
-	}
-	return res, nil
+	return outs
 }
 
 // emptyOpState is an operator shell with empty registries and the
-// lowest watermark — what regroupInto adds onto. It only ever encodes a
-// snapshot; it never runs.
+// lowest watermark — what regroupInto adds onto. It is only ever
+// adopted, encoded or decoded into; it never runs.
 func emptyOpState(join bool) opSnapshotter {
 	if join {
 		return &IntervalJoinOperator{
@@ -179,19 +179,20 @@ func addKey(reg map[window.Window]map[string]struct{}, w window.Window, k string
 
 // rerouteCut restores one committed cut into the scratch store and
 // re-appends every live unit of its state into backends[owner(key)],
-// returning the operator snapshot the cut carried. owner maps a user
-// key: join state lives under side-tagged backend keys, and its owner is
-// decided by the user key, as live routing does. The cut is only read,
-// never modified — a crash mid-reroute leaves it intact for the next
-// Resume.
-func (jr *jobRun) rerouteCut(cpDir string, backends []statebackend.Backend, owner func(key []byte) int, join bool) ([]byte, error) {
+// returning the operator snapshot the cut carried and, when ids is set,
+// the identities it enumerated, sorted by core.CompareIdentities. owner
+// maps a user key: join state lives under side-tagged backend keys, and
+// its owner is decided by the user key, as live routing does. The cut is
+// only read, never modified — a crash mid-reroute leaves it intact for
+// the next Resume.
+func (jr *jobRun) rerouteCut(cpDir string, backends []statebackend.Backend, owner func(key []byte) int, join, ids bool) ([]byte, []core.Identity, error) {
 	pat, inst, err := core.VerifyCheckpointDir(jr.fsys, cpDir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scratch := filepath.Join(jr.j.Dir, scratchName)
 	if err := jr.fsys.RemoveAll(scratch); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer jr.fsys.RemoveAll(scratch)
 	st, err := core.OpenPattern(pat, window.Custom, core.Options{
@@ -200,14 +201,18 @@ func (jr *jobRun) rerouteCut(cpDir string, backends []statebackend.Backend, owne
 		FS:        jr.fsys,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	snap, rerr := st.RestoreWithMeta(cpDir)
 	if rerr != nil {
 		st.Destroy()
-		return nil, rerr
+		return nil, nil, rerr
 	}
+	var listed []core.Identity
 	ferr := st.ForEachState(func(e core.StateEntry) error {
+		if ids {
+			listed = append(listed, core.Identity{Key: string(e.Key), Window: e.Window})
+		}
 		user := e.Key
 		if join {
 			user = sideKeyUser(e.Key)
@@ -225,12 +230,13 @@ func (jr *jobRun) rerouteCut(cpDir string, backends []statebackend.Backend, owne
 	})
 	derr := st.Destroy()
 	if ferr != nil {
-		return nil, ferr
+		return nil, nil, ferr
 	}
 	if derr != nil {
-		return nil, derr
+		return nil, nil, derr
 	}
-	return snap, nil
+	slices.SortFunc(listed, core.CompareIdentities)
+	return snap, listed, nil
 }
 
 // cutDirName names worker w's cut of stage si inside a generation

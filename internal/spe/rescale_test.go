@@ -441,7 +441,7 @@ func TestOperatorSnapshotJoinReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := op2.restoreState(snap); err != nil {
+				if err := op2.restoreState(snap, nil); err != nil {
 					t.Fatal(err)
 				}
 				if again := op2.snapshotState(); !bytes.Equal(snap, again) {
@@ -638,11 +638,23 @@ func randomOpState(rng *rand.Rand, join bool) opSnapshotter {
 		addKey(w.aligned, win(), key())
 	}
 	for i := rng.Intn(20); i > 0; i-- {
+		// A key's initials are distinct store identities; most sessions
+		// hold one, many run past it, a few merged several.
 		var list []*session
+		seen := make(map[window.Window]bool)
 		for n := 1 + rng.Intn(3); n > 0; n-- {
-			s := &session{cur: win()}
-			for m := 1 + rng.Intn(3); m > 0; m-- {
-				s.initials = append(s.initials, win())
+			s := &session{}
+			for m := 1 + rng.Intn(3)*rng.Intn(2); m > 0; m-- {
+				iw := win()
+				for seen[iw] {
+					iw = win()
+				}
+				seen[iw] = true
+				s.initials = append(s.initials, iw)
+			}
+			s.cur = s.initials[0]
+			if rng.Intn(3) > 0 {
+				s.cur = win()
 			}
 			list = append(list, s)
 		}
@@ -661,15 +673,10 @@ func randomOpState(rng *rand.Rand, join bool) opSnapshotter {
 	return w
 }
 
-// opStateKeys decodes a snapshot and returns its keyed registry entries
-// as "registry/key" strings, with its watermark and counter sum.
-func opStateKeys(t *testing.T, snap []byte, join bool) (keys []string, wm, counters int64) {
-	t.Helper()
-	if join {
-		o := &IntervalJoinOperator{}
-		if err := o.restoreState(snap); err != nil {
-			t.Fatal(err)
-		}
+// opStateKeys returns an operator state's keyed registry entries as
+// "registry/key" strings, with its watermark and counter sum.
+func opStateKeys(op opSnapshotter) (keys []string, wm, counters int64) {
+	if o, ok := op.(*IntervalJoinOperator); ok {
 		for _, side := range []Side{Left, Right} {
 			for w, set := range o.buckets[side] {
 				for k := range set {
@@ -679,10 +686,7 @@ func opStateKeys(t *testing.T, snap []byte, join bool) (keys []string, wm, count
 		}
 		return keys, o.wm, o.results + o.late
 	}
-	o := &WindowOperator{}
-	if err := o.restoreState(snap); err != nil {
-		t.Fatal(err)
-	}
+	o := op.(*WindowOperator)
 	for w, set := range o.aligned {
 		for k := range set {
 			keys = append(keys, fmt.Sprintf("a%v/%s", w, k))
@@ -700,13 +704,43 @@ func opStateKeys(t *testing.T, snap []byte, join bool) (keys []string, wm, count
 	return keys, o.wm, o.resultsEmitted + o.lateDropped + o.triggersFired
 }
 
-// TestOperatorSnapshotRegroup is the property test of regroupSnaps, the
-// one primitive behind rescale, migration split and migration merge,
-// over random window and join operator states: every key lands on its
-// owner (a join by user key, the same worker on both sides), a split
-// followed by a merge gives back the original bytes, n -> m -> n
-// round-trips, and job-level counter sums and the largest watermark are
-// preserved.
+// identitiesOf lists the store identities an operator state's sessions
+// claim — what its store holds — or nil for a join.
+func identitiesOf(op opSnapshotter) []core.Identity {
+	o, ok := op.(*WindowOperator)
+	if !ok {
+		return nil
+	}
+	var ids []core.Identity
+	for _, c := range o.sessionClaims() {
+		ids = append(ids, c.id)
+	}
+	return ids
+}
+
+// reencode encodes an operator state, decodes it into a fresh shell
+// against the identities it claims, and requires the shell to encode to
+// the same bytes; it returns them.
+func reencode(t *testing.T, op opSnapshotter, join bool) []byte {
+	t.Helper()
+	snap := op.snapshotState()
+	re := emptyOpState(join)
+	if err := re.restoreState(snap, identitiesOf(op)); err != nil {
+		t.Fatal(err)
+	}
+	if again := re.snapshotState(); !bytes.Equal(again, snap) {
+		t.Fatalf("a decoded snapshot re-encodes differently:\n%x\n%x", snap, again)
+	}
+	return snap
+}
+
+// TestOperatorSnapshotRegroup is the property test of regroup, the one
+// primitive behind rescale, migration split and migration merge, over
+// random window and join operator states: every key lands on its owner
+// (a join by user key, the same worker on both sides), a split followed
+// by a merge gives back the original bytes, n -> m -> n round-trips, job-
+// level counter sums and the largest watermark are preserved, and every
+// regrouped state's snapshot decodes against the identities it claims.
 func TestOperatorSnapshotRegroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5e9))
 	for iter := 0; iter < 400; iter++ {
@@ -717,23 +751,22 @@ func TestOperatorSnapshotRegroup(t *testing.T) {
 		}
 		// Inputs as separate workers left them: any keys, watermarks and
 		// counters.
-		var in [][]byte
+		var in []opSnapshotter
 		var inKeys []string
 		var inWM, inCounters int64 = -1 << 63, 0
 		for i := 0; i < n; i++ {
-			snap := randomOpState(rng, join).snapshotState()
-			keys, wm, c := opStateKeys(t, snap, join)
-			in, inKeys = append(in, snap), append(inKeys, keys...)
+			st := randomOpState(rng, join)
+			reencode(t, st, join)
+			keys, wm, c := opStateKeys(st)
+			in, inKeys = append(in, st), append(inKeys, keys...)
 			inWM, inCounters = max(inWM, wm), inCounters+c
 		}
-		out, err := regroupSnaps(in, m, route(m), join)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := regroup(in, m, route(m), join)
 		var outKeys []string
 		var outCounters int64
-		for w, snap := range out {
-			keys, wm, c := opStateKeys(t, snap, join)
+		for w, st := range out {
+			reencode(t, st, join)
+			keys, wm, c := opStateKeys(st)
 			for _, k := range keys {
 				user := k[strings.LastIndexByte(k, '/')+1:]
 				if got := routeKey([]byte(user), m); got != w {
@@ -761,26 +794,17 @@ func TestOperatorSnapshotRegroup(t *testing.T) {
 		}
 
 		// n -> m -> n round-trips from a regrouped (canonical) state.
-		back, err := regroupSnaps(out, n, route(n), join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		there, err := regroupSnaps(back, m, route(m), join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := regroupSnaps(there, n, route(n), join)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back := regroup(out, n, route(n), join)
+		there := regroup(back, m, route(m), join)
+		again := regroup(there, n, route(n), join)
 		for w := range back {
-			if !bytes.Equal(back[w], again[w]) {
+			if !bytes.Equal(reencode(t, back[w], join), reencode(t, again[w], join)) {
 				t.Fatalf("iter %d: %d -> %d -> %d changed worker %d", iter, n, m, n, w)
 			}
 		}
 
 		// A migration's split followed by its merge gives back the source.
-		src := randomOpState(rng, join).snapshotState()
+		src := randomOpState(rng, join)
 		bucket := rng.Intn(n)
 		moved := func(k string) int {
 			if routeKey([]byte(k), n) == bucket {
@@ -788,15 +812,9 @@ func TestOperatorSnapshotRegroup(t *testing.T) {
 			}
 			return 0
 		}
-		split, err := regroupSnaps([][]byte{src}, 2, moved, join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, err := regroupSnaps(split, 1, func(string) int { return 0 }, join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(merged[0], src) {
+		split := regroup([]opSnapshotter{src}, 2, moved, join)
+		merged := regroup(split, 1, func(string) int { return 0 }, join)
+		if !bytes.Equal(reencode(t, merged[0], join), reencode(t, src, join)) {
 			t.Fatalf("iter %d: split then merge changed the snapshot", iter)
 		}
 	}

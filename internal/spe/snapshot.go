@@ -4,9 +4,11 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/core"
 	"flowkv/internal/window"
 )
 
@@ -26,26 +28,59 @@ import (
 // serialized state, so the restored operator fires the same triggers in
 // the same order.
 //
-// The encoding is dense and canonical — one state, one byte string, which
-// the decoder enforces — so an accepted snapshot re-encodes to itself:
+// Sessions are named by the store's identities. Every initial window of
+// every session is one (key, window) identity of the AUR or RMW store the
+// operator writes (§4.2), and the cut holds each of them; so the snapshot
+// writes only what the store cannot know, against the identities sorted
+// by core.CompareIdentities — each identity's position in that list is
+// its ordinal. A session is its first initial's identity (its primary);
+// an identity that is no session's further initial is the primary of a
+// session whose merged window is its own, the session of a single tuple,
+// which costs no byte. Restore decodes against the identities the
+// restored store lists and fails with ErrSnapshotMismatch unless the two
+// agree exactly.
+//
+// The encoding is dense and canonical — one state and one identity list,
+// one byte string, which the decoder enforces — so an accepted snapshot
+// re-encodes to itself:
 //
 //	magic, watermark, results, late drops, triggers fired
 //	aligned:  window count, then per window in order: window, key set
-//	sessions: the shortest window length among all sessions (L), then a
-//	          key list; per key its session count, and per session
-//	          cur.Start, cur's length - L and its initial count, and per
-//	          initial its start - cur.Start and its length - L
+//	sessions: identity count N; when N > 0, the CRC-32C of the
+//	          identity list, then three lists, each a count and entries
+//	          in ascending order, an entry's first field the gap to the
+//	          one before it (the first entry's: its ordinal):
+//	          further initials, per session with more than one: its
+//	          primary's ordinal, the count of further initials, and each
+//	          one's ordinal less the one before it (the primary's first);
+//	          extended, per session whose merged window cur differs from
+//	          its primary's window w: its ordinal among the sessions,
+//	          cur.Start - w.Start, cur.End - w.End;
+//	          orders, per key whose session list is not in primary order:
+//	          its ordinal among the keys, then per list position the
+//	          session's rank in primary order
 //	custom:   key list; per key a window count, then per window in
 //	          order: window, max tuple timestamp
 //	counts:   key list; per key its element counter
 //
 // Key sets and key lists are putKeys lists: sorted keys, each
-// prefix-compressed against the one before it. Relative session windows
-// make an in-order session's initial — it starts where its session does
-// and spans one gap — two bytes instead of two absolute timestamps.
+// prefix-compressed against the one before it.
 
 // opSnapMagic versions the operator snapshot encoding.
-const opSnapMagic = "flowkv-opsnap2\n"
+const opSnapMagic = "flowkv-opsnap3\n"
+
+// ErrCorruptSnapshot reports operator snapshot bytes that do not decode:
+// a bad magic (an encoding this build does not read), a malformed field
+// or trailing bytes.
+var ErrCorruptSnapshot = errors.New("spe: corrupt operator snapshot")
+
+// ErrSnapshotMismatch reports a window operator snapshot whose session
+// section does not describe the store identities it is restored against:
+// another identity count or list, an ordinal past the end of the list,
+// an identity claimed twice, or a non-canonical entry. The APPMETA and
+// the cut it was restored with disagree, and the restore fails rather
+// than run on a registry that does not match the store.
+var ErrSnapshotMismatch = errors.New("spe: operator snapshot does not match the store's identities")
 
 // snapshotState serializes the operator's control state.
 func (o *WindowOperator) snapshotState() []byte {
@@ -61,24 +96,7 @@ func (o *WindowOperator) snapshotState() []byte {
 		b = putKeySet(w.AppendTo(b), o.aligned[w])
 	}
 
-	// The initials order is preserved: initials[0] identifies where the
-	// incremental accumulator lives.
-	shortest := shortestSession(o.sessions)
-	b = binio.PutVarint(b, shortest)
-	b = putKeys(b, sortedKeys(o.sessions), func(b []byte, k string) []byte {
-		list := o.sessions[k]
-		b = binio.PutUvarint(b, uint64(len(list)))
-		for _, s := range list {
-			b = binio.PutVarint(b, s.cur.Start)
-			b = binio.PutUvarint(b, uint64(s.cur.Span()-shortest))
-			b = binio.PutUvarint(b, uint64(len(s.initials)))
-			for _, iw := range s.initials {
-				b = binio.PutVarint(b, iw.Start-s.cur.Start)
-				b = binio.PutUvarint(b, uint64(iw.Span()-shortest))
-			}
-		}
-		return b
-	})
+	b = o.putSessions(b)
 
 	b = putKeys(b, sortedKeys(o.custom), func(b []byte, k string) []byte {
 		set := o.custom[k]
@@ -95,25 +113,144 @@ func (o *WindowOperator) snapshotState() []byte {
 	})
 }
 
-// shortestSession is the shortest length among all sessions' windows,
-// current and initial; 0 when there are none.
-func shortestSession(sessions map[string][]*session) int64 {
-	var shortest int64
-	first := true
-	see := func(w window.Window) {
-		if first || w.Span() < shortest {
-			shortest, first = w.Span(), false
+// claim is one initial window of one session: initials[i] of s, under key.
+type claim struct {
+	id core.Identity
+	s  *session
+	i  int
+}
+
+// sessionClaims returns every initial of every session as an identity,
+// sorted by core.CompareIdentities: the identities the operator's store
+// holds for its sessions.
+func (o *WindowOperator) sessionClaims() []claim {
+	n := 0
+	for _, list := range o.sessions {
+		for _, s := range list {
+			n += len(s.initials)
 		}
 	}
-	for _, list := range sessions {
+	claims := make([]claim, 0, n)
+	for k, list := range o.sessions {
 		for _, s := range list {
-			see(s.cur)
-			for _, iw := range s.initials {
-				see(iw)
+			for i, iw := range s.initials {
+				claims = append(claims, claim{core.Identity{Key: k, Window: iw}, s, i})
 			}
 		}
 	}
-	return shortest
+	slices.SortFunc(claims, func(a, b claim) int { return core.CompareIdentities(a.id, b.id) })
+	return claims
+}
+
+// identityCRC is the CRC-32C of an identity list: per identity its key
+// (length-prefixed) and window.
+func identityCRC(n int, at func(i int) core.Identity) uint32 {
+	var crc uint32
+	var buf []byte
+	for i := 0; i < n; i++ {
+		id := at(i)
+		buf = id.Window.AppendTo(binio.PutString(buf[:0], id.Key))
+		crc = binio.ChecksumUpdate(crc, buf)
+	}
+	return crc
+}
+
+// putSessions appends the session section: see the encoding above.
+func (o *WindowOperator) putSessions(b []byte) []byte {
+	claims := o.sessionClaims()
+	b = binio.PutUvarint(b, uint64(len(claims)))
+	if len(claims) == 0 {
+		return b
+	}
+	b = binio.PutUint32(b, identityCRC(len(claims), func(i int) core.Identity { return claims[i].id }))
+
+	// Further initials. A multi-initial session's ordinals, in its
+	// initials' order, are gathered in one pass over the claims.
+	further := make(map[*session][]int)
+	var prims []int // the primaries' ordinals, ascending
+	for p, c := range claims {
+		if c.i == 0 {
+			prims = append(prims, p)
+		}
+		if len(c.s.initials) > 1 {
+			ords := further[c.s]
+			if ords == nil {
+				ords = make([]int, len(c.s.initials))
+				further[c.s] = ords
+			}
+			ords[c.i] = p
+		}
+	}
+	b = binio.PutUvarint(b, uint64(len(further)))
+	prev := -1
+	for _, p := range prims {
+		ords := further[claims[p].s]
+		if ords == nil {
+			continue
+		}
+		b = binio.PutUvarint(b, uint64(p-prev-1))
+		b = binio.PutUvarint(b, uint64(len(ords)-1))
+		for i := 1; i < len(ords); i++ {
+			b = binio.PutVarint(b, int64(ords[i]-ords[i-1]))
+		}
+		prev = p
+	}
+
+	// Extended sessions.
+	var extended int
+	for _, p := range prims {
+		if s := claims[p].s; s.cur != s.initials[0] {
+			extended++
+		}
+	}
+	b = binio.PutUvarint(b, uint64(extended))
+	prev = -1
+	for j, p := range prims {
+		s := claims[p].s
+		if w := s.initials[0]; s.cur != w {
+			b = binio.PutUvarint(b, uint64(j-prev-1))
+			b = binio.PutVarint(b, s.cur.Start-w.Start)
+			b = binio.PutVarint(b, s.cur.End-w.End)
+			prev = j
+		}
+	}
+
+	// Session-list orders. prims runs key by key, each key's sessions in
+	// primary order: the order a key without an entry decodes to.
+	type order struct {
+		key   int
+		ranks []int
+	}
+	var orders []order
+	for g, ki := 0, 0; g < len(prims); ki++ {
+		key := claims[prims[g]].id.Key
+		e := g + 1
+		for e < len(prims) && claims[prims[e]].id.Key == key {
+			e++
+		}
+		if list := o.sessions[key]; len(list) > 1 {
+			ranks := make([]int, len(list))
+			sorted := true
+			for i, s := range list {
+				ranks[i] = slices.IndexFunc(prims[g:e], func(p int) bool { return claims[p].s == s })
+				sorted = sorted && ranks[i] == i
+			}
+			if !sorted {
+				orders = append(orders, order{ki, ranks})
+			}
+		}
+		g = e
+	}
+	b = binio.PutUvarint(b, uint64(len(orders)))
+	prev = -1
+	for _, ord := range orders {
+		b = binio.PutUvarint(b, uint64(ord.key-prev-1))
+		for _, r := range ord.ranks {
+			b = binio.PutUvarint(b, uint64(r))
+		}
+		prev = ord.key
+	}
+	return b
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -162,10 +299,12 @@ func putKeySet(b []byte, set map[string]struct{}) []byte {
 }
 
 // restoreState rebuilds the operator's control state from a snapshot.
-// The operator must be freshly constructed; scheduling structures
-// (aligned heap, session and custom-window timers) are re-derived from
-// the decoded state.
-func (o *WindowOperator) restoreState(b []byte) error {
+// ids are the identities of the store restored with it, as listed by
+// statebackend.IdentityLister — nil for an operator whose snapshots claim
+// none (claimsIdentities) — and the session section must describe them
+// exactly. Scheduling structures (aligned heap, session and custom-window
+// timers) are re-derived from the decoded state.
+func (o *WindowOperator) restoreState(b []byte, ids []core.Identity) error {
 	d := snapDecoder{b: b}
 	if err := d.magic(opSnapMagic); err != nil {
 		return err
@@ -176,39 +315,17 @@ func (o *WindowOperator) restoreState(b []byte) error {
 	o.triggersFired = d.varint()
 
 	o.aligned = make(map[window.Window]map[string]struct{})
-	o.alignedHeap = o.alignedHeap[:0]
 	var prev window.Window
 	for i, n := uint64(0), d.count(3); i < n && d.err == nil; i++ {
 		w := d.nextWindow(prev, i)
 		set := d.keySet()
 		if d.err == nil {
 			o.aligned[w] = set
-			o.alignedHeap = append(o.alignedHeap, w)
 		}
 		prev = w
 	}
-	heap.Init(&o.alignedHeap)
 
-	o.sessions = make(map[string][]*session)
-	o.armedAt = make(map[string]int64)
-	o.timers = o.timers[:0]
-	shortest := d.varint()
-	d.keys(func(key string) {
-		var list []*session
-		for n := d.count(3); n > 0 && d.err == nil; n-- {
-			start := d.varint()
-			s := &session{cur: window.Window{Start: start, End: start + shortest + int64(d.uvarint())}}
-			for in := d.count(2); in > 0 && d.err == nil; in-- {
-				is := start + d.varint()
-				s.initials = append(s.initials, window.Window{Start: is, End: is + shortest + int64(d.uvarint())})
-			}
-			list = append(list, s)
-		}
-		o.sessions[key] = list
-	})
-	if d.err == nil && shortestSession(o.sessions) != shortest {
-		d.fail("the shortest session length is not the recorded one")
-	}
+	o.sessions = d.sessions(ids)
 
 	o.custom = make(map[string]map[window.Window]int64)
 	d.keys(func(key string) {
@@ -217,7 +334,6 @@ func (o *WindowOperator) restoreState(b []byte) error {
 		for i, n := uint64(0), d.count(3); i < n && d.err == nil; i++ {
 			w := d.nextWindow(prev, i)
 			set[w] = d.varint()
-			heap.Push(&o.timers, timerEntry{at: w.End, key: key, w: w})
 			prev = w
 		}
 		o.custom[key] = set
@@ -226,13 +342,191 @@ func (o *WindowOperator) restoreState(b []byte) error {
 	o.counts = make(map[string]int64)
 	d.keys(func(key string) { o.counts[key] = d.varint() })
 	if err := d.finish(); err != nil {
-		return fmt.Errorf("spe: corrupt operator snapshot: %w", err)
+		if errors.Is(err, ErrSnapshotMismatch) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	// Re-arm one session timer per key, exactly as live ingestion would.
+	o.rearm()
+	return nil
+}
+
+// claimsIdentities reports whether the operator's snapshots name its
+// sessions by its store's identities, so that a restore must list them:
+// a session operator's do.
+func (o *WindowOperator) claimsIdentities() bool { return o.kind == window.Session }
+
+// adopt installs the registries, watermark and counters of from, a
+// shell regrouped in memory (regroup), into o and re-derives o's
+// scheduling structures from them.
+func (o *WindowOperator) adopt(from opSnapshotter) {
+	f := from.(*WindowOperator)
+	o.wm, o.resultsEmitted, o.lateDropped, o.triggersFired = f.wm, f.resultsEmitted, f.lateDropped, f.triggersFired
+	o.aligned, o.sessions, o.custom, o.counts = f.aligned, f.sessions, f.custom, f.counts
+	o.rearm()
+}
+
+// rearm rebuilds the aligned-window heap and the timers from the
+// registries: one timer per custom window at its end, and one session
+// timer per key, exactly as live ingestion would arm them.
+func (o *WindowOperator) rearm() {
+	o.alignedHeap = append(o.alignedHeap[:0], sortedWindows(o.aligned)...)
+	heap.Init(&o.alignedHeap)
+	o.timers = o.timers[:0]
+	for _, key := range sortedKeys(o.custom) {
+		for _, w := range sortedWindows(o.custom[key]) {
+			heap.Push(&o.timers, timerEntry{at: w.End, key: key, w: w})
+		}
+	}
+	o.armedAt = make(map[string]int64)
 	for key := range o.sessions {
 		o.armSession(key)
 	}
-	return nil
+}
+
+// sessions decodes the session section against ids (see the encoding
+// above). Every disagreement with ids, and every entry the encoder would
+// not write, wraps ErrSnapshotMismatch: the section's bytes mean
+// something only against the identity list they were written for.
+func (d *snapDecoder) sessions(ids []core.Identity) map[string][]*session {
+	sessions := make(map[string][]*session)
+	n := d.uvarint()
+	if d.err != nil {
+		return sessions
+	}
+	if n != uint64(len(ids)) {
+		d.mismatch("the snapshot claims %d identities, the store holds %d", n, len(ids))
+		return sessions
+	}
+	if n == 0 {
+		return sessions
+	}
+	for i := 1; i < len(ids); i++ {
+		if core.CompareIdentities(ids[i-1], ids[i]) >= 0 {
+			d.mismatch("store identities %d and %d are not in ascending order", i-1, i)
+			return sessions
+		}
+	}
+	if crc := d.uint32(); d.err == nil && crc != identityCRC(len(ids), func(i int) core.Identity { return ids[i] }) {
+		d.mismatch("the snapshot was taken against another identity list (CRC %08x)", crc)
+	}
+
+	// owner[i] is the primary ordinal of the session identity i is an
+	// initial of, once claimed; -1 while unclaimed (a single-initial
+	// session's primary).
+	owner := make([]int, len(ids))
+	for i := range owner {
+		owner[i] = -1
+	}
+	further := make(map[int][]int)
+	prev := -1
+	for h := d.count(3); h > 0 && d.err == nil; h-- {
+		p := d.ordinal(prev, len(ids), "identity")
+		k := d.count(1)
+		if d.err != nil {
+			break
+		}
+		if owner[p] != -1 || k == 0 {
+			d.mismatch("identity %d is claimed twice, or claims no further initial", p)
+			break
+		}
+		owner[p] = p
+		last := p
+		for ; k > 0 && d.err == nil; k-- {
+			f := int64(last) + d.varint()
+			switch {
+			case d.err != nil:
+			case f < 0 || f >= int64(len(ids)):
+				d.mismatch("initial ordinal %d is past the end of %d identities", f, len(ids))
+			case owner[f] != -1:
+				d.mismatch("identity %d is claimed twice", f)
+			case ids[f].Key != ids[p].Key:
+				d.mismatch("identity %d is an initial of a session of another key", f)
+			default:
+				owner[f] = p
+				further[p] = append(further[p], int(f))
+				last = int(f)
+			}
+		}
+		prev = p
+	}
+	if d.err != nil {
+		return sessions
+	}
+
+	// The sessions in primary order, and the keys in order with each
+	// key's sessions in primary order.
+	var all []*session
+	var keys []string
+	var lists [][]*session
+	for i, id := range ids {
+		if owner[i] != -1 && owner[i] != i {
+			continue
+		}
+		s := &session{cur: id.Window, initials: make([]window.Window, 1, 1+len(further[i]))}
+		s.initials[0] = id.Window
+		for _, f := range further[i] {
+			s.initials = append(s.initials, ids[f].Window)
+		}
+		all = append(all, s)
+		if len(keys) == 0 || keys[len(keys)-1] != id.Key {
+			keys = append(keys, id.Key)
+			lists = append(lists, nil)
+		}
+		lists[len(lists)-1] = append(lists[len(lists)-1], s)
+	}
+
+	prev = -1
+	for e := d.count(3); e > 0 && d.err == nil; e-- {
+		j := d.ordinal(prev, len(all), "session")
+		ds, de := d.varint(), d.varint()
+		if d.err != nil {
+			break
+		}
+		if ds == 0 && de == 0 {
+			d.mismatch("session %d is listed as extended with its own window", j)
+			break
+		}
+		s := all[j]
+		s.cur = window.Window{Start: s.initials[0].Start + ds, End: s.initials[0].End + de}
+		prev = j
+	}
+
+	prev = -1
+	for p := d.count(3); p > 0 && d.err == nil; p-- {
+		ki := d.ordinal(prev, len(keys), "key")
+		if d.err != nil {
+			break
+		}
+		list := lists[ki]
+		if len(list) < 2 {
+			d.mismatch("key %d has %d session, no order to record", ki, len(list))
+			break
+		}
+		ordered := make([]*session, len(list))
+		taken := make([]bool, len(list))
+		sorted := true
+		for i := range ordered {
+			r := d.uvarint()
+			if d.err == nil && (r >= uint64(len(list)) || taken[r]) {
+				d.mismatch("rank %d of a key's %d sessions is out of range or repeated", r, len(list))
+			}
+			if d.err != nil {
+				break
+			}
+			ordered[i], taken[r] = list[r], true
+			sorted = sorted && r == uint64(i)
+		}
+		if d.err == nil && sorted {
+			d.mismatch("key %d's session order restates the default", ki)
+		}
+		lists[ki] = ordered
+		prev = ki
+	}
+	for ki, k := range keys {
+		sessions[k] = lists[ki]
+	}
+	return sessions
 }
 
 // errPaddedVarint reports a varint encoded in more bytes than it needs —
@@ -251,7 +545,7 @@ type snapDecoder struct {
 
 func (d *snapDecoder) magic(m string) error {
 	if len(d.b) < len(m) || string(d.b[:len(m)]) != m {
-		return fmt.Errorf("spe: not an operator snapshot (bad magic)")
+		return fmt.Errorf("%w: bad magic", ErrCorruptSnapshot)
 	}
 	d.b = d.b[len(m):]
 	return nil
@@ -261,6 +555,14 @@ func (d *snapDecoder) magic(m string) error {
 func (d *snapDecoder) fail(why string) {
 	if d.err == nil {
 		d.err = errors.New(why)
+	}
+}
+
+// mismatch latches an ErrSnapshotMismatch unless an error is already
+// latched.
+func (d *snapDecoder) mismatch(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrSnapshotMismatch}, args...)...)
 	}
 }
 
@@ -306,6 +608,32 @@ func (d *snapDecoder) uvarint() uint64 {
 		return 0
 	}
 	return v
+}
+
+func (d *snapDecoder) uint32() uint32 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := binio.Uint32(d.b)
+	if err != nil {
+		d.err = err
+		return 0
+	}
+	d.b = d.b[4:]
+	return v
+}
+
+// ordinal decodes the gap field of a list entry: the entry's ordinal is
+// prev+1+gap, which must be below n, the count of what it names.
+func (d *snapDecoder) ordinal(prev, n int, what string) int {
+	gap := d.uvarint()
+	if d.err == nil && gap >= uint64(n-prev-1) {
+		d.mismatch("%s ordinal %d+%d is past the end of %d", what, prev+1, gap, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return prev + 1 + int(gap)
 }
 
 // count decodes an element count, each element taking at least min

@@ -47,6 +47,34 @@ func (b *flowkvBackend) RestoreMeta(dir string) ([]byte, error) {
 	return b.store.RestoreWithMeta(dir)
 }
 
+// IdentityLister is the optional capability to list a backend's live
+// (key, window) identities, sorted by core.CompareIdentities, from
+// memory. A job restores a session operator's registry against it. The
+// FlowKV backend over an AUR or RMW store provides it.
+type IdentityLister interface {
+	Identities() ([]core.Identity, error)
+}
+
+// Identities implements IdentityLister over core.Store.
+func (b *flowkvBackend) Identities() ([]core.Identity, error) {
+	return b.store.Identities()
+}
+
+// AsIdentityLister extracts the identity-listing capability, looking
+// through wrappers like AsCheckpointer.
+func AsIdentityLister(b Backend) (IdentityLister, bool) {
+	for {
+		if l, ok := b.(IdentityLister); ok {
+			return l, true
+		}
+		u, ok := b.(Unwrapper)
+		if !ok {
+			return nil, false
+		}
+		b = u.Unwrap()
+	}
+}
+
 // AsCheckpointer extracts the checkpoint capability from a backend,
 // looking through wrappers (see Unwrapper).
 func AsCheckpointer(b Backend) (Checkpointer, bool) {
@@ -92,4 +120,7 @@ func StartSelfHeal(b Backend, opts core.SelfHealOptions) (stop func(), ok bool) 
 	return h.Stop, true
 }
 
-var _ DeltaCheckpointer = (*flowkvBackend)(nil)
+var (
+	_ DeltaCheckpointer = (*flowkvBackend)(nil)
+	_ IdentityLister    = (*flowkvBackend)(nil)
+)
