@@ -33,10 +33,9 @@ fuzz:
 	$(GO) test ./internal/binio/ -fuzz FuzzInflate -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeLiveness -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -run '^$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/rmw/ -fuzz FuzzDecodeLiveness -run '^$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentsSnapshot -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aar/ -fuzz FuzzDecodeAARChunk -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window/ -fuzz FuzzWindowDecode -run '^$$' -fuzztime $(FUZZTIME)

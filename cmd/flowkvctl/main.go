@@ -30,9 +30,9 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
 	"flowkv/internal/core/aar"
-	"flowkv/internal/core/aur"
 	"flowkv/internal/jobmanager"
 	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
@@ -103,9 +103,10 @@ func cmdLs(dir string) error {
 	})
 }
 
-// aurSegmentLog matches the log of an AUR segment, live or as a checkpoint
-// segment of it, capturing the segment's id.
-var aurSegmentLog = regexp.MustCompile(`^aur-(\d{6})\.log`)
+// segmentLog matches the log of an AUR or RMW segment, live or as a
+// checkpoint segment of it, capturing the store's prefix and the segment's
+// id.
+var segmentLog = regexp.MustCompile(`^(aur|rmw)-(\d{6})\.log`)
 
 // segmentName matches a checkpoint segment file, "<logical>.seg-<offset>"
 // (ckpt.SegmentName), capturing the logical file it is a slice of and the
@@ -133,12 +134,12 @@ func fileKind(name string) string {
 		return "sstable"
 	case strings.HasPrefix(name, "hlog-"):
 		return "hybrid-log"
+	case name == "aur.live":
+		return "aur-liveness"
 	case name == "rmw.live":
 		return "rmw-liveness"
 	case logical == "rmw.buf":
 		return "rmw-buffer-dump" + suffix
-	case name == "segments.snap":
-		return "aur-segment-table"
 	case name == "SEGMENTS":
 		return "segment-manifest"
 	case name == "MANIFEST":
@@ -221,108 +222,80 @@ func cmdAAR(path string) error {
 // torn tails are reported per file. A torn tail alone is recoverable
 // (open-time recovery truncates to the last whole record); corrupt
 // records in the middle of a log are not, and make the command fail.
+//
+// An AUR or RMW instance's log is a set of segments numbered from 0 in
+// creation order, each a log of blocks of entries — value batches, or one
+// aggregate each. Per instance it prints what its segments hold and, per
+// segment, its entries and bytes and — inside a checkpoint, whose liveness
+// file (aur.live, rmw.live) has a bit per entry — how much of it is live.
 func cmdHealth(dir string) error {
 	fmt.Println("status   records      bytes  file")
 	var files, torn, corrupt int
-	// An RMW instance's log is a set of segments numbered from 0 in
-	// creation order, each a log of blocks of one aggregate per entry: per
-	// directory, how many are left and the highest number seen say how
-	// many have been dropped, and what the ones left hold says how large an
-	// eviction — a quarter of the write buffer — came out.
-	type rmwLog struct {
-		live, created          int
-		entries, blocks, bytes int64
+	type segStat struct{ entries, blocks, bytes, live int64 }
+	type segLog struct {
+		prefix string
+		segs   map[uint32]*segStat
+		live   map[uint32]*ckpt.SegLive // nil outside a checkpoint
 	}
-	rmwLogs := make(map[string]*rmwLog)
-	// An AUR instance's log is a set of segments, each a log of blocks
-	// carrying value batches with their keys and windows: per segment, its
-	// batches, blocks and bytes, and — inside a checkpoint, where
-	// segments.snap holds the consumed marks — how much of it is live.
-	type aurSeg struct{ batches, blocks, bytes, live int64 }
-	type aurLog struct {
-		segs map[uint32]*aurSeg
-		snap map[uint32]*aur.SegmentInfo // nil outside a checkpoint
-	}
-	aurLogs := make(map[string]*aurLog)
+	logs := make(map[string]*segLog) // by instance directory and prefix
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
 		name := d.Name()
-		isLog := strings.HasPrefix(name, "win_") || strings.HasPrefix(name, "aur-") ||
-			strings.HasPrefix(name, "rmw-")
-		if !isLog {
+		m := segmentLog.FindStringSubmatch(name)
+		if m == nil && !strings.HasPrefix(name, "win_") {
 			return nil
 		}
 		files++
 		rel, _ := filepath.Rel(dir, path)
-		var rl *rmwLog // set for a segment of an RMW instance's log
-		if strings.HasPrefix(name, "rmw-") {
-			inst := filepath.Dir(rel)
-			if rmwLogs[inst] == nil {
-				rmwLogs[inst] = &rmwLog{}
-			}
-			rl = rmwLogs[inst]
-			rl.live++
-			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "rmw-"), ".log")); err == nil && n >= rl.created {
-				rl.created = n + 1
-			}
-		}
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		var as *aurSeg          // set for the log of an AUR instance's segment
-		var si *aur.SegmentInfo // and, in a checkpoint, its marks
-		var base int64          // where in the segment's log the file starts
-		if m := aurSegmentLog.FindStringSubmatch(name); m != nil {
-			inst := filepath.Dir(rel)
-			al := aurLogs[inst]
-			if al == nil {
-				al = &aurLog{segs: make(map[uint32]*aurSeg)}
-				aurLogs[inst] = al
-				if b, err := os.ReadFile(filepath.Join(filepath.Dir(path), "segments.snap")); err == nil {
-					infos, err := aur.DecodeSegmentsSnapshot(b)
+		var ss *segStat      // set for the log of an AUR or RMW segment
+		var sl *ckpt.SegLive // and, in a checkpoint, its bitmap
+		if m != nil {
+			key := filepath.Join(filepath.Dir(rel), m[1])
+			lg := logs[key]
+			if lg == nil {
+				lg = &segLog{prefix: m[1], segs: make(map[uint32]*segStat)}
+				logs[key] = lg
+				if b, err := os.ReadFile(filepath.Join(filepath.Dir(path), m[1]+".live")); err == nil {
+					segs, err := ckpt.DecodeLiveness(b)
 					if err != nil {
-						return fmt.Errorf("%s: %w", inst, err)
+						return fmt.Errorf("%s: %w", filepath.Dir(rel), err)
 					}
-					al.snap = make(map[uint32]*aur.SegmentInfo, len(infos))
-					for i := range infos {
-						al.snap[infos[i].ID] = &infos[i]
+					lg.live = make(map[uint32]*ckpt.SegLive, len(segs))
+					for i := range segs {
+						lg.live[segs[i].ID] = &segs[i]
 					}
 				}
 			}
-			sid, _ := strconv.ParseUint(m[1], 10, 32)
-			if as = al.segs[uint32(sid)]; as == nil { // a delta checkpoint may hold it in pieces
-				as = &aurSeg{}
-				al.segs[uint32(sid)] = as
+			sid, _ := strconv.ParseUint(m[2], 10, 32)
+			if ss = lg.segs[uint32(sid)]; ss == nil { // a delta checkpoint may hold it in pieces, in order
+				ss = &segStat{}
+				lg.segs[uint32(sid)] = ss
 			}
-			si = al.snap[uint32(sid)]
-			if m := segmentName.FindStringSubmatch(name); m != nil {
-				base, _ = strconv.ParseInt(m[2], 10, 64)
-			}
+			sl = lg.live[uint32(sid)]
 		}
 		sc := binio.NewRecordScanner(bufio.NewReaderSize(f, 1<<20), 0)
 		var records int
 		for off := int64(0); sc.Scan(); off = sc.Offset() {
 			records++
-			if rl != nil {
-				n, _ := logfile.DecodeSegmentBlock(sc.Record(), func(*logfile.BlockEntry) error { return nil })
-				rl.entries += int64(n)
-			}
-			if as == nil {
+			if ss == nil {
 				continue
 			}
-			frame := int(sc.Offset()-off) - len(sc.Record()) // counted by the first batch
-			n, _ := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
-				if si != nil && !si.Dead(base+off, e) {
-					as.live += int64(e.Size + frame)
+			frame := int(sc.Offset()-off) - len(sc.Record()) // counted by the first entry
+			_, _ = logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
+				if ord := uint32(ss.entries); sl != nil && ord < sl.Entries && sl.Live(ord) {
+					ss.live += int64(e.Size + frame)
 				}
+				ss.entries++
 				frame = 0
 				return nil
 			})
-			as.batches += int64(n)
 		}
 		status := "ok"
 		switch {
@@ -334,63 +307,63 @@ func cmdHealth(dir string) error {
 			status = fmt.Sprintf("torn@%d", sc.Offset())
 		}
 		fmt.Printf("%-8s %7d %10d  %s\n", status, records, sc.Offset(), rel)
-		if rl != nil {
-			rl.blocks += int64(records)
-			rl.bytes += sc.Offset()
-		}
-		if as != nil {
-			as.blocks += int64(records)
-			as.bytes += sc.Offset()
+		if ss != nil {
+			ss.blocks += int64(records)
+			ss.bytes += sc.Offset()
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	insts := make([]string, 0, len(rmwLogs))
-	for inst := range rmwLogs {
-		insts = append(insts, inst)
+	keys := make([]string, 0, len(logs))
+	for key := range logs {
+		keys = append(keys, key)
 	}
-	sort.Strings(insts)
-	for _, inst := range insts {
-		l := rmwLogs[inst]
-		fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned); %d entries and %d blocks in %d bytes on disk, %d bytes a segment\n",
-			inst, l.live, l.created-l.live, l.entries, l.blocks, l.bytes, l.bytes/int64(l.live))
+	sort.Strings(keys)
+	var aurs, rmws int
+	for _, key := range keys {
+		lg, inst := logs[key], filepath.Dir(key)
+		sids := make([]uint32, 0, len(lg.segs))
+		var sum segStat
+		for sid, ss := range lg.segs {
+			sids = append(sids, sid)
+			sum.entries += ss.entries
+			sum.blocks += ss.blocks
+			sum.bytes += ss.bytes
+		}
+		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
+		noun := "entries"
+		if lg.prefix == "aur" {
+			aurs++
+			noun = "batches"
+			fmt.Printf("aur log %s: %d segments; %d batches in %d blocks, %d bytes\n",
+				inst, len(sids), sum.entries, sum.blocks, sum.bytes)
+		} else {
+			// Segments are numbered in creation order: the highest number
+			// says how many were dropped, and what is left how large an
+			// eviction — a quarter of the write buffer — came out.
+			rmws++
+			created := int(sids[len(sids)-1]) + 1
+			fmt.Printf("rmw log %s: %d live segments, at least %d dropped (emptied or cleaned); %d entries and %d blocks in %d bytes on disk, %d bytes a segment\n",
+				inst, len(sids), created-len(sids), sum.entries, sum.blocks, sum.bytes, sum.bytes/int64(len(sids)))
+		}
+		for _, sid := range sids {
+			ss := lg.segs[sid]
+			// What is live is in the running store's memory; a checkpoint
+			// carries it as its liveness file.
+			share := fmt.Sprintf("live share not on disk (no %s.live)", lg.prefix)
+			if lg.live != nil {
+				share = fmt.Sprintf("%d%% live", 100*ss.live/max(ss.bytes, 1))
+			}
+			fmt.Printf("  segment %06d: %d %s in %d bytes, %s\n", sid, ss.entries, noun, ss.bytes, share)
+		}
 	}
-	if len(insts) > 0 {
+	if rmws > 0 {
 		// The files record what is on disk now, not how it got there.
 		fmt.Println("rmw logs: bytes flushed and cleaned, and aggregates consumed from the buffer vs from disk, are counters of the running store (core.Stats FlushBytes, CompactionBytes, BufferHits, DiskHits)")
 	}
-	insts = insts[:0]
-	for inst := range aurLogs {
-		insts = append(insts, inst)
-	}
-	sort.Strings(insts)
-	for _, inst := range insts {
-		l := aurLogs[inst]
-		sids := make([]uint32, 0, len(l.segs))
-		var sum aurSeg
-		for sid, sg := range l.segs {
-			sids = append(sids, sid)
-			sum.batches += sg.batches
-			sum.blocks += sg.blocks
-			sum.bytes += sg.bytes
-		}
-		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-		fmt.Printf("aur log %s: %d segments; %d batches in %d blocks, %d bytes\n",
-			inst, len(sids), sum.batches, sum.blocks, sum.bytes)
-		for _, sid := range sids {
-			sg := l.segs[sid]
-			// What is live and which segments are open is in the running
-			// store's memory; a checkpoint carries it as segments.snap.
-			state := "live share and state not on disk (no segments.snap)"
-			if si := l.snap[sid]; si != nil {
-				state = fmt.Sprintf("%d%% live, %s", 100*sg.live/max(sg.bytes, 1), [...]string{"sealed", "open (flush head)", "open (survivor)"}[si.State])
-			}
-			fmt.Printf("  segment %06d: %d batches in %d bytes, %s\n", sid, sg.batches, sg.bytes, state)
-		}
-	}
-	if len(insts) > 0 {
+	if aurs > 0 {
 		fmt.Println("aur logs: bytes flushed and cleaned, segments dropped, and sessions consumed from the buffer vs with state on disk, are counters of the running store (core.Stats FlushBytes, CompactionBytes, SegmentsDropped, BufferHits, DiskHits)")
 	}
 	fmt.Printf("%d log files: %d clean, %d torn tails (recoverable), %d corrupt\n",

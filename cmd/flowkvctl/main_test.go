@@ -30,7 +30,7 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 		want []string
 	}{
 		{core.PatternAAR, window.Fixed, []string{"aar-window-seg"}},
-		{core.PatternAUR, window.Session, []string{"aur-stat-stream-seg"}},
+		{core.PatternAUR, window.Session, []string{"aur-segment-seg", "aur-liveness", "aur-stat-stream-seg"}},
 		{core.PatternRMW, window.Fixed, []string{"rmw-seg", "rmw-liveness", "rmw-buffer-dump-seg"}},
 	} {
 		t.Run(tc.pattern.String(), func(t *testing.T) {
@@ -173,10 +173,10 @@ func TestMultiSegmentRMWLog(t *testing.T) {
 
 // TestHealthReportsAURLogs spills an AUR instance past several evictions
 // and a cleaning pass and requires that `health` prints, per instance,
-// what its segment logs hold — with each segment's live
-// share and state when run over a checkpoint, whose segments.snap carries
-// them — and that the running store's counters, which the last line points
-// to, account for those bytes.
+// what its segment logs hold — with each segment's live share when run
+// over a checkpoint, whose liveness file carries it — and that the running
+// store's counters, which the last line points to, account for those
+// bytes.
 func TestHealthReportsAURLogs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := core.OpenPattern(core.PatternAUR, window.Session, core.Options{
@@ -241,7 +241,7 @@ func TestHealthReportsAURLogs(t *testing.T) {
 		fmt.Sprintf("aur log %s: %d segments; ", filepath.Base(filepath.Dir(segs[0])), len(segs)),
 		fmt.Sprintf(" blocks, %d bytes\n", size(segs)),
 		fmt.Sprintf("  segment %s: ", strings.TrimSuffix(strings.TrimPrefix(filepath.Base(segs[0]), "aur-"), ".log")),
-		fmt.Sprintf(" batches in %d bytes, live share and state not on disk", size(segs[:1])),
+		fmt.Sprintf(" batches in %d bytes, live share not on disk (no aur.live)", size(segs[:1])),
 		"core.Stats FlushBytes, CompactionBytes, SegmentsDropped, BufferHits, DiskHits)",
 		fmt.Sprintf("%d log files: %d clean", len(segs), len(segs)),
 	} {
@@ -250,34 +250,77 @@ func TestHealthReportsAURLogs(t *testing.T) {
 		}
 	}
 
-	// A checkpoint says which segments are open and what is live in each.
+	// A checkpoint says what is live in each segment.
 	ck := filepath.Join(t.TempDir(), "ck")
 	if err := st.Checkpoint(ck); err != nil {
 		t.Fatal(err)
 	}
-	printed = captureStdout(t, func() error { return cmdHealth(ck) })
-	var sealed, head, surv, live int
+	listed, live := liveShares(t, captureStdout(t, func() error { return cmdHealth(ck) }), "batches")
+	if listed != len(segs) || live != len(segs) {
+		t.Errorf("health over the checkpoint lists %d segments, %d with live state; the store holds %d", listed, live, len(segs))
+	}
+}
+
+// liveShares parses the per-segment lines health prints over a checkpoint,
+// noun the entries' name, and returns how many it listed and how many
+// have anything live; a share outside (0, 100] fails the test.
+func liveShares(t *testing.T, printed, noun string) (listed, live int) {
+	t.Helper()
 	for _, line := range strings.Split(printed, "\n") {
-		var sid, batches, bytes, share int
-		var state string
-		if n, _ := fmt.Sscanf(line, "  segment %d: %d batches in %d bytes, %d%% live, %s", &sid, &batches, &bytes, &share, &state); n != 5 {
+		var sid, entries, bytes, share int
+		if n, _ := fmt.Sscanf(line, "  segment %d: %d "+noun+" in %d bytes, %d%% live", &sid, &entries, &bytes, &share); n != 4 {
 			continue
 		}
-		if share > 0 {
-			live++
+		if share < 0 || share > 100 {
+			t.Errorf("segment %d: %d%% live:\n%s", sid, share, printed)
 		}
-		switch {
-		case strings.HasSuffix(line, ", sealed"):
-			sealed++
-		case strings.HasSuffix(line, ", open (flush head)"):
-			head++
-		case strings.HasSuffix(line, ", open (survivor)"):
-			surv++
+		listed++
+		live += min(share, 1)
+	}
+	return listed, live
+}
+
+// TestHealthReportsRMWLiveShare is TestHealthReportsAURLogs for RMW: over
+// its store directory `health` says the live share is not on disk, over a
+// checkpoint it reads each segment's from the liveness file — every
+// segment the cut holds has something live, and the ones a consume
+// thinned out less than all of it.
+func TestHealthReportsRMWLiveShare(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := core.OpenPattern(core.PatternRMW, window.Fixed, core.Options{
+		Dir: dir, Instances: 1, WriteBufferBytes: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Destroy()
+	w := window.Window{Start: 0, End: 100}
+	for i := 0; i < 60; i++ {
+		if err := st.PutAggregate([]byte(fmt.Sprintf("k%02d", i)), w, []byte("value")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if sealed+head+surv != len(segs) || head != 1 || surv > 1 || live != len(segs) {
-		t.Errorf("health over the checkpoint lists %d sealed segments, %d flush heads and %d survivor segments, %d with live state; the store holds %d:\n%s",
-			sealed, head, surv, live, len(segs), printed)
+	for i := 0; i < 60; i += 2 {
+		if _, ok, err := st.GetAggregate([]byte(fmt.Sprintf("k%02d", i)), w); err != nil || !ok {
+			t.Fatalf("k%02d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "inst-*", "rmw-*.log"))
+	if len(segs) < 2 {
+		t.Fatalf("%d segment files; want several", len(segs))
+	}
+	if printed := captureStdout(t, func() error { return cmdHealth(dir) }); !strings.Contains(printed, " entries in ") || !strings.Contains(printed, "live share not on disk (no rmw.live)") {
+		t.Errorf("health over the store does not say the live share is not on disk:\n%s", printed)
+	}
+	ck := filepath.Join(t.TempDir(), "ck")
+	if err := st.Checkpoint(ck); err != nil {
+		t.Fatal(err)
+	}
+	cut, _ := filepath.Glob(filepath.Join(ck, "inst-*", "rmw-*.log.seg-*"))
+	printed := captureStdout(t, func() error { return cmdHealth(ck) })
+	listed, live := liveShares(t, printed, "entries")
+	if listed != len(cut) || live != len(cut) || !strings.Contains(printed, "% live") || strings.Count(printed, "100% live") == listed {
+		t.Errorf("health over the checkpoint lists %d segments, %d with live state, the cut holds %d; want some partly live:\n%s", listed, live, len(cut), printed)
 	}
 }
 

@@ -39,11 +39,13 @@
 // that reaches zero. This replaces the paper's integrated compaction,
 // which rewrote the whole log off the batch read's index scan: state that
 // dies in age order is never copied, and a miss scans only the segments
-// that hold what it selected. Memory holds, per flushed identity, which
-// segments hold its batches and how many bytes in each — not where.
+// that hold what it selected. Memory holds, per flushed batch, its segment,
+// its ordinal among the segment's entries and its bytes — not its offset:
+// a batch is live exactly when an entry points at it, as an RMW aggregate
+// is, so consuming an identity records nothing but dropping its entry.
 //
 // The table. Everything memory holds of an identity is one entry of one
-// map: its Stat row, its buffered values, its segment shares and its
+// map: its Stat row, its buffered values, its batch references and its
 // prefetched values (see entry).
 //
 // # Concurrency
@@ -54,18 +56,16 @@
 //     Get/Read/Drop of state that lives only in the buffer, take mu
 //     alone, so ingestion never waits for disk.
 //   - ioMu serializes everything involving the segments' logs: flushes,
-//     batch-read scans, cleaning, drops, checkpoints — plus the
-//     segments' consumed marks, which only disk-touching paths mutate.
-//     mu is never held across I/O; a flush detaches the buffer under mu,
-//     writes with only ioMu held, and installs the segment shares under
-//     mu again.
+//     batch-read scans, cleaning, drops, checkpoints. mu is never held
+//     across I/O; a flush detaches the buffer under mu, writes with only
+//     ioMu held, and installs the batch references under mu again.
 //
 // The lock order is ioMu before mu; mu is never held while acquiring
-// ioMu. The segment table and the segments' live counts change only with
-// both held, so either suffices to read them. Operations on an identity
-// with on-disk state, or one mid-flight in a flush, divert to the slow
-// path (which waits on ioMu) so a fetch-&-remove can never miss values
-// between buffer and log.
+// ioMu. The segment table, the segments' live counts and the entries'
+// batch references change only with both held, so either suffices to read
+// them. Operations on an identity with on-disk state, or one mid-flight in
+// a flush, divert to the slow path (which waits on ioMu) so a
+// fetch-&-remove can never miss values between buffer and log.
 package aur
 
 import (
@@ -77,6 +77,7 @@ import (
 	"strings"
 	"sync"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
@@ -164,7 +165,7 @@ type id struct {
 
 // entry is an identity's row in the table. It lives from the identity's
 // first Append to the Get or Drop that consumes it, and until then holds
-// buffered values, segment shares or a flush in flight.
+// buffered values, batch references or a flush in flight.
 type entry struct {
 	// The Stat row (step ②): the latest tuple timestamp and the ETT the
 	// predictor derives from it.
@@ -176,65 +177,32 @@ type entry struct {
 	flushing bool
 	values   [][]byte // buffered, in append order
 	bytes    int64    // what values charge the write buffer
-	// shares says which segments hold the identity's live batches and how
-	// many bytes in each — not where: that is on disk.
-	shares []segShare
+	// refs points at the identity's live batches, one each.
+	refs []ref
 	// prefetched holds the values a batch read loaded, nil when none.
 	prefetched [][]byte
 }
 
-// segShare is the encoded bytes of one identity's live batches in one
-// segment.
-type segShare struct {
-	seg uint32
-	n   int64
+// ref locates one flushed batch: its segment, its ordinal among the
+// segment's entries — its bit in a checkpoint — and its share of the
+// segment's bytes, its entry's size, the block's header and frame too for
+// a block's first entry. A batch is live exactly when an entry holds a ref
+// to it.
+type ref struct {
+	seg, ord, share uint32
 }
 
-// addShare adds n (negative to take away) to the share seg holds; a share
-// that reaches zero goes.
-func addShare(shares []segShare, seg uint32, n int64) []segShare {
-	for i := range shares {
-		if shares[i].seg == seg {
-			if shares[i].n += n; shares[i].n == 0 {
-				return slices.Delete(shares, i, i+1)
-			}
-			return shares
-		}
-	}
-	return append(shares, segShare{seg, n})
+// refAt returns the index of e's reference to the batch of ordinal ord in
+// segment seg, -1 if e holds none.
+func (e *entry) refAt(seg, ord uint32) int {
+	return slices.IndexFunc(e.refs, func(r ref) bool { return r.seg == seg && r.ord == ord })
 }
 
 // segment is one log of the segment set, in logfile.Segments' lifecycle.
-type segment = logfile.Segment[segState]
+type segment = logfile.Segment
 
 // segmentPrefix names the segment files: aur-NNNNNN.log.
 const segmentPrefix = "aur"
-
-func segmentName(id uint32) string { return logfile.SegmentName(segmentPrefix, id) }
-
-// segState is what the store keeps per segment beside its log, all owned
-// by ioMu.
-type segState struct {
-	// epoch is the segment's random identity in a checkpoint's SEGMENTS
-	// manifest: a cut links what its parent holds only while they match.
-	epoch uint64
-	// committed is the length of the log whose blocks hold installed
-	// batches; only a cleaning pass that failed after appending blocks
-	// leaves any past it, and they are never read.
-	committed int64
-	// consumed maps the identBytes of an identity consumed from this
-	// segment to committed at that moment: its batches in blocks below
-	// that offset are dead, those a later life of the same (key, window)
-	// lands here — flushed into an open head, or cleaned in — are not.
-	consumed map[string]int64
-}
-
-// dead reports whether a batch of the identity whose identBytes are ident,
-// in the block at offset off, was consumed; caller holds ioMu.
-func (st *segState) dead(ident []byte, off int64) bool {
-	mark, ok := st.consumed[string(ident)]
-	return ok && off < mark
-}
 
 // Store is a single AUR store instance, safe for concurrent use.
 type Store struct {
@@ -252,7 +220,7 @@ type Store struct {
 	// Never acquired while holding mu.
 	ioMu sync.Mutex
 	// segs is the log: every segment, the flush head and the survivor.
-	segs *logfile.Segments[segState]
+	segs *logfile.Segments
 	seq  uint64 // the last flush's sequence number (see block.go)
 	// items is the slice a flush detaches its batch into, kept from one
 	// flush to the next (they run one at a time, under ioMu).
@@ -271,7 +239,9 @@ type Store struct {
 }
 
 // Open creates an AUR store instance rooted at opts.Dir. Segment files are
-// created as flushes need them; a store that never spills owns none.
+// created as flushes need them; a store that never spills owns none. A
+// store starts empty: segment files an earlier process left in the
+// directory are unlinked (logfile.NewSegments).
 func Open(opts Options) (*Store, error) {
 	opts.fill()
 	dir, err := logfile.OpenDirFS(opts.FS, opts.Dir, opts.Breakdown)
@@ -280,10 +250,9 @@ func Open(opts Options) (*Store, error) {
 	}
 	dir.SetPolicy(opts.Policy)
 	s := &Store{opts: opts, dir: dir, bd: opts.Breakdown, table: make(map[id]*entry)}
-	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix, opts.WriteBufferBytes,
-		opts.MaxSpaceAmplification, func() segState {
-			return segState{epoch: ckpt.Rand64(), consumed: make(map[string]int64)}
-		})
+	if s.segs, err = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix, opts.WriteBufferBytes, opts.MaxSpaceAmplification); err != nil {
+		return nil, fmt.Errorf("aur: open: %w", err)
+	}
 	return s, nil
 }
 
@@ -357,13 +326,21 @@ type flushItem struct {
 	bytes  int64
 	ett    int64
 	hasETT bool
-	n      int64 // encoded bytes of its entry, once written
+	at     ref // where it was written
 }
 
 // statRow is one row of the Stat table as a checkpoint ships it.
 type statRow struct {
 	ident id
 	maxTS int64
+}
+
+// cutState is what a checkpoint's drain collects of the table: the Stat
+// rows, in the section that detaches the buffer, and a liveness bitmap per
+// segment, in the section that installs what it wrote.
+type cutState struct {
+	rows []statRow
+	live ckpt.Live
 }
 
 // byTrigger orders a flush's batches by ascending ETT, identities without
@@ -418,8 +395,8 @@ func triggersLater(a, b flushItem) bool { return byTrigger(a, b) > 0 }
 // than by sorting the buffer — unless what that leaves is still over the
 // cap (a few large batches among many small ones), and then it too takes
 // everything, so a flush always brings the buffer back under
-// WriteBufferBytes. With rows non-nil, the checkpoint cut, the same pass
-// over the table appends every identity's Stat row to rows.
+// WriteBufferBytes. With cut non-nil, the checkpoint's, the same pass over
+// the table appends every identity's Stat row to cut.rows.
 //
 // Why the estimated trigger time and not the window's end, the order the
 // RMW store evicts by: an RMW update reads its aggregate back, an AUR
@@ -428,14 +405,14 @@ func triggersLater(a, b flushItem) bool { return byTrigger(a, b) > 0 }
 // is the one furthest from it. Ordered by the initial window's end the
 // session benchmark writes 39.0 B an event, more than draining the buffer
 // whole (35.1 B); ordered by ETT, 26.7 B.
-func (s *Store) detachLocked(all bool, rows *[]statRow) []flushItem {
-	if rows == nil && (s.bufBytes == 0 || !all && s.bufBytes <= s.opts.WriteBufferBytes) {
+func (s *Store) detachLocked(all bool, cut *cutState) []flushItem {
+	if cut == nil && (s.bufBytes == 0 || !all && s.bufBytes <= s.opts.WriteBufferBytes) {
 		return nil
 	}
 	items := s.items[:0]
 	for ident, e := range s.table {
-		if rows != nil {
-			*rows = append(*rows, statRow{ident, e.maxTS})
+		if cut != nil {
+			cut.rows = append(cut.rows, statRow{ident, e.maxTS})
 		}
 		if len(e.values) > 0 {
 			items = append(items, flushItem{ident: ident, e: e, bytes: e.bytes, ett: e.ett, hasETT: e.hasETT})
@@ -468,25 +445,31 @@ func (s *Store) detachLocked(all bool, rows *[]statRow) []flushItem {
 // window) batch, in byTrigger order. Caller holds ioMu. The batch is
 // detached under mu and written with only ioMu held, so ingestion
 // proceeds; its entries are marked in flight, diverting their reads to
-// the slow path until the segment shares are installed. rows is
-// detachLocked's.
+// the slow path until their batch references are installed. A batch gets
+// its ordinal once the head's log accepts its block. With cut non-nil, the
+// checkpoint's, detachLocked collects the Stat rows and the section that
+// ends the drain the liveness bitmaps (markLiveLocked).
 //
 // A full buffer's flush seals the segment it wrote, so in steady state
 // every segment holds one eviction and its batches share a lifetime. A
 // drain of a buffer that was not full leaves the head open for the next
 // flush rather than sealing a tiny file.
-func (s *Store) flushLocked(all bool, rows *[]statRow) error {
+func (s *Store) flushLocked(all bool, cut *cutState) error {
 	s.mu.Lock()
 	if s.segs.Closed() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
 	full := s.bufBytes > s.opts.WriteBufferBytes
-	items := s.detachLocked(all, rows)
-	s.mu.Unlock()
+	items := s.detachLocked(all, cut)
 	if len(items) == 0 {
+		if cut != nil {
+			s.markLiveLocked(cut.live)
+		}
+		s.mu.Unlock()
 		return nil
 	}
+	s.mu.Unlock()
 	defer clear(s.items) // the next flush reuses the slice, not the values
 	// A head that cannot be created fails the flush like a failed first
 	// write: everything detached goes back.
@@ -498,20 +481,23 @@ func (s *Store) flushLocked(all bool, rows *[]statRow) error {
 	var installed int
 	var bytes int64
 	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
-		off, n, err := head.Log.Append(block)
+		_, n, err := head.Log.Append(block)
 		if err != nil {
 			return err
 		}
-		items[installed].n += int64(n - body)
+		items[installed].at.share += uint32(n - body)
+		for i := installed; i < installed+entries; i++ {
+			items[i].at.seg, items[i].at.ord = head.ID, head.Entries
+			head.Entries++
+		}
 		bytes += int64(n)
 		installed += entries
-		head.X.committed = off + int64(n)
 		return nil
 	}}
 	for i := 0; werr == nil && i < len(items); i++ {
 		it := &items[i]
 		_, n, err := bw.Add(s.seq, it.ident.key, it.ident.w, it.values)
-		it.n, werr = int64(n), err
+		it.at.share, werr = uint32(n), err
 	}
 	if werr == nil {
 		werr = bw.Flush()
@@ -526,8 +512,8 @@ func (s *Store) flushLocked(all bool, rows *[]statRow) error {
 		e.flushing = false
 		switch {
 		case i < installed:
-			e.shares = addShare(e.shares, head.ID, it.n)
-			head.Live += it.n
+			e.refs = append(e.refs, it.at)
+			head.Live += int64(it.at.share)
 			// A prefetch entry covers every flushed span of its id at the
 			// instant it was installed; the span just written is not among
 			// them, so the entry (installed by a batch read that targeted a
@@ -545,6 +531,9 @@ func (s *Store) flushLocked(all bool, rows *[]statRow) error {
 			s.evictPrefetchLocked(e)
 		}
 	}
+	if cut != nil && werr == nil {
+		s.markLiveLocked(cut.live)
+	}
 	s.mu.Unlock()
 	if werr == nil {
 		s.segs.Seal(head, full)
@@ -552,9 +541,19 @@ func (s *Store) flushLocked(all bool, rows *[]statRow) error {
 	return werr
 }
 
+// markLiveLocked sets in live the bit of every batch an entry points at;
+// caller holds ioMu and mu.
+func (s *Store) markLiveLocked(live ckpt.Live) {
+	for _, e := range s.table {
+		for _, r := range e.refs {
+			live.Set(s.segs, r.seg, r.ord)
+		}
+	}
+}
+
 // fastPath reports whether e can be served under mu alone: no on-disk
 // state and no copy mid-flight in a flush. Caller holds mu.
-func (e *entry) fastPath() bool { return len(e.shares) == 0 && !e.flushing }
+func (e *entry) fastPath() bool { return len(e.refs) == 0 && !e.flushing }
 
 // Get fetches and removes the values of (key, window) (paper API:
 // Get(K, W)). Values are returned in append order. A nil slice means the
@@ -694,7 +693,7 @@ func (s *Store) read(key []byte, w window.Window) ([][]byte, error) {
 // prefetched values, so the entry cannot be re-read. Caller holds ioMu and
 // mu, which a batch read releases and which is held again on return.
 func (s *Store) diskValuesLocked(ident id, e *entry) ([][]byte, error) {
-	if len(e.shares) == 0 {
+	if len(e.refs) == 0 {
 		return nil, nil
 	}
 	if e.prefetched != nil {
@@ -716,8 +715,8 @@ func (s *Store) Peek(key []byte, w window.Window) (buffered, onDisk int64, prefe
 	if e == nil {
 		return 0, 0, false
 	}
-	for _, sh := range e.shares {
-		onDisk += sh.n
+	for _, r := range e.refs {
+		onDisk += int64(r.share)
 	}
 	return e.bytes, onDisk, e.prefetched != nil
 }
@@ -804,13 +803,10 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 
 // removeLocked consumes ident, whose entry is e (nil: nothing to do): the
 // entry leaves the table and its buffered values are returned, its
-// prefetched values dropped, and its flushed batches retired, debiting
-// exactly the segments that hold them: every batch of it such a segment
-// holds now — all in blocks below its committed length — is dead, and a
-// batch a new life of the same (key, window) lands there later is above
-// that mark and is not. emptied reports whether that emptied a sealed
-// segment, which is then due a reap. Caller holds mu, and ioMu too unless
-// e is on the fast path.
+// prefetched values dropped, and its flushed batches retired — dead, as
+// nothing points at them any more — debiting the segments that hold them.
+// emptied reports whether that emptied a sealed segment, which is then due
+// a reap. Caller holds mu, and ioMu too unless e is on the fast path.
 func (s *Store) removeLocked(ident id, e *entry) (values [][]byte, emptied bool) {
 	if e == nil {
 		return nil, false
@@ -818,14 +814,10 @@ func (s *Store) removeLocked(ident id, e *entry) (values [][]byte, emptied bool)
 	delete(s.table, ident)
 	s.bufBytes -= e.bytes
 	s.dropPrefetchLocked(e)
-	if len(e.shares) > 0 {
-		key := string(identBytes(ident))
-		for _, sh := range e.shares {
-			sg := s.segs.Get(sh.seg)
-			sg.Live -= sh.n
-			sg.X.consumed[key] = sg.X.committed
-			emptied = emptied || sg.Sealed && sg.Live == 0
-		}
+	for _, r := range e.refs {
+		sg := s.segs.Get(r.seg)
+		sg.Live -= int64(r.share)
+		emptied = emptied || sg.Sealed && sg.Live == 0
 	}
 	return e.values, emptied
 }
@@ -865,10 +857,9 @@ func (s *Store) evictPrefetchLocked(e *entry) {
 // consume.
 func (s *Store) batchReadLocked(target id, te *entry) ([][]byte, error) {
 	// Selecting before scanning means a scan reads only the segments the
-	// selection names, copies values for the selected ids alone, and
-	// stops in each segment once it has found what their shares count
-	// there.
-	want, left := s.selectBatch(target, te)
+	// selection names, copies values for the selected batches alone, and
+	// stops in each segment at the last of them.
+	want := s.selectBatch(target, te)
 	s.indexScans.Inc()
 	type load struct {
 		e    *entry
@@ -877,21 +868,25 @@ func (s *Store) batchReadLocked(target id, te *entry) ([][]byte, error) {
 	}
 	var loads []load
 	for _, sg := range s.segs.List() {
-		n := left[sg.ID]
-		if n == 0 {
+		picks := want[sg.ID]
+		if len(picks) == 0 {
 			continue
 		}
-		err := s.scanSegLocked(sg, func(off int64, ident []byte, be *logfile.BlockEntry) error {
-			e, ok := want[string(ident)]
-			if !ok || sg.X.dead(ident, off) {
+		slices.SortFunc(picks, func(a, b pick) int { return cmp.Compare(a.ord, b.ord) })
+		err := s.scanSegLocked(sg, func(ord uint32, be *logfile.BlockEntry) error {
+			p := picks[0]
+			if ord != p.ord {
 				return nil
+			}
+			if string(be.Key) != p.ident.key || be.Window != p.ident.w {
+				return &logfile.BlockError{Reason: fmt.Sprintf("entry %d holds %q %v, not %q %v", ord, be.Key, be.Window, p.ident.key, p.ident.w)}
 			}
 			vals := make([][]byte, len(be.Values))
 			for i, v := range be.Values {
 				vals[i] = slices.Clone(v)
 			}
-			loads = append(loads, load{e, be.Seq, vals})
-			if n -= int64(be.Size); n == 0 {
+			loads = append(loads, load{p.e, be.Seq, vals})
+			if picks = picks[1:]; len(picks) == 0 {
 				return errScanDone
 			}
 			return nil
@@ -960,19 +955,26 @@ func siftLatest(h []cand, i int) {
 	}
 }
 
-// selectBatch picks the identities one predictive batch read loads, keyed
-// by identBytes: the target plus the N flushed ids with the smallest ETT,
-// N = ceil(ratio × live states) so any positive ratio prefetches at least
-// one upcoming window. Ids without an ETT cannot be predicted and are
-// only loaded on demand; ids already prefetched are skipped. The
-// candidates are exactly the ids the segments hold live entries for — an
-// entry has shares from its first installed flush until it is consumed —
-// so the choice needs nothing from the scan, and the bytes the chosen
-// entries' shares count in each segment, returned as well, are exactly
-// what a scan of that segment will find for them. One pass over the table
-// keeps the N soonest in a heap; once it is full, a row whose ETT is no
-// sooner than the heap's latest costs one comparison. Caller holds ioMu.
-func (s *Store) selectBatch(target id, te *entry) (want map[string]*entry, left map[uint32]int64) {
+// pick is one batch a predictive batch read loads: its ordinal in its
+// segment, and its identity and entry.
+type pick struct {
+	ord   uint32
+	ident id
+	e     *entry
+}
+
+// selectBatch picks the identities one predictive batch read loads — the
+// target plus the N flushed ids with the smallest ETT, N = ceil(ratio ×
+// live states) so any positive ratio prefetches at least one upcoming
+// window — and returns their batches by segment. Ids without an ETT cannot
+// be predicted and are only loaded on demand; ids already prefetched are
+// skipped. The candidates are exactly the ids with batches on disk — an
+// entry holds references from its first installed flush until it is
+// consumed — so the choice needs nothing from the scan. One pass over the
+// table keeps the N soonest in a heap; once it is full, a row whose ETT is
+// no sooner than the heap's latest costs one comparison. Caller holds
+// ioMu.
+func (s *Store) selectBatch(target id, te *entry) (want map[uint32][]pick) {
 	var soonest []cand
 	s.mu.Lock()
 	n := int(math.Ceil(s.opts.ReadBatchRatio * float64(len(s.table))))
@@ -983,7 +985,7 @@ func (s *Store) selectBatch(target id, te *entry) (want map[string]*entry, left 
 		soonest = make([]cand, 0, min(n, len(s.table)))
 		for ident, e := range s.table {
 			c := cand{ident, e, e.ett}
-			if !e.hasETT || len(e.shares) == 0 || len(soonest) == n && !c.sooner(soonest[0]) {
+			if !e.hasETT || len(e.refs) == 0 || len(soonest) == n && !c.sooner(soonest[0]) {
 				continue
 			}
 			if e == te || e.prefetched != nil {
@@ -1002,12 +1004,10 @@ func (s *Store) selectBatch(target id, te *entry) (want map[string]*entry, left 
 			}
 		}
 	}
-	want = make(map[string]*entry, len(soonest)+1)
-	left = make(map[uint32]int64)
+	want = make(map[uint32][]pick)
 	add := func(ident id, e *entry) {
-		want[string(identBytes(ident))] = e
-		for _, sh := range e.shares {
-			left[sh.seg] += sh.n
+		for _, r := range e.refs {
+			want[r.seg] = append(want[r.seg], pick{r.ord, ident, e})
 		}
 	}
 	add(target, te)
@@ -1015,19 +1015,20 @@ func (s *Store) selectBatch(target id, te *entry) (want map[string]*entry, left 
 		add(c.ident, c.e)
 	}
 	s.mu.Unlock()
-	return want, left
+	return want
 }
 
 // errScanDone, returned by a scan callback, ends the scan without error.
 var errScanDone = errors.New("aur: segment scan done")
 
-// scanSegLocked reads sg's log once, calling fn for every entry — consumed
-// ones included, the caller filters — with the offset of its block and its
-// identity's identBytes, until the committed blocks end or fn returns
-// errScanDone. ident, the entry and the slices it holds are valid only
-// during the call. Caller holds ioMu, under which the consumed marks are
-// stable.
-func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *logfile.BlockEntry) error) error {
+// scanSegLocked reads sg's log once, calling fn for every entry of the
+// blocks the store installed there — consumed ones included, the caller
+// filters — with its ordinal, until they end or fn returns errScanDone.
+// The entry and the slices it holds are valid only during the call. Blocks
+// a failed cleaning pass appended lie past them and are never read; blocks
+// ending short of them (a zeroed page looks like a torn tail) are a
+// *binio.FrameError. Caller holds ioMu.
+func (s *Store) scanSegLocked(sg *segment, fn func(ord uint32, e *logfile.BlockEntry) error) error {
 	if s.bd != nil {
 		defer s.bd.Start(metrics.OpRead)()
 	}
@@ -1036,14 +1037,17 @@ func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *l
 		return err
 	}
 	defer sc.Close()
-	var ident []byte
-	for off := int64(0); sc.Scan() && sc.Offset() <= sg.X.committed; off = sc.Offset() {
+	var ord uint32
+	for off := int64(0); ord < sg.Entries && sc.Scan(); off = sc.Offset() {
 		// The block's first entry counts its frame as well (block.go).
 		frame := int(sc.Offset()-off) - len(sc.Record())
 		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
+			if ord == sg.Entries {
+				return &logfile.BlockError{Reason: fmt.Sprintf("entries past the segment's %d", sg.Entries)}
+			}
 			e.Size, frame = e.Size+frame, 0
-			ident = appendIdent(ident[:0], e.Key, e.Window)
-			return fn(off, ident, e)
+			ord++
+			return fn(ord-1, e)
 		})
 		switch {
 		case err == errScanDone:
@@ -1054,15 +1058,17 @@ func (s *Store) scanSegLocked(sg *segment, fn func(off int64, ident []byte, e *l
 			return err
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil || ord == sg.Entries {
+		return err
+	}
+	return fmt.Errorf("aur: %s: %w", sg.Log.Path(), &binio.FrameError{Reason: fmt.Sprintf("blocks end after %d of %d entries", ord, sg.Entries)})
 }
 
-// move is one batch a cleaning pass re-encoded out of segment from: n
-// bytes there, to bytes in the survivor.
+// move is one batch a cleaning pass re-encoded into the survivor: its
+// entry, where it was and where it went.
 type move struct {
-	ident id
-	from  *segment
-	n, to int64
+	e        *entry
+	from, to ref
 }
 
 // cleanLocked, behind an evicting flush, reaps the segments that emptied
@@ -1070,21 +1076,28 @@ type move struct {
 // — still exceeds MSA, runs one cleaning pass (§4.2's compaction, per
 // segment; logfile.Segments.Clean); caller holds ioMu, under which the
 // live set cannot change: consuming state requires ioMu and appends only
-// touch the buffer. The pass scans each victim once and re-encodes its
-// live entries into the survivor's blocks; nothing is installed until the
-// survivor's log has accepted every block, and blocks a failed pass
-// appended lie past committed, never read.
+// touch the buffer. The pass scans each victim once and re-encodes the
+// batches an entry points at into the survivor's blocks; nothing is
+// installed until the survivor's log has accepted every block — the
+// survivor's entry count, and with it every ordinal, included — so blocks
+// a failed pass appended lie past its entries, never read.
 func (s *Store) cleanLocked() error {
 	var moved []move
 	var surv *segment
-	var appended, committed int64
-	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, entries, body int) error {
-		off, n, err := surv.Log.Append(block)
+	var appended int64
+	var entries uint32 // the pass appended to surv
+	bw := logfile.BlockWriter{Bound: segmentBlockBytes, Emit: func(block []byte, n, body int) error {
+		_, size, err := surv.Log.Append(block)
 		if err != nil {
 			return err
 		}
-		moved[len(moved)-entries].to += int64(n - body)
-		appended, committed = appended+int64(n), off+int64(n)
+		ms := moved[len(moved)-n:]
+		ms[0].to.share += uint32(size - body)
+		for i := range ms {
+			ms[i].to.seg, ms[i].to.ord = surv.ID, surv.Entries+entries
+			entries++
+		}
+		appended += int64(size)
 		return nil
 	}}
 	return s.segs.Clean(func(v *segment, live int64, sv *segment) error {
@@ -1095,39 +1108,38 @@ func (s *Store) cleanLocked() error {
 		if err := bw.Flush(); err != nil {
 			return 0, err
 		}
-		if len(moved) == 0 {
-			return appended, nil
-		}
-		sv.X.committed = committed
+		sv.Entries += entries
 		s.mu.Lock()
 		for _, m := range moved {
-			e := s.table[m.ident]
-			e.shares = addShare(addShare(e.shares, m.from.ID, -m.n), sv.ID, m.to)
-			m.from.Live -= m.n
-			sv.Live += m.to
+			m.e.refs[m.e.refAt(m.from.seg, m.from.ord)] = m.to
+			s.segs.Get(m.from.seg).Live -= int64(m.from.share)
+			sv.Live += int64(m.to.share)
 		}
 		s.mu.Unlock()
 		return appended, nil
 	})
 }
 
-// copyLiveLocked scans victim v's blocks once and hands every batch still
-// live in it to bw, under the sequence number it was first written with,
-// recording the moves; caller holds ioMu. The scan stops once it has seen
-// all of v's live bytes.
+// copyLiveLocked scans victim v's blocks once and hands every batch an
+// entry still points at to bw, under the sequence number it was first
+// written with, recording the moves; caller holds ioMu. The scan stops
+// once it has seen all of v's live bytes.
 func (s *Store) copyLiveLocked(v *segment, left int64, bw *logfile.BlockWriter, moved *[]move) error {
-	return s.scanSegLocked(v, func(off int64, ident []byte, e *logfile.BlockEntry) error {
-		if v.X.dead(ident, off) {
+	return s.scanSegLocked(v, func(ord uint32, be *logfile.BlockEntry) error {
+		ident := id{key: string(be.Key), w: be.Window}
+		s.mu.Lock()
+		e := s.table[ident]
+		s.mu.Unlock()
+		if e == nil || e.refAt(v.ID, ord) < 0 {
 			return nil
 		}
-		m := move{ident: id{key: string(e.Key), w: e.Window}, from: v, n: int64(e.Size)}
-		_, to, err := bw.Add(e.Seq, m.ident.key, e.Window, e.Values)
+		_, n, err := bw.Add(be.Seq, ident.key, be.Window, be.Values)
 		if err != nil {
 			return err
 		}
-		m.to = int64(to)
-		*moved = append(*moved, m)
-		if left -= m.n; left == 0 {
+		from := ref{seg: v.ID, ord: ord, share: uint32(be.Size)}
+		*moved = append(*moved, move{e: e, from: from, to: ref{share: uint32(n)}})
+		if left -= int64(from.share); left == 0 {
 			return errScanDone
 		}
 		return nil

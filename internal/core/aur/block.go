@@ -1,10 +1,5 @@
 package aur
 
-import (
-	"flowkv/internal/binio"
-	"flowkv/internal/window"
-)
-
 // Segment log format. A segment is one log, aur-NNNNNN.log, of blocks in
 // the segment block format both segmented logs share (logfile.BlockWriter,
 // logfile.DecodeSegmentBlock): each entry a value batch of one (key,
@@ -32,17 +27,3 @@ import (
 // eviction's batches rarely fill 16 KiB, so most flushes are one block.
 // A scan that finds what it wants stops decoding mid-block either way.
 const segmentBlockBytes = 16 << 10
-
-// appendIdent appends the canonical encoding of identity (key, w) to dst:
-// the consumed marks and a scan's selection are keyed by it.
-func appendIdent[K string | []byte](dst []byte, key K, w window.Window) []byte {
-	dst = binio.PutUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	dst = binio.PutVarint(dst, w.Start)
-	// The width is taken in wrapping arithmetic, so every (start, end)
-	// pair round-trips, including ones whose difference overflows.
-	return binio.PutUvarint(dst, uint64(w.End-w.Start))
-}
-
-// identBytes returns the canonical byte encoding of an identity.
-func identBytes(ident id) []byte { return appendIdent(nil, ident.key, ident.w) }

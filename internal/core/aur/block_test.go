@@ -24,12 +24,16 @@ type diskBatch struct {
 	ident id
 	vals  []string
 	seq   uint64
-	off   int64 // the offset of its block
-	size  int   // what it counts for in the segment's live bytes
+	off   int64  // the offset of its block
+	size  int    // what it counts for in the segment's live bytes
+	ord   uint32 // its ordinal among the segment's entries
 }
 
+// segmentName is the file name of segment id.
+func segmentName(id uint32) string { return logfile.SegmentName(segmentPrefix, id) }
+
 // segmentEntries decodes every entry of sg's log, consumed ones and those
-// past committed included; caller holds ioMu.
+// past its installed entries included; caller holds ioMu.
 func segmentEntries(t testing.TB, sg *segment) []diskBatch {
 	t.Helper()
 	sc, err := sg.Log.Scanner(0)
@@ -40,7 +44,7 @@ func segmentEntries(t testing.TB, sg *segment) []diskBatch {
 	for off := int64(0); sc.Scan(); off = sc.Offset() {
 		frame := int(sc.Offset()-off) - len(sc.Record())
 		_, err := logfile.DecodeSegmentBlock(sc.Record(), func(e *logfile.BlockEntry) error {
-			en := diskBatch{ident: id{key: string(e.Key), w: e.Window}, seq: e.Seq, off: off, size: e.Size + frame}
+			en := diskBatch{ident: id{key: string(e.Key), w: e.Window}, seq: e.Seq, off: off, size: e.Size + frame, ord: uint32(len(out))}
 			for _, v := range e.Values {
 				en.vals = append(en.vals, string(v))
 			}
@@ -75,7 +79,7 @@ func segmentBlocks(t testing.TB, sg *segment) [][]byte {
 }
 
 // storeEntries decodes every entry of the store's segments, segment by
-// segment in id order; liveOnly leaves out consumed ones.
+// segment in id order; liveOnly keeps those an entry points at.
 func storeEntries(t testing.TB, s *Store, liveOnly bool) []diskBatch {
 	t.Helper()
 	s.ioMu.Lock()
@@ -83,7 +87,10 @@ func storeEntries(t testing.TB, s *Store, liveOnly bool) []diskBatch {
 	var out []diskBatch
 	for _, sg := range s.segs.List() {
 		for _, e := range segmentEntries(t, sg) {
-			if !liveOnly || !sg.X.dead(identBytes(e.ident), e.off) {
+			s.mu.Lock()
+			te := s.table[e.ident]
+			s.mu.Unlock()
+			if !liveOnly || te != nil && te.refAt(sg.ID, e.ord) >= 0 {
 				out = append(out, e)
 			}
 		}
@@ -439,7 +446,7 @@ func TestSelectionFirstMatchesScanFirst(t *testing.T) {
 		defer s.mu.Unlock()
 		var out []id
 		for ident, e := range s.table {
-			if len(e.shares) > 0 && e.prefetched == nil {
+			if len(e.refs) > 0 && e.prefetched == nil {
 				out = append(out, ident)
 			}
 		}

@@ -55,32 +55,38 @@ func snapshotBuffer(s *Store) map[id]bufSnap {
 }
 
 // bufferedAndSpilled counts the entries holding buffered values and those
-// holding segment shares.
+// holding batch references.
 func bufferedAndSpilled(s *Store) (buffered, spilled int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.table {
 		buffered += min(len(e.values), 1)
-		spilled += min(len(e.shares), 1)
+		spilled += min(len(e.refs), 1)
 	}
 	return buffered, spilled
 }
 
 // checkTable holds the table to its invariants: every entry holds buffered
-// values, segment shares or a flush in flight — none outlives its state —
-// prefetched values only beside shares, and the buffer and prefetch totals
-// are the entries' sums.
+// values, batch references or a flush in flight — none outlives its state —
+// prefetched values only beside references, each reference names a segment
+// of the log and no batch is referenced twice, and the buffer and prefetch
+// totals are the entries' sums.
 func checkTable(t *testing.T, what string, s *Store) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var buffered, prefetched int64
 	for ident, e := range s.table {
-		if len(e.values) == 0 && len(e.shares) == 0 && !e.flushing {
+		if len(e.values) == 0 && len(e.refs) == 0 && !e.flushing {
 			t.Fatalf("%s: the entry of %v holds nothing: %+v", what, ident, e)
 		}
-		if e.prefetched != nil && len(e.shares) == 0 {
+		if e.prefetched != nil && len(e.refs) == 0 {
 			t.Fatalf("%s: %v has prefetched values and nothing on disk", what, ident)
+		}
+		for i, r := range e.refs {
+			if s.segs.Get(r.seg) == nil || e.refAt(r.seg, r.ord) != i {
+				t.Fatalf("%s: %v's reference %+v names no segment, or a batch twice: %+v", what, ident, r, e.refs)
+			}
 		}
 		buffered += e.bytes
 		for _, v := range e.prefetched {
@@ -644,7 +650,7 @@ func TestFailedEvictionReattachesExactlyTheVictims(t *testing.T) {
 	for j := 0; j < n; j++ {
 		ident, _ := next(j)
 		e := s.table[ident]
-		inBuf, onDisk := len(e.values) > 0, len(e.shares) > 0
+		inBuf, onDisk := len(e.values) > 0, len(e.refs) > 0
 		if e.flushing {
 			t.Errorf("%v is still in flight", ident)
 		}

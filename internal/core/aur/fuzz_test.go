@@ -115,61 +115,3 @@ func FuzzDecodeSegmentBlock(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeSegmentsSnapshot throws arbitrary bytes at the segments.snap
-// decoder. Restore takes the segment table and every consumed mark from
-// it before it looks at an index, so it must reject garbage without
-// panicking or sizing an allocation from a corrupt count, return segments
-// in ascending id order with states it knows, and anything it accepts must
-// come back byte for byte through the production encoder: a snapshot has
-// one encoding.
-func FuzzDecodeSegmentsSnapshot(f *testing.F) {
-	w := window.Window{Start: 7, End: 7 + gap}
-	marks := map[string]int64{string(identBytes(id{"user-1", w})): 117, string(identBytes(id{"", w})): 0}
-	real := encodeSegmentsSnapshot([]SegmentInfo{
-		{ID: 0, State: logfile.SegmentSealed, Marks: marks},
-		{ID: 4, State: logfile.SegmentSurvivor, Marks: marks},
-		{ID: 9, State: logfile.SegmentHead},
-	})
-	f.Add(real)
-	f.Add(encodeSegmentsSnapshot(nil))
-	f.Add([]byte{})
-	f.Add(real[:len(real)-3]) // a torn last record
-	frames := func(payloads ...[]byte) (b []byte) {
-		for _, p := range payloads {
-			b = binio.AppendRecord(b, p)
-		}
-		return b
-	}
-	f.Add(real[:len(real)-len(frames([]byte{9, logfile.SegmentHead}))]) // one segment fewer than counted
-	f.Add(frames(binio.PutUvarint(nil, 1<<40)))                         // a count larger than the file
-	f.Add(frames([]byte{1}, []byte{3, 7}))                              // an unknown state
-	f.Add(frames([]byte{2}, []byte{3, logfile.SegmentHead}, []byte{5, logfile.SegmentHead}))
-	f.Add([]byte{0x51, 0x53, 0x7d, 0x52, 1, 0}) // the earlier pair layout's marker-less frame: crc32c | len | payload 0
-	mark := func(p []byte, ident string, at uint64) []byte {
-		return binio.PutUvarint(binio.PutBytes(p, []byte(ident)), at)
-	}
-	f.Add(frames([]byte{1}, mark(mark([]byte{0, logfile.SegmentSealed}, "b", 1), "a", 1))) // marks out of order
-	f.Add(frames([]byte{1}, mark(mark([]byte{0, logfile.SegmentSealed}, "a", 1), "a", 2))) // an identity twice
-	f.Add(frames([]byte{0x81, 0}))                                                         // an overlong count
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		infos, err := DecodeSegmentsSnapshot(b)
-		if err != nil {
-			return
-		}
-		for i, si := range infos {
-			if si.State > logfile.SegmentSurvivor || i > 0 && si.ID <= infos[i-1].ID {
-				t.Fatalf("segment %d: id %d after %d, state %d", i, si.ID, infos[max(i, 1)-1].ID, si.State)
-			}
-			for prefix, mark := range si.Marks {
-				if mark < 0 {
-					t.Fatalf("segment %d: mark %d for %x", si.ID, mark, prefix)
-				}
-			}
-		}
-		if again := encodeSegmentsSnapshot(infos); !bytes.Equal(again, b) {
-			t.Fatalf("an accepted snapshot re-encodes to other bytes:\n%x\n%x", b, again)
-		}
-	})
-}

@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
-	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
@@ -215,7 +216,7 @@ func TestStatStreamIsOneBaseOfTheOnDiskRows(t *testing.T) {
 		want := make(map[id]int64)
 		s.mu.Lock()
 		for k, e := range s.table {
-			if len(e.shares) == 0 {
+			if len(e.refs) == 0 {
 				t.Fatalf("cut %d: %v is not on disk after the drain", c, k)
 			}
 			want[k] = e.maxTS
@@ -382,10 +383,11 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	}
 }
 
-// TestSegmentsSnapshotIsDeterministic: two cuts of one state write the
-// same segments.snap, byte for byte, however many identities were
-// consumed from a segment.
-func TestSegmentsSnapshotIsDeterministic(t *testing.T) {
+// TestLivenessFileIsDeterministic: two cuts of one state write the same
+// liveness file, byte for byte, and its bitmap has exactly the batches an
+// entry points at set, however many identities were consumed from the
+// segment.
+func TestLivenessFileIsDeterministic(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
 	for i := 0; i < 40; i++ {
@@ -405,23 +407,32 @@ func TestSegmentsSnapshotIsDeterministic(t *testing.T) {
 		if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, segmentsSnapshotName))
+		b, err := os.ReadFile(filepath.Join(dir, livenessName))
 		if err != nil {
 			t.Fatal(err)
 		}
 		snaps = append(snaps, b)
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Fatalf("two cuts of one state wrote different segments.snap files:\n%x\n%x", snaps[0], snaps[1])
+		t.Fatalf("two cuts of one state wrote different liveness files:\n%x\n%x", snaps[0], snaps[1])
 	}
-	infos, err := DecodeSegmentsSnapshot(snaps[0])
-	if err != nil || len(infos) != 1 || len(infos[0].Marks) != 30 {
-		t.Fatalf("segments.snap decodes to %+v, %v; want one segment with 30 consumed marks", infos, err)
+	segs, err := ckpt.DecodeLiveness(snaps[0])
+	if err != nil || len(segs) != 1 || segs[0].Entries != 40 {
+		t.Fatalf("the liveness file decodes to %+v, %v; want one segment of 40 entries", segs, err)
+	}
+	var live []string
+	for _, e := range storeEntries(t, s, false) {
+		if segs[0].Live(e.ord) {
+			live = append(live, e.ident.key)
+		}
+	}
+	if want := []string{"s30", "s31", "s32", "s33", "s34", "s35", "s36", "s37", "s38", "s39"}; !slices.Equal(live, want) {
+		t.Fatalf("the bitmap has %v live, want %v", live, want)
 	}
 }
 
 // handCut writes a checkpoint of s, which must hold no buffered values,
-// with rows as its Stat stream: the segments and segments.snap as
+// with rows as its Stat stream: the segments and the liveness file as
 // CheckpointDelta writes them, the stream assembled here.
 func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
 	t.Helper()
@@ -431,17 +442,11 @@ func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.segs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var infos []SegmentInfo
-	for _, sg := range s.segs.List() {
-		if err := cut.Log(segmentName(sg.ID), sg.X.epoch, sg.Log.Path(), sg.X.committed); err != nil {
-			t.Fatal(err)
-		}
-		infos = append(infos, SegmentInfo{ID: sg.ID, State: s.segs.State(sg), Marks: sg.X.consumed})
-	}
-	if err := cut.Extra(segmentsSnapshotName, encodeSegmentsSnapshot(infos)); err != nil {
+	live := make(ckpt.Live)
+	s.mu.Lock()
+	s.markLiveLocked(live)
+	s.mu.Unlock()
+	if err := ckpt.CutSegments(cut, s.segs, live, livenessName); err != nil {
 		t.Fatal(err)
 	}
 	err = cut.Stream(statLogical, func(emit func([]byte)) error {
@@ -503,11 +508,10 @@ func TestRestoreChecksStatRowsAgainstSegments(t *testing.T) {
 
 // TestConsumedIdentityLivesAgain: a (key, window) that was flushed and
 // consumed can be appended to, flushed — into the same open head — and
-// consumed again. A segment's consumed mark hides only the batches that
-// were in the segment when the identity was consumed — not the ones its
-// next life flushes above them — whether or not a cleaning pass (which
-// seals that head and moves its neighbour out) or a checkpoint and restore
-// comes in between.
+// consumed again. Consuming it drops only the references to the batches
+// it had then — not to the ones its next life flushes into the same
+// segment — whether or not a cleaning pass (which seals that head and
+// moves its neighbour out) or a checkpoint and restore comes in between.
 func TestConsumedIdentityLivesAgain(t *testing.T) {
 	w := window.Window{Start: 0, End: gap}
 	opts := Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.1}
@@ -612,8 +616,11 @@ func pairLayoutFrame(dst, p []byte) []byte {
 
 // TestRestoreRejectsPairLayout: a checkpoint of the earlier layout — each
 // segment a data-NNNNNN.log / index-NNNNNN.log pair, every file framed
-// without the marker byte — fails Restore with a typed *binio.FrameError
-// and restores nothing, whether or not the store had spilled.
+// without the marker byte, the segment table in segments.snap — has no
+// liveness file, like every checkpoint written before batches were tracked
+// by reference, and fails Restore with the missing file's typed error
+// (fs.ErrNotExist), restoring nothing, whether or not the store had
+// spilled.
 func TestRestoreRejectsPairLayout(t *testing.T) {
 	for _, spilled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("spilled=%v", spilled), func(t *testing.T) {
@@ -638,15 +645,14 @@ func TestRestoreRejectsPairLayout(t *testing.T) {
 			}
 			snap := pairLayoutFrame(nil, binio.PutUvarint(nil, segments))
 			if spilled {
-				snap = pairLayoutFrame(snap, []byte{0, logfile.SegmentHead})
+				snap = pairLayoutFrame(snap, []byte{0, 1}) // segment 0, the open head
 			}
-			write(segmentsSnapshotName, snap)
+			write("segments.snap", snap)
 			write(ckpt.MetaName, meta.Encode())
 
 			s := openTest(t, Options{WriteBufferBytes: 1 << 20})
-			var fe *binio.FrameError
-			if err := s.Restore(dir); !errors.As(err, &fe) {
-				t.Fatalf("restore of a pair-layout checkpoint: %v, want a *binio.FrameError", err)
+			if err := s.Restore(dir); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("restore of a pair-layout checkpoint: %v, want fs.ErrNotExist", err)
 			}
 			if s.SegmentStats().LiveSegments != 0 || s.LiveStates() != 0 {
 				t.Fatalf("the failed restore left %d segments and %d states", s.SegmentStats().LiveSegments, s.LiveStates())

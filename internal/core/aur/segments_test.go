@@ -1,8 +1,10 @@
 package aur
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -62,16 +64,16 @@ func (o *segmentOracle) consume(s *Store, ident id) {
 }
 
 // checkSegments holds the store's segment table to the oracle and to the
-// directory: every segment's live count is the bytes of the committed
-// entries the oracle calls live, onDisk lists exactly those bytes per identity and
-// segment, no sealed segment sits empty, and the directory holds the
-// table's files and nothing else.
+// directory: every segment's live count is the bytes of the installed
+// entries the oracle calls live, each identity's entry points at exactly
+// those batches, no sealed segment sits empty, and the directory holds
+// the table's files and nothing else.
 func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
 	t.Helper()
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	want := make(map[string]bool)
-	shares := make(map[id]map[uint32]int64)
+	refs := make(map[id][]ref)
 	for _, sg := range s.segs.List() {
 		want[segmentName(sg.ID)] = true
 		if sg.Sealed && sg.Live == 0 {
@@ -82,14 +84,11 @@ func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
 		}
 		var live int64
 		for _, e := range segmentEntries(t, sg) {
-			if _, ok := o.values[e.ident]; !ok || e.seq <= o.retired[e.ident] || e.off >= sg.X.committed {
+			if _, ok := o.values[e.ident]; !ok || e.seq <= o.retired[e.ident] || e.ord >= sg.Entries {
 				continue
 			}
 			live += int64(e.size)
-			if shares[e.ident] == nil {
-				shares[e.ident] = make(map[uint32]int64)
-			}
-			shares[e.ident][sg.ID] += int64(e.size)
+			refs[e.ident] = append(refs[e.ident], ref{seg: sg.ID, ord: e.ord, share: uint32(e.size)})
 		}
 		if sg.Live != live {
 			t.Fatalf("%s: segment %d counts %d live bytes, the oracle finds %d", what, sg.ID, sg.Live, live)
@@ -97,19 +96,17 @@ func checkSegments(t *testing.T, what string, s *Store, o *segmentOracle) {
 	}
 	s.mu.Lock()
 	spilled := 0
+	byPlace := func(a, b ref) int { return cmp.Or(cmp.Compare(a.seg, b.seg), cmp.Compare(a.ord, b.ord)) }
 	for ident, e := range s.table {
-		for _, sh := range e.shares {
-			if shares[ident][sh.seg] != sh.n || sh.n == 0 {
-				t.Fatalf("%s: %v's shares have segment %d hold %d bytes, the oracle finds %d", what, ident, sh.seg, sh.n, shares[ident][sh.seg])
-			}
+		got := slices.Clone(e.refs)
+		slices.SortFunc(got, byPlace)
+		if !slices.Equal(got, refs[ident]) {
+			t.Fatalf("%s: %v points at %+v, the oracle finds %+v", what, ident, got, refs[ident])
 		}
-		if len(e.shares) != len(shares[ident]) {
-			t.Fatalf("%s: %v's shares list %d segments, the oracle %d", what, ident, len(e.shares), len(shares[ident]))
-		}
-		spilled += min(len(e.shares), 1)
+		spilled += min(len(e.refs), 1)
 	}
-	if spilled != len(shares) {
-		t.Fatalf("%s: %d entries have shares, the oracle finds %d identities with live batches", what, spilled, len(shares))
+	if spilled != len(refs) {
+		t.Fatalf("%s: %d entries point at batches, the oracle finds %d identities with live batches", what, spilled, len(refs))
 	}
 	s.mu.Unlock()
 	ents, err := os.ReadDir(s.dir.Root())
@@ -333,8 +330,8 @@ func TestSurvivorKeepsAppendOrder(t *testing.T) {
 }
 
 // TestBlocksPastIndexedAreNeverRead: a cleaning pass that failed after its
-// survivor's log had accepted some of its blocks leaves those blocks behind
-// its committed length, holding copies of batches that are still live
+// survivor's log had accepted some of its blocks leaves those blocks past
+// its installed entries, holding copies of batches that are still live
 // where they were. Nothing may read them: not a miss, not the next pass —
 // which, counting them as dead bytes, cleans the survivor they sit in —
 // and not a checkpoint.
@@ -401,9 +398,9 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 
 // TestDeltaCheckpointLinksSealedSegments: a delta checkpoint taken some
 // evictions after its parent hard-links every segment file the parent
-// held and the store still does — sealed ones whole — and copies only what
-// was written since: the new segments, the tail of the segment that was
-// the parent's open head, segments.snap and the Stat stream. A checkpoint
+// held and the store still does — sealed ones whole — and every segment
+// sealed since, and copies only what was written to the open head since
+// the parent's cut, the liveness file and the Stat stream. A checkpoint
 // taken right after a cleaning pass restores to the oracle.
 func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	opts := Options{WriteBufferBytes: diffBuffer, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
@@ -427,28 +424,31 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LinkedBytes != 0 {
-		t.Fatalf("a base checkpoint linked %d bytes", res.LinkedBytes)
-	}
 	parent, err := ckpt.ReadMeta(faultfs.OS, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What the parent holds of each file, and which segments were sealed.
+	// What the parent holds of each file, and which segments were sealed:
+	// those the base linked from the store's directory.
 	held := make(map[string]int64)
 	for _, f := range parent.Files {
 		held[f.Logical] = f.TotalLen()
 	}
 	s.ioMu.Lock()
 	var sealed []uint32
+	var sealedBytes int64
 	for _, sg := range s.segs.List() {
 		if sg.Sealed {
 			sealed = append(sealed, sg.ID)
+			sealedBytes += sg.Log.Size()
 		}
 	}
 	s.ioMu.Unlock()
 	if len(sealed) < 3 {
 		t.Fatalf("%d sealed segments at the parent's cut", len(sealed))
+	}
+	if res.LinkedBytes != sealedBytes {
+		t.Fatalf("a base checkpoint linked %d bytes, want its %d sealed segments' %d", res.LinkedBytes, len(sealed), sealedBytes)
 	}
 
 	target := s.SegmentStats().LiveSegments + 3
@@ -462,20 +462,31 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.ioMu.Lock()
+	sealedNow := make(map[string]bool)
+	for _, sg := range s.segs.List() {
+		sealedNow[segmentName(sg.ID)] = sg.Sealed
+	}
+	s.ioMu.Unlock()
 	var wantLinked, wantCopied int64
 	for _, f := range child.Files {
-		wantLinked += held[f.Logical]
-		wantCopied += f.TotalLen() - held[f.Logical]
+		switch {
+		case f.Logical == statLogical: // written whole at every cut
+			wantCopied += f.TotalLen()
+		case sealedNow[f.Logical]:
+			wantLinked += f.TotalLen()
+		default:
+			wantLinked += held[f.Logical]
+			wantCopied += f.TotalLen() - held[f.Logical]
+		}
 	}
-	snap, err := os.Stat(filepath.Join(delta, segmentsSnapshotName))
+	live, err := os.Stat(filepath.Join(delta, livenessName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLinked -= held[statLogical] // the Stat stream is written whole at every cut
-	wantCopied += held[statLogical]
-	if res.LinkedBytes != wantLinked || res.CopiedBytes != wantCopied+snap.Size() || wantLinked == 0 {
-		t.Fatalf("delta linked %d and copied %d bytes; want %d linked (all the parent holds) and %d copied (what was written since, and the %d-byte segments.snap)",
-			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+snap.Size(), snap.Size())
+	if res.LinkedBytes != wantLinked || res.CopiedBytes != wantCopied+live.Size() || wantLinked == 0 {
+		t.Fatalf("delta linked %d and copied %d bytes; want %d linked (every sealed segment, and what the parent holds of the head) and %d copied (what the head gained since, the Stat stream and the %d-byte liveness file)",
+			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+live.Size(), live.Size())
 	}
 	for _, sid := range sealed {
 		name := segmentName(sid)
@@ -694,5 +705,238 @@ func TestSessionRunCleansLittle(t *testing.T) {
 	}
 	if again := runLongAndShortSessions(t); again != first {
 		t.Errorf("second run %+v, first %+v: the counts do not repeat", again, first)
+	}
+}
+
+// TestFailedPassBlocksGetNoOrdinal: blocks a failed cleaning pass appended
+// to the open survivor it found lie past the survivor's entries — they
+// move no ordinal and get no bit. A cut of that survivor restores it
+// exactly — entries, live bytes, file and every reference — and a
+// cleaning pass of the restored store then takes it, strays and all,
+// without reading them.
+func TestFailedPassBlocksGetNoOrdinal(t *testing.T) {
+	const perSeg, valLen = 600, 1 << 10
+	inj := faultfs.NewInjector(faultfs.OS)
+	opts := Options{WriteBufferBytes: 64 << 20, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
+	o := opts
+	o.FS = inj
+	s := openTest(t, o)
+	w := window.Window{Start: 0, End: gap}
+	oracle := make(map[id][]string)
+	key := func(seg, i int) string { return fmt.Sprintf("k%d-%04d", seg, i) }
+	fill := func(seg int) {
+		t.Helper()
+		for i := 0; i < perSeg; i++ {
+			v := fmt.Sprintf("%0*d", valLen, seg*perSeg+i)
+			if err := s.Append([]byte(key(seg, i)), []byte(v), w, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			oracle[id{key(seg, i), w}] = []string{v}
+		}
+		sealHead(t, s)
+	}
+	consume := func(seg, step int) {
+		t.Helper()
+		for i := 0; i < perSeg; i += step {
+			mustGet(t, s, key(seg, i), w)
+			delete(oracle, id{key(seg, i), w})
+		}
+	}
+	// A first pass leaves an open survivor holding k0-0599.
+	fill(0)
+	for i := 0; i < perSeg-1; i++ {
+		mustGet(t, s, key(0, i), w)
+		delete(oracle, id{key(0, i), w})
+	}
+	cleanNow(t, s)
+	fill(1)
+	fill(2)
+	consume(1, 2)
+	consume(2, 2)
+	s.ioMu.Lock()
+	surv := s.segs.Survivor()
+	if surv == nil {
+		s.ioMu.Unlock()
+		t.Fatal("no open survivor before the failing pass")
+	}
+	entries, size := surv.Entries, surv.Log.Size()
+	s.ioMu.Unlock()
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: segmentName(surv.ID), Class: faultfs.ClassPersistent, Err: faultfs.ErrDiskIO})
+	s.ioMu.Lock()
+	err := s.cleanLocked()
+	s.ioMu.Unlock()
+	if !errors.Is(err, faultfs.ErrDiskIO) {
+		t.Fatalf("the pass: %v, want the injected disk error", err)
+	}
+	inj.Reset()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	s.ioMu.Lock()
+	onDisk := len(segmentEntries(t, surv))
+	s.ioMu.Unlock()
+	if !surv.Sealed || surv.Entries != entries || surv.Log.Size() <= size || onDisk <= int(entries) {
+		t.Fatalf("after the failed pass the survivor is sealed=%v with %d entries (were %d), %d on disk, %d bytes (were %d); want sealed, the entries unmoved and blocks past them",
+			surv.Sealed, surv.Entries, entries, onDisk, surv.Log.Size(), size)
+	}
+
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, livenessName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ckpt.DecodeLiveness(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(segs, func(sl ckpt.SegLive) bool { return sl.ID == surv.ID })
+	if i < 0 || segs[i].Entries != entries || len(segs[i].Bits) != int(entries+7)/8 {
+		t.Fatalf("the cut's liveness file has %+v for the survivor; want its %d entries and no bit past them", segs, entries)
+	}
+
+	dst := openTest(t, opts)
+	if err := dst.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, "restored", dst, oracle)
+	type segView struct {
+		entries   uint32
+		live, len int64
+		sealed    bool
+	}
+	view := func(s *Store) (map[uint32]segView, map[id][]ref) {
+		s.ioMu.Lock()
+		defer s.ioMu.Unlock()
+		segs := make(map[uint32]segView)
+		for _, sg := range s.segs.List() {
+			segs[sg.ID] = segView{sg.Entries, sg.Live, sg.Log.Size(), sg.Sealed}
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		refs := make(map[id][]ref)
+		for ident, e := range s.table {
+			refs[ident] = slices.Clone(e.refs)
+			slices.SortFunc(refs[ident], func(a, b ref) int { return cmp.Or(cmp.Compare(a.seg, b.seg), cmp.Compare(a.ord, b.ord)) })
+		}
+		return segs, refs
+	}
+	wantSegs, wantRefs := view(s)
+	gotSegs, gotRefs := view(dst)
+	if !maps.Equal(gotSegs, wantSegs) || !maps.EqualFunc(gotRefs, wantRefs, slices.Equal[[]ref]) {
+		t.Fatalf("restored segments %+v, the store's %+v; or the references differ", gotSegs, wantSegs)
+	}
+
+	cleanNow(t, dst)
+	dst.ioMu.Lock()
+	gone := dst.segs.Get(surv.ID) == nil
+	dst.ioMu.Unlock()
+	if !gone || dst.SegmentStats().Compactions != 1 {
+		t.Fatalf("after a pass of the restored store: survivor gone=%v, %d passes; want it cleaned", gone, dst.SegmentStats().Compactions)
+	}
+	readAll(t, "restored and cleaned", dst, oracle)
+	checkTable(t, "restored and cleaned", dst)
+}
+
+// TestCutChainCopiesOnlyOpenTails cuts a spilling AUR store five times
+// through a delta chain, several evictions and some consumes apart. Each
+// cut copies only what its open segments gained since the parent's cut,
+// the Stat stream and the liveness file (SEGMENTS, describing the cut, is
+// in neither count); every sealed segment it holds is a hard link — of
+// the live file or of the parent's — counted in LinkedBytes. The last cut
+// restores to the oracle.
+func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
+	opts := Options{WriteBufferBytes: diffBuffer, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
+	s := openTest(t, opts)
+	oracle := make(map[id][]string)
+	next := 0
+	var parent *ckpt.Meta
+	var parentDir string
+	for c := 0; c < 5; c++ {
+		for target := s.SegmentStats().LiveSegments + 3; s.SegmentStats().LiveSegments < target; next++ {
+			ident := id{key: fmt.Sprintf("s%05d", next), w: window.Window{Start: int64(next), End: int64(next) + gap}}
+			v := fmt.Sprintf("v%05d", next)
+			if err := s.Append([]byte(ident.key), []byte(v), ident.w, int64(next)); err != nil {
+				t.Fatal(err)
+			}
+			oracle[ident] = append(oracle[ident], v)
+			if next%4 == 1 {
+				old := id{key: fmt.Sprintf("s%05d", next/2), w: window.Window{Start: int64(next / 2), End: int64(next/2) + gap}}
+				mustGet(t, s, old.key, old.w)
+				delete(oracle, old)
+			}
+		}
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("c%d", c))
+		res, err := s.CheckpointDelta(dir, parent, parentDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ioMu.Lock()
+		live := make(map[string]*segment)
+		for _, sg := range s.segs.List() {
+			live[segmentName(sg.ID)] = sg
+		}
+		s.ioMu.Unlock()
+		var copied, linked, sealed int64
+		for _, f := range meta.Files {
+			var held int64
+			if p := parent.File(f.Logical); p != nil && p.Epoch == f.Epoch {
+				held = p.TotalLen()
+			}
+			sg := live[f.Logical]
+			switch {
+			case f.Logical == statLogical:
+				copied += f.TotalLen()
+				continue
+			case sg == nil:
+				t.Fatalf("cut %d holds %s, which the store does not", c, f.Logical)
+			case sg.Sealed:
+				sealed += f.TotalLen()
+				linked += f.TotalLen()
+				if len(f.Segments) == 1 {
+					same(t, filepath.Join(dir, f.Segments[0].Name), sg.Log.Path())
+				}
+			default:
+				linked += held
+				copied += f.TotalLen() - held
+			}
+		}
+		lf, err := os.Stat(filepath.Join(dir, livenessName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("cut %d: copied %d, linked %d (%d in sealed segments), %d segments", c, res.CopiedBytes, res.LinkedBytes, sealed, len(live))
+		if res.CopiedBytes != copied+lf.Size() || res.LinkedBytes != linked || sealed == 0 {
+			t.Fatalf("cut %d copied %d and linked %d bytes; want %d copied (the open segments' new tails, the Stat stream, the %d-byte liveness file) and %d linked, %d of them sealed segments",
+				c, res.CopiedBytes, res.LinkedBytes, copied+lf.Size(), lf.Size(), linked, sealed)
+		}
+		parent, parentDir = meta, dir
+	}
+	dst := openTest(t, opts)
+	if err := dst.Restore(parentDir); err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, "restored from the chain's last cut", dst, oracle)
+}
+
+// same fails the test unless the files at a and b are one inode.
+func same(t *testing.T, a, b string) {
+	t.Helper()
+	fa, err := os.Stat(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := os.Stat(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(fa, fb) {
+		t.Fatalf("%s is not a hard link of %s", a, b)
 	}
 }

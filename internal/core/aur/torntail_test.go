@@ -72,11 +72,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	inj.Reset()
 
 	// Reboot: assemble a checkpoint from the surviving on-disk files —
-	// each log as one whole-file checkpoint segment under its own name,
-	// every store segment sealed and nothing consumed, and a Stat stream
-	// of batch 1's rows, the states whose batches landed. (A real core
-	// checkpoint would have been rejected mid-write; this models restoring
-	// the instance directory itself after a crash.)
+	// each log as one whole-file checkpoint segment under its own name, a
+	// liveness file counting the entries of each one's whole blocks, all
+	// live, and a Stat stream of batch 1's rows, the states whose batches
+	// landed. (A real core checkpoint would have been rejected mid-write;
+	// this models restoring the instance directory itself after a crash.)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -86,17 +86,35 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var segs []SegmentInfo
+	var segs []ckpt.SegLive
 	for _, e := range ents {
 		var sid uint32
 		if _, err := fmt.Sscanf(e.Name(), segmentPrefix+"-%d.log", &sid); err != nil {
 			t.Fatalf("unexpected file %s in %s", e.Name(), dir)
 		}
-		segs = append(segs, SegmentInfo{ID: sid, State: logfile.SegmentSealed})
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sl := ckpt.SegLive{ID: sid}
+		for rest := b; len(rest) > 0; {
+			block, n, err := binio.ReadRecord(rest)
+			if err != nil {
+				break // the torn tail
+			}
+			entries, err := logfile.DecodeSegmentBlock(block, func(*logfile.BlockEntry) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			sl.Entries, rest = sl.Entries+uint32(entries), rest[n:]
+		}
+		for ord := uint32(0); ord < sl.Entries; ord++ {
+			if ord%8 == 0 {
+				sl.Bits = append(sl.Bits, 0)
+			}
+			sl.Bits[ord/8] |= 1 << (ord % 8)
+		}
+		segs = append(segs, sl)
 		seg := ckpt.SegmentName(e.Name(), 0)
 		if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
 			t.Fatal(err)
@@ -118,7 +136,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 	}
 	meta.Files = append(meta.Files, ckpt.FileState{Logical: statLogical, Epoch: 1,
 		Segments: []ckpt.Segment{{Name: statSeg, Len: int64(len(stat)), CRC: binio.Checksum(stat)}}})
-	if err := os.WriteFile(filepath.Join(ckptDir, segmentsSnapshotName), encodeSegmentsSnapshot(segs), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ckptDir, livenessName), ckpt.EncodeLiveness(segs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {

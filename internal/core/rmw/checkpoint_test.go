@@ -432,13 +432,13 @@ func TestConsumedAfterLinkIsClearedByNextCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, err := decodeLiveness(b)
+		segs, err := ckpt.DecodeLiveness(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, sl := range segs {
-			if sl.id == sp.seg {
-				return sl.live(sp.ord)
+			if sl.ID == sp.seg {
+				return sl.Live(sp.ord)
 			}
 		}
 		return false

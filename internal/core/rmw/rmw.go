@@ -86,7 +86,6 @@ import (
 	"sync"
 
 	"flowkv/internal/binio"
-	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
@@ -166,15 +165,9 @@ type slot struct {
 	buffered, indexed, flushing bool
 }
 
-// segState is the store's own state of a segment, owned by ioMu.
-type segState struct {
-	epoch   uint64 // tells checkpoints this file from another of its name
-	entries uint32 // in its blocks: the next entry's ordinal
-}
-
 // segment is one file of the log: logfile.Segments' lifecycle with a
 // single log.
-type segment = logfile.Segment[segState]
+type segment = logfile.Segment
 
 // segmentPrefix names the log's files, rmw-NNNNNN.log.
 const segmentPrefix = "rmw"
@@ -210,7 +203,7 @@ type Store struct {
 	// checkpoint/restore. Never acquired while holding mu.
 	ioMu sync.Mutex
 	// segs is the log: every segment file, the flush head and the survivor.
-	segs *logfile.Segments[segState]
+	segs *logfile.Segments
 	// victims is the slice a flush detaches its batch into, kept from one
 	// flush to the next (they run one at a time, under ioMu).
 	victims []bufAgg
@@ -226,28 +219,19 @@ type Store struct {
 
 // Open creates an RMW store instance rooted at opts.Dir. Segment files
 // are created as flushes need them; a store that never spills owns none.
-// A store starts empty, so segment files an earlier process left in the
-// directory are unlinked: one may share its inode with a checkpoint, which
-// creating over it would truncate.
+// A store starts empty: segment files an earlier process left in the
+// directory are unlinked (logfile.NewSegments).
 func Open(opts Options) (*Store, error) {
 	opts.fill()
 	dir, err := logfile.OpenDirFS(opts.FS, opts.Dir, opts.Breakdown)
 	if err != nil {
 		return nil, err
 	}
-	ents, err := opts.FS.ReadDir(opts.Dir)
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), segmentPrefix+"-") {
-			err = cmp.Or(err, dir.Remove(e.Name()))
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("rmw: open: clear stale segments: %w", err)
-	}
 	dir.SetPolicy(opts.Policy)
 	s := &Store{opts: opts, dir: dir, bd: opts.Breakdown, table: make(map[id]slot)}
-	s.segs = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix,
-		opts.WriteBufferBytes, opts.MaxSpaceAmplification, func() segState { return segState{epoch: ckpt.Rand64()} })
+	if s.segs, err = logfile.NewSegments(dir, &s.ioMu, &s.mu, segmentPrefix, opts.WriteBufferBytes, opts.MaxSpaceAmplification); err != nil {
+		return nil, fmt.Errorf("rmw: open: %w", err)
+	}
 	return s, nil
 }
 
@@ -756,8 +740,8 @@ func placeBlock(ps []placed, off int64, sg *segment, n int, block []byte, body i
 		sp := &ps[i].sp
 		sp.off, sp.seg, sp.n = off, sg.ID, uint32(n)
 		sp.entry += hdr
-		sp.ord = sg.X.entries
-		sg.X.entries++
+		sp.ord = sg.Entries
+		sg.Entries++
 	}
 	ps[0].sp.share += uint32(n - body)
 }

@@ -3,7 +3,9 @@ package logfile
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 
 	"flowkv/internal/metrics"
@@ -12,23 +14,22 @@ import (
 // SegmentName is the file name of segment id's log with the given prefix.
 func SegmentName(prefix string, id uint32) string { return fmt.Sprintf("%s-%06d.log", prefix, id) }
 
-// A segment's role, as a checkpoint records it.
-const (
-	SegmentSealed byte = iota
-	SegmentHead
-	SegmentSurvivor
-)
-
 // Segment is one segment of a segmented log: a log file created, sealed
 // and unlinked whole. Its size counts toward space amplification; Live is
-// the part of it its store still references. Log and X, the store's own
-// per-segment state, are owned by ioMu; Live and Sealed are guarded by mu.
-type Segment[X any] struct {
-	ID     uint32
-	Log    *Log
-	Live   int64
-	Sealed bool
-	X      X
+// the part of it its store still references. Log, Epoch and Entries are
+// owned by ioMu; Live and Sealed are guarded by mu.
+type Segment struct {
+	ID   uint32
+	Log  *Log
+	Live int64
+	// Epoch tells a checkpoint this file from another of its name: a cut
+	// links what its parent holds only while they match.
+	Epoch uint64
+	// Entries counts the entries of the blocks its store installed, and so
+	// is the next one's ordinal — its bit in a checkpoint's liveness file.
+	// Blocks a failed cleaning pass appended lie past them, and get none.
+	Entries uint32
+	Sealed  bool
 }
 
 // SegmentStats is a segment set's lifecycle accounting.
@@ -55,17 +56,16 @@ type SegmentStats struct {
 // ioMu is taken. The table changes only with both held, so either suffices
 // to read it (Get, Len). Unless a method says otherwise the caller holds
 // ioMu.
-type Segments[X any] struct {
+type Segments struct {
 	ioMu, mu  *sync.Mutex
 	syncMu    sync.Mutex // one Sync at a time, held around (not under) ioMu
 	dir       *Dir
 	prefix    string // the segment files' name prefix
 	sealBytes int64
 	msa       float64
-	newX      func() X
 
-	segs       map[uint32]*Segment[X]
-	head, surv *Segment[X] // nil until first needed and again once sealed
+	segs       map[uint32]*Segment
+	head, surv *Segment // nil until first needed and again once sealed
 	next       uint32
 	closed     bool // set by Close with ioMu and mu held
 
@@ -73,50 +73,52 @@ type Segments[X any] struct {
 }
 
 // NewSegments returns an empty set in dir whose segment files are named
-// SegmentName(prefix, id) and whose segments get an X from newX (nil: the
-// zero X).
-func NewSegments[X any](dir *Dir, ioMu, mu *sync.Mutex, prefix string, sealBytes int64, msa float64, newX func() X) *Segments[X] {
-	if newX == nil {
-		newX = func() (x X) { return x }
+// SegmentName(prefix, id). A set starts empty, so segment files an earlier
+// process left in dir are unlinked: one may share its inode with a
+// checkpoint, which creating over it would truncate.
+func NewSegments(dir *Dir, ioMu, mu *sync.Mutex, prefix string, sealBytes int64, msa float64) (*Segments, error) {
+	ents, err := dir.FS().ReadDir(dir.Root())
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), prefix+"-") {
+			err = cmp.Or(err, dir.Remove(e.Name()))
+		}
 	}
-	return &Segments[X]{ioMu: ioMu, mu: mu, dir: dir, prefix: prefix, sealBytes: sealBytes, msa: msa,
-		newX: newX, segs: make(map[uint32]*Segment[X])}
+	if err != nil {
+		return nil, fmt.Errorf("logfile: clear stale segments: %w", err)
+	}
+	return &Segments{ioMu: ioMu, mu: mu, dir: dir, prefix: prefix, sealBytes: sealBytes, msa: msa,
+		segs: make(map[uint32]*Segment)}, nil
 }
+
+// Dir returns the directory the segment files live in.
+func (ss *Segments) Dir() *Dir { return ss.dir }
+
+// Name returns segment id's file name.
+func (ss *Segments) Name(id uint32) string { return SegmentName(ss.prefix, id) }
 
 // Get returns segment id; the caller holds ioMu or mu.
-func (ss *Segments[X]) Get(id uint32) *Segment[X] { return ss.segs[id] }
+func (ss *Segments) Get(id uint32) *Segment { return ss.segs[id] }
 
 // Len returns the number of segments; the caller holds ioMu or mu.
-func (ss *Segments[X]) Len() int { return len(ss.segs) }
+func (ss *Segments) Len() int { return len(ss.segs) }
 
 // Closed reports whether Close has run; the caller holds ioMu or mu.
-func (ss *Segments[X]) Closed() bool { return ss.closed }
+func (ss *Segments) Closed() bool { return ss.closed }
 
 // Head returns the open flush head, nil if there is none.
-func (ss *Segments[X]) Head() *Segment[X] { return ss.head }
+func (ss *Segments) Head() *Segment { return ss.head }
 
 // Survivor returns the open survivor segment, nil if there is none.
-func (ss *Segments[X]) Survivor() *Segment[X] { return ss.surv }
+func (ss *Segments) Survivor() *Segment { return ss.surv }
 
 // NextID returns the id the next segment created will get.
-func (ss *Segments[X]) NextID() uint32 { return ss.next }
-
-// State returns sg's role.
-func (ss *Segments[X]) State(sg *Segment[X]) byte {
-	switch sg {
-	case ss.head:
-		return SegmentHead
-	case ss.surv:
-		return SegmentSurvivor
-	}
-	return SegmentSealed
-}
+func (ss *Segments) NextID() uint32 { return ss.next }
 
 // OpenHead returns the flush head, creating it on first need: a set that
 // never spills owns no file.
-func (ss *Segments[X]) OpenHead() (*Segment[X], error) {
+func (ss *Segments) OpenHead() (*Segment, error) {
 	if ss.head == nil {
-		sg, err := ss.open(ss.next, ss.dir.Create, ss.newX())
+		sg, err := ss.open(ss.next, ss.dir.Create, rand.Uint64())
 		if err != nil {
 			return nil, err
 		}
@@ -125,28 +127,20 @@ func (ss *Segments[X]) OpenHead() (*Segment[X], error) {
 	return ss.head, nil
 }
 
-// Reopen registers segment id, whose files a restore put back, in role
-// state with payload x; later segments are numbered after it.
-func (ss *Segments[X]) Reopen(id uint32, state byte, x X) (*Segment[X], error) {
-	sg, err := ss.open(id, ss.dir.Open, x)
-	if err != nil {
-		return nil, err
-	}
-	switch state {
-	case SegmentHead:
-		ss.head = sg
-	case SegmentSurvivor:
-		ss.surv = sg
-	default:
-		ss.Seal(sg, true)
-	}
-	return sg, nil
+// Reopen registers segment id, whose file a restore put back, sealed under
+// epoch; later segments are numbered after it.
+func (ss *Segments) Reopen(id uint32, epoch uint64) (*Segment, error) {
+	return ss.reopen(id, ss.dir.Open, epoch)
 }
 
-// ReopenSealed is Reopen for a sealed segment whose file is never to be
-// written again (Dir.OpenSealed), its bytes checksumming to crc.
-func (ss *Segments[X]) ReopenSealed(id uint32, x X, crc uint32) (*Segment[X], error) {
-	sg, err := ss.open(id, func(name string) (*Log, error) { return ss.dir.OpenSealed(name, crc) }, x)
+// ReopenSealed is Reopen for a file never to be written again
+// (Dir.OpenSealed), its bytes checksumming to crc.
+func (ss *Segments) ReopenSealed(id uint32, epoch uint64, crc uint32) (*Segment, error) {
+	return ss.reopen(id, func(name string) (*Log, error) { return ss.dir.OpenSealed(name, crc) }, epoch)
+}
+
+func (ss *Segments) reopen(id uint32, open func(name string) (*Log, error), epoch uint64) (*Segment, error) {
+	sg, err := ss.open(id, open, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -154,14 +148,14 @@ func (ss *Segments[X]) ReopenSealed(id uint32, x X, crc uint32) (*Segment[X], er
 	return sg, nil
 }
 
-// open creates or opens segment id's log and registers it with payload x;
-// on failure it uses up no id.
-func (ss *Segments[X]) open(id uint32, open func(name string) (*Log, error), x X) (*Segment[X], error) {
+// open creates or opens segment id's log and registers it under epoch; on
+// failure it uses up no id.
+func (ss *Segments) open(id uint32, open func(name string) (*Log, error), epoch uint64) (*Segment, error) {
 	l, err := open(SegmentName(ss.prefix, id))
 	if err != nil {
 		return nil, err
 	}
-	sg := &Segment[X]{ID: id, Log: l, X: x}
+	sg := &Segment{ID: id, Log: l, Epoch: epoch}
 	ss.next = id + 1
 	ss.mu.Lock()
 	ss.segs[id] = sg
@@ -173,7 +167,7 @@ func (ss *Segments[X]) open(id uint32, open func(name string) (*Log, error), x X
 // holds with force. A sealed segment stays readable until its last live
 // record is consumed or cleaned away, but gives its write buffer back now:
 // a set holds a dozen sealed segments for every open one.
-func (ss *Segments[X]) Seal(sg *Segment[X], force bool) {
+func (ss *Segments) Seal(sg *Segment, force bool) {
 	if !force && sg.Log.Size() < ss.sealBytes {
 		return
 	}
@@ -187,7 +181,7 @@ func (ss *Segments[X]) Seal(sg *Segment[X], force bool) {
 }
 
 // unassign stops appending to sg if it is the head or the survivor.
-func (ss *Segments[X]) unassign(sg *Segment[X]) {
+func (ss *Segments) unassign(sg *Segment) {
 	if ss.head == sg {
 		ss.head = nil
 	}
@@ -197,7 +191,7 @@ func (ss *Segments[X]) unassign(sg *Segment[X]) {
 }
 
 // drop forgets sg, whose files are gone or going.
-func (ss *Segments[X]) drop(sg *Segment[X]) {
+func (ss *Segments) drop(sg *Segment) {
 	ss.mu.Lock()
 	delete(ss.segs, sg.ID)
 	ss.mu.Unlock()
@@ -210,16 +204,16 @@ func (ss *Segments[X]) drop(sg *Segment[X]) {
 // that located a record in a reaped segment before it was consumed or
 // moved may still be reading it without ioMu; the close fails that read,
 // and the reader retries under ioMu.
-func (ss *Segments[X]) Reap() (first error) {
+func (ss *Segments) Reap() (first error) {
 	ss.mu.Lock()
-	var empty []*Segment[X]
+	var empty []*Segment
 	for _, sg := range ss.segs {
 		if sg.Sealed && sg.Live == 0 {
 			empty = append(empty, sg)
 		}
 	}
 	ss.mu.Unlock()
-	slices.SortFunc(empty, func(a, b *Segment[X]) int { return int(a.ID) - int(b.ID) })
+	slices.SortFunc(empty, func(a, b *Segment) int { return int(a.ID) - int(b.ID) })
 	for _, sg := range empty {
 		if err := ss.dir.Remove(SegmentName(ss.prefix, sg.ID)); err != nil {
 			first = cmp.Or(first, err)
@@ -233,19 +227,19 @@ func (ss *Segments[X]) Reap() (first error) {
 }
 
 // List returns the segments in id (creation) order.
-func (ss *Segments[X]) List() []*Segment[X] {
+func (ss *Segments) List() []*Segment {
 	ss.mu.Lock()
-	segs := make([]*Segment[X], 0, len(ss.segs))
+	segs := make([]*Segment, 0, len(ss.segs))
 	for _, sg := range ss.segs {
 		segs = append(segs, sg)
 	}
 	ss.mu.Unlock()
-	slices.SortFunc(segs, func(a, b *Segment[X]) int { return int(a.ID) - int(b.ID) })
+	slices.SortFunc(segs, func(a, b *Segment) int { return int(a.ID) - int(b.ID) })
 	return segs
 }
 
 // Logs returns every segment's log in id order.
-func (ss *Segments[X]) Logs() []*Log {
+func (ss *Segments) Logs() []*Log {
 	var logs []*Log
 	for _, sg := range ss.List() {
 		logs = append(logs, sg.Log)
@@ -269,7 +263,7 @@ func (ss *Segments[X]) Logs() []*Log {
 // copyLive or install fails leaves its owner pointing at the intact
 // victims; a survivor the pass opened is removed, and one it found open is
 // sealed, so what the pass appended there stays dead.
-func (ss *Segments[X]) Clean(copyLive func(v *Segment[X], live int64, surv *Segment[X]) error, install func(surv *Segment[X]) (int64, error)) error {
+func (ss *Segments) Clean(copyLive func(v *Segment, live int64, surv *Segment) error, install func(surv *Segment) (int64, error)) error {
 	if err := ss.Reap(); err != nil {
 		return err
 	}
@@ -308,7 +302,7 @@ func (ss *Segments[X]) Clean(copyLive func(v *Segment[X], live int64, surv *Segm
 
 // victims chooses a cleaning pass's victims, none while amplification is
 // within msa.
-func (ss *Segments[X]) victims() []*Segment[X] {
+func (ss *Segments) victims() []*Segment {
 	var cands []Candidate
 	var total, live int64
 	ss.mu.Lock()
@@ -324,14 +318,14 @@ func (ss *Segments[X]) victims() []*Segment[X] {
 	if live == 0 { // amplification 1.0
 		return nil
 	}
-	var victims []*Segment[X]
+	var victims []*Segment
 	for _, c := range PickVictims(cands, total, live, ss.msa) {
 		victims = append(victims, ss.segs[c.ID])
 	}
 	return victims
 }
 
-func (ss *Segments[X]) copyAll(victims []*Segment[X], copyLive func(v *Segment[X], live int64, surv *Segment[X]) error, install func(surv *Segment[X]) (int64, error)) (int64, error) {
+func (ss *Segments) copyAll(victims []*Segment, copyLive func(v *Segment, live int64, surv *Segment) error, install func(surv *Segment) (int64, error)) (int64, error) {
 	for _, v := range victims {
 		ss.mu.Lock()
 		live := v.Live
@@ -340,7 +334,7 @@ func (ss *Segments[X]) copyAll(victims []*Segment[X], copyLive func(v *Segment[X
 			continue
 		}
 		if ss.surv == nil {
-			sg, err := ss.open(ss.next, ss.dir.Create, ss.newX())
+			sg, err := ss.open(ss.next, ss.dir.Create, rand.Uint64())
 			if err != nil {
 				return 0, err
 			}
@@ -363,7 +357,7 @@ func (ss *Segments[X]) copyAll(victims []*Segment[X], copyLive func(v *Segment[X
 // durable. A cleaning pass that moved records meanwhile may have moved them
 // from a segment already synced into one that is not, and then the sweep
 // is repeated. Sync takes the locks itself, one caller at a time.
-func (ss *Segments[X]) Sync(flush func() error) error {
+func (ss *Segments) Sync(flush func() error) error {
 	ss.syncMu.Lock()
 	defer ss.syncMu.Unlock()
 	ss.ioMu.Lock()
@@ -392,7 +386,7 @@ func (ss *Segments[X]) Sync(flush func() error) error {
 }
 
 // Flush writes every log's buffered appends to its file.
-func (ss *Segments[X]) Flush() error {
+func (ss *Segments) Flush() error {
 	for _, l := range ss.Logs() {
 		if err := l.Flush(); err != nil {
 			return err
@@ -403,7 +397,7 @@ func (ss *Segments[X]) Flush() error {
 
 // Size returns the bytes of every log, appends still in a write buffer
 // included. It takes ioMu.
-func (ss *Segments[X]) Size() (n int64) {
+func (ss *Segments) Size() (n int64) {
 	ss.ioMu.Lock()
 	defer ss.ioMu.Unlock()
 	for _, l := range ss.Logs() {
@@ -414,7 +408,7 @@ func (ss *Segments[X]) Size() (n int64) {
 
 // Poisoned returns the first poisoning error among the logs. It takes
 // ioMu.
-func (ss *Segments[X]) Poisoned() error {
+func (ss *Segments) Poisoned() error {
 	ss.ioMu.Lock()
 	defer ss.ioMu.Unlock()
 	return FirstPoisoned(ss.Logs())
@@ -422,7 +416,7 @@ func (ss *Segments[X]) Poisoned() error {
 
 // Recover reopens every poisoned log at its durable offset (see
 // RecoverAll). It takes ioMu.
-func (ss *Segments[X]) Recover() error {
+func (ss *Segments) Recover() error {
 	ss.ioMu.Lock()
 	defer ss.ioMu.Unlock()
 	return RecoverAll(ss.Logs())
@@ -431,7 +425,7 @@ func (ss *Segments[X]) Recover() error {
 // Close closes every log, leaving the files on disk, and returns the first
 // failure; closing a closed set does nothing. Its owner is closed with it
 // (Closed). It takes ioMu and mu.
-func (ss *Segments[X]) Close() (first error) {
+func (ss *Segments) Close() (first error) {
 	ss.ioMu.Lock()
 	defer ss.ioMu.Unlock()
 	ss.mu.Lock()
@@ -448,7 +442,7 @@ func (ss *Segments[X]) Close() (first error) {
 }
 
 // Stats returns the set's lifecycle accounting. It takes mu.
-func (ss *Segments[X]) Stats() SegmentStats {
+func (ss *Segments) Stats() SegmentStats {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	return SegmentStats{Passes: ss.passes.Load(), Compactions: ss.compactions.Load(),

@@ -88,10 +88,9 @@ type fakeStore struct {
 	ioMu, mu sync.Mutex
 	fs       *recFS
 	dir      *Dir
-	ss       *Segments[int]
+	ss       *Segments
 	recs     map[int]uint32 // record → segment
 	next     int
-	made     int // payloads newX handed out
 }
 
 const (
@@ -107,13 +106,15 @@ func newFakeStore(t *testing.T) *fakeStore {
 		t.Fatal(err)
 	}
 	f := &fakeStore{t: t, fs: fs, dir: dir, recs: make(map[int]uint32)}
-	f.ss = NewSegments(dir, &f.ioMu, &f.mu, fakePrefix, fakeSealBytes, 1.2, func() int { f.made++; return f.made })
+	if f.ss, err = NewSegments(dir, &f.ioMu, &f.mu, fakePrefix, fakeSealBytes, 1.2); err != nil {
+		t.Fatal(err)
+	}
 	return f
 }
 
 // appendRec appends one record to sg's log and returns its framed bytes;
 // caller holds ioMu.
-func (f *fakeStore) appendRec(sg *Segment[int]) int64 {
+func (f *fakeStore) appendRec(sg *Segment) int64 {
 	f.t.Helper()
 	_, n, err := sg.Log.Append(make([]byte, fakePayload))
 	if err != nil {
@@ -124,7 +125,7 @@ func (f *fakeStore) appendRec(sg *Segment[int]) int64 {
 
 // flush writes n records into the head, sealing it behind them with seal,
 // and returns the head.
-func (f *fakeStore) flush(n int, seal bool) *Segment[int] {
+func (f *fakeStore) flush(n int, seal bool) *Segment {
 	f.t.Helper()
 	f.ioMu.Lock()
 	defer f.ioMu.Unlock()
@@ -145,7 +146,7 @@ func (f *fakeStore) flush(n int, seal bool) *Segment[int] {
 }
 
 // consume kills every record of sg for which kill says so.
-func (f *fakeStore) consume(sg *Segment[int], kill func(rec int) bool) {
+func (f *fakeStore) consume(sg *Segment, kill func(rec int) bool) {
 	f.ioMu.Lock()
 	defer f.ioMu.Unlock()
 	f.mu.Lock()
@@ -166,12 +167,12 @@ func (f *fakeStore) recBytes() int64 {
 // clean runs Clean with a copy that moves every live record of a victim
 // and fails on victim failAt (1-based, 0 for never), and returns the
 // victims the copy was handed.
-func (f *fakeStore) clean(failAt int) ([]*Segment[int], error) {
+func (f *fakeStore) clean(failAt int) ([]*Segment, error) {
 	f.ioMu.Lock()
 	defer f.ioMu.Unlock()
-	var victims []*Segment[int]
+	var victims []*Segment
 	moved := make(map[int]uint32)
-	err := f.ss.Clean(func(v *Segment[int], live int64, surv *Segment[int]) error {
+	err := f.ss.Clean(func(v *Segment, live int64, surv *Segment) error {
 		victims = append(victims, v)
 		if len(victims) == failAt {
 			return errors.New("copy failed")
@@ -192,7 +193,7 @@ func (f *fakeStore) clean(failAt int) ([]*Segment[int], error) {
 			moved[rec] = v.ID
 		}
 		return nil
-	}, func(surv *Segment[int]) (int64, error) {
+	}, func(surv *Segment) (int64, error) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		for rec, from := range moved {
@@ -251,13 +252,13 @@ func oneLog(t *testing.T, fn func(t *testing.T, f *fakeStore)) {
 func TestSegmentsLifecycle(t *testing.T) {
 	oneLog(t, func(t *testing.T, f *fakeStore) {
 		f.checkDir("opened")
-		if f.ss.Len() != 0 || f.ss.Head() != nil || f.made != 0 {
+		if f.ss.Len() != 0 || f.ss.Head() != nil {
 			t.Fatalf("a fresh set holds %d segments, head %v", f.ss.Len(), f.ss.Head())
 		}
 		head := f.flush(1, false)
 		f.checkDir("first flush")
-		if head.ID != 0 || head.Sealed || f.ss.Head() != head || head.X != 1 {
-			t.Fatalf("first head: id %d, sealed %v, payload %d", head.ID, head.Sealed, head.X)
+		if head.ID != 0 || head.Sealed || f.ss.Head() != head || head.Epoch == 0 {
+			t.Fatalf("first head: id %d, sealed %v, epoch %d", head.ID, head.Sealed, head.Epoch)
 		}
 		for !head.Sealed {
 			if f.flush(1, false) != head {
@@ -327,7 +328,7 @@ func TestSegmentsCleaningVictims(t *testing.T) {
 			t.Fatal(err)
 		}
 		surv := f.ss.Survivor()
-		if slices.Contains(victims, head) || !slices.Equal(victims, []*Segment[int]{s0, s1}) || surv == nil {
+		if slices.Contains(victims, head) || !slices.Equal(victims, []*Segment{s0, s1}) || surv == nil {
 			t.Fatalf("victims %v, survivor %v; want segments 0 and 1, not the head", ids(victims), surv)
 		}
 		if st := f.ss.Stats(); st.Passes != 1 || st.Compactions != 1 || st.SegmentsDropped != 2 {
@@ -353,7 +354,7 @@ func TestSegmentsCleaningVictims(t *testing.T) {
 	})
 }
 
-func ids(segs []*Segment[int]) (out []uint32) {
+func ids(segs []*Segment) (out []uint32) {
 	for _, sg := range segs {
 		out = append(out, sg.ID)
 	}

@@ -283,13 +283,13 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 // TestScrubBatteryZeroedPageIsFrameError zeroes a page inside the committed
 // SINK.log prefix, inside the committed generation's stat.dlt replay
 // segment, its RMW buffer dump and an RMW segment file the cut links, in
-// its AUR segments.snap, and in each metadata file: JOB, GENMETA, a cut's
+// its AUR liveness file, and in each metadata file: JOB, GENMETA, a cut's
 // MANIFEST and APPMETA, and an instance's SEGMENTS. Each must fail typed,
 // as a *binio.FrameError — a frame cannot start with a zero byte, so a
 // zeroed page is never a run of valid empty records, and a deflate stream
 // zeroed from its start is a stored block whose length check fails: the
 // ledger from VerifyJobDir and ReadLedger, a replay segment from the
-// replay its restore runs, segments.snap from the AUR store's Restore, the RMW files
+// replay its restore runs, aur.live from the AUR store's Restore, the RMW files
 // from the RMW store's Restore (a *logfile.BlockError would do there too;
 // the checkpoint MANIFEST catches all of these first, as the
 // CheckpointError VerifyJobDir reports), JOB from ReadJobMeta, GENMETA
@@ -308,7 +308,7 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 		{crashPatterns()[2], "rmw.buf"},
 		{crashPatterns()[2], "rmw-segment"},
 		{crashPatterns()[1], "stat.dlt"},
-		{crashPatterns()[1], "segments.snap"},
+		{crashPatterns()[1], "aur.live"},
 		{crashPatterns()[2], jobMetaName},
 		{crashPatterns()[2], genMetaName},
 		{crashPatterns()[2], "MANIFEST"},
@@ -424,10 +424,10 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				if be := (*logfile.BlockError)(nil); !errors.As(err, &fe) && !errors.As(err, &be) {
 					t.Fatalf("RMW restore over a zeroed %s page: %v, want a FrameError or BlockError", path, err)
 				}
-			case "segments.snap":
+			case "aur.live":
 				zero(filepath.Join(inst, leg.logical), -1)
 				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
-					t.Fatalf("VerifyJobDir over a zeroed segments.snap page: %v, want a CheckpointError", err)
+					t.Fatalf("VerifyJobDir over a zeroed aur.live page: %v, want a CheckpointError", err)
 				}
 				st, err := aur.Open(aur.Options{Dir: filepath.Join(base, "restored")})
 				if err != nil {
@@ -435,7 +435,7 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				}
 				defer st.Destroy()
 				if err := st.Restore(inst); !errors.As(err, &fe) {
-					t.Fatalf("restore over a zeroed segments.snap page: %v, want a FrameError", err)
+					t.Fatalf("restore over a zeroed aur.live page: %v, want a FrameError", err)
 				}
 			default:
 				segs, err := ckpt.ReadMeta(faultfs.OS, inst)
