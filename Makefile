@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test ./internal/binio/ -fuzz FuzzInflate -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzParseManifest -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeCut -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeLiveness -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -run '^$$' -fuzztime $(FUZZTIME)

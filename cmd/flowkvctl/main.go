@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	flowkvctl ls    <store-dir>        # list files with sizes and kinds
+//	flowkvctl ls    <store-dir>        # list files with sizes and kinds (a checkpoint: CUT and segment files)
 //	flowkvctl aur   <aur-*.log file>   # flush number, keys, windows and value counts per block of an AUR segment
 //	flowkvctl aar   <win_*.log file>   # keys and tuples per flush chunk of an AAR per-window log
 //	flowkvctl rmw   <rmw-*.log file>   # flush number, key, window and aggregate bytes per entry of an RMW segment
@@ -33,6 +33,7 @@ import (
 	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
 	"flowkv/internal/core/aar"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/jobmanager"
 	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
@@ -104,18 +105,20 @@ func cmdLs(dir string) error {
 }
 
 // segmentLog matches the log of an AUR or RMW segment, live or as a
-// checkpoint segment of it, capturing the store's prefix and the segment's
+// checkpoint segment of it, capturing the instance prefix a checkpoint
+// names it under (ckpt.InstPrefix), the store's prefix and the segment's
 // id.
-var segmentLog = regexp.MustCompile(`^(aur|rmw)-(\d{6})\.log`)
+var segmentLog = regexp.MustCompile(`^(inst-\d{2}\.)?(aur|rmw)-(\d{6})\.log`)
 
-// segmentName matches a checkpoint segment file, "<logical>.seg-<offset>"
-// (ckpt.SegmentName), capturing the logical file it is a slice of and the
-// offset in it where the slice starts.
-var segmentName = regexp.MustCompile(`^(.+)\.seg-(\d{12})$`)
+// segmentName matches a checkpoint segment file,
+// "inst-NN.<logical>.seg-<offset>" (ckpt.InstPrefix, ckpt.SegmentName),
+// capturing the logical file it is a slice of and the offset in it where
+// the slice starts.
+var segmentName = regexp.MustCompile(`^inst-\d{2}\.(.+)\.seg-(\d{12})$`)
 
 // fileKind names what a store or checkpoint file holds, from its file
 // name alone: live logs by their prefix, checkpoint segments by the
-// logical file they slice, and the fixed-name metadata files.
+// logical file they slice, and the fixed-name files.
 func fileKind(name string) string {
 	logical, suffix := name, "-log"
 	if m := segmentName.FindStringSubmatch(name); m != nil {
@@ -126,26 +129,14 @@ func fileKind(name string) string {
 		return "aar-window" + suffix
 	case strings.HasPrefix(logical, "aur-"):
 		return "aur-segment" + suffix
-	case logical == "stat.dlt":
-		return "aur-stat-stream" + suffix
 	case strings.HasPrefix(logical, "rmw-"):
 		return "rmw" + suffix
 	case strings.HasSuffix(name, ".sst"):
 		return "sstable"
 	case strings.HasPrefix(name, "hlog-"):
 		return "hybrid-log"
-	case name == "aur.live":
-		return "aur-liveness"
-	case name == "rmw.live":
-		return "rmw-liveness"
-	case logical == "rmw.buf":
-		return "rmw-buffer-dump" + suffix
-	case name == "SEGMENTS":
-		return "segment-manifest"
-	case name == "MANIFEST":
-		return "checkpoint-manifest"
-	case name == "APPMETA":
-		return "app-metadata"
+	case name == ckpt.CutName:
+		return "checkpoint-cut"
 	case name == "QUARANTINE":
 		return "quarantine-marker"
 	}
@@ -233,6 +224,7 @@ func cmdHealth(dir string) error {
 	var files, torn, corrupt int
 	type segStat struct{ entries, blocks, bytes, live int64 }
 	type segLog struct {
+		inst   string // the instance directory, or a checkpoint's instance
 		prefix string
 		segs   map[uint32]*segStat
 		live   map[uint32]*ckpt.SegLive // nil outside a checkpoint
@@ -257,15 +249,21 @@ func cmdHealth(dir string) error {
 		var ss *segStat      // set for the log of an AUR or RMW segment
 		var sl *ckpt.SegLive // and, in a checkpoint, its bitmap
 		if m != nil {
-			key := filepath.Join(filepath.Dir(rel), m[1])
+			inst := filepath.Join(filepath.Dir(rel), strings.TrimSuffix(m[1], "."))
+			key := filepath.Join(inst, m[2])
 			lg := logs[key]
 			if lg == nil {
-				lg = &segLog{prefix: m[1], segs: make(map[uint32]*segStat)}
+				lg = &segLog{inst: inst, prefix: m[2], segs: make(map[uint32]*segStat)}
 				logs[key] = lg
-				if b, err := os.ReadFile(filepath.Join(filepath.Dir(path), m[1]+".live")); err == nil {
+				if m[1] != "" {
+					c, err := ckpt.ReadCut(faultfs.OS, filepath.Dir(path))
+					var b []byte
+					if err == nil {
+						b, _ = c.Section(m[1] + ckpt.KindLive)
+					}
 					segs, err := ckpt.DecodeLiveness(b)
 					if err != nil {
-						return fmt.Errorf("%s: %w", filepath.Dir(rel), err)
+						return fmt.Errorf("%s: %w", key, err)
 					}
 					lg.live = make(map[uint32]*ckpt.SegLive, len(segs))
 					for i := range segs {
@@ -273,7 +271,7 @@ func cmdHealth(dir string) error {
 					}
 				}
 			}
-			sid, _ := strconv.ParseUint(m[2], 10, 32)
+			sid, _ := strconv.ParseUint(m[3], 10, 32)
 			if ss = lg.segs[uint32(sid)]; ss == nil { // a delta checkpoint may hold it in pieces, in order
 				ss = &segStat{}
 				lg.segs[uint32(sid)] = ss
@@ -323,7 +321,8 @@ func cmdHealth(dir string) error {
 	sort.Strings(keys)
 	var aurs, rmws int
 	for _, key := range keys {
-		lg, inst := logs[key], filepath.Dir(key)
+		lg := logs[key]
+		inst := lg.inst
 		sids := make([]uint32, 0, len(lg.segs))
 		var sum segStat
 		for sid, ss := range lg.segs {
@@ -351,8 +350,8 @@ func cmdHealth(dir string) error {
 		for _, sid := range sids {
 			ss := lg.segs[sid]
 			// What is live is in the running store's memory; a checkpoint
-			// carries it as its liveness file.
-			share := fmt.Sprintf("live share not on disk (no %s.live)", lg.prefix)
+			// carries it as a liveness section of its CUT.
+			share := "live share not on disk (not a checkpoint)"
 			if lg.live != nil {
 				share = fmt.Sprintf("%d%% live", 100*ss.live/max(ss.bytes, 1))
 			}
@@ -375,7 +374,7 @@ func cmdHealth(dir string) error {
 }
 
 // cmdCheckpoints lists every checkpoint under parent, verifying each
-// against its MANIFEST (file sizes and CRC32C checksums). Incremental
+// against its CUT (file sizes and CRC32C checksums). Incremental
 // checkpoints additionally show their chain: depth and the resolved
 // parent path back toward the base, truncated with "…" where ancestors
 // have already been garbage-collected (the directories are physically
@@ -435,7 +434,7 @@ func cmdCheckpoints(parent string) error {
 // cmdJob inspects a job directory: the committed JOB record (generation,
 // source offset, committed ledger length), the key-range manifest
 // (per-stage parallelism at commit time), the generation directories on
-// disk, MANIFEST verification of every worker checkpoint in the
+// disk, CUT verification of every worker checkpoint in the
 // committed generation, and a committed-ledger summary. With a target
 // parallelism it additionally reports how a resume at that worker count
 // would restore each stage — direct, or rescaled (key ranges
@@ -619,7 +618,7 @@ func cmdMigration(dir string) error {
 }
 
 // cmdVerify deep-verifies a job directory offline: JOB record decode,
-// MANIFEST verification (sizes + CRC32C) of every checkpoint in every
+// CUT verification (sizes + CRC32C) of every checkpoint in every
 // retained generation, GENMETA sidecar agreement, quarantine markers,
 // and a record-by-record payload decode of the committed sink ledger.
 // This catches silent at-rest corruption, zeroed pages included, before

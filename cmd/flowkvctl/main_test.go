@@ -30,8 +30,8 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 		want []string
 	}{
 		{core.PatternAAR, window.Fixed, []string{"aar-window-seg"}},
-		{core.PatternAUR, window.Session, []string{"aur-segment-seg", "aur-liveness", "aur-stat-stream-seg"}},
-		{core.PatternRMW, window.Fixed, []string{"rmw-seg", "rmw-liveness", "rmw-buffer-dump-seg"}},
+		{core.PatternAUR, window.Session, []string{"aur-segment-seg"}},
+		{core.PatternRMW, window.Fixed, []string{"rmw-seg"}},
 	} {
 		t.Run(tc.pattern.String(), func(t *testing.T) {
 			base := t.TempDir()
@@ -76,7 +76,7 @@ func TestFileKindKnowsEveryCheckpointFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range append(tc.want, "segment-manifest", "checkpoint-manifest", "app-metadata", "quarantine-marker") {
+			for _, k := range append(tc.want, "checkpoint-cut", "quarantine-marker") {
 				if !seen[k] {
 					t.Errorf("no %s file in the checkpoint (kinds seen: %v)", k, seen)
 				}
@@ -174,7 +174,7 @@ func TestMultiSegmentRMWLog(t *testing.T) {
 // TestHealthReportsAURLogs spills an AUR instance past several evictions
 // and a cleaning pass and requires that `health` prints, per instance,
 // what its segment logs hold — with each segment's live share when run
-// over a checkpoint, whose liveness file carries it — and that the running
+// over a checkpoint, whose liveness section carries it — and that the running
 // store's counters, which the last line points to, account for those
 // bytes.
 func TestHealthReportsAURLogs(t *testing.T) {
@@ -241,7 +241,7 @@ func TestHealthReportsAURLogs(t *testing.T) {
 		fmt.Sprintf("aur log %s: %d segments; ", filepath.Base(filepath.Dir(segs[0])), len(segs)),
 		fmt.Sprintf(" blocks, %d bytes\n", size(segs)),
 		fmt.Sprintf("  segment %s: ", strings.TrimSuffix(strings.TrimPrefix(filepath.Base(segs[0]), "aur-"), ".log")),
-		fmt.Sprintf(" batches in %d bytes, live share not on disk (no aur.live)", size(segs[:1])),
+		fmt.Sprintf(" batches in %d bytes, live share not on disk (not a checkpoint)", size(segs[:1])),
 		"core.Stats FlushBytes, CompactionBytes, SegmentsDropped, BufferHits, DiskHits)",
 		fmt.Sprintf("%d log files: %d clean", len(segs), len(segs)),
 	} {
@@ -282,7 +282,7 @@ func liveShares(t *testing.T, printed, noun string) (listed, live int) {
 
 // TestHealthReportsRMWLiveShare is TestHealthReportsAURLogs for RMW: over
 // its store directory `health` says the live share is not on disk, over a
-// checkpoint it reads each segment's from the liveness file — every
+// checkpoint it reads each segment's from the CUT's liveness section — every
 // segment the cut holds has something live, and the ones a consume
 // thinned out less than all of it.
 func TestHealthReportsRMWLiveShare(t *testing.T) {
@@ -309,14 +309,14 @@ func TestHealthReportsRMWLiveShare(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("%d segment files; want several", len(segs))
 	}
-	if printed := captureStdout(t, func() error { return cmdHealth(dir) }); !strings.Contains(printed, " entries in ") || !strings.Contains(printed, "live share not on disk (no rmw.live)") {
+	if printed := captureStdout(t, func() error { return cmdHealth(dir) }); !strings.Contains(printed, " entries in ") || !strings.Contains(printed, "live share not on disk (not a checkpoint)") {
 		t.Errorf("health over the store does not say the live share is not on disk:\n%s", printed)
 	}
 	ck := filepath.Join(t.TempDir(), "ck")
 	if err := st.Checkpoint(ck); err != nil {
 		t.Fatal(err)
 	}
-	cut, _ := filepath.Glob(filepath.Join(ck, "inst-*", "rmw-*.log.seg-*"))
+	cut, _ := filepath.Glob(filepath.Join(ck, "inst-*.rmw-*.log.seg-*"))
 	printed := captureStdout(t, func() error { return cmdHealth(ck) })
 	listed, live := liveShares(t, printed, "entries")
 	if listed != len(cut) || live != len(cut) || !strings.Contains(printed, "% live") || strings.Count(printed, "100% live") == listed {

@@ -12,7 +12,7 @@ import (
 // Deflated payloads. A payload written once and read only whole — a sink
 // ledger block, a checkpoint's application metadata — is stored as a raw
 // deflate stream (RFC 1951) at flate.BestSpeed. The stream carries no
-// checksum of its own: the frame or MANIFEST entry around it does.
+// checksum of its own: the frame around it does.
 //
 // Output is a pure function of the input within one build: every call
 // resets a pooled writer, and a reset writer emits what a fresh one

@@ -1,16 +1,17 @@
-// Package ckpt holds the segment machinery shared by the three store
-// patterns' checkpoints. A checkpoint records each logical store file
-// as an ordered list of sealed segment files: segments inherited from
-// the previous checkpoint generation are hard-linked into the new
-// directory (copy fallback when the filesystem refuses links), and only
-// the bytes written since the last barrier are materialized as a fresh
-// tail segment. The per-instance SEGMENTS file
-// describes the mapping — logical name, a file epoch identifying the
-// live file the segments were cut from, and each segment's length and
-// CRC32C — so a later checkpoint can decide reuse against it and a
-// restore can concatenate the segments back into live logs. Every
-// checkpoint directory stays physically self-contained: links keep the
-// shared inodes alive even after the parent generation is deleted.
+// Package ckpt holds the checkpoint machinery shared by the three store
+// patterns. A checkpoint directory is one CUT file plus segment files: it
+// records each logical store file as an ordered list of sealed segment
+// files, flat in the directory under the instance's prefix. Segments
+// inherited from the previous checkpoint generation are hard-linked into
+// the new directory (copy fallback when the filesystem refuses links),
+// and only the bytes written since the last barrier are materialized as a
+// fresh tail segment. Each instance's files section of the CUT describes
+// the mapping — logical name, a file epoch identifying the live file the
+// segments were cut from, and each segment's length and CRC32C — so a
+// later checkpoint can decide reuse against it and a restore can
+// concatenate the segments back into live logs. Every checkpoint
+// directory stays physically self-contained: links keep the shared inodes
+// alive even after the parent generation is deleted.
 package ckpt
 
 import (
@@ -26,22 +27,17 @@ import (
 	"flowkv/internal/faultfs"
 )
 
-// MetaName is the per-instance segment-manifest file inside a
-// checkpoint directory. Its presence is what distinguishes an
-// instance checkpoint from any other directory.
-const MetaName = "SEGMENTS"
-
-// metaMagic versions the SEGMENTS encoding; the header record is the
-// magic alone.
+// metaMagic versions the files section's encoding; its header record is
+// the magic alone.
 const metaMagic = "flowkv-segments-v2"
 
-// ErrBadMeta reports an undecodable or inconsistent SEGMENTS file.
-var ErrBadMeta = errors.New("ckpt: invalid SEGMENTS file")
+// ErrBadMeta reports an undecodable or inconsistent files section.
+var ErrBadMeta = errors.New("ckpt: invalid files section")
 
 // Segment is one sealed slice of a logical file, stored as its own file
-// inside the instance checkpoint directory.
+// inside the checkpoint directory.
 type Segment struct {
-	// Name is the segment's file name (relative to the instance dir).
+	// Name is the segment's file name in the checkpoint directory.
 	Name string
 	// Len is the segment's exact byte length.
 	Len int64
@@ -73,7 +69,7 @@ func (f *FileState) TotalLen() int64 {
 	return n
 }
 
-// Meta is the decoded SEGMENTS file of one instance checkpoint.
+// Meta is the decoded files section of one instance in a checkpoint.
 type Meta struct {
 	// Files lists every logical file, sorted by logical name.
 	Files []FileState
@@ -119,7 +115,7 @@ func (m *Meta) Encode() []byte {
 	return buf
 }
 
-// DecodeMeta parses a SEGMENTS file. It never panics, whatever the
+// DecodeMeta parses a files section. It never panics, whatever the
 // input; malformed bytes yield ErrBadMeta, wrapping the frame's error
 // (a *binio.FrameError for a corrupt frame) when a record fails to read.
 func DecodeMeta(b []byte) (*Meta, error) {
@@ -180,90 +176,50 @@ func DecodeMeta(b []byte) (*Meta, error) {
 	return m, nil
 }
 
-// ReadMeta loads and decodes dir's SEGMENTS file. A directory without
-// one is not an instance checkpoint: the missing-file error is returned
-// like any other read failure.
-func ReadMeta(fsys faultfs.FS, dir string) (*Meta, error) {
-	b, err := fsys.ReadFile(filepath.Join(dir, MetaName))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMeta(b)
-}
-
-// Entry is one file of an instance checkpoint as the top-level MANIFEST
-// will record it: path relative to the instance directory, exact size,
-// and content CRC32C.
-type Entry struct {
-	Path string
-	Size int64
-	CRC  uint32
-}
-
-// Result is what an instance's checkpoint hands back to the composite
-// store: the manifest entries for every file it placed in the directory,
-// the files that still need an fsync before the commit rename (written
-// or copied data, and links of bytes not yet durable), and byte
-// accounting for the Stats counters.
+// Result is what an instance's cut hands back to the composite store: the
+// segment files that still need an fsync before the commit rename (written
+// or copied data, and links of bytes not yet durable), and byte accounting
+// for the Stats counters.
 type Result struct {
-	Entries     []Entry
 	NeedSync    []string
 	LinkedBytes int64
 	CopiedBytes int64
 }
 
-// Cut is one instance's segmented checkpoint while it is being written:
-// the directory it lands in, the parent generation it is diffed against,
-// and the SEGMENTS meta and Result accumulating as files are added.
-// Nothing a Cut writes is fsynced — Finish's Result names every file
-// that still needs a sync, and the composite store batches those into
-// one group-commit window before the checkpoint's atomic rename.
+// Cut is one instance's part of a checkpoint while it is being written:
+// its segment files, flat in the checkpoint directory under the
+// instance's prefix, and its sections of the CUT file. parent is the
+// instance's files section in the previous generation, rooted at
+// parentDir. Nothing a Cut writes is fsynced — Finish's Result names
+// every segment that still needs a sync, and the composite store batches
+// those into one group-commit window before the checkpoint's atomic
+// rename.
 type Cut struct {
-	fsys      faultfs.FS
-	dir       string
+	w         *Writer
+	prefix    string
 	parent    *Meta
 	parentDir string
 	meta      Meta
 	res       Result
 }
 
-// Begin creates dir and starts an instance cut. parent is the decoded
-// SEGMENTS of the previous generation rooted at parentDir; nil means
-// there is nothing to reuse and every file is written in full.
-func Begin(fsys faultfs.FS, dir string, parent *Meta, parentDir string) (*Cut, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &Cut{fsys: fsys, dir: dir, parent: parent, parentDir: parentDir}, nil
+// Begin starts instance inst's cut in w's directory. parent is that
+// instance's files section in the previous generation rooted at
+// parentDir; nil means there is nothing to reuse and every file is
+// written in full.
+func (w *Writer) Begin(inst int, parent *Meta, parentDir string) *Cut {
+	return &Cut{w: w, prefix: InstPrefix(inst), parent: parent, parentDir: parentDir}
 }
 
-// wrote folds a freshly written (unsynced) data file into the result: a
-// manifest entry, a place in the sync window, and its bytes counted as
-// copied.
-func (c *Cut) wrote(name string, size int64, crc uint32) {
-	c.res.Entries = append(c.res.Entries, Entry{Path: name, Size: size, CRC: crc})
-	c.res.NeedSync = append(c.res.NeedSync, filepath.Join(c.dir, name))
-	c.res.CopiedBytes += size
-}
-
-// writeFile writes buf whole into a fresh file of the cut directory.
-func (c *Cut) writeFile(name string, buf []byte) error {
-	f, err := c.fsys.Create(filepath.Join(c.dir, name))
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// InstPrefix prefixes the names of instance inst's segment files and
+// sections in a checkpoint.
+func InstPrefix(inst int) string { return fmt.Sprintf("inst-%02d.", inst) }
 
 // linkFile hard-links src into the cut as seg (copy fallback). A link is as
 // durable as src, so it joins the sync window unless durable; a copy does.
 func (c *Cut) linkFile(src string, seg Segment, durable bool) error {
-	dst := filepath.Join(c.dir, seg.Name)
-	linked, err := faultfs.LinkOrCopy(c.fsys, src, dst)
+	dst := filepath.Join(c.w.dir, seg.Name)
+	linked, err := faultfs.LinkOrCopy(c.w.fsys, src, dst)
 	if err != nil {
 		return err
 	}
@@ -275,7 +231,6 @@ func (c *Cut) linkFile(src string, seg Segment, durable bool) error {
 	if !linked || !durable {
 		c.res.NeedSync = append(c.res.NeedSync, dst)
 	}
-	c.res.Entries = append(c.res.Entries, Entry{Path: seg.Name, Size: seg.Len, CRC: seg.CRC})
 	return nil
 }
 
@@ -288,7 +243,7 @@ func (c *Cut) Link(logical string, epoch uint64, path string, size int64, crc ui
 	if p := c.parent.File(logical); p != nil && p.Epoch == epoch && p.TotalLen() == size {
 		return c.Log(logical, epoch, path, size)
 	}
-	seg := Segment{Name: SegmentName(logical, 0), Len: size, CRC: crc}
+	seg := Segment{Name: c.prefix + SegmentName(logical, 0), Len: size, CRC: crc}
 	c.meta.Files = append(c.meta.Files, FileState{Logical: logical, Epoch: epoch, Segments: []Segment{seg}})
 	return c.linkFile(path, seg, durable)
 }
@@ -318,153 +273,88 @@ func (c *Cut) Log(logical string, epoch uint64, path string, size int64) error {
 		from = p.TotalLen()
 	}
 	if tail := size - from; tail > 0 {
-		name := SegmentName(logical, from)
-		crc, err := copyRange(c.fsys, path, from, tail, filepath.Join(c.dir, name))
+		name := c.prefix + SegmentName(logical, from)
+		dst := filepath.Join(c.w.dir, name)
+		crc, err := copyRange(c.w.fsys, path, from, tail, dst)
 		if err != nil {
 			return err
 		}
 		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: tail, CRC: crc})
-		c.wrote(name, tail, crc)
+		c.res.NeedSync = append(c.res.NeedSync, dst)
+		c.res.CopiedBytes += tail
 	}
 	c.meta.Files = append(c.meta.Files, fstate)
 	return nil
 }
 
-// Extra writes an auxiliary file — not segmented, rewritten whole at
-// every checkpoint — into the cut.
-func (c *Cut) Extra(name string, buf []byte) error {
-	if err := c.writeFile(name, buf); err != nil {
-		return err
-	}
-	c.wrote(name, int64(len(buf)), binio.Checksum(buf))
-	return nil
+// Put writes frames, whole binio frames, as the instance's section kind of
+// the CUT file; its bytes count as copied.
+func (c *Cut) Put(kind string, frames []byte) error {
+	return c.section(kind, func(write func([]byte)) error {
+		write(frames)
+		return nil
+	})
+}
+
+// section writes the instance's section kind from fn, counting its bytes
+// as copied.
+func (c *Cut) section(kind string, fn func(write func([]byte)) error) error {
+	return c.w.Stream(c.prefix+kind, func(write func([]byte)) error {
+		return fn(func(p []byte) {
+			write(p)
+			c.res.CopiedBytes += int64(len(p))
+		})
+	})
 }
 
 // streamChunk bounds a replay stream's blocks: Stream seals the block it
 // is filling once its records reach this many bytes, and at the end of
-// the cut.
+// the section.
 const streamChunk = 256 << 10
 
 // blockPool recycles Stream's block buffers, so checkpoints allocate none
 // in steady state.
 var blockPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Stream records a replay stream under the logical name: one segment,
-// written whole at every cut, whose records replay in order into the
-// instance's state at the cut. The segment is a run of blocks, each one
-// binio frame whose payload is length-prefixed records (binio.PutBytes),
-// so a block of small records pays for one checksum, not one per record.
-// write emits the cut's records through emit; a failed block write is
-// sticky — later emits do nothing — and is what Stream returns. A cut
-// with no records adds no segment. Replay is the reader.
-func (c *Cut) Stream(logical string, write func(emit func(rec []byte)) error) error {
-	fstate := FileState{Logical: logical, Epoch: Rand64()}
-	name := SegmentName(logical, 0)
-	pooled := blockPool.Get().(*[]byte)
-	block := slices.Grow((*pooled)[:0], binio.FrameHeadroom)[:binio.FrameHeadroom]
-	var (
-		f    faultfs.File
-		werr error // the first failed write: sticky, later blocks are dropped
-		crc  uint32
-		size int64
-	)
-	seal := func() {
-		if werr == nil && len(block) > binio.FrameHeadroom {
-			if f == nil {
-				f, werr = c.fsys.Create(filepath.Join(c.dir, name))
+// Stream writes a replay stream as the instance's section kind: records
+// that replay in order into the instance's state at the cut. The section
+// is a run of blocks, each one binio frame whose payload is
+// length-prefixed records (binio.PutBytes), so a block of small records
+// pays for one checksum, not one per record. write emits the cut's
+// records through emit; a section with no records is empty, and present.
+// Replay is the reader.
+func (c *Cut) Stream(kind string, write func(emit func(rec []byte)) error) error {
+	return c.section(kind, func(out func([]byte)) error {
+		pooled := blockPool.Get().(*[]byte)
+		block := slices.Grow((*pooled)[:0], binio.FrameHeadroom)[:binio.FrameHeadroom]
+		seal := func() {
+			if len(block) > binio.FrameHeadroom {
+				out(binio.SealFrame(block))
 			}
-			if werr == nil {
-				frame := binio.SealFrame(block)
-				_, werr = f.Write(frame)
-				crc = binio.ChecksumUpdate(crc, frame)
-				size += int64(len(frame))
-			}
+			block = block[:binio.FrameHeadroom]
 		}
-		block = block[:binio.FrameHeadroom]
-	}
-	err := write(func(rec []byte) {
-		if block = binio.PutBytes(block, rec); len(block)-binio.FrameHeadroom >= streamChunk {
+		err := write(func(rec []byte) {
+			if block = binio.PutBytes(block, rec); len(block)-binio.FrameHeadroom >= streamChunk {
+				seal()
+			}
+		})
+		if err == nil {
 			seal()
 		}
+		*pooled = block[:0]
+		blockPool.Put(pooled)
+		return err
 	})
-	if err == nil {
-		seal()
-		err = werr
-	}
-	*pooled = block[:0]
-	blockPool.Put(pooled)
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if size > 0 {
-		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: size, CRC: crc})
-		c.wrote(name, size, crc)
-	}
-	c.meta.Files = append(c.meta.Files, fstate)
-	return nil
 }
 
-// Replay reads the replay stream fstate describes from the checkpoint
-// directory dir, verifying every block, and hands fn its records in
-// order; rec is valid only during the call. The stream is the one Stream
-// wrote: anything else — a flipped bit, a zeroed page, a segment that
-// ends mid-block or mid-record — stops the replay with an error wrapping
-// a *binio.FrameError, never with a silently short stream. An error from
-// fn stops it too and is returned as is.
-func Replay(fsys faultfs.FS, dir string, fstate *FileState, fn func(rec []byte) error) error {
-	for _, seg := range fstate.Segments {
-		if err := replaySegment(fsys, filepath.Join(dir, seg.Name), seg.Len, fn); err != nil {
-			return fmt.Errorf("ckpt: replay %s: %w", seg.Name, err)
-		}
-	}
-	return nil
-}
-
-// replaySegment replays one segment file of size bytes through fn.
-func replaySegment(fsys faultfs.FS, path string, size int64, fn func(rec []byte) error) error {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := binio.NewRecordScanner(f, 0)
-	for sc.Scan() {
-		for block := sc.Record(); len(block) > 0; {
-			rec, n, err := binio.Bytes(block)
-			if err != nil {
-				return &binio.FrameError{Reason: fmt.Sprintf("block ending at offset %d ends mid-record", sc.Offset())}
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			block = block[n:]
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if sc.Offset() != size {
-		return &binio.FrameError{Reason: fmt.Sprintf("blocks end at offset %d of %d", sc.Offset(), size)}
-	}
-	return nil
-}
-
-// Finish writes the SEGMENTS file and returns the cut's Result. SEGMENTS
-// gets a manifest entry and joins the sync window — it must be durable
-// before the checkpoint's commit rename — but, describing data rather
-// than being it, stays out of the copied-byte accounting.
+// Finish writes the instance's files section — every logical file it
+// recorded, as segment lists — and returns the cut's Result. Describing
+// data rather than being it, the section stays out of the copied-byte
+// accounting.
 func (c *Cut) Finish() (*Result, error) {
-	buf := c.meta.Encode()
-	if err := c.writeFile(MetaName, buf); err != nil {
+	if err := c.w.Put(c.prefix+KindFiles, c.meta.Encode()); err != nil {
 		return nil, err
 	}
-	c.res.Entries = append(c.res.Entries, Entry{Path: MetaName, Size: int64(len(buf)), CRC: binio.Checksum(buf)})
-	c.res.NeedSync = append(c.res.NeedSync, filepath.Join(c.dir, MetaName))
 	return &c.res, nil
 }
 
@@ -528,7 +418,7 @@ func Materialize(fsys faultfs.FS, dir string, fstate *FileState, dst string) err
 		}
 		if n != seg.Len {
 			out.Close()
-			return fmt.Errorf("%w: segment %s is %d bytes, SEGMENTS says %d",
+			return fmt.Errorf("%w: segment %s is %d bytes, the files section says %d",
 				ErrBadMeta, seg.Name, n, seg.Len)
 		}
 	}

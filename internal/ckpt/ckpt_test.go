@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -45,7 +46,7 @@ func TestMetaRoundTrip(t *testing.T) {
 func TestDecodeMetaRejects(t *testing.T) {
 	enc := sampleMeta().Encode()
 	// Truncation: a cut on a record boundary is a shorter valid meta (the
-	// MANIFEST's size+CRC is what catches that); anywhere else is a torn
+	// CUT's section CRC is what catches that); anywhere else is a torn
 	// record and must be ErrBadMeta.
 	for n := 0; n < len(enc); n++ {
 		m, err := DecodeMeta(enc[:n])
@@ -73,7 +74,7 @@ func TestDecodeMetaRejects(t *testing.T) {
 	if _, err := DecodeMeta(wrong); !errors.Is(err, ErrBadMeta) {
 		t.Fatalf("wrong magic: %v, want ErrBadMeta", err)
 	}
-	// The v1 header carried a cut id after its magic: a v1 SEGMENTS file,
+	// The v1 header carried a cut id after its magic: a v1 files section,
 	// and the v2 magic with a trailing cut id, are rejected.
 	for _, magic := range []string{"flowkv-segments-v1", metaMagic} {
 		v1 := binio.AppendRecord(nil, binio.PutUvarint(binio.PutString(nil, magic), 0xfeedface))
@@ -88,6 +89,38 @@ type nolinkFS struct{ faultfs.FS }
 
 func (nolinkFS) Link(oldpath, newpath string) error { return errors.New("nolink") }
 
+// oneCut writes a one-instance checkpoint into a fresh directory: what fn
+// records through instance 0's cut against parent, rooted at parentDir. It
+// returns the decoded CUT, the cut's Result and the directory.
+func oneCut(t testing.TB, fsys faultfs.FS, parent *Meta, parentDir string, fn func(*Cut) error) (*CutFile, *Result, string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "cut")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Create(fsys, dir, Header{Instances: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := w.Begin(0, parent, parentDir)
+	err = fn(cut)
+	var res *Result
+	if err == nil {
+		res, err = cut.Finish()
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ReadCut(fsys, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, res, dir
+}
+
 // cutLog takes one cut of the live file at path into a fresh directory
 // against parent, and checks the result restores to the live bytes.
 func cutLog(t *testing.T, fsys faultfs.FS, path string, epoch uint64, parent *Meta, parentDir string) (*Meta, *Result, string) {
@@ -96,22 +129,10 @@ func cutLog(t *testing.T, fsys faultfs.FS, path string, epoch uint64, parent *Me
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "cut")
-	cut, err := Begin(fsys, dir, parent, parentDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cut.Log("x.log", epoch, path, int64(len(live))); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cut.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := ReadMeta(fsys, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, res, dir := oneCut(t, fsys, parent, parentDir, func(cut *Cut) error {
+		return cut.Log("x.log", epoch, path, int64(len(live)))
+	})
+	meta := c.Files[0]
 	out := filepath.Join(t.TempDir(), "restored")
 	if err := Materialize(fsys, dir, meta.File("x.log"), out); err != nil {
 		t.Fatal(err)
@@ -119,11 +140,10 @@ func cutLog(t *testing.T, fsys faultfs.FS, path string, epoch uint64, parent *Me
 	if got, _ := os.ReadFile(out); !bytes.Equal(got, live) {
 		t.Fatalf("Materialize gave %d bytes, live file has %d", len(got), len(live))
 	}
-	// Every file in the directory is manifested, and everything written
-	// (not linked) is queued for the sync window.
+	// Every file in the directory but the CUT is a segment it names.
 	ents, _ := os.ReadDir(dir)
-	if len(ents) != len(res.Entries) {
-		t.Fatalf("%d files on disk, %d manifest entries", len(ents), len(res.Entries))
+	if len(ents) != 1+len(meta.File("x.log").Segments) {
+		t.Fatalf("%d files on disk, %d segments", len(ents), len(meta.File("x.log").Segments))
 	}
 	return meta, res, dir
 }
@@ -145,7 +165,7 @@ func TestCutLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const seg0, seg100 = "x.log.seg-000000000000", "x.log.seg-000000000100"
+	const seg0, seg100 = "inst-00.x.log.seg-000000000000", "inst-00.x.log.seg-000000000100"
 
 	// No parent: the whole file is one copied segment.
 	write(100)
@@ -153,7 +173,7 @@ func TestCutLog(t *testing.T) {
 	if got := segNames(base); !reflect.DeepEqual(got, []string{seg0}) {
 		t.Fatalf("base segments = %v", got)
 	}
-	if res.LinkedBytes != 0 || res.CopiedBytes != 100 || len(res.NeedSync) != 2 {
+	if res.LinkedBytes != 0 || res.CopiedBytes != 100 || len(res.NeedSync) != 1 {
 		t.Fatalf("base: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
 	}
 
@@ -163,7 +183,7 @@ func TestCutLog(t *testing.T) {
 	if got := segNames(child); !reflect.DeepEqual(got, []string{seg0, seg100}) {
 		t.Fatalf("child segments = %v", got)
 	}
-	if res.LinkedBytes != 100 || res.CopiedBytes != 30 || len(res.NeedSync) != 2 {
+	if res.LinkedBytes != 100 || res.CopiedBytes != 30 || len(res.NeedSync) != 1 {
 		t.Fatalf("child: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
 	}
 
@@ -208,61 +228,53 @@ func TestCutLog(t *testing.T) {
 	if got := segNames(m); !reflect.DeepEqual(got, []string{seg0, seg100}) {
 		t.Fatalf("nolink segments = %v", got)
 	}
-	want := []string{filepath.Join(dir, seg0), filepath.Join(dir, seg100), filepath.Join(dir, MetaName)}
+	want := []string{filepath.Join(dir, seg0), filepath.Join(dir, seg100)}
 	if res.LinkedBytes != 0 || res.CopiedBytes != 130 || !reflect.DeepEqual(res.NeedSync, want) {
 		t.Fatalf("nolink: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
 	}
 }
 
-// TestCutStream: a replay stream is one segment written whole at every
-// cut, whatever the parent holds; a cut with no records adds no segment;
-// and the framed records read back in order, including a cut large enough
-// to go out in several chunked writes.
+// streamCut writes a one-instance checkpoint whose dump section is the
+// records fn emits.
+func streamCut(t *testing.T, fn func(emit func([]byte))) (*CutFile, *Result, string) {
+	t.Helper()
+	return oneCut(t, faultfs.OS, nil, "", func(cut *Cut) error {
+		return cut.Stream(KindDump, func(emit func([]byte)) error {
+			fn(emit)
+			return nil
+		})
+	})
+}
+
+// TestCutStream: a replay stream is one section written whole at every
+// cut, counted as copied; a cut with no records has an empty section; and
+// the framed records read back in order, including a cut large enough to
+// go out in several blocks.
 func TestCutStream(t *testing.T) {
-	var parent *Meta
-	parentDir := ""
 	for gen, n := range []int{3, 0, 40000, 2} {
-		dir := filepath.Join(t.TempDir(), "cut")
-		cut, err := Begin(faultfs.OS, dir, parent, parentDir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var want [][]byte
-		err = cut.Stream("s.dlt", func(emit func([]byte)) error {
+		c, res, dir := streamCut(t, func(emit func([]byte)) {
 			for i := 0; i < n; i++ {
 				rec := []byte(fmt.Sprintf("gen%d-rec%06d", gen, i))
 				want = append(want, rec)
 				emit(rec)
 			}
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
+		b, ok := c.Section(InstPrefix(0) + KindDump)
+		if !ok || (len(b) == 0) != (n == 0) || res.CopiedBytes != int64(len(b)) || res.LinkedBytes != 0 {
+			t.Fatalf("gen %d: section of %d bytes (present %v), %d copied and %d linked", gen, len(b), ok, res.CopiedBytes, res.LinkedBytes)
 		}
-		res, err := cut.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta, err := ReadMeta(faultfs.OS, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fstate := meta.File("s.dlt")
-		if wantSegs := min(n, 1); len(fstate.Segments) != wantSegs || res.LinkedBytes != 0 {
-			t.Fatalf("gen %d: %d segments, %d bytes linked; want %d segments, none linked", gen, len(fstate.Segments), res.LinkedBytes, wantSegs)
-		}
-		if got := replayed(t, dir, fstate); !reflect.DeepEqual(got, want) {
+		if got := replayed(t, c.Source(dir, 0)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("gen %d: replayed %d records, want %d in order", gen, len(got), len(want))
 		}
-		parent, parentDir = meta, dir
 	}
 }
 
-// replayed collects the records Replay hands out for fstate.
-func replayed(t *testing.T, dir string, fstate *FileState) [][]byte {
+// replayed collects the records src's dump section replays.
+func replayed(t *testing.T, src *Source) [][]byte {
 	t.Helper()
 	var got [][]byte
-	if err := Replay(faultfs.OS, dir, fstate, func(rec []byte) error {
+	if err := src.Replay(KindDump, func(rec []byte) error {
 		got = append(got, append([]byte(nil), rec...))
 		return nil
 	}); err != nil {
@@ -276,37 +288,17 @@ func replayed(t *testing.T, dir string, fstate *FileState) [][]byte {
 // one that crossed the bound, and Replay hands the records back in order
 // across the block boundaries.
 func TestStreamSpansBlocks(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cut")
-	cut, err := Begin(faultfs.OS, dir, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want [][]byte
 	rng := rand.New(rand.NewSource(7))
-	err = cut.Stream("s.dlt", func(emit func([]byte)) error {
+	c, _, dir := streamCut(t, func(emit func([]byte)) {
 		for total := 0; total < 3*streamChunk; {
 			rec := bytes.Repeat([]byte{byte(len(want))}, 1+rng.Intn(3000))
 			want = append(want, rec)
 			total += len(rec)
 			emit(rec)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cut.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := ReadMeta(faultfs.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fstate := meta.File("s.dlt")
-	b, err := os.ReadFile(filepath.Join(dir, fstate.Segments[0].Name))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ := c.Section(InstPrefix(0) + KindDump)
 	blocks := 0
 	for len(b) > 0 {
 		block, n, err := binio.ReadRecord(b)
@@ -322,41 +314,29 @@ func TestStreamSpansBlocks(t *testing.T) {
 	if blocks < 3 {
 		t.Fatalf("%d blocks for %d bytes of records", blocks, 3*streamChunk)
 	}
-	if got := replayed(t, dir, fstate); !reflect.DeepEqual(got, want) {
+	if got := replayed(t, c.Source(dir, 0)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed %d records across %d blocks, want %d in order", len(got), blocks, len(want))
 	}
 }
 
-// TestReplayRejectsDamage: a flipped bit, a zeroed page and a segment cut
-// mid-block each stop the replay with a typed FrameError, never with a
-// shorter stream.
+// TestReplayRejectsDamage: a flipped bit, a zeroed page and a section cut
+// mid-block each fail the CUT's checksum of the section, and stop a
+// replay of the damaged bytes with a typed FrameError — never a shorter
+// stream.
 func TestReplayRejectsDamage(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cut")
-	cut, err := Begin(faultfs.OS, dir, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cut.Stream("s.dlt", func(emit func([]byte)) error {
+	c, _, dir := streamCut(t, func(emit func([]byte)) {
 		for i := 0; i < 2000; i++ {
 			emit([]byte(fmt.Sprintf("record-%05d", i)))
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cut.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := ReadMeta(faultfs.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fstate := meta.File("s.dlt")
-	path := filepath.Join(dir, fstate.Segments[0].Name)
+	path := filepath.Join(dir, CutName)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sec := c.Sections[slices.IndexFunc(c.Sections, func(s Section) bool { return s.Name == InstPrefix(0)+KindDump })]
+	if sec.Len < 3*4096 {
+		t.Fatalf("dump section of %d bytes", sec.Len)
 	}
 	damage := map[string]func([]byte) []byte{
 		"bit flip":    func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b },
@@ -365,12 +345,18 @@ func TestReplayRejectsDamage(t *testing.T) {
 		"cut short":   func(b []byte) []byte { return b[:len(b)-100] },
 	}
 	for name, rot := range damage {
-		b := rot(append([]byte(nil), clean...))
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		b := rot(bytes.Clone(clean[sec.Off : sec.Off+sec.Len]))
 		var fe *binio.FrameError
-		err := Replay(faultfs.OS, dir, fstate, func([]byte) error { return nil })
+		if len(b) == int(sec.Len) {
+			// The same rot in the file fails the CUT's decode.
+			file := bytes.Clone(clean)
+			copy(file[sec.Off:], b)
+			if _, err := DecodeCut(file); !errors.As(err, &fe) || !errors.Is(err, ErrBadCut) {
+				t.Errorf("%s: DecodeCut = %v, want an ErrBadCut wrapping a FrameError", name, err)
+			}
+		}
+		bad := &CutFile{Files: c.Files, b: b, Sections: []Section{{Name: sec.Name, Len: int64(len(b))}}}
+		err := bad.Source(dir, 0).Replay(KindDump, func([]byte) error { return nil })
 		if !errors.As(err, &fe) {
 			t.Errorf("%s: Replay = %v, want a FrameError", name, err)
 		}
@@ -389,46 +375,32 @@ func TestMaterializeLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestReadMetaMissingIsAnError(t *testing.T) {
-	if m, err := ReadMeta(faultfs.OS, t.TempDir()); err == nil {
-		t.Fatalf("directory without SEGMENTS read as %+v", m)
+func TestReadCutMissingIsAnError(t *testing.T) {
+	if c, err := ReadCut(faultfs.OS, t.TempDir()); err == nil {
+		t.Fatalf("directory without a CUT read as %+v", c)
 	}
 }
 
 // FuzzDecodeMeta: DecodeMeta never panics and fails only with ErrBadMeta;
 // whatever it accepts re-encodes to something it accepts again. Besides
-// the seeds added here, testdata/fuzz/FuzzDecodeMeta holds the SEGMENTS
-// file of an AUR store's cut (eleven segment logs and stat.dlt) and a v1
-// header, which carried a cut id.
+// the seeds added here, testdata/fuzz/FuzzDecodeMeta holds the files
+// section of an AUR store's cut (eleven segment logs and a Stat stream, as
+// it was) and a v1 header, which carried a cut id.
 func FuzzDecodeMeta(f *testing.F) {
-	// Seed with the SEGMENTS file of a real two-generation cut.
+	// Seed with the files section of a real two-generation cut.
 	path := filepath.Join(f.TempDir(), "x.log")
 	if err := os.WriteFile(path, bytes.Repeat([]byte("seed"), 64), 0o644); err != nil {
 		f.Fatal(err)
 	}
 	var parent *Meta
 	parentDir := ""
-	for gen, size := range []int64{100, 256} {
-		dir := filepath.Join(f.TempDir(), fmt.Sprintf("cut-%d", gen))
-		cut, err := Begin(faultfs.OS, dir, parent, parentDir)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := cut.Log("x.log", 9, path, size); err != nil {
-			f.Fatal(err)
-		}
-		if _, err := cut.Finish(); err != nil {
-			f.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dir, MetaName))
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, size := range []int64{100, 256} {
+		c, _, dir := oneCut(f, faultfs.OS, parent, parentDir, func(cut *Cut) error {
+			return cut.Log("x.log", 9, path, size)
+		})
+		b, _ := c.Section(InstPrefix(0) + KindFiles)
 		f.Add(b)
-		if parent, err = DecodeMeta(b); err != nil {
-			f.Fatal(err)
-		}
-		parentDir = dir
+		parent, parentDir = c.Files[0], dir
 	}
 	f.Add(sampleMeta().Encode())
 	f.Add([]byte{})

@@ -15,12 +15,12 @@ import (
 // A segment store — AUR or RMW, each a logfile.Segments whose table points
 // at its entries by (segment, ordinal) — cuts and restores through one path:
 // CutSegments links the sealed segments its table points into, copies what
-// the open ones gained since the parent, and ships one liveness file, per
-// segment a bitmap of the entries live at the cut; RestoreSegments puts
+// the open ones gained since the parent, and writes one liveness section,
+// per segment a bitmap of the entries live at the cut; RestoreSegments puts
 // those segments back sealed and hands each to the store's scan with its
 // bitmap.
 
-// SegLive is one segment in a liveness file: id, entry count at the cut and
+// SegLive is one segment in a liveness section: id, entry count at the cut and
 // bitmap, bit i%8 of byte i/8 for the entry of ordinal i.
 type SegLive struct {
 	ID, Entries uint32
@@ -58,7 +58,7 @@ func EncodeLiveness(segs []SegLive) []byte {
 	return binio.AppendRecord(nil, p)
 }
 
-// DecodeLiveness parses a liveness file, never panicking: what is not one
+// DecodeLiveness parses a liveness section, never panicking: what is not one
 // whole frame is a *binio.FrameError, and what EncodeLiveness could not
 // have written (ids not ascending, a bitmap longer than its segment or
 // with a bit past its entries) matches binio.ErrCorrupt. Bitmaps alias b.
@@ -68,10 +68,10 @@ func DecodeLiveness(b []byte) ([]SegLive, error) {
 		err = &binio.FrameError{Reason: "not one whole frame"}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: liveness file: %w", err)
+		return nil, fmt.Errorf("ckpt: liveness section: %w", err)
 	}
 	bad := func(sid uint64, why string) ([]SegLive, error) {
-		return nil, fmt.Errorf("ckpt: liveness file: segment %d: %s: %w", sid, why, binio.ErrCorrupt)
+		return nil, fmt.Errorf("ckpt: liveness section: segment %d: %s: %w", sid, why, binio.ErrCorrupt)
 	}
 	uvarint := func() uint64 {
 		v, n, e := binio.Uvarint(p)
@@ -105,12 +105,12 @@ func DecodeLiveness(b []byte) ([]SegLive, error) {
 
 // CutSegments records in c every segment of ss that live holds a bitmap
 // for — the others hold nothing a restore needs — and then the liveness
-// file name. A sealed segment is hard-linked (Link, under the CRC its log
+// section. A sealed segment is hard-linked (Link, under the CRC its log
 // kept as it appended), an open one goes through Log. The cut is exact
 // under concurrent writers: the caller holds ss's ioMu, so the files stay
 // whole, as cleaning and reaping need it, and a sealed file is never
 // written again.
-func CutSegments(c *Cut, ss *logfile.Segments, live Live, name string) error {
+func CutSegments(c *Cut, ss *logfile.Segments, live Live) error {
 	var segs []SegLive
 	for _, sg := range ss.List() {
 		if live[sg.ID] == nil {
@@ -130,20 +130,18 @@ func CutSegments(c *Cut, ss *logfile.Segments, live Live, name string) error {
 		}
 		segs = append(segs, SegLive{ID: sg.ID, Entries: sg.Entries, Bits: live[sg.ID]})
 	}
-	return c.Extra(name, EncodeLiveness(segs))
+	return c.Put(KindLive, EncodeLiveness(segs))
 }
 
-// RestoreSegments reads the liveness file name of the checkpoint in dir,
-// whose SEGMENTS is meta, and puts every segment it names back into the
-// empty set ss under its id and epoch, sealed — hard-linked when the
-// checkpoint holds it as one file, as its inode is never written again, or
-// concatenated from pieces and fsynced, as a later cut may link it — with
-// its Entries from the file; then scan rebuilds the store's table from it
-// and its bitmap. A checkpoint without the file fails with the read's
-// error. The caller holds ss's ioMu.
-func RestoreSegments(ss *logfile.Segments, dir string, meta *Meta, name string, scan func(sg *logfile.Segment, sl *SegLive) error) error {
-	fsys := ss.Dir().FS()
-	b, err := fsys.ReadFile(filepath.Join(dir, name))
+// RestoreSegments reads src's liveness section and puts every segment it
+// names back into the empty set ss under its id and epoch, sealed —
+// hard-linked when the checkpoint holds it as one file, as its inode is
+// never written again, or concatenated from pieces and fsynced, as a later
+// cut may link it — with its Entries from the section; then scan rebuilds
+// the store's table from it and its bitmap. A checkpoint without the
+// section fails with an ErrBadCut. The caller holds ss's ioMu.
+func RestoreSegments(ss *logfile.Segments, src *Source, scan func(sg *logfile.Segment, sl *SegLive) error) error {
+	b, err := src.Section(KindLive)
 	if err != nil {
 		return err
 	}
@@ -151,9 +149,10 @@ func RestoreSegments(ss *logfile.Segments, dir string, meta *Meta, name string, 
 	if err != nil {
 		return err
 	}
+	fsys := ss.Dir().FS()
 	for i := range segs {
 		sl := &segs[i]
-		sg, err := restoreSegment(ss, fsys, dir, meta, sl.ID)
+		sg, err := restoreSegment(ss, fsys, src.Dir, src.Meta, sl.ID)
 		if err == nil {
 			sg.Entries = sl.Entries
 			err = scan(sg, sl)
@@ -169,7 +168,7 @@ func RestoreSegments(ss *logfile.Segments, dir string, meta *Meta, name string, 
 func restoreSegment(ss *logfile.Segments, fsys faultfs.FS, dir string, meta *Meta, sid uint32) (sg *logfile.Segment, err error) {
 	fstate := meta.File(ss.Name(sid))
 	if fstate == nil || len(fstate.Segments) == 0 {
-		return nil, fmt.Errorf("SEGMENTS lacks it: %w", ErrBadMeta)
+		return nil, fmt.Errorf("the files section lacks it: %w", ErrBadMeta)
 	}
 	dst := filepath.Join(ss.Dir().Root(), ss.Name(sid))
 	if piece := fstate.Segments[0]; len(fstate.Segments) == 1 {
@@ -187,7 +186,7 @@ func restoreSegment(ss *logfile.Segments, fsys faultfs.FS, dir string, meta *Met
 		}
 	}
 	if err == nil && sg.Log.Size() != fstate.TotalLen() {
-		err = fmt.Errorf("%w: %d bytes, SEGMENTS says %d", ErrBadMeta, sg.Log.Size(), fstate.TotalLen())
+		err = fmt.Errorf("%w: %d bytes, the files section says %d", ErrBadMeta, sg.Log.Size(), fstate.TotalLen())
 	}
 	return sg, err
 }

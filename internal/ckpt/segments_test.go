@@ -8,7 +8,7 @@ import (
 	"flowkv/internal/binio"
 )
 
-// livenessSeeds are liveness files EncodeLiveness writes.
+// livenessSeeds are liveness sections EncodeLiveness writes.
 var livenessSeeds = [][]SegLive{
 	nil,
 	{{ID: 0, Entries: 1, Bits: []byte{1}}},

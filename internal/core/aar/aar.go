@@ -150,7 +150,7 @@ type Store struct {
 	files map[window.Window]*logfile.Log
 	reads map[window.Window]*readState
 	// epochs gives each per-window log file a random identity, recorded
-	// in delta-checkpoint SEGMENTS manifests. A later delta may reuse a
+	// in each checkpoint's files section. A later delta may reuse a
 	// parent checkpoint's segments for a window only while the live
 	// file's epoch still matches: drop-then-recreate of the same window
 	// changes the epoch and forces a full copy of that file.

@@ -10,30 +10,25 @@ import (
 	"flowkv/internal/window"
 )
 
-// CheckpointDelta writes a snapshot of the instance into dir (created
-// if needed). The paper's §8 describes the discipline: in-memory data is
-// flushed to disk first, so the on-disk files form the snapshot. Each
-// per-window log is recorded as an ordered list of sealed segment files
-// plus a SEGMENTS manifest; where parent (the decoded SEGMENTS of the
-// previous checkpoint generation, rooted at parentDir) still describes a
-// prefix of a live log, its segments are hard-linked across and only
-// the appended tail is copied (ckpt.Cut.Log). A nil parent copies every
-// log whole. Nothing is fsynced here: the returned Result names every
-// file that still needs a sync.
+// CheckpointDelta writes a snapshot of the instance into cut. The paper's
+// §8 describes the discipline: in-memory data is flushed to disk first, so
+// the on-disk files form the snapshot. Each per-window log is recorded in
+// the instance's files section as an ordered list of sealed segment files;
+// where the cut's parent still describes a prefix of a live log, its
+// segments are hard-linked across and only the appended tail is copied
+// (ckpt.Cut.Log). Without a parent every log is copied whole. Nothing is
+// fsynced here: the returned Result names every file that still needs a
+// sync.
 //
 // CheckpointDelta holds only ioMu, so concurrent Appends proceed while
 // the snapshot is written; the cut is the instant the buffer is detached
 // inside the flush. Tuples appended after that instant are not in the
 // snapshot.
-func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
+func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	if err := s.flushAllLocked(); err != nil {
 		return nil, err
-	}
-	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
-	if err != nil {
-		return nil, fmt.Errorf("aar: checkpoint: %w", err)
 	}
 	wins := make([]window.Window, 0, len(s.files))
 	for w := range s.files {
@@ -52,13 +47,13 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	return cut.Finish()
 }
 
-// Restore rebuilds an instance's state from a checkpoint directory
+// Restore rebuilds an instance's state from its part of a checkpoint
 // written by CheckpointDelta. The store must be freshly opened (empty).
 // Each per-window log is materialized by concatenating its segments, and
 // the file epochs carry over, so the delta chain can continue across a
 // restart. A log whose first record is not a flush chunk — one written
 // in the earlier count-prefixed layout — fails with a *ChunkError.
-func (s *Store) Restore(dir string) error {
+func (s *Store) Restore(src *ckpt.Source) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
@@ -75,17 +70,13 @@ func (s *Store) Restore(dir string) error {
 		return fmt.Errorf("aar: restore into a non-empty store")
 	}
 	fsys := s.dir.FS()
-	meta, err := ckpt.ReadMeta(fsys, dir)
-	if err != nil {
-		return fmt.Errorf("aar: restore: %w", err)
-	}
-	for i := range meta.Files {
-		fstate := &meta.Files[i]
+	for i := range src.Meta.Files {
+		fstate := &src.Meta.Files[i]
 		w, ok := parseWindowFileName(fstate.Logical)
 		if !ok {
 			return fmt.Errorf("aar: restore: unexpected logical file %q", fstate.Logical)
 		}
-		if err := ckpt.Materialize(fsys, dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
+		if err := ckpt.Materialize(fsys, src.Dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
 			return fmt.Errorf("aar: restore: %w", err)
 		}
 		l, err := s.dir.Open(fstate.Logical)

@@ -17,7 +17,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		src.Append([]byte(fmt.Sprintf("k%d", i%4)), []byte(fmt.Sprintf("u%02d", i)), w2)
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
+	if _, err := src.checkpointTo(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -26,7 +26,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dst.Destroy()
-	if err := dst.Restore(ckpt); err != nil {
+	if err := dst.restoreFrom(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if dst.LiveWindows() != 2 {
@@ -66,12 +66,12 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Append([]byte("k"), []byte("v"), window.Window{Start: 0, End: 100})
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
+	if _, err := src.checkpointTo(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
 	dirty.Append([]byte("x"), []byte("y"), window.Window{Start: 0, End: 100})
-	if err := dirty.Restore(ckpt); err == nil {
+	if err := dirty.restoreFrom(ckpt); err == nil {
 		t.Error("restore into dirty store accepted")
 	}
 }
@@ -79,10 +79,10 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointClosed(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if _, err := s.CheckpointDelta(t.TempDir(), nil, ""); err != ErrClosed {
+	if _, err := s.checkpointTo(t.TempDir(), nil, ""); err != ErrClosed {
 		t.Errorf("Checkpoint: %v", err)
 	}
-	if err := s.Restore(t.TempDir()); err != ErrClosed {
+	if err := s.Restore(nil); err != ErrClosed {
 		t.Errorf("Restore: %v", err)
 	}
 }

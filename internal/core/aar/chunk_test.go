@@ -12,6 +12,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/window"
 )
 
@@ -116,11 +117,11 @@ func TestCountPrefixedChunkIsRejected(t *testing.T) {
 	}
 	meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1,
 		Segments: []ckpt.Segment{{Name: ckpt.SegmentName(name, 0), Len: int64(len(seg)), CRC: binio.Checksum(seg)}}}}}
-	if err := os.WriteFile(filepath.Join(dir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
+	if err := ckpttest.Write(dir, meta, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := openTest(t, Options{})
-	err := s.Restore(dir)
+	err := s.restoreFrom(dir)
 	var ce *ChunkError
 	if !errors.As(err, &ce) {
 		t.Fatalf("restore of a count-prefixed window log: %v, want a *ChunkError", err)

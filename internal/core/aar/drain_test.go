@@ -230,7 +230,7 @@ func TestFlushBetweenGetWindowCalls(t *testing.T) {
 					t.Fatal("no buffer-full flush")
 				}
 			}
-			if _, err := s.CheckpointDelta(cut, nil, ""); err != nil {
+			if _, err := s.checkpointTo(cut, nil, ""); err != nil {
 				t.Fatal(err)
 			}
 			if served() != 0 {
@@ -241,7 +241,7 @@ func TestFlushBetweenGetWindowCalls(t *testing.T) {
 			checkExactlyOnce(t, got, seq)
 
 			restored := openTest(t, Options{})
-			if err := restored.Restore(cut); err != nil {
+			if err := restored.restoreFrom(cut); err != nil {
 				t.Fatal(err)
 			}
 			checkExactlyOnce(t, drain(t, restored, w), seq)

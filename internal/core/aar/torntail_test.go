@@ -8,6 +8,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -59,7 +60,7 @@ func TestTornTailRecovery(t *testing.T) {
 	inj.Reset()
 
 	// Reboot: ship the surviving (torn) window file as a checkpoint — one
-	// segment holding the whole file, described by a SEGMENTS manifest.
+	// segment holding the whole file, described by a files section.
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1,
 		Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}}}}
-	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
+	if err := ckpttest.Write(ckptDir, meta, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,7 +85,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Destroy()
-	if err := fresh.Restore(ckptDir); err != nil {
+	if err := fresh.restoreFrom(ckptDir); err != nil {
 		t.Fatalf("restore of torn-tail checkpoint: %v", err)
 	}
 	got := map[string]string{}

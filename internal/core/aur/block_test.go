@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"flowkv/internal/binio"
-	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
@@ -183,19 +183,19 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	extend()
 
 	parentDir := filepath.Join(t.TempDir(), "base")
-	if _, err := s.CheckpointDelta(parentDir, nil, ""); err != nil {
+	if _, err := s.checkpointTo(parentDir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	parent, err := ckpt.ReadMeta(faultfs.OS, parentDir)
+	parent, err := ckpttest.Meta(parentDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	extend()
 	childDir := filepath.Join(t.TempDir(), "delta")
-	if _, err := s.CheckpointDelta(childDir, parent, parentDir); err != nil {
+	if _, err := s.checkpointTo(childDir, parent, parentDir); err != nil {
 		t.Fatal(err)
 	}
-	child, err := ckpt.ReadMeta(faultfs.OS, childDir)
+	child, err := ckpttest.Meta(childDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0.1})
-	if err := dst.Restore(childDir); err != nil {
+	if err := dst.restoreFrom(childDir); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ids; i++ {

@@ -9,31 +9,25 @@ import (
 	"flowkv/internal/window"
 )
 
-// statLogical is the Stat table inside a checkpoint: a replay stream
-// (ckpt.Cut.Stream) written whole at every cut, one record per identity
-// whose batches are on disk at the cut — every live identity, since the
-// cut is a drain. A record is the kind byte statKindSet, the key, the
-// initial window and maxTS. It is not a delta on the parent's stream:
-// sessions turn over within a barrier, so nearly every row differs from
-// the parent cut's (DESIGN.md §14).
-const statLogical = "stat.dlt"
-
+// The Stat table is the instance's dump section of a checkpoint: a replay
+// stream (ckpt.Cut.Stream) written whole at every cut, one record per
+// identity whose batches are on disk at the cut — every live identity,
+// since the cut is a drain. A record is the kind byte statKindSet, the
+// key, the initial window and maxTS. It is not a delta on the parent's
+// stream: sessions turn over within a barrier, so nearly every row differs
+// from the parent cut's (DESIGN.md §14).
 const statKindSet byte = 0
 
-// livenessName is the liveness file of a checkpoint (ckpt.CutSegments): per
-// segment the cut holds, a bitmap of its batches an entry pointed at.
-const livenessName = "aur.live"
-
-// CheckpointDelta writes a snapshot of the instance into dir. It drains
+// CheckpointDelta writes a snapshot of the instance into cut. It drains
 // the write buffer but does not clean; the drain's last mu section marks
 // in a bitmap per segment the batches the table points at, and
 // ckpt.CutSegments records every segment holding one — a sealed segment
 // hard-linked (from the parent when the parent holds it), the open head
 // and survivor by what they gained since the parent's cut — and the
-// bitmaps as the liveness file. Consumed batches stay in the segments, and
+// bitmaps as the liveness section. Consumed batches stay in the segments, and
 // their bits clear, so Restore cannot resurrect them. Nothing is fsynced
-// here — the returned Result's NeedSync lists every written file for the
-// composite store's group-commit sync window.
+// here — the returned Result's NeedSync lists every written segment for
+// the composite store's group-commit sync window.
 //
 // CheckpointDelta holds only ioMu, so concurrent Appends and
 // buffer-served reads proceed while the snapshot is written. The cut is
@@ -42,19 +36,16 @@ const livenessName = "aur.live"
 // values the segments hold at the cut, with the maxTS of the tuples that
 // are in them. No batch reference can change between that section and the
 // one that marks the bitmaps: that needs ioMu.
-func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
+func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	c := cutState{live: make(ckpt.Live)}
 	if err := s.flushLocked(true, &c); err != nil {
 		return nil, err
 	}
-	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
+	err := ckpt.CutSegments(cut, s.segs, c.live)
 	if err == nil {
-		err = ckpt.CutSegments(cut, s.segs, c.live, livenessName)
-	}
-	if err == nil {
-		err = cut.Stream(statLogical, func(emit func([]byte)) error {
+		err = cut.Stream(ckpt.KindDump, func(emit func([]byte)) error {
 			var payload []byte
 			for _, r := range c.rows {
 				payload = binio.PutBytes(append(payload[:0], statKindSet), []byte(r.ident.key))
@@ -70,17 +61,16 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	return cut.Finish()
 }
 
-// Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory. The Stat stream gives the table its entries and ETTs. Every
-// segment the liveness file names comes back under its id and epoch,
+// Restore rebuilds a freshly-opened (empty) instance from its part of a
+// checkpoint. The Stat stream gives the table its entries and ETTs. Every
+// segment the liveness section names comes back under its id and epoch,
 // sealed (ckpt.RestoreSegments) — so the delta chain continues across the
 // restart — and one scan of its entries gives the entries whose bits are
 // set their references, the segments their live counts and the store its
 // flush sequence. A row with no live batch, or a live batch with no row,
 // fails the restore (binio.ErrCorrupt); a checkpoint without a liveness
-// file — one written before batches were tracked by reference — fails
-// with the missing file's error.
-func (s *Store) Restore(dir string) error {
+// section fails with a ckpt.ErrBadCut.
+func (s *Store) Restore(src *ckpt.Source) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
@@ -93,15 +83,11 @@ func (s *Store) Restore(dir string) error {
 	if dirty {
 		return fmt.Errorf("aur: restore into a non-empty store")
 	}
-	meta, err := ckpt.ReadMeta(s.dir.FS(), dir)
-	if err != nil {
-		return fmt.Errorf("aur: restore: %w", err)
-	}
-	table, err := s.loadStatStream(dir, meta)
+	table, err := s.loadStatStream(src)
 	if err != nil {
 		return err
 	}
-	err = ckpt.RestoreSegments(s.segs, dir, meta, livenessName, func(sg *segment, sl *ckpt.SegLive) error {
+	err = ckpt.RestoreSegments(s.segs, src, func(sg *segment, sl *ckpt.SegLive) error {
 		return s.scanSegLocked(sg, func(ord uint32, be *logfile.BlockEntry) error {
 			s.seq = max(s.seq, be.Seq)
 			if !sl.Live(ord) {
@@ -133,13 +119,9 @@ func (s *Store) Restore(dir string) error {
 // loadStatStream replays a checkpoint's Stat stream into a fresh table,
 // one entry per row; anything the writer would not have written — another
 // record kind, a second row for an identity — matches binio.ErrCorrupt.
-func (s *Store) loadStatStream(dir string, meta *ckpt.Meta) (map[id]*entry, error) {
-	fstate := meta.File(statLogical)
-	if fstate == nil {
-		return nil, fmt.Errorf("aur: restore: SEGMENTS lacks %s", statLogical)
-	}
+func (s *Store) loadStatStream(src *ckpt.Source) (map[id]*entry, error) {
 	table := make(map[id]*entry)
-	err := ckpt.Replay(s.dir.FS(), dir, fstate, func(rec []byte) error {
+	err := src.Replay(ckpt.KindDump, func(rec []byte) error {
 		if len(rec) == 0 || rec[0] != statKindSet {
 			return fmt.Errorf("not a row: %w", binio.ErrCorrupt)
 		}

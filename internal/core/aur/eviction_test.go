@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -234,13 +235,13 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Helper()
 		cuts++
 		dir := filepath.Join(base, fmt.Sprintf("ckpt-%d", cuts))
-		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
+		if _, err := s.checkpointTo(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
 		if n := len(snapshotBuffer(s)); n != 0 || s.BufferedBytes() != 0 {
 			t.Fatalf("%d identities (%d bytes) buffered after a checkpoint", n, s.BufferedBytes())
 		}
-		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		meta, err := ckpttest.Meta(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func runDifferential(t *testing.T, seed int64) {
 	restoreInto := func(name, dir string) *Store {
 		t.Helper()
 		dst := open(name)
-		if err := dst.Restore(dir); err != nil {
+		if err := dst.restoreFrom(dir); err != nil {
 			t.Fatal(err)
 		}
 		readAll(t, "restored from "+filepath.Base(dir), dst, oracle)
@@ -476,7 +477,7 @@ func TestDrainsLeaveNothingBuffered(t *testing.T) {
 		"Flush": func(s *Store, _ string) error { return s.Flush() },
 		"Sync":  func(s *Store, _ string) error { return s.Sync() },
 		"CheckpointDelta": func(s *Store, dir string) error {
-			_, err := s.CheckpointDelta(dir, nil, "")
+			_, err := s.checkpointTo(dir, nil, "")
 			return err
 		},
 	}
@@ -495,7 +496,7 @@ func TestDrainsLeaveNothingBuffered(t *testing.T) {
 			readAll(t, "after "+name, s, oracle)
 			if name == "CheckpointDelta" {
 				dst := openTest(t, Options{WriteBufferBytes: diffBuffer})
-				if err := dst.Restore(dir); err != nil {
+				if err := dst.restoreFrom(dir); err != nil {
 					t.Fatal(err)
 				}
 				readAll(t, "restored", dst, oracle)

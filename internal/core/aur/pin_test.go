@@ -148,7 +148,7 @@ func TestSegmentFileBytesArePinned(t *testing.T) {
 	readAll(t, "after the failed pass", s, oracle)
 
 	// A checkpoint's drain, and life after it.
-	if _, err := s.CheckpointDelta(filepath.Join(t.TempDir(), "ckpt"), nil, ""); err != nil {
+	if _, err := s.checkpointTo(filepath.Join(t.TempDir(), "ckpt"), nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2000; i < 2100; i++ {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -93,7 +93,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		t.Fatal("pre-ckpt get")
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
+	if _, err := src.checkpointTo(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +107,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dst.Destroy()
-	if err := dst.Restore(ckpt); err != nil {
+	if err := dst.restoreFrom(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if dst.LiveStates() != 1 {
@@ -130,12 +130,12 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Append([]byte("k"), []byte("v"), window.Window{Start: 0, End: gap}, 0)
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
+	if _, err := src.checkpointTo(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
 	dirty.Append([]byte("x"), []byte("y"), window.Window{Start: 0, End: gap}, 0)
-	if err := dirty.Restore(ckpt); err == nil {
+	if err := dirty.restoreFrom(ckpt); err == nil {
 		t.Error("restore into dirty store accepted")
 	}
 }
@@ -143,10 +143,10 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointOnClosedStore(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if _, err := s.CheckpointDelta(t.TempDir(), nil, ""); err != ErrClosed {
+	if _, err := s.checkpointTo(t.TempDir(), nil, ""); err != ErrClosed {
 		t.Errorf("Checkpoint on closed: %v", err)
 	}
-	if err := s.Restore(t.TempDir()); err != ErrClosed {
+	if err := s.Restore(nil); err != ErrClosed {
 		t.Errorf("Restore on closed: %v", err)
 	}
 }
@@ -171,8 +171,8 @@ func TestStatsAccessors(t *testing.T) {
 }
 
 // TestStatStreamIsOneBaseOfTheOnDiskRows: every cut, with or without a
-// parent, writes stat.dlt as one segment — none when the table is empty —
-// whose rows are exactly the identities whose batches the cut's segments
+// parent, writes the Stat stream as its dump section — empty when the
+// table is — whose rows are exactly the identities whose batches the cut's segments
 // hold, each with its maxTS, and the cut restores to that table.
 func TestStatStreamIsOneBaseOfTheOnDiskRows(t *testing.T) {
 	opts := Options{WriteBufferBytes: 1 << 20, Predictor: window.SessionPredictor{Gap: gap}}
@@ -206,10 +206,10 @@ func TestStatStreamIsOneBaseOfTheOnDiskRows(t *testing.T) {
 			}
 		}
 		dir := filepath.Join(base, fmt.Sprintf("c%d", c))
-		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
+		if _, err := s.checkpointTo(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
-		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		src, err := ckpttest.Source(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,37 +222,36 @@ func TestStatStreamIsOneBaseOfTheOnDiskRows(t *testing.T) {
 			want[k] = e.maxTS
 		}
 		s.mu.Unlock()
-		if n := len(meta.File(statLogical).Segments); n != min(len(want), 1) {
-			t.Fatalf("cut %d: stat.dlt has %d segments for %d rows, want one base", c, n, len(want))
+		if b, _ := src.Section(ckpt.KindDump); (len(b) == 0) != (len(want) == 0) {
+			t.Fatalf("cut %d: the Stat stream has %d bytes for %d rows", c, len(b), len(want))
 		}
-		rows, err := s.loadStatStream(dir, meta)
+		rows, err := s.loadStatStream(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != len(want) {
-			t.Fatalf("cut %d: stat.dlt holds %d rows, %d identities are on disk", c, len(rows), len(want))
+			t.Fatalf("cut %d: the Stat stream holds %d rows, %d identities are on disk", c, len(rows), len(want))
 		}
 		for k, e := range rows {
 			if maxTS, ok := want[k]; !ok || e.maxTS != maxTS {
-				t.Fatalf("cut %d: stat.dlt row %v has maxTS %d; on disk %v with maxTS %d", c, k, e.maxTS, ok, maxTS)
+				t.Fatalf("cut %d: Stat row %v has maxTS %d; on disk %v with maxTS %d", c, k, e.maxTS, ok, maxTS)
 			}
 		}
 		dst := openTest(t, opts)
-		if err := dst.Restore(dir); err != nil {
+		if err := dst.restoreFrom(dir); err != nil {
 			t.Fatal(err)
 		}
 		if dst.LiveStates() != len(want) {
 			t.Fatalf("cut %d restored %d states, want %d", c, dst.LiveStates(), len(want))
 		}
-		parent, parentDir = meta, dir
+		parent, parentDir = src.Meta, dir
 	}
 }
 
 // TestStatStreamElidesBornAndConsumed chains three checkpoints: a state
-// appended and consumed between two cuts leaves no row in stat.dlt, a
-// state the parent holds leaves none once consumed, each cut's stream is
-// one segment however the parent's looked, and the chain restores to
-// exactly the rows still live.
+// appended and consumed between two cuts leaves no row in the Stat stream,
+// a state the parent holds leaves none once consumed, and the chain
+// restores to exactly the rows still live.
 func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
@@ -260,21 +259,22 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	cut := func(name string, parent *ckpt.Meta, parentDir string) (*ckpt.Meta, string) {
 		t.Helper()
 		dir := filepath.Join(base, name)
-		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
+		if _, err := s.checkpointTo(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
-		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		meta, err := ckpttest.Meta(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return meta, dir
 	}
-	rowsOf := func(m *ckpt.Meta, dir string) map[id]*entry {
+	rowsOf := func(_ *ckpt.Meta, dir string) map[id]*entry {
 		t.Helper()
-		if n := len(m.File(statLogical).Segments); n != 1 {
-			t.Fatalf("%s: stat.dlt has %d segments, want one base", dir, n)
+		src, err := ckpttest.Source(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rows, err := s.loadStatStream(dir, m)
+		rows, err := s.loadStatStream(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	s.Append([]byte("held"), []byte("v"), w, 1)
 	m1, d1 := cut("c1", nil, "")
 	if rows := rowsOf(m1, d1); len(rows) != 2 {
-		t.Fatalf("c1's stat.dlt holds %d rows, want kept and held", len(rows))
+		t.Fatalf("c1's Stat stream holds %d rows, want kept and held", len(rows))
 	}
 
 	// Born and consumed between c1 and c2: no row.
@@ -296,18 +296,18 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 	}
 	m2, d2 := cut("c2", m1, d1)
 	if rows := rowsOf(m2, d2); len(rows) != 2 || rows[id{key: "brief", w: w}] != nil {
-		t.Fatalf("c2's stat.dlt holds %d rows over state born and consumed between the cuts, want kept and held", len(rows))
+		t.Fatalf("c2's Stat stream holds %d rows over state born and consumed between the cuts, want kept and held", len(rows))
 	}
 
 	// Held by c1/c2, consumed now: its row is gone from the stream.
 	mustGet(t, s, "held", w)
 	m3, d3 := cut("c3", m2, d2)
 	if rows := rowsOf(m3, d3); len(rows) != 1 || rows[id{key: "kept", w: w}] == nil {
-		t.Fatalf("c3's stat.dlt holds %d rows after consuming a held state, want only kept", len(rows))
+		t.Fatalf("c3's Stat stream holds %d rows after consuming a held state, want only kept", len(rows))
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
-	if err := dst.Restore(d3); err != nil {
+	if err := dst.restoreFrom(d3); err != nil {
 		t.Fatal(err)
 	}
 	dst.mu.Lock()
@@ -320,37 +320,37 @@ func TestStatStreamElidesBornAndConsumed(t *testing.T) {
 }
 
 // TestStatStreamRebasesWhenTombstonesOutnumberCleanRows: when most of the
-// sessions the parent holds have fired by the next cut, stat.dlt is the
-// live table dumped whole as a one-segment base that links nothing of the
-// parent's stream — and so is a cut that leaves most rows clean.
+// sessions the parent holds have fired by the next cut, the Stat stream is
+// the live table dumped whole, nothing of the parent's stream — and so is
+// a cut that leaves most rows clean.
 func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
 	base := t.TempDir()
 	var parent *ckpt.Meta
 	var parentDir string
-	cut := func(name string) (segments int, linked int64) {
+	cut := func(name string) (rows int) {
 		t.Helper()
 		dir := filepath.Join(base, name)
-		if _, err := s.CheckpointDelta(dir, parent, parentDir); err != nil {
+		if _, err := s.checkpointTo(dir, parent, parentDir); err != nil {
 			t.Fatal(err)
 		}
-		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		src, err := ckpttest.Source(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parent, parentDir = meta, dir
-		fstate := meta.File(statLogical)
-		for _, seg := range fstate.Segments[:len(fstate.Segments)-1] {
-			linked += seg.Len
+		parent, parentDir = src.Meta, dir
+		table, err := s.loadStatStream(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return len(fstate.Segments), linked
+		return len(table)
 	}
 	for i := 0; i < 10; i++ {
 		s.Append([]byte(fmt.Sprintf("s%02d", i)), []byte("v"), w, 1)
 	}
-	if n, _ := cut("c1"); n != 1 {
-		t.Fatalf("the first cut's stat.dlt has %d segments", n)
+	if n := cut("c1"); n != 10 {
+		t.Fatalf("the first cut's Stat stream has %d rows, want 10", n)
 	}
 	for i := 0; i < 8; i++ { // eight consumed rows against two clean ones
 		mustGet(t, s, fmt.Sprintf("s%02d", i), w)
@@ -358,16 +358,16 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 	for i := 10; i < 13; i++ {
 		s.Append([]byte(fmt.Sprintf("s%02d", i)), []byte("v"), w, 2)
 	}
-	if n, linked := cut("c2"); n != 1 || linked != 0 {
-		t.Fatalf("c2's stat.dlt has %d segments, %d bytes of them the parent's; want a one-segment base", n, linked)
+	if n := cut("c2"); n != 5 {
+		t.Fatalf("c2's Stat stream has %d rows, want the 5 live ones", n)
 	}
 	s.Append([]byte("s12"), []byte("v"), w, 3) // one dirty row, four clean
-	if n, linked := cut("c3"); n != 1 || linked != 0 {
-		t.Fatalf("c3's stat.dlt has %d segments, %d bytes of them the parent's; want a one-segment base", n, linked)
+	if n := cut("c3"); n != 5 {
+		t.Fatalf("c3's Stat stream has %d rows, want the 5 live ones", n)
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
-	if err := dst.Restore(parentDir); err != nil {
+	if err := dst.restoreFrom(parentDir); err != nil {
 		t.Fatal(err)
 	}
 	dst.mu.Lock()
@@ -384,7 +384,7 @@ func TestStatStreamRebasesWhenTombstonesOutnumberCleanRows(t *testing.T) {
 }
 
 // TestLivenessFileIsDeterministic: two cuts of one state write the same
-// liveness file, byte for byte, and its bitmap has exactly the batches an
+// liveness section, byte for byte, and its bitmap has exactly the batches an
 // entry points at set, however many identities were consumed from the
 // segment.
 func TestLivenessFileIsDeterministic(t *testing.T) {
@@ -404,21 +404,25 @@ func TestLivenessFileIsDeterministic(t *testing.T) {
 	var snaps [][]byte
 	for c := 0; c < 2; c++ {
 		dir := filepath.Join(t.TempDir(), "ckpt")
-		if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+		if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dir, livenessName))
+		src, err := ckpttest.Source(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := src.Section(ckpt.KindLive)
 		if err != nil {
 			t.Fatal(err)
 		}
 		snaps = append(snaps, b)
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Fatalf("two cuts of one state wrote different liveness files:\n%x\n%x", snaps[0], snaps[1])
+		t.Fatalf("two cuts of one state wrote different liveness sections:\n%x\n%x", snaps[0], snaps[1])
 	}
 	segs, err := ckpt.DecodeLiveness(snaps[0])
 	if err != nil || len(segs) != 1 || segs[0].Entries != 40 {
-		t.Fatalf("the liveness file decodes to %+v, %v; want one segment of 40 entries", segs, err)
+		t.Fatalf("the liveness section decodes to %+v, %v; want one segment of 40 entries", segs, err)
 	}
 	var live []string
 	for _, e := range storeEntries(t, s, false) {
@@ -432,34 +436,33 @@ func TestLivenessFileIsDeterministic(t *testing.T) {
 }
 
 // handCut writes a checkpoint of s, which must hold no buffered values,
-// with rows as its Stat stream: the segments and the liveness file as
+// with rows as its Stat stream: the segments and the liveness section as
 // CheckpointDelta writes them, the stream assembled here.
 func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
 	t.Helper()
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	cut, err := ckpt.Begin(faultfs.OS, dir, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := make(ckpt.Live)
-	s.mu.Lock()
-	s.markLiveLocked(live)
-	s.mu.Unlock()
-	if err := ckpt.CutSegments(cut, s.segs, live, livenessName); err != nil {
-		t.Fatal(err)
-	}
-	err = cut.Stream(statLogical, func(emit func([]byte)) error {
-		for _, r := range rows {
-			rec := binio.PutBytes([]byte{statKindSet}, []byte(r.ident.key))
-			emit(binio.PutVarint(r.ident.w.AppendTo(rec), r.maxTS))
+	_, err := ckpttest.Checkpoint(faultfs.OS, dir, nil, "", func(cut *ckpt.Cut) (*ckpt.Result, error) {
+		live := make(ckpt.Live)
+		s.mu.Lock()
+		s.markLiveLocked(live)
+		s.mu.Unlock()
+		if err := ckpt.CutSegments(cut, s.segs, live); err != nil {
+			return nil, err
 		}
-		return nil
+		err := cut.Stream(ckpt.KindDump, func(emit func([]byte)) error {
+			for _, r := range rows {
+				rec := binio.PutBytes([]byte{statKindSet}, []byte(r.ident.key))
+				emit(binio.PutVarint(r.ident.w.AppendTo(rec), r.maxTS))
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return cut.Finish()
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cut.Finish(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -492,7 +495,7 @@ func TestRestoreChecksStatRowsAgainstSegments(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ckpt")
 			handCut(t, s, dir, rows)
 			dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
-			err := dst.Restore(dir)
+			err := dst.restoreFrom(dir)
 			if name == "rows as on disk" {
 				if err != nil || dst.LiveStates() != 1 {
 					t.Fatalf("restore: %v, %d states", err, dst.LiveStates())
@@ -522,11 +525,11 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 				reopen := func() {
 					t.Helper()
 					dir := filepath.Join(t.TempDir(), "ckpt")
-					if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+					if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 						t.Fatal(err)
 					}
 					dst := openTest(t, opts)
-					if err := dst.Restore(dir); err != nil {
+					if err := dst.restoreFrom(dir); err != nil {
 						t.Fatal(err)
 					}
 					s = dst
@@ -575,9 +578,9 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsZeroedStatPage: a zeroed page inside a stat.dlt
-// segment is a typed FrameError from Restore, never a Stat table missing
-// the rows the page held.
+// TestRestoreRejectsZeroedStatPage: a zeroed page inside the Stat stream's
+// section of the CUT is a typed FrameError from Restore, never a Stat
+// table missing the rows the page held.
 func TestRestoreRejectsZeroedStatPage(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
@@ -587,23 +590,23 @@ func TestRestoreRejectsZeroedStatPage(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+	if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	c, err := ckpt.ReadCut(faultfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := meta.File(statLogical).Segments[0]
-	if seg.Len < 3*4096 {
-		t.Fatalf("segment of %d bytes is too small to zero an inner page", seg.Len)
+	i := slices.IndexFunc(c.Sections, func(sec ckpt.Section) bool { return sec.Name == ckpt.InstPrefix(0)+ckpt.KindDump })
+	if i < 0 || c.Sections[i].Len < 3*4096 {
+		t.Fatalf("the Stat stream's section %+v is too small to zero an inner page", c.Sections)
 	}
-	if err := faultfs.CorruptAtRest(nil, filepath.Join(dir, seg.Name), faultfs.CorruptZeroPage, 4096); err != nil {
+	if err := faultfs.CorruptAtRest(nil, filepath.Join(dir, ckpt.CutName), faultfs.CorruptZeroPage, c.Sections[i].Off+4096); err != nil {
 		t.Fatal(err)
 	}
 	var fe *binio.FrameError
-	if err := openTest(t, Options{WriteBufferBytes: 1 << 20}).Restore(dir); !errors.As(err, &fe) {
-		t.Fatalf("restore over a zeroed stat.dlt page: %v, want a FrameError", err)
+	if err := openTest(t, Options{WriteBufferBytes: 1 << 20}).restoreFrom(dir); !errors.As(err, &fe) {
+		t.Fatalf("restore over a zeroed Stat stream page: %v, want a FrameError", err)
 	}
 }
 
@@ -617,9 +620,9 @@ func pairLayoutFrame(dst, p []byte) []byte {
 // TestRestoreRejectsPairLayout: a checkpoint of the earlier layout — each
 // segment a data-NNNNNN.log / index-NNNNNN.log pair, every file framed
 // without the marker byte, the segment table in segments.snap — has no
-// liveness file, like every checkpoint written before batches were tracked
-// by reference, and fails Restore with the missing file's typed error
-// (fs.ErrNotExist), restoring nothing, whether or not the store had
+// liveness section, like every checkpoint written before batches were tracked
+// by reference, and fails Restore with a typed error (ckpt.ErrBadCut: no
+// liveness section), restoring nothing, whether or not the store had
 // spilled.
 func TestRestoreRejectsPairLayout(t *testing.T) {
 	for _, spilled := range []bool{false, true} {
@@ -631,7 +634,7 @@ func TestRestoreRejectsPairLayout(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: statLogical, Epoch: 1}}}
+			meta := &ckpt.Meta{}
 			segments := uint64(0)
 			if spilled {
 				segments = 1
@@ -648,11 +651,13 @@ func TestRestoreRejectsPairLayout(t *testing.T) {
 				snap = pairLayoutFrame(snap, []byte{0, 1}) // segment 0, the open head
 			}
 			write("segments.snap", snap)
-			write(ckpt.MetaName, meta.Encode())
+			if err := ckpttest.Write(dir, meta, map[string][]byte{ckpt.KindDump: nil}); err != nil {
+				t.Fatal(err)
+			}
 
 			s := openTest(t, Options{WriteBufferBytes: 1 << 20})
-			if err := s.Restore(dir); !errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("restore of a pair-layout checkpoint: %v, want fs.ErrNotExist", err)
+			if err := s.restoreFrom(dir); !errors.Is(err, ckpt.ErrBadCut) {
+				t.Fatalf("restore of a pair-layout checkpoint: %v, want ckpt.ErrBadCut", err)
 			}
 			if s.SegmentStats().LiveSegments != 0 || s.LiveStates() != 0 {
 				t.Fatalf("the failed restore left %d segments and %d states", s.SegmentStats().LiveSegments, s.LiveStates())

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -199,12 +200,12 @@ func runSegmentDifferential(t *testing.T, seed int64) {
 		default: // a delta checkpoint, and half the time life goes on in a store restored from it
 			cuts++
 			dir := filepath.Join(base, fmt.Sprintf("ckpt-%d", cuts))
-			res, err := s.CheckpointDelta(dir, parent, parentDir)
+			res, err := s.checkpointTo(dir, parent, parentDir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			linked, copied = linked+res.LinkedBytes, copied+res.CopiedBytes
-			if parent, err = ckpt.ReadMeta(faultfs.OS, dir); err != nil {
+			if parent, err = ckpttest.Meta(dir); err != nil {
 				t.Fatal(err)
 			}
 			parentDir = dir
@@ -213,7 +214,7 @@ func runSegmentDifferential(t *testing.T, seed int64) {
 				carried, carriedDropped = carried+s.SegmentStats().Compactions, carriedDropped+s.SegmentStats().SegmentsDropped
 				old := s
 				s = open(fmt.Sprintf("store-%d", restores))
-				if err := s.Restore(dir); err != nil {
+				if err := s.restoreFrom(dir); err != nil {
 					t.Fatal(err)
 				}
 				old.Destroy()
@@ -317,11 +318,11 @@ func TestSurvivorKeepsAppendOrder(t *testing.T) {
 	wantValues(t, "after two passes", id{"x", w}, got, want)
 
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+	if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dst := openTest(t, opts)
-	if err := dst.Restore(dir); err != nil {
+	if err := dst.restoreFrom(dir); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustGet(t, dst, "x", w); !slices.Equal(got, want) {
@@ -382,11 +383,11 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 		t.Fatalf("%d passes, the stray's survivor still there: %v; want it cleaned", s.SegmentStats().Compactions, s.segs.Get(surv.ID) != nil)
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+	if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dst := openTest(t, opts)
-	if err := dst.Restore(dir); err != nil {
+	if err := dst.restoreFrom(dir); err != nil {
 		t.Fatal(err)
 	}
 	check("restored", dst)
@@ -400,7 +401,7 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 // evictions after its parent hard-links every segment file the parent
 // held and the store still does — sealed ones whole — and every segment
 // sealed since, and copies only what was written to the open head since
-// the parent's cut, the liveness file and the Stat stream. A checkpoint
+// the parent's cut, the liveness section and the Stat stream. A checkpoint
 // taken right after a cleaning pass restores to the oracle.
 func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	opts := Options{WriteBufferBytes: diffBuffer, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
@@ -420,11 +421,11 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	}
 	appendSessions(func() bool { return s.SegmentStats().LiveSegments >= 4 })
 	base := filepath.Join(t.TempDir(), "base")
-	res, err := s.CheckpointDelta(base, nil, "")
+	res, err := s.checkpointTo(base, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := ckpt.ReadMeta(faultfs.OS, base)
+	parent, err := ckpttest.Meta(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,11 +455,11 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	target := s.SegmentStats().LiveSegments + 3
 	appendSessions(func() bool { return s.SegmentStats().LiveSegments >= target })
 	delta := filepath.Join(t.TempDir(), "delta")
-	res, err = s.CheckpointDelta(delta, parent, base)
+	res, err = s.checkpointTo(delta, parent, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, err := ckpt.ReadMeta(faultfs.OS, delta)
+	child, err := ckpttest.Meta(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,8 +472,6 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	var wantLinked, wantCopied int64
 	for _, f := range child.Files {
 		switch {
-		case f.Logical == statLogical: // written whole at every cut
-			wantCopied += f.TotalLen()
 		case sealedNow[f.Logical]:
 			wantLinked += f.TotalLen()
 		default:
@@ -480,13 +479,13 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 			wantCopied += f.TotalLen() - held[f.Logical]
 		}
 	}
-	live, err := os.Stat(filepath.Join(delta, livenessName))
+	sections, err := ckpttest.SectionBytes(delta, ckpt.KindLive, ckpt.KindDump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LinkedBytes != wantLinked || res.CopiedBytes != wantCopied+live.Size() || wantLinked == 0 {
-		t.Fatalf("delta linked %d and copied %d bytes; want %d linked (every sealed segment, and what the parent holds of the head) and %d copied (what the head gained since, the Stat stream and the %d-byte liveness file)",
-			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+live.Size(), live.Size())
+	if res.LinkedBytes != wantLinked || res.CopiedBytes != wantCopied+sections || wantLinked == 0 {
+		t.Fatalf("delta linked %d and copied %d bytes; want %d linked (every sealed segment, and what the parent holds of the head) and %d copied (what the head gained since, and the %d bytes of the liveness and Stat sections)",
+			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+sections, sections)
 	}
 	for _, sid := range sealed {
 		name := segmentName(sid)
@@ -508,11 +507,11 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	before := s.SegmentStats().Compactions
 	appendSessions(func() bool { return s.SegmentStats().Compactions > before })
 	after := filepath.Join(t.TempDir(), "after")
-	if _, err := s.CheckpointDelta(after, child, delta); err != nil {
+	if _, err := s.checkpointTo(after, child, delta); err != nil {
 		t.Fatal(err)
 	}
 	dst := openTest(t, opts)
-	if err := dst.Restore(after); err != nil {
+	if err := dst.restoreFrom(after); err != nil {
 		t.Fatal(err)
 	}
 	readAll(t, "restored from the cut behind a pass", dst, oracle)
@@ -781,10 +780,14 @@ func TestFailedPassBlocksGetNoOrdinal(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+	if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, livenessName))
+	src, err := ckpttest.Source(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := src.Section(ckpt.KindLive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -794,11 +797,11 @@ func TestFailedPassBlocksGetNoOrdinal(t *testing.T) {
 	}
 	i := slices.IndexFunc(segs, func(sl ckpt.SegLive) bool { return sl.ID == surv.ID })
 	if i < 0 || segs[i].Entries != entries || len(segs[i].Bits) != int(entries+7)/8 {
-		t.Fatalf("the cut's liveness file has %+v for the survivor; want its %d entries and no bit past them", segs, entries)
+		t.Fatalf("the cut's liveness section has %+v for the survivor; want its %d entries and no bit past them", segs, entries)
 	}
 
 	dst := openTest(t, opts)
-	if err := dst.Restore(dir); err != nil {
+	if err := dst.restoreFrom(dir); err != nil {
 		t.Fatal(err)
 	}
 	readAll(t, "restored", dst, oracle)
@@ -843,8 +846,8 @@ func TestFailedPassBlocksGetNoOrdinal(t *testing.T) {
 // TestCutChainCopiesOnlyOpenTails cuts a spilling AUR store five times
 // through a delta chain, several evictions and some consumes apart. Each
 // cut copies only what its open segments gained since the parent's cut,
-// the Stat stream and the liveness file (SEGMENTS, describing the cut, is
-// in neither count); every sealed segment it holds is a hard link — of
+// the Stat stream and the liveness section (the files section, describing
+// the cut, is in neither count); every sealed segment it holds is a hard link — of
 // the live file or of the parent's — counted in LinkedBytes. The last cut
 // restores to the oracle.
 func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
@@ -869,11 +872,11 @@ func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
 			}
 		}
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("c%d", c))
-		res, err := s.CheckpointDelta(dir, parent, parentDir)
+		res, err := s.checkpointTo(dir, parent, parentDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+		meta, err := ckpttest.Meta(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -891,9 +894,6 @@ func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
 			}
 			sg := live[f.Logical]
 			switch {
-			case f.Logical == statLogical:
-				copied += f.TotalLen()
-				continue
 			case sg == nil:
 				t.Fatalf("cut %d holds %s, which the store does not", c, f.Logical)
 			case sg.Sealed:
@@ -907,19 +907,19 @@ func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
 				copied += f.TotalLen() - held
 			}
 		}
-		lf, err := os.Stat(filepath.Join(dir, livenessName))
+		sections, err := ckpttest.SectionBytes(dir, ckpt.KindLive, ckpt.KindDump)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("cut %d: copied %d, linked %d (%d in sealed segments), %d segments", c, res.CopiedBytes, res.LinkedBytes, sealed, len(live))
-		if res.CopiedBytes != copied+lf.Size() || res.LinkedBytes != linked || sealed == 0 {
-			t.Fatalf("cut %d copied %d and linked %d bytes; want %d copied (the open segments' new tails, the Stat stream, the %d-byte liveness file) and %d linked, %d of them sealed segments",
-				c, res.CopiedBytes, res.LinkedBytes, copied+lf.Size(), lf.Size(), linked, sealed)
+		if res.CopiedBytes != copied+sections || res.LinkedBytes != linked || sealed == 0 {
+			t.Fatalf("cut %d copied %d and linked %d bytes; want %d copied (the open segments' new tails, and the %d bytes of the Stat and liveness sections) and %d linked, %d of them sealed segments",
+				c, res.CopiedBytes, res.LinkedBytes, copied+sections, sections, linked, sealed)
 		}
 		parent, parentDir = meta, dir
 	}
 	dst := openTest(t, opts)
-	if err := dst.Restore(parentDir); err != nil {
+	if err := dst.restoreFrom(parentDir); err != nil {
 		t.Fatal(err)
 	}
 	readAll(t, "restored from the chain's last cut", dst, oracle)

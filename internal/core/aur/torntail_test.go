@@ -8,6 +8,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
@@ -73,7 +74,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 
 	// Reboot: assemble a checkpoint from the surviving on-disk files —
 	// each log as one whole-file checkpoint segment under its own name, a
-	// liveness file counting the entries of each one's whole blocks, all
+	// liveness section counting the entries of each one's whole blocks, all
 	// live, and a Stat stream of batch 1's rows, the states whose batches
 	// landed. (A real core checkpoint would have been rejected mid-write;
 	// this models restoring the instance directory itself after a crash.)
@@ -130,16 +131,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		k, w := state(i)
 		rows = binio.PutBytes(rows, binio.PutVarint(w.AppendTo(binio.PutBytes([]byte{statKindSet}, k)), w.Start))
 	}
-	stat, statSeg := binio.AppendRecord(nil, rows), ckpt.SegmentName(statLogical, 0)
-	if err := os.WriteFile(filepath.Join(ckptDir, statSeg), stat, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	meta.Files = append(meta.Files, ckpt.FileState{Logical: statLogical, Epoch: 1,
-		Segments: []ckpt.Segment{{Name: statSeg, Len: int64(len(stat)), CRC: binio.Checksum(stat)}}})
-	if err := os.WriteFile(filepath.Join(ckptDir, livenessName), ckpt.EncodeLiveness(segs), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.MetaName), meta.Encode(), 0o644); err != nil {
+	err = ckpttest.Write(ckptDir, meta, map[string][]byte{
+		ckpt.KindDump: binio.AppendRecord(nil, rows),
+		ckpt.KindLive: ckpt.EncodeLiveness(segs),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +149,7 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Destroy()
-	if err := fresh.Restore(ckptDir); err != nil {
+	if err := fresh.restoreFrom(ckptDir); err != nil {
 		t.Fatalf("restore of torn-segment checkpoint: %v", err)
 	}
 	for i := 0; i < 10; i++ {

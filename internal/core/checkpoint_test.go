@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path"
 	"path/filepath"
 	"testing"
 
@@ -211,13 +209,13 @@ func TestRestoreRejectsNonEmpty(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsInstanceWithoutSegments: an instance directory with
-// no SEGMENTS file describes no reassemblable state, and restoring it as
-// "nothing there" would silently drop everything the instance held. The
-// MANIFEST is re-stamped without the entry so the CRC walk alone cannot
-// be what rejects it. A later checkpoint may still name the directory as
-// its parent: the instance whose SEGMENTS cannot be read is written in
-// full, and the result is self-contained and restorable.
+// TestRestoreRejectsInstanceWithoutSegments: an instance with no files
+// section describes no reassemblable state, and restoring it as "nothing
+// there" would silently drop everything the instance held. The CUT is
+// re-stamped without the section so the CRC walk alone cannot be what
+// rejects it. A later checkpoint may still name the directory as its
+// parent: a parent whose CUT does not decode is not reused, and the
+// result is self-contained and restorable.
 func TestRestoreRejectsInstanceWithoutSegments(t *testing.T) {
 	for _, p := range []Pattern{PatternAAR, PatternAUR, PatternRMW} {
 		p := p
@@ -237,22 +235,20 @@ func TestRestoreRejectsInstanceWithoutSegments(t *testing.T) {
 			if err := s.CheckpointWithMeta(ck, []byte("meta")); err != nil {
 				t.Fatal(err)
 			}
-			lost := path.Join(instName(0), ckpt.MetaName)
-			if err := os.Remove(filepath.Join(ck, filepath.FromSlash(lost))); err != nil {
-				t.Fatal(err)
-			}
-			m, err := readManifest(faultfs.OS, ck, p, opts.Instances)
+			c, err := ckpt.ReadCut(faultfs.OS, ck)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept := m.entries[:0]
-			for _, e := range m.entries {
-				if e.path != lost {
-					kept = append(kept, e)
+			w, err := ckpt.Create(faultfs.OS, ck, c.Header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range c.Sections {
+				if b, _ := c.Section(sec.Name); sec.Name != ckpt.InstPrefix(0)+ckpt.KindFiles {
+					w.Put(sec.Name, b)
 				}
 			}
-			m.entries = kept
-			if err := writeManifestEncoded(faultfs.OS, ck, m); err != nil {
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
 

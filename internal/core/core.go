@@ -690,11 +690,16 @@ func (s *Store) Drop(key []byte, w window.Window) error {
 }
 
 // eachInstance runs f(i) for every instance index, fanning across at
-// most Options.Parallelism worker goroutines. It returns the first error
-// observed; a worker that errors stops pulling further instances, but
-// workers already running continue to completion.
+// most Options.Parallelism worker goroutines (fanOut).
 func (s *Store) eachInstance(f func(i int) error) error {
-	n := s.opts.Instances
+	return s.fanOut(s.opts.Instances, f)
+}
+
+// fanOut runs f(i) for every i in [0, n), fanning across at most
+// Options.Parallelism worker goroutines. It returns the first error
+// observed; a worker that errors stops pulling further indices, but
+// workers already running continue to completion.
+func (s *Store) fanOut(n int, f func(i int) error) error {
 	workers := s.opts.Parallelism
 	if workers > n {
 		workers = n

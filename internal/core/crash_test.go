@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -463,21 +464,19 @@ func restoreInto(t *testing.T, ckpt string) error {
 	return dst.Restore(ckpt)
 }
 
-// pickDataFile returns some non-MANIFEST file inside the checkpoint.
-func pickDataFile(t *testing.T, ckpt string) string {
+// pickDataFile returns some segment file inside the checkpoint, the CUT
+// when it holds none.
+func pickDataFile(t *testing.T, dir string) string {
 	t.Helper()
-	var found string
-	err := filepath.Walk(ckpt, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
+	found := filepath.Join(dir, ckpt.CutName)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if info, err := e.Info(); err == nil && e.Name() != ckpt.CutName && info.Size() > 0 {
+			return filepath.Join(dir, e.Name())
 		}
-		if found == "" && !info.IsDir() && info.Name() != manifestName && info.Size() > 0 {
-			found = path
-		}
-		return nil
-	})
-	if err != nil || found == "" {
-		t.Fatalf("no data file found in %s: %v", ckpt, err)
 	}
 	return found
 }
@@ -518,13 +517,17 @@ func TestRestoreRejectsBitFlip(t *testing.T) {
 	}
 }
 
+// cutName is ckpt.CutName, for the tests whose checkpoint directory is a
+// local named ckpt.
+const cutName = ckpt.CutName
+
 func TestRestoreRejectsMissingManifest(t *testing.T) {
 	_, ckpt := checkpointedStore(t)
-	if err := os.Remove(filepath.Join(ckpt, manifestName)); err != nil {
+	if err := os.Remove(filepath.Join(ckpt, cutName)); err != nil {
 		t.Fatal(err)
 	}
 	if err := restoreInto(t, ckpt); !errors.Is(err, ErrCheckpointInvalid) {
-		t.Fatalf("restore without MANIFEST: %v, want ErrCheckpointInvalid", err)
+		t.Fatalf("restore without a CUT: %v, want ErrCheckpointInvalid", err)
 	}
 }
 
@@ -603,4 +606,79 @@ func TestCheckpointFailureLeavesNoPartialState(t *testing.T) {
 		t.Fatalf("previous checkpoint no longer restores: %v", err)
 	}
 	o1.verify(t, "previous-ckpt", fresh)
+}
+
+// TestFailedCommitRenameKeepsPrevious: a checkpoint over an existing one
+// whose commit rename (tmp onto dir) fails puts the previous checkpoint,
+// moved aside to dir.old, back at dir. And when a crash left it at dir.old
+// with dir missing, the next checkpoint puts it back before clearing
+// anything, so a failure of that checkpoint too still leaves it
+// restorable at dir.
+func TestFailedCommitRenameKeepsPrevious(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS)
+	base := t.TempDir()
+	agg, wk, opts := crashConfig(PatternAUR)
+	opts.FS = inj
+	opts.Dir = filepath.Join(base, "store")
+	s, err := Open(agg, wk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Destroy()
+	o := newCrashOracle(PatternAUR)
+	rng := rand.New(rand.NewSource(5))
+	ctr := 0
+	steps := func() {
+		t.Helper()
+		for i := 0; i < 60; i++ {
+			if err := o.step(rng, s, &ctr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps()
+	dir := filepath.Join(base, "ckpt")
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	at := o.clone()
+	restores := func(leg string) {
+		t.Helper()
+		if _, err := os.Stat(dir + ".old"); !os.IsNotExist(err) {
+			t.Errorf("%s: %s.old is still there: %v", leg, dir, err)
+		}
+		ropts := opts
+		ropts.FS = nil
+		ropts.Dir = filepath.Join(t.TempDir(), "restored")
+		fresh, err := Open(agg, wk, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Destroy()
+		if err := fresh.Restore(dir); err != nil {
+			t.Fatalf("%s: the previous checkpoint does not restore: %v", leg, err)
+		}
+		at.verify(t, leg, fresh)
+	}
+
+	// The first rename moves dir aside, the second commits tmp onto it.
+	steps()
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpRename, Nth: 2})
+	if err := s.Checkpoint(dir); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("checkpoint with a failed commit rename: %v", err)
+	}
+	inj.Reset()
+	restores("failed-commit-rename")
+
+	// A crash between the two renames leaves the checkpoint at dir.old;
+	// the next checkpoint fails too, writing its staging directory.
+	if err := os.Rename(dir, dir+".old"); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: ".tmp"})
+	if err := s.Checkpoint(dir); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("checkpoint with a failed staging write: %v", err)
+	}
+	inj.Reset()
+	restores("found-at-old")
 }

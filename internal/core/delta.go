@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
-	"sort"
 	"sync"
-	"sync/atomic"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 )
@@ -27,24 +25,27 @@ import (
 // checkpoint; Checkpoint and CheckpointWithMeta are exactly that.
 //
 // The checkpoint is crash-consistent. Everything is first written into
-// "<dir>.tmp": the per-instance files, then APPMETA, then a MANIFEST
-// recording every file's size and CRC32C, fsynced along with the
-// directory. Only then is the temporary directory atomically renamed
-// onto dir and the parent directory fsynced. The previous checkpoint is
-// never deleted before the commit: it is renamed aside to "<dir>.old"
-// (deleting it file-by-file would open a window where a crash leaves
-// only a partial — though still manifest-rejected — directory at dir).
-// So at every instant a complete snapshot exists at dir, "<dir>.old", or
-// "<dir>.tmp", and a crash leaves at worst stale ".tmp"/".old"
-// directories that the next checkpoint clears. If any step fails, the
-// temporary directory is removed so no partial state lingers.
+// "<dir>.tmp", flat: the instances' segment files and one CUT file holding
+// every instance's files, liveness and dump sections and the application
+// metadata, with a table of their CRC32Cs. The files and the directory are
+// fsynced; only then is the temporary directory atomically renamed onto
+// dir and the parent directory fsynced. The previous checkpoint is never
+// deleted before the commit: it is renamed aside to "<dir>.old" (deleting
+// it file-by-file would open a window where a crash leaves only a partial
+// — though still CUT-rejected — directory at dir), and renamed back when
+// the commit rename fails or when the next CheckpointDelta finds it there
+// with dir missing. So at every instant a complete snapshot exists at
+// dir, "<dir>.old", or "<dir>.tmp", and a crash leaves at worst stale
+// ".tmp"/".old" directories that the next checkpoint clears or restores.
+// If any step fails, the temporary directory is removed so no partial
+// state lingers.
 //
-// Durability is group-committed: instances write their files unsynced
-// and report what needs durability; the store fsyncs them in one batched
-// window (fanned across Options.Parallelism workers) before the manifest
-// is written, so a barrier pays one sync wave instead of one fsync per
-// file per instance. Options.DisableGroupCommit reverts to immediate
-// per-file fsyncs for ablation. Segments linked from a parent checkpoint
+// Durability is group-committed: instances write their segments unsynced
+// and report what needs durability; the store fsyncs them and the CUT in
+// one batched window (fanned across Options.Parallelism workers), so a
+// barrier pays one sync wave instead of one fsync per file per instance.
+// Options.DisableGroupCommit reverts to fsyncing each instance's segments
+// as soon as it is cut, for ablation. Segments linked from a parent checkpoint
 // are already durable and are never re-synced; a link of a live file whose
 // bytes are not yet on disk (an RMW segment sealed since the last sync) is
 // in the window like a written file.
@@ -58,8 +59,17 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 		return err
 	}
 	fsys := s.opts.FS
+	tmp := dir + ".tmp"
+	old := dir + ".old"
+	// A previous commit that moved dir aside and then failed (or crashed)
+	// left the only complete snapshot at old: put it back before clearing.
+	if _, err := fsys.ReadDir(dir); errors.Is(err, fs.ErrNotExist) {
+		if err := fsys.Rename(old, dir); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("flowkv: checkpoint: restore previous: %w", err)
+		}
+	}
 	// Shield the parent from concurrent retention GC before resolving:
-	// between resolveParent reading its manifest and the links landing,
+	// between resolveParent reading its CUT and the links landing,
 	// another chain's post-commit GC must not unlink it.
 	release := s.protectParent(parent)
 	defer release()
@@ -67,8 +77,6 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if parentMetas == nil {
 		parent = ""
 	}
-	tmp := dir + ".tmp"
-	old := dir + ".old"
 	if err := fsys.RemoveAll(tmp); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: clear stale tmp: %w", err)
 	}
@@ -78,7 +86,8 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: %w", err)
 	}
-	results, err := s.checkpointDeltaInto(tmp, parent, parentName, depth, parentMetas, meta)
+	h := ckpt.Header{Pattern: int(s.pattern), Instances: s.opts.Instances, Parent: parentName, Depth: depth}
+	results, err := s.checkpointDeltaInto(tmp, parent, h, parentMetas, meta)
 	if err != nil {
 		// Best-effort cleanup: after a simulated (or real) crash the
 		// removal itself can fail, which the next checkpoint handles.
@@ -101,6 +110,9 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	}
 	if err := fsys.Rename(tmp, dir); err != nil {
 		fsys.RemoveAll(tmp)
+		// Best-effort, like the cleanup: what stays at old the next
+		// checkpoint puts back.
+		fsys.Rename(old, dir)
 		return fmt.Errorf("flowkv: checkpoint: commit: %w", err)
 	}
 	if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
@@ -156,7 +168,7 @@ func (s *Store) protectParent(path string) func() {
 // either registered before the pass looks — and kept — or its delta waits
 // in protectParent until the pass is over and then, finding the parent
 // gone, falls back to a full cut: never unlinked under a delta that has
-// already read its manifest and is linking against it.
+// already read its CUT and is linking against it.
 func (s *Store) retentionGC(just string, keep int) error {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -168,13 +180,13 @@ func (s *Store) retentionGC(just string, keep int) error {
 }
 
 // resolveParent decides what the new checkpoint diffs against. It
-// returns the parent name to record in the MANIFEST (empty when the
-// checkpoint is a chain base, or when the parent is not a sibling
-// directory and the reference cannot be expressed as one), the new
-// checkpoint's chain depth, and each instance's decoded SEGMENTS meta
-// (nil entries force a full copy for that instance; a nil slice means no
-// parent at all). Every rejection is a silent fallback to full data — an
-// unreadable parent must make the checkpoint bigger, never wrong.
+// returns the parent name to record in the CUT (empty when the checkpoint
+// is a chain base, or when the parent is not a sibling directory and the
+// reference cannot be expressed as one), the new checkpoint's chain
+// depth, and each instance's files section in the parent (a nil slice
+// means no parent at all). Every rejection is a silent fallback to full
+// data — an unreadable parent must make the checkpoint bigger, never
+// wrong.
 //
 // A non-sibling parent (the SPE commits generation N against a
 // checkpoint of the same base name inside generation N-1's directory)
@@ -186,156 +198,91 @@ func (s *Store) resolveParent(dir, parent string) (string, int, []*ckpt.Meta) {
 	if parent == "" || s.opts.MaxDeltaChain < 0 {
 		return "", 0, nil
 	}
-	fsys := s.opts.FS
-	m, err := readManifest(fsys, parent, s.pattern, s.opts.Instances)
+	c, err := readCut(s.opts.FS, parent, s.pattern, s.opts.Instances)
 	if err != nil {
 		return "", 0, nil
 	}
-	depth := m.depth + 1
+	depth := c.Depth + 1
 	if depth > s.opts.MaxDeltaChain {
 		return "", 0, nil
-	}
-	metas := make([]*ckpt.Meta, s.opts.Instances)
-	for i := range metas {
-		// An unreadable SEGMENTS yields a nil meta: that instance writes
-		// full data but the checkpoint still chains.
-		if im, err := ckpt.ReadMeta(fsys, instDir(parent, i)); err == nil {
-			metas[i] = im
-		}
 	}
 	name := ""
 	if filepath.Dir(parent) == filepath.Dir(dir) {
 		name = filepath.Base(parent)
 	}
-	return name, depth, metas
+	return name, depth, c.Files
 }
 
-// checkpointDeltaInto stages the snapshot: per-instance segment
-// directories, the group-commit sync window, APPMETA, and the MANIFEST
-// (entries precomputed from the instance results — the staging
-// directory is never re-hashed, which would re-read every hard-linked
-// segment and put the O(total-state) cost back into the commit).
-// Instances snapshot in parallel (bounded by Options.Parallelism), each
-// holding only its own I/O lock, so ingestion proceeds while the
-// snapshot is written. The cut is per-instance — the instant each
-// instance detaches its buffer — which is consistent per key because one
-// instance owns all of a key's state.
-func (s *Store) checkpointDeltaInto(tmp, parent, parentName string, depth int, parentMetas []*ckpt.Meta, meta []byte) ([]*ckpt.Result, error) {
+// checkpointDeltaInto stages the snapshot in tmp: the instances' segment
+// files and sections, the application metadata, the CUT's table, then one
+// group-commit sync window over every written segment and the CUT, and
+// the directory. Instances snapshot in parallel (bounded by
+// Options.Parallelism), each holding only its own I/O lock, so ingestion
+// proceeds while the snapshot is written. The cut is per-instance — the
+// instant each instance detaches its buffer — which is consistent per key
+// because one instance owns all of a key's state.
+func (s *Store) checkpointDeltaInto(tmp, parent string, h ckpt.Header, parentMetas []*ckpt.Meta, meta []byte) ([]*ckpt.Result, error) {
 	fsys := s.opts.FS
+	w, err := ckpt.Create(fsys, tmp, h)
+	if err != nil {
+		return nil, fmt.Errorf("flowkv: checkpoint: %w", err)
+	}
+	defer w.Close()
 	results := make([]*ckpt.Result, s.opts.Instances)
 	if err := s.eachInstance(func(i int) error {
 		var pm *ckpt.Meta
 		if parentMetas != nil {
 			pm = parentMetas[i]
 		}
-		pdir := ""
-		if parent != "" {
-			pdir = instDir(parent, i)
-		}
-		res, err := s.insts[i].CheckpointDelta(instDir(tmp, i), pm, pdir)
+		res, err := s.insts[i].CheckpointDelta(w.Begin(i, pm, parent))
 		if err != nil {
 			return err
 		}
 		results[i] = res
 		if s.opts.DisableGroupCommit {
-			if err := syncFiles(fsys, res.NeedSync); err != nil {
-				return err
-			}
+			return syncFiles(fsys, res.NeedSync)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	if meta != nil {
+		z, err := binio.Deflate(nil, meta)
+		if err == nil {
+			err = w.Put(ckpt.AppMeta, binio.AppendRecord(nil, z))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("flowkv: checkpoint: appmeta: %w", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		return nil, fmt.Errorf("flowkv: checkpoint: %w", err)
+	}
+	// Group commit: one batched sync window for the CUT and every segment
+	// all instances wrote this barrier, fanned across the same worker
+	// budget as the instance snapshots.
+	all := []string{w.Path()}
 	if !s.opts.DisableGroupCommit {
-		// Group commit: one batched sync window for every file all
-		// instances wrote this barrier, fanned across the same worker
-		// budget as the instance snapshots.
-		var all []string
 		for _, res := range results {
 			all = append(all, res.NeedSync...)
 		}
-		if err := s.syncWindow(all); err != nil {
-			return nil, err
-		}
+	}
+	if err := s.syncWindow(all); err != nil {
+		return nil, err
 	}
 	// Directory entries last: the files are durable, now make their
 	// names durable too.
-	if err := s.eachInstance(func(i int) error {
-		return fsys.SyncDir(instDir(tmp, i))
-	}); err != nil {
-		return nil, fmt.Errorf("flowkv: checkpoint: sync instance dir: %w", err)
-	}
-	var entries []manifestEntry
-	if meta != nil {
-		e, err := writeAppMeta(fsys, tmp, meta)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	for i, res := range results {
-		for _, e := range res.Entries {
-			entries = append(entries, manifestEntry{
-				path: path.Join(instName(i), e.Path),
-				size: e.Size,
-				crc:  e.CRC,
-			})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].path < entries[j].path })
-	m := &manifest{
-		pattern:   s.pattern,
-		instances: s.opts.Instances,
-		parent:    parentName,
-		depth:     depth,
-		entries:   entries,
-	}
-	if err := writeManifestEncoded(fsys, tmp, m); err != nil {
-		return nil, err
+	if err := fsys.SyncDir(tmp); err != nil {
+		return nil, fmt.Errorf("flowkv: checkpoint: sync dir: %w", err)
 	}
 	return results, nil
 }
 
 // syncWindow fsyncs every path, fanning across Options.Parallelism
 // workers. It is the group-commit window: called once per barrier with
-// the union of every instance's unsynced files.
+// the CUT and the union of every instance's unsynced segments.
 func (s *Store) syncWindow(paths []string) error {
-	fsys := s.opts.FS
-	workers := s.opts.Parallelism
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers <= 1 {
-		return syncFiles(fsys, paths)
-	}
-	var (
-		next  int64
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				if err := syncFiles(fsys, paths[i:i+1]); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return s.fanOut(len(paths), func(i int) error { return syncFiles(s.opts.FS, paths[i:i+1]) })
 }
 
 // syncFiles fsyncs each named file in order.

@@ -154,7 +154,7 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 // TestDeltaCrashRecoveryRandomized is the delta leg of the crash
 // battery: each iteration builds a two-link chain fault-free, then arms
 // a crash pinned at a specific point of the *next* incremental commit —
-// the first hard link, the group-commit sync window, the parent SEGMENTS
+// the first hard link, the group-commit sync window, the parent CUT
 // resolution — or at a random mutating op, and after the reboot the
 // newest checkpoint that verifies must restore exactly the oracle state
 // at its cut. 25 seeds × 4 pins = 100 iterations per pattern.
@@ -272,10 +272,10 @@ func runDeltaCrashIteration(t *testing.T, pattern Pattern, seed int64, pin strin
 		// written but their durability wave never completes.
 		rule = faultfs.Rule{Op: faultfs.OpSync, PathContains: ".tmp", Crash: true}
 	case "mid-parent-resolution":
-		// Reading the parent's per-instance SEGMENTS meta: resolution must
-		// fail toward a full copy, and the frozen disk then kills the
-		// attempt — never yielding a half-resolved chain.
-		rule = faultfs.Rule{Op: faultfs.OpRead, PathContains: ckpt.MetaName, Crash: true}
+		// Reading the parent's CUT: resolution must fail toward a full
+		// copy, and the frozen disk then kills the attempt — never
+		// yielding a half-resolved chain.
+		rule = faultfs.Rule{Op: faultfs.OpRead, PathContains: ckpt.CutName, Crash: true}
 	default:
 		// A random upcoming mutating op. The window is sized to the RMW
 		// leg, whose commits issue the fewest fs ops (a cut's replay-stream
@@ -503,7 +503,7 @@ func TestDeltaNoHardlinkFSCopyFallback(t *testing.T) {
 // a parent checkpoint of an instance whose logs are still empty must not
 // record a zero-length segment, or the child would both link it and
 // write its own first segment at the same offset under the same name —
-// the link-truncating collision that corrupts the child's MANIFEST. One
+// the link-truncating collision that corrupts the child's segments. One
 // key routes state to a single instance, leaving the rest empty at the
 // base; the chain then grows into them.
 func TestDeltaEmptyInstanceThenGrow(t *testing.T) {

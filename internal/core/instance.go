@@ -24,11 +24,13 @@ type instance interface {
 	Recover() error
 	// Scrub verifies the live logs' record frames against their checksums.
 	Scrub() (logfile.ScrubSummary, error)
-	// CheckpointDelta writes the instance's snapshot into dir, reusing
-	// what parent (rooted at parentDir, nil for none) already persisted.
-	CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error)
-	// Restore rebuilds a freshly opened instance from a snapshot.
-	Restore(dir string) error
+	// CheckpointDelta writes the instance's snapshot into cut: its segment
+	// files and its sections of the checkpoint's CUT, reusing what the
+	// cut's parent already persisted.
+	CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error)
+	// Restore rebuilds a freshly opened instance from its part of a
+	// checkpoint.
+	Restore(src *ckpt.Source) error
 	// Close closes the instance, leaving its state on disk.
 	Close() error
 	// Destroy closes the instance and deletes its directory.

@@ -5,108 +5,147 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 )
 
-// FuzzParseManifest feeds arbitrary bytes to the checkpoint MANIFEST
-// parser. The parser is the gate between a possibly-corrupted checkpoint
-// directory and Restore, so it must reject garbage with a reason rather
-// than panic, and anything it accepts must survive an encode/parse round
-// trip unchanged (the manifest format is canonical). Parent references —
+// cutBytes returns the CUT file a checkpoint with header h writes when
+// instance i's files section is metas[i], with an appmeta section when
+// meta is not nil.
+func cutBytes(t testing.TB, h ckpt.Header, metas []*ckpt.Meta, meta []byte) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := ckpt.Create(faultfs.OS, dir, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range metas {
+		w.Put(ckpt.InstPrefix(i)+ckpt.KindFiles, m.Encode())
+	}
+	if meta != nil {
+		w.Put(ckpt.AppMeta, binio.AppendRecord(nil, meta))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, ckpt.CutName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// cutSection returns the table entry of the section name of dir's CUT.
+func cutSection(t *testing.T, dir, name string) (ckpt.Section, bool) {
+	t.Helper()
+	c, err := ckpt.ReadCut(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range c.Sections {
+		if sec.Name == name {
+			return sec, true
+		}
+	}
+	return ckpt.Section{}, false
+}
+
+// metasOf returns n files sections, each of the segments segs.
+func metasOf(n int, segs ...ckpt.Segment) []*ckpt.Meta {
+	out := make([]*ckpt.Meta, n)
+	for i := range out {
+		out[i] = &ckpt.Meta{}
+		if len(segs) > 0 {
+			out[i].Files = []ckpt.FileState{{Logical: "win_0_10.log", Epoch: 3, Segments: segs}}
+		}
+	}
+	return out
+}
+
+// FuzzParseManifest feeds arbitrary bytes to core's parser of a
+// checkpoint's CUT file, its manifest. The parser is the gate between a
+// possibly-corrupted checkpoint directory and Restore, so it must reject
+// garbage with a CheckpointError rather than panic, and what it accepts
+// holds a files section for every instance it claims. Parent references —
 // the header of a delta cut — must always be plain sibling names, never
-// paths that would let a crafted manifest walk the chain out of the
-// checkpoint directory.
+// paths that would let a crafted CUT walk the chain out of the checkpoint
+// directory. ckpt's FuzzDecodeCut holds the decoder to its encoding.
 func FuzzParseManifest(f *testing.F) {
+	segs := []ckpt.Segment{
+		{Name: "inst-00.win_0_10.log.seg-000000000000", Len: 4096, CRC: 0xdeadbeef},
+		{Name: "inst-00.win_0_10.log.seg-000000004096", Len: 512, CRC: 0xfeed},
+	}
 	f.Add([]byte{})
-	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 4}))
-	f.Add(encodeManifest(&manifest{pattern: PatternAUR, instances: 2, entries: []manifestEntry{
-		{path: "inst-0000/data-000000.log", size: 4096, crc: 0xdeadbeef},
-		{path: "inst-0000/index-000000.log", size: 128, crc: 1},
-	}}))
-	f.Add(encodeManifest(&manifest{pattern: PatternRMW, instances: 1, entries: []manifestEntry{{path: "inst-0000/rmw.log", size: 0, crc: 0}}}))
-	// Truncated and bit-flipped variants of a valid parentless manifest.
-	base := encodeManifest(&manifest{pattern: PatternAUR, instances: 8, entries: []manifestEntry{{path: "x", size: 7, crc: 9}}})
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 4}, metasOf(4), nil))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 2}, metasOf(2, segs...), nil))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternRMW), Instances: 1}, metasOf(1, ckpt.Segment{Name: "inst-00.rmw-000000.log.seg-000000000000"}), nil))
+	// Truncated and bit-flipped variants of a valid parentless CUT.
+	base := cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 8}, metasOf(8, segs[:1]...), nil)
 	f.Add(base[:len(base)-3])
-	flipped := append([]byte(nil), base...)
+	flipped := bytes.Clone(base)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 
-	segs := []manifestEntry{
-		{path: "inst-00/SEGMENTS", size: 96, crc: 0x1234},
-		{path: "inst-00/win_0_10.log.seg-000000000000", size: 4096, crc: 0xdeadbeef},
-		{path: "inst-00/win_0_10.log.seg-000000004096", size: 512, crc: 0xfeed},
-		{path: "APPMETA", size: 33, crc: 7},
-	}
-	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 1, parent: "gen-000004", depth: 3, entries: segs}))
-	f.Add(encodeManifest(&manifest{pattern: PatternRMW, instances: 2, parent: "gen-000001", depth: 1,
-		entries: []manifestEntry{{path: "inst-00/rmw-000000.log.seg-000000000000", size: 64, crc: 1}}}))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 1, Parent: "gen-000004", Depth: 3}, metasOf(1, segs...), []byte("appmeta")))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternRMW), Instances: 2, Parent: "gen-000001", Depth: 1}, metasOf(2, segs[1:]...), nil))
 	// No parent, depth 0: a base, here one written at the chain cap.
-	f.Add(encodeManifest(&manifest{pattern: PatternAUR, instances: 4, parent: "", depth: 0, entries: segs[:1]}))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 4}, metasOf(4, segs[:1]...), nil))
 	// Hostile parents: traversal and separators must be rejected.
-	f.Add(encodeManifest(&manifest{pattern: PatternAAR, instances: 1, parent: "gen-000001", depth: 1}))
-	full := encodeManifest(&manifest{pattern: PatternAUR, instances: 2, parent: "gen-000007", depth: 2, entries: segs})
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 1, Parent: "../gen-000001", Depth: 1}, metasOf(1), nil))
+	full := cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 2, Parent: "gen-000007", Depth: 2}, metasOf(2, segs...), []byte("meta"))
 	f.Add(full[:len(full)-5])
-	flipped = append([]byte(nil), full...)
+	flipped = bytes.Clone(full)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := parseManifest("fuzz", b)
+		c, err := parseCut("fuzz", b)
 		if err != nil {
 			if ce := (*CheckpointError)(nil); !errors.As(err, &ce) || !errors.Is(err, ErrCheckpointInvalid) {
 				t.Fatalf("rejected with %v, not a CheckpointError", err)
 			}
 			return
 		}
-		if m.parent == "." || m.parent == ".." ||
-			bytes.ContainsAny([]byte(m.parent), "/\\") {
-			t.Fatalf("accepted non-sibling parent %q", m.parent)
+		if c.Parent == "." || c.Parent == ".." || strings.ContainsAny(c.Parent, "/\\") {
+			t.Fatalf("accepted non-sibling parent %q", c.Parent)
 		}
-		roundTripManifest(t, m)
+		if len(c.Files) != c.Instances {
+			t.Fatalf("accepted %d instances with %d files sections", c.Instances, len(c.Files))
+		}
 	})
 }
 
-// TestV1ManifestIsRejected pins the one-format rule: a MANIFEST in the
-// v1 format, which base checkpoints were written in before every manifest
-// carried a parent and a depth, is rejected as a CheckpointError, not
-// read.
+// TestV1ManifestIsRejected pins the one-format rule: a checkpoint of an
+// earlier layout — a MANIFEST file, v1 here, and no CUT — is rejected as
+// a CheckpointError, not read; and a CUT whose header is not this
+// layout's is rejected for its bad magic.
 func TestV1ManifestIsRejected(t *testing.T) {
 	dir := t.TempDir()
 	header := binio.PutString(nil, "flowkv-checkpoint-v1")
 	header = binio.PutUvarint(binio.PutUvarint(header, uint64(PatternRMW)), 1)
-	if err := os.WriteFile(filepath.Join(dir, manifestName), binio.AppendRecord(nil, header), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), binio.AppendRecord(nil, header), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := readManifest(faultfs.OS, dir, PatternRMW, 1)
+	_, err := readCut(faultfs.OS, dir, PatternRMW, 1)
 	var ce *CheckpointError
-	if !errors.As(err, &ce) || ce.Reason != "bad magic" || !errors.Is(err, ErrCheckpointInvalid) {
-		t.Fatalf("v1 manifest: %v, want a CheckpointError saying bad magic", err)
+	if !errors.As(err, &ce) || !errors.Is(err, ErrCheckpointInvalid) || !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a MANIFEST and no CUT: %v, want a CheckpointError for the missing CUT", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckpt.CutName), binio.AppendRecord(nil, header), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = readCut(faultfs.OS, dir, PatternRMW, 1)
+	if !errors.As(err, &ce) || ce.File != ckpt.CutName || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("v1 header in a CUT: %v, want a CheckpointError saying bad magic", err)
 	}
 }
 
-func roundTripManifest(t *testing.T, m *manifest) {
-	t.Helper()
-	re := encodeManifest(m)
-	m2, err := parseManifest("round-trip", re)
-	if err != nil {
-		t.Fatalf("re-encoded manifest rejected: %v", err)
-	}
-	if m2.pattern != m.pattern || m2.instances != m.instances ||
-		m2.parent != m.parent || m2.depth != m.depth || len(m2.entries) != len(m.entries) {
-		t.Fatalf("round trip changed header: %+v -> %+v", m, m2)
-	}
-	for i := range m.entries {
-		if m2.entries[i] != m.entries[i] {
-			t.Fatalf("round trip changed entry %d: %+v -> %+v", i, m.entries[i], m2.entries[i])
-		}
-	}
-}
-
-// TestCheckpointChainCycle crafts two checkpoints whose manifests name
-// each other as parents; resolving the chain must fail with
+// TestCheckpointChainCycle crafts two checkpoints whose CUTs name each
+// other as parents; resolving the chain must fail with
 // ErrCheckpointInvalid instead of walking forever.
 func TestCheckpointChainCycle(t *testing.T) {
 	dir := t.TempDir()
@@ -127,8 +166,8 @@ func writeCycleManifest(t *testing.T, parent, name, ref string) {
 	if err := os.MkdirAll(d, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	buf := encodeManifest(&manifest{pattern: PatternAAR, instances: 1, parent: ref, depth: 1})
-	if err := os.WriteFile(filepath.Join(d, manifestName), buf, 0o644); err != nil {
+	buf := cutBytes(t, ckpt.Header{Pattern: int(PatternAAR), Instances: 1, Parent: ref, Depth: 1}, metasOf(1), nil)
+	if err := os.WriteFile(filepath.Join(d, ckpt.CutName), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
+	ckptpkg "flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/window"
 )
@@ -43,22 +44,21 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	if got, err := ReadCheckpointMeta(nil, ckpt); err != nil || !bytes.Equal(got, meta) {
 		t.Fatalf("ReadCheckpointMeta = %q, %v; want %q", got, err, meta)
 	}
-	// APPMETA holds the metadata deflated, and the MANIFEST entry covers
-	// the bytes on disk.
-	onDisk, err := os.ReadFile(filepath.Join(ckpt, appMetaName))
-	if err != nil || len(onDisk) >= len(meta) {
-		t.Fatalf("APPMETA is %d bytes (%v) for %d bytes of metadata; want it deflated", len(onDisk), err, len(meta))
+	// The appmeta section holds the metadata deflated, under the CUT's
+	// checksum.
+	if sec, ok := cutSection(t, ckpt, ckptpkg.AppMeta); !ok || sec.Len >= int64(len(meta)) {
+		t.Fatalf("appmeta section %+v (present %v) for %d bytes of metadata; want it deflated", sec, ok, len(meta))
 	}
 	if _, _, err := VerifyCheckpointDir(nil, ckpt); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	// An APPMETA written before the metadata was deflated — the raw bytes —
-	// fails typed.
+	// Metadata that is not a deflate stream — the raw bytes — fails typed.
 	old := filepath.Join(base, "undeflated")
 	if err := os.MkdirAll(old, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(old, appMetaName), meta, 0o644); err != nil {
+	raw := cutBytes(t, ckptpkg.Header{Pattern: int(PatternAUR), Instances: 1}, metasOf(1), meta)
+	if err := os.WriteFile(filepath.Join(old, ckptpkg.CutName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var fe *binio.FrameError
@@ -87,16 +87,16 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 
 func TestCheckpointNilMetaHasNoAppMeta(t *testing.T) {
 	_, ckpt := checkpointedStore(t)
-	if _, err := os.Stat(filepath.Join(ckpt, appMetaName)); !os.IsNotExist(err) {
-		t.Fatalf("nil-meta checkpoint wrote %s: %v", appMetaName, err)
+	if sec, ok := cutSection(t, ckpt, ckptpkg.AppMeta); ok {
+		t.Fatalf("nil-meta checkpoint wrote an appmeta section: %+v", sec)
 	}
 	if got, err := ReadCheckpointMeta(nil, ckpt); err != nil || got != nil {
 		t.Fatalf("ReadCheckpointMeta on metadata-free checkpoint = %q, %v; want nil, nil", got, err)
 	}
 }
 
-// TestRestoreRejectsTamperedMeta: APPMETA is covered by the MANIFEST, so
-// flipping a byte in it invalidates the whole checkpoint — recovery can
+// TestRestoreRejectsTamperedMeta: the appmeta section is covered by the
+// CUT's checksums, so flipping a byte in it invalidates the whole checkpoint — recovery can
 // trust the offsets it reads exactly as much as the state they describe.
 func TestRestoreRejectsTamperedMeta(t *testing.T) {
 	base := t.TempDir()
@@ -115,13 +115,11 @@ func TestRestoreRejectsTamperedMeta(t *testing.T) {
 	if err := s.CheckpointWithMeta(ckpt, []byte("offset=42")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(ckpt, appMetaName)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	sec, ok := cutSection(t, ckpt, ckptpkg.AppMeta)
+	if !ok {
+		t.Fatal("no appmeta section")
 	}
-	b[0] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := faultfs.CorruptAtRest(nil, filepath.Join(ckpt, ckptpkg.CutName), faultfs.CorruptBitFlip, sec.Off+sec.Len/2); err != nil {
 		t.Fatal(err)
 	}
 	restOpts := opts
@@ -132,7 +130,7 @@ func TestRestoreRejectsTamperedMeta(t *testing.T) {
 	}
 	defer fresh.Destroy()
 	if _, err := fresh.RestoreWithMeta(ckpt); !errors.Is(err, ErrCheckpointInvalid) {
-		t.Fatalf("restore with tampered APPMETA: %v, want ErrCheckpointInvalid", err)
+		t.Fatalf("restore with tampered appmeta: %v, want ErrCheckpointInvalid", err)
 	}
 }
 

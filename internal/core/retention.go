@@ -17,11 +17,11 @@ import (
 type CheckpointInfo struct {
 	// Path is the checkpoint directory.
 	Path string
-	// Pattern and Instances are the store shape recorded in the MANIFEST.
+	// Pattern and Instances are the store shape recorded in the CUT.
 	Pattern   Pattern
 	Instances int
-	// Files is the number of files the MANIFEST lists; SizeBytes is
-	// their total recorded size (the MANIFEST itself excluded).
+	// Files is the number of files the checkpoint holds, the CUT and the
+	// segment files it names; SizeBytes is their total size.
 	Files     int
 	SizeBytes int64
 	// ModTime is the directory's modification time (checkpoint age).
@@ -32,14 +32,14 @@ type CheckpointInfo struct {
 	Parent string
 	Depth  int
 	// Err is non-nil when the checkpoint failed verification: missing,
-	// truncated, or bit-flipped files, or extra files not in the MANIFEST.
+	// truncated, or bit-flipped files, or extra files not in the CUT.
 	Err error
 }
 
 // ListCheckpoints scans the immediate subdirectories of parent and
-// returns one CheckpointInfo per directory holding a MANIFEST, each
-// fully verified against its manifest (every file's size and CRC32C),
-// sorted newest first. Directories without a MANIFEST are skipped, so
+// returns one CheckpointInfo per directory holding a CUT, each fully
+// verified against it (every segment file's size and CRC32C), sorted
+// newest first. Directories without a CUT are skipped, so
 // store data directories living next to checkpoints are ignored. A nil
 // fsys means the real OS filesystem.
 func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
@@ -60,7 +60,7 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 		if info, ierr := e.Info(); ierr == nil {
 			ci.ModTime = info.ModTime()
 		}
-		m, err := loadManifest(fsys, dir)
+		c, err := loadCut(fsys, dir)
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // not a checkpoint directory
 		}
@@ -69,15 +69,15 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 			out = append(out, ci)
 			continue
 		}
-		ci.Pattern, ci.Instances, ci.Files = m.pattern, m.instances, len(m.entries)
-		ci.Parent, ci.Depth = m.parent, m.depth
-		for _, me := range m.entries {
-			ci.SizeBytes += me.size
-		}
+		ci.Pattern, ci.Instances = Pattern(c.Pattern), c.Instances
+		ci.Parent, ci.Depth = c.Parent, c.Depth
+		ci.Files, ci.SizeBytes = segmentBytes(c)
+		ci.Files++
+		ci.SizeBytes += c.Size()
 		if reason, ok := QuarantineReason(fsys, dir); ok {
 			ci.Err = &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
 		} else {
-			ci.Err = verifyContents(fsys, dir, m)
+			ci.Err = verifyContents(fsys, dir, c)
 		}
 		out = append(out, ci)
 	}
@@ -90,7 +90,7 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 	return out, nil
 }
 
-// VerifyCheckpointDir verifies dir against its own MANIFEST without
+// VerifyCheckpointDir verifies dir against its own CUT without
 // requiring an open store: the recorded pattern and instance count are
 // returned rather than matched. A nil fsys means the real OS filesystem.
 func VerifyCheckpointDir(fsys faultfs.FS, dir string) (Pattern, int, error) {
@@ -100,11 +100,11 @@ func VerifyCheckpointDir(fsys faultfs.FS, dir string) (Pattern, int, error) {
 	if reason, ok := QuarantineReason(fsys, dir); ok {
 		return 0, 0, &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
 	}
-	m, err := loadManifest(fsys, dir)
+	c, err := loadCut(fsys, dir)
 	if err != nil {
 		return 0, 0, err
 	}
-	return m.pattern, m.instances, verifyContents(fsys, dir, m)
+	return Pattern(c.Pattern), c.Instances, verifyContents(fsys, dir, c)
 }
 
 // CheckpointChain resolves dir's incremental-checkpoint chain by
@@ -131,7 +131,7 @@ func CheckpointChain(fsys faultfs.FS, dir string) ([]string, error) {
 		}
 		seen[name] = true
 		chain = append(chain, name)
-		m, err := loadManifest(fsys, filepath.Join(parent, name))
+		c, err := loadCut(fsys, filepath.Join(parent, name))
 		if err != nil {
 			if len(chain) == 1 {
 				return nil, err
@@ -139,7 +139,7 @@ func CheckpointChain(fsys faultfs.FS, dir string) ([]string, error) {
 			chain = chain[:len(chain)-1] // ancestor already collected
 			break
 		}
-		name = m.parent
+		name = c.Parent
 	}
 	return chain, nil
 }
@@ -152,7 +152,7 @@ func CheckpointChain(fsys faultfs.FS, dir string) ([]string, error) {
 // directory physically self-contained, so collecting a parent would not
 // corrupt its children; keeping referenced ancestors preserves the
 // verifiable chain (flowkvctl display, CheckpointChain) until a newer
-// base makes them unreachable. Only directories whose MANIFEST parses
+// base makes them unreachable. Only directories whose CUT parses
 // are candidates — anything else next to the checkpoints (store data
 // directories, stray files, in-flight ".tmp"/".old" directories) is
 // never touched. The just-committed checkpoint is always kept regardless
@@ -188,15 +188,15 @@ func gcCheckpoints(fsys faultfs.FS, just string, keep int, protected map[string]
 		if IsQuarantined(fsys, dir) {
 			continue
 		}
-		m, err := loadManifest(fsys, dir)
+		cut, err := loadCut(fsys, dir)
 		if err != nil {
 			continue
 		}
 		if e.Name() == base {
-			justParent = m.parent
+			justParent = cut.Parent
 			continue
 		}
-		c := cand{path: dir, name: e.Name(), parent: m.parent}
+		c := cand{path: dir, name: e.Name(), parent: cut.Parent}
 		if info, ierr := e.Info(); ierr == nil {
 			c.mod = info.ModTime()
 		}
@@ -211,7 +211,7 @@ func gcCheckpoints(fsys faultfs.FS, just string, keep int, protected map[string]
 	// Seed the kept set with the just-committed checkpoint and the
 	// keep-1 newest siblings, then close it over parent references: any
 	// candidate a kept checkpoint links against survives this round. The
-	// visited set bounds the walk even if crafted manifests form a
+	// visited set bounds the walk even if crafted CUTs form a
 	// parent cycle.
 	parentOf := make(map[string]string, len(cands)+1)
 	parentOf[base] = justParent

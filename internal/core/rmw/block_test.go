@@ -10,6 +10,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
@@ -183,20 +184,23 @@ func TestCorruptBlockIsTyped(t *testing.T) {
 		// what was written, which the rotted file no longer matches, and
 		// restoring the cut fails like the reads.
 		dir := filepath.Join(t.TempDir(), "ckpt")
-		res, err := s.CheckpointDelta(dir, nil, "")
-		if err != nil {
+		if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 			t.Fatalf("CheckpointDelta: %v", err)
 		}
-		name := logfile.SegmentName(segmentPrefix, seg) + ".seg-000000000000"
+		name := ckpt.InstPrefix(0) + logfile.SegmentName(segmentPrefix, seg) + ".seg-000000000000"
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := slices.IndexFunc(res.Entries, func(e ckpt.Entry) bool { return e.Path == name })
-		if i < 0 || res.Entries[i].CRC == binio.Checksum(b) {
-			t.Errorf("the cut does not record %s, or records it as it is on disk, rot included: %+v", name, res.Entries)
+		meta, err := ckpttest.Meta(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := openTest(t, Options{}).Restore(dir); !want(err) {
+		f := meta.File(logfile.SegmentName(segmentPrefix, seg))
+		if f == nil || len(f.Segments) != 1 || f.Segments[0].Name != name || f.Segments[0].CRC == binio.Checksum(b) {
+			t.Errorf("the cut does not record %s, or records it as it is on disk, rot included: %+v", name, f)
+		}
+		if err := openTest(t, Options{}).restoreFrom(dir); !want(err) {
 			t.Errorf("Restore of the cut: %v", err)
 		}
 	}

@@ -11,13 +11,10 @@ import (
 )
 
 // A checkpoint links the segments the index points into and adds the
-// liveness file (ckpt.CutSegments) and the buffer dump: a replay stream of
-// segment blocks holding the whole write buffer in lifetime order.
-const (
-	livenessName   = "rmw.live"
-	bufferName     = "rmw.buf"
-	dumpBlockBytes = 16 << 10
-)
+// liveness section (ckpt.CutSegments) and the buffer dump: a replay stream
+// of segment blocks holding the whole write buffer in lifetime order, of
+// blocks up to dumpBlockBytes.
+const dumpBlockBytes = 16 << 10
 
 // bufAgg is an aggregate, aliased (Put never mutates one), and its identity.
 type bufAgg struct {
@@ -25,13 +22,13 @@ type bufAgg struct {
 	v     []byte
 }
 
-// CheckpointDelta writes a snapshot of the instance into dir. The cut is
+// CheckpointDelta writes a snapshot of the instance into cut. The cut is
 // one mu section over the table: the write buffer and, from the indexed
 // slots, a liveness bitmap per segment. Then, with only ioMu held, the
 // segments go in through ckpt.CutSegments — every one holding a live entry,
 // a sealed one hard-linked, an open one copied from where the parent's
 // copy ends — and the buffer as a dump.
-func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string) (*ckpt.Result, error) {
+func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
@@ -50,15 +47,12 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	}
 	s.mu.Unlock()
 
-	cut, err := ckpt.Begin(s.dir.FS(), dir, parent, parentDir)
-	if err == nil {
-		err = ckpt.CutSegments(cut, s.segs, live, livenessName)
-	}
+	err := ckpt.CutSegments(cut, s.segs, live)
 	// The whole buffer, not a dirty part of it: state that lives less than
 	// a barrier interval is all dirty at every cut anyway.
 	slices.SortFunc(dump, victimByLifetime)
 	if err == nil {
-		err = cut.Stream(bufferName, func(emit func([]byte)) error {
+		err = cut.Stream(ckpt.KindDump, func(emit func([]byte)) error {
 			bw := logfile.BlockWriter{Bound: dumpBlockBytes, Emit: func(block []byte, _, _ int) error {
 				emit(block)
 				return nil
@@ -75,13 +69,13 @@ func (s *Store) CheckpointDelta(dir string, parent *ckpt.Meta, parentDir string)
 	return cut.Finish()
 }
 
-// Restore rebuilds a freshly-opened (empty) instance from a checkpoint
-// directory: every segment the liveness file names comes back under its id
+// Restore rebuilds a freshly-opened (empty) instance from its part of a
+// checkpoint: every segment the liveness section names comes back under its id
 // and epoch, sealed (ckpt.RestoreSegments), and one scan of it rebuilds the
 // indexed slots and live counts from its bitmap; the dump loads into
 // buffered slots. Damage fails it with a *binio.FrameError or
 // *logfile.BlockError, never with less state.
-func (s *Store) Restore(dir string) error {
+func (s *Store) Restore(src *ckpt.Source) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	s.mu.Lock()
@@ -94,18 +88,9 @@ func (s *Store) Restore(dir string) error {
 	if dirty {
 		return fmt.Errorf("rmw: restore into a non-empty store")
 	}
-	fsys := s.dir.FS()
-	meta, err := ckpt.ReadMeta(fsys, dir)
-	dump := meta.File(bufferName)
-	if err == nil && dump == nil {
-		err = fmt.Errorf("SEGMENTS lacks %s: %w", bufferName, ckpt.ErrBadMeta)
-	}
-	if err != nil {
-		return fmt.Errorf("rmw: restore: %w", err)
-	}
 	table := make(map[id]slot)
 	live := make(map[*segment]int64) // installed under mu at the end
-	err = ckpt.RestoreSegments(s.segs, dir, meta, livenessName, func(sg *segment, sl *ckpt.SegLive) error {
+	err := ckpt.RestoreSegments(s.segs, src, func(sg *segment, sl *ckpt.SegLive) error {
 		var entries uint32
 		err := s.scanLocked(sg, func(at span, e *logfile.BlockEntry) error {
 			s.seq = max(s.seq, e.Seq)
@@ -122,7 +107,7 @@ func (s *Store) Restore(dir string) error {
 			return nil
 		})
 		if err == nil && entries != sl.Entries {
-			err = &binio.FrameError{Reason: fmt.Sprintf("%d entries, the liveness file says %d", entries, sl.Entries)}
+			err = &binio.FrameError{Reason: fmt.Sprintf("%d entries, the liveness section says %d", entries, sl.Entries)}
 		}
 		return err
 	})
@@ -131,7 +116,7 @@ func (s *Store) Restore(dir string) error {
 	}
 	var buffered int
 	var bufBytes int64
-	err = ckpt.Replay(fsys, dir, dump, func(block []byte) error {
+	err = src.Replay(ckpt.KindDump, func(block []byte) error {
 		_, err := logfile.DecodeSegmentBlock(block, func(e *logfile.BlockEntry) error {
 			ident := id{key: string(e.Key), w: e.Window}
 			if _, twice := table[ident]; twice || len(e.Values) != 1 {

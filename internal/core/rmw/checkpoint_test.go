@@ -13,6 +13,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
@@ -36,7 +37,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		}
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
+	if _, err := src.checkpointTo(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,7 +46,7 @@ func TestStoreLevelCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dst.Destroy()
-	if err := dst.Restore(ckpt); err != nil {
+	if err := dst.restoreFrom(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if dst.LiveStates() != 20 {
@@ -84,12 +85,12 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 	src := openTest(t, Options{})
 	src.Put([]byte("k"), window.Window{Start: 0, End: 100}, []byte("v"))
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := src.CheckpointDelta(ckpt, nil, ""); err != nil {
+	if _, err := src.checkpointTo(ckpt, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	dirty := openTest(t, Options{})
 	dirty.Put([]byte("x"), window.Window{Start: 0, End: 100}, []byte("y"))
-	if err := dirty.Restore(ckpt); err == nil {
+	if err := dirty.restoreFrom(ckpt); err == nil {
 		t.Error("restore into dirty store accepted")
 	}
 }
@@ -97,10 +98,10 @@ func TestRestoreIntoDirtyStoreFails(t *testing.T) {
 func TestCheckpointClosed(t *testing.T) {
 	s := openTest(t, Options{})
 	s.Close()
-	if _, err := s.CheckpointDelta(t.TempDir(), nil, ""); err != ErrClosed {
+	if _, err := s.checkpointTo(t.TempDir(), nil, ""); err != ErrClosed {
 		t.Errorf("Checkpoint: %v", err)
 	}
-	if err := s.Restore(t.TempDir()); err != ErrClosed {
+	if err := s.Restore(nil); err != ErrClosed {
 		t.Errorf("Restore: %v", err)
 	}
 }
@@ -160,7 +161,7 @@ func (c *chain) cut() (string, *ckpt.Result) {
 	c.t.Helper()
 	c.n++
 	dir := filepath.Join(c.base, fmt.Sprintf("c%d", c.n))
-	res, err := c.s.CheckpointDelta(dir, c.parent, c.parentDir)
+	res, err := c.s.checkpointTo(dir, c.parent, c.parentDir)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func (c *chain) cut() (string, *ckpt.Result) {
 }
 
 // commit makes the checkpoint at dir the chain's tip, as a committed
-// checkpoint's rename would, and returns its SEGMENTS.
+// checkpoint's rename would, and returns its files section.
 func (c *chain) commit(dir string) *ckpt.Meta {
 	c.t.Helper()
-	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	meta, err := ckpttest.Meta(dir)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func (c *chain) commit(dir string) *ckpt.Meta {
 func (c *chain) restoresToOracle() {
 	c.t.Helper()
 	dst := openTest(c.t, Options{})
-	if err := dst.Restore(c.parentDir); err != nil {
+	if err := dst.restoreFrom(c.parentDir); err != nil {
 		c.t.Fatal(err)
 	}
 	if got := dumpLive(c.t, dst); !reflect.DeepEqual(got, c.oracle) {
@@ -202,18 +203,22 @@ func TestRestoreRejectsZeroedStreamPage(t *testing.T) {
 		}
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+	if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, ckpt.SegmentName(bufferName, 0))
-	if fi, err := os.Stat(path); err != nil || fi.Size() < 3*4096 {
-		t.Fatalf("buffer dump %v, %v: too small to zero an inner page", fi, err)
+	c, err := ckpt.ReadCut(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := faultfs.CorruptAtRest(nil, path, faultfs.CorruptZeroPage, 4096); err != nil {
+	i := slices.IndexFunc(c.Sections, func(sec ckpt.Section) bool { return sec.Name == ckpt.InstPrefix(0)+ckpt.KindDump })
+	if i < 0 || c.Sections[i].Len < 3*4096 {
+		t.Fatalf("buffer dump section %+v: too small to zero an inner page", c.Sections)
+	}
+	if err := faultfs.CorruptAtRest(nil, filepath.Join(dir, ckpt.CutName), faultfs.CorruptZeroPage, c.Sections[i].Off+4096); err != nil {
 		t.Fatal(err)
 	}
 	var fe *binio.FrameError
-	if err := openTest(t, Options{}).Restore(dir); !errors.As(err, &fe) {
+	if err := openTest(t, Options{}).restoreFrom(dir); !errors.As(err, &fe) {
 		t.Fatalf("restore over a zeroed buffer dump page: %v, want a FrameError", err)
 	}
 }
@@ -233,10 +238,10 @@ func TestRestoreRejectsZeroedSegmentPage(t *testing.T) {
 				}
 			}
 			dir := filepath.Join(t.TempDir(), "ckpt")
-			if _, err := s.CheckpointDelta(dir, nil, ""); err != nil {
+			if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 				t.Fatal(err)
 			}
-			name := logfile.SegmentName(segmentPrefix, 0) + ".seg-000000000000"
+			name := ckpt.InstPrefix(0) + logfile.SegmentName(segmentPrefix, 0) + ".seg-000000000000"
 			fi, err := os.Stat(filepath.Join(dir, name))
 			if err != nil || fi.Size() < 3*4096 {
 				t.Fatalf("%s: %v, %v; want a segment of several pages", name, fi, err)
@@ -250,7 +255,7 @@ func TestRestoreRejectsZeroedSegmentPage(t *testing.T) {
 			}
 			dst := openTest(t, Options{})
 			var fe *binio.FrameError
-			if err := dst.Restore(dir); !errors.As(err, &fe) {
+			if err := dst.restoreFrom(dir); !errors.As(err, &fe) {
 				t.Fatalf("restore over a zeroed segment page: %v, want a FrameError", err)
 			}
 		})
@@ -293,7 +298,7 @@ func TestCutSyncsOnlyUndurableLiveLinks(t *testing.T) {
 		if durable {
 			t.Fatalf("segment %d durable before any Sync", sid)
 		}
-		if path := filepath.Join(dir, logfile.SegmentName(segmentPrefix, sid)+".seg-000000000000"); !slices.Contains(res.NeedSync, path) {
+		if path := filepath.Join(dir, ckpt.InstPrefix(0)+logfile.SegmentName(segmentPrefix, sid)+".seg-000000000000"); !slices.Contains(res.NeedSync, path) {
 			t.Fatalf("the first cut links unsynced segment %d but does not sync it: %v", sid, res.NeedSync)
 		}
 	}
@@ -309,7 +314,7 @@ func TestCutSyncsOnlyUndurableLiveLinks(t *testing.T) {
 	dir, res = c.cut()
 	var fromParent, durableLive, undurableLive int
 	for sid, durable := range atCut {
-		path := filepath.Join(dir, logfile.SegmentName(segmentPrefix, sid)+".seg-000000000000")
+		path := filepath.Join(dir, ckpt.InstPrefix(0)+logfile.SegmentName(segmentPrefix, sid)+".seg-000000000000")
 		_, parentHas := inParent[sid]
 		want := !parentHas && !durable
 		switch {
@@ -428,10 +433,7 @@ func TestConsumedAfterLinkIsClearedByNextCut(t *testing.T) {
 		t.Fatal("the second cut linked nothing")
 	}
 	bit := func(dir string) bool {
-		b, err := os.ReadFile(filepath.Join(dir, livenessName))
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := cutSection(t, dir, ckpt.KindLive)
 		segs, err := ckpt.DecodeLiveness(b)
 		if err != nil {
 			t.Fatal(err)
@@ -451,31 +453,40 @@ func TestConsumedAfterLinkIsClearedByNextCut(t *testing.T) {
 	c.restoresToOracle()
 }
 
-// cutFileCRCs returns the CRC-32C of a cut's liveness file, of its buffer
-// dump, and of the segment files it links, concatenated in name order.
+// cutSection returns instance 0's section kind of the checkpoint in dir.
+func cutSection(t *testing.T, dir, kind string) []byte {
+	t.Helper()
+	src, err := ckpttest.Source(dir)
+	if err == nil {
+		var b []byte
+		if b, err = src.Section(kind); err == nil {
+			return b
+		}
+	}
+	t.Fatal(err)
+	return nil
+}
+
+// cutFileCRCs returns the CRC-32C of a cut's liveness section, of its
+// buffer dump, and of the segment files it links, concatenated in name
+// order.
 func cutFileCRCs(t *testing.T, dir string, meta *ckpt.Meta) [3]uint32 {
 	t.Helper()
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	var segs []byte
 	for _, f := range meta.Files {
 		for _, seg := range f.Segments {
-			if f.Logical == bufferName {
-				continue
+			b, err := os.ReadFile(filepath.Join(dir, seg.Name))
+			if err != nil {
+				t.Fatal(err)
 			}
-			segs = append(segs, read(seg.Name)...)
+			segs = append(segs, b...)
 		}
 	}
 	tab := crc32.MakeTable(crc32.Castagnoli)
-	return [3]uint32{crc32.Checksum(read(livenessName), tab), crc32.Checksum(read(ckpt.SegmentName(bufferName, 0)), tab), crc32.Checksum(segs, tab)}
+	return [3]uint32{crc32.Checksum(cutSection(t, dir, ckpt.KindLive), tab), crc32.Checksum(cutSection(t, dir, ckpt.KindDump), tab), crc32.Checksum(segs, tab)}
 }
 
-// TestCutFileBytesPinned pins the cut's formats — the liveness file, the
+// TestCutFileBytesPinned pins the cut's formats — the liveness section, the
 // buffer dump and the segment files it links — for a fixed sequence of
 // puts, overwrites and fetches, cut three times: a change to any of them
 // must change the pins, and with them what a checkpoint written before it

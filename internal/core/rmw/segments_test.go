@@ -16,6 +16,7 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
+	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/window"
@@ -272,7 +273,7 @@ func (d *diffRun) get() {
 func (d *diffRun) checkpoint() {
 	d.nDirs++
 	dir := filepath.Join(d.base, fmt.Sprintf("ckpt-%d", d.nDirs))
-	if _, err := d.s.CheckpointDelta(dir, d.ckptMeta, d.ckptDir); err != nil {
+	if _, err := d.s.checkpointTo(dir, d.ckptMeta, d.ckptDir); err != nil {
 		d.t.Fatalf("step %d checkpoint: %v", d.step, err)
 	}
 	atCut := maps.Clone(d.oracle)
@@ -287,7 +288,7 @@ func (d *diffRun) checkpoint() {
 		os.RemoveAll(dir) // the commit failed
 		return
 	}
-	meta, err := ckpt.ReadMeta(faultfs.OS, dir)
+	meta, err := ckpttest.Meta(dir)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func (d *diffRun) checkpoint() {
 
 	scratch := d.open()
 	defer scratch.Destroy()
-	if err := scratch.Restore(dir); err != nil {
+	if err := scratch.restoreFrom(dir); err != nil {
 		d.t.Fatalf("step %d: chain does not restore: %v", d.step, err)
 	}
 	checkSegmentFiles(d.t, scratch)
@@ -318,7 +319,7 @@ func (d *diffRun) restore() {
 	}
 	k := d.kept[d.rng.Intn(len(d.kept))]
 	fresh := d.open()
-	if err := fresh.Restore(k.dir); err != nil {
+	if err := fresh.restoreFrom(k.dir); err != nil {
 		d.t.Fatalf("step %d restore %s: %v", d.step, k.dir, err)
 	}
 	d.retire()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/clock"
 	"flowkv/internal/faultfs"
 )
@@ -158,7 +159,7 @@ func (p *scrubPacer) pace(n int64) {
 
 // Scrub runs one incremental sweep over the store's live logs and the
 // committed checkpoints under Options.CheckpointDirs, verifying every
-// record frame and manifest checksum against the bytes actually on disk.
+// record frame and CUT checksum against the bytes actually on disk.
 //
 // Live logs are scrubbed one instance at a time (each scrub holds only
 // that instance's I/O lock, so ingestion on other instances proceeds).
@@ -204,9 +205,9 @@ func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 }
 
 // scrubCheckpointParent verifies every committed checkpoint under
-// parent against its MANIFEST and quarantines the ones that fail.
-// In-flight ".tmp"/".old" staging directories and directories without a
-// MANIFEST (live store data) are skipped.
+// parent against its CUT and quarantines the ones that fail. In-flight
+// ".tmp"/".old" staging directories and directories without a CUT (live
+// store data) are skipped.
 func (s *Store) scrubCheckpointParent(parent string, rep *ScrubReport, pacer *scrubPacer) {
 	fsys := s.opts.FS
 	ents, err := fsys.ReadDir(parent)
@@ -225,30 +226,28 @@ func (s *Store) scrubCheckpointParent(parent string, rep *ScrubReport, pacer *sc
 				Err: &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}})
 			continue
 		}
-		b, rerr := fsys.ReadFile(filepath.Join(dir, manifestName))
+		b, rerr := fsys.ReadFile(filepath.Join(dir, ckpt.CutName))
 		if rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
 				continue // not a checkpoint directory
 			}
 			rep.add(ScrubVerdict{Path: dir,
-				Err: &CheckpointError{Dir: dir, Reason: "unreadable MANIFEST", Err: rerr}})
+				Err: &CheckpointError{Dir: dir, Reason: "unreadable CUT", Err: rerr}})
 			continue
 		}
-		m, verr := parseManifest(dir, b)
+		c, verr := parseCut(dir, b)
 		if verr != nil {
 			s.quarantineScrubbed(dir, verr, rep)
 			continue
 		}
-		var total int64
-		for _, me := range m.entries {
-			total += me.size
-		}
-		if verr := verifyContents(fsys, dir, m); verr != nil {
+		files, total := segmentBytes(c)
+		total += c.Size()
+		if verr := verifyContents(fsys, dir, c); verr != nil {
 			s.quarantineScrubbed(dir, verr, rep)
 			pacer.pace(total)
 			continue
 		}
-		rep.add(ScrubVerdict{Path: dir, Files: len(m.entries) + 1, Bytes: total})
+		rep.add(ScrubVerdict{Path: dir, Files: files + 1, Bytes: total})
 		pacer.pace(total)
 	}
 }

@@ -28,8 +28,8 @@ func fillStore(t *testing.T, s *Store, n int) {
 	}
 }
 
-// rotCheckpointFile flips one byte in a manifest-covered checkpoint
-// file (never the MANIFEST itself), returning the path it damaged.
+// rotCheckpointFile flips one byte in the largest file of a checkpoint,
+// a segment or the CUT, returning the path it damaged.
 func rotCheckpointFile(t *testing.T, dir string) string {
 	t.Helper()
 	var target string
@@ -39,7 +39,7 @@ func rotCheckpointFile(t *testing.T, dir string) string {
 			return err
 		}
 		name := d.Name()
-		if name == "MANIFEST" || name == "QUARANTINE" {
+		if name == "QUARANTINE" {
 			return nil
 		}
 		info, err := d.Info()

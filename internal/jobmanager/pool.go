@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/clock"
 	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
@@ -340,7 +341,7 @@ type ProberOptions struct {
 	ScrubIdle bool
 	// Scrub checks one slot's at-rest data; nil uses scrubSlotFiles,
 	// which frame-verifies every log file and checks every checkpoint
-	// directory against its MANIFEST. Only consulted when ScrubIdle is
+	// directory against its CUT. Only consulted when ScrubIdle is
 	// set.
 	Scrub func(Slot) error
 	// MeasureHealthy makes each tick also probe the HEALTHY slots,
@@ -543,7 +544,7 @@ func probeSlotMedia(s Slot) error {
 
 // scrubSlotFiles is the default idle-slot scrub: it walks the slot
 // directory, frame-verifies every ".log" file and verifies every
-// checkpoint directory against its MANIFEST. A torn log tail is a crash
+// checkpoint directory against its CUT. A torn log tail is a crash
 // artifact, not corruption. Quarantined checkpoint directories were
 // already detected and handled upstream, so they are skipped rather than
 // re-reported forever.
@@ -563,10 +564,10 @@ func scrubTree(fsys faultfs.FS, dir string) error {
 		}
 		return err
 	}
-	// A directory holding a MANIFEST is a checkpoint: verify it as a
-	// unit (the manifest's CRCs cover every file, log or not).
+	// A directory holding a CUT is a checkpoint: verify it as a unit (the
+	// CUT's CRCs cover every file, log or not).
 	for _, e := range ents {
-		if !e.IsDir() && e.Name() == "MANIFEST" {
+		if !e.IsDir() && e.Name() == ckpt.CutName {
 			_, _, verr := core.VerifyCheckpointDir(fsys, dir)
 			return verr
 		}

@@ -458,7 +458,7 @@ func (j *Job) run(meta *JobMeta) (*JobResult, error) {
 				return fail(fmt.Errorf("spe: stage %s worker %d: operator does not support snapshots", rt.stage.Name, wi))
 			}
 			js.ops = append(js.ops, snapOp)
-			if _, ok := statebackend.AsCheckpointer(op.Backend()); !ok {
+			if _, ok := statebackend.AsDeltaCheckpointer(op.Backend()); !ok {
 				return fail(fmt.Errorf("spe: stage %s: backend %s does not support checkpointing", rt.stage.Name, op.Backend().Name()))
 			}
 		}
@@ -805,16 +805,13 @@ func (jr *jobRun) checkpointCut(gen int64, js *jobStage, w int, b statebackend.B
 }
 
 // snapshotTo takes one checkpoint of b into dir with meta as its
-// application metadata. Backends with the incremental capability always
-// go through the delta path — with an empty or unusable parent it writes
-// a full base in the segmented format, so later cuts can link against
-// it; plain Checkpointers take full snapshots forever.
+// application metadata, priced against parent: with an empty or unusable
+// parent it writes a full base, so later cuts can link against it. Job
+// start and swapWorkerBackend admit only backends with the incremental
+// capability.
 func snapshotTo(b statebackend.Backend, dir, parent string, meta []byte) error {
-	cp, _ := statebackend.AsCheckpointer(b)
-	if dc, ok := cp.(statebackend.DeltaCheckpointer); ok {
-		return dc.CheckpointDeltaMeta(dir, parent, meta)
-	}
-	return cp.CheckpointMeta(dir, meta)
+	dc, _ := statebackend.AsDeltaCheckpointer(b)
+	return dc.CheckpointDeltaMeta(dir, parent, meta)
 }
 
 // checkpointBackend snapshots one backend with meta as its application

@@ -545,7 +545,7 @@ func TestJobMetaRoundTrip(t *testing.T) {
 // incremental-checkpoint battery: every barrier commit after the first
 // generation must go through the delta path, chaining on the previous
 // generation's checkpoint of the same worker. The chain crosses
-// generation directories, so the MANIFEST records depth but no sibling
+// generation directories, so the CUT records depth but no sibling
 // parent name; every committed checkpoint still verifies standalone
 // (hard links keep it self-contained even though clearGens deletes the
 // parent generation right after the commit).

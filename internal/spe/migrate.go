@@ -22,7 +22,7 @@ import (
 //
 //   PREPARE (concurrent with the stream): the source worker's committed
 //   checkpoint is cloned into a per-migration staging directory via its
-//   segment manifest — sealed segments arrive as hard links, so the
+//   CUT — sealed segments arrive as hard links, so the
 //   transfer cost tracks the moved worker's file count, not the job's
 //   state size — and the staged clone is CRC-verified, which doubles as
 //   a destination-media probe. Any failure here aborts: the journal
@@ -434,7 +434,7 @@ func (jr *jobRun) reopenWorker(js *jobStage, w int) (statebackend.Backend, error
 // swapWorkerBackend installs a replacement backend for one parked
 // worker: the operator's backend is the one record of it.
 func swapWorkerBackend(js *jobStage, w int, b statebackend.Backend) error {
-	if _, ok := statebackend.AsCheckpointer(b); !ok {
+	if _, ok := statebackend.AsDeltaCheckpointer(b); !ok {
 		return fmt.Errorf("spe: migration: backend %s lost checkpoint support", b.Name())
 	}
 	js.ops[w].setBackend(b)

@@ -9,12 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
-	"flowkv/internal/core/aur"
 	"flowkv/internal/core/rmw"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
@@ -198,7 +198,7 @@ func TestJobResumeFallsBackToRetainedGeneration(t *testing.T) {
 // TestScrubBatteryEveryFileClass is the randomized rot battery: each
 // iteration kills a job mid-stream, plants one corruption (rotating
 // kind) in one committed file (rotating over every file class the job
-// directory holds — checkpoint segments, MANIFEST, APPMETA, GENMETA,
+// directory holds — checkpoint segments, CUT, GENMETA,
 // JOB, SINK.log), then drives resume. The invariant is freedom from
 // silent corruption: if the job reaches Final and offline verification
 // is clean, the ledger must equal golden; any divergence must be
@@ -281,39 +281,39 @@ func TestScrubBatteryEveryFileClass(t *testing.T) {
 }
 
 // TestScrubBatteryZeroedPageIsFrameError zeroes a page inside the committed
-// SINK.log prefix, inside the committed generation's stat.dlt replay
-// segment, its RMW buffer dump and an RMW segment file the cut links, in
-// its AUR liveness file, and in each metadata file: JOB, GENMETA, a cut's
-// MANIFEST and APPMETA, and an instance's SEGMENTS. Each must fail typed,
-// as a *binio.FrameError — a frame cannot start with a zero byte, so a
-// zeroed page is never a run of valid empty records, and a deflate stream
-// zeroed from its start is a stored block whose length check fails: the
-// ledger from VerifyJobDir and ReadLedger, a replay segment from the
-// replay its restore runs, aur.live from the AUR store's Restore, the RMW files
-// from the RMW store's Restore (a *logfile.BlockError would do there too;
-// the checkpoint MANIFEST catches all of these first, as the
-// CheckpointError VerifyJobDir reports), JOB from ReadJobMeta, GENMETA
-// from VerifyJobDir, MANIFEST from core.VerifyCheckpointDir (still an
-// ErrCheckpointInvalid), APPMETA from core.ReadCheckpointMeta (VerifyJobDir
-// reports the CheckpointError its MANIFEST entry raises) and SEGMENTS from
-// ckpt.DecodeMeta (still an ErrBadMeta). Never a shorter result.
+// SINK.log prefix, an RMW segment file a cut links, JOB and GENMETA, and
+// the bytes of each section of a cut's CUT file. The CUT legs keep the
+// names of the files the sections replaced: stat.dlt and rmw.buf are the
+// AUR and RMW dump sections, aur.live a liveness section, SEGMENTS a
+// files section, APPMETA the appmeta section, and MANIFEST the CUT's
+// header. Each must fail typed, as a *binio.FrameError — a frame cannot
+// start with a zero byte, so a zeroed page is never a run of valid empty
+// records: the ledger from VerifyJobDir and ReadLedger, the RMW segment
+// from the RMW store's Restore (a *logfile.BlockError would do there
+// too), JOB from ReadJobMeta, GENMETA from VerifyJobDir, and every CUT
+// section from core.VerifyCheckpointDir, whose decode checks each
+// section's checksum (still an ErrCheckpointInvalid); a zeroed files
+// section fails ckpt.DecodeMeta too (an ErrBadMeta), and a zeroed appmeta
+// section core.ReadCheckpointMeta. VerifyJobDir flags every leg but JOB's
+// (ReadJobMeta is its first step). Never a shorter result.
 func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 	tuples := crashTuples(450)
 	const every = 79
 	for _, leg := range []struct {
 		pat     crashPattern
-		logical string // file to rot; "" rots the ledger
+		logical string // what to rot; "" rots the ledger
+		section string // the CUT section it names, "" for a file
 	}{
-		{crashPatterns()[0], ""},
-		{crashPatterns()[2], "rmw.buf"},
-		{crashPatterns()[2], "rmw-segment"},
-		{crashPatterns()[1], "stat.dlt"},
-		{crashPatterns()[1], "aur.live"},
-		{crashPatterns()[2], jobMetaName},
-		{crashPatterns()[2], genMetaName},
-		{crashPatterns()[2], "MANIFEST"},
-		{crashPatterns()[2], ckpt.MetaName},
-		{crashPatterns()[2], "APPMETA"},
+		{crashPatterns()[0], "", ""},
+		{crashPatterns()[2], "rmw.buf", ckpt.KindDump},
+		{crashPatterns()[2], "rmw-segment", ""},
+		{crashPatterns()[1], "stat.dlt", ckpt.KindDump},
+		{crashPatterns()[1], "aur.live", ckpt.KindLive},
+		{crashPatterns()[2], jobMetaName, ""},
+		{crashPatterns()[2], genMetaName, ""},
+		{crashPatterns()[2], "MANIFEST", "header"},
+		{crashPatterns()[2], "SEGMENTS", ckpt.KindFiles},
+		{crashPatterns()[2], "APPMETA", ckpt.AppMeta},
 	} {
 		name := leg.logical
 		if name == "" {
@@ -347,10 +347,8 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 			}
 			var fe *binio.FrameError
 			gen := filepath.Join(job.Dir, GenDirName(meta.Gen))
-			cut := filepath.Join(gen, cutDirName(1, 0))
-			inst := filepath.Join(cut, "inst-00")
-			switch leg.logical {
-			case "":
+			switch {
+			case leg.logical == "":
 				if meta.LedgerLen == 0 {
 					t.Fatal("nothing committed to the ledger")
 				}
@@ -361,47 +359,22 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				if recs, err := ReadLedger(nil, job.Dir); !errors.As(err, &fe) {
 					t.Fatalf("ReadLedger over a zeroed ledger page: %d records, %v; want a FrameError", len(recs), err)
 				}
-			case jobMetaName:
+			case leg.logical == jobMetaName:
 				zero(filepath.Join(job.Dir, jobMetaName), -1)
 				if _, err := ReadJobMeta(nil, job.Dir); !errors.As(err, &fe) {
 					t.Fatalf("ReadJobMeta over a zeroed JOB page: %v, want a FrameError", err)
 				}
-			case genMetaName:
+			case leg.logical == genMetaName:
 				zero(filepath.Join(gen, genMetaName), -1)
 				if err := VerifyJobDir(nil, job.Dir); !errors.As(err, &fe) {
 					t.Fatalf("VerifyJobDir over a zeroed GENMETA page: %v, want a FrameError", err)
 				}
-			case "MANIFEST":
-				zero(filepath.Join(cut, "MANIFEST"), -1)
-				_, _, err := core.VerifyCheckpointDir(nil, cut)
-				if !errors.As(err, &fe) || !errors.Is(err, core.ErrCheckpointInvalid) {
-					t.Fatalf("VerifyCheckpointDir over a zeroed MANIFEST page: %v, want a FrameError and ErrCheckpointInvalid", err)
-				}
-			case ckpt.MetaName:
-				path := filepath.Join(inst, ckpt.MetaName)
-				zero(path, -1)
-				b, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ckpt.DecodeMeta(b); !errors.As(err, &fe) || !errors.Is(err, ckpt.ErrBadMeta) {
-					t.Fatalf("DecodeMeta of a zeroed SEGMENTS page: %v, want a FrameError and ErrBadMeta", err)
-				}
-			case "APPMETA":
-				zero(filepath.Join(cut, "APPMETA"), -1)
-				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
-					t.Fatalf("VerifyJobDir over a zeroed APPMETA page: %v, want a CheckpointError", err)
-				}
-				if _, err := core.ReadCheckpointMeta(nil, cut); !errors.As(err, &fe) {
-					t.Fatalf("ReadCheckpointMeta of a zeroed APPMETA page: %v, want a FrameError", err)
-				}
-			case "rmw.buf", "rmw-segment":
-				// The first instance of the committed generation holding
-				// one: a worker whose state all fired has neither.
-				pattern := map[string]string{"rmw.buf": "rmw.buf.seg-*", "rmw-segment": "rmw-*.log.seg-*"}[leg.logical]
+			case leg.logical == "rmw-segment":
+				// The first segment file of the committed generation: a
+				// worker whose state all fired has none.
 				var path string
 				err := filepath.WalkDir(gen, func(p string, d fs.DirEntry, err error) error {
-					if ok, _ := filepath.Match(pattern, d.Name()); err == nil && ok && path == "" {
+					if ok, _ := filepath.Match("inst-*.rmw-*.log.seg-*", d.Name()); err == nil && ok && path == "" {
 						if fi, err := d.Info(); err == nil && fi.Size() > 0 {
 							path = p
 						}
@@ -409,54 +382,87 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 					return err
 				})
 				if err != nil || path == "" {
-					t.Fatalf("%s holds no %s: %v", gen, pattern, err)
+					t.Fatalf("%s holds no RMW segment: %v", gen, err)
 				}
 				zero(path, -1)
 				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
 					t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", path, err)
 				}
+				c, err := ckpt.ReadCut(faultfs.OS, filepath.Dir(path))
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, _ := strconv.Atoi(filepath.Base(path)[len("inst-"):len("inst-00")])
 				st, err := rmw.Open(rmw.Options{Dir: filepath.Join(base, "restored")})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer st.Destroy()
-				err = st.Restore(filepath.Dir(path))
+				err = st.Restore(c.Source(filepath.Dir(path), inst))
 				if be := (*logfile.BlockError)(nil); !errors.As(err, &fe) && !errors.As(err, &be) {
 					t.Fatalf("RMW restore over a zeroed %s page: %v, want a FrameError or BlockError", path, err)
 				}
-			case "aur.live":
-				zero(filepath.Join(inst, leg.logical), -1)
-				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
-					t.Fatalf("VerifyJobDir over a zeroed aur.live page: %v, want a CheckpointError", err)
-				}
-				st, err := aur.Open(aur.Options{Dir: filepath.Join(base, "restored")})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Destroy()
-				if err := st.Restore(inst); !errors.As(err, &fe) {
-					t.Fatalf("restore over a zeroed aur.live page: %v, want a FrameError", err)
-				}
 			default:
-				segs, err := ckpt.ReadMeta(faultfs.OS, inst)
+				cut, sec := cutSectionOf(t, gen, leg.section)
+				path := filepath.Join(cut, ckpt.CutName)
+				b, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fstate := segs.File(leg.logical)
-				if fstate == nil || len(fstate.Segments) == 0 {
-					t.Fatalf("%s records no %s segment", inst, leg.logical)
+				copy(b[sec.Off:sec.Off+min(sec.Len, 4096)], make([]byte, 4096))
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
 				}
-				last := fstate.Segments[len(fstate.Segments)-1]
-				zero(filepath.Join(inst, last.Name), last.Len/2)
 				if err := VerifyJobDir(nil, job.Dir); !errors.Is(err, core.ErrCheckpointInvalid) {
-					t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", leg.logical, err)
+					t.Fatalf("VerifyJobDir over a zeroed %s page: %v, want a CheckpointError", leg.section, err)
 				}
-				n := 0
-				err = ckpt.Replay(faultfs.OS, inst, fstate, func([]byte) error { n++; return nil })
-				if !errors.As(err, &fe) {
-					t.Fatalf("replay of a zeroed %s page: %d records, %v; want a FrameError", leg.logical, n, err)
+				_, _, err = core.VerifyCheckpointDir(nil, cut)
+				if !errors.As(err, &fe) || !errors.Is(err, core.ErrCheckpointInvalid) {
+					t.Fatalf("VerifyCheckpointDir over a zeroed %s page: %v, want a FrameError and ErrCheckpointInvalid", leg.section, err)
+				}
+				switch leg.section {
+				case ckpt.KindFiles:
+					if _, err := ckpt.DecodeMeta(b[sec.Off : sec.Off+sec.Len]); !errors.As(err, &fe) || !errors.Is(err, ckpt.ErrBadMeta) {
+						t.Fatalf("DecodeMeta of a zeroed files section: %v, want a FrameError and ErrBadMeta", err)
+					}
+				case ckpt.AppMeta:
+					if _, err := core.ReadCheckpointMeta(nil, cut); !errors.As(err, &fe) {
+						t.Fatalf("ReadCheckpointMeta of a zeroed appmeta section: %v, want a FrameError", err)
+					}
 				}
 			}
 		})
 	}
+}
+
+// cutSectionOf finds, in the worker cuts of the generation directory gen,
+// the first non-empty section of kind — an instance's, or the appmeta
+// section — and returns the cut directory and its table entry. The kind
+// "header" names the CUT's header frame.
+func cutSectionOf(t *testing.T, gen, kind string) (string, ckpt.Section) {
+	t.Helper()
+	ents, err := os.ReadDir(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if _, _, ok := ParseCutDir(e.Name()); !ok || !e.IsDir() {
+			continue
+		}
+		cut := filepath.Join(gen, e.Name())
+		c, err := ckpt.ReadCut(faultfs.OS, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == "header" {
+			return cut, ckpt.Section{Name: kind, Len: c.Sections[0].Off}
+		}
+		for _, sec := range c.Sections {
+			if sec.Len > 0 && (sec.Name == kind || strings.HasPrefix(sec.Name, "inst-") && strings.HasSuffix(sec.Name, "."+kind)) {
+				return cut, sec
+			}
+		}
+	}
+	t.Fatalf("%s holds no %s section", gen, kind)
+	return "", ckpt.Section{}
 }

@@ -18,7 +18,7 @@ import (
 // sessions are live — or a restored pipeline would re-create windows for
 // replayed tuples without knowing which triggers are still owed. The
 // snapshot is stored as the backend checkpoint's application metadata
-// (core's APPMETA file), so it commits atomically with the store cut it
+// (the appmeta section of core's CUT file), so it commits atomically with the store cut it
 // describes.
 //
 // Only reconstructible scheduling structures are omitted: the aligned
@@ -77,7 +77,7 @@ var ErrCorruptSnapshot = errors.New("spe: corrupt operator snapshot")
 // ErrSnapshotMismatch reports a window operator snapshot whose session
 // section does not describe the store identities it is restored against:
 // another identity count or list, an ordinal past the end of the list,
-// an identity claimed twice, or a non-canonical entry. The APPMETA and
+// an identity claimed twice, or a non-canonical entry. The appmeta and
 // the cut it was restored with disagree, and the restore fails rather
 // than run on a registry that does not match the store.
 var ErrSnapshotMismatch = errors.New("spe: operator snapshot does not match the store's identities")

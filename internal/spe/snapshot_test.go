@@ -204,7 +204,7 @@ func decodeIdentities(b []byte) []core.Identity {
 }
 
 // realOpSnapshot runs a small session job, kills it with sessions still
-// live, and returns a worker's committed operator snapshot (APPMETA) with
+// live, and returns a worker's committed operator snapshot (its appmeta) with
 // the identities its cut restores — a seed drawn from the real commit
 // path.
 func realOpSnapshot(f *testing.F) ([]byte, []core.Identity) {
@@ -298,7 +298,7 @@ func sessionPatterns() []crashPattern {
 }
 
 // tamperCut rewrites the cut in dir as a valid cut of another pairing:
-// its store less one identity (drop), or its store under the APPMETA of
+// its store less one identity (drop), or its store under the appmeta of
 // the cut in metaFrom.
 func tamperCut(t *testing.T, dir, metaFrom string, drop bool) {
 	t.Helper()
@@ -367,8 +367,8 @@ func (f *tamperFS) RemoveAll(path string) error {
 	return f.FS.RemoveAll(path)
 }
 
-// TestOperatorSnapshotMismatchFailsTyped: a restore whose APPMETA and
-// store disagree — an identity removed from the cut, or the APPMETA of
+// TestOperatorSnapshotMismatchFailsTyped: a restore whose appmeta and
+// store disagree — an identity removed from the cut, or the appmeta of
 // another cut — fails with ErrSnapshotMismatch, never with a silently
 // wrong session registry, through every restore source: a resume at the
 // committed parallelism, a rescaling resume, and a live migration's
@@ -394,7 +394,7 @@ func TestOperatorSnapshotMismatchFailsTyped(t *testing.T) {
 		// restore, and the rolled-back migration lets the run finish.
 		for _, tamper := range []string{"none", "identity-removed", "foreign-appmeta"} {
 			pat, tamper := pat, tamper
-			// tamperIn rewrites cut "cut" of dir, taking a foreign APPMETA
+			// tamperIn rewrites cut "cut" of dir, taking a foreign appmeta
 			// from "other".
 			tamperIn := func(t *testing.T, dir, cut, other string) {
 				switch tamper {

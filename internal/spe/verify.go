@@ -13,7 +13,7 @@ import (
 // VerifyJobDir deep-verifies a job directory offline, without opening
 // the job: the JOB progress record must decode, the committed generation
 // must exist and hold every cut its key-range manifest names, every cut
-// must verify against its MANIFEST (size and CRC32C of every file), each
+// must verify against its CUT (size and CRC32C of every file), each
 // generation's GENMETA sidecar must decode and agree with its directory,
 // and the committed prefix of the sink ledger must frame- and
 // payload-decode end to end.
