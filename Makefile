@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeMeta -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeCut -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt/ -fuzz FuzzDecodeLiveness -run '^$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt/ -fuzz FuzzReplay -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logfile/ -fuzz FuzzSegmentEntryAt -run '^$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/aur/ -fuzz FuzzDecodeSegmentBlock -run '^$$' -fuzztime $(FUZZTIME)

@@ -435,7 +435,8 @@ func cmdCheckpoints(parent string) error {
 // source offset, committed ledger length), the key-range manifest
 // (per-stage parallelism at commit time), the generation directories on
 // disk, CUT verification of every worker checkpoint in the
-// committed generation, and a committed-ledger summary. With a target
+// committed generation, and a committed-ledger summary (records,
+// committed bytes, bytes a record, event-time range). With a target
 // parallelism it additionally reports how a resume at that worker count
 // would restore each stage — direct, or rescaled (key ranges
 // regrouped). This is the operator's pre-restart check: if it passes,
@@ -510,8 +511,8 @@ func cmdJob(dir string, target int) error {
 	if len(recs) == 0 {
 		fmt.Println("ledger: empty")
 	} else {
-		fmt.Printf("ledger: %d records, event time [%d, %d]\n",
-			len(recs), recs[0].TS, recs[len(recs)-1].TS)
+		fmt.Printf("ledger: %d records in %d committed bytes, %.2f B a record, event time [%d, %d]\n",
+			len(recs), meta.LedgerLen, float64(meta.LedgerLen)/float64(len(recs)), recs[0].TS, recs[len(recs)-1].TS)
 	}
 
 	if target > 0 {

@@ -536,26 +536,33 @@ func killedJob(t *testing.T) string {
 
 // TestJobReportsResumePlan drives `flowkvctl job` over a committed job
 // at 2 workers: at target 2 the stage restores directly, at 3 it
-// rescales 2 -> 3. A generation missing one worker cut fails the
-// command.
+// rescales 2 -> 3; the ledger line counts the committed records and
+// bytes and prices a record. A generation missing one worker cut fails
+// the command.
 func TestJobReportsResumePlan(t *testing.T) {
 	private := killedJob(t)
+	meta, err := spe.ReadJobMeta(nil, private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := spe.ReadLedger(nil, private)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("the killed job committed %d records: %v", len(recs), err)
+	}
+	ledger := fmt.Sprintf("ledger: %d records in %d committed bytes, %.2f B a record,",
+		len(recs), meta.LedgerLen, float64(meta.LedgerLen)/float64(len(recs)))
 	for target, want := range map[int]string{
 		2: "stage  1: direct worker-for-worker restore",
 		3: "stage  1: rescale 2 -> 3",
 	} {
 		out := captureStdout(t, func() error { return cmdJob(private, target) })
-		for _, line := range []string{"stage  1: 2 workers", "s01-w00", "s01-w01", want} {
+		for _, line := range []string{"stage  1: 2 workers", "s01-w00", "s01-w01", want, ledger} {
 			if !strings.Contains(out, line) {
 				t.Errorf("target %d: report lacks %q:\n%s", target, line, out)
 			}
 		}
 	}
 
-	meta, err := spe.ReadJobMeta(nil, private)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := os.RemoveAll(filepath.Join(private, spe.GenDirName(meta.Gen), "s01-w01")); err != nil {
 		t.Fatal(err)
 	}

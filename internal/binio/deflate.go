@@ -62,13 +62,14 @@ func deflateWith(w *flate.Writer, dst, p []byte) []byte {
 // that is corrupt, ends early, is followed by trailing bytes, or holds
 // more than MaxInflated bytes is a *FrameError.
 func Inflate(dst, src []byte) ([]byte, error) {
-	return inflate(dst, src, MaxInflated)
+	return InflateAtMost(dst, src, MaxInflated)
 }
 
-// inflate is Inflate with a cap of limit bytes. It never allocates room
-// for more than limit+1 of them: dst grows only as the stream delivers
-// bytes, and reading one byte past the cap is what detects it.
-func inflate(dst, src []byte, limit int) ([]byte, error) {
+// InflateAtMost is Inflate with a cap of limit bytes, for a payload whose
+// writer bounds it tighter than MaxInflated. It never allocates room for
+// more than limit+1 of them: dst grows only as the stream delivers bytes,
+// and reading one byte past the cap is what detects it.
+func InflateAtMost(dst, src []byte, limit int) ([]byte, error) {
 	r := bytes.NewReader(src)
 	fr := flate.NewReader(r)
 	base := len(dst)

@@ -73,7 +73,7 @@ func TestInflateRejectsBadStreams(t *testing.T) {
 		{"over the cap", z, len(p) - 1},
 	} {
 		dst := []byte("keep")
-		got, err := inflate(dst, tc.src, tc.limit)
+		got, err := InflateAtMost(dst, tc.src, tc.limit)
 		var fe *FrameError
 		if !errors.As(err, &fe) || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: %v, want a FrameError", tc.name, err)
@@ -82,7 +82,7 @@ func TestInflateRejectsBadStreams(t *testing.T) {
 			t.Fatalf("%s: dst came back as %q", tc.name, got)
 		}
 	}
-	if got, err := inflate(nil, z, len(p)); err != nil || !bytes.Equal(got, p) {
+	if got, err := InflateAtMost(nil, z, len(p)); err != nil || !bytes.Equal(got, p) {
 		t.Fatalf("a payload of exactly the cap: %d bytes, %v", len(got), err)
 	}
 }
@@ -92,7 +92,7 @@ func TestInflateRejectsBadStreams(t *testing.T) {
 func TestInflateAllocatesWithinCap(t *testing.T) {
 	z := mustDeflate(t, nil, make([]byte, 8<<20)) // ~8 KiB of stream
 	for _, limit := range []int{0, 1, 511, 512, 4097, 1 << 20} {
-		got, err := inflate(nil, z, limit)
+		got, err := InflateAtMost(nil, z, limit)
 		if err == nil {
 			t.Fatalf("limit %d: an 8 MiB payload was accepted", limit)
 		}
@@ -185,7 +185,7 @@ func FuzzInflate(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		const limit = 1 << 16
-		out, err := inflate(nil, b, limit)
+		out, err := InflateAtMost(nil, b, limit)
 		if cap(out) > limit+1 {
 			t.Fatalf("grew a %d-byte buffer under a %d-byte cap", cap(out), limit)
 		}

@@ -307,42 +307,51 @@ func (c *Cut) section(kind string, fn func(write func([]byte)) error) error {
 	})
 }
 
-// streamChunk bounds a replay stream's blocks: Stream seals the block it
-// is filling once its records reach this many bytes, and at the end of
-// the section.
+// streamChunk is the size of a replay stream's chunks: Stream lays the
+// records end to end and cuts the run into chunks of this many bytes, the
+// last one shorter, so a record may span chunks. Replay inflates no chunk
+// past it.
 const streamChunk = 256 << 10
 
-// blockPool recycles Stream's block buffers, so checkpoints allocate none
-// in steady state.
-var blockPool = sync.Pool{New: func() any { return new([]byte) }}
+// streamBufs are Stream's buffers: the records not yet sealed, and the
+// frame a chunk is deflated into.
+type streamBufs struct{ raw, frame []byte }
+
+// streamPool recycles Stream's buffers, so checkpoints allocate none in
+// steady state.
+var streamPool = sync.Pool{New: func() any { return new(streamBufs) }}
 
 // Stream writes a replay stream as the instance's section kind: records
-// that replay in order into the instance's state at the cut. The section
-// is a run of blocks, each one binio frame whose payload is
-// length-prefixed records (binio.PutBytes), so a block of small records
-// pays for one checksum, not one per record. write emits the cut's
-// records through emit; a section with no records is empty, and present.
-// Replay is the reader.
+// that replay in order into the instance's state at the cut. The records,
+// length-prefixed (binio.PutBytes), run end to end and are cut into
+// chunks of streamChunk bytes; each chunk is one binio frame around its
+// deflate stream (binio.Deflate), so a dump of small records pays for one
+// checksum a chunk and holds what its records share only once. write
+// emits the cut's records through emit; a section with no records is
+// empty, and present. Replay is the reader.
 func (c *Cut) Stream(kind string, write func(emit func(rec []byte)) error) error {
 	return c.section(kind, func(out func([]byte)) error {
-		pooled := blockPool.Get().(*[]byte)
-		block := slices.Grow((*pooled)[:0], binio.FrameHeadroom)[:binio.FrameHeadroom]
-		seal := func() {
-			if len(block) > binio.FrameHeadroom {
-				out(binio.SealFrame(block))
-			}
-			block = block[:binio.FrameHeadroom]
+		bufs := streamPool.Get().(*streamBufs)
+		defer streamPool.Put(bufs)
+		seal := func(chunk []byte) {
+			// A chunk is far below the cap, so Deflate cannot fail.
+			frame, _ := binio.Deflate(slices.Grow(bufs.frame[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], chunk)
+			bufs.frame = frame
+			out(binio.SealFrame(frame))
 		}
+		raw := bufs.raw[:0]
 		err := write(func(rec []byte) {
-			if block = binio.PutBytes(block, rec); len(block)-binio.FrameHeadroom >= streamChunk {
-				seal()
+			raw = binio.PutBytes(raw, rec)
+			off := 0
+			for ; len(raw)-off >= streamChunk; off += streamChunk {
+				seal(raw[off : off+streamChunk])
 			}
+			raw = raw[:copy(raw, raw[off:])]
 		})
-		if err == nil {
-			seal()
+		if err == nil && len(raw) > 0 {
+			seal(raw)
 		}
-		*pooled = block[:0]
-		blockPool.Put(pooled)
+		bufs.raw = raw[:0]
 		return err
 	})
 }

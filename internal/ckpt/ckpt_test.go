@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -283,40 +284,165 @@ func replayed(t *testing.T, src *Source) [][]byte {
 	return got
 }
 
-// TestStreamSpansBlocks: a cut whose records outgrow one block is sealed
-// into several frames of at most streamChunk bytes of records plus the
-// one that crossed the bound, and Replay hands the records back in order
-// across the block boundaries.
+// TestStreamSpansBlocks: a cut whose records outgrow one chunk is cut
+// into frames that each inflate to exactly streamChunk bytes of records
+// but the last, records spanning the cuts — one of them longer than two
+// chunks — and Replay hands the records back in order across them.
 func TestStreamSpansBlocks(t *testing.T) {
 	var want [][]byte
 	rng := rand.New(rand.NewSource(7))
 	c, _, dir := streamCut(t, func(emit func([]byte)) {
 		for total := 0; total < 3*streamChunk; {
-			rec := bytes.Repeat([]byte{byte(len(want))}, 1+rng.Intn(3000))
+			n := 1 + rng.Intn(3000)
+			if len(want) == 100 {
+				n = 2*streamChunk + 17
+			}
+			rec := make([]byte, n)
+			rng.Read(rec[:n/4])
 			want = append(want, rec)
 			total += len(rec)
 			emit(rec)
 		}
 	})
 	b, _ := c.Section(InstPrefix(0) + KindDump)
-	blocks := 0
+	var sizes []int
 	for len(b) > 0 {
-		block, n, err := binio.ReadRecord(b)
+		frame, n, err := binio.ReadRecord(b)
 		if err != nil {
-			t.Fatalf("block %d: %v", blocks, err)
+			t.Fatalf("frame %d: %v", len(sizes), err)
 		}
-		if len(block) > streamChunk+3002 {
-			t.Fatalf("block %d holds %d bytes of records", blocks, len(block))
+		raw, err := binio.Inflate(nil, frame)
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(sizes), err)
 		}
+		sizes = append(sizes, len(raw))
 		b = b[n:]
-		blocks++
 	}
-	if blocks < 3 {
-		t.Fatalf("%d blocks for %d bytes of records", blocks, 3*streamChunk)
+	if len(sizes) < 4 {
+		t.Fatalf("%d chunks for %d records of over %d bytes", len(sizes), len(want), 3*streamChunk)
+	}
+	for i, n := range sizes {
+		if last := i == len(sizes)-1; n > streamChunk || !last && n != streamChunk || n == 0 {
+			t.Fatalf("chunk %d of %d holds %d bytes of records", i, len(sizes), n)
+		}
 	}
 	if got := replayed(t, c.Source(dir, 0)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed %d records across %d blocks, want %d in order", len(got), blocks, len(want))
+		t.Fatalf("replayed %d records across %d chunks, want %d in order", len(got), len(sizes), len(want))
 	}
+}
+
+// chunkFrames is a stream section built by hand: per chunk, one frame
+// around the deflate stream of its bytes.
+func chunkFrames(t testing.TB, chunks ...[]byte) []byte {
+	t.Helper()
+	var b []byte
+	for _, c := range chunks {
+		z, err := binio.Deflate(nil, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = binio.AppendRecord(b, z)
+	}
+	return b
+}
+
+// replaySection replays b as instance 0's dump section.
+func replaySection(b []byte, fn func(rec []byte) error) error {
+	c := &CutFile{Files: []*Meta{{}}, b: b, Sections: []Section{{Name: InstPrefix(0) + KindDump, Len: int64(len(b))}}}
+	return c.Source("", 0).Replay(KindDump, fn)
+}
+
+// TestReplayRejectsMisshapenChunks: chunks Stream never writes — one
+// that inflates past streamChunk, a short one before the last, an empty
+// one, one that is not a deflate stream, a section ending mid-record — fail
+// the replay with a FrameError.
+func TestReplayRejectsMisshapenChunks(t *testing.T) {
+	rec := binio.PutBytes(nil, []byte("record!")) // 8 bytes: a chunk holds whole ones
+	full := bytes.Repeat(rec, streamChunk/len(rec))
+	cases := map[string][]byte{
+		"chunk past the cap": chunkFrames(t, append(bytes.Clone(full), rec...)),
+		"short chunk first":  chunkFrames(t, rec, rec),
+		"empty chunk":        chunkFrames(t, nil),
+		"not deflated":       binio.AppendRecord(nil, rec),
+		"ends mid-record":    chunkFrames(t, rec[:3]),
+	}
+	for name, b := range cases {
+		var fe *binio.FrameError
+		if err := replaySection(b, func([]byte) error { return nil }); !errors.As(err, &fe) {
+			t.Errorf("%s: %v, want a FrameError", name, err)
+		}
+	}
+	var n int
+	if err := replaySection(chunkFrames(t, full, rec), func([]byte) error { n++; return nil }); err != nil || n == 0 {
+		t.Fatalf("a full chunk then a short one: %d records, %v", n, err)
+	}
+}
+
+// FuzzReplay feeds Source.Replay arbitrary dump sections: it must never
+// panic, fail only with a FrameError, hand fn no record longer than the
+// bytes the section's chunks may inflate to, and allocate no more than a
+// small multiple of that — a chunk inflates to at most streamChunk bytes,
+// whatever its deflate stream claims. The records of an accepted section
+// stream back to a section that replays to the same records.
+func FuzzReplay(f *testing.F) {
+	rec := binio.PutBytes(nil, []byte("record!")) // 8 bytes: a chunk holds whole ones
+	full := bytes.Repeat(rec, streamChunk/len(rec))
+	f.Add([]byte{})
+	f.Add(chunkFrames(f, rec))
+	f.Add(chunkFrames(f, full, rec))
+	f.Add(chunkFrames(f, append(bytes.Clone(full), rec...)))
+	f.Add(chunkFrames(f, rec, rec))
+	f.Add(chunkFrames(f, rec[:3]))
+	f.Add(chunkFrames(f, binio.PutUvarint(nil, 1<<40)))
+	f.Add(binio.AppendRecord(nil, rec))
+	f.Add(make([]byte, 64))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		frames := 0
+		for rest := b; len(rest) > 0; frames++ {
+			_, n, err := binio.ReadRecord(rest)
+			if err != nil {
+				break
+			}
+			rest = rest[n:]
+		}
+		bound := uint64(frames) * streamChunk
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := replaySection(b, func(rec []byte) error {
+			if uint64(len(rec)) > bound {
+				t.Fatalf("a %d-byte record from %d chunks", len(rec), frames)
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		// Inflated chunks and a spanning record's bytes, each buffer grown
+		// by doubling, and a deflate reader a chunk.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*bound+64<<10 {
+			t.Fatalf("replaying %d chunks allocated %d bytes", frames, alloc)
+		}
+		if err != nil {
+			var fe *binio.FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v is not a FrameError", err)
+			}
+			return
+		}
+		var got [][]byte
+		if err := replaySection(b, func(rec []byte) error {
+			got = append(got, bytes.Clone(rec))
+			return nil
+		}); err != nil {
+			t.Fatalf("second replay: %v", err)
+		}
+		c, _, dir := streamCut(t, func(emit func([]byte)) {
+			for _, rec := range got {
+				emit(rec)
+			}
+		})
+		if again := replayed(t, c.Source(dir, 0)); len(again) != len(got) || len(got) > 0 && !reflect.DeepEqual(again, got) {
+			t.Fatalf("accepted %d records, which stream back to %d", len(got), len(again))
+		}
+	})
 }
 
 // TestReplayRejectsDamage: a flipped bit, a zeroed page and a section cut
@@ -325,7 +451,7 @@ func TestStreamSpansBlocks(t *testing.T) {
 // stream.
 func TestReplayRejectsDamage(t *testing.T) {
 	c, _, dir := streamCut(t, func(emit func([]byte)) {
-		for i := 0; i < 2000; i++ {
+		for i := 0; i < 8000; i++ {
 			emit([]byte(fmt.Sprintf("record-%05d", i)))
 		}
 	})

@@ -19,8 +19,9 @@ import (
 // directory is a segment file some instance's files section names.
 const CutName = "CUT"
 
-// cutMagic versions the CUT encoding.
-const cutMagic = "flowkv-cut-v1"
+// cutMagic versions the CUT encoding: v2 deflates the chunks of a replay
+// stream.
+const cutMagic = "flowkv-cut-v2"
 
 // footerLen is the CUT's trailing table offset.
 const footerLen = 8
@@ -338,31 +339,54 @@ func (s *Source) Section(kind string) ([]byte, error) {
 
 // Replay hands fn the records of the instance's stream section kind in
 // order; rec is valid only during the call. The section is the one
-// Stream wrote: anything else — a flipped bit, a zeroed page, a block
-// that ends mid-record — stops the replay with an error wrapping a
-// *binio.FrameError, never with a silently short stream. An error from fn
-// stops it too and is returned as is.
+// Stream wrote: anything else — a flipped bit, a zeroed page, a chunk that
+// inflates to more than streamChunk bytes or, before the last, to fewer,
+// a section that ends mid-record — stops the replay with an error
+// wrapping a *binio.FrameError, never with a silently short stream. An
+// error from fn stops it too and is returned as is.
 func (s *Source) Replay(kind string, fn func(rec []byte) error) error {
 	b, err := s.Section(kind)
-	for off := 0; err == nil && off < len(b); {
-		block, n, rerr := binio.ReadRecord(b[off:])
-		if rerr == binio.ErrShortBuffer {
-			rerr = &binio.FrameError{Reason: fmt.Sprintf("section ends mid-frame at %d", off)}
+	if err != nil {
+		return err
+	}
+	bad := func(err error) error { return fmt.Errorf("ckpt: replay %s: %w", kind, err) }
+	// chunk is the inflated chunk; pending, when a record spans chunks,
+	// the bytes from its start on.
+	var chunk, pending []byte
+	for off := 0; off < len(b); {
+		frame, n, err := binio.ReadRecord(b[off:])
+		if errors.Is(err, binio.ErrShortBuffer) {
+			err = &binio.FrameError{Reason: fmt.Sprintf("section ends mid-frame at %d", off)}
 		}
-		if rerr != nil {
-			return fmt.Errorf("ckpt: replay %s: %w", kind, rerr)
+		if err != nil {
+			return bad(err)
 		}
 		off += n
-		for len(block) > 0 {
-			rec, n, berr := binio.Bytes(block)
-			if berr != nil {
-				return fmt.Errorf("ckpt: replay %s: %w", kind, &binio.FrameError{Reason: fmt.Sprintf("block ending at offset %d ends mid-record", off)})
+		if chunk, err = binio.InflateAtMost(chunk[:0], frame, streamChunk); err != nil {
+			return bad(err)
+		}
+		if len(chunk) == 0 || len(chunk) < streamChunk && off < len(b) {
+			return bad(&binio.FrameError{Reason: fmt.Sprintf("chunk ending at offset %d holds %d bytes", off, len(chunk))})
+		}
+		recs := chunk
+		if len(pending) > 0 {
+			pending = append(pending, chunk...)
+			recs = pending
+		}
+		for {
+			rec, n, err := binio.Bytes(recs)
+			if err != nil {
+				break // the rest starts a record the next chunk ends
 			}
 			if err := fn(rec); err != nil {
 				return err
 			}
-			block = block[n:]
+			recs = recs[n:]
 		}
+		pending = append(pending[:0], recs...)
 	}
-	return err
+	if len(pending) > 0 {
+		return bad(&binio.FrameError{Reason: fmt.Sprintf("section ends mid-record, %d bytes into it", len(pending))})
+	}
+	return nil
 }

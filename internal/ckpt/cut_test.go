@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -97,6 +98,29 @@ func FuzzDecodeCut(f *testing.F) {
 			t.Fatalf("%d instances, %d files sections", c.Instances, len(c.Files))
 		}
 	})
+}
+
+// TestV1CutIsRejected: a CUT of the layout before replay streams were
+// deflated — its header says flowkv-cut-v1, and its dump chunks hold raw
+// records — fails its decode for the header's magic, so its dump never
+// reaches Replay.
+func TestV1CutIsRejected(t *testing.T) {
+	b := sampleCut(t)
+	c, err := DecodeCut(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := binio.PutString(nil, "flowkv-cut-v1")
+	p = binio.PutUvarint(binio.PutUvarint(p, uint64(c.Pattern)), uint64(c.Instances))
+	p = binio.PutUvarint(binio.PutString(p, c.Parent), uint64(c.Depth))
+	v1 := binio.AppendRecord(nil, p)
+	if len(v1) != len(c.Header.encode()) {
+		t.Fatalf("v1 header of %d bytes, v2 of %d", len(v1), len(c.Header.encode()))
+	}
+	old := append(v1, b[len(v1):]...)
+	if _, err := DecodeCut(old); !errors.Is(err, ErrBadCut) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("a v1 CUT: %v, want ErrBadCut for its magic", err)
+	}
 }
 
 // TestDecodeCutRejects: every truncation and every single bit flip of a

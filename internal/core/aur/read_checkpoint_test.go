@@ -584,7 +584,8 @@ func TestConsumedIdentityLivesAgain(t *testing.T) {
 func TestRestoreRejectsZeroedStatPage(t *testing.T) {
 	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
 	w := window.Window{Start: 0, End: gap}
-	for i := 0; i < 2000; i++ {
+	// Enough rows that the deflated section spans more than three pages.
+	for i := 0; i < 8000; i++ {
 		if err := s.Append([]byte(fmt.Sprintf("session-%05d", i)), []byte("v"), w, 1); err != nil {
 			t.Fatal(err)
 		}

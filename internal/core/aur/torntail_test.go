@@ -131,8 +131,14 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 		k, w := state(i)
 		rows = binio.PutBytes(rows, binio.PutVarint(w.AppendTo(binio.PutBytes([]byte{statKindSet}, k)), w.Start))
 	}
+	// The rows fit one chunk of the replay stream: one frame around their
+	// deflate stream.
+	deflated, err := binio.Deflate(nil, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = ckpttest.Write(ckptDir, meta, map[string][]byte{
-		ckpt.KindDump: binio.AppendRecord(nil, rows),
+		ckpt.KindDump: binio.AppendRecord(nil, deflated),
 		ckpt.KindLive: ckpt.EncodeLiveness(segs),
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -197,7 +198,8 @@ func (c *chain) restoresToOracle() {
 func TestRestoreRejectsZeroedStreamPage(t *testing.T) {
 	s := openTest(t, Options{})
 	w := window.Window{Start: 0, End: 100}
-	for i := 0; i < 2000; i++ {
+	// Enough aggregates that the deflated dump spans more than three pages.
+	for i := 0; i < 8000; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("key-%05d", i)), w, []byte("value")); err != nil {
 			t.Fatal(err)
 		}
@@ -519,11 +521,46 @@ func TestCutFileBytesPinned(t *testing.T) {
 	crcs = append(crcs, cutFileCRCs(t, dir, c.commit(dir)))
 	c.restoresToOracle()
 	want := [][3]uint32{
-		{0xb661a6ad, 0x2b89e5e9, 0xcce2553e},
-		{0x977eba04, 0xec1c815e, 0xf631881f},
-		{0xb66f1070, 0xa692ade9, 0x1d5f423d},
+		{0xb661a6ad, 0x6f5ac38f, 0xcce2553e},
+		{0x977eba04, 0x387d5c2b, 0xf631881f},
+		{0xb66f1070, 0xe8bbc4af, 0x1d5f423d},
 	}
 	if !reflect.DeepEqual(crcs, want) {
 		t.Fatalf("cut file CRCs %#x, want %#x", crcs, want)
+	}
+}
+
+// TestDumpBytesPerAggregateBudget pins what a buffered aggregate costs in
+// the CUT's dump section in the session regime: two thousand sessions,
+// each a gap-wide window opened a little after the last, keys decimal ids
+// in no order, with small counts as aggregates. The dump is segment
+// blocks in lifetime order, deflated a chunk at a time; undeflated it
+// took 13.02 bytes an aggregate.
+func TestDumpBytesPerAggregateBudget(t *testing.T) {
+	const (
+		sessions = 2000
+		gap      = 25_000
+		budget   = 4.08
+	)
+	s := openTest(t, Options{WriteBufferBytes: 1 << 20})
+	for i := 0; i < sessions; i++ {
+		start := int64(1_700_000_000_000 + 37*i)
+		key := []byte(strconv.Itoa(1_000_000 + i*7_919%100_000))
+		if err := s.Put(key, window.Window{Start: start, End: start + gap}, binio.PutUvarint(nil, uint64(1+i%50))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := s.checkpointTo(dir, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.segs.List()); n != 0 {
+		t.Fatalf("%d segments: the sessions spilled", n)
+	}
+	dump := cutSection(t, dir, ckpt.KindDump)
+	perAgg := float64(len(dump)) / sessions
+	t.Logf("dump: %d aggregates in %d bytes, %.2f B each", sessions, len(dump), perAgg)
+	if perAgg > budget {
+		t.Errorf("a buffered aggregate takes %.2f bytes in the dump, budget %.2f", perAgg, budget)
 	}
 }

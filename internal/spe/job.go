@@ -1026,25 +1026,51 @@ func (jr *jobRun) appendSegment() error {
 
 // The sink ledger is a run of blocks, one per commit that produced
 // results: a binio frame (one CRC for the whole commit) whose payload is
-// the deflate stream (binio.Deflate) of the block's records: the record
-// count, then per record its TS as a delta from the previous record's
-// (the first one's from zero, so absolute), its key and its value.
-// Records are in the commit's canonical (TS, Key, Value) order, so the
-// deltas are small and never negative. A block is a pure function of its
-// record set within one build — the deflate writer is reset for every
-// block — which is what keeps resumed, rescaled and migrated ledgers
-// byte-identical to an uninterrupted run's.
+// the deflate stream (binio.Deflate) of the block's records laid out in
+// columns. The records are in the commit's canonical (TS, Key, Value)
+// order, and the results of one window firing share a timestamp and come
+// in key order, so a column of TS deltas is mostly zeros and a sorted key
+// keeps only the bytes in which it differs from the one before it. The
+// block before deflate is the record count, the byte length of each of
+// the six columns, then the columns back to back:
+//
+//	ts      per record its TS minus the previous record's (the first
+//	        one's minus zero), as the uvarint of the 64-bit difference
+//	shared  per record the length of the longest prefix its key shares
+//	        with the previous record's key (0 for the first)
+//	sufLen  per record the length of the rest of its key
+//	suffix  the rest of every key
+//	valLen  per record the length of its value
+//	value   every value
+//
+// A block is a pure function of its record set within one build — the
+// deflate writer is reset for every block — which is what keeps resumed,
+// rescaled and migrated ledgers byte-identical to an uninterrupted run's.
+// The decoder accepts only what the encoder writes for records in
+// canonical order.
+
+// The columns of a ledger block, in the order they are written.
+const (
+	colTS = iota
+	colShared
+	colSufLen
+	colSuffix
+	colValLen
+	colValue
+	ledgerColumns
+)
 
 // ledgerEncoder builds framed ledger blocks in buffers it reuses.
 type ledgerEncoder struct {
-	raw   []byte // the block's records before deflate
-	block []byte // the frame: header room, then the deflated records
+	cols  [ledgerColumns][]byte // the block's columns
+	raw   []byte                // the block before deflate
+	block []byte                // the frame: header room, then the deflated block
 }
 
-// encode returns the framed ledger block holding recs, valid until the
-// next call.
+// encode returns the framed ledger block holding recs, which must be in
+// canonical order, valid until the next call.
 func (e *ledgerEncoder) encode(recs []SinkRecord) ([]byte, error) {
-	e.raw = appendLedgerBlock(e.raw[:0], recs)
+	e.raw = e.appendBlock(e.raw[:0], recs)
 	block, err := binio.Deflate(slices.Grow(e.block[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], e.raw)
 	if err != nil {
 		return nil, err
@@ -1053,26 +1079,46 @@ func (e *ledgerEncoder) encode(recs []SinkRecord) ([]byte, error) {
 	return binio.SealFrame(block), nil
 }
 
-// appendLedgerBlock appends the records of the ledger block holding recs,
-// before deflate, to dst.
-func appendLedgerBlock(dst []byte, recs []SinkRecord) []byte {
-	dst = binio.PutUvarint(dst, uint64(len(recs)))
-	var prev int64
+// appendBlock appends the ledger block holding recs, before deflate, to
+// dst.
+func (e *ledgerEncoder) appendBlock(dst []byte, recs []SinkRecord) []byte {
+	c := &e.cols
+	for i := range c {
+		c[i] = c[i][:0]
+	}
+	var prevTS int64
+	var prevKey []byte
 	for _, r := range recs {
-		dst = binio.PutVarint(dst, r.TS-prev)
-		dst = binio.PutBytes(dst, r.Key)
-		dst = binio.PutBytes(dst, r.Value)
-		prev = r.TS
+		n := 0
+		for n < len(prevKey) && n < len(r.Key) && prevKey[n] == r.Key[n] {
+			n++
+		}
+		c[colTS] = binio.PutUvarint(c[colTS], uint64(r.TS-prevTS))
+		c[colShared] = binio.PutUvarint(c[colShared], uint64(n))
+		c[colSufLen] = binio.PutUvarint(c[colSufLen], uint64(len(r.Key)-n))
+		c[colSuffix] = append(c[colSuffix], r.Key[n:]...)
+		c[colValLen] = binio.PutUvarint(c[colValLen], uint64(len(r.Value)))
+		c[colValue] = append(c[colValue], r.Value...)
+		prevTS, prevKey = r.TS, r.Key
+	}
+	dst = binio.PutUvarint(dst, uint64(len(recs)))
+	for _, col := range c {
+		dst = binio.PutUvarint(dst, uint64(len(col)))
+	}
+	for _, col := range c {
+		dst = append(dst, col...)
 	}
 	return dst
 }
 
 // decodeLedgerBlock decodes the ledger block at the front of b, handing fn
-// its records in order (key and value alias the block's inflated bytes),
-// and returns the bytes the block took. Anything but a whole block that
-// decodes exactly — a frame that fails its CRC or ends early, a payload
-// that does not inflate, a record count other than the records the
-// payload holds, a byte left over — is a *binio.FrameError.
+// its records in order (key and value alias memory the decoder does not
+// reuse), and returns the bytes the block took. Anything but a whole block
+// the encoder would write — a frame that fails its CRC or ends early, a
+// payload that does not inflate, columns that overrun the block or hold
+// more or fewer than its record count, a padded varint, a shared key
+// prefix that is not the longest one, records out of canonical order, a
+// byte left over — is a *binio.FrameError.
 func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, error) {
 	p, n, err := binio.ReadRecord(b)
 	if errors.Is(err, binio.ErrShortBuffer) {
@@ -1088,20 +1134,79 @@ func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, err
 	if err != nil {
 		return 0, err
 	}
-	d := snapDecoder{b: raw}
-	count := d.count(3) // a record takes at least three bytes
-	var ts int64
-	for i := uint64(0); i < count && d.err == nil; i++ {
-		ts += d.varint()
-		key, val := d.bytes(), d.bytes()
-		if d.err == nil {
-			fn(ts, key, val)
-		}
-	}
-	if d.err != nil || len(d.b) != 0 {
-		return 0, &binio.FrameError{Reason: fmt.Sprintf("ledger block of %d records does not decode exactly (%v, %d bytes left)", count, d.err, len(d.b))}
+	if err := decodeLedgerColumns(raw, fn); err != nil {
+		return 0, &binio.FrameError{Reason: "ledger block: " + err.Error()}
 	}
 	return n, nil
+}
+
+// decodeLedgerColumns hands fn the records of an inflated ledger block.
+func decodeLedgerColumns(raw []byte, fn func(ts int64, key, value []byte)) error {
+	d := snapDecoder{b: raw}
+	count := d.uvarint()
+	var lens [ledgerColumns]uint64
+	for i := range lens {
+		lens[i] = d.uvarint()
+	}
+	if d.err != nil {
+		return d.err
+	}
+	var cols [ledgerColumns]snapDecoder
+	for i, n := range lens {
+		if n > uint64(len(d.b)) {
+			return fmt.Errorf("column %d of %d bytes overruns the block", i, n)
+		}
+		cols[i].b, d.b = d.b[:n:n], d.b[n:]
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("%d bytes past the columns", len(d.b))
+	}
+	take := func(col int, n uint64) []byte {
+		c := &cols[col]
+		if c.err == nil && n > uint64(len(c.b)) {
+			c.fail(fmt.Sprintf("column %d ends %d bytes short", col, n-uint64(len(c.b))))
+		}
+		if c.err != nil {
+			return nil
+		}
+		p := c.b[:n:n]
+		c.b = c.b[n:]
+		return p
+	}
+	keys := make([]byte, 0, 2*len(cols[colSuffix].b))
+	var ts int64
+	var key, value []byte
+	// Every record takes a byte of the ts column at least, so a count
+	// past the column's length stops at its end.
+	for i := uint64(0); i < count; i++ {
+		delta := cols[colTS].uvarint()
+		shared := cols[colShared].uvarint()
+		suffix := take(colSuffix, cols[colSufLen].uvarint())
+		v := take(colValue, cols[colValLen].uvarint())
+		for _, c := range cols {
+			if c.err != nil {
+				return fmt.Errorf("record %d of %d: %w", i, count, c.err)
+			}
+		}
+		if shared > uint64(len(key)) || len(suffix) > 0 && shared < uint64(len(key)) && key[shared] == suffix[0] {
+			return fmt.Errorf("record %d does not share %d key bytes with its predecessor", i, shared)
+		}
+		start := len(keys)
+		keys = append(append(keys, key[:shared]...), suffix...)
+		k, next := keys[start:len(keys):len(keys)], ts+int64(delta)
+		if i > 0 && (delta >= 1<<63 || next < ts || next == ts && (bytes.Compare(k, key) < 0 ||
+			bytes.Equal(k, key) && bytes.Compare(v, value) < 0)) {
+			return fmt.Errorf("record %d out of (TS, Key, Value) order", i)
+		}
+		fn(next, k, v)
+		ts, key, value = next, k, v
+	}
+	for i, c := range cols {
+		if len(c.b) != 0 {
+			return fmt.Errorf("column %d holds %d bytes past the block's %d records", i, len(c.b), count)
+		}
+	}
+	return nil
 }
 
 // decodeLedger decodes the committed prefix of dir's ledger — the

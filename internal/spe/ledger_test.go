@@ -26,6 +26,24 @@ func ledgerBlock(recs []SinkRecord) []byte {
 	return b
 }
 
+// rawLedgerBlock is the ledger block holding recs before deflate.
+func rawLedgerBlock(recs []SinkRecord) []byte {
+	var e ledgerEncoder
+	return e.appendBlock(nil, recs)
+}
+
+// rowLedgerBlock is the block holding recs in the row layout before the
+// columnar one: the count, then per record its TS delta, key and value.
+func rowLedgerBlock(recs []SinkRecord) []byte {
+	b := binio.PutUvarint(nil, uint64(len(recs)))
+	var prev int64
+	for _, r := range recs {
+		b = binio.PutBytes(binio.PutBytes(binio.PutVarint(b, r.TS-prev), r.Key), r.Value)
+		prev = r.TS
+	}
+	return b
+}
+
 // deflatedBlock frames the deflate stream of payload as a ledger block.
 func deflatedBlock(payload []byte) []byte {
 	z, err := binio.Deflate(nil, payload)
@@ -109,7 +127,7 @@ func TestLedgerBlockRoundTrip(t *testing.T) {
 	if _, err := ReadLedger(nil, writeJobDir(t, ledger, len(ledger)+1)); !errors.As(err, &fe) {
 		t.Fatalf("ledger shorter than its committed length: %v, want a FrameError", err)
 	}
-	payload := appendLedgerBlock(nil, sampleLedger[0])
+	payload := rawLedgerBlock(sampleLedger[0])
 	undeflated := binio.AppendRecord(nil, payload)
 	if _, err := ReadLedger(nil, writeJobDir(t, undeflated, len(undeflated))); !errors.As(err, &fe) {
 		t.Fatalf("block whose records are not deflated: %v, want a FrameError", err)
@@ -121,6 +139,81 @@ func TestLedgerBlockRoundTrip(t *testing.T) {
 	}
 	if recs, err := ReadLedger(nil, t.TempDir()); recs != nil || err != nil {
 		t.Fatalf("directory without a JOB record: %v, %v; want nothing committed", recs, err)
+	}
+}
+
+// columnBlock is a ledger block before deflate built from a record count
+// and six columns as given, canonical or not.
+func columnBlock(count uint64, cols [ledgerColumns][]byte) []byte {
+	b := binio.PutUvarint(nil, count)
+	for _, c := range cols {
+		b = binio.PutUvarint(b, uint64(len(c)))
+	}
+	for _, c := range cols {
+		b = append(b, c...)
+	}
+	return b
+}
+
+// uvarints is a column of uvarints.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binio.PutUvarint(b, v)
+	}
+	return b
+}
+
+// nonCanonicalBlocks are ledger blocks before deflate that the encoder
+// never writes, each next to why.
+var nonCanonicalBlocks = []struct {
+	why string
+	raw []byte
+}{
+	// "ab", "ac": the second key shares "a" with the first, not nothing.
+	{"shared prefix not maximal", columnBlock(2, [ledgerColumns][]byte{
+		uvarints(1, 0), uvarints(0, 0), uvarints(2, 2), []byte("abac"), uvarints(0, 0), nil})},
+	{"shared prefix longer than the previous key", columnBlock(2, [ledgerColumns][]byte{
+		uvarints(1, 0), uvarints(0, 2), uvarints(1, 0), []byte("a"), uvarints(0, 0), nil})},
+	{"ts column longer than the record count", columnBlock(1, [ledgerColumns][]byte{
+		uvarints(1, 0), uvarints(0), uvarints(1), []byte("a"), uvarints(0), nil})},
+	{"suffix column shorter than its lengths", columnBlock(2, [ledgerColumns][]byte{
+		uvarints(1, 0), uvarints(0, 1), uvarints(1, 1), []byte("a"), uvarints(0, 0), nil})},
+	{"value column longer than its lengths", columnBlock(1, [ledgerColumns][]byte{
+		uvarints(1), uvarints(0), uvarints(1), []byte("a"), uvarints(1), []byte("xy")})},
+	{"record count past the columns", columnBlock(3, [ledgerColumns][]byte{
+		uvarints(1, 0), uvarints(0, 1), uvarints(1, 1), []byte("ab"), uvarints(0, 0), nil})},
+	{"column lengths past the block", append(uvarints(1, 1, 1, 1, 1, 1, 9), 1, 0, 1, 'a', 0)},
+	{"bytes past the columns", append(columnBlock(0, [ledgerColumns][]byte{}), 0)},
+	{"padded varint in the ts column", columnBlock(1, [ledgerColumns][]byte{
+		{0x81, 0x00}, uvarints(0), uvarints(1), []byte("a"), uvarints(0), nil})},
+	{"timestamps descend", columnBlock(2, [ledgerColumns][]byte{
+		uvarints(5, 1<<64-1), uvarints(0, 0), uvarints(1, 1), []byte("ab"), uvarints(0, 0), nil})},
+	{"keys descend within a timestamp", columnBlock(2, [ledgerColumns][]byte{
+		uvarints(5, 0), uvarints(0, 0), uvarints(1, 1), []byte("ba"), uvarints(0, 0), nil})},
+	{"row layout", rowLedgerBlock(sampleLedger[0])},
+}
+
+// TestLedgerBlockRejectsNonCanonical: a ledger block that inflates to
+// something the encoder would not write for any record set — a key
+// prefix shared less than maximally or past its predecessor, columns that
+// disagree with the record count or with each other, padding, records out
+// of canonical order, the row layout before the columnar one — fails with
+// a FrameError, while the canonical blocks around it decode.
+func TestLedgerBlockRejectsNonCanonical(t *testing.T) {
+	for _, tc := range nonCanonicalBlocks {
+		block := deflatedBlock(tc.raw)
+		var fe *binio.FrameError
+		if _, err := ReadLedger(nil, writeJobDir(t, block, len(block))); !errors.As(err, &fe) {
+			t.Errorf("%s: %v, want a FrameError", tc.why, err)
+		}
+	}
+	canonical := []SinkRecord{
+		{TS: 1, Key: []byte("ab")}, {TS: 1, Key: []byte("ac")}, {TS: 1, Key: []byte("ac"), Value: []byte("x")},
+		{TS: 2, Key: []byte("a")}, {TS: 2, Key: []byte("abc")}, {TS: 9, Key: []byte("")},
+	}
+	if got := decodeLedgerBytes(t, ledgerBlock(canonical)); !reflect.DeepEqual(normalize(got), normalize(canonical)) {
+		t.Fatalf("canonical block decodes to %v, want %v", got, canonical)
 	}
 }
 
@@ -181,9 +274,9 @@ func TestReadLedgerIgnoresUncommittedBlock(t *testing.T) {
 // FuzzDecodeLedgerBlock feeds arbitrary bytes to the ledger block decoder
 // behind ReadLedger and VerifyJobDir: it must never panic, fail only with
 // a FrameError, and consume a whole block within the input when it
-// accepts. The records of an accepted block must be exactly what its
-// payload inflates to — the record encoding is canonical — and re-encode
-// to a block that decodes to the same records. (The deflate stream itself
+// accepts. The records of an accepted block must re-encode to exactly the
+// columns its payload inflates to — the columnar layout is canonical —
+// and to a block that decodes to the same records. (The deflate stream itself
 // is not canonical: many streams inflate to the same bytes.)
 func FuzzDecodeLedgerBlock(f *testing.F) {
 	for _, recs := range sampleLedger {
@@ -199,7 +292,13 @@ func FuzzDecodeLedgerBlock(f *testing.F) {
 	// Valid frames whose payloads are not deflate streams: a reserved
 	// block type, and a block's records framed without deflate.
 	f.Add(binio.AppendRecord(nil, []byte{0x07, 0x01}))
-	f.Add(binio.AppendRecord(nil, appendLedgerBlock(nil, sampleLedger[0])))
+	f.Add(binio.AppendRecord(nil, rawLedgerBlock(sampleLedger[0])))
+	// Deflated blocks the encoder never writes: a key prefix shared less
+	// than maximally or past the previous key, columns that disagree with
+	// the count, the row layout before the columnar one, and the rest.
+	for _, tc := range nonCanonicalBlocks {
+		f.Add(deflatedBlock(tc.raw))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var recs []SinkRecord
 		n, err := decodeLedgerBlock(b, func(ts int64, key, value []byte) {
@@ -223,7 +322,7 @@ func FuzzDecodeLedgerBlock(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted block's payload: %v", err)
 		}
-		if re := appendLedgerBlock(nil, recs); !bytes.Equal(re, raw) {
+		if re := rawLedgerBlock(recs); !bytes.Equal(re, raw) {
 			t.Fatalf("accepted block's records do not re-encode to its payload:\n%x\n%x", raw, re)
 		}
 		re := ledgerBlock(recs)
@@ -245,7 +344,7 @@ func TestLedgerBlockBytesIgnoreEncoderHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Write(appendLedgerBlock(nil, recs)); err != nil {
+		if _, err := w.Write(rawLedgerBlock(recs)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -266,6 +365,51 @@ func TestLedgerBlockBytesIgnoreEncoderHistory(t *testing.T) {
 		}
 		if want := fresh(recs); !bytes.Equal(got, want) {
 			t.Fatalf("set %d: a reused encoder wrote %d bytes that differ from a fresh one's %d", i, len(got), len(want))
+		}
+	}
+}
+
+// TestLedgerBytesPerRecordBudget pins what a committed sink record costs
+// in the ledger, frame and deflate included, for the two shapes a window
+// job commits: one fixed-window firing — 5 000 results sharing a
+// timestamp, keys ascending decimal ids — and a run of session results
+// with distinct timestamps and keys in no order. The columnar layout
+// turns the firing's timestamps into a run of zeros and keeps only the
+// key bytes that change; the row layout before it took 5.80 and 5.60
+// bytes a record.
+func TestLedgerBytesPerRecordBudget(t *testing.T) {
+	firing := make([]SinkRecord, 5000)
+	for i := range firing {
+		firing[i] = SinkRecord{
+			TS:    1_700_000_125_000,
+			Key:   []byte(strconv.Itoa(1_000_000 + 7*i)),
+			Value: []byte(strconv.Itoa(100 + i*7919%99_000)),
+		}
+	}
+	sessions := make([]SinkRecord, 5000)
+	ts := int64(1_700_000_000_000)
+	for i := range sessions {
+		ts += 1 + int64(i*37%211)
+		sessions[i] = SinkRecord{
+			TS:    ts,
+			Key:   []byte(strconv.Itoa(1_000_000 + i*7_919%50_000)),
+			Value: []byte(strconv.Itoa(1 + i*13%40)),
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		recs   []SinkRecord
+		budget float64
+	}{
+		{"fixed-window firing", firing, 2.72},
+		{"sessions", sessions, 2.79},
+	} {
+		n := len(ledgerBlock(tc.recs))
+		per := float64(n) / float64(len(tc.recs))
+		row := float64(len(deflatedBlock(rowLedgerBlock(tc.recs)))) / float64(len(tc.recs))
+		t.Logf("%s: %d records in %d bytes, %.2f B each (row layout %.2f)", tc.name, len(tc.recs), n, per, row)
+		if per > tc.budget {
+			t.Errorf("%s: a record takes %.2f bytes in the ledger, budget %.2f", tc.name, per, tc.budget)
 		}
 	}
 }
