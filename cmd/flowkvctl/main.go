@@ -10,7 +10,7 @@
 //	flowkvctl aar   <win_*.log file>   # keys and tuples per flush chunk of an AAR per-window log
 //	flowkvctl rmw   <rmw-*.log file>   # flush number, key, window and aggregate bytes per entry of an RMW segment
 //	flowkvctl health <store-dir>       # offline log integrity scan
-//	flowkvctl checkpoints <parent-dir> # list and verify checkpoints
+//	flowkvctl checkpoints <parent-dir> # list and verify checkpoints, each with its chain depth (base or dN)
 //	flowkvctl job <job-dir>            # inspect a job's committed progress
 //	flowkvctl job <job-dir> <par>      # additionally: can it resume at <par> workers?
 //	flowkvctl migration <job-dir>      # live-migration journal and routing tables
@@ -374,11 +374,11 @@ func cmdHealth(dir string) error {
 }
 
 // cmdCheckpoints lists every checkpoint under parent, verifying each
-// against its CUT (file sizes and CRC32C checksums). Incremental
-// checkpoints additionally show their chain: depth and the resolved
-// parent path back toward the base, truncated with "…" where ancestors
-// have already been garbage-collected (the directories are physically
-// self-contained, so a truncated chain is still restorable).
+// against its CUT (file sizes and CRC32C checksums). The chain column
+// reads "base" for a full checkpoint and "dN" for an incremental one N
+// links above its base; where its parent lives is not recorded (a job's
+// generation N cut links against generation N-1's), and it needs none of
+// it to restore. Staging directories a crash left mid-cut are not listed.
 func cmdCheckpoints(parent string) error {
 	infos, err := core.ListCheckpoints(nil, parent)
 	if err != nil {
@@ -401,25 +401,8 @@ func cmdCheckpoints(parent string) error {
 			age = time.Since(ci.ModTime).Round(time.Second).String()
 		}
 		chain := "base"
-		if ci.Depth > 0 && ci.Parent == "" {
-			// Incremental, but the parent lives outside this directory
-			// (the SPE chains across generation dirs): depth only.
+		if ci.Depth > 0 {
 			chain = fmt.Sprintf("d%d", ci.Depth)
-		}
-		if ci.Parent != "" {
-			chain = fmt.Sprintf("d%d", ci.Depth)
-			if names, cerr := core.CheckpointChain(nil, ci.Path); cerr != nil {
-				invalid++
-				status = fmt.Sprintf("INVALID: %v", cerr)
-			} else {
-				suffix := ""
-				// names runs child -> base; Depth+1 entries means the walk
-				// reached the base, fewer means GC truncated the chain.
-				if len(names) < ci.Depth+1 {
-					suffix = "…"
-				}
-				chain = fmt.Sprintf("d%d←%s%s", ci.Depth, strings.Join(names[1:], "←"), suffix)
-			}
 		}
 		fmt.Printf("%-20s  %-7s %5d %6d %10s %9s  %-5s  %s\n",
 			filepath.Base(ci.Path), ci.Pattern, ci.Instances, ci.Files,

@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"flowkv/internal/ckpt"
 	"flowkv/internal/core"
 	"flowkv/internal/core/aar"
 	"flowkv/internal/core/aur"
 	"flowkv/internal/core/rmw"
+	"flowkv/internal/faultfs"
 	"flowkv/internal/spe"
 	"flowkv/internal/statebackend"
 	"flowkv/internal/window"
@@ -494,6 +497,12 @@ func TestRMWPrintsBlocksAndEntries(t *testing.T) {
 // resumable job directory.
 func killedJob(t *testing.T) string {
 	t.Helper()
+	return killedJobRetaining(t, 1)
+}
+
+// killedJobRetaining is killedJob keeping the retain newest generations.
+func killedJobRetaining(t *testing.T, retain int) string {
+	t.Helper()
 	base := t.TempDir()
 	assigner := window.FixedAssigner{Size: 64}
 	spec := spe.OperatorSpec{Assigner: assigner, Holistic: spe.HolisticFunc(func(_ []byte, vals [][]byte) []byte {
@@ -523,10 +532,11 @@ func killedJob(t *testing.T) string {
 				},
 			},
 		},
-		Source:          spe.NewSliceSource(tuples),
-		Dir:             filepath.Join(base, "job"),
-		CheckpointEvery: 97,
-		KillAfterTuples: 300,
+		Source:            spe.NewSliceSource(tuples),
+		Dir:               filepath.Join(base, "job"),
+		CheckpointEvery:   97,
+		KillAfterTuples:   300,
+		RetainGenerations: retain,
 	}
 	if _, err := job.Run(); !errors.Is(err, spe.ErrJobKilled) {
 		t.Fatalf("want a killed job, got %v", err)
@@ -609,5 +619,49 @@ func TestAARPrintsKeysAndTuplesPerChunk(t *testing.T) {
 		if len(f) != 5 || f[0] != want[0] || f[1] != want[1] || f[2] != want[2] || f[4] != "user-00" {
 			t.Errorf("chunk row %d = %q, want # keys tuples = %v, first key user-00", i, lines[1+i], want)
 		}
+	}
+}
+
+// flowkvctl checkpoints prints each checkpoint's chain depth: a job's
+// generation N cuts read dN-1. A crash mid-cut leaves a ".tmp" staging
+// directory with a half-written CUT; the listing skips it and exits 0.
+func TestCheckpointsPrintsDepthAndSkipsStaging(t *testing.T) {
+	job := killedJobRetaining(t, 2)
+	for gen, want := range map[int64]string{2: "d1", 3: "d2"} {
+		out := captureStdout(t, func() error { return cmdCheckpoints(filepath.Join(job, spe.GenDirName(gen))) })
+		for _, worker := range []string{"s01-w00", "s01-w01"} {
+			if !regexp.MustCompile(`(?m)^` + worker + `\s.*\s` + want + `\s+verified$`).MatchString(out) {
+				t.Errorf("generation %d: no row %s ... %s verified:\n%s", gen, worker, want, out)
+			}
+		}
+	}
+
+	inj := faultfs.NewInjector(faultfs.OS)
+	s, err := core.Open(core.AggHolistic, window.Fixed, core.Options{
+		Dir: filepath.Join(t.TempDir(), "store"), Instances: 2, WriteBufferBytes: 256, FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Destroy()
+	for i := 0; i < 100; i++ {
+		if err := s.Append([]byte(fmt.Sprintf("k%02d", i%7)), []byte("v"), window.Window{Start: 0, End: 100}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent := t.TempDir()
+	if err := s.Checkpoint(filepath.Join(parent, "gen-1")); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: filepath.Join("gen-2.tmp", ckpt.CutName), Nth: 2, Crash: true})
+	if err := s.CheckpointDelta(filepath.Join(parent, "gen-2"), filepath.Join(parent, "gen-1"), nil); err == nil || !inj.Fired() {
+		t.Fatalf("checkpoint under a crash mid-CUT: %v, fired %v", err, inj.Fired())
+	}
+	inj.Reset()
+	if _, err := os.Stat(filepath.Join(parent, "gen-2.tmp", ckpt.CutName)); err != nil {
+		t.Fatalf("the crash left no staging CUT: %v", err)
+	}
+	out := captureStdout(t, func() error { return cmdCheckpoints(parent) })
+	if !strings.Contains(out, "gen-1 ") || strings.Contains(out, "gen-2") {
+		t.Errorf("listing after a crash mid-cut, want gen-1 alone:\n%s", out)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // directory is a segment file some instance's files section names.
 const CutName = "CUT"
 
-// cutMagic versions the CUT encoding: v2 deflates the chunks of a replay
-// stream.
-const cutMagic = "flowkv-cut-v2"
+// cutMagic versions the CUT encoding: v2 deflated the chunks of a replay
+// stream, v3 drops the parent's name from the header.
+const cutMagic = "flowkv-cut-v3"
 
 // footerLen is the CUT's trailing table offset.
 const footerLen = 8
@@ -46,12 +46,11 @@ const (
 var ErrBadCut = errors.New("ckpt: invalid CUT file")
 
 // Header is what a CUT says about the checkpoint as a whole: the store's
-// pattern and instance count, the parent generation's base name ("" for a
-// chain base) and the incremental chain depth.
+// pattern and instance count and the incremental chain depth (0 for a
+// base).
 type Header struct {
 	Pattern   int
 	Instances int
-	Parent    string
 	Depth     int
 }
 
@@ -59,7 +58,6 @@ func (h Header) encode() []byte {
 	p := binio.PutString(nil, cutMagic)
 	p = binio.PutUvarint(p, uint64(h.Pattern))
 	p = binio.PutUvarint(p, uint64(h.Instances))
-	p = binio.PutString(p, h.Parent)
 	return binio.AppendRecord(nil, binio.PutUvarint(p, uint64(h.Depth)))
 }
 
@@ -217,7 +215,7 @@ func DecodeCut(b []byte) (*CutFile, error) {
 	if str() != cutMagic || !ok {
 		return bad("bad magic", nil)
 	}
-	c := &CutFile{Header: Header{Pattern: num(), Instances: num(), Parent: str(), Depth: num()}, b: b}
+	c := &CutFile{Header: Header{Pattern: num(), Instances: num(), Depth: num()}, b: b}
 	end, at := len(b)-footerLen, uint64(0)
 	if end >= hn {
 		at, _ = binio.Uint64(b[end:])

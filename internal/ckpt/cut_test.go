@@ -22,7 +22,7 @@ func sampleCut(t testing.TB) []byte {
 	if err := os.WriteFile(path, bytes.Repeat([]byte("seed"), 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Create(faultfs.OS, dir, Header{Pattern: 2, Instances: 2, Parent: "gen-000003", Depth: 2})
+	w, err := Create(faultfs.OS, dir, Header{Pattern: 2, Instances: 2, Depth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,26 +100,30 @@ func FuzzDecodeCut(f *testing.F) {
 	})
 }
 
-// TestV1CutIsRejected: a CUT of the layout before replay streams were
-// deflated — its header says flowkv-cut-v1, and its dump chunks hold raw
-// records — fails its decode for the header's magic, so its dump never
-// reaches Replay.
+// TestV1CutIsRejected: a CUT of an earlier layout fails its decode for
+// the header's magic — v1, whose dump chunks hold raw records, so its dump
+// never reaches Replay, and v2, whose header still names a parent. Each
+// old header, written as its layout wrote it with an empty parent, heads
+// this layout's sections and table.
 func TestV1CutIsRejected(t *testing.T) {
 	b := sampleCut(t)
 	c, err := DecodeCut(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := binio.PutString(nil, "flowkv-cut-v1")
-	p = binio.PutUvarint(binio.PutUvarint(p, uint64(c.Pattern)), uint64(c.Instances))
-	p = binio.PutUvarint(binio.PutString(p, c.Parent), uint64(c.Depth))
-	v1 := binio.AppendRecord(nil, p)
-	if len(v1) != len(c.Header.encode()) {
-		t.Fatalf("v1 header of %d bytes, v2 of %d", len(v1), len(c.Header.encode()))
-	}
-	old := append(v1, b[len(v1):]...)
-	if _, err := DecodeCut(old); !errors.Is(err, ErrBadCut) || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("a v1 CUT: %v, want ErrBadCut for its magic", err)
+	hn := len(c.Header.encode())
+	for _, magic := range []string{"flowkv-cut-v1", "flowkv-cut-v2"} {
+		p := binio.PutString(nil, magic)
+		p = binio.PutUvarint(binio.PutUvarint(p, uint64(c.Pattern)), uint64(c.Instances))
+		p = binio.PutUvarint(binio.PutString(p, ""), uint64(c.Depth))
+		oldHeader := binio.AppendRecord(nil, p)
+		if len(oldHeader) != hn+1 {
+			t.Fatalf("%s header of %d bytes, v3 of %d: want one parent-length byte more", magic, len(oldHeader), hn)
+		}
+		old := append(oldHeader, b[hn:]...)
+		if _, err := DecodeCut(old); !errors.Is(err, ErrBadCut) || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("a %s CUT: %v, want ErrBadCut for its magic", magic, err)
+		}
 	}
 }
 
@@ -130,7 +134,7 @@ func TestV1CutIsRejected(t *testing.T) {
 func TestDecodeCutRejects(t *testing.T) {
 	b := sampleCut(t)
 	c, err := DecodeCut(b)
-	if err != nil || c.Instances != 2 || c.Parent != "gen-000003" || len(c.Files) != 2 || len(c.Files[0].Files) != 1 {
+	if err != nil || c.Instances != 2 || c.Depth != 2 || len(c.Files) != 2 || len(c.Files[0].Files) != 1 {
 		t.Fatalf("sample decodes to %+v, %v", c, err)
 	}
 	if meta, ok, err := c.Record(AppMeta); !ok || err != nil || string(meta) != "meta" {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -280,5 +281,69 @@ func TestRestoreRejectsInstanceWithoutSegments(t *testing.T) {
 			}
 			o.verify(t, "broken-parent-child", dst)
 		})
+	}
+}
+
+// listedNames returns the base names ListCheckpoints reports under parent,
+// failing the test on a listing error or a checkpoint that does not
+// verify.
+func listedNames(t *testing.T, parent string) []string {
+	t.Helper()
+	infos, err := ListCheckpoints(nil, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ci := range infos {
+		if ci.Err != nil {
+			t.Fatalf("%s: %v", ci.Path, ci.Err)
+		}
+		names = append(names, filepath.Base(ci.Path))
+	}
+	return names
+}
+
+// A crash mid-checkpoint leaves its "<name>.tmp" staging directory, whose
+// CUT was started but never finished; ListCheckpoints skips it and lists
+// only what committed. A crash between the commit's two renames leaves
+// the previous checkpoint at "<name>.old", the only complete copy, and that
+// stays listed.
+func TestListCheckpointsSkipsStagingDebris(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS)
+	s := openStore(t, AggHolistic, window.Fixed, Options{Instances: 2, WriteBufferBytes: 256, FS: inj})
+	fillStore(t, s, 200)
+	parent := filepath.Join(t.TempDir(), "cp")
+	if err := s.Checkpoint(filepath.Join(parent, "gen-1")); err != nil {
+		t.Fatal(err)
+	}
+
+	// The CUT's header is its first write, the first section its second.
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpWrite, PathContains: filepath.Join("gen-2.tmp", ckpt.CutName), Nth: 2, Crash: true})
+	if err := s.CheckpointDelta(filepath.Join(parent, "gen-2"), filepath.Join(parent, "gen-1"), nil); err == nil {
+		t.Fatal("checkpoint survived a crash mid-CUT")
+	}
+	if !inj.Fired() {
+		t.Fatal("CUT write fault did not fire")
+	}
+	inj.Reset()
+	if _, err := ckpt.ReadCut(faultfs.OS, filepath.Join(parent, "gen-2.tmp")); err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the crash left no half-written CUT in gen-2.tmp: %v", err)
+	}
+	if got := listedNames(t, parent); len(got) != 1 || got[0] != "gen-1" {
+		t.Fatalf("after a crash mid-cut, listed %v, want [gen-1]", got)
+	}
+
+	// Re-cut gen-1 and crash at its second rename, gen-1.tmp onto gen-1,
+	// after gen-1 moved aside to gen-1.old.
+	inj.SetRule(faultfs.Rule{Op: faultfs.OpRename, PathContains: "gen-1", Nth: 2, Crash: true})
+	if err := s.Checkpoint(filepath.Join(parent, "gen-1")); err == nil {
+		t.Fatal("checkpoint survived a crash at its commit rename")
+	}
+	if !inj.Fired() {
+		t.Fatal("commit rename fault did not fire")
+	}
+	inj.Reset()
+	if got := listedNames(t, parent); len(got) != 1 || got[0] != "gen-1.old" {
+		t.Fatalf("after a crash between the renames, listed %v, want [gen-1.old]", got)
 	}
 }

@@ -135,17 +135,12 @@ type Options struct {
 	// fan-out: GetWindow drains, Flush, Sync, and checkpoint writes.
 	// 1 runs those serially. Default min(4, Instances).
 	Parallelism int
-	// RetainCheckpoints keeps the K newest verified checkpoints among the
-	// siblings of each Checkpoint target directory, garbage-collecting
-	// older ones after a successful checkpoint. 0 disables retention GC.
-	// Generations a kept incremental checkpoint still references through
-	// its parent chain are retained as well.
-	RetainCheckpoints int
 	// MaxDeltaChain caps the incremental-checkpoint chain depth: when a
 	// CheckpointDelta would exceed it, the checkpoint is written as a
-	// fresh full base instead. The cap bounds the parent chain that
-	// retention GC keeps alive behind a surviving checkpoint, and that a
-	// chain walk (CheckpointChain, flowkvctl) reads. Default 16; negative
+	// fresh full base instead. The cap is the rebase cadence, and it
+	// bounds the pieces a restore concatenates: a delta cut links its
+	// parent's segments of a log and adds at most one new tail, so a log
+	// spans at most MaxDeltaChain+1 segment files. Default 16; negative
 	// disables incremental checkpoints entirely (every CheckpointDelta is
 	// full).
 	MaxDeltaChain int
@@ -277,14 +272,6 @@ type Store struct {
 	// cap — recovered media must not inherit Degraded-era pessimism.
 	retryCaps []atomic.Int64
 
-	// inflightParents refcounts the parent checkpoints that concurrent
-	// CheckpointDelta calls are currently hard-linking against, keyed by
-	// cleaned path. Retention GC never removes a registered directory:
-	// without the guard, one chain's post-commit GC could unlink the
-	// segments another chain's in-flight delta resolved moments earlier.
-	gcMu            sync.Mutex
-	inflightParents map[string]int
-
 	writeErrs   metrics.Counter
 	readErrs    metrics.Counter
 	readRetries metrics.Counter
@@ -299,13 +286,11 @@ type Store struct {
 	ckptCopiedBytes metrics.Counter
 
 	// Scrub accounting (see scrub.go): files/bytes verified clean,
-	// corrupt targets found, live-log tails healed in place, and
-	// checkpoint directories under quarantine.
-	scrubFiles       metrics.Counter
-	scrubBytes       metrics.Counter
-	scrubCorrupt     metrics.Counter
-	scrubHealed      metrics.Counter
-	scrubQuarantined metrics.Counter
+	// corrupt targets found, and live-log tails healed in place.
+	scrubFiles   metrics.Counter
+	scrubBytes   metrics.Counter
+	scrubCorrupt metrics.Counter
+	scrubHealed  metrics.Counter
 }
 
 // windowDrain is an in-progress parallel GetWindow drain of one window:
@@ -828,15 +813,13 @@ type Stats struct {
 	CkptLinkedBytes int64
 	CkptCopiedBytes int64
 	// ScrubbedFiles and ScrubbedBytes total the data scrub sweeps have
-	// verified clean; ScrubCorrupt counts targets found corrupt,
-	// ScrubHealed counts live-log tails repaired in place, and
-	// ScrubQuarantined counts checkpoint directories seen under
-	// quarantine (cumulative across sweeps).
-	ScrubbedFiles    int64
-	ScrubbedBytes    int64
-	ScrubCorrupt     int64
-	ScrubHealed      int64
-	ScrubQuarantined int64
+	// verified clean; ScrubCorrupt counts targets found corrupt and
+	// ScrubHealed live-log tails repaired in place (cumulative across
+	// sweeps).
+	ScrubbedFiles int64
+	ScrubbedBytes int64
+	ScrubCorrupt  int64
+	ScrubHealed   int64
 	// Per-op I/O latency quantiles, measured at the logfile descriptors
 	// (buffered-write flushes, positional reads, fsyncs) across every
 	// instance since open.
@@ -872,7 +855,6 @@ func (s *Store) Stats() Stats {
 	st.ScrubbedBytes = s.scrubBytes.Load()
 	st.ScrubCorrupt = s.scrubCorrupt.Load()
 	st.ScrubHealed = s.scrubHealed.Load()
-	st.ScrubQuarantined = s.scrubQuarantined.Load()
 	for _, inst := range s.insts {
 		inst.addStats(&st)
 	}

