@@ -7,7 +7,7 @@
 //
 //	flowkvctl ls    <store-dir>        # list files with sizes and kinds (a checkpoint: CUT and segment files)
 //	flowkvctl aur   <aur-*.log file>   # flush number, keys, windows and value counts per block of an AUR segment
-//	flowkvctl aar   <win_*.log file>   # keys and tuples per flush chunk of an AAR per-window log
+//	flowkvctl aar   <win_*.log file>   # keys, values and on-disk and decoded bytes per flush chunk of an AAR per-window log
 //	flowkvctl rmw   <rmw-*.log file>   # flush number, key, window and aggregate bytes per entry of an RMW segment
 //	flowkvctl health <store-dir>       # offline log integrity scan
 //	flowkvctl checkpoints <parent-dir> # list and verify checkpoints, each with its chain depth (base or dN)
@@ -185,26 +185,30 @@ func cmdAUR(path string) error {
 }
 
 func cmdAAR(path string) error {
-	fmt.Println("#   keys  tuples  bytes   first-key")
-	var keys, tuples int
+	fmt.Println("#   keys  values   bytes  decoded   first-key")
+	var chunks, keys, values, disk, decoded int
 	err := scanRecords(path, func(i int, _ int64, payload []byte) error {
-		var n int
 		var firstKey []byte
-		k, err := aar.DecodeChunk(payload, func(key []byte, vals [][]byte) {
-			if n == 0 {
-				firstKey = append(firstKey, key...)
+		info, err := aar.DecodeChunk(payload, func(key []byte, _ [][]byte) {
+			if firstKey == nil {
+				firstKey = append([]byte{}, key...)
 			}
-			n += len(vals)
 		})
 		if err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
-		keys += k
-		tuples += n
-		fmt.Printf("%-3d %5d %7d %6d   %s\n", i, k, n, len(payload), firstKey)
+		n := len(payload) + binio.RecordOverhead(len(payload))
+		chunks, keys, values = chunks+1, keys+info.Keys, values+info.Values
+		disk, decoded = disk+n, decoded+info.Decoded
+		fmt.Printf("%-3d %5d %7d %7d %8d   %s\n", i, info.Keys, info.Values, n, info.Decoded, firstKey)
 		return nil
 	})
-	fmt.Printf("%d keys, %d tuples total\n", keys, tuples)
+	perValue := 0.0
+	if values > 0 {
+		perValue = float64(disk) / float64(values)
+	}
+	fmt.Printf("%s: %d chunks, %d keys, %d values, %d bytes on disk, %d decoded, %.2f B a value\n",
+		filepath.Base(path), chunks, keys, values, disk, decoded, perValue)
 	return err
 }
 

@@ -609,16 +609,32 @@ func TestAARPrintsKeysAndTuplesPerChunk(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	printed := captureStdout(t, func() error { return cmdAAR(filepath.Join(dir, "win_0_100.log")) })
+	path := filepath.Join(dir, "win_0_100.log")
+	printed := captureStdout(t, func() error { return cmdAAR(path) })
 	lines := strings.Split(strings.TrimSpace(printed), "\n")
-	if len(lines) != 4 || lines[3] != "8 keys, 20 tuples total" {
+	if len(lines) != 4 {
 		t.Fatalf("printed %q", printed)
 	}
+	decoded := 0
 	for i, want := range [][]string{{"0", "3", "10"}, {"1", "5", "10"}} {
 		f := strings.Fields(lines[1+i])
-		if len(f) != 5 || f[0] != want[0] || f[1] != want[1] || f[2] != want[2] || f[4] != "user-00" {
-			t.Errorf("chunk row %d = %q, want # keys tuples = %v, first key user-00", i, lines[1+i], want)
+		if len(f) != 6 || f[0] != want[0] || f[1] != want[1] || f[2] != want[2] || f[5] != "user-00" {
+			t.Errorf("chunk row %d = %q, want # keys values = %v, first key user-00", i, lines[1+i], want)
+			continue
 		}
+		n, _ := strconv.Atoi(f[4])
+		decoded += n
+	}
+	// The window's line: on-disk bytes are the whole file, frames
+	// included, and the decoded bytes the chunks' bodies.
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("win_0_100.log: 2 chunks, 8 keys, 20 values, %d bytes on disk, %d decoded, %.2f B a value",
+		st.Size(), decoded, float64(st.Size())/20)
+	if lines[3] != want {
+		t.Errorf("window line %q, want %q", lines[3], want)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // Deflated payloads. A payload written once and read only whole — a sink
-// ledger block, a checkpoint's application metadata — is stored as a raw
-// deflate stream (RFC 1951) at flate.BestSpeed. The stream carries no
-// checksum of its own: the frame around it does.
+// ledger block, a checkpoint's application metadata, an AAR flush chunk —
+// is stored as a raw deflate stream (RFC 1951): at flate.BestSpeed
+// (Deflate), or Huffman-only a block a column (DeflateBlocks). The stream
+// carries no checksum of its own: the frame around it does.
 //
 // Output is a pure function of the input within one build: every call
 // resets a pooled writer, and a reset writer emits what a fresh one
@@ -36,24 +37,62 @@ var writers = sync.Pool{New: func() any {
 	return w
 }}
 
+var huffWriters = sync.Pool{New: func() any {
+	w, err := flate.NewWriter(nil, flate.HuffmanOnly)
+	if err != nil {
+		panic(err) // HuffmanOnly is a valid level
+	}
+	return w
+}}
+
 // Deflate appends the deflate stream of p to dst. It fails only when p is
 // longer than MaxInflated.
 func Deflate(dst, p []byte) ([]byte, error) {
-	if len(p) > MaxInflated {
-		return dst, fmt.Errorf("binio: deflate: %d-byte payload exceeds the %d-byte cap", len(p), MaxInflated)
-	}
-	w := writers.Get().(*flate.Writer)
-	defer writers.Put(w)
-	return deflateWith(w, dst, p), nil
+	return deflatePooled(&writers, dst, p)
 }
 
-// deflateWith appends the deflate stream of p to dst, written by w after a
-// reset.
-func deflateWith(w *flate.Writer, dst, p []byte) []byte {
+// DeflateBlocks appends to dst one deflate stream holding parts back to
+// back, each Huffman-coded in blocks of its own (or stored, where coding
+// would not pay) with no string matching. It is for payloads laid out in
+// columns: a column coded with its own table costs little more than its
+// entropy, where one table over every column costs their mix, and
+// skipping the match search roughly halves the CPU of a deflate at
+// flate.BestSpeed. Each part past the first costs a sync marker of 4 to
+// 5 bytes. The stream inflates, through Inflate, to the parts
+// concatenated. Like Deflate's, its bytes are a pure function of the
+// parts within one build, and it fails only when they hold more than
+// MaxInflated bytes.
+func DeflateBlocks(dst []byte, parts ...[]byte) ([]byte, error) {
+	return deflatePooled(&huffWriters, dst, parts...)
+}
+
+// deflatePooled appends the deflate stream of parts to dst, written by a
+// writer from pool.
+func deflatePooled(pool *sync.Pool, dst []byte, parts ...[]byte) ([]byte, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxInflated {
+		return dst, fmt.Errorf("binio: deflate: %d-byte payload exceeds the %d-byte cap", n, MaxInflated)
+	}
+	w := pool.Get().(*flate.Writer)
+	defer pool.Put(w)
+	return deflateWith(w, dst, parts...), nil
+}
+
+// deflateWith appends the deflate stream of parts to dst, written by w
+// after a reset, each part past the first in blocks of its own.
+func deflateWith(w *flate.Writer, dst []byte, parts ...[]byte) []byte {
 	out := bytes.NewBuffer(dst)
 	w.Reset(out)
 	// Writes to a bytes.Buffer never fail, so neither does w.
-	_, _ = w.Write(p)
+	for i, p := range parts {
+		if i > 0 {
+			_ = w.Flush()
+		}
+		_, _ = w.Write(p)
+	}
 	_ = w.Close()
 	return out.Bytes()
 }
@@ -65,13 +104,34 @@ func Inflate(dst, src []byte) ([]byte, error) {
 	return InflateAtMost(dst, src, MaxInflated)
 }
 
+// inflater is a pooled reader: a decompressor, whose 32 KiB window and
+// Huffman tables a reset keeps, and the source it reads.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
 // InflateAtMost is Inflate with a cap of limit bytes, for a payload whose
 // writer bounds it tighter than MaxInflated. It never allocates room for
 // more than limit+1 of them: dst grows only as the stream delivers bytes,
-// and reading one byte past the cap is what detects it.
+// and reading one byte past the cap is what detects it. A dst with room
+// for the payload and one byte more is never reallocated.
 func InflateAtMost(dst, src []byte, limit int) ([]byte, error) {
-	r := bytes.NewReader(src)
-	fr := flate.NewReader(r)
+	z := inflaters.Get().(*inflater)
+	defer func() {
+		z.src.Reset(nil) // hold no reference to src in the pool
+		inflaters.Put(z)
+	}()
+	r, fr := &z.src, z.fr
+	r.Reset(src)
+	// Resetting to a bytes.Reader, an io.ByteReader, allocates nothing.
+	_ = fr.(flate.Resetter).Reset(r, nil)
 	base := len(dst)
 	for {
 		if len(dst) == cap(dst) {

@@ -139,8 +139,8 @@ func TestDeflateWriterResetMatchesFresh(t *testing.T) {
 	check("past the offset wraparound")
 }
 
-// TestDeflateConcurrent: goroutines sharing the idle writers each get
-// the bytes a lone caller gets.
+// TestDeflateConcurrent: goroutines sharing the idle writers and readers
+// each get the bytes a lone caller gets.
 func TestDeflateConcurrent(t *testing.T) {
 	ps := deflatePayloads()
 	want := make([][]byte, len(ps))
@@ -157,6 +157,10 @@ func TestDeflateConcurrent(t *testing.T) {
 				z, err := Deflate(nil, ps[i])
 				if err != nil || !bytes.Equal(z, want[i]) {
 					t.Errorf("goroutine %d, payload %d: %d bytes, %v; want %d", g, i, len(z), err, len(want[i]))
+					return
+				}
+				if p, err := Inflate(nil, z); err != nil || !bytes.Equal(p, ps[i]) {
+					t.Errorf("goroutine %d, payload %d: inflated %d bytes, %v; want %d", g, i, len(p), err, len(ps[i]))
 					return
 				}
 			}
@@ -207,4 +211,62 @@ func FuzzInflate(f *testing.F) {
 			t.Fatalf("round trip: %d bytes, %v; want %d", len(back), err, len(out))
 		}
 	})
+}
+
+// TestInflateReusesReaders: inflate resets a pooled decompressor rather
+// than building one per call (a fresh one is five allocations, its
+// 32 KiB window among them), so inflating into a dst with room for the
+// payload allocates nothing. The repetitive records are left out: a
+// dynamic Huffman block whose codes run past 9 bits makes compress/flate
+// allocate link tables for that block, pooled reader or not.
+func TestInflateReusesReaders(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled readers at random")
+	}
+	ps := deflatePayloads()
+	for i, p := range [][]byte{ps[0], ps[1], ps[2], ps[4]} {
+		z := mustDeflate(t, nil, p)
+		dst := make([]byte, 0, len(p)+1)
+		allocs := testing.AllocsPerRun(100, func() {
+			got, err := InflateAtMost(dst, z, len(p))
+			if err != nil || len(got) != len(p) {
+				t.Fatalf("payload %d: %d bytes, %v", i, len(got), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("payload %d: %.1f allocations an inflate, want 0", i, allocs)
+		}
+	}
+}
+
+// TestDeflateBlocks: the stream inflates to the parts back to back, is a
+// pure function of them, and codes each part with a table of its own, so
+// parts of unlike bytes take fewer bytes than the same bytes deflated as
+// one payload by Deflate.
+func TestDeflateBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	digits, small, noise := make([]byte, 6000), make([]byte, 6000), make([]byte, 6000)
+	for i := range digits {
+		digits[i] = '0' + byte(rng.Intn(10))
+		small[i] = byte(rng.Intn(3))
+		noise[i] = byte(rng.Intn(256))
+	}
+	for _, parts := range [][][]byte{nil, {nil}, {[]byte("x")}, {nil, []byte("ab"), nil}, {digits, small, noise}} {
+		z, err := DeflateBlocks([]byte("head"), parts...)
+		if err != nil || !bytes.HasPrefix(z, []byte("head")) {
+			t.Fatalf("%d parts: %v, or dst not appended to", len(parts), err)
+		}
+		got, err := Inflate(nil, z[4:])
+		if want := bytes.Join(parts, nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d parts: inflated %d bytes, %v; want %d", len(parts), len(got), err, len(want))
+		}
+		if again, _ := DeflateBlocks([]byte("head"), parts...); !bytes.Equal(again, z) {
+			t.Fatalf("%d parts: a second call wrote other bytes", len(parts))
+		}
+	}
+	blocks, _ := DeflateBlocks(nil, digits, small, noise)
+	whole := mustDeflate(t, nil, bytes.Join([][]byte{digits, small, noise}, nil))
+	if len(blocks) >= len(whole) {
+		t.Fatalf("parts in blocks of their own took %d bytes, one stream %d", len(blocks), len(whole))
+	}
 }

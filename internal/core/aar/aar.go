@@ -15,7 +15,10 @@
 // window's log holds only what spilled; the tail still buffered when the
 // window fires is served from memory, so a window that never filled the
 // buffer is never written at all. Each flush writes a bucket as chunks
-// grouped by key, keys prefix-coded (chunk.go).
+// grouped by key, each chunk's keys, value counts, value lengths and
+// values laid out as columns and deflated whole (chunk.go): a log is read
+// only whole and in order, so a chunk costs one inflate when its window
+// fires and nothing in between.
 //
 // # Concurrency
 //
@@ -62,12 +65,13 @@ type Options struct {
 	// LoadPartitionBytes bounds the size of each partition returned by
 	// GetWindow (gradual state loading). Default 4 MiB.
 	LoadPartitionBytes int64
-	// FlushChunkBytes bounds the size of each on-disk chunk written at
-	// flush; larger chunks amortize framing. Default 64 KiB.
+	// FlushChunkBytes bounds the size of each flush chunk before
+	// deflate; larger chunks amortize framing and give deflate more
+	// context. Default 64 KiB.
 	FlushChunkBytes int64
 	// FineGrained cuts flush chunks per key (one chunk per key per
-	// flush), the naive layout the paper's coarse-grained design
-	// replaces. Ablation only.
+	// flush, deflated like any other), the naive layout the paper's
+	// coarse-grained design replaces. Ablation only.
 	FineGrained bool
 	// FS is the filesystem seam; nil means the real OS filesystem.
 	// Fault-injection tests substitute a faultfs.Injector.
@@ -143,6 +147,13 @@ type Store struct {
 	buf      map[window.Window]*bucket
 	bufBytes int64
 	closed   bool
+	// tuples is the block the buffered tuples are copied into, filled
+	// up to its length; a full one is left to the entries pointing into
+	// it and replaced.
+	tuples []byte
+	// spare holds emptied entry slices of flushed or drained buckets
+	// (keepSpareLocked).
+	spare [][]kvPair
 
 	// ioMu serializes file state: flushes, scans, drops, checkpoints.
 	// Never acquired while holding mu.
@@ -155,8 +166,9 @@ type Store struct {
 	// file's epoch still matches: drop-then-recreate of the same window
 	// changes the epoch and forces a full copy of that file.
 	epochs map[window.Window]uint64
-	// chunk is the flush chunk encode buffer.
+	// chunk and enc are the flush chunk encode buffers.
 	chunk []byte
+	enc   chunkEncoder
 
 	// syncMu admits one split sync at a time; held around (not under)
 	// ioMu so the fsyncs run with ioMu released.
@@ -202,10 +214,6 @@ func (s *Store) Append(key, value []byte, w window.Window) error {
 }
 
 func (s *Store) append(key, value []byte, w window.Window) error {
-	kc := make([]byte, len(key))
-	copy(kc, key)
-	vc := make([]byte, len(value))
-	copy(vc, value)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -214,9 +222,12 @@ func (s *Store) append(key, value []byte, w window.Window) error {
 	b := s.buf[w]
 	if b == nil {
 		b = &bucket{}
+		if n := len(s.spare); n > 0 {
+			b.entries, s.spare = s.spare[n-1], s.spare[:n-1]
+		}
 		s.buf[w] = b
 	}
-	b.entries = append(b.entries, kvPair{kc, vc})
+	b.entries = append(b.entries, s.copyTuple(key, value))
 	sz := int64(len(key) + len(value) + 32)
 	b.bytes += sz
 	s.bufBytes += sz
@@ -230,6 +241,29 @@ func (s *Store) append(key, value []byte, w window.Window) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	return s.flushAllLocked()
+}
+
+// tupleBlock is the size of the blocks Append copies tuples into, so that
+// a small tuple costs no allocation of its own.
+const tupleBlock = 16 << 10
+
+// copyTuple copies key and value into the current tuple block, or into an
+// allocation of their own when they would take more than a quarter of
+// one. Caller holds mu.
+func (s *Store) copyTuple(key, value []byte) kvPair {
+	n := len(key) + len(value)
+	var kv []byte
+	if n > tupleBlock/4 {
+		kv = make([]byte, 0, n)
+	} else {
+		if cap(s.tuples)-len(s.tuples) < n {
+			s.tuples = make([]byte, 0, tupleBlock)
+		}
+		kv = s.tuples[len(s.tuples):]
+		s.tuples = s.tuples[:len(s.tuples)+n]
+	}
+	kv = append(append(kv, key...), value...)
+	return kvPair{kv[:len(key):len(key)], kv[len(key):n:n]}
 }
 
 // flushAllLocked detaches the whole write buffer under mu and spills
@@ -262,9 +296,27 @@ func (s *Store) flushAllLocked() error {
 			return err
 		}
 		delete(batch, w)
+		s.mu.Lock()
+		s.keepSpareLocked(b.entries)
+		s.mu.Unlock()
 	}
 	s.flushes.Inc()
 	return nil
+}
+
+// maxSpare bounds the entry slices kept for new buckets.
+const maxSpare = 4
+
+// keepSpareLocked keeps, while fewer than maxSpare are kept, the entry
+// slice of a bucket that was flushed or drained, emptied, for the next
+// bucket an append opens: it then fills an array left behind instead of
+// growing a new one from nothing. The values handed out alias the tuple
+// blocks, not the slice. Caller holds mu.
+func (s *Store) keepSpareLocked(entries []kvPair) {
+	if len(s.spare) < maxSpare && cap(entries) > 0 {
+		clear(entries) // the tuples go with the bucket
+		s.spare = append(s.spare, entries[:0])
+	}
 }
 
 // reattach returns the unflushed entries of a failed batch to the live
@@ -332,9 +384,9 @@ func (s *Store) flushBucket(w window.Window, b *bucket) ([]kvPair, error) {
 }
 
 // writeChunks sorts entries stably by key, so each key keeps its arrival
-// order, and appends them to l as flush chunks of about FlushChunkBytes —
-// the paper's coarse-grained layout, data organized by window — or, in
-// the FineGrained ablation, one chunk per key. It returns the entries the
+// order, and appends them to l as flush chunks of about FlushChunkBytes
+// before deflate — the paper's coarse-grained layout, data organized by
+// window — or, in the FineGrained ablation, one chunk per key. It returns the entries the
 // log did not accept, a suffix of the sorted entries, and the offset just
 // past the last chunk it accepted.
 func (s *Store) writeChunks(l *logfile.Log, entries []kvPair) ([]kvPair, int64, error) {
@@ -343,15 +395,19 @@ func (s *Store) writeChunks(l *logfile.Log, entries []kvPair) ([]kvPair, int64, 
 	start, size := 0, int64(0)
 	for i, e := range entries {
 		if i == start || !bytes.Equal(e.k, entries[i-1].k) {
-			size += int64(len(e.k)) + 2
+			size += int64(len(e.k)) + 3
 		}
 		size += int64(len(e.v)) + 1
 		if i+1 < len(entries) && size < s.opts.FlushChunkBytes &&
 			!(s.opts.FineGrained && !bytes.Equal(e.k, entries[i+1].k)) {
 			continue
 		}
-		s.chunk = encodeChunk(s.chunk[:0], entries[start:i+1])
-		off, n, err := l.Append(s.chunk)
+		chunk, err := s.enc.encode(s.chunk[:0], entries[start:i+1])
+		if err != nil {
+			return entries[start:], end, err
+		}
+		s.chunk = chunk
+		off, n, err := l.Append(chunk)
 		if err != nil {
 			return entries[start:], end, err
 		}
@@ -475,13 +531,13 @@ func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 			}
 			break
 		}
-		rec := append([]byte(nil), rs.sc.Record()...) // values alias the copy
-		off = rs.sc.Offset()
-		p.bytes += int64(len(rec))
-		if _, err := DecodeChunk(rec, p.add); err != nil {
+		info, err := DecodeChunk(rs.sc.Record(), p.add)
+		if err != nil {
 			rs.closeScan()
 			return nil, fmt.Errorf("aar: window %v: %w", w, err)
 		}
+		off = rs.sc.Offset()
+		p.bytes += int64(info.Decoded)
 	}
 	rs.off = off
 	if rs.sc == nil && p.bytes < limit {
@@ -494,6 +550,7 @@ func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 			} else if len(p.part) == 0 {
 				s.bufBytes -= b.bytes
 				delete(s.buf, w)
+				s.keepSpareLocked(b.entries)
 			}
 		}
 		s.mu.Unlock()
@@ -626,7 +683,7 @@ func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) (
 			return nil, err
 		}
 		for sc.Scan() {
-			if _, err := DecodeChunk(append([]byte(nil), sc.Record()...), add); err != nil {
+			if _, err := DecodeChunk(sc.Record(), add); err != nil {
 				sc.Close()
 				return nil, fmt.Errorf("aar: window %v: %w", w, err)
 			}

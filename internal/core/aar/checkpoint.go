@@ -52,7 +52,8 @@ func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 // Each per-window log is materialized by concatenating its segments, and
 // the file epochs carry over, so the delta chain can continue across a
 // restart. A log whose first record is not a flush chunk — one written
-// in the earlier count-prefixed layout — fails with a *ChunkError.
+// in an earlier layout, the undeflated tag-0 rows or the count-prefixed
+// records before them — fails with a *ChunkError.
 func (s *Store) Restore(src *ckpt.Source) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()

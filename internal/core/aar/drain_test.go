@@ -248,3 +248,51 @@ func TestFlushBetweenGetWindowCalls(t *testing.T) {
 		})
 	}
 }
+
+// The buffer copies tuples into shared blocks and hands a flushed or
+// drained bucket's entry array to the next bucket. Neither may reach what
+// a drain returned: values served from memory and from disk stay as they
+// were while later windows fill, spill and drain, through appends from a
+// caller that reuses its buffers.
+func TestServedValuesOutliveBufferReuse(t *testing.T) {
+	s := openTest(t, Options{WriteBufferBytes: 2048, LoadPartitionBytes: 1 << 20})
+	var served []KeyValues
+	want := map[string]bool{}
+	key, val := make([]byte, 8), make([]byte, 12)
+	for round := int64(0); round < 6; round++ {
+		w := window.Window{Start: round, End: round + 1}
+		for i := 0; i < 300; i++ {
+			copy(key, fmt.Sprintf("k%07d", i%37))
+			copy(val, fmt.Sprintf("r%d-v%09d", round, i))
+			if err := s.Append(key, val, w); err != nil {
+				t.Fatal(err)
+			}
+			want[string(key)+"="+string(val)] = true
+		}
+		for {
+			part, err := s.GetWindow(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part == nil {
+				break
+			}
+			served = append(served, part...)
+		}
+	}
+	n := 0
+	for _, kv := range served {
+		for _, v := range kv.Values {
+			if !want[string(kv.Key)+"="+string(v)] {
+				t.Fatalf("served %q=%q, never appended (or overwritten since)", kv.Key, v)
+			}
+			n++
+		}
+	}
+	if n != len(want) {
+		t.Fatalf("served %d values, appended %d", n, len(want))
+	}
+	if s.Flushes() == 0 {
+		t.Fatal("no window spilled")
+	}
+}

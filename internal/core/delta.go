@@ -58,7 +58,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 		return err
 	}
 	fsys := s.opts.FS
-	tmp := dir + ".tmp"
+	tmp := dir + stagingSuffix
 	old := dir + ".old"
 	// A previous commit that moved dir aside and then failed (or crashed)
 	// left the only complete snapshot at old: put it back before clearing.

@@ -188,6 +188,16 @@ type CheckpointInfo struct {
 	Err error
 }
 
+// stagingSuffix ends the name of the directory CheckpointDelta writes a
+// checkpoint into before its commit renames it onto the checkpoint's own.
+const stagingSuffix = ".tmp"
+
+// IsCheckpointStaging reports whether a directory name is a checkpoint's
+// staging name. A crash mid-cut leaves one holding a CUT that never
+// committed: debris the next checkpoint clears, not a checkpoint to list
+// or verify.
+func IsCheckpointStaging(name string) bool { return strings.HasSuffix(name, stagingSuffix) }
+
 // ListCheckpoints scans the immediate subdirectories of parent and
 // returns one CheckpointInfo per directory holding a CUT, each fully
 // verified against it (every segment file's size and CRC32C), sorted
@@ -207,7 +217,7 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 	}
 	var out []CheckpointInfo
 	for _, e := range ents {
-		if !e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+		if !e.IsDir() || IsCheckpointStaging(e.Name()) {
 			continue
 		}
 		dir := filepath.Join(parent, e.Name())

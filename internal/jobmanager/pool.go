@@ -545,7 +545,9 @@ func probeSlotMedia(s Slot) error {
 // scrubSlotFiles is the default idle-slot scrub: it walks the slot
 // directory, frame-verifies every ".log" file and verifies every
 // checkpoint directory against its CUT. A torn log tail is a crash
-// artifact, not corruption. Quarantined checkpoint directories were
+// artifact, not corruption, and so is a checkpoint's staging directory
+// (core.IsCheckpointStaging), whose CUT a crash mid-cut may have left
+// half written: both are skipped. Quarantined checkpoint directories were
 // already detected and handled upstream, so they are skipped rather than
 // re-reported forever.
 func scrubSlotFiles(s Slot) error {
@@ -575,7 +577,7 @@ func scrubTree(fsys faultfs.FS, dir string) error {
 	for _, e := range ents {
 		path := filepath.Join(dir, e.Name())
 		if e.IsDir() {
-			if core.IsQuarantined(fsys, path) {
+			if core.IsCheckpointStaging(e.Name()) || core.IsQuarantined(fsys, path) {
 				continue
 			}
 			if err := scrubTree(fsys, path); err != nil {

@@ -1,6 +1,7 @@
 package jobmanager
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,9 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"flowkv/internal/ckpt"
+	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
+	"flowkv/internal/window"
 )
 
 func writeSlotLog(t *testing.T, dir, name string, n int) string {
@@ -131,4 +135,42 @@ func TestProberSkipsBusySlots(t *testing.T) {
 	// Releasing the tenant makes the slot idle; the rot is then found.
 	p.Release("tenant-1", "a")
 	waitStatus(t, p, "a", func(s SlotStatus) bool { return !s.Healthy }, "scrub after release")
+}
+
+// A job that crashed mid-cut leaves the cut's staging directory
+// ("<cut>.tmp") in the slot, its CUT half written. The idle scrub skips
+// it, as core.ListCheckpoints does, so the slot does not fail as corrupt
+// over debris; rot in a committed cut still fails it.
+func TestScrubSkipsCheckpointStaging(t *testing.T) {
+	slot := t.TempDir()
+	s, err := core.Open(core.AggHolistic, window.Fixed, core.Options{
+		Dir: filepath.Join(t.TempDir(), "store"), Instances: 2, WriteBufferBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Destroy()
+	for i := 0; i < 100; i++ {
+		if err := s.Append([]byte(fmt.Sprintf("k%02d", i%7)), []byte("v"), window.Window{Start: 0, End: 100}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := filepath.Join(slot, "job", "gen-000001")
+	for _, cut := range []string{"s00-w00", "s00-w01", "s00-w00.tmp"} {
+		if err := s.Checkpoint(filepath.Join(gen, cut)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(filepath.Join(gen, "s00-w00.tmp", ckpt.CutName), 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := scrubSlotFiles(Slot{ID: "a", Dir: slot}); err != nil {
+		t.Fatalf("scrub over a staging directory: %v", err)
+	}
+
+	if err := faultfs.CorruptAtRest(nil, filepath.Join(gen, "s00-w01", ckpt.CutName), faultfs.CorruptBitFlip, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := scrubSlotFiles(Slot{ID: "a", Dir: slot}); !errors.Is(err, core.ErrCheckpointInvalid) {
+		t.Fatalf("scrub over a rotten committed cut: %v, want ErrCheckpointInvalid", err)
+	}
 }
