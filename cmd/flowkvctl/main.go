@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	flowkvctl ls    <store-dir>        # list files with sizes and kinds (a checkpoint: CUT and segment files)
+//	flowkvctl ls    <store-dir>        # list files with sizes and kinds (a checkpoint: CUT and the files it links)
 //	flowkvctl aur   <aur-*.log file>   # flush number, keys, windows and value counts per block of an AUR segment
 //	flowkvctl aar   <win_*.log file>   # keys, values and on-disk and decoded bytes per flush chunk of an AAR per-window log
 //	flowkvctl rmw   <rmw-*.log file>   # flush number, key, window and aggregate bytes per entry of an RMW segment
 //	flowkvctl health <store-dir>       # offline log integrity scan
-//	flowkvctl checkpoints <parent-dir> # list and verify checkpoints, each with its chain depth (base or dN)
+//	flowkvctl checkpoints <parent-dir> # list and verify checkpoints
 //	flowkvctl job <job-dir>            # inspect a job's committed progress
 //	flowkvctl job <job-dir> <par>      # additionally: can it resume at <par> workers?
 //	flowkvctl migration <job-dir>      # live-migration journal and routing tables
@@ -110,18 +110,16 @@ func cmdLs(dir string) error {
 // id.
 var segmentLog = regexp.MustCompile(`^(inst-\d{2}\.)?(aur|rmw)-(\d{6})\.log`)
 
-// segmentName matches a checkpoint segment file,
-// "inst-NN.<logical>.seg-<offset>" (ckpt.InstPrefix, ckpt.SegmentName),
-// capturing the logical file it is a slice of and the offset in it where
-// the slice starts.
-var segmentName = regexp.MustCompile(`^inst-\d{2}\.(.+)\.seg-(\d{12})$`)
+// checkpointFile matches a checkpoint's file, "inst-NN.<logical>"
+// (ckpt.FileName), capturing the live file it holds.
+var checkpointFile = regexp.MustCompile(`^inst-\d{2}\.(.+)$`)
 
 // fileKind names what a store or checkpoint file holds, from its file
-// name alone: live logs by their prefix, checkpoint segments by the
-// logical file they slice, and the fixed-name files.
+// name alone: live logs by their prefix, a checkpoint's files by the live
+// file each holds, and the fixed-name files.
 func fileKind(name string) string {
 	logical, suffix := name, "-log"
-	if m := segmentName.FindStringSubmatch(name); m != nil {
+	if m := checkpointFile.FindStringSubmatch(name); m != nil {
 		logical, suffix = m[1], "-seg"
 	}
 	switch {
@@ -378,11 +376,9 @@ func cmdHealth(dir string) error {
 }
 
 // cmdCheckpoints lists every checkpoint under parent, verifying each
-// against its CUT (file sizes and CRC32C checksums). The chain column
-// reads "base" for a full checkpoint and "dN" for an incremental one N
-// links above its base; where its parent lives is not recorded (a job's
-// generation N cut links against generation N-1's), and it needs none of
-// it to restore. Staging directories a crash left mid-cut are not listed.
+// against its CUT (file sizes and CRC32C checksums). Each is whole: its
+// parent is not recorded, and it needs none of it to restore. Staging
+// directories a crash left mid-cut are not listed.
 func cmdCheckpoints(parent string) error {
 	infos, err := core.ListCheckpoints(nil, parent)
 	if err != nil {
@@ -392,7 +388,7 @@ func cmdCheckpoints(parent string) error {
 		fmt.Println("no checkpoints found")
 		return nil
 	}
-	fmt.Println("checkpoint            pattern  inst  files       size       age  chain  status")
+	fmt.Println("checkpoint            pattern  inst  files       size       age  status")
 	var invalid int
 	for _, ci := range infos {
 		status := "verified"
@@ -404,13 +400,9 @@ func cmdCheckpoints(parent string) error {
 		if !ci.ModTime.IsZero() {
 			age = time.Since(ci.ModTime).Round(time.Second).String()
 		}
-		chain := "base"
-		if ci.Depth > 0 {
-			chain = fmt.Sprintf("d%d", ci.Depth)
-		}
-		fmt.Printf("%-20s  %-7s %5d %6d %10s %9s  %-5s  %s\n",
+		fmt.Printf("%-20s  %-7s %5d %6d %10s %9s  %s\n",
 			filepath.Base(ci.Path), ci.Pattern, ci.Instances, ci.Files,
-			metrics.FormatBytes(ci.SizeBytes), age, chain, status)
+			metrics.FormatBytes(ci.SizeBytes), age, status)
 	}
 	if invalid > 0 {
 		return fmt.Errorf("%d of %d checkpoints failed verification", invalid, len(infos))

@@ -319,7 +319,7 @@ func TestHealthReportsRMWLiveShare(t *testing.T) {
 	if err := st.Checkpoint(ck); err != nil {
 		t.Fatal(err)
 	}
-	cut, _ := filepath.Glob(filepath.Join(ck, "inst-*.rmw-*.log.seg-*"))
+	cut, _ := filepath.Glob(filepath.Join(ck, "inst-*.rmw-*.log"))
 	printed := captureStdout(t, func() error { return cmdHealth(ck) })
 	listed, live := liveShares(t, printed, "entries")
 	if listed != len(cut) || live != len(cut) || !strings.Contains(printed, "% live") || strings.Count(printed, "100% live") == listed {
@@ -609,7 +609,7 @@ func TestAARPrintsKeysAndTuplesPerChunk(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "win_0_100.log")
+	path := filepath.Join(dir, "win_0_100.0.log")
 	printed := captureStdout(t, func() error { return cmdAAR(path) })
 	lines := strings.Split(strings.TrimSpace(printed), "\n")
 	if len(lines) != 4 {
@@ -631,23 +631,27 @@ func TestAARPrintsKeysAndTuplesPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("win_0_100.log: 2 chunks, 8 keys, 20 values, %d bytes on disk, %d decoded, %.2f B a value",
+	want := fmt.Sprintf("win_0_100.0.log: 2 chunks, 8 keys, 20 values, %d bytes on disk, %d decoded, %.2f B a value",
 		st.Size(), decoded, float64(st.Size())/20)
 	if lines[3] != want {
 		t.Errorf("window line %q, want %q", lines[3], want)
 	}
 }
 
-// flowkvctl checkpoints prints each checkpoint's chain depth: a job's
-// generation N cuts read dN-1. A crash mid-cut leaves a ".tmp" staging
-// directory with a half-written CUT; the listing skips it and exits 0.
+// flowkvctl checkpoints prints one verified row for each worker cut of a
+// job's generations, with no chain column: every checkpoint is whole. A
+// crash mid-cut leaves a ".tmp" staging directory with a half-written
+// CUT; the listing skips it and exits 0.
 func TestCheckpointsPrintsDepthAndSkipsStaging(t *testing.T) {
 	job := killedJobRetaining(t, 2)
-	for gen, want := range map[int64]string{2: "d1", 3: "d2"} {
+	for _, gen := range []int64{2, 3} {
 		out := captureStdout(t, func() error { return cmdCheckpoints(filepath.Join(job, spe.GenDirName(gen))) })
+		if strings.Contains(out, "chain") {
+			t.Errorf("generation %d: the listing still has a chain column:\n%s", gen, out)
+		}
 		for _, worker := range []string{"s01-w00", "s01-w01"} {
-			if !regexp.MustCompile(`(?m)^` + worker + `\s.*\s` + want + `\s+verified$`).MatchString(out) {
-				t.Errorf("generation %d: no row %s ... %s verified:\n%s", gen, worker, want, out)
+			if !regexp.MustCompile(`(?m)^` + worker + `\s+\S+\s+\d+\s+\d+\s+\S+\s+\S+\s+verified$`).MatchString(out) {
+				t.Errorf("generation %d: no row %s pattern inst files size age verified:\n%s", gen, worker, out)
 			}
 		}
 	}

@@ -18,13 +18,13 @@ import (
 // a constant-size batch per round for many rounds (so live state at the
 // last barrier is ~rounds× the state at the first) and commits a
 // checkpoint at every barrier under three modes — "full" calls
-// Checkpoint, the parentless base path, which rewrites the whole store
-// each time, "incr" hard-links the parent's sealed segments
-// and rewrites only the delta but still fsyncs each file as it is
-// written, and "incr+group" additionally batches all fsyncs into one
-// group-commit window per barrier. The claim under test: full commit
-// cost grows with total state while incremental commit cost tracks the
-// per-barrier delta and stays flat as state grows 100x.
+// Checkpoint, the parentless path, which links every file from the live
+// directory, "incr" links what the parent holds from there but fsyncs
+// each instance's files as it is cut, and "incr+group" additionally
+// batches all fsyncs into one group-commit window per barrier. Every cut
+// seals its open logs and links them, so the bytes a commit writes are
+// its CUT sections alone in every mode. The claim under test: those stay
+// flat as state grows 100x.
 
 type deltaPoint struct {
 	Round       int     `json:"round"`
@@ -106,13 +106,10 @@ func runDeltaWorkload(base string, p core.Pattern, mode string, rounds, perRound
 		wkind = window.Session
 	}
 	opts := core.Options{
-		Dir:              dir,
-		Instances:        instances,
-		WriteBufferBytes: 4 << 20,
-		Predictor:        window.SessionPredictor{Gap: 1000},
-		// Chain length is the rebase cadence; the bench measures the
-		// steady incremental price, so keep the whole run on one chain.
-		MaxDeltaChain:      rounds + 1,
+		Dir:                dir,
+		Instances:          instances,
+		WriteBufferBytes:   4 << 20,
+		Predictor:          window.SessionPredictor{Gap: 1000},
 		DisableGroupCommit: mode == "incr",
 	}
 	st, err := core.OpenPattern(p, wkind, opts)

@@ -1,24 +1,22 @@
 // Package ckpt holds the checkpoint machinery shared by the three store
-// patterns. A checkpoint directory is one CUT file plus segment files: it
-// records each logical store file as an ordered list of sealed segment
-// files, flat in the directory under the instance's prefix. Segments
-// inherited from the previous checkpoint generation are hard-linked into
-// the new directory (copy fallback when the filesystem refuses links),
-// and only the bytes written since the last barrier are materialized as a
-// fresh tail segment. Each instance's files section of the CUT describes
-// the mapping — logical name, a file epoch identifying the live file the
-// segments were cut from, and each segment's length and CRC32C — so a
-// later checkpoint can decide reuse against it and a restore can
-// concatenate the segments back into live logs. Every checkpoint
-// directory stays physically self-contained: links keep the shared inodes
-// alive even after the parent generation is deleted.
+// patterns. A checkpoint directory is one CUT file plus, flat beside it, one
+// file for every store file an instance's files section names, under the
+// instance's prefix (FileName). Paper §8 has a snapshot be the store's own
+// files once in-memory data is flushed: a store seals its open logs at a cut,
+// so every file a checkpoint names is whole and never written again, and each
+// is hard-linked — from the parent checkpoint when that holds the same file,
+// else from the live directory — and copied only where the filesystem
+// refuses links. No cut copies store data. A files section records per file
+// its logical name, a file epoch telling the live file from another of its
+// name, its length and its CRC32C, so a later cut can link from it and a
+// restore can link each file back. Every checkpoint directory stays
+// physically self-contained: links keep the shared inodes alive after the
+// parent is deleted.
 package ckpt
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -28,50 +26,35 @@ import (
 )
 
 // metaMagic versions the files section's encoding; its header record is
-// the magic alone.
-const metaMagic = "flowkv-segments-v2"
+// the magic alone. v3 describes each file as one whole file.
+const metaMagic = "flowkv-segments-v3"
 
 // ErrBadMeta reports an undecodable or inconsistent files section.
 var ErrBadMeta = errors.New("ckpt: invalid files section")
 
-// Segment is one sealed slice of a logical file, stored as its own file
-// inside the checkpoint directory.
-type Segment struct {
-	// Name is the segment's file name in the checkpoint directory.
-	Name string
-	// Len is the segment's exact byte length.
+// FileState describes one store file a checkpoint holds whole.
+type FileState struct {
+	// Logical is the live file's name.
+	Logical string
+	// Epoch identifies the live file instance: a cut links a file from its
+	// parent only while the live file's epoch still matches the parent's
+	// recorded one, so a file dropped and recreated under its name, or
+	// created by a store reopened without a restore, is never mistaken for
+	// the parent's.
+	Epoch uint64
+	// Len is the file's exact byte length, CRC the CRC32C of its bytes.
 	Len int64
-	// CRC is the CRC32C of the segment's contents.
 	CRC uint32
 }
 
-// FileState describes one logical store file as an ordered segment list.
-type FileState struct {
-	// Logical is the live file name the segments reassemble into.
-	Logical string
-	// Epoch identifies the live file instance the segments were cut
-	// from. A checkpoint may extend a parent's segment list only when
-	// the live file's epoch still matches the parent's recorded epoch;
-	// a mismatch (the file was dropped and recreated, or the store was
-	// reopened without a restore) forces a full copy of that file.
-	Epoch uint64
-	// Segments is the ordered list; their concatenation is the logical
-	// file's content at the cut.
-	Segments []Segment
-}
-
-// TotalLen returns the logical file's length (the sum of segment lengths).
-func (f *FileState) TotalLen() int64 {
-	var n int64
-	for _, s := range f.Segments {
-		n += s.Len
-	}
-	return n
-}
+// FileName is the name of instance inst's file logical in a checkpoint
+// directory.
+func FileName(inst int, logical string) string { return InstPrefix(inst) + logical }
 
 // Meta is the decoded files section of one instance in a checkpoint.
 type Meta struct {
-	// Files lists every logical file, sorted by logical name.
+	// Files lists every file, in the order the cut recorded them; no
+	// logical name appears twice.
 	Files []FileState
 }
 
@@ -89,13 +72,6 @@ func (m *Meta) File(logical string) *FileState {
 	return nil
 }
 
-// Rand64 returns a random file epoch. Uniqueness is probabilistic; epochs
-// only need to avoid colliding across the handful of file generations a
-// checkpoint chain can reference.
-func Rand64() uint64 {
-	return rand.Uint64()
-}
-
 // Encode serializes the meta: a header record then one record per file,
 // CRC-framed through binio.
 func (m *Meta) Encode() []byte {
@@ -104,20 +80,18 @@ func (m *Meta) Encode() []byte {
 	for _, f := range m.Files {
 		payload = binio.PutString(payload[:0], f.Logical)
 		payload = binio.PutUvarint(payload, f.Epoch)
-		payload = binio.PutUvarint(payload, uint64(len(f.Segments)))
-		for _, s := range f.Segments {
-			payload = binio.PutString(payload, s.Name)
-			payload = binio.PutUvarint(payload, uint64(s.Len))
-			payload = binio.PutUint32(payload, s.CRC)
-		}
+		payload = binio.PutUvarint(payload, uint64(f.Len))
+		payload = binio.PutUint32(payload, f.CRC)
 		buf = binio.AppendRecord(buf, payload)
 	}
 	return buf
 }
 
 // DecodeMeta parses a files section. It never panics, whatever the
-// input; malformed bytes yield ErrBadMeta, wrapping the frame's error
-// (a *binio.FrameError for a corrupt frame) when a record fails to read.
+// input; malformed bytes — and a section naming one logical file twice,
+// which the encoder never writes and File could not tell apart — yield
+// ErrBadMeta, wrapping the frame's error (a *binio.FrameError for a
+// corrupt frame) when a record fails to read.
 func DecodeMeta(b []byte) (*Meta, error) {
 	// A cursor over the current record: a failed decode consumes nothing
 	// and clears ok; a record that fails to read leaves its error in rerr.
@@ -153,33 +127,31 @@ func DecodeMeta(b []byte) (*Meta, error) {
 		return bad("bad magic")
 	}
 	m := &Meta{}
+	seen := make(map[string]bool)
 	for len(b) > 0 {
 		if !next() {
 			return bad("corrupt file record")
 		}
-		fs := FileState{Logical: str(), Epoch: uvarint()}
-		count := uvarint()
-		if !ok || count > uint64(len(rec)) {
+		f := FileState{Logical: str(), Epoch: uvarint(), Len: int64(uvarint())}
+		crc, err := binio.Uint32(rec)
+		if !ok || err != nil || len(rec) != 4 || f.Len < 0 {
 			return bad("truncated file record")
 		}
-		for ; count > 0; count-- {
-			seg := Segment{Name: str(), Len: int64(uvarint())}
-			if !ok || len(rec) < 4 {
-				return bad("truncated segment")
-			}
-			seg.CRC, _ = binio.Uint32(rec)
-			rec = rec[4:]
-			fs.Segments = append(fs.Segments, seg)
+		if seen[f.Logical] {
+			return bad(fmt.Sprintf("file %q named twice", f.Logical))
 		}
-		m.Files = append(m.Files, fs)
+		seen[f.Logical] = true
+		f.CRC = crc
+		m.Files = append(m.Files, f)
 	}
 	return m, nil
 }
 
 // Result is what an instance's cut hands back to the composite store: the
-// segment files that still need an fsync before the commit rename (written
-// or copied data, and links of bytes not yet durable), and byte accounting
-// for the Stats counters.
+// files that still need an fsync before the commit rename (copies, and
+// links of bytes not yet durable), and byte accounting for the Stats
+// counters: the files linked or copied, and the CUT sections the cut
+// wrote, which count as copied.
 type Result struct {
 	NeedSync    []string
 	LinkedBytes int64
@@ -187,16 +159,15 @@ type Result struct {
 }
 
 // Cut is one instance's part of a checkpoint while it is being written:
-// its segment files, flat in the checkpoint directory under the
-// instance's prefix, and its sections of the CUT file. parent is the
-// instance's files section in the previous generation, rooted at
-// parentDir. Nothing a Cut writes is fsynced — Finish's Result names
-// every segment that still needs a sync, and the composite store batches
-// those into one group-commit window before the checkpoint's atomic
-// rename.
+// its files, flat in the checkpoint directory under the instance's prefix,
+// and its sections of the CUT file. parent is the instance's files section
+// in the previous generation, rooted at parentDir. Nothing a Cut writes is
+// fsynced — Finish's Result names every file that still needs a sync, and
+// the composite store batches those into one group-commit window before
+// the checkpoint's atomic rename.
 type Cut struct {
 	w         *Writer
-	prefix    string
+	inst      int
 	parent    *Meta
 	parentDir string
 	meta      Meta
@@ -205,85 +176,44 @@ type Cut struct {
 
 // Begin starts instance inst's cut in w's directory. parent is that
 // instance's files section in the previous generation rooted at
-// parentDir; nil means there is nothing to reuse and every file is
-// written in full.
+// parentDir; nil means there is nothing to link from but the live
+// directory.
 func (w *Writer) Begin(inst int, parent *Meta, parentDir string) *Cut {
-	return &Cut{w: w, prefix: InstPrefix(inst), parent: parent, parentDir: parentDir}
+	return &Cut{w: w, inst: inst, parent: parent, parentDir: parentDir}
 }
 
-// InstPrefix prefixes the names of instance inst's segment files and
-// sections in a checkpoint.
+// InstPrefix prefixes the names of instance inst's files and sections in
+// a checkpoint.
 func InstPrefix(inst int) string { return fmt.Sprintf("inst-%02d.", inst) }
 
-// linkFile hard-links src into the cut as seg (copy fallback). A link is as
-// durable as src, so it joins the sync window unless durable; a copy does.
-func (c *Cut) linkFile(src string, seg Segment, durable bool) error {
-	dst := filepath.Join(c.w.dir, seg.Name)
-	linked, err := faultfs.LinkOrCopy(c.w.fsys, src, dst)
+// Link records the sealed live file at path, size bytes never to be
+// written again, hard-linked (copy fallback): from the parent when it
+// holds the same file — same epoch, length and CRC — as a link of
+// committed bytes is durable, else from path, durable saying whether its
+// bytes are on disk yet. crc is what its writer appended, not a read of
+// the file, so rot already on disk fails the checkpoint's verification. A
+// link is as durable as its source, so it joins the sync window unless
+// durable; a copy always does.
+func (c *Cut) Link(logical string, epoch uint64, path string, size int64, crc uint32, durable bool) error {
+	f := FileState{Logical: logical, Epoch: epoch, Len: size, CRC: crc}
+	name := FileName(c.inst, logical)
+	if p := c.parent.File(logical); p != nil && *p == f {
+		path, durable = filepath.Join(c.parentDir, name), true
+	}
+	dst := filepath.Join(c.w.dir, name)
+	linked, err := faultfs.LinkOrCopy(c.w.fsys, path, dst)
 	if err != nil {
 		return err
 	}
 	if linked {
-		c.res.LinkedBytes += seg.Len
+		c.res.LinkedBytes += size
 	} else {
-		c.res.CopiedBytes += seg.Len
+		c.res.CopiedBytes += size
 	}
 	if !linked || !durable {
 		c.res.NeedSync = append(c.res.NeedSync, dst)
 	}
-	return nil
-}
-
-// Link records the sealed live file at path, size bytes never to be
-// written again, hard-linked: from the parent when it holds the whole file
-// (Log then copies nothing), else from path, durable saying whether its
-// bytes are on disk yet. crc is what its writer appended, not a read of
-// the file, so rot already on disk fails the checkpoint's verification.
-func (c *Cut) Link(logical string, epoch uint64, path string, size int64, crc uint32, durable bool) error {
-	if p := c.parent.File(logical); p != nil && p.Epoch == epoch && p.TotalLen() == size {
-		return c.Log(logical, epoch, path, size)
-	}
-	seg := Segment{Name: c.prefix + SegmentName(logical, 0), Len: size, CRC: crc}
-	c.meta.Files = append(c.meta.Files, FileState{Logical: logical, Epoch: epoch, Segments: []Segment{seg}})
-	return c.linkFile(path, seg, durable)
-}
-
-// Log records the live log file at path (size bytes, already flushed to
-// its descriptor) under the logical name. When the parent still
-// describes a prefix of the file — same epoch, recorded length not past
-// the live size — the parent's segments are linked across and only the
-// appended tail is copied; otherwise the file is copied whole as a
-// single segment.
-func (c *Cut) Log(logical string, epoch uint64, path string, size int64) error {
-	fstate := FileState{Logical: logical, Epoch: epoch}
-	var from int64
-	// A parent with zero recorded bytes is not reused: its (empty)
-	// segment list would put the fresh tail at offset 0 and collide with
-	// any zero-offset segment name. An empty live file simply records no
-	// segments — Materialize recreates it empty.
-	if p := c.parent.File(logical); p != nil && p.Epoch == epoch &&
-		p.TotalLen() > 0 && p.TotalLen() <= size {
-		// The parent committed its segments, so their links are durable.
-		for _, seg := range p.Segments {
-			if err := c.linkFile(filepath.Join(c.parentDir, seg.Name), seg, true); err != nil {
-				return err
-			}
-		}
-		fstate.Segments = append(fstate.Segments, p.Segments...)
-		from = p.TotalLen()
-	}
-	if tail := size - from; tail > 0 {
-		name := c.prefix + SegmentName(logical, from)
-		dst := filepath.Join(c.w.dir, name)
-		crc, err := copyRange(c.w.fsys, path, from, tail, dst)
-		if err != nil {
-			return err
-		}
-		fstate.Segments = append(fstate.Segments, Segment{Name: name, Len: tail, CRC: crc})
-		c.res.NeedSync = append(c.res.NeedSync, dst)
-		c.res.CopiedBytes += tail
-	}
-	c.meta.Files = append(c.meta.Files, fstate)
+	c.meta.Files = append(c.meta.Files, f)
 	return nil
 }
 
@@ -299,7 +229,7 @@ func (c *Cut) Put(kind string, frames []byte) error {
 // section writes the instance's section kind from fn, counting its bytes
 // as copied.
 func (c *Cut) section(kind string, fn func(write func([]byte)) error) error {
-	return c.w.Stream(c.prefix+kind, func(write func([]byte)) error {
+	return c.w.Stream(InstPrefix(c.inst)+kind, func(write func([]byte)) error {
 		return fn(func(p []byte) {
 			write(p)
 			c.res.CopiedBytes += int64(len(p))
@@ -356,80 +286,12 @@ func (c *Cut) Stream(kind string, write func(emit func(rec []byte)) error) error
 	})
 }
 
-// Finish writes the instance's files section — every logical file it
-// recorded, as segment lists — and returns the cut's Result. Describing
-// data rather than being it, the section stays out of the copied-byte
-// accounting.
+// Finish writes the instance's files section — every file it linked —
+// and returns the cut's Result. Describing data rather than being it, the
+// section stays out of the copied-byte accounting.
 func (c *Cut) Finish() (*Result, error) {
-	if err := c.w.Put(c.prefix+KindFiles, c.meta.Encode()); err != nil {
+	if err := c.w.Put(InstPrefix(c.inst)+KindFiles, c.meta.Encode()); err != nil {
 		return nil, err
 	}
 	return &c.res, nil
-}
-
-// copyRange copies src's bytes [off, off+n) into a fresh file at dst in
-// 256 KiB reads and writes, returning the CRC32C of the written bytes.
-func copyRange(fsys faultfs.FS, src string, off, n int64, dst string) (uint32, error) {
-	in, err := fsys.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	out, err := fsys.Create(dst)
-	if err != nil {
-		return 0, err
-	}
-	var crc crcWriter
-	copied, err := io.CopyBuffer(io.MultiWriter(out, &crc), io.NewSectionReader(in, off, n), make([]byte, 256<<10))
-	if err == nil && copied != n {
-		err = io.ErrUnexpectedEOF
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	return uint32(crc), err
-}
-
-// crcWriter accumulates the CRC32C of what is written to it.
-type crcWriter uint32
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	*c = crcWriter(binio.ChecksumUpdate(uint32(*c), p))
-	return len(p), nil
-}
-
-// SegmentName names the segment of a logical file starting at offset
-// off. Offsets are zero-padded so lexical order is offset order.
-func SegmentName(logical string, off int64) string {
-	return fmt.Sprintf("%s.seg-%012d", logical, off)
-}
-
-// Materialize concatenates a logical file's segments from dir into a
-// fresh file at dst, verifying each segment's recorded length. The
-// result is not fsynced: it becomes a live log whose durability the
-// store's own sync discipline governs.
-func Materialize(fsys faultfs.FS, dir string, fstate *FileState, dst string) error {
-	out, err := fsys.Create(dst)
-	if err != nil {
-		return err
-	}
-	for _, seg := range fstate.Segments {
-		in, err := fsys.Open(filepath.Join(dir, seg.Name))
-		if err != nil {
-			out.Close()
-			return err
-		}
-		n, err := io.Copy(out, in)
-		in.Close()
-		if err != nil {
-			out.Close()
-			return err
-		}
-		if n != seg.Len {
-			out.Close()
-			return fmt.Errorf("%w: segment %s is %d bytes, the files section says %d",
-				ErrBadMeta, seg.Name, n, seg.Len)
-		}
-	}
-	return out.Close()
 }

@@ -14,16 +14,14 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/faultfs"
+	"flowkv/internal/logfile"
 )
 
 func sampleMeta() *Meta {
 	return &Meta{Files: []FileState{
-		{Logical: "data.log", Epoch: 7, Segments: []Segment{
-			{Name: "data.log.seg-000000000000", Len: 4096, CRC: 0xdeadbeef},
-			{Name: "data.log.seg-000000004096", Len: 17, CRC: 1},
-		}},
+		{Logical: "data.log", Epoch: 7, Len: 4096, CRC: 0xdeadbeef},
 		{Logical: "index.log", Epoch: 7},
-		{Logical: "stat.dlt", Epoch: 1 << 63, Segments: []Segment{{Name: "stat.dlt.seg-000000000000", Len: 1, CRC: 0}}},
+		{Logical: "stat.dlt", Epoch: 1 << 63, Len: 1, CRC: 0},
 	}}
 }
 
@@ -36,8 +34,8 @@ func TestMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip = %+v, want %+v", got, want)
 	}
-	if n := got.File("data.log").TotalLen(); n != 4096+17 {
-		t.Errorf("TotalLen = %d", n)
+	if f := got.File("data.log"); f == nil || f.Len != 4096 {
+		t.Errorf("File(data.log) = %+v", f)
 	}
 	if got.File("nope") != nil || (*Meta)(nil).File("data.log") != nil {
 		t.Error("File invented a logical file")
@@ -76,11 +74,32 @@ func TestDecodeMetaRejects(t *testing.T) {
 		t.Fatalf("wrong magic: %v, want ErrBadMeta", err)
 	}
 	// The v1 header carried a cut id after its magic: a v1 files section,
-	// and the v2 magic with a trailing cut id, are rejected.
+	// and this magic with a trailing cut id, are rejected. So is a v2
+	// section, which described a file as a list of segments.
 	for _, magic := range []string{"flowkv-segments-v1", metaMagic} {
 		v1 := binio.AppendRecord(nil, binio.PutUvarint(binio.PutString(nil, magic), 0xfeedface))
 		if _, err := DecodeMeta(v1); !errors.Is(err, ErrBadMeta) {
 			t.Fatalf("%s header with a cut id: %v, want ErrBadMeta", magic, err)
+		}
+	}
+	v2 := append(binio.AppendRecord(nil, binio.PutString(nil, "flowkv-segments-v2")), enc[len(binio.AppendRecord(nil, binio.PutString(nil, metaMagic))):]...)
+	if _, err := DecodeMeta(v2); !errors.Is(err, ErrBadMeta) {
+		t.Fatalf("a v2 files section: %v, want ErrBadMeta", err)
+	}
+}
+
+// TestDecodeMetaRejectsDuplicateFile: a files section naming one logical
+// file twice is not one the encoder writes, and Meta.File would silently
+// answer with the first: it fails with ErrBadMeta, whichever the epochs.
+func TestDecodeMetaRejectsDuplicateFile(t *testing.T) {
+	for _, second := range []FileState{
+		{Logical: "data.log", Epoch: 7, Len: 4096, CRC: 0xdeadbeef},
+		{Logical: "data.log", Epoch: 8, Len: 12, CRC: 1},
+	} {
+		m := sampleMeta()
+		m.Files = append(m.Files, second)
+		if got, err := DecodeMeta(m.Encode()); !errors.Is(err, ErrBadMeta) {
+			t.Fatalf("data.log named twice (second %+v): %+v, %v; want ErrBadMeta", second, got, err)
 		}
 	}
 }
@@ -122,42 +141,52 @@ func oneCut(t testing.TB, fsys faultfs.FS, parent *Meta, parentDir string, fn fu
 	return c, res, dir
 }
 
-// cutLog takes one cut of the live file at path into a fresh directory
-// against parent, and checks the result restores to the live bytes.
-func cutLog(t *testing.T, fsys faultfs.FS, path string, epoch uint64, parent *Meta, parentDir string) (*Meta, *Result, string) {
+// linkCut takes one cut linking the live file at path, sealed at its size
+// and whose bytes durable says are on disk, into a fresh directory against
+// parent, and checks the checkpoint holds it whole and nothing else.
+func linkCut(t *testing.T, fsys faultfs.FS, path string, epoch uint64, durable bool, parent *Meta, parentDir string) (*Meta, *Result, string) {
 	t.Helper()
 	live, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, res, dir := oneCut(t, fsys, parent, parentDir, func(cut *Cut) error {
-		return cut.Log("x.log", epoch, path, int64(len(live)))
+		return cut.Link("x.log", epoch, path, int64(len(live)), binio.Checksum(live), durable)
 	})
 	meta := c.Files[0]
-	out := filepath.Join(t.TempDir(), "restored")
-	if err := Materialize(fsys, dir, meta.File("x.log"), out); err != nil {
-		t.Fatal(err)
+	want := FileState{Logical: "x.log", Epoch: epoch, Len: int64(len(live)), CRC: binio.Checksum(live)}
+	if f := meta.File("x.log"); f == nil || *f != want {
+		t.Fatalf("files section holds %+v, want %+v", f, want)
 	}
-	if got, _ := os.ReadFile(out); !bytes.Equal(got, live) {
-		t.Fatalf("Materialize gave %d bytes, live file has %d", len(got), len(live))
+	if got, _ := os.ReadFile(filepath.Join(dir, FileName(0, "x.log"))); !bytes.Equal(got, live) {
+		t.Fatalf("the checkpoint's file holds %d bytes, the live file %d", len(got), len(live))
 	}
-	// Every file in the directory but the CUT is a segment it names.
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1+len(meta.File("x.log").Segments) {
-		t.Fatalf("%d files on disk, %d segments", len(ents), len(meta.File("x.log").Segments))
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("%d files on disk, want the CUT and x.log", len(ents))
 	}
 	return meta, res, dir
 }
 
-func segNames(m *Meta) []string {
-	var out []string
-	for _, s := range m.File("x.log").Segments {
-		out = append(out, s.Name)
+// sameInode reports whether the files at a and b are one inode.
+func sameInode(t *testing.T, a, b string) bool {
+	t.Helper()
+	ia, err := os.Stat(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	ib, err := os.Stat(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return os.SameFile(ia, ib)
 }
 
-func TestCutLog(t *testing.T) {
+// TestCutLink: a cut links a sealed file whole and copies none of it —
+// from the live directory, joining the sync window unless its bytes are
+// durable, or from a parent holding the same file (epoch, length and CRC),
+// whose link is durable; a filesystem that refuses links gets a copy,
+// counted as copied and synced.
+func TestCutLink(t *testing.T) {
 	fsys := faultfs.NewInjector(faultfs.OS)
 	path := filepath.Join(t.TempDir(), "x.log")
 	write := func(n int) {
@@ -166,71 +195,56 @@ func TestCutLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const seg0, seg100 = "inst-00.x.log.seg-000000000000", "inst-00.x.log.seg-000000000100"
-
-	// No parent: the whole file is one copied segment.
 	write(100)
-	base, res, baseDir := cutLog(t, fsys, path, 5, nil, "")
-	if got := segNames(base); !reflect.DeepEqual(got, []string{seg0}) {
-		t.Fatalf("base segments = %v", got)
-	}
-	if res.LinkedBytes != 0 || res.CopiedBytes != 100 || len(res.NeedSync) != 1 {
-		t.Fatalf("base: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
-	}
-
-	// The file grew under the same epoch: link the parent, copy the tail.
-	write(130)
-	child, res, childDir := cutLog(t, fsys, path, 5, base, baseDir)
-	if got := segNames(child); !reflect.DeepEqual(got, []string{seg0, seg100}) {
-		t.Fatalf("child segments = %v", got)
-	}
-	if res.LinkedBytes != 100 || res.CopiedBytes != 30 || len(res.NeedSync) != 1 {
-		t.Fatalf("child: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
+	for _, durable := range []bool{false, true} {
+		_, res, dir := linkCut(t, fsys, path, 5, durable, nil, "")
+		if res.LinkedBytes != 100 || res.CopiedBytes != 0 || len(res.NeedSync) != map[bool]int{false: 1, true: 0}[durable] {
+			t.Fatalf("durable=%v: linked %d copied %d needsync %v", durable, res.LinkedBytes, res.CopiedBytes, res.NeedSync)
+		}
+		if !sameInode(t, path, filepath.Join(dir, FileName(0, "x.log"))) {
+			t.Fatalf("durable=%v: the checkpoint's file is not the live inode", durable)
+		}
 	}
 
-	// Unchanged since the parent: everything links, nothing is copied.
-	same, res, _ := cutLog(t, fsys, path, 5, child, childDir)
-	if got := segNames(same); !reflect.DeepEqual(got, []string{seg0, seg100}) || res.LinkedBytes != 130 || res.CopiedBytes != 0 {
-		t.Fatalf("unchanged: segments %v linked %d copied %d", got, res.LinkedBytes, res.CopiedBytes)
+	// The parent holds the same file: linked from there, durable.
+	base, _, baseDir := linkCut(t, fsys, path, 5, false, nil, "")
+	write(100) // a new inode of the same bytes
+	_, res, dir := linkCut(t, fsys, path, 5, false, base, baseDir)
+	if res.LinkedBytes != 100 || res.CopiedBytes != 0 || len(res.NeedSync) != 0 {
+		t.Fatalf("from the parent: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
+	}
+	if !sameInode(t, filepath.Join(baseDir, FileName(0, "x.log")), filepath.Join(dir, FileName(0, "x.log"))) {
+		t.Fatal("not linked from the parent")
 	}
 
+	// Another epoch, length or CRC is another file: linked from live.
 	for _, tc := range []struct {
-		name   string
-		size   int
-		epoch  uint64
-		parent *Meta
+		name  string
+		size  int
+		epoch uint64
 	}{
-		{"epoch mismatch", 130, 6, base},
-		{"parent longer than live", 60, 5, base},
-		{"zero-length parent", 130, 5, &Meta{Files: []FileState{{Logical: "x.log", Epoch: 5}}}},
+		{"epoch mismatch", 100, 6},
+		{"length mismatch", 60, 5},
 	} {
 		write(tc.size)
-		m, res, _ := cutLog(t, fsys, path, tc.epoch, tc.parent, baseDir)
-		if got := segNames(m); !reflect.DeepEqual(got, []string{seg0}) {
-			t.Errorf("%s: segments = %v, want one full copy", tc.name, got)
-		}
-		if res.LinkedBytes != 0 || res.CopiedBytes != int64(tc.size) {
-			t.Errorf("%s: linked %d copied %d", tc.name, res.LinkedBytes, res.CopiedBytes)
+		_, res, dir := linkCut(t, fsys, path, tc.epoch, false, base, baseDir)
+		if len(res.NeedSync) != 1 || !sameInode(t, path, filepath.Join(dir, FileName(0, "x.log"))) {
+			t.Errorf("%s: needsync %v, or not linked from the live file", tc.name, res.NeedSync)
 		}
 	}
-
-	// An empty live file records no segment (a zero-length one would
-	// collide with the next cut's first segment name).
-	write(0)
-	empty, res, _ := cutLog(t, fsys, path, 5, base, baseDir)
-	if got := segNames(empty); got != nil || res.CopiedBytes != 0 || res.LinkedBytes != 0 {
-		t.Fatalf("empty live file: segments %v linked %d copied %d", got, res.LinkedBytes, res.CopiedBytes)
+	if err := os.WriteFile(path, bytes.Repeat([]byte("?"), 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, res, _ := linkCut(t, fsys, path, 5, false, base, baseDir); len(res.NeedSync) != 1 {
+		t.Errorf("CRC mismatch: needsync %v, want the live link", res.NeedSync)
 	}
 
-	// A filesystem that refuses links: the parent's segment is copied,
-	// counted as copied, and queued for the sync window with the tail.
-	write(130)
-	m, res, dir := cutLog(t, nolinkFS{faultfs.OS}, path, 5, base, baseDir)
-	if got := segNames(m); !reflect.DeepEqual(got, []string{seg0, seg100}) {
-		t.Fatalf("nolink segments = %v", got)
-	}
-	want := []string{filepath.Join(dir, seg0), filepath.Join(dir, seg100)}
-	if res.LinkedBytes != 0 || res.CopiedBytes != 130 || !reflect.DeepEqual(res.NeedSync, want) {
+	// A filesystem that refuses links: the file is copied, counted as
+	// copied, and queued for the sync window.
+	write(100)
+	_, res, dir = linkCut(t, nolinkFS{faultfs.OS}, path, 5, true, base, baseDir)
+	want := []string{filepath.Join(dir, FileName(0, "x.log"))}
+	if res.LinkedBytes != 0 || res.CopiedBytes != 100 || !reflect.DeepEqual(res.NeedSync, want) {
 		t.Fatalf("nolink: linked %d copied %d needsync %v", res.LinkedBytes, res.CopiedBytes, res.NeedSync)
 	}
 }
@@ -489,15 +503,28 @@ func TestReplayRejectsDamage(t *testing.T) {
 	}
 }
 
-func TestMaterializeLengthMismatch(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "s"), []byte("12345"), 0o644); err != nil {
+// TestRestoreLengthMismatch: a checkpoint's file whose length is not the
+// files section's fails its restore with ErrBadMeta, linked or copied.
+func TestRestoreLengthMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	if err := os.WriteFile(path, []byte("12345"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fstate := &FileState{Logical: "x", Segments: []Segment{{Name: "s", Len: 6}}}
-	err := Materialize(faultfs.OS, dir, fstate, filepath.Join(dir, "out"))
-	if !errors.Is(err, ErrBadMeta) {
-		t.Fatalf("short segment: %v, want ErrBadMeta", err)
+	c, _, dir := oneCut(t, faultfs.OS, nil, "", func(cut *Cut) error {
+		return cut.Link("x.log", 1, path, 6, 0, true)
+	})
+	for _, fsys := range []faultfs.FS{faultfs.OS, nolinkFS{faultfs.OS}} {
+		d, err := logfile.OpenDirFS(fsys, t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := c.Files[0].File("x.log")
+		err = c.Source(dir, 0).Restore(fsys, f, filepath.Join(d.Root(), "x.log"), func() (*logfile.Log, error) {
+			return d.OpenSealed("x.log", f.CRC)
+		})
+		if !errors.Is(err, ErrBadMeta) {
+			t.Fatalf("a 5-byte file the section says is 6: %v, want ErrBadMeta", err)
+		}
 	}
 }
 
@@ -510,19 +537,20 @@ func TestReadCutMissingIsAnError(t *testing.T) {
 // FuzzDecodeMeta: DecodeMeta never panics and fails only with ErrBadMeta;
 // whatever it accepts re-encodes to something it accepts again. Besides
 // the seeds added here, testdata/fuzz/FuzzDecodeMeta holds the files
-// section of an AUR store's cut (eleven segment logs and a Stat stream, as
-// it was) and a v1 header, which carried a cut id.
+// section of an AUR store's cut (segment logs, each one file) and a v1
+// header, which carried a cut id.
 func FuzzDecodeMeta(f *testing.F) {
-	// Seed with the files section of a real two-generation cut.
+	// Seed with the files sections of a two-generation cut.
 	path := filepath.Join(f.TempDir(), "x.log")
-	if err := os.WriteFile(path, bytes.Repeat([]byte("seed"), 64), 0o644); err != nil {
+	b := bytes.Repeat([]byte("seed"), 64)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		f.Fatal(err)
 	}
 	var parent *Meta
 	parentDir := ""
-	for _, size := range []int64{100, 256} {
+	for range 2 {
 		c, _, dir := oneCut(f, faultfs.OS, parent, parentDir, func(cut *Cut) error {
-			return cut.Log("x.log", 9, path, size)
+			return cut.Link("x.log", 9, path, int64(len(b)), binio.Checksum(b), false)
 		})
 		b, _ := c.Section(InstPrefix(0) + KindFiles)
 		f.Add(b)
@@ -530,6 +558,9 @@ func FuzzDecodeMeta(f *testing.F) {
 	}
 	f.Add(sampleMeta().Encode())
 	f.Add([]byte{})
+	dup := sampleMeta()
+	dup.Files = append(dup.Files, dup.Files[0])
+	f.Add(dup.Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMeta(b)
 		if err != nil {

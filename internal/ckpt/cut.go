@@ -10,18 +10,20 @@ import (
 
 	"flowkv/internal/binio"
 	"flowkv/internal/faultfs"
+	"flowkv/internal/logfile"
 )
 
 // CutName is the one file that describes a checkpoint directory: a header
 // frame, then sections, each a run of whole binio frames, then a table
 // frame naming every section with its offset, length and CRC32C, then an
 // 8-byte footer holding the table's offset. Everything else in the
-// directory is a segment file some instance's files section names.
+// directory is a file some instance's files section names.
 const CutName = "CUT"
 
 // cutMagic versions the CUT encoding: v2 deflated the chunks of a replay
-// stream, v3 drops the parent's name from the header.
-const cutMagic = "flowkv-cut-v3"
+// stream, v3 dropped the parent's name from the header, v4 its chain depth
+// — every file is whole, so nothing counts the cuts since a base.
+const cutMagic = "flowkv-cut-v4"
 
 // footerLen is the CUT's trailing table offset.
 const footerLen = 8
@@ -29,8 +31,8 @@ const footerLen = 8
 // The sections of an instance, each named InstPrefix(i)+kind, and the
 // checkpoint's application metadata.
 const (
-	// KindFiles is an instance's segment lists (Meta.Encode); every
-	// instance has one.
+	// KindFiles is an instance's files (Meta.Encode); every instance has
+	// one.
 	KindFiles = "files"
 	// KindLive is a segment store's liveness bitmaps (EncodeLiveness).
 	KindLive = "live"
@@ -46,19 +48,16 @@ const (
 var ErrBadCut = errors.New("ckpt: invalid CUT file")
 
 // Header is what a CUT says about the checkpoint as a whole: the store's
-// pattern and instance count and the incremental chain depth (0 for a
-// base).
+// pattern and instance count.
 type Header struct {
 	Pattern   int
 	Instances int
-	Depth     int
 }
 
 func (h Header) encode() []byte {
 	p := binio.PutString(nil, cutMagic)
 	p = binio.PutUvarint(p, uint64(h.Pattern))
-	p = binio.PutUvarint(p, uint64(h.Instances))
-	return binio.AppendRecord(nil, binio.PutUvarint(p, uint64(h.Depth)))
+	return binio.AppendRecord(nil, binio.PutUvarint(p, uint64(h.Instances)))
 }
 
 // Section is one entry of a CUT's table.
@@ -215,7 +214,7 @@ func DecodeCut(b []byte) (*CutFile, error) {
 	if str() != cutMagic || !ok {
 		return bad("bad magic", nil)
 	}
-	c := &CutFile{Header: Header{Pattern: num(), Instances: num(), Depth: num()}, b: b}
+	c := &CutFile{Header: Header{Pattern: num(), Instances: num()}, b: b}
 	end, at := len(b)-footerLen, uint64(0)
 	if end >= hn {
 		at, _ = binio.Uint64(b[end:])
@@ -309,9 +308,23 @@ func (c *CutFile) Record(name string) ([]byte, bool, error) {
 // Size is the CUT file's length.
 func (c *CutFile) Size() int64 { return int64(len(c.b)) }
 
+// EachFile hands fn every file the checkpoint's files sections name, with
+// its name in the checkpoint directory, instance by instance; it stops at
+// fn's first error and returns it.
+func (c *CutFile) EachFile(fn func(name string, f *FileState) error) error {
+	for i, m := range c.Files {
+		for j := range m.Files {
+			if err := fn(FileName(i, m.Files[j].Logical), &m.Files[j]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Source is one instance's part of a decoded checkpoint, what its Restore
-// reads: the segment files in Dir its files section Meta names, and its
-// other sections.
+// reads: the files in Dir its files section Meta names, and its other
+// sections.
 type Source struct {
 	Dir  string
 	Meta *Meta
@@ -333,6 +346,26 @@ func (s *Source) Section(kind string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: no %s section", ErrBadCut, name)
 	}
 	return b, nil
+}
+
+// Restore links the instance's file f back to the live file at dst — a
+// checkpoint's file is never written again, so the live store may share
+// its inode — and opens it with open, sealed; where links are refused it
+// is copied and the copy fsynced, as a later cut links it as durable. A
+// file whose length is not f.Len fails with ErrBadMeta.
+func (s *Source) Restore(fsys faultfs.FS, f *FileState, dst string, open func() (*logfile.Log, error)) error {
+	linked, err := faultfs.LinkOrCopy(fsys, filepath.Join(s.Dir, FileName(s.inst, f.Logical)), dst)
+	if err != nil {
+		return err
+	}
+	l, err := open()
+	if err == nil && !linked {
+		err = l.Sync()
+	}
+	if err == nil && l.Size() != f.Len {
+		err = fmt.Errorf("%w: %s is %d bytes, the files section says %d", ErrBadMeta, f.Logical, l.Size(), f.Len)
+	}
+	return err
 }
 
 // Replay hands fn the records of the instance's stream section kind in

@@ -13,21 +13,22 @@ import (
 )
 
 // sampleCut returns the CUT of a two-instance checkpoint: instance 0 a
-// copied log, a liveness section and a dump, instance 1 nothing, and an
+// linked log, a liveness section and a dump, instance 1 nothing, and an
 // appmeta section.
 func sampleCut(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.log")
-	if err := os.WriteFile(path, bytes.Repeat([]byte("seed"), 64), 0o644); err != nil {
+	live := bytes.Repeat([]byte("seed"), 64)
+	if err := os.WriteFile(path, live, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Create(faultfs.OS, dir, Header{Pattern: 2, Instances: 2, Depth: 2})
+	w, err := Create(faultfs.OS, dir, Header{Pattern: 2, Instances: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c0 := w.Begin(0, nil, "")
-	err = c0.Log("x.log", 9, path, 200)
+	err = c0.Link("x.log", 9, path, int64(len(live)), binio.Checksum(live), false)
 	if err == nil {
 		err = c0.Put(KindLive, EncodeLiveness([]SegLive{{ID: 3, Entries: 9, Bits: []byte{0x80, 0x01}}}))
 	}
@@ -102,9 +103,10 @@ func FuzzDecodeCut(f *testing.F) {
 
 // TestV1CutIsRejected: a CUT of an earlier layout fails its decode for
 // the header's magic — v1, whose dump chunks hold raw records, so its dump
-// never reaches Replay, and v2, whose header still names a parent. Each
-// old header, written as its layout wrote it with an empty parent, heads
-// this layout's sections and table.
+// never reaches Replay; v2, whose header still names a parent; and v3,
+// whose header counts the chain depth of a checkpoint whose files may be
+// lists of pieces. Each old header, written as its layout wrote it with an
+// empty parent and depth 2, heads this layout's sections and table.
 func TestV1CutIsRejected(t *testing.T) {
 	b := sampleCut(t)
 	c, err := DecodeCut(b)
@@ -112,14 +114,13 @@ func TestV1CutIsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	hn := len(c.Header.encode())
-	for _, magic := range []string{"flowkv-cut-v1", "flowkv-cut-v2"} {
+	for _, magic := range []string{"flowkv-cut-v1", "flowkv-cut-v2", "flowkv-cut-v3"} {
 		p := binio.PutString(nil, magic)
 		p = binio.PutUvarint(binio.PutUvarint(p, uint64(c.Pattern)), uint64(c.Instances))
-		p = binio.PutUvarint(binio.PutString(p, ""), uint64(c.Depth))
-		oldHeader := binio.AppendRecord(nil, p)
-		if len(oldHeader) != hn+1 {
-			t.Fatalf("%s header of %d bytes, v3 of %d: want one parent-length byte more", magic, len(oldHeader), hn)
+		if magic != "flowkv-cut-v3" {
+			p = binio.PutString(p, "")
 		}
+		oldHeader := binio.AppendRecord(nil, binio.PutUvarint(p, 2))
 		old := append(oldHeader, b[hn:]...)
 		if _, err := DecodeCut(old); !errors.Is(err, ErrBadCut) || !strings.Contains(err.Error(), "bad magic") {
 			t.Fatalf("a %s CUT: %v, want ErrBadCut for its magic", magic, err)
@@ -134,7 +135,7 @@ func TestV1CutIsRejected(t *testing.T) {
 func TestDecodeCutRejects(t *testing.T) {
 	b := sampleCut(t)
 	c, err := DecodeCut(b)
-	if err != nil || c.Instances != 2 || c.Depth != 2 || len(c.Files) != 2 || len(c.Files[0].Files) != 1 {
+	if err != nil || c.Instances != 2 || len(c.Files) != 2 || len(c.Files[0].Files) != 1 {
 		t.Fatalf("sample decodes to %+v, %v", c, err)
 	}
 	if meta, ok, err := c.Record(AppMeta); !ok || err != nil || string(meta) != "meta" {

@@ -8,15 +8,14 @@ import (
 	"path/filepath"
 
 	"flowkv/internal/binio"
-	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 )
 
 // A segment store — AUR or RMW, each a logfile.Segments whose table points
 // at its entries by (segment, ordinal) — cuts and restores through one path:
-// CutSegments links the sealed segments its table points into, copies what
-// the open ones gained since the parent, and writes one liveness section,
-// per segment a bitmap of the entries live at the cut; RestoreSegments puts
+// CutSegments seals the open segments its table points into and links
+// every segment it points into, and writes one liveness section, per
+// segment a bitmap of the entries live at the cut; RestoreSegments links
 // those segments back sealed and hands each to the store's scan with its
 // bitmap.
 
@@ -105,24 +104,24 @@ func DecodeLiveness(b []byte) ([]SegLive, error) {
 
 // CutSegments records in c every segment of ss that live holds a bitmap
 // for — the others hold nothing a restore needs — and then the liveness
-// section. A sealed segment is hard-linked (Link, under the CRC its log
-// kept as it appended), an open one goes through Log. The cut is exact
-// under concurrent writers: the caller holds ss's ioMu, so the files stay
-// whole, as cleaning and reaping need it, and a sealed file is never
-// written again.
+// section. An open head or survivor among them is sealed first, so the
+// store opens a fresh one on its next append; each segment is then
+// hard-linked under the CRC its log kept as it appended (Cut.Link). The cut
+// is exact under concurrent writers: the caller holds ss's ioMu, so the
+// files stay whole, as cleaning and reaping need it, and a sealed file is
+// never written again.
 func CutSegments(c *Cut, ss *logfile.Segments, live Live) error {
 	var segs []SegLive
 	for _, sg := range ss.List() {
 		if live[sg.ID] == nil {
 			continue
 		}
-		logical, lg := ss.Name(sg.ID), sg.Log
-		var err error
 		if !sg.Sealed { // set only with ioMu held too
-			if err = lg.Flush(); err == nil {
-				err = c.Log(logical, sg.Epoch, lg.Path(), lg.Size())
-			}
-		} else if err = lg.Poisoned(); err == nil { // else its file may lack what it appended
+			ss.Seal(sg, true)
+		}
+		logical, lg := ss.Name(sg.ID), sg.Log
+		err := lg.Poisoned() // else its file may lack what it appended
+		if err == nil {
 			err = c.Link(logical, sg.Epoch, lg.Path(), lg.Size(), lg.CRC(), lg.DurableOffset() == lg.Size())
 		}
 		if err != nil {
@@ -133,11 +132,9 @@ func CutSegments(c *Cut, ss *logfile.Segments, live Live) error {
 	return c.Put(KindLive, EncodeLiveness(segs))
 }
 
-// RestoreSegments reads src's liveness section and puts every segment it
-// names back into the empty set ss under its id and epoch, sealed —
-// hard-linked when the checkpoint holds it as one file, as its inode is
-// never written again, or concatenated from pieces and fsynced, as a later
-// cut may link it — with its Entries from the section; then scan rebuilds
+// RestoreSegments reads src's liveness section and links every segment it
+// names back into the empty set ss under its id and epoch, sealed
+// (Source.Restore), with its Entries from the section; then scan rebuilds
 // the store's table from it and its bitmap. A checkpoint without the
 // section fails with an ErrBadCut. The caller holds ss's ioMu.
 func RestoreSegments(ss *logfile.Segments, src *Source, scan func(sg *logfile.Segment, sl *SegLive) error) error {
@@ -152,41 +149,27 @@ func RestoreSegments(ss *logfile.Segments, src *Source, scan func(sg *logfile.Se
 	fsys := ss.Dir().FS()
 	for i := range segs {
 		sl := &segs[i]
-		sg, err := restoreSegment(ss, fsys, src.Dir, src.Meta, sl.ID)
+		name := ss.Name(sl.ID)
+		f := src.Meta.File(name)
+		var sg *logfile.Segment
+		if f == nil {
+			err = fmt.Errorf("the files section lacks it: %w", ErrBadMeta)
+		} else {
+			err = src.Restore(fsys, f, filepath.Join(ss.Dir().Root(), name), func() (*logfile.Log, error) {
+				var err error
+				if sg, err = ss.ReopenSealed(sl.ID, f.Epoch, f.CRC); err != nil {
+					return nil, err
+				}
+				return sg.Log, nil
+			})
+		}
 		if err == nil {
 			sg.Entries = sl.Entries
 			err = scan(sg, sl)
 		}
 		if err != nil {
-			return fmt.Errorf("%s: %w", ss.Name(sl.ID), err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
-}
-
-// restoreSegment puts segment sid of the checkpoint in dir back into ss.
-func restoreSegment(ss *logfile.Segments, fsys faultfs.FS, dir string, meta *Meta, sid uint32) (sg *logfile.Segment, err error) {
-	fstate := meta.File(ss.Name(sid))
-	if fstate == nil || len(fstate.Segments) == 0 {
-		return nil, fmt.Errorf("the files section lacks it: %w", ErrBadMeta)
-	}
-	dst := filepath.Join(ss.Dir().Root(), ss.Name(sid))
-	if piece := fstate.Segments[0]; len(fstate.Segments) == 1 {
-		var linked bool
-		if linked, err = faultfs.LinkOrCopy(fsys, filepath.Join(dir, piece.Name), dst); err == nil {
-			sg, err = ss.ReopenSealed(sid, fstate.Epoch, piece.CRC)
-		}
-		if err == nil && !linked {
-			err = sg.Log.Sync()
-		}
-	} else if err = Materialize(fsys, dir, fstate, dst); err == nil {
-		// A file of its own: opening it checksums its frames.
-		if sg, err = ss.Reopen(sid, fstate.Epoch); err == nil {
-			err = sg.Log.Sync()
-		}
-	}
-	if err == nil && sg.Log.Size() != fstate.TotalLen() {
-		err = fmt.Errorf("%w: %d bytes, the files section says %d", ErrBadMeta, sg.Log.Size(), fstate.TotalLen())
-	}
-	return sg, err
 }

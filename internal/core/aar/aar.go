@@ -5,10 +5,13 @@
 //
 // The store exploits alignment with coarse-grained data organization: the
 // in-memory write buffer hashes tuples by *window boundary* rather than by
-// key, and the on-disk layout is one log file per window. Because every
-// tuple in a log file is read and dropped at the same moment (the window's
-// trigger), reads are a sequential scan of one file and cleanup is a
-// single unlink — no per-key search and no compaction at all.
+// key, and the on-disk layout is one log per window. Because every tuple
+// in a window's log is read and dropped at the same moment (the window's
+// trigger), reads are a sequential scan and cleanup is an unlink — no
+// per-key search and no compaction at all. A window's log is a list of
+// files, win_S_E.N.log in write order: a checkpoint seals the last one, so
+// the files it links are never written again, and the window's next flush
+// opens the next file.
 //
 // Reads use gradual state loading: GetWindow returns one bounded partition
 // per call so only one non-aggregated partition resides in memory. A
@@ -32,14 +35,16 @@ package aar
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
-	"flowkv/internal/ckpt"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
 	"flowkv/internal/metrics"
@@ -116,14 +121,41 @@ type bucket struct {
 	bytes   int64
 }
 
-// readState is a window drain in progress: its log is read from off,
-// then its bucket from entry served.
+// winLog is one window's log: its files in write order, every one but the
+// last sealed; the last takes the window's flushes while open.
+type winLog struct {
+	files []winFile
+	open  bool
+}
+
+// winFile is one file of a window's log: win_S_E.N.log (fileName), and
+// the epoch a checkpoint tells it from another file of its name by.
+type winFile struct {
+	*logfile.Log
+	n     int
+	epoch uint64
+}
+
+// remove unlinks every file of the log, returning the first failure but
+// one matching ignore; every unlink is attempted.
+func (wl *winLog) remove(ignore error) (first error) {
+	for _, f := range wl.files {
+		if err := f.Remove(); !errors.Is(err, ignore) {
+			first = cmp.Or(first, err)
+		}
+	}
+	return first
+}
+
+// readState is a window drain in progress: its log is read from offset off
+// of file file, then its bucket from entry served.
 type readState struct {
 	sc *logfile.Scanner
-	// off is the absolute offset of the first record not yet served in a
-	// returned partition. On a scan error the scanner is dropped and
-	// recreated here, so a transient read fault is retryable without
-	// duplicating or skipping records.
+	// file and off locate the first record not yet served in a returned
+	// partition, off never past the last file. On a scan error the
+	// scanner is dropped and recreated here, so a transient read fault is
+	// retryable without duplicating or skipping records.
+	file   int
 	off    int64
 	served int // bucket entries, in arrival order, returned from memory
 }
@@ -158,14 +190,11 @@ type Store struct {
 	// ioMu serializes file state: flushes, scans, drops, checkpoints.
 	// Never acquired while holding mu.
 	ioMu  sync.Mutex
-	files map[window.Window]*logfile.Log
+	files map[window.Window]*winLog
 	reads map[window.Window]*readState
-	// epochs gives each per-window log file a random identity, recorded
-	// in each checkpoint's files section. A later delta may reuse a
-	// parent checkpoint's segments for a window only while the live
-	// file's epoch still matches: drop-then-recreate of the same window
-	// changes the epoch and forces a full copy of that file.
-	epochs map[window.Window]uint64
+	// nextFile numbers the next file a window's log opens: numbers are
+	// unique within the store, so no file is ever created over another.
+	nextFile int
 	// chunk and enc are the flush chunk encode buffers.
 	chunk []byte
 	enc   chunkEncoder
@@ -180,22 +209,33 @@ type Store struct {
 	tuplesIn metrics.Counter
 }
 
-// Open creates an AAR store instance rooted at opts.Dir.
+// Open creates an AAR store instance rooted at opts.Dir. A store starts
+// empty, so window files an earlier process left in the directory are
+// unlinked: a restored one shares its inode with a checkpoint, which
+// creating over it would truncate.
 func Open(opts Options) (*Store, error) {
 	opts.fill()
 	dir, err := logfile.OpenDirFS(opts.FS, opts.Dir, opts.Breakdown)
 	if err != nil {
 		return nil, err
 	}
+	ents, err := dir.FS().ReadDir(dir.Root())
+	for _, e := range ents {
+		if _, _, ok := parseFileName(e.Name()); ok {
+			err = cmp.Or(err, dir.Remove(e.Name()))
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("aar: clear stale window files: %w", err)
+	}
 	dir.SetPolicy(opts.Policy)
 	return &Store{
-		opts:   opts,
-		dir:    dir,
-		bd:     opts.Breakdown,
-		buf:    make(map[window.Window]*bucket),
-		files:  make(map[window.Window]*logfile.Log),
-		reads:  make(map[window.Window]*readState),
-		epochs: make(map[window.Window]uint64),
+		opts:  opts,
+		dir:   dir,
+		bd:    opts.Breakdown,
+		buf:   make(map[window.Window]*bucket),
+		files: make(map[window.Window]*winLog),
+		reads: make(map[window.Window]*readState),
 	}, nil
 }
 
@@ -351,15 +391,9 @@ func (s *Store) flushBucket(w window.Window, b *bucket) ([]kvPair, error) {
 	if len(b.entries) == 0 {
 		return nil, nil
 	}
-	l := s.files[w]
-	if l == nil {
-		var err error
-		l, err = s.dir.Create(windowFileName(w))
-		if err != nil {
-			return b.entries, err
-		}
-		s.files[w] = l
-		s.epochs[w] = ckpt.Rand64()
+	l, err := s.openFile(w)
+	if err != nil {
+		return b.entries, err
 	}
 	rs := s.reads[w]
 	if rs == nil {
@@ -372,7 +406,7 @@ func (s *Store) flushBucket(w window.Window, b *bucket) ([]kvPair, error) {
 	served := min(rs.served, len(b.entries))
 	rest, end, err := s.writeChunks(l, b.entries[:served])
 	if served > 0 {
-		rs.off = end
+		rs.file, rs.off = len(s.files[w].files)-1, end
 	}
 	rs.served = len(rest)
 	if err != nil {
@@ -381,6 +415,28 @@ func (s *Store) flushBucket(w window.Window, b *bucket) ([]kvPair, error) {
 	}
 	rest, _, err = s.writeChunks(l, b.entries[served:])
 	return rest, err
+}
+
+// openFile returns the file window w's flushes append to, opening the
+// window's next file when it has none open — none yet, or a checkpoint
+// sealed its last. Caller holds ioMu.
+func (s *Store) openFile(w window.Window) (*logfile.Log, error) {
+	wl := s.files[w]
+	if wl != nil && wl.open {
+		return wl.files[len(wl.files)-1].Log, nil
+	}
+	l, err := s.dir.Create(fileName(w, s.nextFile))
+	if err != nil {
+		return nil, err
+	}
+	if wl == nil {
+		wl = &winLog{}
+		s.files[w] = wl
+	}
+	wl.files = append(wl.files, winFile{l, s.nextFile, rand.Uint64()})
+	wl.open = true
+	s.nextFile++
+	return l, nil
 }
 
 // writeChunks sorts entries stably by key, so each key keeps its arrival
@@ -490,10 +546,11 @@ func (s *Store) GetWindow(w window.Window) ([]KeyValues, error) {
 	return part, err
 }
 
-// getWindow scans the window's log from rs.off, then serves the bucket's
-// entries from memory, oldest first, all inside one LoadPartitionBytes
-// bound. The bucket stays buffered until the drain completes, so a flush
-// between two calls still writes the whole window (flushBucket).
+// getWindow scans the window's files in order from rs's position, then
+// serves the bucket's entries from memory, oldest first, all inside one
+// LoadPartitionBytes bound. The bucket stays buffered until the drain
+// completes, so a flush between two calls still writes the whole window
+// (flushBucket).
 func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -503,8 +560,8 @@ func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 	if closed {
 		return nil, ErrClosed
 	}
-	l, rs := s.files[w], s.reads[w]
-	if rs == nil && l == nil && !buffered {
+	wl, rs := s.files[w], s.reads[w]
+	if rs == nil && wl == nil && !buffered {
 		return nil, nil // window has no state
 	} else if rs == nil {
 		rs = &readState{}
@@ -512,24 +569,33 @@ func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 	}
 	p := partition{groups: make(map[string]int)}
 	limit := s.opts.LoadPartitionBytes
-	off := rs.off
-	if l != nil && rs.sc == nil && off < l.Size() {
-		sc, err := l.Scanner(off)
-		if err != nil {
-			return nil, err
+	file, off := rs.file, rs.off
+	onDisk := wl != nil
+	for onDisk && p.bytes < limit {
+		if rs.sc == nil {
+			for file+1 < len(wl.files) && off >= wl.files[file].Size() {
+				file, off = file+1, 0
+			}
+			if onDisk = off < wl.files[file].Size(); !onDisk {
+				break
+			}
+			sc, err := wl.files[file].Scanner(off)
+			if err != nil {
+				return nil, err
+			}
+			rs.sc = sc
 		}
-		rs.sc = sc
-	}
-	for rs.sc != nil && p.bytes < limit {
 		if !rs.sc.Scan() {
-			// End of log, or a read fault: a retry rescans from rs.off,
-			// the first record of this (discarded) partition attempt.
+			// End of the file, or a read fault: a retry rescans from rs's
+			// position, the first record of this (discarded) partition
+			// attempt. A file ends at its size, or at a torn tail.
 			err := rs.sc.Err()
 			rs.sc = nil
 			if err != nil {
 				return nil, err
 			}
-			break
+			off = wl.files[file].Size()
+			continue
 		}
 		info, err := DecodeChunk(rs.sc.Record(), p.add)
 		if err != nil {
@@ -539,8 +605,8 @@ func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 		off = rs.sc.Offset()
 		p.bytes += int64(info.Decoded)
 	}
-	rs.off = off
-	if rs.sc == nil && p.bytes < limit {
+	rs.file, rs.off = file, off
+	if !onDisk && p.bytes < limit {
 		// The log is exhausted: serve the buffered tail.
 		s.mu.Lock()
 		var tail []kvPair
@@ -566,14 +632,13 @@ func (s *Store) getWindow(w window.Window) ([]KeyValues, error) {
 		}
 	}
 	if len(p.part) == 0 {
-		// Exhausted: clean the per-window log from disk (step ④).
+		// Exhausted: clean the window's files from disk (step ④).
 		delete(s.reads, w)
 		delete(s.files, w)
-		delete(s.epochs, w)
-		if l != nil {
+		if wl != nil {
 			// A poisoned log's close error is expected in degraded mode;
 			// the unlink still happened and the data was fully served.
-			if err := l.Remove(); err != nil && !errors.Is(err, logfile.ErrPoisoned) {
+			if err := wl.remove(logfile.ErrPoisoned); err != nil {
 				return nil, err
 			}
 		}
@@ -615,10 +680,9 @@ func (s *Store) DropWindow(w window.Window) error {
 	}
 	s.mu.Unlock()
 	delete(s.reads, w)
-	delete(s.epochs, w)
-	if l := s.files[w]; l != nil {
+	if wl := s.files[w]; wl != nil {
 		delete(s.files, w)
-		return l.Remove()
+		return wl.remove(nil)
 	}
 	return nil
 }
@@ -677,7 +741,7 @@ func (s *Store) ReadWindowFiltered(w window.Window, own func(key []byte) bool) (
 			p.add(k, vals)
 		}
 	}
-	if l := s.files[w]; l != nil {
+	for _, l := range s.windowLogs(w) {
 		sc, err := l.Scanner(0)
 		if err != nil {
 			return nil, err
@@ -706,20 +770,7 @@ func (s *Store) BufferedBytes() int64 {
 }
 
 // LiveWindows returns the number of windows with buffered or on-disk state.
-func (s *Store) LiveWindows() int {
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := make(map[window.Window]struct{}, len(s.buf)+len(s.files))
-	for w := range s.buf {
-		live[w] = struct{}{}
-	}
-	for w := range s.files {
-		live[w] = struct{}{}
-	}
-	return len(live)
-}
+func (s *Store) LiveWindows() int { return len(s.Windows()) }
 
 // Appends returns the number of Append calls served.
 func (s *Store) Appends() int64 { return s.appends.Load() }
@@ -727,16 +778,23 @@ func (s *Store) Appends() int64 { return s.appends.Load() }
 // Flushes returns the number of full write-buffer flushes performed.
 func (s *Store) Flushes() int64 { return s.flushes.Load() }
 
-// DiskUsage returns the logical bytes of the instance's per-window logs,
+// DiskUsage returns the logical bytes of the instance's window files,
 // including appends still in their write-through buffers.
 func (s *Store) DiskUsage() int64 {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	var total int64
-	for _, l := range s.files {
+	for _, l := range s.liveLogs() {
 		total += l.Size()
 	}
 	return total
+}
+
+// LiveFiles returns the number of window files the instance holds open.
+func (s *Store) LiveFiles() int {
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	return len(s.liveLogs())
 }
 
 // Flush spills all buffered data to disk (checkpoint support, §8).
@@ -746,7 +804,7 @@ func (s *Store) Flush() error {
 	if err := s.flushAllLocked(); err != nil {
 		return err
 	}
-	for _, l := range s.files {
+	for _, l := range s.liveLogs() {
 		if err := l.Flush(); err != nil {
 			return err
 		}
@@ -754,13 +812,13 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// Sync flushes all buffered data and fsyncs every per-window log, making
-// every acknowledged Append durable. Each fsync runs outside ioMu
-// (logfile.SplitSync), so window drains and later flushes overlap the
-// syncs instead of queueing behind them; syncMu keeps at most one split
-// sync in flight per log, as the protocol requires. A window consumed
-// at any point — before its turn, or while its fsync is in flight —
-// leaves nothing to make durable.
+// Sync flushes all buffered data and fsyncs every window file holding
+// bytes not yet durable, making every acknowledged Append durable. Each
+// fsync runs outside ioMu (logfile.SplitSync), so window drains and later
+// flushes overlap the syncs instead of queueing behind them; syncMu keeps
+// at most one split sync in flight per log, as the protocol requires. A
+// window consumed at any point — before its turn, or while its fsync is in
+// flight — leaves nothing to make durable.
 func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
@@ -769,24 +827,37 @@ func (s *Store) Sync() error {
 		s.ioMu.Unlock()
 		return err
 	}
-	wins := make([]window.Window, 0, len(s.files))
-	for w := range s.files {
-		wins = append(wins, w)
-	}
+	logs := s.liveLogs()
 	s.ioMu.Unlock()
-	for _, w := range wins {
-		if err := logfile.SplitSync(&s.ioMu, func() *logfile.Log { return s.files[w] }); err != nil {
+	for _, l := range logs {
+		if err := logfile.SplitSync(&s.ioMu, func() *logfile.Log {
+			if l.Closed() || l.DurableOffset() == l.Size() { // removed, or nothing to sync
+				return nil
+			}
+			return l
+		}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// liveLogs returns every open per-window log; caller holds ioMu.
+// windowLogs returns window w's files in write order; caller holds ioMu.
+func (s *Store) windowLogs(w window.Window) []*logfile.Log {
+	var logs []*logfile.Log
+	if wl := s.files[w]; wl != nil {
+		for _, f := range wl.files {
+			logs = append(logs, f.Log)
+		}
+	}
+	return logs
+}
+
+// liveLogs returns every open window file; caller holds ioMu.
 func (s *Store) liveLogs() []*logfile.Log {
-	logs := make([]*logfile.Log, 0, len(s.files))
-	for _, l := range s.files {
-		logs = append(logs, l)
+	var logs []*logfile.Log
+	for w := range s.files {
+		logs = append(logs, s.windowLogs(w)...)
 	}
 	return logs
 }
@@ -807,8 +878,8 @@ func (s *Store) Recover() error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
 	for w, rs := range s.reads {
-		if l := s.files[w]; l != nil && l.Poisoned() != nil {
-			rs.closeScan() // the scanner holds the stale fd
+		if logfile.FirstPoisoned(s.windowLogs(w)) != nil {
+			rs.closeScan() // the scanner may hold a stale fd
 		}
 	}
 	return logfile.RecoverAll(s.liveLogs())
@@ -843,10 +914,8 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	var first error
-	for _, l := range s.files {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
+	for _, l := range s.liveLogs() {
+		first = cmp.Or(first, l.Close())
 	}
 	return first
 }
@@ -860,6 +929,16 @@ func (s *Store) Destroy() error {
 	return err
 }
 
-func windowFileName(w window.Window) string {
-	return fmt.Sprintf("win_%d_%d.log", w.Start, w.End)
+// fileName names file n of window w's log.
+func fileName(w window.Window, n int) string {
+	return fmt.Sprintf("win_%d_%d.%d.log", w.Start, w.End, n)
+}
+
+// parseFileName inverts fileName.
+func parseFileName(name string) (w window.Window, n int, ok bool) {
+	if !strings.HasPrefix(name, "win_") || !strings.HasSuffix(name, ".log") {
+		return w, 0, false
+	}
+	_, err := fmt.Sscanf(name, "win_%d_%d.%d.log", &w.Start, &w.End, &n)
+	return w, n, err == nil && fileName(w, n) == name
 }

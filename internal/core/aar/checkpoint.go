@@ -3,22 +3,22 @@ package aar
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 
 	"flowkv/internal/ckpt"
+	"flowkv/internal/logfile"
 	"flowkv/internal/window"
 )
 
 // CheckpointDelta writes a snapshot of the instance into cut. The paper's
 // §8 describes the discipline: in-memory data is flushed to disk first, so
-// the on-disk files form the snapshot. Each per-window log is recorded in
-// the instance's files section as an ordered list of sealed segment files;
-// where the cut's parent still describes a prefix of a live log, its
-// segments are hard-linked across and only the appended tail is copied
-// (ckpt.Cut.Log). Without a parent every log is copied whole. Nothing is
-// fsynced here: the returned Result names every file that still needs a
-// sync.
+// the on-disk files form the snapshot. The flush spills the write buffer,
+// the window's open file is sealed, and every file of every window's log
+// is hard-linked into the cut (ckpt.Cut.Link), from the parent when it
+// holds the same file. So no window byte is copied: the window's next
+// flush opens its next file. Nothing is fsynced here: the returned Result
+// names every file that still needs a sync.
 //
 // CheckpointDelta holds only ioMu, so concurrent Appends proceed while
 // the snapshot is written; the cut is the instant the buffer is detached
@@ -36,12 +36,20 @@ func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 	}
 	sort.Slice(wins, func(i, j int) bool { return wins[i].Before(wins[j]) })
 	for _, w := range wins {
-		l := s.files[w]
-		if err := l.Flush(); err != nil {
-			return nil, err
+		wl := s.files[w]
+		if wl.open {
+			// A failed flush poisons the log, which the check below reports.
+			_ = wl.files[len(wl.files)-1].Seal()
+			wl.open = false
 		}
-		if err := cut.Log(windowFileName(w), s.epochs[w], l.Path(), l.Size()); err != nil {
-			return nil, err
+		for _, f := range wl.files {
+			err := f.Poisoned() // else its file may lack what it appended
+			if err == nil {
+				err = cut.Link(fileName(w, f.n), f.epoch, f.Path(), f.Size(), f.CRC(), f.DurableOffset() == f.Size())
+			}
+			if err != nil {
+				return nil, fmt.Errorf("aar: checkpoint %s: %w", fileName(w, f.n), err)
+			}
 		}
 	}
 	return cut.Finish()
@@ -49,11 +57,11 @@ func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 
 // Restore rebuilds an instance's state from its part of a checkpoint
 // written by CheckpointDelta. The store must be freshly opened (empty).
-// Each per-window log is materialized by concatenating its segments, and
-// the file epochs carry over, so the delta chain can continue across a
-// restart. A log whose first record is not a flush chunk — one written
-// in an earlier layout, the undeflated tag-0 rows or the count-prefixed
-// records before them — fails with a *ChunkError.
+// Each window file is linked back and opened sealed (ckpt.Source.Restore),
+// with its epoch, so the window's next flush opens a file of its own. A
+// file whose first record is not a flush chunk — one written in an earlier
+// layout, the undeflated tag-0 rows or the count-prefixed records before
+// them — fails with a *ChunkError.
 func (s *Store) Restore(src *ckpt.Source) error {
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -72,20 +80,30 @@ func (s *Store) Restore(src *ckpt.Source) error {
 	}
 	fsys := s.dir.FS()
 	for i := range src.Meta.Files {
-		fstate := &src.Meta.Files[i]
-		w, ok := parseWindowFileName(fstate.Logical)
+		f := &src.Meta.Files[i]
+		w, n, ok := parseFileName(f.Logical)
 		if !ok {
-			return fmt.Errorf("aar: restore: unexpected logical file %q", fstate.Logical)
+			return fmt.Errorf("aar: restore: unexpected logical file %q", f.Logical)
 		}
-		if err := ckpt.Materialize(fsys, src.Dir, fstate, filepath.Join(s.dir.Root(), fstate.Logical)); err != nil {
+		var l *logfile.Log
+		err := src.Restore(fsys, f, filepath.Join(s.dir.Root(), f.Logical), func() (*logfile.Log, error) {
+			var err error
+			l, err = s.dir.OpenSealed(f.Logical, f.CRC)
+			return l, err
+		})
+		if err != nil {
+			if l != nil {
+				l.Close()
+			}
 			return fmt.Errorf("aar: restore: %w", err)
 		}
-		l, err := s.dir.Open(fstate.Logical)
-		if err != nil {
-			return err
+		wl := s.files[w]
+		if wl == nil {
+			wl = &winLog{}
+			s.files[w] = wl
 		}
-		s.files[w] = l
-		s.epochs[w] = fstate.Epoch
+		wl.files = append(wl.files, winFile{l, n, f.Epoch})
+		s.nextFile = max(s.nextFile, n+1)
 		// A log of an earlier chunk layout fails here, not in its drain.
 		sc, err := l.Scanner(0)
 		if err == nil && sc.Scan() {
@@ -93,20 +111,11 @@ func (s *Store) Restore(src *ckpt.Source) error {
 			sc.Close()
 		}
 		if err != nil {
-			return fmt.Errorf("aar: restore %s: %w", fstate.Logical, err)
+			return fmt.Errorf("aar: restore %s: %w", f.Logical, err)
 		}
 	}
+	for _, wl := range s.files {
+		slices.SortFunc(wl.files, func(a, b winFile) int { return a.n - b.n })
+	}
 	return nil
-}
-
-// parseWindowFileName inverts windowFileName.
-func parseWindowFileName(name string) (window.Window, bool) {
-	if !strings.HasPrefix(name, "win_") || !strings.HasSuffix(name, ".log") {
-		return window.Window{}, false
-	}
-	var start, end int64
-	if _, err := fmt.Sscanf(name, "win_%d_%d.log", &start, &end); err != nil {
-		return window.Window{}, false
-	}
-	return window.Window{Start: start, End: end}, true
 }

@@ -91,24 +91,27 @@ func TestParseWindowFileName(t *testing.T) {
 	cases := []struct {
 		name string
 		want window.Window
+		n    int
 		ok   bool
 	}{
-		{"win_0_100.log", window.Window{Start: 0, End: 100}, true},
-		{"win_-100_0.log", window.Window{Start: -100, End: 0}, true},
-		{"win_5_10", window.Window{}, false},
-		{"data-000001.log", window.Window{}, false},
-		{"win_x_y.log", window.Window{}, false},
+		{"win_0_100.0.log", window.Window{Start: 0, End: 100}, 0, true},
+		{"win_-100_0.7.log", window.Window{Start: -100, End: 0}, 7, true},
+		{"win_0_100.log", window.Window{}, 0, false}, // one file a window, before files were sealed at cuts
+		{"win_5_10.1", window.Window{}, 0, false},
+		{"win_5_10.01.log", window.Window{}, 0, false},
+		{"data-000001.log", window.Window{}, 0, false},
+		{"win_x_y.0.log", window.Window{}, 0, false},
 	}
 	for _, tc := range cases {
-		got, ok := parseWindowFileName(tc.name)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("parseWindowFileName(%q) = %v,%v; want %v,%v", tc.name, got, ok, tc.want, tc.ok)
+		got, n, ok := parseFileName(tc.name)
+		if ok != tc.ok || (ok && (got != tc.want || n != tc.n)) {
+			t.Errorf("parseFileName(%q) = %v,%d,%v; want %v,%d,%v", tc.name, got, n, ok, tc.want, tc.n, tc.ok)
 		}
 	}
 	// Round trip with the producer.
 	w := window.Window{Start: 12345, End: 67890}
-	got, ok := parseWindowFileName(windowFileName(w))
-	if !ok || got != w {
-		t.Errorf("round trip = %v,%v", got, ok)
+	got, n, ok := parseFileName(fileName(w, 42))
+	if !ok || got != w || n != 42 {
+		t.Errorf("round trip = %v,%d,%v", got, n, ok)
 	}
 }

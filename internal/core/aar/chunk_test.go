@@ -237,18 +237,17 @@ func TestCountPrefixedChunkIsRejected(t *testing.T) {
 	}
 
 	w := window.Window{Start: 0, End: 100}
-	name := windowFileName(w)
+	name := fileName(w, 0)
 	for layout, rec := range map[string][]byte{
 		"count-prefixed": countPrefixed(pairs("k1", "a", "k2", "b")),
 		"tag-0":          rowChunk(pairs("k1", "a", "k2", "b")),
 	} {
 		seg := binio.AppendRecord(nil, rec)
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, ckpt.SegmentName(name, 0)), seg, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, ckpt.FileName(0, name)), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1,
-			Segments: []ckpt.Segment{{Name: ckpt.SegmentName(name, 0), Len: int64(len(seg)), CRC: binio.Checksum(seg)}}}}}
+		meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1, Len: int64(len(seg)), CRC: binio.Checksum(seg)}}}
 		if err := ckpttest.Write(dir, meta, nil); err != nil {
 			t.Fatal(err)
 		}

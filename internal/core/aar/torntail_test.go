@@ -15,9 +15,8 @@ import (
 
 // TestTornTailRecovery tears a per-window log write mid-record with the
 // fault injector, then restores the surviving file into a fresh store:
-// the torn tail must be silently truncated (logfile.recoverEnd) so the
-// drain returns exactly the records flushed before the tear — no torn
-// garbage, no batch-2 leakage.
+// the drain must stop silently at the torn tail, returning exactly the
+// records flushed before the tear — no torn garbage, no batch-2 leakage.
 func TestTornTailRecovery(t *testing.T) {
 	inj := faultfs.NewInjector(faultfs.OS)
 	dir := filepath.Join(t.TempDir(), "aar")
@@ -59,23 +58,21 @@ func TestTornTailRecovery(t *testing.T) {
 	_ = s.Close()
 	inj.Reset()
 
-	// Reboot: ship the surviving (torn) window file as a checkpoint — one
-	// segment holding the whole file, described by a files section.
+	// Reboot: ship the surviving (torn) window file as a checkpoint — the
+	// whole file, described by a files section.
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	name := windowFileName(w)
+	name := fileName(w, 0)
 	b, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := ckpt.SegmentName(name, 0)
-	if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(ckptDir, ckpt.FileName(0, name)), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1,
-		Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}}}}
+	meta := &ckpt.Meta{Files: []ckpt.FileState{{Logical: name, Epoch: 1, Len: int64(len(b)), CRC: binio.Checksum(b)}}}
 	if err := ckpttest.Write(ckptDir, meta, nil); err != nil {
 		t.Fatal(err)
 	}

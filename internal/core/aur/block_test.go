@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"flowkv/internal/binio"
+	"flowkv/internal/ckpt"
 	"flowkv/internal/ckpt/ckpttest"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/logfile"
@@ -199,11 +200,20 @@ func TestValueOrderSurvivesBlockIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ioMu.Lock()
-	head := segmentName(s.segs.Head().ID)
-	s.ioMu.Unlock()
-	if segs := child.File(head).Segments; len(segs) < 2 {
-		t.Fatalf("delta checkpoint's %s has %d segment(s): the parent's was not extended", head, len(segs))
+	// The parent's cut sealed the head it flushed into, so what extend
+	// wrote went to a fresh head: the child links the parent's segments
+	// whole, from the parent, and adds its own.
+	var shared int
+	for _, f := range child.Files {
+		if parent.File(f.Logical) == nil {
+			continue
+		}
+		shared++
+		name := ckpt.FileName(0, f.Logical)
+		same(t, filepath.Join(parentDir, name), filepath.Join(childDir, name))
+	}
+	if shared == 0 || shared == len(child.Files) {
+		t.Fatalf("the child holds %d of the parent's %d segments among its %d: want some, and a new head", shared, len(parent.Files), len(child.Files))
 	}
 
 	dst := openTest(t, Options{WriteBufferBytes: 1 << 20, ReadBatchRatio: 0.1})
@@ -340,11 +350,7 @@ func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
 	if err := os.Truncate(filepath.Join(dir, name), total-3); err != nil {
 		t.Fatal(err)
 	}
-	d, err := logfile.OpenDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := d.Open(name)
+	l, err := logfile.Open(filepath.Join(dir, name), nil)
 	if err != nil {
 		t.Fatalf("open over a torn tail block: %v", err)
 	}

@@ -16,8 +16,10 @@ import (
 // pinnedSegmentCRCs are the CRC-32C of every segment file
 // TestSegmentFileBytesArePinned leaves behind. The segment bytes are a
 // function of the op script alone: which batches a flush writes and in
-// what order, and what a cleaning pass copies where. A change to how the
-// store tracks its batches must not move them.
+// what order, what a cleaning pass copies where, and which segment a
+// checkpoint seals (the head it sealed, aur-000025.log, ends at the cut,
+// and the flush after it opens aur-000026.log). A change to how the store
+// tracks its batches must not move them.
 var pinnedSegmentCRCs = map[string]uint32{
 	"aur-000009.log": 0xfd18cdbe,
 	"aur-000010.log": 0x68a0c85e,
@@ -35,7 +37,8 @@ var pinnedSegmentCRCs = map[string]uint32{
 	"aur-000022.log": 0x7347f5b0,
 	"aur-000023.log": 0x418212b7,
 	"aur-000024.log": 0x72e2960c,
-	"aur-000025.log": 0x10cbef0f,
+	"aur-000025.log": 0x4740fb29,
+	"aur-000026.log": 0xbee6e6a3,
 }
 
 // TestSegmentFileBytesArePinned runs a fixed op script on one goroutine —

@@ -640,11 +640,11 @@ func TestRestoreRejectsPairLayout(t *testing.T) {
 			if spilled {
 				segments = 1
 				for _, name := range []string{"data-000000.log", "index-000000.log"} {
-					b := pairLayoutFrame(nil, []byte("batch"))
-					seg := ckpt.SegmentName(name, 0)
-					write(seg, b)
-					meta.Files = append(meta.Files, ckpt.FileState{Logical: name, Epoch: 1,
-						Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
+					f, err := ckptFile(dir, name, pairLayoutFrame(nil, []byte("batch")))
+					if err != nil {
+						t.Fatal(err)
+					}
+					meta.Files = append(meta.Files, f)
 				}
 			}
 			snap := pairLayoutFrame(nil, binio.PutUvarint(nil, segments))

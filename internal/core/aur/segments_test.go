@@ -397,12 +397,12 @@ func TestBlocksPastIndexedAreNeverRead(t *testing.T) {
 	}
 }
 
-// TestDeltaCheckpointLinksSealedSegments: a delta checkpoint taken some
-// evictions after its parent hard-links every segment file the parent
-// held and the store still does — sealed ones whole — and every segment
-// sealed since, and copies only what was written to the open head since
-// the parent's cut, the liveness section and the Stat stream. A checkpoint
-// taken right after a cleaning pass restores to the oracle.
+// TestDeltaCheckpointLinksSealedSegments: a checkpoint seals the open
+// head and hard-links every segment holding a live batch, copying only the
+// liveness section and the Stat stream; a delta taken some evictions later
+// links every segment the parent held and the store still does from the
+// parent, whole, and the segments sealed since from the store. A
+// checkpoint taken right after a cleaning pass restores to the oracle.
 func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	opts := Options{WriteBufferBytes: diffBuffer, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
 	s := openTest(t, opts)
@@ -429,28 +429,33 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What the parent holds of each file, and which segments were sealed:
-	// those the base linked from the store's directory.
-	held := make(map[string]int64)
-	for _, f := range parent.Files {
-		held[f.Logical] = f.TotalLen()
-	}
-	s.ioMu.Lock()
-	var sealed []uint32
-	var sealedBytes int64
-	for _, sg := range s.segs.List() {
-		if sg.Sealed {
-			sealed = append(sealed, sg.ID)
-			sealedBytes += sg.Log.Size()
+	// Every segment the base names is whole and linked, and sealed now.
+	checkLinked := func(dir string, meta *ckpt.Meta, res *ckpt.Result) {
+		t.Helper()
+		var files int64
+		s.ioMu.Lock()
+		byName := make(map[string]*segment)
+		for _, sg := range s.segs.List() {
+			byName[segmentName(sg.ID)] = sg
+		}
+		for _, f := range meta.Files {
+			files += f.Len
+			sg := byName[f.Logical]
+			if sg == nil || !sg.Sealed || sg.Log.Size() != f.Len {
+				t.Fatalf("%s: the checkpoint holds %d bytes of it, the store %+v", f.Logical, f.Len, sg)
+			}
+		}
+		s.ioMu.Unlock()
+		sections, err := ckpttest.SectionBytes(dir, ckpt.KindLive, ckpt.KindDump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LinkedBytes != files || res.CopiedBytes != sections || len(meta.Files) < 3 {
+			t.Fatalf("linked %d and copied %d bytes; want the %d segments' %d linked and the %d bytes of the liveness and Stat sections copied",
+				res.LinkedBytes, res.CopiedBytes, len(meta.Files), files, sections)
 		}
 	}
-	s.ioMu.Unlock()
-	if len(sealed) < 3 {
-		t.Fatalf("%d sealed segments at the parent's cut", len(sealed))
-	}
-	if res.LinkedBytes != sealedBytes {
-		t.Fatalf("a base checkpoint linked %d bytes, want its %d sealed segments' %d", res.LinkedBytes, len(sealed), sealedBytes)
-	}
+	checkLinked(base, parent, res)
 
 	target := s.SegmentStats().LiveSegments + 3
 	appendSessions(func() bool { return s.SegmentStats().LiveSegments >= target })
@@ -463,35 +468,20 @@ func TestDeltaCheckpointLinksSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ioMu.Lock()
-	sealedNow := make(map[string]bool)
-	for _, sg := range s.segs.List() {
-		sealedNow[segmentName(sg.ID)] = sg.Sealed
-	}
-	s.ioMu.Unlock()
-	var wantLinked, wantCopied int64
+	checkLinked(delta, child, res)
+	var fromParent int
 	for _, f := range child.Files {
-		switch {
-		case sealedNow[f.Logical]:
-			wantLinked += f.TotalLen()
-		default:
-			wantLinked += held[f.Logical]
-			wantCopied += f.TotalLen() - held[f.Logical]
+		if p := parent.File(f.Logical); p != nil {
+			if *p != f {
+				t.Fatalf("%s: the parent holds %+v, the delta %+v", f.Logical, *p, f)
+			}
+			name := ckpt.FileName(0, f.Logical)
+			same(t, filepath.Join(base, name), filepath.Join(delta, name))
+			fromParent++
 		}
 	}
-	sections, err := ckpttest.SectionBytes(delta, ckpt.KindLive, ckpt.KindDump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LinkedBytes != wantLinked || res.CopiedBytes != wantCopied+sections || wantLinked == 0 {
-		t.Fatalf("delta linked %d and copied %d bytes; want %d linked (every sealed segment, and what the parent holds of the head) and %d copied (what the head gained since, and the %d bytes of the liveness and Stat sections)",
-			res.LinkedBytes, res.CopiedBytes, wantLinked, wantCopied+sections, sections)
-	}
-	for _, sid := range sealed {
-		name := segmentName(sid)
-		if f := child.File(name); f == nil || len(f.Segments) != 1 || f.TotalLen() != held[name] {
-			t.Fatalf("%s, sealed at the parent's cut, is not the parent's one segment in the delta: %+v", name, f)
-		}
+	if fromParent == 0 || fromParent == len(child.Files) {
+		t.Fatalf("%d of the delta's %d segments are the parent's: want some, and some sealed since", fromParent, len(child.Files))
 	}
 
 	// A cut right behind a cleaning pass.
@@ -845,11 +835,11 @@ func TestFailedPassBlocksGetNoOrdinal(t *testing.T) {
 
 // TestCutChainCopiesOnlyOpenTails cuts a spilling AUR store five times
 // through a delta chain, several evictions and some consumes apart. Each
-// cut copies only what its open segments gained since the parent's cut,
+// cut seals the open segments and copies exactly its CUT sections' bytes,
 // the Stat stream and the liveness section (the files section, describing
-// the cut, is in neither count); every sealed segment it holds is a hard link — of
-// the live file or of the parent's — counted in LinkedBytes. The last cut
-// restores to the oracle.
+// the cut, is in neither count); every segment it holds is whole and a
+// hard link — of the parent's file when the parent holds it, else of the
+// live one — counted in LinkedBytes. The last cut restores to the oracle.
 func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
 	opts := Options{WriteBufferBytes: diffBuffer, ReadBatchRatio: 0, MaxSpaceAmplification: 1.2}
 	s := openTest(t, opts)
@@ -886,35 +876,27 @@ func TestCutChainCopiesOnlyOpenTails(t *testing.T) {
 			live[segmentName(sg.ID)] = sg
 		}
 		s.ioMu.Unlock()
-		var copied, linked, sealed int64
+		var linked int64
 		for _, f := range meta.Files {
-			var held int64
-			if p := parent.File(f.Logical); p != nil && p.Epoch == f.Epoch {
-				held = p.TotalLen()
-			}
 			sg := live[f.Logical]
-			switch {
-			case sg == nil:
-				t.Fatalf("cut %d holds %s, which the store does not", c, f.Logical)
-			case sg.Sealed:
-				sealed += f.TotalLen()
-				linked += f.TotalLen()
-				if len(f.Segments) == 1 {
-					same(t, filepath.Join(dir, f.Segments[0].Name), sg.Log.Path())
-				}
-			default:
-				linked += held
-				copied += f.TotalLen() - held
+			if sg == nil || !sg.Sealed || sg.Log.Size() != f.Len {
+				t.Fatalf("cut %d holds %d bytes of %s, the store %+v: want it whole and sealed", c, f.Len, f.Logical, sg)
 			}
+			linked += f.Len
+			from := sg.Log.Path()
+			if p := parent.File(f.Logical); p != nil && *p == f {
+				from = filepath.Join(parentDir, ckpt.FileName(0, f.Logical))
+			}
+			same(t, filepath.Join(dir, ckpt.FileName(0, f.Logical)), from)
 		}
 		sections, err := ckpttest.SectionBytes(dir, ckpt.KindLive, ckpt.KindDump)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("cut %d: copied %d, linked %d (%d in sealed segments), %d segments", c, res.CopiedBytes, res.LinkedBytes, sealed, len(live))
-		if res.CopiedBytes != copied+sections || res.LinkedBytes != linked || sealed == 0 {
-			t.Fatalf("cut %d copied %d and linked %d bytes; want %d copied (the open segments' new tails, and the %d bytes of the Stat and liveness sections) and %d linked, %d of them sealed segments",
-				c, res.CopiedBytes, res.LinkedBytes, copied+sections, sections, linked, sealed)
+		t.Logf("cut %d: copied %d, linked %d, %d segments", c, res.CopiedBytes, res.LinkedBytes, len(live))
+		if res.CopiedBytes != sections || res.LinkedBytes != linked || linked == 0 {
+			t.Fatalf("cut %d copied %d and linked %d bytes; want %d copied (the Stat and liveness sections) and %d linked",
+				c, res.CopiedBytes, res.LinkedBytes, sections, linked)
 		}
 		parent, parentDir = meta, dir
 	}

@@ -116,12 +116,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 			sl.Bits[ord/8] |= 1 << (ord % 8)
 		}
 		segs = append(segs, sl)
-		seg := ckpt.SegmentName(e.Name(), 0)
-		if err := os.WriteFile(filepath.Join(ckptDir, seg), b, 0o644); err != nil {
+		f, err := ckptFile(ckptDir, e.Name(), b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		meta.Files = append(meta.Files, ckpt.FileState{Logical: e.Name(), Epoch: 1,
-			Segments: []ckpt.Segment{{Name: seg, Len: int64(len(b)), CRC: binio.Checksum(b)}}})
+		meta.Files = append(meta.Files, f)
 	}
 	if len(segs) < 11 {
 		t.Fatalf("%d segments survived, want batch 1's ten and the torn one", len(segs))
@@ -178,4 +177,11 @@ func TestIndexLogTornTailRecovery(t *testing.T) {
 			t.Fatalf("torn batch-2 state %s resurrected: %q", k, vals)
 		}
 	}
+}
+
+// ckptFile writes b as instance 0's file logical in the checkpoint
+// directory dir and returns its files-section entry, of epoch 1.
+func ckptFile(dir, logical string, b []byte) (ckpt.FileState, error) {
+	f := ckpt.FileState{Logical: logical, Epoch: 1, Len: int64(len(b)), CRC: binio.Checksum(b)}
+	return f, os.WriteFile(filepath.Join(dir, ckpt.FileName(0, logical)), b, 0o644)
 }

@@ -135,14 +135,12 @@ type Options struct {
 	// fan-out: GetWindow drains, Flush, Sync, and checkpoint writes.
 	// 1 runs those serially. Default min(4, Instances).
 	Parallelism int
-	// MaxDeltaChain caps the incremental-checkpoint chain depth: when a
-	// CheckpointDelta would exceed it, the checkpoint is written as a
-	// fresh full base instead. The cap is the rebase cadence, and it
-	// bounds the pieces a restore concatenates: a delta cut links its
-	// parent's segments of a log and adds at most one new tail, so a log
-	// spans at most MaxDeltaChain+1 segment files. Default 16; negative
-	// disables incremental checkpoints entirely (every CheckpointDelta is
-	// full).
+	// MaxDeltaChain, when negative, makes CheckpointDelta ignore its
+	// parent, so every file is linked from the live directory, and a file
+	// the store has not synced itself is fsynced again at every commit.
+	// Zero or positive links what the parent holds from there. Only the
+	// full_commits ablation sets it; it goes with the bench harness's
+	// merge into one (ROADMAP item 1(d)).
 	MaxDeltaChain int
 	// DisableGroupCommit makes CheckpointDelta fsync each written file
 	// immediately (the historical per-log discipline) instead of
@@ -208,9 +206,6 @@ func (o *Options) fill() {
 	}
 	if o.ReadRetryBackoff <= 0 {
 		o.ReadRetryBackoff = time.Millisecond
-	}
-	if o.MaxDeltaChain == 0 {
-		o.MaxDeltaChain = 16
 	}
 }
 
@@ -765,10 +760,10 @@ type Stats struct {
 	// or batch.
 	Compactions int64
 	// CompactionBytes is the bytes those passes re-appended to survivor
-	// segments. SegmentsDropped
-	// counts log segments unlinked (emptied by consumption, or cleaned)
-	// and LiveSegments the segments the logs currently hold; all are zero
-	// for AAR.
+	// segments. SegmentsDropped counts log segments unlinked (emptied by
+	// consumption, or cleaned); those three are zero for AAR.
+	// LiveSegments is the files the logs currently hold: segments, or
+	// AAR's window files.
 	CompactionBytes int64
 	SegmentsDropped int64
 	LiveSegments    int

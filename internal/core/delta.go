@@ -13,18 +13,18 @@ import (
 )
 
 // CheckpointDelta writes a checkpoint of the composite store into dir,
-// incrementally against the checkpoint at parent: sealed bytes already
-// persisted by the parent are hard-linked into the new directory (copy
-// fallback when the filesystem refuses links) and only the bytes written
-// since the parent's cut are re-persisted. parent is resolved
-// fail-safe — a missing, corrupt, or foreign parent, a chain already at
-// Options.MaxDeltaChain, or a per-file validity mismatch inside an
-// instance all silently fall back to writing full data, never to a
-// corrupt checkpoint. An empty parent writes a full (chain base)
-// checkpoint; Checkpoint and CheckpointWithMeta are exactly that.
+// against the checkpoint at parent. Every instance seals its open logs and
+// hard-links each file its state lives in (copy fallback when the
+// filesystem refuses links): from parent when it holds the same file, as
+// those bytes are committed and need no sync, else from the live
+// directory. Only the CUT's sections are written. parent is resolved
+// fail-safe — a missing, corrupt, quarantined or foreign parent, or a
+// negative Options.MaxDeltaChain, links every file from the live
+// directory instead, never making a corrupt checkpoint. An empty parent
+// does the same; Checkpoint and CheckpointWithMeta are exactly that.
 //
 // The checkpoint is crash-consistent. Everything is first written into
-// "<dir>.tmp", flat: the instances' segment files and one CUT file holding
+// "<dir>.tmp", flat: the instances' files and one CUT file holding
 // every instance's files, liveness and dump sections and the application
 // metadata, with a table of their CRC32Cs. The files and the directory are
 // fsynced; only then is the temporary directory atomically renamed onto
@@ -39,15 +39,15 @@ import (
 // If any step fails, the temporary directory is removed so no partial
 // state lingers.
 //
-// Durability is group-committed: instances write their segments unsynced
-// and report what needs durability; the store fsyncs them and the CUT in
-// one batched window (fanned across Options.Parallelism workers), so a
-// barrier pays one sync wave instead of one fsync per file per instance.
-// Options.DisableGroupCommit reverts to fsyncing each instance's segments
-// as soon as it is cut, for ablation. Segments linked from a parent checkpoint
+// Durability is group-committed: instances link their files and report
+// what needs durability; the store fsyncs those and the CUT in one batched
+// window (fanned across Options.Parallelism workers), so a barrier pays
+// one sync wave instead of one fsync per file per instance.
+// Options.DisableGroupCommit reverts to fsyncing each instance's files as
+// soon as it is cut, for ablation. Files linked from a parent checkpoint
 // are already durable and are never re-synced; a link of a live file whose
-// bytes are not yet on disk (an RMW segment sealed since the last sync) is
-// in the window like a written file.
+// bytes are not yet on disk (a log sealed since the last sync, as every
+// log the cut itself sealed is) is in the window like a copy.
 //
 // meta is the opaque application metadata (see CheckpointWithMeta). The
 // resulting directory is physically self-contained: restoring it never
@@ -67,7 +67,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 			return fmt.Errorf("flowkv: checkpoint: restore previous: %w", err)
 		}
 	}
-	depth, parentMetas := s.resolveParent(parent)
+	parentMetas := s.parentFiles(parent)
 	if parentMetas == nil {
 		parent = ""
 	}
@@ -80,7 +80,7 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	if err := fsys.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("flowkv: checkpoint: %w", err)
 	}
-	h := ckpt.Header{Pattern: int(s.pattern), Instances: s.opts.Instances, Depth: depth}
+	h := ckpt.Header{Pattern: int(s.pattern), Instances: s.opts.Instances}
 	results, err := s.checkpointDeltaInto(tmp, parent, h, parentMetas, meta)
 	if err != nil {
 		// Best-effort cleanup: after a simulated (or real) crash the
@@ -123,26 +123,25 @@ func (s *Store) CheckpointDelta(dir, parent string, meta []byte) error {
 	return nil
 }
 
-// resolveParent decides what the new checkpoint diffs against: its chain
-// depth, and each instance's files section in the parent (a nil slice
-// means no parent at all, a full base at depth 0). Every rejection — no
-// parent, a missing, corrupt, quarantined or foreign one, or a chain
-// already at Options.MaxDeltaChain — is a silent fallback to full data:
-// an unreadable parent must make the checkpoint bigger, never wrong.
-func (s *Store) resolveParent(parent string) (int, []*ckpt.Meta) {
+// parentFiles returns each instance's files section in the checkpoint at
+// parent, the files a new cut may link from there. nil — no parent, a
+// missing, corrupt, quarantined or foreign one, or a negative
+// Options.MaxDeltaChain — links every file from the live directory: an
+// unreadable parent may cost the commit fsyncs, never correctness.
+func (s *Store) parentFiles(parent string) []*ckpt.Meta {
 	if parent == "" || s.opts.MaxDeltaChain < 0 {
-		return 0, nil
+		return nil
 	}
 	c, err := readCut(s.opts.FS, parent, s.pattern, s.opts.Instances)
-	if err != nil || c.Depth+1 > s.opts.MaxDeltaChain {
-		return 0, nil
+	if err != nil {
+		return nil
 	}
-	return c.Depth + 1, c.Files
+	return c.Files
 }
 
-// checkpointDeltaInto stages the snapshot in tmp: the instances' segment
-// files and sections, the application metadata, the CUT's table, then one
-// group-commit sync window over every written segment and the CUT, and
+// checkpointDeltaInto stages the snapshot in tmp: the instances' files
+// and sections, the application metadata, the CUT's table, then one
+// group-commit sync window over every file still to sync and the CUT, and
 // the directory. Instances snapshot in parallel (bounded by
 // Options.Parallelism), each holding only its own I/O lock, so ingestion
 // proceeds while the snapshot is written. The cut is per-instance — the
@@ -185,9 +184,9 @@ func (s *Store) checkpointDeltaInto(tmp, parent string, h ckpt.Header, parentMet
 	if err := w.Close(); err != nil {
 		return nil, fmt.Errorf("flowkv: checkpoint: %w", err)
 	}
-	// Group commit: one batched sync window for the CUT and every segment
-	// all instances wrote this barrier, fanned across the same worker
-	// budget as the instance snapshots.
+	// Group commit: one batched sync window for the CUT and every file all
+	// instances linked undurable or copied this barrier, fanned across the
+	// same worker budget as the instance snapshots.
 	all := []string{w.Path()}
 	if !s.opts.DisableGroupCommit {
 		for _, res := range results {
@@ -207,7 +206,7 @@ func (s *Store) checkpointDeltaInto(tmp, parent string, h ckpt.Header, parentMet
 
 // syncWindow fsyncs every path, fanning across Options.Parallelism
 // workers. It is the group-commit window: called once per barrier with
-// the CUT and the union of every instance's unsynced segments.
+// the CUT and the union of every instance's unsynced files.
 func (s *Store) syncWindow(paths []string) error {
 	return s.fanOut(len(paths), func(i int) error { return syncFiles(s.opts.FS, paths[i:i+1]) })
 }

@@ -11,30 +11,29 @@ import (
 // Checkpoint export: the file-level transfer primitive behind the SPE's
 // live key-range migration. A committed checkpoint directory is immutable
 // and self-contained, so "shipping" it to another worker's staging area
-// is a walk of its CUT: every segment file the files sections name is
+// is a walk of its CUT: every file the files sections name is
 // hard-linked into the destination (copy fallback when the filesystem
 // refuses links, e.g. across devices), copies are fsynced, and the CUT
 // itself is written last — its presence marks the clone complete, and the
-// clone then passes VerifyCheckpointDir exactly like the original. Sealed
-// segments dominate a checkpoint's bytes and always arrive as links, so
-// the transfer cost tracks the file count, not the state size.
+// clone then passes VerifyCheckpointDir exactly like the original. The
+// files are sealed and always arrive as links where the filesystem allows,
+// so the transfer cost tracks the file count, not the state size.
 
 // CloneResult reports what a CloneCheckpointDir moved.
 type CloneResult struct {
-	// LinkedBytes is the recorded size of segment files that arrived as
-	// hard links (no bytes copied, already durable).
+	// LinkedBytes is the recorded size of files that arrived as hard
+	// links (no bytes copied, already durable).
 	LinkedBytes int64
-	// CopiedBytes is the size of segment files the filesystem refused to
-	// link.
+	// CopiedBytes is the size of files the filesystem refused to link.
 	CopiedBytes int64
-	// Files is the number of segment files cloned (CUT excluded).
+	// Files is the number of files cloned (CUT excluded).
 	Files int
 }
 
 // CloneCheckpointDir clones the checkpoint at src into dst through its
-// CUT: link-or-copy each segment file, fsync the copies and the
+// CUT: link-or-copy each file, fsync the copies and the
 // directory, then write the CUT. Any existing dst is removed first. The
-// segments are not verified here — callers verify the staged clone
+// files are not verified here — callers verify the staged clone
 // (VerifyCheckpointDir), which checks the same CRCs and doubles as a
 // destination-media probe. A nil fsys uses the real filesystem.
 func CloneCheckpointDir(fsys faultfs.FS, src, dst string) (CloneResult, error) {
@@ -57,23 +56,22 @@ func CloneCheckpointDir(fsys faultfs.FS, src, dst string) (CloneResult, error) {
 		return res, fmt.Errorf("flowkv: clone checkpoint: %w", err)
 	}
 	var needSync []string
-	for _, m := range c.Files {
-		for _, f := range m.Files {
-			for _, seg := range f.Segments {
-				dp := filepath.Join(dst, seg.Name)
-				linked, err := faultfs.LinkOrCopy(fsys, filepath.Join(src, seg.Name), dp)
-				if err != nil {
-					return res, fmt.Errorf("flowkv: clone checkpoint %s: %w", seg.Name, err)
-				}
-				if linked {
-					res.LinkedBytes += seg.Len
-				} else {
-					res.CopiedBytes += seg.Len
-					needSync = append(needSync, dp)
-				}
-				res.Files++
-			}
+	if err := c.EachFile(func(name string, f *ckpt.FileState) error {
+		dp := filepath.Join(dst, name)
+		linked, err := faultfs.LinkOrCopy(fsys, filepath.Join(src, name), dp)
+		if err != nil {
+			return fmt.Errorf("flowkv: clone checkpoint %s: %w", name, err)
 		}
+		if linked {
+			res.LinkedBytes += f.Len
+		} else {
+			res.CopiedBytes += f.Len
+			needSync = append(needSync, dp)
+		}
+		res.Files++
+		return nil
+	}); err != nil {
+		return res, err
 	}
 	if err := syncFiles(fsys, needSync); err != nil {
 		return res, err

@@ -24,9 +24,8 @@ type instance interface {
 	Recover() error
 	// Scrub verifies the live logs' record frames against their checksums.
 	Scrub() (logfile.ScrubSummary, error)
-	// CheckpointDelta writes the instance's snapshot into cut: its segment
-	// files and its sections of the checkpoint's CUT, reusing what the
-	// cut's parent already persisted.
+	// CheckpointDelta writes the instance's snapshot into cut: its sealed
+	// files, linked, and its sections of the checkpoint's CUT.
 	CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error)
 	// Restore rebuilds a freshly opened instance from its part of a
 	// checkpoint.
@@ -50,6 +49,7 @@ type (
 func (a aarInstance) addStats(st *Stats) {
 	st.BufferedBytes += a.BufferedBytes()
 	st.DiskBytes += a.DiskUsage()
+	st.LiveSegments += a.LiveFiles()
 }
 
 func (a aurInstance) addStats(st *Stats) {

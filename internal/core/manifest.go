@@ -96,8 +96,8 @@ func readCut(fsys faultfs.FS, dir string, p Pattern, instances int) (*ckpt.CutFi
 	return c, nil
 }
 
-// verifyContents checks dir against its decoded CUT c: every segment file
-// an instance's files section names is present with the recorded size and
+// verifyContents checks dir against its decoded CUT c: every file an
+// instance's files section names is present with the recorded size and
 // CRC32C, and no other file exists. Any deviation — a truncated copy, a
 // bit-flip, a file from a half-finished later attempt — yields a
 // CheckpointError rather than a silently partial restore.
@@ -112,15 +112,12 @@ func verifyContents(fsys faultfs.FS, dir string, c *ckpt.CutFile) error {
 			unlisted[e.Name()] = true
 		}
 	}
-	for _, m := range c.Files {
-		for _, f := range m.Files {
-			for _, seg := range f.Segments {
-				if err := verifySegment(fsys, dir, seg, unlisted[seg.Name]); err != nil {
-					return err
-				}
-				delete(unlisted, seg.Name)
-			}
-		}
+	if err := c.EachFile(func(name string, f *ckpt.FileState) error {
+		present := unlisted[name]
+		delete(unlisted, name)
+		return verifyFile(fsys, dir, name, f, present)
+	}); err != nil {
+		return err
 	}
 	for name := range unlisted {
 		return &CheckpointError{Dir: dir, File: name, Reason: "not listed in CUT"}
@@ -128,42 +125,30 @@ func verifyContents(fsys faultfs.FS, dir string, c *ckpt.CutFile) error {
 	return nil
 }
 
-// verifySegment checks the segment file seg of dir, present saying whether
-// the directory lists it, against its recorded size and CRC32C.
-func verifySegment(fsys faultfs.FS, dir string, seg ckpt.Segment, present bool) error {
+// verifyFile checks the file name of dir, present saying whether the
+// directory lists it, against f's recorded size and CRC32C.
+func verifyFile(fsys faultfs.FS, dir, name string, f *ckpt.FileState, present bool) error {
 	if !present {
-		return &CheckpointError{Dir: dir, File: seg.Name, Reason: "listed in CUT but missing"}
+		return &CheckpointError{Dir: dir, File: name, Reason: "listed in CUT but missing"}
 	}
-	b, err := fsys.ReadFile(filepath.Join(dir, seg.Name))
+	b, err := fsys.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		return &CheckpointError{Dir: dir, File: seg.Name, Reason: "unreadable", Err: err}
+		return &CheckpointError{Dir: dir, File: name, Reason: "unreadable", Err: err}
 	}
-	if int64(len(b)) != seg.Len {
-		return &CheckpointError{Dir: dir, File: seg.Name,
-			Reason: fmt.Sprintf("size %d, CUT says %d", len(b), seg.Len)}
+	if int64(len(b)) != f.Len {
+		return &CheckpointError{Dir: dir, File: name,
+			Reason: fmt.Sprintf("size %d, CUT says %d", len(b), f.Len)}
 	}
-	if crc := binio.Checksum(b); crc != seg.CRC {
+	if crc := binio.Checksum(b); crc != f.CRC {
 		// Name the exact damage: expected vs observed checksum, and the
 		// offset of the first frame that no longer verifies.
-		reason := fmt.Sprintf("checksum mismatch: manifest %08x, file %08x", seg.CRC, crc)
+		reason := fmt.Sprintf("checksum mismatch: manifest %08x, file %08x", f.CRC, crc)
 		if off := firstCorruptFrame(b); off >= 0 {
 			reason += fmt.Sprintf(", first corrupt frame at offset %d", off)
 		}
-		return &CheckpointError{Dir: dir, File: seg.Name, Reason: reason}
+		return &CheckpointError{Dir: dir, File: name, Reason: reason}
 	}
 	return nil
-}
-
-// segmentBytes sums the sizes of the segment files c names, and counts
-// them.
-func segmentBytes(c *ckpt.CutFile) (files int, size int64) {
-	for _, m := range c.Files {
-		for _, f := range m.Files {
-			files += len(f.Segments)
-			size += f.TotalLen()
-		}
-	}
-	return files, size
 }
 
 // CheckpointInfo describes one checkpoint directory found by
@@ -175,14 +160,11 @@ type CheckpointInfo struct {
 	Pattern   Pattern
 	Instances int
 	// Files is the number of files the checkpoint holds, the CUT and the
-	// segment files it names; SizeBytes is their total size.
+	// files it names; SizeBytes is their total size.
 	Files     int
 	SizeBytes int64
 	// ModTime is the directory's modification time (checkpoint age).
 	ModTime time.Time
-	// Depth is the checkpoint's position in its incremental chain
-	// (0 = a full base).
-	Depth int
 	// Err is non-nil when the checkpoint failed verification: missing,
 	// truncated, or bit-flipped files, or extra files not in the CUT.
 	Err error
@@ -200,7 +182,7 @@ func IsCheckpointStaging(name string) bool { return strings.HasSuffix(name, stag
 
 // ListCheckpoints scans the immediate subdirectories of parent and
 // returns one CheckpointInfo per directory holding a CUT, each fully
-// verified against it (every segment file's size and CRC32C), sorted
+// verified against it (every file's size and CRC32C), sorted
 // newest first. Directories without a CUT are skipped, so store data
 // directories living next to checkpoints are ignored, and so are
 // CheckpointDelta's "<name>.tmp" staging directories: a crash mid-cut
@@ -234,10 +216,13 @@ func ListCheckpoints(fsys faultfs.FS, parent string) ([]CheckpointInfo, error) {
 			out = append(out, ci)
 			continue
 		}
-		ci.Pattern, ci.Instances, ci.Depth = Pattern(c.Pattern), c.Instances, c.Depth
-		ci.Files, ci.SizeBytes = segmentBytes(c)
-		ci.Files++
-		ci.SizeBytes += c.Size()
+		ci.Pattern, ci.Instances = Pattern(c.Pattern), c.Instances
+		ci.Files, ci.SizeBytes = 1, c.Size()
+		c.EachFile(func(_ string, f *ckpt.FileState) error {
+			ci.Files++
+			ci.SizeBytes += f.Len
+			return nil
+		})
 		if reason, ok := QuarantineReason(fsys, dir); ok {
 			ci.Err = &CheckpointError{Dir: dir, Reason: "quarantined: " + reason}
 		} else {

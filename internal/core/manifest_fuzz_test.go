@@ -54,14 +54,11 @@ func cutSection(t *testing.T, dir, name string) (ckpt.Section, bool) {
 	return ckpt.Section{}, false
 }
 
-// metasOf returns n files sections, each of the segments segs.
-func metasOf(n int, segs ...ckpt.Segment) []*ckpt.Meta {
+// metasOf returns n files sections, each of the files files.
+func metasOf(n int, files ...ckpt.FileState) []*ckpt.Meta {
 	out := make([]*ckpt.Meta, n)
 	for i := range out {
-		out[i] = &ckpt.Meta{}
-		if len(segs) > 0 {
-			out[i].Files = []ckpt.FileState{{Logical: "win_0_10.log", Epoch: 3, Segments: segs}}
-		}
+		out[i] = &ckpt.Meta{Files: files}
 	}
 	return out
 }
@@ -73,29 +70,27 @@ func metasOf(n int, segs ...ckpt.Segment) []*ckpt.Meta {
 // holds a files section for every instance it claims. ckpt's
 // FuzzDecodeCut holds the decoder to its encoding.
 func FuzzParseManifest(f *testing.F) {
-	segs := []ckpt.Segment{
-		{Name: "inst-00.win_0_10.log.seg-000000000000", Len: 4096, CRC: 0xdeadbeef},
-		{Name: "inst-00.win_0_10.log.seg-000000004096", Len: 512, CRC: 0xfeed},
+	files := []ckpt.FileState{
+		{Logical: "win_0_10.0.log", Epoch: 3, Len: 4096, CRC: 0xdeadbeef},
+		{Logical: "win_0_10.1.log", Epoch: 4, Len: 512, CRC: 0xfeed},
 	}
 	f.Add([]byte{})
 	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 4}, metasOf(4), nil))
-	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 2}, metasOf(2, segs...), nil))
-	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternRMW), Instances: 1}, metasOf(1, ckpt.Segment{Name: "inst-00.rmw-000000.log.seg-000000000000"}), nil))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 2}, metasOf(2, files...), nil))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternRMW), Instances: 1}, metasOf(1, ckpt.FileState{Logical: "rmw-000000.log"}), nil))
 	// Truncated and bit-flipped variants of a valid parentless CUT.
-	base := cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 8}, metasOf(8, segs[:1]...), nil)
+	base := cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 8}, metasOf(8, files[:1]...), nil)
 	f.Add(base[:len(base)-3])
 	flipped := bytes.Clone(base)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 
-	// Delta cuts: depth above 0.
-	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 1, Depth: 3}, metasOf(1, segs...), []byte("appmeta")))
-	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternRMW), Instances: 2, Depth: 1}, metasOf(2, segs[1:]...), nil))
-	// Depth 0: a base, here one written at the chain cap.
-	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 4}, metasOf(4, segs[:1]...), nil))
-	// A depth past any chain cap still decodes: the cap is the writer's.
-	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 1, Depth: 1 << 20}, metasOf(1), nil))
-	full := cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 2, Depth: 2}, metasOf(2, segs...), []byte("meta"))
+	// With application metadata, and of other shapes.
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 1}, metasOf(1, files...), []byte("appmeta")))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternRMW), Instances: 2}, metasOf(2, files[1:]...), nil))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 4}, metasOf(4, files[:1]...), nil))
+	f.Add(cutBytes(f, ckpt.Header{Pattern: int(PatternAAR), Instances: 1}, metasOf(1), nil))
+	full := cutBytes(f, ckpt.Header{Pattern: int(PatternAUR), Instances: 2}, metasOf(2, files...), []byte("meta"))
 	f.Add(full[:len(full)-5])
 	flipped = bytes.Clone(full)
 	flipped[len(flipped)/3] ^= 0x10

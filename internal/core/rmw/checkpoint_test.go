@@ -243,7 +243,7 @@ func TestRestoreRejectsZeroedSegmentPage(t *testing.T) {
 			if _, err := s.checkpointTo(dir, nil, ""); err != nil {
 				t.Fatal(err)
 			}
-			name := ckpt.InstPrefix(0) + logfile.SegmentName(segmentPrefix, 0) + ".seg-000000000000"
+			name := ckpt.FileName(0, logfile.SegmentName(segmentPrefix, 0))
 			fi, err := os.Stat(filepath.Join(dir, name))
 			if err != nil || fi.Size() < 3*4096 {
 				t.Fatalf("%s: %v, %v; want a segment of several pages", name, fi, err)
@@ -300,7 +300,7 @@ func TestCutSyncsOnlyUndurableLiveLinks(t *testing.T) {
 		if durable {
 			t.Fatalf("segment %d durable before any Sync", sid)
 		}
-		if path := filepath.Join(dir, ckpt.InstPrefix(0)+logfile.SegmentName(segmentPrefix, sid)+".seg-000000000000"); !slices.Contains(res.NeedSync, path) {
+		if path := filepath.Join(dir, ckpt.FileName(0, logfile.SegmentName(segmentPrefix, sid))); !slices.Contains(res.NeedSync, path) {
 			t.Fatalf("the first cut links unsynced segment %d but does not sync it: %v", sid, res.NeedSync)
 		}
 	}
@@ -316,7 +316,7 @@ func TestCutSyncsOnlyUndurableLiveLinks(t *testing.T) {
 	dir, res = c.cut()
 	var fromParent, durableLive, undurableLive int
 	for sid, durable := range atCut {
-		path := filepath.Join(dir, ckpt.InstPrefix(0)+logfile.SegmentName(segmentPrefix, sid)+".seg-000000000000")
+		path := filepath.Join(dir, ckpt.FileName(0, logfile.SegmentName(segmentPrefix, sid)))
 		_, parentHas := inParent[sid]
 		want := !parentHas && !durable
 		switch {
@@ -476,13 +476,11 @@ func cutFileCRCs(t *testing.T, dir string, meta *ckpt.Meta) [3]uint32 {
 	t.Helper()
 	var segs []byte
 	for _, f := range meta.Files {
-		for _, seg := range f.Segments {
-			b, err := os.ReadFile(filepath.Join(dir, seg.Name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs = append(segs, b...)
+		b, err := os.ReadFile(filepath.Join(dir, ckpt.FileName(0, f.Logical)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		segs = append(segs, b...)
 	}
 	tab := crc32.MakeTable(crc32.Castagnoli)
 	return [3]uint32{crc32.Checksum(cutSection(t, dir, ckpt.KindLive), tab), crc32.Checksum(cutSection(t, dir, ckpt.KindDump), tab), crc32.Checksum(segs, tab)}

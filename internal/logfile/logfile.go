@@ -230,6 +230,9 @@ func (l *Log) CRC() uint32 { return l.crc }
 // write path (buffer, page cache, and the retained tail).
 func (l *Log) DurableOffset() int64 { return l.durable }
 
+// Closed reports whether the log was closed (or removed).
+func (l *Log) Closed() bool { return l.closed }
+
 // Poisoned returns the first write-path error if the log is poisoned,
 // nil otherwise.
 func (l *Log) Poisoned() error { return l.perr }
@@ -910,17 +913,6 @@ func (d *Dir) Breakdown() *metrics.Breakdown { return d.bd }
 // new log inherits the directory's I/O policy.
 func (d *Dir) Create(name string) (*Log, error) {
 	l, err := CreateFS(d.fs, filepath.Join(d.root, name), d.bd)
-	if err != nil {
-		return nil, err
-	}
-	l.pol.Store(d.pol.Load())
-	return l, nil
-}
-
-// Open opens an existing named log, recovering its tail. The log
-// inherits the directory's I/O policy.
-func (d *Dir) Open(name string) (*Log, error) {
-	l, err := OpenFS(d.fs, filepath.Join(d.root, name), d.bd)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,8 @@ type SegmentStats struct {
 // Segments is the segmented log the RMW and AUR stores share: a segment is
 // created when first needed — as the flush head flushes append to, or the
 // survivor cleaning re-appends to — sealed once its log holds
-// sealBytes or its owner says so, unlinked without a byte copied once
+// sealBytes or its owner says so (a checkpoint seals every open segment it
+// links, so no linked file is written again), unlinked without a byte copied once
 // nothing in it is live, and cleaned, emptiest first, while space
 // amplification over the logs exceeds msa. Survivors never go to
 // the head: what survives a pass is long-lived by selection and would pin
@@ -127,20 +128,11 @@ func (ss *Segments) OpenHead() (*Segment, error) {
 	return ss.head, nil
 }
 
-// Reopen registers segment id, whose file a restore put back, sealed under
-// epoch; later segments are numbered after it.
-func (ss *Segments) Reopen(id uint32, epoch uint64) (*Segment, error) {
-	return ss.reopen(id, ss.dir.Open, epoch)
-}
-
-// ReopenSealed is Reopen for a file never to be written again
-// (Dir.OpenSealed), its bytes checksumming to crc.
+// ReopenSealed registers segment id, whose file a restore put back, sealed
+// under epoch: a file never to be written again (Dir.OpenSealed), its bytes
+// checksumming to crc. Later segments are numbered after it.
 func (ss *Segments) ReopenSealed(id uint32, epoch uint64, crc uint32) (*Segment, error) {
-	return ss.reopen(id, func(name string) (*Log, error) { return ss.dir.OpenSealed(name, crc) }, epoch)
-}
-
-func (ss *Segments) reopen(id uint32, open func(name string) (*Log, error), epoch uint64) (*Segment, error) {
-	sg, err := ss.open(id, open, epoch)
+	sg, err := ss.open(id, func(name string) (*Log, error) { return ss.dir.OpenSealed(name, crc) }, epoch)
 	if err != nil {
 		return nil, err
 	}

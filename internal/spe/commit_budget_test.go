@@ -121,12 +121,12 @@ func TestCommitBudget(t *testing.T) {
 			for dir, names := range fsys.cutFiles {
 				var meta []string
 				for _, name := range names {
-					if !strings.Contains(name, ".seg-") {
+					if !strings.HasPrefix(name, "inst-") {
 						meta = append(meta, name)
 					}
 				}
 				if len(meta) != 1 || meta[0] != ckpt.CutName {
-					t.Fatalf("cut %s created %v besides its segments, want only %s", dir, meta, ckpt.CutName)
+					t.Fatalf("cut %s created %v besides its files, want only %s", dir, meta, ckpt.CutName)
 				}
 			}
 		})

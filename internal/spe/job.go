@@ -119,7 +119,8 @@ type Job struct {
 	// restore, it is quarantined and the job restarts from the newest
 	// older generation's own GENMETA record — replaying further back but
 	// still producing a byte-identical ledger. Each retained generation
-	// costs only its delta (hard links share unchanged segment bytes).
+	// costs only its CUTs: its files are hard links to the store's sealed
+	// logs.
 	RetainGenerations int
 	// KillAfterTuples, when positive, aborts the run after that many
 	// tuples have been fed this run — a simulated crash for the recovery
@@ -788,10 +789,11 @@ func (jr *jobRun) checkpointFailed(js *jobStage, worker int, b statebackend.Back
 }
 
 // checkpointCut writes stage js's cut for worker w into generation gen,
-// priced against the same cut of the previous generation, which
-// clearGens has kept alive exactly for this: each backend hard-links the
-// bytes gen-1 already persisted and rewrites only the delta. Any unusable parent (first generation, a parallelism
-// change) silently falls back to a full base.
+// against the same cut of the previous generation, which clearGens has
+// kept alive exactly for this: each backend links the files gen-1 already
+// holds from there, their bytes durable. Any unusable parent (first
+// generation, a parallelism change) silently links every file from the
+// live store instead.
 func (jr *jobRun) checkpointCut(gen int64, js *jobStage, w int, b statebackend.Backend, meta []byte) error {
 	name := cutDirName(js.si, w)
 	parent := ""

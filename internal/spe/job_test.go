@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"flowkv/internal/binio"
@@ -541,25 +542,44 @@ func TestJobMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// linkFS records every hard link a job makes, as (source, destination).
+type linkFS struct {
+	faultfs.FS
+	mu    sync.Mutex
+	links [][2]string
+}
+
+func (l *linkFS) Link(oldpath, newpath string) error {
+	l.mu.Lock()
+	l.links = append(l.links, [2]string{oldpath, newpath})
+	l.mu.Unlock()
+	return l.FS.Link(oldpath, newpath)
+}
+
 // TestJobGenerationsChainIncrementally is the SPE leg of the
 // incremental-checkpoint battery: every barrier commit after the first
 // generation must go through the delta path, chaining on the previous
-// generation's checkpoint of the same worker, so generation N's cuts
-// record depth N-1 (the runs stay under the default chain cap). Every
-// committed checkpoint still verifies standalone (hard links keep it
-// self-contained even though clearGens deletes the parent generation
-// right after the commit).
+// generation's checkpoint of the same worker, so a file generation N ≥ 2
+// holds that generation N-1's same worker held too is linked from there,
+// not from the live store. Every committed checkpoint still verifies
+// standalone (hard links keep it self-contained even though clearGens
+// deletes the parent generation right after the commit).
 func TestJobGenerationsChainIncrementally(t *testing.T) {
 	tuples := crashTuples(600)
-	const every = 97
+	// A barrier every 7 tuples: the crash tuples' windows fire at the event-time
+	// gap every 97, so state must outlive a few barriers for a generation to
+	// hold what its parent held.
+	const every = 7
 	for _, pat := range crashPatterns() {
 		pat := pat
 		t.Run(pat.name, func(t *testing.T) {
 			base := t.TempDir()
+			fsys := &linkFS{FS: faultfs.OS}
 			job := &Job{
-				Pipeline:        crashPipeline(pat, filepath.Join(base, "state"), nil, 1<<10),
+				Pipeline:        crashPipeline(pat, filepath.Join(base, "state"), fsys, 1<<10),
 				Source:          NewSliceSource(tuples),
 				Dir:             filepath.Join(base, "job"),
+				FS:              fsys,
 				CheckpointEvery: every,
 			}
 			res, err := job.Run()
@@ -588,11 +608,39 @@ func TestJobGenerationsChainIncrementally(t *testing.T) {
 				if ci.Err != nil {
 					t.Errorf("%s fails verification: %v", ci.Path, ci.Err)
 				}
-				if want := int(meta.Gen) - 1; ci.Depth != want {
-					t.Errorf("%s has depth %d, want %d: generation %d did not chain on every predecessor",
-						ci.Path, ci.Depth, want, meta.Gen)
+			}
+			// Each generation's links, by worker cut and file name.
+			cutFile := func(gen int64, link [2]string) (string, bool) {
+				dst := link[1]
+				cut := filepath.Dir(dst)
+				if filepath.Dir(cut) != filepath.Join(job.Dir, GenDirName(gen)) {
+					return "", false
+				}
+				return filepath.Join(strings.TrimSuffix(filepath.Base(cut), ".tmp"), filepath.Base(dst)), true
+			}
+			var fromParent int
+			for gen := int64(2); gen <= meta.Gen; gen++ {
+				held := make(map[string]bool)
+				for _, l := range fsys.links {
+					if f, ok := cutFile(gen-1, l); ok {
+						held[f] = true
+					}
+				}
+				for _, l := range fsys.links {
+					f, ok := cutFile(gen, l)
+					if !ok || !held[f] {
+						continue
+					}
+					if want := filepath.Join(job.Dir, GenDirName(gen-1), f); l[0] != want {
+						t.Fatalf("generation %d links %s from %s; its parent holds it at %s", gen, f, l[0], want)
+					}
+					fromParent++
 				}
 			}
+			if fromParent == 0 {
+				t.Fatalf("no generation of %d linked a file from its parent", meta.Gen)
+			}
+			t.Logf("%d files linked from the parent generation over %d generations", fromParent, meta.Gen)
 		})
 	}
 }

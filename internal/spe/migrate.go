@@ -29,7 +29,7 @@ import (
 //   records it, the staging area is removed, and the job never noticed.
 //
 //   COMMIT (under an aligned barrier, every worker parked): the live
-//   source store is sealed with one delta cut priced against the staged
+//   source store is sealed with one cut against the staged
 //   base, a rollback cut of the destination is taken, then the moved
 //   bucket's state is split out — store entries re-appended into the
 //   destination's live store, the rest rebuilt into a fresh source
@@ -370,9 +370,9 @@ func (jr *jobRun) migrateCommit(m *migRun) error {
 		return 0
 	}
 
-	// Seal the source: one delta cut of the live store priced against
-	// the staged base (same files, so unchanged segments arrive as
-	// links), carrying the operator snapshot taken at this barrier.
+	// Seal the source: one cut of the live store against the staged base
+	// (same files, so unchanged ones link from it), carrying the operator
+	// snapshot taken at this barrier.
 	cutDir := filepath.Join(m.dir, "cut")
 	if err := snapshotTo(js.ops[s].Backend(), cutDir, filepath.Join(m.dir, "base"), js.ops[s].snapshotState()); err != nil {
 		return jr.abortMigration(m, fmt.Errorf("seal source: %w", err))

@@ -374,7 +374,7 @@ func TestScrubBatteryZeroedPageIsFrameError(t *testing.T) {
 				// worker whose state all fired has none.
 				var path string
 				err := filepath.WalkDir(gen, func(p string, d fs.DirEntry, err error) error {
-					if ok, _ := filepath.Match("inst-*.rmw-*.log.seg-*", d.Name()); err == nil && ok && path == "" {
+					if ok, _ := filepath.Match("inst-*.rmw-*.log", d.Name()); err == nil && ok && path == "" {
 						if fi, err := d.Info(); err == nil && fi.Size() > 0 {
 							path = p
 						}
