@@ -212,9 +212,10 @@ func cmdAAR(path string) error {
 
 // cmdHealth is an offline integrity scan: every recognized log file in
 // the store directory is walked record by record, so CRC corruption and
-// torn tails are reported per file. A torn tail alone is recoverable
-// (open-time recovery truncates to the last whole record); corrupt
-// records in the middle of a log are not, and make the command fail.
+// torn tails are reported per file. A torn tail alone is what a crash
+// leaves (no store reopens a live log: a restart restores a checkpoint,
+// whose files end on whole records); corrupt records in the middle of a
+// log are not, and make the command fail.
 //
 // An AUR or RMW instance's log is a set of segments numbered from 0 in
 // creation order, each a log of blocks of entries — value batches, or one

@@ -1,6 +1,8 @@
 // Package binio provides the binary encoding primitives shared by every
 // persistent store in this repository: little-endian integers, unsigned
-// varints, length-prefixed byte frames, and CRC-checked records.
+// varints, length-prefixed byte frames, CRC-checked records, deflated
+// payloads, and the one column codec (ColumnWriter, ReadColumns) that AAR
+// flush chunks and sink-ledger blocks are written and read with.
 //
 // All stores (FlowKV's AAR/AUR/RMW stores, the LSM baseline, and the
 // hash-log baseline) serialize through this package so that on-disk
@@ -273,7 +275,6 @@ type RecordScanner struct {
 	off    int64
 	err    error
 	record []byte
-	frame  []byte
 }
 
 // NewRecordScanner returns a scanner reading framed records from r,
@@ -306,7 +307,7 @@ func (s *RecordScanner) Scan() bool {
 	for {
 		payload, n, err := ReadRecord(s.buf[s.start:s.end])
 		if err == nil {
-			s.record, s.frame = payload, s.buf[s.start:s.start+n]
+			s.record = payload
 			s.start += n
 			s.off += int64(n)
 			return true
@@ -377,10 +378,6 @@ func (s *RecordScanner) restIsZero() bool {
 // Record returns the payload of the record most recently scanned. The
 // slice is only valid until the next call to Scan.
 func (s *RecordScanner) Record() []byte { return s.record }
-
-// Frame returns the whole frame of the record most recently scanned,
-// marker to payload, valid only until the next call to Scan.
-func (s *RecordScanner) Frame() []byte { return s.frame }
 
 // Offset returns the file offset one byte past the most recent record.
 func (s *RecordScanner) Offset() int64 { return s.off }

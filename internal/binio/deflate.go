@@ -10,10 +10,15 @@ import (
 )
 
 // Deflated payloads. A payload written once and read only whole — a sink
-// ledger block, a checkpoint's application metadata, an AAR flush chunk —
-// is stored as a raw deflate stream (RFC 1951): at flate.BestSpeed
-// (Deflate), or Huffman-only a block a column (DeflateBlocks). The stream
-// carries no checksum of its own: the frame around it does.
+// ledger block, a checkpoint's application metadata or dump chunk, an AAR
+// flush chunk — is stored as a raw deflate stream (RFC 1951): at
+// flate.BestSpeed (Deflate), or Huffman-only (DeflateBlocks), given as
+// parts that each get blocks of their own. The column codec passes one of
+// the two: AAR chunks go Huffman-only, ledger blocks at BestSpeed, whose
+// match search finds the periodic shapes the ledger's byte budget pins.
+// Dump chunks and application metadata are rows, not columns, and stay
+// one BestSpeed stream. The stream carries no checksum of its own: the
+// frame around it does.
 //
 // Output is a pure function of the input within one build: every call
 // resets a pooled writer, and a reset writer emits what a fresh one
@@ -45,10 +50,13 @@ var huffWriters = sync.Pool{New: func() any {
 	return w
 }}
 
-// Deflate appends the deflate stream of p to dst. It fails only when p is
-// longer than MaxInflated.
-func Deflate(dst, p []byte) ([]byte, error) {
-	return deflatePooled(&writers, dst, p)
+// Deflate appends to dst one deflate stream holding parts back to back at
+// flate.BestSpeed, each part past the first in blocks of its own (a sync
+// marker of 4 to 5 bytes apart), whose matches may reach back into the
+// parts before it. The stream inflates, through Inflate, to the parts
+// concatenated. It fails only when they hold more than MaxInflated bytes.
+func Deflate(dst []byte, parts ...[]byte) ([]byte, error) {
+	return deflatePooled(&writers, dst, parts...)
 }
 
 // DeflateBlocks appends to dst one deflate stream holding parts back to

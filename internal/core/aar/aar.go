@@ -497,7 +497,7 @@ func sortByKey(entries []kvPair) {
 		}
 		var at [257]int
 		for _, x := range a {
-			at[byte(x.pfx>>shift)+1]++
+			at[int(byte(x.pfx>>shift))+1]++
 		}
 		for d := 1; d < len(at); d++ {
 			at[d] += at[d-1]

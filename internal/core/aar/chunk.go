@@ -15,8 +15,8 @@ import (
 //
 // Nothing ever reads inside a chunk: a window's log is read once, front
 // to back, when the window fires, so a chunk costs one inflate and
-// nothing else. The body is the key count, the byte length of each of six
-// columns, then the columns back to back:
+// nothing else. The body is a binio column payload, one row a key, in six
+// columns:
 //
 //	shared  per key the length of the prefix it shares with the key
 //	        before it (0 for the first)
@@ -26,25 +26,24 @@ import (
 //	valLen  per value its length
 //	value   every value, key by key, each key's in arrival order
 //
-// The deflate stream is binio.DeflateBlocks': every column Huffman-coded
-// in blocks of its own, the key count and column lengths with the first.
-// A column of small numbers, a column of key digits and a column of
-// prices each get their own code, and no match search is run: on
-// Q7-shaped flushes that writes 9% fewer bytes than one flate.BestSpeed
-// stream over the whole body, for about half its CPU.
+// The body is coded by binio.DeflateBlocks, every column Huffman-coded in
+// blocks of its own: a column of small numbers, a column of key digits
+// and a column of prices each get their own code, and no match search is
+// run. On Q7-shaped flushes that writes 9% fewer bytes than one
+// flate.BestSpeed stream over the whole body, for about half its CPU.
 //
-// Keys ascend strictly. A key whose values fill more than one chunk
-// opens the next one again. Tag 0 was the earlier row layout (per key its
-// prefix, suffix, count and values, undeflated); no reader is kept for
-// it, nor for the count-prefixed layout before it, whose records open
-// with a tuple count.
+// Keys ascend strictly, and every key has a value. A key whose values
+// fill more than one chunk opens the next one again. Tag 0 was the
+// earlier row layout (per key its prefix, suffix, count and values,
+// undeflated); no reader is kept for it, nor for the count-prefixed
+// layout before it, whose records open with a tuple count.
 const chunkTag = 0x01
 
 // The columns of a chunk body, in the order they are written.
 const (
-	colShared = iota
-	colSufLen
-	colSuffix
+	colShared = iota // the key's three columns
+	_
+	_
 	colCount
 	colValLen
 	colValue
@@ -72,104 +71,29 @@ type ChunkInfo struct {
 }
 
 // chunkEncoder builds flush chunks in buffers it reuses.
-type chunkEncoder struct {
-	cols  [chunkColumns][]byte
-	body  []byte
-	parts [chunkColumns][]byte // the body cut at its columns
-}
+type chunkEncoder struct{ w binio.ColumnWriter }
 
 // encode appends one chunk holding entries, which must be sorted by key
 // with each key's values in arrival order. It fails only for a body past
 // binio.MaxInflated.
 func (e *chunkEncoder) encode(dst []byte, entries []kvPair) ([]byte, error) {
-	e.layout(entries)
-	return binio.DeflateBlocks(binio.PutUvarint(append(dst, chunkTag), uint64(len(e.body))), e.parts[:]...)
-}
-
-// layout lays entries out as a chunk body in e.body, cut at its columns
-// in e.parts.
-func (e *chunkEncoder) layout(entries []kvPair) {
-	shared, sufLen, suffix := e.cols[colShared][:0], e.cols[colSufLen][:0], e.cols[colSuffix][:0]
-	count, valLen, value := e.cols[colCount][:0], e.cols[colValLen][:0], e.cols[colValue][:0]
+	w := &e.w
+	w.Reset(chunkColumns)
 	keys := 0
-	var prev []byte
 	for i, j := 0, 1; i < len(entries); i, j = j, j+1 {
 		k := entries[i].k
 		for j < len(entries) && bytes.Equal(entries[j].k, k) {
 			j++
 		}
-		p := 0
-		for p < len(prev) && p < len(k) && prev[p] == k[p] {
-			p++
-		}
-		shared = binio.PutUvarint(shared, uint64(p))
-		sufLen = binio.PutUvarint(sufLen, uint64(len(k)-p))
-		suffix = append(suffix, k[p:]...)
-		count = binio.PutUvarint(count, uint64(j-i))
+		w.Key(colShared, k)
+		w.Uvarint(colCount, uint64(j-i))
 		for _, e := range entries[i:j] {
-			valLen = binio.PutUvarint(valLen, uint64(len(e.v)))
-			value = append(value, e.v...)
+			w.Uvarint(colValLen, uint64(len(e.v)))
+			w.Bytes(colValue, e.v)
 		}
-		keys, prev = keys+1, k
+		keys++
 	}
-	e.cols = [chunkColumns][]byte{shared, sufLen, suffix, count, valLen, value}
-	body := binio.PutUvarint(e.body[:0], uint64(keys))
-	for _, col := range e.cols {
-		body = binio.PutUvarint(body, uint64(len(col)))
-	}
-	head := len(body)
-	for _, col := range e.cols {
-		body = append(body, col...)
-	}
-	e.body = body
-	// The key count and column lengths share the first block with the
-	// shared column: small numbers, all of them.
-	end := head + len(e.cols[0])
-	e.parts[0] = body[:end]
-	for i, col := range e.cols[1:] {
-		e.parts[i+1] = body[end : end+len(col)]
-		end += len(col)
-	}
-}
-
-// chunkCursor reads one column of a chunk body, latching the first
-// reason it finds the column is not what the encoder writes.
-type chunkCursor struct {
-	b   []byte
-	why *string
-}
-
-func (c *chunkCursor) fail(format string, args ...any) {
-	if *c.why == "" {
-		*c.why = fmt.Sprintf(format, args...)
-	}
-}
-
-// uvarint reads a minimal uvarint, or 0 once the decode has failed.
-func (c *chunkCursor) uvarint() uint64 {
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 || n > 1 && c.b[n-1] == 0 {
-		c.fail("short or padded varint")
-	}
-	if *c.why != "" {
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-// take reads the next n bytes of column col, or nil once the decode has
-// failed.
-func (c *chunkCursor) take(n uint64, col int) []byte {
-	if n > uint64(len(c.b)) {
-		c.fail("column %d ends %d bytes short", col, n-uint64(len(c.b)))
-	}
-	if *c.why != "" {
-		return nil
-	}
-	p := c.b[:n:n]
-	c.b = c.b[n:]
-	return p
+	return w.Encode(binio.PutUvarint(append(dst, chunkTag), uint64(w.Size(keys))), keys, binio.DeflateBlocks)
 }
 
 // DecodeChunk inflates a flush chunk and calls fn once per key, keys
@@ -178,10 +102,8 @@ func (c *chunkCursor) take(n uint64, col int) []byte {
 // decoder never reuses. It returns what the chunk held, or a *ChunkError
 // for anything whose body is not what chunkEncoder writes: a tag other
 // than chunkTag, a padded or overlong declared length, a stream that does
-// not inflate to exactly that length or is followed by bytes, columns that
-// overrun the body or hold bytes past its keys, keys not strictly
-// ascending or not sharing exactly their common prefix with the one
-// before, a key without values, padded varints. (The deflate stream
+// not inflate to exactly that length, a body the column codec rejects,
+// keys not strictly ascending, a key without values. (The deflate stream
 // itself is compress/flate's to choose, and may differ between Go
 // releases; what it inflates to never does.)
 func DecodeChunk(chunk []byte, fn func(key []byte, vals [][]byte)) (ChunkInfo, error) {
@@ -195,82 +117,37 @@ func DecodeChunk(chunk []byte, fn func(key []byte, vals [][]byte)) (ChunkInfo, e
 	case n > binio.MaxInflated || n > maxInflateRatio*uint64(len(chunk)):
 		return ChunkInfo{}, &ChunkError{fmt.Sprintf("a %d-byte chunk declares a %d-byte body", len(chunk), n)}
 	}
-	body, err := binio.InflateAtMost(make([]byte, 0, n+1), chunk[1+k:], int(n))
-	if err != nil {
+	r, err := binio.ReadColumns(make([]byte, 0, n+1), chunk[1+k:], chunkColumns, int(n))
+	switch {
+	case err != nil:
+		return ChunkInfo{}, &ChunkError{err.Error()}
+	case uint64(r.Size()) != n:
+		return ChunkInfo{}, &ChunkError{fmt.Sprintf("body inflates to %d bytes, declared %d", r.Size(), n)}
+	case r.Rows() == 0:
+		return ChunkInfo{}, &ChunkError{"no keys"}
+	}
+	info := ChunkInfo{Keys: int(r.Rows()), Decoded: r.Size()}
+	var vals [][]byte
+	for i := uint64(0); i < r.Rows() && r.Err() == nil; i++ {
+		key, cmp := r.Key(colShared)
+		n := r.Uvarint(colCount)
+		vals = vals[:0]
+		for j := uint64(0); j < n && r.Err() == nil; j++ {
+			vals = append(vals, r.Bytes(colValue, r.Uvarint(colValLen)))
+		}
+		switch {
+		case r.Err() != nil:
+		case i > 0 && cmp <= 0:
+			return ChunkInfo{}, &ChunkError{fmt.Sprintf("key %d does not follow the key before it", i)}
+		case n == 0:
+			return ChunkInfo{}, &ChunkError{fmt.Sprintf("key %d has no values", i)}
+		default:
+			fn(key, vals)
+			info.Values += int(n)
+		}
+	}
+	if err := r.Finish(); err != nil {
 		return ChunkInfo{}, &ChunkError{err.Error()}
 	}
-	if uint64(len(body)) != n {
-		return ChunkInfo{}, &ChunkError{fmt.Sprintf("body inflates to %d bytes, declared %d", len(body), n)}
-	}
-	info, why := decodeBody(body, fn)
-	if why != "" {
-		return ChunkInfo{}, &ChunkError{why}
-	}
-	info.Decoded = len(body)
 	return info, nil
-}
-
-// decodeBody hands fn the keys of an inflated chunk body, returning the
-// reason it is not one encode writes, if any.
-func decodeBody(body []byte, fn func(key []byte, vals [][]byte)) (ChunkInfo, string) {
-	why := ""
-	d := chunkCursor{body, &why}
-	keys := d.uvarint()
-	var cols [chunkColumns]chunkCursor
-	var lens [chunkColumns]uint64
-	for i := range lens {
-		lens[i] = d.uvarint()
-	}
-	if why != "" {
-		return ChunkInfo{}, why
-	}
-	for i, n := range lens {
-		if n > uint64(len(d.b)) {
-			return ChunkInfo{}, fmt.Sprintf("column %d of %d bytes overruns the body", i, n)
-		}
-		cols[i] = chunkCursor{d.b[:n:n], &why}
-		d.b = d.b[n:]
-	}
-	switch {
-	case len(d.b) != 0:
-		return ChunkInfo{}, fmt.Sprintf("%d bytes past the columns", len(d.b))
-	case keys == 0:
-		return ChunkInfo{}, "no keys"
-	case keys > uint64(len(cols[colShared].b)): // a key takes a byte of it at least
-		return ChunkInfo{}, fmt.Sprintf("%d keys in a %d-byte shared column", keys, len(cols[colShared].b))
-	}
-	info := ChunkInfo{Keys: int(keys)}
-	var key []byte
-	var vals [][]byte
-	for i := uint64(0); i < keys && why == ""; i++ {
-		p := cols[colShared].uvarint()
-		suffix := cols[colSuffix].take(cols[colSufLen].uvarint(), colSuffix)
-		n := cols[colCount].uvarint()
-		switch {
-		case why != "":
-		case p > uint64(len(key)):
-			why = fmt.Sprintf("key %d shares %d bytes with a %d-byte key", i, p, len(key))
-		case i > 0 && (len(suffix) == 0 || p < uint64(len(key)) && suffix[0] <= key[p]):
-			why = fmt.Sprintf("key %d does not follow the previous key at its common prefix", i)
-		case n == 0:
-			why = fmt.Sprintf("key %d has no values", i)
-		case n > uint64(len(cols[colValLen].b)): // a value takes a byte of it at least
-			why = fmt.Sprintf("key %d has %d values, the value-length column %d bytes", i, n, len(cols[colValLen].b))
-		default:
-			key, vals = append(key[:p], suffix...), vals[:0]
-			for j := uint64(0); j < n; j++ {
-				vals = append(vals, cols[colValue].take(cols[colValLen].uvarint(), colValue))
-			}
-			if why == "" {
-				fn(key, vals)
-				info.Values += int(n)
-			}
-		}
-	}
-	for i := range cols {
-		if why == "" && len(cols[i].b) != 0 {
-			why = fmt.Sprintf("column %d holds %d bytes past the chunk's %d keys", i, len(cols[i].b), keys)
-		}
-	}
-	return info, why
 }

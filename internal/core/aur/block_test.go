@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -314,64 +313,6 @@ func TestCorruptIndexBlockIsTyped(t *testing.T) {
 				t.Errorf("scrub over a damaged block: %v, want a *logfile.CorruptError over a *binio.FrameError", err)
 			}
 		})
-	}
-}
-
-// TestTornTailIndexBlockTruncatedOnOpen tears the last block of a closed
-// store's segment log and reopens the file: open-time recovery must cut
-// the log back to the previous block boundary, the first flush's blocks
-// intact.
-func TestTornTailIndexBlockTruncatedOnOpen(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "aur")
-	s, err := Open(Options{Dir: dir, WriteBufferBytes: 1 << 20, Predictor: window.SessionPredictor{Gap: gap}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := window.Window{Start: 0, End: gap}
-	var firstBlockEnd int64
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 50; i++ {
-			if err := s.Append([]byte(fmt.Sprintf("r%dk%02d", round, i)), []byte("v"), w, int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if round == 0 {
-			firstBlockEnd = segmentLogSize(s)
-		}
-	}
-	total := segmentLogSize(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	name := segmentName(0)
-	if err := os.Truncate(filepath.Join(dir, name), total-3); err != nil {
-		t.Fatal(err)
-	}
-	l, err := logfile.Open(filepath.Join(dir, name), nil)
-	if err != nil {
-		t.Fatalf("open over a torn tail block: %v", err)
-	}
-	defer l.Close()
-	if l.Size() != firstBlockEnd {
-		t.Fatalf("reopened segment log is %d bytes, want the first block's %d", l.Size(), firstBlockEnd)
-	}
-	sc, err := l.Scanner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := 0
-	for sc.Scan() {
-		n, err := logfile.DecodeSegmentBlock(sc.Record(), func(*logfile.BlockEntry) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries += n
-	}
-	if err := sc.Err(); err != nil || entries != 50 {
-		t.Fatalf("surviving log: %d entries, err %v; want the first flush's 50", entries, err)
 	}
 }
 

@@ -232,7 +232,11 @@ func TestDeadlineHangReleasedAfterPoisonKeepsDurable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	l2, err := OpenFS(inj, l.Path(), nil)
+	d, err := OpenDirFS(inj, filepath.Dir(l.Path()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := d.OpenSealed(filepath.Base(l.Path()), l.CRC())
 	if err != nil {
 		t.Fatalf("cold open: %v", err)
 	}

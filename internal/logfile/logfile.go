@@ -154,53 +154,6 @@ func CreateFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error)
 	return newLog(fsys, path, f, 0, 0, bd), nil
 }
 
-// Open opens an existing log for appending; new records go after any valid
-// prefix. Torn trailing records from a crash are truncated away.
-func Open(path string, bd *metrics.Breakdown) (*Log, error) {
-	return OpenFS(faultfs.OS, path, bd)
-}
-
-// OpenFS is Open against an explicit filesystem.
-func OpenFS(fsys faultfs.FS, path string, bd *metrics.Breakdown) (*Log, error) {
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("logfile: open: %w", err)
-	}
-	end, crc, err := recoverEnd(path, f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("logfile: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("logfile: seek: %w", err)
-	}
-	return newLog(fsys, path, f, end, crc, bd), nil
-}
-
-// recoverEnd scans f and returns the offset one past its last valid
-// record and the CRC32C up to it. Corruption before the final record (a
-// torn tail is fine; mid-file rot is not) fails the open with a typed
-// CorruptError, so a store never resumes over bytes it cannot vouch for.
-func recoverEnd(path string, f faultfs.File) (int64, uint32, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
-	sc := binio.NewRecordScanner(f, 0).Buffer(make([]byte, ioBufBytes))
-	var crc uint32
-	for sc.Scan() {
-		crc = binio.ChecksumUpdate(crc, sc.Frame())
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, fmt.Errorf("logfile: recover: %w", corruptErr(path, sc.Offset(), err))
-	}
-	return sc.Offset(), crc, nil
-}
-
 func newLog(fsys faultfs.FS, path string, f faultfs.File, off int64, crc uint32, bd *metrics.Breakdown) *Log {
 	// Bytes present at open are on disk already; treat them as the
 	// durable baseline a reopen may truncate back to.
@@ -757,9 +710,9 @@ func (l *Log) scrubPass() (int, int64, error) {
 		return records, sc.Offset(), err
 	}
 	// A live log never legitimately ends mid-frame (appends are whole
-	// frames; torn tails exist only in files recovered after a crash,
-	// and open-time recovery truncates those). A trailing partial frame
-	// here is rot that zeroed or shortened the suffix.
+	// frames; torn tails exist only in files a crash left, which no log
+	// reopens). A trailing partial frame here is rot that zeroed or
+	// shortened the suffix.
 	if sc.Offset() != l.Size() {
 		return records, sc.Offset(), corruptErr(l.path, sc.Offset(),
 			fmt.Errorf("trailing %d bytes are not a whole frame", l.Size()-sc.Offset()))

@@ -89,60 +89,11 @@ func TestReadRecordAt(t *testing.T) {
 	}
 }
 
-func TestOpenRecoversTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.log")
-	l, err := Create(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := l.Append([]byte("keep-me")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append the prefix of a real frame, simulating a torn write (a crash
-	// cuts the stream mid-frame, so the tail is a valid-frame prefix).
-	full := binio.AppendRecord(nil, []byte("torn-away-record"))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(full[:len(full)-5]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	l2, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if _, _, err := l2.Append([]byte("after-recovery")); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := l2.Scanner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for sc.Scan() {
-		got = append(got, string(sc.Record()))
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "keep-me" || got[1] != "after-recovery" {
-		t.Fatalf("recovered records = %v", got)
-	}
-}
-
 // TestOpenRejectsMarkerlessFrames: a log of frames without the marker
 // byte — crc32c(p) | uvarint(len(p)) | p, the layout logs had before every
-// frame carried one — fails OpenFS with a *CorruptError wrapping a
-// *binio.FrameError, and the open leaves the file byte for byte as it was:
-// no torn-tail truncation of bytes it could not read.
+// frame carried one — opens (OpenSealed reads nothing), but its first
+// scan fails with a *CorruptError wrapping a *binio.FrameError, and the
+// file stays byte for byte as it was.
 func TestOpenRejectsMarkerlessFrames(t *testing.T) {
 	var old []byte
 	for i := 0; i < 3; i++ {
@@ -153,21 +104,34 @@ func TestOpenRejectsMarkerlessFrames(t *testing.T) {
 	if old[0] == binio.FrameMarker {
 		t.Fatal("the first checksum byte is the frame marker; pick other payloads")
 	}
-	path := filepath.Join(t.TempDir(), "old.log")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.log")
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenFS(faultfs.OS, path, nil)
+	d, err := OpenDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := d.OpenSealed("old.log", binio.Checksum(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sc, err := l.Scanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sc.Scan() {
+		t.Fatalf("scanned a record %q out of a marker-less log", sc.Record())
+	}
 	var ce *CorruptError
 	var fe *binio.FrameError
-	if !errors.As(err, &ce) || !errors.As(err, &fe) || !errors.Is(err, ErrCorruptRecord) {
-		if l != nil {
-			l.Close()
-		}
-		t.Fatalf("open of a marker-less log: %v, want a *CorruptError wrapping a *binio.FrameError", err)
+	if err := sc.Err(); !errors.As(err, &ce) || !errors.As(err, &fe) || !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("scan of a marker-less log: %v, want a *CorruptError wrapping a *binio.FrameError", err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
-		t.Fatalf("the failed open changed the file (err %v)", err)
+		t.Fatalf("the failed scan changed the file (err %v)", err)
 	}
 }
 

@@ -1028,13 +1028,11 @@ func (jr *jobRun) appendSegment() error {
 
 // The sink ledger is a run of blocks, one per commit that produced
 // results: a binio frame (one CRC for the whole commit) whose payload is
-// the deflate stream (binio.Deflate) of the block's records laid out in
-// columns. The records are in the commit's canonical (TS, Key, Value)
-// order, and the results of one window firing share a timestamp and come
-// in key order, so a column of TS deltas is mostly zeros and a sorted key
-// keeps only the bytes in which it differs from the one before it. The
-// block before deflate is the record count, the byte length of each of
-// the six columns, then the columns back to back:
+// a binio column payload of the block's records, one row a record. The
+// records are in the commit's canonical (TS, Key, Value) order, and the
+// results of one window firing share a timestamp and come in key order,
+// so a column of TS deltas is mostly zeros and a sorted key keeps only
+// the bytes in which it differs from the one before it. The six columns:
 //
 //	ts      per record its TS minus the previous record's (the first
 //	        one's minus zero), as the uvarint of the 64-bit difference
@@ -1049,14 +1047,15 @@ func (jr *jobRun) appendSegment() error {
 // deflate writer is reset for every block — which is what keeps resumed,
 // rescaled and migrated ledgers byte-identical to an uninterrupted run's.
 // The decoder accepts only what the encoder writes for records in
-// canonical order.
+// canonical order, deflated by any coder: blocks an older build deflated
+// whole at flate.BestSpeed inflate to the same columns.
 
 // The columns of a ledger block, in the order they are written.
 const (
-	colTS = iota
-	colShared
-	colSufLen
-	colSuffix
+	colTS     = iota
+	colShared // the key's three columns
+	_
+	_
 	colValLen
 	colValue
 	ledgerColumns
@@ -1064,16 +1063,24 @@ const (
 
 // ledgerEncoder builds framed ledger blocks in buffers it reuses.
 type ledgerEncoder struct {
-	cols  [ledgerColumns][]byte // the block's columns
-	raw   []byte                // the block before deflate
-	block []byte                // the frame: header room, then the deflated block
+	cols  binio.ColumnWriter
+	block []byte // the frame: header room, then the deflated block
 }
 
 // encode returns the framed ledger block holding recs, which must be in
 // canonical order, valid until the next call.
 func (e *ledgerEncoder) encode(recs []SinkRecord) ([]byte, error) {
-	e.raw = e.appendBlock(e.raw[:0], recs)
-	block, err := binio.Deflate(slices.Grow(e.block[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], e.raw)
+	w := &e.cols
+	w.Reset(ledgerColumns)
+	var prevTS int64
+	for _, r := range recs {
+		w.Uvarint(colTS, uint64(r.TS-prevTS))
+		w.Key(colShared, r.Key)
+		w.Uvarint(colValLen, uint64(len(r.Value)))
+		w.Bytes(colValue, r.Value)
+		prevTS = r.TS
+	}
+	block, err := w.Encode(slices.Grow(e.block[:0], binio.FrameHeadroom)[:binio.FrameHeadroom], len(recs), binio.Deflate)
 	if err != nil {
 		return nil, err
 	}
@@ -1081,46 +1088,12 @@ func (e *ledgerEncoder) encode(recs []SinkRecord) ([]byte, error) {
 	return binio.SealFrame(block), nil
 }
 
-// appendBlock appends the ledger block holding recs, before deflate, to
-// dst.
-func (e *ledgerEncoder) appendBlock(dst []byte, recs []SinkRecord) []byte {
-	c := &e.cols
-	for i := range c {
-		c[i] = c[i][:0]
-	}
-	var prevTS int64
-	var prevKey []byte
-	for _, r := range recs {
-		n := 0
-		for n < len(prevKey) && n < len(r.Key) && prevKey[n] == r.Key[n] {
-			n++
-		}
-		c[colTS] = binio.PutUvarint(c[colTS], uint64(r.TS-prevTS))
-		c[colShared] = binio.PutUvarint(c[colShared], uint64(n))
-		c[colSufLen] = binio.PutUvarint(c[colSufLen], uint64(len(r.Key)-n))
-		c[colSuffix] = append(c[colSuffix], r.Key[n:]...)
-		c[colValLen] = binio.PutUvarint(c[colValLen], uint64(len(r.Value)))
-		c[colValue] = append(c[colValue], r.Value...)
-		prevTS, prevKey = r.TS, r.Key
-	}
-	dst = binio.PutUvarint(dst, uint64(len(recs)))
-	for _, col := range c {
-		dst = binio.PutUvarint(dst, uint64(len(col)))
-	}
-	for _, col := range c {
-		dst = append(dst, col...)
-	}
-	return dst
-}
-
 // decodeLedgerBlock decodes the ledger block at the front of b, handing fn
 // its records in order (key and value alias memory the decoder does not
 // reuse), and returns the bytes the block took. Anything but a whole block
 // the encoder would write — a frame that fails its CRC or ends early, a
-// payload that does not inflate, columns that overrun the block or hold
-// more or fewer than its record count, a padded varint, a shared key
-// prefix that is not the longest one, records out of canonical order, a
-// byte left over — is a *binio.FrameError.
+// payload the column codec rejects, records out of canonical order — is
+// a *binio.FrameError.
 func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, error) {
 	p, n, err := binio.ReadRecord(b)
 	if errors.Is(err, binio.ErrShortBuffer) {
@@ -1132,83 +1105,33 @@ func decodeLedgerBlock(b []byte, fn func(ts int64, key, value []byte)) (int, err
 	if n != len(p)+binio.RecordOverhead(len(p)) {
 		return 0, &binio.FrameError{Reason: "padded ledger block length"}
 	}
-	raw, err := binio.Inflate(nil, p)
+	r, err := binio.ReadColumns(nil, p, ledgerColumns, binio.MaxInflated)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("ledger block: %w", err)
 	}
-	if err := decodeLedgerColumns(raw, fn); err != nil {
-		return 0, &binio.FrameError{Reason: "ledger block: " + err.Error()}
-	}
-	return n, nil
-}
-
-// decodeLedgerColumns hands fn the records of an inflated ledger block.
-func decodeLedgerColumns(raw []byte, fn func(ts int64, key, value []byte)) error {
-	d := snapDecoder{b: raw}
-	count := d.uvarint()
-	var lens [ledgerColumns]uint64
-	for i := range lens {
-		lens[i] = d.uvarint()
-	}
-	if d.err != nil {
-		return d.err
-	}
-	var cols [ledgerColumns]snapDecoder
-	for i, n := range lens {
-		if n > uint64(len(d.b)) {
-			return fmt.Errorf("column %d of %d bytes overruns the block", i, n)
-		}
-		cols[i].b, d.b = d.b[:n:n], d.b[n:]
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%d bytes past the columns", len(d.b))
-	}
-	take := func(col int, n uint64) []byte {
-		c := &cols[col]
-		if c.err == nil && n > uint64(len(c.b)) {
-			c.fail(fmt.Sprintf("column %d ends %d bytes short", col, n-uint64(len(c.b))))
-		}
-		if c.err != nil {
-			return nil
-		}
-		p := c.b[:n:n]
-		c.b = c.b[n:]
-		return p
-	}
-	keys := make([]byte, 0, 2*len(cols[colSuffix].b))
+	var keys []byte
 	var ts int64
-	var key, value []byte
-	// Every record takes a byte of the ts column at least, so a count
-	// past the column's length stops at its end.
-	for i := uint64(0); i < count; i++ {
-		delta := cols[colTS].uvarint()
-		shared := cols[colShared].uvarint()
-		suffix := take(colSuffix, cols[colSufLen].uvarint())
-		v := take(colValue, cols[colValLen].uvarint())
-		for _, c := range cols {
-			if c.err != nil {
-				return fmt.Errorf("record %d of %d: %w", i, count, c.err)
-			}
+	var value []byte
+	for i := uint64(0); i < r.Rows() && r.Err() == nil; i++ {
+		delta := r.Uvarint(colTS)
+		k, cmp := r.Key(colShared)
+		v := r.Bytes(colValue, r.Uvarint(colValLen))
+		next := ts + int64(delta)
+		if r.Err() != nil {
+			break
 		}
-		if shared > uint64(len(key)) || len(suffix) > 0 && shared < uint64(len(key)) && key[shared] == suffix[0] {
-			return fmt.Errorf("record %d does not share %d key bytes with its predecessor", i, shared)
+		if i > 0 && (delta >= 1<<63 || next < ts || next == ts && (cmp < 0 || cmp == 0 && bytes.Compare(v, value) < 0)) {
+			return 0, &binio.FrameError{Reason: fmt.Sprintf("ledger block: record %d out of (TS, Key, Value) order", i)}
 		}
 		start := len(keys)
-		keys = append(append(keys, key[:shared]...), suffix...)
-		k, next := keys[start:len(keys):len(keys)], ts+int64(delta)
-		if i > 0 && (delta >= 1<<63 || next < ts || next == ts && (bytes.Compare(k, key) < 0 ||
-			bytes.Equal(k, key) && bytes.Compare(v, value) < 0)) {
-			return fmt.Errorf("record %d out of (TS, Key, Value) order", i)
-		}
-		fn(next, k, v)
-		ts, key, value = next, k, v
+		keys = append(keys, k...)
+		fn(next, keys[start:len(keys):len(keys)], v)
+		ts, value = next, v
 	}
-	for i, c := range cols {
-		if len(c.b) != 0 {
-			return fmt.Errorf("column %d holds %d bytes past the block's %d records", i, len(c.b), count)
-		}
+	if err := r.Finish(); err != nil {
+		return 0, fmt.Errorf("ledger block: %w", err)
 	}
-	return nil
+	return n, nil
 }
 
 // decodeLedger decodes the committed prefix of dir's ledger — the
