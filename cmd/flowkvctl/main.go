@@ -14,7 +14,7 @@
 //	flowkvctl job <job-dir>            # inspect a job's committed progress
 //	flowkvctl job <job-dir> <par>      # additionally: can it resume at <par> workers?
 //	flowkvctl migration <job-dir>      # live-migration journal and routing tables
-//	flowkvctl tenants <manager-dir>    # per-tenant admission stats and pool health
+//	flowkvctl tenants <manager-dir>    # per-tenant token-bucket admission and write stats, pool health
 //	flowkvctl verify <job-dir>         # deep offline verification of committed job state
 package main
 
@@ -645,12 +645,12 @@ func cmdTenants(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %-14s %-8s %-7s %9s %9s %8s %10s %10s %7s %9s %8s %9s %6s\n",
-		"tenant", "strategy", "state", "slot", "admitted", "throttled", "shed",
+	fmt.Printf("%-10s %-8s %-7s %9s %9s %8s %10s %10s %7s %9s %8s %9s %6s\n",
+		"tenant", "state", "slot", "admitted", "throttled", "shed",
 		"admit-p50", "admit-p99", "stalls", "io-stalls", "write-p99", "failovers", "ckpts")
 	for _, s := range doc.Tenants {
-		fmt.Printf("%-10s %-14s %-8s %-7s %9d %9d %8d %10v %10v %7d %9d %8v %9d %6d\n",
-			s.Tenant, s.Strategy, s.State, s.Slot, s.Admitted, s.Throttled, s.Shed,
+		fmt.Printf("%-10s %-8s %-7s %9d %9d %8d %10v %10v %7d %9d %8v %9d %6d\n",
+			s.Tenant, s.State, s.Slot, s.Admitted, s.Throttled, s.Shed,
 			s.AdmitP50.Round(time.Microsecond), s.AdmitP99.Round(time.Microsecond),
 			s.WriteStalls, s.StoreStalls, s.StoreWriteP99.Round(time.Microsecond),
 			s.Failovers, s.Checkpoints)

@@ -110,6 +110,21 @@ func Bytes(b []byte) ([]byte, int, error) {
 	return b[sz : sz+int(n)], sz + int(n), nil
 }
 
+// SplitBytes splits b, a run of PutBytes elements end to end, into
+// copies of the elements.
+func SplitBytes(b []byte) ([][]byte, error) {
+	var out [][]byte
+	for len(b) > 0 {
+		e, n, err := Bytes(b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, append([]byte(nil), e...))
+		b = b[n:]
+	}
+	return out, nil
+}
+
 // PutString appends a length-prefixed copy of s to dst.
 func PutString(dst []byte, s string) []byte {
 	dst = PutUvarint(dst, uint64(len(s)))

@@ -1,6 +1,7 @@
 package aur
 
 import (
+	"bytes"
 	"fmt"
 
 	"flowkv/internal/binio"
@@ -17,6 +18,12 @@ import (
 // stream: sessions turn over within a barrier, so nearly every row differs
 // from the parent cut's (DESIGN.md §14).
 const statKindSet byte = 0
+
+// appendStatRow appends r's Stat record to dst.
+func appendStatRow(dst []byte, r statRow) []byte {
+	dst = binio.PutBytes(append(dst, statKindSet), []byte(r.ident.key))
+	return binio.PutVarint(r.ident.w.AppendTo(dst), r.maxTS)
+}
 
 // CheckpointDelta writes a snapshot of the instance into cut. It drains
 // the write buffer but does not clean; the drain's last mu section marks
@@ -48,8 +55,7 @@ func (s *Store) CheckpointDelta(cut *ckpt.Cut) (*ckpt.Result, error) {
 		err = cut.Stream(ckpt.KindDump, func(emit func([]byte)) error {
 			var payload []byte
 			for _, r := range c.rows {
-				payload = binio.PutBytes(append(payload[:0], statKindSet), []byte(r.ident.key))
-				payload = binio.PutVarint(r.ident.w.AppendTo(payload), r.maxTS)
+				payload = appendStatRow(payload[:0], r)
 				emit(payload)
 			}
 			return nil
@@ -121,6 +127,7 @@ func (s *Store) Restore(src *ckpt.Source) error {
 // record kind, a second row for an identity — matches binio.ErrCorrupt.
 func (s *Store) loadStatStream(src *ckpt.Source) (map[id]*entry, error) {
 	table := make(map[id]*entry)
+	var again []byte
 	err := src.Replay(ckpt.KindDump, func(rec []byte) error {
 		if len(rec) == 0 || rec[0] != statKindSet {
 			return fmt.Errorf("not a row: %w", binio.ErrCorrupt)
@@ -138,6 +145,11 @@ func (s *Store) loadStatStream(src *ckpt.Source) (map[id]*entry, error) {
 			return err
 		}
 		ident := id{key: string(k), w: w}
+		// Only the bytes appendStatRow writes are a row: one with bytes
+		// past maxTS, or a field coded longer than it need be, is not.
+		if again = appendStatRow(again[:0], statRow{ident, maxTS}); !bytes.Equal(again, rec) {
+			return fmt.Errorf("row for %q %v is not canonical: %w", k, w, binio.ErrCorrupt)
+		}
 		if table[ident] != nil {
 			return fmt.Errorf("two rows for %q %v: %w", k, w, binio.ErrCorrupt)
 		}

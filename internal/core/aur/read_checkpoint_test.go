@@ -436,9 +436,9 @@ func TestLivenessFileIsDeterministic(t *testing.T) {
 }
 
 // handCut writes a checkpoint of s, which must hold no buffered values,
-// with rows as its Stat stream: the segments and the liveness section as
+// with recs as its Stat stream: the segments and the liveness section as
 // CheckpointDelta writes them, the stream assembled here.
-func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
+func handCut(t *testing.T, s *Store, dir string, recs [][]byte) {
 	t.Helper()
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
@@ -451,9 +451,8 @@ func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
 			return nil, err
 		}
 		err := cut.Stream(ckpt.KindDump, func(emit func([]byte)) error {
-			for _, r := range rows {
-				rec := binio.PutBytes([]byte{statKindSet}, []byte(r.ident.key))
-				emit(binio.PutVarint(r.ident.w.AppendTo(rec), r.maxTS))
+			for _, rec := range recs {
+				emit(rec)
 			}
 			return nil
 		})
@@ -468,9 +467,10 @@ func handCut(t *testing.T, s *Store, dir string, rows []statRow) {
 }
 
 // TestRestoreChecksStatRowsAgainstSegments: a Stat row without a live
-// batch on disk, a live batch without a Stat row and a row shipped twice
-// each fail Restore with binio.ErrCorrupt; the rows that match the
-// segments restore.
+// batch on disk, a live batch without a Stat row, a row shipped twice and
+// a row that is not the bytes its fields encode to (a trailing byte, a
+// padded varint) each fail Restore with binio.ErrCorrupt; the rows that
+// match the segments restore.
 func TestRestoreChecksStatRowsAgainstSegments(t *testing.T) {
 	w := window.Window{Start: 0, End: gap}
 	kept, consumed, ghost := id{key: "kept", w: w}, id{key: "consumed", w: w}, id{key: "ghost", w: w}
@@ -484,16 +484,21 @@ func TestRestoreChecksStatRowsAgainstSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustGet(t, s, consumed.key, w) // its batch stays in the segment, dead
-	for name, rows := range map[string][]statRow{
-		"rows as on disk":      {{kept, 5}},
-		"a row with no batch":  {{kept, 5}, {ghost, 5}},
-		"a row for a dead one": {{kept, 5}, {consumed, 5}},
-		"a batch with no row":  nil,
-		"a row shipped twice":  {{kept, 5}, {kept, 5}},
+	row := func(ident id) []byte { return appendStatRow(nil, statRow{ident, 5}) }
+	padded := row(kept)
+	padded = append(padded[:len(padded)-1], padded[len(padded)-1]|0x80, 0) // maxTS in two bytes
+	for name, recs := range map[string][][]byte{
+		"rows as on disk":            {row(kept)},
+		"a row with no batch":        {row(kept), row(ghost)},
+		"a row for a dead one":       {row(kept), row(consumed)},
+		"a batch with no row":        nil,
+		"a row shipped twice":        {row(kept), row(kept)},
+		"a row with a trailing byte": {append(row(kept), 0)},
+		"a row with a padded varint": {padded},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "ckpt")
-			handCut(t, s, dir, rows)
+			handCut(t, s, dir, recs)
 			dst := openTest(t, Options{WriteBufferBytes: 1 << 20})
 			err := dst.restoreFrom(dir)
 			if name == "rows as on disk" {

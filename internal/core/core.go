@@ -147,11 +147,8 @@ type Options struct {
 	// batching every instance's fsyncs into one sync window per
 	// checkpoint. Ablation only.
 	DisableGroupCommit bool
-	// ReadRetries bounds the retry attempts for transient read I/O
-	// errors before the error surfaces to the caller. Default 3.
-	ReadRetries int
-	// ReadRetryBackoff is the initial backoff between read retries,
-	// doubling per attempt. Default 1ms.
+	// ReadRetryBackoff is the initial backoff between read retries
+	// (maxReadRetries of them), doubling per attempt. Default 1ms.
 	ReadRetryBackoff time.Duration
 	// FineGrainedAAR enables the fine-grained AAR layout (ablation).
 	FineGrainedAAR bool
@@ -200,9 +197,6 @@ func (o *Options) fill() {
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
-	}
-	if o.ReadRetries <= 0 {
-		o.ReadRetries = 3
 	}
 	if o.ReadRetryBackoff <= 0 {
 		o.ReadRetryBackoff = time.Millisecond
@@ -573,7 +567,7 @@ func (s *Store) stopAllDrains() {
 }
 
 // Get fetches and removes the appended values of (key, w) (AUR only).
-// Transient read I/O errors are retried with backoff (Options.ReadRetries).
+// Transient read I/O errors are retried with backoff (maxReadRetries times).
 func (s *Store) Get(key []byte, w window.Window) ([][]byte, error) {
 	if s.pattern != PatternAUR {
 		return nil, ErrWrongPattern

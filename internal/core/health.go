@@ -268,8 +268,12 @@ func retryableRead(err error) bool {
 	return !usageError(err) && !errors.Is(err, logfile.ErrPoisoned)
 }
 
+// maxReadRetries bounds the retry attempts for a transient read I/O error
+// before it surfaces to the caller.
+const maxReadRetries = 3
+
 // readRetry runs f against instance inst, retrying transient read
-// failures up to Options.ReadRetries times with full-jitter exponential
+// failures up to maxReadRetries times with full-jitter exponential
 // backoff: the attempt sleeps a uniform random duration in (0, cap],
 // where cap starts at the instance's current starting backoff and
 // doubles per attempt. Disk reads hitting a transient EIO (a
@@ -292,7 +296,7 @@ func (s *Store) readRetry(inst int, f func() error) error {
 	cap := s.retryCapOf(inst)
 	start := cap
 	retried := false
-	for attempt := 0; attempt < s.opts.ReadRetries; attempt++ {
+	for attempt := 0; attempt < maxReadRetries; attempt++ {
 		if !retryableRead(err) {
 			break
 		}

@@ -130,6 +130,9 @@ type diffRun struct {
 	// restoredBelow is the first segment id the store created itself, past
 	// the ones its restore reopened; 0 for a store never restored.
 	restoredBelow uint32
+	// cutSealed holds the ids of the segments a cut of the live store
+	// sealed: the head and survivor open at the cut.
+	cutSealed map[uint32]bool
 	// Churn summed over the stores the run went through.
 	dropped, cleaned int64
 }
@@ -225,27 +228,28 @@ func (d *diffRun) put() {
 	// The Put also reaped and, if needed, cleaned: the space and
 	// file-count bounds hold now. A segment is never smaller than one
 	// eviction, a quarter of the buffer — but for the open head and
-	// survivor, and for the ones a restore reopened sealed (each cut's
-	// head and survivor, at most two a restore, until their entries die).
+	// survivor, the ones a cut sealed (the head and survivor open at the
+	// cut) and the ones a restore reopened sealed, until their entries
+	// die.
 	total, live := logBytes(d.s)
 	if float64(total) > diffMSA*float64(live)+diffBuffer {
 		d.t.Fatalf("step %d: log holds %d bytes for %d live — over MSA %.1f by more than one segment",
 			d.step, total, live, diffMSA)
 	}
-	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.evictMin))) + 2 + d.smallRestored()
+	maxSegs := int(math.Ceil(diffMSA*float64(live)/float64(d.evictMin))) + 2 + d.smallSealed()
 	if n := d.s.SegmentStats().LiveSegments; n > maxSegs {
 		d.t.Fatalf("step %d: %d segments for %d live bytes (eviction %d), want <= %d",
 			d.step, n, live, d.evictMin, maxSegs)
 	}
 }
 
-// smallRestored counts the live segments smaller than one eviction that a
-// restore reopened sealed.
-func (d *diffRun) smallRestored() (n int) {
+// smallSealed counts the live segments smaller than one eviction that a
+// cut sealed or a restore reopened sealed.
+func (d *diffRun) smallSealed() (n int) {
 	d.s.ioMu.Lock()
 	defer d.s.ioMu.Unlock()
 	for _, sg := range d.s.segs.List() {
-		if sg.ID < d.restoredBelow && sg.Log.Size() < d.evictMin {
+		if (sg.ID < d.restoredBelow || d.cutSealed[sg.ID]) && sg.Log.Size() < d.evictMin {
 			n++
 		}
 	}
@@ -273,6 +277,13 @@ func (d *diffRun) get() {
 func (d *diffRun) checkpoint() {
 	d.nDirs++
 	dir := filepath.Join(d.base, fmt.Sprintf("ckpt-%d", d.nDirs))
+	d.s.ioMu.Lock()
+	for _, sg := range d.s.segs.List() {
+		if !sg.Sealed {
+			d.cutSealed[sg.ID] = true
+		}
+	}
+	d.s.ioMu.Unlock()
 	if _, err := d.s.checkpointTo(dir, d.ckptMeta, d.ckptDir); err != nil {
 		d.t.Fatalf("step %d checkpoint: %v", d.step, err)
 	}
@@ -325,6 +336,7 @@ func (d *diffRun) restore() {
 	d.retire()
 	d.s, d.oracle = fresh, maps.Clone(k.oracle)
 	d.restoredBelow = fresh.segs.NextID()
+	d.cutSealed = make(map[uint32]bool)
 	d.ckptDir, d.ckptMeta = k.dir, k.meta
 	if got := dumpLive(d.t, d.s); !reflect.DeepEqual(got, d.oracle) {
 		d.t.Fatalf("step %d: %s restores %d aggregates, the oracle at its cut has %d", d.step, k.dir, len(got), len(d.oracle))
@@ -394,7 +406,7 @@ func TestSegmentedLogDifferential(t *testing.T) {
 	const steps = 2500
 	// The last seed is a fresh one every run, under a stable name; it is
 	// logged.
-	seeds := []int64{1, 7, 1792055134089961439, time.Now().UnixNano()}
+	seeds := []int64{1, 7, 1792055134089961439, 1008, 1026, 1083, 1100, 1119, 1792486422789433152, time.Now().UnixNano()}
 	for i, seed := range seeds {
 		name := fmt.Sprint(seed)
 		if i == len(seeds)-1 {
@@ -406,11 +418,12 @@ func TestSegmentedLogDifferential(t *testing.T) {
 				t.Parallel()
 				t.Logf("seed %d", seed)
 				d := &diffRun{
-					t:        t,
-					rng:      rand.New(rand.NewSource(seed)),
-					base:     t.TempDir(),
-					oracle:   make(map[id]string),
-					evictMin: evictMin,
+					t:         t,
+					rng:       rand.New(rand.NewSource(seed)),
+					base:      t.TempDir(),
+					oracle:    make(map[id]string),
+					evictMin:  evictMin,
+					cutSealed: make(map[uint32]bool),
 				}
 				if skewed {
 					d.zipf = rand.NewZipf(d.rng, 1.1, 30, diffKeys-1)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
-	"flowkv/internal/clock"
 	"flowkv/internal/faultfs"
 )
 
@@ -70,9 +69,6 @@ type ScrubOptions struct {
 	// sweep sleeps long enough that the cumulative scan rate stays at or
 	// below the budget. 0 scans at full speed.
 	BytesPerSec int64
-	// Clock paces the rate limit; nil uses the system clock. Tests
-	// inject a fake to verify pacing without real sleeps.
-	Clock clock.Clock
 }
 
 // ScrubVerdict is one scrubbed instance directory's outcome.
@@ -118,14 +114,12 @@ func (r *ScrubReport) add(v ScrubVerdict) {
 // fit under the configured rate.
 type scrubPacer struct {
 	bps   int64
-	clk   clock.Clock
 	start time.Time
 	done  int64
 }
 
-func newScrubPacer(bps int64, clk clock.Clock) *scrubPacer {
-	clk = clock.Or(clk)
-	return &scrubPacer{bps: bps, clk: clk, start: clk.Now()}
+func newScrubPacer(bps int64) *scrubPacer {
+	return &scrubPacer{bps: bps, start: time.Now()}
 }
 
 func (p *scrubPacer) pace(n int64) {
@@ -134,8 +128,8 @@ func (p *scrubPacer) pace(n int64) {
 	}
 	p.done += n
 	budget := time.Duration(float64(p.done) / float64(p.bps) * float64(time.Second))
-	if sleep := budget - p.clk.Now().Sub(p.start); sleep > 0 {
-		p.clk.Sleep(sleep)
+	if sleep := budget - time.Since(p.start); sleep > 0 {
+		time.Sleep(sleep)
 	}
 }
 
@@ -154,7 +148,7 @@ func (p *scrubPacer) pace(n int64) {
 // fail over or restore.
 func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 	rep := &ScrubReport{}
-	pacer := newScrubPacer(opts.BytesPerSec, opts.Clock)
+	pacer := newScrubPacer(opts.BytesPerSec)
 	var firstErr error
 	for i, inst := range s.insts {
 		sum, err := inst.Scrub()
@@ -195,15 +189,12 @@ func firstCorruptFrame(b []byte) int64 {
 // ScrubberOptions configures a background scrubber started with
 // Store.StartScrubber.
 type ScrubberOptions struct {
-	// Interval is the pause between sweeps. Default 30s.
+	// Interval is the pause between sweeps. Default 30s. Sweeps run
+	// unpaced (ScrubOptions{}).
 	Interval time.Duration
-	// Scrub configures each sweep (its rate limit).
-	Scrub ScrubOptions
 	// OnSweep, when non-nil, is called after every sweep with its report
 	// and error. Called from the scrubber goroutine; keep it cheap.
 	OnSweep func(*ScrubReport, error)
-	// Clock paces the sweep interval; nil uses the system clock.
-	Clock clock.Clock
 }
 
 // Scrubber is a background integrity sweeper: at every interval it runs
@@ -238,14 +229,13 @@ func (s *Store) StartScrubber(opts ScrubberOptions) *Scrubber {
 
 func (sc *Scrubber) run() {
 	defer close(sc.done)
-	clk := clock.Or(sc.opts.Clock)
 	for {
 		select {
 		case <-sc.stop:
 			return
-		case <-clk.After(sc.opts.Interval):
+		case <-time.After(sc.opts.Interval):
 		}
-		rep, err := sc.s.Scrub(sc.opts.Scrub)
+		rep, err := sc.s.Scrub(ScrubOptions{})
 		sc.sweeps.Add(1)
 		sc.corrupt.Add(int64(rep.Corrupt))
 		sc.mu.Lock()

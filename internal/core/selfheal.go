@@ -21,10 +21,6 @@ type SelfHealOptions struct {
 	// healer gives up (the store is left Failed and GaveUp reports
 	// true). 0 means retry forever.
 	MaxAttempts int
-	// OnEvent, when non-nil, is called after every recovery attempt with
-	// the store's resulting health and the attempt's error (nil on a
-	// successful heal). Called from the healer goroutine; keep it cheap.
-	OnEvent func(h Health, err error)
 }
 
 // SelfHealer is a supervised background recoverer: it watches the
@@ -89,9 +85,6 @@ func (h *SelfHealer) run() {
 		h.mu.Lock()
 		h.lastErr = err
 		h.mu.Unlock()
-		if h.opts.OnEvent != nil {
-			h.opts.OnEvent(h.s.Health(), err)
-		}
 		if err == nil {
 			h.heals.Add(1)
 			backoff = h.opts.InitialBackoff

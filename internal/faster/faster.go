@@ -417,20 +417,6 @@ func (db *DB) AppendList(key, elem []byte) error {
 	})
 }
 
-// DecodeList splits a list value built by AppendList into elements.
-func DecodeList(v []byte) ([][]byte, error) {
-	var out [][]byte
-	for len(v) > 0 {
-		e, n, err := binio.Bytes(v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, append([]byte(nil), e...))
-		v = v[n:]
-	}
-	return out, nil
-}
-
 func (db *DB) spaceAmp() float64 {
 	total := db.tailAddr()
 	if total == 0 || total == db.dead {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/metrics"
 )
 
@@ -153,7 +154,7 @@ func TestAppendListReadCopyUpdate(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	elems, err := DecodeList(v)
+	elems, err := binio.SplitBytes(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,10 +216,6 @@ func TenantDemo(sc Scale, noisy int, w io.Writer) (TenantDemoOutcome, error) {
 	}
 	for i := 0; i < noisy; i++ {
 		id := fmt.Sprintf("noisy%d", i)
-		strategy := "token_bucket"
-		if i%2 == 1 {
-			strategy = "gcra"
-		}
 		// Quota sized so draining the full stream would take ~10x longer
 		// than the tenant is willing to wait: the burst admits, the tail
 		// sheds.
@@ -227,7 +223,6 @@ func TenantDemo(sc Scale, noisy int, w io.Writer) (TenantDemoOutcome, error) {
 		err = m.Submit(jobmanager.Tenant{
 			ID: id,
 			Quota: jobmanager.Quota{
-				Strategy:       strategy,
 				IngestEPS:      rate,
 				IngestBurst:    rate / 2,
 				MaxIngestDelay: 2 * time.Millisecond,
@@ -247,11 +242,11 @@ func TenantDemo(sc Scale, noisy int, w io.Writer) (TenantDemoOutcome, error) {
 	results := m.Wait()
 	out.Tenants, out.Slots = m.Snapshot()
 
-	fprintf(w, "%-8s %-12s %-7s %-6s %9s %9s %8s %10s %7s %9s %6s\n",
-		"tenant", "strategy", "state", "slot", "admitted", "throttled", "shed", "admit-p99", "stalls", "failover", "ckpts")
+	fprintf(w, "%-8s %-7s %-6s %9s %9s %8s %10s %7s %9s %6s\n",
+		"tenant", "state", "slot", "admitted", "throttled", "shed", "admit-p99", "stalls", "failover", "ckpts")
 	for _, s := range out.Tenants {
-		fprintf(w, "%-8s %-12s %-7s %-6s %9d %9d %8d %10v %7d %9d %6d\n",
-			s.Tenant, s.Strategy, s.State, s.Slot, s.Admitted, s.Throttled, s.Shed,
+		fprintf(w, "%-8s %-7s %-6s %9d %9d %8d %10v %7d %9d %6d\n",
+			s.Tenant, s.State, s.Slot, s.Admitted, s.Throttled, s.Shed,
 			s.AdmitP99.Round(time.Microsecond), s.WriteStalls, s.Failovers, s.Checkpoints)
 	}
 	for _, s := range out.Slots {

@@ -28,10 +28,11 @@ type AutoRebalanceOptions struct {
 }
 
 // StartAutoRebalance runs the latency-driven rebalancer: the gray-slot
-// counterpart of the failure prober. Each tick it scores every healthy
-// slot's probe-latency EWMA (fed by the prober's MeasureHealthy probes)
-// against the pool median, marks the outliers slow, and drains tenants
-// off slow slots — including those flagged slow by a store-level
+// counterpart of the failure prober. It registers with the pool, so a
+// running prober times the healthy slots until stop unregisters it. Each
+// tick it scores every healthy slot's probe-latency EWMA against the
+// pool median, marks the outliers slow, and drains tenants off slow
+// slots — including those flagged slow by a store-level
 // ReasonLatency degrade — through the ordinary clean-stop Rebalance
 // path, bounded by MaxMovesPerTick. A slot is only drained when a fast
 // healthy destination exists; with nowhere better to go, tenants stay
@@ -57,6 +58,7 @@ func (m *Manager) StartAutoRebalance(opts AutoRebalanceOptions) (stop func()) {
 	// advancing a fake clock right after StartAutoRebalance returns
 	// cannot race the registration.
 	tick := clk.NewTicker(opts.Interval)
+	m.pool.addScorer(1)
 	go func() {
 		defer close(finished)
 		defer tick.Stop()
@@ -72,6 +74,7 @@ func (m *Manager) StartAutoRebalance(opts AutoRebalanceOptions) (stop func()) {
 	return func() {
 		close(done)
 		<-finished
+		m.pool.addScorer(-1)
 	}
 }
 

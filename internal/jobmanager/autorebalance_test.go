@@ -212,3 +212,67 @@ func TestAutoRebalanceDrainsSlowSlot(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoRebalanceTimesHealthySlotsWhileRunning closes the loop from a
+// slow probe to a drained slot with no option naming the latency probe:
+// a running rebalancer makes the prober time the healthy slots, so one
+// prober tick over a slot whose probe takes 50ms feeds the score, and
+// one rebalancer tick marks the slot slow and moves its tenant off.
+func TestAutoRebalanceTimesHealthySlotsWhileRunning(t *testing.T) {
+	m := newBatteryManager(t, 2, nil, 0)
+	src := newGatedSource(batteryTuples(600), 350)
+	if err := m.Submit(Tenant{
+		ID:              "gray",
+		Source:          src,
+		Pipeline:        batteryPipeline(),
+		MakeBackend:     batteryBackend("gray"),
+		CheckpointEvery: 100,
+	}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	select {
+	case <-src.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("tenant never reached the gate")
+	}
+	stats, _ := m.Snapshot()
+	victim := stats[0].Slot
+	if victim == "" {
+		t.Fatal("tenant has no slot at the gate")
+	}
+
+	rebClk, probeClk := clock.NewFake(), clock.NewFake()
+	stopReb := m.StartAutoRebalance(AutoRebalanceOptions{Interval: time.Second, Clock: rebClk})
+	defer stopReb()
+	stopProbe := m.Pool().StartProber(ProberOptions{
+		Interval: time.Second,
+		Clock:    probeClk,
+		Probe: func(s Slot) error {
+			if s.ID == victim {
+				time.Sleep(50 * time.Millisecond)
+			}
+			return nil
+		},
+	})
+	defer stopProbe()
+
+	probeClk.Advance(time.Second)
+	for _, id := range []string{"slot0", "slot1"} {
+		if !m.Pool().AwaitStatus(id, func(s SlotStatus) bool { return s.ProbeLatency > 0 }, 10*time.Second) {
+			t.Fatalf("prober never timed healthy slot %s while a rebalancer ran: %+v", id, m.Pool().Status())
+		}
+	}
+	rebClk.Advance(time.Second)
+	if !m.Pool().AwaitStatus(victim, func(s SlotStatus) bool { return s.Slow && s.Rebalances == 1 }, 10*time.Second) {
+		t.Fatalf("rebalancer never drained the slow slot: %+v", m.Pool().Status())
+	}
+	close(src.release)
+
+	res := m.Wait()["gray"]
+	if res.Err != nil {
+		t.Fatalf("tenant failed: %v", res.Err)
+	}
+	if res.Stats.Rebalances != 1 || res.Stats.Slot == victim {
+		t.Fatalf("tenant rebalances = %d on %q, want 1 move off %q", res.Stats.Rebalances, res.Stats.Slot, victim)
+	}
+}

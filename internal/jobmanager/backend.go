@@ -25,13 +25,13 @@ import (
 // manager's durability obligation, not tenant traffic.
 type limitedBackend struct {
 	statebackend.Backend
-	lim   limit.Limiter
+	lim   *limit.TokenBucket
 	stats *tenantStats
 	sleep func(time.Duration)
 }
 
 // newLimitedBackend wraps b; lim may not be nil.
-func newLimitedBackend(b statebackend.Backend, lim limit.Limiter, stats *tenantStats, sleep func(time.Duration)) *limitedBackend {
+func newLimitedBackend(b statebackend.Backend, lim *limit.TokenBucket, stats *tenantStats, sleep func(time.Duration)) *limitedBackend {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
@@ -109,13 +109,13 @@ var (
 // over-quota best-effort tenants shed.
 type admittedSource struct {
 	src     spe.SeekableSource
-	lim     limit.Limiter
+	lim     *limit.TokenBucket
 	maxWait time.Duration // <0: never shed
 	stats   *tenantStats
 	sleep   func(time.Duration)
 }
 
-func newAdmittedSource(src spe.SeekableSource, lim limit.Limiter, maxWait time.Duration, stats *tenantStats, sleep func(time.Duration)) *admittedSource {
+func newAdmittedSource(src spe.SeekableSource, lim *limit.TokenBucket, maxWait time.Duration, stats *tenantStats, sleep func(time.Duration)) *admittedSource {
 	if sleep == nil {
 		sleep = time.Sleep
 	}

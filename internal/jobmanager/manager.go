@@ -41,20 +41,14 @@ import (
 // manager directory.
 const TenantsFileName = "TENANTS.json"
 
-// Quota is one tenant's admission-control configuration.
+// Quota is one tenant's admission-control configuration: one token
+// bucket at each choke point.
 type Quota struct {
-	// Strategy names the rate-limit strategy (a limit.New name) used
-	// for both choke points. Default "token_bucket".
-	Strategy string
 	// IngestEPS is the sustained source admission rate in events/sec;
 	// 0 leaves ingest unmetered. IngestBurst is the instantaneous
 	// allowance (default: one second's worth).
 	IngestEPS   float64
 	IngestBurst float64
-	// IngestTiers composes extra limiter tiers (same strategy) over the
-	// base ingest quota — e.g. a per-minute sustained cap over a
-	// per-second smoothing tier. Every tier must admit.
-	IngestTiers []limit.Config
 	// WriteBPS is the sustained store-write bandwidth in bytes/sec; 0
 	// leaves writes unmetered. WriteBurst is the burst allowance in
 	// bytes (default: one second's worth).
@@ -67,44 +61,20 @@ type Quota struct {
 	MaxIngestDelay time.Duration
 }
 
-func (q Quota) strategy() string {
-	if q.Strategy == "" {
-		return "token_bucket"
-	}
-	return q.Strategy
-}
-
-// ingestLimiter builds the tenant's ingest-side limiter (nil when
-// unmetered), composing extra tiers when configured.
-func (q Quota) ingestLimiter() (limit.Limiter, error) {
-	if q.IngestEPS <= 0 {
-		return nil, nil
-	}
-	base, err := limit.New(q.strategy(), limit.Config{Rate: q.IngestEPS, Burst: q.IngestBurst})
-	if err != nil {
-		return nil, err
-	}
-	if len(q.IngestTiers) == 0 {
-		return base, nil
-	}
-	tiers := []limit.Limiter{base}
-	for _, cfg := range q.IngestTiers {
-		l, err := limit.New(q.strategy(), cfg)
-		if err != nil {
-			return nil, err
+// buckets builds the tenant's ingest and write buckets; each is nil
+// when its rate is 0 (unmetered).
+func (q Quota) buckets() (ingest, write *limit.TokenBucket, err error) {
+	if q.IngestEPS > 0 {
+		if ingest, err = limit.NewTokenBucket(limit.Config{Rate: q.IngestEPS, Burst: q.IngestBurst}); err != nil {
+			return nil, nil, err
 		}
-		tiers = append(tiers, l)
 	}
-	return limit.NewMultiTier(tiers...)
-}
-
-// writeLimiter builds the tenant's write-bandwidth limiter (nil when
-// unmetered).
-func (q Quota) writeLimiter() (limit.Limiter, error) {
-	if q.WriteBPS <= 0 {
-		return nil, nil
+	if q.WriteBPS > 0 {
+		if write, err = limit.NewTokenBucket(limit.Config{Rate: q.WriteBPS, Burst: q.WriteBurst}); err != nil {
+			return nil, nil, err
+		}
 	}
-	return limit.New(q.strategy(), limit.Config{Rate: q.WriteBPS, Burst: q.WriteBurst})
+	return ingest, write, nil
 }
 
 // Tenant is one submitted pipeline job.
@@ -131,17 +101,6 @@ type Tenant struct {
 	// job (spe.Job.Migrations): hash buckets of stateful stages move
 	// between workers while the tenant runs, without a restart.
 	Migrations []spe.Migration
-	// SelfHeal, when set, runs a background healer on the tenant's
-	// stores (degraded stores recover in place instead of failing
-	// over).
-	SelfHeal *core.SelfHealOptions
-	// DegradedCheckpointTimeout overrides the manager default for this
-	// tenant.
-	DegradedCheckpointTimeout time.Duration
-	// ProgressDeadline overrides the manager default for this tenant
-	// (see Options.ProgressDeadline). Negative disables the watchdog for
-	// this tenant even when the manager sets a default.
-	ProgressDeadline time.Duration
 }
 
 // Options configures a Manager.
@@ -149,11 +108,9 @@ type Options struct {
 	// Dir is the manager root: per-tenant job directories and
 	// TENANTS.json live here.
 	Dir string
-	// Slots is the shared store pool.
+	// Slots is the shared store pool. A tenant fails over at most
+	// len(Slots)-1 times: once onto each other slot.
 	Slots []Slot
-	// MaxFailovers bounds how many times one tenant may move to a
-	// replacement slot. Default: one less than the pool size.
-	MaxFailovers int
 	// DegradedCheckpointTimeout is the default degraded-wait deadline
 	// applied to every tenant job (see spe.Job). Default 2s.
 	DegradedCheckpointTimeout time.Duration
@@ -177,9 +134,8 @@ type TenantResult struct {
 
 // tenantRun is the manager-side state of one submitted tenant.
 type tenantRun struct {
-	t        Tenant
-	stats    *tenantStats
-	strategy string
+	t     Tenant
+	stats *tenantStats
 
 	mu     sync.Mutex
 	state  string // "running", "done", "failed"
@@ -262,7 +218,6 @@ func (tr *tenantRun) finish(res *spe.JobResult, err error) {
 func (tr *tenantRun) snapshot() Stats {
 	s := tr.stats.snapshot()
 	s.Tenant = tr.t.ID
-	s.Strategy = tr.strategy
 	tr.mu.Lock()
 	s.State = tr.state
 	s.Slot = tr.slotID
@@ -292,9 +247,6 @@ func New(opts Options) (*Manager, error) {
 	pool, err := NewPool(opts.Slots)
 	if err != nil {
 		return nil, err
-	}
-	if opts.MaxFailovers <= 0 {
-		opts.MaxFailovers = len(opts.Slots) - 1
 	}
 	if opts.DegradedCheckpointTimeout <= 0 {
 		opts.DegradedCheckpointTimeout = 2 * time.Second
@@ -338,21 +290,12 @@ func (m *Manager) Submit(t Tenant) error {
 	if stateful && t.MakeBackend == nil {
 		return fmt.Errorf("jobmanager: tenant %s has stateful stages but no MakeBackend", t.ID)
 	}
-	ingest, err := t.Quota.ingestLimiter()
-	if err != nil {
-		return fmt.Errorf("jobmanager: tenant %s: %w", t.ID, err)
-	}
-	writeLim, err := t.Quota.writeLimiter()
+	ingest, writeLim, err := t.Quota.buckets()
 	if err != nil {
 		return fmt.Errorf("jobmanager: tenant %s: %w", t.ID, err)
 	}
 
 	tr := &tenantRun{t: t, stats: newTenantStats(), state: "running"}
-	if ingest != nil {
-		tr.strategy = ingest.Name()
-	} else {
-		tr.strategy = "none"
-	}
 	m.mu.Lock()
 	if _, dup := m.tenants[t.ID]; dup {
 		m.mu.Unlock()
@@ -370,7 +313,7 @@ func (m *Manager) Submit(t Tenant) error {
 // runTenant drives one tenant to a terminal state: place, run, and on a
 // backend-failure halt, fail over to a replacement slot and resume from
 // the committed checkpoint.
-func (m *Manager) runTenant(tr *tenantRun, ingest, writeLim limit.Limiter) {
+func (m *Manager) runTenant(tr *tenantRun, ingest, writeLim *limit.TokenBucket) {
 	defer m.wg.Done()
 	t := tr.t
 	maxWait := time.Duration(-1) // never shed
@@ -436,7 +379,7 @@ func (m *Manager) runTenant(tr *tenantRun, ingest, writeLim limit.Limiter) {
 		// A typed halt names the backend that took the run down: that is
 		// a slot failure, and the tenant fails over. Anything else (bad
 		// pipeline, job-dir I/O) is the tenant's own problem.
-		if halt := haltOf(res, err); halt != nil && attempt < m.opts.MaxFailovers {
+		if halt := haltOf(res, err); halt != nil && attempt < len(m.opts.Slots)-1 {
 			// Observe (rather than MarkFailed directly) records WHY the
 			// slot was retired: a stall-flavored halt leaves ReasonStall
 			// in the registry for operators to distinguish hung media
@@ -502,7 +445,7 @@ func haltOf(res *spe.JobResult, err error) *spe.Halt {
 // every stateful stage's backend is built by MakeBackend on the slot,
 // subscribed to the pool's health registry, and wrapped with the
 // write-bandwidth limiter.
-func (m *Manager) buildJob(tr *tenantRun, slot Slot, src spe.SeekableSource, writeLim limit.Limiter) *spe.Job {
+func (m *Manager) buildJob(tr *tenantRun, slot Slot, src spe.SeekableSource, writeLim *limit.TokenBucket) *spe.Job {
 	t := tr.t
 	p := *t.Pipeline
 	p.Stages = append([]spe.Stage(nil), t.Pipeline.Stages...)
@@ -539,26 +482,14 @@ func (m *Manager) buildJob(tr *tenantRun, slot Slot, src spe.SeekableSource, wri
 			return b, nil
 		}
 	}
-	dct := t.DegradedCheckpointTimeout
-	if dct <= 0 {
-		dct = m.opts.DegradedCheckpointTimeout
-	}
-	pd := t.ProgressDeadline
-	if pd == 0 {
-		pd = m.opts.ProgressDeadline
-	}
-	if pd < 0 {
-		pd = 0
-	}
 	return &spe.Job{
 		Pipeline:                  &p,
 		Source:                    src,
 		Dir:                       filepath.Join(m.TenantDir(t.ID), "job"),
 		CheckpointEvery:           t.CheckpointEvery,
 		Migrations:                t.Migrations,
-		SelfHeal:                  t.SelfHeal,
-		DegradedCheckpointTimeout: dct,
-		ProgressDeadline:          pd,
+		DegradedCheckpointTimeout: m.opts.DegradedCheckpointTimeout,
+		ProgressDeadline:          m.opts.ProgressDeadline,
 		OnCheckpoint: func(int64, bool) {
 			tr.stats.ckpts.Inc()
 			tr.pollStoreStats(linkedBase, copiedBase, stallsBase)

@@ -195,7 +195,6 @@ func TestNoisyNeighborBattery(t *testing.T) {
 		// At 100 eps a post-burst tuple waits ~10ms for its token —
 		// past MaxIngestDelay, so the over-submitted tail sheds.
 		q := Quota{
-			Strategy:       "token_bucket",
 			IngestEPS:      100,
 			IngestBurst:    50,
 			MaxIngestDelay: 2 * time.Millisecond,
@@ -203,9 +202,6 @@ func TestNoisyNeighborBattery(t *testing.T) {
 			// cluster at the front of the run) overrun the burst and stall.
 			WriteBPS:   2000,
 			WriteBurst: 32,
-		}
-		if i%2 == 1 {
-			q.Strategy = "gcra"
 		}
 		if err := m.Submit(Tenant{
 			ID:              id,
@@ -441,7 +437,7 @@ func TestAdmittedSourceDecisions(t *testing.T) {
 	mkSrc := func(n int) *spe.SliceSource { return spe.NewSliceSource(batteryTuples(n)) }
 
 	t.Run("shed beyond max delay", func(t *testing.T) {
-		lim, err := limit.New("token_bucket", limit.Config{Rate: 1, Burst: 1})
+		lim, err := limit.NewTokenBucket(limit.Config{Rate: 1, Burst: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,7 +464,7 @@ func TestAdmittedSourceDecisions(t *testing.T) {
 	})
 
 	t.Run("backpressure never sheds", func(t *testing.T) {
-		lim, err := limit.New("token_bucket", limit.Config{Rate: 1000, Burst: 1})
+		lim, err := limit.NewTokenBucket(limit.Config{Rate: 1000, Burst: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +507,7 @@ func TestLimitedBackendMetersWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	lim, err := limit.New("token_bucket", limit.Config{Rate: 1000, Burst: 32})
+	lim, err := limit.NewTokenBucket(limit.Config{Rate: 1000, Burst: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

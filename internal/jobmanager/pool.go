@@ -107,6 +107,9 @@ type Pool struct {
 	// wait is closed and replaced on every registry mutation; AwaitStatus
 	// blocks on it instead of polling.
 	wait chan struct{}
+	// scorers counts the running auto-rebalancers: while one is, each
+	// prober tick also times the healthy slots, the latency it scores.
+	scorers int
 }
 
 // NewPool builds a registry over the slot set; every slot starts
@@ -338,18 +341,9 @@ type ProberOptions struct {
 	// it. With ScrubIdle set, healing a failed slot additionally
 	// requires a clean scrub: a media probe alone would return a slot to
 	// rotation while its data still carries the rot that failed it.
+	// The scrub is scrubSlotFiles: every log file frame-verified, every
+	// checkpoint directory checked against its CUT.
 	ScrubIdle bool
-	// Scrub checks one slot's at-rest data; nil uses scrubSlotFiles,
-	// which frame-verifies every log file and checks every checkpoint
-	// directory against its CUT. Only consulted when ScrubIdle is
-	// set.
-	Scrub func(Slot) error
-	// MeasureHealthy makes each tick also probe the HEALTHY slots,
-	// timing the round trip into the slot's latency EWMA (SlotStatus.
-	// ProbeLatency) — the signal latency-driven rebalancing scores
-	// against. Off by default: probing healthy media is extra I/O that
-	// only pays off when an auto-rebalancer consumes the scores.
-	MeasureHealthy bool
 	// Clock paces the prober; nil uses the system clock. Tests inject a
 	// fake to step ticks without real sleeps.
 	Clock clock.Clock
@@ -359,8 +353,12 @@ type ProberOptions struct {
 // they answer Confirmations consecutive probes — closing the loop that
 // MarkFailed opens: without it a transiently failed slot (remounted
 // disk, freed quota) stays out of the pool until an operator calls
-// MarkHealthy by hand. Healthy slots are not probed. The returned stop
-// function halts the prober and waits for it to exit.
+// MarkHealthy by hand. While an auto-rebalancer runs on the pool
+// (StartAutoRebalance), each tick also probes the healthy slots, timing
+// the round trip into the slot's latency EWMA (SlotStatus.ProbeLatency)
+// that the rebalancer scores; with none running, healthy media gets no
+// probe I/O. The returned stop function halts the prober and waits for
+// it to exit.
 func (p *Pool) StartProber(opts ProberOptions) (stop func()) {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Second
@@ -374,10 +372,7 @@ func (p *Pool) StartProber(opts ProberOptions) (stop func()) {
 	}
 	var scrub func(Slot) error
 	if opts.ScrubIdle {
-		scrub = opts.Scrub
-		if scrub == nil {
-			scrub = scrubSlotFiles
-		}
+		scrub = scrubSlotFiles
 	}
 	clk := clock.Or(opts.Clock)
 	done := make(chan struct{})
@@ -404,7 +399,7 @@ func (p *Pool) StartProber(opts ProberOptions) (stop func()) {
 				}
 				p.noteProbe(slot.ID, err, opts.Confirmations)
 			}
-			if opts.MeasureHealthy {
+			if p.scored() {
 				for _, slot := range p.healthySlots() {
 					start := time.Now()
 					if probe(slot) == nil {
@@ -437,6 +432,20 @@ func (p *Pool) failedSlots() []Slot {
 		}
 	}
 	return out
+}
+
+// addScorer registers (+1) or unregisters (-1) an auto-rebalancer.
+func (p *Pool) addScorer(d int) {
+	p.mu.Lock()
+	p.scorers += d
+	p.mu.Unlock()
+}
+
+// scored reports whether an auto-rebalancer is scoring probe latency.
+func (p *Pool) scored() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.scorers > 0
 }
 
 // healthySlots snapshots the currently healthy slots.

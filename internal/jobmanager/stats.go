@@ -43,8 +43,7 @@ func newTenantStats() *tenantStats {
 // Stats is one tenant's externally visible snapshot — what
 // `flowkvctl tenants` prints and the noisy-neighbor battery asserts on.
 type Stats struct {
-	Tenant   string `json:"tenant"`
-	Strategy string `json:"strategy"`
+	Tenant string `json:"tenant"`
 	// State is "running", "done" or "failed".
 	State string `json:"state"`
 	// Slot is the pool slot currently (or last) hosting the tenant.

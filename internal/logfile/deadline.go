@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flowkv/internal/clock"
 	"flowkv/internal/faultfs"
 )
 
@@ -72,9 +71,6 @@ type Policy struct {
 	// Monitor receives per-op latencies and stall events; nil disables
 	// observation.
 	Monitor Monitor
-	// Clock drives the deadline timer and latency measurement; nil
-	// means the system clock.
-	Clock clock.Clock
 }
 
 func (p *Policy) monitor() Monitor {
@@ -124,11 +120,10 @@ func (g *guard) timed(kind MonKind, fn func() (int, error)) (int, error) {
 	if p == nil || (p.Deadline <= 0 && mon == nil) {
 		return fn()
 	}
-	clk := clock.Or(p.Clock)
-	start := clk.Now()
+	start := time.Now()
 	if p.Deadline <= 0 {
 		n, err := fn()
-		mon.ObserveOp(kind, clk.Now().Sub(start))
+		mon.ObserveOp(kind, time.Since(start))
 		return n, err
 	}
 	type result struct {
@@ -143,14 +138,14 @@ func (g *guard) timed(kind MonKind, fn func() (int, error)) (int, error) {
 	select {
 	case r := <-done:
 		if mon != nil {
-			mon.ObserveOp(kind, clk.Now().Sub(start))
+			mon.ObserveOp(kind, time.Since(start))
 		}
 		return r.n, r.err
-	case <-clk.After(p.Deadline):
+	case <-time.After(p.Deadline):
 		select {
 		case r := <-done: // completed in the race window; take it
 			if mon != nil {
-				mon.ObserveOp(kind, clk.Now().Sub(start))
+				mon.ObserveOp(kind, time.Since(start))
 			}
 			return r.n, r.err
 		default:
@@ -186,10 +181,9 @@ func (g *guard) ReadAt(p []byte, off int64) (int, error) {
 	if mon == nil {
 		return g.f.ReadAt(p, off)
 	}
-	clk := clock.Or(pol.Clock)
-	start := clk.Now()
+	start := time.Now()
 	n, err := g.f.ReadAt(p, off)
-	mon.ObserveOp(MonRead, clk.Now().Sub(start))
+	mon.ObserveOp(MonRead, time.Since(start))
 	return n, err
 }
 

@@ -56,23 +56,12 @@ func (AppendListOperator) FullMerge(base []byte, operands [][]byte) []byte {
 	return out
 }
 
-// DecodeList splits a value produced by AppendListOperator into elements.
-func DecodeList(v []byte) ([][]byte, error) {
-	var out [][]byte
-	for len(v) > 0 {
-		e, n, err := binio.Bytes(v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, append([]byte(nil), e...))
-		v = v[n:]
-	}
-	return out, nil
-}
-
-// EncodeListElem appends one element to a list-encoded value, for callers
-// building list values directly.
-func EncodeListElem(dst, elem []byte) []byte { return binio.PutBytes(dst, elem) }
+// The level shape: deeper levels grow by levelSizeMultiplier over
+// BaseLevelBytes, down to maxLevels levels.
+const (
+	levelSizeMultiplier = 10
+	maxLevels           = 5
+)
 
 // Options configures a DB.
 type Options struct {
@@ -84,10 +73,8 @@ type Options struct {
 	// compaction into level 1. Default 4.
 	L0CompactionTrigger int
 	// BaseLevelBytes is the target size of level 1; deeper levels grow by
-	// LevelSizeMultiplier. Default 32 MiB.
+	// levelSizeMultiplier. Default 32 MiB.
 	BaseLevelBytes int64
-	// LevelSizeMultiplier is the per-level growth factor. Default 10.
-	LevelSizeMultiplier int
 	// TargetFileBytes bounds individual SSTable size during compaction.
 	// Default 4 MiB.
 	TargetFileBytes int64
@@ -96,8 +83,6 @@ type Options struct {
 	BlockCacheBytes int64
 	// MergeOperator resolves Merge() operands; required to call Merge.
 	MergeOperator MergeOperator
-	// MaxLevels bounds the level count. Default 5.
-	MaxLevels int
 	// Breakdown receives per-operation CPU time and I/O accounting.
 	Breakdown *metrics.Breakdown
 }
@@ -112,17 +97,11 @@ func (o *Options) fill() {
 	if o.BaseLevelBytes <= 0 {
 		o.BaseLevelBytes = 32 << 20
 	}
-	if o.LevelSizeMultiplier <= 0 {
-		o.LevelSizeMultiplier = 10
-	}
 	if o.TargetFileBytes <= 0 {
 		o.TargetFileBytes = 4 << 20
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 32 << 20
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 5
 	}
 }
 
@@ -156,7 +135,7 @@ func Open(opts Options) (*DB, error) {
 		opts:   opts,
 		bd:     opts.Breakdown,
 		mem:    newSkiplist(),
-		levels: make([][]*sstReader, opts.MaxLevels),
+		levels: make([][]*sstReader, maxLevels),
 	}
 	if opts.BlockCacheBytes > 0 {
 		db.cache = newBlockCache(opts.BlockCacheBytes)
@@ -467,7 +446,7 @@ func (db *DB) pickCompaction() int {
 		if size > target {
 			return level
 		}
-		target *= int64(db.opts.LevelSizeMultiplier)
+		target *= levelSizeMultiplier
 	}
 	return -1
 }

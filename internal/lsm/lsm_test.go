@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"flowkv/internal/binio"
 )
 
 func openTest(t *testing.T, opts Options) *DB {
@@ -182,7 +184,7 @@ func TestMergeLazyAppend(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	elems, err := DecodeList(v)
+	elems, err := binio.SplitBytes(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestMergeLazyAppend(t *testing.T) {
 
 func TestMergeWithBaseAndDelete(t *testing.T) {
 	db := openTest(t, Options{})
-	base := EncodeListElem(nil, []byte("base"))
+	base := binio.PutBytes(nil, []byte("base"))
 	db.Put([]byte("k"), base)
 	db.Merge([]byte("k"), []byte("m1"))
 	db.Merge([]byte("k"), []byte("m2"))
@@ -206,7 +208,7 @@ func TestMergeWithBaseAndDelete(t *testing.T) {
 	if !ok {
 		t.Fatal("missing")
 	}
-	elems, _ := DecodeList(v)
+	elems, _ := binio.SplitBytes(v)
 	if len(elems) != 3 || string(elems[0]) != "base" || string(elems[2]) != "m2" {
 		t.Fatalf("elems = %q", elems)
 	}
@@ -217,7 +219,7 @@ func TestMergeWithBaseAndDelete(t *testing.T) {
 	if !ok {
 		t.Fatal("merge after delete should exist")
 	}
-	elems, _ = DecodeList(v)
+	elems, _ = binio.SplitBytes(v)
 	if len(elems) != 1 || string(elems[0]) != "fresh" {
 		t.Fatalf("after delete: %q", elems)
 	}
@@ -241,7 +243,7 @@ func TestMergeAcrossCompaction(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatal(err)
 		}
-		elems, err := DecodeList(v)
+		elems, err := binio.SplitBytes(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +344,7 @@ func TestScanMergedLists(t *testing.T) {
 	}
 	n := 0
 	for ; it.Valid(); it.Next() {
-		elems, err := DecodeList(it.Value())
+		elems, err := binio.SplitBytes(it.Value())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +393,7 @@ func TestDBStats(t *testing.T) {
 	if st.Flushes == 0 || st.DiskBytes == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if len(st.FilesPerLevel) != db.opts.MaxLevels {
+	if len(st.FilesPerLevel) != maxLevels {
 		t.Errorf("levels = %d", len(st.FilesPerLevel))
 	}
 }

@@ -188,6 +188,10 @@ const (
 	auctionProportion = 3
 )
 
+// hotBidderRatio is the share of bids (in percent) made by one of the
+// 10 most recent persons.
+const hotBidderRatio = 25
+
 // GeneratorConfig parameterizes the deterministic event generator.
 type GeneratorConfig struct {
 	// Events is the total number of events to produce.
@@ -196,17 +200,12 @@ type GeneratorConfig struct {
 	// (event rate = 1000/InterEventMs events per event-time second).
 	// Default 1.
 	InterEventMs int64
-	// FirstEventTS offsets all timestamps. Default 0.
-	FirstEventTS int64
 	// Seed makes runs reproducible. Default 1.
 	Seed int64
 	// HotAuctionRatio is the share of bids (in percent) that target one
 	// of the 10 most recent auctions, the Beam generator's skew model.
 	// Default 50.
 	HotAuctionRatio int
-	// HotBidderRatio is the share of bids (in percent) made by one of
-	// the 10 most recent persons. Default 25.
-	HotBidderRatio int
 	// ExtraBidderKeys widens the bidder key space by drawing cold
 	// bidders from [0, persons*ExtraBidderKeys). Default 1.
 	ExtraBidderKeys int
@@ -221,9 +220,6 @@ func (c *GeneratorConfig) fill() {
 	}
 	if c.HotAuctionRatio <= 0 {
 		c.HotAuctionRatio = 50
-	}
-	if c.HotBidderRatio <= 0 {
-		c.HotBidderRatio = 25
 	}
 	if c.ExtraBidderKeys <= 0 {
 		c.ExtraBidderKeys = 1
@@ -254,7 +250,7 @@ func (g *Generator) Next() (Event, bool) {
 	}
 	i := g.i
 	g.i++
-	ts := g.cfg.FirstEventTS + int64(i)*g.cfg.InterEventMs
+	ts := int64(i) * g.cfg.InterEventMs
 	slot := i % proportionTotal
 	epoch := int64(i / proportionTotal)
 	switch {
@@ -342,7 +338,7 @@ func (g *Generator) pickAuction(epoch int64) int64 {
 
 func (g *Generator) pickBidder(epoch int64) int64 {
 	max := epoch*personProportion + 1
-	if g.rng.Intn(100) < g.cfg.HotBidderRatio {
+	if g.rng.Intn(100) < hotBidderRatio {
 		lo := max - 10
 		if lo < 0 {
 			lo = 0

@@ -1,6 +1,8 @@
 package nexmark
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +99,32 @@ func TestReferencesAreValid(t *testing.T) {
 			if ev.Bid.Price <= 0 {
 				t.Fatal("non-positive bid price")
 			}
+		}
+	}
+}
+
+// TestStreamDigestPinned pins the encoded event stream: every benchmark
+// and golden ledger reads it, so a generator change that moves one byte
+// shows here first.
+func TestStreamDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{
+		{1, "b15740a37c47567749b446dd7eb6529199c313bf45e07bc838781f273dbf2043"},
+		{2023, "14b7778eb7e3df0416450833234d42c2a2d3c96f1c0b9676c22161b8fc4befd1"},
+	} {
+		h := sha256.New()
+		g := NewGenerator(GeneratorConfig{Events: 100_000, Seed: c.seed})
+		for {
+			ev, ok := g.Next()
+			if !ok {
+				break
+			}
+			h.Write(ev.Encode())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("seed %d: stream sha256 %s, want %s", c.seed, got, c.want)
 		}
 	}
 }

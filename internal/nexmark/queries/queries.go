@@ -56,8 +56,7 @@ type Config struct {
 	Mem    memstore.Options
 	// Breakdown receives store CPU-time and I/O accounting.
 	Breakdown *metrics.Breakdown
-	// ChannelDepth and WatermarkEvery tune the SPE runtime.
-	ChannelDepth   int
+	// WatermarkEvery tunes the SPE runtime's watermark cadence.
 	WatermarkEvery int
 }
 
@@ -161,7 +160,6 @@ func backendFactory(cfg Config, stage string, agg core.AggKind, a window.Assigne
 func pipeline(cfg Config, stages ...spe.Stage) *spe.Pipeline {
 	return &spe.Pipeline{
 		Stages:         stages,
-		ChannelDepth:   cfg.ChannelDepth,
 		WatermarkEvery: cfg.WatermarkEvery,
 	}
 }

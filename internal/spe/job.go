@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"flowkv/internal/binio"
-	"flowkv/internal/clock"
 	"flowkv/internal/core"
 	"flowkv/internal/faultfs"
 	"flowkv/internal/metrics"
@@ -160,9 +159,6 @@ type Job struct {
 	// above the worst healthy barrier interval; it is a last line of
 	// defense behind the store-level core.Options.OpDeadline. 0 disables.
 	ProgressDeadline time.Duration
-	// Clock drives the watchdog and degraded-wait timers; nil uses the
-	// system clock.
-	Clock clock.Clock
 
 	// stopReq is armed by RequestStop; the run loop honors it between
 	// tuples.
@@ -551,7 +547,7 @@ loop:
 		if srcDone || r.halted.Load() {
 			break
 		}
-		b, berr := r.injectBarrier(clock.Or(j.Clock), j.ProgressDeadline)
+		b, berr := r.injectBarrier(j.ProgressDeadline)
 		if berr != nil {
 			// Watchdog expiry: the halt is latched, the runtime abandoned.
 			runErr = berr
@@ -600,7 +596,7 @@ loop:
 	if r.abandoned.Load() {
 		// Watchdog expiry: drain what exits within the grace period and
 		// leak the rest; nothing commits past the wedged worker.
-		r.abandonDrain(clock.Or(j.Clock), j.ProgressDeadline)
+		r.abandonDrain(j.ProgressDeadline)
 	} else if killed || stopped || runErr != nil || r.halted.Load() {
 		// Abort without committing: drain unprocessed (no Finish).
 		r.halted.Store(true)
@@ -827,7 +823,6 @@ func snapshotTo(b statebackend.Backend, dir, parent string, meta []byte) error {
 // (confined to the snapshot directory), aborts the attempt; the run ends
 // uncommitted and stays resumable.
 func (jr *jobRun) checkpointBackend(b statebackend.Backend, dir, parent string, meta []byte) error {
-	clk := clock.Or(jr.j.Clock)
 	snap := func() error { return snapshotTo(b, dir, parent, meta) }
 	if pd := jr.j.ProgressDeadline; pd > 0 {
 		// Checkpoint-side progress watchdog: a snapshot wedged in a hung
@@ -842,7 +837,7 @@ func (jr *jobRun) checkpointBackend(b statebackend.Backend, dir, parent string, 
 			select {
 			case err := <-done:
 				return err
-			case <-clk.After(pd):
+			case <-time.After(pd):
 				jr.r.abandoned.Store(true)
 				return fmt.Errorf("%w: checkpoint snapshot of %s made no progress in %v", ErrProgressStalled, b.Name(), pd)
 			}
@@ -860,16 +855,16 @@ func (jr *jobRun) checkpointBackend(b statebackend.Backend, dir, parent string, 
 	if wait <= 0 {
 		wait = selfHealWait
 	}
-	deadline := clk.Now().Add(wait)
+	deadline := time.Now().Add(wait)
 	wasDegraded := false
-	for clk.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
 		h, ok := statebackend.FlowKVHealth(b)
 		if !ok || h == core.Failed {
 			return err
 		}
 		if h != core.Healthy {
 			wasDegraded = true
-			clk.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond)
 			continue
 		}
 		if err = snap(); err == nil {

@@ -322,18 +322,15 @@ func (o *WindowOperator) OnWatermark(wm int64, wallNS int64) error {
 	return nil
 }
 
-func (o *WindowOperator) resultTS(w window.Window) int64 {
-	if o.spec.ResultTS != nil {
-		return o.spec.ResultTS(w)
-	}
-	return w.End - 1
-}
+// resultTS is the event time of a window's results: its last instant,
+// w.End-1 (for count windows, the last tuple's timestamp).
+func resultTS(w window.Window) int64 { return w.End - 1 }
 
 func (o *WindowOperator) fireAligned(w window.Window, wallNS int64) error {
 	keys := o.aligned[w]
 	delete(o.aligned, w)
 	o.triggersFired++
-	ts := o.resultTS(w)
+	ts := resultTS(w)
 
 	if o.spec.IsHolistic() {
 		// Bulk window read when the backend supports it; the same key may
@@ -423,7 +420,7 @@ func (o *WindowOperator) fireSessionTimer(e timerEntry, wallNS int64) error {
 
 func (o *WindowOperator) fireSession(key []byte, s *session, wallNS int64) error {
 	o.triggersFired++
-	ts := o.resultTS(s.cur)
+	ts := resultTS(s.cur)
 	if o.spec.IsHolistic() {
 		initials := append([]window.Window(nil), s.initials...)
 		sort.Slice(initials, func(i, j int) bool { return initials[i].Before(initials[j]) })
@@ -471,7 +468,7 @@ func (o *WindowOperator) fireCustom(e timerEntry, wallNS int64) error {
 		// FlowKV can learn ETTs for this custom window function.
 		o.spec.Profiler.ObserveTrigger(e.w, maxTS, e.at)
 	}
-	return o.fireKeyWindow([]byte(e.key), e.w, o.resultTS(e.w), wallNS)
+	return o.fireKeyWindow([]byte(e.key), e.w, resultTS(e.w), wallNS)
 }
 
 // fireKeyWindow triggers one (key, window) state (count/custom windows).

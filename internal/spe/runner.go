@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flowkv/internal/clock"
 	"flowkv/internal/core"
 	"flowkv/internal/metrics"
 	"flowkv/internal/statebackend"
@@ -47,9 +46,6 @@ type statefulOperator interface {
 type Pipeline struct {
 	// Stages in dataflow order.
 	Stages []Stage
-	// ChannelDepth bounds inter-operator channels (backpressure).
-	// Default 256 messages.
-	ChannelDepth int
 	// WatermarkEvery emits a source watermark after this many tuples.
 	// Default 200.
 	WatermarkEvery int
@@ -238,12 +234,16 @@ type stageRT struct {
 	atBar []atomic.Bool
 }
 
+// channelDepth bounds every inter-operator channel, in messages: a
+// worker that falls this far behind blocks its upstream, and the
+// backpressure reaches the source.
+const channelDepth = 256
+
 // runtime is a constructed pipeline: channels wired, backends opened,
 // operators built. Run and jobs share it; jobs additionally halt on any
 // operator error (haltAll) so no state divergence can be committed.
 type runtime struct {
 	p       *Pipeline
-	depth   int
 	wmEvery int
 	res     *RunResult
 	rts     []*stageRT
@@ -283,15 +283,11 @@ func newRuntime(p *Pipeline, sink func(Tuple), haltAll bool) (*runtime, error) {
 	}
 	r := &runtime{
 		p:       p,
-		depth:   p.ChannelDepth,
 		wmEvery: p.WatermarkEvery,
 		res:     &RunResult{Latency: metrics.NewHistogram()},
 		haltAll: haltAll,
 		sink:    sink,
 		maxTS:   -1 << 62,
-	}
-	if r.depth <= 0 {
-		r.depth = 256
 	}
 	if r.wmEvery <= 0 {
 		r.wmEvery = 200
@@ -306,7 +302,7 @@ func newRuntime(p *Pipeline, sink func(Tuple), haltAll bool) (*runtime, error) {
 		rt := &stageRT{stage: st, par: par, in: make([]chan Message, par),
 			beats: make([]atomic.Int64, par), atBar: make([]atomic.Bool, par)}
 		for w := 0; w < par; w++ {
-			rt.in[w] = make(chan Message, r.depth)
+			rt.in[w] = make(chan Message, channelDepth)
 		}
 		r.rts[i] = rt
 	}
@@ -468,7 +464,7 @@ func (r *runtime) arriveBarrier(stageIdx, w int, b *barrier) {
 // abandoned — the wedged worker may wake later and still owns its
 // backend — and a release goroutine unparks the aligned workers if the
 // barrier ever completes.
-func (r *runtime) injectBarrier(clk clock.Clock, deadline time.Duration) (*barrier, error) {
+func (r *runtime) injectBarrier(deadline time.Duration) (*barrier, error) {
 	b := newBarrier()
 	if deadline <= 0 {
 		for _, ch := range r.rts[0].in {
@@ -477,7 +473,7 @@ func (r *runtime) injectBarrier(clk clock.Clock, deadline time.Duration) (*barri
 		<-b.aligned
 		return b, nil
 	}
-	expired := clk.After(deadline)
+	expired := time.After(deadline)
 	for _, ch := range r.rts[0].in {
 		select {
 		case ch <- Message{barrier: b}:
@@ -547,7 +543,7 @@ func (r *runtime) stuckWorkerHalt(deadline time.Duration) *Halt {
 // and every channel downstream of them — alive. Closing further
 // channels would turn the wedged worker's eventual wake-up into a send
 // on a closed channel; leaking them keeps its recovery path harmless.
-func (r *runtime) abandonDrain(clk clock.Clock, grace time.Duration) {
+func (r *runtime) abandonDrain(grace time.Duration) {
 	if grace <= 0 {
 		grace = time.Second
 	}
@@ -562,7 +558,7 @@ func (r *runtime) abandonDrain(clk clock.Clock, grace time.Duration) {
 		}(r.wgs[i])
 		select {
 		case <-exited:
-		case <-clk.After(grace):
+		case <-time.After(grace):
 			return
 		}
 	}

@@ -118,9 +118,6 @@ type OperatorSpec struct {
 	// Incremental xor Holistic selects the aggregate interface.
 	Incremental IncrementalAgg
 	Holistic    HolisticAgg
-	// ResultTS overrides the event time of emitted results; nil defaults
-	// to window.End - 1 (count windows: the last tuple's timestamp).
-	ResultTS func(w window.Window) int64
 	// Profiler, when set on a custom-window operator, receives every
 	// observed trigger so an adaptive predictor can learn ETTs (§8).
 	// Share the same instance with the FlowKV backend's Predictor option.

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"flowkv/internal/binio"
 	"flowkv/internal/core"
 	"flowkv/internal/faster"
 	"flowkv/internal/lsm"
@@ -337,7 +338,7 @@ func (b *lsmBackend) ReadAppended(key []byte, w window.Window) ([][]byte, error)
 	if err != nil || !ok {
 		return nil, err
 	}
-	vals, err := lsm.DecodeList(v)
+	vals, err := binio.SplitBytes(v)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +350,7 @@ func (b *lsmBackend) PeekAppended(key []byte, w window.Window) ([][]byte, error)
 	if err != nil || !ok {
 		return nil, err
 	}
-	return lsm.DecodeList(v)
+	return binio.SplitBytes(v)
 }
 
 func (b *lsmBackend) ReadWindow(w window.Window, emit func(key []byte, values [][]byte) error) (bool, error) {
@@ -365,7 +366,7 @@ func (b *lsmBackend) ReadWindow(w window.Window, emit func(key []byte, values []
 	}
 	var groups []group
 	for ; it.Valid(); it.Next() {
-		vals, err := lsm.DecodeList(it.Value())
+		vals, err := binio.SplitBytes(it.Value())
 		if err != nil {
 			return true, err
 		}
@@ -429,7 +430,7 @@ func (b *fasterBackend) ReadAppended(key []byte, w window.Window) ([][]byte, err
 	if err != nil || !ok {
 		return nil, err
 	}
-	vals, err := faster.DecodeList(v)
+	vals, err := binio.SplitBytes(v)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +442,7 @@ func (b *fasterBackend) PeekAppended(key []byte, w window.Window) ([][]byte, err
 	if err != nil || !ok {
 		return nil, err
 	}
-	return faster.DecodeList(v)
+	return binio.SplitBytes(v)
 }
 
 func (b *fasterBackend) ReadWindow(window.Window, func(key []byte, values [][]byte) error) (bool, error) {
